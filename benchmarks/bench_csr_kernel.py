@@ -19,13 +19,20 @@ Measures the integer-interned CSR traversal kernels
   naturally smaller than the kernel-level one).
 * **memory footprint** — the compiled graph's flat arrays, reported in
   bytes and bytes/edge.
-* **vector backend (P6)** — multi-source distance blocks and component
-  labelling on a large synthetic graph, vectorized numpy backend vs the
-  scalar csr core (``vector=False``), bit-identity asserted first; the
-  combined cold-sweep ratio is the gate (>= 10x).  Skipped (without
-  failing) when numpy is unavailable so the no-numpy CI leg stays
-  green.  Footprint deltas between the two backends are reported —
-  ~zero is the point: the numpy views are zero-copy.
+* **bounded rows** — counters only, no timing: for every distance
+  source of the kernel workload, nodes settled and bytes held by the
+  radius-bounded one-byte row the kernels request vs the unbounded
+  oracle row, with the bounded row checked to be the oracle clipped at
+  its radius.  Exact counts, no gate.
+* **vector backend (P6)** — the *oracle* sweep: unbounded multi-source
+  distance blocks (``radius=None``, the row no production query asks
+  for any more) and component labelling on a large synthetic graph,
+  vectorized numpy backend vs the scalar csr core (``vector=False``),
+  bit-identity asserted first; the combined cold-sweep ratio is the
+  gate (>= 10x).  Skipped (without failing) when numpy is unavailable
+  so the no-numpy CI leg stays green.  Footprint deltas between the two
+  backends are reported — ~zero is the point: the numpy views are
+  zero-copy.
 
 Run standalone::
 
@@ -230,8 +237,51 @@ def _kernel_section(graph, pairs, combos, depth, max_tuples, rounds, out):
     return batch_ratio, topk_ratio, caches["csr"].frozen()
 
 
+def _bounded_section(graph, pairs, combos, depth, max_tuples, out):
+    """Counter-only: what the radius-bounded rows the kernels request
+    settle and hold, against the unbounded oracle row of the same
+    source.  Returns ``(sources, bounded settled, oracle settled,
+    bounded bytes, oracle bytes)`` — exact, repeatable counts."""
+    frozen = FrozenGraph(graph)
+    wanted: dict = {}  # node int -> radius, as the kernels would ask
+    for __, target in pairs:
+        node = frozen.node_of(target)
+        wanted[node] = max(wanted.get(node, depth - 1), depth - 1)
+    for combo in combos:
+        for tid in combo:
+            node = frozen.node_of(tid)
+            wanted[node] = max(wanted.get(node, max_tuples - 1), max_tuples - 1)
+    settled = {"bounded": 0, "oracle": 0}
+    held = {"bounded": 0, "oracle": 0}
+    for node, radius in wanted.items():
+        oracle = frozen._bfs_row_scalar(node)
+        bounded = frozen._bfs_row_scalar(node, radius)
+        assert list(bounded) == [
+            depth_ if depth_ <= radius else 0xFF for depth_ in oracle
+        ], f"bounded row of source {node} is not the clipped oracle"
+        settled["bounded"] += sum(1 for depth_ in bounded if depth_ != 0xFF)
+        settled["oracle"] += sum(1 for depth_ in oracle if depth_ < (1 << 30))
+        held["bounded"] += memoryview(bounded).nbytes
+        held["oracle"] += memoryview(oracle).nbytes
+    count = max(1, len(wanted))
+    print(f"bounded rows: {len(wanted)} distance sources of the kernel "
+          f"workload (pair radius {depth - 1}, tree radius {max_tuples - 1}), "
+          f"counts only", file=out)
+    for name in ("bounded", "oracle"):
+        print(f"  {name:8} settled {settled[name]:8,} nodes "
+              f"({settled[name] / count:8.1f}/row)   "
+              f"{held[name]:10,} bytes ({held[name] // count:,}/row)",
+              file=out)
+    return (len(wanted), settled["bounded"], settled["oracle"],
+            held["bounded"], held["oracle"])
+
+
 def _vector_section(rounds, out, sources_wanted=128):
-    """P6: vectorized frontier-at-a-time kernels vs the scalar csr core.
+    """P6: the unbounded *oracle* sweep, vectorized frontier-at-a-time
+    kernels vs the scalar csr core.  Production queries request
+    radius-bounded rows, which always take the scalar sweep (see
+    EXPERIMENTS.md "Vector vs scalar at a radius"); this section times
+    the ``radius=None`` block tests and tools still use.
 
     Returns the combined cold-sweep speedup, or ``None`` when the
     vectorized backend is unavailable (stdlib fallback active) — the
@@ -244,10 +294,10 @@ def _vector_section(rounds, out, sources_wanted=128):
     capacity = scalar.capacity
     step = max(1, capacity // sources_wanted)
     sources = list(range(0, capacity, step))[:sources_wanted]
-    print(f"vector workload: {capacity} tuples, "
+    print(f"vector workload (oracle sweep, radius=None): {capacity} tuples, "
           f"{len(scalar._targets)} CSR entries, "
-          f"{len(sources)}-source distance block + component labelling "
-          f"[backend: {vector.backend_name}]", file=out)
+          f"{len(sources)}-source unbounded distance block + component "
+          f"labelling [backend: {vector.backend_name}]", file=out)
     if not vector._backend.vectorized:
         print("  numpy unavailable (or REPRO_NO_VECTOR set) — vectorized "
               "gate skipped, stdlib fallback is the only backend", file=out)
@@ -262,7 +312,7 @@ def _vector_section(rounds, out, sources_wanted=128):
 
     def cold_block(frozen):
         def run():
-            frozen._distances.clear()
+            frozen.drop_distance_rows()
             frozen.distances_block(sources)
         return run
 
@@ -382,6 +432,8 @@ def main(argv=None, out=None) -> int:
           f"({per_edge:.1f} bytes/entry) — arrays {footprint['arrays']:,}, "
           f"distance rows {footprint['distances']:,}, "
           f"edge payload {footprint['payload']:,}", file=out)
+
+    _bounded_section(graph, pairs, combos, depth, 6, out)
 
     vector_ratio = _vector_section(rounds, out)
     if vector_ratio is not None and vector_ratio < 10.0:

@@ -285,53 +285,51 @@ class Executor:
             return self.cache
         return self.shard_plan.cache_for(shard)
 
-    def _prefetch_distances(self, plan: QueryPlan) -> None:
+    def _prefetch_distances(
+        self, plan: QueryPlan, limits: SearchLimits
+    ) -> None:
         """Warm the compiled graph's distance-row cache for every source
-        the plan's enumeration units will prune against, as one
-        multi-source BFS block per graph instead of one probe at a time.
+        the plan's enumeration units will prune against, as one block
+        per graph and radius instead of one probe at a time.
 
         Purely a cache effect: blocks are bit-identical to on-demand
-        rows on either backend, so answers, order and budget points are
-        unchanged.  Rows for units the kernels later skip (disconnected
-        or over-budget pairs) may be computed ahead of need; the LRU
-        keeps that bounded.  Under a shard plan the tuples are grouped
-        per shard graph — cross-shard/unknown tuples are left to the
-        global on-demand path.
+        rows, so answers, order and budget points are unchanged.  Rows
+        for units the kernels later skip (disconnected or over-budget
+        pairs) may be computed ahead of need; the LRU keeps that
+        bounded.  Under a shard plan the tuples are grouped per shard
+        graph — cross-shard/unknown tuples are left to the global
+        on-demand path.
         """
-        tids = plan.distance_sources()
-        if not tids or self.cache is None:
+        if self.cache is None:
             return
-        if self.shard_plan is None:
-            graphs = {None: (self.cache.frozen(), tids)}
-        else:
-            graphs = {}
-            for tid in tids:
+        blocks: dict = {}  # (shard, radius) -> node ints on that graph
+        for tid, radius in plan.distance_sources(limits).items():
+            shard = None
+            if self.shard_plan is not None:
                 shard = self.shard_plan.shard_of(tid)
                 if shard is None:
                     continue
-                if shard not in graphs:
-                    graphs[shard] = (self.shard_plan.graph_for(shard), [])
-                graphs[shard][1].append(tid)
-        for frozen, members in graphs.values():
-            nodes = [
-                node
-                for tid in members
-                if (node := frozen.node_of(tid)) is not None
-            ]
+            node = self._unit_cache(shard).frozen().node_of(tid)
+            if node is not None:
+                blocks.setdefault((shard, radius), []).append(node)
+        for (shard, radius), nodes in blocks.items():
             if len(nodes) > 1:
-                frozen.distances_block(nodes)
+                self._unit_cache(shard).frozen().distances_block(nodes, radius)
 
     # ------------------------------------------------------------------
     # adaptive bounds (selectivity-ordered pushdown, csr core only)
     # ------------------------------------------------------------------
-    def _unit_distance(self, source, target, shard, rows) -> Optional[int]:
+    def _unit_distance(
+        self, source, target, shard, rows, limits
+    ) -> Optional[int]:
         """Admissible lower bound on the RDB length of any simple path
-        between two tuples: their BFS distance in the compiled graph
-        (rows are warmed by :meth:`_prefetch_distances` and memoised in
-        ``rows`` per target).  ``None`` means no bound is available
-        (tuple not interned) and the caller must fall back to eager
-        static setup; :data:`_UNREACHABLE` or more proves the pair
-        yields nothing.
+        between two tuples: their BFS distance in the compiled graph,
+        exact up to ``max_rdb_length`` (rows are warmed by
+        :meth:`_prefetch_distances` at the radius the path kernel uses
+        and memoised in ``rows`` per target).  ``None`` means no bound
+        is available (tuple not interned) and the caller must fall back
+        to eager static setup; :data:`_UNREACHABLE` proves the pair
+        yields nothing within the budget.
         """
         frozen = self._unit_cache(shard).frozen()
         row_key = (shard, target)
@@ -340,22 +338,21 @@ class Executor:
             node = frozen.node_of(target)
             if node is None:
                 return None
-            row = frozen.distances(node)
+            row = frozen.distances(node, radius=limits.max_rdb_length - 1)
             rows[row_key] = row
         source_node = frozen.node_of(source)
         if source_node is None:
             return None
-        if source_node >= len(row):
-            return _UNREACHABLE
-        return row[source_node]
+        return frozen.distance_within(row, source_node, limits.max_rdb_length)
 
-    def _network_bound(self, required, shard, rows) -> Optional[int]:
+    def _network_bound(self, required, shard, rows, limits) -> Optional[int]:
         """Admissible lower bound on the tuple count of any joining tree
         over ``required``: a connected tree must contain a path between
         its two farthest required tuples, so it holds at least
         ``max(len(required), max pairwise BFS distance + 1)`` tuples.
-        ``None`` → fall back to eager setup; :data:`_UNREACHABLE` or
-        more → provably no tree exists.
+        ``None`` → fall back to eager setup; :data:`_UNREACHABLE` →
+        provably no tree fits ``max_tuples`` (rows reach
+        ``max_tuples - 1`` levels, the radius the tree kernel uses).
         """
         frozen = self._unit_cache(shard).frozen()
         nodes = []
@@ -364,18 +361,17 @@ class Executor:
             if node is None:
                 return None
             nodes.append((tid, node))
+        radius = limits.max_tuples - 1
         bound = len(required)
         for position, (tid, node) in enumerate(nodes[:-1]):
             row_key = (shard, tid)
             row = rows.get(row_key)
             if row is None:
-                row = frozen.distances(node)
+                row = frozen.distances(node, radius=radius)
                 rows[row_key] = row
             for __, other in nodes[position + 1:]:
-                if other >= len(row):
-                    return _UNREACHABLE
                 distance = row[other]
-                if distance >= _UNREACHABLE:
+                if distance > radius:
                     return _UNREACHABLE
                 if distance + 1 > bound:
                     bound = distance + 1
@@ -473,10 +469,10 @@ class Executor:
         if self.core == "csr":
             if exec_span is not None:
                 t0 = time.perf_counter()
-                self._prefetch_distances(plan)
+                self._prefetch_distances(plan, limits)
                 exec_span.child("prefetch").add_time(time.perf_counter() - t0)
             else:
-                self._prefetch_distances(plan)
+                self._prefetch_distances(plan, limits)
 
         if use_pushdown:
             emitter = self._stream_pushdown(plan, ranker, limits)
@@ -954,7 +950,7 @@ class _PairState:
                         continue
                     if adaptive:
                         bound = executor._unit_distance(
-                            source, target, shard, rows
+                            source, target, shard, rows, limits
                         )
                         if bound is not None:
                             if bound > limits.max_rdb_length:
@@ -1076,7 +1072,9 @@ class _NetworkState:
                 executor.stats.shard_skips += 1
                 continue
             if adaptive:
-                bound = executor._network_bound(required, shard, rows)
+                bound = executor._network_bound(
+                    required, shard, rows, limits
+                )
                 if bound is not None:
                     if bound > limits.max_tuples:
                         # Every joining tree over this assignment needs

@@ -149,27 +149,37 @@ class QueryPlan:
         """True when the plan can produce no answers."""
         return not self.sources
 
-    def distance_sources(self):
+    def distance_sources(self, limits) -> dict:
         """Every tuple whose BFS distance row this plan's enumeration
-        units will request, deduplicated, in plan order.
+        units will request, mapped to the radius they request it at,
+        deduplicated, in plan order.
 
-        The executor prefetches these rows as one multi-source block
-        before streaming.  Pair paths prune against the *target* side's
-        row (``distances(dst)`` in the path kernel), so each pair op
-        contributes its second match's tuples; network growth prunes
-        against every required tuple's row.  Single scans enumerate no
-        structure and need no rows.
+        The executor prefetches these rows before streaming.  Pair paths
+        prune against the *target* side's row (``distances(dst)`` in the
+        path kernel) and never look past ``max_rdb_length - 1`` levels,
+        so each pair op contributes its second match's tuples at that
+        radius; network growth prunes against every required tuple's
+        row up to ``max_tuples - 1``.  A tuple both kinds use takes the
+        wider radius (a wider row serves the narrower request).  Single
+        scans enumerate no structure and need no rows.
         """
         wanted: dict = {}
         for source in self.sources:
             if isinstance(source, PairPaths):
-                for tid in self.matches[source.second].tuple_ids:
-                    wanted[tid] = None
+                radius = limits.max_rdb_length - 1
+                tids = self.matches[source.second].tuple_ids
             elif isinstance(source, NetworkGrowth):
-                for index in source.indices:
-                    for tid in self.matches[index].tuple_ids:
-                        wanted[tid] = None
-        return tuple(wanted)
+                radius = limits.max_tuples - 1
+                tids = tuple(
+                    tid
+                    for index in source.indices
+                    for tid in self.matches[index].tuple_ids
+                )
+            else:
+                continue
+            for tid in tids:
+                wanted[tid] = max(wanted.get(tid, radius), radius)
+        return wanted
 
     def describe(self) -> str:
         """Human-readable stage listing (CLI / debugging aid)."""

@@ -15,9 +15,12 @@ kernels entirely on dense ints:
   plus a parallel edge-payload table (edge key strings and edge data
   dicts, shared with the underlying networkx graph) holding each node's
   incident edges pre-sorted in expansion order.
-* **Array distance maps.**  BFS distance maps are flat ``array('i')``
-  rows indexed by node int — the admissible-pruning lookup in the DFS
-  inner loop becomes a C array index instead of a dict probe.
+* **Radius-bounded distance rows.**  BFS distance maps are flat rows
+  indexed by node int — the admissible-pruning lookup in the DFS inner
+  loop is a C array index instead of a dict probe.  The kernels ask for
+  the radius their budget can use, so the sweep stops after that many
+  levels and the row is one byte per node (``0xFF`` = beyond the
+  radius); the unbounded ``array('i')`` row stays as the oracle.
 * **Zero-copy DFS.**  Path enumeration keeps one shared ``bytearray``
   of visited marks and one mutable path stack, pushing and undoing in
   place; per-expansion ``visited | {other}`` / ``path + [...]`` copies
@@ -41,7 +44,8 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
-from typing import Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.errors import QueryError, SearchLimitError
 from repro.graph.data_graph import DataGraph
@@ -60,6 +64,13 @@ __all__ = [
 ]
 
 _UNREACHABLE = 1 << 30
+#: "Beyond the radius" in a bounded one-byte row.  Depths 0..254 are
+#: exact, so a radius above ``_MAX_RADIUS`` takes the unbounded row.
+_BEYOND = 0xFF
+_MAX_RADIUS = _BEYOND - 1
+
+#: A distance row: bounded ``bytearray`` or unbounded ``array('i')``.
+DistanceRow = Union[bytearray, array]
 
 #: The engine's traversal kernels, fastest first.  ``csr`` runs this
 #: module's integer kernels, ``fast`` the pruned TupleId core, and
@@ -102,8 +113,10 @@ class FrozenGraph:
     #: Never compact below this many nodes — recompiling a tiny graph
     #: costs less than tracking whether it is worth it.
     min_compaction_nodes = 64
-    #: Most distance rows kept at once; each is O(capacity) ints.
-    max_distance_maps = 1024
+    #: Most bytes of distance rows kept at once (LRU-evicted above it);
+    #: a bounded row is ``capacity`` bytes, an unbounded one four times
+    #: that.
+    max_distance_bytes = 32 << 20
     #: Below this many members, the scalar per-member union over the
     #: memoized ``neighbour_ints`` rows beats the vector gather, which
     #: re-reads CSR slices every call (measured crossover ~512 on the
@@ -184,6 +197,7 @@ class FrozenGraph:
         frozen._alive = bytearray(b"\x01") * len(tids)
         frozen._override = {}
         frozen._distances = OrderedDict()
+        frozen._distance_bytes = 0
         frozen._components = None
         frozen._neighbour_rows = {}
         return frozen
@@ -222,9 +236,14 @@ class FrozenGraph:
         #: tombstoned nodes always live here (their CSR slice is empty
         #: or stale); an entry shadows the node's CSR slice entirely.
         self._override: dict[int, tuple[list[int], list[str], list[dict]]] = {}
-        #: LRU of cached BFS rows: hits refresh recency
-        #: (``move_to_end``), eviction pops the least recent.
-        self._distances: OrderedDict[int, array] = OrderedDict()
+        #: LRU of cached BFS rows, ``source -> (row, radius)`` with
+        #: radius ``None`` for an unbounded row: hits refresh recency
+        #: (``move_to_end``), eviction pops the least recent.  Every
+        #: held row is exactly ``capacity`` long.
+        self._distances: OrderedDict[
+            int, tuple[DistanceRow, Optional[int]]
+        ] = OrderedDict()
+        self._distance_bytes = 0
         self._components: Optional[array] = None
         self._neighbour_rows: dict[int, tuple[int, ...]] = {}
         self._vector_state = None
@@ -276,7 +295,8 @@ class FrozenGraph:
         """Footprint estimate by section, in bytes.
 
         ``arrays`` covers the flat CSR buffers and liveness bits,
-        ``distances`` the cached BFS rows (plus the component labels),
+        ``distances`` the bytes held by cached BFS rows of either type
+        (plus the component labels),
         and ``payload`` the edge-payload table: the two per-entry list
         slots plus each *distinct* edge-key string and edge-data dict —
         payload objects are shared between the two CSR entries of one
@@ -290,9 +310,7 @@ class FrozenGraph:
             + self._targets.itemsize * len(self._targets)
             + len(self._alive)
         )
-        distances = 0
-        for row in self._distances.values():
-            distances += row.itemsize * len(row)
+        distances = self._distance_bytes
         if self._components is not None:
             distances += self._components.itemsize * len(self._components)
         payload = 16 * len(self._edge_keys)  # two list slots per entry
@@ -434,45 +452,97 @@ class FrozenGraph:
             )
         return state
 
-    def _store_row(self, node: int, row: array) -> None:
-        while len(self._distances) >= self.max_distance_maps:
-            self._distances.popitem(last=False)  # least recently used
-        self._distances[node] = row
+    def drop_distance_rows(self) -> None:
+        """Forget every cached distance row (cold-sweep benchmarks)."""
+        self._distances.clear()
+        self._distance_bytes = 0
 
-    def _bfs_row_scalar(self, node: int) -> array:
-        row = array("i", [_UNREACHABLE]) * self.capacity
+    def _cached_row(
+        self, node: int, radius: Optional[int]
+    ) -> Optional[DistanceRow]:
+        """The held row of ``node`` when it covers ``radius`` — it is
+        unbounded, or bounded at least that far — counted as a hit and
+        LRU-refreshed; otherwise a counted miss."""
+        entry = self._distances.get(node)
+        if entry is not None:
+            row, held = entry
+            if held is None or (radius is not None and held >= radius):
+                self._counters.hits += 1
+                self._distances.move_to_end(node)
+                return row
+        self._counters.misses += 1
+        return None
+
+    def _store_row(
+        self, node: int, row: DistanceRow, radius: Optional[int]
+    ) -> None:
+        distances = self._distances
+        replaced = distances.pop(node, None)  # a shorter-radius row
+        if replaced is not None:
+            self._distance_bytes -= memoryview(replaced[0]).nbytes
+        distances[node] = (row, radius)
+        self._distance_bytes += memoryview(row).nbytes
+        self._evict_rows()
+
+    def _evict_rows(self) -> None:
+        """Pop least-recently-used rows until the byte budget holds (the
+        most recent row always stays)."""
+        distances = self._distances
+        budget = self.max_distance_bytes
+        while self._distance_bytes > budget and len(distances) > 1:
+            __, (row, __) = distances.popitem(last=False)
+            self._distance_bytes -= memoryview(row).nbytes
+
+    def _bfs_row_scalar(
+        self, node: int, radius: Optional[int] = None
+    ) -> DistanceRow:
+        """Level-by-level BFS from ``node``.  Without a radius the whole
+        component is swept into an ``array('i')`` row (the oracle);
+        with one the sweep stops after ``radius`` levels and the row is
+        one byte per node, :data:`_BEYOND` past the radius."""
+        if radius is None:
+            beyond = _UNREACHABLE
+            row = array("i", [beyond]) * self.capacity
+            radius = self.capacity  # deeper than any simple path
+        else:
+            beyond = _BEYOND
+            row = bytearray(b"\xff") * self.capacity
         row[node] = 0
         frontier = [node]
         depth = 0
-        while frontier:
+        while frontier and depth < radius:
             depth += 1
             next_frontier = []
             for at in frontier:
                 row_targets, __, __, start, end = self._row(at)
                 for position in range(start, end):
                     other = row_targets[position]
-                    if row[other] == _UNREACHABLE:
+                    if row[other] == beyond:
                         row[other] = depth
                         next_frontier.append(other)
             frontier = next_frontier
         return row
 
-    def _bfs_rows(self, sources: Sequence[int]) -> list[array]:
+    def _bfs_rows(
+        self, sources: Sequence[int], radius: Optional[int] = None
+    ) -> list[DistanceRow]:
         """Fresh BFS rows for distinct sources, in the given order.
 
-        Multi-source blocks run one bit-parallel sweep per
+        Bounded rows always take the scalar sweep: a ball of a few
+        hundred nodes costs less than one full-matrix vector level.
+        Unbounded multi-source blocks run one bit-parallel sweep per
         ``max_sources_per_sweep`` chunk on the vector backend; single
-        probes (and the stdlib fallback) run the scalar loop, which is
-        faster for one source and defines the reference semantics.
-        Rows are plain ``array('i')`` either way — the DFS inner loops
-        index them, and cached state stays backend-independent.
+        probes (and the stdlib fallback) run the scalar loop, which
+        defines the reference semantics.  Unbounded rows are plain
+        ``array('i')`` either way — cached state stays
+        backend-independent.
         """
         backend = self._backend
-        if not backend.vectorized or len(sources) < 2:
-            return [self._bfs_row_scalar(node) for node in sources]
+        if radius is not None or not backend.vectorized or len(sources) < 2:
+            return [self._bfs_row_scalar(node, radius) for node in sources]
         adjacency = self._vector_adjacency()
         capacity = self.capacity
-        rows: list[array] = []
+        rows: list[DistanceRow] = []
         chunk = backend.max_sources_per_sweep
         for start in range(0, len(sources), chunk):
             block = sources[start : start + chunk]
@@ -485,42 +555,49 @@ class FrozenGraph:
                 rows.append(row)
         return rows
 
-    def distances(self, node: int) -> array:
-        """Flat BFS distance row from ``node``; unreachable slots hold
-        a value larger than any admissible budget."""
-        cached = self._distances.get(node)
-        if cached is not None:
-            self._counters.hits += 1
-            self._distances.move_to_end(node)
-            return cached
-        self._counters.misses += 1
-        row = self._bfs_row_scalar(node)
-        self._store_row(node, row)
+    def distances(
+        self, node: int, radius: Optional[int] = None
+    ) -> DistanceRow:
+        """Flat BFS distance row from ``node``.
+
+        Without a ``radius`` the row is exact everywhere and unreachable
+        slots hold a value larger than any admissible budget.  With one,
+        depths up to ``radius`` are exact and every other slot holds
+        :data:`_BEYOND` (or an exact larger depth when a wider cached
+        row is served) — either way ``row[x] > budget`` means "farther
+        than ``budget``" for any ``budget <= radius``.
+        """
+        if radius is not None and radius > _MAX_RADIUS:
+            radius = None
+        row = self._cached_row(node, radius)
+        if row is None:
+            row = self._bfs_row_scalar(node, radius)
+            self._store_row(node, row, radius)
         return row
 
-    def distances_block(self, nodes: Sequence[int]) -> dict[int, array]:
+    def distances_block(
+        self, nodes: Sequence[int], radius: Optional[int] = None
+    ) -> dict[int, DistanceRow]:
         """Distance rows for many sources at once: ``{node: row}``.
 
-        Cached rows are served (and LRU-refreshed) directly; the
-        remaining sources share one frontier-at-a-time sweep on the
-        vector backend instead of one BFS each.  Rows are identical to
-        per-source :meth:`distances` calls on any backend.
+        Cached rows that cover ``radius`` are served (and LRU-refreshed)
+        directly; the remaining sources are swept together.  Rows are
+        identical to per-source :meth:`distances` calls on any backend.
         """
-        result: dict[int, array] = {}
+        if radius is not None and radius > _MAX_RADIUS:
+            radius = None
+        result: dict[int, DistanceRow] = {}
         missing: list[int] = []
         for node in dict.fromkeys(nodes):
-            cached = self._distances.get(node)
+            cached = self._cached_row(node, radius)
             if cached is not None:
-                self._counters.hits += 1
-                self._distances.move_to_end(node)
                 result[node] = cached
             else:
-                self._counters.misses += 1
                 missing.append(node)
         if missing:
             with obs_trace.span("csr.distances_block") as sweep_span:
-                for node, row in zip(missing, self._bfs_rows(missing)):
-                    self._store_row(node, row)
+                for node, row in zip(missing, self._bfs_rows(missing, radius)):
+                    self._store_row(node, row, radius)
                     result[node] = row
                 if sweep_span is not None:
                     sweep_span.tag(backend=self._backend.name)
@@ -530,6 +607,24 @@ class FrozenGraph:
                 obs_metrics.REGISTRY.inc("csr.distance_rows", len(missing))
                 obs_metrics.REGISTRY.observe("csr.sweep_sources", len(missing))
         return result
+
+    def distance_within(self, row: DistanceRow, node: int, budget: int) -> int:
+        """Distance from ``row``'s source to ``node`` when it is at most
+        ``budget``, else :data:`_UNREACHABLE`.
+
+        ``row`` need only cover radius ``budget - 1``: a node outside
+        that ball lies exactly ``budget`` away iff one of its neighbours
+        holds depth ``budget - 1`` (a shallower neighbour would have put
+        the node inside the ball), and farther otherwise.
+        """
+        depth = row[node]
+        if depth == _BEYOND and type(row) is bytearray:
+            row_targets, __, __, start, end = self._row(node)
+            for position in range(start, end):
+                if row[row_targets[position]] == budget - 1:
+                    return budget
+            return _UNREACHABLE
+        return depth if depth <= budget else _UNREACHABLE
 
     def components(self) -> array:
         """Connected-component id per node int (tombstones hold ``-1``).
@@ -594,6 +689,7 @@ class FrozenGraph:
         patch crossed the threshold and triggered a recompile.
         """
         node_map = self._node_map()
+        old_capacity = self.capacity
         removed = [
             node
             for tid in changeset.tuples_removed
@@ -631,21 +727,38 @@ class FrozenGraph:
         self._vector_state = None  # override table / liveness changed
         for node in changed:
             self._neighbour_rows.pop(node, None)
-        # A distance row is global within its source's old component:
-        # drop it when its source changed or any changed node was
-        # reachable in it (appended nodes lie beyond the row and their
-        # old-component links are covered by the edge endpoints).
-        stale = [
-            source
-            for source, row in self._distances.items()
-            if source in changed
-            or any(
-                node < len(row) and row[node] != _UNREACHABLE
-                for node in changed
-            )
-        ]
+        # Drop a row when its source changed or a changed pre-existing
+        # node lies inside it: an edge whose endpoints both sit beyond
+        # the row (another component, or past a bounded row's radius)
+        # cannot alter a distance the row holds, and an appended node
+        # links in only through such endpoints.  One C-level probe per
+        # row — surviving rows make this loop as long as the cache.
+        existing = sorted(node for node in changed if node < old_capacity)
+        nearest = itemgetter(*existing) if len(existing) > 1 else None
+        stale = []
+        for source, (row, radius) in self._distances.items():
+            if source in changed:
+                stale.append(source)
+            elif existing:
+                depth = min(nearest(row)) if nearest else row[existing[0]]
+                if depth != (_UNREACHABLE if radius is None else _BEYOND):
+                    stale.append(source)
         for source in stale:
             del self._distances[source]
+        # Survivors grow to the new capacity, so no kernel ever indexes
+        # an appended node past a row's end.
+        grown = self.capacity - old_capacity
+        held = 0
+        for row, radius in self._distances.values():
+            if grown:
+                row.extend(
+                    array("i", [_UNREACHABLE]) * grown
+                    if radius is None
+                    else b"\xff" * grown
+                )
+            held += memoryview(row).nbytes
+        self._distance_bytes = held
+        self._evict_rows()
         if (
             self.capacity >= self.min_compaction_nodes
             and len(self._override) > self.compaction_threshold * self.capacity
@@ -703,8 +816,12 @@ def csr_enumerate_simple_paths(
     if src is None or dst is None:
         return
 
-    to_target = frozen.distances(dst)
-    shortest = to_target[src] if src < len(to_target) else _UNREACHABLE
+    # The DFS only compares ``to_target`` against ``remaining`` <=
+    # ``max_edges - 1``, so the row stops one level short of the budget
+    # (the last level is the widest) and the source's own distance comes
+    # from a neighbour probe when it lies outside that ball.
+    to_target = frozen.distances(dst, radius=max_edges - 1)
+    shortest = frozen.distance_within(to_target, src, max_edges)
     if shortest > max_edges:
         return
 
@@ -833,7 +950,10 @@ def csr_enumerate_joining_trees(
     if any(components[node] != first_component for node in req):
         return  # some required pair is disconnected: no joining tree
 
-    distance_rows = [frozen.distances(node) for node in req]
+    # Pruning compares rows against ``budget`` <= ``max_tuples - 1``.
+    distance_rows = [
+        frozen.distances(node, radius=max_tuples - 1) for node in req
+    ]
     tid_of = frozen._tid_of
     ints_sorted = frozen._ints_sorted
 

@@ -139,11 +139,24 @@ class TestFrozenStructure:
         assert len({labels[i] for i in range(frozen.capacity)}) == count
 
     def test_distance_rows_are_bounded(self, synthetic_graph):
+        # The row cache is budgeted in bytes: one per node for a
+        # radius-bounded row, four for an unbounded one.
         frozen = FrozenGraph(synthetic_graph)
-        frozen.max_distance_maps = 3
+        frozen.max_distance_bytes = 3 * frozen.capacity
+        for node in range(5):
+            frozen.distances(node, radius=2)
+        assert list(frozen._distances) == [2, 3, 4]
+        assert frozen.memory_footprint()["distances"] == 3 * frozen.capacity
+        frozen.distances(5)  # 4 bytes per node: only the newest row fits
+        assert list(frozen._distances) == [5]
+        assert frozen.memory_footprint()["distances"] == 4 * frozen.capacity
+        frozen.max_distance_bytes = 3 * 4 * frozen.capacity
         for node in range(5):
             frozen.distances(node)
-        assert len(frozen._distances) == 3
+        assert list(frozen._distances) == [2, 3, 4]
+        assert (
+            frozen.memory_footprint()["distances"] == 3 * 4 * frozen.capacity
+        )
 
 
 class TestPathParity:
@@ -518,3 +531,322 @@ class TestIncrementalPatching:
             ] == [
                 (r.render(), r.score, r.rank) for r in fresh.search(query)
             ]
+
+
+# ----------------------------------------------------------------------
+# radius-bounded one-byte rows vs the unbounded oracle row
+# ----------------------------------------------------------------------
+def _row_types(frozen):
+    return {type(row) for row, __ in frozen._distances.values()}
+
+
+@pytest.fixture
+def unbounded_rows(monkeypatch):
+    """Force every distance request onto the unbounded oracle row."""
+    distances = FrozenGraph.distances
+    distances_block = FrozenGraph.distances_block
+    monkeypatch.setattr(
+        FrozenGraph, "distances",
+        lambda self, node, radius=None: distances(self, node),
+    )
+    monkeypatch.setattr(
+        FrozenGraph, "distances_block",
+        lambda self, nodes, radius=None: distances_block(self, nodes),
+    )
+    return monkeypatch
+
+
+def _search_outcome(engine, query, **options):
+    """Ranked answers, or the budget error point the search stopped at."""
+    try:
+        return [
+            (r.render(), r.score, r.rank)
+            for r in engine.search(query, **options)
+        ]
+    except SearchLimitError as error:
+        return ("limit", str(error))
+
+
+def _outcomes(database, budgets=()):
+    """Every differential query under every mode, keyed for comparison."""
+    out = {}
+    types = set()
+    for adaptive in (True, False):
+        engine = KeywordSearchEngine(
+            database, core="csr", adaptive=adaptive, result_cache_entries=0
+        )
+        for rdb, tuples in budgets:
+            for paths_budget in (None, 2):
+                limits = SearchLimits(
+                    max_rdb_length=rdb,
+                    max_tuples=tuples,
+                    max_paths_per_pair=paths_budget,
+                    max_networks=paths_budget,
+                )
+                for pushdown in (False, True):
+                    for query, semantics in (
+                        ("kwalpha kwbeta", "and"),
+                        ("kwbeta kwgamma", "and"),
+                        ("kwalpha kwbeta kwgamma", "and"),
+                        ("kwalpha kwbeta kwgamma", "or"),
+                    ):
+                        key = (adaptive, rdb, tuples, paths_budget, pushdown,
+                               query, semantics)
+                        out[key] = _search_outcome(
+                            engine, query, limits=limits,
+                            semantics=semantics, pushdown=pushdown,
+                        )
+        types |= _row_types(engine.traversal_cache.frozen())
+    return out, types
+
+
+#: Both budgets 1–6 on the diagonal, plus crossed pairs so an OR plan's
+#: shared tuples take the wider of the two radii.
+_BUDGETS = [(n, n) for n in range(1, 7)] + [(1, 6), (6, 1), (2, 5), (5, 2)]
+
+
+class TestBoundedRowsMatchOracle:
+    def test_engine_outcomes_identical_to_unbounded_rows(
+        self, planted_synthetic, unbounded_rows
+    ):
+        oracle, oracle_types = _outcomes(planted_synthetic, _BUDGETS)
+        unbounded_rows.undo()
+        bounded, bounded_types = _outcomes(planted_synthetic, _BUDGETS)
+        from array import array
+
+        assert oracle_types == {array}
+        assert bounded_types == {bytearray}
+        assert bounded == oracle
+        assert any(
+            isinstance(outcome, tuple) for outcome in bounded.values()
+        ), "no budget error point was exercised"
+        assert any(
+            isinstance(outcome, list) and outcome
+            for outcome in bounded.values()
+        )
+
+    def test_kernel_enumerations_identical_to_unbounded_rows(
+        self, data_graph, unbounded_rows
+    ):
+        oracle = {
+            budget: _all_enumerations(
+                data_graph, TraversalCache(data_graph), budget, budget
+            )
+            for budget in range(1, 7)
+        }
+        unbounded_rows.undo()
+        for budget in range(1, 7):
+            cache = TraversalCache(data_graph)
+            assert _all_enumerations(
+                data_graph, cache, budget, budget
+            ) == oracle[budget]
+            assert _row_types(cache.frozen()) == {bytearray}
+
+    def test_bounded_row_is_oracle_clipped_at_radius(self, synthetic_graph):
+        frozen = FrozenGraph(synthetic_graph)
+        oracle = FrozenGraph(synthetic_graph)
+        for node in range(0, frozen.capacity, 7):
+            exact = oracle.distances(node)
+            for radius in range(7):
+                row = frozen.distances(node, radius=radius)
+                assert type(row) is bytearray and len(row) == frozen.capacity
+                assert list(row) == [
+                    depth if depth <= radius else 0xFF for depth in exact
+                ]
+
+    def test_distance_within_probes_one_level_past_the_ball(self, data_graph):
+        frozen = FrozenGraph(data_graph)
+        for target in range(frozen.capacity):
+            exact = frozen._bfs_row_scalar(target)
+            for budget in range(1, 9):
+                row = frozen._bfs_row_scalar(target, budget - 1)
+                for node in range(frozen.capacity):
+                    expected = exact[node] if exact[node] <= budget else 1 << 30
+                    assert frozen.distance_within(row, node, budget) == expected
+                    assert frozen.distance_within(exact, node, budget) == expected
+
+
+class TestRowCoverage:
+    def test_wider_rows_serve_narrower_requests_only(self, data_graph):
+        frozen = FrozenGraph(data_graph)
+        narrow = frozen.distances(0, radius=3)
+        assert (frozen.hits, frozen.misses) == (0, 1)
+        assert frozen.distances(0, radius=3) is narrow
+        assert frozen.distances(0, radius=2) is narrow
+        assert (frozen.hits, frozen.misses) == (2, 1)
+        wide = frozen.distances(0, radius=5)  # radius 3 cannot answer 5
+        assert wide is not narrow
+        assert (frozen.hits, frozen.misses) == (2, 2)
+        assert frozen._distances[0] == (wide, 5)  # replaced, not doubled
+        assert frozen.memory_footprint()["distances"] == frozen.capacity
+        assert frozen.distances(0, radius=3) is wide
+        exact = frozen.distances(0)  # no bounded row answers "everything"
+        assert type(exact) is not bytearray
+        assert (frozen.hits, frozen.misses) == (3, 3)
+        for radius in (0, 3, 5, 200, None):  # an unbounded row serves any
+            assert frozen.distances(0, radius=radius) is exact
+        assert (frozen.hits, frozen.misses) == (8, 3)
+
+    def test_block_applies_the_same_rule(self, data_graph):
+        frozen = FrozenGraph(data_graph)
+        frozen.distances(0, radius=3)
+        frozen.distances(1)
+        block = frozen.distances_block([0, 1, 2], radius=5)
+        assert (frozen.hits, frozen.misses) == (1, 4)  # only node 1 hit
+        assert [frozen._distances[node][1] for node in (0, 1, 2)] == [5, None, 5]
+        assert block == {
+            node: frozen.distances(node, radius=5) for node in (0, 1, 2)
+        }
+
+    def test_radius_above_one_byte_takes_the_unbounded_row(self, data_graph):
+        frozen = FrozenGraph(data_graph)
+        assert type(frozen.distances(0, radius=254)) is bytearray
+        assert type(frozen.distances(1, radius=255)) is not bytearray
+        assert frozen._distances[1][1] is None
+        block = frozen.distances_block([2, 3], radius=1000)
+        assert all(type(row) is not bytearray for row in block.values())
+        # d3 is its own component: 0xFF in a radius-254 row must not be
+        # read as "exactly 255 hops away".
+        isolated = frozen.node_of(tid("DEPARTMENT", "d3"))
+        row = frozen.distances(0, radius=254)
+        assert frozen.distance_within(row, isolated, 255) > 255
+
+    def test_huge_budgets_enumerate_like_the_reference(self, data_graph):
+        from array import array
+
+        pairs = [
+            (tid("EMPLOYEE", "e1"), tid("EMPLOYEE", "e4")),
+            (tid("DEPARTMENT", "d1"), tid("WORKS_FOR", "e2", "p3")),
+            (tid("DEPARTMENT", "d3"), tid("EMPLOYEE", "e1")),
+        ]
+        for max_edges, row_type in ((255, bytearray), (256, array), (400, array)):
+            cache = TraversalCache(data_graph)
+            for source, target in pairs:
+                assert list(
+                    csr_enumerate_simple_paths(
+                        data_graph, source, target, max_edges, cache=cache
+                    )
+                ) == list(
+                    enumerate_simple_paths(data_graph, source, target, max_edges)
+                )
+            assert _row_types(cache.frozen()) == {row_type}
+        cache = TraversalCache(data_graph)
+        required = [tid("EMPLOYEE", "e1"), tid("PROJECT", "p1")]
+        assert list(
+            csr_enumerate_joining_trees(data_graph, required, 256, cache=cache)
+        ) == list(enumerate_joining_trees(data_graph, required, 256))
+        assert _row_types(cache.frozen()) == {array}
+
+
+class TestBoundedRowsEverywhere:
+    def test_shard_graphs_serve_bounded_rows(self, planted_synthetic):
+        plain = KeywordSearchEngine(planted_synthetic, result_cache_entries=0)
+        sharded = KeywordSearchEngine(
+            planted_synthetic, shards=2, result_cache_entries=0
+        )
+        for query in ("kwalpha kwbeta", "kwalpha kwbeta kwgamma"):
+            assert _search_outcome(sharded, query) == _search_outcome(plain, query)
+        plan = sharded.shard_plan
+        served = [
+            graph for graph in plan._graphs.values() if graph._distances
+        ]
+        assert served
+        for graph in served:
+            assert _row_types(graph) == {bytearray}
+
+    def test_snapshot_restored_graph_serves_bounded_rows(
+        self, planted_synthetic, tmp_path
+    ):
+        cold = KeywordSearchEngine(planted_synthetic, result_cache_entries=0)
+        path = tmp_path / "engine.snap"
+        cold.save(path)
+        restored = KeywordSearchEngine.open(path, result_cache_entries=0)
+        try:
+            for query in ("kwalpha kwbeta", "kwalpha kwbeta kwgamma"):
+                assert _search_outcome(restored, query) == _search_outcome(
+                    cold, query
+                )
+            frozen = restored.traversal_cache.frozen()
+            assert frozen._distances
+            assert _row_types(frozen) == {bytearray}
+            assert frozen.memory_footprint()["distances"] >= len(
+                frozen._distances
+            ) * frozen.capacity
+        finally:
+            restored.close()
+
+
+class TestBoundedRowsUnderPatching:
+    def test_append_beside_a_source_outside_the_ball(self, company_db):
+        # e2 lies exactly 5 hops from d1, so with max_edges=5 it sits
+        # just outside d1's cached radius-4 ball: a tuple appended next
+        # to it touches nothing inside the ball, the row survives, and
+        # the DFS from e2 then reads the row at the appended node.
+        graph = DataGraph(company_db)
+        cache = TraversalCache(graph)
+        frozen = cache.frozen()
+        source, target = tid("EMPLOYEE", "e2"), tid("DEPARTMENT", "d1")
+        before = list(
+            csr_enumerate_simple_paths(graph, source, target, 5, cache=cache)
+        )
+        assert before and all(len(path) == 5 for path in before)
+        row, radius = frozen._distances[frozen.node_of(target)]
+        assert radius == 4 and row[frozen.node_of(source)] == 0xFF
+        changeset = apply_to_database(
+            company_db,
+            [Insert("DEPENDENT", {"ID": "z7", "ESSN": "e2",
+                                  "DEPENDENT_NAME": "Ida"})],
+        )
+        apply_changeset(
+            changeset, company_db, data_graph=graph, traversal_cache=cache
+        )
+        assert frozen._distances[frozen.node_of(target)][0] is row  # survived
+        assert len(row) == frozen.capacity
+        assert row[frozen.node_of(tid("DEPENDENT", "z7"))] == 0xFF
+        assert list(
+            csr_enumerate_simple_paths(graph, source, target, 5, cache=cache)
+        ) == list(enumerate_simple_paths(graph, source, target, 5)) == before
+
+    def test_changes_outside_a_ball_keep_the_row(self, company_db):
+        graph = DataGraph(company_db)
+        cache = TraversalCache(graph)
+        frozen = cache.frozen()
+        d1 = frozen.node_of(tid("DEPARTMENT", "d1"))
+        bounded = frozen.distances(d1, radius=2)
+        hits = cache.hits
+        # e4, p3 and the WORKS_FOR tuple between them lie 5+ hops from d1.
+        changeset = apply_to_database(
+            company_db,
+            [Delete(tid("WORKS_FOR", "e4", "p3"))],
+        )
+        apply_changeset(
+            changeset, company_db, data_graph=graph, traversal_cache=cache
+        )
+        assert frozen.distances(d1, radius=2) is bounded
+        assert cache.hits == hits + 1
+        assert _all_enumerations(graph, cache) == _all_enumerations(
+            graph, TraversalCache(graph)
+        )
+        # An edge landing inside the ball drops the row.
+        changeset = apply_to_database(
+            company_db,
+            [Insert("DEPENDENT", {"ID": "z8", "ESSN": "e1",
+                                  "DEPENDENT_NAME": "Eve"})],
+        )
+        apply_changeset(
+            changeset, company_db, data_graph=graph, traversal_cache=cache
+        )
+        assert d1 not in frozen._distances
+        fresh = frozen.distances(d1, radius=2)
+        recompiled = FrozenGraph(graph)
+        exact = recompiled.distances(
+            recompiled.node_of(tid("DEPARTMENT", "d1"))
+        )
+        for node in range(frozen.capacity):
+            if frozen._alive[node]:
+                depth = exact[recompiled.node_of(frozen.tid_of(node))]
+                assert fresh[node] == (depth if depth <= 2 else 0xFF)
+        assert frozen.memory_footprint()["distances"] == sum(
+            len(row) * (1 if type(row) is bytearray else 4)
+            for row, __ in frozen._distances.values()
+        )

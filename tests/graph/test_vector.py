@@ -211,19 +211,19 @@ class TestVectorKernelsIdentical:
 class TestDistanceCacheLru:
     def test_frozen_graph_hit_refreshes_entry(self, data_graph):
         frozen = FrozenGraph(data_graph)
-        frozen.max_distance_maps = 3
+        frozen.max_distance_bytes = 3 * frozen.capacity  # three bounded rows
         a, b, c, d = 0, 1, 2, 3
         for node in (a, b, c):
-            frozen.distances(node)
-        frozen.distances(a)  # refresh: a is now most recent
-        frozen.distances(d)  # evicts b (the true LRU), not a
+            frozen.distances(node, radius=3)
+        frozen.distances(a, radius=3)  # refresh: a is now most recent
+        frozen.distances(d, radius=3)  # evicts b (the true LRU), not a
         assert a in frozen._distances
         assert b not in frozen._distances
         assert set(frozen._distances) == {a, c, d}
 
     def test_frozen_block_hits_refresh_entries(self, data_graph):
         frozen = FrozenGraph(data_graph)
-        frozen.max_distance_maps = 3
+        frozen.max_distance_bytes = 3 * 4 * frozen.capacity  # three unbounded
         frozen.distances_block([0, 1, 2])
         frozen.distances_block([0])  # refresh via the block path
         frozen.distances(3)

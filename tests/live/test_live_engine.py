@@ -97,6 +97,30 @@ class TestApply:
         )]
 
 
+    def test_append_beside_a_source_at_budget_distance(self, company_db):
+        # "Barbara" (e2) lies exactly max_rdb_length = 5 hops from
+        # "programming" (d1): outside d1's radius-4 distance row, so an
+        # insert next to e2 leaves that row cached and the next search
+        # walks from e2 over the appended tuple against it.
+        engine = KeywordSearchEngine(company_db, result_cache_entries=0)
+        baseline = rendered(engine.search("Barbara programming"))
+        assert baseline
+        frozen = engine.traversal_cache.frozen()
+        d1 = frozen.node_of(tid("DEPARTMENT", "d1"))
+        row = frozen._distances[d1][0]
+        engine.apply(
+            [Insert("DEPENDENT", {"ID": "t9", "ESSN": "e2",
+                                  "DEPENDENT_NAME": "Nora"})]
+        )
+        assert frozen._distances[d1][0] is row  # survived the apply
+        fresh = KeywordSearchEngine(engine.database, result_cache_entries=0)
+        for query in ("Barbara programming", "Nora programming"):
+            assert rendered(engine.search(query)) == rendered(
+                fresh.search(query)
+            )
+        assert rendered(engine.search("Barbara programming")) == baseline
+
+
 class TestRebuildHygiene:
     def test_rebuild_clears_pipeline_state(self, engine):
         engine.search_batch(["Smith XML", "SMITH XML"], top_k=2)

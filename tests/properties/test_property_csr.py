@@ -239,3 +239,55 @@ class TestVectorBlocksIdentical:
         for node in sources:
             assert block[node] == scalar.distances(node)
         assert vector.components() == scalar.components()
+
+
+def _assert_rows_clip_the_oracle(live, oracle):
+    """Every bounded row ``live`` holds or sweeps afresh (radius 0–6)
+    equals the recompiled ``oracle``'s exact row clipped at its radius."""
+    alive = [node for node in range(live.capacity) if live._alive[node]]
+    oracle_of = {node: oracle.node_of(live.tid_of(node)) for node in alive}
+    for node in alive:
+        exact = oracle.distances(oracle_of[node])
+        rows = [(live._bfs_row_scalar(node, radius), radius) for radius in range(7)]
+        held = live._distances.get(node)
+        if held is not None and held[1] is not None:
+            rows.append(held)
+        for row, radius in rows:
+            assert type(row) is bytearray and len(row) == live.capacity
+            for other in alive:
+                depth = exact[oracle_of[other]]
+                assert row[other] == (depth if depth <= radius else 0xFF)
+
+
+class TestBoundedRowsClipTheOracle:
+    """A radius-bounded row is the oracle row with everything past the
+    radius replaced by ``0xFF`` — freshly swept, and for every row that
+    survives a changeset in the patched graph's cache."""
+
+    @relaxed
+    @given(configs)
+    def test_bounded_rows_on_fresh_graphs(self, config):
+        graph = DataGraph(generate_company_like(config))
+        _assert_rows_clip_the_oracle(FrozenGraph(graph), FrozenGraph(graph))
+
+    @relaxed
+    @given(
+        configs,
+        st.lists(st.integers(min_value=0, max_value=1 << 16),
+                 min_size=1, max_size=5),
+    )
+    def test_surviving_rows_equal_recompiled(self, config, salts):
+        database = generate_company_like(config)
+        replay = generate_company_like(config)
+        graph = DataGraph(database)
+        live = FrozenGraph(graph)
+        for batch in _structural_mutations(replay, salts):
+            # Re-warm before every patch so each changeset meets rows of
+            # every radius, near and far from what it touches.
+            for node in range(live.capacity):
+                if live._alive[node]:
+                    live.distances(node, radius=node % 7)
+            changeset = apply_to_database(database, batch)
+            apply_changeset(changeset, database, data_graph=graph)
+            live.apply_changeset(changeset)
+            _assert_rows_clip_the_oracle(live, FrozenGraph(graph))
