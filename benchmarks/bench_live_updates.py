@@ -16,8 +16,13 @@ Measures the live-update subsystem on planted synthetic workloads:
 * **mixed read/write stream** — a skewed search stream interleaved with
   mutation batches (``generate_mixed_workload``): every search must
   match a freshly built engine bit for bit, and the cache must both hit
-  (skewed re-reads) and invalidate (mutations touching cached
-  components).
+  (skewed re-reads) and invalidate (mutations landing inside the
+  answer-reach ball of cached match tuples).  A counter gate (no wall
+  clock) then pins the *bound* on that ball: on a one-component graph,
+  with every workload query cached before each structural batch, the
+  entries invalidated per batch must stay strictly below the live entry
+  count — component-scale taint would drop them all — and every entry
+  that survives must equal a fresh engine's answer.
 
 Run standalone::
 
@@ -263,6 +268,42 @@ def main(argv=None, out=None) -> int:
         failures.append("stream: skewed reads produced no cache hits")
     if stats.invalidated <= 0:
         failures.append("stream: mutations never invalidated a cache entry")
+
+    # -- bounded taint on one component (counters only) -----------------
+    database = _database(departments=departments)
+    taint_queries = _workload(database, queries=12)
+    taint_texts = [query.text for query in taint_queries]
+    engine = KeywordSearchEngine(database)
+    components = set(engine.traversal_cache.frozen().components())
+    stats = engine.result_cache.stats
+    structural = live_entries = invalidated = survivors = stale = 0
+    for batch in _mutation_batches(database, taint_queries, 8, 2):
+        _answers(engine, taint_texts)  # every entry live again
+        live, before = len(engine.result_cache), stats.invalidated
+        if not engine.apply(batch).structural_tuples():
+            continue
+        structural += 1
+        live_entries += live
+        invalidated += stats.invalidated - before
+        fresh = KeywordSearchEngine(database, result_cache_entries=0)
+        for text in taint_texts:
+            hits = stats.hits
+            answer = _rendered(engine.search(text, limits=_LIMITS))
+            if stats.hits > hits:  # served by an entry that survived
+                survivors += 1
+                stale += answer != _rendered(fresh.search(text, limits=_LIMITS))
+    print(f"bounded taint: {len(components)} component(s), {structural} "
+          f"structural batches; invalidated {invalidated} of {live_entries} "
+          f"live entries; {survivors} survivors, {stale} stale", file=out)
+    if len(components) != 1 or not structural:
+        failures.append("taint: needs structural batches on one component")
+    if invalidated >= live_entries:
+        failures.append(
+            f"taint: invalidated {invalidated} of {live_entries} live entries "
+            f"— not below component-scale taint"
+        )
+    if stale:
+        failures.append(f"taint: {stale} surviving entries were stale")
 
     if failures:
         for failure in failures:

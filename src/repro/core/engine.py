@@ -457,13 +457,18 @@ class KeywordSearchEngine:
         results: Sequence[SearchResult],
         stats: ExecutionStats,
     ) -> None:
+        # The key (see _cache_key) already names what bounds the
+        # entry's structural dependencies.
+        __, semantics, __, __, limits, __, __ = key
         footprint: set = set()
         for match in matches:
             footprint.update(match.tuple_ids)
         for result in results:
             footprint.update(result.answer.tuple_ids())
         # Corpus-stats rankers never reach here — _cache_key already
-        # declared them uncacheable — so entries are never volatile.
+        # declared them uncacheable.  A ranker that scores from the
+        # instance around an answer is cached volatile: bounded taint
+        # only covers what the answers themselves are built from.
         self.result_cache.store(
             key,
             CacheEntry(
@@ -472,6 +477,9 @@ class KeywordSearchEngine:
                 keywords=tuple(match.keyword for match in matches),
                 footprint=frozenset(footprint),
                 fingerprint=tuple(match.tuple_ids for match in matches),
+                volatile=getattr(ranker, "reads_neighbourhood", False),
+                semantics=semantics,
+                limits=limits,
             ),
         )
 
@@ -759,8 +767,10 @@ class KeywordSearchEngine:
         database rolls back and nothing else changes.  On success the
         net :class:`~repro.live.changes.ChangeSet` is applied in place
         to the inverted index, the data graph and the traversal cache
-        (fine-grained: only touched components drop), the answer cache
-        invalidates exactly the affected entries, and the engine
+        (fine-grained: compiled rows patch from the edge deltas, only
+        distance rows the change falls inside drop), the answer cache
+        drops only entries whose matched tuples lie within answer reach
+        of the change, and the engine
         :attr:`version` is bumped and stamped onto the returned
         changeset.  Results after ``apply`` are bit-identical to a
         freshly rebuilt engine; ``rebuild()`` stays available as the
@@ -791,11 +801,17 @@ class KeywordSearchEngine:
                     shard_plan=self._shard_plan,
                 )
             if len(self.result_cache):
-                # Component tainting costs a BFS; with no live entries
+                # Tainting costs a bounded BFS; with no live entries
                 # there is nothing it could invalidate.
                 with obs_trace.span("result_cache.invalidate") as inv_span:
                     dropped = self.result_cache.invalidate(
-                        affected_tuples(self.data_graph, changeset), self.index
+                        changeset,
+                        affected_tuples(
+                            self.traversal_cache,
+                            changeset,
+                            self.result_cache.reach(),
+                        ),
+                        self.index,
                     )
                     if inv_span is not None:
                         inv_span.add(dropped=dropped)

@@ -111,6 +111,10 @@ class InstanceAmbiguityRanker:
     """
 
     name: str = "instance-ambiguity"
+    #: Fan counts read the tuples *around* an answer's joints, so an
+    #: edge beside an answer moves its score: the answer cache may not
+    #: bound this ranker's dependencies by the answers' own tuples.
+    reads_neighbourhood = True
 
     def score(self, answer: Answer) -> tuple[float, ...]:
         return (float(_ambiguity_factor(answer)), float(answer.er_length))
@@ -129,6 +133,11 @@ class WeightedRanker:
     w_rdb: float = 0.0
     w_ambiguity: float = 0.0
     name: str = "weighted"
+
+    @property
+    def reads_neighbourhood(self) -> bool:
+        """See :attr:`InstanceAmbiguityRanker.reads_neighbourhood`."""
+        return bool(self.w_ambiguity)
 
     def score(self, answer: Answer) -> tuple[float, ...]:
         total = (

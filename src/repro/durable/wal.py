@@ -343,7 +343,12 @@ def replay_into(engine, wal: WriteAheadLog) -> int:
             )
             if len(engine.result_cache):
                 engine.result_cache.invalidate(
-                    affected_tuples(engine.data_graph, changeset),
+                    changeset,
+                    affected_tuples(
+                        engine.traversal_cache,
+                        changeset,
+                        engine.result_cache.reach(),
+                    ),
                     engine.index,
                 )
             engine.statistics = None

@@ -28,11 +28,13 @@ kernels entirely on dense ints:
   materialised only at yield boundaries.
 * **Incremental patching.**  An applied changeset patches the interning
   table and adjacency in place — removed nodes are tombstoned, new
-  nodes appended, and only the touched nodes' adjacency is re-sorted
-  into per-node side tables.  When the patched fraction crosses
-  :attr:`FrozenGraph.compaction_threshold` the whole structure is
-  recompiled (compaction), so a long-lived served engine never degrades
-  into a pile of overrides.
+  nodes appended, and each touched node's row is rebuilt *from its old
+  row* minus the removed edges plus the added ones, re-sorted into a
+  per-node side table.  Nothing but the changeset is read: neither the
+  networkx graph nor the database.  When the patched fraction crosses
+  :attr:`FrozenGraph.compaction_threshold` the side tables are folded
+  back into flat arrays (compaction), so a long-lived served engine
+  never degrades into a pile of overrides.
 
 The output contract is the one the differential tests enforce for every
 core: same answers, same order, same
@@ -101,9 +103,10 @@ class FrozenGraph:
 
     The structure is immutable under queries and *patchable* under
     changesets: :meth:`apply_changeset` tombstones removed nodes,
-    appends new ones and rebuilds only the touched adjacency rows (into
-    per-node side tables, keeping the sorted expansion order), then
-    compacts — recompiles — once the patched fraction crosses
+    appends new ones and rebuilds only the touched adjacency rows from
+    the changeset's edge deltas (into per-node side tables, keeping the
+    sorted expansion order), then compacts — folds the side tables back
+    into flat arrays — once the patched fraction crosses
     :attr:`compaction_threshold`.
     """
 
@@ -147,6 +150,7 @@ class FrozenGraph:
         #: whichever core served them; standalone graphs count on their
         #: own attributes.
         self._counters = counters if counters is not None else self
+        self._tid_of = None  # nothing compiled yet: _compile reads the graph
         self._compile()
 
     @classmethod
@@ -169,8 +173,9 @@ class FrozenGraph:
         extracted from the global graph).  ``tids`` must be in
         ``_sort_key`` order — the invariant :meth:`_compile` establishes
         — and ``offsets``/``targets`` any int-indexable sequence with
-        CSR semantics.  No compilation pass runs; ``data_graph`` is only
-        consulted later, by incremental patching.
+        CSR semantics.  No compilation pass runs and ``data_graph`` is
+        never read: patching works from changesets, recompilation from
+        the rows held here.
         """
         frozen = cls.__new__(cls)
         frozen.data_graph = data_graph
@@ -206,26 +211,35 @@ class FrozenGraph:
     # compilation
     # ------------------------------------------------------------------
     def _compile(self) -> None:
+        """(Re)build the flat arrays and reset every derived structure.
+
+        The first compilation reads the data graph.  A graph that is
+        already compiled — patched since, or assembled by
+        :meth:`from_parts` — is *folded*: tombstones dropped, appended
+        nodes merged into ``_sort_key`` order and the override table
+        written back into flat arrays, all from its own rows.
+        """
         self.compile_stamp += 1
-        graph = self.data_graph.graph
-        tids = sorted(graph.nodes, key=_sort_key)
-        node_of = {tid: index for index, tid in enumerate(tids)}
-        self._node_of: Optional[dict] = node_of
-        self._tid_of: list[Optional[TupleId]] = list(tids)
-        self._keys_cache: Optional[list] = [_sort_key(tid) for tid in tids]
-        #: True while live ints enumerate in ``_sort_key`` order (no
-        #: appended nodes) — int comparison then *is* key comparison.
-        self._ints_sorted = True
+        if self._tid_of is None:
+            tids, keys, rows = self._rows_from_graph()
+        else:
+            tids, keys, rows = self._rows_from_self()
         offsets = array("i", [0])
         targets = array("i")
         edge_keys: list[str] = []
         edge_data: list[dict] = []
-        for tid in tids:
-            for other, key, data in self._sorted_entries(tid):
-                targets.append(other)
-                edge_keys.append(key)
-                edge_data.append(data)
+        for row_targets, row_keys, row_datas in rows:
+            targets.extend(row_targets)
+            edge_keys.extend(row_keys)
+            edge_data.extend(row_datas)
             offsets.append(len(targets))
+        # Assigned only now: ``rows`` reads the previous state lazily.
+        self._node_of: Optional[dict] = None  # rebuilt on first lookup
+        self._tid_of: list[Optional[TupleId]] = tids
+        self._keys_cache: Optional[list] = keys
+        #: True while live ints enumerate in ``_sort_key`` order (no
+        #: appended nodes) — int comparison then *is* key comparison.
+        self._ints_sorted = True
         self._offsets = offsets
         self._targets = targets
         self._edge_keys = edge_keys
@@ -247,6 +261,53 @@ class FrozenGraph:
         self._components: Optional[array] = None
         self._neighbour_rows: dict[int, tuple[int, ...]] = {}
         self._vector_state = None
+
+    def _rows_from_graph(self):
+        """``(tids, sort keys, rows)`` of the data graph's multigraph,
+        nodes in ``_sort_key`` order and each row in expansion order."""
+        graph = self.data_graph.graph
+        tids = sorted(graph.nodes, key=_sort_key)
+        node_of = {tid: index for index, tid in enumerate(tids)}
+        # Held on the instance already: ``_sorted_row`` sorts by it.
+        keys = self._keys_cache = [_sort_key(tid) for tid in tids]
+        rows = (
+            self._sorted_row(
+                [
+                    (node_of[other], key, data)
+                    for __, other, key, data in graph.edges(
+                        tid, keys=True, data=True
+                    )
+                ]
+            )
+            for tid in tids
+        )
+        return tids, keys, rows
+
+    def _rows_from_self(self):
+        """``(tids, sort keys, rows)`` of the live nodes, renumbered
+        densely in ``_sort_key`` order.  Rows keep their entry order —
+        it is defined on sort keys, which renumbering preserves — so
+        only the target ints are rewritten."""
+        old_keys = self._keys
+        alive = self._alive
+        order = [node for node in range(self.capacity) if alive[node]]
+        if not self._ints_sorted:
+            order.sort(key=old_keys.__getitem__)
+        renumbered = array("i", [-1]) * self.capacity
+        for new, old in enumerate(order):
+            renumbered[old] = new
+        tid_of = self._tid_of
+        tids = [tid_of[old] for old in order]
+        keys = [old_keys[old] for old in order]
+        rows = (
+            (
+                map(renumbered.__getitem__, row_targets),
+                row_keys,
+                row_datas,
+            )
+            for row_targets, row_keys, row_datas in map(self._row_lists, order)
+        )
+        return tids, keys, rows
 
     @property
     def capacity(self) -> int:
@@ -336,33 +397,19 @@ class FrozenGraph:
     # ------------------------------------------------------------------
     # adjacency
     # ------------------------------------------------------------------
-    def _sorted_entries(self, tid: TupleId) -> list[tuple[int, str, dict]]:
-        """One tuple's ``(neighbour int, edge key, edge data)`` entries in
+    def _sorted_row(
+        self, entries: list[tuple[int, str, dict]]
+    ) -> tuple[list[int], list[str], list[dict]]:
+        """``(neighbour int, edge key, edge data)`` entries as one row in
         the deterministic expansion order — the single definition both
-        compilation and row patching derive rows from.
-
-        The sort key depends only on set membership, never on listing
-        order, so the entries may come from the networkx multigraph or —
-        on a snapshot engine that has not materialised it — straight
-        from the database via ``incident_entries``, keeping WAL replay
-        and restored-engine patching from paying a full graph build.
-        """
-        node_of = self._node_map()
-        if getattr(self.data_graph, "materialized", True):
-            entries = (
-                (node_of[other], key, data)
-                for __, other, key, data in self.data_graph.graph.edges(
-                    tid, keys=True, data=True
-                )
-            )
-        else:
-            entries = (
-                (node_of[other], key, data)
-                for other, key, data in self.data_graph.incident_entries(tid)
-            )
-        return sorted(
-            entries,
-            key=lambda entry: (self._keys[entry[0]], entry[1]),
+        compilation and row patching sort by.  The key depends only on
+        set membership, never on the listing order of ``entries``."""
+        keys = self._keys
+        entries.sort(key=lambda entry: (keys[entry[0]], entry[1]))
+        return (
+            [entry[0] for entry in entries],
+            [entry[1] for entry in entries],
+            [entry[2] for entry in entries],
         )
 
     def _row(self, node: int) -> tuple[Sequence[int], Sequence[str], Sequence[dict], int, int]:
@@ -378,6 +425,22 @@ class FrozenGraph:
             self._offsets[node],
             self._offsets[node + 1],
         )
+
+    def _row_lists(self, node: int) -> tuple[list[int], list[str], list[dict]]:
+        """One node's expansion row as three fresh lists."""
+        row_targets, row_keys, row_datas, start, end = self._row(node)
+        return (
+            list(row_targets[start:end]),
+            list(row_keys[start:end]),
+            list(row_datas[start:end]),
+        )
+
+    def neighbour_row(self, node: int) -> Sequence[int]:
+        """Neighbour ints straight off one node's expansion row — one
+        per incident edge, nothing memoized (a taint sweep visits each
+        node once, so the :meth:`neighbour_ints` cache would only grow)."""
+        row_targets, __, __, start, end = self._row(node)
+        return row_targets[start:end]
 
     def neighbour_ints(self, node: int) -> tuple[int, ...]:
         """Distinct neighbour ints of one node, in expansion order."""
@@ -669,58 +732,98 @@ class FrozenGraph:
     # ------------------------------------------------------------------
     # incremental patching
     # ------------------------------------------------------------------
-    def _rebuild_row(self, node: int) -> None:
-        """Re-derive one node's sorted adjacency row from the (already
-        patched) data graph into the side table."""
-        entries = self._sorted_entries(self._tid_of[node])
-        self._override[node] = (
-            [entry[0] for entry in entries],
-            [entry[1] for entry in entries],
-            [entry[2] for entry in entries],
-        )
-
     def apply_changeset(self, changeset) -> int:
         """Patch the compiled structure from one applied changeset.
 
-        Call *after* the data graph itself was patched
-        (:func:`repro.live.maintain.apply_to_graph` runs first) — the
-        touched adjacency rows are re-read from it.  Returns the number
-        of distance rows dropped; bumps :attr:`compactions` when the
-        patch crossed the threshold and triggered a recompile.
+        Only the changeset is read: every touched row is its old row
+        minus ``edges_removed`` plus ``edges_added``, re-sorted — so a
+        snapshot-restored graph patches without its networkx multigraph
+        or a relation scan.  Returns the number of distance rows
+        dropped; bumps :attr:`compactions` when the patch crossed the
+        threshold and triggered a recompile.
         """
         node_map = self._node_map()
         old_capacity = self.capacity
         removed = [
             node
             for tid in changeset.tuples_removed
-            if (node := node_map.pop(tid, None)) is not None
+            if (node := node_map.get(tid)) is not None
         ]
+        touched: dict[int, list[tuple[int, str, dict]]] = {}
+
+        def entries_of(node: int) -> list[tuple[int, str, dict]]:
+            entries = touched.get(node)
+            if entries is None:
+                entries = touched[node] = list(zip(*self._row_lists(node)))
+            return entries
+
+        # Removed edges first, while both endpoints are still interned:
+        # entries name their neighbour by int, and a snapshot's lazy
+        # payload derives ``referencing`` from the interning table.
+        doomed = set(removed)
+        for edge in changeset.edges_removed:
+            source = node_map.get(edge.referencing)
+            target = node_map.get(edge.referenced)
+            if source is None or target is None:
+                continue
+            name = edge.foreign_key.name
+            # A self-loop holds one entry, in its only endpoint's row.
+            ends = [(source, target)]
+            if target != source:
+                ends.append((target, source))
+            for node, other in ends:
+                if node in doomed:
+                    continue
+                entries = entries_of(node)
+                for position, (neighbour, key, data) in enumerate(entries):
+                    if (
+                        neighbour == other
+                        and key == name
+                        and data["referencing"] == edge.referencing
+                    ):
+                        del entries[position]
+                        break
+        for tid in changeset.tuples_removed:
+            node_map.pop(tid, None)
         for node in removed:
             self._alive[node] = 0
             self._tid_of[node] = None
             self._override[node] = ([], [], [])
         appended = []
+        # Derived (on a restored graph) before the interning table
+        # grows, or the lazy derivation would already cover the new
+        # tuples and every later append land one slot off.
+        keys = self._keys
         for tid in changeset.tuples_added:
             if tid in node_map:
                 continue
             node = self.capacity
             node_map[tid] = node
             self._tid_of.append(tid)
-            self._keys.append(_sort_key(tid))
+            keys.append(_sort_key(tid))
             self._alive.append(1)
             self._override[node] = ([], [], [])
             appended.append(node)
         if appended:
             self._ints_sorted = False
-        touched: set[int] = set()
-        for edge in (*changeset.edges_added, *changeset.edges_removed):
-            for tid in (edge.referencing, edge.referenced):
-                node = node_map.get(tid)
-                if node is not None and self._alive[node]:
-                    touched.add(node)
-        for node in touched:
-            self._rebuild_row(node)
-        changed = set(removed) | set(appended) | touched
+        for edge in changeset.edges_added:
+            source = node_map.get(edge.referencing)
+            target = node_map.get(edge.referenced)
+            if source is None or target is None:
+                continue
+            # Shaped like build_tuple_graph's edge attributes; one dict
+            # serves both endpoint rows.
+            data = {
+                "foreign_key": edge.foreign_key,
+                "referencing": edge.referencing,
+            }
+            name = edge.foreign_key.name
+            entries_of(source).append((target, name, data))
+            if target != source:
+                entries_of(target).append((source, name, data))
+        for node, entries in touched.items():
+            self._override[node] = self._sorted_row(entries)
+        changed = set(removed) | set(appended) | set(touched)
         if not changed:
             return 0
         self._components = None

@@ -196,15 +196,20 @@ class TraversalCache:
                 obs_metrics.REGISTRY.inc("csr.compiles")
         return self._frozen
 
+    def compiled(self):
+        """The compiled graph when one is held, else ``None`` — for
+        callers that use it if present but must not trigger a build."""
+        return self._frozen
+
     def apply_changeset(self, changeset) -> int:
         """Bring the cache up to date with one applied changeset.
 
         Dict-backed structures are invalidated (adjacency of touched
         tuples, distance maps of touched components — see
         :meth:`invalidate_tuples`); the compiled CSR graph, when built,
-        is *patched* in place (tombstone/append + row rebuild) so the
-        next CSR query pays no recompilation.  Returns the number of
-        dict distance maps dropped.
+        is *patched* in place (tombstone/append + per-row edge deltas)
+        so the next CSR query pays no recompilation.  Returns the number
+        of dict distance maps dropped.
         """
         dropped = self._invalidate_changed(changeset.structural_tuples())
         if self._frozen is not None:

@@ -136,6 +136,23 @@ class ChangeSet:
             structural.add(edge.referenced)
         return frozenset(structural)
 
+    def appended(self, database: Database) -> dict[str, tuple[Tuple, ...]]:
+        """Per relation, the tuples the batch left appended — added or
+        replaced — in store order, read from the just-mutated database.
+
+        Inserts append, so whatever a batch inserted and kept sits
+        behind every older tuple of its relation: the batch's survivors
+        *are* each store's tail, and reading them costs their count,
+        not the relation's size.
+        """
+        counts: dict[str, int] = {}
+        for tid in self.tuples_added + self.tuples_replaced:
+            counts[tid.relation] = counts.get(tid.relation, 0) + 1
+        return {
+            relation: database.tail(relation, count)
+            for relation, count in counts.items()
+        }
+
     def touched(self) -> frozenset[TupleId]:
         """Every tuple the batch touched: mutated tuples + edge endpoints."""
         return (
@@ -414,18 +431,11 @@ def changeset_to_record(
     further batch.  ``version`` is the engine version the batch
     produces.
     """
-    tail = {}
-    for tid in changeset.tuples_added + changeset.tuples_replaced:
-        tail.setdefault(tid.relation, set()).add(tid.key)
-    appended = []
-    for relation in sorted(tail):
-        members = tail[relation]
-        for key in database.relation_key_order(relation):
-            if key in members:
-                row = database.tuple(TupleId(relation, key))
-                appended.append(
-                    [relation, list(key), dict(row.values), row.label]
-                )
+    appended = [
+        [relation, list(row.tid.key), dict(row.values), row.label]
+        for relation, rows in sorted(changeset.appended(database).items())
+        for row in rows
+    ]
     updated = []
     for tid in changeset.tuples_updated:
         row = database.tuple(tid)

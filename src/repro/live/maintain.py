@@ -15,11 +15,13 @@ place* instead of rebuilding it:
   connected components are dropped.
 
 :func:`affected_tuples` computes the invalidation frontier for the
-answer cache: structural changes (node/edge add/remove) taint their
-whole connected component — a new edge can create or shorten paths
-anywhere in it — while value-only updates taint just the updated tuple,
-whose effect is confined to answers containing it (match-set changes are
-caught separately by the cache's keyword fingerprints).
+answer cache: the depth-labelled ball around a changeset's structural
+seeds.  Answers are bounded objects — a connection has at most
+``max_rdb_length`` edges, a joining network at most ``max_tuples``
+tuples — so a changed edge can only create, destroy or reshape an answer
+whose matched tuples lie within that many hops of it; everything farther
+out keeps its cached answers (value changes and match-set changes are
+caught separately by the cache's footprints and keyword fingerprints).
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ def apply_to_index(
         # Delete-then-reinsert: the tuple moved to the relation tail, so
         # its posting position must be re-derived.
         index.remove_tuple(tid)
-        index.add_tuple(database.tuple(tid))
-    for tid in changeset.tuples_added:
-        index.add_tuple(database.tuple(tid))
+    # Added and replaced tuples are their stores' tails: they take
+    # consecutive tail positions in store order, no relation rescanned.
+    for records in changeset.appended(database).values():
+        index.append_tuples(records)
 
 
 def apply_to_graph(
@@ -86,9 +89,7 @@ def apply_to_traversal_cache(cache: TraversalCache, changeset: ChangeSet) -> int
     pure tuple-identity structures, so value-only updates leave every
     cached entry valid.  The cache's compiled CSR graph, when built, is
     *patched* in place from the changeset's edge deltas (tombstone /
-    append / per-row rebuild) rather than recompiled — run this after
-    :func:`apply_to_graph`, since the patched rows are re-read from the
-    updated data graph.
+    append / per-row delta) rather than recompiled.
     """
     return cache.apply_changeset(changeset)
 
@@ -107,30 +108,66 @@ def apply_to_shard_plan(shard_plan, changeset: ChangeSet) -> None:
     shard_plan.apply_changeset(changeset)
 
 
-def affected_tuples(
-    data_graph: DataGraph, changeset: ChangeSet
-) -> frozenset[TupleId]:
-    """Tuples whose cached answers a changeset may have invalidated.
+def _ball(seeds, neighbours, reach: int) -> dict:
+    """Breadth-first depth labels of everything within ``reach`` edges
+    of ``seeds``: ``{node: depth}``, seeds at depth 0."""
+    depth_of = dict.fromkeys(seeds, 0)
+    frontier = list(depth_of)
+    for depth in range(1, reach + 1):
+        if not frontier:
+            break
+        reached = []
+        for at in frontier:
+            for other in neighbours(at):
+                if other not in depth_of:
+                    depth_of[other] = depth
+                    reached.append(other)
+        frontier = reached
+    return depth_of
 
-    Structural seeds (added/removed tuples, endpoints of added/removed
-    edges) expand to their full connected components in the *patched*
-    graph — removed nodes seed their former neighbours through the
-    removed-edge endpoints, so split-off components are covered too.
-    Value-only updated tuples join the set without expansion.
+
+def affected_tuples(
+    traversal_cache: TraversalCache, changeset: ChangeSet, reach: int
+) -> dict[TupleId, int]:
+    """Tuples whose cached answers a changeset's *structural* part may
+    have invalidated, labelled with their distance from it.
+
+    One breadth-first sweep of the *patched* graph, ``reach`` levels out
+    from the structural seeds (added tuples, endpoints of added/removed
+    edges): ``{tuple: hops to the nearest seed}``.  Removed tuples are
+    no longer in the graph and report depth 0; their former neighbours
+    are seeds through the removed edges.  Why a bounded ball suffices:
+    walk any answer the changeset created or destroyed from one of its
+    matched tuples — the first changed edge on the way is reached over
+    unchanged edges, and those all exist in the patched graph.
+
+    The sweep runs on the compiled CSR rows when the cache holds them
+    (never touching networkx) and over the data graph's adjacency
+    otherwise.  Value-only updates do not appear here: the answer
+    cache tests them against entry footprints.
     """
-    structural = changeset.structural_tuples()
-    affected = set(structural)
-    affected.update(changeset.tuples_updated)
-    affected.update(changeset.tuples_replaced)
-    graph = data_graph.graph
-    stack = [tid for tid in structural if tid in graph]
-    while stack:
-        node = stack.pop()
-        for other in graph.neighbors(node):
-            if other not in affected:
-                affected.add(other)
-                stack.append(other)
-    return frozenset(affected)
+    seeds = changeset.structural_tuples()
+    if not seeds:
+        return {}
+    frozen = traversal_cache.compiled()
+    if frozen is not None:
+        nodes = [
+            node
+            for tid in seeds
+            if (node := frozen.node_of(tid)) is not None
+        ]
+        depth_of = _ball(nodes, frozen.neighbour_row, reach)
+        affected = dict(zip(map(frozen.tid_of, depth_of), depth_of.values()))
+    else:
+        graph = traversal_cache.data_graph.graph
+        affected = _ball(
+            [tid for tid in seeds if tid in graph],
+            graph.neighbors,
+            reach,
+        )
+    for tid in changeset.tuples_removed:
+        affected[tid] = 0
+    return affected
 
 
 def apply_changeset(
@@ -143,9 +180,8 @@ def apply_changeset(
 ) -> None:
     """Apply one changeset to whichever derived structures are given.
 
-    Order matters: the graph is patched before the traversal cache
-    (patched CSR rows re-read it) and the shard plan last (it reads the
-    patched compiled graph's components).
+    Order matters: the shard plan goes last (it reads the patched
+    compiled graph's components).
     """
     if index is not None:
         apply_to_index(index, database, changeset)

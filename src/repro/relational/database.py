@@ -13,6 +13,7 @@ values)`` — and may additionally carry a human-readable *label* (``d1``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import (
@@ -102,6 +103,12 @@ class Database:
         self._tuples: dict[str, dict[tuple[object, ...], Tuple]] = {
             relation.name: {} for relation in schema.relations
         }
+        #: Per foreign key (by name): referenced key -> number of tuples
+        #: holding it.  A key's counter is built by the first enforced
+        #: ``delete`` that needs it and kept current from then on, so
+        #: instances that never delete pay neither the scan nor the
+        #: memory.
+        self._reference_counts: dict[str, dict[tuple, int]] = {}
 
     @staticmethod
     def build_store(
@@ -175,6 +182,7 @@ class Database:
             for foreign_key in self.schema.foreign_keys_from(relation_name):
                 self._check_reference(record, foreign_key)
         store[key] = record
+        self._count_references(record.values, relation_name, +1)
         return record
 
     def insert_many(
@@ -217,21 +225,53 @@ class Database:
             for foreign_key in self.schema.foreign_keys_from(tid.relation):
                 if any(c in coerced for c in foreign_key.source_columns):
                     self._check_reference(candidate, foreign_key)
+        self._count_references(record.values, tid.relation, -1)
         record.values.update(coerced)
+        self._count_references(record.values, tid.relation, +1)
         return record
 
     def delete(self, tid: TupleId) -> None:
         """Delete a tuple; rejects when other tuples still reference it."""
         record = self.tuple(tid)
-        if self.enforce_foreign_keys:
+        if self.enforce_foreign_keys and any(
+            self._references(foreign_key).get(tid.key)
+            for foreign_key in self.schema.foreign_keys_to(tid.relation)
+        ):
+            # Rare path: only now scan for who it is, for the message.
             referencing = list(self.referencing_tuples(record))
-            if referencing:
-                raise IntegrityError(
-                    "tuple is still referenced",
-                    tid=str(tid),
-                    referencing=[str(t.tid) for t in referencing[:5]],
-                )
+            raise IntegrityError(
+                "tuple is still referenced",
+                tid=str(tid),
+                referencing=[str(t.tid) for t in referencing[:5]],
+            )
         del self._tuples[tid.relation][tid.key]
+        self._count_references(record.values, tid.relation, -1)
+
+    def _references(self, foreign_key: ForeignKey) -> dict[tuple, int]:
+        """How many tuples reference each key through one foreign key
+        (built by one scan of its source relation on first use)."""
+        counts = self._reference_counts.get(foreign_key.name)
+        if counts is None:
+            counts = self._reference_counts[foreign_key.name] = {}
+            for candidate in self._tuples[foreign_key.source].values():
+                key = tuple(
+                    candidate.values[c] for c in foreign_key.source_columns
+                )
+                counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    def _count_references(
+        self, values: Mapping[str, object], relation_name: str, step: int
+    ) -> None:
+        """Add ``step`` to the counters (those already built) of the
+        keys one tuple's values reference."""
+        if not self._reference_counts:
+            return
+        for foreign_key in self.schema.foreign_keys_from(relation_name):
+            counts = self._reference_counts.get(foreign_key.name)
+            if counts is not None:
+                key = tuple(values[c] for c in foreign_key.source_columns)
+                counts[key] = counts.get(key, 0) + step
 
     # ------------------------------------------------------------------
     # lookup
@@ -297,6 +337,18 @@ class Database:
         if not store:
             return None
         return store[next(reversed(store))]
+
+    def tail(self, relation_name: str, count: int) -> tuple[Tuple, ...]:
+        """The relation's last ``count`` tuples, in store order.
+
+        O(count): index maintenance reads a mutation batch's appended
+        tuples from here without scanning the relation.
+        """
+        store = self._tuples.get(relation_name)
+        if store is None:
+            raise UnknownRelationError("no such relation", relation=relation_name)
+        last = list(islice(reversed(store.values()), count))
+        return tuple(reversed(last))
 
     def all_tuples(self) -> Iterator[Tuple]:
         """Every tuple in the database, relation by relation."""

@@ -341,6 +341,19 @@ class InvertedIndex:
             # else: _index_record appends at the relation tail in O(1).
         self._index_record(record)
 
+    def append_tuples(self, records: Iterable[Tuple]) -> None:
+        """Index tuples that form, in the given order, the tail of their
+        relation's store — what a mutation batch leaves behind.
+
+        Each takes the relation's next order position in O(1), however
+        many the batch appended; :meth:`add_tuple` on anything but the
+        single last tuple would rescan the relation instead.
+        """
+        self._ensure_tokens()
+        for record in records:
+            if record.tid not in self._indexed:
+                self._index_record(record)
+
     def reindex_tuple(self, record: Tuple) -> None:
         """Refresh one tuple's postings after a value update.
 
@@ -372,6 +385,12 @@ class InvertedIndex:
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
+    def tokens_of(self, tid: TupleId) -> tuple[str, ...]:
+        """The tokens one indexed tuple is posted under (empty when the
+        tuple is not indexed)."""
+        self._ensure_tokens()
+        return self._tokens_by_tid.get(tid, ())
+
     def postings(self, keyword: str) -> tuple[Posting, ...]:
         """All postings of a keyword (word-level match), lower-cased."""
         return tuple(self._postings.get(keyword.strip().lower(), ()))

@@ -49,6 +49,7 @@ import sys
 import tempfile
 import zlib
 from array import array
+from bisect import bisect_right
 from pathlib import Path
 from typing import Optional, Union
 
@@ -140,9 +141,10 @@ class LazyDataGraph(DataGraph):
     The compiled CSR kernels answer path queries without ever touching
     the tuple multigraph, so a snapshot-opened engine defers its
     construction entirely; the first consumer that needs it (fast or
-    reference core, joining-network metrics, live patching) triggers one
-    ordinary :func:`~repro.graph.data_graph.build_tuple_graph` pass —
-    node and edge order identical to an eager build.
+    reference core, joining-network metrics, instance-level ambiguity)
+    triggers one ordinary
+    :func:`~repro.graph.data_graph.build_tuple_graph` pass — node and
+    edge order identical to an eager build.
     """
 
     def __init__(self, database: Database) -> None:
@@ -168,11 +170,12 @@ class LazyDataGraph(DataGraph):
     # While the multigraph is unmaterialised, mutating it is pure waste:
     # the deferred ``build_tuple_graph(self.database)`` reads the *live*
     # database, which the batch already updated, so building later
-    # reaches the exact state eager patching would.  (The eager path
-    # materialises mid-apply from the already-mutated database and then
-    # re-adds the same nodes/edges idempotently.)  Skipping keeps WAL
-    # replay and restored-engine applies from paying a full graph build;
-    # the version bump and conceptual-view invalidation still happen.
+    # reaches the exact state eager patching would.  Nothing on the
+    # write path asks for it either — compiled rows patch from the
+    # changeset's edge deltas, answer-cache taint sweeps those rows and
+    # compaction folds them — so apply, WAL replay and ``compact_wal``
+    # leave a restored engine unmaterialised; the version bump and
+    # conceptual-view invalidation still happen.
     def add_tuple_node(self, record) -> None:
         if self._materialized is None:
             self.invalidate_caches()
@@ -196,34 +199,6 @@ class LazyDataGraph(DataGraph):
             self.invalidate_caches()
             return
         super().remove_fk_edge(referencing, referenced, foreign_key_name)
-
-    def incident_entries(self, tid: TupleId):
-        """Incident FK edges of one tuple, straight from the database.
-
-        Yields ``(other_tid, edge_key, edge_data)`` exactly as iterating
-        the materialised multigraph's ``edges(tid)`` would — one entry
-        per stored foreign-key reference, payload dicts shaped like
-        :func:`~repro.graph.data_graph.build_tuple_graph` builds them.
-        CSR row patching uses this to rebuild touched rows without
-        forcing the full graph build (entries are re-sorted by the
-        caller, so listing order does not matter).
-        """
-        database = self.database
-        record = database.tuple(tid)
-        schema = database.schema
-        for fk in schema.foreign_keys_from(tid.relation):
-            target = database.referenced_tuple(record, fk)
-            if target is not None:
-                yield target.tid, fk.name, {
-                    "foreign_key": fk, "referencing": tid,
-                }
-        for fk in schema.foreign_keys_to(tid.relation):
-            for candidate in database.referencing_tuples(record, fk):
-                if fk.source == tid.relation and candidate.tid == tid:
-                    continue  # self-loop: the outgoing pass yielded it
-                yield candidate.tid, fk.name, {
-                    "foreign_key": fk, "referencing": candidate.tid,
-                }
 
 
 class _LazyTidList:
@@ -350,7 +325,9 @@ class _LazyEdgeData:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def __getitem__(self, position: int) -> dict:
+    def __getitem__(self, position):
+        if isinstance(position, slice):
+            return [self[at] for at in range(*position.indices(len(self)))]
         cached = self._cache.get(position)
         if cached is None:
             owner, target = self._owner(position)
@@ -816,15 +793,10 @@ def _load_engine(
     stored_nodes = len(tid_of)
 
     def owner_of_entry(position: int) -> tuple[int, int]:
-        # Binary search the offsets for the row owning a CSR entry.
-        low, high = 0, stored_nodes
-        while low + 1 < high:
-            middle = (low + high) // 2
-            if offsets[middle] <= position:
-                low = middle
-            else:
-                high = middle
-        return low, targets[position]
+        # The row owning a CSR entry is the last one starting at or
+        # before it (empty rows share their successor's offset).
+        owner = bisect_right(offsets, position, 0, stored_nodes) - 1
+        return owner, targets[position]
 
     edge_data = _LazyEdgeData(fk_by_name, tid_of, edge_keys, edge_ref, owner_of_entry)
     # The vector backend wraps the mmap-backed CSR sections in zero-copy

@@ -1,5 +1,10 @@
 """Incremental maintainers equal a full rebuild, structure by structure."""
 
+from collections import defaultdict
+
+import pytest
+
+from repro.datasets.company import build_company_database
 from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
 from repro.live.changes import Delete, Insert, Update, apply_to_database
@@ -66,6 +71,68 @@ class TestMaintainers:
         assert index_signature(index) == index_signature(
             InvertedIndex(company_db)
         )
+
+    @pytest.mark.parametrize("restored", [False, True])
+    def test_batch_appends_take_tail_positions_without_a_rescan(
+        self, company_db, restored, monkeypatch
+    ):
+        # Several inserts into one relation plus a delete-then-reinsert:
+        # the store tail ends up t8, t1, t9 (added and replaced tuples
+        # interleaved), and none of them is "the last tuple" alone.
+        if restored:
+            built = InvertedIndex(company_db)
+            index = InvertedIndex.from_state(
+                company_db,
+                defaultdict(list, {token: list(built.postings(token))
+                                   for token in built.vocabulary()}),
+                dict(built._tokens_by_tid),
+            )
+        else:
+            index = InvertedIndex(company_db)
+        changeset = apply_to_database(
+            company_db,
+            [
+                Delete(tid("DEPENDENT", "t1")),
+                Insert("DEPENDENT", {"ID": "t8", "ESSN": "e1",
+                                     "DEPENDENT_NAME": "Alice"}),
+                Insert("DEPENDENT", {"ID": "t1", "ESSN": "e2",
+                                     "DEPENDENT_NAME": "Alice"}),
+                Insert("DEPENDENT", {"ID": "t9", "ESSN": "e1",
+                                     "DEPENDENT_NAME": "Alice"}),
+            ],
+        )
+        assert changeset.tuples_replaced == (tid("DEPENDENT", "t1"),)
+        assert [record.tid for record in company_db.tail("DEPENDENT", 3)] == [
+            tid("DEPENDENT", "t8"), tid("DEPENDENT", "t1"),
+            tid("DEPENDENT", "t9"),
+        ]
+        rescans = []
+        refresh = index._refresh_order
+        monkeypatch.setattr(
+            index, "_refresh_order",
+            lambda relation: (rescans.append(relation), refresh(relation)),
+        )
+        if restored:
+            # Installed by from_state with the original bound method.
+            index._order._refresh = index._refresh_order
+        apply_changeset(changeset, company_db, index=index)
+        assert index_signature(index) == index_signature(
+            InvertedIndex(company_db)
+        )
+        again = apply_to_database(
+            company_db,
+            [Insert("DEPENDENT", {"ID": f"u{n}", "ESSN": "e1",
+                                  "DEPENDENT_NAME": "Alice"}) for n in (1, 2)],
+        )
+        apply_changeset(again, company_db, index=index)
+        assert index_signature(index) == index_signature(
+            InvertedIndex(company_db)
+        )
+        # A restored index derives a relation's order keys lazily — one
+        # scan when a new posting first meets an old one of that
+        # relation — but no batch ever triggers a scan by itself.
+        assert len(rescans) == len(set(rescans))
+        assert restored or not rescans
 
     def test_graph_equals_fresh_build(self, company_db):
         data_graph = DataGraph(company_db)
@@ -149,35 +216,67 @@ class TestTraversalCacheInvalidation:
 
 
 class TestAffectedTuples:
-    def test_structural_change_taints_whole_component(self, company_db):
+    """The taint ball: depth-labelled, bounded, same on every graph form."""
+
+    INSERT = [Insert("DEPENDENT",
+                     {"ID": "t9", "ESSN": "e1", "DEPENDENT_NAME": "Nora"})]
+
+    def taint(self, company_db, mutations, reach, compiled):
         data_graph = DataGraph(company_db)
-        changeset = apply_to_database(
-            company_db,
-            [Insert("DEPENDENT",
-                    {"ID": "t9", "ESSN": "e1", "DEPENDENT_NAME": "Nora"})],
+        cache = TraversalCache(data_graph)
+        if compiled:
+            cache.frozen()
+        changeset = apply_to_database(company_db, mutations)
+        apply_changeset(
+            changeset, company_db, data_graph=data_graph, traversal_cache=cache
         )
-        apply_changeset(changeset, company_db, data_graph=data_graph)
-        affected = affected_tuples(data_graph, changeset)
-        # Everything is one component in the running example.
-        assert tid("DEPARTMENT", "d2") in affected
-        assert tid("DEPENDENT", "t9") in affected
+        return data_graph, affected_tuples(cache, changeset, reach)
+
+    def test_structural_change_taints_only_its_ball(self, company_db):
+        import networkx as nx
+
+        for reach in (0, 1, 2, 5):
+            db = build_company_database()
+            data_graph, affected = self.taint(db, self.INSERT, reach, True)
+            distances = nx.multi_source_dijkstra_path_length(
+                nx.Graph(data_graph.graph),
+                {tid("DEPENDENT", "t9"), tid("EMPLOYEE", "e1")},
+            )
+            assert affected == {
+                node: depth for node, depth in distances.items()
+                if depth <= reach
+            }
+        # One FK hop from e1 is its department; the rest of the (single)
+        # component lies farther out and stays untainted at reach 1.
+        __, near = self.taint(company_db, self.INSERT, 1, True)
+        assert near[tid("DEPENDENT", "t9")] == near[tid("EMPLOYEE", "e1")] == 0
+        assert near[tid("DEPARTMENT", "d1")] == 1
+        assert tid("DEPARTMENT", "d2") not in near
+
+    def test_data_graph_sweep_equals_compiled_sweep(self):
+        for reach in (0, 1, 3):
+            __, compiled = self.taint(
+                build_company_database(), BATCH, reach, True
+            )
+            __, plain = self.taint(
+                build_company_database(), BATCH, reach, False
+            )
+            assert compiled == plain
 
     def test_value_update_taints_only_the_tuple(self, company_db):
-        data_graph = DataGraph(company_db)
-        changeset = apply_to_database(
+        # Value-only updates have no structural reach at all: the answer
+        # cache tests them against entry footprints instead.
+        __, affected = self.taint(
             company_db,
             [Update(tid("DEPARTMENT", "d1"), {"D_DESCRIPTION": "robotics"})],
+            5,
+            True,
         )
-        apply_changeset(changeset, company_db, data_graph=data_graph)
-        affected = affected_tuples(data_graph, changeset)
-        assert affected == frozenset({tid("DEPARTMENT", "d1")})
+        assert affected == {}
 
     def test_removed_tuple_still_reported_affected(self, company_db):
-        data_graph = DataGraph(company_db)
-        changeset = apply_to_database(
-            company_db, [Delete(tid("DEPENDENT", "t1"))]
+        __, affected = self.taint(
+            company_db, [Delete(tid("DEPENDENT", "t1"))], 1, True
         )
-        apply_changeset(changeset, company_db, data_graph=data_graph)
-        affected = affected_tuples(data_graph, changeset)
-        assert tid("DEPENDENT", "t1") in affected
-        assert tid("EMPLOYEE", "e3") in affected
+        assert affected[tid("DEPENDENT", "t1")] == 0
+        assert affected[tid("EMPLOYEE", "e3")] == 0

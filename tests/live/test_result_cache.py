@@ -1,7 +1,9 @@
 """Unit tests for the dependency-tracked answer cache."""
 
 from repro.core.engine import KeywordSearchEngine
-from repro.live.changes import Delete, Insert, Update
+from repro.core.ranking import InstanceAmbiguityRanker
+from repro.core.search import SearchLimits
+from repro.live.changes import ChangeSet, Delete, Insert, Update
 from repro.live.result_cache import CacheEntry, ResultCache
 from repro.relational.database import TupleId
 
@@ -10,7 +12,8 @@ def tid(relation, *key):
     return TupleId(relation, tuple(key))
 
 
-def entry(keywords=("x",), footprint=(), fingerprint=((),), volatile=False):
+def entry(keywords=("x",), footprint=(), fingerprint=((),), volatile=False,
+          semantics="and", limits=SearchLimits()):
     return CacheEntry(
         results=(),
         stats=None,
@@ -18,7 +21,29 @@ def entry(keywords=("x",), footprint=(), fingerprint=((),), volatile=False):
         footprint=frozenset(footprint),
         fingerprint=tuple(fingerprint),
         volatile=volatile,
+        semantics=semantics,
+        limits=limits,
     )
+
+
+def reverse_maps(cache):
+    """The reverse maps re-derived from the entries alone."""
+    by_tuple, by_token, reaches = {}, {}, {}
+    for key, item in cache._entries.items():
+        for member in item.footprint:
+            by_tuple.setdefault(member, set()).add(key)
+        for token in item.tokens():
+            by_token.setdefault(token, set()).add(key)
+        reaches[item.reach] = reaches.get(item.reach, 0) + 1
+    volatile = {key for key, item in cache._entries.items() if item.volatile}
+    return by_tuple, by_token, volatile, reaches
+
+
+def assert_maps_consistent(cache):
+    cache.reach()  # the maps exist from the first changeset on
+    assert (
+        cache._by_tuple, cache._by_token, cache._volatile, cache._reaches
+    ) == reverse_maps(cache)
 
 
 class TestLruMechanics:
@@ -47,6 +72,71 @@ class TestLruMechanics:
         assert cache.lookup("a") is None
 
 
+class TestReverseMaps:
+    """Tuple, token, volatile and reach maps mirror the entries always."""
+
+    E1, E2, D1 = tid("EMPLOYEE", "e1"), tid("EMPLOYEE", "e2"), tid("DEPARTMENT", "d1")
+
+    def test_maps_wait_for_the_first_changeset(self, index):
+        cache = ResultCache(max_entries=1)
+        cache.store("a", entry(keywords=("smith",), footprint=[self.E1]))
+        cache.store("b", entry(keywords=("xml",), footprint=[self.D1]))
+        assert cache._by_tuple is None and not cache._by_token
+        cache.invalidate(ChangeSet(tuples_updated=(self.E2,)), {}, index)
+        assert cache._by_tuple == {self.D1: {"b"}}
+        cache.store("c", entry(keywords=("smith",), footprint=[self.E1]))
+        assert_maps_consistent(cache)
+        cache.clear()
+        assert cache._by_tuple is None
+
+    def test_store_over_existing_key_relinks(self):
+        cache = ResultCache()
+        cache.reach()
+        cache.store("k", entry(keywords=("smith", "xml@DEPARTMENT"),
+                               footprint=[self.E1, self.D1], volatile=True))
+        cache.store("k", entry(keywords=("jones",), footprint=[self.E2],
+                               limits=SearchLimits(max_rdb_length=2,
+                                                   max_tuples=2)))
+        assert_maps_consistent(cache)
+        assert set(cache._by_tuple) == {self.E2}
+        assert set(cache._by_token) == {"jones"}
+        assert not cache._volatile
+        assert cache.reach() == 1
+
+    def test_lru_eviction_unlinks(self):
+        cache = ResultCache(max_entries=2)
+        cache.reach()
+        cache.store("a", entry(keywords=("smith",), footprint=[self.E1]))
+        cache.store("b", entry(keywords=("smith",), footprint=[self.E1, self.E2]))
+        cache.store("c", entry(keywords=("xml",), footprint=[self.D1]))
+        assert_maps_consistent(cache)
+        assert cache._by_tuple[self.E1] == {"b"}
+        assert cache._by_token == {"smith": {"b"}, "xml": {"c"}}
+
+    def test_invalidate_and_clear_unlink(self, index):
+        cache = ResultCache()
+        cache.store("a", entry(keywords=("smith",), footprint=[self.E1],
+                               fingerprint=(index.matching_tuples("smith"),)))
+        cache.store("b", entry(keywords=("xml",), footprint=[self.D1],
+                               fingerprint=(index.matching_tuples("xml"),)))
+        assert cache.invalidate(
+            ChangeSet(tuples_updated=(self.E1,)), {}, index
+        ) == 1
+        assert_maps_consistent(cache)
+        assert list(cache._entries) == ["b"]
+        cache.clear()
+        assert cache.reach() == 0 and not cache._by_tuple
+        assert_maps_consistent(cache)
+
+    def test_role_qualified_keywords_share_one_token(self):
+        cache = ResultCache()
+        cache.reach()
+        cache.store("k", entry(keywords=("Smith@EMPLOYEE", "smith@DEPENDENT")))
+        assert cache._by_token == {"smith": {"k"}}
+        cache.store("k", entry(keywords=("other",)))
+        assert_maps_consistent(cache)
+
+
 class TestInvalidation:
     def test_footprint_intersection_drops_entry(self, index):
         cache = ResultCache()
@@ -56,7 +146,9 @@ class TestInvalidation:
         cache.store("survives", entry(keywords=("smith",),
                                       footprint=[tid("EMPLOYEE", "e3")],
                                       fingerprint=(index.matching_tuples("smith"),)))
-        dropped = cache.invalidate({tid("EMPLOYEE", "e1")}, index)
+        dropped = cache.invalidate(
+            ChangeSet(tuples_updated=(tid("EMPLOYEE", "e1"),)), {}, index
+        )
         assert dropped == 1
         assert cache.lookup("survives") is not None
         assert cache.lookup("hit") is None
@@ -66,19 +158,92 @@ class TestInvalidation:
         cache.store("q", entry(keywords=("smith",),
                                footprint=[tid("EMPLOYEE", "e1")],
                                fingerprint=(index.matching_tuples("smith"),)))
-        # A new tuple matching "smith" in an untouched spot of the graph:
-        # the footprint misses it, the fingerprint must not.
+        cache.store("role", entry(keywords=("smith@EMPLOYEE",),
+                                  footprint=[tid("EMPLOYEE", "e1")],
+                                  fingerprint=(index.matching_tuples("smith"),)))
+        # A new tuple matching "smith" far from every footprint: only
+        # the token map finds the entry, and the re-derived fingerprint
+        # drops it — but not the entry whose role excludes the newcomer.
         record = company_db.insert(
             "DEPENDENT", {"ID": "t9", "ESSN": "e3", "DEPENDENT_NAME": "Smith"}
         )
         index.add_tuple(record)
-        dropped = cache.invalidate(set(), index)
+        dropped = cache.invalidate(
+            ChangeSet(tuples_added=(record.tid,)), {}, index
+        )
         assert dropped == 1
+        assert cache.lookup("role") is not None
 
     def test_volatile_entry_drops_on_any_change(self, index):
         cache = ResultCache()
         cache.store("tfidf", entry(volatile=True))
-        assert cache.invalidate({tid("EMPLOYEE", "e1")}, index) == 1
+        assert cache.invalidate(
+            ChangeSet(tuples_updated=(tid("EMPLOYEE", "e1"),)), {}, index
+        ) == 1
+
+    def test_empty_changeset_drops_nothing(self, index):
+        cache = ResultCache()
+        cache.store("tfidf", entry(volatile=True))
+        assert cache.invalidate(ChangeSet(), {}, index) == 0
+
+
+class TestStructuralTaint:
+    """Which depth-labelled balls reach an entry (module docstring)."""
+
+    A, B, C = tid("EMPLOYEE", "e1"), tid("DEPARTMENT", "d1"), tid("PROJECT", "p1")
+    EDGE = ChangeSet(tuples_added=(tid("DEPENDENT", "zz"),))
+
+    def tainted(self, item, ball, index):
+        cache = ResultCache()
+        cache.store("k", item)
+        return cache.invalidate(self.EDGE, ball, index) == 1
+
+    def pair(self, **options):
+        return entry(keywords=("a", "b"), footprint=[self.A, self.B],
+                     fingerprint=((self.A,), (self.B,)), **options)
+
+    def test_and_needs_every_keyword_inside_the_ball(self, index):
+        assert not self.tainted(self.pair(), {self.A: 0}, index)
+        assert self.tainted(self.pair(), {self.A: 0, self.B: 1}, index)
+
+    def test_two_keywords_need_depths_that_fit_one_path(self, index):
+        limits = SearchLimits(max_rdb_length=4)
+        assert self.tainted(
+            self.pair(limits=limits), {self.A: 1, self.B: 2}, index
+        )
+        assert not self.tainted(
+            self.pair(limits=limits), {self.A: 2, self.B: 2}, index
+        )
+
+    def test_depths_beyond_the_entry_reach_do_not_count(self, index):
+        short = SearchLimits(max_rdb_length=2, max_tuples=2)
+        three = entry(keywords=("a", "b", "c"),
+                      footprint=[self.A, self.B, self.C],
+                      fingerprint=((self.A,), (self.B,), (self.C,)),
+                      limits=short)
+        assert three.reach == 1
+        assert not self.tainted(
+            three, {self.A: 0, self.B: 1, self.C: 2}, index
+        )
+        assert self.tainted(three, {self.A: 0, self.B: 1, self.C: 1}, index)
+
+    def test_or_needs_any_two_keywords(self, index):
+        three = dict(keywords=("a", "b", "c"),
+                     footprint=[self.A, self.B, self.C],
+                     fingerprint=((self.A,), (self.B,), (self.C,)))
+        ball = {self.A: 0, self.B: 1}
+        assert not self.tainted(entry(**three), ball, index)
+        assert self.tainted(entry(semantics="or", **three), ball, index)
+        assert not self.tainted(
+            entry(semantics="or", **three), {self.A: 0}, index
+        )
+
+    def test_answer_tuples_select_but_do_not_taint(self, index):
+        # C is only *in an answer*: it makes the entry a candidate, but
+        # taint is decided on matched tuples.
+        item = entry(keywords=("a", "b"), footprint=[self.A, self.B, self.C],
+                     fingerprint=((self.A,), (self.B,)))
+        assert not self.tainted(item, {self.C: 0}, index)
 
 
 class TestEngineIntegration:
@@ -125,6 +290,32 @@ class TestEngineIntegration:
         assert counters["result_cache.stores"] == stats.stores == 2
         assert counters["result_cache.invalidated"] == stats.invalidated == 1
         assert counters["engine.changesets_applied"] == 1
+
+    def test_distant_structural_change_keeps_entry(self, company_db):
+        # d2's neighbourhood is one connected component with Smith/XML,
+        # but under short limits an edge there is out of answer reach.
+        limits = SearchLimits(max_rdb_length=2, max_tuples=2)
+        engine = KeywordSearchEngine(company_db, limits=limits)
+        before = [r.render() for r in engine.search("Smith XML")]
+        engine.search("Smith XML")
+        assert engine.result_cache.stats.hits == 1
+        engine.apply([Insert("DEPENDENT", {"ID": "t9", "ESSN": "e4",
+                                           "DEPENDENT_NAME": "Nora"})])
+        assert engine.result_cache.stats.invalidated == 0
+        assert [r.render() for r in engine.search("Smith XML")] == before
+        assert engine.result_cache.stats.hits == 2
+        fresh = KeywordSearchEngine(company_db, limits=limits)
+        assert [r.render() for r in fresh.search("Smith XML")] == before
+
+    def test_neighbourhood_reading_ranker_is_cached_volatile(self, company_db):
+        engine = KeywordSearchEngine(
+            company_db, ranker=InstanceAmbiguityRanker(),
+            limits=SearchLimits(max_rdb_length=2, max_tuples=2),
+        )
+        engine.search("Smith XML")
+        engine.apply([Insert("DEPENDENT", {"ID": "t9", "ESSN": "e4",
+                                           "DEPENDENT_NAME": "Nora"})])
+        assert engine.result_cache.stats.invalidated == 1
 
     def test_hit_replays_identical_results_and_stats(self, engine):
         cold = engine.search("Smith XML", top_k=3)

@@ -7,6 +7,10 @@ incrementally patched :class:`~repro.graph.csr.FrozenGraph` must answer
 exactly like a freshly compiled one.
 """
 
+import os
+import tempfile
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +30,16 @@ from repro.graph.fast_traversal import (
     fast_enumerate_simple_paths,
 )
 from repro.graph.traversal import enumerate_joining_trees, enumerate_simple_paths
-from repro.live.changes import Delete, Insert, apply_to_database
+from repro.errors import IntegrityError, PrimaryKeyError
+from repro.live.changes import Delete, Insert, Update, apply_to_database
 from repro.live.maintain import apply_changeset
+from repro.relational.database import Database, TupleId
+from repro.relational.schema import (
+    AttributeDef,
+    DatabaseSchema,
+    ForeignKey,
+    Relation,
+)
 
 configs = st.builds(
     SyntheticConfig,
@@ -291,3 +303,211 @@ class TestBoundedRowsClipTheOracle:
             apply_changeset(changeset, database, data_graph=graph)
             live.apply_changeset(changeset)
             _assert_rows_clip_the_oracle(live, FrozenGraph(graph))
+
+
+# ----------------------------------------------------------------------
+# delta-built rows
+# ----------------------------------------------------------------------
+def _org_database():
+    """PERSON with a self-referencing BOSS key, TASK with two keys onto
+    PERSON — the shapes where one row holds several entries for one
+    neighbour, or an entry for its own owner."""
+    schema = DatabaseSchema(name="org")
+    schema.add_relation(
+        Relation("PERSON", [AttributeDef("ID"), AttributeDef("BOSS")],
+                 primary_key=["ID"])
+    )
+    schema.add_relation(
+        Relation(
+            "TASK",
+            [AttributeDef("ID"), AttributeDef("OWNER"), AttributeDef("REVIEWER")],
+            primary_key=["ID"],
+        )
+    )
+    schema.add_foreign_key(
+        ForeignKey("fk_boss", "PERSON", ("BOSS",), "PERSON", ("ID",))
+    )
+    schema.add_foreign_key(
+        ForeignKey("fk_owner", "TASK", ("OWNER",), "PERSON", ("ID",))
+    )
+    schema.add_foreign_key(
+        ForeignKey("fk_reviewer", "TASK", ("REVIEWER",), "PERSON", ("ID",))
+    )
+    database = Database(schema)
+    for number in range(4):
+        database.insert(
+            "PERSON",
+            {"ID": f"p{number:02d}", "BOSS": f"p{number // 2:02d}" if number else None},
+        )
+    for number in range(3):
+        database.insert(
+            "TASK",
+            {"ID": f"t{number:02d}", "OWNER": f"p{number:02d}",
+             "REVIEWER": f"p{(number + number % 2) % 4:02d}"},
+        )
+    return database
+
+
+_ORG_KINDS = (
+    "hire", "reboss", "open", "reassign", "close", "replace", "revive", "fire",
+)
+
+
+def _org_batch(database, kind, salt, closed):
+    """One valid-looking batch derived from the current state.  Bosses
+    are always drawn from people with a smaller-or-equal id: self-loops
+    occur, two-person reference cycles (whose two edges would collide on
+    one networkx multigraph key) never do."""
+    people = sorted(record.tid.key[0] for record in database.tuples("PERSON"))
+    tasks = sorted(record.tid.key[0] for record in database.tuples("TASK"))
+    pick = lambda items, shift=0: items[(salt + shift) % len(items)]
+    if kind == "hire":
+        return [Insert("PERSON", {"ID": f"p{10 + salt % 80:02d}",
+                                  "BOSS": pick(people)})]
+    if kind == "reboss":
+        person = pick(people)
+        bosses = [other for other in people if other <= person] + [None]
+        return [Update(TupleId("PERSON", (person,)), {"BOSS": pick(bosses, 1)})]
+    if kind == "open":
+        return [Insert("TASK", {"ID": f"t{10 + salt % 80:02d}",
+                                "OWNER": pick(people),
+                                "REVIEWER": pick(people, salt % 2)})]
+    if kind == "revive" and closed:
+        return [Insert("TASK", {"ID": pick(sorted(closed)),
+                                "OWNER": pick(people, 1),
+                                "REVIEWER": pick(people, 2)})]
+    if kind == "fire":
+        return [Delete(TupleId("PERSON", (pick(people),)))]
+    if not tasks:
+        return []
+    task = TupleId("TASK", (pick(tasks),))
+    if kind == "reassign":
+        return [Update(task, {"OWNER": pick(people, 1),
+                              "REVIEWER": pick(people + [None], 2)})]
+    if kind == "close":
+        return [Delete(task)]
+    return [  # replace (and revive with nothing closed yet)
+        Delete(task),
+        Insert("TASK", {"ID": task.key[0], "OWNER": pick(people, 3),
+                        "REVIEWER": pick(people, 1)}),
+    ]
+
+
+def _rows(frozen):
+    """Every live row, by tuple id, entries in order and fully decoded."""
+    rows = {}
+    for node in range(frozen.capacity):
+        if not frozen._alive[node]:
+            continue
+        targets, keys, datas = frozen._row_lists(node)
+        rows[frozen.tid_of(node)] = [
+            (frozen.tid_of(other), key, data["referencing"],
+             data["foreign_key"].name)
+            for other, key, data in zip(targets, keys, datas)
+        ]
+    return rows
+
+
+class TestDeltaRows:
+    """Rows patched from edge deltas equal a from-scratch compile — on a
+    materialised data graph and on a snapshot engine that never builds
+    one — and so does the fold of the patched graph."""
+
+    @relaxed
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(_ORG_KINDS),
+                      st.integers(min_value=0, max_value=1 << 16)),
+            min_size=1, max_size=12,
+        ),
+        st.booleans(),
+    )
+    def test_delta_rows_equal_fresh_compile(self, program, restored):
+        with tempfile.TemporaryDirectory() as directory:
+            engine = KeywordSearchEngine(_org_database())
+            if restored:
+                path = os.path.join(directory, "org.snap")
+                engine.save(path)
+                engine = KeywordSearchEngine.open(path)
+            try:
+                self._run(engine, program, restored)
+            finally:
+                engine.close()
+
+    @pytest.mark.parametrize("restored", [False, True])
+    def test_named_shapes_patch_like_a_fresh_compile(self, restored, tmp_path):
+        person = lambda key: TupleId("PERSON", (key,))
+        task = lambda key: TupleId("TASK", (key,))
+        engine = KeywordSearchEngine(_org_database())
+        if restored:
+            engine.save(tmp_path / "org.snap")
+            engine = KeywordSearchEngine.open(tmp_path / "org.snap")
+        frozen = engine.traversal_cache.frozen()
+        try:
+            batches = [
+                # a self-loop, then gone again
+                [Update(person("p03"), {"BOSS": "p03"})],
+                [Update(person("p03"), {"BOSS": None})],
+                # both keys of one task onto one person; then one re-pointed
+                [Update(task("t01"), {"OWNER": "p02", "REVIEWER": "p02"})],
+                [Update(task("t01"), {"REVIEWER": "p00"})],
+                # delete-then-reinsert inside one batch
+                [Delete(task("t00")),
+                 Insert("TASK", {"ID": "t00", "OWNER": "p03", "REVIEWER": "p03"})],
+                # tombstone, then append under the same identity
+                [Delete(task("t02"))],
+                [Insert("TASK", {"ID": "t02", "OWNER": "p01", "REVIEWER": None})],
+                # a tuple and all its edges in one batch
+                [Insert("PERSON", {"ID": "p09", "BOSS": "p00"}),
+                 Insert("TASK", {"ID": "t09", "OWNER": "p09", "REVIEWER": "p09"})],
+                [Delete(task("t09")), Delete(person("p09"))],
+            ]
+            shapes = set()
+            for batch in batches:
+                changeset = engine.apply(batch)
+                if changeset.tuples_replaced:
+                    shapes.add("replaced")
+                if any(e.referencing == e.referenced
+                       for e in changeset.edges_added):
+                    shapes.add("self-loop")
+                if frozen.node_of(task("t02")) == frozen.capacity - 1:
+                    shapes.add("tombstone+append")
+                assert _rows(frozen) == _rows(
+                    FrozenGraph(DataGraph(engine.database))
+                )
+            assert shapes == {"replaced", "self-loop", "tombstone+append"}
+            assert frozen.compactions == 0
+            if restored:
+                assert not engine.data_graph.materialized
+        finally:
+            engine.close()
+
+    def _run(self, engine, program, restored):
+        frozen = engine.traversal_cache.frozen()
+        closed = set()
+        for kind, salt in program:
+            batch = _org_batch(engine.database, kind, salt, closed)
+            try:
+                changeset = engine.apply(batch)
+            except (IntegrityError, PrimaryKeyError):
+                continue  # rolled back: still referenced / id taken
+            closed.difference_update(
+                tid.key[0] for tid in changeset.tuples_added
+            )
+            closed.update(
+                tid.key[0] for tid in changeset.tuples_removed
+                if tid.relation == "TASK"
+            )
+            if frozen.compactions == 0:
+                assert engine.traversal_cache.frozen() is frozen
+            fresh = FrozenGraph(DataGraph(engine.database))
+            assert _rows(frozen) == _rows(fresh)
+        frozen._compile()
+        fresh = FrozenGraph(DataGraph(engine.database))
+        assert _rows(frozen) == _rows(fresh)
+        assert [frozen.tid_of(n) for n in range(frozen.capacity)] == [
+            fresh.tid_of(n) for n in range(fresh.capacity)
+        ]
+        assert frozen._ints_sorted and not frozen._override
+        if restored:
+            assert not engine.data_graph.materialized

@@ -7,12 +7,22 @@ live engine's ``search`` / ``search_batch`` / ``search_stream`` must be
 bit-identical — answers, order, scores, ranks, and ``SearchLimitError``
 points — to a from-scratch engine built over an identical database kept
 in lockstep.  Both traversal cores and both semantics are exercised.
+
+A second property pins the answer cache's bounded taint: across random
+corpora, limits, semantics, keyword counts, rankers and mutations, every
+entry that survives an ``apply`` still equals the rebuilt engine's
+answer — the dropped set contains every entry whose answers changed.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import KeywordSearchEngine
+from repro.core.ranking import (
+    ClosenessRanker,
+    InstanceAmbiguityRanker,
+    RdbLengthRanker,
+)
 from repro.core.search import SearchLimits
 from repro.datasets.synthetic import (
     SyntheticConfig,
@@ -201,3 +211,79 @@ class TestInterleavingDifferential:
                     slow_engine.search(query, limits=_LIMITS,
                                        semantics=semantics)
                 )
+
+
+# ----------------------------------------------------------------------
+# bounded taint
+# ----------------------------------------------------------------------
+taint_configs = st.builds(
+    SyntheticConfig,
+    departments=st.integers(min_value=2, max_value=4),
+    projects_per_department=st.integers(min_value=1, max_value=2),
+    employees_per_department=st.integers(min_value=1, max_value=3),
+    works_on_per_employee=st.integers(min_value=1, max_value=2),
+    dependents_per_employee=st.just(0.3),
+    seed=st.integers(min_value=0, max_value=30),
+)
+
+# Short limits keep answer reach below the corpus diameter, so both
+# outcomes — entries the change reaches, entries it cannot — occur.
+taint_limits = st.builds(
+    SearchLimits,
+    max_rdb_length=st.integers(min_value=1, max_value=4),
+    max_tuples=st.integers(min_value=1, max_value=5),
+)
+
+
+class TestBoundedTaint:
+    """(entries dropped) ⊇ (entries whose answers changed): whatever the
+    answer cache keeps across an ``apply`` equals a rebuilt engine."""
+
+    @relaxed
+    @given(
+        taint_configs,
+        operations,
+        st.lists(taint_limits, min_size=1, max_size=2, unique=True),
+        st.sampled_from([ClosenessRanker(), RdbLengthRanker(),
+                         InstanceAmbiguityRanker()]),
+    )
+    def test_surviving_entries_equal_a_rebuilt_engine(
+        self, config, ops, limit_choices, ranker
+    ):
+        live_db = planted_database(config)
+        oracle_db = planted_database(config)
+        engine = KeywordSearchEngine(live_db, ranker=ranker)
+        specs = [
+            (query, semantics, limits)
+            for query in _QUERIES
+            for semantics in ("and", "or")
+            for limits in limit_choices
+        ]
+
+        def ask(target, spec):
+            query, semantics, limits = spec
+            return rendered(
+                target.search(query, limits=limits, semantics=semantics)
+            )
+
+        for counter, (kind, salt) in enumerate(ops):
+            before = {spec: ask(engine, spec) for spec in specs}  # all cached
+            mutation = build_mutation(live_db, kind, salt, counter)
+            batch = [] if mutation is None else [mutation]
+            engine.apply(batch)
+            apply_to_database(oracle_db, batch)
+            oracle = KeywordSearchEngine(
+                oracle_db, ranker=ranker, result_cache_entries=0
+            )
+            for spec in specs:
+                query, semantics, limits = spec
+                key = engine._cache_key(
+                    query, ranker, limits, None, semantics, None
+                )
+                survived = key in engine.result_cache._entries
+                fresh = ask(oracle, spec)
+                if fresh != before[spec]:
+                    assert not survived
+                hits = engine.result_cache.stats.hits
+                assert ask(engine, spec) == fresh
+                assert (engine.result_cache.stats.hits == hits + 1) == survived

@@ -159,6 +159,100 @@ class TestDelete:
             company_db.delete(TupleId("DEPENDENT", ("t99",)))
 
 
+def _recounted(database):
+    """Per-FK reference counts from one scan, zero entries dropped."""
+    counts = {}
+    for fk in database.schema.foreign_keys:
+        table = counts[fk.name] = {}
+        for record in database.tuples(fk.source):
+            key = tuple(record.values[c] for c in fk.source_columns)
+            table[key] = table.get(key, 0) + 1
+    return counts
+
+
+def _held_counts(database):
+    return {
+        name: {key: count for key, count in table.items() if count}
+        for name, table in database._reference_counts.items()
+    }
+
+
+class TestReferenceCounts:
+    """``delete``'s "still referenced" check reads per-FK counters that
+    are built on the first delete and then kept current."""
+
+    def test_nothing_is_counted_until_the_first_delete(self, company_db):
+        company_db.insert("DEPENDENT", {"ID": "t9", "ESSN": "e1"})
+        company_db.update(TupleId("DEPENDENT", ("t9",)), {"ESSN": "e2"})
+        assert company_db._reference_counts == {}
+        company_db.delete(TupleId("DEPENDENT", ("t9",)))
+        # DEPENDENT is referenced by nothing: still no counter needed.
+        assert company_db._reference_counts == {}
+
+    def test_only_keys_onto_the_victims_relation_are_counted(self, company_db):
+        with pytest.raises(IntegrityError):
+            company_db.delete(TupleId("EMPLOYEE", ("e1",)))
+        wanted = {fk.name for fk in company_db.schema.foreign_keys_to("EMPLOYEE")}
+        # ... and only as far as the first key that settles the answer.
+        assert company_db._reference_counts
+        assert set(company_db._reference_counts) <= wanted
+
+    def test_counts_follow_every_mutation(self, company_db):
+        with pytest.raises(IntegrityError):
+            company_db.delete(TupleId("DEPARTMENT", ("d1",)))
+        with pytest.raises(IntegrityError):
+            company_db.delete(TupleId("EMPLOYEE", ("e1",)))
+        company_db.insert("DEPENDENT", {"ID": "t9", "ESSN": "e1"})
+        company_db.update(TupleId("DEPENDENT", ("t9",)), {"ESSN": "e2"})
+        company_db.update(TupleId("DEPENDENT", ("t2",)), {"ESSN": None})
+        company_db.delete(TupleId("DEPENDENT", ("t1",)))
+        recounted = _recounted(company_db)
+        assert _held_counts(company_db) == {
+            name: recounted[name] for name in company_db._reference_counts
+        }
+
+    def test_last_reference_gone_unblocks_the_delete(self, company_db):
+        victim = TupleId("EMPLOYEE", ("e3",))
+        for record in list(company_db.referencing_tuples(company_db.tuple(victim))):
+            company_db.delete(record.tid)
+        company_db.delete(victim)
+        assert company_db.get("EMPLOYEE", "e3") is None
+
+    def test_rolled_back_batch_leaves_counts_exact(self, company_db):
+        from repro.live.changes import Delete, Insert, apply_to_database
+
+        with pytest.raises(IntegrityError):
+            company_db.delete(TupleId("EMPLOYEE", ("e1",)))
+        with pytest.raises(IntegrityError):
+            apply_to_database(company_db, [
+                Insert("DEPENDENT", {"ID": "t9", "ESSN": "e1"}),
+                Delete(TupleId("DEPENDENT", ("t1",))),
+                Delete(TupleId("EMPLOYEE", ("e1",))),  # still referenced
+            ])
+        recounted = _recounted(company_db)
+        assert _held_counts(company_db) == {
+            name: recounted[name] for name in company_db._reference_counts
+        }
+
+    def test_error_names_the_referencers_as_a_scan_would(self, company_db):
+        victim = company_db.tuple(TupleId("EMPLOYEE", ("e1",)))
+        expected = [str(t.tid) for t in company_db.referencing_tuples(victim)][:5]
+        with pytest.raises(IntegrityError) as exc:
+            company_db.delete(victim.tid)
+        assert exc.value.context["referencing"] == expected
+        assert exc.value.context["tid"] == "EMPLOYEE(e1)"
+
+
+class TestTail:
+    def test_tail_is_the_last_tuples_in_store_order(self, company_db):
+        everyone = company_db.tuples("EMPLOYEE")
+        assert company_db.tail("EMPLOYEE", 2) == everyone[-2:]
+        assert company_db.tail("EMPLOYEE", 0) == ()
+        assert company_db.tail("EMPLOYEE", 99) == everyone
+        with pytest.raises(UnknownRelationError):
+            company_db.tail("NOPE", 1)
+
+
 class TestDeferredIntegrity:
     def test_deferred_mode_allows_forward_references(self, db_schema):
         database = Database(db_schema, enforce_foreign_keys=False)

@@ -144,6 +144,52 @@ class TestLaziness:
         restored.search("kwalpha kwbeta", limits=LIMITS)
         assert not restored.data_graph.materialized
 
+    def test_write_path_never_builds_the_graph(self, saved):
+        """open(wal=True) -> apply xN -> reopen (replay) -> apply ->
+        compact_wal -> search: nothing on the way materialises networkx,
+        and the answers equal a cold build over the same mutations."""
+        from repro.live.changes import apply_to_database
+
+        __, path, ___ = saved
+        oracle_db = planted_database()
+        employees = [t.tid.key[0] for t in oracle_db.tuples("EMPLOYEE")]
+        batches = [
+            [Insert("DEPENDENT", {"ID": f"lz{wave}a", "ESSN": employees[wave],
+                                  "DEPENDENT_NAME": "kwbeta"}),
+             Insert("DEPENDENT", {"ID": f"lz{wave}b", "ESSN": employees[-1 - wave],
+                                  "DEPENDENT_NAME": "plain"})]
+            for wave in range(3)
+        ] + [
+            [Delete(TupleId("DEPENDENT", ("lz0a",))),
+             Update(TupleId("DEPENDENT", ("lz1b",)), {"ESSN": employees[2]})],
+        ]
+        restored = KeywordSearchEngine.open(path, wal=True)
+        restored.search("kwalpha kwbeta", limits=LIMITS)  # something cached
+        for batch in batches[:2]:
+            restored.apply(batch)
+        assert not restored.data_graph.materialized
+        restored.close()
+        restored = KeywordSearchEngine.open(path, wal=True)  # replays two
+        assert not restored.data_graph.materialized
+        restored.search("kwalpha kwbeta", limits=LIMITS)
+        for batch in batches[2:]:
+            restored.apply(batch)
+        assert restored.compact_wal().records_folded == len(batches)
+        assert not restored.data_graph.materialized
+        for batch in batches:
+            apply_to_database(oracle_db, batch)
+        oracle = KeywordSearchEngine(oracle_db, result_cache_entries=0)
+        for semantics in ("and", "or"):
+            assert rendered(
+                restored.search("kwalpha kwbeta", limits=LIMITS,
+                                semantics=semantics)
+            ) == rendered(
+                oracle.search("kwalpha kwbeta", limits=LIMITS,
+                              semantics=semantics)
+            )
+        assert not restored.data_graph.materialized
+        restored.close()
+
     def test_fast_core_materialises_on_demand(self, saved):
         __, path, ___ = saved
         restored = KeywordSearchEngine.open(path, core="fast")
