@@ -276,6 +276,24 @@ def _bounded_section(graph, pairs, combos, depth, max_tuples, out):
             held["bounded"], held["oracle"])
 
 
+def _direct_compile_section(database, out):
+    """Counter-only: a first compile on an unmaterialised data graph
+    reads ``Database.references`` and never calls ``build_tuple_graph``.
+    Returns ``(edges read, rows built, CSR entries, graph builds)``."""
+    graph = DataGraph(database)
+    frozen = FrozenGraph(graph)
+    builds = int(graph.materialized)  # set only by build_tuple_graph
+    edges = sum(
+        1
+        for fk in database.schema.foreign_keys
+        for __ in database.references(fk)
+    )
+    print(f"direct compile: {edges:,} edges read, {frozen.capacity:,} rows "
+          f"built, {len(frozen._targets):,} CSR entries, "
+          f"build_tuple_graph calls = {builds} (counts only)", file=out)
+    return edges, frozen.capacity, len(frozen._targets), builds
+
+
 def _vector_section(rounds, out, sources_wanted=128):
     """P6: the unbounded *oracle* sweep, vectorized frontier-at-a-time
     kernels vs the scalar csr core.  Production queries request
@@ -434,6 +452,7 @@ def main(argv=None, out=None) -> int:
           f"edge payload {footprint['payload']:,}", file=out)
 
     _bounded_section(graph, pairs, combos, depth, 6, out)
+    _direct_compile_section(database, out)
 
     vector_ratio = _vector_section(rounds, out)
     if vector_ratio is not None and vector_ratio < 10.0:

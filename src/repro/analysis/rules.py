@@ -532,7 +532,7 @@ _SANCTIONED_FUNCTIONS = {
     "_compile",
     "_partition",
 }
-_FROZEN_CONSTRUCTORS = {"FrozenGraph", "ShardPlan", "LazyDataGraph"}
+_FROZEN_CONSTRUCTORS = {"FrozenGraph", "ShardPlan"}
 _FROZEN_FACTORY_METHODS = {"frozen", "graph_for"}
 _MUTATOR_METHODS = {
     "append",

@@ -13,8 +13,9 @@ kernels entirely on dense ints:
   deterministic expansion order the other cores sort by.
 * **CSR adjacency.**  One ``array('i')`` of offsets and one of targets,
   plus a parallel edge-payload table (edge key strings and edge data
-  dicts, shared with the underlying networkx graph) holding each node's
-  incident edges pre-sorted in expansion order.
+  dicts, one dict per edge shared by its two entries) holding each
+  node's incident edges pre-sorted in expansion order.  The first
+  compile reads ``Database.references`` directly; no multigraph.
 * **Radius-bounded distance rows.**  BFS distance maps are flat rows
   indexed by node int — the admissible-pruning lookup in the DFS inner
   loop is a C array index instead of a dict probe.  The kernels ask for
@@ -150,7 +151,7 @@ class FrozenGraph:
         #: whichever core served them; standalone graphs count on their
         #: own attributes.
         self._counters = counters if counters is not None else self
-        self._tid_of = None  # nothing compiled yet: _compile reads the graph
+        self._tid_of = None  # nothing compiled yet: _compile reads the database
         self._compile()
 
     @classmethod
@@ -213,17 +214,21 @@ class FrozenGraph:
     def _compile(self) -> None:
         """(Re)build the flat arrays and reset every derived structure.
 
-        The first compilation reads the data graph.  A graph that is
-        already compiled — patched since, or assembled by
-        :meth:`from_parts` — is *folded*: tombstones dropped, appended
-        nodes merged into ``_sort_key`` order and the override table
-        written back into flat arrays, all from its own rows.
+        The first compilation reads the database's foreign-key
+        references directly — or the multigraph, when the data graph
+        already materialised one.  A graph that is already compiled —
+        patched since, or assembled by :meth:`from_parts` — is
+        *folded*: tombstones dropped, appended nodes merged into
+        ``_sort_key`` order and the override table written back into
+        flat arrays, all from its own rows.
         """
         self.compile_stamp += 1
-        if self._tid_of is None:
+        if self._tid_of is not None:
+            tids, keys, rows = self._rows_from_self()
+        elif self.data_graph.materialized:
             tids, keys, rows = self._rows_from_graph()
         else:
-            tids, keys, rows = self._rows_from_self()
+            tids, keys, rows = self._rows_from_database()
         offsets = array("i", [0])
         targets = array("i")
         edge_keys: list[str] = []
@@ -282,6 +287,65 @@ class FrozenGraph:
             for tid in tids
         )
         return tids, keys, rows
+
+    def _rows_from_database(self):
+        """``(tids, sort keys, rows)`` straight from the stored
+        references: what :meth:`_rows_from_graph` reads off the
+        multigraph, without building it.  An edge there is ``(unordered
+        pair, fk name)``, so a self-reference holds one entry in its one
+        row, and a two-tuple cycle through one self-referencing FK is
+        one edge carrying the later reference's payload."""
+        database = self.data_graph.database
+        records = list(database.all_tuples())
+        unsorted_keys = [_sort_key(record.tid) for record in records]
+        # Stable: equal keys keep ``all_tuples()`` (node insertion) order.
+        order = sorted(range(len(records)), key=unsorted_keys.__getitem__)
+        tids = [records[at].tid for at in order]
+        keys = self._keys_cache = [unsorted_keys[at] for at in order]
+        # Numbered per relation by primary key: plain-tuple hashing,
+        # where a TupleId-keyed map would hash at Python level per probe.
+        node_of: dict[str, dict[tuple, int]] = {
+            relation.name: {} for relation in database.schema.relations
+        }
+        for node, tid in enumerate(tids):
+            node_of[tid.relation][tid.key] = node
+        # One int per row entry — owner, neighbour and payload number in
+        # 32-bit fields: entry tuples held until the rows are cut would
+        # be 60 000 more objects for the cyclic GC to re-scan.
+        payloads: list[dict] = []
+        entries: list[int] = []
+        for fk in database.schema.foreign_keys:
+            source_nodes, target_nodes = node_of[fk.source], node_of[fk.target]
+            # Only a self-referencing FK can name one pair twice.
+            pairs: Optional[dict] = {} if fk.source == fk.target else None
+            for record, referenced in database.references(fk):
+                source = source_nodes[record.tid.key]
+                target = target_nodes[referenced.tid.key]
+                data = {"foreign_key": fk, "referencing": record.tid}
+                if pairs is not None:
+                    held = pairs.setdefault(frozenset((source, target)), data)
+                    if held is not data:
+                        held.update(data)
+                        continue
+                entries.append((source << 32 | target) << 32 | len(payloads))
+                if target != source:
+                    entries.append((target << 32 | source) << 32 | len(payloads))
+                payloads.append(data)
+        entries.sort()  # groups by owner; _sorted_row orders each row
+
+        def rows():
+            at, total = 0, len(entries)
+            for node in range(len(tids)):
+                row = []
+                while at < total and (entry := entries[at]) >> 64 == node:
+                    data = payloads[entry & 0xFFFFFFFF]
+                    row.append(
+                        (entry >> 32 & 0xFFFFFFFF, data["foreign_key"].name, data)
+                    )
+                    at += 1
+                yield self._sorted_row(row)
+
+        return tids, keys, rows()
 
     def _rows_from_self(self):
         """``(tids, sort keys, rows)`` of the live nodes, renumbered
@@ -361,8 +425,8 @@ class FrozenGraph:
         and ``payload`` the edge-payload table: the two per-entry list
         slots plus each *distinct* edge-key string and edge-data dict —
         payload objects are shared between the two CSR entries of one
-        undirected edge (and with the underlying networkx graph), so
-        they are counted once by identity, not per entry.
+        undirected edge, so they are counted once by identity, not per
+        entry.
         """
         import sys
 

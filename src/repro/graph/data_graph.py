@@ -35,18 +35,16 @@ def build_tuple_graph(database: Database) -> nx.MultiGraph:
     """Construct the tuple-level multigraph of one database instance.
 
     Node and edge insertion order is part of the engine's determinism
-    contract (multi-edge iteration follows it), so every construction
-    path — eager :class:`DataGraph` build and the snapshot loader's
-    deferred materialisation — must go through this one function.
+    contract (multi-edge iteration follows it), so every materialisation
+    goes through this one function; the edges are
+    :meth:`Database.references`, the same iterator the CSR compile
+    reads when no multigraph exists.
     """
     graph = nx.MultiGraph()
     for record in database.all_tuples():
         graph.add_node(record.tid, relation=record.relation)
     for fk in database.schema.foreign_keys:
-        for record in database.tuples(fk.source):
-            target = database.referenced_tuple(record, fk)
-            if target is None:
-                continue
+        for record, target in database.references(fk):
             graph.add_edge(
                 record.tid,
                 target.tid,
@@ -58,11 +56,17 @@ def build_tuple_graph(database: Database) -> nx.MultiGraph:
 
 
 class DataGraph:
-    """Tuple-level graph of a database instance."""
+    """Tuple-level graph of a database instance.
+
+    The networkx multigraph builds on first :attr:`graph` access: the
+    CSR kernels compile, answer path queries, patch and save without
+    it; the fast and reference cores, joining-network metrics and
+    instance-level ambiguity trigger the :func:`build_tuple_graph` pass.
+    """
 
     def __init__(self, database: Database) -> None:
         self.database = database
-        self._graph = build_tuple_graph(database)
+        self._materialized: Optional[nx.MultiGraph] = None
         self._conceptual: Optional[nx.MultiGraph] = None
         #: Monotonically increasing mutation stamp.  Every structural
         #: change (node/edge patch, cache invalidation) bumps it, so
@@ -83,36 +87,45 @@ class DataGraph:
         self._conceptual = None
         self.version += 1
 
+    # Unmaterialised, the patch methods only bump :attr:`version`: the
+    # deferred build reads the *live* database, which the batch already
+    # updated, so building later reaches the state patching would.
     def add_tuple_node(self, record: Tuple) -> None:
         """Add one tuple as a node (exactly as construction would)."""
-        self._graph.add_node(record.tid, relation=record.relation)
+        if self._materialized is not None:
+            self._materialized.add_node(record.tid, relation=record.relation)
         self.invalidate_caches()
 
     def remove_tuple_node(self, tid: TupleId) -> None:
         """Remove one tuple's node together with any incident edges."""
-        if tid in self._graph:
-            self._graph.remove_node(tid)
+        graph = self._materialized
+        if graph is not None and tid in graph:
+            graph.remove_node(tid)
         self.invalidate_caches()
 
     def add_fk_edge(
         self, referencing: TupleId, referenced: TupleId, foreign_key: ForeignKey
     ) -> None:
         """Add the edge of one stored foreign-key reference."""
-        self._graph.add_edge(
-            referencing,
-            referenced,
-            key=foreign_key.name,
-            foreign_key=foreign_key,
-            referencing=referencing,
-        )
+        if self._materialized is not None:
+            self._materialized.add_edge(
+                referencing,
+                referenced,
+                key=foreign_key.name,
+                foreign_key=foreign_key,
+                referencing=referencing,
+            )
         self.invalidate_caches()
 
     def remove_fk_edge(
         self, referencing: TupleId, referenced: TupleId, foreign_key_name: str
     ) -> None:
         """Remove one foreign-key edge (no-op when absent)."""
-        if self._graph.has_edge(referencing, referenced, key=foreign_key_name):
-            self._graph.remove_edge(referencing, referenced, key=foreign_key_name)
+        graph = self._materialized
+        if graph is not None and graph.has_edge(
+            referencing, referenced, key=foreign_key_name
+        ):
+            graph.remove_edge(referencing, referenced, key=foreign_key_name)
         self.invalidate_caches()
 
     # ------------------------------------------------------------------
@@ -120,8 +133,18 @@ class DataGraph:
     # ------------------------------------------------------------------
     @property
     def graph(self) -> nx.MultiGraph:
-        """The underlying networkx multigraph (treat as read-only)."""
-        return self._graph
+        """The underlying networkx multigraph (treat as read-only);
+        built on first access."""
+        if self._materialized is None:
+            self._materialized = build_tuple_graph(self.database)
+        return self._materialized
+
+    _graph = graph
+
+    @property
+    def materialized(self) -> bool:
+        """True once the networkx graph was actually built."""
+        return self._materialized is not None
 
     def number_of_nodes(self) -> int:
         return self._graph.number_of_nodes()
@@ -244,6 +267,6 @@ class DataGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"DataGraph(nodes={self._graph.number_of_nodes()}, "
-            f"edges={self._graph.number_of_edges()})"
+            f"DataGraph(tuples={self.database.count()}, "
+            f"materialized={self.materialized})"
         )

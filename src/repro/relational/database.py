@@ -29,6 +29,11 @@ from repro.relational.types import coerce_value
 __all__ = ["TupleId", "Tuple", "Database"]
 
 
+def _reference_key(values: Mapping[str, object], foreign_key: ForeignKey) -> tuple:
+    """The key ``values`` hold in a foreign key's columns (NULLs included)."""
+    return tuple([values[column] for column in foreign_key.source_columns])
+
+
 @dataclass(frozen=True)
 class TupleId:
     """Stable identity of a tuple: relation name plus primary key values."""
@@ -254,9 +259,7 @@ class Database:
         if counts is None:
             counts = self._reference_counts[foreign_key.name] = {}
             for candidate in self._tuples[foreign_key.source].values():
-                key = tuple(
-                    candidate.values[c] for c in foreign_key.source_columns
-                )
+                key = _reference_key(candidate.values, foreign_key)
                 counts[key] = counts.get(key, 0) + 1
         return counts
 
@@ -270,7 +273,7 @@ class Database:
         for foreign_key in self.schema.foreign_keys_from(relation_name):
             counts = self._reference_counts.get(foreign_key.name)
             if counts is not None:
-                key = tuple(values[c] for c in foreign_key.source_columns)
+                key = _reference_key(values, foreign_key)
                 counts[key] = counts.get(key, 0) + step
 
     # ------------------------------------------------------------------
@@ -385,10 +388,30 @@ class Database:
                 foreign_key=foreign_key.name,
                 relation=record.relation,
             )
-        key = tuple(record.values[column] for column in foreign_key.source_columns)
-        if any(part is None for part in key):
-            return None
-        return self._tuples[foreign_key.target].get(key)
+        return self._resolve(record.values, foreign_key)[1]
+
+    def _resolve(
+        self, values: Mapping[str, object], foreign_key: ForeignKey
+    ) -> tuple[Optional[tuple], Optional[Tuple]]:
+        """``(key, tuple)`` that ``values`` reference through
+        ``foreign_key``: both None for a NULL reference, the tuple None
+        for a dangling one."""
+        key = _reference_key(values, foreign_key)
+        for part in key:
+            if part is None:
+                return None, None
+        return key, self._tuples[foreign_key.target].get(key)
+
+    def references(self, foreign_key: ForeignKey) -> Iterator[tuple[Tuple, Tuple]]:
+        """Every stored reference through one foreign key, as
+        ``(referencing tuple, referenced tuple)`` in the source
+        relation's store order — the edges of the data graph.  NULL and
+        dangling references are skipped."""
+        resolve = self._resolve
+        for record in self._tuples[foreign_key.source].values():
+            target = resolve(record.values, foreign_key)[1]
+            if target is not None:
+                yield record, target
 
     def referencing_tuples(
         self, record: Tuple, foreign_key: Optional[ForeignKey] = None
@@ -406,18 +429,15 @@ class Database:
                     relation=record.relation,
                 )
             for candidate in self._tuples[fk.source].values():
-                key = tuple(candidate.values[c] for c in fk.source_columns)
-                if key == record.tid.key:
+                if _reference_key(candidate.values, fk) == record.tid.key:
                     yield candidate
 
     # ------------------------------------------------------------------
     # integrity
     # ------------------------------------------------------------------
     def _check_reference(self, record: Tuple, foreign_key: ForeignKey) -> None:
-        key = tuple(record.values[column] for column in foreign_key.source_columns)
-        if any(part is None for part in key):
-            return
-        if key not in self._tuples[foreign_key.target]:
+        key, target = self._resolve(record.values, foreign_key)
+        if key is not None and target is None:
             raise ForeignKeyError(
                 "dangling foreign key",
                 foreign_key=foreign_key.name,

@@ -38,8 +38,8 @@ def tokenize(text: str) -> list[str]:
     ['different', 'data', 'models', 'such', 'as', 'xml']
     """
     tokens: list[str] = []
-    for match in _TOKEN_PATTERN.finditer(text):
-        token = match.group(0).lower()
+    for token in _TOKEN_PATTERN.findall(text):
+        token = token.lower()
         tokens.append(token)
         if "-" in token or "_" in token:
             tokens.extend(part for part in re.split(r"[-_]", token) if part)
@@ -252,10 +252,18 @@ class InvertedIndex:
         self._order.clear()
         self._relation_tail.clear()
         self._tokens_by_tid.clear()
-        for relation in self._database.schema.relations:
-            self._refresh_order(relation.name)
-            for record in self._database.tuples(relation.name):
-                self._index_record(record)
+        # One pass in posting order — relation by relation, store order
+        # within — so every posting is a plain append.
+        for position, relation in enumerate(self._database.schema.relations):
+            attributes = [attribute.name for attribute in relation.attributes]
+            store_position = -1
+            for store_position, record in enumerate(
+                self._database.tuples(relation.name)
+            ):
+                self._order[record.tid] = (position, store_position)
+                self._post(record, attributes, list.append)
+            self._relation_tail[relation.name] = store_position + 1
+        self._indexed.update(self._tokens_by_tid)
 
     def _refresh_order(self, relation_name: str) -> None:
         """Re-derive database order for one relation's tuples.
@@ -273,50 +281,51 @@ class InvertedIndex:
             self._order[record.tid] = (position, store_position)
         self._relation_tail[relation_name] = store_position + 1
 
+    def _post(self, record: Tuple, attributes: Iterable[str], place) -> None:
+        """Post one tuple under its tokens, attribute by attribute and
+        each token once per attribute, through ``place(posting list,
+        posting)``: ``list.append`` when tuples arrive in posting order
+        (a build), :meth:`_insort` otherwise."""
+        tid = record.tid
+        values = record.values
+        posted: dict[str, None] = {}
+        for attribute in attributes:
+            value = values.get(attribute)
+            if value is None:
+                continue
+            text = str(value)
+            whole = text.lower()
+            tokens = dict.fromkeys(tokenize(text))
+            if whole:
+                # Values that tokenise away entirely (e.g. punctuation-only)
+                # are still matchable as whole values.
+                tokens.setdefault(whole)
+            for token in tokens:
+                place(self._postings[token], Posting(tid, attribute, token == whole))
+            posted.update(tokens)
+        self._tokens_by_tid[tid] = tuple(posted)
+
+    def _insort(self, postings: list[Posting], posting: Posting) -> None:
+        # insort places equal keys to the right, so the several postings of
+        # one tuple keep their attribute order.
+        insort(postings, posting, key=lambda p: self._order[p.tid])
+
     def _index_record(self, record: Tuple) -> None:
-        relation = self._database.schema.relation(record.relation)
-        order = self._order.get(record.tid)
-        if order is None:
+        if record.tid not in self._order:
             # Tuple not (yet) in the database store: place it after every
             # stored tuple of its relation.
             position = self._relation_position[record.relation]
             tail = self._relation_tail.get(
                 record.relation, self._database.count(record.relation)
             )
-            order = (position, tail)
-            self._order[record.tid] = order
+            self._order[record.tid] = (position, tail)
             self._relation_tail[record.relation] = tail + 1
-        tokens: dict[str, None] = {}
-        for attribute in relation.attributes:
-            value = record.values.get(attribute.name)
-            if value is None:
-                continue
-            text = str(value)
-            whole = text.lower()
-            seen: set[str] = set()
-            for token in tokenize(text):
-                if token in seen:
-                    continue
-                seen.add(token)
-                tokens.setdefault(token, None)
-                self._insert_posting(
-                    token,
-                    Posting(record.tid, attribute.name, whole_value=(token == whole)),
-                )
-            if whole and whole not in seen:
-                # Values that tokenise away entirely (e.g. punctuation-only)
-                # are still matchable as whole values.
-                tokens.setdefault(whole, None)
-                self._insert_posting(
-                    whole, Posting(record.tid, attribute.name, whole_value=True)
-                )
-        self._tokens_by_tid[record.tid] = tuple(tokens)
+        relation = self._database.schema.relation(record.relation)
+        self._post(
+            record, [attribute.name for attribute in relation.attributes],
+            self._insort,
+        )
         self._indexed.add(record.tid)
-
-    def _insert_posting(self, token: str, posting: Posting) -> None:
-        # insort places equal keys to the right, so the several postings of
-        # one tuple keep their attribute order.
-        insort(self._postings[token], posting, key=lambda p: self._order[p.tid])
 
     def add_tuple(self, record: Tuple) -> None:
         """Index one tuple (no-op if already indexed).

@@ -30,8 +30,9 @@ Restoration is lazy wherever queries allow it:
 * posting lists decode per token on first lookup
   (:class:`~repro.relational.index._LazyPostings`);
 * the networkx tuple graph — only needed by the reference/fast cores
-  and by joining-network metrics — is deferred entirely
-  (:class:`LazyDataGraph`); a pure-CSR path query never builds it.
+  and by joining-network metrics — builds on first demand
+  (:class:`~repro.graph.data_graph.DataGraph` is lazy); a pure-CSR
+  path query never builds it.
 
 The snapshot stores the engine's live-update ``version``; applying
 mutation batches to an opened engine bumps it through the ordinary
@@ -56,14 +57,14 @@ from typing import Optional, Union
 from repro.durable import fault
 from repro.errors import SnapshotError
 from repro.graph.csr import FrozenGraph
-from repro.graph.data_graph import DataGraph, build_tuple_graph
+from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
 from repro.relational.database import Database, TupleId
 from repro.relational.index import InvertedIndex, Posting, _LazyPostings
 from repro.relational.io import schema_from_dict, schema_to_dict
 from repro.relational.statistics import DatabaseStatistics
 
-__all__ = ["SNAPSHOT_FORMAT", "Snapshot", "write_snapshot", "load_engine", "LazyDataGraph"]
+__all__ = ["SNAPSHOT_FORMAT", "Snapshot", "write_snapshot", "load_engine"]
 
 _MAGIC = b"REPROSNP\x01"
 SNAPSHOT_FORMAT = 1
@@ -133,72 +134,6 @@ class _LazyStores(dict):
     def items(self):
         for name in list(self):
             yield name, self[name]
-
-
-class LazyDataGraph(DataGraph):
-    """A :class:`DataGraph` whose networkx graph builds on first demand.
-
-    The compiled CSR kernels answer path queries without ever touching
-    the tuple multigraph, so a snapshot-opened engine defers its
-    construction entirely; the first consumer that needs it (fast or
-    reference core, joining-network metrics, instance-level ambiguity)
-    triggers one ordinary
-    :func:`~repro.graph.data_graph.build_tuple_graph` pass — node and
-    edge order identical to an eager build.
-    """
-
-    def __init__(self, database: Database) -> None:
-        self.database = database
-        self._conceptual = None
-        self.version = 0
-        self._materialized = None
-
-    @property
-    def _graph(self):
-        if self._materialized is None:
-            self._materialized = build_tuple_graph(self.database)
-        return self._materialized
-
-    @property
-    def materialized(self) -> bool:
-        """True once the networkx graph was actually built."""
-        return self._materialized is not None
-
-    # ------------------------------------------------------------------
-    # deferred patching
-    # ------------------------------------------------------------------
-    # While the multigraph is unmaterialised, mutating it is pure waste:
-    # the deferred ``build_tuple_graph(self.database)`` reads the *live*
-    # database, which the batch already updated, so building later
-    # reaches the exact state eager patching would.  Nothing on the
-    # write path asks for it either — compiled rows patch from the
-    # changeset's edge deltas, answer-cache taint sweeps those rows and
-    # compaction folds them — so apply, WAL replay and ``compact_wal``
-    # leave a restored engine unmaterialised; the version bump and
-    # conceptual-view invalidation still happen.
-    def add_tuple_node(self, record) -> None:
-        if self._materialized is None:
-            self.invalidate_caches()
-            return
-        super().add_tuple_node(record)
-
-    def remove_tuple_node(self, tid: TupleId) -> None:
-        if self._materialized is None:
-            self.invalidate_caches()
-            return
-        super().remove_tuple_node(tid)
-
-    def add_fk_edge(self, referencing, referenced, foreign_key) -> None:
-        if self._materialized is None:
-            self.invalidate_caches()
-            return
-        super().add_fk_edge(referencing, referenced, foreign_key)
-
-    def remove_fk_edge(self, referencing, referenced, foreign_key_name) -> None:
-        if self._materialized is None:
-            self.invalidate_caches()
-            return
-        super().remove_fk_edge(referencing, referenced, foreign_key_name)
 
 
 class _LazyTidList:
@@ -753,7 +688,7 @@ def _load_engine(
          for relation in schema.relations}
     )
 
-    data_graph = LazyDataGraph(database)
+    data_graph = DataGraph(database)
 
     tid_of = _LazyTidList(
         lambda: snapshot.json("interning"), meta.get("nodes", 0)

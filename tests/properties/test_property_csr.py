@@ -408,6 +408,79 @@ def _rows(frozen):
     return rows
 
 
+def _org_corner_cases():
+    """:func:`_org_database` plus every shape the multigraph treats
+    specially: NULL keys, a self-loop, a two-person ``fk_boss`` cycle
+    (two references, one multigraph key), both task keys onto one
+    person, and dangling references left in by deferred checking."""
+    database = _org_database()
+    database.enforce_foreign_keys = False
+    person = lambda key: TupleId("PERSON", (key,))
+    database.update(person("p03"), {"BOSS": "p03"})
+    database.update(person("p00"), {"BOSS": "p01"})  # p01 already reports to p00
+    database.insert("PERSON", {"ID": "p04", "BOSS": None})
+    database.insert("PERSON", {"ID": "p05", "BOSS": "p88"})
+    database.insert("TASK", {"ID": "t03", "OWNER": None, "REVIEWER": None})
+    database.insert("TASK", {"ID": "t04", "OWNER": "p02", "REVIEWER": "p02"})
+    database.insert("TASK", {"ID": "t05", "OWNER": "p77", "REVIEWER": "p04"})
+    return database
+
+
+def _payload_sharing(frozen):
+    """Per CSR entry, the first entry holding the same payload object."""
+    first: dict[int, int] = {}
+    return [
+        first.setdefault(id(data), position)
+        for position, data in enumerate(frozen._edge_data)
+    ]
+
+
+class TestDirectRowsEqualGraphRows:
+    """A first compile straight from ``Database.references`` equals one
+    that reads an already materialised multigraph, bit for bit."""
+
+    def _assert_identical(self, database):
+        lazy = DataGraph(database)
+        direct = FrozenGraph(lazy)
+        assert not lazy.materialized
+        forced_graph = DataGraph(database)
+        assert forced_graph.graph is not None and forced_graph.materialized
+        forced = FrozenGraph(forced_graph)
+        assert list(direct._tid_of) == list(forced._tid_of)
+        assert direct._keys == forced._keys
+        assert direct._offsets == forced._offsets
+        assert direct._targets == forced._targets
+        assert direct._edge_keys == forced._edge_keys
+        assert _rows(direct) == _rows(forced)
+        assert _payload_sharing(direct) == _payload_sharing(forced)
+        return direct
+
+    @relaxed
+    @given(configs)
+    def test_generated_databases(self, config):
+        self._assert_identical(generate_company_like(config))
+
+    def test_multigraph_corner_cases(self):
+        database = _org_corner_cases()
+        direct = self._assert_identical(database)
+        person = lambda key: TupleId("PERSON", (key,))
+        rows = _rows(direct)
+        # the self-loop sits once in its one row
+        assert rows[person("p03")].count(
+            (person("p03"), "fk_boss", person("p03"), "fk_boss")
+        ) == 1
+        # the cycle is one edge, carrying the later (store-order) reference
+        assert [entry for entry in rows[person("p00")]
+                if entry[0] == person("p01")] == [
+            (person("p01"), "fk_boss", person("p01"), "fk_boss")
+        ]
+        # NULL and dangling references contribute nothing
+        assert rows[person("p05")] == []
+        assert rows[TupleId("TASK", ("t03",))] == []
+        assert len(rows[TupleId("TASK", ("t05",))]) == 1
+        assert len(rows[TupleId("TASK", ("t04",))]) == 2
+
+
 class TestDeltaRows:
     """Rows patched from edge deltas equal a from-scratch compile — on a
     materialised data graph and on a snapshot engine that never builds

@@ -186,3 +186,48 @@ class TestIncrementalRoundTrip:
         company_db.delete(tid)
         index.remove_tuple(tid)
         assert self.equal_to_fresh(index, company_db)
+
+
+class TestOnePassBuild:
+    """``build()`` appends postings in visit order; the incremental path
+    insorts them.  Both must produce the same index."""
+
+    ROWS = [
+        # multi-attribute tuple, one token repeated inside a value and
+        # across attributes
+        ("DEPARTMENT", {"ID": "d1", "D_NAME": "data data",
+                        "D_DESCRIPTION": "Data models; data, XML"}),
+        ("EMPLOYEE", {"SSN": "e1", "L_NAME": "Smith-Jones", "S_NAME": "xml",
+                      "D_ID": "d1"}),
+        # hyphen/underscore compounds and a punctuation-only value
+        ("PROJECT", {"ID": "p1", "D_ID": "d1", "P_NAME": "DB-project",
+                     "P_DESCRIPTION": "???"}),
+        ("DEPARTMENT", {"ID": "d2", "D_NAME": "--", "D_DESCRIPTION": None}),
+        ("EMPLOYEE", {"SSN": "e2", "L_NAME": "smith", "S_NAME": "db_project",
+                      "D_ID": "d2"}),
+        ("PROJECT", {"ID": "p2", "D_ID": "d2", "P_NAME": "xml xml XML",
+                     "P_DESCRIPTION": "smith-jones data"}),
+    ]
+
+    def test_build_equals_tuple_by_tuple_growth(self, db_schema):
+        from repro.relational.database import Database
+
+        database = Database(db_schema)
+        grown = InvertedIndex(database)
+        for relation, values in self.ROWS:  # relations interleaved
+            grown.add_tuple(database.insert(relation, values))
+        built = InvertedIndex(database)
+        assert dict(built._postings) == dict(grown._postings)
+        assert built._order == grown._order
+        assert built._relation_tail == grown._relation_tail
+        assert built._indexed == grown._indexed == {
+            record.tid for record in database.all_tuples()
+        }
+        for record in database.all_tuples():
+            assert built.tokens_of(record.tid) == grown.tokens_of(record.tid)
+        assert [p.whole_value for p in built.postings("???")] == [True]
+        assert "--" in built and "db-project" in built and "jones" in built
+        # rebuilding in place lands on the same state again
+        grown.build()
+        assert dict(grown._postings) == dict(built._postings)
+        assert grown._order == built._order

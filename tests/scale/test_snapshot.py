@@ -190,6 +190,56 @@ class TestLaziness:
         assert not restored.data_graph.materialized
         restored.close()
 
+    def test_cold_read_path_never_builds_the_graph(self, tmp_path, monkeypatch):
+        """The write-path test's twin for a cold build: the csr core
+        compiles straight from the stored references, so reading,
+        applying and saving never ask for the multigraph — the oracle
+        core and the neighbourhood-reading ranker still get it."""
+        from repro.core.ranking import InstanceAmbiguityRanker
+        from repro.graph import data_graph as data_graph_module
+
+        def refuse(database):
+            raise AssertionError("build_tuple_graph called on the csr path")
+
+        real = data_graph_module.build_tuple_graph
+        monkeypatch.setattr(data_graph_module, "build_tuple_graph", refuse)
+        engine = KeywordSearchEngine(planted_database())
+        answers = {
+            semantics: rendered(
+                engine.search("kwalpha kwbeta", limits=LIMITS, semantics=semantics)
+            )
+            for semantics in ("and", "or")
+        }
+        assert answers["and"]
+        streamed = list(engine.search_stream("kwalpha kwbeta", limits=LIMITS))
+        assert rendered(streamed) == answers["and"]
+        batch = engine.search_batch(
+            ["kwalpha kwbeta", "kwbeta kwgamma"], limits=LIMITS, jobs=1
+        )
+        assert rendered(batch[0]) == answers["and"]
+        assert len(engine.result_cache)  # apply taints live entries
+        employee = engine.database.tuples("EMPLOYEE")[0].tid.key[0]
+        engine.apply([
+            Insert("DEPENDENT", {"ID": "cold1", "ESSN": employee,
+                                 "DEPENDENT_NAME": "kwbeta"}),
+        ])
+        after = rendered(engine.search("kwalpha kwbeta", limits=LIMITS))
+        engine.save(tmp_path / "cold.snap")
+        restored = KeywordSearchEngine.open(tmp_path / "cold.snap")
+        assert rendered(restored.search("kwalpha kwbeta", limits=LIMITS)) == after
+        restored.close()
+        assert not engine.data_graph.materialized
+        assert "materialized=False" in repr(engine.data_graph)
+
+        monkeypatch.setattr(data_graph_module, "build_tuple_graph", real)
+        oracle = KeywordSearchEngine(engine.database, core="reference")
+        assert rendered(oracle.search("kwalpha kwbeta", limits=LIMITS)) == after
+        assert oracle.data_graph.materialized
+        engine.search(
+            "kwalpha kwbeta", limits=LIMITS, ranker=InstanceAmbiguityRanker()
+        )
+        assert engine.data_graph.materialized
+
     def test_fast_core_materialises_on_demand(self, saved):
         __, path, ___ = saved
         restored = KeywordSearchEngine.open(path, core="fast")
