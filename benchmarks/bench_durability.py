@@ -1,6 +1,8 @@
-"""Experiment P8: durability — WAL-append overhead and recovery speed.
+"""Experiment P8: durability — WAL-append overhead, recovery speed and
+what a compaction encodes.
 
-Two CI gates over the durable write-ahead-log layer:
+Two wall-clock CI gates over the durable write-ahead-log layer, and one
+gate on counts:
 
 * **WAL-append overhead** — the same mixed mutation workload applied
   through ``engine.apply`` twice: once on a plain in-memory engine and
@@ -14,13 +16,23 @@ Two CI gates over the durable write-ahead-log layer:
   path — load the raw tuples from disk, rebuild the engine, re-apply
   every mutation batch, and re-establish durability with a fresh
   snapshot + WAL.  Replay must be bit-identical and the gate is
-  **>= 5x** faster.
+  **>= 5x** faster, each side the median of 5 repeats.
+* **compaction cadence** — a second pair compacted after *every*
+  batch, gated on counts, which repeat exactly: the bytes the
+  compactions had to encode (sections not byte-copied from the
+  previous file; the ``delta`` counted by its growth) must stay
+  **<= 1/4** of what a full rewrite per compaction encodes, the
+  ``delta`` must respect the ``DELTA_FRACTION`` byte bound, and
+  reopening must replay exactly the delta and answer like the cold
+  rebuild.
 
 Parseable lines for ``run_all.py`` (schema ``repro-bench-report/4``,
 ``"durability"`` key)::
 
     wal-overhead-pct: <float>
     reopen-speedup: <float>
+    compact-bytes-encoded: <int>
+    delta-records: <int>
 
 Run standalone::
 
@@ -31,6 +43,7 @@ Run standalone::
 import argparse
 import gc
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -44,6 +57,7 @@ from repro.datasets.synthetic import (
 )
 from repro.live.changes import Insert, Update
 from repro.relational.io import dump_json, load_json
+from repro.scale import snapshot as snapshot_module
 
 _LIMITS = SearchLimits(max_rdb_length=4, max_tuples=5)
 _QUERIES = ["kwalpha kwbeta", "kwalpha", "kwbeta", "kwgamma",
@@ -102,6 +116,27 @@ def _rendered(results):
 def _answers(engine):
     return [_rendered(engine.search(text, limits=_LIMITS))
             for text in _QUERIES]
+
+
+def _sections(path):
+    """``{section: (length, crc32)}`` of one snapshot file, and the
+    number of records its ``delta`` holds."""
+    with snapshot_module.Snapshot(path) as snapshot:
+        toc = {name: tuple(entry[1:]) for name, entry in snapshot._toc.items()}
+        return toc, len(snapshot.delta())
+
+
+def _encoded_bytes(before, after):
+    """Bytes of ``after`` that were not byte-copied from ``before``: every
+    section whose ``(length, crc32)`` moved, the ``delta`` — whose old
+    bytes are copied too — by its growth."""
+    changed = sum(
+        length for name, (length, crc) in after.items()
+        if before.get(name) != (length, crc)
+    )
+    if "delta" in after and "delta" in before:
+        changed -= before["delta"][0]
+    return changed
 
 
 def _timed_mixed(engine, batches):
@@ -223,16 +258,18 @@ def main(argv=None, out=None) -> int:
             durable.apply(batch)
         durable.close()
 
-        reopen_s = cold_s = float("inf")
+        reopen_runs, cold_runs = [], []
         reopened = None
         gc.collect()
         gc.disable()
         try:
-            for repeat in range(repeats + 2):
+            for repeat in range(5):
+                if reopened is not None:
+                    reopened.close()
                 started = time.perf_counter()
                 reopened = KeywordSearchEngine.open(pair, wal=True)
-                replayed = reopened.version - reopened.wal.base_version
-                reopen_s = min(reopen_s, time.perf_counter() - started)
+                replayed = reopened.version - reopened._snapshot.base_version
+                reopen_runs.append(time.perf_counter() - started)
 
                 started = time.perf_counter()
                 cold = KeywordSearchEngine(load_json(raw))
@@ -240,17 +277,21 @@ def main(argv=None, out=None) -> int:
                     cold.apply(batch)
                 cold.save(os.path.join(workdir, f"fresh{repeat}.snap"))
                 cold.attach_wal()
-                cold_s = min(cold_s, time.perf_counter() - started)
+                cold_runs.append(time.perf_counter() - started)
                 cold.close()
                 gc.collect()
         finally:
             gc.enable()
+        reopen_s = statistics.median(reopen_runs)
+        cold_s = statistics.median(cold_runs)
         ratio = cold_s / max(reopen_s, 1e-9)
-        recovered = _answers(reopened) == _answers(cold)
+        expected = _answers(cold)
+        recovered = _answers(reopened) == expected
         print(f"recovery ({replayed} records replayed):", file=out)
         print(f"  reopen {reopen_s * 1e3:8.2f} ms   "
               f"cold rebuild {cold_s * 1e3:8.2f} ms   "
-              f"speedup {ratio:.1f}x", file=out)
+              f"speedup {ratio:.1f}x (medians of {len(reopen_runs)})",
+              file=out)
         print(f"  replay bit-identical to cold rebuild: {recovered}",
               file=out)
         print(f"reopen-speedup: {ratio:.2f}", file=out)
@@ -259,6 +300,60 @@ def main(argv=None, out=None) -> int:
         if ratio < 5.0:
             failures.append(f"recovery: reopen speedup {ratio:.1f}x < 5x")
         reopened.close()
+
+        # -- compaction cadence: what a compaction has to encode ---------
+        # Counts only, so the gate repeats exactly on any machine: a
+        # pair compacted after every batch must byte-copy what did not
+        # change, keep its delta inside the byte bound (which is what
+        # bounds the replay an open pays), and still reopen to the
+        # state the cold rebuild reaches.
+        cadence = KeywordSearchEngine(_database(departments))
+        pair = os.path.join(workdir, "cadence.snap")
+        cadence.save(pair)
+        cadence.attach_wal()
+        encoded = rewrite = rewrites = 0
+        before, __ = _sections(pair)
+        for batch in _batches(cadence.database, count, per_batch):
+            cadence.apply(batch)
+            cadence.compact_wal()
+            after, delta_records = _sections(pair)
+            encoded += _encoded_bytes(before, after)
+            rewrite += sum(length for length, __ in after.values())
+            rewrites += "delta" not in after
+            before = after
+        cadence.close()
+        delta_bytes = before.get("delta", (0, 0))[0]
+        base_bytes = sum(
+            length for name, (length, __) in before.items()
+            if name not in ("meta", "delta")
+        )
+        reopened = KeywordSearchEngine.open(pair, wal=True)
+        replayed = reopened.version - reopened._snapshot.base_version
+        identical = _answers(reopened) == expected
+        reopened.close()
+        print(f"compaction ({count} compactions, one per batch, "
+              f"{rewrites} of them full rewrites):", file=out)
+        print(f"  encoded {encoded:,} B where a rewrite per compaction "
+              f"encodes {rewrite:,} B ({rewrite / max(encoded, 1):.1f}x); "
+              f"delta {delta_bytes:,} B over a {base_bytes:,} B base; "
+              f"reopen replayed {replayed} record(s), answers identical "
+              f"to the cold rebuild: {identical}", file=out)
+        print(f"compact-bytes-encoded: {encoded}", file=out)
+        print(f"delta-records: {delta_records}", file=out)
+        if encoded * 4 > rewrite:
+            failures.append(
+                f"compaction: encoded {encoded} B > 1/4 of {rewrite} B"
+            )
+        if delta_bytes * snapshot_module.DELTA_FRACTION > base_bytes:
+            failures.append(
+                f"compaction: delta {delta_bytes} B exceeds "
+                f"1/{snapshot_module.DELTA_FRACTION} of {base_bytes} B"
+            )
+        if replayed != delta_records or not identical:
+            failures.append(
+                f"compaction: reopen replayed {replayed} of {delta_records} "
+                f"delta records, answers identical: {identical}"
+            )
 
     if failures:
         for failure in failures:

@@ -638,6 +638,7 @@ def _cmd_snapshot(args: argparse.Namespace, out) -> int:
           f"{meta['entries']} CSR entries (engine v{meta['engine_version']}, "
           f"core {meta['core']}, "
           f"{meta['shard_count'] or 'no'} shards)", file=out)
+    print(_delta_line(engine._snapshot), file=out)
     if args.query:
         results = engine.search(args.query, top_k=args.top)
         if not results:
@@ -646,6 +647,13 @@ def _cmd_snapshot(args: argparse.Namespace, out) -> int:
         for result in results:
             _print_result_line(result, out)
     return 0
+
+
+def _delta_line(snapshot) -> str:
+    """What open replays on top of the base sections."""
+    size = len(snapshot.read("delta")) if "delta" in snapshot.sections() else 0
+    return (f"base version {snapshot.base_version}, delta "
+            f"{len(snapshot.delta())} record(s) in {size:,} bytes")
 
 
 def _cmd_wal(args: argparse.Namespace, out) -> int:
@@ -674,9 +682,11 @@ def _cmd_wal(args: argparse.Namespace, out) -> int:
     if not os.path.exists(wal_path):
         print(f"{wal_path}: no write-ahead log", file=out)
         return 1
-    snapshot = Snapshot(args.snapshot)
-    snapshot_generation = snapshot.generation
-    snapshot.close()
+    with Snapshot(args.snapshot) as snapshot:
+        snapshot_generation = snapshot.generation
+        print(f"{args.snapshot}: generation {snapshot_generation}, "
+              f"engine version {snapshot.meta['engine_version']}, "
+              + _delta_line(snapshot), file=out)
     wal = WriteAheadLog(wal_path)
     try:
         records = wal.scan()

@@ -1029,7 +1029,7 @@ class KeywordSearchEngine:
         if exists:
             wal = WriteAheadLog(wal_path, sync=sync)
             if wal.generation == self._snapshot_generation:
-                replayed = replay_into(self, wal)
+                replayed = replay_into(self, wal.scan(), wal.path)
             else:
                 records = wal.scan()
                 if records and records[-1][1].get("version", 0) > self.version:

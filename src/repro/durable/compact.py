@@ -1,10 +1,12 @@
 """Fold a write-ahead log into a fresh snapshot and hot-swap it in.
 
 Compaction never mutates engine state — the live engine already *is*
-snapshot + WAL.  It writes the engine's current state as a new snapshot
-(crash-atomically: temp file, fsync, ``os.replace``), then resets the
-WAL to an empty log paired with the new snapshot's generation.  The
-crash windows are both recoverable:
+snapshot + WAL.  It publishes that state as a new snapshot — the paired
+file's sections byte-copied plus the log's records as its ``delta``
+section, or a full rewrite when that cannot be proven or the delta would
+outgrow its bound — crash-atomically (temp file, fsync, ``os.replace``),
+then resets the WAL to an empty log paired with the new generation.
+Either way the crash windows are both recoverable:
 
 * before the ``os.replace`` — the old snapshot + full WAL pair is
   untouched and replays completely;
@@ -61,7 +63,7 @@ def hot_compact(engine, out=None) -> CompactionReport:
     the fold goes to a *copy* — new snapshot plus a fresh empty WAL
     beside it — and the original snapshot/WAL pair stays untouched.
     """
-    from repro.scale.snapshot import write_snapshot
+    from repro.scale.snapshot import write_delta_snapshot, write_snapshot
 
     wal = engine.wal
     if wal is None:
@@ -72,7 +74,7 @@ def hot_compact(engine, out=None) -> CompactionReport:
     )
     folded = engine.version - wal.base_version
     fault.maybe("compact.fold")
-    meta = write_snapshot(engine, target)
+    meta = write_delta_snapshot(engine, target) or write_snapshot(engine, target)
     generation = meta["generation"]
     fault.maybe("compact.swap")
     workers_reopened = 0

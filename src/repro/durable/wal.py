@@ -30,6 +30,7 @@ import tempfile
 import zlib
 from typing import List, Optional, Tuple
 
+from repro.durable import fault
 from repro.errors import WalError
 from repro.live.changes import apply_record
 from repro.live.maintain import affected_tuples, apply_changeset
@@ -39,6 +40,7 @@ __all__ = [
     "WriteAheadLog",
     "atomic_write_bytes",
     "default_wal_path",
+    "decode_frames",
     "replay_into",
 ]
 
@@ -60,12 +62,14 @@ def default_wal_path(snapshot_path) -> str:
     return f"{snapshot_path}.wal"
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` crash-atomically.
+def atomic_write_bytes(path, data, pre_replace: Optional[str] = None) -> None:
+    """Write ``data`` (bytes, or an iterable of bytes-likes in order) to
+    ``path`` crash-atomically — how snapshots and WAL headers publish.
 
     Same-directory temp file, fsync, ``os.replace``, then fsync the
     directory so the rename itself is durable.  Readers see either the
     old file or the complete new one, never a torn write.
+    ``pre_replace`` names the fault point between fsync and rename.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -74,9 +78,12 @@ def atomic_write_bytes(path, data: bytes) -> None:
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in (data,) if isinstance(data, bytes) else data:
+                handle.write(chunk)
             handle.flush()
             os.fsync(handle.fileno())
+        if pre_replace is not None:
+            fault.maybe(pre_replace)
         os.replace(temp_name, path)
     except BaseException:
         try:
@@ -84,10 +91,6 @@ def atomic_write_bytes(path, data: bytes) -> None:
         except OSError:
             pass
         raise
-    _fsync_directory(directory)
-
-
-def _fsync_directory(directory: str) -> None:
     try:
         fd = os.open(directory, os.O_RDONLY)
     except OSError:  # pragma: no cover - platform without dir opens
@@ -111,6 +114,41 @@ def _header_bytes(generation: str, base_version: int) -> bytes:
         sort_keys=True,
     ).encode("utf-8")
     return MAGIC + struct.pack("<I", len(header)) + header
+
+
+def decode_frames(data, offset: int, path: str):
+    """The complete, CRC-valid records of ``data[offset:]`` as ``(offset,
+    record)``, and the offset decoding stopped at — short of
+    ``len(data)`` exactly when the data ends in a torn record.  Damage
+    followed by more data raises :class:`WalError`.
+    """
+    records: List[Tuple[int, dict]] = []
+    end = len(data)
+    while offset + _RECORD_HEADER.size <= end:
+        length, crc = _RECORD_HEADER.unpack_from(data, offset)
+        payload_start = offset + _RECORD_HEADER.size
+        payload_end = payload_start + length
+        if length > MAX_RECORD_BYTES or payload_end > end:
+            break
+        payload = bytes(data[payload_start:payload_end])
+        try:
+            if zlib.crc32(payload) != crc:
+                raise ValueError("checksum mismatch")
+            record = json.loads(payload.decode("utf-8"))
+        except ValueError as error:
+            if payload_end == end:
+                # A torn append can leave a complete-length garbage
+                # tail; damage mid-file cannot come from one.
+                break
+            raise WalError(
+                "damaged WAL record mid-file",
+                path=path,
+                offset=offset,
+                problem=str(error),
+            ) from None
+        records.append((offset, record))
+        offset = payload_end
+    return records, offset
 
 
 class WriteAheadLog:
@@ -197,46 +235,9 @@ class WriteAheadLog:
         """
         with open(self.path, "rb") as handle:
             data = handle.read()
-        records: List[Tuple[int, dict]] = []
-        offset = self._data_offset
-        end = len(data)
-        self.torn_tail = False
-        while offset < end:
-            if offset + _RECORD_HEADER.size > end:
-                self.torn_tail = True
-                break
-            length, crc = _RECORD_HEADER.unpack_from(data, offset)
-            payload_start = offset + _RECORD_HEADER.size
-            payload_end = payload_start + length
-            if length > MAX_RECORD_BYTES or payload_end > end:
-                self.torn_tail = True
-                break
-            payload = data[payload_start:payload_end]
-            if zlib.crc32(payload) != crc:
-                if payload_end == end:
-                    # A torn append can leave a complete-length garbage
-                    # tail; a mismatch mid-file cannot.
-                    self.torn_tail = True
-                    break
-                raise WalError(
-                    "WAL record failed its checksum mid-file",
-                    path=self.path,
-                    offset=offset,
-                )
-            try:
-                record = json.loads(payload.decode("utf-8"))
-            except ValueError:
-                if payload_end == end:
-                    self.torn_tail = True
-                    break
-                raise WalError(
-                    "undecodable WAL record mid-file",
-                    path=self.path,
-                    offset=offset,
-                ) from None
-            records.append((offset, record))
-            offset = payload_end
-        self._append_offset = offset
+        records, end = decode_frames(data, self._data_offset, self.path)
+        self.torn_tail = end < len(data)
+        self._append_offset = end
         if self.torn_tail and obs_metrics.ENABLED:
             obs_metrics.REGISTRY.inc("wal.torn_tails")
         return records
@@ -312,21 +313,21 @@ class WriteAheadLog:
         self.close()
 
 
-def replay_into(engine, wal: WriteAheadLog) -> int:
-    """Replay every complete WAL record into a just-opened engine.
+def replay_into(engine, records, path: str) -> int:
+    """Replay ``(offset, record)`` pairs — a WAL's ``scan()`` or a snapshot's
+    ``delta``, read from ``path`` — into an engine one version behind them.
 
-    The engine must be at the WAL's ``base_version`` (snapshot and log
-    paired by generation); records apply through the same incremental
-    maintenance path as live ``apply`` batches, so the replayed engine
-    is bit-identical to one that executed the batches itself.
+    Records apply through the same incremental maintenance path as live
+    ``apply`` batches, so the replayed engine is bit-identical to one
+    that executed the batches itself.
     """
     replayed = 0
-    for offset, record in wal.scan():
+    for offset, record in records:
         version = record.get("version")
         if version != engine.version + 1:
             raise WalError(
                 "WAL record version does not follow engine state",
-                path=wal.path,
+                path=path,
                 offset=offset,
                 expected=engine.version + 1,
                 got=version,

@@ -127,6 +127,12 @@ class _LazyPostings(dict):
         self._raw_loader = None
         self._raw_data = {}
 
+    def decode_all(self) -> None:
+        """Decode every pending token now — in bulk, off the write path
+        that would otherwise pay per first-touched token."""
+        for token in list(self._raw):
+            self[token]
+
     def length_of(self, token: str) -> int:
         """Posting count of a token without decoding it.
 

@@ -21,6 +21,11 @@ and format or platform mismatches raise
 :class:`~repro.errors.SnapshotError` instead of producing a silently
 wrong engine.
 
+A compacted file may end in a ``delta`` section (:func:`write_delta_snapshot`):
+WAL record frames that open replays from ``meta.base_version`` up to
+``meta.engine_version``.  Such a file carries format 2, so a reader
+that would ignore the section refuses it.
+
 Restoration is lazy wherever queries allow it:
 
 * the CSR ``array('i')`` buffers are zero-copy ``memoryview`` casts
@@ -44,10 +49,8 @@ from __future__ import annotations
 
 import json
 import mmap
-import os
 import struct
 import sys
-import tempfile
 import zlib
 from array import array
 from bisect import bisect_right
@@ -55,7 +58,8 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.durable import fault
-from repro.errors import SnapshotError
+from repro.durable.wal import atomic_write_bytes, decode_frames, replay_into
+from repro.errors import SnapshotError, WalError
 from repro.graph.csr import FrozenGraph
 from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
@@ -68,6 +72,10 @@ __all__ = ["SNAPSHOT_FORMAT", "Snapshot", "write_snapshot", "load_engine"]
 
 _MAGIC = b"REPROSNP\x01"
 SNAPSHOT_FORMAT = 1
+_DELTA_FORMAT = 2  # of a file that carries a ``delta`` section
+#: A ``delta`` holds up to 1/32 of the base sections' bytes — ≈ 210 bib
+#: records, where replaying it on open costs about one full rewrite.
+DELTA_FRACTION = 32
 
 _REQUIRED_SECTIONS = (
     "meta",
@@ -292,11 +300,26 @@ def _statistics_doc(engine) -> dict:
     payload older snapshots had, and older snapshots restore with an
     empty table.
     """
-    statistics = DatabaseStatistics(engine.database)
+    # Every ``apply`` resets the held statistics: a held value is current.
+    statistics = engine._statistics or DatabaseStatistics(engine.database)
     calibration = getattr(engine, "calibration", None)
-    if calibration is not None and len(calibration):
-        statistics.calibration = calibration.to_dict()
+    statistics.calibration = calibration.to_dict() if calibration else {}
     return statistics.to_dict()
+
+
+def _folded(engine) -> FrozenGraph:
+    """The compiled graph folded back into flat CSR form, its node map
+    rebuilt and pending posting lists decoded, as serialising everything
+    does on the way: left undone, each bills the calls that follow
+    (override rows alone +18–25 % on the median durable ``apply``)."""
+    frozen = engine.traversal_cache.frozen()
+    if frozen._override:
+        frozen._compile()
+        frozen.compactions += 1
+    frozen._node_map()
+    if isinstance(engine.index._postings, _LazyPostings):
+        engine.index._postings.decode_all()
+    return frozen
 
 
 def write_snapshot(engine, path: Union[str, Path]) -> dict:
@@ -307,10 +330,7 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
     array representation regardless of how many live-update batches the
     engine absorbed.
     """
-    frozen = engine.traversal_cache.frozen()
-    if frozen._override:
-        frozen._compile()
-        frozen.compactions += 1
+    frozen = _folded(engine)
     capacity = frozen.capacity
     node_of = frozen._node_map()
 
@@ -318,16 +338,17 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
         [tid.relation, list(tid.key)] for tid in frozen._tid_of
     ]
 
-    edge_ref = bytearray(len(frozen._targets))
-    position = 0
-    for node in range(capacity):
-        owner = frozen._tid_of[node]
-        start, end = frozen._offsets[node], frozen._offsets[node + 1]
-        for entry in range(start, end):
-            edge_ref[position] = int(
-                frozen._edge_data[entry]["referencing"] == owner
-            )
-            position += 1
+    edge_data = frozen._edge_data
+    if isinstance(edge_data, _LazyEdgeData):
+        # Never folded since restored: the stored flags still hold, and
+        # reading them builds no payload dict per entry.
+        edge_ref = bytes(edge_data._ref)
+    else:
+        edge_ref = bytearray(len(frozen._targets))
+        for node in range(capacity):
+            owner = frozen._tid_of[node]
+            for entry in range(frozen._offsets[node], frozen._offsets[node + 1]):
+                edge_ref[entry] = edge_data[entry]["referencing"] == owner
 
     engine.index._ensure_tokens()  # deferred token state must serialise
     postings_doc: dict[str, list] = {}
@@ -381,53 +402,78 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
     if shard_plan is not None:
         sections.append(("shard_assignment", shard_plan.assignment_bytes()))
 
+    meta["generation"] = _publish(path, SNAPSHOT_FORMAT, sections)
+    return meta
+
+
+def write_delta_snapshot(engine, path: Union[str, Path]) -> Optional[dict]:
+    """Republish the WAL-paired snapshot at ``path`` with the WAL's record
+    frames appended to its ``delta`` section: base sections byte-copied
+    with length and CRC reused, only ``meta`` and the planner calibration
+    in ``stats`` re-encoded.  Returns the meta dict, or ``None`` when
+    only :func:`write_snapshot` will do — the base fails its CRC verify
+    or is not the generation the WAL pairs with, the records do not run
+    gap-free from its version to the engine's, or the delta would pass
+    ``1 / DELTA_FRACTION`` of the base bytes (the bound on open's replay).
+    """
+    wal = engine.wal
+    try:
+        versions = [record.get("version") for __, record in wal.scan()]
+        base = Snapshot(engine._wal_snapshot_path)
+    except (SnapshotError, WalError):
+        return None
+    with base, open(wal.path, "rb") as log:
+        expected = list(range(base.meta["engine_version"] + 1, engine.version + 1))
+        if base.generation != wal.generation or not versions or versions != expected:
+            return None
+        log.seek(wal._data_offset)
+        delta = log.read(wal._append_offset - wal._data_offset)
+        if "delta" in base.sections():
+            delta = base.read("delta") + delta
+        copied = [n for n in base.sections() if n not in ("meta", "delta")]
+        if len(delta) * DELTA_FRACTION > sum(base._toc[n][1] for n in copied):
+            return None
+        frozen = _folded(engine)
+        # The copied arrays keep the base's sizes for the loader; the rest
+        # describes the engine the delta replays to (folded: a node per tuple).
+        meta = dict(base.meta, format=_DELTA_FORMAT, base_version=base.base_version)
+        meta.setdefault("base_nodes", meta["nodes"])
+        meta.setdefault("base_entries", meta["entries"])
+        meta.update(engine_version=engine.version, entries=len(frozen._targets))
+        meta["tuples"] = meta["nodes"] = frozen.capacity
+        sections = {name: base.section(name) for name in copied}
+        crcs = {name: base._toc[name][2] for name in copied}
+        if engine._calibration_loader is None:  # else the stored table is current
+            # The statistics beside it stay the base's: open's replay drops
+            # them, as the live engine's first ``apply`` did.
+            del crcs["stats"]
+            sections["stats"] = _json_bytes(
+                dict(base.json("stats"), calibration=engine.calibration.to_dict())
+            )
+        blobs = [("meta", _json_bytes(meta)), *sections.items(), ("delta", delta)]
+        meta["generation"] = _publish(path, _DELTA_FORMAT, blobs, crcs)
+    return meta
+
+
+def _publish(path, file_format: int, sections, crcs=()) -> str:
+    """Publish ``(name, blob)`` sections as one snapshot file — a crash
+    at any instant leaves the previous file or the complete new one —
+    and return its generation.  ``crcs``: checksums already known."""
     toc: dict[str, list] = {}
     offset = 0
     for name, blob in sections:
-        toc[name] = [offset, len(blob), zlib.crc32(blob)]
+        crc = crcs[name] if name in crcs else zlib.crc32(blob)
+        toc[name] = [offset, len(blob), crc]
         offset += len(blob)
-    toc_bytes = _json_bytes({"format": SNAPSHOT_FORMAT, "sections": toc})
+    toc_bytes = _json_bytes({"format": file_format, "sections": toc})
 
-    # Crash-atomic replacement: stream everything into a same-directory
-    # temp file, fsync it, then ``os.replace`` over the target and fsync
-    # the directory.  A crash at any instant leaves either the previous
-    # snapshot or the complete new one — never a torn file.
-    path = Path(path)
-    directory = str(path.parent) or "."
-    fd, temp_name = tempfile.mkstemp(
-        dir=directory, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(_MAGIC)
-            handle.write(struct.pack("<I", len(toc_bytes)))
-            handle.write(toc_bytes)
-            fault.maybe("snapshot.mid-save")
-            for __, blob in sections:
-                handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        fault.maybe("snapshot.pre-replace")
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir opens
-        dir_fd = None
-    if dir_fd is not None:
-        try:
-            os.fsync(dir_fd)
-        except OSError:  # pragma: no cover - fs without dir fsync
-            pass
-        finally:
-            os.close(dir_fd)
-    meta["generation"] = _generation_of(toc_bytes)
-    return meta
+    def chunks():
+        yield _MAGIC + struct.pack("<I", len(toc_bytes)) + toc_bytes
+        fault.maybe("snapshot.mid-save")
+        yield from (blob for __, blob in sections)
+
+    atomic_write_bytes(path, chunks(), pre_replace="snapshot.pre-replace")
+    return _generation_of(toc_bytes)
 
 
 def _generation_of(toc_bytes: bytes) -> str:
@@ -474,15 +520,17 @@ class Snapshot:
                 path=str(path),
                 problem=str(error),
             ) from None
-        if toc.get("format") != SNAPSHOT_FORMAT:
+        self._data_start = toc_start + toc_length
+        self._toc: dict[str, list] = toc.get("sections") or {}
+        # Format 2 marks exactly the files whose state includes a delta.
+        expected = _DELTA_FORMAT if "delta" in self._toc else SNAPSHOT_FORMAT
+        if toc.get("format") != expected:
             raise SnapshotError(
                 "unsupported snapshot format version",
                 path=str(path),
                 got=toc.get("format"),
-                expected=SNAPSHOT_FORMAT,
+                expected=expected,
             )
-        self._data_start = toc_start + toc_length
-        self._toc: dict[str, list] = toc["sections"]
         self._view = view
         #: Content hash of the raw TOC bytes — the WAL pairing token
         #: (identical to the ``generation`` in ``write_snapshot`` meta).
@@ -498,7 +546,7 @@ class Snapshot:
                 )
         self.verify()
         self.meta = self.json("meta")
-        if self.meta.get("format") != SNAPSHOT_FORMAT:
+        if self.meta.get("format") != expected:
             raise SnapshotError(
                 "unsupported snapshot format version",
                 path=str(path),
@@ -551,14 +599,25 @@ class Snapshot:
         self._exported.append(view)
         return view
 
+    @property
+    def base_version(self) -> int:
+        """Engine version the base sections hold; a ``delta`` starts there."""
+        return self.meta.get("base_version", self.meta.get("engine_version", 0))
+
+    def read(self, name: str) -> bytes:
+        """A copy of one section's bytes; retains no view."""
+        with self._section(name) as view:
+            return bytes(view)
+
+    def delta(self) -> list:
+        """The ``delta`` section's ``(offset, record)`` pairs, oldest first
+        (none without one); a damaged frame raises ``WalError``."""
+        data = self.read("delta") if "delta" in self._toc else b""
+        return decode_frames(data, 0, str(self.path))[0]
+
     def json(self, name: str):
-        view = self._section(name)
         try:
-            payload = bytes(view)
-        finally:
-            view.release()
-        try:
-            return json.loads(payload)
+            return json.loads(self.read(name))
         except ValueError as error:
             raise SnapshotError(
                 "snapshot section holds invalid JSON",
@@ -599,11 +658,8 @@ class Snapshot:
     def verify(self) -> None:
         """CRC-check every section; raises on any corruption."""
         for name, (__, ___, crc) in self._toc.items():
-            view = self._section(name)
-            try:
+            with self._section(name) as view:
                 matches = zlib.crc32(view) == crc
-            finally:
-                view.release()
             if not matches:
                 raise SnapshotError(
                     "snapshot section failed its integrity check",
@@ -691,13 +747,14 @@ def _load_engine(
     data_graph = DataGraph(database)
 
     tid_of = _LazyTidList(
-        lambda: snapshot.json("interning"), meta.get("nodes", 0)
+        lambda: snapshot.json("interning"),
+        meta.get("base_nodes", meta.get("nodes", 0)),
     )
     offsets = snapshot.int_array("csr_offsets")
     targets = snapshot.int_array("csr_targets")
     edge_ref = snapshot.section("edge_ref")
     if len(offsets) != len(tid_of) + 1 or len(targets) != meta.get(
-        "entries", -1
+        "base_entries", meta.get("entries", -1)
     ) or len(edge_ref) != len(targets):
         raise SnapshotError(
             "snapshot CSR sections are inconsistent",
@@ -768,7 +825,7 @@ def _load_engine(
         traversal_cache=cache,
         core=core if core is not None else meta.get("core"),
         shards=shards if shards is not None else (meta.get("shard_count") or None),
-        version=meta.get("engine_version", 0),
+        version=snapshot.base_version,
         **engine_options,
     )
     engine._statistics_loader = lambda: snapshot.statistics(database)
@@ -778,7 +835,6 @@ def _load_engine(
         lambda: snapshot.json("stats").get("calibration")
     )
     engine.snapshot_path = str(path)
-    engine._snapshot_version = engine.version
     engine._snapshot_generation = snapshot.generation
     engine._snapshot = snapshot
 
@@ -789,4 +845,25 @@ def _load_engine(
             engine._shard_plan = ShardPlan.from_state(
                 cache, engine.shards, snapshot.int_array("shard_assignment")
             )
+    if "delta" in snapshot.sections():
+        _replay_delta(engine, snapshot)
+    engine._snapshot_version = engine.version
     return engine
+
+
+def _replay_delta(engine, snapshot: Snapshot) -> None:
+    """Bring a restored base up to ``meta.engine_version`` through the replay
+    loop WAL attach uses; landing anywhere else is an error, never an older engine."""
+    problem = None
+    try:
+        replay_into(engine, snapshot.delta(), str(snapshot.path))
+    except WalError as error:
+        problem = str(error)
+    if problem or engine.version != snapshot.meta.get("engine_version"):
+        engine.close()
+        raise SnapshotError(
+            "snapshot delta does not replay to the recorded engine version",
+            path=str(snapshot.path),
+            reached=engine.version,
+            problem=problem,
+        )

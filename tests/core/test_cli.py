@@ -321,6 +321,31 @@ class TestSnapshotCommand:
         assert code == 0
         assert "e1(Smith)" in output
 
+    def test_load_and_wal_info_report_the_delta(self, tmp_path, monkeypatch):
+        from repro.core.engine import KeywordSearchEngine
+        from repro.scale import snapshot as snapshot_module
+
+        path = str(tmp_path / "company.snap")
+        run("snapshot", "save", path)
+        code, output = run("snapshot", "load", path)
+        assert "base version 0, delta 0 record(s) in 0 bytes" in output
+
+        monkeypatch.setattr(snapshot_module, "DELTA_FRACTION", 0)
+        engine = KeywordSearchEngine.open(path, wal=True)
+        engine.apply([])
+        engine.apply([])
+        engine.compact_wal()
+        engine.apply([])
+        engine.close()
+        code, output = run("snapshot", "load", path)
+        assert code == 0
+        assert "engine v2" in output
+        assert "base version 0, delta 2 record(s) in " in output
+        code, output = run("wal", "info", path)
+        assert code == 0
+        assert "engine version 2, base version 0, delta 2 record(s)" in output
+        assert "paired, base version 2, 1 record(s)" in output
+
     def test_load_rejects_corruption(self, tmp_path):
         import pytest
 

@@ -8,6 +8,7 @@ and answers always equal to a from-scratch serial oracle.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,8 @@ from repro.datasets.synthetic import (
 from repro.durable import compact_snapshot, default_wal_path
 from repro.errors import WalError
 from repro.live.changes import Insert, Update, apply_to_database
+from repro.scale import snapshot as snapshot_module
+from repro.scale.snapshot import Snapshot
 
 CONFIG = SyntheticConfig(
     departments=2,
@@ -60,6 +63,23 @@ def mixed_batch(database, counter):
 def rendered(batches):
     return [[(r.render(), r.score, r.rank) for r in results]
             for results in batches]
+
+
+def toc_of(path):
+    """``(format, sections, meta, delta record count)`` of one file."""
+    with Snapshot(path) as snapshot:
+        return (
+            snapshot.meta["format"],
+            {name: list(entry) for name, entry in snapshot._toc.items()},
+            dict(snapshot.meta),
+            len(snapshot.delta()),
+        )
+
+
+@pytest.fixture
+def delta_path(monkeypatch):
+    """No byte threshold: every provable compaction appends a delta."""
+    monkeypatch.setattr(snapshot_module, "DELTA_FRACTION", 0)
 
 
 class TestOfflineCompaction:
@@ -216,4 +236,167 @@ class TestHotSwapUnderLoad:
         assert rendered(
             engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
         ) == before
+        engine.close()
+
+
+@pytest.mark.usefixtures("delta_path")
+class TestOfflineCompactionThroughTheDelta(TestOfflineCompaction):
+    """The offline scenarios again, compaction appending a delta."""
+
+    def test_base_sections_are_byte_copied(self, tmp_path):
+        path, (version, answers) = self._pair_with_records(tmp_path)
+        __, before, ___, ____ = toc_of(path)
+        assert compact_snapshot(path).records_folded == 2
+
+        file_format, after, meta, records = toc_of(path)
+        assert file_format == 2 and records == 2
+        assert (meta["base_version"], meta["engine_version"]) == (0, version)
+        assert list(after) == list(before) + ["delta"]
+        for name, (__, length, crc) in before.items():
+            if name not in ("meta", "stats"):
+                assert after[name][1:] == [length, crc]
+
+        reopened = KeywordSearchEngine.open(path, wal=True)
+        assert reopened.version == version
+        assert reopened.wal.records() == []
+        assert rendered(
+            [reopened.search(q, limits=LIMITS) for q in QUERIES]
+        ) == answers
+        reopened.close()
+
+    def test_copy_of_a_delta_snapshot_extends_its_delta(self, tmp_path):
+        path, __ = self._pair_with_records(tmp_path)
+        compact_snapshot(path)
+        engine = KeywordSearchEngine.open(path, wal=True)
+        engine.apply(mixed_batch(engine.database, 2))
+        original = toc_of(path)
+        copy = str(tmp_path / "copy.snap")
+        assert engine.compact_wal(out=copy).records_folded == 1
+        assert toc_of(copy)[3] == 3
+        assert toc_of(path) == original
+        assert len(engine.wal.records()) == 1
+        engine.close()
+
+
+class TestDeltaThreshold:
+    def _engine(self, tmp_path):
+        path = str(tmp_path / "e.snap")
+        engine = KeywordSearchEngine(planted_database())
+        engine.save(path)
+        engine.attach_wal()
+        return path, engine
+
+    def test_delta_grows_to_the_threshold_then_folds(self, tmp_path, monkeypatch):
+        """More records than the threshold allows, one compaction per
+        record: deltas accumulate, the crossing compaction rewrites the
+        base and empties the delta, and no open replays more than the
+        bound."""
+        path, engine = self._engine(tmp_path)
+        base_bytes = sum(
+            entry[1] for name, entry in toc_of(path)[1].items()
+            if name != "meta"
+        )
+        monkeypatch.setattr(snapshot_module, "DELTA_FRACTION", 8)
+        oracle_db = planted_database()
+        history = []
+        for counter in range(12):
+            batch = mixed_batch(engine.database, counter)
+            engine.apply(batch)
+            apply_to_database(oracle_db, batch)
+            report = engine.compact_wal()
+            assert report.records_folded == 1
+            file_format, sections, meta, records = toc_of(path)
+            assert records == meta["engine_version"] - meta.get(
+                "base_version", meta["engine_version"]
+            )
+            assert (file_format, "delta" in sections) == (
+                (2, True) if records else (1, False)
+            )
+            assert meta["engine_version"] == counter + 1
+            if records:
+                assert sections["delta"][1] * 8 <= base_bytes
+            history.append(records)
+        # Deltas accumulate (1, 2, ...), a full fold empties them (0),
+        # and they start over — at least once in twelve records.
+        assert 0 in history and max(history) > 1
+        assert history[0] == 1 and history[history.index(0) + 1] == 1
+        engine.close()
+
+        reopened = KeywordSearchEngine.open(path, wal=True)
+        assert reopened.version == 12
+        assert reopened.version - Snapshot(path).base_version == history[-1]
+        oracle = KeywordSearchEngine(oracle_db, result_cache_entries=0)
+        assert rendered(
+            [reopened.search(q, limits=LIMITS) for q in QUERIES]
+        ) == rendered([oracle.search(q, limits=LIMITS) for q in QUERIES])
+        reopened.close()
+
+    def test_save_never_writes_a_delta(self, tmp_path, delta_path):
+        path, engine = self._engine(tmp_path)
+        engine.apply(mixed_batch(engine.database, 0))
+        engine.compact_wal()
+        assert toc_of(path)[3] == 1
+        engine.apply(mixed_batch(engine.database, 1))
+        other = str(tmp_path / "saved.snap")
+        engine.save(other)
+        file_format, sections, meta, records = toc_of(other)
+        assert (file_format, records, "delta" in sections) == (1, 0, False)
+        assert "base_version" not in meta
+        assert meta["engine_version"] == engine.version == 2
+        engine.close()
+
+    def test_unprovable_pairing_takes_the_full_rewrite(self, tmp_path, delta_path):
+        path, engine = self._engine(tmp_path)
+        engine.apply(mixed_batch(engine.database, 0))
+        # Overwriting the paired file breaks the generation handshake:
+        # the bytes on disk are no longer the base the WAL extends.
+        engine.save(path)
+        assert engine.compact_wal().records_folded == 1
+        assert toc_of(path)[0] == 1
+
+        # A base that fails its CRC verify is never copied either.
+        engine.apply(mixed_batch(engine.database, 1))
+        blob = bytearray(Path(path).read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        with open(path, "wb") as handle:
+            handle.write(bytes(blob))
+        engine.compact_wal()
+        assert toc_of(path)[0] == 1
+        engine.close()
+        reopened = KeywordSearchEngine.open(path, wal=True)
+        assert reopened.version == 2
+        reopened.close()
+
+    def test_empty_wal_compaction_writes_no_delta(self, tmp_path, delta_path):
+        path, engine = self._engine(tmp_path)
+        assert engine.compact_wal().records_folded == 0
+        assert toc_of(path)[0] == 1
+        engine.close()
+
+
+@pytest.mark.usefixtures("delta_path")
+class TestHotSwapOntoADeltaSnapshot(TestHotSwapUnderLoad):
+    """The pool scenarios again: the workers are hot-swapped onto a
+    snapshot that ends in a delta and must answer identically."""
+
+    def test_swapped_workers_replay_the_delta(self, tmp_path):
+        path = str(tmp_path / "live.snap")
+        engine = KeywordSearchEngine(
+            planted_database(), result_cache_entries=0
+        )
+        engine.save(path)
+        engine.attach_wal()
+        for counter in range(3):
+            engine.apply(mixed_batch(engine.database, counter))
+        expected = rendered(
+            [engine.search(q, limits=LIMITS) for q in QUERIES]
+        )
+        assert rendered(
+            engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
+        ) == expected
+        assert engine.compact_wal().workers_reopened == 2
+        assert toc_of(path)[::3] == (2, 3)
+        assert rendered(
+            engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
+        ) == expected
         engine.close()

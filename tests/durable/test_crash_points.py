@@ -9,6 +9,7 @@ batches itself.
 """
 
 import os
+from pathlib import Path
 import subprocess
 import sys
 import textwrap
@@ -24,6 +25,8 @@ from repro.datasets.synthetic import (
 from repro.durable import fault
 from repro.errors import FaultInjected
 from repro.live.changes import Insert
+from repro.scale import snapshot as snapshot_module
+from repro.scale.snapshot import Snapshot
 
 CONFIG = SyntheticConfig(
     departments=2,
@@ -139,6 +142,46 @@ class TestAtomicSaveRegression:
         reopened.close()
 
 
+    @pytest.mark.parametrize(
+        "point", ["snapshot.mid-save", "snapshot.pre-replace"]
+    )
+    def test_crash_publishing_a_delta_preserves_the_pair(
+        self, tmp_path, monkeypatch, point
+    ):
+        """The delta path publishes through the same temp file + fsync +
+        rename: a fault leaves no litter and the old snapshot + full WAL
+        pair, and the compaction can simply be retried."""
+        monkeypatch.setattr(snapshot_module, "DELTA_FRACTION", 0)
+        path = str(tmp_path / "e.snap")
+        engine = KeywordSearchEngine(planted_database())
+        engine.save(path)
+        engine.attach_wal()
+        engine.apply(batch(engine.database, 0))
+        engine.compact_wal()
+        with Snapshot(path) as snapshot:
+            assert len(snapshot.delta()) == 1
+        engine.apply(batch(engine.database, 1))
+        before = Path(path).read_bytes()
+
+        fault.configure(point + ":raise")
+        with pytest.raises(FaultInjected):
+            engine.compact_wal()
+        fault.reset()
+
+        assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+        assert Path(path).read_bytes() == before
+        reopened = KeywordSearchEngine.open(path, wal=True)
+        assert state_of(reopened) == oracle_state(2)
+        reopened.close()
+        engine.compact_wal()
+        with Snapshot(path) as snapshot:
+            assert len(snapshot.delta()) == 2
+        engine.close()
+        reopened = KeywordSearchEngine.open(path)
+        assert state_of(reopened) == oracle_state(2)
+        reopened.close()
+
+
 # ----------------------------------------------------------------------
 # subprocess SIGKILL faults: real crashes, bit-identical recovery
 # ----------------------------------------------------------------------
@@ -153,16 +196,24 @@ _CHILD = textwrap.dedent("""
     from repro.durable import fault
 
     point, path, applies = sys.argv[1], sys.argv[2], int(sys.argv[3])
+    delta = len(sys.argv) > 4
 
     engine = KeywordSearchEngine(planted_database())
     engine.save(path)
     engine.attach_wal()
+    if delta:
+        # Every compaction appends a delta; the first batch is already
+        # in one when the armed compaction starts.
+        from repro.scale import snapshot
+        snapshot.DELTA_FRACTION = 0
     for counter in range(applies):
         engine.apply(batch(engine.database, counter))
         print("applied", counter + 1, flush=True)
+        if delta and counter == 0:
+            engine.compact_wal()
 
     fault.configure(point + ":kill")
-    if point.startswith("compact."):
+    if point.startswith("compact.") or delta:
         engine.compact_wal()
     elif point == "snapshot.mid-save":
         engine.detach_wal()
@@ -174,7 +225,7 @@ _CHILD = textwrap.dedent("""
 """)
 
 
-def run_child(tmp_path, point, applies):
+def run_child(tmp_path, point, applies, delta=False):
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.abspath(
         os.path.join(here, os.pardir, os.pardir, "src")
@@ -183,7 +234,8 @@ def run_child(tmp_path, point, applies):
     script.write_text(_CHILD.format(src=src, here=here))
     path = str(tmp_path / "e.snap")
     result = subprocess.run(
-        [sys.executable, str(script), point, path, str(applies)],
+        [sys.executable, str(script), point, path, str(applies)]
+        + ["delta"] * delta,
         capture_output=True,
         text=True,
         timeout=120,
@@ -230,5 +282,35 @@ class TestKillNineRecovery:
         reopened = KeywordSearchEngine.open(path, wal=True)
         assert state_of(reopened) == oracle_state(2)
         assert reopened.wal.base_version == reopened.version
+        assert reopened.wal.records() == []
+        reopened.close()
+
+
+class TestKillNineDuringDeltaCompaction:
+    """The compaction crash windows again, the publication appending to
+    a delta: a kill before the rename leaves the previous delta snapshot
+    and its complete WAL, a kill after it the new snapshot and a stale
+    WAL — exactly the two recoverable shapes of the full rewrite."""
+
+    @pytest.mark.parametrize(
+        "point", ["compact.fold", "snapshot.mid-save", "snapshot.pre-replace"]
+    )
+    def test_kill_before_the_rename(self, tmp_path, point):
+        path, __ = run_child(tmp_path, point, applies=3, delta=True)
+        with Snapshot(path) as snapshot:
+            assert len(snapshot.delta()) == 1
+        reopened = KeywordSearchEngine.open(path, wal=True)
+        assert state_of(reopened) == oracle_state(3)
+        assert len(reopened.wal.records()) == 2
+        reopened.close()
+
+    def test_kill_between_rename_and_wal_reset(self, tmp_path):
+        path, __ = run_child(tmp_path, "compact.swap", applies=3, delta=True)
+        with Snapshot(path) as snapshot:
+            assert len(snapshot.delta()) == 3
+            assert snapshot.base_version == 0
+        reopened = KeywordSearchEngine.open(path, wal=True)
+        assert state_of(reopened) == oracle_state(3)
+        assert reopened.wal.base_version == reopened.version == 3
         assert reopened.wal.records() == []
         reopened.close()

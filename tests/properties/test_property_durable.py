@@ -6,11 +6,17 @@ crashed append can leave.  Reopening snapshot + truncated WAL must be
 bit-identical (state and answers) to an engine that rebuilt from the
 same snapshot and executed exactly the surviving prefix of batches
 live.  Corruption *inside* the log (not at the tail) must refuse.
+
+A second property interleaves ``apply`` / ``compact_wal`` / close +
+``open(wal=True)`` with the delta threshold set small enough that the
+steps cross it: whatever mix of delta appends and full rewrites the
+pair went through, reopening it lands on the engine built from scratch.
 """
 
 import os
 import shutil
 import tempfile
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,6 +31,7 @@ from repro.datasets.synthetic import (
 from repro.durable.wal import WriteAheadLog, default_wal_path
 from repro.live.changes import Delete, Insert, Update
 from repro.relational.database import TupleId
+from repro.scale import snapshot as snapshot_module
 
 relaxed = settings(
     max_examples=10,
@@ -208,3 +215,72 @@ class TestTruncationProperty:
             with pytest.raises(WalError):
                 engine = KeywordSearchEngine.open(path, wal=True)
                 engine.close()
+
+
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(_KINDS),
+                  st.integers(min_value=0, max_value=1 << 20)),
+        st.tuples(st.sampled_from(("compact", "reopen")), st.just(0)),
+    ),
+    min_size=2,
+    max_size=14,
+)
+
+
+class TestCompactionInterleavingProperty:
+    @relaxed
+    @given(configs, steps, st.sampled_from((0, 8, 16, 32)))
+    def test_reopened_pair_equals_engine_rebuilt_from_scratch(
+        self, config, steps, fraction
+    ):
+        """Fractions 8 and 16 put the threshold at two to five records of
+        these bases, so runs of applies cross it; 0 never folds, 32
+        (the shipped constant) nearly always does."""
+        with tempfile.TemporaryDirectory() as workdir, mock.patch.object(
+            snapshot_module, "DELTA_FRACTION", fraction
+        ):
+            path = os.path.join(workdir, "e.snap")
+            engine = KeywordSearchEngine(planted_database(config))
+            engine.save(path)
+            engine.attach_wal()
+            oracle = KeywordSearchEngine(
+                planted_database(config), result_cache_entries=0
+            )
+            counter = 0
+            for kind, salt in steps:
+                if kind == "compact":
+                    report = engine.compact_wal()
+                    assert report.engine_version == engine.version
+                    assert engine.wal.records() == []
+                elif kind == "reopen":
+                    engine.close()
+                    engine = KeywordSearchEngine.open(path, wal=True)
+                else:
+                    mutation = build_mutation(
+                        engine.database, kind, salt, counter
+                    )
+                    batch = [] if mutation is None else [mutation]
+                    engine.apply(batch)
+                    oracle.apply(batch)
+                    counter += 1
+                assert engine.version == oracle.version
+            engine.close()
+
+            reopened = KeywordSearchEngine.open(path, wal=True)
+            assert state_of(reopened) == state_of(oracle)
+            for query in _QUERIES:
+                assert rendered(
+                    reopened.search(query, limits=_LIMITS)
+                ) == rendered(oracle.search(query, limits=_LIMITS))
+            with snapshot_module.Snapshot(path) as snapshot:
+                held = (
+                    snapshot.read("delta")
+                    if "delta" in snapshot.sections() else b""
+                )
+                base = sum(
+                    entry[1] for name, entry in snapshot._toc.items()
+                    if name not in ("meta", "delta")
+                )
+            assert len(held) * fraction <= base
+            reopened.close()

@@ -16,6 +16,7 @@ from repro.errors import SearchLimitError, SnapshotError
 from repro.live.changes import Delete, Insert, Update
 from repro.relational.database import TupleId
 from repro.relational.statistics import DatabaseStatistics
+from repro.scale import snapshot as snapshot_module
 from repro.scale.snapshot import SNAPSHOT_FORMAT, Snapshot
 
 CONFIG = SyntheticConfig(
@@ -111,6 +112,19 @@ class TestRoundTrip:
         restored = KeywordSearchEngine.open(path)
         second = tmp_path / "second.snap"
         restored.save(second)
+        assert path.read_bytes() == second.read_bytes()
+        # The reference flags were read as stored: no payload dict built.
+        assert restored.traversal_cache.frozen()._edge_data._cache == {}
+
+    def test_save_reuses_held_statistics(self, saved, tmp_path, monkeypatch):
+        engine, path, __ = saved
+        engine.statistics = DatabaseStatistics(engine.database)
+        monkeypatch.setattr(
+            DatabaseStatistics, "_compute",
+            lambda self: pytest.fail("statistics recomputed"),
+        )
+        second = tmp_path / "second.snap"
+        engine.save(second)
         assert path.read_bytes() == second.read_bytes()
 
     def test_shard_plan_restored(self, saved):
@@ -389,6 +403,154 @@ class TestIntegrity:
         assert rendered(restored.search("Smith XML")) == rendered(
             engine.search("Smith XML")
         )
+
+
+class TestDeltaSection:
+    """A snapshot republished by compaction: base sections plus the
+    folded WAL records as a ``delta`` section."""
+
+    @pytest.fixture()
+    def compacted(self, saved, monkeypatch):
+        from repro.live.changes import apply_to_database
+
+        monkeypatch.setattr(snapshot_module, "DELTA_FRACTION", 0)
+        __, path, ___ = saved
+        oracle_db = planted_database()
+        employees = [t.tid.key[0] for t in oracle_db.tuples("EMPLOYEE")]
+        batches = [
+            [Insert("DEPENDENT", {"ID": "dl0", "ESSN": employees[0],
+                                  "DEPENDENT_NAME": "kwbeta"})],
+            [],
+            [Update(TupleId("DEPENDENT", ("dl0",)), {"ESSN": employees[3]}),
+             Insert("DEPENDENT", {"ID": "dl1", "ESSN": employees[1],
+                                  "DEPENDENT_NAME": "kwalpha"})],
+            [Delete(TupleId("DEPENDENT", ("dl1",)))],
+        ]
+        engine = KeywordSearchEngine.open(path, wal=True)
+        for batch in batches:
+            engine.apply(batch)
+            apply_to_database(oracle_db, batch)
+        engine.compact_wal()
+        engine.close()
+        with Snapshot(path) as snapshot:
+            assert len(snapshot.delta()) == len(batches)
+        return path, oracle_db, len(batches)
+
+    def test_opens_to_the_state_a_cold_build_reaches(self, compacted):
+        path, oracle_db, version = compacted
+        with Snapshot(path) as snapshot:
+            assert snapshot.meta["format"] == SNAPSHOT_FORMAT + 1
+            assert snapshot.base_version == 0
+            assert snapshot.meta["engine_version"] == version
+            # The counts describe the replayed engine; the byte-copied
+            # arrays keep their own sizes for the loader.
+            fresh = KeywordSearchEngine(oracle_db).traversal_cache.frozen()
+            meta = snapshot.meta
+            assert meta["tuples"] == meta["nodes"] == oracle_db.count()
+            assert meta["entries"] == len(fresh._targets)
+            assert meta["base_nodes"] == planted_database().count()
+            assert meta["base_entries"] == len(snapshot.int_array("csr_targets"))
+        restored = KeywordSearchEngine.open(path)
+        assert restored.version == restored._snapshot_version == version
+        assert not restored.data_graph.materialized
+        oracle = KeywordSearchEngine(oracle_db, result_cache_entries=0)
+        for query in QUERIES:
+            for semantics in ("and", "or"):
+                assert rendered(
+                    restored.search(query, limits=LIMITS, semantics=semantics)
+                ) == rendered(
+                    oracle.search(query, limits=LIMITS, semantics=semantics)
+                )
+        # The stored statistics are the base's and go with the replay —
+        # the live engine dropped its own at its first apply.
+        assert restored.statistics is None
+        restored.close()
+
+    def test_learned_calibration_survives_a_delta_compaction(self, compacted):
+        path = compacted[0]
+        engine = KeywordSearchEngine.open(path, wal=True)
+        engine._ensure_cost_model()
+        engine.calibration.observe("and", 4.0, 8.0)
+        learned = engine.calibration.to_dict()
+        engine.apply([])
+        engine.compact_wal()
+        engine.close()
+        with Snapshot(path) as snapshot:
+            assert "delta" in snapshot.sections()
+            assert snapshot.json("stats")["calibration"] == learned
+        restored = KeywordSearchEngine.open(path)
+        restored._ensure_cost_model()
+        assert restored.calibration.to_dict() == learned
+        restored.close()
+
+        # An engine that never loaded the stored table copies it as is.
+        engine = KeywordSearchEngine.open(path, wal=True)
+        engine.apply([])
+        engine.compact_wal()
+        engine.close()
+        with Snapshot(path) as snapshot:
+            assert snapshot.json("stats")["calibration"] == learned
+
+    def _delta_span(self, path):
+        with Snapshot(path) as snapshot:
+            offset, length, __ = snapshot._toc["delta"]
+            return snapshot._data_start + offset, length
+
+    def test_byte_flip_inside_the_delta_detected(self, compacted):
+        path = compacted[0]
+        start, length = self._delta_span(path)
+        blob = bytearray(path.read_bytes())
+        blob[start + length // 2] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="integrity"):
+            KeywordSearchEngine.open(path)
+
+    def test_truncation_inside_the_delta_detected(self, compacted):
+        path = compacted[0]
+        start, length = self._delta_span(path)
+        path.write_bytes(path.read_bytes()[: start + length // 2])
+        with pytest.raises(SnapshotError, match="truncated"):
+            KeywordSearchEngine.open(path)
+
+    def test_reader_that_would_ignore_the_delta_refuses(self, compacted):
+        """Relabelled as format 1 the file is what a pre-delta reader
+        believes it sees — it must not open as the stale base."""
+        path = compacted[0]
+        blob = path.read_bytes()
+        relabelled = blob.replace(b'{"format":2,', b'{"format":1,', 1)
+        assert relabelled != blob
+        path.write_bytes(relabelled)
+        with pytest.raises(SnapshotError, match="format"):
+            Snapshot(path)
+
+    @pytest.mark.parametrize("keep", [0, 2])
+    def test_delta_that_stops_short_refuses(self, compacted, keep):
+        """Checksums hold but the records do not reach the recorded
+        engine version: a typed refusal, never a silently older engine."""
+        path = compacted[0]
+        with Snapshot(path) as snapshot:
+            frames = snapshot.read("delta")
+            cut = snapshot.delta()[keep][0]
+            sections = [
+                (name, frames[:cut] if name == "delta"
+                 else bytes(snapshot.section(name)))
+                for name in snapshot.sections()
+            ]
+        snapshot_module._publish(path, 2, sections)
+        with pytest.raises(SnapshotError, match="does not replay"):
+            KeywordSearchEngine.open(path)
+
+    def test_second_compaction_extends_the_delta(self, compacted):
+        path, __, version = compacted
+        engine = KeywordSearchEngine.open(path, wal=True)
+        engine.apply([])
+        assert engine.compact_wal().records_folded == 1
+        engine.close()
+        with Snapshot(path) as snapshot:
+            assert snapshot.base_version == 0
+            assert [r["version"] for __, r in snapshot.delta()] == (
+                list(range(1, version + 2))
+            )
 
 
 class TestMemoryFootprint:
