@@ -152,17 +152,17 @@ class JoiningNetwork:
         return self._tree_cache
 
     def _spanning_tree(self) -> nx.Graph:
-        # networkx preserves the node order it is handed, and the
-        # minimum-spanning-tree tie-break among equal-weight edges
-        # follows it.  ``self.tuples`` is a frozenset whose iteration
-        # order depends on the process hash seed *and* on how the
-        # enumeration core assembled it — inducing over a sorted list
-        # pins one deterministic tree for every core and every run.
+        # The minimum-spanning-tree tie-break among equal-weight edges
+        # follows the node order of ``simple``, so it is added sorted:
+        # a subgraph view under half the graph's size iterates its node
+        # *set*, whatever order it was induced over — an order that
+        # depends on the hash seed, and a network's score on the size
+        # of the whole graph.
         induced = self.data_graph.induced_subgraph(
             sorted(self.tuples, key=_sort_key)
         )
         simple = nx.Graph()
-        simple.add_nodes_from(induced.nodes)
+        simple.add_nodes_from(sorted(induced.nodes, key=_sort_key))
         for left, right, key, data in sorted(
             induced.edges(keys=True, data=True),
             key=lambda item: (str(item[0]), str(item[1]), item[2]),

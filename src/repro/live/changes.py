@@ -22,7 +22,7 @@ increasing version.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
 from repro.errors import (
@@ -110,6 +110,9 @@ class ChangeSet:
     edges_added: tuple[EdgeChange, ...] = ()
     edges_removed: tuple[EdgeChange, ...] = ()
     version: Optional[int] = None
+    #: Pre-batch values of every removed, updated and replaced tuple —
+    #: what the index posted them under, re-tokenised to unpost them.
+    before: Mapping[TupleId, Mapping[str, object]] = field(default_factory=dict)
 
     def is_empty(self) -> bool:
         return not (
@@ -189,6 +192,7 @@ class _Builder:
         self.replaced: dict[TupleId, None] = {}
         self.edges_added: dict[tuple, EdgeChange] = {}
         self.edges_removed: dict[tuple, EdgeChange] = {}
+        self.before: dict[TupleId, dict] = {}  # at first delete / update
 
     def note_insert(self, tid: TupleId) -> None:
         if tid in self.removed:
@@ -199,17 +203,20 @@ class _Builder:
         else:
             self.added[tid] = None
 
-    def note_delete(self, tid: TupleId) -> None:
+    def note_delete(self, tid: TupleId, values: dict) -> None:
         if tid in self.added:
             del self.added[tid]
         else:
+            self.before.setdefault(tid, values)
             self.updated.pop(tid, None)
             self.replaced.pop(tid, None)
             self.removed[tid] = None
 
-    def note_update(self, tid: TupleId) -> None:
-        if tid not in self.added and tid not in self.replaced:
-            self.updated.setdefault(tid, None)
+    def note_update(self, tid: TupleId, values: dict) -> None:
+        if tid not in self.added:
+            self.before.setdefault(tid, values)
+            if tid not in self.replaced:
+                self.updated.setdefault(tid, None)
 
     def note_edge_added(self, edge: EdgeChange) -> None:
         if edge.key in self.edges_removed:
@@ -231,6 +238,7 @@ class _Builder:
             tuples_replaced=tuple(self.replaced),
             edges_added=tuple(self.edges_added.values()),
             edges_removed=tuple(self.edges_removed.values()),
+            before=self.before,
         )
 
 
@@ -277,7 +285,7 @@ def apply_to_database(
                 undo.append(
                     ("insert", mutation.tid.relation, old_values, old_label)
                 )
-                builder.note_delete(mutation.tid)
+                builder.note_delete(mutation.tid, old_values)
                 for edge in old_edges:
                     builder.note_edge_removed(edge)
             elif isinstance(mutation, Update):
@@ -286,7 +294,7 @@ def apply_to_database(
                 old_edges = _outgoing_edges(database, record)
                 database.update(mutation.tid, mutation.values)
                 undo.append(("restore", mutation.tid, old_values))
-                builder.note_update(mutation.tid)
+                builder.note_update(mutation.tid, old_values)
                 new_edges = _outgoing_edges(database, record)
                 old_keys = {edge.key: edge for edge in old_edges}
                 new_keys = {edge.key: edge for edge in new_edges}
@@ -510,18 +518,22 @@ def apply_record(record: Mapping, database: Database) -> ChangeSet:
     Replay trusts the log: the batch was fully validated when it first
     applied, so foreign-key enforcement is switched off for the duration
     (a net delta may be transiently inconsistent while its deletes land
-    before its re-inserts).
+    before its re-inserts).  The changeset's pre-batch images are read
+    off the database on the way.
     """
     changeset = changeset_from_record(record, database.schema)
     previous = database.enforce_foreign_keys
     database.enforce_foreign_keys = False
     try:
-        for item in record["removed"]:
-            database.delete(_tid_from_json(item))
-        for item in record["replaced"]:
-            database.delete(_tid_from_json(item))
-        for relation, key, values in record["updated"]:
-            database.update(TupleId(relation, tuple(key)), values)
+        for tid in changeset.tuples_removed + changeset.tuples_replaced:
+            # A deleted row's values dict is never written again.
+            changeset.before[tid] = database.tuple(tid).values
+            database.delete(tid)
+        for tid, (__, ___, values) in zip(
+            changeset.tuples_updated, record["updated"]
+        ):
+            changeset.before[tid] = dict(database.tuple(tid).values)
+            database.update(tid, values)
         for relation, __, values, label in record["appended"]:
             database.insert(relation, values, label=label)
     except (KeyError, TypeError, ValueError, IntegrityError) as error:

@@ -46,16 +46,17 @@ def apply_to_index(
     index: InvertedIndex, database: Database, changeset: ChangeSet
 ) -> None:
     """Patch the inverted index in place from a changeset."""
+    before = changeset.before  # what the index posted them under
     for tid in changeset.tuples_removed:
-        index.remove_tuple(tid)
+        index.remove_tuple(tid, before.get(tid))
     for tid in changeset.tuples_updated:
         # In-place value update: the store position is unchanged, so the
         # posting position survives the remove/re-add without a scan.
-        index.reindex_tuple(database.tuple(tid))
+        index.reindex_tuple(database.tuple(tid), before.get(tid))
     for tid in changeset.tuples_replaced:
         # Delete-then-reinsert: the tuple moved to the relation tail, so
         # its posting position must be re-derived.
-        index.remove_tuple(tid)
+        index.remove_tuple(tid, before.get(tid))
     # Added and replaced tuples are their stores' tails: they take
     # consecutive tail positions in store order, no relation rescanned.
     for records in changeset.appended(database).values():

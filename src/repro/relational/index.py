@@ -15,10 +15,10 @@ database, and :meth:`InvertedIndex.build` performs a full (re)build.
 from __future__ import annotations
 
 import re
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from repro.relational.database import Database, Tuple, TupleId
 
@@ -59,6 +59,24 @@ class Posting:
     whole_value: bool
 
 
+def _posted(values, attributes: Iterable[str]) -> Iterator[tuple[str, str, bool]]:
+    """``(token, attribute, whole value?)`` per posting of one tuple's
+    values: attribute by attribute, each token once per attribute."""
+    for attribute in attributes:
+        value = values.get(attribute)
+        if value is None:
+            continue
+        text = str(value)
+        whole = text.lower()
+        tokens = dict.fromkeys(tokenize(text))
+        if whole:
+            # Values that tokenise away entirely (e.g. punctuation-only)
+            # are still matchable as whole values.
+            tokens.setdefault(whole)
+        for token in tokens:
+            yield token, attribute, token == whole
+
+
 class _LazyPostings(dict):
     """Posting lists decoded from their snapshot encoding on first touch.
 
@@ -71,17 +89,12 @@ class _LazyPostings(dict):
     an index never pays for the vocabulary it does not use.
     """
 
-    def __init__(self, raw, decode) -> None:
+    def __init__(self, load, decode) -> None:
         super().__init__()
-        # ``raw`` may be the encoded table itself or a zero-argument
-        # loader for it (a snapshot defers even parsing the section
-        # until the first keyword lookup needs it).
-        if callable(raw):
-            self._raw_loader = raw
-            self._raw_data = None
-        else:
-            self._raw_loader = None
-            self._raw_data = raw
+        # A zero-argument loader of the raw table: a snapshot defers even
+        # parsing it until the first keyword lookup needs it.
+        self._raw_loader = load
+        self._raw_data = None
         self._decode = decode
 
     @property
@@ -136,10 +149,9 @@ class _LazyPostings(dict):
     def length_of(self, token: str) -> int:
         """Posting count of a token without decoding it.
 
-        Raw snapshot entries are lists of encoded postings, so their
-        length is the posting count — the planner's cost model can size
-        a keyword without materialising (and paying to decode) tuples
-        the query may never touch.
+        Raw snapshot entries are sized by their posting count, so the
+        planner's cost model can size a keyword without materialising
+        (and paying to decode) tuples the query may never touch.
         """
         if dict.__contains__(self, token):
             return len(dict.__getitem__(self, token))
@@ -147,131 +159,98 @@ class _LazyPostings(dict):
         return len(entries) if entries is not None else 0
 
 
-class _LazyOrder(dict):
-    """Database-order keys that re-derive one relation on first demand.
+class _Derived(dict):
+    """A dict that fills a missing key with ``fill(key)`` on first use."""
 
-    A restored index defers its order table entirely: ``insort`` only
-    compares postings inside the mutated tokens' lists, so the first
-    incremental mutation needs order keys for *those* tuples' relations
-    — not a full-database scan.  A missing key triggers one
-    ``_refresh_order`` pass over the owning relation; re-anchoring never
-    changes the relative order of surviving tuples, so posting lists
-    stay sorted no matter when a relation materialises.  A key that is
-    still absent after the refresh is a genuine error (a posting for a
-    tuple the store does not hold) and raises ``KeyError`` loudly.
-    """
+    __slots__ = ("_fill",)
 
-    __slots__ = ("_refresh",)
+    def __init__(self, fill, filled=()) -> None:
+        super().__init__(filled)
+        self._fill = fill
 
-    def __init__(self, refresh) -> None:
-        super().__init__()
-        self._refresh = refresh
-
-    def __missing__(self, tid):
-        self._refresh(tid.relation)
-        if tid in self:
-            return dict.__getitem__(self, tid)
-        raise KeyError(tid)
+    def __missing__(self, key):
+        value = self[key] = self._fill(key)
+        return value
 
 
 class InvertedIndex:
-    """Word-level inverted index over a database instance."""
+    """Word-level inverted index over a database instance.
+
+    It holds postings and nothing per tuple: a tuple's tokens are
+    re-derived from its values (:func:`_posted`, the tokenisation that
+    posted them) whenever they are needed — to unpost a tuple from the
+    values it was posted under, or to name the tokens a rewritten tuple
+    now carries.
+    """
 
     def __init__(self, database: Database) -> None:
-        self._database = database
-        self._postings: dict[str, list[Posting]] = defaultdict(list)
-        self._indexed: set[TupleId] = set()
-        self._tokens_loader = None
-        #: Database order of every indexed tuple: (relation position in the
-        #: schema, position in the relation's store).  Posting lists are
-        #: kept sorted by this key, which is exactly the order a fresh
-        #: ``build()`` appends in — so incremental ``add_tuple`` /
-        #: ``remove_tuple`` leave the index bit-identical (posting order
-        #: included) to a from-scratch build over the same database.
-        self._order: dict[TupleId, tuple[int, int]] = {}
-        self._relation_position = {
-            relation.name: position
-            for position, relation in enumerate(database.schema.relations)
-        }
-        #: Next order position per relation — lets an appended tuple get
-        #: its key in O(1); anything else falls back to a relation scan.
-        self._relation_tail: dict[str, int] = {}
-        self._tokens_by_tid: dict[TupleId, tuple[str, ...]] = {}
+        self._init(database, defaultdict(list), {})
         self.build()
 
     @classmethod
-    def from_state(
-        cls,
-        database: Database,
-        postings: dict,
-        tokens_by_tid,
-    ) -> "InvertedIndex":
+    def from_state(cls, database: Database, postings: dict) -> "InvertedIndex":
         """Rebuild an index from previously exported posting state.
 
         ``postings`` is any dict-like mapping token -> posting list that
         yields a fresh list for missing tokens (a plain dict of decoded
         lists, or a :class:`_LazyPostings` deferring decoding); posting
         lists must already be in database order — the order a fresh
-        :meth:`build` over the same database produces.
-        ``tokens_by_tid`` maps each indexed tuple to its tokens, either
-        as a dict or as a zero-argument loader returning one — pure
-        lookups never need it, so a snapshot restore defers it together
-        with the database-order keys until the first mutation.
+        :meth:`build` over the same database produces.  Pure lookups
+        never need the database order, so each relation's derives on
+        first demand: ``insort`` compares store positions only inside
+        the mutated posting's own relation block, so a mutation needs
+        *that* relation's — not a full-database scan — and re-anchoring
+        never changes the relative order of surviving tuples.
         """
         index = cls.__new__(cls)
-        index._database = database
-        index._postings = postings
-        index._order = _LazyOrder(index._refresh_order)
-        index._relation_position = {
+        index._init(database, postings, _Derived(index._refresh_order))
+        return index
+
+    def _init(self, database: Database, postings: dict, order: dict) -> None:
+        self._database = database
+        self._postings = postings
+        #: Database order of every indexed tuple: relation -> {primary
+        #: key: position in the relation's store}, the relations ranked
+        #: by their schema position.  Posting lists are kept sorted in
+        #: this order, which is exactly the order a fresh ``build()``
+        #: appends in — so incremental ``add_tuple`` / ``remove_tuple``
+        #: leave the index bit-identical (posting order included) to a
+        #: from-scratch build over the same database.
+        self._order = order
+        self._relation_position = {
             relation.name: position
             for position, relation in enumerate(database.schema.relations)
         }
-        index._relation_tail = {}
-        if callable(tokens_by_tid):
-            index._tokens_loader = tokens_by_tid
-            index._tokens_by_tid = None
-            index._indexed = None
-        else:
-            index._tokens_loader = None
-            index._tokens_by_tid = dict(tokens_by_tid)
-            index._indexed = set(tokens_by_tid)
-        return index
+        self._attributes = {
+            relation.name: [attribute.name for attribute in relation.attributes]
+            for relation in database.schema.relations
+        }
+        #: Next store position per relation derived in ``_order`` — lets
+        #: an appended tuple get its key in O(1); anything else falls
+        #: back to a relation scan.
+        self._relation_tail: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def _ensure_tokens(self) -> None:
-        """Materialise the per-tuple token table on a restored index."""
-        if self._tokens_by_tid is None:
-            self._tokens_by_tid = dict(self._tokens_loader())
-            self._indexed = set(self._tokens_by_tid)
-            self._tokens_loader = None
-
     def build(self) -> None:
         """Discard and rebuild the whole index from the database."""
-        self._tokens_loader = None
         self._postings.clear()
-        if self._indexed is None:
-            self._indexed = set()
-            self._tokens_by_tid = {}
-        self._indexed.clear()
         self._order.clear()
         self._relation_tail.clear()
-        self._tokens_by_tid.clear()
         # One pass in posting order — relation by relation, store order
         # within — so every posting is a plain append.
-        for position, relation in enumerate(self._database.schema.relations):
-            attributes = [attribute.name for attribute in relation.attributes]
-            store_position = -1
+        for relation in self._database.schema.relations:
+            attributes = self._attributes[relation.name]
+            positions = self._order[relation.name] = {}
             for store_position, record in enumerate(
                 self._database.tuples(relation.name)
             ):
-                self._order[record.tid] = (position, store_position)
+                positions[record.tid.key] = store_position
                 self._post(record, attributes, list.append)
-            self._relation_tail[relation.name] = store_position + 1
-        self._indexed.update(self._tokens_by_tid)
+            self._relation_tail[relation.name] = len(positions)
 
-    def _refresh_order(self, relation_name: str) -> None:
+    def _refresh_order(self, relation_name: str) -> dict:
         """Re-derive database order for one relation's tuples.
 
         Store positions shift when earlier tuples are deleted, but the
@@ -279,59 +258,48 @@ class InvertedIndex:
         sorted; refreshing here re-anchors absolute positions before an
         insertion needs to compare against them.
         """
-        position = self._relation_position[relation_name]
-        store_position = -1
-        for store_position, record in enumerate(
-            self._database.tuples(relation_name)
-        ):
-            self._order[record.tid] = (position, store_position)
-        self._relation_tail[relation_name] = store_position + 1
+        keys = self._database.relation_key_order(relation_name)
+        self._relation_tail[relation_name] = len(keys)
+        positions = self._order[relation_name] = dict(zip(keys, range(len(keys))))
+        return positions
 
     def _post(self, record: Tuple, attributes: Iterable[str], place) -> None:
-        """Post one tuple under its tokens, attribute by attribute and
-        each token once per attribute, through ``place(posting list,
+        """Post one tuple under its tokens through ``place(posting list,
         posting)``: ``list.append`` when tuples arrive in posting order
         (a build), :meth:`_insort` otherwise."""
         tid = record.tid
-        values = record.values
-        posted: dict[str, None] = {}
-        for attribute in attributes:
-            value = values.get(attribute)
-            if value is None:
-                continue
-            text = str(value)
-            whole = text.lower()
-            tokens = dict.fromkeys(tokenize(text))
-            if whole:
-                # Values that tokenise away entirely (e.g. punctuation-only)
-                # are still matchable as whole values.
-                tokens.setdefault(whole)
-            for token in tokens:
-                place(self._postings[token], Posting(tid, attribute, token == whole))
-            posted.update(tokens)
-        self._tokens_by_tid[tid] = tuple(posted)
+        for token, attribute, whole in _posted(record.values, attributes):
+            place(self._postings[token], Posting(tid, attribute, whole))
+
+    def _tokens(self, relation_name: str, values) -> dict[str, None]:
+        """The distinct tokens ``values`` post a tuple of a relation under."""
+        return dict.fromkeys(
+            token
+            for token, __, ___ in _posted(values, self._attributes[relation_name])
+        )
 
     def _insort(self, postings: list[Posting], posting: Posting) -> None:
+        # A list holds one block per relation, in schema order: store
+        # positions are compared only inside the posting's own block, so
+        # other relations' order keys (and stores) are never derived.
+        rank = self._relation_position
+        block = rank[posting.tid.relation]
+        lo = bisect_left(postings, block, key=lambda p: rank[p.tid.relation])
+        hi = bisect_right(postings, block, lo, key=lambda p: rank[p.tid.relation])
+        positions = self._order[posting.tid.relation]
         # insort places equal keys to the right, so the several postings of
         # one tuple keep their attribute order.
-        insort(postings, posting, key=lambda p: self._order[p.tid])
+        insort(postings, posting, lo, hi, key=lambda p: positions[p.tid.key])
 
     def _index_record(self, record: Tuple) -> None:
-        if record.tid not in self._order:
+        positions = self._order[record.relation]
+        if record.tid.key not in positions:
             # Tuple not (yet) in the database store: place it after every
             # stored tuple of its relation.
-            position = self._relation_position[record.relation]
-            tail = self._relation_tail.get(
-                record.relation, self._database.count(record.relation)
-            )
-            self._order[record.tid] = (position, tail)
+            tail = self._relation_tail[record.relation]
+            positions[record.tid.key] = tail
             self._relation_tail[record.relation] = tail + 1
-        relation = self._database.schema.relation(record.relation)
-        self._post(
-            record, [attribute.name for attribute in relation.attributes],
-            self._insort,
-        )
-        self._indexed.add(record.tid)
+        self._post(record, self._attributes[record.relation], self._insort)
 
     def add_tuple(self, record: Tuple) -> None:
         """Index one tuple (no-op if already indexed).
@@ -343,10 +311,15 @@ class InvertedIndex:
         tuple from the middle of the store (the remove/re-add round trip)
         re-derives the relation's order with one scan.
         """
-        self._ensure_tokens()
-        if record.tid in self._indexed:
+        # Whether the tuple's postings are in place shows in the list of
+        # its first token.
+        first = next(_posted(record.values, self._attributes[record.relation]), None)
+        if first is not None and any(
+            p.tid == record.tid for p in self._postings.get(first[0], ())
+        ):
             return
-        if record.tid not in self._order:
+        positions = self._order.get(record.relation)
+        if positions is not None and record.tid.key not in positions:
             # A cached order key (from a refresh, or preserved across a
             # value-update reindex) is still relatively correct — only a
             # keyless mid-store tuple needs the relation rescanned.
@@ -357,54 +330,61 @@ class InvertedIndex:
         self._index_record(record)
 
     def append_tuples(self, records: Iterable[Tuple]) -> None:
-        """Index tuples that form, in the given order, the tail of their
-        relation's store — what a mutation batch leaves behind.
+        """Index tuples not yet indexed that form, in the given order, the
+        tail of their relation's store — what a mutation batch leaves
+        behind.
 
         Each takes the relation's next order position in O(1), however
         many the batch appended; :meth:`add_tuple` on anything but the
         single last tuple would rescan the relation instead.
         """
-        self._ensure_tokens()
         for record in records:
-            if record.tid not in self._indexed:
-                self._index_record(record)
+            self._index_record(record)
 
-    def reindex_tuple(self, record: Tuple) -> None:
-        """Refresh one tuple's postings after a value update.
+    def reindex_tuple(self, record: Tuple, before=None) -> None:
+        """Refresh one tuple's postings after a value update; ``before``
+        are the values it was posted under (:meth:`remove_tuple`).
 
         The tuple's store position is unchanged by an update, so its
-        order key is preserved across the remove/re-add — no relation
-        scan, and posting order stays equal to a fresh build.
+        order key stays — no relation scan, and posting order stays
+        equal to a fresh build.
         """
-        order = self._order.get(record.tid)
-        self.remove_tuple(record.tid)
-        if order is not None:
-            self._order[record.tid] = order
-        self.add_tuple(record)
+        self._unpost(record.tid, before)
+        self._index_record(record)
 
-    def remove_tuple(self, tid: TupleId) -> None:
-        """Drop all postings of one tuple."""
-        self._ensure_tokens()
-        if tid not in self._indexed:
-            return
-        for token in self._tokens_by_tid.pop(tid, ()):
+    def remove_tuple(self, tid: TupleId, values=None) -> None:
+        """Drop all postings of one tuple.
+
+        ``values`` are the values the tuple was posted under — its
+        pre-mutation image — and name the posting lists to edit; without
+        them every list is searched.
+        """
+        self._unpost(tid, values)
+        self._order.get(tid.relation, {}).pop(tid.key, None)
+
+    def _unpost(self, tid: TupleId, values) -> None:
+        tokens = (
+            list(self._postings) if values is None
+            else self._tokens(tid.relation, values)
+        )
+        for token in tokens:
             postings = self._postings.get(token)
             if postings is None:
                 continue
             postings[:] = [p for p in postings if p.tid != tid]
             if not postings:
                 del self._postings[token]
-        self._indexed.discard(tid)
-        self._order.pop(tid, None)
 
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
     def tokens_of(self, tid: TupleId) -> tuple[str, ...]:
-        """The tokens one indexed tuple is posted under (empty when the
-        tuple is not indexed)."""
-        self._ensure_tokens()
-        return self._tokens_by_tid.get(tid, ())
+        """The tokens one tuple's current values post it under (empty
+        when the database does not hold it)."""
+        record = self._database.get(tid.relation, *tid.key)
+        if record is None:
+            return ()
+        return tuple(self._tokens(tid.relation, record.values))
 
     def postings(self, keyword: str) -> tuple[Posting, ...]:
         """All postings of a keyword (word-level match), lower-cased."""
@@ -444,12 +424,12 @@ class InvertedIndex:
         return len(self.matching_tuples(keyword))
 
     def indexed_count(self) -> int:
-        """Number of tuples currently indexed (the IR collection size)."""
-        self._ensure_tokens()
-        return len(self._indexed)
+        """Number of tuples currently indexed (the IR collection size):
+        the index covers the whole database."""
+        return self._database.count()
 
     def __contains__(self, keyword: str) -> bool:
         return keyword.strip().lower() in self._postings
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"InvertedIndex(tokens={len(self._postings)}, tuples={len(self._indexed)})"
+        return f"InvertedIndex(tokens={len(self._postings)})"

@@ -19,21 +19,20 @@ relative to the data area, so the TOC's own size never feeds back into
 it).  Every section is integrity-checked on open; corruption, truncation
 and format or platform mismatches raise
 :class:`~repro.errors.SnapshotError` instead of producing a silently
-wrong engine.
+wrong engine (binary sections also against their structure).
 
 A compacted file may end in a ``delta`` section (:func:`write_delta_snapshot`):
 WAL record frames that open replays from ``meta.base_version`` up to
-``meta.engine_version``.  Such a file carries format 2, so a reader
+``meta.engine_version``.  Such a file carries format 4, so a reader
 that would ignore the section refuses it.
 
-Restoration is lazy wherever queries allow it:
+Restoration is lazy wherever queries and replayed WAL records allow it:
 
 * the CSR ``array('i')`` buffers are zero-copy ``memoryview`` casts
-  over the mapped file;
-* edge-payload dicts materialise per CSR entry on first touch
-  (:class:`_LazyEdgeData`);
-* posting lists decode per token on first lookup
-  (:class:`~repro.relational.index._LazyPostings`);
+  over the mapped file (the one-byte edge keys decode at open);
+* the interning table decodes per relation (:class:`_Interning`),
+  edge-payload dicts per CSR entry (:class:`_LazyEdgeData`), posting
+  lists per token (:class:`_PostingColumns`), each on first touch;
 * the networkx tuple graph — only needed by the reference/fast cores
   and by joining-network metrics — builds on first demand
   (:class:`~repro.graph.data_graph.DataGraph` is lazy); a pure-CSR
@@ -71,24 +70,30 @@ from repro.relational.statistics import DatabaseStatistics
 __all__ = ["SNAPSHOT_FORMAT", "Snapshot", "write_snapshot", "load_engine"]
 
 _MAGIC = b"REPROSNP\x01"
-SNAPSHOT_FORMAT = 1
-_DELTA_FORMAT = 2  # of a file that carries a ``delta`` section
-#: A ``delta`` holds up to 1/32 of the base sections' bytes — ≈ 210 bib
-#: records, where replaying it on open costs about one full rewrite.
-DELTA_FRACTION = 32
+SNAPSHOT_FORMAT = 3
+_DELTA_FORMAT = 4  # of a file that carries a ``delta`` section
+#: A ``delta`` holds up to 1/8 of the base sections' bytes — ≈ 400 bib
+#: records, whose replay on open (≈ 0.6 ms each) costs about what one
+#: full rewrite does (≈ 0.35 s).
+DELTA_FRACTION = 8
 
 _REQUIRED_SECTIONS = (
     "meta",
     "schema",
-    "interning",
     "csr_offsets",
     "csr_targets",
     "edge_keys",
     "edge_ref",
     "postings",
-    "tokens",
     "stats",
 )
+
+#: Posting flag bits: the keyword is the whole attribute value; the
+#: posting opens its token's slice.
+_WHOLE = 0x01
+_FIRST = 0x80
+#: What a stored primary-key value may decode to.
+_KEY_TYPES = {str, int, float, bool}
 
 
 class _LazyStores(dict):
@@ -144,112 +149,93 @@ class _LazyStores(dict):
             yield name, self[name]
 
 
-class _LazyTidList:
-    """The interning table, decoded from JSON and into :class:`TupleId`
-    objects on demand.
+class _Interning:
+    """The interning table — node int -> :class:`TupleId` — decoded per
+    relation on demand.
 
-    Kernels touch tuple ids only at yield boundaries and the interning
-    map only for a query's match tuples, so opening a snapshot should
-    not construct one object per node up front.  The list supports the
-    patching operations :meth:`FrozenGraph.apply_changeset` performs
-    (append for new nodes, ``None`` assignment for tombstones); full
-    iteration — a save, a node-map build — materialises everything once.
+    Nodes are in ``_sort_key`` order, so each relation owns one run of
+    them (``meta.interning``: ``[relation, count]`` in node order), its
+    primary keys flattened into its own ``interning:<relation>`` section,
+    parsed the first time a node of the run or the relation's node map
+    (:meth:`nodes_of`, which builds no tuple id) is asked for.  The table
+    takes the patches :meth:`FrozenGraph.apply_changeset` makes (append,
+    ``None`` for a tombstone); iterating it (an index past the end raises
+    ``IndexError``) builds every tuple id.
     """
 
-    __slots__ = ("_load", "_raw", "_length", "_cache", "_appended")
+    __slots__ = ("_snapshot", "_runs", "_length", "_keys", "_cache", "_appended")
 
-    def __init__(self, loader, length: int) -> None:
-        self._load = loader
-        self._raw = None
-        self._length = length
+    def __init__(self, snapshot: "Snapshot", schema) -> None:
+        self._snapshot = snapshot
+        #: ``(relation, first node, count, key width)`` in node order.
+        self._runs = []
+        start = 0
+        for relation, count in snapshot.meta["interning"]:
+            width = len(schema.relation(relation).primary_key)
+            self._runs.append((relation, start, count, width))
+            start += count
+        self._length = start
+        #: Per run, its primary keys once parsed.
+        self._keys: list[Optional[list]] = [None] * len(self._runs)
         self._cache: dict[int, Optional[TupleId]] = {}
         self._appended: list = []
 
-    def _entries(self):
-        if self._raw is None:
-            self._raw = self._load()
-            if len(self._raw) != self._length:
+    def _run_keys(self, at: int) -> list[tuple]:
+        keys = self._keys[at]
+        if keys is None:
+            relation, __, count, width = self._runs[at]
+            flat = self._snapshot.json(f"interning:{relation}")
+            if (
+                not isinstance(flat, list)
+                or len(flat) != count * width
+                or not set(map(type, flat)) <= _KEY_TYPES
+            ):
                 raise SnapshotError(
-                    "interning section length disagrees with the meta section",
-                    expected=self._length,
-                    got=len(self._raw),
+                    "interning section disagrees with the meta section",
+                    relation=relation,
+                    expected=count,
                 )
-        return self._raw
+            keys = self._keys[at] = list(zip(*[iter(flat)] * width))
+        return keys
 
     def __len__(self) -> int:
         return self._length + len(self._appended)
 
     def __getitem__(self, node: int):
-        if node < 0:
-            node += len(self)
         if node >= self._length:
             return self._appended[node - self._length]
         try:
             return self._cache[node]
         except KeyError:
-            relation, key = self._entries()[node]
-            tid = TupleId(relation, tuple(key))
-            self._cache[node] = tid
+            at = bisect_right(self._runs, node, key=lambda run: run[1]) - 1
+            relation, start = self._runs[at][:2]
+            key = self._run_keys(at)[node - start]
+            tid = self._cache[node] = TupleId(relation, key)
             return tid
 
     def __setitem__(self, node: int, value) -> None:
         if node >= self._length:
             self._appended[node - self._length] = value
         else:
-            self._entries()  # keep length validation even on tombstoning
             self._cache[node] = value
-            self._raw[node] = None if value is None else [value.relation, list(value.key)]
 
     def append(self, value) -> None:
         self._appended.append(value)
 
-    def __iter__(self):
-        for node in range(len(self)):
-            yield self[node]
-
-
-class _LazyJsonList:
-    """A JSON-array section parsed on first element access.
-
-    The expected length comes from the meta section, so ``len()`` —
-    which consistency checks and scratch-buffer sizing need at open
-    time — never triggers the parse.
-    """
-
-    __slots__ = ("_load", "_data", "_length")
-
-    def __init__(self, loader, length: int) -> None:
-        self._load = loader
-        self._data = None
-        self._length = length
-
-    def _items(self) -> list:
-        if self._data is None:
-            self._data = self._load()
-            if len(self._data) != self._length:
-                raise SnapshotError(
-                    "section length disagrees with the meta section",
-                    expected=self._length,
-                    got=len(self._data),
-                )
-        return self._data
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, position):
-        return self._items()[position]
-
-    def __iter__(self):
-        return iter(self._items())
+    def nodes_of(self, relation: str) -> dict:
+        """Primary key -> node int of one relation's stored run."""
+        for at, (name, start, count, __) in enumerate(self._runs):
+            if name == relation:
+                return dict(zip(self._run_keys(at), range(start, start + count)))
+        return {}
 
 
 class _LazyEdgeData:
     """Edge-payload dicts materialised per CSR entry on first access.
 
     A payload dict is ``{"foreign_key": fk, "referencing": tid}`` —
-    derivable from the stored edge key (the FK name), the reference
-    flag and the interning table, so the snapshot stores one byte per
+    derivable from the edge key (the FK name), the stored reference
+    flag and the interning table, so the snapshot stores two bytes per
     entry instead of a pickled dict, and opening defers all dict
     allocation to the queries that walk the edges.
     """
@@ -287,6 +273,77 @@ class _LazyEdgeData:
             yield self[position]
 
 
+class _PostingColumns:
+    """The binary ``postings`` section: ``int32`` offsets (a token's
+    postings are slots ``offsets[t]:offsets[t + 1]``), one column each of
+    node ``int32``, attribute-id byte and flag byte per slot, then the
+    token directory, a JSON list in offset order.  :meth:`pending` parses
+    the directory alone; :meth:`decode` reads one token's slice, checked
+    against the structure: inside the columns, ``_FIRST`` on exactly its
+    first posting, node ids below the stored count, attribute ids inside
+    their table.
+    """
+
+    def __init__(self, snapshot: "Snapshot", tid_of, attributes: list) -> None:
+        tokens, postings, directory = snapshot.meta["postings"]
+        nodes = 4 * (tokens + 1)
+        self._columns = nodes + 6 * postings  # where the directory starts
+        if snapshot._toc["postings"][1] != self._columns + directory:
+            raise SnapshotError(
+                "snapshot postings section disagrees with the meta section",
+                path=str(snapshot.path),
+            )
+        attributes_at, flags_at = nodes + 4 * postings, nodes + 5 * postings
+        self._offsets = snapshot.int_array("postings", 0, nodes)
+        self._nodes = snapshot.int_array("postings", nodes, attributes_at)
+        self._attributes = snapshot.int_array("postings", attributes_at, flags_at, "B")
+        self._flags = snapshot.int_array("postings", flags_at, self._columns, "B")
+        self._snapshot, self._tid_of, self._names = snapshot, tid_of, attributes
+
+    def _damaged(self, **where) -> SnapshotError:
+        return SnapshotError(
+            "snapshot postings are inconsistent", path=str(self._snapshot.path), **where
+        )
+
+    def pending(self) -> dict[str, range]:
+        """Token -> the ``range`` of its posting slots, every token."""
+        with self._snapshot._section("postings") as view:
+            directory = view[self._columns:].tobytes()
+        try:
+            tokens = json.loads(directory)
+        except ValueError:
+            tokens = None
+        offsets = self._offsets.tolist()
+        if not (
+            isinstance(tokens, list)
+            and set(map(type, tokens)) <= {str}
+            and len(set(tokens)) == len(tokens) == len(offsets) - 1
+        ):
+            raise self._damaged(problem="token directory")
+        return dict(zip(tokens, map(range, offsets, offsets[1:])))
+
+    def decode(self, span: range) -> list:
+        """One token's postings, validated as they are read."""
+        start, stop = span.start, span.stop
+        nodes = self._nodes[start:stop].tolist()
+        attributes = self._attributes[start:stop].tobytes()
+        flags = self._flags[start:stop].tobytes()
+        if not (
+            0 <= start < stop <= len(self._nodes)
+            and flags[0] & ~_WHOLE == _FIRST
+            and not flags[1:].translate(None, bytes((0, _WHOLE)))
+            and (stop == len(self._flags) or self._flags[stop] & _FIRST)
+            and 0 <= min(nodes) <= max(nodes) < len(self._tid_of)
+            and max(attributes) < len(self._names)
+        ):
+            raise self._damaged(postings=[start, stop])
+        tid_of, names = self._tid_of, self._names
+        return [
+            Posting(tid_of[node], names[attribute], bool(flag & _WHOLE))
+            for node, attribute, flag in zip(nodes, attributes, flags)
+        ]
+
+
 # ----------------------------------------------------------------------
 # writing
 # ----------------------------------------------------------------------
@@ -316,10 +373,43 @@ def _folded(engine) -> FrozenGraph:
     if frozen._override:
         frozen._compile()
         frozen.compactions += 1
-    frozen._node_map()
     if isinstance(engine.index._postings, _LazyPostings):
         engine.index._postings.decode_all()
     return frozen
+
+
+def _id_tables(schema) -> tuple[list, list[str]]:
+    """What the one-byte ids of ``edge_keys`` and of the postings'
+    attribute column index: the schema's foreign keys and attribute
+    names, in schema order."""
+    return list(schema.foreign_keys), list(dict.fromkeys(
+        attribute.name
+        for relation in schema.relations
+        for attribute in relation.attributes
+    ))
+
+
+def _encode_postings(postings, node_of, attribute_id: dict) -> tuple[bytes, list]:
+    """The binary ``postings`` section (:class:`_PostingColumns`) and its
+    ``[tokens, postings, directory bytes]`` counts for ``meta``."""
+    tokens = sorted(token for token, entries in postings.items() if entries)
+    offsets = array("i", [0])
+    nodes = array("i")
+    attributes = bytearray()
+    flags = bytearray()
+    for token in tokens:
+        first = _FIRST
+        for posting in postings[token]:
+            nodes.append(node_of(posting.tid))
+            attributes.append(attribute_id[posting.attribute])
+            flags.append(first | posting.whole_value)
+            first = 0
+        offsets.append(len(nodes))
+    directory = _json_bytes(tokens)
+    blob = b"".join(
+        (offsets.tobytes(), nodes.tobytes(), attributes, flags, directory)
+    )
+    return blob, [len(tokens), len(nodes), len(directory)]
 
 
 def write_snapshot(engine, path: Union[str, Path]) -> dict:
@@ -332,11 +422,12 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
     """
     frozen = _folded(engine)
     capacity = frozen.capacity
-    node_of = frozen._node_map()
-
-    interning = [
-        [tid.relation, list(tid.key)] for tid in frozen._tid_of
-    ]
+    schema = engine.database.schema
+    tids = list(frozen._tid_of)
+    # Folded: no tombstones, and each relation one run in node order.
+    runs: dict[str, list] = {}
+    for tid in tids:
+        runs.setdefault(tid.relation, []).append(tid.key)
 
     edge_data = frozen._edge_data
     if isinstance(edge_data, _LazyEdgeData):
@@ -346,21 +437,16 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
     else:
         edge_ref = bytearray(len(frozen._targets))
         for node in range(capacity):
-            owner = frozen._tid_of[node]
+            owner = tids[node]
             for entry in range(frozen._offsets[node], frozen._offsets[node + 1]):
                 edge_ref[entry] = edge_data[entry]["referencing"] == owner
-
-    engine.index._ensure_tokens()  # deferred token state must serialise
-    postings_doc: dict[str, list] = {}
-    for token, postings in engine.index._postings.items():
-        postings_doc[token] = [
-            [node_of[posting.tid], posting.attribute, int(posting.whole_value)]
-            for posting in postings
-        ]
-    tokens_doc = [
-        [node_of[tid], list(tokens)]
-        for tid, tokens in engine.index._tokens_by_tid.items()
-    ]
+    foreign_keys, attributes = _id_tables(schema)
+    fk_id = {fk.name: at for at, fk in enumerate(foreign_keys)}
+    postings, posting_counts = _encode_postings(
+        engine.index._postings,
+        frozen.node_of,
+        {name: at for at, name in enumerate(attributes)},
+    )
 
     shard_plan = getattr(engine, "_shard_plan", None)
     meta = {
@@ -375,22 +461,26 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
         "nodes": capacity,
         "entries": len(frozen._targets),
         "tuples": engine.database.count(),
-        "schema": engine.database.schema.name,
+        "schema": schema.name,
+        "interning": [[relation, len(keys)] for relation, keys in runs.items()],
+        "postings": posting_counts,
     }
 
     sections: list[tuple[str, bytes]] = [
         ("meta", _json_bytes(meta)),
-        ("schema", _json_bytes(schema_to_dict(engine.database.schema))),
-        ("interning", _json_bytes(interning)),
+        ("schema", _json_bytes(schema_to_dict(schema))),
+        *(
+            (f"interning:{relation}", _json_bytes([v for key in keys for v in key]))
+            for relation, keys in runs.items()
+        ),
         ("csr_offsets", frozen._offsets.tobytes()),
         ("csr_targets", frozen._targets.tobytes()),
-        ("edge_keys", _json_bytes(list(frozen._edge_keys))),
+        ("edge_keys", bytes(map(fk_id.__getitem__, frozen._edge_keys))),
         ("edge_ref", bytes(edge_ref)),
-        ("postings", _json_bytes(postings_doc)),
-        ("tokens", _json_bytes(tokens_doc)),
+        ("postings", postings),
         ("stats", _json_bytes(_statistics_doc(engine))),
     ]
-    for relation in engine.database.schema.relations:
+    for relation in schema.relations:
         records = engine.database.tuples(relation.name)
         sections.append((
             f"rows:{relation.name}",
@@ -626,10 +716,11 @@ class Snapshot:
                 problem=str(error),
             ) from None
 
-    def int_array(self, name: str) -> memoryview:
-        """One array section as a zero-copy ``int`` view over the mmap."""
-        cast = self.section(name).cast("i")
-        self._exported.append(cast)
+    def int_array(self, name: str, start=0, stop=None, typecode="i") -> memoryview:
+        """Bytes ``start:stop`` of a section as a zero-copy int view on the mmap."""
+        part = self.section(name)[start:stop]
+        cast = part.cast(typecode)
+        self._exported.extend((part, cast))
         return cast
 
     def close(self) -> None:
@@ -746,16 +837,19 @@ def _load_engine(
 
     data_graph = DataGraph(database)
 
-    tid_of = _LazyTidList(
-        lambda: snapshot.json("interning"),
-        meta.get("base_nodes", meta.get("nodes", 0)),
-    )
+    fks, attributes = _id_tables(schema)
+    tid_of = _Interning(snapshot, schema)
+    columns = _PostingColumns(snapshot, tid_of, attributes)
     offsets = snapshot.int_array("csr_offsets")
     targets = snapshot.int_array("csr_targets")
+    edge_ids = snapshot.read("edge_keys")
     edge_ref = snapshot.section("edge_ref")
-    if len(offsets) != len(tid_of) + 1 or len(targets) != meta.get(
-        "base_entries", meta.get("entries", -1)
-    ) or len(edge_ref) != len(targets):
+    if (
+        len(tid_of) != meta.get("base_nodes", meta.get("nodes"))
+        or len(offsets) != len(tid_of) + 1
+        or len(targets) != meta.get("base_entries", meta.get("entries"))
+        or not len(edge_ref) == len(edge_ids) == len(targets)
+    ):
         raise SnapshotError(
             "snapshot CSR sections are inconsistent",
             path=str(path),
@@ -763,20 +857,11 @@ def _load_engine(
             offsets=len(offsets),
             entries=len(targets),
         )
-    fk_by_name = {fk.name: fk for fk in schema.foreign_keys}
-
-    def load_edge_keys() -> list:
-        keys = snapshot.json("edge_keys")
-        missing = set(keys) - set(fk_by_name)
-        if missing:
-            raise SnapshotError(
-                "snapshot edges reference unknown foreign keys",
-                path=str(path),
-                missing=sorted(missing)[:5],
-            )
-        return keys
-
-    edge_keys = _LazyJsonList(load_edge_keys, len(targets))
+    if edge_ids.translate(None, bytes(range(len(fks)))):
+        raise SnapshotError(
+            "snapshot edges carry an unknown foreign-key id", path=str(path)
+        )
+    edge_keys = list(map([fk.name for fk in fks].__getitem__, edge_ids))
 
     # Rows the snapshot itself stores.  Live appends grow ``tid_of``
     # past this, but appended nodes keep their edges in override side
@@ -790,7 +875,9 @@ def _load_engine(
         owner = bisect_right(offsets, position, 0, stored_nodes) - 1
         return owner, targets[position]
 
-    edge_data = _LazyEdgeData(fk_by_name, tid_of, edge_keys, edge_ref, owner_of_entry)
+    edge_data = _LazyEdgeData(
+        {fk.name: fk for fk in fks}, tid_of, edge_keys, edge_ref, owner_of_entry
+    )
     # The vector backend wraps the mmap-backed CSR sections in zero-copy
     # numpy views (engine.close() drops them before the mmap closes).
     vector = engine_options.get("vector")
@@ -802,21 +889,9 @@ def _load_engine(
     cache._frozen = frozen
     frozen._counters = cache
 
-    def decode_postings(entries):
-        return [
-            Posting(tid_of[node], attribute, bool(whole))
-            for node, attribute, whole in entries
-        ]
-
-    postings = _LazyPostings(lambda: snapshot.json("postings"), decode_postings)
-
-    def load_tokens():
-        return {
-            tid_of[node]: tuple(tokens)
-            for node, tokens in snapshot.json("tokens")
-        }
-
-    index = InvertedIndex.from_state(database, postings, load_tokens)
+    index = InvertedIndex.from_state(
+        database, _LazyPostings(columns.pending, columns.decode)
+    )
 
     engine = KeywordSearchEngine._from_parts(
         database=database,

@@ -23,7 +23,9 @@ from repro.durable import compact_snapshot, default_wal_path
 from repro.errors import WalError
 from repro.live.changes import Insert, Update, apply_to_database
 from repro.scale import snapshot as snapshot_module
-from repro.scale.snapshot import Snapshot
+from repro.scale.snapshot import SNAPSHOT_FORMAT, Snapshot
+
+DELTA_FORMAT = SNAPSHOT_FORMAT + 1  # of a file that ends in a delta
 
 CONFIG = SyntheticConfig(
     departments=2,
@@ -249,7 +251,7 @@ class TestOfflineCompactionThroughTheDelta(TestOfflineCompaction):
         assert compact_snapshot(path).records_folded == 2
 
         file_format, after, meta, records = toc_of(path)
-        assert file_format == 2 and records == 2
+        assert file_format == DELTA_FORMAT and records == 2
         assert (meta["base_version"], meta["engine_version"]) == (0, version)
         assert list(after) == list(before) + ["delta"]
         for name, (__, length, crc) in before.items():
@@ -310,7 +312,7 @@ class TestDeltaThreshold:
                 "base_version", meta["engine_version"]
             )
             assert (file_format, "delta" in sections) == (
-                (2, True) if records else (1, False)
+                (DELTA_FORMAT, True) if records else (SNAPSHOT_FORMAT, False)
             )
             assert meta["engine_version"] == counter + 1
             if records:
@@ -340,7 +342,9 @@ class TestDeltaThreshold:
         other = str(tmp_path / "saved.snap")
         engine.save(other)
         file_format, sections, meta, records = toc_of(other)
-        assert (file_format, records, "delta" in sections) == (1, 0, False)
+        assert (file_format, records, "delta" in sections) == (
+            SNAPSHOT_FORMAT, 0, False
+        )
         assert "base_version" not in meta
         assert meta["engine_version"] == engine.version == 2
         engine.close()
@@ -352,7 +356,7 @@ class TestDeltaThreshold:
         # the bytes on disk are no longer the base the WAL extends.
         engine.save(path)
         assert engine.compact_wal().records_folded == 1
-        assert toc_of(path)[0] == 1
+        assert toc_of(path)[0] == SNAPSHOT_FORMAT
 
         # A base that fails its CRC verify is never copied either.
         engine.apply(mixed_batch(engine.database, 1))
@@ -361,7 +365,7 @@ class TestDeltaThreshold:
         with open(path, "wb") as handle:
             handle.write(bytes(blob))
         engine.compact_wal()
-        assert toc_of(path)[0] == 1
+        assert toc_of(path)[0] == SNAPSHOT_FORMAT
         engine.close()
         reopened = KeywordSearchEngine.open(path, wal=True)
         assert reopened.version == 2
@@ -370,7 +374,7 @@ class TestDeltaThreshold:
     def test_empty_wal_compaction_writes_no_delta(self, tmp_path, delta_path):
         path, engine = self._engine(tmp_path)
         assert engine.compact_wal().records_folded == 0
-        assert toc_of(path)[0] == 1
+        assert toc_of(path)[0] == SNAPSHOT_FORMAT
         engine.close()
 
 
@@ -395,7 +399,7 @@ class TestHotSwapOntoADeltaSnapshot(TestHotSwapUnderLoad):
             engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
         ) == expected
         assert engine.compact_wal().workers_reopened == 2
-        assert toc_of(path)[::3] == (2, 3)
+        assert toc_of(path)[::3] == (DELTA_FORMAT, 3)
         assert rendered(
             engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
         ) == expected

@@ -54,6 +54,31 @@ class TestMaintainers:
             InvertedIndex(company_db)
         )
 
+    @pytest.mark.parametrize("then", ["delete", "rename", "reinsert"])
+    def test_index_unposts_the_pre_batch_image(self, company_db, then):
+        # The index holds a tuple under its pre-batch tokens only; a
+        # batch that renames it and then deletes, renames again or
+        # re-inserts it must unpost exactly those.
+        index = InvertedIndex(company_db)
+        t1 = tid("DEPENDENT", "t1")
+        before = dict(company_db.tuple(t1).values)
+        follow = {
+            "delete": [Delete(t1)],
+            "rename": [Update(t1, {"DEPENDENT_NAME": "Quentin"})],
+            "reinsert": [Delete(t1), Insert("DEPENDENT", {
+                **before, "DEPENDENT_NAME": "Quentin",
+            })],
+        }[then]
+        changeset = apply_to_database(
+            company_db,
+            [Update(t1, {"DEPENDENT_NAME": "Renamed"})] + follow,
+        )
+        assert changeset.before == {t1: before}
+        apply_changeset(changeset, company_db, index=index)
+        assert index_signature(index) == index_signature(
+            InvertedIndex(company_db)
+        )
+
     def test_index_after_delete_reinsert_equals_fresh_build(self, company_db):
         # A replace moves the tuple to the relation's store tail; its
         # posting position must follow (posting order included).
@@ -85,7 +110,6 @@ class TestMaintainers:
                 company_db,
                 defaultdict(list, {token: list(built.postings(token))
                                    for token in built.vocabulary()}),
-                dict(built._tokens_by_tid),
             )
         else:
             index = InvertedIndex(company_db)
@@ -110,11 +134,11 @@ class TestMaintainers:
         refresh = index._refresh_order
         monkeypatch.setattr(
             index, "_refresh_order",
-            lambda relation: (rescans.append(relation), refresh(relation)),
+            lambda relation: rescans.append(relation) or refresh(relation),
         )
         if restored:
             # Installed by from_state with the original bound method.
-            index._order._refresh = index._refresh_order
+            index._order._fill = index._refresh_order
         apply_changeset(changeset, company_db, index=index)
         assert index_signature(index) == index_signature(
             InvertedIndex(company_db)

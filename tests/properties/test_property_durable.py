@@ -11,6 +11,9 @@ A second property interleaves ``apply`` / ``compact_wal`` / close +
 ``open(wal=True)`` with the delta threshold set small enough that the
 steps cross it: whatever mix of delta appends and full rewrites the
 pair went through, reopening it lands on the engine built from scratch.
+Its batches rename, delete and replace tuples whose tokens change — the
+index unposts them from their pre-batch images, so a rename followed by
+a delete in one batch must unpost the name the index actually holds.
 """
 
 import os
@@ -49,7 +52,11 @@ configs = st.builds(
     seed=st.integers(min_value=0, max_value=30),
 )
 
-_KINDS = ("insert_dependent", "update_description", "delete_dependent")
+_KINDS = (
+    "insert_dependent", "update_description", "delete_dependent",
+    "rename_dependent", "rename_then_delete", "replace_dependent",
+)
+_NAMES = ("kwbeta", "kwalpha", "plainname")
 
 operations = st.lists(
     st.tuples(st.sampled_from(_KINDS),
@@ -71,25 +78,40 @@ def planted_database(config):
     return database
 
 
-def build_mutation(database, kind, salt, counter):
+def build_batch(database, kind, salt, counter):
+    """Deterministically derive one valid batch from the current state."""
     employees = database.tuples("EMPLOYEE")
     if kind == "insert_dependent":
         essn = employees[salt % len(employees)].tid.key[0]
-        name = ("kwbeta", "kwalpha", "plainname")[salt % 3]
-        return Insert(
+        return [Insert(
             "DEPENDENT",
-            {"ID": f"dur{counter}", "ESSN": essn, "DEPENDENT_NAME": name},
-        )
+            {"ID": f"dur{counter}", "ESSN": essn,
+             "DEPENDENT_NAME": _NAMES[salt % 3]},
+        )]
     if kind == "update_description":
         departments = database.tuples("DEPARTMENT")
         department = departments[salt % len(departments)]
         text = ("kwalpha research", "plain words only",
                 "kwbeta and kwalpha notes")[salt % 3]
-        return Update(department.tid, {"D_DESCRIPTION": text})
+        return [Update(department.tid, {"D_DESCRIPTION": text})]
     victims = database.tuples("DEPENDENT")
     if not victims:
-        return None
-    return Delete(victims[salt % len(victims)].tid)
+        return []
+    victim = victims[salt % len(victims)]
+    # A name the victim does not carry yet: its tokens change.
+    renamed = next(
+        name for name in _NAMES[salt % 3:] + _NAMES
+        if name != victim["DEPENDENT_NAME"]
+    )
+    if kind == "rename_dependent":
+        return [Update(victim.tid, {"DEPENDENT_NAME": renamed})]
+    if kind == "rename_then_delete":
+        return [Update(victim.tid, {"DEPENDENT_NAME": renamed}),
+                Delete(victim.tid)]
+    if kind == "replace_dependent":
+        return [Delete(victim.tid),
+                Insert("DEPENDENT", {**victim.values, "DEPENDENT_NAME": renamed})]
+    return [Delete(victim.tid)]
 
 
 def state_of(engine):
@@ -119,10 +141,7 @@ class TestTruncationProperty:
             engine.save(path)
             engine.attach_wal()
             for counter, (kind, salt) in enumerate(ops):
-                mutation = build_mutation(
-                    engine.database, kind, salt, counter
-                )
-                engine.apply([] if mutation is None else [mutation])
+                engine.apply(build_batch(engine.database, kind, salt, counter))
             engine.close()
 
             wal_path = default_wal_path(path)
@@ -153,10 +172,7 @@ class TestTruncationProperty:
             # surviving prefix of batches live.
             oracle = KeywordSearchEngine.open(path)
             for counter, (kind, salt) in enumerate(ops[:surviving]):
-                mutation = build_mutation(
-                    oracle.database, kind, salt, counter
-                )
-                oracle.apply([] if mutation is None else [mutation])
+                oracle.apply(build_batch(oracle.database, kind, salt, counter))
 
             assert state_of(reopened) == state_of(oracle)
             for query in _QUERIES:
@@ -188,10 +204,9 @@ class TestTruncationProperty:
             engine.save(path)
             engine.attach_wal()
             for counter, (kind, salt_op) in enumerate(ops):
-                mutation = build_mutation(
-                    engine.database, kind, salt_op, counter
+                engine.apply(
+                    build_batch(engine.database, kind, salt_op, counter)
                 )
-                engine.apply([] if mutation is None else [mutation])
             engine.close()
 
             wal_path = default_wal_path(path)
@@ -257,10 +272,7 @@ class TestCompactionInterleavingProperty:
                     engine.close()
                     engine = KeywordSearchEngine.open(path, wal=True)
                 else:
-                    mutation = build_mutation(
-                        engine.database, kind, salt, counter
-                    )
-                    batch = [] if mutation is None else [mutation]
+                    batch = build_batch(engine.database, kind, salt, counter)
                     engine.apply(batch)
                     oracle.apply(batch)
                     counter += 1

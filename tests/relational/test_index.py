@@ -220,9 +220,6 @@ class TestOnePassBuild:
         assert dict(built._postings) == dict(grown._postings)
         assert built._order == grown._order
         assert built._relation_tail == grown._relation_tail
-        assert built._indexed == grown._indexed == {
-            record.tid for record in database.all_tuples()
-        }
         for record in database.all_tuples():
             assert built.tokens_of(record.tid) == grown.tokens_of(record.tid)
         assert [p.whole_value for p in built.postings("???")] == [True]

@@ -1,6 +1,9 @@
 """Snapshot round-trip, integrity and laziness tests."""
 
+import os
+import random
 import struct
+import sys
 
 import pytest
 
@@ -13,8 +16,9 @@ from repro.datasets.synthetic import (
     plant,
 )
 from repro.errors import SearchLimitError, SnapshotError
-from repro.live.changes import Delete, Insert, Update
+from repro.live.changes import Delete, Insert, Update, apply_to_database
 from repro.relational.database import TupleId
+from repro.relational.index import _posted, tokenize
 from repro.relational.statistics import DatabaseStatistics
 from repro.scale import snapshot as snapshot_module
 from repro.scale.snapshot import SNAPSHOT_FORMAT, Snapshot
@@ -260,6 +264,62 @@ class TestLaziness:
         restored.search("kwalpha kwbeta", limits=LIMITS)
         assert restored.data_graph.materialized
 
+    def test_replay_decodes_what_its_records_touch(self, tmp_path):
+        """open(wal=True) over the bib corpus with a tail of publish /
+        retitle / retract records: no per-tuple token table, posting
+        lists decoded only for tokens the records' before and after
+        images (then the queries) carry, node maps only for relations
+        the records name, sort keys only for the nodes they touch."""
+        sys.path.insert(0, os.path.join(
+            os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks", "e2e"
+        ))
+        try:
+            import corpus
+        finally:
+            del sys.path[0]
+        bib = corpus.generate("tiny", 7)
+        path = str(tmp_path / "bib.snap")
+        KeywordSearchEngine(bib.database()).save(path)
+        engine = KeywordSearchEngine.open(path, wal=True)
+        oracle_db = bib.database()
+        carried, named = set(), set()
+        for batch in bib.mutation_batches(8):
+            engine.apply(batch)
+            changeset = apply_to_database(oracle_db, batch)
+            images = list(changeset.before.items()) + [
+                (tid, oracle_db.tuple(tid).values)
+                for tid in changeset.touched()
+                if oracle_db.get(tid.relation, *tid.key) is not None
+            ]
+            for tid, values in images:
+                attributes = [
+                    a.name for a in oracle_db.schema.relation(tid.relation).attributes
+                ]
+                carried.update(token for token, __, ___ in _posted(values, attributes))
+            named.update(tid.relation for tid in changeset.touched())
+        engine.close()
+
+        restored = KeywordSearchEngine.open(path, wal=True)
+        assert restored.version == 8
+        index = restored.index
+        assert set(vars(index)) == {
+            "_database", "_postings", "_order", "_relation_position",
+            "_attributes", "_relation_tail",
+        }
+        with Snapshot(path) as snapshot:
+            assert "tokens" not in snapshot.sections()
+        assert set(dict.keys(index._postings)) <= carried
+        frozen = restored.traversal_cache.frozen()
+        assert set(frozen._node_of) <= named
+        assert len(frozen._keys) < frozen.capacity // 4
+
+        texts = bib.texts(4)
+        for text in texts:
+            restored.search(text, top_k=10)
+        asked = {token for text in texts for token in tokenize(text)}
+        assert set(dict.keys(index._postings)) <= carried | asked
+        restored.close()
+
     def test_postings_decode_only_touched_tokens(self, saved):
         __, path, ___ = saved
         restored = KeywordSearchEngine.open(path)
@@ -395,6 +455,20 @@ class TestIntegrity:
         with pytest.raises(SnapshotError, match="format"):
             Snapshot(path)
 
+    def test_previous_format_refused(self, saved, tmp_path):
+        """A file of the previous format — JSON postings and a stored
+        token table — is refused, not read by a second decoder."""
+        __, path, ___ = saved
+        with Snapshot(path) as snapshot:
+            sections = [
+                (name, bytes(snapshot.section(name)))
+                for name in snapshot.sections()
+            ]
+        old = tmp_path / "old.snap"
+        snapshot_module._publish(old, 1, sections + [("tokens", b"[]")])
+        with pytest.raises(SnapshotError, match="format"):
+            KeywordSearchEngine.open(old)
+
     def test_company_database_round_trip(self, tmp_path):
         engine = KeywordSearchEngine(build_company_database())
         path = tmp_path / "company.snap"
@@ -513,11 +587,15 @@ class TestDeltaSection:
             KeywordSearchEngine.open(path)
 
     def test_reader_that_would_ignore_the_delta_refuses(self, compacted):
-        """Relabelled as format 1 the file is what a pre-delta reader
+        """Relabelled as a base file it is what a pre-delta reader
         believes it sees — it must not open as the stale base."""
         path = compacted[0]
         blob = path.read_bytes()
-        relabelled = blob.replace(b'{"format":2,', b'{"format":1,', 1)
+        relabelled = blob.replace(
+            b'{"format":%d,' % (SNAPSHOT_FORMAT + 1),
+            b'{"format":%d,' % SNAPSHOT_FORMAT,
+            1,
+        )
         assert relabelled != blob
         path.write_bytes(relabelled)
         with pytest.raises(SnapshotError, match="format"):
@@ -536,7 +614,7 @@ class TestDeltaSection:
                  else bytes(snapshot.section(name)))
                 for name in snapshot.sections()
             ]
-        snapshot_module._publish(path, 2, sections)
+        snapshot_module._publish(path, SNAPSHOT_FORMAT + 1, sections)
         with pytest.raises(SnapshotError, match="does not replay"):
             KeywordSearchEngine.open(path)
 
@@ -563,3 +641,91 @@ class TestMemoryFootprint:
             footprint["arrays"] + footprint["distances"] + footprint["payload"]
         )
         assert frozen.nbytes() == footprint["total"]
+
+
+class TestStructuralDamage:
+    """The binary ``postings`` and ``edge_keys`` sections are checked
+    against their structure as they are read, not only by their CRC.
+
+    Seeded damage — truncations anywhere, and flips of the bytes that
+    carry structure: every offset byte, node-id bytes above the stored
+    count, attribute ids and flag bits past their tables, foreign-key
+    ids past theirs — is republished with the TOC CRC recomputed, so
+    only the structural checks stand between it and the engine.  The
+    one allowed outcome besides ``SnapshotError`` is an engine whose
+    every posting list, edge payload and answer equals a cold build's.
+    Bits that re-point to other *valid* content (the low byte of a node
+    id, the whole-value bit, token text) are indistinguishable from real
+    data without a checksum, and stay the CRC's job.
+    """
+
+    TRIALS = 40
+
+    def _sections(self, path):
+        with Snapshot(path) as snapshot:
+            return snapshot.meta, [
+                (name, bytes(snapshot.section(name)))
+                for name in snapshot.sections()
+            ]
+
+    def _damage(self, rng, meta, name, blob):
+        if rng.random() < 0.25:
+            return blob[: rng.randrange(len(blob))]
+        blob = bytearray(blob)
+        if name == "edge_keys":
+            blob[rng.randrange(len(blob))] ^= rng.randrange(8, 256)
+            return bytes(blob)
+        tokens, postings, __ = meta["postings"]
+        nodes = 4 * (tokens + 1)
+        attributes = nodes + 4 * postings
+        region = rng.choice(("offsets", "nodes", "attributes", "flags"))
+        if region == "offsets":
+            blob[rng.randrange(nodes)] ^= rng.randrange(1, 256)
+        elif region == "nodes":  # a byte above the node ids' low one
+            blob[nodes + 4 * rng.randrange(postings) + rng.randrange(1, 4)] ^= (
+                rng.randrange(1, 256)
+            )
+        elif region == "attributes":
+            blob[attributes + rng.randrange(postings)] ^= rng.randrange(128, 256)
+        else:  # any flag bit but the whole-value one
+            blob[attributes + postings + rng.randrange(postings)] ^= (
+                rng.randrange(1, 128) << 1
+            )
+        return bytes(blob)
+
+    def _state(self, engine):
+        frozen = engine.traversal_cache.frozen()
+        return (
+            {token: engine.index.postings(token)
+             for token in engine.index.vocabulary()},
+            [(frozen._edge_keys[at], frozen._edge_data[at])
+             for at in range(len(frozen._targets))],
+            [rendered(engine.search(query, limits=LIMITS, semantics=semantics))
+             for query in QUERIES for semantics in ("and", "or")],
+        )
+
+    def test_damage_is_refused_or_harmless(self, saved, tmp_path):
+        engine, path, __ = saved
+        cold = self._state(KeywordSearchEngine(planted_database(), shards=3))
+        meta, sections = self._sections(path)
+        rng = random.Random(2024)
+        refused = 0
+        for trial in range(self.TRIALS):
+            name = ("postings", "edge_keys")[trial % 2]
+            damaged = tmp_path / f"damaged{trial}.snap"
+            snapshot_module._publish(damaged, SNAPSHOT_FORMAT, [
+                (section, self._damage(rng, meta, name, blob)
+                 if section == name else blob)
+                for section, blob in sections
+            ])
+            try:
+                restored = KeywordSearchEngine.open(damaged)
+                try:
+                    state = self._state(restored)
+                finally:
+                    restored.close()
+            except SnapshotError:
+                refused += 1
+                continue
+            assert state == cold, (trial, name)
+        assert refused == self.TRIALS
