@@ -24,7 +24,9 @@ gate on counts:
   **<= 1/4** of what a full rewrite per compaction encodes, the
   ``delta`` must respect the ``DELTA_FRACTION`` byte bound, and
   reopening must replay exactly the delta and answer like the cold
-  rebuild.
+  rebuild.  A delta compaction only reads the engine: the
+  ``FrozenGraph._compile`` folds and ``_LazyPostings.decode_all`` calls
+  its compactions make must number **0**.
 
 Parseable lines for ``run_all.py`` (schema ``repro-bench-report/4``,
 ``"durability"`` key)::
@@ -33,6 +35,7 @@ Parseable lines for ``run_all.py`` (schema ``repro-bench-report/4``,
     reopen-speedup: <float>
     compact-bytes-encoded: <int>
     delta-records: <int>
+    delta-compaction-folds: <int>
 
 Run standalone::
 
@@ -41,6 +44,7 @@ Run standalone::
 """
 
 import argparse
+import contextlib
 import gc
 import os
 import statistics
@@ -55,7 +59,9 @@ from repro.datasets.synthetic import (
     generate_company_like,
     plant,
 )
+from repro.graph.csr import FrozenGraph
 from repro.live.changes import Insert, Update
+from repro.relational.index import _LazyPostings
 from repro.relational.io import dump_json, load_json
 from repro.scale import snapshot as snapshot_module
 
@@ -137,6 +143,29 @@ def _encoded_bytes(before, after):
     if "delta" in after and "delta" in before:
         changed -= before["delta"][0]
     return changed
+
+
+@contextlib.contextmanager
+def _counting_folds():
+    """Count ``FrozenGraph._compile`` and ``_LazyPostings.decode_all``
+    calls inside the block: ``[count]``, read once it exits."""
+    folds = [0]
+    patched = [(FrozenGraph, "_compile"), (_LazyPostings, "decode_all")]
+    originals = [getattr(owner, name) for owner, name in patched]
+
+    def counted(original):
+        def call(*args, **kwargs):
+            folds[0] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for (owner, name), original in zip(patched, originals):
+        setattr(owner, name, counted(original))
+    try:
+        yield folds
+    finally:
+        for (owner, name), original in zip(patched, originals):
+            setattr(owner, name, original)
 
 
 def _timed_mixed(engine, batches):
@@ -311,15 +340,17 @@ def main(argv=None, out=None) -> int:
         pair = os.path.join(workdir, "cadence.snap")
         cadence.save(pair)
         cadence.attach_wal()
-        encoded = rewrite = rewrites = 0
+        encoded = rewrite = rewrites = delta_folds = 0
         before, __ = _sections(pair)
         for batch in _batches(cadence.database, count, per_batch):
             cadence.apply(batch)
-            cadence.compact_wal()
+            with _counting_folds() as folds:
+                cadence.compact_wal()
             after, delta_records = _sections(pair)
             encoded += _encoded_bytes(before, after)
             rewrite += sum(length for length, __ in after.values())
             rewrites += "delta" not in after
+            delta_folds += folds[0] if "delta" in after else 0
             before = after
         cadence.close()
         delta_bytes = before.get("delta", (0, 0))[0]
@@ -340,6 +371,14 @@ def main(argv=None, out=None) -> int:
               f"to the cold rebuild: {identical}", file=out)
         print(f"compact-bytes-encoded: {encoded}", file=out)
         print(f"delta-records: {delta_records}", file=out)
+        print(f"delta-compaction-folds: {delta_folds}", file=out)
+        if rewrites == count:
+            failures.append("compaction: no compaction took the delta path")
+        if delta_folds:
+            failures.append(
+                f"compaction: delta compactions folded or decoded "
+                f"{delta_folds} time(s), expected 0"
+            )
         if encoded * 4 > rewrite:
             failures.append(
                 f"compaction: encoded {encoded} B > 1/4 of {rewrite} B"

@@ -1,12 +1,13 @@
 """Fold a write-ahead log into a fresh snapshot and hot-swap it in.
 
-Compaction never mutates engine state — the live engine already *is*
-snapshot + WAL.  It publishes that state as a new snapshot — the paired
-file's sections byte-copied plus the log's records as its ``delta``
-section, or a full rewrite when that cannot be proven or the delta would
-outgrow its bound — crash-atomically (temp file, fsync, ``os.replace``),
-then resets the WAL to an empty log paired with the new generation.
-Either way the crash windows are both recoverable:
+The live engine already *is* snapshot + WAL.  Compaction publishes that
+state as a new snapshot, crash-atomically (temp file, fsync,
+``os.replace``), and resets the WAL to an empty log paired with the new
+generation.  A delta — the paired file's sections byte-copied, the log's
+records appended — only reads the engine; a full rewrite, when a delta
+cannot be proven or would outgrow its bound, folds the compiled graph
+and decodes pending postings on the way.  Either way the crash windows
+are both recoverable:
 
 * before the ``os.replace`` — the old snapshot + full WAL pair is
   untouched and replays completely;

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict, defaultdict
-from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
 from repro.errors import QueryError, SearchLimitError
@@ -149,8 +148,8 @@ class FrozenGraph:
         #: Distance-row lookups served from cache / computed fresh.
         self.hits = 0
         self.misses = 0
-        #: Times the structure was recompiled by a patch crossing the
-        #: compaction threshold (observability for tests/benchmarks).
+        #: Folds made by a patch crossing the compaction threshold or by a
+        #: full snapshot rewrite (a delta compaction folds nothing).
         self.compactions = 0
         #: Bumped on every (re)compilation.  A compile renumbers the
         #: dense ints, so structures keyed by node int (shard plans,
@@ -192,7 +191,6 @@ class FrozenGraph:
         frozen = cls.__new__(cls)
         frozen.data_graph = data_graph
         frozen._backend = get_backend(vector)
-        frozen._vector_state = None
         frozen.hits = 0
         frozen.misses = 0
         frozen.compactions = 0
@@ -215,12 +213,7 @@ class FrozenGraph:
         # tables, shard extraction passes plain lists.
         frozen._edge_keys = edge_keys
         frozen._edge_data = edge_data
-        frozen._alive = bytearray(b"\x01") * len(tids)
-        frozen._override = {}
-        frozen._distances = OrderedDict()
-        frozen._distance_bytes = 0
-        frozen._components = None
-        frozen._neighbour_rows = {}
+        frozen._reset_patches()
         return frozen
 
     # ------------------------------------------------------------------
@@ -267,20 +260,28 @@ class FrozenGraph:
         self._targets = targets
         self._edge_keys = edge_keys
         self._edge_data = edge_data
-        self._alive = bytearray(b"\x01") * len(tids)
+        self._reset_patches()
+
+    def _reset_patches(self) -> None:
+        """Every node live; no override, distance row or derived state."""
+        self._alive = bytearray(b"\x01") * len(self._tid_of)
         #: Patched adjacency rows: node int -> (targets, keys, datas),
         #: each row pre-sorted in expansion order.  Appended and
         #: tombstoned nodes always live here (their CSR slice is empty
         #: or stale); an entry shadows the node's CSR slice entirely.
         self._override: dict[int, tuple[list[int], list[str], list[dict]]] = {}
-        #: LRU of cached BFS rows, ``source -> (row, radius)`` with
-        #: radius ``None`` for an unbounded row: hits refresh recency
-        #: (``move_to_end``), eviction pops the least recent.  Every
-        #: held row is exactly ``capacity`` long.
+        #: LRU of cached BFS rows, ``source -> (row, radius, stamp)``:
+        #: radius ``None`` for an unbounded row, ``stamp`` the change-log
+        #: position it was validated at.  Hits re-validate and refresh
+        #: recency, eviction pops the least recent (:meth:`_evict_rows`).
         self._distances: OrderedDict[
-            int, tuple[DistanceRow, Optional[int]]
+            int, tuple[DistanceRow, Optional[int], int]
         ] = OrderedDict()
         self._distance_bytes = 0
+        #: Changed nodes of every patch since the oldest held row's stamp;
+        #: ``_log_start`` is the position of its first entry.
+        self._change_log: list[int] = []
+        self._log_start = 0
         self._components: Optional[array] = None
         self._neighbour_rows: dict[int, tuple[int, ...]] = {}
         self._vector_state = None
@@ -395,7 +396,15 @@ class FrozenGraph:
         return len(self._tid_of)
 
     def live_count(self) -> int:
-        return sum(self._alive)
+        return self._alive.count(1)
+
+    def entry_count(self) -> int:
+        """CSR entries a fold would write, counted in O(override)."""
+        offsets, stored = self._offsets, len(self._offsets) - 1
+        return len(self._targets) + sum(
+            len(row[0]) - (offsets[node + 1] - offsets[node] if node < stored else 0)
+            for node, row in self._override.items()
+        )
 
     def node_of(self, tid: TupleId) -> Optional[int]:
         """Dense int of a tuple id, ``None`` when absent or tombstoned."""
@@ -405,6 +414,11 @@ class FrozenGraph:
         tid = self._tid_of[node]
         assert tid is not None, "tombstoned node has no tuple id"
         return tid
+
+    def tids(self, nodes) -> list[TupleId]:
+        """:meth:`tid_of` of many live nodes in one call."""
+        bulk = getattr(self._tid_of, "tids", None)
+        return bulk(nodes) if bulk else list(map(self._tid_of.__getitem__, nodes))
 
     def nbytes(self) -> int:
         """Approximate total footprint of the compiled structure."""
@@ -582,18 +596,46 @@ class FrozenGraph:
     def _cached_row(
         self, node: int, radius: Optional[int]
     ) -> Optional[DistanceRow]:
-        """The held row of ``node`` when it covers ``radius`` — it is
-        unbounded, or bounded at least that far — counted as a hit and
-        LRU-refreshed; otherwise a counted miss."""
+        """The held row of ``node`` when it covers ``radius`` — unbounded,
+        or bounded at least that far — and is current (:meth:`_revalidated`):
+        a counted, LRU-refreshing hit; otherwise a counted miss."""
         entry = self._distances.get(node)
         if entry is not None:
-            row, held = entry
-            if held is None or (radius is not None and held >= radius):
+            row, held, stamp = entry
+            if (held is None or (radius is not None and held >= radius)) and (
+                stamp == self._log_start + len(self._change_log)
+                or self._revalidated(node, row, held, stamp)
+            ):
                 self._counters.hits += 1
                 self._distances.move_to_end(node)
                 return row
         self._counters.misses += 1
         return None
+
+    def _revalidated(self, node: int, row, radius, stamp: int) -> bool:
+        """Probe a held row for the nodes logged since its stamp (inside
+        it: dropped, ``False``; past its end, appended since: beyond), then
+        grow it to ``capacity`` and re-stamp it.  Probing the batches at once
+        equals probing each in turn: a row surviving one is unchanged."""
+        log, start = self._change_log, self._log_start
+        length, end = len(row), start + len(log)
+        beyond = _UNREACHABLE if radius is None else _BEYOND
+        if any(
+            changed < length and row[changed] != beyond
+            for changed in log[stamp - start:]
+        ):
+            del self._distances[node]
+            self._distance_bytes -= memoryview(row).nbytes
+            return False
+        if length < self.capacity:
+            tail = array("i", [beyond]) if radius is None else bytes((beyond,))
+            tail *= self.capacity - length
+            row.extend(tail)
+            self._distance_bytes += memoryview(tail).nbytes
+        self._distances[node] = (row, radius, end)
+        self._distances.move_to_end(node)
+        self._evict_rows()  # it may have grown; it is the newest row now
+        return True
 
     def _store_row(
         self, node: int, row: DistanceRow, radius: Optional[int]
@@ -602,18 +644,27 @@ class FrozenGraph:
         replaced = distances.pop(node, None)  # a shorter-radius row
         if replaced is not None:
             self._distance_bytes -= memoryview(replaced[0]).nbytes
-        distances[node] = (row, radius)
+        distances[node] = (row, radius, self._log_start + len(self._change_log))
         self._distance_bytes += memoryview(row).nbytes
         self._evict_rows()
 
     def _evict_rows(self) -> None:
-        """Pop least-recently-used rows until the byte budget holds (the
-        most recent row always stays)."""
-        distances = self._distances
-        budget = self.max_distance_bytes
-        while self._distance_bytes > budget and len(distances) > 1:
-            __, (row, __) = distances.popitem(last=False)
-            self._distance_bytes -= memoryview(row).nbytes
+        """Pop least-recently-used rows over the byte budget (the newest
+        stays) or owing more logged nodes than they have bytes, then cut
+        the log below the head's stamp — the oldest: hits re-stamp."""
+        distances, log = self._distances, self._change_log
+        end = oldest = self._log_start + len(log)
+        while distances:
+            row, __, stamp = distances[next(iter(distances))]
+            nbytes = memoryview(row).nbytes
+            over = self._distance_bytes > self.max_distance_bytes
+            if end - stamp <= nbytes and (not over or len(distances) == 1):
+                oldest = stamp
+                break
+            distances.popitem(last=False)
+            self._distance_bytes -= nbytes
+        del log[: oldest - self._log_start]
+        self._log_start = oldest
 
     def _bfs_row_scalar(
         self, node: int, radius: Optional[int] = None
@@ -785,9 +836,6 @@ class FrozenGraph:
             self._components = labels
             return labels
 
-    def component_of(self, node: int) -> int:
-        return self.components()[node]
-
     # ------------------------------------------------------------------
     # incremental patching
     # ------------------------------------------------------------------
@@ -797,12 +845,11 @@ class FrozenGraph:
         Only the changeset is read: every touched row is its old row
         minus ``edges_removed`` plus ``edges_added``, re-sorted — so a
         snapshot-restored graph patches without its networkx multigraph
-        or a relation scan.  Returns the number of distance rows
-        dropped; bumps :attr:`compactions` when the patch crossed the
-        threshold and triggered a recompile.
+        or a relation scan.  Returns the number of distance rows dropped
+        (their source changed); bumps :attr:`compactions` when the patch
+        crossed the threshold and triggered a recompile.
         """
         node_of = self.node_of
-        old_capacity = self.capacity
         removed = [
             node
             for tid in changeset.tuples_removed
@@ -879,44 +926,23 @@ class FrozenGraph:
                 entries_of(target).append((source, name, data))
         for node, entries in touched.items():
             self._override[node] = self._sorted_row(entries)
-        changed = set(removed) | set(appended) | set(touched)
+        changed = sorted(set(removed) | set(appended) | set(touched))
         if not changed:
             return 0
         self._components = None
         self._vector_state = None  # override table / liveness changed
         for node in changed:
             self._neighbour_rows.pop(node, None)
-        # Drop a row when its source changed or a changed pre-existing
-        # node lies inside it: an edge whose endpoints both sit beyond
-        # the row (another component, or past a bounded row's radius)
-        # cannot alter a distance the row holds, and an appended node
-        # links in only through such endpoints.  One C-level probe per
-        # row — surviving rows make this loop as long as the cache.
-        existing = sorted(node for node in changed if node < old_capacity)
-        nearest = itemgetter(*existing) if len(existing) > 1 else None
-        stale = []
-        for source, (row, radius) in self._distances.items():
-            if source in changed:
-                stale.append(source)
-            elif existing:
-                depth = min(nearest(row)) if nearest else row[existing[0]]
-                if depth != (_UNREACHABLE if radius is None else _BEYOND):
-                    stale.append(source)
+        # A row whose source changed goes now; the others are probed for
+        # the nodes logged here when next served: an edge with both
+        # endpoints beyond a row (another component, or past its radius)
+        # alters no distance it holds, and an appended node links in only
+        # through such endpoints.
+        distances = self._distances
+        stale = [source for source in changed if source in distances]
         for source in stale:
-            del self._distances[source]
-        # Survivors grow to the new capacity, so no kernel ever indexes
-        # an appended node past a row's end.
-        grown = self.capacity - old_capacity
-        held = 0
-        for row, radius in self._distances.values():
-            if grown:
-                row.extend(
-                    array("i", [_UNREACHABLE]) * grown
-                    if radius is None
-                    else b"\xff" * grown
-                )
-            held += memoryview(row).nbytes
-        self._distance_bytes = held
+            self._distance_bytes -= memoryview(distances.pop(source)[0]).nbytes
+        self._change_log.extend(changed)
         self._evict_rows()
         if (
             self.capacity >= self.min_compaction_nodes

@@ -158,7 +158,7 @@ def affected_tuples(
             if (node := frozen.node_of(tid)) is not None
         ]
         depth_of = _ball(nodes, frozen.neighbour_row, reach)
-        affected = dict(zip(map(frozen.tid_of, depth_of), depth_of.values()))
+        affected = dict(zip(frozen.tids(depth_of), depth_of.values()))
     else:
         graph = traversal_cache.data_graph.graph
         affected = _ball(

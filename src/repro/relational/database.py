@@ -12,7 +12,7 @@ values)`` — and may additionally carry a human-readable *label* (``d1``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -34,16 +34,50 @@ def _reference_key(values: Mapping[str, object], foreign_key: ForeignKey) -> tup
     return tuple([values[column] for column in foreign_key.source_columns])
 
 
-@dataclass(frozen=True)
 class TupleId:
-    """Stable identity of a tuple: relation name plus primary key values."""
+    """Stable identity of a tuple: relation name plus primary key values.
 
-    relation: str
-    key: tuple[object, ...]
+    Immutable; hashed once, on first use.  The hash is never pickled:
+    :meth:`__reduce__` rebuilds the id in the receiving process.
+    """
+
+    __slots__ = ("relation", "key", "_hash")
+
+    def __init__(self, relation: str, key: tuple[object, ...]) -> None:
+        _set_relation(self, relation)
+        _set_key(self, key)
+        _set_hash(self, None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.relation, self.key))
+            _set_hash(self, value)
+        return value
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.relation == other.relation and self.key == other.key
+
+    def __reduce__(self):
+        return TupleId, (self.relation, self.key)
+
+    def __repr__(self) -> str:
+        return f"TupleId(relation={self.relation!r}, key={self.key!r})"
 
     def __str__(self) -> str:
         rendered = ",".join(str(part) for part in self.key)
         return f"{self.relation}({rendered})"
+
+
+# Past the refusing ``__setattr__``, faster than ``object.__setattr__``.
+_set_relation, _set_key, _set_hash = (
+    slot.__set__ for slot in (TupleId.relation, TupleId.key, TupleId._hash)
+)
 
 
 class Tuple:

@@ -213,6 +213,11 @@ class _Interning:
             tid = self._cache[node] = TupleId(relation, key)
             return tid
 
+    def tids(self, nodes) -> list:
+        """The tuple ids of many live nodes, from the cache where it has them."""
+        cached = self._cache.get
+        return [cached(node) or self[node] for node in nodes]
+
     def __setitem__(self, node: int, value) -> None:
         if node >= self._length:
             self._appended[node - self._length] = value
@@ -364,20 +369,6 @@ def _statistics_doc(engine) -> dict:
     return statistics.to_dict()
 
 
-def _folded(engine) -> FrozenGraph:
-    """The compiled graph folded back into flat CSR form, its node map
-    rebuilt and pending posting lists decoded, as serialising everything
-    does on the way: left undone, each bills the calls that follow
-    (override rows alone +18–25 % on the median durable ``apply``)."""
-    frozen = engine.traversal_cache.frozen()
-    if frozen._override:
-        frozen._compile()
-        frozen.compactions += 1
-    if isinstance(engine.index._postings, _LazyPostings):
-        engine.index._postings.decode_all()
-    return frozen
-
-
 def _id_tables(schema) -> tuple[list, list[str]]:
     """What the one-byte ids of ``edge_keys`` and of the postings'
     attribute column index: the schema's foreign keys and attribute
@@ -420,7 +411,12 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
     array representation regardless of how many live-update batches the
     engine absorbed.
     """
-    frozen = _folded(engine)
+    frozen = engine.traversal_cache.frozen()
+    if frozen._override:
+        frozen._compile()
+        frozen.compactions += 1
+    if isinstance(engine.index._postings, _LazyPostings):
+        engine.index._postings.decode_all()
     capacity = frozen.capacity
     schema = engine.database.schema
     tids = list(frozen._tid_of)
@@ -500,7 +496,8 @@ def write_delta_snapshot(engine, path: Union[str, Path]) -> Optional[dict]:
     """Republish the WAL-paired snapshot at ``path`` with the WAL's record
     frames appended to its ``delta`` section: base sections byte-copied
     with length and CRC reused, only ``meta`` and the planner calibration
-    in ``stats`` re-encoded.  Returns the meta dict, or ``None`` when
+    in ``stats`` re-encoded.  The engine is only read — nothing folded,
+    decoded or dropped.  Returns the meta dict, or ``None`` when
     only :func:`write_snapshot` will do — the base fails its CRC verify
     or is not the generation the WAL pairs with, the records do not run
     gap-free from its version to the engine's, or the delta would pass
@@ -523,14 +520,15 @@ def write_delta_snapshot(engine, path: Union[str, Path]) -> Optional[dict]:
         copied = [n for n in base.sections() if n not in ("meta", "delta")]
         if len(delta) * DELTA_FRACTION > sum(base._toc[n][1] for n in copied):
             return None
-        frozen = _folded(engine)
+        frozen = engine.traversal_cache.frozen()
         # The copied arrays keep the base's sizes for the loader; the rest
-        # describes the engine the delta replays to (folded: a node per tuple).
+        # describes the engine the delta replays to, as a fold would write
+        # it (a node per tuple), counted without folding.
         meta = dict(base.meta, format=_DELTA_FORMAT, base_version=base.base_version)
         meta.setdefault("base_nodes", meta["nodes"])
         meta.setdefault("base_entries", meta["entries"])
-        meta.update(engine_version=engine.version, entries=len(frozen._targets))
-        meta["tuples"] = meta["nodes"] = frozen.capacity
+        meta.update(engine_version=engine.version, entries=frozen.entry_count())
+        meta["tuples"] = meta["nodes"] = frozen.live_count()
         sections = {name: base.section(name) for name in copied}
         crcs = {name: base._toc[name][2] for name in copied}
         if engine._calibration_loader is None:  # else the stored table is current

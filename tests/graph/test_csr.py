@@ -537,7 +537,7 @@ class TestIncrementalPatching:
 # radius-bounded one-byte rows vs the unbounded oracle row
 # ----------------------------------------------------------------------
 def _row_types(frozen):
-    return {type(row) for row, __ in frozen._distances.values()}
+    return {type(row) for row, __, ___ in frozen._distances.values()}
 
 
 @pytest.fixture
@@ -677,7 +677,7 @@ class TestRowCoverage:
         wide = frozen.distances(0, radius=5)  # radius 3 cannot answer 5
         assert wide is not narrow
         assert (frozen.hits, frozen.misses) == (2, 2)
-        assert frozen._distances[0] == (wide, 5)  # replaced, not doubled
+        assert frozen._distances[0][:2] == (wide, 5)  # replaced, not doubled
         assert frozen.memory_footprint()["distances"] == frozen.capacity
         assert frozen.distances(0, radius=3) is wide
         exact = frozen.distances(0)  # no bounded row answers "everything"
@@ -790,7 +790,7 @@ class TestBoundedRowsUnderPatching:
             csr_enumerate_simple_paths(graph, source, target, 5, cache=cache)
         )
         assert before and all(len(path) == 5 for path in before)
-        row, radius = frozen._distances[frozen.node_of(target)]
+        row, radius, __ = frozen._distances[frozen.node_of(target)]
         assert radius == 4 and row[frozen.node_of(source)] == 0xFF
         changeset = apply_to_database(
             company_db,
@@ -801,6 +801,9 @@ class TestBoundedRowsUnderPatching:
             changeset, company_db, data_graph=graph, traversal_cache=cache
         )
         assert frozen._distances[frozen.node_of(target)][0] is row  # survived
+        # Grown to the new capacity when it is next served, not before.
+        assert len(row) == frozen.capacity - 1
+        assert frozen.distances(frozen.node_of(target), radius=4) is row
         assert len(row) == frozen.capacity
         assert row[frozen.node_of(tid("DEPENDENT", "z7"))] == 0xFF
         assert list(
@@ -827,7 +830,8 @@ class TestBoundedRowsUnderPatching:
         assert _all_enumerations(graph, cache) == _all_enumerations(
             graph, TraversalCache(graph)
         )
-        # An edge landing inside the ball drops the row.
+        # An edge landing inside the ball drops the row when it is next
+        # asked for: a miss, and a fresh sweep.
         changeset = apply_to_database(
             company_db,
             [Insert("DEPENDENT", {"ID": "z8", "ESSN": "e1",
@@ -836,8 +840,12 @@ class TestBoundedRowsUnderPatching:
         apply_changeset(
             changeset, company_db, data_graph=graph, traversal_cache=cache
         )
+        misses = cache.misses
+        assert frozen._cached_row(d1, 2) is None
         assert d1 not in frozen._distances
+        assert cache.misses == misses + 1
         fresh = frozen.distances(d1, radius=2)
+        assert fresh is not bounded
         recompiled = FrozenGraph(graph)
         exact = recompiled.distances(
             recompiled.node_of(tid("DEPARTMENT", "d1"))
@@ -848,5 +856,106 @@ class TestBoundedRowsUnderPatching:
                 assert fresh[node] == (depth if depth <= 2 else 0xFF)
         assert frozen.memory_footprint()["distances"] == sum(
             len(row) * (1 if type(row) is bytearray else 4)
-            for row, __ in frozen._distances.values()
+            for row, __, ___ in frozen._distances.values()
         )
+
+    def test_row_reused_after_untouched_applies(self, company_db):
+        # Four batches append dependents of e4, five hops from d1: none
+        # lands inside d1's radius-2 ball, so the row is served again,
+        # probed once for all four batches and grown to the new capacity.
+        graph = DataGraph(company_db)
+        cache = TraversalCache(graph)
+        frozen = cache.frozen()
+        d1 = frozen.node_of(tid("DEPARTMENT", "d1"))
+        bounded = frozen.distances(d1, radius=2)
+        before = frozen.capacity
+        for number in range(4):
+            changeset = apply_to_database(
+                company_db,
+                [Insert("DEPENDENT", {"ID": f"k{number}", "ESSN": "e4",
+                                      "DEPENDENT_NAME": "Kay"})],
+            )
+            apply_changeset(
+                changeset, company_db, data_graph=graph, traversal_cache=cache
+            )
+        e4 = frozen.node_of(tid("EMPLOYEE", "e4"))
+        # Each batch logs e4 and its appended dependent, past the row's end.
+        assert frozen._change_log == [
+            node for number in range(4) for node in (e4, before + number)
+        ]
+        assert len(bounded) == before
+        hits = cache.hits
+        assert frozen.distances(d1, radius=2) is bounded
+        assert cache.hits == hits + 1
+        assert len(bounded) == frozen.capacity == before + 4
+        # Re-stamped; the only row being current, the log is cut behind it.
+        assert frozen._distances[d1][2] == frozen._log_start == 8
+        assert frozen._change_log == []
+        oracle = FrozenGraph(DataGraph(company_db))
+        exact = oracle.distances(oracle.node_of(tid("DEPARTMENT", "d1")))
+        assert [bounded[node] for node in range(frozen.capacity)] == [
+            depth if depth <= 2 else 0xFF
+            for depth in (
+                exact[oracle.node_of(frozen.tid_of(node))]
+                for node in range(frozen.capacity)
+            )
+        ]
+        # The next patch logs its own nodes, and only those.
+        k0 = frozen.node_of(tid("DEPENDENT", "k0"))
+        changeset = apply_to_database(company_db, [Delete(tid("DEPENDENT", "k0"))])
+        apply_changeset(
+            changeset, company_db, data_graph=graph, traversal_cache=cache
+        )
+        assert frozen._log_start == frozen._distances[d1][2]
+        assert frozen._change_log == [e4, k0]
+
+    def test_stream_suspended_across_an_appending_apply(self, company_db):
+        from repro.errors import MutationError
+
+        engine = KeywordSearchEngine(company_db)
+        stream = engine.search_stream("Smith XML")
+        next(stream)
+        frozen = engine.traversal_cache.frozen()
+        held = dict(frozen._distances)
+        assert held
+        engine.apply(
+            [Insert("DEPENDENT", {"ID": "s9", "ESSN": "e2",
+                                  "DEPENDENT_NAME": "Smith"})]
+        )
+        with pytest.raises(MutationError, match="restart the stream"):
+            next(stream)
+        for node, (row, radius, __) in held.items():
+            if node in frozen._distances:
+                served = frozen.distances(node, radius)
+                assert len(served) == frozen.capacity
+        fresh = KeywordSearchEngine(engine.database, result_cache_entries=0)
+        assert [
+            (r.render(), r.score, r.rank) for r in engine.search("Smith XML")
+        ] == [(r.render(), r.score, r.rank) for r in fresh.search("Smith XML")]
+
+    def test_the_log_stays_bounded_by_the_oldest_row(self, company_db):
+        # Once more nodes were logged since a row's stamp than it has
+        # bytes, re-validating it would cost more than a sweep: it goes,
+        # and the log with it.
+        graph = DataGraph(company_db)
+        cache = TraversalCache(graph)
+        frozen = cache.frozen()
+        d1 = frozen.node_of(tid("DEPARTMENT", "d1"))
+        frozen.distances(d1, radius=2)
+        length = frozen.capacity
+        batches = 0
+        while d1 in frozen._distances:
+            changeset = apply_to_database(
+                company_db,
+                [Insert("DEPENDENT", {"ID": f"k{batches}", "ESSN": "e4",
+                                      "DEPENDENT_NAME": "Kay"})],
+            )
+            apply_changeset(
+                changeset, company_db, data_graph=graph, traversal_cache=cache
+            )
+            batches += 1
+            assert len(frozen._change_log) <= length
+        # Two nodes logged per batch (e4 and the appended dependent): the
+        # row went with the first batch that took the log past its length.
+        assert 2 * (batches - 1) <= length < 2 * batches
+        assert frozen._change_log == []

@@ -7,8 +7,10 @@ incrementally patched :class:`~repro.graph.csr.FrozenGraph` must answer
 exactly like a freshly compiled one.
 """
 
+import copy
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -40,6 +42,7 @@ from repro.relational.schema import (
     ForeignKey,
     Relation,
 )
+from repro.scale import snapshot as snapshot_module
 
 configs = st.builds(
     SyntheticConfig,
@@ -263,7 +266,8 @@ def _assert_rows_clip_the_oracle(live, oracle):
         rows = [(live._bfs_row_scalar(node, radius), radius) for radius in range(7)]
         held = live._distances.get(node)
         if held is not None and held[1] is not None:
-            rows.append(held)
+            # Served as a kernel receives it: re-validated, grown, or swept anew.
+            rows.append((live.distances(node, radius=held[1]), held[1]))
         for row, radius in rows:
             assert type(row) is bytearray and len(row) == live.capacity
             for other in alive:
@@ -303,6 +307,73 @@ class TestBoundedRowsClipTheOracle:
             apply_changeset(changeset, database, data_graph=graph)
             live.apply_changeset(changeset)
             _assert_rows_clip_the_oracle(live, FrozenGraph(graph))
+
+
+def _assert_log_bounded(live):
+    """The change log starts at the LRU head's stamp and holds no more
+    nodes than that row has bytes; with no row held it is empty."""
+    if not live._distances:
+        assert not live._change_log
+        return
+    row, __, stamp = next(iter(live._distances.values()))
+    assert stamp == live._log_start
+    assert len(live._change_log) <= memoryview(row).nbytes
+
+
+class TestRevalidatedRowsClipTheOracle:
+    """Rows are re-validated when served, not per patch: under any
+    interleaving of patches and requests, every row ``distances`` /
+    ``distances_block`` returns is ``capacity`` long and equals the
+    recompiled oracle clipped at its radius (or a wider held radius),
+    and the change log stays bounded by the oldest held row."""
+
+    @relaxed
+    @given(
+        configs,
+        st.lists(
+            st.tuples(st.sampled_from(("apply", "row", "block")),
+                      st.integers(min_value=0, max_value=1 << 16)),
+            min_size=1, max_size=16,
+        ),
+        st.booleans(),
+    )
+    def test_served_rows_equal_the_recompiled_oracle(self, config, steps, tight):
+        database = generate_company_like(config)
+        replay = generate_company_like(config)
+        graph = DataGraph(database)
+        live = FrozenGraph(graph)
+        if tight:  # evictions, and heads dropped by the log bound
+            live.max_distance_bytes = 3 * live.capacity
+        for node in range(live.capacity):
+            live.distances(node, radius=node % 7)
+        batches = iter(_structural_mutations(
+            replay, [salt for kind, salt in steps if kind == "apply"]
+        ))
+        for kind, salt in steps:
+            if kind == "apply":
+                changeset = apply_to_database(database, next(batches))
+                apply_changeset(changeset, database, data_graph=graph)
+                live.apply_changeset(changeset)
+                _assert_log_bounded(live)
+                continue
+            alive = [node for node in range(live.capacity) if live._alive[node]]
+            sources = alive[salt % len(alive)::1 + salt % 3]
+            radius = salt % 7
+            served = (
+                live.distances_block(sources, radius) if kind == "block"
+                else {node: live.distances(node, radius) for node in sources}
+            )
+            oracle = FrozenGraph(graph)
+            oracle_of = {node: oracle.node_of(live.tid_of(node)) for node in alive}
+            for node, row in served.items():
+                assert type(row) is bytearray and len(row) == live.capacity
+                exact = oracle.distances(oracle_of[node])
+                for other in alive:
+                    depth = exact[oracle_of[other]]
+                    if depth <= radius:
+                        assert row[other] == depth
+                    else:  # beyond, or exact inside a wider held radius
+                        assert row[other] in (depth, 0xFF)
 
 
 # ----------------------------------------------------------------------
@@ -554,6 +625,57 @@ class TestDeltaRows:
                 assert not engine.data_graph.materialized
         finally:
             engine.close()
+
+    @relaxed
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(_ORG_KINDS),
+                      st.integers(min_value=0, max_value=1 << 16)),
+            min_size=1, max_size=12,
+        ),
+        st.booleans(),
+    )
+    def test_delta_meta_counts_equal_a_fold(self, program, restored):
+        """A delta compaction counts ``tuples`` / ``nodes`` / ``entries``
+        off the patched graph; a fold of a copy writes exactly those."""
+        with tempfile.TemporaryDirectory() as directory, mock.patch.object(
+            snapshot_module, "DELTA_FRACTION", 0
+        ):
+            path = os.path.join(directory, "org.snap")
+            engine = KeywordSearchEngine(_org_database())
+            engine.save(path)
+            if restored:
+                engine = KeywordSearchEngine.open(path, wal=True)
+            else:
+                engine.attach_wal()
+            try:
+                closed = set()
+                for kind, salt in program:
+                    try:
+                        changeset = engine.apply(
+                            _org_batch(engine.database, kind, salt, closed)
+                        )
+                    except (IntegrityError, PrimaryKeyError):
+                        continue
+                    closed.update(
+                        tid.key[0] for tid in changeset.tuples_removed
+                        if tid.relation == "TASK"
+                    )
+                engine.apply([])  # at least one record: the delta path runs
+                frozen = engine.traversal_cache.frozen()
+                stamp = frozen.compile_stamp
+                engine.compact_wal()
+                assert frozen.compile_stamp == stamp
+                with snapshot_module.Snapshot(path) as snapshot:
+                    assert "delta" in snapshot.sections()
+                    meta = snapshot.meta
+                folded = copy.copy(frozen)
+                folded._compile()
+                assert meta["tuples"] == meta["nodes"] == folded.capacity
+                assert meta["nodes"] == engine.database.count()
+                assert meta["entries"] == len(folded._targets)
+            finally:
+                engine.close()
 
     def _run(self, engine, program, restored):
         frozen = engine.traversal_cache.frozen()

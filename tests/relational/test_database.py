@@ -1,5 +1,10 @@
 """Unit tests for the database instance store."""
 
+import copy
+import multiprocessing
+import os
+import pickle
+
 import pytest
 
 from repro.errors import (
@@ -289,6 +294,60 @@ class TestTupleClass:
     def test_tid_str(self):
         assert str(TupleId("EMPLOYEE", ("e1",))) == "EMPLOYEE(e1)"
         assert str(TupleId("WORKS_FOR", ("e1", "p1"))) == "WORKS_FOR(e1,p1)"
+
+
+_IDS = [("EMPLOYEE", ("e1",)), ("WORKS_FOR", ("e1", "p1")), ("BOOK", (7, 2.5, True))]
+
+
+def _hashes_in_child(blob):
+    """Runs in a spawned child: hash the shipped ids and look them up in
+    a table of ids the child builds itself."""
+    shipped = pickle.loads(blob)
+    local = {TupleId(relation, key): at for at, (relation, key) in enumerate(_IDS)}
+    return (
+        [hash(tid) for tid in shipped],
+        [hash(TupleId(relation, key)) for relation, key in _IDS],
+        [local.get(tid) for tid in shipped],
+        hash("hash seed probe"),
+    )
+
+
+class TestTupleIdHashOnce:
+    def test_str_repr_equality_and_hash_unchanged(self):
+        tid = TupleId("WORKS_FOR", ("e1", "p1"))
+        assert repr(tid) == "TupleId(relation='WORKS_FOR', key=('e1', 'p1'))"
+        assert str(tid) == "WORKS_FOR(e1,p1)"
+        assert tid == TupleId("WORKS_FOR", ("e1", "p1"))
+        assert tid != TupleId("WORKS_FOR", ("e1", "p2"))
+        assert tid != ("WORKS_FOR", ("e1", "p1"))
+        # The value the dataclass hashed to: set and dict orders stay put.
+        assert hash(tid) == hash(("WORKS_FOR", ("e1", "p1")))
+        assert not hasattr(tid, "__dict__")
+        with pytest.raises(AttributeError):
+            tid.key = ("e2", "p1")
+
+    def test_the_hash_is_never_pickled(self):
+        tid = TupleId("EMPLOYEE", ("e1",))
+        hash(tid)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert tid.__reduce_ex__(protocol) == (TupleId, ("EMPLOYEE", ("e1",)))
+            restored = pickle.loads(pickle.dumps(tid, protocol))
+            assert restored == tid and restored._hash is None  # rebuilt lazily
+        assert copy.deepcopy(tid) == tid == copy.copy(tid)
+
+    def test_unpickled_ids_hash_like_local_ones_under_another_seed(
+        self, monkeypatch
+    ):
+        seed = "7" if os.environ.get("PYTHONHASHSEED") != "7" else "8"
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        shipped = [TupleId(relation, key) for relation, key in _IDS]
+        here = [hash(tid) for tid in shipped]  # computed, then shipped
+        blob = pickle.dumps(shipped, pickle.HIGHEST_PROTOCOL)
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            hashed, built, found, probe = pool.apply(_hashes_in_child, (blob,))
+        assert probe != hash("hash seed probe"), "child ran under the same seed"
+        assert hashed == built != here
+        assert found == list(range(len(_IDS)))
 
 
 class TestUpdate:

@@ -618,6 +618,60 @@ class TestDeltaSection:
         with pytest.raises(SnapshotError, match="does not replay"):
             KeywordSearchEngine.open(path)
 
+    def test_delta_compaction_leaves_the_engine_untouched(
+        self, tmp_path, monkeypatch
+    ):
+        """A delta compaction only reads the engine: no fold, no posting
+        decode, the restored payloads and every held distance row stay."""
+        from repro.graph.csr import FrozenGraph
+        from repro.relational.index import _LazyPostings
+        from repro.scale.snapshot import _LazyEdgeData
+
+        monkeypatch.setattr(snapshot_module, "DELTA_FRACTION", 0)
+        path = tmp_path / "engine.snap"
+        KeywordSearchEngine(planted_database()).save(path)
+        engine = KeywordSearchEngine.open(path, wal=True)
+        try:
+            engine.search("kwalpha kwbeta", limits=LIMITS)
+            employee = engine.database.tuples("EMPLOYEE")[0].tid.key[0]
+            engine.apply([Insert("DEPENDENT", {
+                "ID": "dz0", "ESSN": employee, "DEPENDENT_NAME": "kwbeta",
+            })])
+            engine.search("kwalpha kwgamma", limits=LIMITS)
+            frozen = engine.traversal_cache.frozen()
+            postings = engine.index._postings
+            assert frozen._override and frozen._distances and postings._raw
+            stamp = frozen.compile_stamp
+            pending = set(postings._raw)
+            rows = list(frozen._distances.items())
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("a delta compaction folded or decoded")
+
+            with monkeypatch.context() as patched:
+                patched.setattr(FrozenGraph, "_compile", refuse)
+                patched.setattr(_LazyPostings, "decode_all", refuse)
+                assert engine.compact_wal().records_folded == 1
+            with Snapshot(path) as snapshot:
+                assert "delta" in snapshot.sections()
+            assert engine.traversal_cache.frozen() is frozen
+            assert frozen.compile_stamp == stamp
+            assert set(postings._raw) == pending
+            assert type(frozen._edge_data) is _LazyEdgeData
+            assert list(frozen._distances.items()) == rows
+            assert all(
+                held[0] is row[0] for held, (__, row) in zip(
+                    frozen._distances.values(), rows
+                )
+            )
+            oracle = KeywordSearchEngine(engine.database, result_cache_entries=0)
+            for query in QUERIES:
+                assert rendered(engine.search(query, limits=LIMITS)) == rendered(
+                    oracle.search(query, limits=LIMITS)
+                )
+        finally:
+            engine.close()
+
     def test_second_compaction_extends_the_delta(self, compacted):
         path, __, version = compacted
         engine = KeywordSearchEngine.open(path, wal=True)
