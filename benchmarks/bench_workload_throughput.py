@@ -1,17 +1,18 @@
-"""Experiment S4 (extension): workload throughput — pruned traversal vs networkx.
+"""Experiment S4 (extension): workload throughput — compiled core vs networkx.
 
 Measures the engine's traversal core on the two datasets the differential
 tests cover:
 
-* **single-query latency** — one ``engine.search`` call, fast path vs the
-  brute-force networkx traversal (``use_fast_traversal=False``), on the
+* **single-query latency** — one ``engine.search`` call, the default
+  compiled ``csr`` core (the fast path) vs the brute-force networkx
+  reference core (``core="reference"``), on the
   paper's company instance and on a planted synthetic database;
 * **batch throughput** — ``engine.search_batch`` over a generated workload
   (repeated queries included, as served traffic would have) vs a
   query-at-a-time loop through the brute-force engine.
 
 Both modes must return identical answers (asserted here and in
-``tests/graph/test_fast_traversal.py``); the fast path is expected to be
+``tests/graph/test_csr.py``); the fast path is expected to be
 at least 2x faster on the synthetic workload.
 
 Run standalone::
@@ -73,7 +74,7 @@ def company_pair():
     database = build_company_database()
     return (
         KeywordSearchEngine(database, result_cache_entries=0),
-        KeywordSearchEngine(database, use_fast_traversal=False,
+        KeywordSearchEngine(database, core="reference",
                             result_cache_entries=0),
     )
 
@@ -84,7 +85,7 @@ def synthetic_setup():
     texts = _workload(database)
     return (
         KeywordSearchEngine(database, result_cache_entries=0),
-        KeywordSearchEngine(database, use_fast_traversal=False,
+        KeywordSearchEngine(database, core="reference",
                             result_cache_entries=0),
         texts,
     )
@@ -149,7 +150,7 @@ def _time(callable_, rounds: int) -> float:
 
 def _report_dataset(name, database, texts, limits, rounds, out):
     fast = KeywordSearchEngine(database, result_cache_entries=0)
-    slow = KeywordSearchEngine(database, use_fast_traversal=False,
+    slow = KeywordSearchEngine(database, core="reference",
                                result_cache_entries=0)
 
     batched_fast = fast.search_batch(texts, limits=limits)

@@ -45,6 +45,7 @@ from repro.core.schema_analysis import analyze_relational_schema
 from repro.core.search import SearchLimits
 from repro.datasets.company import build_company_database
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like
+from repro.graph.csr import CORES
 from repro.relational.database import Database
 from repro.relational.io import dump_json, load_json
 
@@ -102,15 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     execution.add_argument("--stream", action="store_true",
                            help="print each answer as the executor yields it "
                                 "(incompatible with --batch/--group)")
-    execution.add_argument("--slow", action="store_true",
-                           help="use the brute-force networkx traversal "
-                                "instead of the compiled kernels (same as "
-                                "--core reference)")
-    execution.add_argument("--core", choices=("csr", "fast", "reference"),
-                           default=None,
+    execution.add_argument("--core", choices=CORES, default=None,
                            help="traversal kernel: csr (compiled integer "
-                                "kernels, default), fast (pruned TupleId "
-                                "core) or reference (brute force)")
+                                "kernels, default) or reference (brute-force "
+                                "networkx oracle)")
     execution.add_argument("--shards", type=int, default=None, metavar="K",
                            help="partition the compiled graph into K "
                                 "component-aligned shards and route "
@@ -169,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     snap_save.add_argument("out", metavar="FILE", help="snapshot file to write")
     snap_save.add_argument("--shards", type=int, default=None, metavar="K",
                            help="partition into K shards before saving")
-    snap_save.add_argument("--core", choices=("csr", "fast", "reference"),
+    snap_save.add_argument("--core", choices=CORES,
                            default=None, help="traversal kernel to record")
     snap_load = actions.add_parser(
         "load", help="open and verify a snapshot; optionally run a query"
@@ -247,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--semantics", choices=("and", "or"), default="and")
     stats.add_argument("--shards", type=int, default=None, metavar="K",
                        help="partition the compiled graph into K shards")
-    stats.add_argument("--core", choices=("csr", "fast", "reference"),
+    stats.add_argument("--core", choices=CORES,
                        default=None, help="traversal kernel")
 
     plan = commands.add_parser(
@@ -263,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--top", type=int, default=None, help="top-k cut")
     plan.add_argument("--shards", type=int, default=None, metavar="K",
                       help="partition the compiled graph into K shards")
-    plan.add_argument("--core", choices=("csr", "fast", "reference"),
+    plan.add_argument("--core", choices=CORES,
                       default=None, help="traversal kernel")
     plan.add_argument("--snapshot", metavar="FILE", default=None,
                       help="open the engine (and its persisted calibration "
@@ -402,7 +398,7 @@ def _cmd_search(args: argparse.Namespace, out) -> int:
         engine = KeywordSearchEngine.open(
             args.snapshot,
             wal=args.wal,
-            core="reference" if args.slow else args.core,
+            core=args.core,
             shards=args.shards,
             vector=False if args.no_vector else None,
             adaptive=False if args.static_plan else None,
@@ -419,7 +415,6 @@ def _cmd_search(args: argparse.Namespace, out) -> int:
     else:
         engine = KeywordSearchEngine(
             _load_database(args.db),
-            use_fast_traversal=not args.slow,
             core=args.core,
             shards=args.shards,
             vector=False if args.no_vector else None,

@@ -30,9 +30,8 @@ populated keyword, which keeps the prefix constant per source and the
 bounds monotone.
 
 **Plan sharing.**  All enumeration goes through a
-:class:`SharedEnumerations` table of
-:class:`~repro.graph.fast_traversal.SharedStream` objects keyed by the
-enumeration signature (tuple pair + limits for paths, required tuple
+:class:`SharedEnumerations` table of :class:`SharedStream` objects
+keyed by the enumeration signature (tuple pair + limits for paths, required tuple
 sequence + limits for trees).  Identical sub-plans — across the sources
 of one query or across different query texts of a batch — execute once
 and fan out; ``KeywordSearchEngine.search_batch`` passes one table for
@@ -70,12 +69,7 @@ from repro.graph.csr import (
     resolve_core,
 )
 from repro.graph.data_graph import DataGraph
-from repro.graph.fast_traversal import (
-    SharedStream,
-    TraversalCache,
-    fast_enumerate_joining_trees,
-    fast_enumerate_simple_paths,
-)
+from repro.graph.fast_traversal import TraversalCache
 from repro.graph.traversal import (
     enumerate_joining_trees,
     enumerate_simple_paths,
@@ -88,6 +82,7 @@ from repro.relational.database import TupleId
 __all__ = [
     "SearchResult",
     "ExecutionStats",
+    "SharedStream",
     "SharedEnumerations",
     "Executor",
 ]
@@ -163,6 +158,80 @@ class ExecutionStats:
         )
 
 
+class SharedStream:
+    """Fan one single-pass enumeration out to many consumers.
+
+    Wraps a generator factory; the generator is started lazily on first
+    demand and advanced only as far as the furthest consumer has read.
+    Every consumer replays the buffered prefix in order, so interleaved
+    readers (several queries of a batch walking the same enumeration
+    sub-plan) each see the full stream while the underlying enumeration
+    runs **once**.  A consumer that stops early (top-k pushdown) leaves
+    the stream partially materialised; a later consumer extends it.
+
+    Budget errors are part of the stream: if the source raises (e.g.
+    :class:`~repro.errors.SearchLimitError`), the exception is recorded
+    after the items already produced and re-raised at the same position
+    for every consumer — sharing never changes what any one consumer
+    observes.
+    """
+
+    __slots__ = (
+        "_factory",
+        "_source",
+        "_buffer",
+        "_error",
+        "_exhausted",
+        "consumers",
+    )
+
+    def __init__(self, factory) -> None:
+        self._factory = factory
+        self._source = None
+        self._buffer: list = []
+        self._error: Optional[BaseException] = None
+        self._exhausted = False
+        #: Consumers served so far (observability for benchmarks).
+        self.consumers = 0
+
+    @property
+    def produced(self) -> int:
+        """Items materialised from the underlying enumeration so far."""
+        return len(self._buffer)
+
+    def _advance(self) -> bool:
+        """Pull one more item from the source; False when finished."""
+        if self._exhausted:
+            if self._error is not None:
+                raise self._error
+            return False
+        if self._source is None:
+            self._source = self._factory()
+        try:
+            self._buffer.append(next(self._source))
+        except StopIteration:
+            self._exhausted = True
+            self._source = None
+            return False
+        except BaseException as error:  # replayed for every consumer
+            self._exhausted = True
+            self._source = None
+            self._error = error
+            raise
+        return True
+
+    def __iter__(self):
+        self.consumers += 1
+        position = 0
+        while True:
+            if position < len(self._buffer):
+                yield self._buffer[position]
+                position += 1
+                continue
+            if not self._advance():
+                return
+
+
 class SharedEnumerations:
     """Keyed table of shared enumeration streams (plan-level sharing).
 
@@ -223,7 +292,6 @@ class Executor:
         self,
         data_graph: DataGraph,
         *,
-        use_fast_traversal: bool = True,
         core: Optional[str] = None,
         cache: Optional[TraversalCache] = None,
         shared: Optional[SharedEnumerations] = None,
@@ -232,11 +300,8 @@ class Executor:
     ) -> None:
         self.data_graph = data_graph
         #: Traversal kernel: ``csr`` (compiled integer kernels, the
-        #: default), ``fast`` (pruned TupleId core) or ``reference``
-        #: (brute-force networkx).  ``use_fast_traversal`` is the legacy
-        #: boolean selector; ``core`` wins when both are given.
-        self.core = resolve_core(use_fast_traversal, core)
-        self.use_fast_traversal = self.core != "reference"
+        #: default) or ``reference`` (the brute-force networkx oracle).
+        self.core = resolve_core(core)
         if cache is None or cache.data_graph is not data_graph:
             cache = TraversalCache(data_graph)
         self.cache = cache
@@ -256,7 +321,7 @@ class Executor:
         #: either way — the bounds are admissible, so emission only gets
         #: cheaper.  Resolved here so ``REPRO_STATIC_PLAN`` freezes the
         #: whole process; requires the compiled ``csr`` core's cheap
-        #: distance rows, other cores keep the static order.
+        #: distance rows; the reference core keeps the static order.
         self.adaptive = resolve_adaptive(adaptive)
         self.stats = ExecutionStats()
         #: Live span of the run in flight (``None`` while tracing is
@@ -563,15 +628,6 @@ class Executor:
                 max_paths=limits.max_paths_per_pair,
                 cache=cache,
             )
-        elif self.core == "fast":
-            factory = lambda: fast_enumerate_simple_paths(
-                self.data_graph,
-                source,
-                target,
-                limits.max_rdb_length,
-                max_paths=limits.max_paths_per_pair,
-                cache=cache,
-            )
         else:
             factory = lambda: enumerate_simple_paths(
                 self.data_graph,
@@ -598,14 +654,6 @@ class Executor:
         )
         if self.core == "csr":
             factory = lambda: csr_enumerate_joining_trees(
-                self.data_graph,
-                list(required),
-                limits.max_tuples,
-                max_results=limits.max_networks,
-                cache=cache,
-            )
-        elif self.core == "fast":
-            factory = lambda: fast_enumerate_joining_trees(
                 self.data_graph,
                 list(required),
                 limits.max_tuples,

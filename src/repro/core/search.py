@@ -34,11 +34,7 @@ from repro.graph.csr import (
     resolve_core,
 )
 from repro.graph.data_graph import DataGraph
-from repro.graph.fast_traversal import (
-    TraversalCache,
-    fast_enumerate_joining_trees,
-    fast_enumerate_simple_paths,
-)
+from repro.graph.fast_traversal import TraversalCache
 from repro.graph.traversal import (
     TuplePathStep,
     _sort_key,
@@ -271,7 +267,6 @@ def find_connections(
     limits: SearchLimits = SearchLimits(),
     include_single_tuples: bool = True,
     *,
-    use_fast_traversal: bool = True,
     core: Optional[str] = None,
     cache: Optional[TraversalCache] = None,
 ) -> Iterator[Connection | SingleTupleAnswer]:
@@ -283,12 +278,10 @@ def find_connections(
     both keywords when ``include_single_tuples``.
 
     ``core`` selects the traversal kernel (``"csr"`` compiled integer
-    kernels — the default, ``"fast"`` pruned TupleId core,
-    ``"reference"`` brute force); ``use_fast_traversal=False`` is the
-    legacy spelling of ``core="reference"``.  Answers and order are
-    identical across cores, only the speed differs.  Pass a
-    :class:`TraversalCache` to share adjacency, distance maps and the
-    compiled CSR graph across calls — the engine passes its own.
+    kernels — the default — or the ``"reference"`` brute-force oracle).
+    Answers and order are identical across cores, only the speed
+    differs.  Pass a :class:`TraversalCache` to share the compiled CSR
+    graph and its distance rows across calls — the engine passes its own.
 
     Raises :class:`~repro.errors.QueryError` unless exactly two keyword
     matches are supplied — use :func:`find_joining_networks` otherwise.
@@ -298,7 +291,7 @@ def find_connections(
             "find_connections needs exactly two keywords",
             keywords=[m.keyword for m in matches],
         )
-    core = resolve_core(use_fast_traversal, core)
+    core = resolve_core(core)
     if core != "reference" and cache is None:
         cache = TraversalCache(data_graph)
     first, second = matches
@@ -315,15 +308,6 @@ def find_connections(
                 continue
             if core == "csr":
                 paths = csr_enumerate_simple_paths(
-                    data_graph,
-                    source,
-                    target,
-                    limits.max_rdb_length,
-                    max_paths=limits.max_paths_per_pair,
-                    cache=cache,
-                )
-            elif core == "fast":
-                paths = fast_enumerate_simple_paths(
                     data_graph,
                     source,
                     target,
@@ -351,7 +335,6 @@ def find_joining_networks(
     matches: Sequence[KeywordMatch],
     limits: SearchLimits = SearchLimits(),
     *,
-    use_fast_traversal: bool = True,
     core: Optional[str] = None,
     cache: Optional[TraversalCache] = None,
 ) -> Iterator[JoiningNetwork]:
@@ -363,15 +346,15 @@ def find_joining_networks(
     the same tuple set with different keyword bindings; both are yielded —
     deduplication by tuple set is the caller's choice.
 
-    ``core`` / ``use_fast_traversal`` / ``cache`` behave as in
+    ``core`` / ``cache`` behave as in
     :func:`find_connections`; the cache pays off especially here because
-    every keyword-tuple assignment shares its distance maps.
+    every keyword-tuple assignment shares its distance rows.
     """
     if not matches:
         raise QueryError("no keywords to search")
     if any(match.is_empty for match in matches):
         return
-    core = resolve_core(use_fast_traversal, core)
+    core = resolve_core(core)
     if core != "reference" and cache is None:
         cache = TraversalCache(data_graph)
     seen: set[tuple[frozenset[TupleId], tuple[tuple[str, TupleId], ...]]] = set()
@@ -383,14 +366,6 @@ def find_joining_networks(
         required = list(dict.fromkeys(assignment))
         if core == "csr":
             tuple_sets = csr_enumerate_joining_trees(
-                data_graph,
-                required,
-                limits.max_tuples,
-                max_results=limits.max_networks,
-                cache=cache,
-            )
-        elif core == "fast":
-            tuple_sets = fast_enumerate_joining_trees(
                 data_graph,
                 required,
                 limits.max_tuples,

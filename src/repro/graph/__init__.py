@@ -5,13 +5,13 @@
 * :mod:`repro.graph.data_graph` — tuples as nodes (the BANKS view of a
   database) plus the *conceptual* collapse that removes middle-relation
   tuples;
-* :mod:`repro.graph.traversal` — bounded enumeration of paths and joining
-  trees used by the search engines;
-* :mod:`repro.graph.fast_traversal` — the pruned, cache-backed TupleId
-  core producing identical answers;
+* :mod:`repro.graph.traversal` — bounded brute-force enumeration of
+  paths and joining trees: the ``reference`` core and test oracle;
 * :mod:`repro.graph.csr` — the compiled integer-interned CSR kernel
-  (the engine's default core), bit-identical again and patched in place
-  by live updates.
+  (the engine's default core), bit-identical to the oracle and patched
+  in place by live updates;
+* :mod:`repro.graph.fast_traversal` — the engine's
+  :class:`TraversalCache`, which holds the compiled graph.
 """
 
 from repro.graph.schema_graph import SchemaGraph

@@ -1,7 +1,7 @@
 """Compiled CSR graph kernel: the integer-interned traversal core.
 
-The pruned core in :mod:`repro.graph.fast_traversal` already avoids the
-brute-force traversal's re-sorting and re-BFS-ing, but it still walks
+The brute-force oracle in :mod:`repro.graph.traversal` re-sorts
+adjacency and re-runs a BFS per call, and walks
 :class:`~repro.relational.database.TupleId` objects: every expansion
 hashes composite dataclass keys, every distance lookup is a dict probe,
 and every visited test hashes a tuple id into a set.  This module
@@ -37,10 +37,9 @@ kernels entirely on dense ints:
   back into flat arrays (compaction), so a long-lived served engine
   never degrades into a pile of overrides.
 
-The output contract is the one the differential tests enforce for every
-core: same answers, same order, same
-:class:`~repro.errors.SearchLimitError` budget points as
-:mod:`repro.graph.traversal` and :mod:`repro.graph.fast_traversal`.
+The output contract is the one the differential tests enforce: same
+answers, same order, same :class:`~repro.errors.SearchLimitError`
+budget points as :mod:`repro.graph.traversal`.
 """
 
 from __future__ import annotations
@@ -85,23 +84,17 @@ def _index_nodes(tids) -> dict[str, dict[tuple, int]]:
     return node_of
 
 
-#: The engine's traversal kernels, fastest first.  ``csr`` runs this
-#: module's integer kernels, ``fast`` the pruned TupleId core, and
-#: ``reference`` the brute-force networkx enumeration — all three are
-#: bit-identical in answers, order and budget-error points.
-CORES = ("csr", "fast", "reference")
+#: The engine's traversal kernels.  ``csr`` runs this module's integer
+#: kernels and serves every production query; ``reference`` is the
+#: brute-force networkx oracle they are differentially tested against —
+#: both are bit-identical in answers, order and budget-error points.
+CORES = ("csr", "reference")
 
 
-def resolve_core(use_fast_traversal: bool = True, core: Optional[str] = None) -> str:
-    """Map the legacy ``use_fast_traversal`` flag and the explicit
-    ``core`` selector onto one kernel name.
-
-    ``core`` wins when given; otherwise ``use_fast_traversal=True``
-    selects the compiled CSR kernel (the default everywhere) and
-    ``False`` the brute-force reference core.
-    """
+def resolve_core(core: Optional[str] = None) -> str:
+    """Validate a traversal-core selector; ``None`` means ``"csr"``."""
     if core is None:
-        return "csr" if use_fast_traversal else "reference"
+        return "csr"
     if core not in CORES:
         raise QueryError(
             "unknown traversal core", got=core, expected=list(CORES)
@@ -157,9 +150,8 @@ class FrozenGraph:
         self.compile_stamp = 0
         #: Where distance-row hit/miss counts are recorded.  The owning
         #: :class:`~repro.graph.fast_traversal.TraversalCache` passes
-        #: itself, so ``cache.hits`` means "distance lookups reused"
-        #: whichever core served them; standalone graphs count on their
-        #: own attributes.
+        #: itself, so ``cache.hits`` means "distance lookups reused";
+        #: standalone graphs count on their own attributes.
         self._counters = counters if counters is not None else self
         self._tid_of = None  # nothing compiled yet: _compile reads the database
         self._compile()
@@ -967,8 +959,7 @@ def _private_frozen(data_graph: DataGraph, cache) -> tuple[FrozenGraph, object]:
     """Resolve the compiled graph for one kernel call.
 
     A cache built on another graph would serve a stale compilation;
-    fall back to a private one rather than answer wrongly (the same
-    discipline the fast core applies to its TraversalCache).
+    fall back to a private one rather than answer wrongly.
     """
     if cache is not None and cache.data_graph is data_graph:
         return cache.frozen(), cache
@@ -985,7 +976,7 @@ def csr_enumerate_simple_paths(
 ) -> Iterator[list[TuplePathStep]]:
     """Drop-in replacement for ``enumerate_simple_paths`` on the compiled core.
 
-    Same paths, same order, same budget semantics as both other cores.
+    Same paths, same order, same budget semantics as the reference core.
     The forward DFS runs on ints with a shared visited ``bytearray``
     and an in-place path stack (push/undo, no per-expansion copies);
     the backward BFS bound is an array lookup.  ``cache`` is the

@@ -10,9 +10,8 @@ place* instead of rebuilding it:
 * :func:`apply_to_graph` — removes/adds nodes and FK edges on the data
   graph exactly as construction would, and (via the patch methods)
   invalidates the cached conceptual view and bumps the graph version.
-* :func:`apply_to_traversal_cache` — fine-grained invalidation: only
-  adjacency lists of touched tuples and distance maps of touched
-  connected components are dropped.
+* :func:`apply_to_traversal_cache` — patches the cache's compiled CSR
+  graph in place (tombstone / append / per-row edge deltas).
 
 :func:`affected_tuples` computes the invalidation frontier for the
 answer cache: the depth-labelled ball around a changeset's structural
@@ -83,16 +82,11 @@ def apply_to_graph(
         data_graph.add_fk_edge(edge.referencing, edge.referenced, edge.foreign_key)
 
 
-def apply_to_traversal_cache(cache: TraversalCache, changeset: ChangeSet) -> int:
-    """Invalidate only the traversal-cache entries the batch can affect.
-
-    Only structural changes matter here: adjacency and distance maps are
-    pure tuple-identity structures, so value-only updates leave every
-    cached entry valid.  The cache's compiled CSR graph, when built, is
-    *patched* in place from the changeset's edge deltas (tombstone /
-    append / per-row delta) rather than recompiled.
-    """
-    return cache.apply_changeset(changeset)
+def apply_to_traversal_cache(cache: TraversalCache, changeset: ChangeSet) -> None:
+    """Patch the traversal cache's compiled CSR graph, when built, from
+    the changeset's edge deltas (tombstone / append / per-row delta)
+    rather than recompiling it."""
+    cache.apply_changeset(changeset)
 
 
 def apply_to_shard_plan(shard_plan, changeset: ChangeSet) -> None:

@@ -33,7 +33,7 @@ Restoration is lazy wherever queries and replayed WAL records allow it:
 * the interning table decodes per relation (:class:`_Interning`),
   edge-payload dicts per CSR entry (:class:`_LazyEdgeData`), posting
   lists per token (:class:`_PostingColumns`), each on first touch;
-* the networkx tuple graph — only needed by the reference/fast cores
+* the networkx tuple graph — only needed by the reference core
   and by joining-network metrics — builds on first demand
   (:class:`~repro.graph.data_graph.DataGraph` is lazy); a pure-CSR
   path query never builds it.
@@ -767,6 +767,14 @@ class Snapshot:
         )
 
 
+def _stored_core(meta: dict) -> Optional[str]:
+    """The writer's traversal core.  Files written while the retired
+    ``fast`` core existed may name it; its answers were bit-identical
+    to ``csr`` by contract, so they open on ``csr``."""
+    core = meta.get("core")
+    return "csr" if core == "fast" else core
+
+
 def load_engine(
     path: Union[str, Path],
     *,
@@ -896,7 +904,7 @@ def _load_engine(
         data_graph=data_graph,
         index=index,
         traversal_cache=cache,
-        core=core if core is not None else meta.get("core"),
+        core=core if core is not None else _stored_core(meta),
         shards=shards if shards is not None else (meta.get("shard_count") or None),
         version=snapshot.base_version,
         **engine_options,

@@ -196,7 +196,7 @@ class TestBatchFlag:
 
     def test_slow_flag_same_answers(self):
         __, fast = run("search", "Smith XML")
-        __, slow = run("search", "Smith XML", "--slow")
+        __, slow = run("search", "Smith XML", "--core", "reference")
         assert fast == slow
 
     def test_batch_only_separators_reports_no_queries(self):
@@ -241,7 +241,7 @@ class TestStreamFlag:
     def test_stream_slow_core_same_answers(self):
         __, fast = run("search", "Smith XML", "--stream", "--top", "3")
         __, slow = run("search", "Smith XML", "--stream", "--top", "3",
-                       "--slow")
+                       "--core", "reference")
         assert fast == slow
 
 

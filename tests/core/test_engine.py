@@ -211,12 +211,17 @@ class TestPlanEntryPoint:
 
 
 class TestFastTraversalFlag:
+    """The compiled core is the default; ``core`` is the only selector."""
+
     def test_flag_defaults_on(self, engine):
-        assert engine.use_fast_traversal is True
+        assert engine.core == "csr"
+        assert not hasattr(engine, "use_fast_traversal")
+        with pytest.raises(TypeError):
+            KeywordSearchEngine(engine.database, use_fast_traversal=False)
 
     def test_slow_engine_gives_same_answers(self, company_db):
         fast = KeywordSearchEngine(company_db)
-        slow = KeywordSearchEngine(company_db, use_fast_traversal=False)
+        slow = KeywordSearchEngine(company_db, core="reference")
         assert [(r.render(), r.score) for r in fast.search("Smith XML")] == [
             (r.render(), r.score) for r in slow.search("Smith XML")
         ]

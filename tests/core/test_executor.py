@@ -13,7 +13,12 @@ from itertools import combinations
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
-from repro.core.executor import ExecutionStats, Executor, SharedEnumerations
+from repro.core.executor import (
+    ExecutionStats,
+    Executor,
+    SharedEnumerations,
+    SharedStream,
+)
 from repro.core.matching import match_keywords
 from repro.core.plan import plan_query
 from repro.core.ranking import (
@@ -34,7 +39,6 @@ from repro.core.search import (
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like
 from repro.datasets.workload import WorkloadConfig, generate_workload
 from repro.errors import SearchLimitError
-from repro.graph.fast_traversal import SharedStream
 
 RANKERS = [
     ClosenessRanker(),
@@ -70,7 +74,7 @@ def legacy_search(engine, query, ranker=None, limits=None, top_k=None,
                 engine.data_graph,
                 matches,
                 limits,
-                use_fast_traversal=engine.use_fast_traversal,
+                core=engine.core,
                 cache=engine.traversal_cache,
             )
         )
@@ -80,7 +84,7 @@ def legacy_search(engine, query, ranker=None, limits=None, top_k=None,
                 engine.data_graph,
                 matches,
                 limits,
-                use_fast_traversal=engine.use_fast_traversal,
+                core=engine.core,
                 cache=engine.traversal_cache,
             )
         )
@@ -114,7 +118,7 @@ def _legacy_search_or(engine, matches, ranker, limits, top_k):
                     (first, second),
                     limits,
                     include_single_tuples=False,
-                    use_fast_traversal=engine.use_fast_traversal,
+                    core=engine.core,
                     cache=engine.traversal_cache,
                 )
             )
@@ -124,7 +128,7 @@ def _legacy_search_or(engine, matches, ranker, limits, top_k):
                 engine.data_graph,
                 populated,
                 limits,
-                use_fast_traversal=engine.use_fast_traversal,
+                core=engine.core,
                 cache=engine.traversal_cache,
             )
         )
@@ -160,9 +164,11 @@ LIMITS = SearchLimits(max_rdb_length=4, max_tuples=5)
 class TestBitIdentityCompany:
     @pytest.mark.parametrize("semantics", ["and", "or"])
     @pytest.mark.parametrize("ranker", RANKERS, ids=lambda r: r.name)
-    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "networkx"])
-    def test_full_mode_matches_legacy(self, company_db, semantics, ranker, fast):
-        engine = KeywordSearchEngine(company_db, use_fast_traversal=fast)
+    @pytest.mark.parametrize(
+        "core", ["csr", "reference"], ids=["fast", "networkx"]
+    )
+    def test_full_mode_matches_legacy(self, company_db, semantics, ranker, core):
+        engine = KeywordSearchEngine(company_db, core=core)
         for query in QUERIES:
             for top_k in (None, 1, 3, 100):
                 expected = legacy_search(

@@ -169,8 +169,7 @@ class TestHotClassesStaySlotted:
         assert not hasattr(plan, "__dict__")
 
     def test_traversal_and_executor_classes(self):
-        from repro.core.executor import ExecutionStats, SearchResult
-        from repro.graph.fast_traversal import SharedStream
+        from repro.core.executor import ExecutionStats, SearchResult, SharedStream
         from repro.graph.traversal import TuplePathStep
         from repro.relational.database import TupleId
 

@@ -131,7 +131,7 @@ class TestBasics:
 
 
 class TestTraversalCoreRouting:
-    """Top-k enumerates through the fast core (with an escape hatch)."""
+    """Top-k enumerates through the compiled core (reference as oracle)."""
 
     @pytest.mark.parametrize(
         "ranker",
@@ -143,7 +143,7 @@ class TestTraversalCoreRouting:
         fast = top_k_connections(data_graph, smith_xml, ranker, 5, limits)
         slow = top_k_connections(
             data_graph, smith_xml, ranker, 5, limits,
-            use_fast_traversal=False,
+            core="reference",
         )
         assert [(c.render(), s) for c, s in fast] == [
             (c.render(), s) for c, s in slow

@@ -1,9 +1,10 @@
-"""Differential tests: the compiled CSR kernel vs both existing cores.
+"""Differential tests: the compiled CSR kernel vs the reference core.
 
-The CSR core's contract is the same bit-identical one the fast core
-carries — same paths and trees, same order, same budget errors — plus
-one more obligation: an incrementally *patched* ``FrozenGraph`` must
-answer exactly like a freshly compiled one.
+The CSR core's contract is bit-identical output against the brute-force
+oracle in :mod:`repro.graph.traversal` — same paths and trees, same
+order, same budget errors — plus one more obligation: an incrementally
+*patched* ``FrozenGraph`` must answer exactly like a freshly compiled
+one.
 """
 
 import itertools
@@ -23,11 +24,7 @@ from repro.graph.csr import (
     resolve_core,
 )
 from repro.graph.data_graph import DataGraph
-from repro.graph.fast_traversal import (
-    TraversalCache,
-    fast_enumerate_joining_trees,
-    fast_enumerate_simple_paths,
-)
+from repro.graph.fast_traversal import TraversalCache
 from repro.graph.traversal import (
     _sort_key,
     enumerate_joining_trees,
@@ -67,15 +64,14 @@ def synthetic_graph(planted_synthetic):
 class TestResolveCore:
     def test_defaults(self):
         assert resolve_core() == "csr"
-        assert resolve_core(use_fast_traversal=False) == "reference"
+        assert CORES == ("csr", "reference")
         for core in CORES:
-            assert resolve_core(core=core) == core
-        # Explicit core wins over the legacy boolean.
-        assert resolve_core(use_fast_traversal=False, core="csr") == "csr"
+            assert resolve_core(core) == core
 
     def test_unknown_core_rejected(self):
-        with pytest.raises(QueryError):
-            resolve_core(core="turbo")
+        for core in ("turbo", "fast"):
+            with pytest.raises(QueryError):
+                resolve_core(core)
 
 
 class TestFrozenStructure:
@@ -165,18 +161,12 @@ class TestPathParity:
         nodes = sorted(data_graph.graph.nodes, key=str)
         for source, target in itertools.permutations(nodes, 2):
             brute = list(enumerate_simple_paths(data_graph, source, target, 4))
-            fast = list(
-                fast_enumerate_simple_paths(
-                    data_graph, source, target, 4, cache=cache
-                )
-            )
             csr = list(
                 csr_enumerate_simple_paths(
                     data_graph, source, target, 4, cache=cache
                 )
             )
             assert csr == brute, (source, target)
-            assert csr == fast, (source, target)
 
     def test_synthetic_sampled_pairs(self, synthetic_graph):
         cache = TraversalCache(synthetic_graph)
@@ -244,6 +234,25 @@ class TestPathParity:
         )
         assert csr == brute
         assert other_cache._frozen is None  # never compiled for the wrong graph
+        assert other_cache.hits == 0 and other_cache.misses == 0
+
+
+class TestTraversalCache:
+    def test_rebuild_replaces_engine_cache(self, company_db):
+        engine = KeywordSearchEngine(company_db)
+        engine.search("Smith XML")
+        old_cache = engine.traversal_cache
+        engine.rebuild()
+        assert engine.traversal_cache is not old_cache
+        assert engine.traversal_cache.data_graph is engine.data_graph
+
+    def test_full_invalidate_drops_frozen_graph(self, data_graph):
+        cache = TraversalCache(data_graph)
+        first = cache.frozen()
+        assert cache.compiled() is first
+        cache.invalidate()
+        assert cache.compiled() is None
+        assert cache.frozen() is not first
 
 
 class TestTreeParity:
@@ -272,18 +281,12 @@ class TestTreeParity:
         nodes = sorted(synthetic_graph.graph.nodes, key=str)
         for combo in itertools.combinations(nodes[::9], 2):
             brute = list(enumerate_joining_trees(synthetic_graph, list(combo), 4))
-            fast = list(
-                fast_enumerate_joining_trees(
-                    synthetic_graph, list(combo), 4, cache=cache
-                )
-            )
             csr = list(
                 csr_enumerate_joining_trees(
                     synthetic_graph, list(combo), 4, cache=cache
                 )
             )
             assert csr == brute, combo
-            assert csr == fast, combo
 
     def test_budget_error_parity(self, data_graph):
         required = [tid("DEPARTMENT", "d1")]
@@ -335,7 +338,7 @@ class TestSearchLayerParity:
             for core in CORES
         }
         assert engines["csr"].core == "csr"
-        assert engines["reference"].use_fast_traversal is False
+        assert engines["reference"].core == "reference"
         for query in ("kwalpha kwbeta", "kwbeta kwgamma", "kwalpha kwgamma"):
             limits = SearchLimits(max_rdb_length=5)
             rendered = {
@@ -345,7 +348,7 @@ class TestSearchLayerParity:
                 ]
                 for core, engine in engines.items()
             }
-            assert rendered["csr"] == rendered["fast"] == rendered["reference"]
+            assert rendered["csr"] == rendered["reference"]
 
     def test_engine_batch_and_stream_identical(self, planted_synthetic):
         csr = KeywordSearchEngine(planted_synthetic, core="csr",

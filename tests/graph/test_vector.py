@@ -230,18 +230,6 @@ class TestDistanceCacheLru:
         assert 0 in frozen._distances
         assert 1 not in frozen._distances
 
-    def test_traversal_cache_hit_refreshes_entry(self, data_graph):
-        cache = TraversalCache(data_graph)
-        cache.max_distance_maps = 3
-        tids = sorted(data_graph.graph.nodes, key=str)[:4]
-        a, b, c, d = tids
-        for t in (a, b, c):
-            cache.distances(t)
-        cache.distances(a)
-        cache.distances(d)
-        assert a in cache._distances
-        assert b not in cache._distances
-
 
 # ----------------------------------------------------------------------
 # engine level

@@ -183,60 +183,43 @@ class TestMaintainers:
 class TestTraversalCacheInvalidation:
     def test_only_touched_component_maps_drop(self, company_db):
         # Add an isolated department: its component is separate from the
-        # main one, so its distance map must survive mutations elsewhere.
+        # main one, so its distance row must survive mutations elsewhere.
         company_db.insert("DEPARTMENT", {"ID": "d9", "D_NAME": "isolated"})
         data_graph = DataGraph(company_db)
         cache = TraversalCache(data_graph)
-        cache.distances(tid("DEPARTMENT", "d9"))
-        cache.distances(tid("EMPLOYEE", "e1"))
+        frozen = cache.frozen()
+        d9 = frozen.node_of(tid("DEPARTMENT", "d9"))
+        e1 = frozen.node_of(tid("EMPLOYEE", "e1"))
+        frozen.distances(d9, radius=3)
+        frozen.distances(e1, radius=3)
         changeset = apply_to_database(
             company_db,
             [Insert("DEPENDENT",
                     {"ID": "t9", "ESSN": "e1", "DEPENDENT_NAME": "Nora"})],
         )
         apply_changeset(changeset, company_db, data_graph=data_graph)
-        dropped = apply_to_traversal_cache(cache, changeset)
-        assert dropped == 1  # only the main component's map
+        apply_to_traversal_cache(cache, changeset)
+        assert cache.compiled() is frozen  # patched, not recompiled
+        assert e1 not in frozen._distances  # its source gained an edge
         cache.hits = cache.misses = 0
-        cache.distances(tid("DEPARTMENT", "d9"))
+        frozen.distances(d9, radius=3)
         assert cache.hits == 1 and cache.misses == 0
-        cache.distances(tid("EMPLOYEE", "e1"))
-        assert cache.misses == 1
 
     def test_value_only_update_keeps_every_map(self, company_db):
         data_graph = DataGraph(company_db)
         cache = TraversalCache(data_graph)
-        cache.distances(tid("EMPLOYEE", "e1"))
-        cache.expansions(tid("DEPARTMENT", "d1"))
+        frozen = cache.frozen()
+        e1 = frozen.node_of(tid("EMPLOYEE", "e1"))
+        row = frozen.distances(e1, radius=3)
         changeset = apply_to_database(
             company_db,
             [Update(tid("DEPARTMENT", "d1"), {"D_DESCRIPTION": "robotics"})],
         )
         apply_changeset(changeset, company_db, data_graph=data_graph)
-        assert apply_to_traversal_cache(cache, changeset) == 0
+        apply_to_traversal_cache(cache, changeset)
         cache.hits = cache.misses = 0
-        cache.distances(tid("EMPLOYEE", "e1"))
+        assert frozen.distances(e1, radius=3) is row
         assert cache.hits == 1 and cache.misses == 0
-        assert tid("DEPARTMENT", "d1") in cache._expansions
-
-    def test_adjacency_dropped_for_endpoints_only(self, company_db):
-        data_graph = DataGraph(company_db)
-        cache = TraversalCache(data_graph)
-        cache.expansions(tid("EMPLOYEE", "e1"))
-        cache.expansions(tid("EMPLOYEE", "e3"))
-        changeset = apply_to_database(
-            company_db,
-            [Insert("DEPENDENT",
-                    {"ID": "t9", "ESSN": "e1", "DEPENDENT_NAME": "Nora"})],
-        )
-        apply_changeset(changeset, company_db, data_graph=data_graph)
-        cache.invalidate_tuples(changeset.touched())
-        assert tid("EMPLOYEE", "e1") not in cache._expansions
-        assert tid("EMPLOYEE", "e3") in cache._expansions
-        # Re-derived expansion sees the new edge.
-        others = [other for other, __, __ in
-                  cache.expansions(tid("EMPLOYEE", "e1"))]
-        assert tid("DEPENDENT", "t9") in others
 
 
 class TestAffectedTuples:

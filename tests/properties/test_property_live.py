@@ -65,6 +65,7 @@ relaxed = settings(
 
 _LIMITS = SearchLimits(max_rdb_length=4, max_tuples=5)
 _QUERIES = ("kwalpha kwbeta", "kwalpha kwbeta kwgamma", "kwalpha")
+_CORES = st.sampled_from(["csr", "reference"])
 
 
 def planted_database(config):
@@ -118,11 +119,11 @@ def rendered(results):
     return [(r.render(), r.score, r.rank) for r in results]
 
 
-def run_interleaving(config, ops, fast):
+def run_interleaving(config, ops, core):
     """Yield (live engine, lockstep oracle database) after each batch."""
     live_db = planted_database(config)
     oracle_db = planted_database(config)
-    engine = KeywordSearchEngine(live_db, use_fast_traversal=fast)
+    engine = KeywordSearchEngine(live_db, core=core)
     yield engine, oracle_db
     for counter, (kind, salt) in enumerate(ops):
         mutation = build_mutation(live_db, kind, salt, counter)
@@ -134,13 +135,13 @@ def run_interleaving(config, ops, fast):
 
 class TestInterleavingDifferential:
     @relaxed
-    @given(configs, operations, st.booleans())
+    @given(configs, operations, _CORES)
     def test_search_matches_rebuilt_engine_at_every_step(
-        self, config, ops, fast
+        self, config, ops, core
     ):
-        for engine, oracle_db in run_interleaving(config, ops, fast):
+        for engine, oracle_db in run_interleaving(config, ops, core):
             oracle = KeywordSearchEngine(
-                oracle_db, use_fast_traversal=fast, result_cache_entries=0
+                oracle_db, core=core, result_cache_entries=0
             )
             for query in _QUERIES:
                 for semantics in ("and", "or"):
@@ -153,15 +154,15 @@ class TestInterleavingDifferential:
                     )
 
     @relaxed
-    @given(configs, operations, st.booleans(),
+    @given(configs, operations, _CORES,
            st.integers(min_value=1, max_value=5))
-    def test_stream_batch_and_topk_after_mutations(self, config, ops, fast, k):
+    def test_stream_batch_and_topk_after_mutations(self, config, ops, core, k):
         final = None
-        for final in run_interleaving(config, ops, fast):
+        for final in run_interleaving(config, ops, core):
             pass
         engine, oracle_db = final
         oracle = KeywordSearchEngine(
-            oracle_db, use_fast_traversal=fast, result_cache_entries=0
+            oracle_db, core=core, result_cache_entries=0
         )
         queries = list(_QUERIES)
         assert [
@@ -178,8 +179,8 @@ class TestInterleavingDifferential:
             )
 
     @relaxed
-    @given(configs, operations, st.booleans())
-    def test_budget_error_points_identical(self, config, ops, fast):
+    @given(configs, operations, _CORES)
+    def test_budget_error_points_identical(self, config, ops, core):
         tight = SearchLimits(
             max_rdb_length=4, max_tuples=5,
             max_paths_per_pair=2, max_networks=2,
@@ -191,9 +192,9 @@ class TestInterleavingDifferential:
             except SearchLimitError as error:
                 return ("limit", str(error))
 
-        for engine, oracle_db in run_interleaving(config, ops, fast):
+        for engine, oracle_db in run_interleaving(config, ops, core):
             oracle = KeywordSearchEngine(
-                oracle_db, use_fast_traversal=fast, result_cache_entries=0
+                oracle_db, core=core, result_cache_entries=0
             )
             for query in _QUERIES:
                 assert outcome(engine, query) == outcome(oracle, query)
@@ -201,21 +202,21 @@ class TestInterleavingDifferential:
     @relaxed
     @given(configs, operations)
     def test_cores_agree_after_mutations(self, config, ops):
-        fast_pair = None
-        slow_pair = None
-        for fast_pair in run_interleaving(config, ops, True):
+        csr_pair = None
+        ref_pair = None
+        for csr_pair in run_interleaving(config, ops, "csr"):
             pass
-        for slow_pair in run_interleaving(config, ops, False):
+        for ref_pair in run_interleaving(config, ops, "reference"):
             pass
-        fast_engine, __ = fast_pair
-        slow_engine, __ = slow_pair
+        csr_engine, __ = csr_pair
+        ref_engine, __ = ref_pair
         for query in _QUERIES:
             for semantics in ("and", "or"):
                 assert rendered(
-                    fast_engine.search(query, limits=_LIMITS,
+                    csr_engine.search(query, limits=_LIMITS,
                                        semantics=semantics)
                 ) == rendered(
-                    slow_engine.search(query, limits=_LIMITS,
+                    ref_engine.search(query, limits=_LIMITS,
                                        semantics=semantics)
                 )
 
@@ -313,9 +314,9 @@ config = SyntheticConfig(
 )
 ops = [("update_description", 154), ("delete", 1), ("insert_works", 0)]
 steps = []
-for engine, oracle_db in run_interleaving(config, ops, False):
+for engine, oracle_db in run_interleaving(config, ops, "reference"):
     oracle = KeywordSearchEngine(
-        oracle_db, use_fast_traversal=False, result_cache_entries=0
+        oracle_db, core="reference", result_cache_entries=0
     )
     steps.append([
         [rendered(target.search(query, limits=_LIMITS, semantics=semantics))

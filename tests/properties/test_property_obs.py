@@ -66,7 +66,7 @@ def outcomes(engine, semantics):
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(config=configs,
-       core=st.sampled_from(["csr", "fast"]),
+       core=st.sampled_from(["csr", "reference"]),
        semantics=st.sampled_from(["and", "or"]))
 def test_observability_never_changes_answers(config, core, semantics):
     database = planted(config)

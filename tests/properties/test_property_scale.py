@@ -116,7 +116,7 @@ class TestShardedDifferential:
         configs,
         st.integers(min_value=1, max_value=3),  # tenants
         st.integers(min_value=1, max_value=4),  # shards
-        st.sampled_from(("csr", "fast", "reference")),
+        st.sampled_from(("csr", "reference")),
         operations,
     )
     def test_sharded_equals_plain_through_mutations(
