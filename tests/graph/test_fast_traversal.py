@@ -1,26 +1,13 @@
-"""Differential tests: the pruned traversal core vs the brute-force one.
-
-The fast path's contract is *bit-identical output* — same paths and trees,
-same order, same budget errors — so every test here compares it against
-:mod:`repro.graph.traversal` directly, on the paper's company instance and
-on a planted synthetic database.
+"""Tests of :class:`repro.graph.fast_traversal.TraversalCache` as the
+kernels see it: a cache is only ever used for the graph it was built on.
 """
-
-import itertools
 
 import pytest
 
-from repro.core.engine import KeywordSearchEngine
-from repro.core.matching import match_keywords
-from repro.core.search import SearchLimits, find_connections, find_joining_networks
-from repro.datasets.synthetic import SyntheticConfig, generate_company_like, plant
-from repro.errors import SearchLimitError
+from repro.datasets.synthetic import SyntheticConfig, generate_company_like
+from repro.graph.csr import csr_enumerate_joining_trees, csr_enumerate_simple_paths
 from repro.graph.data_graph import DataGraph
-from repro.graph.fast_traversal import (
-    TraversalCache,
-    fast_enumerate_joining_trees,
-    fast_enumerate_simple_paths,
-)
+from repro.graph.fast_traversal import TraversalCache
 from repro.graph.traversal import enumerate_joining_trees, enumerate_simple_paths
 from repro.relational.database import TupleId
 
@@ -30,333 +17,40 @@ def tid(relation, *key):
 
 
 @pytest.fixture(scope="module")
-def planted_synthetic():
-    database = generate_company_like(
-        SyntheticConfig(
-            departments=4,
-            projects_per_department=2,
-            employees_per_department=5,
-            works_on_per_employee=2,
-            seed=29,
+def other_graph():
+    return DataGraph(
+        generate_company_like(
+            SyntheticConfig(
+                departments=3,
+                projects_per_department=2,
+                employees_per_department=4,
+                works_on_per_employee=2,
+                seed=29,
+            )
         )
     )
-    plant(database, "kwalpha", "DEPARTMENT", "D_DESCRIPTION", 2, seed=1)
-    plant(database, "kwbeta", "EMPLOYEE", "L_NAME", 3, seed=2)
-    plant(database, "kwgamma", "PROJECT", "P_DESCRIPTION", 2, seed=3)
-    return database
-
-
-@pytest.fixture(scope="module")
-def synthetic_graph(planted_synthetic):
-    return DataGraph(planted_synthetic)
-
-
-class TestPathParity:
-    def test_company_all_pairs(self, data_graph):
-        cache = TraversalCache(data_graph)
-        nodes = sorted(data_graph.graph.nodes, key=str)
-        for source, target in itertools.permutations(nodes, 2):
-            brute = list(enumerate_simple_paths(data_graph, source, target, 4))
-            fast = list(
-                fast_enumerate_simple_paths(
-                    data_graph, source, target, 4, cache=cache
-                )
-            )
-            assert fast == brute, (source, target)
-
-    def test_synthetic_sampled_pairs(self, synthetic_graph):
-        cache = TraversalCache(synthetic_graph)
-        nodes = sorted(synthetic_graph.graph.nodes, key=str)
-        for source, target in itertools.permutations(nodes[::7], 2):
-            brute = list(enumerate_simple_paths(synthetic_graph, source, target, 5))
-            fast = list(
-                fast_enumerate_simple_paths(
-                    synthetic_graph, source, target, 5, cache=cache
-                )
-            )
-            assert fast == brute, (source, target)
-
-    def test_disconnected_pair_yields_nothing(self, data_graph):
-        # d3 has no employees/projects in the paper instance.
-        assert list(
-            fast_enumerate_simple_paths(
-                data_graph, tid("DEPARTMENT", "d3"), tid("EMPLOYEE", "e1"), 5
-            )
-        ) == []
-
-    def test_unknown_node_yields_nothing(self, data_graph):
-        assert list(
-            fast_enumerate_simple_paths(
-                data_graph, tid("EMPLOYEE", "e99"), tid("EMPLOYEE", "e1"), 3
-            )
-        ) == []
-
-    def test_zero_budget_yields_nothing(self, data_graph):
-        assert list(
-            fast_enumerate_simple_paths(
-                data_graph, tid("DEPARTMENT", "d1"), tid("EMPLOYEE", "e1"), 0
-            )
-        ) == []
-
-    def test_budget_error_parity(self, data_graph):
-        source, target = tid("DEPARTMENT", "d2"), tid("EMPLOYEE", "e2")
-
-        def consume(enumerate_fn):
-            yielded = []
-            try:
-                for path in enumerate_fn(
-                    data_graph, source, target, 5, max_paths=1
-                ):
-                    yielded.append(path)
-            except SearchLimitError as error:
-                return yielded, error.context
-            raise AssertionError("expected SearchLimitError")
-
-        brute_yielded, brute_context = consume(enumerate_simple_paths)
-        fast_yielded, fast_context = consume(fast_enumerate_simple_paths)
-        assert fast_yielded == brute_yielded
-        assert fast_context == brute_context
-
-
-class TestTreeParity:
-    def test_company_required_combos(self, data_graph):
-        cache = TraversalCache(data_graph)
-        nodes = sorted(data_graph.graph.nodes, key=str)
-        for combo in itertools.combinations(nodes[:10], 2):
-            brute = list(enumerate_joining_trees(data_graph, list(combo), 5))
-            fast = list(
-                fast_enumerate_joining_trees(
-                    data_graph, list(combo), 5, cache=cache
-                )
-            )
-            assert fast == brute, combo
-
-    def test_company_three_required(self, data_graph):
-        required = [
-            tid("DEPARTMENT", "d1"),
-            tid("EMPLOYEE", "e1"),
-            tid("PROJECT", "p1"),
-        ]
-        brute = list(enumerate_joining_trees(data_graph, required, 5))
-        fast = list(fast_enumerate_joining_trees(data_graph, required, 5))
-        assert fast == brute
-        assert frozenset(required) in fast
-
-    def test_synthetic_sampled_combos(self, synthetic_graph):
-        cache = TraversalCache(synthetic_graph)
-        nodes = sorted(synthetic_graph.graph.nodes, key=str)
-        for combo in itertools.combinations(nodes[::9], 2):
-            brute = list(enumerate_joining_trees(synthetic_graph, list(combo), 4))
-            fast = list(
-                fast_enumerate_joining_trees(
-                    synthetic_graph, list(combo), 4, cache=cache
-                )
-            )
-            assert fast == brute, combo
-
-    def test_budget_error_parity(self, data_graph):
-        required = [tid("DEPARTMENT", "d1")]
-        with pytest.raises(SearchLimitError):
-            list(enumerate_joining_trees(data_graph, required, 6, max_results=2))
-        with pytest.raises(SearchLimitError):
-            list(
-                fast_enumerate_joining_trees(data_graph, required, 6, max_results=2)
-            )
-
-
-class TestSearchLayerParity:
-    def test_find_connections_company(self, engine):
-        matches = engine.match("Smith XML")
-        limits = SearchLimits(max_rdb_length=4)
-        fast = list(
-            find_connections(engine.data_graph, matches, limits)
-        )
-        brute = list(
-            find_connections(
-                engine.data_graph, matches, limits, use_fast_traversal=False
-            )
-        )
-        assert [a.render() for a in fast] == [a.render() for a in brute]
-
-    def test_find_joining_networks_synthetic(self, planted_synthetic):
-        engine = KeywordSearchEngine(planted_synthetic)
-        matches = match_keywords(
-            engine.index, ("kwalpha", "kwbeta", "kwgamma")
-        )
-        limits = SearchLimits(max_tuples=5)
-        fast = list(
-            find_joining_networks(
-                engine.data_graph, matches, limits, cache=engine.traversal_cache
-            )
-        )
-        brute = list(
-            find_joining_networks(
-                engine.data_graph, matches, limits, use_fast_traversal=False
-            )
-        )
-        assert [(n.tuples, n.keyword_tuples) for n in fast] == [
-            (n.tuples, n.keyword_tuples) for n in brute
-        ]
-
-    def test_engine_results_identical(self, planted_synthetic):
-        fast = KeywordSearchEngine(planted_synthetic)
-        brute = KeywordSearchEngine(planted_synthetic, use_fast_traversal=False)
-        for query in ("kwalpha kwbeta", "kwbeta kwgamma", "kwalpha kwgamma"):
-            limits = SearchLimits(max_rdb_length=5)
-            fast_results = fast.search(query, limits=limits)
-            brute_results = brute.search(query, limits=limits)
-            assert [(r.render(), r.score, r.rank) for r in fast_results] == [
-                (r.render(), r.score, r.rank) for r in brute_results
-            ]
-
-    def test_engine_or_semantics_identical(self, company_db):
-        fast = KeywordSearchEngine(company_db)
-        brute = KeywordSearchEngine(company_db, use_fast_traversal=False)
-        fast_results = fast.search("Smith unicorn XML", semantics="or")
-        brute_results = brute.search("Smith unicorn XML", semantics="or")
-        assert [(r.render(), r.score) for r in fast_results] == [
-            (r.render(), r.score) for r in brute_results
-        ]
 
 
 class TestTraversalCache:
-    def test_distance_maps_are_reused(self, data_graph):
-        cache = TraversalCache(data_graph)
-        target = tid("EMPLOYEE", "e1")
-        first = cache.distances(target)
-        second = cache.distances(target)
-        assert first is second
-        assert cache.hits == 1
-        assert cache.misses == 1
-
-    def test_expansions_match_graph_order(self, data_graph):
-        cache = TraversalCache(data_graph)
-        node = tid("DEPARTMENT", "d1")
-        expected = sorted(
-            (
-                (other, key)
-                for __, other, key in data_graph.graph.edges(node, keys=True)
-            ),
-            key=lambda item: (str(item[0]), item[1]),
-        )
-        got = [
-            (other, key) for other, key, __ in reversed(cache.expansions(node))
-        ]
-        assert len(got) == len(expected)
-
-    def test_invalidate_clears_everything(self, data_graph):
-        cache = TraversalCache(data_graph)
-        cache.distances(tid("EMPLOYEE", "e1"))
-        cache.expansions(tid("EMPLOYEE", "e1"))
-        cache.invalidate()
-        assert cache._distances == {}
-        assert cache._expansions == {}
-        assert cache._neighbours == {}
-
-    def test_rebuild_replaces_engine_cache(self, company_db):
-        engine = KeywordSearchEngine(company_db)
-        engine.search("Smith XML")
-        old_cache = engine.traversal_cache
-        engine.rebuild()
-        assert engine.traversal_cache is not old_cache
-        assert engine.traversal_cache.data_graph is engine.data_graph
-
-    def test_distances_agree_with_networkx(self, synthetic_graph):
-        import networkx as nx
-
-        cache = TraversalCache(synthetic_graph)
-        node = sorted(synthetic_graph.graph.nodes, key=str)[0]
-        assert cache.distances(node) == nx.single_source_shortest_path_length(
-            synthetic_graph.graph, node
-        )
-
-    def test_mismatched_cache_is_ignored(self, data_graph, planted_synthetic):
+    def test_mismatched_cache_is_ignored(self, data_graph, other_graph):
         # A cache built on a different graph must not poison answers.
-        other_cache = TraversalCache(DataGraph(planted_synthetic))
-        brute = list(
-            enumerate_simple_paths(
-                data_graph, tid("DEPARTMENT", "d1"), tid("EMPLOYEE", "e1"), 3
+        other_cache = TraversalCache(other_graph)
+        source, target = tid("DEPARTMENT", "d1"), tid("EMPLOYEE", "e1")
+        brute_paths = list(enumerate_simple_paths(data_graph, source, target, 3))
+        csr_paths = list(
+            csr_enumerate_simple_paths(
+                data_graph, source, target, 3, cache=other_cache
             )
         )
-        fast = list(
-            fast_enumerate_simple_paths(
-                data_graph,
-                tid("DEPARTMENT", "d1"),
-                tid("EMPLOYEE", "e1"),
-                3,
-                cache=other_cache,
+        assert csr_paths == brute_paths
+        brute_trees = list(enumerate_joining_trees(data_graph, [source, target], 4))
+        csr_trees = list(
+            csr_enumerate_joining_trees(
+                data_graph, [source, target], 4, cache=other_cache
             )
         )
-        assert fast == brute
+        assert csr_trees == brute_trees
+        assert other_cache._frozen is None
         assert other_cache.hits == 0 and other_cache.misses == 0
-
-    def test_distance_maps_are_bounded(self, synthetic_graph):
-        cache = TraversalCache(synthetic_graph)
-        cache.max_distance_maps = 3
-        nodes = sorted(synthetic_graph.graph.nodes, key=str)[:5]
-        for node in nodes:
-            cache.distances(node)
-        assert len(cache._distances) == 3
-        assert list(cache._distances) == nodes[-3:]
-
-
-class TestInvalidateTuples:
-    """Edge cases of the fine-grained invalidation entry point."""
-
-    def test_absent_tuple_is_a_noop(self, data_graph):
-        cache = TraversalCache(data_graph)
-        cache.distances(tid("EMPLOYEE", "e1"))
-        dropped = cache.invalidate_tuples([tid("EMPLOYEE", "e999")])
-        # A tuple the graph never held appears in no distance map.
-        assert dropped == 0
-        assert tid("EMPLOYEE", "e1") in cache._distances
-
-    def test_empty_changed_set_is_a_noop(self, data_graph):
-        cache = TraversalCache(data_graph)
-        cache.distances(tid("EMPLOYEE", "e1"))
-        frozen = cache.frozen()
-        assert cache.invalidate_tuples([]) == 0
-        assert cache._frozen is frozen  # nothing changed, nothing dropped
-
-    def test_uncached_component_drops_nothing(self, data_graph):
-        cache = TraversalCache(data_graph)
-        # Cache only the isolated d3 component, then invalidate a tuple
-        # of the big component that was never cached.
-        cache.distances(tid("DEPARTMENT", "d3"))
-        dropped = cache.invalidate_tuples([tid("EMPLOYEE", "e1")])
-        assert dropped == 0
-        assert tid("DEPARTMENT", "d3") in cache._distances
-
-    def test_repeated_invalidation_is_idempotent(self, data_graph):
-        cache = TraversalCache(data_graph)
-        cache.distances(tid("EMPLOYEE", "e1"))
-        cache.expansions(tid("EMPLOYEE", "e1"))
-        changed = [tid("EMPLOYEE", "e1")]
-        first = cache.invalidate_tuples(changed)
-        assert first == 1
-        assert cache.invalidate_tuples(changed) == 0
-        assert cache.invalidate_tuples(changed) == 0
-
-    def test_only_touched_component_drops(self, data_graph):
-        cache = TraversalCache(data_graph)
-        cache.distances(tid("DEPARTMENT", "d3"))  # isolated component
-        cache.distances(tid("EMPLOYEE", "e1"))    # big component
-        dropped = cache.invalidate_tuples([tid("EMPLOYEE", "e2")])
-        assert dropped == 1
-        assert tid("DEPARTMENT", "d3") in cache._distances
-        assert tid("EMPLOYEE", "e1") not in cache._distances
-
-    def test_invalidation_drops_frozen_graph(self, data_graph):
-        # Tuple ids alone carry no edge deltas, so the compiled CSR
-        # graph cannot be patched here — it must not survive stale.
-        cache = TraversalCache(data_graph)
-        cache.frozen()
-        cache.invalidate_tuples([tid("EMPLOYEE", "e1")])
-        assert cache._frozen is None
-
-    def test_full_invalidate_drops_frozen_graph(self, data_graph):
-        cache = TraversalCache(data_graph)
-        first = cache.frozen()
-        cache.invalidate()
-        assert cache._frozen is None
-        assert cache.frozen() is not first
+        assert other_cache.paths_enumerated == 0
+        assert other_cache.trees_enumerated == 0
