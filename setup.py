@@ -1,11 +1,24 @@
-"""Thin setup.py enabling legacy editable installs offline.
+"""Package metadata for ``repro`` (no ``pyproject.toml``).
 
-The environment has setuptools but no ``wheel`` package, so PEP 517
-editable installs (which build a wheel) fail; ``pip install -e .
---no-build-isolation`` falls back to this file.  All metadata lives in
-pyproject.toml.
+Editable install: ``pip install --no-deps --no-build-isolation -e .``
+where the ``wheel`` package is installed (pip builds an editable wheel),
+``python setup.py develop`` where it is not.  The serving path is
+stdlib-only: networkx is needed by the reference core, the baselines and
+joining-network metrics; numpy only speeds up the unbounded distance
+sweep and component labelling.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    package_data={"repro.analysis": ["baseline.json"]},
+    python_requires=">=3.11",
+    extras_require={
+        "networkx": ["networkx"],
+        "numpy": ["numpy"],
+    },
+)

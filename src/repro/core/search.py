@@ -20,9 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Iterator, Optional, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.core import ambiguity as ambiguity_module
 from repro.core.connections import Connection
@@ -42,6 +40,9 @@ from repro.graph.traversal import (
     enumerate_simple_paths,
 )
 from repro.relational.database import TupleId
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "SearchLimits",
@@ -154,6 +155,8 @@ class JoiningNetwork:
         # *set*, whatever order it was induced over — an order that
         # depends on the hash seed, and a network's score on the size
         # of the whole graph.
+        import networkx as nx
+
         induced = self.data_graph.induced_subgraph(
             sorted(self.tuples, key=_sort_key)
         )
@@ -191,6 +194,8 @@ class JoiningNetwork:
         """Tree paths between every pair of keyword tuples."""
         if self._paths is not None:
             return self._paths
+        import networkx as nx
+
         paths = []
         tids = sorted(set(self.keyword_tuples.values()), key=str)
         for left, right in combinations(tids, 2):

@@ -534,9 +534,9 @@ class FrozenGraph:
         """
         backend = self._backend
         if (
-            backend.vectorized
-            and self._ints_sorted
+            self._ints_sorted
             and len(members) >= self.vector_frontier_min
+            and backend.vectorized
         ):
             if obs_metrics.ENABLED:
                 obs_metrics.REGISTRY.inc("csr.frontier_batches")
@@ -675,13 +675,18 @@ class FrozenGraph:
         row[node] = 0
         frontier = [node]
         depth = 0
+        # The CSR slices are read in place, not through _row(): one call
+        # per frontier node was about a quarter of a bounded sweep.
+        offsets, targets, override = self._offsets, self._targets, self._override
         while frontier and depth < radius:
             depth += 1
             next_frontier = []
             for at in frontier:
-                row_targets, __, __, start, end = self._row(at)
-                for position in range(start, end):
-                    other = row_targets[position]
+                patched = override.get(at)
+                for other in (
+                    patched[0] if patched is not None
+                    else targets[offsets[at]:offsets[at + 1]]
+                ):
                     if row[other] == beyond:
                         row[other] = depth
                         next_frontier.append(other)
@@ -703,7 +708,7 @@ class FrozenGraph:
         backend-independent.
         """
         backend = self._backend
-        if radius is not None or not backend.vectorized or len(sources) < 2:
+        if radius is not None or len(sources) < 2 or not backend.vectorized:
             return [self._bfs_row_scalar(node, radius) for node in sources]
         adjacency = self._vector_adjacency()
         capacity = self.capacity

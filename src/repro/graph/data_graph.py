@@ -19,14 +19,15 @@ the number of edges of a connection in this view.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.er.cardinality import Cardinality
 from repro.errors import PathError
 from repro.relational.database import Database, Tuple, TupleId
 from repro.relational.schema import ForeignKey
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["DataGraph", "build_tuple_graph"]
 
@@ -40,6 +41,8 @@ def build_tuple_graph(database: Database) -> nx.MultiGraph:
     :meth:`Database.references`, the same iterator the CSR compile
     reads when no multigraph exists.
     """
+    import networkx as nx
+
     graph = nx.MultiGraph()
     for record in database.all_tuples():
         graph.add_node(record.tid, relation=record.relation)
@@ -60,7 +63,7 @@ class DataGraph:
 
     The networkx multigraph builds on first :attr:`graph` access: the
     CSR kernels compile, answer path queries, patch and save without
-    it; the fast and reference cores, joining-network metrics and
+    it (or networkx); the reference core, joining-network metrics and
     instance-level ambiguity trigger the :func:`build_tuple_graph` pass.
     """
 
@@ -210,6 +213,8 @@ class DataGraph:
         subgraph = self.induced_subgraph(tids)
         if subgraph.number_of_nodes() != len(set(tids)):
             return False
+        import networkx as nx
+
         return nx.is_connected(nx.Graph(subgraph))
 
     # ------------------------------------------------------------------
@@ -227,6 +232,8 @@ class DataGraph:
         """
         if self._conceptual is not None:
             return self._conceptual
+        import networkx as nx
+
         collapsed = nx.MultiGraph()
         for node, data in self._graph.nodes(data=True):
             if not self.is_middle(node):

@@ -13,13 +13,14 @@ schemas both run over this structure.
 
 from __future__ import annotations
 
-from typing import Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator
 
 from repro.er.cardinality import Cardinality
 from repro.errors import UnknownRelationError
 from repro.relational.schema import DatabaseSchema, ForeignKey
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["SchemaGraph"]
 
@@ -28,6 +29,8 @@ class SchemaGraph:
     """Undirected multigraph over the relations of a schema."""
 
     def __init__(self, schema: DatabaseSchema) -> None:
+        import networkx as nx
+
         self.schema = schema
         graph = nx.MultiGraph()
         for relation in schema.relations:
@@ -77,6 +80,8 @@ class SchemaGraph:
         """True when every relation is join-reachable from every other."""
         if self._graph.number_of_nodes() == 0:
             return True
+        import networkx as nx
+
         return nx.is_connected(nx.Graph(self._graph))
 
     def relation_distance(self, left: str, right: str) -> int:
@@ -84,6 +89,8 @@ class SchemaGraph:
         for name in (left, right):
             if name not in self._graph:
                 raise UnknownRelationError("no such relation", relation=name)
+        import networkx as nx
+
         return nx.shortest_path_length(nx.Graph(self._graph), left, right)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -3,20 +3,22 @@
 The compiled graph (:mod:`repro.graph.csr`) stores adjacency as flat
 ``array('i')`` buffers (or ``memoryview`` slices over a snapshot mmap).
 This module is the *only* place that touches numpy: it selects a
-backend **once, at import time** and exposes whole-frontier operations
+backend **once, at import time** — without importing numpy, which loads
+at the first vector kernel call — and exposes whole-frontier operations
 — multi-source BFS distance blocks, component labelling, batched
 neighbour expansion — that :class:`~repro.graph.csr.FrozenGraph` calls
 instead of its scalar loops whenever the backend is vectorized.
 
 Backend selection and the fallback contract:
 
-* ``numpy`` importable (and the platform little-endian) → the
+* ``numpy`` installed (and the platform little-endian) → the
   :class:`NumpyBackend`, whose kernels wrap the CSR buffers in
   **zero-copy** ``np.frombuffer`` views — mmap-backed snapshot sections
   included — and expand whole frontier slices per BFS level.
 * numpy missing, a big-endian platform, or ``REPRO_NO_VECTOR`` set in
   the environment → the :class:`ScalarBackend` stub; every caller then
-  runs its pure-stdlib ``array``/``bytearray`` loop.  The stdlib path
+  runs its pure-stdlib ``array``/``bytearray`` loop.  So does a
+  :class:`NumpyBackend` whose deferred numpy import fails.  The stdlib path
   is the *reference semantics*, so both backends are bit-identical by
   construction: the vector kernels are checked against it by the
   differential and Hypothesis gates.
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import os
 import sys
+from importlib.util import find_spec
 from typing import Optional, Sequence
 
 from repro.errors import QueryError
@@ -51,7 +54,7 @@ __all__ = [
 ]
 
 #: Environment variable forcing the stdlib fallback (checked at import
-#: time, like the numpy import itself — it simulates "numpy absent").
+#: time, like numpy's presence — it simulates "numpy absent").
 ENV_FLAG = "REPRO_NO_VECTOR"
 
 
@@ -88,18 +91,30 @@ class ScalarBackend:
 
 
 class NumpyBackend:
-    """Whole-frontier CSR kernels on numpy views."""
+    """Whole-frontier CSR kernels on numpy views.  numpy loads at the
+    first :attr:`vectorized` check, which callers make right before a
+    kernel call: a process that runs no vector kernel never imports it."""
 
     name = "numpy"
-    vectorized = True
+    np = None
 
     #: Sources per multi-source sweep; bounds the transient bitmask
     #: width (2 uint64 words) and the per-sweep ``(chunk, capacity)``
     #: distance matrix.  Callers chunk larger blocks.
     max_sources_per_sweep = 128
 
-    def __init__(self, np_module) -> None:
-        self.np = np_module
+    @property
+    def vectorized(self) -> bool:
+        """True once numpy imported; a numpy that ``find_spec`` sees but
+        that fails to import turns this backend into the stdlib one."""
+        if self.np is None:
+            try:
+                import numpy
+            except ImportError:
+                self.np, self.name = False, ScalarBackend.name
+            else:
+                self.np = numpy
+        return self.np is not False
 
     # ------------------------------------------------------------------
     # views
@@ -294,7 +309,7 @@ class NumpyBackend:
 
 
 def _select_backend():
-    """Import-time backend choice; never raises."""
+    """Import-time backend choice; never raises, never imports numpy."""
     flag = os.environ.get(ENV_FLAG, "").strip().lower()
     if flag not in ("", "0", "false"):
         return ScalarBackend()
@@ -302,11 +317,7 @@ def _select_backend():
         # The bit-parallel BFS unpacks uint64 masks as little-endian
         # bytes; scalar semantics are identical, just slower.
         return ScalarBackend()
-    try:
-        import numpy
-    except ImportError:
-        return ScalarBackend()
-    return NumpyBackend(numpy)
+    return ScalarBackend() if find_spec("numpy") is None else NumpyBackend()
 
 
 #: The process-wide backend, selected once at import time.

@@ -103,6 +103,34 @@ class TestBackendSelection:
         )
         assert out.stdout.split() == ["raised", "stdlib"]
 
+    def test_unimportable_numpy_falls_back_to_stdlib(self, tmp_path):
+        # find_spec sees this numpy, so the backend is chosen without
+        # importing it; the first kernel call's import fails and the
+        # sweep runs on the stdlib loops.
+        (tmp_path / "numpy").mkdir()
+        (tmp_path / "numpy" / "__init__.py").write_text(
+            "raise ImportError('broken build')\n"
+        )
+        code = (
+            "from repro.datasets.company import build_company_database\n"
+            "from repro.graph.csr import FrozenGraph\n"
+            "from repro.graph.data_graph import DataGraph\n"
+            "from repro.graph.vector import BACKEND\n"
+            "graph = DataGraph(build_company_database())\n"
+            "print(BACKEND.name)\n"
+            "labels = FrozenGraph(graph).components()\n"
+            "assert labels == FrozenGraph(graph, vector=False).components()\n"
+            "print(BACKEND.name, BACKEND.vectorized)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), "src"]))
+        env.pop(ENV_FLAG, None)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, cwd=os.getcwd(),
+            check=True,
+        )
+        assert out.stdout.split() == ["numpy", "stdlib", "False"]
+
     def test_vector_true_when_available(self):
         if BACKEND.vectorized:
             assert get_backend(True) is BACKEND

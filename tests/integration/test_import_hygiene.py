@@ -1,0 +1,130 @@
+"""What a serving process imports: the csr path loads neither networkx
+nor numpy.
+
+Each case runs in a fresh interpreter, because ``sys.modules`` of the
+test process already holds whatever earlier tests imported.  The first
+case drives every serving operation — cold build and ``open(wal=True)``
+alike — and then checks the two modules were never loaded; the second
+checks that the reference core, the multigraph and the component sweep
+still import what they need and answer as the csr path does.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from importlib.util import find_spec
+
+import pytest
+
+from repro.graph.vector import ENV_FLAG
+
+SERVING = """
+import json, os, sys, tempfile
+from importlib.util import find_spec
+from repro import KeywordSearchEngine, build_company_database
+from repro.live.changes import Insert
+
+QUERY = "Smith XML"
+
+
+def rendered(results):
+    return [(result.render(), result.score) for result in results]
+
+
+def serve(engine, new_id):
+    answers = {
+        semantics: rendered(engine.search(QUERY, semantics=semantics))
+        for semantics in ("and", "or")
+    }
+    assert answers["and"] and answers["or"]
+    assert rendered(engine.search_stream(QUERY)) == answers["and"]
+    batch = engine.search_batch([QUERY, "Alice XML"], jobs=2)
+    assert rendered(batch[0]) == answers["and"]
+    engine.apply([Insert("DEPENDENT", {"ID": new_id, "ESSN": "e1",
+                                       "DEPENDENT_NAME": "Smith"})])
+    assert engine.search(QUERY)
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    cold = KeywordSearchEngine(build_company_database())
+    serve(cold, "h1")
+    path = os.path.join(tmp, "engine.snap")
+    cold.save(path)
+    cold.close()
+    restored = KeywordSearchEngine.open(path, wal=True)
+    serve(restored, "h2")
+    restored.compact_wal()
+    restored.save(os.path.join(tmp, "again.snap"))
+    backend = restored.traversal_cache.frozen().backend_name
+    restored.close()
+print(json.dumps({
+    "loaded": sorted(name for name in ("networkx", "numpy")
+                     if name in sys.modules),
+    "backend": backend,
+    "numpy_installed": find_spec("numpy") is not None,
+}))
+"""
+
+ORACLE = """
+import json, sys
+from repro import KeywordSearchEngine, build_company_database
+from repro.graph.csr import FrozenGraph
+
+QUERY = "Smith XML"
+
+
+def rendered(results):
+    return [(result.render(), result.score) for result in results]
+
+
+database = build_company_database()
+csr = KeywordSearchEngine(database)
+served = rendered(csr.search(QUERY))
+assert "networkx" not in sys.modules
+reference = KeywordSearchEngine(database, core="reference")
+assert rendered(reference.search(QUERY)) == served
+assert "networkx" in sys.modules
+graph = csr.data_graph.graph
+assert graph.number_of_nodes() == database.count()
+frozen = csr.traversal_cache.frozen()
+labels = frozen.components()
+assert labels == FrozenGraph(csr.data_graph, vector=False).components()
+print(json.dumps({
+    "loaded": sorted(name for name in ("networkx", "numpy")
+                     if name in sys.modules),
+    "backend": frozen.backend_name,
+}))
+"""
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter with the default backend
+    selection (no ``REPRO_NO_VECTOR``); its last stdout line is JSON."""
+    env = dict(os.environ, PYTHONPATH="src")
+    env.pop(ENV_FLAG, None)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, cwd=os.getcwd(),
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_serving_path_loads_neither_networkx_nor_numpy():
+    report = run_fresh(SERVING)
+    assert report["loaded"] == []
+    assert report["backend"] == (
+        "numpy" if report["numpy_installed"] else "stdlib"
+    )
+
+
+def test_oracle_paths_still_import_what_they_need():
+    pytest.importorskip("networkx")
+    report = run_fresh(ORACLE)
+    numpy_installed = find_spec("numpy") is not None
+    assert report["loaded"] == (
+        ["networkx", "numpy"] if numpy_installed else ["networkx"]
+    )
+    assert report["backend"] == ("numpy" if numpy_installed else "stdlib")
