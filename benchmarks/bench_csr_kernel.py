@@ -1,4 +1,4 @@
-"""Experiment P3/P6 (extension): the compiled CSR kernel, counted and swept.
+"""Experiment P3 (extension): the compiled CSR kernel, counted.
 
 Reports on the integer-interned CSR traversal kernels
 (:mod:`repro.graph.csr`) over a planted synthetic workload.  Answer
@@ -18,20 +18,11 @@ ratio between cores.
   its radius.  Exact counts, no gate.
 * **direct compile** — counters only: a first compile reads
   ``Database.references`` and never builds the networkx multigraph.
-* **vector backend (P6)** — the *oracle* sweep: unbounded multi-source
-  distance blocks (``radius=None``, the row no production query asks
-  for any more) and component labelling on a large synthetic graph,
-  vectorized numpy backend vs the scalar csr core (``vector=False``),
-  bit-identity asserted first; the combined cold-sweep ratio is the
-  gate (>= 10x).  Skipped (without failing) when numpy is unavailable
-  so the no-numpy CI leg stays green.  Footprint deltas between the two
-  backends are reported — ~zero is the point: the numpy views are
-  zero-copy.
 
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_csr_kernel.py          # full sweep
-    PYTHONPATH=src python benchmarks/bench_csr_kernel.py --quick  # CI gate
+    PYTHONPATH=src python benchmarks/bench_csr_kernel.py --quick  # CI smoke
 
 or through pytest-benchmark like the other benches
 (``pytest benchmarks/ -o python_files='bench_*.py'``).
@@ -39,7 +30,6 @@ or through pytest-benchmark like the other benches
 
 import argparse
 import sys
-import time
 
 import pytest
 
@@ -53,13 +43,13 @@ from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
 
 
-def _database(departments=12, employees=12, works_on=4):
+def _database():
     return generate_company_like(
         SyntheticConfig(
-            departments=departments,
+            departments=12,
             projects_per_department=4,
-            employees_per_department=employees,
-            works_on_per_employee=works_on,
+            employees_per_department=12,
+            works_on_per_employee=4,
             seed=17,
         )
     )
@@ -100,16 +90,6 @@ def _drain_trees(graph, combos, max_tuples, cache):
         ):
             produced += 1
     return produced
-
-
-def _best(callable_, rounds):
-    best = None
-    for __ in range(rounds):
-        started = time.perf_counter()
-        callable_()
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return best
 
 
 # ----------------------------------------------------------------------
@@ -216,80 +196,6 @@ def _direct_compile_section(database, out):
     return edges, frozen.capacity, len(frozen._targets), builds
 
 
-def _vector_section(rounds, out, sources_wanted=128):
-    """P6: the unbounded *oracle* sweep, vectorized frontier-at-a-time
-    kernels vs the scalar csr core.  Production queries request
-    radius-bounded rows, which always take the scalar sweep (see
-    EXPERIMENTS.md "Vector vs scalar at a radius"); this section times
-    the ``radius=None`` block tests and tools still use.
-
-    Returns the combined cold-sweep speedup, or ``None`` when the
-    vectorized backend is unavailable (stdlib fallback active) — the
-    caller then skips the gate instead of failing, so the no-numpy CI
-    leg can still run this benchmark.
-    """
-    graph = DataGraph(_database(departments=30, employees=30, works_on=5))
-    scalar = FrozenGraph(graph, vector=False)
-    vector = FrozenGraph(graph)
-    capacity = scalar.capacity
-    step = max(1, capacity // sources_wanted)
-    sources = list(range(0, capacity, step))[:sources_wanted]
-    print(f"vector workload (oracle sweep, radius=None): {capacity} tuples, "
-          f"{len(scalar._targets)} CSR entries, "
-          f"{len(sources)}-source unbounded distance block + component "
-          f"labelling [backend: {vector.backend_name}]", file=out)
-    if not vector._backend.vectorized:
-        print("  numpy unavailable (or REPRO_NO_VECTOR set) — vectorized "
-              "gate skipped, stdlib fallback is the only backend", file=out)
-        return None
-
-    block = vector.distances_block(sources)
-    for node in sources:
-        assert block[node] == scalar.distances(node), \
-            f"vector BFS row diverged for source {node}"
-    assert vector.components() == scalar.components(), \
-        "vector component labels diverged"
-
-    def cold_block(frozen):
-        def run():
-            frozen.drop_distance_rows()
-            frozen.distances_block(sources)
-        return run
-
-    def cold_components(frozen):
-        def run():
-            frozen._components = None
-            frozen.components()
-        return run
-
-    times = {
-        name: (
-            _best(cold_block(frozen), rounds),
-            _best(cold_components(frozen), rounds),
-        )
-        for name, frozen in (("scalar", scalar), ("vector", vector))
-    }
-    for label, index in (("distance block", 0), ("components", 1)):
-        ratio = times["scalar"][index] / max(times["vector"][index], 1e-9)
-        print(f"  {label:18} scalar {times['scalar'][index] * 1e3:8.2f} ms   "
-              f"vector {times['vector'][index] * 1e3:8.2f} ms   "
-              f"speedup {ratio:.1f}x", file=out)
-    combined = sum(times["scalar"]) / max(sum(times["vector"]), 1e-9)
-    print(f"  {'combined':18} scalar {sum(times['scalar']) * 1e3:8.2f} ms   "
-          f"vector {sum(times['vector']) * 1e3:8.2f} ms   "
-          f"speedup {combined:.1f}x", file=out)
-
-    scalar_footprint = scalar.memory_footprint()
-    vector_footprint = vector.memory_footprint()
-    deltas = ", ".join(
-        f"{key} {vector_footprint[key] - scalar_footprint[key]:+,}"
-        for key in ("arrays", "distances", "payload", "total")
-    )
-    print(f"  footprint delta (vector - scalar, bytes): {deltas} "
-          f"— numpy views are zero-copy over the same buffers", file=out)
-    return combined
-
-
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -297,14 +203,12 @@ def main(argv=None, out=None) -> int:
                         help="small sweep for CI smoke runs")
     args = parser.parse_args(argv)
 
-    rounds = 3 if args.quick else 5
     depth = 6 if args.quick else 7
     database = _database()
     graph = DataGraph(database)
     pairs, combos = _workloads(graph, pairs=40 if args.quick else 60,
                                combos=6 if args.quick else 10)
 
-    failures = []
     frozen = _kernel_section(graph, pairs, combos, depth, 6, out)
 
     footprint = frozen.memory_footprint()
@@ -317,24 +221,7 @@ def main(argv=None, out=None) -> int:
 
     _bounded_section(graph, pairs, combos, depth, 6, out)
     _direct_compile_section(database, out)
-
-    vector_ratio = _vector_section(rounds, out)
-    if vector_ratio is not None and vector_ratio < 10.0:
-        failures.append(
-            f"vector: combined speedup {vector_ratio:.1f}x < 10x over the "
-            f"scalar csr core"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=out)
-        return 1
-    vector_note = (
-        f"vector {vector_ratio:.1f}x >= 10x"
-        if vector_ratio is not None
-        else "vector gate skipped (stdlib backend)"
-    )
-    print(f"OK: {vector_note}, bounded rows are the clipped oracle", file=out)
+    print("OK: bounded rows are the clipped oracle", file=out)
     return 0
 
 

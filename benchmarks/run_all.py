@@ -8,10 +8,9 @@ PR.  The schema is documented in EXPERIMENTS.md ("Benchmark report
 schema"); in short::
 
     {
-      "schema": "repro-bench-report/5",
+      "schema": "repro-bench-report/6",
       "quick": true,
       "python": "3.11.7",
-      "vector_backend": "numpy",     # or "stdlib" (no numpy / REPRO_NO_VECTOR)
       "obs": 0.09,                   # bench_obs disabled-mode overhead, %
       "durability": {                # bench_durability WAL gates
         "wal_overhead_pct": 4.10,
@@ -23,8 +22,8 @@ schema"); in short::
       },
       "benchmarks": [
         {"name": "bench_csr_kernel", "exit_code": 0, "status": "ok",
-         "elapsed_s": 1.93, "speedups": [4.0, 3.0, ...],
-         "max_speedup": 4.2, "output": "kernel workload: ..."},
+         "elapsed_s": 0.61, "speedups": [], "max_speedup": null,
+         "output": "kernel workload: ..."},
         ...
       ],
       "failures": ["bench_x"]        # empty when everything gated green
@@ -160,7 +159,6 @@ def main(argv=None, out=None) -> int:
           f"(rule hits: {lint['counts'] or 'none'})", file=out)
     if lint["new"]:
         failures.append("repro.analysis")
-    from repro.graph.vector import BACKEND
 
     obs_overhead = None
     durability = None
@@ -192,10 +190,9 @@ def main(argv=None, out=None) -> int:
                 }
 
     report = {
-        "schema": "repro-bench-report/5",
+        "schema": "repro-bench-report/6",
         "quick": quick,
         "python": platform.python_version(),
-        "vector_backend": BACKEND.name,
         "obs": obs_overhead,
         "durability": durability,
         "planner": planner,

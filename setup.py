@@ -4,8 +4,7 @@ Editable install: ``pip install --no-deps --no-build-isolation -e .``
 where the ``wheel`` package is installed (pip builds an editable wheel),
 ``python setup.py develop`` where it is not.  The serving path is
 stdlib-only: networkx is needed by the reference core, the baselines and
-joining-network metrics; numpy only speeds up the unbounded distance
-sweep and component labelling.
+joining-network metrics.
 """
 
 from setuptools import find_packages, setup
@@ -19,6 +18,5 @@ setup(
     python_requires=">=3.11",
     extras_require={
         "networkx": ["networkx"],
-        "numpy": ["numpy"],
     },
 )

@@ -124,10 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "engine: replay it on open and record every "
                                 "--mutations batch durably (default FILE: "
                                 "<snapshot>.wal; requires --snapshot)")
-    execution.add_argument("--no-vector", action="store_true",
-                           help="force the pure-stdlib CSR kernels even "
-                                "when numpy is available (answers are "
-                                "bit-identical, only slower)")
     execution.add_argument("--static-plan", action="store_true",
                            help="disable the adaptive cost-based planner: "
                                 "enumeration units drain in plan order and "
@@ -400,7 +396,6 @@ def _cmd_search(args: argparse.Namespace, out) -> int:
             wal=args.wal,
             core=args.core,
             shards=args.shards,
-            vector=False if args.no_vector else None,
             adaptive=False if args.static_plan else None,
         )
         if args.wal is not None and engine.wal is not None:
@@ -417,7 +412,6 @@ def _cmd_search(args: argparse.Namespace, out) -> int:
             _load_database(args.db),
             core=args.core,
             shards=args.shards,
-            vector=False if args.no_vector else None,
             adaptive=False if args.static_plan else None,
         )
     ranker = _RANKERS[args.ranker]()

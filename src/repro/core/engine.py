@@ -83,7 +83,6 @@ class KeywordSearchEngine:
         result_cache_entries: int = 256,
         core: Optional[str] = None,
         shards: Optional[int] = None,
-        vector: Optional[bool] = None,
         adaptive: Optional[bool] = None,
     ) -> None:
         self._wire(
@@ -96,7 +95,6 @@ class KeywordSearchEngine:
             result_cache_entries=result_cache_entries,
             core=core,
             shards=shards,
-            vector=vector,
             adaptive=adaptive,
             version=0,
         )
@@ -114,7 +112,6 @@ class KeywordSearchEngine:
         core: Optional[str],
         shards: Optional[int],
         version: int,
-        vector: Optional[bool] = None,
         adaptive: Optional[bool] = None,
     ) -> None:
         """Shared field wiring of cold construction and snapshot restore."""
@@ -127,18 +124,10 @@ class KeywordSearchEngine:
         #: integer kernels, the default) or ``reference`` (the
         #: brute-force networkx oracle) — answers are bit-identical.
         self.core = resolve_core(core)
-        #: Vector-backend override for the compiled CSR kernels:
-        #: ``None`` uses the import-time default (numpy when available),
-        #: ``False`` forces the pure-stdlib fallback, ``True`` demands
-        #: numpy and raises when it is unavailable.  Answers are
-        #: bit-identical across backends.
-        self.vector = (
-            vector if traversal_cache is None else traversal_cache.vector
-        )
         self.traversal_cache = (
             traversal_cache
             if traversal_cache is not None
-            else TraversalCache(self.data_graph, vector=vector)
+            else TraversalCache(self.data_graph)
         )
         #: Number of shards query execution routes over (``None``
         #: disables sharding).  The plan itself builds lazily — see
@@ -217,7 +206,6 @@ class KeywordSearchEngine:
         core: Optional[str] = None,
         shards: Optional[int] = None,
         version: int = 0,
-        vector: Optional[bool] = None,
         adaptive: Optional[bool] = None,
     ) -> "KeywordSearchEngine":
         """Assemble an engine from restored structures (snapshot path)."""
@@ -233,7 +221,6 @@ class KeywordSearchEngine:
             core=core,
             shards=shards,
             version=version,
-            vector=vector,
             adaptive=adaptive,
         )
         return engine
@@ -910,7 +897,7 @@ class KeywordSearchEngine:
             )
         self.data_graph = DataGraph(self.database)
         self.index.build()
-        self.traversal_cache = TraversalCache(self.data_graph, vector=self.vector)
+        self.traversal_cache = TraversalCache(self.data_graph)
         self.result_cache.clear()
         self.last_stats = ExecutionStats()
         self.last_shared = SharedEnumerations()
@@ -1131,12 +1118,6 @@ class KeywordSearchEngine:
         self.detach_wal()
         self.close_pool()
         if self._snapshot is not None:
-            # Backend views pin the snapshot's exported mmap buffers
-            # (mmap.close() raises BufferError while any live): drop
-            # them first.
-            frozen = self.traversal_cache._frozen
-            if frozen is not None:
-                frozen.release_vector_views()
             self._snapshot.close()
 
     def __enter__(self) -> "KeywordSearchEngine":

@@ -552,14 +552,6 @@ class Executor:
             # the generator early — the span/metric totals always land.
             if exec_span is not None:
                 exec_span.add_time(time.perf_counter() - started)
-                frozen = self.cache._frozen
-                exec_span.tag(
-                    backend=(
-                        frozen.backend_name
-                        if self.core == "csr" and frozen is not None
-                        else "-"
-                    )
-                )
                 exec_span.add(
                     candidates=stats.candidates,
                     emitted=stats.emitted,

@@ -51,7 +51,6 @@ from typing import Iterator, Optional, Sequence, Union
 from repro.errors import QueryError, SearchLimitError
 from repro.graph.data_graph import DataGraph
 from repro.graph.traversal import TuplePathStep, _sort_key
-from repro.graph.vector import get_backend
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.relational.database import TupleId
@@ -124,20 +123,9 @@ class FrozenGraph:
     #: a bounded row is ``capacity`` bytes, an unbounded one four times
     #: that.
     max_distance_bytes = 32 << 20
-    #: Below this many members, the scalar per-member union over the
-    #: memoized ``neighbour_ints`` rows beats the vector gather, which
-    #: re-reads CSR slices every call (measured crossover ~512 on the
-    #: large synthetic workload; joining-tree member sets stay far
-    #: smaller, so trees take the scalar path in practice and tests
-    #: lower this to force the vector one).
-    vector_frontier_min = 512
 
-    def __init__(
-        self, data_graph: DataGraph, counters=None, vector: Optional[bool] = None
-    ) -> None:
+    def __init__(self, data_graph: DataGraph, counters=None) -> None:
         self.data_graph = data_graph
-        self._backend = get_backend(vector)
-        self._vector_state = None
         #: Distance-row lookups served from cache / computed fresh.
         self.hits = 0
         self.misses = 0
@@ -166,7 +154,6 @@ class FrozenGraph:
         edge_keys: Sequence[str],
         edge_data: Sequence[dict],
         counters=None,
-        vector: Optional[bool] = None,
     ) -> "FrozenGraph":
         """Assemble a compiled graph from pre-built flat structures.
 
@@ -182,7 +169,6 @@ class FrozenGraph:
         """
         frozen = cls.__new__(cls)
         frozen.data_graph = data_graph
-        frozen._backend = get_backend(vector)
         frozen.hits = 0
         frozen.misses = 0
         frozen.compactions = 0
@@ -276,7 +262,6 @@ class FrozenGraph:
         self._log_start = 0
         self._components: Optional[array] = None
         self._neighbour_rows: dict[int, tuple[int, ...]] = {}
-        self._vector_state = None
 
     def _rows_from_graph(self):
         """``(tids, sort keys, node map, rows)`` of the data graph's
@@ -525,27 +510,7 @@ class FrozenGraph:
 
     def frontier_neighbour_ints(self, members) -> list[int]:
         """Distinct neighbours of a member set in expansion order,
-        members excluded — the joining-tree growth step.
-
-        On the vector backend this is one batched gather over the whole
-        member set's CSR slices; ascending-int output equals expansion
-        order only while :attr:`_ints_sorted` holds, so patched graphs
-        with appended nodes take the scalar union, as do tiny sets.
-        """
-        backend = self._backend
-        if (
-            self._ints_sorted
-            and len(members) >= self.vector_frontier_min
-            and backend.vectorized
-        ):
-            if obs_metrics.ENABLED:
-                obs_metrics.REGISTRY.inc("csr.frontier_batches")
-                obs_metrics.REGISTRY.observe(
-                    "csr.frontier_members", len(members)
-                )
-            return backend.frontier_neighbours(
-                self._vector_adjacency(), members
-            )
+        members excluded — the joining-tree growth step."""
         neighbours: set[int] = set()
         for member in members:
             for other in self.neighbour_ints(member):
@@ -556,35 +521,6 @@ class FrozenGraph:
     # ------------------------------------------------------------------
     # distance rows and components
     # ------------------------------------------------------------------
-    @property
-    def backend_name(self) -> str:
-        """Name of the active vector backend (``numpy`` or ``stdlib``)."""
-        return self._backend.name
-
-    def release_vector_views(self) -> None:
-        """Drop the backend's zero-copy views over the CSR buffers.
-
-        On mmap-backed graphs the views pin the snapshot's exported
-        buffers — ``mmap.close()`` raises ``BufferError`` while any
-        live — so the engine releases them before closing its snapshot.
-        They rebuild lazily on the next vector kernel call.
-        """
-        self._vector_state = None
-
-    def _vector_adjacency(self):
-        """The backend's (lazily built) view of the current adjacency."""
-        state = self._vector_state
-        if state is None:
-            state = self._vector_state = self._backend.adjacency(
-                self._offsets, self._targets, self._override, self.capacity
-            )
-        return state
-
-    def drop_distance_rows(self) -> None:
-        """Forget every cached distance row (cold-sweep benchmarks)."""
-        self._distances.clear()
-        self._distance_bytes = 0
-
     def _cached_row(
         self, node: int, radius: Optional[int]
     ) -> Optional[DistanceRow]:
@@ -693,38 +629,6 @@ class FrozenGraph:
             frontier = next_frontier
         return row
 
-    def _bfs_rows(
-        self, sources: Sequence[int], radius: Optional[int] = None
-    ) -> list[DistanceRow]:
-        """Fresh BFS rows for distinct sources, in the given order.
-
-        Bounded rows always take the scalar sweep: a ball of a few
-        hundred nodes costs less than one full-matrix vector level.
-        Unbounded multi-source blocks run one bit-parallel sweep per
-        ``max_sources_per_sweep`` chunk on the vector backend; single
-        probes (and the stdlib fallback) run the scalar loop, which
-        defines the reference semantics.  Unbounded rows are plain
-        ``array('i')`` either way — cached state stays
-        backend-independent.
-        """
-        backend = self._backend
-        if radius is not None or len(sources) < 2 or not backend.vectorized:
-            return [self._bfs_row_scalar(node, radius) for node in sources]
-        adjacency = self._vector_adjacency()
-        capacity = self.capacity
-        rows: list[DistanceRow] = []
-        chunk = backend.max_sources_per_sweep
-        for start in range(0, len(sources), chunk):
-            block = sources[start : start + chunk]
-            matrix = backend.multi_source_distances(
-                adjacency, block, capacity, _UNREACHABLE
-            )
-            for position in range(len(block)):
-                row = array("i")
-                row.frombytes(matrix[position].tobytes())
-                rows.append(row)
-        return rows
-
     def distances(
         self, node: int, radius: Optional[int] = None
     ) -> DistanceRow:
@@ -751,8 +655,8 @@ class FrozenGraph:
         """Distance rows for many sources at once: ``{node: row}``.
 
         Cached rows that cover ``radius`` are served (and LRU-refreshed)
-        directly; the remaining sources are swept together.  Rows are
-        identical to per-source :meth:`distances` calls on any backend.
+        directly; the remaining sources are swept one by one under one
+        span.  Rows are identical to per-source :meth:`distances` calls.
         """
         if radius is not None and radius > _MAX_RADIUS:
             radius = None
@@ -766,11 +670,10 @@ class FrozenGraph:
                 missing.append(node)
         if missing:
             with obs_trace.span("csr.distances_block") as sweep_span:
-                for node, row in zip(missing, self._bfs_rows(missing, radius)):
+                for node in missing:
+                    row = result[node] = self._bfs_row_scalar(node, radius)
                     self._store_row(node, row, radius)
-                    result[node] = row
                 if sweep_span is not None:
-                    sweep_span.tag(backend=self._backend.name)
                     sweep_span.add(sources=len(missing))
             if obs_metrics.ENABLED:
                 obs_metrics.REGISTRY.inc("csr.distance_sweeps")
@@ -804,15 +707,7 @@ class FrozenGraph:
         """
         if self._components is not None:
             return self._components
-        with obs_trace.span("csr.components", backend=self._backend.name):
-            if self._backend.vectorized:
-                matrix = self._backend.component_labels(
-                    self._vector_adjacency(), self._alive, self.capacity
-                )
-                labels = array("i")
-                labels.frombytes(matrix.tobytes())
-                self._components = labels
-                return labels
+        with obs_trace.span("csr.components"):
             labels = array("i", [-1]) * self.capacity
             alive = self._alive
             label = 0
@@ -927,7 +822,6 @@ class FrozenGraph:
         if not changed:
             return 0
         self._components = None
-        self._vector_state = None  # override table / liveness changed
         for node in changed:
             self._neighbour_rows.pop(node, None)
         # A row whose source changed goes now; the others are probed for
@@ -1126,10 +1020,6 @@ def csr_enumerate_joining_trees(
         if node is None:
             return
         req.append(node)
-    components = frozen.components()
-    first_component = components[req[0]]
-    if any(components[node] != first_component for node in req):
-        return  # some required pair is disconnected: no joining tree
 
     # Pruning compares rows against ``budget`` <= ``max_tuples - 1``.
     distance_rows = [

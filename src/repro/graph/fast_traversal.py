@@ -21,8 +21,6 @@ graph in place.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.graph.data_graph import DataGraph
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -39,13 +37,8 @@ class TraversalCache:
     count distance-row lookups so benchmarks and tests can observe reuse.
     """
 
-    def __init__(
-        self, data_graph: DataGraph, vector: Optional[bool] = None
-    ) -> None:
+    def __init__(self, data_graph: DataGraph) -> None:
         self.data_graph = data_graph
-        #: Vector-backend override threaded into the compiled CSR graph
-        #: (``None`` = import-time default, ``False`` = force stdlib).
-        self.vector = vector
         self._frozen = None
         self.hits = 0
         self.misses = 0
@@ -71,12 +64,8 @@ class TraversalCache:
         if self._frozen is None:
             from repro.graph.csr import FrozenGraph
 
-            with obs_trace.span("csr.compile") as compile_span:
-                self._frozen = FrozenGraph(
-                    self.data_graph, counters=self, vector=self.vector
-                )
-                if compile_span is not None:
-                    compile_span.tag(backend=self._frozen.backend_name)
+            with obs_trace.span("csr.compile"):
+                self._frozen = FrozenGraph(self.data_graph, counters=self)
             if obs_metrics.ENABLED:
                 obs_metrics.REGISTRY.inc("csr.compiles")
         return self._frozen

@@ -4,7 +4,7 @@
 answer cache so the executor actually executes — and folds the plan's
 stages together with the spans the execution emitted into a per-node
 table: wall time, candidates enumerated, answers produced, shard skips,
-traversal-cache hits, the backend that ran the kernels.  The engine
+traversal-cache hits.  The engine
 exposes it as ``engine.explain_analyze(query)`` and the CLI as
 ``search --analyze``.
 
@@ -64,7 +64,6 @@ class ExplainReport:
         "rows",
         "mode",
         "core",
-        "backend",
         "pool_trace",
     )
 
@@ -79,7 +78,6 @@ class ExplainReport:
         results,
         mode: str,
         core: str,
-        backend: str,
         pool_trace: Optional[trace_mod.QueryTrace] = None,
     ) -> None:
         self.query = query
@@ -90,7 +88,6 @@ class ExplainReport:
         self.results = results
         self.mode = mode
         self.core = core
-        self.backend = backend
         self.pool_trace = pool_trace
         self.rows = _build_rows(plan, trace, stats)
 
@@ -100,7 +97,6 @@ class ExplainReport:
             "semantics": self.semantics,
             "mode": self.mode,
             "core": self.core,
-            "backend": self.backend,
             "stats": self.stats.to_dict(),
             "rows": [row.to_dict() for row in self.rows],
         }
@@ -132,8 +128,7 @@ class ExplainReport:
         """The per-node table, one row per plan stage."""
         header = (
             f"EXPLAIN ANALYZE  query={self.query!r}  "
-            f"semantics={self.semantics}  core={self.core}  "
-            f"backend={self.backend}  mode={self.mode}"
+            f"semantics={self.semantics}  core={self.core}  mode={self.mode}"
         )
         columns = ("node", "detail", "time_ms", "counters")
         table = [columns]
@@ -327,9 +322,6 @@ def analyze(
         trace_mod.set_enabled(previous)
     exec_span = next(qtrace.find("executor.execute"), None)
     mode = exec_span.tags.get("mode", "?") if exec_span is not None else "?"
-    backend = (
-        exec_span.tags.get("backend", "-") if exec_span is not None else "-"
-    )
     return ExplainReport(
         query=query,
         semantics=semantics,
@@ -339,6 +331,5 @@ def analyze(
         results=results,
         mode=mode,
         core=engine.core,
-        backend=backend,
         pool_trace=pool_trace,
     )

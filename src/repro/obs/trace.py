@@ -4,7 +4,7 @@ A :class:`Span` records one named region of work — monotonic start and
 duration, free-form tags, accumulated integer counters and child spans.
 Spans are collected into a :class:`QueryTrace`; the engine starts one
 per query (``engine.last_trace``) and every instrumented layer below it
-(executor stages, CSR/vector kernels, caches, the scale layer) attaches
+(executor stages, CSR kernels, caches, the scale layer) attaches
 children to whichever trace is *active* in the process.
 
 The contract that keeps tracing safe to leave compiled in everywhere:
@@ -68,7 +68,7 @@ def set_enabled(on: bool = True) -> None:
 class Span:
     """One named region of work inside a trace.
 
-    ``tags`` describe the region (query text, op index, backend name);
+    ``tags`` describe the region (query text, op index, execution mode);
     ``counters`` accumulate integers (candidates produced, shard skips);
     ``duration`` accumulates seconds — interleaved stages (pushdown
     merge pulls) add slices of time to one span instead of opening a

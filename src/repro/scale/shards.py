@@ -285,7 +285,6 @@ class ShardPlan:
             edge_keys,
             edge_data,
             counters=self.cache,
-            vector=self.cache.vector,
         )
         return shard_graph
 

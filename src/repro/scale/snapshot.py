@@ -884,14 +884,10 @@ def _load_engine(
     edge_data = _LazyEdgeData(
         {fk.name: fk for fk in fks}, tid_of, edge_keys, edge_ref, owner_of_entry
     )
-    # The vector backend wraps the mmap-backed CSR sections in zero-copy
-    # numpy views (engine.close() drops them before the mmap closes).
-    vector = engine_options.get("vector")
     frozen = FrozenGraph.from_parts(
-        data_graph, tid_of, offsets, targets, edge_keys, edge_data,
-        vector=vector,
+        data_graph, tid_of, offsets, targets, edge_keys, edge_data
     )
-    cache = TraversalCache(data_graph, vector=vector)
+    cache = TraversalCache(data_graph)
     cache._frozen = frozen
     frozen._counters = cache
 

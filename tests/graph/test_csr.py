@@ -295,6 +295,17 @@ class TestTreeParity:
                 csr_enumerate_joining_trees(data_graph, required, 6, max_results=2)
             )
 
+    def test_disconnected_set_pruned_without_component_labels(self, data_graph):
+        # d3 is its own component: the first frontier's distance rows
+        # prune the set, so no query pays a component sweep.
+        cache = TraversalCache(data_graph)
+        for budget in (1, 4, 300):
+            required = [tid("EMPLOYEE", "e1"), tid("DEPARTMENT", "d3")]
+            assert list(
+                csr_enumerate_joining_trees(data_graph, required, budget, cache=cache)
+            ) == list(enumerate_joining_trees(data_graph, required, budget)) == []
+        assert cache.frozen()._components is None
+
 
 class TestSearchLayerParity:
     def test_find_connections_company(self, engine):
@@ -701,6 +712,17 @@ class TestRowCoverage:
             node: frozen.distances(node, radius=5) for node in (0, 1, 2)
         }
 
+    def test_block_equals_per_source_rows(self, synthetic_graph):
+        frozen, single = FrozenGraph(synthetic_graph), FrozenGraph(synthetic_graph)
+        sources = list(range(0, frozen.capacity, 2))
+        block = frozen.distances_block(sources)
+        assert sorted(block) == sorted(set(sources))
+        for node in sources:
+            assert block[node] == single.distances(node)
+        # Duplicate sources collapse; cached rows are served verbatim.
+        again = frozen.distances_block([sources[0], sources[0], sources[1]])
+        assert again[sources[0]] is block[sources[0]]
+
     def test_radius_above_one_byte_takes_the_unbounded_row(self, data_graph):
         frozen = FrozenGraph(data_graph)
         assert type(frozen.distances(0, radius=254)) is bytearray
@@ -739,6 +761,29 @@ class TestRowCoverage:
             csr_enumerate_joining_trees(data_graph, required, 256, cache=cache)
         ) == list(enumerate_joining_trees(data_graph, required, 256))
         assert _row_types(cache.frozen()) == {array}
+
+
+class TestDistanceCacheLru:
+    def test_frozen_graph_hit_refreshes_entry(self, data_graph):
+        frozen = FrozenGraph(data_graph)
+        frozen.max_distance_bytes = 3 * frozen.capacity  # three bounded rows
+        a, b, c, d = 0, 1, 2, 3
+        for node in (a, b, c):
+            frozen.distances(node, radius=3)
+        frozen.distances(a, radius=3)  # refresh: a is now most recent
+        frozen.distances(d, radius=3)  # evicts b (the true LRU), not a
+        assert a in frozen._distances
+        assert b not in frozen._distances
+        assert set(frozen._distances) == {a, c, d}
+
+    def test_frozen_block_hits_refresh_entries(self, data_graph):
+        frozen = FrozenGraph(data_graph)
+        frozen.max_distance_bytes = 3 * 4 * frozen.capacity  # three unbounded
+        frozen.distances_block([0, 1, 2])
+        frozen.distances_block([0])  # refresh via the block path
+        frozen.distances(3)
+        assert 0 in frozen._distances
+        assert 1 not in frozen._distances
 
 
 class TestBoundedRowsEverywhere:

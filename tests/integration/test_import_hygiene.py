@@ -5,23 +5,19 @@ Each case runs in a fresh interpreter, because ``sys.modules`` of the
 test process already holds whatever earlier tests imported.  The first
 case drives every serving operation — cold build and ``open(wal=True)``
 alike — and then checks the two modules were never loaded; the second
-checks that the reference core, the multigraph and the component sweep
-still import what they need and answer as the csr path does.
+checks that the reference core and the multigraph still import
+networkx and answer as the csr path does, and that nothing loads numpy.
 """
 
 import json
 import os
 import subprocess
 import sys
-from importlib.util import find_spec
 
 import pytest
 
-from repro.graph.vector import ENV_FLAG
-
 SERVING = """
 import json, os, sys, tempfile
-from importlib.util import find_spec
 from repro import KeywordSearchEngine, build_company_database
 from repro.live.changes import Insert
 
@@ -56,20 +52,16 @@ with tempfile.TemporaryDirectory() as tmp:
     serve(restored, "h2")
     restored.compact_wal()
     restored.save(os.path.join(tmp, "again.snap"))
-    backend = restored.traversal_cache.frozen().backend_name
     restored.close()
 print(json.dumps({
     "loaded": sorted(name for name in ("networkx", "numpy")
                      if name in sys.modules),
-    "backend": backend,
-    "numpy_installed": find_spec("numpy") is not None,
 }))
 """
 
 ORACLE = """
 import json, sys
 from repro import KeywordSearchEngine, build_company_database
-from repro.graph.csr import FrozenGraph
 
 QUERY = "Smith XML"
 
@@ -87,22 +79,20 @@ assert rendered(reference.search(QUERY)) == served
 assert "networkx" in sys.modules
 graph = csr.data_graph.graph
 assert graph.number_of_nodes() == database.count()
-frozen = csr.traversal_cache.frozen()
-labels = frozen.components()
-assert labels == FrozenGraph(csr.data_graph, vector=False).components()
+import networkx as nx
+
+labels = csr.traversal_cache.frozen().components()
+assert len(set(labels)) == nx.number_connected_components(nx.Graph(graph))
 print(json.dumps({
     "loaded": sorted(name for name in ("networkx", "numpy")
                      if name in sys.modules),
-    "backend": frozen.backend_name,
 }))
 """
 
 
 def run_fresh(code):
-    """Run ``code`` in a new interpreter with the default backend
-    selection (no ``REPRO_NO_VECTOR``); its last stdout line is JSON."""
+    """Run ``code`` in a new interpreter; its last stdout line is JSON."""
     env = dict(os.environ, PYTHONPATH="src")
-    env.pop(ENV_FLAG, None)
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, cwd=os.getcwd(),
@@ -113,18 +103,9 @@ def run_fresh(code):
 
 
 def test_serving_path_loads_neither_networkx_nor_numpy():
-    report = run_fresh(SERVING)
-    assert report["loaded"] == []
-    assert report["backend"] == (
-        "numpy" if report["numpy_installed"] else "stdlib"
-    )
+    assert run_fresh(SERVING)["loaded"] == []
 
 
 def test_oracle_paths_still_import_what_they_need():
     pytest.importorskip("networkx")
-    report = run_fresh(ORACLE)
-    numpy_installed = find_spec("numpy") is not None
-    assert report["loaded"] == (
-        ["networkx", "numpy"] if numpy_installed else ["networkx"]
-    )
-    assert report["backend"] == ("numpy" if numpy_installed else "stdlib")
+    assert run_fresh(ORACLE)["loaded"] == ["networkx"]

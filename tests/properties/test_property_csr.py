@@ -188,27 +188,44 @@ class TestPatchedFrozenGraph:
             )
 
 
-class TestVectorBlocksIdentical:
-    """Multi-source BFS blocks equal per-source scalar rows, always.
+def _assert_equals_fresh_compile(live, fresh):
+    """``live``'s unbounded block rows and component labels equal those
+    of ``fresh``, a compile of the same database, node for node through
+    the tuple ids; tombstoned slots read unreachable and label ``-1``."""
+    alive = [node for node in range(live.capacity) if live._alive[node]]
+    dead = [node for node in range(live.capacity) if not live._alive[node]]
+    assert fresh.capacity == len(alive)
+    fresh_of = {node: fresh.node_of(live.tid_of(node)) for node in alive}
+    sources = alive[::2]
+    block = live.distances_block(sources)
+    assert sorted(block) == sources
+    for node in sources:
+        row, exact = block[node], fresh.distances(fresh_of[node])
+        assert [row[other] for other in alive] == [
+            exact[fresh_of[other]] for other in alive
+        ]
+        assert all(row[other] > live.capacity for other in dead)
+    labels, fresh_labels = live.components(), fresh.components()
+    assert [labels[node] for node in dead] == [-1] * len(dead)
+    # Labels number components in seed order, which appends reorder:
+    # equal partitions pair every label with exactly one fresh label.
+    pairs = {(labels[node], fresh_labels[fresh_of[node]]) for node in alive}
+    assert len({label for label, __ in pairs}) == len(pairs)
+    assert len({label for __, label in pairs}) == len(pairs)
+    assert len(pairs) == len(set(fresh_labels))
 
-    The block sweep on the vector backend (and its scalar fallback)
-    must reproduce the one-source reference BFS row for row — on fresh
-    graphs and after arbitrary mutation sequences, including tombstoned
-    overrides and compaction-triggered recompiles.  When numpy is
-    absent both graphs are scalar and the property still holds.
-    """
+
+class TestBlocksEqualAFreshCompile:
+    """Multi-source distance blocks and component labels equal those of
+    a graph compiled afresh — on fresh graphs and after arbitrary
+    mutation sequences, including tombstoned overrides and
+    compaction-triggered recompiles."""
 
     @relaxed
     @given(configs)
     def test_block_rows_equal_scalar_rows(self, config):
         graph = DataGraph(generate_company_like(config))
-        scalar = FrozenGraph(graph, vector=False)
-        vector = FrozenGraph(graph)
-        sources = list(range(0, vector.capacity, 2))
-        block = vector.distances_block(sources)
-        for node in sources:
-            assert block[node] == scalar.distances(node)
-        assert vector.components() == scalar.components()
+        _assert_equals_fresh_compile(FrozenGraph(graph), FrozenGraph(graph))
 
     @relaxed
     @given(
@@ -220,24 +237,14 @@ class TestVectorBlocksIdentical:
     def test_block_rows_equal_after_mutations(self, config, salts, compact):
         database = generate_company_like(config)
         replay = generate_company_like(config)
-        graph = DataGraph(database)
-        scalar = FrozenGraph(graph, vector=False)
-        vector = FrozenGraph(graph)
+        live = FrozenGraph(DataGraph(database))
         if compact:  # force the recompile path on some examples
-            for frozen in (scalar, vector):
-                frozen.compaction_threshold = 0.0
-                frozen.min_compaction_nodes = 1
+            live.compaction_threshold = 0.0
+            live.min_compaction_nodes = 1
         for batch in _structural_mutations(replay, salts):
-            changeset = apply_to_database(database, batch)
-            apply_changeset(changeset, database, data_graph=graph)
-            scalar.apply_changeset(changeset)
-            vector.apply_changeset(changeset)
-        assert scalar.compactions == vector.compactions
-        sources = list(range(0, vector.capacity, 2))
-        block = vector.distances_block(sources)
-        for node in sources:
-            assert block[node] == scalar.distances(node)
-        assert vector.components() == scalar.components()
+            live.apply_changeset(apply_to_database(database, batch))
+        assert live.compactions or not compact
+        _assert_equals_fresh_compile(live, FrozenGraph(DataGraph(database)))
 
 
 def _assert_rows_clip_the_oracle(live, oracle):
