@@ -96,7 +96,7 @@ def observed_sites(database) -> int:
     taken instead.  The enabled run reaches at least every guard the
     disabled run does, so this over-counts, never under-counts.
     """
-    engine = KeywordSearchEngine(database, shards=2)
+    engine = KeywordSearchEngine(database)
     obs.reset()
     obs.set_enabled(True)
     try:
@@ -135,7 +135,7 @@ def time_workload(database, repeats: int) -> float:
     """Best-of-N seconds for one untraced workload pass, cold engine."""
     best = None
     for __ in range(repeats):
-        engine = KeywordSearchEngine(database, shards=2)
+        engine = KeywordSearchEngine(database)
         start = time.perf_counter()
         run_workload(engine)
         elapsed = time.perf_counter() - start
@@ -154,7 +154,7 @@ def main(argv=None, out=None) -> int:
     database = build_database()
 
     # -- bit-identity: plain, traced, metered, and both ----------------
-    plain = run_workload(KeywordSearchEngine(database, shards=2))
+    plain = run_workload(KeywordSearchEngine(database))
     errors = sum(1 for outcome in plain if outcome[0] == "error")
     modes = {"trace": (True, False), "metrics": (False, True),
              "both": (True, True)}
@@ -162,7 +162,7 @@ def main(argv=None, out=None) -> int:
         obs_trace.set_enabled(tracing)
         obs_metrics.set_enabled(metered)
         try:
-            observed = run_workload(KeywordSearchEngine(database, shards=2))
+            observed = run_workload(KeywordSearchEngine(database))
         finally:
             obs.set_enabled(False)
             obs.reset()

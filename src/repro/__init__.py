@@ -54,7 +54,6 @@ from repro.live.changes import ChangeSet, Delete, Insert, Update
 from repro.live.result_cache import ResultCache
 from repro.relational.database import Database
 from repro.relational.statistics import DatabaseStatistics
-from repro.scale.shards import KeywordRouter, ShardPlan
 from repro.scale.snapshot import Snapshot
 
 __version__ = "1.0.0"
@@ -73,14 +72,12 @@ __all__ = [
     "ErLengthRanker",
     "InstanceAmbiguityRanker",
     "Insert",
-    "KeywordRouter",
     "KeywordSearchEngine",
     "RdbLengthRanker",
     "ResultCache",
     "SchemaAnalyzer",
     "SearchLimits",
     "SearchResult",
-    "ShardPlan",
     "Snapshot",
     "TfIdfScorer",
     "TraversalCache",

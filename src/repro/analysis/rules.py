@@ -14,7 +14,7 @@ class of bug one layer away from one):
   errors crossed worker pipes, because pickling re-ran ``__init__``
   with the already-rendered message.  The rule flags error subclasses
   that store state in ``__init__`` without a matching ``__reduce__``.
-* **FRZ01** — ``FrozenGraph``/``ShardPlan``/lazy snapshot stores are
+* **FRZ01** — ``FrozenGraph`` and lazy snapshot stores are
   patchable only through their own modules' entry points; ad-hoc
   mutation elsewhere silently desynchronises compiled state.
 * **RES01** — mmap/file/pipe/shared-memory acquisition must have a
@@ -520,20 +520,17 @@ class Pkl01StatefulErrorWithoutReduce(Rule):
 #: Modules allowed to mutate their own frozen structures.
 _FROZEN_HOME_MODULES = (
     "graph/csr.py",
-    "scale/shards.py",
     "scale/snapshot.py",
 )
 #: Patch entry points allowed to mutate frozen structures anywhere.
 _SANCTIONED_FUNCTIONS = {
     "apply_changeset",
     "from_parts",
-    "from_state",
     "_compact",
     "_compile",
-    "_partition",
 }
-_FROZEN_CONSTRUCTORS = {"FrozenGraph", "ShardPlan"}
-_FROZEN_FACTORY_METHODS = {"frozen", "graph_for"}
+_FROZEN_CONSTRUCTORS = {"FrozenGraph"}
+_FROZEN_FACTORY_METHODS = {"frozen"}
 _MUTATOR_METHODS = {
     "append",
     "extend",
@@ -572,10 +569,8 @@ class _FrozenTypes:
         if isinstance(func, ast.Attribute):
             if func.attr in _FROZEN_FACTORY_METHODS:
                 return True
-            # FrozenGraph.from_parts(...) / ShardPlan.from_state(...)
-            if func.attr in ("from_parts", "from_state") and isinstance(
-                func.value, ast.Name
-            ):
+            # FrozenGraph.from_parts(...)
+            if func.attr == "from_parts" and isinstance(func.value, ast.Name):
                 return func.value.id in _FROZEN_CONSTRUCTORS
         return False
 
@@ -641,7 +636,7 @@ class Frz01FrozenMutation(Rule):
     id = "FRZ01"
     title = "mutation of a frozen structure outside its module"
     rationale = (
-        "FrozenGraph/ShardPlan/lazy stores are patched only through "
+        "FrozenGraph and lazy stores are patched only through "
         "their modules' sanctioned entry points; ad-hoc mutation "
         "desynchronises compiled state from the data graph"
     )

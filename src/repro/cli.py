@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     execution = search.add_argument_group(
         "execution",
         "how the query runs: traversal kernel, batching/streaming, "
-        "sharded and parallel serving (answers are identical across "
-        "every combination — only speed differs)",
+        "parallel serving (answers are identical across every "
+        "combination — only speed differs)",
     )
     execution.add_argument("--batch", action="store_true",
                            help="treat QUERY as ';'-separated queries "
@@ -107,10 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="traversal kernel: csr (compiled integer "
                                 "kernels, default) or reference (brute-force "
                                 "networkx oracle)")
-    execution.add_argument("--shards", type=int, default=None, metavar="K",
-                           help="partition the compiled graph into K "
-                                "component-aligned shards and route "
-                                "enumeration through them")
     execution.add_argument("--jobs", type=int, default=None, metavar="N",
                            help="answer a --batch over N snapshot worker "
                                 "processes (requires --batch)")
@@ -159,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         "save", help="build an engine and write its snapshot"
     )
     snap_save.add_argument("out", metavar="FILE", help="snapshot file to write")
-    snap_save.add_argument("--shards", type=int, default=None, metavar="K",
-                           help="partition into K shards before saving")
     snap_save.add_argument("--core", choices=CORES,
                            default=None, help="traversal kernel to record")
     snap_load = actions.add_parser(
@@ -237,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "workload over the company example)")
     stats.add_argument("--top", type=int, default=None, help="top-k cut")
     stats.add_argument("--semantics", choices=("and", "or"), default="and")
-    stats.add_argument("--shards", type=int, default=None, metavar="K",
-                       help="partition the compiled graph into K shards")
     stats.add_argument("--core", choices=CORES,
                        default=None, help="traversal kernel")
 
@@ -253,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("query", help="whitespace-separated keywords")
     plan.add_argument("--semantics", choices=("and", "or"), default="and")
     plan.add_argument("--top", type=int, default=None, help="top-k cut")
-    plan.add_argument("--shards", type=int, default=None, metavar="K",
-                      help="partition the compiled graph into K shards")
     plan.add_argument("--core", choices=CORES,
                       default=None, help="traversal kernel")
     plan.add_argument("--snapshot", metavar="FILE", default=None,
@@ -395,7 +385,6 @@ def _cmd_search(args: argparse.Namespace, out) -> int:
             args.snapshot,
             wal=args.wal,
             core=args.core,
-            shards=args.shards,
             adaptive=False if args.static_plan else None,
         )
         if args.wal is not None and engine.wal is not None:
@@ -411,7 +400,6 @@ def _cmd_search(args: argparse.Namespace, out) -> int:
         engine = KeywordSearchEngine(
             _load_database(args.db),
             core=args.core,
-            shards=args.shards,
             adaptive=False if args.static_plan else None,
         )
     ranker = _RANKERS[args.ranker]()
@@ -575,9 +563,7 @@ def _dispatch_search(engine, args, ranker, limits, out) -> int:
         if args.jobs is not None and args.jobs > 1:
             engine.close_pool()
             print(f"# parallel: {args.jobs} snapshot workers, "
-                  f"{engine.last_stats.candidates} candidates, "
-                  f"{engine.last_stats.shard_skips} cross-shard units skipped",
-                  file=out)
+                  f"{engine.last_stats.candidates} candidates", file=out)
         return 0 if answered else 1
     results = engine.search(
         args.query,
@@ -606,17 +592,13 @@ def _cmd_snapshot(args: argparse.Namespace, out) -> int:
     import os
 
     if args.action == "save":
-        engine = KeywordSearchEngine(
-            _load_database(args.db), core=args.core, shards=args.shards
-        )
+        engine = KeywordSearchEngine(_load_database(args.db), core=args.core)
         meta = engine.save(args.out)
         size = os.path.getsize(args.out)
         print(f"wrote {args.out}: {meta['tuples']} tuples, "
               f"{meta['nodes']} graph nodes, {meta['entries']} CSR entries, "
               f"{size:,} bytes (engine v{meta['engine_version']}, "
               f"core {meta['core']})", file=out)
-        if engine.shard_plan is not None:
-            print(f"shards: {engine.shard_plan.describe()}", file=out)
         return 0
 
     engine = KeywordSearchEngine.open(args.file)
@@ -625,8 +607,7 @@ def _cmd_snapshot(args: argparse.Namespace, out) -> int:
           f"{len(engine._snapshot.sections())} sections; "
           f"{meta['tuples']} tuples, {meta['nodes']} graph nodes, "
           f"{meta['entries']} CSR entries (engine v{meta['engine_version']}, "
-          f"core {meta['core']}, "
-          f"{meta['shard_count'] or 'no'} shards)", file=out)
+          f"core {meta['core']})", file=out)
     print(_delta_line(engine._snapshot), file=out)
     if args.query:
         results = engine.search(args.query, top_k=args.top)
@@ -741,9 +722,7 @@ def _cmd_stats(args: argparse.Namespace, out) -> int:
               "(the built-in workload only fits the company example)",
               file=out)
         return 2
-    engine = KeywordSearchEngine(
-        _load_database(args.db), core=args.core, shards=args.shards
-    )
+    engine = KeywordSearchEngine(_load_database(args.db), core=args.core)
     saved = obs_metrics.ENABLED
     before = REGISTRY.snapshot()
     obs_metrics.set_enabled(True)
@@ -770,13 +749,11 @@ def _cmd_plan(args: argparse.Namespace, out) -> int:
             print("--snapshot and --db are mutually exclusive", file=out)
             return 2
         engine = KeywordSearchEngine.open(
-            args.snapshot, core=args.core, shards=args.shards,
-            adaptive=adaptive,
+            args.snapshot, core=args.core, adaptive=adaptive
         )
     else:
         engine = KeywordSearchEngine(
-            _load_database(args.db), core=args.core, shards=args.shards,
-            adaptive=adaptive,
+            _load_database(args.db), core=args.core, adaptive=adaptive
         )
     try:
         plan, __ = engine._plan(args.query, args.top, args.semantics)

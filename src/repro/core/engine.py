@@ -82,7 +82,6 @@ class KeywordSearchEngine:
         limits: SearchLimits = SearchLimits(),
         result_cache_entries: int = 256,
         core: Optional[str] = None,
-        shards: Optional[int] = None,
         adaptive: Optional[bool] = None,
     ) -> None:
         self._wire(
@@ -94,7 +93,6 @@ class KeywordSearchEngine:
             limits=limits,
             result_cache_entries=result_cache_entries,
             core=core,
-            shards=shards,
             adaptive=adaptive,
             version=0,
         )
@@ -110,7 +108,6 @@ class KeywordSearchEngine:
         limits: SearchLimits,
         result_cache_entries: int,
         core: Optional[str],
-        shards: Optional[int],
         version: int,
         adaptive: Optional[bool] = None,
     ) -> None:
@@ -129,13 +126,6 @@ class KeywordSearchEngine:
             if traversal_cache is not None
             else TraversalCache(self.data_graph)
         )
-        #: Number of shards query execution routes over (``None``
-        #: disables sharding).  The plan itself builds lazily — see
-        #: :attr:`shard_plan` — and answers stay bit-identical to the
-        #: unsharded engine: sharding only skips enumeration units whose
-        #: tuples provably lie in different connected components.
-        self.shards = shards or None
-        self._shard_plan = None
         #: Cost-based adaptive planning (see :mod:`repro.planner`):
         #: pushdown enumeration drains units by admissible distance
         #: bounds, plans carry cost estimates, batch dispatch routes by
@@ -204,7 +194,6 @@ class KeywordSearchEngine:
         limits: SearchLimits = SearchLimits(),
         result_cache_entries: int = 256,
         core: Optional[str] = None,
-        shards: Optional[int] = None,
         version: int = 0,
         adaptive: Optional[bool] = None,
     ) -> "KeywordSearchEngine":
@@ -219,7 +208,6 @@ class KeywordSearchEngine:
             limits=limits,
             result_cache_entries=result_cache_entries,
             core=core,
-            shards=shards,
             version=version,
             adaptive=adaptive,
         )
@@ -280,18 +268,13 @@ class KeywordSearchEngine:
 
         Computed from posting lengths, fan-outs and calibration alone —
         no matching, no enumeration — so batch dispatch can weigh a
-        query before any work runs.  Sharded engines additionally scale
-        by the routed shards' share of the graph.
+        query before any work runs.
         """
         try:
             keywords = parse_query(query)
         except QueryError:
             return 1.0
-        cost = self._ensure_cost_model().query_cost(keywords, semantics)
-        router = self.router()
-        if router is not None:
-            cost *= router.cost_weight(keywords, semantics)
-        return cost
+        return self._ensure_cost_model().query_cost(keywords, semantics)
 
     def _observe_run(self, plan: QueryPlan, stats: ExecutionStats) -> None:
         """Fold one run's observed candidate count into the calibration.
@@ -352,37 +335,12 @@ class KeywordSearchEngine:
         if value is None:
             self._statistics_loader = None
 
-    @property
-    def shard_plan(self):
-        """The engine's :class:`~repro.scale.shards.ShardPlan` (lazy).
-
-        ``None`` unless the engine was configured with ``shards=``.
-        Built on first use from the compiled graph's components and kept
-        current by :meth:`apply`; :meth:`rebuild` drops it.
-        """
-        if self.shards is None:
-            return None
-        if self._shard_plan is None:
-            from repro.scale.shards import ShardPlan
-
-            self._shard_plan = ShardPlan(self.traversal_cache, self.shards)
-        return self._shard_plan
-
-    def router(self):
-        """Keyword→shard router over the current plan (``None`` unsharded)."""
-        if self.shard_plan is None:
-            return None
-        from repro.scale.shards import KeywordRouter
-
-        return KeywordRouter(self.shard_plan, self.index)
-
     def _executor(self, shared: Optional[SharedEnumerations] = None) -> Executor:
         return Executor(
             self.data_graph,
             core=self.core,
             cache=self.traversal_cache,
             shared=shared,
-            shard_plan=self.shard_plan,
             adaptive=self.adaptive,
         )
 
@@ -661,7 +619,7 @@ class KeywordSearchEngine:
         (:mod:`repro.scale.parallel`): every worker opens the engine's
         snapshot once (auto-saved to a temporary file when the engine
         was never saved, refreshed after mutations) and answers whole
-        queries with the same core/shard configuration.  Results, order
+        queries with the same core configuration.  Results, order
         and the first raised error are identical to the serial path;
         ``last_stats`` merges the workers' counters.
         """
@@ -776,7 +734,6 @@ class KeywordSearchEngine:
                     index=self.index,
                     data_graph=self.data_graph,
                     traversal_cache=self.traversal_cache,
-                    shard_plan=self._shard_plan,
                 )
             if len(self.result_cache):
                 # Tainting costs a bounded BFS; with no live entries
@@ -901,7 +858,6 @@ class KeywordSearchEngine:
         self.result_cache.clear()
         self.last_stats = ExecutionStats()
         self.last_shared = SharedEnumerations()
-        self._shard_plan = None
         self.statistics = None
         self.close_pool()
         self.version += 1
@@ -913,11 +869,11 @@ class KeywordSearchEngine:
         """Write the engine's full state as a binary snapshot.
 
         The snapshot (see :mod:`repro.scale.snapshot`) captures the
-        database, the compiled CSR graph, the inverted index, corpus
-        statistics and the shard assignment at the engine's current
-        :attr:`version`; :meth:`open` restores a bit-identical engine
-        an order of magnitude faster than a cold build.  Returns the
-        snapshot's meta dict.
+        database, the compiled CSR graph, the inverted index and corpus
+        statistics at the engine's current :attr:`version`;
+        :meth:`open` restores a bit-identical engine an order of
+        magnitude faster than a cold build.  Returns the snapshot's meta
+        dict.
         """
         from repro.scale.snapshot import write_snapshot
 
@@ -933,7 +889,7 @@ class KeywordSearchEngine:
     ) -> "KeywordSearchEngine":
         """Open a snapshot written by :meth:`save` into a ready engine.
 
-        ``core=`` / ``shards=`` default to the writer's configuration;
+        ``core=`` defaults to the writer's configuration;
         every other construction option (``ranker``, ``limits``,
         ``result_cache_entries``, ...) passes through.  The CSR array
         sections stay ``mmap``-backed, so concurrently opened processes
@@ -1092,7 +1048,6 @@ class KeywordSearchEngine:
             self._ensure_snapshot(),
             jobs,
             core=self.core,
-            shards=self.shards,
             result_cache_entries=self.result_cache.max_entries,
             adaptive=self.adaptive,
         )

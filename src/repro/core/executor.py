@@ -110,17 +110,14 @@ class ExecutionStats:
     mode this is how far enumeration actually ran before terminating,
     the number benchmarks compare against a full run to measure skipped
     work.  ``emitted`` counts results yielded; ``pushdown`` records
-    whether early termination was active.  ``shard_skips`` counts
-    enumeration units (tuple pairs, network assignments) a shard plan
-    proved cross-component and never set up — the sharded serving win.
-    ``pruned`` counts units the adaptive planner proved empty from
-    distance bounds and likewise never set up.
+    whether early termination was active.  ``pruned`` counts
+    enumeration units (tuple pairs, network assignments) the adaptive
+    planner proved empty from distance bounds and never set up.
     """
 
     candidates: int = 0
     emitted: int = 0
     pushdown: bool = False
-    shard_skips: int = 0
     pruned: int = 0
 
     def merge(self, other: "ExecutionStats") -> None:
@@ -134,7 +131,6 @@ class ExecutionStats:
         self.candidates += other.candidates
         self.emitted += other.emitted
         self.pushdown = self.pushdown or other.pushdown
-        self.shard_skips += other.shard_skips
         self.pruned += other.pruned
 
     def to_dict(self) -> dict:
@@ -143,7 +139,6 @@ class ExecutionStats:
             "candidates": self.candidates,
             "emitted": self.emitted,
             "pushdown": self.pushdown,
-            "shard_skips": self.shard_skips,
             "pruned": self.pruned,
         }
 
@@ -153,7 +148,6 @@ class ExecutionStats:
             candidates=int(payload.get("candidates", 0)),
             emitted=int(payload.get("emitted", 0)),
             pushdown=bool(payload.get("pushdown", False)),
-            shard_skips=int(payload.get("shard_skips", 0)),
             pruned=int(payload.get("pruned", 0)),
         )
 
@@ -295,7 +289,6 @@ class Executor:
         core: Optional[str] = None,
         cache: Optional[TraversalCache] = None,
         shared: Optional[SharedEnumerations] = None,
-        shard_plan=None,
         adaptive: Optional[bool] = None,
     ) -> None:
         self.data_graph = data_graph
@@ -306,14 +299,6 @@ class Executor:
             cache = TraversalCache(data_graph)
         self.cache = cache
         self.shared = shared if shared is not None else SharedEnumerations()
-        #: Optional :class:`~repro.scale.shards.ShardPlan`.  Execution
-        #: stays bit-identical with or without one: every answer lives
-        #: inside one connected component, so an enumeration unit whose
-        #: tuples the plan maps to *different* shards can yield nothing
-        #: and is skipped before any stream is set up; same-shard units
-        #: additionally run the CSR kernels on the shard's own compiled
-        #: graph, whose scratch state is O(shard) instead of O(graph).
-        self.shard_plan = shard_plan
         #: Selectivity-ordered pushdown: enumeration units enter the
         #: state heaps on admissible BFS distance bounds (streams built
         #: lazily, provably-empty units skipped) instead of eagerly
@@ -330,63 +315,37 @@ class Executor:
         self._exec_span = None
 
     # ------------------------------------------------------------------
-    # shard routing
+    # distance prefetch
     # ------------------------------------------------------------------
-    def _unit_shard(self, tids) -> object:
-        """Classify one enumeration unit against the shard plan.
-
-        Returns a shard id (run on that shard's graph), ``None`` (no
-        plan, or a tuple unknown to it — run globally, never skip), or
-        the :data:`~repro.scale.shards.CROSS_SHARD` sentinel (provably
-        unanswerable — skip the unit entirely).
-        """
-        if self.shard_plan is None:
-            return None
-        return self.shard_plan.shard_of_all(tids)
-
-    def _unit_cache(self, shard) -> TraversalCache:
-        """The cache a same-shard unit's kernels should run on."""
-        if shard is None or self.core != "csr":
-            return self.cache
-        return self.shard_plan.cache_for(shard)
-
     def _prefetch_distances(
         self, plan: QueryPlan, limits: SearchLimits
     ) -> None:
         """Warm the compiled graph's distance-row cache for every source
         the plan's enumeration units will prune against, as one block
-        per graph and radius instead of one probe at a time.
+        per radius instead of one probe at a time.
 
         Purely a cache effect: blocks are bit-identical to on-demand
         rows, so answers, order and budget points are unchanged.  Rows
         for units the kernels later skip (disconnected or over-budget
         pairs) may be computed ahead of need; the LRU keeps that
-        bounded.  Under a shard plan the tuples are grouped per shard
-        graph — cross-shard/unknown tuples are left to the global
-        on-demand path.
+        bounded.
         """
         if self.cache is None:
             return
-        blocks: dict = {}  # (shard, radius) -> node ints on that graph
+        frozen = self.cache.frozen()
+        blocks: dict = {}  # radius -> node ints
         for tid, radius in plan.distance_sources(limits).items():
-            shard = None
-            if self.shard_plan is not None:
-                shard = self.shard_plan.shard_of(tid)
-                if shard is None:
-                    continue
-            node = self._unit_cache(shard).frozen().node_of(tid)
+            node = frozen.node_of(tid)
             if node is not None:
-                blocks.setdefault((shard, radius), []).append(node)
-        for (shard, radius), nodes in blocks.items():
+                blocks.setdefault(radius, []).append(node)
+        for radius, nodes in blocks.items():
             if len(nodes) > 1:
-                self._unit_cache(shard).frozen().distances_block(nodes, radius)
+                frozen.distances_block(nodes, radius)
 
     # ------------------------------------------------------------------
     # adaptive bounds (selectivity-ordered pushdown, csr core only)
     # ------------------------------------------------------------------
-    def _unit_distance(
-        self, source, target, shard, rows, limits
-    ) -> Optional[int]:
+    def _unit_distance(self, source, target, rows, limits) -> Optional[int]:
         """Admissible lower bound on the RDB length of any simple path
         between two tuples: their BFS distance in the compiled graph,
         exact up to ``max_rdb_length`` (rows are warmed by
@@ -396,21 +355,20 @@ class Executor:
         to eager static setup; :data:`_UNREACHABLE` proves the pair
         yields nothing within the budget.
         """
-        frozen = self._unit_cache(shard).frozen()
-        row_key = (shard, target)
-        row = rows.get(row_key)
+        frozen = self.cache.frozen()
+        row = rows.get(target)
         if row is None:
             node = frozen.node_of(target)
             if node is None:
                 return None
             row = frozen.distances(node, radius=limits.max_rdb_length - 1)
-            rows[row_key] = row
+            rows[target] = row
         source_node = frozen.node_of(source)
         if source_node is None:
             return None
         return frozen.distance_within(row, source_node, limits.max_rdb_length)
 
-    def _network_bound(self, required, shard, rows, limits) -> Optional[int]:
+    def _network_bound(self, required, rows, limits) -> Optional[int]:
         """Admissible lower bound on the tuple count of any joining tree
         over ``required``: a connected tree must contain a path between
         its two farthest required tuples, so it holds at least
@@ -419,7 +377,7 @@ class Executor:
         provably no tree fits ``max_tuples`` (rows reach
         ``max_tuples - 1`` levels, the radius the tree kernel uses).
         """
-        frozen = self._unit_cache(shard).frozen()
+        frozen = self.cache.frozen()
         nodes = []
         for tid in required:
             node = frozen.node_of(tid)
@@ -429,11 +387,10 @@ class Executor:
         radius = limits.max_tuples - 1
         bound = len(required)
         for position, (tid, node) in enumerate(nodes[:-1]):
-            row_key = (shard, tid)
-            row = rows.get(row_key)
+            row = rows.get(tid)
             if row is None:
                 row = frozen.distances(node, radius=radius)
-                rows[row_key] = row
+                rows[tid] = row
             for __, other in nodes[position + 1:]:
                 distance = row[other]
                 if distance > radius:
@@ -555,7 +512,6 @@ class Executor:
                 exec_span.add(
                     candidates=stats.candidates,
                     emitted=stats.emitted,
-                    shard_skips=stats.shard_skips,
                     pruned=stats.pruned,
                     cache_hits=self.cache.hits - cache_hits,
                     cache_misses=self.cache.misses - cache_misses,
@@ -566,8 +522,6 @@ class Executor:
                 registry.inc("executor.runs")
                 registry.inc("executor.candidates", stats.candidates)
                 registry.inc("executor.emitted", stats.emitted)
-                if stats.shard_skips:
-                    registry.inc("executor.shard_skips", stats.shard_skips)
                 if use_pushdown:
                     registry.inc("executor.pushdown_runs")
                 for name, delta in (
@@ -600,9 +554,7 @@ class Executor:
         source: TupleId,
         target: TupleId,
         limits: SearchLimits,
-        cache: Optional[TraversalCache] = None,
     ) -> SharedStream:
-        cache = cache if cache is not None else self.cache
         key = (
             "paths",
             source,
@@ -618,7 +570,7 @@ class Executor:
                 target,
                 limits.max_rdb_length,
                 max_paths=limits.max_paths_per_pair,
-                cache=cache,
+                cache=self.cache,
             )
         else:
             factory = lambda: enumerate_simple_paths(
@@ -634,9 +586,7 @@ class Executor:
         self,
         required: tuple[TupleId, ...],
         limits: SearchLimits,
-        cache: Optional[TraversalCache] = None,
     ) -> SharedStream:
-        cache = cache if cache is not None else self.cache
         key = (
             "trees",
             required,
@@ -650,7 +600,7 @@ class Executor:
                 list(required),
                 limits.max_tuples,
                 max_results=limits.max_networks,
-                cache=cache,
+                cache=self.cache,
             )
         else:
             factory = lambda: enumerate_joining_trees(
@@ -697,23 +647,11 @@ class Executor:
         if op.include_single_tuples:
             yield from self._pair_singles(first, second)
         pair = (first, second)
-        from repro.scale.shards import CROSS_SHARD
-
         for source in first.tuple_ids:
             for target in second.tuple_ids:
                 if source == target:
                     continue
-                shard = self._unit_shard((source, target))
-                if shard is CROSS_SHARD:
-                    # Different components: the pair can have no paths
-                    # (and therefore no budget error either) — exactly
-                    # what an unsharded run would discover the slow way.
-                    self.stats.shard_skips += 1
-                    continue
-                stream = self._path_stream(
-                    source, target, limits, cache=self._unit_cache(shard)
-                )
-                for steps in stream:
+                for steps in self._path_stream(source, target, limits):
                     tids = [steps[0].source] + [s.target for s in steps]
                     yield Connection(
                         self.data_graph, steps, _keyword_map(pair, tids)
@@ -735,20 +673,9 @@ class Executor:
         op: NetworkGrowth,
         limits: SearchLimits,
     ) -> Iterator[JoiningNetwork]:
-        from repro.scale.shards import CROSS_SHARD
-
         seen: set[tuple] = set()
         for keyword_tuples, required in self._network_assignments(matches, op):
-            shard = self._unit_shard(required)
-            if shard is CROSS_SHARD:
-                # A joining tree is connected; tuples in different
-                # components can never share one.
-                self.stats.shard_skips += 1
-                continue
-            stream = self._tree_stream(
-                required, limits, cache=self._unit_cache(shard)
-            )
-            for tuple_set in stream:
+            for tuple_set in self._tree_stream(required, limits):
                 key = (tuple_set, tuple(sorted(keyword_tuples.items())))
                 if key in seen:
                     continue
@@ -765,7 +692,6 @@ class Executor:
             if exec_span is not None:
                 op_span = exec_span.child(_op_label(op), op=position)
                 produced0 = len(answers)
-                skips0 = self.stats.shard_skips
                 t0 = time.perf_counter()
             if isinstance(op, SingleScan):
                 answers.extend(self._iter_singles(plan.matches, op))
@@ -775,10 +701,7 @@ class Executor:
                 answers.extend(self._iter_networks(plan.matches, op, limits))
             if exec_span is not None:
                 op_span.add_time(time.perf_counter() - t0)
-                op_span.add(
-                    produced=len(answers) - produced0,
-                    shard_skips=self.stats.shard_skips - skips0,
-                )
+                op_span.add(produced=len(answers) - produced0)
         if exec_span is not None:
             t0 = time.perf_counter()
         scored = [
@@ -821,11 +744,11 @@ class Executor:
         k = plan.cut.k
         if k is not None and k <= 0:
             return
-        # Per-op attribution works by stats-counter deltas around each
-        # bound()/pull() call (which is where lazy heap setup, shard
-        # skips and candidate scoring actually happen), so the state
-        # classes stay untouched; disabled mode pays one local-bool
-        # branch per call.
+        # Per-op attribution works by timing each bound()/pull() call
+        # and taking candidate-counter deltas around pull() (which is
+        # where lazy heap setup and candidate scoring actually happen),
+        # so the state classes stay untouched; disabled mode pays one
+        # local-bool branch per call.
         exec_span = self._exec_span
         tracing = exec_span is not None
         stats = self.stats
@@ -834,13 +757,9 @@ class Executor:
         if tracing:
             for position, op in enumerate(plan.sources):
                 op_span = exec_span.child(_op_label(op), op=position)
-                skips0 = stats.shard_skips
                 t0 = time.perf_counter()
                 states.append(self._make_state(plan, op, ranker, limits))
                 op_span.add_time(time.perf_counter() - t0)
-                delta = stats.shard_skips - skips0
-                if delta:
-                    op_span.add(shard_skips=delta)
                 op_spans.append(op_span)
         else:
             states = [
@@ -856,14 +775,9 @@ class Executor:
             best_bound = None
             for index, state in enumerate(states):
                 if tracing:
-                    skips0 = stats.shard_skips
                     t0 = time.perf_counter()
                     bound = state.bound()
-                    op_span = op_spans[index]
-                    op_span.add_time(time.perf_counter() - t0)
-                    delta = stats.shard_skips - skips0
-                    if delta:
-                        op_span.add(shard_skips=delta)
+                    op_spans[index].add_time(time.perf_counter() - t0)
                 else:
                     bound = state.bound()
                 if bound is None:
@@ -965,8 +879,6 @@ class _PairState:
 
     def _ensure_heap(self) -> list:
         if self._heap is None:
-            from repro.scale.shards import CROSS_SHARD
-
             executor = self._executor
             adaptive = executor.adaptive and executor.core == "csr"
             limits = self._limits
@@ -979,18 +891,9 @@ class _PairState:
                 for target in second.tuple_ids:
                     if source == target:
                         continue
-                    # Cross-shard pairs would enter the serial heap as
-                    # immediately-empty streams; skipping them (while
-                    # keeping the global pair index) changes nothing in
-                    # the heap's contents or tie-breaking.
-                    shard = executor._unit_shard((source, target))
-                    if shard is CROSS_SHARD:
-                        executor.stats.shard_skips += 1
-                        index += 1
-                        continue
                     if adaptive:
                         bound = executor._unit_distance(
-                            source, target, shard, rows, limits
+                            source, target, rows, limits
                         )
                         if bound is not None:
                             if bound > limits.max_rdb_length:
@@ -1002,18 +905,11 @@ class _PairState:
                                 index += 1
                                 continue
                             heap.append(
-                                (bound, index, _LAZY, (source, target, shard))
+                                (bound, index, _LAZY, (source, target))
                             )
                             index += 1
                             continue
-                    stream = iter(
-                        executor._path_stream(
-                            source,
-                            target,
-                            limits,
-                            cache=executor._unit_cache(shard),
-                        )
-                    )
+                    stream = iter(executor._path_stream(source, target, limits))
                     steps = next(stream, None)
                     if steps is not None:
                         heap.append((len(steps), index, steps, stream))
@@ -1040,15 +936,9 @@ class _PairState:
         heap = self._ensure_heap()
         length, index, steps, stream = heapq.heappop(heap)
         if steps is _LAZY:  # adaptive: build the stream at first top
-            source, target, shard = stream
-            executor = self._executor
+            source, target = stream
             stream = iter(
-                executor._path_stream(
-                    source,
-                    target,
-                    self._limits,
-                    cache=executor._unit_cache(shard),
-                )
+                self._executor._path_stream(source, target, self._limits)
             )
             steps = next(stream, None)
             if steps is None:
@@ -1097,8 +987,6 @@ class _NetworkState:
         self._limits = limits
         self._coverage_major = plan.merge.coverage_major
         self._prefix = (-len(op.indices),) if self._coverage_major else ()
-        from repro.scale.shards import CROSS_SHARD
-
         adaptive = executor.adaptive and executor.core == "csr"
         rows: dict = {}
         pruned = 0
@@ -1107,14 +995,8 @@ class _NetworkState:
         for index, (keyword_tuples, required) in enumerate(
             executor._network_assignments(plan.matches, op)
         ):
-            shard = executor._unit_shard(required)
-            if shard is CROSS_SHARD:  # index keeps counting: tie-breaks stay global
-                executor.stats.shard_skips += 1
-                continue
             if adaptive:
-                bound = executor._network_bound(
-                    required, shard, rows, limits
-                )
+                bound = executor._network_bound(required, rows, limits)
                 if bound is not None:
                     if bound > limits.max_tuples:
                         # Every joining tree over this assignment needs
@@ -1124,14 +1006,10 @@ class _NetworkState:
                         pruned += 1
                         continue
                     heap.append(
-                        (bound, index, _LAZY, (required, shard), keyword_tuples)
+                        (bound, index, _LAZY, required, keyword_tuples)
                     )
                     continue
-            stream = iter(
-                executor._tree_stream(
-                    required, limits, cache=executor._unit_cache(shard)
-                )
-            )
+            stream = iter(executor._tree_stream(required, limits))
             tuple_set = next(stream, None)
             if tuple_set is not None:
                 heap.append((len(tuple_set), index, tuple_set, stream, keyword_tuples))
@@ -1148,13 +1026,8 @@ class _NetworkState:
     def pull(self) -> Optional[tuple]:
         size, index, tuple_set, stream, keyword_tuples = heapq.heappop(self._heap)
         if tuple_set is _LAZY:  # adaptive: build the stream at first top
-            required, shard = stream
-            executor = self._executor
-            stream = iter(
-                executor._tree_stream(
-                    required, self._limits, cache=executor._unit_cache(shard)
-                )
-            )
+            required = stream
+            stream = iter(self._executor._tree_stream(required, self._limits))
             tuple_set = next(stream, None)
             if tuple_set is None:
                 return None

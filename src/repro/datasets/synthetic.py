@@ -82,8 +82,8 @@ def generate_tenants(
 
     Each tenant's keys carry a ``t<i>`` prefix and its ``WORKS_FOR``
     rows stay inside the tenant, so the data graph decomposes into one
-    connected component per tenant (give or take isolated tuples) — the
-    multi-tenant shape the sharded serving layer partitions along.
+    connected component per tenant (give or take isolated tuples): a
+    graph whose matches spread over many disconnected components.
     With ``tenants=1`` and an empty prefix this reduces to
     :func:`generate_company_like`; all randomness flows from
     ``config.seed`` and the tenant number.

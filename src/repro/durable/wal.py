@@ -340,7 +340,6 @@ def replay_into(engine, records, path: str) -> int:
                 index=engine.index,
                 data_graph=engine.data_graph,
                 traversal_cache=engine.traversal_cache,
-                shard_plan=engine._shard_plan,
             )
             if len(engine.result_cache):
                 engine.result_cache.invalidate(

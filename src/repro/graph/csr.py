@@ -133,8 +133,8 @@ class FrozenGraph:
         #: full snapshot rewrite (a delta compaction folds nothing).
         self.compactions = 0
         #: Bumped on every (re)compilation.  A compile renumbers the
-        #: dense ints, so structures keyed by node int (shard plans,
-        #: snapshots) compare this stamp to detect staleness.
+        #: dense ints, so a changed stamp marks node ints held from
+        #: before it as stale.
         self.compile_stamp = 0
         #: Where distance-row hit/miss counts are recorded.  The owning
         #: :class:`~repro.graph.fast_traversal.TraversalCache` passes
@@ -157,10 +157,9 @@ class FrozenGraph:
     ) -> "FrozenGraph":
         """Assemble a compiled graph from pre-built flat structures.
 
-        Two callers own such structures: the snapshot loader (the CSR
-        sections of an engine snapshot, typically ``memoryview`` slices
-        over an ``mmap``) and the shard partitioner (a shard's rows
-        extracted from the global graph).  ``tids`` must be in
+        The snapshot loader owns such structures: the CSR sections of an
+        engine snapshot, typically ``memoryview`` slices over an
+        ``mmap``.  ``tids`` is its lazily decoding interning table, in
         ``_sort_key`` order — the invariant :meth:`_compile` establishes
         — and ``offsets``/``targets`` any int-indexable sequence with
         CSR semantics.  No compilation pass runs and ``data_graph`` is
@@ -178,17 +177,13 @@ class FrozenGraph:
         # interning table (a snapshot's) fills the node map one relation
         # at a time: open() should not pay for what no query touches.
         frozen._tid_of = tids
-        nodes_of = getattr(tids, "nodes_of", None)
-        frozen._node_of = (
-            _Derived(nodes_of) if nodes_of is not None
-            else _Derived(lambda relation: {}, _index_nodes(tids))
-        )
+        frozen._node_of = _Derived(tids.nodes_of)
         frozen._keys = _Derived(lambda node: _sort_key(tids[node]))
         frozen._ints_sorted = True
         frozen._offsets = offsets
         frozen._targets = targets
-        # Kept as given: snapshot loaders pass lazily-decoding payload
-        # tables, shard extraction passes plain lists.
+        # Kept as given: the snapshot loader passes lazily-decoding
+        # payload tables.
         frozen._edge_keys = edge_keys
         frozen._edge_data = edge_data
         frozen._reset_patches()
@@ -260,7 +255,6 @@ class FrozenGraph:
         #: ``_log_start`` is the position of its first entry.
         self._change_log: list[int] = []
         self._log_start = 0
-        self._components: Optional[array] = None
         self._neighbour_rows: dict[int, tuple[int, ...]] = {}
 
     def _rows_from_graph(self):
@@ -406,8 +400,7 @@ class FrozenGraph:
         """Footprint estimate by section, in bytes.
 
         ``arrays`` covers the flat CSR buffers and liveness bits,
-        ``distances`` the bytes held by cached BFS rows of either type
-        (plus the component labels),
+        ``distances`` the bytes held by cached BFS rows of either type,
         and ``payload`` the edge-payload table: the two per-entry list
         slots plus each *distinct* edge-key string and edge-data dict —
         payload objects are shared between the two CSR entries of one
@@ -422,8 +415,6 @@ class FrozenGraph:
             + len(self._alive)
         )
         distances = self._distance_bytes
-        if self._components is not None:
-            distances += self._components.itemsize * len(self._components)
         payload = 16 * len(self._edge_keys)  # two list slots per entry
         # id() here only dedups *shared payload objects* for a byte
         # estimate that never reaches answers or snapshot bytes — the
@@ -519,7 +510,7 @@ class FrozenGraph:
         return self._sort_ints(neighbours)
 
     # ------------------------------------------------------------------
-    # distance rows and components
+    # distance rows
     # ------------------------------------------------------------------
     def _cached_row(
         self, node: int, radius: Optional[int]
@@ -699,35 +690,6 @@ class FrozenGraph:
             return _UNREACHABLE
         return depth if depth <= budget else _UNREACHABLE
 
-    def components(self) -> array:
-        """Connected-component id per node int (tombstones hold ``-1``).
-
-        Recomputed lazily after a patch; two live nodes can reach each
-        other exactly when their component ids are equal.
-        """
-        if self._components is not None:
-            return self._components
-        with obs_trace.span("csr.components"):
-            labels = array("i", [-1]) * self.capacity
-            alive = self._alive
-            label = 0
-            for start in range(self.capacity):
-                if not alive[start] or labels[start] != -1:
-                    continue
-                labels[start] = label
-                stack = [start]
-                while stack:
-                    at = stack.pop()
-                    row_targets, __, __, lo, hi = self._row(at)
-                    for position in range(lo, hi):
-                        other = row_targets[position]
-                        if labels[other] == -1:
-                            labels[other] = label
-                            stack.append(other)
-                label += 1
-            self._components = labels
-            return labels
-
     # ------------------------------------------------------------------
     # incremental patching
     # ------------------------------------------------------------------
@@ -821,7 +783,6 @@ class FrozenGraph:
         changed = sorted(set(removed) | set(appended) | set(touched))
         if not changed:
             return 0
-        self._components = None
         for node in changed:
             self._neighbour_rows.pop(node, None)
         # A row whose source changed goes now; the others are probed for

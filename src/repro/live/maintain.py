@@ -35,7 +35,6 @@ __all__ = [
     "apply_to_index",
     "apply_to_graph",
     "apply_to_traversal_cache",
-    "apply_to_shard_plan",
     "affected_tuples",
     "apply_changeset",
 ]
@@ -87,20 +86,6 @@ def apply_to_traversal_cache(cache: TraversalCache, changeset: ChangeSet) -> Non
     the changeset's edge deltas (tombstone / append / per-row delta)
     rather than recompiling it."""
     cache.apply_changeset(changeset)
-
-
-def apply_to_shard_plan(shard_plan, changeset: ChangeSet) -> None:
-    """Re-route only the shards a changeset touched.
-
-    Shard assignment is a pure function of connected components, so
-    value-only updates change nothing; structural changes reassign
-    exactly the affected components (a merged component keeps its lowest
-    previous shard, a brand-new one lands on the lightest) and drop only
-    the touched shards' extracted graphs.  Run after
-    :func:`apply_to_traversal_cache` — the plan reads the *patched*
-    compiled graph's components.
-    """
-    shard_plan.apply_changeset(changeset)
 
 
 def _ball(seeds, neighbours, reach: int) -> dict:
@@ -171,18 +156,11 @@ def apply_changeset(
     index: InvertedIndex | None = None,
     data_graph: DataGraph | None = None,
     traversal_cache: TraversalCache | None = None,
-    shard_plan=None,
 ) -> None:
-    """Apply one changeset to whichever derived structures are given.
-
-    Order matters: the shard plan goes last (it reads the patched
-    compiled graph's components).
-    """
+    """Apply one changeset to whichever derived structures are given."""
     if index is not None:
         apply_to_index(index, database, changeset)
     if data_graph is not None:
         apply_to_graph(data_graph, database, changeset)
     if traversal_cache is not None:
         apply_to_traversal_cache(traversal_cache, changeset)
-    if shard_plan is not None:
-        apply_to_shard_plan(shard_plan, changeset)

@@ -1,7 +1,7 @@
 """repro.obs — query-span tracing, metrics, EXPLAIN ANALYZE.
 
 The observability layer over the whole stack (planner → executor →
-CSR kernels → shards/snapshot → worker pool):
+CSR kernels → snapshot → worker pool):
 
 * :mod:`repro.obs.trace` — hierarchical per-query spans collected into
   a :class:`~repro.obs.trace.QueryTrace` (``engine.last_trace``,

@@ -3,7 +3,7 @@
 :func:`analyze` runs one query with tracing forced on — bypassing the
 answer cache so the executor actually executes — and folds the plan's
 stages together with the spans the execution emitted into a per-node
-table: wall time, candidates enumerated, answers produced, shard skips,
+table: wall time, candidates enumerated, answers produced,
 traversal-cache hits.  The engine
 exposes it as ``engine.explain_analyze(query)`` and the CLI as
 ``search --analyze``.
@@ -246,7 +246,6 @@ def _build_rows(plan: QueryPlan, trace, stats) -> list[ExplainRow]:
     total_counters = {
         "candidates": stats.candidates,
         "emitted": stats.emitted,
-        "shard_skips": stats.shard_skips,
     }
     if estimates:
         total_counters["est_candidates"] = round(

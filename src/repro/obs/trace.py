@@ -69,7 +69,7 @@ class Span:
     """One named region of work inside a trace.
 
     ``tags`` describe the region (query text, op index, execution mode);
-    ``counters`` accumulate integers (candidates produced, shard skips);
+    ``counters`` accumulate integers (candidates produced, pulls);
     ``duration`` accumulates seconds — interleaved stages (pushdown
     merge pulls) add slices of time to one span instead of opening a
     span per slice, which keeps trace shapes deterministic.
@@ -316,7 +316,7 @@ def span(name: str, **tags):
     """Context manager recording one span on the active (or ambient)
     trace; a shared no-op when tracing is disabled.
 
-    ``with span("csr.components") as s:`` — ``s`` is the live
+    ``with span("csr.distances_block") as s:`` — ``s`` is the live
     :class:`Span` (tag/count through it) or ``None`` when disabled, so
     span-local bookkeeping guards on ``if s is not None``.
     """

@@ -2,7 +2,7 @@
 
 The planner layer turns statistics the engine already collects —
 posting lengths, :class:`~repro.relational.statistics.DatabaseStatistics`
-fan-outs, CSR distance rows, shard sizes and observed
+fan-outs, CSR distance rows and observed
 :class:`~repro.core.executor.ExecutionStats` — into three decisions:
 
 * **selectivity-ordered enumeration** — pushdown execution orders

@@ -1,31 +1,23 @@
-"""Horizontal-scale serving layer: shards, snapshots, parallel execution.
+"""Horizontal-scale serving layer: snapshots and parallel execution.
 
-Three cooperating pieces turn the single-process engine into something a
+Two cooperating pieces turn the single-process engine into something a
 serving fleet can run:
 
-* :mod:`repro.scale.shards` — partitions the compiled
-  :class:`~repro.graph.csr.FrozenGraph` by connected component into K
-  balanced shard graphs with their own dense interning, plus a
-  keyword→shard router.  Every answer lives inside one connected
-  component, so shard-local execution is lossless by construction.
 * :mod:`repro.scale.snapshot` — a versioned binary snapshot of the full
   engine state (CSR buffers, interning, index postings, corpus
-  statistics, shard assignment) whose array sections load via ``mmap``;
+  statistics) whose array sections load via ``mmap``;
   opening a snapshot is an order of magnitude cheaper than a cold
   build, and page-cache sharing makes per-process opens nearly free.
 * :mod:`repro.scale.parallel` — a process-pool batch executor: each
   worker opens the snapshot once and answers whole queries with the
-  sharded engine; the coordinator reassembles results (and the first
+  restored engine; the coordinator reassembles results (and the first
   error) in input order, bit-identical to the serial path.
 """
 
 from repro.scale.parallel import ParallelSearcher
-from repro.scale.shards import KeywordRouter, ShardPlan
 from repro.scale.snapshot import Snapshot, load_engine, write_snapshot
 
 __all__ = [
-    "ShardPlan",
-    "KeywordRouter",
     "Snapshot",
     "write_snapshot",
     "load_engine",

@@ -1,19 +1,18 @@
-"""Process-pool batch execution over snapshot-opened shard engines.
+"""Process-pool batch execution over snapshot-opened engines.
 
 ``KeywordSearchEngine.search_batch(jobs=N)`` routes here: the batch is
 deduplicated, answered query-by-query on a pool of worker processes and
 reassembled in input order.  Each worker opens the coordinator's
 snapshot **once** (in the pool initializer) into its own engine with the
-same core and shard configuration — the snapshot's array sections are
+same core configuration — the snapshot's array sections are
 ``mmap``-backed, so the workers share page-cache pages instead of
 copying the compiled graph N times.
 
 Bit-identity with the serial path is structural, not hoped-for:
 
 * a worker answers a query with exactly the code ``engine.search`` runs
-  serially (sharded unit filtering included), so per-query results,
-  order and any :class:`~repro.errors.SearchLimitError` are the serial
-  ones;
+  serially, so per-query results, order and any
+  :class:`~repro.errors.SearchLimitError` are the serial ones;
 * the coordinator raises the error of the *earliest* failing query in
   input order — the one serial ``search_batch`` would have hit first —
   after committing the results of the queries before it;
@@ -72,7 +71,6 @@ def _pool_context():
 def _init_worker(
     snapshot_path: str,
     core: Optional[str],
-    shards: Optional[int],
     result_cache_entries: int,
     adaptive: Optional[bool] = None,
 ):
@@ -82,7 +80,6 @@ def _init_worker(
     _WORKER_ENGINE = KeywordSearchEngine.open(
         snapshot_path,
         core=core,
-        shards=shards,
         result_cache_entries=result_cache_entries,
         adaptive=adaptive,
     )
@@ -239,7 +236,6 @@ def _worker_loop(
     connection,
     snapshot_path: str,
     core: Optional[str],
-    shards: Optional[int],
     result_cache_entries: int,
     arena_name: Optional[str] = None,
     region_start: int = 0,
@@ -257,7 +253,7 @@ def _worker_loop(
     it instead.
     """
     try:
-        _init_worker(snapshot_path, core, shards, result_cache_entries, adaptive)
+        _init_worker(snapshot_path, core, result_cache_entries, adaptive)
     except BaseException as error:  # surface startup failures, don't hang
         connection.send(("crashed", repr(error)))
         return
@@ -280,7 +276,7 @@ def _worker_loop(
                 old_engine = _WORKER_ENGINE
                 try:
                     _init_worker(
-                        chunk[1], core, shards, result_cache_entries, adaptive
+                        chunk[1], core, result_cache_entries, adaptive
                     )
                 except BaseException as error:
                     connection.send(("reopen-failed", repr(error)))
@@ -335,7 +331,6 @@ class ParallelSearcher:
         jobs: int,
         *,
         core: Optional[str] = None,
-        shards: Optional[int] = None,
         result_cache_entries: int = 256,
         adaptive: Optional[bool] = None,
     ) -> None:
@@ -344,7 +339,6 @@ class ParallelSearcher:
         self.snapshot_path = str(snapshot_path)
         self.jobs = jobs
         self.core = core
-        self.shards = shards
         self.result_cache_entries = result_cache_entries
         #: Adaptive-planner flag every worker engine opens with, so a
         #: coordinator running static (``REPRO_STATIC_PLAN`` travels via
@@ -391,7 +385,6 @@ class ParallelSearcher:
                 worker_end,
                 self.snapshot_path,
                 self.core,
-                self.shards,
                 self.result_cache_entries,
                 arena.name if arena is not None else None,
                 index * self.region_bytes,
@@ -564,7 +557,6 @@ class ParallelSearcher:
             self._inline_engine = KeywordSearchEngine.open(
                 self.snapshot_path,
                 core=self.core,
-                shards=self.shards,
                 result_cache_entries=self.result_cache_entries,
                 adaptive=self.adaptive,
             )

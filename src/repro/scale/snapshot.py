@@ -3,10 +3,9 @@
 A snapshot makes engine state a cheap artifact instead of a cold build:
 ``KeywordSearchEngine.save(path)`` writes everything a serving process
 needs — the database instance, the compiled CSR buffers, the interning
-table, the inverted-index postings, corpus statistics and the shard
-assignment — and ``KeywordSearchEngine.open(path)`` brings an engine up
-an order of magnitude faster than rebuilding those structures from raw
-tuples.  Worker processes of the parallel executor each open the same
+table, the inverted-index postings and corpus statistics — and
+``KeywordSearchEngine.open(path)`` brings an engine up an order of
+magnitude faster than rebuilding those structures from raw tuples.  Worker processes of the parallel executor each open the same
 file; the array sections are ``mmap``-backed, so the page cache shares
 them across the fleet.
 
@@ -444,14 +443,10 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
         {name: at for at, name in enumerate(attributes)},
     )
 
-    shard_plan = getattr(engine, "_shard_plan", None)
     meta = {
         "format": SNAPSHOT_FORMAT,
         "engine_version": engine.version,
         "core": engine.core,
-        "shard_count": shard_plan.shard_count if shard_plan is not None else (
-            engine.shards or 0
-        ),
         "byteorder": sys.byteorder,
         "itemsize": frozen._offsets.itemsize,
         "nodes": capacity,
@@ -485,8 +480,6 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
                 "labels": [record.label for record in records],
             }),
         ))
-    if shard_plan is not None:
-        sections.append(("shard_assignment", shard_plan.assignment_bytes()))
 
     meta["generation"] = _publish(path, SNAPSHOT_FORMAT, sections)
     return meta
@@ -779,15 +772,14 @@ def load_engine(
     path: Union[str, Path],
     *,
     core: Optional[str] = None,
-    shards: Optional[int] = None,
     **engine_options,
 ):
     """Open a snapshot into a ready :class:`KeywordSearchEngine`.
 
     The restored engine is bit-identical in query behaviour to the one
     that wrote the snapshot: same database store order, same posting
-    order, same compiled CSR expansion order.  ``core`` and ``shards``
-    default to the writer's settings; any other
+    order, same compiled CSR expansion order.  ``core`` defaults to
+    the writer's setting; any other
     :class:`KeywordSearchEngine` construction options pass through.
 
     Observability: emits a ``snapshot.open`` span (on the ambient trace
@@ -799,9 +791,7 @@ def load_engine(
     from repro.obs import trace as obs_trace
 
     with obs_trace.span("snapshot.open", path=str(path)) as open_span:
-        engine = _load_engine(
-            path, core=core, shards=shards, **engine_options
-        )
+        engine = _load_engine(path, core=core, **engine_options)
         if open_span is not None:
             open_span.tag(
                 nodes=engine._snapshot.meta.get("nodes"),
@@ -816,7 +806,6 @@ def _load_engine(
     path: Union[str, Path],
     *,
     core: Optional[str] = None,
-    shards: Optional[int] = None,
     **engine_options,
 ):
     from repro.core.engine import KeywordSearchEngine
@@ -884,12 +873,11 @@ def _load_engine(
     edge_data = _LazyEdgeData(
         {fk.name: fk for fk in fks}, tid_of, edge_keys, edge_ref, owner_of_entry
     )
-    frozen = FrozenGraph.from_parts(
-        data_graph, tid_of, offsets, targets, edge_keys, edge_data
-    )
     cache = TraversalCache(data_graph)
-    cache._frozen = frozen
-    frozen._counters = cache
+    cache._frozen = FrozenGraph.from_parts(
+        data_graph, tid_of, offsets, targets, edge_keys, edge_data,
+        counters=cache,
+    )
 
     index = InvertedIndex.from_state(
         database, _LazyPostings(columns.pending, columns.decode)
@@ -901,7 +889,6 @@ def _load_engine(
         index=index,
         traversal_cache=cache,
         core=core if core is not None else _stored_core(meta),
-        shards=shards if shards is not None else (meta.get("shard_count") or None),
         version=snapshot.base_version,
         **engine_options,
     )
@@ -914,14 +901,6 @@ def _load_engine(
     engine.snapshot_path = str(path)
     engine._snapshot_generation = snapshot.generation
     engine._snapshot = snapshot
-
-    if engine.shards and "shard_assignment" in snapshot.sections():
-        from repro.scale.shards import ShardPlan
-
-        if meta.get("shard_count") == engine.shards:
-            engine._shard_plan = ShardPlan.from_state(
-                cache, engine.shards, snapshot.int_array("shard_assignment")
-            )
     if "delta" in snapshot.sections():
         _replay_delta(engine, snapshot)
     engine._snapshot_version = engine.version

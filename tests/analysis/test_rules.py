@@ -360,8 +360,8 @@ class TestFrz01:
         assert hits(
             """
             def build(data):
-                plan = ShardPlan(data)
-                plan.assignment.append(0)
+                graph = FrozenGraph(data)
+                graph.tids.append(0)
             """,
             "FRZ01",
         )

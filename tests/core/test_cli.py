@@ -305,14 +305,12 @@ class TestMutationsFlag:
 class TestSnapshotCommand:
     def test_save_then_load_reports_state(self, tmp_path):
         path = str(tmp_path / "company.snap")
-        code, output = run("snapshot", "save", path, "--shards", "2")
+        code, output = run("snapshot", "save", path)
         assert code == 0
         assert "graph nodes" in output and "CSR entries" in output
-        assert "shards:" in output
         code, output = run("snapshot", "load", path)
         assert code == 0
         assert "verified" in output
-        assert "2 shards" in output
 
     def test_load_can_answer_a_query(self, tmp_path):
         path = str(tmp_path / "company.snap")
@@ -387,16 +385,10 @@ class TestParallelFlags:
         __, serial = run("search", "Smith XML; Brown CS", "--batch")
         code, parallel = run(
             "search", "Smith XML; Brown CS", "--batch", "--jobs", "2",
-            "--shards", "2",
         )
         assert code == 0
         assert parallel.startswith(serial)
         assert "# parallel: 2 snapshot workers" in parallel
-
-    def test_sharded_search_matches_plain(self):
-        __, plain = run("search", "Smith XML")
-        __, sharded = run("search", "Smith XML", "--shards", "3")
-        assert sharded == plain
 
 
 class TestHelpGrouping:
@@ -412,8 +404,9 @@ class TestHelpGrouping:
         assert result.returncode == 0
         assert "execution:" in result.stdout
         section = result.stdout.split("execution:")[1]
-        for flag in ("--core", "--stream", "--jobs", "--shards", "--snapshot"):
+        for flag in ("--core", "--stream", "--jobs", "--snapshot"):
             assert flag in section
+        assert "--shards" not in result.stdout
 
 
 class TestMainModule:

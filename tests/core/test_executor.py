@@ -449,10 +449,10 @@ class TestStatsMerge:
     @staticmethod
     def _samples():
         return [
-            ExecutionStats(candidates=3, emitted=2, pushdown=False, shard_skips=1),
-            ExecutionStats(candidates=0, emitted=0, pushdown=True, shard_skips=0),
-            ExecutionStats(candidates=7, emitted=7, pushdown=False, shard_skips=12),
-            ExecutionStats(candidates=1, emitted=1, pushdown=True, shard_skips=4),
+            ExecutionStats(candidates=3, emitted=2, pushdown=False, pruned=1),
+            ExecutionStats(candidates=0, emitted=0, pushdown=True, pruned=0),
+            ExecutionStats(candidates=7, emitted=7, pushdown=False, pruned=12),
+            ExecutionStats(candidates=1, emitted=1, pushdown=True, pruned=4),
         ]
 
     def test_merge_is_commutative_and_deterministic(self):
@@ -466,7 +466,7 @@ class TestStatsMerge:
                 merged.merge(samples[index])
             totals.add(
                 (merged.candidates, merged.emitted, merged.pushdown,
-                 merged.shard_skips)
+                 merged.pruned)
             )
         assert totals == {(11, 10, True, 17)}
 
@@ -482,8 +482,8 @@ class TestStatsMerge:
         right = ExecutionStats()
         right.merge(ab)
         right.merge(c)
-        assert (left.candidates, left.emitted, left.pushdown, left.shard_skips) == (
-            right.candidates, right.emitted, right.pushdown, right.shard_skips
+        assert (left.candidates, left.emitted, left.pushdown, left.pruned) == (
+            right.candidates, right.emitted, right.pushdown, right.pruned
         )
 
     def test_every_field_participates_in_merge(self):
@@ -494,7 +494,7 @@ class TestStatsMerge:
         merged = ExecutionStats()
         merged.merge(
             ExecutionStats(
-                candidates=1, emitted=1, pushdown=True, shard_skips=1, pruned=1
+                candidates=1, emitted=1, pushdown=True, pruned=1
             )
         )
         for field in fields(ExecutionStats):

@@ -122,18 +122,6 @@ class TestFrozenStructure:
         for i in unreachable:
             assert row[i] > synthetic_graph.number_of_nodes()
 
-    def test_components_partition_reachability(self, data_graph):
-        import networkx as nx
-
-        frozen = FrozenGraph(data_graph)
-        labels = frozen.components()
-        for component in nx.connected_components(nx.Graph(data_graph.graph)):
-            ints = {frozen.node_of(t) for t in component}
-            assert len({labels[i] for i in ints}) == 1
-        # Distinct components get distinct labels.
-        count = len(list(nx.connected_components(nx.Graph(data_graph.graph))))
-        assert len({labels[i] for i in range(frozen.capacity)}) == count
-
     def test_distance_rows_are_bounded(self, synthetic_graph):
         # The row cache is budgeted in bytes: one per node for a
         # radius-bounded row, four for an unbounded one.
@@ -297,14 +285,13 @@ class TestTreeParity:
 
     def test_disconnected_set_pruned_without_component_labels(self, data_graph):
         # d3 is its own component: the first frontier's distance rows
-        # prune the set, so no query pays a component sweep.
+        # prune the set.
         cache = TraversalCache(data_graph)
         for budget in (1, 4, 300):
             required = [tid("EMPLOYEE", "e1"), tid("DEPARTMENT", "d3")]
             assert list(
                 csr_enumerate_joining_trees(data_graph, required, budget, cache=cache)
             ) == list(enumerate_joining_trees(data_graph, required, budget)) == []
-        assert cache.frozen()._components is None
 
 
 class TestSearchLayerParity:
@@ -787,21 +774,6 @@ class TestDistanceCacheLru:
 
 
 class TestBoundedRowsEverywhere:
-    def test_shard_graphs_serve_bounded_rows(self, planted_synthetic):
-        plain = KeywordSearchEngine(planted_synthetic, result_cache_entries=0)
-        sharded = KeywordSearchEngine(
-            planted_synthetic, shards=2, result_cache_entries=0
-        )
-        for query in ("kwalpha kwbeta", "kwalpha kwbeta kwgamma"):
-            assert _search_outcome(sharded, query) == _search_outcome(plain, query)
-        plan = sharded.shard_plan
-        served = [
-            graph for graph in plan._graphs.values() if graph._distances
-        ]
-        assert served
-        for graph in served:
-            assert _row_types(graph) == {bytearray}
-
     def test_snapshot_restored_graph_serves_bounded_rows(
         self, planted_synthetic, tmp_path
     ):

@@ -4,7 +4,7 @@ The adaptive planner may only change *how hard* the engine works —
 enumeration order inside the pushdown heaps, provably-empty units
 skipped, batches routed by cost.  Every answer, score and rank must
 stay bit-identical to the static planner across cores, semantics,
-top-k cuts, shards, snapshot restore and the worker pool.
+top-k cuts, snapshot restore and the worker pool.
 """
 
 from __future__ import annotations
@@ -61,15 +61,6 @@ def test_adaptive_matches_static_across_cores(skewed, core, semantics):
             observed = snap(adaptive.search(
                 text, limits=_LIMITS, top_k=top_k, semantics=semantics))
             assert observed == expected
-
-
-def test_adaptive_matches_static_with_shards(skewed):
-    database, texts = skewed
-    adaptive = KeywordSearchEngine(database, shards=3, adaptive=True)
-    static = KeywordSearchEngine(database, shards=3, adaptive=False)
-    for text in texts:
-        assert snap(adaptive.search(text, limits=_LIMITS, top_k=5)) == snap(
-            static.search(text, limits=_LIMITS, top_k=5))
 
 
 def test_adaptive_prunes_and_enumerates_less(skewed):

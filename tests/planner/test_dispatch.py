@@ -65,29 +65,6 @@ class TestRouteByCost:
             assert _makespan(assignment, costs) <= 1.5 * lower
 
 
-class TestRouterCostWeight:
-    def test_weight_is_graph_coverage_fraction(self, company_db):
-        engine = KeywordSearchEngine(company_db, shards=2)
-        router = engine.router()
-        assert router is not None
-        weight = router.cost_weight(["smith", "xml"], "and")
-        assert 0.0 < weight <= 1.0
-
-    def test_unroutable_query_is_near_free(self, company_db):
-        engine = KeywordSearchEngine(company_db, shards=2)
-        router = engine.router()
-        weight = router.cost_weight(["zzznothing"], "and")
-        assert 0.0 < weight < 0.1
-
-    def test_narrow_route_weighs_less_than_broad(self, company_db):
-        engine = KeywordSearchEngine(company_db, shards=2)
-        router = engine.router()
-        # OR over the same keywords routes to a superset of shards.
-        narrow = router.cost_weight(["smith", "xml"], "and")
-        broad = router.cost_weight(["smith", "xml"], "or")
-        assert broad >= narrow
-
-
 class TestBatchRouting:
     def test_pool_batch_records_cost_assignment(self, company_db, tmp_path):
         path = str(tmp_path / "route.snap")

@@ -89,7 +89,7 @@ def _traced_run(database):
     obs.reset()
     obs.set_enabled(True)
     try:
-        engine = KeywordSearchEngine(database, shards=2)
+        engine = KeywordSearchEngine(database)
         shapes = []
         for query in QUERIES:
             try:

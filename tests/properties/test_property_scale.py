@@ -1,12 +1,14 @@
 """Differential property: the scale layer is invisible to answering.
 
-Hypothesis drives random multi-tenant instances, shard counts, cores,
-semantics and live-update interleavings; at every step the sharded
-engine — and, at the final state, a snapshot-restored engine and the
-process-pool batch path — must be bit-identical (answers, order,
-scores, ranks, ``SearchLimitError`` points) to a plain unsharded
-engine over the same data.
+Hypothesis drives random multi-tenant instances, cores, semantics and
+live-update interleavings; a snapshot of the live engine restored after
+every batch, and the process-pool batch path at the final state, must be
+bit-identical (answers, order, scores, ranks, ``SearchLimitError``
+points) to a plain engine cold-built over the same data.
 """
+
+import os
+import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from repro.datasets.synthetic import (
     plant,
 )
 from repro.errors import SearchLimitError
-from repro.live.changes import Delete, Insert, Update
+from repro.live.changes import Delete, Insert, Update, apply_to_database
 
 configs = st.builds(
     SyntheticConfig,
@@ -74,7 +76,7 @@ def build_mutation(database, kind, salt, counter):
             {"ID": f"hp{counter}", "ESSN": essn, "DEPENDENT_NAME": name},
         )
     if kind == "insert_works":
-        # May link two tenants' components — the shard-merge path.
+        # May link two tenants' components into one.
         projects = database.tuples("PROJECT")
         pairs = len(employees) * len(projects)
         for probe in range(pairs):
@@ -110,121 +112,110 @@ def outcome(engine, query, limits):
         return ("limit", str(error))
 
 
-class TestShardedDifferential:
+def restored(engine, tmp, **options):
+    """Open a snapshot of ``engine``'s current state."""
+    path = os.path.join(tmp, f"v{engine.version}.snap")
+    engine.save(path)
+    return KeywordSearchEngine.open(path, result_cache_entries=0, **options)
+
+
+class TestSnapshotDifferential:
     @relaxed
     @given(
         configs,
         st.integers(min_value=1, max_value=3),  # tenants
-        st.integers(min_value=1, max_value=4),  # shards
         st.sampled_from(("csr", "reference")),
         operations,
     )
-    def test_sharded_equals_plain_through_mutations(
-        self, config, tenants, shards, core, ops
-    ):
-        sharded = KeywordSearchEngine(
-            planted_database(config, tenants), core=core, shards=shards,
-            result_cache_entries=0,
+    def test_restored_equals_plain_on_cores(self, config, tenants, core, ops):
+        live = KeywordSearchEngine(
+            planted_database(config, tenants), result_cache_entries=0
         )
         plain_db = planted_database(config, tenants)
-        for counter, (kind, salt) in enumerate([(None, None)] + ops):
-            if kind is not None:
-                mutation = build_mutation(sharded.database, kind, salt, counter)
-                batch = [] if mutation is None else [mutation]
-                sharded.apply(batch)
-                from repro.live.changes import apply_to_database
-
-                apply_to_database(plain_db, batch)
-            plain = KeywordSearchEngine(
-                plain_db, core=core, result_cache_entries=0
-            )
-            for query in _QUERIES:
-                for semantics in ("and", "or"):
-                    assert rendered(
-                        sharded.search(
-                            query, limits=_LIMITS, semantics=semantics
-                        )
-                    ) == rendered(
-                        plain.search(query, limits=_LIMITS, semantics=semantics)
-                    )
+        with tempfile.TemporaryDirectory() as tmp:
+            for counter, (kind, salt) in enumerate([(None, None)] + ops):
+                if kind is not None:
+                    mutation = build_mutation(live.database, kind, salt, counter)
+                    batch = [] if mutation is None else [mutation]
+                    live.apply(batch)
+                    apply_to_database(plain_db, batch)
+                plain = KeywordSearchEngine(
+                    plain_db, core=core, result_cache_entries=0
+                )
+                with restored(live, tmp, core=core) as opened:
+                    for query in _QUERIES:
+                        for semantics in ("and", "or"):
+                            assert rendered(
+                                opened.search(
+                                    query, limits=_LIMITS, semantics=semantics
+                                )
+                            ) == rendered(
+                                plain.search(
+                                    query, limits=_LIMITS, semantics=semantics
+                                )
+                            )
 
     @relaxed
     @given(
         configs,
         st.integers(min_value=1, max_value=3),
-        st.integers(min_value=1, max_value=4),
         st.integers(min_value=1, max_value=4),  # top-k
         operations,
     )
-    def test_batch_stream_topk_and_snapshot_round_trip(
-        self, config, tenants, shards, k, ops
-    ):
-        import os
-        import tempfile
-
-        sharded = KeywordSearchEngine(
-            planted_database(config, tenants), shards=shards,
-            result_cache_entries=0,
-        )
-        for counter, (kind, salt) in enumerate(ops):
-            mutation = build_mutation(sharded.database, kind, salt, counter)
-            sharded.apply([] if mutation is None else [mutation])
-        plain = KeywordSearchEngine(
+    def test_batch_stream_topk_and_restore(self, config, tenants, k, ops):
+        live = KeywordSearchEngine(
             planted_database(config, tenants), result_cache_entries=0
         )
+        plain_db = planted_database(config, tenants)
         for counter, (kind, salt) in enumerate(ops):
-            mutation = build_mutation(plain.database, kind, salt, counter)
-            plain.apply([] if mutation is None else [mutation])
+            mutation = build_mutation(live.database, kind, salt, counter)
+            batch = [] if mutation is None else [mutation]
+            live.apply(batch)
+            apply_to_database(plain_db, batch)
+        plain = KeywordSearchEngine(plain_db, result_cache_entries=0)
 
         queries = list(_QUERIES)
         expected = [rendered(plain.search(q, limits=_LIMITS)) for q in queries]
         assert [
-            rendered(r) for r in sharded.search_batch(queries, limits=_LIMITS)
+            rendered(r) for r in live.search_batch(queries, limits=_LIMITS)
         ] == expected
-        for query in queries:
-            assert rendered(
-                list(sharded.search_stream(query, limits=_LIMITS))
-            ) == rendered(plain.search(query, limits=_LIMITS))
-            assert rendered(
-                sharded.search(query, limits=_LIMITS, top_k=k)
-            ) == rendered(plain.search(query, limits=_LIMITS, top_k=k))
-
         with tempfile.TemporaryDirectory() as tmp:
-            restored = KeywordSearchEngine.open(
-                sharded.save(os.path.join(tmp, "s.snap"))
-                and os.path.join(tmp, "s.snap"),
-                result_cache_entries=0,
-            )
-            assert [
-                rendered(r)
-                for r in restored.search_batch(queries, limits=_LIMITS)
-            ] == expected
+            with restored(live, tmp) as opened:
+                assert [
+                    rendered(r)
+                    for r in opened.search_batch(queries, limits=_LIMITS)
+                ] == expected
+                for query in queries:
+                    assert rendered(
+                        list(opened.search_stream(query, limits=_LIMITS))
+                    ) == rendered(plain.search(query, limits=_LIMITS))
+                    assert rendered(
+                        opened.search(query, limits=_LIMITS, top_k=k)
+                    ) == rendered(plain.search(query, limits=_LIMITS, top_k=k))
 
     @relaxed
     @given(
         configs,
         st.integers(min_value=1, max_value=3),
-        st.integers(min_value=1, max_value=4),
         operations,
     )
-    def test_budget_error_points_identical(self, config, tenants, shards, ops):
-        sharded = KeywordSearchEngine(
-            planted_database(config, tenants), shards=shards,
-            result_cache_entries=0,
+    def test_budget_error_points_identical(self, config, tenants, ops):
+        live = KeywordSearchEngine(
+            planted_database(config, tenants), result_cache_entries=0
         )
         plain_db = planted_database(config, tenants)
-        from repro.live.changes import apply_to_database
-
         for counter, (kind, salt) in enumerate(ops):
-            mutation = build_mutation(sharded.database, kind, salt, counter)
+            mutation = build_mutation(live.database, kind, salt, counter)
             batch = [] if mutation is None else [mutation]
-            sharded.apply(batch)
+            live.apply(batch)
             apply_to_database(plain_db, batch)
         plain = KeywordSearchEngine(plain_db, result_cache_entries=0)
-        for query in _QUERIES:
-            assert outcome(sharded, query, _TIGHT) == outcome(
-                plain, query, _TIGHT
-            )
+        with tempfile.TemporaryDirectory() as tmp:
+            with restored(live, tmp) as opened:
+                for query in _QUERIES:
+                    assert outcome(opened, query, _TIGHT) == outcome(
+                        plain, query, _TIGHT
+                    )
 
 
 class TestParallelDifferential:
@@ -235,28 +226,27 @@ class TestParallelDifferential:
     @given(
         configs,
         st.integers(min_value=1, max_value=3),
-        st.integers(min_value=1, max_value=3),
         operations,
     )
-    def test_parallel_equals_serial_after_mutations(
-        self, config, tenants, shards, ops
-    ):
+    def test_parallel_equals_serial_after_mutations(self, config, tenants, ops):
         engine = KeywordSearchEngine(
-            planted_database(config, tenants), shards=shards,
-            result_cache_entries=0,
+            planted_database(config, tenants), result_cache_entries=0
         )
+        plain_db = planted_database(config, tenants)
         try:
             for counter, (kind, salt) in enumerate(ops):
                 mutation = build_mutation(engine.database, kind, salt, counter)
-                engine.apply([] if mutation is None else [mutation])
+                batch = [] if mutation is None else [mutation]
+                engine.apply(batch)
+                apply_to_database(plain_db, batch)
+            plain = KeywordSearchEngine(plain_db, result_cache_entries=0)
             queries = list(_QUERIES)
-            serial = [
-                rendered(r) for r in engine.search_batch(queries, limits=_LIMITS)
-            ]
             parallel = [
                 rendered(r)
                 for r in engine.search_batch(queries, limits=_LIMITS, jobs=2)
             ]
-            assert serial == parallel
+            assert parallel == [
+                rendered(r) for r in plain.search_batch(queries, limits=_LIMITS)
+            ]
         finally:
             engine.close_pool()

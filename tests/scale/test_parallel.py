@@ -45,7 +45,7 @@ def rendered(batches):
 
 @pytest.fixture()
 def engine():
-    engine = KeywordSearchEngine(planted_database(), shards=3)
+    engine = KeywordSearchEngine(planted_database())
     yield engine
     engine.close_pool()
 
@@ -96,17 +96,6 @@ class TestParallelDifferential:
     def test_jobs_one_stays_serial(self, engine):
         engine.search_batch(QUERIES[:2], limits=LIMITS, jobs=1)
         assert engine._searcher is None  # no pool was ever started
-
-    def test_unsharded_parallel_works_too(self):
-        engine = KeywordSearchEngine(planted_database(), shards=None)
-        try:
-            serial = rendered(engine.search_batch(QUERIES, limits=LIMITS))
-            parallel = rendered(
-                engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
-            )
-            assert serial == parallel
-        finally:
-            engine.close_pool()
 
     def test_worker_answers_revive_against_coordinator_graph(self, engine):
         results = engine.search_batch(QUERIES[:2], limits=LIMITS, jobs=2)[0]
@@ -171,7 +160,7 @@ class TestParallelErrors:
 class TestSharedMemoryTransport:
     def test_answers_travel_through_the_arena(self, engine):
         serial = rendered(engine.search_batch(QUERIES, limits=LIMITS))
-        fresh = KeywordSearchEngine(planted_database(), shards=3)
+        fresh = KeywordSearchEngine(planted_database())
         try:
             parallel = rendered(
                 fresh.search_batch(QUERIES, limits=LIMITS, jobs=2)
@@ -193,7 +182,7 @@ class TestSharedMemoryTransport:
         # pipe path; answers must stay bit-identical either way.
         monkeypatch.setattr(ParallelSearcher, "region_bytes", 16)
         serial = rendered(engine.search_batch(QUERIES, limits=LIMITS))
-        fresh = KeywordSearchEngine(planted_database(), shards=3)
+        fresh = KeywordSearchEngine(planted_database())
         try:
             parallel = rendered(
                 fresh.search_batch(QUERIES, limits=LIMITS, jobs=2)
@@ -207,7 +196,7 @@ class TestSharedMemoryTransport:
         assert serial == parallel
 
     def test_close_releases_the_arena(self):
-        engine = KeywordSearchEngine(planted_database(), shards=3)
+        engine = KeywordSearchEngine(planted_database())
         engine.search_batch(QUERIES[:2], limits=LIMITS, jobs=2)
         searcher = engine._searcher
         engine.close_pool()
@@ -255,7 +244,7 @@ class TestObservability:
 
             monkeypatch.setattr(ParallelSearcher, "region_bytes",
                                 region_bytes)
-        engine = KeywordSearchEngine(planted_database(), shards=3)
+        engine = KeywordSearchEngine(planted_database())
         obs.reset()
         obs.set_enabled(True)
         try:
@@ -343,7 +332,7 @@ class TestSelfHealing:
     def _fresh_engine(self):
         # No coordinator answer cache: every batch must reach the pool.
         return KeywordSearchEngine(
-            planted_database(), shards=3, result_cache_entries=0
+            planted_database(), result_cache_entries=0
         )
 
     def test_killed_worker_respawns_between_batches(self):
@@ -454,7 +443,7 @@ class TestHotReopen:
         import os
 
         engine = KeywordSearchEngine(
-            planted_database(), shards=3, result_cache_entries=0
+            planted_database(), result_cache_entries=0
         )
         try:
             serial = rendered(engine.search_batch(QUERIES, limits=LIMITS))
@@ -478,7 +467,7 @@ class TestHotReopen:
         import signal
 
         engine = KeywordSearchEngine(
-            planted_database(), shards=3, result_cache_entries=0
+            planted_database(), result_cache_entries=0
         )
         try:
             serial = rendered(engine.search_batch(QUERIES, limits=LIMITS))

@@ -4,6 +4,7 @@ import os
 import random
 import struct
 import sys
+from array import array
 
 import pytest
 
@@ -48,7 +49,7 @@ def rendered(results):
 
 @pytest.fixture()
 def saved(tmp_path):
-    engine = KeywordSearchEngine(planted_database(), shards=3)
+    engine = KeywordSearchEngine(planted_database())
     path = tmp_path / "engine.snap"
     meta = engine.save(path)
     return engine, path, meta
@@ -131,13 +132,33 @@ class TestRoundTrip:
         engine.save(second)
         assert path.read_bytes() == second.read_bytes()
 
-    def test_shard_plan_restored(self, saved):
-        engine, path, __ = saved
-        restored = KeywordSearchEngine.open(path)
-        assert restored.shards == engine.shards
-        assert (
-            restored.shard_plan._assignment == engine.shard_plan._assignment
+    def test_retired_shard_sections_are_ignored(self, saved, tmp_path):
+        """Older snapshots carry a ``shard_count`` meta key and a
+        ``shard_assignment`` section; the loader never reads them, and
+        such a file answers like a cold build."""
+        __, path, ___ = saved
+        with Snapshot(path) as snapshot:
+            meta = dict(snapshot.meta, shard_count=3)
+            sections = [
+                (name, snapshot_module._json_bytes(meta) if name == "meta"
+                 else bytes(snapshot.section(name)))
+                for name in snapshot.sections()
+            ]
+        sections.append(
+            ("shard_assignment", (array("i", [0]) * meta["nodes"]).tobytes())
         )
+        legacy = tmp_path / "legacy.snap"
+        snapshot_module._publish(legacy, SNAPSHOT_FORMAT, sections)
+        cold = KeywordSearchEngine(planted_database())
+        with KeywordSearchEngine.open(legacy) as restored:
+            assert "shard_assignment" in restored._snapshot.sections()
+            for query in QUERIES:
+                for semantics in ("and", "or"):
+                    assert rendered(
+                        restored.search(query, limits=LIMITS, semantics=semantics)
+                    ) == rendered(
+                        cold.search(query, limits=LIMITS, semantics=semantics)
+                    )
 
     def test_statistics_restored(self, saved):
         engine, path, __ = saved
@@ -147,12 +168,10 @@ class TestRoundTrip:
 
     def test_engine_options_pass_through(self, saved):
         __, path, ___ = saved
-        restored = KeywordSearchEngine.open(
-            path, shards=2, result_cache_entries=0
-        )
-        assert restored.shards == 2
+        restored = KeywordSearchEngine.open(path, result_cache_entries=0)
         assert restored.result_cache.max_entries == 0
-        assert restored.shard_plan.shard_count == 2
+        with pytest.raises(TypeError):
+            KeywordSearchEngine.open(path, shards=2)
 
 
 class TestLaziness:
@@ -775,7 +794,7 @@ class TestStructuralDamage:
 
     def test_damage_is_refused_or_harmless(self, saved, tmp_path):
         engine, path, __ = saved
-        cold = self._state(KeywordSearchEngine(planted_database(), shards=3))
+        cold = self._state(KeywordSearchEngine(planted_database()))
         meta, sections = self._sections(path)
         rng = random.Random(2024)
         refused = 0
