@@ -42,7 +42,6 @@ from repro.core.presentation import group_results, larger_context
 from repro.core.schema_analysis import SchemaAnalyzer, analyze_relational_schema
 from repro.core.scoring import CombinedRanker, TfIdfScorer
 from repro.core.search import SearchLimits
-from repro.core.topk import top_k_connections
 from repro.datasets.company import (
     build_company_database,
     build_company_er_schema,
@@ -91,6 +90,5 @@ __all__ = [
     "classify_er_path",
     "group_results",
     "larger_context",
-    "top_k_connections",
     "__version__",
 ]

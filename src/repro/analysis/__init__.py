@@ -2,8 +2,7 @@
 
 Run it as ``python -m repro.analysis`` or ``repro lint``.  The visitor
 framework lives in :mod:`repro.analysis.framework`, the rule battery in
-:mod:`repro.analysis.rules`; both are importable for programmatic use
-(the benchmark runner records rule-hit counts this way).
+:mod:`repro.analysis.rules`; both are importable for programmatic use.
 """
 
 from repro.analysis.framework import (

@@ -310,8 +310,8 @@ class AnalysisReport:
 
     def counts(self) -> dict[str, int]:
         """Findings per rule over *all* findings (new + baselined +
-        suppressed) — the benchmark report records total rule pressure,
-        not just what currently fails the gate."""
+        suppressed) — total rule pressure, not just what currently fails
+        the gate."""
         totals: dict[str, int] = {}
         for finding in (*self.new, *self.baselined, *self.suppressed):
             totals[finding.rule] = totals.get(finding.rule, 0) + 1

@@ -12,10 +12,9 @@ surface after far fewer expansions.
 
 This implementation keeps the answer *semantics* identical to
 :class:`~repro.baselines.banks.BanksSearch` (rooted trees, sum-of-paths
-score, lower is better) so the two strategies are directly comparable in
-the benchmarks; only the expansion policy differs, and
-:attr:`BidirectionalSearch.expansions` exposes the work counter the
-benchmark reports.
+score, lower is better) so the two strategies are directly comparable;
+only the expansion policy differs, and
+:attr:`BidirectionalSearch.expansions` exposes the work counter.
 """
 
 from __future__ import annotations

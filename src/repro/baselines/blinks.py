@@ -20,8 +20,7 @@ This implementation keeps the part that matters for comparisons here — a
 ``BlinksSearch``
     answers queries whose keywords are indexed, returning exactly the same
     answer trees as :class:`~repro.baselines.banks.BanksSearch` (verified
-    by tests), at a different build/query cost trade-off — the trade-off
-    the S2/S3 benchmarks report.
+    by tests), at a different build/query cost trade-off.
 """
 
 from __future__ import annotations

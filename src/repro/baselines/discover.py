@@ -20,7 +20,7 @@ claim mechanically).
 
 The module also implements schema-level **candidate network** generation
 (join trees of keyword-annotated tuple sets) used by the DISCOVER
-evaluation pipeline and the benchmarks.
+evaluation pipeline.
 """
 
 from __future__ import annotations

@@ -142,7 +142,7 @@ class KeywordSearchEngine:
         self._calibration_loader = None
         self._cost_model = None
         #: Counters of the most recent search/stream/batch call (the
-        #: CLI's ``--top`` report and the pipeline benchmark read them).
+        #: CLI's ``--top`` report and the end-to-end benchmark read them).
         self.last_stats = ExecutionStats()
         #: :class:`~repro.obs.trace.QueryTrace` of the most recent
         #: search/stream/batch/explain call while tracing is enabled

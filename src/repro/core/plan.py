@@ -26,8 +26,7 @@ path stream regardless of how their keywords were spelled.
 :func:`lower_bound_for` lives here because it is plan-level metadata:
 the best score any answer of a given RDB length can achieve under a
 ranker.  The executor uses it to terminate enumeration early for *any*
-plan (pair paths, network growth, OR coverage) — the generalisation of
-the two-keyword-only logic :mod:`repro.core.topk` started with.
+plan (pair paths, network growth, OR coverage).
 """
 
 from __future__ import annotations

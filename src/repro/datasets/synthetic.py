@@ -8,7 +8,7 @@ one seed, so a configuration identifies one database exactly.
 
 Keyword planting controls workload selectivity: ``plant("needle",
 relation="EMPLOYEE", count=5)`` guarantees the keyword matches exactly five
-employee tuples — benches sweep match counts this way.
+employee tuples — workloads set match counts this way.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ __all__ = [
     "MixedWorkloadConfig",
     "MixedOperation",
     "SkewedWorkloadConfig",
-    "batch_texts",
     "generate_workload",
     "generate_mixed_workload",
     "generate_skewed_workload",
@@ -58,19 +57,6 @@ class WorkloadQuery:
     text: str
     keywords: tuple[str, ...]
     planted_labels: dict[str, tuple[str, ...]]
-
-
-def batch_texts(
-    queries: list[WorkloadQuery], repeats: int = 1
-) -> list[str]:
-    """Flatten a workload into ``engine.search_batch`` input.
-
-    ``repeats`` > 1 cycles the whole workload that many times — the shape
-    served engines see (the same popular queries arriving again), which is
-    exactly what the engine's traversal cache amortises.
-    """
-    texts = [query.text for query in queries]
-    return texts * max(1, repeats)
 
 
 @dataclass(frozen=True)

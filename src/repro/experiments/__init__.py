@@ -2,7 +2,8 @@
 
 Each function returns structured rows *and* checks them against the
 published values, raising :class:`ReproductionMismatch` on any deviation —
-the benchmarks and EXPERIMENTS.md are generated from these.
+``repro reproduce``, the tests and EXPERIMENTS.md are generated from
+these.
 
 * :mod:`repro.experiments.tables` — Tables 1, 2 and 3;
 * :mod:`repro.experiments.figures` — Figures 1 and 2;

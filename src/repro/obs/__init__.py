@@ -16,8 +16,7 @@ CSR kernels → snapshot → worker pool):
 Everything is off by default and pay-for-what-you-use: call
 :func:`set_enabled` (flips tracing *and* metrics) or the per-module
 ``set_enabled`` for one of the two; a disabled site costs one module
-attribute load and a branch (gated ≤2% on the standard workload by
-``benchmarks/bench_obs.py``).  Enabling observability never changes
+attribute load and a branch.  Enabling observability never changes
 answers, order or budget-error points — that is a tested contract, not
 an aspiration.
 """

@@ -16,8 +16,8 @@ standing contracts:
   determinism tests skip names ending in ``_ms``.
 * **Pay-for-what-you-use.**  Sites guard on :data:`ENABLED` before
   calling into the registry; a disabled registry costs one attribute
-  load and a branch.  ``ops`` counts every mutation so ``bench_obs``
-  can convert "guarded sites hit" into an overhead bound.
+  load and a branch.  ``ops`` counts every mutation, i.e. the guarded
+  sites an enabled run passed.
 
 Snapshots are plain dicts (sorted keys) that travel through the worker
 transports; :func:`MetricsRegistry.merge_snapshot` folds a worker's
@@ -93,8 +93,7 @@ class MetricsRegistry:
     """Named counters / gauges / histograms behind one mutation gate.
 
     ``ops`` counts every mutation that got past the :data:`ENABLED`
-    guard; ``bench_obs`` multiplies it by a microbenchmarked per-site
-    cost to bound the disabled-mode overhead of the whole workload.
+    guard.
     """
 
     __slots__ = ("counters", "gauges", "histograms", "ops")

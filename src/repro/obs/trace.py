@@ -11,8 +11,7 @@ The contract that keeps tracing safe to leave compiled in everywhere:
 
 * **Disabled is free.**  Every instrumentation site guards on the
   module-level :data:`ENABLED` flag (or on a local ``span is None``
-  derived from it) before touching anything else; ``bench_obs.py``
-  gates the disabled-mode overhead at <= 2% of the standard workload.
+  derived from it) before touching anything else.
 * **Tracing never changes answers.**  Spans only *observe*: no
   enumeration order, budget check or score passes through this module,
   and the differential tests run every workload traced and untraced

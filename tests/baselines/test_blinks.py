@@ -8,7 +8,9 @@ from repro.baselines.banks import BanksSearch
 from repro.baselines.blinks import BlinksSearch, KeywordDistanceIndex
 from repro.core.matching import match_keywords
 from repro.errors import QueryError
+from repro.graph.data_graph import DataGraph
 from repro.relational.database import TupleId
+from repro.relational.index import InvertedIndex
 
 
 def tid(relation, *key):
@@ -79,6 +81,17 @@ class TestBlinksSearch:
         blinks_answers = blinks.search(smith_xml, top_k=10)
         assert [frozenset(a.tuple_ids()) for a in banks_answers] == [
             frozenset(a.tuple_ids()) for a in blinks_answers
+        ]
+
+    def test_same_answers_as_banks_on_a_planted_database(self, planted_synthetic):
+        data_graph = DataGraph(planted_synthetic)
+        index = InvertedIndex(planted_synthetic)
+        matches = match_keywords(index, ("kwalpha", "kwbeta"))
+        banks_answers = BanksSearch(data_graph).search(matches, top_k=10)
+        blinks = BlinksSearch(data_graph, index, keywords=("kwalpha", "kwbeta"))
+        assert len(banks_answers) == 10
+        assert [frozenset(a.tuple_ids()) for a in banks_answers] == [
+            frozenset(a.tuple_ids()) for a in blinks.search(matches, top_k=10)
         ]
 
     def test_same_scores_as_banks(self, data_graph, index, blinks, smith_xml):

@@ -10,7 +10,7 @@ from repro.datasets.company import (
     build_company_er_schema,
     build_company_schema,
 )
-from repro.datasets.synthetic import SyntheticConfig, generate_company_like
+from repro.datasets.synthetic import SyntheticConfig, generate_company_like, plant
 from repro.graph.data_graph import DataGraph
 from repro.graph.schema_graph import SchemaGraph
 from repro.relational.index import InvertedIndex
@@ -82,3 +82,23 @@ def small_synthetic():
             seed=42,
         )
     )
+
+
+@pytest.fixture(scope="session")
+def planted_synthetic():
+    """About 570 synthetic tuples with ``kwalpha`` planted in two
+    departments and ``kwbeta`` in three employees (shared, do not
+    mutate)."""
+    database = generate_company_like(
+        SyntheticConfig(
+            departments=15,
+            projects_per_department=3,
+            employees_per_department=10,
+            works_on_per_employee=2,
+            dependents_per_employee=0.4,
+            seed=17,
+        )
+    )
+    plant(database, "kwalpha", "DEPARTMENT", "D_DESCRIPTION", 2, seed=1)
+    plant(database, "kwbeta", "EMPLOYEE", "L_NAME", 3, seed=2)
+    return database

@@ -243,6 +243,8 @@ class TestBitIdentitySynthetic:
                 assert actual == expected, (text, top_k)
 
     def test_pushdown_enumerates_less(self, synthetic_engine):
+        """Top-k pushdown builds at least 2x fewer candidates than full
+        enumeration of the same queries (95 vs 271 on this fixture)."""
         engine, texts = synthetic_engine
         limits = SearchLimits(max_rdb_length=6)
         pushed = full = 0
@@ -253,7 +255,7 @@ class TestBitIdentitySynthetic:
             engine.search(text, top_k=2, limits=limits, pushdown=False)
             assert not engine.last_stats.pushdown
             full += engine.last_stats.candidates
-        assert pushed < full
+        assert full >= 2 * pushed, (pushed, full)
 
     def test_or_three_keywords_matches_legacy(self, synthetic_engine):
         engine, texts = synthetic_engine

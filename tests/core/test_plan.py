@@ -19,6 +19,7 @@ from repro.core.ranking import (
     RdbLengthRanker,
     WeightedRanker,
 )
+from repro.core.search import SearchLimits, find_connections
 from repro.errors import QueryError
 
 
@@ -132,6 +133,17 @@ class TestLowerBounds:
         # Singles (length 0) and one-tuple networks bound at zero.
         assert lower_bound_for(RdbLengthRanker(), 0) == (0.0,)
         assert lower_bound_for(ClosenessRanker(), 0) == (0.0, 0.0)
+
+    def test_bounds_are_sound(self, data_graph, index):
+        """No connection may score below its length's lower bound."""
+        matches = match_keywords(index, ("XML", "Smith"))
+        limits = SearchLimits(max_rdb_length=4)
+        for ranker in (RdbLengthRanker(), ErLengthRanker(), ClosenessRanker()):
+            for answer in find_connections(
+                data_graph, matches, limits, include_single_tuples=False
+            ):
+                bound = lower_bound_for(ranker, answer.rdb_length)
+                assert ranker.score(answer) >= bound
 
     def test_bounds_hold_for_networks(self, engine):
         """A joining network's score never beats its length's bound."""

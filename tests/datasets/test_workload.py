@@ -70,27 +70,6 @@ class TestGenerateWorkload:
         ]
 
 
-class TestBatchTexts:
-    def test_flattens_in_order(self, database):
-        from repro.datasets.workload import batch_texts
-
-        workload = generate_workload(database, WorkloadConfig(queries=3))
-        assert batch_texts(workload) == [q.text for q in workload]
-
-    def test_repeats_cycle_the_workload(self, database):
-        from repro.datasets.workload import batch_texts
-
-        workload = generate_workload(database, WorkloadConfig(queries=2))
-        texts = batch_texts(workload, repeats=3)
-        assert texts == [q.text for q in workload] * 3
-
-    def test_repeats_below_one_clamped(self, database):
-        from repro.datasets.workload import batch_texts
-
-        workload = generate_workload(database, WorkloadConfig(queries=2))
-        assert batch_texts(workload, repeats=0) == [q.text for q in workload]
-
-
 class TestMixedWorkload:
     def test_deterministic(self, database):
         from repro.datasets.workload import (

@@ -378,6 +378,104 @@ class TestDeltaThreshold:
         engine.close()
 
 
+class TestCompactionCadence:
+    """One compaction per batch, under the production ``DELTA_FRACTION``,
+    on a corpus large enough that a record fits the delta bound.
+
+    Counted in bytes, so the gate repeats exactly on any machine: the
+    compactions byte-copy what did not change and encode at most 1/4 of
+    what a full rewrite per compaction would, the delta stays inside its
+    byte bound (which bounds the replay an open pays), and the reopened
+    pair replays exactly the delta and answers like a cold rebuild."""
+
+    QUERIES = ["kwalpha kwbeta", "kwalpha", "kwbeta", "kwgamma",
+               "kwalpha kwgamma"]
+
+    @staticmethod
+    def database():
+        database = generate_company_like(SyntheticConfig(
+            departments=12, projects_per_department=3,
+            employees_per_department=8, works_on_per_employee=2,
+            dependents_per_employee=0.5, seed=17,
+        ))
+        plant(database, "kwalpha", "DEPARTMENT", "D_DESCRIPTION", 3, seed=1)
+        plant(database, "kwbeta", "EMPLOYEE", "L_NAME", 4, seed=2)
+        plant(database, "kwgamma", "PROJECT", "P_NAME", 3, seed=3)
+        return database
+
+    @staticmethod
+    def batches(database, count=16, per_batch=5):
+        """Keyword-bearing inserts interleaved with description churn."""
+        employees = database.tuples("EMPLOYEE")
+        departments = database.tuples("DEPARTMENT")
+        batches = []
+        for index in range(count):
+            batch = []
+            for slot in range(per_batch):
+                serial = index * per_batch + slot
+                if (index + slot) % 2 == 0:
+                    essn = employees[serial % len(employees)].tid.key[0]
+                    batch.append(Insert("DEPENDENT", {
+                        "ID": f"bd{serial}", "ESSN": essn,
+                        "DEPENDENT_NAME": ("kwbeta", "kwalpha",
+                                           "plain")[serial % 3],
+                    }))
+                else:
+                    department = departments[serial % len(departments)]
+                    batch.append(Update(department.tid, {
+                        "D_DESCRIPTION": ("kwalpha drift", "plain words",
+                                          "kwbeta kwalpha note")[serial % 3],
+                    }))
+            batches.append(batch)
+        return batches
+
+    @staticmethod
+    def sections(path):
+        """``{section: (length, crc32)}`` of one file."""
+        return {name: tuple(entry[1:]) for name, entry in toc_of(path)[1].items()}
+
+    def test_delta_compactions_encode_what_changed(self, tmp_path):
+        path = str(tmp_path / "cadence.snap")
+        engine = KeywordSearchEngine(self.database())
+        engine.save(path)
+        engine.attach_wal()
+        oracle_db = self.database()
+        encoded = rewrite = deltas = 0
+        before = self.sections(path)
+        for batch in self.batches(engine.database):
+            engine.apply(batch)
+            apply_to_database(oracle_db, batch)
+            engine.compact_wal()
+            after = self.sections(path)
+            # Sections whose bytes moved; the delta, whose old bytes are
+            # byte-copied too, by its growth.
+            encoded += sum(length for name, (length, crc) in after.items()
+                           if before.get(name) != (length, crc))
+            if "delta" in after and "delta" in before:
+                encoded -= before["delta"][0]
+            rewrite += sum(length for length, __ in after.values())
+            deltas += "delta" in after
+            before = after
+        engine.close()
+
+        assert deltas >= 1
+        assert encoded * 4 <= rewrite, (encoded, rewrite)
+        delta_bytes = before.get("delta", (0, 0))[0]
+        base_bytes = sum(length for name, (length, __) in before.items()
+                         if name not in ("meta", "delta"))
+        assert delta_bytes * snapshot_module.DELTA_FRACTION <= base_bytes
+
+        __, ___, meta, records = toc_of(path)
+        reopened = KeywordSearchEngine.open(path, wal=True)
+        assert reopened.version == meta["engine_version"] == 16
+        assert reopened.version - meta.get("base_version", 16) == records
+        oracle = KeywordSearchEngine(oracle_db, result_cache_entries=0)
+        assert rendered(
+            [reopened.search(q, limits=LIMITS) for q in self.QUERIES]
+        ) == rendered([oracle.search(q, limits=LIMITS) for q in self.QUERIES])
+        reopened.close()
+
+
 @pytest.mark.usefixtures("delta_path")
 class TestHotSwapOntoADeltaSnapshot(TestHotSwapUnderLoad):
     """The pool scenarios again: the workers are hot-swapped onto a

@@ -1,5 +1,6 @@
 """Guard the documentation: README/DESIGN claims must stay executable."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -44,21 +45,37 @@ class TestCliDocumentation:
         }
 
 
+def experiment_index_rows():
+    """``(id, [backticked check paths])`` per row of DESIGN.md's
+    per-experiment index."""
+    design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    section = design.split("## Per-experiment index", 1)[1]
+    rows = []
+    for line in section.splitlines():
+        match = re.match(r"\| ([A-Z]\d+) \|.*\| (.*) \|$", line)
+        if match:
+            paths = [token for token in match.group(2).split("`")[1::2]
+                     if token.startswith(("tests/", "benchmarks/e2e/"))]
+            rows.append((match.group(1), paths))
+    return rows
+
+
 class TestDesignExperimentIndex:
     def test_every_indexed_bench_file_exists(self):
-        """DESIGN.md's per-experiment index names real bench files."""
-        design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
-        for line in design.splitlines():
-            if "benchmarks/bench_" not in line:
-                continue
-            for token in line.split("`"):
-                if token.startswith("benchmarks/bench_"):
-                    assert (REPO_ROOT / token).exists(), token
+        """Every path DESIGN.md's per-experiment index names exists."""
+        for row, paths in experiment_index_rows():
+            for path in paths:
+                assert (REPO_ROOT / path.split("::")[0]).exists(), (row, path)
 
     def test_every_bench_file_is_indexed(self):
-        design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
-        for bench in sorted((REPO_ROOT / "benchmarks").glob("bench_*.py")):
-            assert f"benchmarks/{bench.name}" in design, bench.name
+        """Every row of the index names the test file or end-to-end
+        workload that checks it."""
+        rows = experiment_index_rows()
+        assert {"T1", "T2", "T3", "F1", "F2", "C1", "C2"} <= {
+            row for row, __ in rows
+        }
+        for row, paths in rows:
+            assert paths, row
 
     def test_experiments_md_covers_all_artefacts(self):
         experiments = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")

@@ -51,6 +51,24 @@ class TestMtjntsAreASubsetOfConnections:
         ):
             assert is_mtjnt(engine.data_graph, members, matches)
 
+    def test_path_shaped_on_a_planted_database(self, planted_synthetic):
+        """Up to four tuples an MTJNT over two keywords is a path, and
+        every one is also an engine answer's tuple set."""
+        engine = KeywordSearchEngine(planted_synthetic)
+        matches = match_keywords(engine.index, ("kwalpha", "kwbeta"))
+        connection_sets = {
+            frozenset(answer.tuple_ids())
+            for answer in find_connections(
+                engine.data_graph, matches, SearchLimits(max_rdb_length=3)
+            )
+            if isinstance(answer, Connection)
+        }
+        mtjnts = set(find_mtjnts(
+            engine.data_graph, matches, SearchLimits(max_tuples=4)
+        ))
+        assert mtjnts
+        assert mtjnts <= connection_sets
+
 
 class TestBanksAgreesOnTopAnswer:
     def test_top_banks_answer_is_a_close_connection(self, company_engine):

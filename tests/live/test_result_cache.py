@@ -3,6 +3,14 @@
 from repro.core.engine import KeywordSearchEngine
 from repro.core.ranking import InstanceAmbiguityRanker
 from repro.core.search import SearchLimits
+from repro.datasets.synthetic import SyntheticConfig, generate_company_like
+from repro.datasets.workload import (
+    MixedWorkloadConfig,
+    WorkloadConfig,
+    generate_mixed_workload,
+    generate_workload,
+)
+from repro.graph.csr import _UNREACHABLE
 from repro.live.changes import ChangeSet, Delete, Insert, Update
 from repro.live.result_cache import CacheEntry, ResultCache
 from repro.relational.database import TupleId
@@ -343,3 +351,56 @@ class TestEngineIntegration:
         assert [r.render() for r in engine.search("Alice")] == [
             r.render() for r in fresh.search("Alice")
         ]
+
+
+def test_bounded_taint_on_one_component():
+    """Taint is bounded by the answer-reach ball, not the component.
+
+    On a one-component graph, with every workload query cached before
+    each structural batch, a batch invalidates fewer entries than are
+    live (component-scale taint would drop them all), and every entry
+    that survives answers like a fresh engine."""
+    database = generate_company_like(SyntheticConfig(
+        departments=12, projects_per_department=3, employees_per_department=8,
+        works_on_per_employee=2, seed=17,
+    ))
+    queries = generate_workload(database, WorkloadConfig(
+        queries=12, keywords_per_query=2, matches_per_keyword=3, seed=13,
+    ))
+    texts = [query.text for query in queries]
+    stream = generate_mixed_workload(database, queries, MixedWorkloadConfig(
+        operations=32, update_ratio=1.0, mutations_per_batch=2, seed=31,
+    ))
+    batches = [op.mutations for op in stream if op.kind == "apply"][:8]
+    limits = SearchLimits(max_rdb_length=4)
+
+    def answers(engine, text):
+        return [(r.render(), r.score, r.rank)
+                for r in engine.search(text, limits=limits)]
+
+    engine = KeywordSearchEngine(database)
+    frozen = engine.traversal_cache.frozen()
+    row = frozen.distances(0)
+    assert all(row[node] != _UNREACHABLE for node in range(frozen.capacity)
+               if frozen._alive[node])
+    stats = engine.result_cache.stats
+    structural = live = invalidated = survivors = stale = 0
+    for batch in batches:
+        for text in texts:  # every entry live again
+            engine.search(text, limits=limits)
+        entries, before = len(engine.result_cache), stats.invalidated
+        if not engine.apply(batch).structural_tuples():
+            continue
+        structural += 1
+        live += entries
+        invalidated += stats.invalidated - before
+        fresh = KeywordSearchEngine(database, result_cache_entries=0)
+        for text in texts:
+            hits = stats.hits
+            answer = answers(engine, text)
+            if stats.hits > hits:  # served by an entry that survived
+                survivors += 1
+                stale += answer != answers(fresh, text)
+    assert structural >= 1
+    assert invalidated < live, (invalidated, live)
+    assert survivors and not stale, (survivors, stale)

@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import KeywordSearchEngine
-from repro.core.matching import match_keywords
 from repro.core.ranking import (
     ClosenessRanker,
     ErLengthRanker,
@@ -19,7 +18,6 @@ from repro.core.ranking import (
     RdbLengthRanker,
 )
 from repro.core.search import SearchLimits
-from repro.core.topk import top_k_connections
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like, plant
 
 configs = st.builds(
@@ -150,20 +148,19 @@ class TestBatchSharing:
         ]
 
 
-class TestTopKApi:
+class TestOrSemanticsInvariants:
     @relaxed
-    @given(configs, rankers, st.integers(min_value=1, max_value=6))
-    def test_top_k_connections_both_cores_identical(self, config, ranker, k):
+    @given(configs)
+    def test_or_results_superset_coverage(self, config):
+        """OR results are coverage-sorted and include every AND answer's
+        tuple set."""
         engine = planted_engine(config)
-        matches = match_keywords(engine.index, ("kwalpha", "kwbeta"))
-        fast = top_k_connections(
-            engine.data_graph, matches, ranker, k, _LIMITS,
-            cache=engine.traversal_cache,
+        and_results = engine.search("kwalpha kwbeta", limits=_LIMITS)
+        or_results = engine.search(
+            "kwalpha kwbeta", semantics="or", limits=_LIMITS
         )
-        slow = top_k_connections(
-            engine.data_graph, matches, ranker, k, _LIMITS,
-            core="reference",
-        )
-        assert [(c.render(), s) for c, s in fast] == [
-            (c.render(), s) for c, s in slow
-        ]
+        coverages = [-r.score[0] for r in or_results]
+        assert coverages == sorted(coverages, reverse=True)
+        and_sets = {frozenset(r.answer.tuple_ids()) for r in and_results}
+        or_sets = {frozenset(r.answer.tuple_ids()) for r in or_results}
+        assert and_sets <= or_sets
