@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     execution.add_argument("--batch", action="store_true",
                            help="treat QUERY as ';'-separated queries "
                                 "answered as one batch (shared traversal "
-                                "cache and enumeration sub-plans)")
+                                "cache; a repeated query is answered once)")
     execution.add_argument("--stream", action="store_true",
                            help="print each answer as the executor yields it "
                                 "(incompatible with --batch/--group)")
@@ -120,12 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "engine: replay it on open and record every "
                                 "--mutations batch durably (default FILE: "
                                 "<snapshot>.wal; requires --snapshot)")
-    execution.add_argument("--static-plan", action="store_true",
-                           help="disable the adaptive cost-based planner: "
-                                "enumeration units drain in plan order and "
-                                "batches chunk round-robin (answers are "
-                                "bit-identical either way; env "
-                                "REPRO_STATIC_PLAN=1 does the same globally)")
     observability = search.add_argument_group(
         "observability",
         "query spans, metrics and EXPLAIN ANALYZE (see also 'repro stats'); "
@@ -239,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="show the costed query plan without executing it",
         description="Compiles QUERY into the plan IR, annotates every "
         "enumeration source with the planner's cost estimates (posting "
-        "lengths x graph fanout, calibrated by past runs when opened from "
-        "a snapshot) and prints the plan — nothing is executed.",
+        "lengths x graph fanout) and prints the plan — nothing is "
+        "executed.",
     )
     plan.add_argument("query", help="whitespace-separated keywords")
     plan.add_argument("--semantics", choices=("and", "or"), default="and")
@@ -248,10 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--core", choices=CORES,
                       default=None, help="traversal kernel")
     plan.add_argument("--snapshot", metavar="FILE", default=None,
-                      help="open the engine (and its persisted calibration "
-                           "table) from a snapshot instead of --db")
-    plan.add_argument("--static-plan", action="store_true",
-                      help="show the uncosted static plan")
+                      help="open the engine from a snapshot instead of "
+                           "--db")
 
     commands.add_parser(
         "reproduce", help="regenerate every table, figure and claim"
@@ -385,7 +377,6 @@ def _cmd_search(args: argparse.Namespace, out) -> int:
             args.snapshot,
             wal=args.wal,
             core=args.core,
-            adaptive=False if args.static_plan else None,
         )
         if args.wal is not None and engine.wal is not None:
             replayed = engine.version - engine.wal.base_version
@@ -397,11 +388,7 @@ def _cmd_search(args: argparse.Namespace, out) -> int:
               file=out)
         return 2
     else:
-        engine = KeywordSearchEngine(
-            _load_database(args.db),
-            core=args.core,
-            adaptive=False if args.static_plan else None,
-        )
+        engine = KeywordSearchEngine(_load_database(args.db), core=args.core)
     ranker = _RANKERS[args.ranker]()
     limits = SearchLimits(max_rdb_length=args.max_rdb)
     if args.stream and (args.batch or args.group):
@@ -743,34 +730,21 @@ def _cmd_plan(args: argparse.Namespace, out) -> int:
     """Compile and cost QUERY, print the annotated plan, execute nothing."""
     from repro.errors import QueryError
 
-    adaptive = False if args.static_plan else None
     if args.snapshot:
         if args.db:
             print("--snapshot and --db are mutually exclusive", file=out)
             return 2
-        engine = KeywordSearchEngine.open(
-            args.snapshot, core=args.core, adaptive=adaptive
-        )
+        engine = KeywordSearchEngine.open(args.snapshot, core=args.core)
     else:
-        engine = KeywordSearchEngine(
-            _load_database(args.db), core=args.core, adaptive=adaptive
-        )
+        engine = KeywordSearchEngine(_load_database(args.db), core=args.core)
     try:
         plan, __ = engine._plan(args.query, args.top, args.semantics)
     except QueryError as error:
         print(f"cannot plan: {error}", file=out)
         return 1
     print(plan.describe(), file=out)
-    if engine.adaptive:
-        calibrated = len(engine.calibration)
-        source = (f"{calibrated} calibrated kind(s)" if calibrated
-                  else "uncalibrated defaults")
-        print(f"# planner: adaptive (cost model over posting lengths x "
-              f"graph fanout, {source})", file=out)
-    else:
-        print("# planner: static (plan-order enumeration; "
-              "set no flag and unset REPRO_STATIC_PLAN for adaptive)",
-              file=out)
+    print("# planner: adaptive (cost model over posting lengths x "
+          "graph fanout)", file=out)
     return 0
 
 

@@ -12,7 +12,7 @@
 * :mod:`repro.core.plan` — the query plan IR and planner (every query
   shape compiles to one plan);
 * :mod:`repro.core.executor` — streaming plan execution with generalized
-  top-k pushdown and batch-level enumeration sharing;
+  top-k pushdown;
 * :mod:`repro.core.engine` — the :class:`KeywordSearchEngine` facade.
 """
 
@@ -34,7 +34,7 @@ from repro.core.ranking import (
     WeightedRanker,
     rank_connections,
 )
-from repro.core.executor import ExecutionStats, Executor, SharedEnumerations
+from repro.core.executor import ExecutionStats, Executor
 from repro.core.plan import QueryPlan, lower_bound_for, plan_query
 from repro.core.engine import KeywordSearchEngine, SearchResult
 
@@ -54,7 +54,6 @@ __all__ = [
     "Ranker",
     "RdbLengthRanker",
     "SearchResult",
-    "SharedEnumerations",
     "WeightedRanker",
     "classify_cardinalities",
     "classify_er_path",

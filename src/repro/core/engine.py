@@ -20,8 +20,7 @@ runs through one pipeline: :func:`~repro.core.plan.plan_query` compiles
 the resolved matches into a :class:`~repro.core.plan.QueryPlan` and a
 :class:`~repro.core.executor.Executor` streams its ranked answers.
 ``search`` materialises the stream, :meth:`search_stream` exposes it
-incrementally, and ``search_batch`` additionally shares identical
-enumeration sub-plans between the queries of one batch.
+incrementally, and ``search_batch`` answers a repeated text once.
 
 The engine is live-updatable: :meth:`apply` routes a validated mutation
 batch through :mod:`repro.live`, patching the index, graph and caches
@@ -38,12 +37,7 @@ from typing import Hashable, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.core.ambiguity import is_instance_close
 from repro.core.connections import Connection
-from repro.core.executor import (
-    ExecutionStats,
-    Executor,
-    SearchResult,
-    SharedEnumerations,
-)
+from repro.core.executor import ExecutionStats, Executor, SearchResult
 from repro.core.matching import KeywordMatch, match_keywords, parse_query
 from repro.core.plan import QueryPlan, plan_query
 from repro.core.ranking import ClosenessRanker, Ranker
@@ -63,7 +57,7 @@ from repro.live.maintain import affected_tuples, apply_changeset
 from repro.live.result_cache import CacheEntry, ResultCache
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.planner.cost import CalibrationTable, CostModel, resolve_adaptive
+from repro.planner.cost import CostModel
 from repro.relational.database import Database
 from repro.relational.index import InvertedIndex
 
@@ -82,7 +76,7 @@ class KeywordSearchEngine:
         limits: SearchLimits = SearchLimits(),
         result_cache_entries: int = 256,
         core: Optional[str] = None,
-        adaptive: Optional[bool] = None,
+        adaptive: bool = True,
     ) -> None:
         self._wire(
             database=database,
@@ -109,7 +103,7 @@ class KeywordSearchEngine:
         result_cache_entries: int,
         core: Optional[str],
         version: int,
-        adaptive: Optional[bool] = None,
+        adaptive: bool = True,
     ) -> None:
         """Shared field wiring of cold construction and snapshot restore."""
         self.database = database
@@ -128,18 +122,11 @@ class KeywordSearchEngine:
         )
         #: Cost-based adaptive planning (see :mod:`repro.planner`):
         #: pushdown enumeration drains units by admissible distance
-        #: bounds, plans carry cost estimates, batch dispatch routes by
-        #: predicted cost, and observed stats recalibrate the estimates.
-        #: Answers are bit-identical either way; ``adaptive=False`` (or
-        #: the ``REPRO_STATIC_PLAN`` environment variable) restores the
-        #: static order as escape hatch and differential oracle.
-        self.adaptive = resolve_adaptive(adaptive)
-        #: Learned per-kind candidate-count correction factors; attached
-        #: to the snapshot's stats section on :meth:`save` and restored
-        #: lazily on :meth:`open`.  Lives on the engine (not on
-        #: ``statistics``) so it survives live updates.
-        self.calibration = CalibrationTable()
-        self._calibration_loader = None
+        #: bounds, plans carry cost estimates and batch dispatch routes by
+        #: predicted cost.  Answers are bit-identical either way;
+        #: ``adaptive=False`` restores the static order as the
+        #: differential oracle.
+        self.adaptive = adaptive
         self._cost_model = None
         #: Counters of the most recent search/stream/batch call (the
         #: CLI's ``--top`` report and the end-to-end benchmark read them).
@@ -148,8 +135,6 @@ class KeywordSearchEngine:
         #: search/stream/batch/explain call while tracing is enabled
         #: (``repro.obs.set_enabled``); ``None`` otherwise.
         self.last_trace = None
-        #: Sub-plan sharing table of the most recent ``search_batch``.
-        self.last_shared = SharedEnumerations()
         #: Monotonically increasing engine state version; every
         #: :meth:`apply` batch and every :meth:`rebuild` bumps it.
         self.version = version
@@ -195,7 +180,7 @@ class KeywordSearchEngine:
         result_cache_entries: int = 256,
         core: Optional[str] = None,
         version: int = 0,
-        adaptive: Optional[bool] = None,
+        adaptive: bool = True,
     ) -> "KeywordSearchEngine":
         """Assemble an engine from restored structures (snapshot path)."""
         engine = cls.__new__(cls)
@@ -244,76 +229,25 @@ class KeywordSearchEngine:
         return plan, matches
 
     def _ensure_cost_model(self) -> CostModel:
-        """The engine's cost model, with persisted calibration folded in.
-
-        A snapshot-opened engine defers reading the stored calibration
-        payload until the first estimate needs it, mirroring how every
-        other snapshot section restores lazily.
-        """
-        if self._calibration_loader is not None:
-            loader, self._calibration_loader = self._calibration_loader, None
-            payload = loader()
-            if payload:
-                self.calibration.load(payload)
+        """The engine's cost model, built on first use."""
         if self._cost_model is None:
             self._cost_model = CostModel(
-                index=self.index,
-                statistics=lambda: self.statistics,
-                calibration=self.calibration,
+                index=self.index, statistics=lambda: self.statistics
             )
         return self._cost_model
 
     def query_cost(self, query: str, semantics: str = "and") -> float:
         """Predicted execution cost of one query (a routing weight).
 
-        Computed from posting lengths, fan-outs and calibration alone —
-        no matching, no enumeration — so batch dispatch can weigh a
-        query before any work runs.
+        Computed from posting lengths and fan-outs alone — no matching,
+        no enumeration — so batch dispatch can weigh a query before any
+        work runs.
         """
         try:
             keywords = parse_query(query)
         except QueryError:
             return 1.0
         return self._ensure_cost_model().query_cost(keywords, semantics)
-
-    def _observe_run(self, plan: QueryPlan, stats: ExecutionStats) -> None:
-        """Fold one run's observed candidate count into the calibration.
-
-        Scan estimates are exact (units == candidates), so the scan
-        share is subtracted and the structural remainder attributed to
-        the pair/network estimates — exactly when one structural kind
-        ran, proportionally when both did (OR plans over >= 3 populated
-        keywords).  Calibration only reshapes *future* estimates;
-        answers never depend on it.
-        """
-        estimates = plan.estimates
-        if not estimates:
-            return
-        structural = [
-            estimate for estimate in estimates if estimate.kind != "scan"
-        ]
-        if not structural:
-            return
-        scan_predicted = sum(
-            estimate.est_candidates
-            for estimate in estimates
-            if estimate.kind == "scan"
-        )
-        observed = max(0.0, stats.candidates - scan_predicted)
-        predicted = sum(estimate.est_candidates for estimate in structural)
-        if predicted <= 0.0:
-            return
-        kinds = sorted({estimate.kind for estimate in structural})
-        if len(kinds) == 1:
-            self.calibration.observe(kinds[0], predicted, observed)
-        else:
-            for estimate in structural:
-                share = estimate.est_candidates / predicted
-                self.calibration.observe(
-                    estimate.kind, estimate.est_candidates, observed * share
-                )
-        if obs_metrics.ENABLED:
-            obs_metrics.REGISTRY.inc("planner.calibrations")
 
     @property
     def statistics(self):
@@ -335,12 +269,11 @@ class KeywordSearchEngine:
         if value is None:
             self._statistics_loader = None
 
-    def _executor(self, shared: Optional[SharedEnumerations] = None) -> Executor:
+    def _executor(self) -> Executor:
         return Executor(
             self.data_graph,
             core=self.core,
             cache=self.traversal_cache,
-            shared=shared,
             adaptive=self.adaptive,
         )
 
@@ -478,8 +411,6 @@ class KeywordSearchEngine:
             executor = self._executor()
             results = executor.run(plan, ranker, limits, pushdown=pushdown)
             self.last_stats = executor.stats
-            if self.adaptive:
-                self._observe_run(plan, executor.stats)
             if key is not None and self.version == version:
                 self._cache_store(key, ranker, matches, results, executor.stats)
             return results
@@ -564,10 +495,6 @@ class KeywordSearchEngine:
                 # span totals land on this query's trace, not ambient.
                 stream.close()
                 self.last_stats = executor.stats
-            # Only a fully consumed stream observes: abandoning it
-            # mid-way would record a consumer-dependent partial count.
-            if self.adaptive:
-                self._observe_run(plan, executor.stats)
             if collected is not None and self.version == version:
                 self._cache_store(key, ranker, matches, collected, executor.stats)
         finally:
@@ -604,16 +531,12 @@ class KeywordSearchEngine:
         """Answer many queries, one result list per query (input order).
 
         Each query is answered exactly as :meth:`search` would — the win
-        is amortisation, not approximation, on three levels: all queries
+        is amortisation, not approximation, on two levels: all queries
         share the engine's
         :class:`~repro.graph.fast_traversal.TraversalCache` (the compiled
-        graph and its distance rows survive across queries); identical
-        enumeration sub-plans — the same (source, target) tuple pair or
-        the same required tuple set under the same limits — are executed
-        once per batch and their streams fanned out to every query that
-        contains them, even across different query texts; and a query text
-        appearing several times is searched once with its result list
-        reused.
+        graph and its distance rows survive across queries), and a query
+        text appearing several times is searched once with its result
+        list reused.
 
         ``jobs`` > 1 fans the batch out over a process pool
         (:mod:`repro.scale.parallel`): every worker opens the engine's
@@ -638,7 +561,6 @@ class KeywordSearchEngine:
                 semantics=semantics,
                 pushdown=pushdown,
             )
-        shared = SharedEnumerations()
         stats = ExecutionStats()
         resolved: dict[str, list[SearchResult]] = {}
         batched = []
@@ -671,13 +593,11 @@ class KeywordSearchEngine:
                         with obs_trace.span("plan.compile", query=query):
                             plan, matches = self._plan(query, top_k, semantics)
                         version = self.version
-                        executor = self._executor(shared)
+                        executor = self._executor()
                         resolved[query] = executor.run(
                             plan, ranker, limits, pushdown=pushdown
                         )
                         stats.merge(executor.stats)
-                        if self.adaptive:
-                            self._observe_run(plan, executor.stats)
                         if key is not None and self.version == version:
                             self._cache_store(
                                 key, ranker, matches,
@@ -688,7 +608,6 @@ class KeywordSearchEngine:
             if qtrace is not None:
                 obs_trace.end_trace(qtrace)
         self.last_stats = stats
-        self.last_shared = shared
         return batched
 
     # ------------------------------------------------------------------
@@ -834,10 +753,9 @@ class KeywordSearchEngine:
 
         The traversal cache is bound to the discarded data graph, so a
         fresh one replaces it.  All pipeline state is reset too: the
-        answer cache (its entries reference the old graph), the last-run
-        diagnostics (``last_stats``) and any retained ``search_batch``
-        sharing table with its ``SharedStream`` fan-outs — nothing stale
-        survives a rebuild.  :meth:`apply` is the incremental
+        answer cache (its entries reference the old graph) and the
+        last-run diagnostics (``last_stats``) — nothing stale survives a
+        rebuild.  :meth:`apply` is the incremental
         alternative; ``rebuild()`` is the escape hatch and the
         differential oracle the live subsystem is tested against.
 
@@ -857,7 +775,6 @@ class KeywordSearchEngine:
         self.traversal_cache = TraversalCache(self.data_graph)
         self.result_cache.clear()
         self.last_stats = ExecutionStats()
-        self.last_shared = SharedEnumerations()
         self.statistics = None
         self.close_pool()
         self.version += 1

@@ -28,14 +28,6 @@ scores (and bounds) are prefixed with ``-covered_keywords`` — pair
 sources cover exactly their two keywords and networks cover every
 populated keyword, which keeps the prefix constant per source and the
 bounds monotone.
-
-**Plan sharing.**  All enumeration goes through a
-:class:`SharedEnumerations` table of :class:`SharedStream` objects
-keyed by the enumeration signature (tuple pair + limits for paths, required tuple
-sequence + limits for trees).  Identical sub-plans — across the sources
-of one query or across different query texts of a batch — execute once
-and fan out; ``KeywordSearchEngine.search_batch`` passes one table for
-the whole batch.
 """
 
 from __future__ import annotations
@@ -76,14 +68,11 @@ from repro.graph.traversal import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.planner.cost import resolve_adaptive
 from repro.relational.database import TupleId
 
 __all__ = [
     "SearchResult",
     "ExecutionStats",
-    "SharedStream",
-    "SharedEnumerations",
     "Executor",
 ]
 
@@ -152,107 +141,6 @@ class ExecutionStats:
         )
 
 
-class SharedStream:
-    """Fan one single-pass enumeration out to many consumers.
-
-    Wraps a generator factory; the generator is started lazily on first
-    demand and advanced only as far as the furthest consumer has read.
-    Every consumer replays the buffered prefix in order, so interleaved
-    readers (several queries of a batch walking the same enumeration
-    sub-plan) each see the full stream while the underlying enumeration
-    runs **once**.  A consumer that stops early (top-k pushdown) leaves
-    the stream partially materialised; a later consumer extends it.
-
-    Budget errors are part of the stream: if the source raises (e.g.
-    :class:`~repro.errors.SearchLimitError`), the exception is recorded
-    after the items already produced and re-raised at the same position
-    for every consumer — sharing never changes what any one consumer
-    observes.
-    """
-
-    __slots__ = (
-        "_factory",
-        "_source",
-        "_buffer",
-        "_error",
-        "_exhausted",
-        "consumers",
-    )
-
-    def __init__(self, factory) -> None:
-        self._factory = factory
-        self._source = None
-        self._buffer: list = []
-        self._error: Optional[BaseException] = None
-        self._exhausted = False
-        #: Consumers served so far (observability for benchmarks).
-        self.consumers = 0
-
-    @property
-    def produced(self) -> int:
-        """Items materialised from the underlying enumeration so far."""
-        return len(self._buffer)
-
-    def _advance(self) -> bool:
-        """Pull one more item from the source; False when finished."""
-        if self._exhausted:
-            if self._error is not None:
-                raise self._error
-            return False
-        if self._source is None:
-            self._source = self._factory()
-        try:
-            self._buffer.append(next(self._source))
-        except StopIteration:
-            self._exhausted = True
-            self._source = None
-            return False
-        except BaseException as error:  # replayed for every consumer
-            self._exhausted = True
-            self._source = None
-            self._error = error
-            raise
-        return True
-
-    def __iter__(self):
-        self.consumers += 1
-        position = 0
-        while True:
-            if position < len(self._buffer):
-                yield self._buffer[position]
-                position += 1
-                continue
-            if not self._advance():
-                return
-
-
-class SharedEnumerations:
-    """Keyed table of shared enumeration streams (plan-level sharing).
-
-    ``hits`` counts sub-plan requests served by an existing stream —
-    enumerations that would have run again without sharing; ``misses``
-    counts streams actually created.
-    """
-
-    def __init__(self) -> None:
-        self._streams: dict[tuple, SharedStream] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def stream(self, key: tuple, factory) -> SharedStream:
-        shared = self._streams.get(key)
-        if shared is None:
-            self.misses += 1
-            shared = SharedStream(factory)
-            self._streams[key] = shared
-        else:
-            self.hits += 1
-        return shared
-
-    def __len__(self) -> int:
-        return len(self._streams)
-
-
 #: Heap-entry marker for an enumeration unit whose stream has not been
 #: built yet (adaptive pushdown): the entry carries an admissible
 #: distance bound and the unit signature instead of real items.  Never
@@ -288,8 +176,7 @@ class Executor:
         *,
         core: Optional[str] = None,
         cache: Optional[TraversalCache] = None,
-        shared: Optional[SharedEnumerations] = None,
-        adaptive: Optional[bool] = None,
+        adaptive: bool = True,
     ) -> None:
         self.data_graph = data_graph
         #: Traversal kernel: ``csr`` (compiled integer kernels, the
@@ -298,16 +185,14 @@ class Executor:
         if cache is None or cache.data_graph is not data_graph:
             cache = TraversalCache(data_graph)
         self.cache = cache
-        self.shared = shared if shared is not None else SharedEnumerations()
         #: Selectivity-ordered pushdown: enumeration units enter the
         #: state heaps on admissible BFS distance bounds (streams built
         #: lazily, provably-empty units skipped) instead of eagerly
         #: pulling every unit's first item.  Answers are bit-identical
         #: either way — the bounds are admissible, so emission only gets
-        #: cheaper.  Resolved here so ``REPRO_STATIC_PLAN`` freezes the
-        #: whole process; requires the compiled ``csr`` core's cheap
-        #: distance rows; the reference core keeps the static order.
-        self.adaptive = resolve_adaptive(adaptive)
+        #: cheaper.  Requires the compiled ``csr`` core's cheap distance
+        #: rows; the reference core keeps the static order.
+        self.adaptive = adaptive
         self.stats = ExecutionStats()
         #: Live span of the run in flight (``None`` while tracing is
         #: off or between runs); the mode-specific emitters hang their
@@ -472,10 +357,9 @@ class Executor:
         metered = obs_metrics.ENABLED
         exec_span = None
         started = 0.0
-        cache_hits = cache_misses = shared_hits = shared_misses = 0
+        cache_hits = cache_misses = 0
         if tracing or metered:
             cache_hits, cache_misses = self.cache.hits, self.cache.misses
-            shared_hits, shared_misses = self.shared.hits, self.shared.misses
         if tracing:
             host = obs_trace.current_trace()
             if host is None:
@@ -527,8 +411,6 @@ class Executor:
                 for name, delta in (
                     ("traversal_cache.hits", self.cache.hits - cache_hits),
                     ("traversal_cache.misses", self.cache.misses - cache_misses),
-                    ("shared_enum.hits", self.shared.hits - shared_hits),
-                    ("shared_enum.misses", self.shared.misses - shared_misses),
                 ):
                     if delta:
                         registry.inc(name, delta)
@@ -547,24 +429,16 @@ class Executor:
         return score
 
     # ------------------------------------------------------------------
-    # shared enumeration streams
+    # enumeration streams
     # ------------------------------------------------------------------
     def _path_stream(
         self,
         source: TupleId,
         target: TupleId,
         limits: SearchLimits,
-    ) -> SharedStream:
-        key = (
-            "paths",
-            source,
-            target,
-            limits.max_rdb_length,
-            limits.max_paths_per_pair,
-            self.core,
-        )
+    ) -> Iterator:
         if self.core == "csr":
-            factory = lambda: csr_enumerate_simple_paths(
+            return csr_enumerate_simple_paths(
                 self.data_graph,
                 source,
                 target,
@@ -572,44 +446,33 @@ class Executor:
                 max_paths=limits.max_paths_per_pair,
                 cache=self.cache,
             )
-        else:
-            factory = lambda: enumerate_simple_paths(
-                self.data_graph,
-                source,
-                target,
-                limits.max_rdb_length,
-                max_paths=limits.max_paths_per_pair,
-            )
-        return self.shared.stream(key, factory)
+        return enumerate_simple_paths(
+            self.data_graph,
+            source,
+            target,
+            limits.max_rdb_length,
+            max_paths=limits.max_paths_per_pair,
+        )
 
     def _tree_stream(
         self,
         required: tuple[TupleId, ...],
         limits: SearchLimits,
-    ) -> SharedStream:
-        key = (
-            "trees",
-            required,
-            limits.max_tuples,
-            limits.max_networks,
-            self.core,
-        )
+    ) -> Iterator:
         if self.core == "csr":
-            factory = lambda: csr_enumerate_joining_trees(
+            return csr_enumerate_joining_trees(
                 self.data_graph,
                 list(required),
                 limits.max_tuples,
                 max_results=limits.max_networks,
                 cache=self.cache,
             )
-        else:
-            factory = lambda: enumerate_joining_trees(
-                self.data_graph,
-                list(required),
-                limits.max_tuples,
-                max_results=limits.max_networks,
-            )
-        return self.shared.stream(key, factory)
+        return enumerate_joining_trees(
+            self.data_graph,
+            list(required),
+            limits.max_tuples,
+            max_results=limits.max_networks,
+        )
 
     # ------------------------------------------------------------------
     # source enumeration (legacy order — full mode)
@@ -909,7 +772,7 @@ class _PairState:
                             )
                             index += 1
                             continue
-                    stream = iter(executor._path_stream(source, target, limits))
+                    stream = executor._path_stream(source, target, limits)
                     steps = next(stream, None)
                     if steps is not None:
                         heap.append((len(steps), index, steps, stream))
@@ -937,9 +800,7 @@ class _PairState:
         length, index, steps, stream = heapq.heappop(heap)
         if steps is _LAZY:  # adaptive: build the stream at first top
             source, target = stream
-            stream = iter(
-                self._executor._path_stream(source, target, self._limits)
-            )
+            stream = self._executor._path_stream(source, target, self._limits)
             steps = next(stream, None)
             if steps is None:
                 return None
@@ -966,11 +827,11 @@ class _PairState:
 class _NetworkState:
     """Network source yielding by non-decreasing tuple count.
 
-    One stream per keyword-tuple assignment (shared by required-tuple
-    signature), heap-merged on the size of each stream's next tuple set;
-    a network over ``s`` tuples has RDB length ``s - 1``, which drives
-    the bound.  Consumed streams re-enter as placeholders (see
-    :class:`_PairState`) so growth beyond the emitted top-k never runs.
+    One stream per keyword-tuple assignment, heap-merged on the size of
+    each stream's next tuple set; a network over ``s`` tuples has RDB
+    length ``s - 1``, which drives the bound.  Consumed streams re-enter
+    as placeholders (see :class:`_PairState`) so growth beyond the
+    emitted top-k never runs.
 
     Under the adaptive planner (csr core) assignments enter the heap
     lazily on an admissible size bound — ``max(len(required), max
@@ -1009,7 +870,7 @@ class _NetworkState:
                         (bound, index, _LAZY, required, keyword_tuples)
                     )
                     continue
-            stream = iter(executor._tree_stream(required, limits))
+            stream = executor._tree_stream(required, limits)
             tuple_set = next(stream, None)
             if tuple_set is not None:
                 heap.append((len(tuple_set), index, tuple_set, stream, keyword_tuples))
@@ -1027,7 +888,7 @@ class _NetworkState:
         size, index, tuple_set, stream, keyword_tuples = heapq.heappop(self._heap)
         if tuple_set is _LAZY:  # adaptive: build the stream at first top
             required = stream
-            stream = iter(self._executor._tree_stream(required, self._limits))
+            stream = self._executor._tree_stream(required, self._limits)
             tuple_set = next(stream, None)
             if tuple_set is None:
                 return None

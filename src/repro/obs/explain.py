@@ -312,8 +312,6 @@ def analyze(
             trace_mod.end_trace(qtrace)
         engine.last_stats = executor.stats
         engine.last_trace = qtrace
-        if getattr(engine, "adaptive", False):
-            engine._observe_run(plan, executor.stats)
         key = engine._cache_key(query, ranker, limits, top_k, semantics, pushdown)
         if key is not None and engine.version == version:
             engine._cache_store(key, ranker, matches, results, executor.stats)

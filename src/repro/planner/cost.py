@@ -1,4 +1,4 @@
-"""The cost model: per-unit work estimates and online calibration.
+"""The cost model: per-unit work estimates.
 
 Estimates are deliberately coarse — their only job is *ordering* and
 *routing*, never correctness.  A ``PairPaths`` op sets up one
@@ -7,47 +7,19 @@ op one unit per required-tuple assignment (the cross product of its
 keywords' match lists).  Per-unit work scales with graph fan-out, so
 the model multiplies unit counts by a fan-out factor taken from
 :class:`~repro.relational.statistics.DatabaseStatistics` when
-available, then by a learned per-kind calibration factor that observed
-:class:`~repro.core.executor.ExecutionStats` keep converging toward
-reality.
+available.  The model learns nothing: an estimate depends only on the
+posting lengths and the fan-out, so planning never writes state.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.plan import NetworkGrowth, PairPaths, QueryPlan, SingleScan
 
-#: Environment escape hatch: set to any truthy value to force the
-#: static planner everywhere, regardless of the ``adaptive`` flag.
-STATIC_PLAN_ENV = "REPRO_STATIC_PLAN"
-
 #: Fallback mean fan-out when no ``DatabaseStatistics`` is attached.
 DEFAULT_FANOUT = 2.0
-
-_FALSEY = frozenset({"", "0", "false", "no", "off"})
-
-# Calibration factors are clamped so one wild observation can never
-# invert the ordering of every future estimate.
-_FACTOR_FLOOR = 0.01
-_FACTOR_CEIL = 100.0
-
-
-def resolve_adaptive(flag: Optional[bool] = None) -> bool:
-    """Resolve the effective adaptive-planner switch.
-
-    ``REPRO_STATIC_PLAN`` (truthy) always wins and forces static mode;
-    otherwise an explicit ``flag`` is honoured; otherwise adaptive
-    planning is on by default.
-    """
-    env = os.environ.get(STATIC_PLAN_ENV, "")
-    if env.strip().lower() not in _FALSEY:
-        return False
-    if flag is None:
-        return True
-    return bool(flag)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,82 +38,20 @@ class UnitEstimate:
     est_cost: float
 
 
-class CalibrationTable:
-    """Per-kind observed/predicted candidate ratios, persisted via snapshot.
-
-    One cell per unit kind (``paths`` / ``networks``): a running sum of
-    predicted and observed candidate counts plus an update counter.
-    ``factor(kind)`` is the clamped observed/predicted ratio, so it
-    converges as more queries run and ``observe`` stays commutative —
-    replaying the same observations in any order lands on the same
-    table.
-    """
-
-    __slots__ = ("_cells",)
-
-    def __init__(self) -> None:
-        self._cells: Dict[str, Dict[str, float]] = {}
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    @property
-    def updates(self) -> int:
-        """Total number of observations across every kind."""
-        return int(sum(cell["count"] for cell in self._cells.values()))
-
-    def observe(self, kind: str, predicted: float, observed: float) -> None:
-        """Fold one (predicted, observed) candidate-count pair into ``kind``."""
-        if predicted <= 0.0:
-            return
-        cell = self._cells.setdefault(
-            kind, {"predicted": 0.0, "observed": 0.0, "count": 0.0})
-        cell["predicted"] += float(predicted)
-        cell["observed"] += max(0.0, float(observed))
-        cell["count"] += 1.0
-
-    def factor(self, kind: str) -> float:
-        """Clamped observed/predicted ratio for ``kind`` (1.0 when unseen)."""
-        cell = self._cells.get(kind)
-        if cell is None or cell["predicted"] <= 0.0:
-            return 1.0
-        ratio = cell["observed"] / cell["predicted"]
-        return min(_FACTOR_CEIL, max(_FACTOR_FLOOR, ratio))
-
-    def to_dict(self) -> dict:
-        """JSON-safe payload; keys sorted for byte-stable snapshots."""
-        return {
-            kind: {key: self._cells[kind][key]
-                   for key in ("predicted", "observed", "count")}
-            for kind in sorted(self._cells)
-        }
-
-    def load(self, payload: dict) -> None:
-        """Merge a :meth:`to_dict` payload into this table (additive)."""
-        for kind in sorted(payload):
-            cell = payload[kind]
-            target = self._cells.setdefault(
-                kind, {"predicted": 0.0, "observed": 0.0, "count": 0.0})
-            target["predicted"] += float(cell.get("predicted", 0.0))
-            target["observed"] += float(cell.get("observed", 0.0))
-            target["count"] += float(cell.get("count", 0.0))
-
-
 class CostModel:
-    """Estimates per-op work from posting lengths, fan-outs and calibration.
+    """Estimates per-op work from posting lengths and fan-outs.
 
     ``statistics`` is a zero-argument provider (not a value) because the
     engine invalidates its :class:`DatabaseStatistics` on every live
     update; the model re-reads it per estimate, which is cheap.
     """
 
-    __slots__ = ("index", "_statistics", "calibration")
+    __slots__ = ("index", "_statistics")
 
-    def __init__(self, index=None, statistics: Optional[Callable] = None,
-                 calibration: Optional[CalibrationTable] = None) -> None:
+    def __init__(self, index=None,
+                 statistics: Optional[Callable] = None) -> None:
         self.index = index
         self._statistics = statistics
-        self.calibration = calibration or CalibrationTable()
 
     def fanout(self) -> float:
         """Mean FK fan-out across the schema, clamped to at least 1."""
@@ -175,20 +85,18 @@ class CostModel:
                      fanout: float) -> UnitEstimate:
         if isinstance(op, SingleScan):
             units = sum(sizes[index] for index in op.indices)
-            # Scans emit exactly their units; no calibration needed.
+            # Scans emit exactly their units.
             return UnitEstimate("scan", units, float(units), float(units))
         if isinstance(op, PairPaths):
             units = sizes[op.first] * sizes[op.second]
-            factor = self.calibration.factor("paths")
-            candidates = units * fanout * factor
+            candidates = units * fanout
             return UnitEstimate("paths", units, candidates,
                                 candidates * fanout)
         if isinstance(op, NetworkGrowth):
             units = 1
             for index in op.indices:
                 units *= sizes[index]
-            factor = self.calibration.factor("networks")
-            candidates = units * factor
+            candidates = float(units)
             spread = fanout ** max(1, len(op.indices) - 1)
             return UnitEstimate("networks", units, candidates,
                                 candidates * spread)
@@ -218,18 +126,15 @@ class CostModel:
         cost = float(sum(populated))
         count = len(populated)
         if count == 2:
-            cost += (populated[0] * populated[1] * fanout * fanout
-                     * self.calibration.factor("paths"))
+            cost += populated[0] * populated[1] * fanout * fanout
         elif count >= 3:
             if semantics == "or":
-                pair_factor = self.calibration.factor("paths")
                 for left in range(count):
                     for right in range(left + 1, count):
                         cost += (populated[left] * populated[right]
-                                 * fanout * fanout * pair_factor)
+                                 * fanout * fanout)
             product = 1.0
             for length in populated:
                 product *= length
-            cost += (product * fanout ** (count - 1)
-                     * self.calibration.factor("networks"))
+            cost += product * fanout ** (count - 1)
         return max(cost, 1.0)

@@ -55,10 +55,6 @@ class DatabaseStatistics:
         self.database = database
         self._fanouts: dict[str, FanOut] = {}
         self._cardinalities: dict[str, int] = {}
-        #: Planner calibration payload (see ``repro.planner.cost``).
-        #: Not computed from the instance — attached by the engine at
-        #: snapshot time so learned estimates survive restarts.
-        self.calibration: dict = {}
         self._compute()
 
     def _compute(self) -> None:
@@ -93,7 +89,7 @@ class DatabaseStatistics:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """Plain JSON-compatible form of the computed statistics."""
-        data = {
+        return {
             "cardinalities": dict(self._cardinalities),
             "fanouts": {
                 name: {
@@ -104,9 +100,6 @@ class DatabaseStatistics:
                 for name, fanout in self._fanouts.items()
             },
         }
-        if self.calibration:
-            data["calibration"] = dict(self.calibration)
-        return data
 
     @classmethod
     def from_dict(cls, database: Database, data: dict) -> "DatabaseStatistics":
@@ -123,7 +116,6 @@ class DatabaseStatistics:
             )
             for name, entry in data["fanouts"].items()
         }
-        statistics.calibration = dict(data.get("calibration", {}))
         return statistics
 
     # ------------------------------------------------------------------

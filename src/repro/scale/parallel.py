@@ -46,7 +46,7 @@ import struct
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from repro.core.executor import ExecutionStats, SearchResult, SharedEnumerations
+from repro.core.executor import ExecutionStats, SearchResult
 from repro.core.search import JoiningNetwork, SingleTupleAnswer
 from repro.core.connections import Connection
 from repro.durable import fault
@@ -72,7 +72,7 @@ def _init_worker(
     snapshot_path: str,
     core: Optional[str],
     result_cache_entries: int,
-    adaptive: Optional[bool] = None,
+    adaptive: bool = True,
 ):
     global _WORKER_ENGINE
     from repro.core.engine import KeywordSearchEngine
@@ -240,7 +240,7 @@ def _worker_loop(
     arena_name: Optional[str] = None,
     region_start: int = 0,
     region_size: int = 0,
-    adaptive: Optional[bool] = None,
+    adaptive: bool = True,
 ) -> None:
     """One dedicated worker: open the snapshot once, serve chunks forever.
 
@@ -332,7 +332,7 @@ class ParallelSearcher:
         *,
         core: Optional[str] = None,
         result_cache_entries: int = 256,
-        adaptive: Optional[bool] = None,
+        adaptive: bool = True,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be positive")
@@ -341,9 +341,7 @@ class ParallelSearcher:
         self.core = core
         self.result_cache_entries = result_cache_entries
         #: Adaptive-planner flag every worker engine opens with, so a
-        #: coordinator running static (``REPRO_STATIC_PLAN`` travels via
-        #: the environment, ``adaptive=False`` via this field) never
-        #: pairs with adaptive workers.
+        #: coordinator running static never pairs with adaptive workers.
         self.adaptive = adaptive
         self._workers: Optional[list] = None
         self._arena = None
@@ -749,7 +747,7 @@ def _run_batch_traced(
         "observe": (tracing, metered),
     }
     costs = None
-    if getattr(engine, "adaptive", False) and len(pending) > 1 and jobs > 1:
+    if engine.adaptive and len(pending) > 1 and jobs > 1:
         # Cost-routed dispatch: one cheap posting-length estimate per
         # pending query balances the workers' predicted load.  Purely a
         # scheduling hint — outcomes are keyed by query, so results and
@@ -791,5 +789,4 @@ def _run_batch_traced(
             engine._cache_store(key, ranker, matches, results, worker_stats)
 
     engine.last_stats = stats
-    engine.last_shared = SharedEnumerations()
     return [resolved[query] for query in queries]

@@ -351,23 +351,6 @@ class _PostingColumns:
 # ----------------------------------------------------------------------
 # writing
 # ----------------------------------------------------------------------
-def _statistics_doc(engine) -> dict:
-    """Corpus statistics plus the engine's learned planner calibration.
-
-    Calibration rides the stats section
-    (:meth:`DatabaseStatistics.to_dict` carries the key only when
-    non-empty) so learned estimates survive save/open without a snapshot
-    format change — an engine that never calibrated writes the exact
-    payload older snapshots had, and older snapshots restore with an
-    empty table.
-    """
-    # Every ``apply`` resets the held statistics: a held value is current.
-    statistics = engine._statistics or DatabaseStatistics(engine.database)
-    calibration = getattr(engine, "calibration", None)
-    statistics.calibration = calibration.to_dict() if calibration else {}
-    return statistics.to_dict()
-
-
 def _id_tables(schema) -> tuple[list, list[str]]:
     """What the one-byte ids of ``edge_keys`` and of the postings'
     attribute column index: the schema's foreign keys and attribute
@@ -469,7 +452,10 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
         ("edge_keys", bytes(map(fk_id.__getitem__, frozen._edge_keys))),
         ("edge_ref", bytes(edge_ref)),
         ("postings", postings),
-        ("stats", _json_bytes(_statistics_doc(engine))),
+        # Every ``apply`` resets the held statistics: a held value is current.
+        ("stats", _json_bytes(
+            (engine._statistics or DatabaseStatistics(engine.database)).to_dict()
+        )),
     ]
     for relation in schema.relations:
         records = engine.database.tuples(relation.name)
@@ -488,9 +474,8 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
 def write_delta_snapshot(engine, path: Union[str, Path]) -> Optional[dict]:
     """Republish the WAL-paired snapshot at ``path`` with the WAL's record
     frames appended to its ``delta`` section: base sections byte-copied
-    with length and CRC reused, only ``meta`` and the planner calibration
-    in ``stats`` re-encoded.  The engine is only read — nothing folded,
-    decoded or dropped.  Returns the meta dict, or ``None`` when
+    with length and CRC reused, only ``meta`` re-encoded.  The engine is
+    only read — nothing folded, decoded or dropped.  Returns the meta dict, or ``None`` when
     only :func:`write_snapshot` will do — the base fails its CRC verify
     or is not the generation the WAL pairs with, the records do not run
     gap-free from its version to the engine's, or the delta would pass
@@ -522,16 +507,14 @@ def write_delta_snapshot(engine, path: Union[str, Path]) -> Optional[dict]:
         meta.setdefault("base_entries", meta["entries"])
         meta.update(engine_version=engine.version, entries=frozen.entry_count())
         meta["tuples"] = meta["nodes"] = frozen.live_count()
-        sections = {name: base.section(name) for name in copied}
+        # ``stats`` is copied too: open's replay drops it, as the live
+        # engine's first ``apply`` did.
         crcs = {name: base._toc[name][2] for name in copied}
-        if engine._calibration_loader is None:  # else the stored table is current
-            # The statistics beside it stay the base's: open's replay drops
-            # them, as the live engine's first ``apply`` did.
-            del crcs["stats"]
-            sections["stats"] = _json_bytes(
-                dict(base.json("stats"), calibration=engine.calibration.to_dict())
-            )
-        blobs = [("meta", _json_bytes(meta)), *sections.items(), ("delta", delta)]
+        blobs = [
+            ("meta", _json_bytes(meta)),
+            *((name, base.section(name)) for name in copied),
+            ("delta", delta),
+        ]
         meta["generation"] = _publish(path, _DELTA_FORMAT, blobs, crcs)
     return meta
 
@@ -893,11 +876,6 @@ def _load_engine(
         **engine_options,
     )
     engine._statistics_loader = lambda: snapshot.statistics(database)
-    # Planner calibration rides the stats section; deferred like every
-    # other section until the first cost estimate needs it.
-    engine._calibration_loader = (
-        lambda: snapshot.json("stats").get("calibration")
-    )
     engine.snapshot_path = str(path)
     engine._snapshot_generation = snapshot.generation
     engine._snapshot = snapshot

@@ -409,6 +409,21 @@ class TestHelpGrouping:
         assert "--shards" not in result.stdout
 
 
+class TestPlanCommand:
+    @pytest.mark.parametrize("command", ["search", "plan"])
+    def test_static_plan_flag_is_refused(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(command, "Smith XML", "--static-plan")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --static-plan" in capsys.readouterr().err
+        code, output = run("plan", "Smith XML")
+        assert code == 0
+        assert output.endswith(
+            "# planner: adaptive (cost model over posting lengths x "
+            "graph fanout)\n"
+        )
+
+
 class TestMainModule:
     def test_python_dash_m_repro_smoke(self):
         import subprocess

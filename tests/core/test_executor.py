@@ -13,14 +13,7 @@ from itertools import combinations
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
-from repro.core.executor import (
-    ExecutionStats,
-    Executor,
-    SharedEnumerations,
-    SharedStream,
-)
-from repro.core.matching import match_keywords
-from repro.core.plan import plan_query
+from repro.core.executor import ExecutionStats
 from repro.core.ranking import (
     ClosenessRanker,
     ErLengthRanker,
@@ -330,92 +323,6 @@ class TestStreaming:
         stream.close()
         reference = engine.search(texts[0], top_k=1, limits=limits)
         assert first.render() == reference[0].render()
-
-
-class TestSharedEnumerations:
-    def test_shared_stream_replays_items(self):
-        calls = []
-
-        def factory():
-            calls.append(1)
-            yield from [10, 20, 30]
-
-        stream = SharedStream(factory)
-        assert list(stream) == [10, 20, 30]
-        assert list(stream) == [10, 20, 30]
-        assert len(calls) == 1
-        assert stream.consumers == 2
-        assert stream.produced == 3
-
-    def test_shared_stream_interleaved_consumers(self):
-        stream = SharedStream(lambda: iter(range(5)))
-        one, two = iter(stream), iter(stream)
-        assert next(one) == 0
-        assert next(two) == 0
-        assert next(two) == 1
-        assert list(one) == [1, 2, 3, 4]
-        assert list(two) == [2, 3, 4]
-
-    def test_shared_stream_replays_errors_at_the_same_point(self):
-        def failing():
-            yield 1
-            yield 2
-            raise SearchLimitError("budget", max_paths=2)
-
-        stream = SharedStream(failing)
-        for __ in range(2):
-            seen = []
-            with pytest.raises(SearchLimitError):
-                for item in stream:
-                    seen.append(item)
-            assert seen == [1, 2]
-        assert stream.produced == 2
-
-    def test_partial_consumer_extends_later(self):
-        produced = []
-
-        def factory():
-            for value in range(4):
-                produced.append(value)
-                yield value
-
-        stream = SharedStream(factory)
-        first = iter(stream)
-        assert next(first) == 0
-        assert produced == [0]
-        assert list(stream) == [0, 1, 2, 3]
-        assert produced == [0, 1, 2, 3]
-
-    def test_batch_shares_identical_subplans(self, synthetic_engine):
-        engine, texts = synthetic_engine
-        limits = SearchLimits(max_rdb_length=5)
-        # Same keywords, different spellings: distinct query texts whose
-        # pair sub-plans name the same tuple pairs.
-        batch = [texts[0], texts[0].upper(), texts[1]]
-        batched = engine.search_batch(batch, limits=limits)
-        assert engine.last_shared.hits > 0
-        for text, results in zip(batch, batched):
-            individual = engine.search(text, limits=limits)
-            assert [(r.render(), r.score) for r in results] == [
-                (r.render(), r.score) for r in individual
-            ]
-
-    def test_executor_reuses_streams_within_a_query(self, company_db):
-        engine = KeywordSearchEngine(company_db)
-        shared = SharedEnumerations()
-        executor = Executor(
-            engine.data_graph,
-            cache=engine.traversal_cache,
-            shared=shared,
-        )
-        plan = plan_query(
-            match_keywords(engine.index, ("Smith", "XML"))
-        )
-        executor.run(plan, ClosenessRanker(), LIMITS)
-        first_misses = shared.misses
-        executor.run(plan, ClosenessRanker(), LIMITS)
-        assert shared.misses == first_misses
-        assert shared.hits >= first_misses
 
 
 class TestStats:

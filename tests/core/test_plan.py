@@ -181,15 +181,14 @@ class TestHotClassesStaySlotted:
         assert not hasattr(plan, "__dict__")
 
     def test_traversal_and_executor_classes(self):
-        from repro.core.executor import ExecutionStats, SearchResult, SharedStream
+        from repro.core.executor import ExecutionStats, SearchResult
         from repro.graph.traversal import TuplePathStep
         from repro.relational.database import TupleId
 
         step = TuplePathStep(
             TupleId("A", ("1",)), TupleId("B", ("2",)), "fk", {}
         )
-        stream = SharedStream(lambda: iter(()))
         stats = ExecutionStats()
         result = SearchResult(answer=None, score=(0.0,), rank=1)
-        for instance in (step, stream, stats, result):
+        for instance in (step, stats, result):
             assert not hasattr(instance, "__dict__"), type(instance).__name__

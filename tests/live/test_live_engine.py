@@ -125,12 +125,10 @@ class TestRebuildHygiene:
     def test_rebuild_clears_pipeline_state(self, engine):
         engine.search_batch(["Smith XML", "SMITH XML"], top_k=2)
         assert engine.last_stats.candidates > 0
-        assert len(engine.last_shared) > 0
         assert len(engine.result_cache) > 0
         version = engine.version
         engine.rebuild()
         assert engine.last_stats == ExecutionStats()
-        assert len(engine.last_shared) == 0
         assert len(engine.result_cache) == 0
         assert engine.version == version + 1
 

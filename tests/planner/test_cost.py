@@ -1,98 +1,9 @@
-"""Unit tests for the planner cost model and calibration table."""
+"""Unit tests for the planner cost model."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.engine import KeywordSearchEngine
-from repro.planner import (
-    DEFAULT_FANOUT,
-    STATIC_PLAN_ENV,
-    CalibrationTable,
-    CostModel,
-    UnitEstimate,
-    resolve_adaptive,
-)
-
-
-class TestResolveAdaptive:
-    def test_default_is_adaptive(self, monkeypatch):
-        monkeypatch.delenv(STATIC_PLAN_ENV, raising=False)
-        assert resolve_adaptive() is True
-        assert resolve_adaptive(None) is True
-
-    def test_explicit_flag_wins_over_default(self, monkeypatch):
-        monkeypatch.delenv(STATIC_PLAN_ENV, raising=False)
-        assert resolve_adaptive(False) is False
-        assert resolve_adaptive(True) is True
-
-    @pytest.mark.parametrize("value", ["1", "true", "yes", "on", "anything"])
-    def test_env_forces_static(self, monkeypatch, value):
-        monkeypatch.setenv(STATIC_PLAN_ENV, value)
-        assert resolve_adaptive() is False
-        assert resolve_adaptive(True) is False
-
-    @pytest.mark.parametrize("value", ["", "0", "false", "no", "off", " OFF "])
-    def test_falsey_env_is_ignored(self, monkeypatch, value):
-        monkeypatch.setenv(STATIC_PLAN_ENV, value)
-        assert resolve_adaptive() is True
-        assert resolve_adaptive(False) is False
-
-    def test_engine_honours_env(self, monkeypatch, company_db):
-        monkeypatch.setenv(STATIC_PLAN_ENV, "1")
-        engine = KeywordSearchEngine(company_db)
-        assert engine.adaptive is False
-        monkeypatch.delenv(STATIC_PLAN_ENV)
-        assert KeywordSearchEngine(company_db).adaptive is True
-
-
-class TestCalibrationTable:
-    def test_unseen_kind_has_neutral_factor(self):
-        table = CalibrationTable()
-        assert table.factor("paths") == 1.0
-        assert len(table) == 0
-        assert table.updates == 0
-
-    def test_factor_is_observed_over_predicted(self):
-        table = CalibrationTable()
-        table.observe("paths", predicted=10.0, observed=5.0)
-        assert table.factor("paths") == pytest.approx(0.5)
-        table.observe("paths", predicted=10.0, observed=15.0)
-        assert table.factor("paths") == pytest.approx(1.0)
-        assert table.updates == 2
-
-    def test_factor_is_clamped(self):
-        table = CalibrationTable()
-        table.observe("paths", 1.0, 1e9)
-        assert table.factor("paths") == 100.0
-        table = CalibrationTable()
-        table.observe("paths", 1e9, 0.0)
-        assert table.factor("paths") == 0.01
-
-    def test_nonpositive_predictions_are_ignored(self):
-        table = CalibrationTable()
-        table.observe("paths", 0.0, 50.0)
-        table.observe("paths", -3.0, 50.0)
-        assert len(table) == 0
-
-    def test_observe_is_commutative(self):
-        pairs = [(10.0, 4.0), (2.0, 9.0), (7.0, 7.0)]
-        forward, backward = CalibrationTable(), CalibrationTable()
-        for predicted, observed in pairs:
-            forward.observe("networks", predicted, observed)
-        for predicted, observed in reversed(pairs):
-            backward.observe("networks", predicted, observed)
-        assert forward.to_dict() == backward.to_dict()
-
-    def test_roundtrip_and_additive_load(self):
-        table = CalibrationTable()
-        table.observe("paths", 10.0, 5.0)
-        copy = CalibrationTable()
-        copy.load(table.to_dict())
-        assert copy.to_dict() == table.to_dict()
-        copy.load(table.to_dict())  # additive: doubles the sums
-        assert copy.updates == 2
-        assert copy.factor("paths") == pytest.approx(0.5)  # ratio unchanged
+from repro.planner import DEFAULT_FANOUT, CostModel, UnitEstimate
 
 
 class TestCostModel:
@@ -124,16 +35,6 @@ class TestCostModel:
         ]
         scan = estimates[0]
         assert scan.est_candidates == scan.units  # scans are exact
-
-    def test_calibration_scales_estimates(self, engine):
-        plan, __ = engine._plan("Smith XML", None, "and")
-        table = CalibrationTable()
-        table.observe("paths", 10.0, 2.5)  # factor 0.25
-        plain = CostModel(index=engine.index).estimate_plan(plan)[0]
-        tuned = CostModel(index=engine.index,
-                          calibration=table).estimate_plan(plan)[0]
-        assert tuned.est_candidates == pytest.approx(
-            plain.est_candidates * 0.25)
 
     def test_annotate_attaches_estimates_without_changing_ops(self, engine):
         plan, __ = engine._plan("Smith XML", None, "and")

@@ -160,6 +160,43 @@ class TestRoundTrip:
                         cold.search(query, limits=LIMITS, semantics=semantics)
                     )
 
+    def test_retired_calibration_key_is_ignored(self, saved, tmp_path):
+        """Older snapshots carry learned planner calibration under a
+        ``calibration`` key of the ``stats`` section; the loader ignores
+        it, such a file answers like a cold build, and saving it again
+        writes no such key."""
+        __, path, ___ = saved
+        with Snapshot(path) as snapshot:
+            stats = snapshot.json("stats")
+            legacy_stats = dict(stats, calibration={
+                "paths": {"predicted": 40.0, "observed": 1.0, "count": 4.0},
+            })
+            sections = [
+                (name, snapshot_module._json_bytes(legacy_stats)
+                 if name == "stats" else bytes(snapshot.section(name)))
+                for name in snapshot.sections()
+            ]
+        legacy = tmp_path / "legacy.snap"
+        snapshot_module._publish(legacy, SNAPSHOT_FORMAT, sections)
+        cold = KeywordSearchEngine(planted_database())
+        assert DatabaseStatistics.from_dict(
+            cold.database, legacy_stats
+        ).to_dict() == stats
+        resaved = tmp_path / "resaved.snap"
+        with KeywordSearchEngine.open(legacy) as restored:
+            for query in QUERIES:
+                for semantics in ("and", "or"):
+                    assert rendered(
+                        restored.search(query, limits=LIMITS, semantics=semantics)
+                    ) == rendered(
+                        cold.search(query, limits=LIMITS, semantics=semantics)
+                    )
+            assert restored.statistics.to_dict() == stats
+            restored.save(resaved)
+        with Snapshot(resaved) as snapshot:
+            assert "calibration" not in snapshot.json("stats")
+        assert resaved.read_bytes() == path.read_bytes()
+
     def test_statistics_restored(self, saved):
         engine, path, __ = saved
         restored = KeywordSearchEngine.open(path)
@@ -574,30 +611,36 @@ class TestDeltaSection:
         assert restored.statistics is None
         restored.close()
 
-    def test_learned_calibration_survives_a_delta_compaction(self, compacted):
-        path = compacted[0]
-        engine = KeywordSearchEngine.open(path, wal=True)
-        engine._ensure_cost_model()
-        engine.calibration.observe("and", 4.0, 8.0)
-        learned = engine.calibration.to_dict()
-        engine.apply([])
-        engine.compact_wal()
-        engine.close()
-        with Snapshot(path) as snapshot:
-            assert "delta" in snapshot.sections()
-            assert snapshot.json("stats")["calibration"] == learned
-        restored = KeywordSearchEngine.open(path)
-        restored._ensure_cost_model()
-        assert restored.calibration.to_dict() == learned
-        restored.close()
+    def test_delta_compaction_byte_copies_every_base_section(
+        self, saved, compacted, tmp_path
+    ):
+        """A delta compaction re-encodes ``meta`` and appends ``delta``;
+        every other section of the base, ``stats`` included, keeps its
+        bytes and its TOC CRC — also when the base is a delta file."""
+        engine, __, ___ = saved
+        base = tmp_path / "base.snap"
+        engine.save(base)  # the bytes ``compacted`` started from
 
-        # An engine that never loaded the stored table copies it as is.
+        def copied(path):
+            with Snapshot(path) as snapshot:
+                return {
+                    name: (snapshot.read(name), snapshot._toc[name][2])
+                    for name in snapshot.sections()
+                    if name not in ("meta", "delta")
+                }
+
+        path, __, records = compacted
+        expected = copied(base)
+        assert "stats" in expected
+        assert copied(path) == expected
         engine = KeywordSearchEngine.open(path, wal=True)
+        engine.search("kwalpha kwbeta", limits=LIMITS)
         engine.apply([])
         engine.compact_wal()
         engine.close()
         with Snapshot(path) as snapshot:
-            assert snapshot.json("stats")["calibration"] == learned
+            assert len(snapshot.delta()) == records + 1
+        assert copied(path) == expected
 
     def _delta_span(self, path):
         with Snapshot(path) as snapshot:
