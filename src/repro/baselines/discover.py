@@ -41,6 +41,8 @@ from repro.graph.traversal import enumerate_joining_trees
 from repro.relational.database import TupleId
 
 __all__ = [
+    "induced_subgraph",
+    "is_connected_set",
     "is_total",
     "is_mtjnt",
     "find_mtjnts",
@@ -48,6 +50,29 @@ __all__ = [
     "CandidateNetwork",
     "candidate_networks",
 ]
+
+
+def induced_subgraph(
+    data_graph: DataGraph, tids: Iterable[TupleId]
+) -> nx.MultiGraph:
+    """Subgraph induced on a tuple set, *including* all stored edges.
+
+    This is the structure MTJNT minimality is defined over: a tuple set
+    may be connected through edges that are not on the path that
+    produced it.
+    """
+    return data_graph.graph.subgraph(list(tids))
+
+
+def is_connected_set(data_graph: DataGraph, tids: Iterable[TupleId]) -> bool:
+    """True when the induced subgraph on ``tids`` is connected."""
+    tids = list(tids)
+    if not tids:
+        return False
+    subgraph = induced_subgraph(data_graph, tids)
+    if subgraph.number_of_nodes() != len(set(tids)):
+        return False
+    return nx.is_connected(nx.Graph(subgraph))
 
 
 def _keyword_cover(
@@ -84,7 +109,7 @@ def is_mtjnt(
     members = set(tuple_ids)
     if not members:
         return False
-    if not data_graph.is_connected_set(members):
+    if not is_connected_set(data_graph, members):
         return False
     if not is_total(members, matches):
         return False
@@ -92,7 +117,7 @@ def is_mtjnt(
         return True
     for candidate in members:
         rest = members - {candidate}
-        if data_graph.is_connected_set(rest) and is_total(rest, matches):
+        if is_connected_set(data_graph, rest) and is_total(rest, matches):
             return False
     return True
 

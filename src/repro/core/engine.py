@@ -271,10 +271,7 @@ class KeywordSearchEngine:
 
     def _executor(self) -> Executor:
         return Executor(
-            self.data_graph,
-            core=self.core,
-            cache=self.traversal_cache,
-            adaptive=self.adaptive,
+            self.traversal_cache, core=self.core, adaptive=self.adaptive
         )
 
     # ------------------------------------------------------------------

@@ -60,7 +60,6 @@ from repro.graph.csr import (
     csr_enumerate_simple_paths,
     resolve_core,
 )
-from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
 from repro.graph.traversal import (
     enumerate_joining_trees,
@@ -168,23 +167,22 @@ def _coverage(answer: AnswerType) -> int:
 
 
 class Executor:
-    """Runs query plans over one data graph, streaming ranked answers."""
+    """Runs query plans over one traversal cache, streaming ranked answers."""
 
     def __init__(
         self,
-        data_graph: DataGraph,
+        cache: TraversalCache,
         *,
         core: Optional[str] = None,
-        cache: Optional[TraversalCache] = None,
         adaptive: bool = True,
     ) -> None:
-        self.data_graph = data_graph
+        #: The compiled graph the csr kernels run on; its data graph
+        #: renders answers and serves the reference core.
+        self.cache = cache
+        self.data_graph = cache.data_graph
         #: Traversal kernel: ``csr`` (compiled integer kernels, the
         #: default) or ``reference`` (the brute-force networkx oracle).
         self.core = resolve_core(core)
-        if cache is None or cache.data_graph is not data_graph:
-            cache = TraversalCache(data_graph)
-        self.cache = cache
         #: Selectivity-ordered pushdown: enumeration units enter the
         #: state heaps on admissible BFS distance bounds (streams built
         #: lazily, provably-empty units skipped) instead of eagerly
@@ -215,8 +213,6 @@ class Executor:
         pairs) may be computed ahead of need; the LRU keeps that
         bounded.
         """
-        if self.cache is None:
-            return
         frozen = self.cache.frozen()
         blocks: dict = {}  # radius -> node ints
         for tid, radius in plan.distance_sources(limits).items():
@@ -439,12 +435,11 @@ class Executor:
     ) -> Iterator:
         if self.core == "csr":
             return csr_enumerate_simple_paths(
-                self.data_graph,
+                self.cache,
                 source,
                 target,
                 limits.max_rdb_length,
                 max_paths=limits.max_paths_per_pair,
-                cache=self.cache,
             )
         return enumerate_simple_paths(
             self.data_graph,
@@ -461,11 +456,10 @@ class Executor:
     ) -> Iterator:
         if self.core == "csr":
             return csr_enumerate_joining_trees(
-                self.data_graph,
+                self.cache,
                 list(required),
                 limits.max_tuples,
                 max_results=limits.max_networks,
-                cache=self.cache,
             )
         return enumerate_joining_trees(
             self.data_graph,
@@ -543,7 +537,7 @@ class Executor:
                 if key in seen:
                     continue
                 seen.add(key)
-                yield JoiningNetwork(self.data_graph, tuple_set, keyword_tuples)
+                yield JoiningNetwork(self.cache, tuple_set, keyword_tuples)
 
     def _stream_full(
         self, plan: QueryPlan, ranker: Ranker, limits: SearchLimits
@@ -916,9 +910,7 @@ class _NetworkState:
         if key in self._seen:
             return None
         self._seen.add(key)
-        answer = JoiningNetwork(
-            self._executor.data_graph, tuple_set, keyword_tuples
-        )
+        answer = JoiningNetwork(self._executor.cache, tuple_set, keyword_tuples)
         return answer, self._executor._score(
             answer, self._ranker, self._coverage_major
         )

@@ -8,7 +8,8 @@ Answers come in two shapes:
 * :class:`JoiningNetwork` — a connected tuple *tree* covering one match
   tuple per keyword, for queries with three or more keywords.  A joining
   network aggregates the paper's per-path metrics over the tree paths
-  between its keyword tuples.
+  between its keyword tuples; the tree comes from the compiled CSR rows
+  of its tuples, so no query shape needs the networkx multigraph.
 
 Both shapes expose the same ranking interface: ``rdb_length``,
 ``er_length``, ``loose_joint_count()``, ``ambiguity_factor()`` and
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.core import ambiguity as ambiguity_module
 from repro.core.connections import Connection
@@ -35,14 +36,10 @@ from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
 from repro.graph.traversal import (
     TuplePathStep,
-    _sort_key,
     enumerate_joining_trees,
     enumerate_simple_paths,
 )
 from repro.relational.database import TupleId
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = [
     "SearchLimits",
@@ -115,8 +112,9 @@ class SingleTupleAnswer:
 class JoiningNetwork:
     """A connected tuple tree covering one match tuple per keyword.
 
-    The network stores a spanning tree of the induced subgraph on its tuple
-    set (minimum-edge, deterministic) and derives the paper's metrics from
+    The network stores a spanning tree of its tuple set, built from the
+    compiled graph's rows (:meth:`~repro.graph.csr.FrozenGraph.spanning_tree`:
+    minimum-edge, deterministic), and derives the paper's metrics from
     the tree paths between keyword tuples:
 
     * ``rdb_length`` — number of tree edges;
@@ -124,92 +122,84 @@ class JoiningNetwork:
       degree two;
     * ``loose_joint_count`` / ``ambiguity_factor`` — summed / multiplied
       over the pairwise tree paths between keyword tuples.
+
+    ``cache`` is the :class:`TraversalCache` the network was enumerated
+    on; its data graph renders the network and its paths.
     """
 
     def __init__(
         self,
-        data_graph: DataGraph,
+        cache: TraversalCache,
         tuple_ids: frozenset[TupleId],
         keyword_tuples: dict[str, TupleId],
     ) -> None:
-        self.data_graph = data_graph
+        self.cache = cache
         self.tuples = tuple_ids
         self.keyword_tuples = dict(keyword_tuples)
         self.covered_keywords = frozenset(keyword_tuples)
         # Computed on first metric access: rendering and identity don't
         # need the tree, so reconstructing a network (e.g. from a
         # parallel worker's portable answer) stays allocation-cheap.
-        self._tree_cache: Optional[nx.Graph] = None
+        self._tree_cache: Optional[dict[TupleId, list[TuplePathStep]]] = None
         self._paths: Optional[tuple[Connection, ...]] = None
 
     @property
-    def _tree(self) -> nx.Graph:
+    def _tree(self) -> dict[TupleId, list[TuplePathStep]]:
+        """Tree adjacency: every member's incident tree edges, each as a
+        step leaving that member."""
         if self._tree_cache is None:
-            self._tree_cache = self._spanning_tree()
+            tree: dict[TupleId, list[TuplePathStep]] = {
+                tid: [] for tid in self.tuples
+            }
+            for step in self.cache.frozen().spanning_tree(self.tuples):
+                tree[step.source].append(step)
+                tree[step.target].append(TuplePathStep(
+                    step.target, step.source, step.edge_key, step.edge_data
+                ))
+            self._tree_cache = tree
         return self._tree_cache
-
-    def _spanning_tree(self) -> nx.Graph:
-        # The minimum-spanning-tree tie-break among equal-weight edges
-        # follows the node order of ``simple``, so it is added sorted:
-        # a subgraph view under half the graph's size iterates its node
-        # *set*, whatever order it was induced over — an order that
-        # depends on the hash seed, and a network's score on the size
-        # of the whole graph.
-        import networkx as nx
-
-        induced = self.data_graph.induced_subgraph(
-            sorted(self.tuples, key=_sort_key)
-        )
-        simple = nx.Graph()
-        simple.add_nodes_from(sorted(induced.nodes, key=_sort_key))
-        for left, right, key, data in sorted(
-            induced.edges(keys=True, data=True),
-            key=lambda item: (str(item[0]), str(item[1]), item[2]),
-        ):
-            if not simple.has_edge(left, right):
-                simple.add_edge(left, right, edge_key=key, edge_data=data)
-        return nx.minimum_spanning_tree(simple)
 
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
     @property
     def rdb_length(self) -> int:
-        return self._tree.number_of_edges()
+        return len(self.tuples) - 1
 
     @property
     def er_length(self) -> int:
+        is_middle = self.cache.data_graph.is_middle
         collapsed = 0
-        for node in self._tree.nodes:
-            if not self.data_graph.is_middle(node):
-                continue
-            neighbours = list(self._tree.neighbors(node))
-            if len(neighbours) == 2 and not any(
-                self.data_graph.is_middle(n) for n in neighbours
+        for node, steps in self._tree.items():
+            if is_middle(node) and len(steps) == 2 and not any(
+                is_middle(step.target) for step in steps
             ):
                 collapsed += 1
-        return self._tree.number_of_edges() - collapsed
+        return self.rdb_length - collapsed
 
     def keyword_pair_paths(self) -> tuple[Connection, ...]:
         """Tree paths between every pair of keyword tuples."""
         if self._paths is not None:
             return self._paths
-        import networkx as nx
-
+        tree = self._tree
         paths = []
         tids = sorted(set(self.keyword_tuples.values()), key=str)
         for left, right in combinations(tids, 2):
-            node_path = nx.shortest_path(self._tree, left, right)
+            # The one tree path: walk back from ``right`` over the steps
+            # a search from ``left`` arrived by.
+            arrived: dict[TupleId, Optional[TuplePathStep]] = {left: None}
+            pending = [left]
+            while pending:
+                for step in tree[pending.pop()]:
+                    if step.target not in arrived:
+                        arrived[step.target] = step
+                        pending.append(step.target)
             steps = []
-            for source, target in zip(node_path, node_path[1:]):
-                data = self._tree.edges[source, target]
-                steps.append(
-                    TuplePathStep(
-                        source, target, data["edge_key"], data["edge_data"]
-                    )
-                )
-            if steps:
-                paths.append(Connection(self.data_graph, steps))
+            while (step := arrived[right]) is not None:
+                steps.append(step)
+                right = step.source
+            steps.reverse()
+            paths.append(Connection(self.cache.data_graph, steps))
         self._paths = tuple(paths)
         return self._paths
 
@@ -229,7 +219,7 @@ class JoiningNetwork:
 
     def render(self) -> str:
         labels = []
-        database = self.data_graph.database
+        database = self.cache.data_graph.database
         inverse: dict[TupleId, list[str]] = {}
         for keyword, tid in self.keyword_tuples.items():
             inverse.setdefault(tid, []).append(keyword)
@@ -297,7 +287,7 @@ def find_connections(
             keywords=[m.keyword for m in matches],
         )
     core = resolve_core(core)
-    if core != "reference" and cache is None:
+    if cache is None:
         cache = TraversalCache(data_graph)
     first, second = matches
     if include_single_tuples:
@@ -313,12 +303,11 @@ def find_connections(
                 continue
             if core == "csr":
                 paths = csr_enumerate_simple_paths(
-                    data_graph,
+                    cache,
                     source,
                     target,
                     limits.max_rdb_length,
                     max_paths=limits.max_paths_per_pair,
-                    cache=cache,
                 )
             else:
                 paths = enumerate_simple_paths(
@@ -360,7 +349,7 @@ def find_joining_networks(
     if any(match.is_empty for match in matches):
         return
     core = resolve_core(core)
-    if core != "reference" and cache is None:
+    if cache is None:
         cache = TraversalCache(data_graph)
     seen: set[tuple[frozenset[TupleId], tuple[tuple[str, TupleId], ...]]] = set()
     assignments = product(*(match.tuple_ids for match in matches))
@@ -371,11 +360,7 @@ def find_joining_networks(
         required = list(dict.fromkeys(assignment))
         if core == "csr":
             tuple_sets = csr_enumerate_joining_trees(
-                data_graph,
-                required,
-                limits.max_tuples,
-                max_results=limits.max_networks,
-                cache=cache,
+                cache, required, limits.max_tuples, max_results=limits.max_networks
             )
         else:
             tuple_sets = enumerate_joining_trees(
@@ -389,4 +374,4 @@ def find_joining_networks(
             if key in seen:
                 continue
             seen.add(key)
-            yield JoiningNetwork(data_graph, tuple_set, keyword_tuples)
+            yield JoiningNetwork(cache, tuple_set, keyword_tuples)

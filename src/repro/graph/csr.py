@@ -36,17 +36,24 @@ kernels entirely on dense ints:
   :attr:`FrozenGraph.compaction_threshold` the side tables are folded
   back into flat arrays (compaction), so a long-lived served engine
   never degrades into a pile of overrides.
+* **Network trees.**  A joining network's spanning tree is Kruskal over
+  its members' rows (:meth:`FrozenGraph.spanning_tree`), so scoring a
+  network reads the compiled graph too: a csr engine never builds the
+  networkx multigraph, whatever the query shape.
 
-The output contract is the one the differential tests enforce: same
-answers, same order, same :class:`~repro.errors.SearchLimitError`
-budget points as :mod:`repro.graph.traversal`.
+The kernels take the engine's
+:class:`~repro.graph.fast_traversal.TraversalCache`: it holds the one
+compiled graph and counts what they yield.  The output contract is the
+one the differential tests enforce: same answers, same order, same
+:class:`~repro.errors.SearchLimitError` budget points as
+:mod:`repro.graph.traversal`.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import OrderedDict, defaultdict
-from typing import Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 from repro.errors import QueryError, SearchLimitError
 from repro.graph.data_graph import DataGraph
@@ -55,6 +62,9 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.relational.database import TupleId
 from repro.relational.index import _Derived
+
+if TYPE_CHECKING:
+    from repro.graph.fast_traversal import TraversalCache
 
 __all__ = [
     "CORES",
@@ -196,8 +206,8 @@ class FrozenGraph:
         """(Re)build the flat arrays and reset every derived structure.
 
         The first compilation reads the database's foreign-key
-        references directly — or the multigraph, when the data graph
-        already materialised one.  A graph that is already compiled —
+        references (:meth:`_rows_from_database`), never the networkx
+        multigraph.  A graph that is already compiled —
         patched since, or assembled by :meth:`from_parts` — is
         *folded*: tombstones dropped, appended nodes merged into
         ``_sort_key`` order and the override table written back into
@@ -206,8 +216,6 @@ class FrozenGraph:
         self.compile_stamp += 1
         if self._tid_of is not None:
             tids, keys, node_of, rows = self._rows_from_self()
-        elif self.data_graph.materialized:
-            tids, keys, node_of, rows = self._rows_from_graph()
         else:
             tids, keys, node_of, rows = self._rows_from_database()
         offsets = array("i", [0])
@@ -257,35 +265,15 @@ class FrozenGraph:
         self._log_start = 0
         self._neighbour_rows: dict[int, tuple[int, ...]] = {}
 
-    def _rows_from_graph(self):
-        """``(tids, sort keys, node map, rows)`` of the data graph's
-        multigraph, nodes in ``_sort_key`` order and each row in
-        expansion order."""
-        graph = self.data_graph.graph
-        tids = sorted(graph.nodes, key=_sort_key)
-        node_of = _index_nodes(tids)
-        # Held on the instance already: ``_sorted_row`` sorts by it.
-        keys = self._keys = [_sort_key(tid) for tid in tids]
-        rows = (
-            self._sorted_row(
-                [
-                    (node_of[other.relation][other.key], key, data)
-                    for __, other, key, data in graph.edges(
-                        tid, keys=True, data=True
-                    )
-                ]
-            )
-            for tid in tids
-        )
-        return tids, keys, node_of, rows
-
     def _rows_from_database(self):
         """``(tids, sort keys, node map, rows)`` straight from the stored
-        references: what :meth:`_rows_from_graph` reads off the
-        multigraph, without building it.  An edge there is ``(unordered
-        pair, fk name)``, so a self-reference holds one entry in its one
-        row, and a two-tuple cycle through one self-referencing FK is
-        one edge carrying the later reference's payload."""
+        references, nodes in ``_sort_key`` order and each row in
+        expansion order: the rows
+        :func:`~repro.graph.data_graph.build_tuple_graph`'s multigraph
+        holds, without building it.  An edge there is ``(unordered pair,
+        fk name)``, so a self-reference holds one entry in its one row,
+        and a two-tuple cycle through one self-referencing FK is one
+        edge carrying the later reference's payload."""
         database = self.data_graph.database
         records = list(database.all_tuples())
         unsorted_keys = [_sort_key(record.tid) for record in records]
@@ -508,6 +496,36 @@ class FrozenGraph:
                 if other not in members:
                     neighbours.add(other)
         return self._sort_ints(neighbours)
+
+    def spanning_tree(self, tids) -> list[TuplePathStep]:
+        """Spanning-tree edges of the tuples ``tids`` over the edges they
+        hold among themselves (Kruskal, union-find): members in
+        ``_sort_key`` order, each row in expansion order, so the first
+        entry of a pair is its smallest edge key.  That is the order
+        networkx's unit-weight minimum spanning tree took over the
+        induced multigraph; each step runs from the member whose row
+        held the entry."""
+        nodes = {self.node_of(tid) for tid in tids}
+        nodes.discard(None)
+        parent = {node: node for node in nodes}
+
+        def root(node: int) -> int:
+            while parent[node] != node:
+                parent[node] = node = parent[parent[node]]
+            return node
+
+        tid_of = self._tid_of
+        edges = []
+        for node in self._sort_ints(nodes):
+            row_targets, row_keys, row_datas, start, end = self._row(node)
+            for at in range(start, end):
+                other = row_targets[at]
+                if other in nodes and root(node) != root(other):
+                    parent[root(other)] = root(node)
+                    edges.append(TuplePathStep(
+                        tid_of[node], tid_of[other], row_keys[at], row_datas[at]
+                    ))
+        return edges
 
     # ------------------------------------------------------------------
     # distance rows
@@ -815,38 +833,24 @@ class FrozenGraph:
         )
 
 
-def _private_frozen(data_graph: DataGraph, cache) -> tuple[FrozenGraph, object]:
-    """Resolve the compiled graph for one kernel call.
-
-    A cache built on another graph would serve a stale compilation;
-    fall back to a private one rather than answer wrongly.
-    """
-    if cache is not None and cache.data_graph is data_graph:
-        return cache.frozen(), cache
-    return FrozenGraph(data_graph), None
-
-
 def csr_enumerate_simple_paths(
-    data_graph: DataGraph,
+    cache: TraversalCache,
     source: TupleId,
     target: TupleId,
     max_edges: int,
     max_paths: Optional[int] = None,
-    cache=None,
 ) -> Iterator[list[TuplePathStep]]:
     """Drop-in replacement for ``enumerate_simple_paths`` on the compiled core.
 
     Same paths, same order, same budget semantics as the reference core.
     The forward DFS runs on ints with a shared visited ``bytearray``
     and an in-place path stack (push/undo, no per-expansion copies);
-    the backward BFS bound is an array lookup.  ``cache`` is the
-    engine's :class:`~repro.graph.fast_traversal.TraversalCache` — its
-    compiled :class:`FrozenGraph` and enumeration counters are used
-    when it matches ``data_graph``.
+    the backward BFS bound is an array lookup.  ``cache`` supplies the
+    compiled :class:`FrozenGraph` and counts the paths yielded.
     """
     if max_edges < 1:
         return
-    frozen, counters = _private_frozen(data_graph, cache)
+    frozen = cache.frozen()
     src = frozen.node_of(source)
     dst = frozen.node_of(target)
     if src is None or dst is None:
@@ -932,8 +936,7 @@ def csr_enumerate_simple_paths(
                     source=str(source),
                     target=str(target),
                 )
-            if counters is not None:
-                counters.paths_enumerated += 1
+            cache.paths_enumerated += 1
             steps = []
             for level, frame in enumerate(suspended):
                 taken = frame[0] - 1
@@ -958,23 +961,23 @@ def csr_enumerate_simple_paths(
 
 
 def csr_enumerate_joining_trees(
-    data_graph: DataGraph,
+    cache: TraversalCache,
     required: Sequence[TupleId],
     max_tuples: int,
     max_results: Optional[int] = None,
-    cache=None,
 ) -> Iterator[frozenset[TupleId]]:
     """Drop-in replacement for ``enumerate_joining_trees`` on the compiled core.
 
     Identical growth order and budget behaviour; the frontier grows
     frozensets of *ints* (cheap hashing, int-order sorting while the
     interning is dense) and distance pruning reads flat array rows.
-    Tuple ids reappear only at yield boundaries.
+    Tuple ids reappear only at yield boundaries.  ``cache`` supplies
+    the compiled :class:`FrozenGraph` and counts the trees yielded.
     """
     required = list(dict.fromkeys(required))
     if not required:
         return
-    frozen, counters = _private_frozen(data_graph, cache)
+    frozen = cache.frozen()
     req: list[int] = []
     for tid in required:
         node = frozen.node_of(tid)
@@ -1012,8 +1015,7 @@ def csr_enumerate_joining_trees(
                             "joining tree enumeration exceeded budget",
                             max_results=max_results,
                         )
-                    if counters is not None:
-                        counters.trees_enumerated += 1
+                    cache.trees_enumerated += 1
                     yield frozenset(tid_of[node] for node in current)
             if len(current) >= max_tuples:
                 continue

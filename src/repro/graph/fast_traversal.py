@@ -70,11 +70,6 @@ class TraversalCache:
                 obs_metrics.REGISTRY.inc("csr.compiles")
         return self._frozen
 
-    def compiled(self):
-        """The compiled graph when one is held, else ``None`` — for
-        callers that use it if present but must not trigger a build."""
-        return self._frozen
-
     def apply_changeset(self, changeset) -> None:
         """Patch the compiled graph, when built, with one applied
         changeset (tombstone/append + per-row edge deltas), so the next

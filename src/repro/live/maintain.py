@@ -8,8 +8,8 @@ place* instead of rebuilding it:
   (re-)indexes updated/added ones through the inverted index's
   incremental hooks; posting order stays identical to a fresh build.
 * :func:`apply_to_graph` — removes/adds nodes and FK edges on the data
-  graph exactly as construction would, and (via the patch methods)
-  invalidates the cached conceptual view and bumps the graph version.
+  graph's networkx multigraph exactly as construction would (a no-op
+  until something built it).
 * :func:`apply_to_traversal_cache` — patches the cache's compiled CSR
   graph in place (tombstone / append / per-row edge deltas).
 
@@ -21,6 +21,8 @@ tuples — so a changed edge can only create, destroy or reshape an answer
 whose matched tuples lie within that many hops of it; everything farther
 out keeps its cached answers (value changes and match-set changes are
 caught separately by the cache's footprints and keyword fingerprints).
+The ball is swept over the compiled CSR rows; nothing here imports
+networkx.
 """
 
 from __future__ import annotations
@@ -121,30 +123,18 @@ def affected_tuples(
     matched tuples — the first changed edge on the way is reached over
     unchanged edges, and those all exist in the patched graph.
 
-    The sweep runs on the compiled CSR rows when the cache holds them
-    (never touching networkx) and over the data graph's adjacency
-    otherwise.  Value-only updates do not appear here: the answer
+    The sweep runs on the compiled CSR rows (compiled now, from the
+    patched database, when the cache held none) and never touches
+    networkx.  Value-only updates do not appear here: the answer
     cache tests them against entry footprints.
     """
     seeds = changeset.structural_tuples()
     if not seeds:
         return {}
-    frozen = traversal_cache.compiled()
-    if frozen is not None:
-        nodes = [
-            node
-            for tid in seeds
-            if (node := frozen.node_of(tid)) is not None
-        ]
-        depth_of = _ball(nodes, frozen.neighbour_row, reach)
-        affected = dict(zip(frozen.tids(depth_of), depth_of.values()))
-    else:
-        graph = traversal_cache.data_graph.graph
-        affected = _ball(
-            [tid for tid in seeds if tid in graph],
-            graph.neighbors,
-            reach,
-        )
+    frozen = traversal_cache.frozen()
+    nodes = [node for tid in seeds if (node := frozen.node_of(tid)) is not None]
+    depth_of = _ball(nodes, frozen.neighbour_row, reach)
+    affected = dict(zip(frozen.tids(depth_of), depth_of.values()))
     for tid in changeset.tuples_removed:
         affected[tid] = 0
     return affected

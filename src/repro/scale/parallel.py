@@ -100,8 +100,9 @@ def _portable_answer(answer):
     raise TypeError(f"unportable answer type: {type(answer).__name__}")
 
 
-def revive_result(data_graph, portable, score, rank) -> SearchResult:
-    """Rebuild one :class:`SearchResult` against the coordinator's graph.
+def revive_result(cache, portable, score, rank) -> SearchResult:
+    """Rebuild one :class:`SearchResult` against the coordinator's
+    traversal cache and its data graph.
 
     Edge payload dicts travel by value; they compare equal to the
     coordinator's own (payloads are ``{foreign_key, referencing}``
@@ -111,12 +112,12 @@ def revive_result(data_graph, portable, score, rank) -> SearchResult:
     """
     kind = portable[0]
     if kind == "single":
-        answer = SingleTupleAnswer(data_graph, portable[1], portable[2])
+        answer = SingleTupleAnswer(cache.data_graph, portable[1], portable[2])
     elif kind == "connection":
         steps = [TuplePathStep(*step) for step in portable[1]]
-        answer = Connection(data_graph, steps, portable[2])
+        answer = Connection(cache.data_graph, steps, portable[2])
     else:
-        answer = JoiningNetwork(data_graph, portable[1], portable[2])
+        answer = JoiningNetwork(cache, portable[1], portable[2])
     return SearchResult(answer=answer, score=score, rank=rank)
 
 
@@ -778,7 +779,7 @@ def _run_batch_traced(
             engine.last_stats = stats
             raise payload
         results = [
-            revive_result(engine.data_graph, portable, score, rank + 1)
+            revive_result(engine.traversal_cache, portable, score, rank + 1)
             for rank, (portable, score) in enumerate(payload)
         ]
         resolved[query] = results

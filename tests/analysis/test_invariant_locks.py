@@ -13,6 +13,7 @@ from repro.analysis import analyze_paths, analyze_source
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SEARCH_PATH = "src/repro/core/search.py"
+CSR_PATH = "src/repro/graph/csr.py"
 ERRORS_PATH = "src/repro/errors.py"
 
 
@@ -24,18 +25,21 @@ def read(rel_path):
 # PR 4: spanning-tree iteration order
 # ----------------------------------------------------------------------
 def test_reintroducing_pr4_spanning_tree_bug_fires_det01():
-    pristine = read(SEARCH_PATH)
-    fixed = "sorted(self.tuples, key=_sort_key)"
+    # A network's spanning tree is Kruskal over its members' rows, and
+    # the tie-break is the member order: walking the node set as
+    # iterated would make the tree depend on the hash seed again.
+    pristine = read(CSR_PATH)
+    fixed = "for node in self._sort_ints(nodes):"
     assert fixed in pristine, "the PR 4 fix moved; update this lock-in test"
-    broken = pristine.replace(fixed, "self.tuples")
+    broken = pristine.replace(fixed, "for node in nodes:")
     assert broken != pristine
     findings = [
         finding
-        for finding in analyze_source(broken, SEARCH_PATH)
+        for finding in analyze_source(broken, CSR_PATH)
         if finding.rule == "DET01"
     ]
     assert findings, "DET01 no longer catches the PR 4 spanning-tree bug"
-    assert any("self.tuples" in finding.message for finding in findings)
+    assert any("'nodes'" in finding.message for finding in findings)
 
 
 def test_pristine_search_module_has_no_det01():

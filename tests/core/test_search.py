@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.discover import is_connected_set
 from repro.core.connections import Connection
 from repro.core.matching import match_keywords
 from repro.core.search import (
@@ -12,6 +13,7 @@ from repro.core.search import (
     find_joining_networks,
 )
 from repro.errors import QueryError
+from repro.graph.fast_traversal import TraversalCache
 
 
 @pytest.fixture
@@ -139,7 +141,7 @@ class TestFindJoiningNetworks:
         assert networks
         for network in networks:
             assert network.covered_keywords == {"Smith", "Alice", "Cs"}
-            assert engine.data_graph.is_connected_set(network.tuples)
+            assert is_connected_set(engine.data_graph, network.tuples)
 
     def test_empty_keyword_yields_nothing(self, data_graph, index):
         matches = match_keywords(index, ("Smith", "unicorn"))
@@ -172,7 +174,7 @@ class TestJoiningNetworkMetrics:
             }
         )
         return JoiningNetwork(
-            data_graph,
+            TraversalCache(data_graph),
             members,
             {
                 "cs": company_db.get("DEPARTMENT", "d1").tid,
@@ -195,7 +197,7 @@ class TestJoiningNetworkMetrics:
             }
         )
         network = JoiningNetwork(
-            data_graph,
+            TraversalCache(data_graph),
             members,
             {
                 "xml": company_db.get("PROJECT", "p1").tid,
@@ -224,7 +226,7 @@ class TestJoiningNetworkMetrics:
 
     def test_equality_and_hash(self, network, data_graph, company_db):
         clone = JoiningNetwork(
-            data_graph,
+            TraversalCache(data_graph),
             network.tuples,
             dict(network.keyword_tuples),
         )

@@ -150,9 +150,7 @@ class TestPathParity:
         for source, target in itertools.permutations(nodes, 2):
             brute = list(enumerate_simple_paths(data_graph, source, target, 4))
             csr = list(
-                csr_enumerate_simple_paths(
-                    data_graph, source, target, 4, cache=cache
-                )
+                csr_enumerate_simple_paths(cache, source, target, 4)
             )
             assert csr == brute, (source, target)
 
@@ -162,67 +160,46 @@ class TestPathParity:
         for source, target in itertools.permutations(nodes[::7], 2):
             brute = list(enumerate_simple_paths(synthetic_graph, source, target, 5))
             csr = list(
-                csr_enumerate_simple_paths(
-                    synthetic_graph, source, target, 5, cache=cache
-                )
+                csr_enumerate_simple_paths(cache, source, target, 5)
             )
             assert csr == brute, (source, target)
 
     def test_disconnected_unknown_and_zero_budget(self, data_graph):
+        cache = TraversalCache(data_graph)
         assert list(
             csr_enumerate_simple_paths(
-                data_graph, tid("DEPARTMENT", "d3"), tid("EMPLOYEE", "e1"), 5
+                cache, tid("DEPARTMENT", "d3"), tid("EMPLOYEE", "e1"), 5
             )
         ) == []
         assert list(
             csr_enumerate_simple_paths(
-                data_graph, tid("EMPLOYEE", "e99"), tid("EMPLOYEE", "e1"), 3
+                cache, tid("EMPLOYEE", "e99"), tid("EMPLOYEE", "e1"), 3
             )
         ) == []
         assert list(
             csr_enumerate_simple_paths(
-                data_graph, tid("DEPARTMENT", "d1"), tid("EMPLOYEE", "e1"), 0
+                cache, tid("DEPARTMENT", "d1"), tid("EMPLOYEE", "e1"), 0
             )
         ) == []
 
     def test_budget_error_parity(self, data_graph):
         source, target = tid("DEPARTMENT", "d2"), tid("EMPLOYEE", "e2")
 
-        def consume(enumerate_fn):
+        def consume(enumerate_fn, graph):
             yielded = []
             try:
-                for path in enumerate_fn(
-                    data_graph, source, target, 5, max_paths=1
-                ):
+                for path in enumerate_fn(graph, source, target, 5, max_paths=1):
                     yielded.append(path)
             except SearchLimitError as error:
                 return yielded, error.context
             raise AssertionError("expected SearchLimitError")
 
-        brute_yielded, brute_context = consume(enumerate_simple_paths)
-        csr_yielded, csr_context = consume(csr_enumerate_simple_paths)
+        brute_yielded, brute_context = consume(enumerate_simple_paths, data_graph)
+        csr_yielded, csr_context = consume(
+            csr_enumerate_simple_paths, TraversalCache(data_graph)
+        )
         assert csr_yielded == brute_yielded
         assert csr_context == brute_context
-
-    def test_mismatched_cache_is_ignored(self, data_graph, planted_synthetic):
-        other_cache = TraversalCache(DataGraph(planted_synthetic))
-        brute = list(
-            enumerate_simple_paths(
-                data_graph, tid("DEPARTMENT", "d1"), tid("EMPLOYEE", "e1"), 3
-            )
-        )
-        csr = list(
-            csr_enumerate_simple_paths(
-                data_graph,
-                tid("DEPARTMENT", "d1"),
-                tid("EMPLOYEE", "e1"),
-                3,
-                cache=other_cache,
-            )
-        )
-        assert csr == brute
-        assert other_cache._frozen is None  # never compiled for the wrong graph
-        assert other_cache.hits == 0 and other_cache.misses == 0
 
 
 class TestTraversalCache:
@@ -237,9 +214,9 @@ class TestTraversalCache:
     def test_full_invalidate_drops_frozen_graph(self, data_graph):
         cache = TraversalCache(data_graph)
         first = cache.frozen()
-        assert cache.compiled() is first
+        assert cache._frozen is first
         cache.invalidate()
-        assert cache.compiled() is None
+        assert cache._frozen is None
         assert cache.frozen() is not first
 
 
@@ -250,9 +227,7 @@ class TestTreeParity:
         for combo in itertools.combinations(nodes[:10], 2):
             brute = list(enumerate_joining_trees(data_graph, list(combo), 5))
             csr = list(
-                csr_enumerate_joining_trees(
-                    data_graph, list(combo), 5, cache=cache
-                )
+                csr_enumerate_joining_trees(cache, list(combo), 5)
             )
             assert csr == brute, combo
 
@@ -263,16 +238,16 @@ class TestTreeParity:
             tid("PROJECT", "p1"),
         ]
         brute = list(enumerate_joining_trees(data_graph, required, 5))
-        csr = list(csr_enumerate_joining_trees(data_graph, required, 5))
+        csr = list(
+            csr_enumerate_joining_trees(TraversalCache(data_graph), required, 5)
+        )
         assert csr == brute
         cache = TraversalCache(synthetic_graph)
         nodes = sorted(synthetic_graph.graph.nodes, key=str)
         for combo in itertools.combinations(nodes[::9], 2):
             brute = list(enumerate_joining_trees(synthetic_graph, list(combo), 4))
             csr = list(
-                csr_enumerate_joining_trees(
-                    synthetic_graph, list(combo), 4, cache=cache
-                )
+                csr_enumerate_joining_trees(cache, list(combo), 4)
             )
             assert csr == brute, combo
 
@@ -280,7 +255,9 @@ class TestTreeParity:
         required = [tid("DEPARTMENT", "d1")]
         with pytest.raises(SearchLimitError):
             list(
-                csr_enumerate_joining_trees(data_graph, required, 6, max_results=2)
+                csr_enumerate_joining_trees(
+                    TraversalCache(data_graph), required, 6, max_results=2
+                )
             )
 
     def test_disconnected_set_pruned_without_component_labels(self, data_graph):
@@ -290,7 +267,7 @@ class TestTreeParity:
         for budget in (1, 4, 300):
             required = [tid("EMPLOYEE", "e1"), tid("DEPARTMENT", "d3")]
             assert list(
-                csr_enumerate_joining_trees(data_graph, required, budget, cache=cache)
+                csr_enumerate_joining_trees(cache, required, budget)
             ) == list(enumerate_joining_trees(data_graph, required, budget)) == []
 
 
@@ -404,24 +381,20 @@ def _mutation_rounds():
     ]
 
 
-def _all_enumerations(data_graph, cache=None, max_edges=4, max_tuples=4):
+def _all_enumerations(cache, max_edges=4, max_tuples=4):
     """Materialise paths and trees over a node sample (order included)."""
-    nodes = sorted(data_graph.graph.nodes, key=str)
+    nodes = sorted(cache.data_graph.graph.nodes, key=str)
     out = []
     for source, target in itertools.permutations(nodes[::3], 2):
         out.append(
             list(
-                csr_enumerate_simple_paths(
-                    data_graph, source, target, max_edges, cache=cache
-                )
+                csr_enumerate_simple_paths(cache, source, target, max_edges)
             )
         )
     for combo in itertools.combinations(nodes[::4], 2):
         out.append(
             list(
-                csr_enumerate_joining_trees(
-                    data_graph, list(combo), max_tuples, cache=cache
-                )
+                csr_enumerate_joining_trees(cache, list(combo), max_tuples)
             )
         )
     return out
@@ -432,15 +405,15 @@ class TestIncrementalPatching:
         graph = DataGraph(company_db)
         cache = TraversalCache(graph)
         frozen = cache.frozen()
-        _all_enumerations(graph, cache)  # warm distance rows
+        _all_enumerations(cache)  # warm distance rows
         for batch in _mutation_rounds():
             changeset = apply_to_database(company_db, batch)
             apply_changeset(
                 changeset, company_db, data_graph=graph, traversal_cache=cache
             )
             assert cache.frozen() is frozen  # patched, not recompiled
-            patched = _all_enumerations(graph, cache)
-            fresh = _all_enumerations(graph, TraversalCache(graph))
+            patched = _all_enumerations(cache)
+            fresh = _all_enumerations(TraversalCache(graph))
             assert patched == fresh
         assert frozen.compactions == 0
         assert frozen._override  # tombstones/appends really went in place
@@ -473,8 +446,7 @@ class TestIncrementalPatching:
         # reference core on the patched graph.
         assert list(
             csr_enumerate_simple_paths(
-                graph, tid("DEPENDENT", "z9"), tid("EMPLOYEE", "e1"), 3,
-                cache=cache,
+                cache, tid("DEPENDENT", "z9"), tid("EMPLOYEE", "e1"), 3
             )
         ) == []
 
@@ -630,17 +602,13 @@ class TestBoundedRowsMatchOracle:
         self, data_graph, unbounded_rows
     ):
         oracle = {
-            budget: _all_enumerations(
-                data_graph, TraversalCache(data_graph), budget, budget
-            )
+            budget: _all_enumerations(TraversalCache(data_graph), budget, budget)
             for budget in range(1, 7)
         }
         unbounded_rows.undo()
         for budget in range(1, 7):
             cache = TraversalCache(data_graph)
-            assert _all_enumerations(
-                data_graph, cache, budget, budget
-            ) == oracle[budget]
+            assert _all_enumerations(cache, budget, budget) == oracle[budget]
             assert _row_types(cache.frozen()) == {bytearray}
 
     def test_bounded_row_is_oracle_clipped_at_radius(self, synthetic_graph):
@@ -735,9 +703,7 @@ class TestRowCoverage:
             cache = TraversalCache(data_graph)
             for source, target in pairs:
                 assert list(
-                    csr_enumerate_simple_paths(
-                        data_graph, source, target, max_edges, cache=cache
-                    )
+                    csr_enumerate_simple_paths(cache, source, target, max_edges)
                 ) == list(
                     enumerate_simple_paths(data_graph, source, target, max_edges)
                 )
@@ -745,7 +711,7 @@ class TestRowCoverage:
         cache = TraversalCache(data_graph)
         required = [tid("EMPLOYEE", "e1"), tid("PROJECT", "p1")]
         assert list(
-            csr_enumerate_joining_trees(data_graph, required, 256, cache=cache)
+            csr_enumerate_joining_trees(cache, required, 256)
         ) == list(enumerate_joining_trees(data_graph, required, 256))
         assert _row_types(cache.frozen()) == {array}
 
@@ -807,7 +773,7 @@ class TestBoundedRowsUnderPatching:
         frozen = cache.frozen()
         source, target = tid("EMPLOYEE", "e2"), tid("DEPARTMENT", "d1")
         before = list(
-            csr_enumerate_simple_paths(graph, source, target, 5, cache=cache)
+            csr_enumerate_simple_paths(cache, source, target, 5)
         )
         assert before and all(len(path) == 5 for path in before)
         row, radius, __ = frozen._distances[frozen.node_of(target)]
@@ -827,7 +793,7 @@ class TestBoundedRowsUnderPatching:
         assert len(row) == frozen.capacity
         assert row[frozen.node_of(tid("DEPENDENT", "z7"))] == 0xFF
         assert list(
-            csr_enumerate_simple_paths(graph, source, target, 5, cache=cache)
+            csr_enumerate_simple_paths(cache, source, target, 5)
         ) == list(enumerate_simple_paths(graph, source, target, 5)) == before
 
     def test_changes_outside_a_ball_keep_the_row(self, company_db):
@@ -847,8 +813,8 @@ class TestBoundedRowsUnderPatching:
         )
         assert frozen.distances(d1, radius=2) is bounded
         assert cache.hits == hits + 1
-        assert _all_enumerations(graph, cache) == _all_enumerations(
-            graph, TraversalCache(graph)
+        assert _all_enumerations(cache) == _all_enumerations(
+            TraversalCache(graph)
         )
         # An edge landing inside the ball drops the row when it is next
         # asked for: a miss, and a fresh sweep.

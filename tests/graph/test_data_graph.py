@@ -1,7 +1,8 @@
-"""Unit tests for the tuple-level data graph and its conceptual collapse."""
+"""Unit tests for the tuple-level data graph and its induced subgraphs."""
 
 import pytest
 
+from repro.baselines.discover import induced_subgraph, is_connected_set
 from repro.er.cardinality import Cardinality
 from repro.errors import PathError
 from repro.relational.database import TupleId
@@ -82,18 +83,19 @@ class TestEdgeCardinality:
 class TestInducedSubgraphs:
     def test_connected_set(self, data_graph):
         members = [tid("DEPARTMENT", "d1"), tid("EMPLOYEE", "e1")]
-        assert data_graph.is_connected_set(members)
+        assert is_connected_set(data_graph, members)
 
     def test_disconnected_set(self, data_graph):
         members = [tid("DEPARTMENT", "d1"), tid("EMPLOYEE", "e2")]
-        assert not data_graph.is_connected_set(members)
+        assert not is_connected_set(data_graph, members)
 
     def test_indirectly_connected_needs_the_middle(self, data_graph):
         # e1 and p1 join only through w_f1.
-        assert not data_graph.is_connected_set(
-            [tid("EMPLOYEE", "e1"), tid("PROJECT", "p1")]
+        assert not is_connected_set(
+            data_graph, [tid("EMPLOYEE", "e1"), tid("PROJECT", "p1")]
         )
-        assert data_graph.is_connected_set(
+        assert is_connected_set(
+            data_graph,
             [
                 tid("EMPLOYEE", "e1"),
                 tid("WORKS_FOR", "e1", "p1"),
@@ -102,10 +104,10 @@ class TestInducedSubgraphs:
         )
 
     def test_empty_set_not_connected(self, data_graph):
-        assert not data_graph.is_connected_set([])
+        assert not is_connected_set(data_graph, [])
 
     def test_missing_node_not_connected(self, data_graph):
-        assert not data_graph.is_connected_set([tid("EMPLOYEE", "e99")])
+        assert not is_connected_set(data_graph, [tid("EMPLOYEE", "e99")])
 
     def test_induced_subgraph_keeps_internal_edges(self, data_graph):
         # d2 and e2 join directly; the subgraph on {d2, p3, w_f2, e2} keeps
@@ -116,82 +118,6 @@ class TestInducedSubgraphs:
             tid("WORKS_FOR", "e2", "p3"),
             tid("EMPLOYEE", "e2"),
         ]
-        induced = data_graph.induced_subgraph(members)
+        induced = induced_subgraph(data_graph, members)
         assert induced.has_edge(tid("DEPARTMENT", "d2"), tid("EMPLOYEE", "e2"))
         assert induced.number_of_edges() == 4
-
-
-class TestConceptualGraph:
-    def test_middle_tuples_removed(self, data_graph):
-        collapsed = data_graph.conceptual_graph()
-        assert tid("WORKS_FOR", "e1", "p1") not in collapsed
-        assert tid("EMPLOYEE", "e1") in collapsed
-
-    def test_collapsed_edge_connects_anchors(self, data_graph):
-        collapsed = data_graph.conceptual_graph()
-        assert collapsed.has_edge(tid("EMPLOYEE", "e1"), tid("PROJECT", "p1"))
-
-    def test_collapsed_edge_remembers_middle(self, data_graph):
-        collapsed = data_graph.conceptual_graph()
-        data = list(
-            collapsed[tid("EMPLOYEE", "e1")][tid("PROJECT", "p1")].values()
-        )[0]
-        assert data["middle"] == tid("WORKS_FOR", "e1", "p1")
-
-    def test_collapsed_edge_is_many_to_many(self, data_graph):
-        collapsed = data_graph.conceptual_graph()
-        data = list(
-            collapsed[tid("EMPLOYEE", "e1")][tid("PROJECT", "p1")].values()
-        )[0]
-        assert data_graph.conceptual_edge_cardinality(data).is_many_to_many
-
-    def test_plain_edges_kept(self, data_graph):
-        collapsed = data_graph.conceptual_graph()
-        assert collapsed.has_edge(tid("EMPLOYEE", "e1"), tid("DEPARTMENT", "d1"))
-
-    def test_conceptual_graph_is_cached(self, data_graph):
-        assert data_graph.conceptual_graph() is data_graph.conceptual_graph()
-
-    def test_node_and_edge_counts(self, data_graph):
-        collapsed = data_graph.conceptual_graph()
-        assert collapsed.number_of_nodes() == 12       # 16 - 4 middles
-        # 9 plain FK edges (3 project + 4 employee + 2 dependent) + 4
-        # collapsed works-on edges.
-        assert collapsed.number_of_edges() == 13
-
-
-class TestLivePatching:
-    """Satellite of the live-update subsystem: no stale conceptual views."""
-
-    def test_invalidate_caches_drops_conceptual_view(self, data_graph):
-        stale = data_graph.conceptual_graph()
-        version = data_graph.version
-        data_graph.invalidate_caches()
-        assert data_graph.version == version + 1
-        assert data_graph.conceptual_graph() is not stale
-
-    def test_patch_methods_bump_version(self, company_db, data_graph):
-        version = data_graph.version
-        record = company_db.insert(
-            "DEPENDENT", {"ID": "t9", "ESSN": "e1", "DEPENDENT_NAME": "Nora"}
-        )
-        data_graph.add_tuple_node(record)
-        assert data_graph.version == version + 1
-        data_graph.remove_tuple_node(record.tid)
-        assert data_graph.version == version + 2
-
-    def test_direct_patch_cannot_serve_stale_conceptual_view(
-        self, company_db, data_graph
-    ):
-        before = data_graph.conceptual_graph()
-        assert not before.has_edge(tid("EMPLOYEE", "e3"), tid("PROJECT", "p1"))
-        record = company_db.insert(
-            "WORKS_FOR", {"ESSN": "e3", "P_ID": "p1", "HOURS": 5}
-        )
-        data_graph.add_tuple_node(record)
-        for fk in company_db.schema.foreign_keys_from("WORKS_FOR"):
-            target = company_db.referenced_tuple(record, fk)
-            data_graph.add_fk_edge(record.tid, target.tid, fk)
-        after = data_graph.conceptual_graph()
-        assert after is not before
-        assert after.has_edge(tid("EMPLOYEE", "e3"), tid("PROJECT", "p1"))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.discover import is_connected_set
 from repro.errors import SearchLimitError
 from repro.graph.traversal import enumerate_joining_trees, enumerate_simple_paths
 from repro.relational.database import TupleId
@@ -116,7 +117,7 @@ class TestJoiningTrees:
         required = [tid("EMPLOYEE", "e1"), tid("PROJECT", "p1")]
         for tree in enumerate_joining_trees(data_graph, required, max_tuples=4):
             assert set(required) <= tree
-            assert data_graph.is_connected_set(tree)
+            assert is_connected_set(data_graph, tree)
 
     def test_smaller_trees_first(self, data_graph):
         sizes = [

@@ -3,8 +3,9 @@ nor numpy.
 
 Each case runs in a fresh interpreter, because ``sys.modules`` of the
 test process already holds whatever earlier tests imported.  The first
-case drives every serving operation — cold build and ``open(wal=True)``
-alike — and then checks the two modules were never loaded; the second
+case drives every serving operation — two- and three-keyword texts,
+cold build and ``open(wal=True)`` alike — and then checks the two
+modules were never loaded; the second
 checks that the reference core and the multigraph still import
 networkx and answer as the csr path does, and that nothing loads numpy.
 """
@@ -22,6 +23,8 @@ from repro import KeywordSearchEngine, build_company_database
 from repro.live.changes import Insert
 
 QUERY = "Smith XML"
+# Three keywords: joining networks, scored on their spanning trees.
+NETWORKS = "Smith XML Alice"
 
 
 def rendered(results):
@@ -29,14 +32,20 @@ def rendered(results):
 
 
 def serve(engine, new_id):
-    answers = {
-        semantics: rendered(engine.search(QUERY, semantics=semantics))
-        for semantics in ("and", "or")
-    }
-    assert answers["and"] and answers["or"]
-    assert rendered(engine.search_stream(QUERY)) == answers["and"]
-    batch = engine.search_batch([QUERY, "Alice XML"], jobs=2)
-    assert rendered(batch[0]) == answers["and"]
+    for query in (QUERY, NETWORKS):
+        answers = {
+            semantics: rendered(engine.search(query, semantics=semantics))
+            for semantics in ("and", "or")
+        }
+        assert answers["and"] and answers["or"]
+        for semantics, expected in answers.items():
+            assert rendered(
+                engine.search_stream(query, semantics=semantics)
+            ) == expected
+            batch = engine.search_batch(
+                [query, "Alice XML"], semantics=semantics, jobs=2
+            )
+            assert rendered(batch[0]) == expected
     engine.apply([Insert("DEPENDENT", {"ID": new_id, "ESSN": "e1",
                                        "DEPENDENT_NAME": "Smith"})])
     assert engine.search(QUERY)

@@ -22,12 +22,18 @@ from repro.core.search import SearchLimits
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like, plant
 from repro.graph.csr import (
     FrozenGraph,
+    _index_nodes,
     csr_enumerate_joining_trees,
     csr_enumerate_simple_paths,
 )
 from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
-from repro.graph.traversal import enumerate_joining_trees, enumerate_simple_paths
+from repro.graph.traversal import (
+    TuplePathStep,
+    _sort_key,
+    enumerate_joining_trees,
+    enumerate_simple_paths,
+)
 from repro.errors import IntegrityError, PrimaryKeyError
 from repro.live.changes import Delete, Insert, Update, apply_to_database
 from repro.live.maintain import apply_changeset
@@ -81,9 +87,7 @@ class TestDifferentialInvariants:
                     enumerate_simple_paths(engine.data_graph, source, target, 4)
                 )
                 csr = list(
-                    csr_enumerate_simple_paths(
-                        engine.data_graph, source, target, 4, cache=cache
-                    )
+                    csr_enumerate_simple_paths(cache, source, target, 4)
                 )
                 assert csr == brute
 
@@ -98,9 +102,7 @@ class TestDifferentialInvariants:
                 enumerate_joining_trees(engine.data_graph, list(combo), 4)
             )
             csr = list(
-                csr_enumerate_joining_trees(
-                    engine.data_graph, list(combo), 4, cache=cache
-                )
+                csr_enumerate_joining_trees(cache, list(combo), 4)
             )
             assert csr == brute
 
@@ -175,14 +177,13 @@ class TestPatchedFrozenGraph:
                 if source == target:
                     continue
                 assert list(
-                    csr_enumerate_simple_paths(graph, source, target, 4,
-                                               cache=cache)
+                    csr_enumerate_simple_paths(cache, source, target, 4)
                 ) == list(
                     enumerate_simple_paths(graph, source, target, 4)
                 )
         for combo in zip(sample, sample[1:]):
             assert list(
-                csr_enumerate_joining_trees(graph, list(combo), 4, cache=cache)
+                csr_enumerate_joining_trees(cache, list(combo), 4)
             ) == list(
                 enumerate_joining_trees(graph, list(combo), 4)
             )
@@ -489,6 +490,26 @@ def _payload_sharing(frozen):
     ]
 
 
+class _GraphRowsFrozen(FrozenGraph):
+    """Compiles from the materialised networkx multigraph instead of
+    ``Database.references``: nodes in ``_sort_key`` order, each row the
+    node's multigraph edges in expansion order."""
+
+    def _rows_from_database(self):
+        graph = self.data_graph.graph
+        tids = sorted(graph.nodes, key=_sort_key)
+        node_of = _index_nodes(tids)
+        keys = self._keys = [_sort_key(tid) for tid in tids]
+        rows = (
+            self._sorted_row([
+                (node_of[other.relation][other.key], key, data)
+                for __, other, key, data in graph.edges(tid, keys=True, data=True)
+            ])
+            for tid in tids
+        )
+        return tids, keys, node_of, rows
+
+
 class TestDirectRowsEqualGraphRows:
     """A first compile straight from ``Database.references`` equals one
     that reads an already materialised multigraph, bit for bit."""
@@ -499,7 +520,7 @@ class TestDirectRowsEqualGraphRows:
         assert not lazy.materialized
         forced_graph = DataGraph(database)
         assert forced_graph.graph is not None and forced_graph.materialized
-        forced = FrozenGraph(forced_graph)
+        forced = _GraphRowsFrozen(forced_graph)
         assert list(direct._tid_of) == list(forced._tid_of)
         assert direct._keys == forced._keys
         assert direct._offsets == forced._offsets
@@ -533,6 +554,182 @@ class TestDirectRowsEqualGraphRows:
         assert rows[TupleId("TASK", ("t03",))] == []
         assert len(rows[TupleId("TASK", ("t05",))]) == 1
         assert len(rows[TupleId("TASK", ("t04",))]) == 2
+
+
+# ----------------------------------------------------------------------
+# joining-network trees: compiled rows vs the networkx oracle
+# ----------------------------------------------------------------------
+def _networkx_tree(data_graph, tuples):
+    """The networkx minimum spanning tree a network was once scored on:
+    its induced multigraph, nodes by ``_sort_key``, one edge per pair
+    (the first by ``(str(left), str(right), key)``)."""
+    import networkx as nx
+
+    induced = data_graph.graph.subgraph(sorted(tuples, key=_sort_key))
+    simple = nx.Graph()
+    simple.add_nodes_from(sorted(induced.nodes, key=_sort_key))
+    for left, right, key, data in sorted(
+        induced.edges(keys=True, data=True),
+        key=lambda item: (str(item[0]), str(item[1]), item[2]),
+    ):
+        if not simple.has_edge(left, right):
+            simple.add_edge(left, right, edge_key=key, edge_data=data)
+    return nx.minimum_spanning_tree(simple)
+
+
+def _networkx_metrics(data_graph, tuples, keyword_tuples):
+    """Tree edges, ``er_length``, pair-path steps, loose joints and
+    ambiguity of a network, all read off :func:`_networkx_tree`."""
+    import networkx as nx
+
+    from repro.core import ambiguity
+    from repro.core.connections import Connection
+
+    tree = _networkx_tree(data_graph, tuples)
+    edges = sorted(
+        (sorted((str(left), str(right))), data["edge_key"], data["edge_data"])
+        for left, right, data in tree.edges(data=True)
+    )
+    collapsed = sum(
+        1
+        for node in tree.nodes
+        if data_graph.is_middle(node)
+        and len(list(tree.neighbors(node))) == 2
+        and not any(data_graph.is_middle(n) for n in tree.neighbors(node))
+    )
+    paths = []
+    tids = sorted(set(keyword_tuples.values()), key=str)
+    for index, left in enumerate(tids):
+        for right in tids[index + 1:]:
+            nodes = nx.shortest_path(tree, left, right)
+            paths.append(Connection(data_graph, [
+                TuplePathStep(source, target, tree.edges[source, target]["edge_key"],
+                              tree.edges[source, target]["edge_data"])
+                for source, target in zip(nodes, nodes[1:])
+            ]))
+    factor = 1
+    for path in paths:
+        factor *= ambiguity.ambiguity_factor(path)
+    return {
+        "edges": edges,
+        "rdb_length": tree.number_of_edges(),
+        "er_length": tree.number_of_edges() - collapsed,
+        "paths": [path.steps for path in paths],
+        "loose_joints": sum(path.verdict().loose_joint_count for path in paths),
+        "ambiguity": factor,
+    }
+
+
+def _network_metrics(network):
+    """What :func:`_networkx_metrics` reads, off a :class:`JoiningNetwork`."""
+    edges = sorted(
+        (sorted((str(step.source), str(step.target))), step.edge_key,
+         step.edge_data)
+        for step in network.cache.frozen().spanning_tree(network.tuples)
+    )
+    return {
+        "edges": edges,
+        "rdb_length": network.rdb_length,
+        "er_length": network.er_length,
+        "paths": [path.steps for path in network.keyword_pair_paths()],
+        "loose_joints": network.loose_joint_count(),
+        "ambiguity": network.ambiguity_factor(),
+    }
+
+
+def _connected_sets(data_graph, rng, count, max_size=6):
+    """``count`` random connected tuple sets of 2..``max_size`` tuples,
+    each grown from a random tuple through random neighbours."""
+    graph = data_graph.graph
+    nodes = sorted(graph.nodes, key=str)
+    sets = []
+    while len(sets) < count:
+        members = {rng.choice(nodes)}
+        for __ in range(rng.randint(1, max_size - 1)):
+            frontier = sorted(
+                {other for tid in members for other in graph.neighbors(tid)}
+                - members,
+                key=str,
+            )
+            if not frontier:
+                break
+            members.add(rng.choice(frontier))
+        if len(members) > 1:
+            sets.append(frozenset(members))
+    return sets
+
+
+def _assert_trees_equal(engine, rng, count):
+    """Networks over random connected sets score like the networkx
+    oracle; returns how many of the sets were cyclic."""
+    from repro.core.search import JoiningNetwork
+
+    data_graph = engine.data_graph
+    cyclic = 0
+    for members in _connected_sets(data_graph, rng, count):
+        ordered = sorted(members, key=str)
+        keyword_tuples = {
+            f"k{index}": tid
+            for index, tid in enumerate(rng.sample(ordered, min(3, len(ordered))))
+        }
+        network = JoiningNetwork(engine.traversal_cache, members, keyword_tuples)
+        assert _network_metrics(network) == _networkx_metrics(
+            data_graph, members, keyword_tuples
+        ), ordered
+        induced = data_graph.graph.subgraph(ordered)
+        cyclic += induced.number_of_edges() > len(members) - 1
+    return cyclic
+
+
+class TestNetworkTreeEqualsNetworkx:
+    """A joining network's spanning tree, built by Kruskal over the
+    compiled rows, is the tree networkx's minimum spanning tree chose
+    over the induced multigraph: same edges and keys, same ``er_length``,
+    pair paths, loose joints and ambiguity — on generated databases and
+    on the multigraph's corner cases, patched or not."""
+
+    @relaxed
+    @given(configs, st.integers(min_value=0, max_value=1 << 16))
+    def test_generated_databases(self, config, seed):
+        import random
+
+        engine = KeywordSearchEngine(generate_company_like(config))
+        _assert_trees_equal(engine, random.Random(seed), 40)
+
+    def test_corner_cases(self):
+        import random
+
+        engine = KeywordSearchEngine(_org_corner_cases())
+        person = lambda key: TupleId("PERSON", (key,))
+        rows = _rows(engine.traversal_cache.frozen())
+        # a self-loop, a two-person cycle and both task keys onto one person
+        assert (person("p03"), "fk_boss", person("p03"), "fk_boss") in rows[
+            person("p03")
+        ]
+        assert len(rows[TupleId("TASK", ("t04",))]) == 2
+        cyclic = sum(
+            _assert_trees_equal(engine, random.Random(seed), 40)
+            for seed in range(10)
+        )
+        assert cyclic
+
+    def test_patched_graph_with_appended_nodes(self):
+        import random
+
+        engine = KeywordSearchEngine(_org_corner_cases())
+        frozen = engine.traversal_cache.frozen()
+        engine.apply([
+            Insert("PERSON", {"ID": "p06", "BOSS": "p02"}),
+            Insert("TASK", {"ID": "t06", "OWNER": "p06", "REVIEWER": "p02"}),
+            Insert("TASK", {"ID": "t07", "OWNER": "p06", "REVIEWER": "p06"}),
+        ])
+        assert engine.traversal_cache.frozen() is frozen
+        assert not frozen._ints_sorted
+        cyclic = sum(
+            _assert_trees_equal(engine, random.Random(seed), 40)
+            for seed in range(10)
+        )
+        assert cyclic
 
 
 class TestDeltaRows:

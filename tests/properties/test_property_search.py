@@ -3,7 +3,12 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.discover import find_mtjnts, is_mtjnt, is_total
+from repro.baselines.discover import (
+    find_mtjnts,
+    is_connected_set,
+    is_mtjnt,
+    is_total,
+)
 from repro.core.connections import Connection
 from repro.core.engine import KeywordSearchEngine
 from repro.core.matching import match_keywords
@@ -103,14 +108,14 @@ class TestMtjntInvariants:
         for members in find_mtjnts(
             engine.data_graph, matches, SearchLimits(max_tuples=4)
         ):
-            assert engine.data_graph.is_connected_set(members)
+            assert is_connected_set(engine.data_graph, members)
             assert is_total(members, matches)
             # Brute-force minimality: no single-tuple removal survives.
             for tid in members:
                 rest = members - {tid}
                 assert not (
                     rest
-                    and engine.data_graph.is_connected_set(rest)
+                    and is_connected_set(engine.data_graph, rest)
                     and is_total(rest, matches)
                 )
 

@@ -33,6 +33,7 @@ CONFIG = SyntheticConfig(
 )
 LIMITS = SearchLimits(max_rdb_length=4, max_tuples=5)
 QUERIES = ("kwalpha kwbeta", "kwalpha kwbeta kwgamma", "kwalpha", "zznothing")
+NETWORKS = "kwalpha kwbeta kwgamma"  # answered by joining networks
 
 
 def planted_database(tenants=3):
@@ -211,6 +212,18 @@ class TestRoundTrip:
             KeywordSearchEngine.open(path, shards=2)
 
 
+def refuse_tuple_graph(monkeypatch):
+    """Make :func:`build_tuple_graph` raise; returns the real one."""
+    from repro.graph import data_graph as data_graph_module
+
+    def refuse(database):
+        raise AssertionError("build_tuple_graph called on the csr path")
+
+    real = data_graph_module.build_tuple_graph
+    monkeypatch.setattr(data_graph_module, "build_tuple_graph", refuse)
+    return real
+
+
 class TestLaziness:
     def test_pure_csr_path_query_never_builds_the_graph(self, saved):
         __, path, ___ = saved
@@ -218,13 +231,14 @@ class TestLaziness:
         restored.search("kwalpha kwbeta", limits=LIMITS)
         assert not restored.data_graph.materialized
 
-    def test_write_path_never_builds_the_graph(self, saved):
+    def test_write_path_never_builds_the_graph(self, saved, monkeypatch):
         """open(wal=True) -> apply xN -> reopen (replay) -> apply ->
         compact_wal -> search: nothing on the way materialises networkx,
         and the answers equal a cold build over the same mutations."""
         from repro.live.changes import apply_to_database
 
         __, path, ___ = saved
+        refuse_tuple_graph(monkeypatch)
         oracle_db = planted_database()
         employees = [t.tid.key[0] for t in oracle_db.tuples("EMPLOYEE")]
         batches = [
@@ -246,6 +260,7 @@ class TestLaziness:
         restored = KeywordSearchEngine.open(path, wal=True)  # replays two
         assert not restored.data_graph.materialized
         restored.search("kwalpha kwbeta", limits=LIMITS)
+        restored.search(NETWORKS, limits=LIMITS)
         for batch in batches[2:]:
             restored.apply(batch)
         assert restored.compact_wal().records_folded == len(batches)
@@ -253,14 +268,15 @@ class TestLaziness:
         for batch in batches:
             apply_to_database(oracle_db, batch)
         oracle = KeywordSearchEngine(oracle_db, result_cache_entries=0)
-        for semantics in ("and", "or"):
-            assert rendered(
-                restored.search("kwalpha kwbeta", limits=LIMITS,
-                                semantics=semantics)
-            ) == rendered(
-                oracle.search("kwalpha kwbeta", limits=LIMITS,
-                              semantics=semantics)
-            )
+        for query in ("kwalpha kwbeta", NETWORKS):
+            for semantics in ("and", "or"):
+                answers = rendered(
+                    restored.search(query, limits=LIMITS, semantics=semantics)
+                )
+                assert answers
+                assert answers == rendered(
+                    oracle.search(query, limits=LIMITS, semantics=semantics)
+                )
         assert not restored.data_graph.materialized
         restored.close()
 
@@ -272,12 +288,10 @@ class TestLaziness:
         from repro.core.ranking import InstanceAmbiguityRanker
         from repro.graph import data_graph as data_graph_module
 
-        def refuse(database):
-            raise AssertionError("build_tuple_graph called on the csr path")
-
-        real = data_graph_module.build_tuple_graph
-        monkeypatch.setattr(data_graph_module, "build_tuple_graph", refuse)
+        real = refuse_tuple_graph(monkeypatch)
         engine = KeywordSearchEngine(planted_database())
+        for semantics in ("and", "or"):
+            assert engine.search(NETWORKS, limits=LIMITS, semantics=semantics)
         answers = {
             semantics: rendered(
                 engine.search("kwalpha kwbeta", limits=LIMITS, semantics=semantics)
