@@ -17,12 +17,10 @@ class of bug one layer away from one):
 * **FRZ01** — ``FrozenGraph`` and lazy snapshot stores are
   patchable only through their own modules' entry points; ad-hoc
   mutation elsewhere silently desynchronises compiled state.
-* **RES01** — mmap/file/pipe/shared-memory acquisition must have a
-  paired ``close()`` on some path (``with``, ``try/finally``, or an
-  owning ``close`` method); a served engine leaks one handle per
-  forgotten pair.  ``SharedMemory(create=True, ...)`` additionally
-  owns the *segment name*, so the creator must also ``unlink()`` —
-  close alone leaves the segment in ``/dev/shm`` forever.
+* **RES01** — mmap/file/pipe acquisition must have a paired
+  ``close()`` on some path (``with``, ``try/finally``, or an owning
+  ``close`` method); a served engine leaks one handle per forgotten
+  pair.
 * **API01** — a broad handler that swallows without re-raising or
   recording turns invariant violations into silent wrong answers.
 * **SLOT01** — dataclasses on hot paths pay a per-instance ``__dict__``
@@ -716,14 +714,8 @@ class Frz01FrozenMutation(Rule):
 # ----------------------------------------------------------------------
 # RES01
 # ----------------------------------------------------------------------
-_ACQUIRE_ATTRS = {"open", "mmap", "Pipe", "SharedMemory"}
+_ACQUIRE_ATTRS = {"open", "mmap", "Pipe"}
 _RELEASE_ATTRS = {"close", "release", "terminate", "shutdown"}
-#: ``SharedMemory(create=True)`` owns the segment *name*, not just the
-#: local mapping: ``close()`` drops the mapping, only ``unlink()``
-#: removes the segment from ``/dev/shm``.  Attachers must not unlink —
-#: that is the creator's job (and, with a shared resource tracker,
-#: unregistering from an attacher deletes the creator's entry).
-_UNLINK_ATTRS = {"unlink"}
 
 
 @register
@@ -731,9 +723,9 @@ class Res01UnpairedResource(Rule):
     id = "RES01"
     title = "resource acquired without a paired close()"
     rationale = (
-        "a served engine leaks one handle per forgotten pair; mmap, "
-        "pipe, and shared-memory handles especially must have a "
-        "deterministic release path (segment creators must unlink too)"
+        "a served engine leaks one handle per forgotten pair; mmap "
+        "and pipe handles especially must have a deterministic "
+        "release path"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -774,8 +766,6 @@ class Res01UnpairedResource(Rule):
         func = node.func
         if isinstance(func, ast.Name) and func.id == "open":
             return "open()"
-        if isinstance(func, ast.Name) and func.id == "SharedMemory":
-            return "SharedMemory()"
         if isinstance(func, ast.Attribute) and func.attr in _ACQUIRE_ATTRS:
             if func.attr == "open":
                 # ``SomeClass.open(...)`` / ``cls.open(...)`` is the
@@ -788,32 +778,12 @@ class Res01UnpairedResource(Rule):
                 return ".open()"
             if func.attr == "mmap":
                 return "mmap.mmap()"
-            if func.attr == "SharedMemory":
-                return "SharedMemory()"
             return f".{func.attr}()"
         return None
-
-    def _requirements(self, node: ast.Call, what: str):
-        """The release calls this acquisition must pair with."""
-        requirements = [(_RELEASE_ATTRS, "close()")]
-        if what == "SharedMemory()" and self._creates_segment(node):
-            requirements.append((_UNLINK_ATTRS, "unlink()"))
-        return requirements
-
-    @staticmethod
-    def _creates_segment(node: ast.Call) -> bool:
-        for keyword in node.keywords:
-            if keyword.arg == "create":
-                return not (
-                    isinstance(keyword.value, ast.Constant)
-                    and not keyword.value.value
-                )
-        return False
 
     def _check_assignment(
         self, ctx: FileContext, node: ast.Call, parent: ast.Assign, what: str
     ) -> Iterator[Finding]:
-        requirements = self._requirements(node, what)
         targets = parent.targets
         if len(targets) == 1 and isinstance(targets[0], ast.Tuple):
             names = [
@@ -822,14 +792,13 @@ class Res01UnpairedResource(Rule):
                 if isinstance(element, ast.Name)
             ]
             for name in names:
-                for attrs, verb in requirements:
-                    if not self._name_released(ctx, node, name, attrs):
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"{what} handle '{name}' has no {verb} on any "
-                            "path in this function",
-                        )
+                if not self._name_released(ctx, node, name):
+                    yield self.finding(
+                        ctx,
+                        node,
+                        f"{what} handle '{name}' has no close() on any "
+                        "path in this function",
+                    )
             return
         target = targets[0]
         if (
@@ -837,25 +806,23 @@ class Res01UnpairedResource(Rule):
             and isinstance(target.value, ast.Name)
             and target.value.id == "self"
         ):
-            for attrs, verb in requirements:
-                if not self._class_releases(ctx, node, target.attr, attrs):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{what} handle stored on self.{target.attr} but no "
-                        f"method of the class ever calls self.{target.attr}"
-                        f".{verb}",
-                    )
+            if not self._class_releases(ctx, node, target.attr):
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"{what} handle stored on self.{target.attr} but no "
+                    f"method of the class ever calls self.{target.attr}"
+                    ".close()",
+                )
             return
         if isinstance(target, ast.Name):
-            for attrs, verb in requirements:
-                if not self._name_released(ctx, node, target.id, attrs):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{what} handle '{target.id}' has no {verb} on any "
-                        "path in this function",
-                    )
+            if not self._name_released(ctx, node, target.id):
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"{what} handle '{target.id}' has no close() on any "
+                    "path in this function",
+                )
 
     def _escapes_via(self, expr: ast.expr, name: str) -> bool:
         """Does this expression hand the *handle itself* to someone else?
@@ -882,10 +849,7 @@ class Res01UnpairedResource(Rule):
                 stack.extend((node.body, node.orelse))
         return False
 
-    def _name_released(
-        self, ctx: FileContext, node: ast.AST, name: str, attrs=None
-    ) -> bool:
-        attrs = _RELEASE_ATTRS if attrs is None else attrs
+    def _name_released(self, ctx: FileContext, node: ast.AST, name: str) -> bool:
         func = ctx.enclosing_function(node)
         if func is None:
             return False
@@ -893,7 +857,7 @@ class Res01UnpairedResource(Rule):
             if (
                 isinstance(inner, ast.Call)
                 and isinstance(inner.func, ast.Attribute)
-                and inner.func.attr in attrs
+                and inner.func.attr in _RELEASE_ATTRS
                 and isinstance(inner.func.value, ast.Name)
                 and inner.func.value.id == name
             ):
@@ -903,7 +867,7 @@ class Res01UnpairedResource(Rule):
             if (
                 isinstance(inner, ast.Call)
                 and isinstance(inner.func, ast.Attribute)
-                and inner.func.attr in attrs
+                and inner.func.attr in _RELEASE_ATTRS
                 and any(
                     isinstance(arg, ast.Name) and arg.id == name
                     for arg in inner.args
@@ -932,17 +896,14 @@ class Res01UnpairedResource(Rule):
                     return True
         return False
 
-    def _class_releases(
-        self, ctx: FileContext, node: ast.AST, attr: str, attrs=None
-    ) -> bool:
-        attrs = _RELEASE_ATTRS if attrs is None else attrs
+    def _class_releases(self, ctx: FileContext, node: ast.AST, attr: str) -> bool:
         cls = ctx.enclosing_class(node)
         if cls is None:
             return False
         for inner in ast.walk(cls):
             if (
                 isinstance(inner, ast.Attribute)
-                and inner.attr in attrs
+                and inner.attr in _RELEASE_ATTRS
                 and isinstance(inner.value, ast.Attribute)
                 and inner.value.attr == attr
                 and isinstance(inner.value.value, ast.Name)

@@ -122,10 +122,9 @@ class KeywordSearchEngine:
         )
         #: Cost-based adaptive planning (see :mod:`repro.planner`):
         #: pushdown enumeration drains units by admissible distance
-        #: bounds, plans carry cost estimates and batch dispatch routes by
-        #: predicted cost.  Answers are bit-identical either way;
-        #: ``adaptive=False`` restores the static order as the
-        #: differential oracle.
+        #: bounds and plans carry cost estimates.  Answers are
+        #: bit-identical either way; ``adaptive=False`` restores the
+        #: static order as the differential oracle.
         self.adaptive = adaptive
         self._cost_model = None
         #: Counters of the most recent search/stream/batch call (the
@@ -223,7 +222,7 @@ class KeywordSearchEngine:
         matches = self.match(query)
         plan = plan_query(matches, semantics=semantics, top_k=top_k)
         if self.adaptive and plan.sources:
-            # Advisory annotation only: estimates order/route/report,
+            # Advisory annotation only: estimates order/report,
             # never filter — plan shape and answers are untouched.
             plan = self._ensure_cost_model().annotate(plan)
         return plan, matches
@@ -237,11 +236,11 @@ class KeywordSearchEngine:
         return self._cost_model
 
     def query_cost(self, query: str, semantics: str = "and") -> float:
-        """Predicted execution cost of one query (a routing weight).
+        """Predicted execution cost of one query.
 
         Computed from posting lengths and fan-outs alone — no matching,
-        no enumeration — so batch dispatch can weigh a query before any
-        work runs.
+        no enumeration — so a caller can weigh a query before any work
+        runs.
         """
         try:
             keywords = parse_query(query)
@@ -535,77 +534,105 @@ class KeywordSearchEngine:
         text appearing several times is searched once with its result
         list reused.
 
-        ``jobs`` > 1 fans the batch out over a process pool
-        (:mod:`repro.scale.parallel`): every worker opens the engine's
-        snapshot once (auto-saved to a temporary file when the engine
-        was never saved, refreshed after mutations) and answers whole
-        queries with the same core configuration.  Results, order
-        and the first raised error are identical to the serial path;
-        ``last_stats`` merges the workers' counters.
+        ``jobs`` > 1 changes only who answers the answer-cache misses:
+        a process pool (:mod:`repro.scale.parallel`) whose workers each
+        open the engine's snapshot once (auto-saved to a temporary file
+        when the engine was never saved, refreshed after mutations) and
+        answer whole queries with the same core configuration.  Lookups,
+        stores, results, order and the first raised error are those of
+        the serial path; ``last_stats`` merges the workers' counters.
         """
         ranker = ranker or self.ranker
         limits = limits or self.limits
-        if jobs is not None and jobs > 1:
-            from repro.scale.parallel import run_batch
-
-            return run_batch(
-                self,
-                queries,
-                jobs=jobs,
-                ranker=ranker,
-                limits=limits,
-                top_k=top_k,
-                semantics=semantics,
-                pushdown=pushdown,
-            )
+        pooled = jobs is not None and jobs > 1
         stats = ExecutionStats()
         resolved: dict[str, list[SearchResult]] = {}
-        batched = []
+        misses: list[tuple[str, Hashable]] = []
         qtrace = None
         if obs_trace.ENABLED:
+            tags = {"jobs": jobs} if pooled else {}
             qtrace = obs_trace.begin_trace(
-                "query.batch", queries=len(queries), semantics=semantics
+                "query.batch", queries=len(queries), semantics=semantics, **tags
             )
             self.last_trace = qtrace
         try:
-            for query in queries:
-                if query not in resolved:
-                    key = self._cache_key(
-                        query, ranker, limits, top_k, semantics, pushdown
+            for query in dict.fromkeys(queries):
+                key = self._cache_key(
+                    query, ranker, limits, top_k, semantics, pushdown
+                )
+                with obs_trace.span(
+                    "result_cache.lookup", query=query
+                ) as lookup_span:
+                    entry = (
+                        self.result_cache.lookup(key)
+                        if key is not None
+                        else None
                     )
-                    with obs_trace.span(
-                        "result_cache.lookup", query=query
-                    ) as lookup_span:
-                        entry = (
-                            self.result_cache.lookup(key)
-                            if key is not None
-                            else None
+                    if lookup_span is not None:
+                        lookup_span.tag(hit=entry is not None)
+                if entry is not None:
+                    resolved[query] = list(entry.results)
+                    stats.merge(entry.stats)
+                elif pooled:
+                    misses.append((query, key))
+                else:
+                    with obs_trace.span("plan.compile", query=query):
+                        plan, matches = self._plan(query, top_k, semantics)
+                    version = self.version
+                    executor = self._executor()
+                    resolved[query] = executor.run(
+                        plan, ranker, limits, pushdown=pushdown
+                    )
+                    stats.merge(executor.stats)
+                    if key is not None and self.version == version:
+                        self._cache_store(
+                            key, ranker, matches,
+                            resolved[query], executor.stats,
                         )
-                        if lookup_span is not None:
-                            lookup_span.tag(hit=entry is not None)
-                    if entry is not None:
-                        resolved[query] = list(entry.results)
-                        stats.merge(entry.stats)
-                    else:
-                        with obs_trace.span("plan.compile", query=query):
-                            plan, matches = self._plan(query, top_k, semantics)
-                        version = self.version
-                        executor = self._executor()
-                        resolved[query] = executor.run(
-                            plan, ranker, limits, pushdown=pushdown
-                        )
-                        stats.merge(executor.stats)
-                        if key is not None and self.version == version:
-                            self._cache_store(
-                                key, ranker, matches,
-                                resolved[query], executor.stats,
-                            )
-                batched.append(resolved[query])
+            if misses:
+                self._answer_on_pool(
+                    misses, jobs, stats, resolved,
+                    {
+                        "ranker": ranker,
+                        "limits": limits,
+                        "top_k": top_k,
+                        "semantics": semantics,
+                        "pushdown": pushdown,
+                    },
+                )
         finally:
             if qtrace is not None:
                 obs_trace.end_trace(qtrace)
         self.last_stats = stats
-        return batched
+        return [resolved[query] for query in queries]
+
+    def _answer_on_pool(self, misses, jobs, stats, resolved, options) -> None:
+        """Answer ``search_batch``'s cache misses on the worker pool.
+
+        Successes are revived and cached exactly as the serial loop
+        would have cached them; the first failing query (in input
+        order) re-raises its worker error after the queries before it
+        committed.
+        """
+        from repro.scale.parallel import revive_result
+
+        searcher = self._ensure_searcher(jobs)
+        outcomes = searcher.run([query for query, __ in misses], options)
+        for query, key in misses:
+            status, payload, worker_stats = outcomes[query]
+            if status == "error":
+                self.last_stats = stats
+                raise payload
+            resolved[query] = [
+                revive_result(self.traversal_cache, portable, score, rank + 1)
+                for rank, (portable, score) in enumerate(payload)
+            ]
+            stats.merge(worker_stats)
+            if key is not None:
+                self._cache_store(
+                    key, options["ranker"], self.match(query),
+                    resolved[query], worker_stats,
+                )
 
     # ------------------------------------------------------------------
     # live updates
@@ -694,7 +721,7 @@ class KeywordSearchEngine:
         ``.render()`` for the table, ``.results`` for the (bit-identical)
         answers, ``.trace`` for the raw spans.  ``jobs > 1`` additionally
         routes one pass through the worker pool so the report carries the
-        pooled trace (transport used, per-worker batches).
+        pooled trace (one adopted root per worker chunk).
         """
         from repro.obs.explain import analyze
 

@@ -277,8 +277,8 @@ def analyze(
     """Run ``query`` with tracing forced on and build the fused report.
 
     ``jobs > 1`` first runs the query through the worker pool (so the
-    report can attach the pooled pass's merged trace — transport used,
-    per-worker batches), then performs the serially-traced run the
+    report can attach the pooled pass's merged trace — one adopted root
+    per worker chunk), then performs the serially-traced run the
     per-node table is built from.  Answers of both passes are
     bit-identical to a plain ``engine.search``.
     """

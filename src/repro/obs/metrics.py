@@ -19,8 +19,8 @@ standing contracts:
   load and a branch.  ``ops`` counts every mutation, i.e. the guarded
   sites an enabled run passed.
 
-Snapshots are plain dicts (sorted keys) that travel through the worker
-transports; :func:`MetricsRegistry.merge_snapshot` folds a worker's
+Snapshots are plain dicts (sorted keys) that travel over the worker
+pipes; :func:`MetricsRegistry.merge_snapshot` folds a worker's
 delta into the coordinator registry.
 """
 

@@ -22,9 +22,9 @@ The contract that keeps tracing safe to leave compiled in everywhere:
   under every ``PYTHONHASHSEED`` — that is what the determinism tests
   compare.  Durations are measured with :func:`time.perf_counter` and
   are reporting-only.
-* **Spans pickle.**  Worker processes ship whole traces back through
-  the :mod:`repro.scale.parallel` transports (shm and pipe alike), so
-  spans hold only plain picklable values.
+* **Spans pickle.**  Worker processes ship whole traces back over the
+  :mod:`repro.scale.parallel` pipes, so spans hold only plain picklable
+  values.
 
 Spans recorded while no query trace is active (snapshot opens, live
 changesets, pool chunk service inside a worker) attach to a process

@@ -1,16 +1,13 @@
-"""Cost-based adaptive planning: estimates and routing.
+"""Cost-based adaptive planning: estimates and enumeration order.
 
 The planner layer turns statistics the engine already collects —
 posting lengths, :class:`~repro.relational.statistics.DatabaseStatistics`
-fan-outs and CSR distance rows — into two decisions:
-
-* **selectivity-ordered enumeration** — pushdown execution orders
-  `PairPaths` / `NetworkGrowth` units by an admissible distance bound
-  instead of plan order, so score lower bounds are reached sooner
-  (see ``core/executor.py``);
-* **cost-routed dispatch** — ``search_batch(jobs=N)`` assigns queries
-  to workers by predicted cost (:func:`route_by_cost`) instead of
-  contiguous chunking.
+fan-outs and CSR distance rows — into one decision:
+**selectivity-ordered enumeration**.  Pushdown execution orders
+`PairPaths` / `NetworkGrowth` units by an admissible distance bound
+instead of plan order, so score lower bounds are reached sooner (see
+``core/executor.py``).  :meth:`CostModel.query_cost` stays a public
+per-query estimate; nothing routes by it.
 
 The planner learns nothing from the queries it serves, so a read never
 writes planner state.  Everything here is advisory: answers stay
@@ -19,11 +16,9 @@ bit-identical to the static planner, which remains available via
 """
 
 from repro.planner.cost import DEFAULT_FANOUT, CostModel, UnitEstimate
-from repro.planner.dispatch import route_by_cost
 
 __all__ = [
     "DEFAULT_FANOUT",
     "CostModel",
     "UnitEstimate",
-    "route_by_cost",
 ]

@@ -1,7 +1,7 @@
 """The cost model: per-unit work estimates.
 
 Estimates are deliberately coarse — their only job is *ordering* and
-*routing*, never correctness.  A ``PairPaths`` op sets up one
+reporting, never correctness.  A ``PairPaths`` op sets up one
 enumeration unit per (source, target) tuple pair; a ``NetworkGrowth``
 op one unit per required-tuple assignment (the cross product of its
 keywords' match lists).  Per-unit work scales with graph fan-out, so
@@ -102,14 +102,14 @@ class CostModel:
                                 candidates * spread)
         return UnitEstimate("scan", 0, 0.0, 0.0)
 
-    # -- routing --------------------------------------------------------
+    # -- whole-query estimate --------------------------------------------
 
     def query_cost(self, keywords: Sequence[str],
                    semantics: str = "and") -> float:
         """Predicted cost of one query, from posting lengths alone.
 
-        Used to weigh batch dispatch *before* matching runs, so it only
-        touches the cheap :meth:`InvertedIndex.posting_length` accessor.
+        Weighs a query *before* matching runs, so it only touches the
+        cheap :meth:`InvertedIndex.posting_length` accessor.
         """
         if self.index is None:
             return 1.0

@@ -393,12 +393,12 @@ class InvertedIndex:
     def posting_length(self, keyword: str) -> int:
         """Posting count of a keyword without materialising postings.
 
-        The planner's cost model calls this per batch query, so it must
+        The planner's cost model calls this per query, so it must
         stay cheap: on a snapshot-restored index it counts the
         still-encoded raw entries instead of decoding them.  Counts
         *postings* (word occurrences), not distinct tuples — an upper
         bound on :meth:`document_frequency`, which is what an ordering
-        or routing weight needs.
+        weight needs.
         """
         token = keyword.strip().lower()
         postings = self._postings

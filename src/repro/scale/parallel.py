@@ -1,11 +1,12 @@
 """Process-pool batch execution over snapshot-opened engines.
 
-``KeywordSearchEngine.search_batch(jobs=N)`` routes here: the batch is
-deduplicated, answered query-by-query on a pool of worker processes and
-reassembled in input order.  Each worker opens the coordinator's
-snapshot **once** (in the pool initializer) into its own engine with the
-same core configuration — the snapshot's array sections are
-``mmap``-backed, so the workers share page-cache pages instead of
+``KeywordSearchEngine.search_batch(jobs=N)`` hands the batch's
+answer-cache misses to :meth:`ParallelSearcher.run`: they are cut into
+one contiguous chunk per worker, answered query-by-query on a pool of
+worker processes and returned keyed by query.  Each worker opens the
+coordinator's snapshot **once** (in the pool initializer) into its own
+engine with the same core configuration — the snapshot's array sections
+are ``mmap``-backed, so the workers share page-cache pages instead of
 copying the compiled graph N times.
 
 Bit-identity with the serial path is structural, not hoped-for:
@@ -21,32 +22,19 @@ Bit-identity with the serial path is structural, not hoped-for:
   pool completion cannot change the aggregated stats.
 
 Results cross the process boundary in a *portable* form (tuple ids,
-path steps, keyword bindings, scores) and are revived against the
-coordinator's data graph; revival is allocation-cheap because
+path steps, keyword bindings, scores), pickled over each worker's pipe
+as one ``("ok", outcomes)`` message per chunk, and are revived against
+the coordinator's data graph; revival is allocation-cheap because
 connection metrics and network spanning trees are computed lazily.
-
-Transport is a ``multiprocessing.shared_memory`` arena when available:
-the coordinator creates one arena with a fixed-size region per worker,
-workers serialise their chunk outcomes as length-prefixed records
-(``<u32 length><pickle bytes>`` each) straight into their own region
-and send only ``("shm", (record_count, total_bytes))`` over the pipe —
-the pipe never carries answer payloads.  Regions are disjoint and each
-worker has at most one outstanding chunk, so the pipe message *is* the
-write barrier.  A chunk that outgrows its region (or an arena that
-could not be created) falls back to the classic pickled-pipe message
-``("ok", outcomes)`` — byte-identical outcomes either way, so the
-fallback is invisible above this module.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import pickle
-import struct
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from repro.core.executor import ExecutionStats, SearchResult
+from repro.core.executor import SearchResult
 from repro.core.search import JoiningNetwork, SingleTupleAnswer
 from repro.core.connections import Connection
 from repro.durable import fault
@@ -55,7 +43,7 @@ from repro.graph.traversal import TuplePathStep
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
-__all__ = ["ParallelSearcher", "run_batch"]
+__all__ = ["ParallelSearcher", "revive_result"]
 
 #: The worker process's engine, opened once per pool worker.
 _WORKER_ENGINE = None
@@ -132,9 +120,7 @@ def _run_chunk(chunk, engine=None):
     enablement travels in ``options["observe"]`` (explicit so spawned
     workers match forked ones), the worker's per-query trace roots and
     its metrics *delta* for the chunk come back as one trailing
-    ``(None, "obs", (trace_root, metrics_delta), None)`` pseudo-record
-    — identical bytes through the shm and pipe transports, because both
-    pickle the same records.
+    ``(None, "obs", (trace_root, metrics_delta), None)`` pseudo-record.
 
     ``engine`` defaults to the worker's pool engine; the coordinator's
     degraded in-process fallback passes its own.
@@ -196,51 +182,11 @@ def _run_chunk(chunk, engine=None):
     return outcomes
 
 
-def _encode_outcomes(outcomes) -> tuple[list[bytes], int]:
-    """Length-prefixed records for one chunk's outcomes.
-
-    Returns ``(parts, total_bytes)``; each outcome contributes a 4-byte
-    little-endian length followed by its pickle — the same pickle the
-    pipe transport would have sent, so both transports carry identical
-    bytes per outcome.
-    """
-    parts: list[bytes] = []
-    total = 0
-    for outcome in outcomes:
-        blob = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-        parts.append(struct.pack("<I", len(blob)))
-        parts.append(blob)
-        total += 4 + len(blob)
-    return parts, total
-
-
-def _attach_arena(arena_name: Optional[str]):
-    """Map the coordinator's answer arena inside a worker, or ``None``.
-
-    The attach re-registers the segment with the resource tracker
-    (bpo-38119), but workers inherit the *coordinator's* tracker — the
-    registry is one shared set, so the duplicate registration is a
-    no-op and the coordinator's ``unlink()`` remains the single cleanup
-    point.  (Unregistering here would delete the coordinator's entry.)
-    """
-    if arena_name is None:
-        return None
-    try:
-        from multiprocessing import shared_memory
-
-        return shared_memory.SharedMemory(name=arena_name)
-    except (ImportError, OSError, ValueError):  # pragma: no cover - no shm
-        return None
-
-
 def _worker_loop(
     connection,
     snapshot_path: str,
     core: Optional[str],
     result_cache_entries: int,
-    arena_name: Optional[str] = None,
-    region_start: int = 0,
-    region_size: int = 0,
     adaptive: bool = True,
 ) -> None:
     """One dedicated worker: open the snapshot once, serve chunks forever.
@@ -258,52 +204,35 @@ def _worker_loop(
     except BaseException as error:  # surface startup failures, don't hang
         connection.send(("crashed", repr(error)))
         return
-    arena = _attach_arena(arena_name)
     connection.send(("ready", None))
-    try:
-        while True:
+    while True:
+        try:
+            chunk = connection.recv()
+        except EOFError:
+            return
+        if chunk is None:
+            return
+        if (
+            isinstance(chunk, tuple)
+            and len(chunk) == 2
+            and chunk[0] == "__reopen__"
+        ):
+            global _WORKER_ENGINE
+            old_engine = _WORKER_ENGINE
             try:
-                chunk = connection.recv()
-            except EOFError:
-                return
-            if chunk is None:
-                return
-            if (
-                isinstance(chunk, tuple)
-                and len(chunk) == 2
-                and chunk[0] == "__reopen__"
-            ):
-                global _WORKER_ENGINE
-                old_engine = _WORKER_ENGINE
-                try:
-                    _init_worker(
-                        chunk[1], core, result_cache_entries, adaptive
-                    )
-                except BaseException as error:
-                    connection.send(("reopen-failed", repr(error)))
-                else:
-                    if old_engine is not None:
-                        old_engine.close()
-                    connection.send(("reopened", None))
-                continue
-            try:
-                outcomes = _run_chunk(chunk)
-                if arena is not None:
-                    parts, total = _encode_outcomes(outcomes)
-                    if total <= region_size:
-                        offset = region_start
-                        for part in parts:
-                            arena.buf[offset : offset + len(part)] = part
-                            offset += len(part)
-                        connection.send(("shm", (len(outcomes), total)))
-                        continue
-                connection.send(("ok", outcomes))
-            except BaseException as error:  # pragma: no cover - worker bug guard
-                connection.send(("crashed", repr(error)))
-                return
-    finally:
-        if arena is not None:
-            arena.close()
+                _init_worker(chunk[1], core, result_cache_entries, adaptive)
+            except BaseException as error:
+                connection.send(("reopen-failed", repr(error)))
+            else:
+                if old_engine is not None:
+                    old_engine.close()
+                connection.send(("reopened", None))
+            continue
+        try:
+            connection.send(("ok", _run_chunk(chunk)))
+        except BaseException as error:  # pragma: no cover - worker bug guard
+            connection.send(("crashed", repr(error)))
+            return
 
 
 class ParallelSearcher:
@@ -315,16 +244,9 @@ class ParallelSearcher:
     latency is the warm cost.  Workers are daemonic and die with the
     coordinator; :meth:`close` shuts them down explicitly.
 
-    Answers travel through a shared-memory arena (one
-    :attr:`region_bytes` region per worker) when the platform provides
-    one; the pipe then carries only ``(record_count, total_bytes)``.
-    Oversized chunks and arena-less platforms fall back to pipe
-    pickling per chunk — :attr:`shm_batches` / :attr:`pipe_batches`
-    count which transport served each chunk.
+    Every chunk's answers come back pickled over the worker's pipe;
+    :attr:`pipe_batches` counts the chunks the workers answered.
     """
-
-    #: Shared-memory bytes reserved per worker for one chunk's answers.
-    region_bytes = 1 << 20
 
     def __init__(
         self,
@@ -345,8 +267,6 @@ class ParallelSearcher:
         #: coordinator running static never pairs with adaptive workers.
         self.adaptive = adaptive
         self._workers: Optional[list] = None
-        self._arena = None
-        self.shm_batches = 0
         self.pipe_batches = 0
         #: Self-healing counters: workers respawned after dying
         #: mid-batch, and chunks degraded to in-process execution after
@@ -355,27 +275,26 @@ class ParallelSearcher:
         self.inline_chunks = 0
         self._inline_engine = None
         #: Per-chunk observability payloads from the most recent
-        #: :meth:`run` — ``(worker_index, transport, (trace_root,
-        #: metrics_delta))`` tuples, coordinator-ordered.
+        #: :meth:`run` — ``(worker_index, (trace_root, metrics_delta))``
+        #: tuples in worker order.
         self.last_obs: list = []
         #: Per-worker position lists of the most recent :meth:`run` —
-        #: how the batch was actually cut (cost-routed or contiguous).
+        #: the contiguous cut of the batch.
         self.last_assignment: list = []
 
-    def _ensure_arena(self):
-        if self._arena is None:
-            try:
-                from multiprocessing import shared_memory
+    @property
+    def shm_batches(self) -> int:
+        """The former shared-memory chunk count, now :attr:`pipe_batches`.
 
-                self._arena = shared_memory.SharedMemory(
-                    create=True, size=self.jobs * self.region_bytes
-                )
-            except (ImportError, OSError, ValueError):  # pragma: no cover
-                return None  # no shm on this platform: pipe transport only
-        return self._arena
+        ``benchmarks/e2e/run.py`` reads this name for its
+        ``scale.shm_batches`` metric, and the benchmark's smoke test
+        requires that metric to be positive on ``open_and_batch``; the
+        alias goes when the benchmark renames the metric.
+        """
+        return self.pipe_batches
 
-    def _spawn_worker(self, index: int, arena) -> tuple:
-        """Start worker ``index`` against the current snapshot path."""
+    def _spawn_worker(self) -> tuple:
+        """Start one worker against the current snapshot path."""
         context = _pool_context()
         parent_end, worker_end = context.Pipe()
         process = context.Process(
@@ -385,9 +304,6 @@ class ParallelSearcher:
                 self.snapshot_path,
                 self.core,
                 self.result_cache_entries,
-                arena.name if arena is not None else None,
-                index * self.region_bytes,
-                self.region_bytes,
                 self.adaptive,
             ),
             daemon=True,
@@ -398,11 +314,7 @@ class ParallelSearcher:
 
     def _ensure_workers(self) -> list:
         if self._workers is None:
-            arena = self._ensure_arena()
-            workers = [
-                self._spawn_worker(index, arena)
-                for index in range(self.jobs)
-            ]
+            workers = [self._spawn_worker() for __ in range(self.jobs)]
             for process, connection in workers:
                 status, detail = connection.recv()
                 if status != "ready":
@@ -430,7 +342,7 @@ class ParallelSearcher:
             obs_metrics.REGISTRY.inc("pool.respawns")
         self._retire_worker(index)
         try:
-            worker = self._spawn_worker(index, self._arena)
+            worker = self._spawn_worker()
             status, detail = worker[1].recv()
         except (OSError, EOFError):  # pragma: no cover - spawn failed
             return False
@@ -444,27 +356,23 @@ class ParallelSearcher:
         self._workers[index] = worker
         return True
 
-    def run(
-        self,
-        queries: Sequence[str],
-        options: dict,
-        costs: Optional[Sequence[float]] = None,
-    ) -> dict:
+    def run(self, queries: Sequence[str], options: dict) -> dict:
         """Answer distinct queries on the pool; returns per-query outcomes.
 
-        The batch is cut into one chunk per worker — a single IPC round
-        trip each.  Without ``costs`` the cut is contiguous round-robin;
-        with ``costs`` (one predicted cost per query, see
-        ``KeywordSearchEngine.query_cost``) queries are assigned by
-        deterministic LPT scheduling so every worker carries a similar
-        predicted load (:func:`repro.planner.dispatch.route_by_cost`).
-        Either way each chunk's positions stay ascending.  Each outcome
-        is ``("ok", portable_results, stats)`` or ``("error", error,
-        None)``; a chunk stops at its first error, which is safe because
-        the coordinator never consumes outcomes past the batch's first
-        failure — every position before the first failing one lives in
-        some chunk whose own error cutoff (input order within the chunk)
-        cannot precede it.
+        The batch is cut into at most one contiguous chunk per worker —
+        a single IPC round trip each — so each chunk's positions stay
+        ascending.  Each outcome is ``("ok", portable_results, stats)``
+        or ``("error", error, None)``; a chunk stops at its first error,
+        which is safe because the coordinator never consumes outcomes
+        past the batch's first failure — every position before the first
+        failing one lives in some chunk whose own error cutoff (input
+        order within the chunk) cannot precede it.
+
+        While tracing or metrics are on, each worker ships its chunk's
+        trace root and metrics delta back; they merge in worker order
+        (the active trace adopts the roots, the registry folds the
+        deltas), so the result is the same however the OS scheduled the
+        chunks.
 
         The pool self-heals: a worker that died mid-chunk (EOF or broken
         pipe on the coordinator side) is respawned against the current
@@ -478,22 +386,14 @@ class ParallelSearcher:
         if not queries:
             return {}
         workers = self._ensure_workers()
-        if costs is not None and len(costs) == len(queries):
-            from repro.planner.dispatch import route_by_cost
-
-            assignment = route_by_cost(costs, self.jobs)
-        else:
-            chunk_count = min(self.jobs, len(queries))
-            size = (len(queries) + chunk_count - 1) // chunk_count
-            assignment = [
-                list(range(start, min(start + size, len(queries))))
-                for start in range(0, len(queries), size)
-            ]
-        self.last_assignment = assignment
+        options = dict(options, observe=(obs_trace.ENABLED, obs_metrics.ENABLED))
+        size = -(-len(queries) // min(self.jobs, len(queries)))
+        self.last_assignment = [
+            list(range(start, min(start + size, len(queries))))
+            for start in range(0, len(queries), size)
+        ]
         busy = []
-        for index, positions in enumerate(assignment):
-            if not positions:  # pragma: no cover - router never emits empties
-                continue
+        for index, positions in enumerate(self.last_assignment):
             chunk = (positions, [queries[p] for p in positions], options)
             __, connection = workers[index]
             try:
@@ -502,28 +402,26 @@ class ParallelSearcher:
                 pass  # dead already; the receive loop heals it
             busy.append((index, chunk))
         outcomes: dict[str, tuple] = {}
+        qtrace = obs_trace.current_trace()
         for index, chunk in busy:
-            status, chunk_payload = self._receive(index, chunk)
-            if status == "shm":
-                # The recv() *is* the barrier: the worker wrote its
-                # region before sending, and no other worker shares it.
-                count, total = chunk_payload
-                chunk_outcomes = self._read_region(index, count, total)
-                self.shm_batches += 1
-            elif status in ("ok", "inline"):
-                chunk_outcomes = chunk_payload
-                if status == "ok":
-                    self.pipe_batches += 1
-            else:
+            status, chunk_outcomes = self._receive(index, chunk)
+            if status == "ok":
+                self.pipe_batches += 1
+                if obs_metrics.ENABLED:
+                    obs_metrics.REGISTRY.inc("pool.pipe_batches")
+            elif status != "inline":
                 self.close()
-                raise RuntimeError(f"snapshot worker crashed: {chunk_payload}")
-            transport = "shm" if status == "shm" else "pipe"
-            if status != "inline" and obs_metrics.ENABLED:
-                obs_metrics.REGISTRY.inc(f"pool.{transport}_batches")
+                raise RuntimeError(f"snapshot worker crashed: {chunk_outcomes}")
             for position, result_status, payload, stats in chunk_outcomes:
                 if result_status == "obs":
                     # Trailing worker-observability record, not a query.
-                    self.last_obs.append((index, transport, payload))
+                    self.last_obs.append((index, payload))
+                    root, delta = payload
+                    if qtrace is not None and root is not None:
+                        root.tag(worker=index)
+                        qtrace.adopt(root)
+                    if delta:
+                        obs_metrics.REGISTRY.merge_snapshot(delta)
                     continue
                 outcomes[queries[position]] = (result_status, payload, stats)
         return outcomes
@@ -616,19 +514,6 @@ class ParallelSearcher:
                 swapped += 1
         return swapped
 
-    def _read_region(self, index: int, count: int, total: int) -> list:
-        """Decode one worker's length-prefixed records from its region."""
-        start = index * self.region_bytes
-        view = bytes(self._arena.buf[start : start + total])
-        outcomes = []
-        offset = 0
-        for __ in range(count):
-            (length,) = struct.unpack_from("<I", view, offset)
-            offset += 4
-            outcomes.append(pickle.loads(view[offset : offset + length]))
-            offset += length
-        return outcomes
-
     def _shutdown(self, workers) -> None:
         for process, connection in workers:
             try:
@@ -649,13 +534,6 @@ class ParallelSearcher:
         if self._inline_engine is not None:
             self._inline_engine.close()
             self._inline_engine = None
-        if self._arena is not None:
-            self._arena.close()
-            try:
-                self._arena.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            self._arena = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "live" if self._workers is not None else "idle"
@@ -663,131 +541,3 @@ class ParallelSearcher:
             f"ParallelSearcher({self.snapshot_path!r}, jobs={self.jobs}, {state})"
         )
 
-
-def run_batch(
-    engine,
-    queries: Sequence[str],
-    *,
-    jobs: int,
-    ranker,
-    limits,
-    top_k: Optional[int],
-    semantics: str,
-    pushdown: Optional[bool],
-) -> list:
-    """Parallel twin of the serial ``search_batch`` body.
-
-    Coordinator-side answer-cache hits never leave the process; the
-    remaining distinct queries fan out to the pool.  Successes are
-    revived and cached exactly as a serial run would have cached them;
-    the first failing query (in input order) re-raises its worker error
-    after the queries before it committed.
-    """
-    tracing = obs_trace.ENABLED
-    metered = obs_metrics.ENABLED
-    qtrace = None
-    if tracing:
-        qtrace = obs_trace.begin_trace(
-            "query.batch", queries=len(queries), jobs=jobs, parallel=True
-        )
-        engine.last_trace = qtrace
-    try:
-        return _run_batch_traced(
-            engine,
-            queries,
-            jobs=jobs,
-            ranker=ranker,
-            limits=limits,
-            top_k=top_k,
-            semantics=semantics,
-            pushdown=pushdown,
-            qtrace=qtrace,
-            tracing=tracing,
-            metered=metered,
-        )
-    finally:
-        if qtrace is not None:
-            obs_trace.end_trace(qtrace)
-
-
-def _run_batch_traced(
-    engine,
-    queries: Sequence[str],
-    *,
-    jobs: int,
-    ranker,
-    limits,
-    top_k: Optional[int],
-    semantics: str,
-    pushdown: Optional[bool],
-    qtrace,
-    tracing: bool,
-    metered: bool,
-) -> list:
-    searcher = engine._ensure_searcher(jobs)
-    stats = ExecutionStats()
-    resolved: dict[str, list] = {}
-    keys: dict[str, object] = {}
-    pending: list[str] = []
-    for query in dict.fromkeys(queries):
-        key = engine._cache_key(query, ranker, limits, top_k, semantics, pushdown)
-        keys[query] = key
-        entry = engine.result_cache.lookup(key) if key is not None else None
-        if entry is not None:
-            resolved[query] = list(entry.results)
-            stats.merge(entry.stats)
-        else:
-            pending.append(query)
-
-    options = {
-        "ranker": ranker,
-        "limits": limits,
-        "top_k": top_k,
-        "semantics": semantics,
-        "pushdown": pushdown,
-        "observe": (tracing, metered),
-    }
-    costs = None
-    if engine.adaptive and len(pending) > 1 and jobs > 1:
-        # Cost-routed dispatch: one cheap posting-length estimate per
-        # pending query balances the workers' predicted load.  Purely a
-        # scheduling hint — outcomes are keyed by query, so results and
-        # error order are identical to contiguous chunking.
-        costs = [
-            engine.query_cost(query, semantics=semantics)
-            for query in pending
-        ]
-    outcomes = searcher.run(pending, options, costs=costs)
-    if tracing or metered:
-        # Worker-index order, not arrival order, so the merged trace and
-        # registry are identical however the OS scheduled the chunks —
-        # and the metric merge itself is commutative (sums and maxima).
-        for worker, transport, (root, delta) in sorted(
-            searcher.last_obs, key=lambda record: record[0]
-        ):
-            if qtrace is not None and root is not None:
-                root.tag(worker=worker, transport=transport)
-                qtrace.adopt(root)
-            if metered and delta:
-                obs_metrics.REGISTRY.merge_snapshot(delta)
-
-    for query in pending:
-        status, payload, worker_stats = outcomes[query]
-        if status == "error":
-            # The serial loop would have raised here, with every earlier
-            # query already answered (and cached) — which just happened.
-            engine.last_stats = stats
-            raise payload
-        results = [
-            revive_result(engine.traversal_cache, portable, score, rank + 1)
-            for rank, (portable, score) in enumerate(payload)
-        ]
-        resolved[query] = results
-        stats.merge(worker_stats)
-        key = keys[query]
-        if key is not None:
-            __, matches = engine._plan(query, top_k, semantics)
-            engine._cache_store(key, ranker, matches, results, worker_stats)
-
-    engine.last_stats = stats
-    return [resolved[query] for query in queries]

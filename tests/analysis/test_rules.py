@@ -515,90 +515,13 @@ class TestRes01:
             "RES01",
         )
 
-    def test_shared_memory_creator_needs_close_and_unlink(self):
-        found = hits(
-            """
-            from multiprocessing import shared_memory
-
-            def arena(size):
-                segment = shared_memory.SharedMemory(create=True, size=size)
-                segment.close()
-            """,
-            "RES01",
-        )
-        assert len(found) == 1
-        assert "unlink()" in found[0].message
-
-    def test_shared_memory_creator_with_both_is_clean(self):
-        assert not hits(
-            """
-            from multiprocessing import shared_memory
-
-            def arena(size):
-                segment = shared_memory.SharedMemory(create=True, size=size)
-                try:
-                    use(segment)
-                finally:
-                    segment.close()
-                    segment.unlink()
-            """,
-            "RES01",
-        )
-
-    def test_shared_memory_creator_on_self_needs_unlink_method(self):
-        found = hits(
-            """
-            class Pool:
-                def __init__(self, size):
-                    self._arena = SharedMemory(create=True, size=size)
-
-                def close(self):
-                    self._arena.close()
-            """,
-            "RES01",
-        )
-        assert len(found) == 1
-        assert ".unlink()" in found[0].message
-
-    def test_shared_memory_attach_only_needs_close(self):
-        # Attachers map an existing segment: close() drops the mapping
-        # and the creator's unlink() removes the name — an attacher-side
-        # unlink would tear the segment out from under everyone else.
-        assert not hits(
-            """
-            from multiprocessing import shared_memory
-
-            def attach(name):
-                segment = shared_memory.SharedMemory(name=name)
-                try:
-                    return bytes(segment.buf)
-                finally:
-                    segment.close()
-            """,
-            "RES01",
-        )
-
-    def test_shared_memory_attach_without_close(self):
-        found = hits(
-            """
-            from multiprocessing import shared_memory
-
-            def attach(name):
-                segment = shared_memory.SharedMemory(name=name)
-                return bytes(segment.buf)
-            """,
-            "RES01",
-        )
-        assert len(found) == 1
-        assert "close()" in found[0].message
-
     def test_returning_a_fresh_handle_is_the_callers_pairing(self):
         assert not hits(
             """
-            from multiprocessing import shared_memory
+            import mmap
 
-            def attach(name):
-                return shared_memory.SharedMemory(name=name)
+            def map_it(fileno):
+                return mmap.mmap(fileno, 0)
             """,
             "RES01",
         )

@@ -63,8 +63,11 @@ with tempfile.TemporaryDirectory() as tmp:
     restored.save(os.path.join(tmp, "again.snap"))
     restored.close()
 print(json.dumps({
-    "loaded": sorted(name for name in ("networkx", "numpy")
-                     if name in sys.modules),
+    "loaded": sorted(
+        name
+        for name in ("networkx", "numpy", "multiprocessing.shared_memory")
+        if name in sys.modules
+    ),
 }))
 """
 

@@ -106,7 +106,7 @@ class TestExplainAnalyze:
             span for span in report.pool_trace.walk()
             if span.name == "worker.batch"
         ]
-        assert workers and all("transport" in w.tags for w in workers)
+        assert workers and all("worker" in w.tags for w in workers)
         assert "pool:" in report.render().splitlines()[-1]
 
         # analysed answers are the plain answers

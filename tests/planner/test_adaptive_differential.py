@@ -2,9 +2,9 @@
 
 The adaptive planner may only change *how hard* the engine works —
 enumeration order inside the pushdown heaps, provably-empty units
-skipped, batches routed by cost.  Every answer, score and rank must
-stay bit-identical to the static planner across cores, semantics,
-top-k cuts, snapshot restore and the worker pool.
+skipped.  Every answer, score and rank must stay bit-identical to the
+static planner across cores, semantics, top-k cuts, snapshot restore
+and the worker pool.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.datasets.workload import (
     SkewedWorkloadConfig,
     generate_skewed_workload,
 )
-from repro.planner import route_by_cost
 
 _LIMITS = SearchLimits(max_rdb_length=4, max_tuples=4)
 
@@ -82,48 +81,6 @@ def test_adaptive_prunes_and_enumerates_less(skewed):
     baseline = (static.traversal_cache.paths_enumerated
                 + static.traversal_cache.trees_enumerated)
     assert enumerated * 10 <= baseline * 7, (enumerated, baseline)
-
-
-def test_cost_routing_makespan_not_worse_than_contiguous():
-    """LPT routing of a ``jobs=4`` full-enumeration batch by
-    ``engine.query_cost`` achieves a makespan (per-worker sum of the
-    candidates each query built) no worse than contiguous chunking:
-    584 vs 724 on this workload.
-
-    The workload is the larger skewed one on purpose: on the module's
-    ``skewed`` fixture cost routing is worse than contiguous chunking
-    (108 vs 77)."""
-    database = generate_company_like(
-        SyntheticConfig(
-            departments=8,
-            projects_per_department=3,
-            employees_per_department=8,
-            works_on_per_employee=2,
-            dependents_per_employee=0.5,
-            seed=11,
-        )
-    )
-    texts = [query.text for query in generate_skewed_workload(
-        database,
-        SkewedWorkloadConfig(queries=30, keyword_pool=10, max_matches=16,
-                             seed=5),
-    )][:20]
-    jobs = 4
-    engine = KeywordSearchEngine(database, adaptive=True)
-    work = []
-    for text in texts:
-        engine.search(text, limits=_LIMITS)
-        work.append(max(1, engine.last_stats.candidates))
-
-    def makespan(assignment):
-        return max(sum(work[query] for query in chunk) for chunk in assignment)
-
-    routed = route_by_cost([engine.query_cost(text) for text in texts], jobs)
-    size = -(-len(texts) // jobs)
-    contiguous = [range(start, min(start + size, len(texts)))
-                  for start in range(0, len(texts), size)]
-    assert makespan(routed) <= makespan(contiguous), (
-        makespan(routed), makespan(contiguous))
 
 
 def test_adaptive_matches_static_through_snapshot(skewed, tmp_path):

@@ -157,50 +157,30 @@ class TestParallelErrors:
         assert serial == parallel
 
 
-class TestSharedMemoryTransport:
-    def test_answers_travel_through_the_arena(self, engine):
-        serial = rendered(engine.search_batch(QUERIES, limits=LIMITS))
-        fresh = KeywordSearchEngine(planted_database())
+class TestPipeTransport:
+    def test_large_chunks_cross_the_pipe(self):
+        """A chunk whose pickled answers exceed the OS pipe buffer
+        (64 KiB) comes back through the pool equal to serial."""
+        import pickle
+
+        from repro.scale.parallel import ParallelSearcher, _portable_answer
+
+        assert not hasattr(ParallelSearcher, "region_bytes")
+        database = generate_tenants(CONFIG, tenants=4)
+        plant(database, "kwalpha", "DEPARTMENT", "D_DESCRIPTION", 8, seed=1)
+        plant(database, "kwbeta", "EMPLOYEE", "L_NAME", 32, seed=2)
+        loose = SearchLimits(max_rdb_length=5, max_tuples=6)
+        queries = ["kwalpha kwbeta", "kwalpha"]
+        engine = KeywordSearchEngine(database, result_cache_entries=0)
         try:
-            parallel = rendered(
-                fresh.search_batch(QUERIES, limits=LIMITS, jobs=2)
-            )
-            searcher = fresh._searcher
-            assert searcher is not None
-            if searcher._arena is None:  # pragma: no cover - no shm host
-                pytest.skip("platform offers no shared memory")
-            assert searcher.shm_batches > 0
-            assert searcher.pipe_batches == 0
+            serial = engine.search_batch(queries, limits=loose)
+            parallel = engine.search_batch(queries, limits=loose, jobs=2)
+            assert engine._searcher.pipe_batches == 2
         finally:
-            fresh.close_pool()
-        assert serial == parallel
-
-    def test_oversize_batches_fall_back_to_the_pipe(self, engine, monkeypatch):
-        from repro.scale.parallel import ParallelSearcher
-
-        # A region too small for any record forces every batch down the
-        # pipe path; answers must stay bit-identical either way.
-        monkeypatch.setattr(ParallelSearcher, "region_bytes", 16)
-        serial = rendered(engine.search_batch(QUERIES, limits=LIMITS))
-        fresh = KeywordSearchEngine(planted_database())
-        try:
-            parallel = rendered(
-                fresh.search_batch(QUERIES, limits=LIMITS, jobs=2)
-            )
-            searcher = fresh._searcher
-            assert searcher is not None
-            assert searcher.shm_batches == 0
-            assert searcher.pipe_batches > 0
-        finally:
-            fresh.close_pool()
-        assert serial == parallel
-
-    def test_close_releases_the_arena(self):
-        engine = KeywordSearchEngine(planted_database())
-        engine.search_batch(QUERIES[:2], limits=LIMITS, jobs=2)
-        searcher = engine._searcher
-        engine.close_pool()
-        assert searcher._arena is None
+            engine.close_pool()
+        portable = [(_portable_answer(r.answer), r.score) for r in parallel[0]]
+        assert len(pickle.dumps(portable)) > 64 * 1024
+        assert rendered(parallel) == rendered(serial)
 
 
 class TestPoolLifecycle:
@@ -232,18 +212,13 @@ class TestPoolLifecycle:
 
 
 class TestObservability:
-    """Worker traces and metric deltas merge commutatively, both
-    transports, without touching answers."""
+    """Worker traces and metric deltas merge commutatively, without
+    touching answers."""
 
-    def _observed_batch(self, jobs=2, region_bytes=None, monkeypatch=None):
+    def _observed_batch(self, jobs=2):
         from repro import obs
         from repro.obs import metrics as obs_metrics
 
-        if region_bytes is not None:
-            from repro.scale.parallel import ParallelSearcher
-
-            monkeypatch.setattr(ParallelSearcher, "region_bytes",
-                                region_bytes)
         engine = KeywordSearchEngine(planted_database())
         obs.reset()
         obs.set_enabled(True)
@@ -269,9 +244,8 @@ class TestObservability:
         assert len(workers) == 2
         # input-position order, whatever order the chunks completed in
         assert [w.tags["worker"] for w in workers] == [0, 1]
-        # Every distinct query ran in exactly one worker; cost routing
-        # may cut the batch non-contiguously, but each worker still
-        # answers its chunk in input order.
+        # Every distinct query ran in exactly one worker, each worker
+        # answering its contiguous chunk in input order.
         distinct = list(dict.fromkeys(QUERIES))
         per_worker = [
             [
@@ -286,25 +260,22 @@ class TestObservability:
         order = {query: position for position, query in enumerate(distinct)}
         for chunk in per_worker:
             assert [order[q] for q in chunk] == sorted(order[q] for q in chunk)
-        assert all(w.tags["transport"] in ("shm", "pipe") for w in workers)
 
     def test_worker_metrics_merge_into_registry(self):
         __, __, counters = self._observed_batch()
         # every distinct query ran in some worker; their deltas merged
         assert counters["executor.runs"] == len(dict.fromkeys(QUERIES))
         assert counters["result_cache.stores"] >= 1
-        transport = [name for name in counters if name.startswith("pool.")]
-        assert transport in (["pool.shm_batches"], ["pool.pipe_batches"])
+        pool = [name for name in counters if name.startswith("pool.")]
+        assert pool == ["pool.pipe_batches"]
 
-    def test_pipe_transport_carries_the_same_observability(self, monkeypatch):
-        parallel, trace, counters = self._observed_batch(
-            region_bytes=16, monkeypatch=monkeypatch
-        )
+    def test_pipe_transport_carries_the_same_observability(self):
+        parallel, trace, counters = self._observed_batch()
         workers = [
             span for span in trace.walk() if span.name == "worker.batch"
         ]
         assert workers
-        assert all(w.tags["transport"] == "pipe" for w in workers)
+        assert all("transport" not in w.tags for w in workers)
         assert counters["pool.pipe_batches"] == 2
 
     def test_merged_observability_is_deterministic(self):
@@ -400,7 +371,7 @@ class TestSelfHealing:
             os.kill(victim.pid, signal.SIGKILL)
             victim.join()
 
-            def no_spawn(index, arena):
+            def no_spawn():
                 raise OSError("no processes left")
 
             searcher._spawn_worker = no_spawn
