@@ -229,25 +229,35 @@ class Executor:
     def _unit_distance(self, source, target, rows, limits) -> Optional[int]:
         """Admissible lower bound on the RDB length of any simple path
         between two tuples: their BFS distance in the compiled graph,
-        exact up to ``max_rdb_length`` (rows are warmed by
-        :meth:`_prefetch_distances` at the radius the path kernel uses
-        and memoised in ``rows`` per target).  ``None`` means no bound
-        is available (tuple not interned) and the caller must fall back
-        to eager static setup; :data:`_UNREACHABLE` proves the pair
+        exact up to ``max_rdb_length`` (B).  It is met in the middle
+        (:meth:`~repro.graph.csr.FrozenGraph.distance_between`): the
+        target's radius-⌈B/2⌉ row, warmed by :meth:`_prefetch_distances`
+        at the radius the path kernel uses, against a ⌊B/2⌋ ball around
+        the source.  Both are memoised in ``rows`` — rows under the
+        target tuple id, balls under ``("ball", source)``, which no tuple
+        id equals: one tuple can match both keywords.  ``None`` means no
+        bound is available (tuple not interned) and the caller must fall
+        back to eager static setup; :data:`_UNREACHABLE` proves the pair
         yields nothing within the budget.
         """
         frozen = self.cache.frozen()
+        budget = limits.max_rdb_length
         row = rows.get(target)
         if row is None:
             node = frozen.node_of(target)
             if node is None:
                 return None
-            row = frozen.distances(node, radius=limits.max_rdb_length - 1)
-            rows[target] = row
-        source_node = frozen.node_of(source)
-        if source_node is None:
-            return None
-        return frozen.distance_within(row, source_node, limits.max_rdb_length)
+            row = rows[target] = frozen.distances(
+                node, radius=budget - budget // 2
+            )
+        key = ("ball", source)
+        ball = rows.get(key)
+        if ball is None:
+            node = frozen.node_of(source)
+            if node is None:
+                return None
+            ball = rows[key] = frozen.ball(node, budget // 2)
+        return frozen.distance_between(ball, row, budget)
 
     def _network_bound(self, required, rows, limits) -> Optional[int]:
         """Admissible lower bound on the tuple count of any joining tree

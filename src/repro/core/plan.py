@@ -153,19 +153,23 @@ class QueryPlan:
         units will request, mapped to the radius they request it at,
         deduplicated, in plan order.
 
-        The executor prefetches these rows before streaming.  Pair paths
-        prune against the *target* side's row (``distances(dst)`` in the
-        path kernel) and never look past ``max_rdb_length - 1`` levels,
-        so each pair op contributes its second match's tuples at that
-        radius; network growth prunes against every required tuple's
-        row up to ``max_tuples - 1``.  A tuple both kinds use takes the
-        wider radius (a wider row serves the narrower request).  Single
-        scans enumerate no structure and need no rows.
+        The executor prefetches these rows before streaming.  Pair bounds
+        meet in the middle: the *target* side's row (``distances(dst)``
+        in the path kernel) reaches ⌈``max_rdb_length``/2⌉ levels and a
+        per-query ball around the source the other ⌊``max_rdb_length``/2⌋
+        (:meth:`~repro.graph.csr.FrozenGraph.distance_between`), so each
+        pair op contributes its second match's tuples at radius
+        ⌈``max_rdb_length``/2⌉; network growth prunes against every
+        required tuple's row up to ``max_tuples - 1``.  A tuple both
+        kinds use takes the wider radius (a wider row serves the
+        narrower request).  Single scans enumerate no structure and need
+        no rows.
         """
         wanted: dict = {}
         for source in self.sources:
             if isinstance(source, PairPaths):
-                radius = limits.max_rdb_length - 1
+                budget = limits.max_rdb_length
+                radius = budget - budget // 2
                 tids = self.matches[source.second].tuple_ids
             elif isinstance(source, NetworkGrowth):
                 radius = limits.max_tuples - 1

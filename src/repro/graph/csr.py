@@ -21,7 +21,9 @@ kernels entirely on dense ints:
   loop is a C array index instead of a dict probe.  The kernels ask for
   the radius their budget can use, so the sweep stops after that many
   levels and the row is one byte per node (``0xFF`` = beyond the
-  radius); the unbounded ``array('i')`` row stays as the oracle.
+  radius); the unbounded ``array('i')`` row stays as the oracle.  A
+  pair bound within a budget B meets in the middle: a ⌊B/2⌋ ball around
+  one end against the other end's ⌈B/2⌉ row.
 * **Zero-copy DFS.**  Path enumeration keeps one shared ``bytearray``
   of visited marks and one mutable path stack, pushing and undoing in
   place; per-expansion ``visited | {other}`` / ``path + [...]`` copies
@@ -690,23 +692,53 @@ class FrozenGraph:
                 obs_metrics.REGISTRY.observe("csr.sweep_sources", len(missing))
         return result
 
-    def distance_within(self, row: DistanceRow, node: int, budget: int) -> int:
-        """Distance from ``row``'s source to ``node`` when it is at most
-        ``budget``, else :data:`_UNREACHABLE`.
+    def ball(self, node: int, radius: int) -> dict[int, int]:
+        """``{node: depth}`` of every node within ``radius`` hops of
+        ``node``, in BFS order (depths non-decreasing): the same level
+        sweep as :meth:`_bfs_row_scalar`, held sparse.  The source half
+        of a pair bound (:meth:`distance_between`); never cached."""
+        ball = {node: 0}
+        frontier = [node]
+        offsets, targets, override = self._offsets, self._targets, self._override
+        for depth in range(1, radius + 1):
+            next_frontier = []
+            for at in frontier:
+                patched = override.get(at)
+                for other in (
+                    patched[0] if patched is not None
+                    else targets[offsets[at]:offsets[at + 1]]
+                ):
+                    if other not in ball:
+                        ball[other] = depth
+                        next_frontier.append(other)
+            if not next_frontier:
+                break
+            frontier = next_frontier
+        return ball
 
-        ``row`` need only cover radius ``budget - 1``: a node outside
-        that ball lies exactly ``budget`` away iff one of its neighbours
-        holds depth ``budget - 1`` (a shallower neighbour would have put
-        the node inside the ball), and farther otherwise.
+    @staticmethod
+    def distance_between(
+        ball: dict[int, int], row: DistanceRow, budget: int
+    ) -> int:
+        """Distance between ``ball``'s source s and ``row``'s source t
+        when it is at most ``budget`` (B), else :data:`_UNREACHABLE`.
+
+        Meeting in the middle: ``ball`` need only reach ⌊B/2⌋ hops and
+        ``row`` ⌈B/2⌉.  On a shortest path of length d ≤ B, the node
+        ``min(⌊B/2⌋, d)`` hops from s lies in the ball and at most ⌈B/2⌉
+        from t, where the row is exact; every other sum over row depths
+        within ⌈B/2⌉ is a walk, never shorter than d.  Deeper row slots
+        (:data:`_BEYOND`, or exact depths of a wider row) are skipped.
         """
-        depth = row[node]
-        if depth == _BEYOND and type(row) is bytearray:
-            row_targets, __, __, start, end = self._row(node)
-            for position in range(start, end):
-                if row[row_targets[position]] == budget - 1:
-                    return budget
-            return _UNREACHABLE
-        return depth if depth <= budget else _UNREACHABLE
+        reach = budget - budget // 2
+        best = _UNREACHABLE
+        for node, depth in ball.items():
+            if depth >= best:
+                break  # BFS order: no later node can do better
+            far = row[node]
+            if far <= reach and depth + far < best:
+                best = depth + far
+        return best if best <= budget else _UNREACHABLE
 
     # ------------------------------------------------------------------
     # incremental patching
@@ -845,7 +877,9 @@ def csr_enumerate_simple_paths(
     Same paths, same order, same budget semantics as the reference core.
     The forward DFS runs on ints with a shared visited ``bytearray``
     and an in-place path stack (push/undo, no per-expansion copies);
-    the backward BFS bound is an array lookup.  ``cache`` supplies the
+    the backward BFS bound is an array lookup into the target's
+    radius-⌈B/2⌉ row, and the start depth the exact pair distance
+    (:meth:`FrozenGraph.distance_between`).  ``cache`` supplies the
     compiled :class:`FrozenGraph` and counts the paths yielded.
     """
     if max_edges < 1:
@@ -856,12 +890,16 @@ def csr_enumerate_simple_paths(
     if src is None or dst is None:
         return
 
-    # The DFS only compares ``to_target`` against ``remaining`` <=
-    # ``max_edges - 1``, so the row stops one level short of the budget
-    # (the last level is the widest) and the source's own distance comes
-    # from a neighbour probe when it lies outside that ball.
-    to_target = frozen.distances(dst, radius=max_edges - 1)
-    shortest = frozen.distance_within(to_target, src, max_edges)
+    # The target's row reaches only ⌈B/2⌉ levels (its widest levels are
+    # the last ones, so half the radius is far less than half the sweep).
+    # The start depth is the exact pair distance, met in the middle with
+    # a ⌊B/2⌋ ball around the source; the DFS prunes against the row only
+    # while ``remaining`` is within its radius, where it is exact.
+    radius = max_edges - max_edges // 2
+    to_target = frozen.distances(dst, radius=radius)
+    shortest = frozen.distance_between(
+        frozen.ball(src, max_edges // 2), to_target, max_edges
+    )
     if shortest > max_edges:
         return
 
@@ -906,7 +944,7 @@ def csr_enumerate_simple_paths(
             if visited[other]:
                 continue
             if remaining:
-                if to_target[other] > remaining:
+                if remaining <= radius and to_target[other] > remaining:
                     continue  # cannot reach the target within this depth
                 if other == dst:
                     continue  # simple paths stop at the target

@@ -325,6 +325,72 @@ class TestStreaming:
         assert first.render() == reference[0].render()
 
 
+class TestPairBoundRadius:
+    def test_pair_paths_never_sweep_past_half_the_budget(
+        self, synthetic_engine, monkeypatch
+    ):
+        """Two-keyword reads meet in the middle: every row a csr engine
+        holds after AND and OR texts, top-k and full mode, reaches at
+        most ⌈B/2⌉ levels, the prefetch still runs as a block, answers
+        and ``candidates`` / ``emitted`` equal the reference core's, and
+        ``pruned`` equals that of pair bounds read off unbounded rows
+        (the reference core prunes nothing)."""
+        from repro.core.executor import Executor
+        from repro.graph.csr import _UNREACHABLE, FrozenGraph
+
+        engine, texts = synthetic_engine
+        database = engine.database
+        blocks = []
+        distances_block = FrozenGraph.distances_block
+
+        def counted_block(self, nodes, radius=None):
+            blocks.append(radius)
+            return distances_block(self, nodes, radius)
+
+        def exact_bound(self, source, target, rows, limits):
+            frozen = self.cache.frozen()
+            row = frozen._bfs_row_scalar(frozen.node_of(target))
+            depth = row[frozen.node_of(source)]
+            return depth if depth <= limits.max_rdb_length else _UNREACHABLE
+
+        def outcome(engine, text, **options):
+            results = [
+                (r.render(), r.score, r.rank)
+                for r in engine.search(text, **options)
+            ]
+            stats = engine.last_stats
+            return results, stats.pruned, stats.candidates, stats.emitted
+
+        monkeypatch.setattr(FrozenGraph, "distances_block", counted_block)
+        pruned = 0
+        for budget in (4, 5):
+            csr, reference = (
+                KeywordSearchEngine(database, core=core, result_cache_entries=0)
+                for core in ("csr", "reference")
+            )
+            exact = KeywordSearchEngine(database, result_cache_entries=0)
+            limits = SearchLimits(max_rdb_length=budget)
+            for text in texts:
+                for semantics in ("and", "or"):
+                    for mode in ({"top_k": 3}, {"pushdown": False}):
+                        options = dict(mode, limits=limits, semantics=semantics)
+                        actual = outcome(csr, text, **options)
+                        expected = outcome(reference, text, **options)
+                        with monkeypatch.context() as patch:
+                            patch.setattr(Executor, "_unit_distance", exact_bound)
+                            oracle = outcome(exact, text, **options)
+                        assert actual[0] == expected[0] == oracle[0]
+                        assert actual[2:] == expected[2:] == oracle[2:]
+                        assert actual[1] == oracle[1]
+                        pruned += actual[1]
+            held = csr.traversal_cache.frozen()._distances.values()
+            assert held and {radius for __, radius, ___ in held} == {
+                budget - budget // 2
+            }
+        assert blocks and set(blocks) == {2, 3}
+        assert pruned, "no pair was proven out of budget"
+
+
 class TestStats:
     def test_candidates_counted_in_full_mode(self, engine):
         results = engine.search("Smith XML", limits=LIMITS)

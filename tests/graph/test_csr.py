@@ -623,17 +623,6 @@ class TestBoundedRowsMatchOracle:
                     depth if depth <= radius else 0xFF for depth in exact
                 ]
 
-    def test_distance_within_probes_one_level_past_the_ball(self, data_graph):
-        frozen = FrozenGraph(data_graph)
-        for target in range(frozen.capacity):
-            exact = frozen._bfs_row_scalar(target)
-            for budget in range(1, 9):
-                row = frozen._bfs_row_scalar(target, budget - 1)
-                for node in range(frozen.capacity):
-                    expected = exact[node] if exact[node] <= budget else 1 << 30
-                    assert frozen.distance_within(row, node, budget) == expected
-                    assert frozen.distance_within(exact, node, budget) == expected
-
 
 class TestRowCoverage:
     def test_wider_rows_serve_narrower_requests_only(self, data_graph):
@@ -686,10 +675,10 @@ class TestRowCoverage:
         block = frozen.distances_block([2, 3], radius=1000)
         assert all(type(row) is not bytearray for row in block.values())
         # d3 is its own component: 0xFF in a radius-254 row must not be
-        # read as "exactly 255 hops away".
+        # read as "exactly 255 hops away" by a budget that sums past it.
         isolated = frozen.node_of(tid("DEPARTMENT", "d3"))
         row = frozen.distances(0, radius=254)
-        assert frozen.distance_within(row, isolated, 255) > 255
+        assert frozen.distance_between(frozen.ball(isolated, 254), row, 508) > 508
 
     def test_huge_budgets_enumerate_like_the_reference(self, data_graph):
         from array import array
@@ -699,7 +688,12 @@ class TestRowCoverage:
             (tid("DEPARTMENT", "d1"), tid("WORKS_FOR", "e2", "p3")),
             (tid("DEPARTMENT", "d3"), tid("EMPLOYEE", "e1")),
         ]
-        for max_edges, row_type in ((255, bytearray), (256, array), (400, array)):
+        # Paths read their target row at radius ⌈B/2⌉: one byte up to
+        # B = 508 (radius 254), the unbounded row from B = 509 on.
+        for max_edges, row_type in (
+            (255, bytearray), (256, bytearray), (400, bytearray),
+            (508, bytearray), (509, array), (510, array),
+        ):
             cache = TraversalCache(data_graph)
             for source, target in pairs:
                 assert list(
@@ -764,18 +758,20 @@ class TestBoundedRowsEverywhere:
 
 class TestBoundedRowsUnderPatching:
     def test_append_beside_a_source_outside_the_ball(self, company_db):
-        # e2 lies exactly 5 hops from d1, so with max_edges=5 it sits
-        # just outside d1's cached radius-4 ball: a tuple appended next
-        # to it touches nothing inside the ball, the row survives, and
-        # the DFS from e2 then reads the row at the appended node.
+        # e2 lies exactly 5 hops from d1, so with max_edges=7 it sits
+        # just outside d1's cached radius-4 (⌈7/2⌉) row: a tuple appended
+        # next to it touches nothing inside the row's ball, the row
+        # survives, and both the source ball around e2 and the DFS from
+        # e2 (4 edges left after the first step) then read the row at the
+        # appended node.
         graph = DataGraph(company_db)
         cache = TraversalCache(graph)
         frozen = cache.frozen()
         source, target = tid("EMPLOYEE", "e2"), tid("DEPARTMENT", "d1")
         before = list(
-            csr_enumerate_simple_paths(cache, source, target, 5)
+            csr_enumerate_simple_paths(cache, source, target, 7)
         )
-        assert before and all(len(path) == 5 for path in before)
+        assert before and min(len(path) for path in before) == 5
         row, radius, __ = frozen._distances[frozen.node_of(target)]
         assert radius == 4 and row[frozen.node_of(source)] == 0xFF
         changeset = apply_to_database(
@@ -793,8 +789,8 @@ class TestBoundedRowsUnderPatching:
         assert len(row) == frozen.capacity
         assert row[frozen.node_of(tid("DEPENDENT", "z7"))] == 0xFF
         assert list(
-            csr_enumerate_simple_paths(cache, source, target, 5)
-        ) == list(enumerate_simple_paths(graph, source, target, 5)) == before
+            csr_enumerate_simple_paths(cache, source, target, 7)
+        ) == list(enumerate_simple_paths(graph, source, target, 7)) == before
 
     def test_changes_outside_a_ball_keep_the_row(self, company_db):
         graph = DataGraph(company_db)

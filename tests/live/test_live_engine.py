@@ -99,9 +99,9 @@ class TestApply:
 
     def test_append_beside_a_source_at_budget_distance(self, company_db):
         # "Barbara" (e2) lies exactly max_rdb_length = 5 hops from
-        # "programming" (d1): outside d1's radius-4 distance row, so an
+        # "programming" (d1): outside d1's radius-3 distance row, so an
         # insert next to e2 leaves that row cached and the next search
-        # walks from e2 over the appended tuple against it.
+        # reads it at the appended tuple, which lies in e2's source ball.
         engine = KeywordSearchEngine(company_db, result_cache_entries=0)
         baseline = rendered(engine.search("Barbara programming"))
         assert baseline

@@ -21,6 +21,7 @@ from repro.core.matching import match_keywords
 from repro.core.search import SearchLimits
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like, plant
 from repro.graph.csr import (
+    _UNREACHABLE,
     FrozenGraph,
     _index_nodes,
     csr_enumerate_joining_trees,
@@ -291,6 +292,74 @@ class TestBoundedRowsClipTheOracle:
             apply_changeset(changeset, database, data_graph=graph)
             live.apply_changeset(changeset)
             _assert_rows_clip_the_oracle(live, FrozenGraph(graph))
+
+
+def _assert_pairs_meet_in_the_middle(live):
+    """For budgets B = 1–8 and every live pair (s, t), a ⌊B/2⌋ ball
+    around s met with t's ⌈B/2⌉ row gives t's unbounded oracle row at s,
+    clipped at B; each ball is the oracle row clipped at its radius, in
+    BFS order."""
+    alive = [node for node in range(live.capacity) if live._alive[node]]
+    exact = {node: live._bfs_row_scalar(node) for node in alive}
+    for budget in range(1, 9):
+        radius = budget // 2
+        balls = {node: live.ball(node, radius) for node in alive}
+        for source, ball in balls.items():
+            assert ball == {
+                other: exact[source][other]
+                for other in alive if exact[source][other] <= radius
+            }
+            assert list(ball.values()) == sorted(ball.values())
+        for target in alive:
+            row = live.distances(target, budget - radius)
+            for source in alive:
+                depth = exact[target][source]
+                assert live.distance_between(balls[source], row, budget) == (
+                    depth if depth <= budget else _UNREACHABLE
+                ), (source, target, budget)
+
+
+class TestPairBoundMeetsInTheMiddle:
+    """A pair bound met in the middle is exact up to its budget — on
+    fresh graphs, after changesets (tombstoned and appended nodes,
+    override rows, re-validated held rows), and when a wider held row,
+    radius 5 or unbounded, serves the ⌈B/2⌉ request."""
+
+    @relaxed
+    @given(configs)
+    def test_fresh_graphs(self, config):
+        _assert_pairs_meet_in_the_middle(
+            FrozenGraph(DataGraph(generate_company_like(config)))
+        )
+
+    @relaxed
+    @given(
+        configs,
+        st.lists(st.integers(min_value=0, max_value=1 << 16),
+                 min_size=1, max_size=5),
+    )
+    def test_after_changesets(self, config, salts):
+        database = generate_company_like(config)
+        replay = generate_company_like(config)
+        live = FrozenGraph(DataGraph(database))
+        for batch in _structural_mutations(replay, salts):
+            # Held rows of every radius meet each patch, to be re-validated
+            # and grown when the bound next reads them.
+            for node in range(live.capacity):
+                if live._alive[node]:
+                    live.distances(node, radius=node % 5)
+            live.apply_changeset(apply_to_database(database, batch))
+        _assert_pairs_meet_in_the_middle(live)
+
+    @relaxed
+    @given(configs, st.sampled_from([5, None]))
+    def test_wider_held_rows(self, config, held):
+        live = FrozenGraph(DataGraph(generate_company_like(config)))
+        for node in range(live.capacity):
+            live.distances(node, held)
+        misses = live.misses
+        _assert_pairs_meet_in_the_middle(live)
+        assert live.misses == misses  # every ⌈B/2⌉ request was a wider row
 
 
 def _assert_log_bounded(live):
