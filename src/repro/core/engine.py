@@ -649,7 +649,9 @@ class KeywordSearchEngine:
         (fine-grained: compiled rows patch from the edge deltas, only
         distance rows the change falls inside drop), the answer cache
         drops only entries whose matched tuples lie within answer reach
-        of the change, and the engine
+        of the change — a two-keyword entry only when its two keywords'
+        distances from the change fit one connection, decided from a
+        sweep ``(max_rdb_length - 1) // 2`` hops deep — and the engine
         :attr:`version` is bumped and stamped onto the returned
         changeset.  Results after ``apply`` are bit-identical to a
         freshly rebuilt engine; ``rebuild()`` stays available as the
@@ -670,36 +672,45 @@ class KeywordSearchEngine:
             )
             fault.maybe("wal.append")
         if not changeset.is_empty():
-            with obs_trace.span("live.apply"):
-                apply_changeset(
-                    changeset,
-                    self.database,
-                    index=self.index,
-                    data_graph=self.data_graph,
-                    traversal_cache=self.traversal_cache,
-                )
-            if len(self.result_cache):
-                # Tainting costs a bounded BFS; with no live entries
-                # there is nothing it could invalidate.
-                with obs_trace.span("result_cache.invalidate") as inv_span:
-                    dropped = self.result_cache.invalidate(
-                        changeset,
-                        affected_tuples(
-                            self.traversal_cache,
-                            changeset,
-                            self.result_cache.reach(),
-                        ),
-                        self.index,
-                    )
-                    if inv_span is not None:
-                        inv_span.add(dropped=dropped)
-            # Instance statistics move with the data; recomputed lazily.
-            self.statistics = None
+            self._maintain(changeset)
             if obs_metrics.ENABLED:
                 obs_metrics.REGISTRY.inc("engine.changesets_applied")
         self.version += 1
         changeset.version = self.version
         return changeset
+
+    def _maintain(self, changeset: ChangeSet) -> None:
+        """Bring every derived structure in step with a non-empty
+        changeset the database already holds — the one maintenance
+        sequence of a live ``apply`` and of WAL replay: patch the index,
+        data graph and traversal cache in place, drop the answer-cache
+        entries the changeset may have made stale, forget the instance
+        statistics."""
+        with obs_trace.span("live.apply"):
+            apply_changeset(
+                changeset,
+                self.database,
+                index=self.index,
+                data_graph=self.data_graph,
+                traversal_cache=self.traversal_cache,
+            )
+        if len(self.result_cache):
+            # With no live entries there is nothing to invalidate.  The
+            # taint sweep runs only if a surviving entry needs it, and
+            # only as deep (ResultCache.seed_radius).
+            with obs_trace.span("result_cache.invalidate") as inv_span:
+                dropped = self.result_cache.invalidate(
+                    changeset,
+                    self.index,
+                    self.traversal_cache.frozen,
+                    lambda radius: affected_tuples(
+                        self.traversal_cache, changeset, radius
+                    ),
+                )
+                if inv_span is not None:
+                    inv_span.add(dropped=dropped)
+        # Instance statistics move with the data; recomputed lazily.
+        self.statistics = None
 
     # ------------------------------------------------------------------
     # analysis helpers

@@ -256,7 +256,7 @@ class Executor:
             node = frozen.node_of(source)
             if node is None:
                 return None
-            ball = rows[key] = frozen.ball(node, budget // 2)
+            ball = rows[key] = frozen.ball((node,), budget // 2)
         return frozen.distance_between(ball, row, budget)
 
     def _network_bound(self, required, rows, limits) -> Optional[int]:

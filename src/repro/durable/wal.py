@@ -33,7 +33,6 @@ from typing import List, Optional, Tuple
 from repro.durable import fault
 from repro.errors import WalError
 from repro.live.changes import apply_record
-from repro.live.maintain import affected_tuples, apply_changeset
 from repro.obs import metrics as obs_metrics
 
 __all__ = [
@@ -334,24 +333,7 @@ def replay_into(engine, records, path: str) -> int:
             )
         changeset = apply_record(record, engine.database)
         if not changeset.is_empty():
-            apply_changeset(
-                changeset,
-                engine.database,
-                index=engine.index,
-                data_graph=engine.data_graph,
-                traversal_cache=engine.traversal_cache,
-            )
-            if len(engine.result_cache):
-                engine.result_cache.invalidate(
-                    changeset,
-                    affected_tuples(
-                        engine.traversal_cache,
-                        changeset,
-                        engine.result_cache.reach(),
-                    ),
-                    engine.index,
-                )
-            engine.statistics = None
+            engine._maintain(changeset)
         engine.version = version
         replayed += 1
     if replayed and obs_metrics.ENABLED:

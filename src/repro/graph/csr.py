@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict, defaultdict
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.errors import QueryError, SearchLimitError
 from repro.graph.data_graph import DataGraph
@@ -376,11 +376,6 @@ class FrozenGraph:
         assert tid is not None, "tombstoned node has no tuple id"
         return tid
 
-    def tids(self, nodes) -> list[TupleId]:
-        """:meth:`tid_of` of many live nodes in one call."""
-        bulk = getattr(self._tid_of, "tids", None)
-        return bulk(nodes) if bulk else list(map(self._tid_of.__getitem__, nodes))
-
     def nbytes(self) -> int:
         """Approximate total footprint of the compiled structure."""
         footprint = self.memory_footprint()
@@ -465,13 +460,6 @@ class FrozenGraph:
             list(row_keys[start:end]),
             list(row_datas[start:end]),
         )
-
-    def neighbour_row(self, node: int) -> Sequence[int]:
-        """Neighbour ints straight off one node's expansion row — one
-        per incident edge, nothing memoized (a taint sweep visits each
-        node once, so the :meth:`neighbour_ints` cache would only grow)."""
-        row_targets, __, __, start, end = self._row(node)
-        return row_targets[start:end]
 
     def neighbour_ints(self, node: int) -> tuple[int, ...]:
         """Distinct neighbour ints of one node, in expansion order."""
@@ -692,13 +680,15 @@ class FrozenGraph:
                 obs_metrics.REGISTRY.observe("csr.sweep_sources", len(missing))
         return result
 
-    def ball(self, node: int, radius: int) -> dict[int, int]:
-        """``{node: depth}`` of every node within ``radius`` hops of
-        ``node``, in BFS order (depths non-decreasing): the same level
-        sweep as :meth:`_bfs_row_scalar`, held sparse.  The source half
-        of a pair bound (:meth:`distance_between`); never cached."""
-        ball = {node: 0}
-        frontier = [node]
+    def ball(self, sources: Iterable[int], radius: int) -> dict[int, int]:
+        """``{node: depth}`` of every node within ``radius`` hops of the
+        nearest of ``sources``, in BFS order (depths non-decreasing): the
+        same level sweep as :meth:`_bfs_row_scalar`, held sparse and
+        started from every source at depth 0.  The source half of a pair
+        bound (:meth:`distance_between`) and the answer cache's taint
+        sweep; never cached."""
+        ball = dict.fromkeys(sources, 0)
+        frontier = list(ball)
         offsets, targets, override = self._offsets, self._targets, self._override
         for depth in range(1, radius + 1):
             next_frontier = []
@@ -715,6 +705,32 @@ class FrozenGraph:
                 break
             frontier = next_frontier
         return ball
+
+    def meets(self, sources: Iterable[int], radius: int, ball) -> bool:
+        """True when some node within ``radius`` hops of ``sources`` is
+        in ``ball`` — the far half of a meeting-in-the-middle test.
+        :meth:`ball`'s level sweep, stopping at the first node of
+        ``ball`` it reaches and never storing its last level."""
+        frontier = list(sources)
+        if not ball.keys().isdisjoint(frontier):
+            return True
+        seen = set(frontier)
+        offsets, targets, override = self._offsets, self._targets, self._override
+        for levels_left in range(radius - 1, -1, -1):
+            reached = []
+            for at in frontier:
+                patched = override.get(at)
+                for other in (
+                    patched[0] if patched is not None
+                    else targets[offsets[at]:offsets[at + 1]]
+                ):
+                    if other in ball:
+                        return True
+                    if levels_left and other not in seen:
+                        seen.add(other)
+                        reached.append(other)
+            frontier = reached
+        return False
 
     @staticmethod
     def distance_between(
@@ -898,7 +914,7 @@ def csr_enumerate_simple_paths(
     radius = max_edges - max_edges // 2
     to_target = frozen.distances(dst, radius=radius)
     shortest = frozen.distance_between(
-        frozen.ball(src, max_edges // 2), to_target, max_edges
+        frozen.ball((src,), max_edges // 2), to_target, max_edges
     )
     if shortest > max_edges:
         return

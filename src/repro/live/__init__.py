@@ -13,13 +13,16 @@ safely updatable:
 * :mod:`repro.live.maintain` — incremental maintainers that patch the
   derived structures in place from a changeset: the inverted index (its
   ``add_tuple`` / ``remove_tuple`` hooks keep posting order identical to
-  a fresh build), the data graph (node/edge patching plus conceptual-view
-  invalidation) and the traversal cache (only entries in touched
-  connected components are dropped).
+  a fresh build), the data graph (node/edge patching, once built) and
+  the traversal cache (compiled rows patched from the edge deltas) —
+  plus :func:`~repro.live.maintain.affected_tuples`, the ``{node int:
+  depth}`` ball around a changeset's structural seeds.
 * :mod:`repro.live.result_cache` — a dependency-tracked LRU answer
   cache.  Entries record the tuple footprint and per-keyword match
   fingerprint of their answers, so a changeset invalidates exactly the
-  affected entries; everything else keeps serving.
+  affected entries — structurally, only those whose keywords lie close
+  enough to the change to share a bounded answer with it; everything
+  else keeps serving.
 
 ``engine.rebuild()`` remains the escape hatch and doubles as the
 differential oracle: after any interleaving of ``apply`` batches and

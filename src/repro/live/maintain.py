@@ -14,8 +14,8 @@ place* instead of rebuilding it:
   graph in place (tombstone / append / per-row edge deltas).
 
 :func:`affected_tuples` computes the invalidation frontier for the
-answer cache: the depth-labelled ball around a changeset's structural
-seeds.  Answers are bounded objects — a connection has at most
+answer cache: the depth-labelled ball of node ints around a changeset's
+structural seeds.  Answers are bounded objects — a connection has at most
 ``max_rdb_length`` edges, a joining network at most ``max_tuples``
 tuples — so a changed edge can only create, destroy or reshape an answer
 whose matched tuples lie within that many hops of it; everything farther
@@ -30,7 +30,7 @@ from __future__ import annotations
 from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
 from repro.live.changes import ChangeSet
-from repro.relational.database import Database, TupleId
+from repro.relational.database import Database
 from repro.relational.index import InvertedIndex
 
 __all__ = [
@@ -90,38 +90,24 @@ def apply_to_traversal_cache(cache: TraversalCache, changeset: ChangeSet) -> Non
     cache.apply_changeset(changeset)
 
 
-def _ball(seeds, neighbours, reach: int) -> dict:
-    """Breadth-first depth labels of everything within ``reach`` edges
-    of ``seeds``: ``{node: depth}``, seeds at depth 0."""
-    depth_of = dict.fromkeys(seeds, 0)
-    frontier = list(depth_of)
-    for depth in range(1, reach + 1):
-        if not frontier:
-            break
-        reached = []
-        for at in frontier:
-            for other in neighbours(at):
-                if other not in depth_of:
-                    depth_of[other] = depth
-                    reached.append(other)
-        frontier = reached
-    return depth_of
-
-
 def affected_tuples(
-    traversal_cache: TraversalCache, changeset: ChangeSet, reach: int
-) -> dict[TupleId, int]:
-    """Tuples whose cached answers a changeset's *structural* part may
-    have invalidated, labelled with their distance from it.
+    traversal_cache: TraversalCache, changeset: ChangeSet, radius: int
+) -> dict[int, int]:
+    """The nodes near a changeset's *structural* part — where a matched
+    tuple's cached answers may have changed — labelled with their
+    distance from it.
 
-    One breadth-first sweep of the *patched* graph, ``reach`` levels out
-    from the structural seeds (added tuples, endpoints of added/removed
-    edges): ``{tuple: hops to the nearest seed}``.  Removed tuples are
-    no longer in the graph and report depth 0; their former neighbours
-    are seeds through the removed edges.  Why a bounded ball suffices:
-    walk any answer the changeset created or destroyed from one of its
-    matched tuples — the first changed edge on the way is reached over
-    unchanged edges, and those all exist in the patched graph.
+    One multi-source breadth-first sweep of the *patched* graph,
+    ``radius`` levels out from the structural seeds (added tuples,
+    endpoints of added/removed edges): ``{node int: hops to the nearest
+    seed}`` (:meth:`FrozenGraph.ball <repro.graph.csr.FrozenGraph.ball>`).
+    Removed tuples are no longer in the graph and do not appear — their
+    former neighbours are seeds through the removed edges, and the
+    answer cache drops their entries by footprint.  Why a bounded ball
+    suffices: walk any answer the changeset created or destroyed from
+    one of its matched tuples — the first changed edge on the way is
+    reached over unchanged edges, and those all exist in the patched
+    graph.
 
     The sweep runs on the compiled CSR rows (compiled now, from the
     patched database, when the cache held none) and never touches
@@ -133,11 +119,7 @@ def affected_tuples(
         return {}
     frozen = traversal_cache.frozen()
     nodes = [node for tid in seeds if (node := frozen.node_of(tid)) is not None]
-    depth_of = _ball(nodes, frozen.neighbour_row, reach)
-    affected = dict(zip(frozen.tids(depth_of), depth_of.values()))
-    for tid in changeset.tuples_removed:
-        affected[tid] = 0
-    return affected
+    return frozen.ball(sorted(nodes), radius)
 
 
 def apply_changeset(

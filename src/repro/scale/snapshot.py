@@ -212,11 +212,6 @@ class _Interning:
             tid = self._cache[node] = TupleId(relation, key)
             return tid
 
-    def tids(self, nodes) -> list:
-        """The tuple ids of many live nodes, from the cache where it has them."""
-        cached = self._cache.get
-        return [cached(node) or self[node] for node in nodes]
-
     def __setitem__(self, node: int, value) -> None:
         if node >= self._length:
             self._appended[node - self._length] = value

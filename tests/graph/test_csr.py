@@ -678,7 +678,7 @@ class TestRowCoverage:
         # read as "exactly 255 hops away" by a budget that sums past it.
         isolated = frozen.node_of(tid("DEPARTMENT", "d3"))
         row = frozen.distances(0, radius=254)
-        assert frozen.distance_between(frozen.ball(isolated, 254), row, 508) > 508
+        assert frozen.distance_between(frozen.ball((isolated,), 254), row, 508) > 508
 
     def test_huge_budgets_enumerate_like_the_reference(self, data_graph):
         from array import array

@@ -212,13 +212,14 @@ class TestTraversalCacheInvalidation:
 
 
 class TestAffectedTuples:
-    """The taint ball: depth-labelled, bounded, the same whether the rows
-    were patched or compiled after the batch."""
+    """The taint ball: depth-labelled node ints, bounded, the same whether
+    the rows were patched or compiled after the batch."""
 
     INSERT = [Insert("DEPENDENT",
                      {"ID": "t9", "ESSN": "e1", "DEPENDENT_NAME": "Nora"})]
 
     def taint(self, company_db, mutations, reach, compiled):
+        """``(data graph, compiled graph, ball)`` after one batch."""
         data_graph = DataGraph(company_db)
         cache = TraversalCache(data_graph)
         if compiled:
@@ -227,45 +228,56 @@ class TestAffectedTuples:
         apply_changeset(
             changeset, company_db, data_graph=data_graph, traversal_cache=cache
         )
-        return data_graph, affected_tuples(cache, changeset, reach)
+        affected = affected_tuples(cache, changeset, reach)
+        return data_graph, cache.frozen(), affected
 
     def test_structural_change_taints_only_its_ball(self, company_db):
         import networkx as nx
 
         for reach in (0, 1, 2, 5):
             db = build_company_database()
-            data_graph, affected = self.taint(db, self.INSERT, reach, True)
+            data_graph, frozen, affected = self.taint(
+                db, self.INSERT, reach, True
+            )
             distances = nx.multi_source_dijkstra_path_length(
                 nx.Graph(data_graph.graph),
                 {tid("DEPENDENT", "t9"), tid("EMPLOYEE", "e1")},
             )
             assert affected == {
-                node: depth for node, depth in distances.items()
+                frozen.node_of(node): depth
+                for node, depth in distances.items()
                 if depth <= reach
             }
+            assert list(affected.values()) == sorted(affected.values())
         # One FK hop from e1 is its department; the rest of the (single)
         # component lies farther out and stays untainted at reach 1.
-        __, near = self.taint(company_db, self.INSERT, 1, True)
-        assert near[tid("DEPENDENT", "t9")] == near[tid("EMPLOYEE", "e1")] == 0
-        assert near[tid("DEPARTMENT", "d1")] == 1
-        assert tid("DEPARTMENT", "d2") not in near
+        __, frozen, near = self.taint(company_db, self.INSERT, 1, True)
+        node = frozen.node_of
+        assert near[node(tid("DEPENDENT", "t9"))] == 0
+        assert near[node(tid("EMPLOYEE", "e1"))] == 0
+        assert near[node(tid("DEPARTMENT", "d1"))] == 1
+        assert node(tid("DEPARTMENT", "d2")) not in near
 
     def test_data_graph_sweep_equals_compiled_sweep(self):
         # A cache compiled before the batch sweeps its patched rows; one
-        # holding nothing compiles the patched database on demand.
+        # holding nothing compiles the patched database on demand.  The
+        # two number appended nodes differently, so compare tuple ids.
         for reach in (0, 1, 3):
-            __, compiled = self.taint(
-                build_company_database(), BATCH, reach, True
-            )
-            __, plain = self.taint(
-                build_company_database(), BATCH, reach, False
-            )
-            assert compiled == plain
+            balls = []
+            for compiled in (True, False):
+                __, frozen, affected = self.taint(
+                    build_company_database(), BATCH, reach, compiled
+                )
+                balls.append({
+                    frozen.tid_of(node): depth
+                    for node, depth in affected.items()
+                })
+            assert balls[0] == balls[1]
 
     def test_value_update_taints_only_the_tuple(self, company_db):
         # Value-only updates have no structural reach at all: the answer
         # cache tests them against entry footprints instead.
-        __, affected = self.taint(
+        __, __, affected = self.taint(
             company_db,
             [Update(tid("DEPARTMENT", "d1"), {"D_DESCRIPTION": "robotics"})],
             5,
@@ -273,9 +285,11 @@ class TestAffectedTuples:
         )
         assert affected == {}
 
-    def test_removed_tuple_still_reported_affected(self, company_db):
-        __, affected = self.taint(
+    def test_removed_tuple_seeds_its_former_neighbours(self, company_db):
+        # The removed tuple has no node int any more (entries holding it
+        # drop by footprint); its removed edge seeds its neighbour.
+        __, frozen, affected = self.taint(
             company_db, [Delete(tid("DEPENDENT", "t1"))], 1, True
         )
-        assert affected[tid("DEPENDENT", "t1")] == 0
-        assert affected[tid("EMPLOYEE", "e3")] == 0
+        assert frozen.node_of(tid("DEPENDENT", "t1")) is None
+        assert affected[frozen.node_of(tid("EMPLOYEE", "e3"))] == 0

@@ -34,24 +34,84 @@ def entry(keywords=("x",), footprint=(), fingerprint=((),), volatile=False,
     )
 
 
+class Graph:
+    """Stand-in for a compiled graph: tuple ids interned in list order,
+    undirected edges, :meth:`FrozenGraph.ball`'s level sweep and the
+    meeting test it answers."""
+
+    compile_stamp = 1
+
+    def __init__(self, tids=(), edges=()):
+        self.nodes = {member: node for node, member in enumerate(tids)}
+        self.rows = {node: [] for node in self.nodes.values()}
+        for one, other in edges:
+            self.rows[self.nodes[one]].append(self.nodes[other])
+            self.rows[self.nodes[other]].append(self.nodes[one])
+
+    def node_of(self, member):
+        return self.nodes.get(member)
+
+    def meets(self, sources, radius, ball):
+        return not ball.keys().isdisjoint(self.ball(sources, radius))
+
+    def ball(self, sources, radius):
+        ball = dict.fromkeys(sources, 0)
+        frontier = list(ball)
+        for depth in range(1, radius + 1):
+            reached = []
+            for at in frontier:
+                for other in self.rows[at]:
+                    if other not in ball:
+                        ball[other] = depth
+                        reached.append(other)
+            frontier = reached
+        return ball
+
+
+def invalidate(cache, changeset, index, graph=None, seeds=()):
+    """``cache.invalidate`` with ``graph`` (default: empty) as the patched
+    compiled graph, swept from the nodes of the ``seeds`` tuples."""
+    graph = graph if graph is not None else Graph()
+    nodes = [graph.node_of(seed) for seed in seeds]
+    return cache.invalidate(
+        changeset, index, lambda: graph,
+        lambda radius: graph.ball(nodes, radius),
+    )
+
+
 def reverse_maps(cache):
     """The reverse maps re-derived from the entries alone."""
-    by_tuple, by_token, reaches = {}, {}, {}
+    by_tuple, by_token, radii = {}, {}, {}
     for key, item in cache._entries.items():
         for member in item.footprint:
             by_tuple.setdefault(member, set()).add(key)
         for token in item.tokens():
             by_token.setdefault(token, set()).add(key)
-        reaches[item.reach] = reaches.get(item.reach, 0) + 1
+        if item.seed_radius is not None:
+            radii[item.seed_radius] = radii.get(item.seed_radius, 0) + 1
     volatile = {key for key, item in cache._entries.items() if item.volatile}
-    return by_tuple, by_token, volatile, reaches
+    return by_tuple, by_token, volatile, radii
 
 
 def assert_maps_consistent(cache):
-    cache.reach()  # the maps exist from the first changeset on
+    cache.seed_radius()  # the maps exist from the first changeset on
     assert (
-        cache._by_tuple, cache._by_token, cache._volatile, cache._reaches
+        cache._by_tuple, cache._by_token, cache._volatile, cache._radii
     ) == reverse_maps(cache)
+    assert {
+        key: (record.entry, record.radius)
+        for key, record in cache._taintable.items()
+    } == {
+        key: (item, item.seed_radius) for key, item in cache._entries.items()
+        if item.seed_radius is not None
+    }
+    by_node = {}
+    for record in cache._taintable.values():
+        assert (record.nodes is None) == (record in cache._unbound)
+        for group in record.nodes or ():
+            for node in group:
+                by_node.setdefault(node, set()).add(record)
+    assert cache._by_node == by_node
 
 
 class TestLruMechanics:
@@ -81,7 +141,8 @@ class TestLruMechanics:
 
 
 class TestReverseMaps:
-    """Tuple, token, volatile and reach maps mirror the entries always."""
+    """Tuple, token, volatile, radius and node maps mirror the entries
+    always."""
 
     E1, E2, D1 = tid("EMPLOYEE", "e1"), tid("EMPLOYEE", "e2"), tid("DEPARTMENT", "d1")
 
@@ -90,7 +151,7 @@ class TestReverseMaps:
         cache.store("a", entry(keywords=("smith",), footprint=[self.E1]))
         cache.store("b", entry(keywords=("xml",), footprint=[self.D1]))
         assert cache._by_tuple is None and not cache._by_token
-        cache.invalidate(ChangeSet(tuples_updated=(self.E2,)), {}, index)
+        invalidate(cache, ChangeSet(tuples_updated=(self.E2,)), index)
         assert cache._by_tuple == {self.D1: {"b"}}
         cache.store("c", entry(keywords=("smith",), footprint=[self.E1]))
         assert_maps_consistent(cache)
@@ -99,7 +160,7 @@ class TestReverseMaps:
 
     def test_store_over_existing_key_relinks(self):
         cache = ResultCache()
-        cache.reach()
+        cache.seed_radius()
         cache.store("k", entry(keywords=("smith", "xml@DEPARTMENT"),
                                footprint=[self.E1, self.D1], volatile=True))
         cache.store("k", entry(keywords=("jones",), footprint=[self.E2],
@@ -109,11 +170,11 @@ class TestReverseMaps:
         assert set(cache._by_tuple) == {self.E2}
         assert set(cache._by_token) == {"jones"}
         assert not cache._volatile
-        assert cache.reach() == 1
+        assert cache.seed_radius() is None  # one keyword: never swept
 
     def test_lru_eviction_unlinks(self):
         cache = ResultCache(max_entries=2)
-        cache.reach()
+        cache.seed_radius()
         cache.store("a", entry(keywords=("smith",), footprint=[self.E1]))
         cache.store("b", entry(keywords=("smith",), footprint=[self.E1, self.E2]))
         cache.store("c", entry(keywords=("xml",), footprint=[self.D1]))
@@ -127,18 +188,18 @@ class TestReverseMaps:
                                fingerprint=(index.matching_tuples("smith"),)))
         cache.store("b", entry(keywords=("xml",), footprint=[self.D1],
                                fingerprint=(index.matching_tuples("xml"),)))
-        assert cache.invalidate(
-            ChangeSet(tuples_updated=(self.E1,)), {}, index
+        assert invalidate(
+            cache, ChangeSet(tuples_updated=(self.E1,)), index
         ) == 1
         assert_maps_consistent(cache)
         assert list(cache._entries) == ["b"]
         cache.clear()
-        assert cache.reach() == 0 and not cache._by_tuple
+        assert cache.seed_radius() is None and not cache._by_tuple
         assert_maps_consistent(cache)
 
     def test_role_qualified_keywords_share_one_token(self):
         cache = ResultCache()
-        cache.reach()
+        cache.seed_radius()
         cache.store("k", entry(keywords=("Smith@EMPLOYEE", "smith@DEPENDENT")))
         assert cache._by_token == {"smith": {"k"}}
         cache.store("k", entry(keywords=("other",)))
@@ -154,8 +215,8 @@ class TestInvalidation:
         cache.store("survives", entry(keywords=("smith",),
                                       footprint=[tid("EMPLOYEE", "e3")],
                                       fingerprint=(index.matching_tuples("smith"),)))
-        dropped = cache.invalidate(
-            ChangeSet(tuples_updated=(tid("EMPLOYEE", "e1"),)), {}, index
+        dropped = invalidate(
+            cache, ChangeSet(tuples_updated=(tid("EMPLOYEE", "e1"),)), index
         )
         assert dropped == 1
         assert cache.lookup("survives") is not None
@@ -176,8 +237,9 @@ class TestInvalidation:
             "DEPENDENT", {"ID": "t9", "ESSN": "e3", "DEPENDENT_NAME": "Smith"}
         )
         index.add_tuple(record)
-        dropped = cache.invalidate(
-            ChangeSet(tuples_added=(record.tid,)), {}, index
+        dropped = invalidate(
+            cache, ChangeSet(tuples_added=(record.tid,)), index,
+            Graph([record.tid]), [record.tid],
         )
         assert dropped == 1
         assert cache.lookup("role") is not None
@@ -185,26 +247,46 @@ class TestInvalidation:
     def test_volatile_entry_drops_on_any_change(self, index):
         cache = ResultCache()
         cache.store("tfidf", entry(volatile=True))
-        assert cache.invalidate(
-            ChangeSet(tuples_updated=(tid("EMPLOYEE", "e1"),)), {}, index
+        assert invalidate(
+            cache, ChangeSet(tuples_updated=(tid("EMPLOYEE", "e1"),)), index
         ) == 1
 
     def test_empty_changeset_drops_nothing(self, index):
         cache = ResultCache()
         cache.store("tfidf", entry(volatile=True))
-        assert cache.invalidate(ChangeSet(), {}, index) == 0
+        assert invalidate(cache, ChangeSet(), index) == 0
 
 
 class TestStructuralTaint:
-    """Which depth-labelled balls reach an entry (module docstring)."""
+    """Which structural changes reach an entry (module docstring).  Each
+    case is a star around the added tuple Z: a tuple given depth d sits
+    d hops out on a spoke of its own (depth 0: a seed itself), every
+    other tuple is isolated — so the sweep from the seeds labels the
+    tuples with exactly the depths given."""
 
     A, B, C = tid("EMPLOYEE", "e1"), tid("DEPARTMENT", "d1"), tid("PROJECT", "p1")
-    EDGE = ChangeSet(tuples_added=(tid("DEPENDENT", "zz"),))
+    Z = tid("DEPENDENT", "zz")
+    EDGE = ChangeSet(tuples_added=(Z,))
 
-    def tainted(self, item, ball, index):
+    def star(self, depths):
+        """``(graph, seeds)`` realising ``depths`` from Z."""
+        tids, edges, seeds = [self.Z, self.A, self.B, self.C], [], [self.Z]
+        for member, depth in depths.items():
+            if depth == 0:
+                seeds.append(member)
+                continue
+            spoke = [self.Z] + [
+                tid("SPOKE", member.key[0], hop) for hop in range(1, depth)
+            ]
+            tids.extend(spoke[1:])
+            edges.extend(zip(spoke, spoke[1:] + [member]))
+        return Graph(tids, edges), seeds
+
+    def tainted(self, item, depths, index):
         cache = ResultCache()
         cache.store("k", item)
-        return cache.invalidate(self.EDGE, ball, index) == 1
+        graph, seeds = self.star(depths)
+        return invalidate(cache, self.EDGE, index, graph, seeds) == 1
 
     def pair(self, **options):
         return entry(keywords=("a", "b"), footprint=[self.A, self.B],
@@ -215,6 +297,7 @@ class TestStructuralTaint:
         assert self.tainted(self.pair(), {self.A: 0, self.B: 1}, index)
 
     def test_two_keywords_need_depths_that_fit_one_path(self, index):
+        # L = 4 sweeps one hop: B, two hops out, is met in the middle.
         limits = SearchLimits(max_rdb_length=4)
         assert self.tainted(
             self.pair(limits=limits), {self.A: 1, self.B: 2}, index
@@ -229,7 +312,7 @@ class TestStructuralTaint:
                       footprint=[self.A, self.B, self.C],
                       fingerprint=((self.A,), (self.B,), (self.C,)),
                       limits=short)
-        assert three.reach == 1
+        assert three.seed_radius == 1
         assert not self.tainted(
             three, {self.A: 0, self.B: 1, self.C: 2}, index
         )
@@ -247,11 +330,69 @@ class TestStructuralTaint:
         )
 
     def test_answer_tuples_select_but_do_not_taint(self, index):
-        # C is only *in an answer*: it makes the entry a candidate, but
-        # taint is decided on matched tuples.
+        # C is only *in an answer*: taint is decided on matched tuples.
         item = entry(keywords=("a", "b"), footprint=[self.A, self.B, self.C],
                      fingerprint=((self.A,), (self.B,)))
         assert not self.tainted(item, {self.C: 0}, index)
+
+    def test_one_keyword_never_taints_structurally(self, index):
+        item = entry(keywords=("a",), footprint=[self.A],
+                     fingerprint=((self.A,),))
+        assert item.seed_radius is None
+        assert not self.tainted(item, {self.A: 0}, index)
+
+    def test_pair_met_in_the_middle_at_the_bound(self, index):
+        # L = 5 sweeps two hops.  With A at 1, B counts up to 3 hops out
+        # (1 + 3 <= L - 1) and no farther.
+        assert self.tainted(self.pair(), {self.A: 1, self.B: 3}, index)
+        assert not self.tainted(self.pair(), {self.A: 1, self.B: 4}, index)
+        assert not self.tainted(self.pair(), {self.A: 2, self.B: 3}, index)
+
+
+class TestSeedRadius:
+    """The sweep is as deep as the widest live entry needs, and the node
+    map follows the graph it was interned against."""
+
+    A, B, C = TestStructuralTaint.A, TestStructuralTaint.B, TestStructuralTaint.C
+
+    def test_pairs_sweep_half_the_path_three_keywords_their_reach(self):
+        cache = ResultCache()
+        limits = SearchLimits(max_rdb_length=5, max_tuples=4)
+        cache.store("one", entry(keywords=("a",), fingerprint=((self.A,),),
+                                 limits=limits))
+        assert cache.seed_radius() is None
+        cache.store("pair", entry(keywords=("a", "b"),
+                                  fingerprint=((self.A,), (self.B,)),
+                                  limits=limits))
+        assert cache.seed_radius() == (5 - 1) // 2
+        cache.store("three", entry(keywords=("a", "b", "c"),
+                                   fingerprint=((self.A,), (self.B,), (self.C,)),
+                                   limits=limits))
+        assert cache.seed_radius() == max(5, 4 - 1) - 1
+        assert_maps_consistent(cache)
+        cache.store("three", entry(keywords=("a",), fingerprint=((self.A,),)))
+        assert cache.seed_radius() == 2
+        assert_maps_consistent(cache)
+
+    def test_a_recompile_reinterns_the_fingerprints(self, index):
+        star = TestStructuralTaint()
+        cache = ResultCache()
+        cache.store("pair", star.pair())
+        graph, seeds = star.star({star.A: 4})
+        assert invalidate(cache, star.EDGE, index, graph, seeds) == 0
+        assert_maps_consistent(cache)
+        # The same graph object, recompiled: B's node int now names
+        # another tuple.  A node map kept across the fold would miss it.
+        graph.nodes = {
+            member: len(graph.nodes) - 1 - node
+            for member, node in graph.nodes.items()
+        }
+        graph.rows = {node: [] for node in graph.nodes.values()}
+        graph.compile_stamp = 2
+        assert invalidate(
+            cache, star.EDGE, index, graph, [star.Z, star.A, star.B]
+        ) == 1
+        assert_maps_consistent(cache)
 
 
 class TestEngineIntegration:

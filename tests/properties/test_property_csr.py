@@ -297,19 +297,28 @@ class TestBoundedRowsClipTheOracle:
 def _assert_pairs_meet_in_the_middle(live):
     """For budgets B = 1–8 and every live pair (s, t), a ⌊B/2⌋ ball
     around s met with t's ⌈B/2⌉ row gives t's unbounded oracle row at s,
-    clipped at B; each ball is the oracle row clipped at its radius, in
-    BFS order."""
+    clipped at B, and ``meets`` a ⌈B/2⌉ sweep from t with that ball iff
+    d(s, t) ≤ B; each ball is the oracle row clipped at its radius, in
+    BFS order — a ball from many sources their nearest one's."""
     alive = [node for node in range(live.capacity) if live._alive[node]]
     exact = {node: live._bfs_row_scalar(node) for node in alive}
     for budget in range(1, 9):
         radius = budget // 2
-        balls = {node: live.ball(node, radius) for node in alive}
+        balls = {node: live.ball((node,), radius) for node in alive}
         for source, ball in balls.items():
             assert ball == {
                 other: exact[source][other]
                 for other in alive if exact[source][other] <= radius
             }
             assert list(ball.values()) == sorted(ball.values())
+        sources = alive[::3]
+        ball = live.ball(sources, radius)
+        assert ball == {
+            other: depth for other in alive
+            if (depth := min(exact[source][other] for source in sources))
+            <= radius
+        }
+        assert list(ball.values()) == sorted(ball.values())
         for target in alive:
             row = live.distances(target, budget - radius)
             for source in alive:
@@ -317,6 +326,9 @@ def _assert_pairs_meet_in_the_middle(live):
                 assert live.distance_between(balls[source], row, budget) == (
                     depth if depth <= budget else _UNREACHABLE
                 ), (source, target, budget)
+                assert live.meets(
+                    (target,), budget - radius, balls[source]
+                ) == (depth <= budget), (source, target, budget)
 
 
 class TestPairBoundMeetsInTheMiddle:

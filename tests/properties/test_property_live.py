@@ -36,7 +36,7 @@ from repro.datasets.synthetic import (
     generate_company_like,
     plant,
 )
-from repro.errors import SearchLimitError
+from repro.errors import ReproError, SearchLimitError
 from repro.live.changes import Delete, Insert, Update, apply_to_database
 
 configs = st.builds(
@@ -295,6 +295,197 @@ class TestBoundedTaint:
                 hits = engine.result_cache.stats.hits
                 assert ask(engine, spec) == fresh
                 assert (engine.result_cache.stats.hits == hits + 1) == survived
+
+
+# ----------------------------------------------------------------------
+# the taint rule against the radius-reach rule it replaced
+# ----------------------------------------------------------------------
+def _reach(entry):
+    limits = entry.limits
+    return max(limits.max_rdb_length, limits.max_tuples - 1) - 1
+
+
+def _reach_ball(engine, changeset, reach):
+    """``{tuple: depth}`` within ``reach`` hops of the structural seeds
+    in the patched graph (networkx, not the CSR rows), removed tuples
+    at depth 0."""
+    import networkx as nx
+
+    graph = nx.Graph(engine.data_graph.graph)
+    seeds = {
+        tid for tid in changeset.structural_tuples() if graph.has_node(tid)
+    }
+    ball = (
+        nx.multi_source_dijkstra_path_length(graph, seeds, cutoff=reach)
+        if seeds else {}
+    )
+    ball.update(dict.fromkeys(changeset.tuples_removed, 0))
+    return ball
+
+
+def _reach_tainted(entry, ball):
+    """The radius-reach rule: every keyword (any two under OR) within
+    the entry's reach, and for two keywords ``d1 + d2 + 1 <= L``."""
+    reach = _reach(entry)
+    nearest = []
+    for tuple_ids in entry.fingerprint:
+        depth = min(
+            (ball.get(tid, reach + 1) for tid in tuple_ids), default=reach + 1
+        )
+        if depth <= reach:
+            nearest.append(depth)
+    needed = len(entry.fingerprint) if entry.semantics == "and" else 2
+    if len(nearest) < needed:
+        return False
+    if len(entry.fingerprint) == 2:
+        return sum(nearest) + 1 <= entry.limits.max_rdb_length
+    return True
+
+
+def _reach_rule(entries, changeset, index, ball):
+    """``(dropped, structural)``: the keys the radius-reach rule drops
+    for a changeset, and which of them only its ball reached."""
+    from repro.core.matching import match_keywords
+
+    rewritten = set(
+        changeset.tuples_updated
+        + changeset.tuples_replaced
+        + changeset.tuples_added
+    )
+    gone = rewritten | set(changeset.tuples_removed)
+    tokens = {token for tid in rewritten for token in index.tokens_of(tid)}
+    dropped, structural = set(), set()
+    for key, entry in entries.items():
+        if entry.volatile or entry.footprint & gone:
+            dropped.add(key)
+        elif entry.tokens() & tokens and entry.fingerprint != tuple(
+            match.tuple_ids for match in match_keywords(index, entry.keywords)
+        ):
+            dropped.add(key)
+        elif entry.footprint & ball.keys() and _reach_tainted(entry, ball):
+            structural.add(key)
+    return dropped, structural
+
+
+_TEXTS = (
+    "kwalpha", "kwbeta", "kwalpha kwbeta", "kwbeta kwgamma",
+    "kwalpha kwgamma", "kwalpha kwbeta kwgamma",
+)
+_STRUCTURAL = ("insert_dependent", "insert_works", "delete")
+
+
+class TestTaintRuleDifferential:
+    """The half-radius node-int rule drops exactly what the radius-reach
+    ``TupleId`` rule dropped — except one-keyword AND entries, which no
+    longer drop structurally (their answers are single tuples) — across
+    random corpora, limits, semantics, 1–3 keywords and structural
+    batches, with the compiled graph folded (renumbered) between store
+    and apply at random."""
+
+    @settings(relaxed, max_examples=40)
+    @given(
+        taint_configs,
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(st.sampled_from(_STRUCTURAL),
+                              st.integers(min_value=0, max_value=1 << 20)),
+                    min_size=1, max_size=3,
+                ),
+                st.booleans(),
+            ),
+            min_size=2, max_size=5,
+        ),
+        st.lists(st.sampled_from(_TEXTS), min_size=1, max_size=4, unique=True),
+        # Budgets of 4–6 leave the far keyword of a pair beyond the
+        # sweep but within reach of the meeting step.
+        st.lists(
+            st.builds(
+                SearchLimits,
+                max_rdb_length=st.integers(min_value=2, max_value=6),
+                max_tuples=st.integers(min_value=1, max_value=5),
+            ),
+            min_size=1, max_size=2, unique=True,
+        ),
+        st.sampled_from([ClosenessRanker(), RdbLengthRanker(),
+                         InstanceAmbiguityRanker()]),
+    )
+    def test_dropped_set_equals_the_radius_reach_rule(
+        self, config, steps, texts, limit_choices, ranker
+    ):
+        database = planted_database(config)
+        engine = KeywordSearchEngine(database, ranker=ranker)
+        cache = engine.result_cache
+        counter = 0
+        for ops, fold in steps:
+            for text in texts:
+                for semantics in ("and", "or"):
+                    for limits in limit_choices:
+                        engine.search(text, limits=limits, semantics=semantics)
+            if fold:
+                engine.traversal_cache.frozen()._compile()
+            batch, seen = [], set()
+            for kind, salt in ops:
+                mutation = build_mutation(database, kind, salt, counter)
+                counter += 1
+                if mutation is not None and repr(mutation) not in seen:
+                    seen.add(repr(mutation))
+                    batch.append(mutation)
+            entries = dict(cache._entries)
+            try:
+                changeset = engine.apply(batch)
+            except ReproError:
+                continue  # two mutations of one batch collided
+            ball = _reach_ball(
+                engine, changeset, max(map(_reach, entries.values()))
+            )
+            dropped, structural = _reach_rule(
+                entries, changeset, engine.index, ball
+            )
+            for key, entry in entries.items():
+                expected = key in dropped or (
+                    key in structural
+                    and not (len(entry.fingerprint) == 1
+                             and entry.semantics == "and")
+                )
+                assert (key not in cache._entries) == expected, (
+                    entry.keywords, entry.semantics, entry.limits
+                )
+
+    def test_a_full_save_between_store_and_apply(self, tmp_path):
+        config = SyntheticConfig(
+            departments=3, projects_per_department=2,
+            employees_per_department=3, works_on_per_employee=2,
+            dependents_per_employee=0.3, seed=5,
+        )
+        database = planted_database(config)
+        engine = KeywordSearchEngine(database)
+        limits = SearchLimits(max_rdb_length=3, max_tuples=3)
+        counter = 0
+        for step, kind in enumerate(("insert_works", "delete", "insert_dependent",
+                                     "insert_works", "delete")):
+            for text in _TEXTS:
+                engine.search(text, limits=limits)
+            if step % 2:
+                frozen = engine.traversal_cache.frozen()
+                stamp = frozen.compile_stamp
+                engine.save(tmp_path / f"step{step}.snap")
+                assert frozen.compile_stamp > stamp  # the save folded
+            entries = dict(engine.result_cache._entries)
+            mutation = build_mutation(database, kind, step * 7919, counter)
+            counter += 1
+            changeset = engine.apply([mutation])
+            ball = _reach_ball(
+                engine, changeset, max(map(_reach, entries.values()))
+            )
+            dropped, structural = _reach_rule(
+                entries, changeset, engine.index, ball
+            )
+            for key, entry in entries.items():
+                expected = key in dropped or (
+                    key in structural and len(entry.fingerprint) > 1
+                )
+                assert (key not in engine.result_cache._entries) == expected
 
 
 # ----------------------------------------------------------------------
