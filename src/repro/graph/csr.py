@@ -12,10 +12,12 @@ kernels entirely on dense ints:
   ``_sort_key`` order, so comparing ints *is* comparing the
   deterministic expansion order the other cores sort by.
 * **CSR adjacency.**  One ``array('i')`` of offsets and one of targets,
-  plus a parallel edge-payload table (edge key strings and edge data
-  dicts, one dict per edge shared by its two entries) holding each
-  node's incident edges pre-sorted in expansion order.  The first
-  compile reads ``Database.references`` directly; no multigraph.
+  plus two parallel per-entry tables — the edge key (foreign-key name)
+  and one referencing-flag byte (does the row's owner reference the
+  neighbour?) — holding each node's incident edges pre-sorted in
+  expansion order.  An edge's data dict is built only when a kernel
+  yields a :class:`TuplePathStep` (:meth:`FrozenGraph._payload`).  The
+  first compile reads ``Database.references`` directly; no multigraph.
 * **Radius-bounded distance rows.**  BFS distance maps are flat rows
   indexed by node int — the admissible-pruning lookup in the DFS inner
   loop is a C array index instead of a dict probe.  The kernels ask for
@@ -95,6 +97,17 @@ def _index_nodes(tids) -> dict[str, dict[tuple, int]]:
     return node_of
 
 
+def _derived_keys(tids) -> _Derived:
+    """Node int -> ``_sort_key`` of its tuple id, each derived on first use."""
+    return _Derived(lambda node: _sort_key(tids[node]))
+
+
+def _foreign_keys(data_graph: DataGraph) -> dict:
+    """FK name -> :class:`~repro.relational.schema.ForeignKey`: what an
+    edge key names in an edge's data dict."""
+    return {fk.name: fk for fk in data_graph.database.schema.foreign_keys}
+
+
 #: The engine's traversal kernels.  ``csr`` runs this module's integer
 #: kernels and serves every production query; ``reference`` is the
 #: brute-force networkx oracle they are differentially tested against —
@@ -153,6 +166,7 @@ class FrozenGraph:
         #: itself, so ``cache.hits`` means "distance lookups reused";
         #: standalone graphs count on their own attributes.
         self._counters = counters if counters is not None else self
+        self._fk_of = _foreign_keys(data_graph)
         self._tid_of = None  # nothing compiled yet: _compile reads the database
         self._compile()
 
@@ -164,7 +178,7 @@ class FrozenGraph:
         offsets,
         targets,
         edge_keys: Sequence[str],
-        edge_data: Sequence[dict],
+        edge_refs,
         counters=None,
     ) -> "FrozenGraph":
         """Assemble a compiled graph from pre-built flat structures.
@@ -173,10 +187,14 @@ class FrozenGraph:
         engine snapshot, typically ``memoryview`` slices over an
         ``mmap``.  ``tids`` is its lazily decoding interning table, in
         ``_sort_key`` order — the invariant :meth:`_compile` establishes
-        — and ``offsets``/``targets`` any int-indexable sequence with
-        CSR semantics.  No compilation pass runs and ``data_graph`` is
-        never read: patching works from changesets, recompilation from
-        the rows held here.
+        — ``offsets``/``targets`` any int-indexable sequence with CSR
+        semantics, ``edge_keys`` the foreign-key name per entry and
+        ``edge_refs`` one byte per entry, 1 where the row's owner
+        references the neighbour (a snapshot's ``edge_ref`` section,
+        held as given).  No compilation pass runs and ``data_graph`` is
+        read only for its schema's foreign keys: patching works from
+        changesets, recompilation from the rows held here, and edge data
+        dicts are built per yielded step, as on a compiled graph.
         """
         frozen = cls.__new__(cls)
         frozen.data_graph = data_graph
@@ -185,19 +203,18 @@ class FrozenGraph:
         frozen.compactions = 0
         frozen.compile_stamp = 1
         frozen._counters = counters if counters is not None else frozen
-        # Sort keys derive per node on first use, and a lazily decoding
-        # interning table (a snapshot's) fills the node map one relation
-        # at a time: open() should not pay for what no query touches.
+        frozen._fk_of = _foreign_keys(data_graph)
+        # A lazily decoding interning table (a snapshot's) fills the node
+        # map one relation at a time: open() should not pay for what no
+        # query touches.
         frozen._tid_of = tids
         frozen._node_of = _Derived(tids.nodes_of)
-        frozen._keys = _Derived(lambda node: _sort_key(tids[node]))
+        frozen._keys = _derived_keys(tids)
         frozen._ints_sorted = True
         frozen._offsets = offsets
         frozen._targets = targets
-        # Kept as given: the snapshot loader passes lazily-decoding
-        # payload tables.
         frozen._edge_keys = edge_keys
-        frozen._edge_data = edge_data
+        frozen._edge_refs = edge_refs
         frozen._reset_patches()
         return frozen
 
@@ -217,42 +234,43 @@ class FrozenGraph:
         """
         self.compile_stamp += 1
         if self._tid_of is not None:
-            tids, keys, node_of, rows = self._rows_from_self()
+            tids, node_of, rows = self._rows_from_self()
         else:
-            tids, keys, node_of, rows = self._rows_from_database()
+            tids, node_of, rows = self._rows_from_database()
         offsets = array("i", [0])
         targets = array("i")
         edge_keys: list[str] = []
-        edge_data: list[dict] = []
-        for row_targets, row_keys, row_datas in rows:
+        edge_refs = bytearray()
+        for row_targets, row_keys, row_refs in rows:
             targets.extend(row_targets)
             edge_keys.extend(row_keys)
-            edge_data.extend(row_datas)
+            edge_refs.extend(row_refs)
             offsets.append(len(targets))
         # Assigned only now: ``rows`` reads the previous state lazily.
         #: Relation -> {primary key: node int} of the live nodes.
         self._node_of = _Derived(lambda relation: {}, node_of)
         self._tid_of: list[Optional[TupleId]] = tids
-        #: Per-node sort keys: a list here, derived per node on a graph
-        #: assembled by :meth:`from_parts`.
-        self._keys = keys
+        #: Per-node sort keys, derived on first use.
+        self._keys = _derived_keys(tids)
         #: True while live ints enumerate in ``_sort_key`` order (no
         #: appended nodes) — int comparison then *is* key comparison.
         self._ints_sorted = True
         self._offsets = offsets
         self._targets = targets
+        #: Per CSR entry: the edge key, and 1 where the row's owner is the
+        #: referencing tuple (:meth:`_payload`).
         self._edge_keys = edge_keys
-        self._edge_data = edge_data
+        self._edge_refs = edge_refs
         self._reset_patches()
 
     def _reset_patches(self) -> None:
         """Every node live; no override, distance row or derived state."""
         self._alive = bytearray(b"\x01") * len(self._tid_of)
-        #: Patched adjacency rows: node int -> (targets, keys, datas),
+        #: Patched adjacency rows: node int -> (targets, keys, refs),
         #: each row pre-sorted in expansion order.  Appended and
         #: tombstoned nodes always live here (their CSR slice is empty
         #: or stale); an entry shadows the node's CSR slice entirely.
-        self._override: dict[int, tuple[list[int], list[str], list[dict]]] = {}
+        self._override: dict[int, tuple[list[int], list[str], list[int]]] = {}
         #: LRU of cached BFS rows, ``source -> (row, radius, stamp)``:
         #: radius ``None`` for an unbounded row, ``stamp`` the change-log
         #: position it was validated at.  Hits re-validate and refresh
@@ -268,26 +286,29 @@ class FrozenGraph:
         self._neighbour_rows: dict[int, tuple[int, ...]] = {}
 
     def _rows_from_database(self):
-        """``(tids, sort keys, node map, rows)`` straight from the stored
-        references, nodes in ``_sort_key`` order and each row in
-        expansion order: the rows
-        :func:`~repro.graph.data_graph.build_tuple_graph`'s multigraph
-        holds, without building it.  An edge there is ``(unordered pair,
-        fk name)``, so a self-reference holds one entry in its one row,
-        and a two-tuple cycle through one self-referencing FK is one
-        edge carrying the later reference's payload."""
+        """``(tids, node map, rows)`` straight from the stored references,
+        nodes in ``_sort_key`` order and each row in expansion order: the
+        rows :func:`~repro.graph.data_graph.build_tuple_graph`'s
+        multigraph holds, without building it.  An edge there is
+        ``(unordered pair, fk name)``, so a self-reference holds one entry
+        in its one row, and a two-tuple cycle through one
+        self-referencing FK is one edge carrying the later reference."""
         database = self.data_graph.database
         records = list(database.all_tuples())
         unsorted_keys = [_sort_key(record.tid) for record in records]
         # Stable: equal keys keep ``all_tuples()`` (node insertion) order.
         order = sorted(range(len(records)), key=unsorted_keys.__getitem__)
         tids = [records[at].tid for at in order]
-        keys = self._keys = [unsorted_keys[at] for at in order]
+        # Every key, for _sorted_row while the rows are cut; _compile then
+        # swaps in keys derived on demand.
+        self._keys = [unsorted_keys[at] for at in order]
         node_of = _index_nodes(tids)
-        # One int per row entry — owner, neighbour and payload number in
+        # One int per row entry — owner, neighbour and edge number in
         # 32-bit fields: entry tuples held until the rows are cut would
-        # be 60 000 more objects for the cyclic GC to re-scan.
-        payloads: list[dict] = []
+        # be 60 000 more objects for the cyclic GC to re-scan.  Per edge,
+        # its FK name and referencing node.
+        names: list[str] = []
+        referencing = array("i")
         entries: list[int] = []
         for fk in database.schema.foreign_keys:
             source_nodes, target_nodes = node_of[fk.source], node_of[fk.target]
@@ -296,16 +317,17 @@ class FrozenGraph:
             for record, referenced in database.references(fk):
                 source = source_nodes[record.tid.key]
                 target = target_nodes[referenced.tid.key]
-                data = {"foreign_key": fk, "referencing": record.tid}
+                edge = len(names)
                 if pairs is not None:
-                    held = pairs.setdefault(frozenset((source, target)), data)
-                    if held is not data:
-                        held.update(data)
+                    held = pairs.setdefault(frozenset((source, target)), edge)
+                    if held != edge:
+                        referencing[held] = source  # the later reference wins
                         continue
-                entries.append((source << 32 | target) << 32 | len(payloads))
+                entries.append((source << 32 | target) << 32 | edge)
                 if target != source:
-                    entries.append((target << 32 | source) << 32 | len(payloads))
-                payloads.append(data)
+                    entries.append((target << 32 | source) << 32 | edge)
+                names.append(fk.name)
+                referencing.append(source)
         entries.sort()  # groups by owner; _sorted_row orders each row
 
         def rows():
@@ -313,43 +335,39 @@ class FrozenGraph:
             for node in range(len(tids)):
                 row = []
                 while at < total and (entry := entries[at]) >> 64 == node:
-                    data = payloads[entry & 0xFFFFFFFF]
-                    row.append(
-                        (entry >> 32 & 0xFFFFFFFF, data["foreign_key"].name, data)
-                    )
+                    edge = entry & 0xFFFFFFFF
+                    row.append((
+                        entry >> 32 & 0xFFFFFFFF,
+                        names[edge],
+                        referencing[edge] == node,
+                    ))
                     at += 1
                 yield self._sorted_row(row)
 
-        return tids, keys, node_of, rows()
+        return tids, node_of, rows()
 
     def _rows_from_self(self):
-        """``(tids, sort keys, node map, rows)`` of the live nodes,
-        renumbered densely in ``_sort_key`` order.  Rows keep their
-        entry order — it is defined on sort keys, which renumbering
-        preserves — so only the target ints are rewritten."""
-        old_keys = self._keys
+        """``(tids, node map, rows)`` of the live nodes, renumbered
+        densely in ``_sort_key`` order.  Rows keep their entry order — it
+        is defined on sort keys, which renumbering preserves — so only
+        the target ints are rewritten."""
         alive = self._alive
         order = [node for node in range(self.capacity) if alive[node]]
         if not self._ints_sorted:
-            order.sort(key=old_keys.__getitem__)
+            order.sort(key=self._keys.__getitem__)
         renumbered = array("i", [-1]) * self.capacity
         for new, old in enumerate(order):
             renumbered[old] = new
         tid_of = self._tid_of
         tids = [tid_of[old] for old in order]
-        keys = [old_keys[old] for old in order]
         # Rebuilt now, not on the next lookup: the write after a fold
         # would pay it (five reads above every write, p95 +11.7 %).
         node_of = _index_nodes(tids)
         rows = (
-            (
-                map(renumbered.__getitem__, row_targets),
-                row_keys,
-                row_datas,
-            )
-            for row_targets, row_keys, row_datas in map(self._row_lists, order)
+            (map(renumbered.__getitem__, row_targets), row_keys, row_refs)
+            for row_targets, row_keys, row_refs in map(self._row_lists, order)
         )
-        return tids, keys, node_of, rows
+        return tids, node_of, rows
 
     @property
     def capacity(self) -> int:
@@ -386,11 +404,10 @@ class FrozenGraph:
 
         ``arrays`` covers the flat CSR buffers and liveness bits,
         ``distances`` the bytes held by cached BFS rows of either type,
-        and ``payload`` the edge-payload table: the two per-entry list
-        slots plus each *distinct* edge-key string and edge-data dict —
-        payload objects are shared between the two CSR entries of one
-        undirected edge, so they are counted once by identity, not per
-        entry.
+        and ``payload`` the per-entry edge tables: one list slot per edge
+        key plus each *distinct* key string — the strings are shared
+        between entries, so they are counted once by identity — plus one
+        referencing-flag byte per entry.
         """
         import sys
 
@@ -400,19 +417,15 @@ class FrozenGraph:
             + len(self._alive)
         )
         distances = self._distance_bytes
-        payload = 16 * len(self._edge_keys)  # two list slots per entry
-        # id() here only dedups *shared payload objects* for a byte
-        # estimate that never reaches answers or snapshot bytes — the
-        # count is identity-based by design and identical across runs.
+        payload = 8 * len(self._edge_keys) + len(self._edge_refs)
+        # id() here only dedups *shared key strings* for a byte estimate
+        # that never reaches answers or snapshot bytes — the count is
+        # identity-based by design and identical across runs.
         seen: set[int] = set()
         for key in self._edge_keys:
             if id(key) not in seen:  # repro-lint: disable=DET02
                 seen.add(id(key))  # repro-lint: disable=DET02
                 payload += sys.getsizeof(key)
-        for data in self._edge_data:
-            if id(data) not in seen:  # repro-lint: disable=DET02
-                seen.add(id(data))  # repro-lint: disable=DET02
-                payload += sys.getsizeof(data)
         return {
             "arrays": arrays,
             "distances": distances,
@@ -424,12 +437,12 @@ class FrozenGraph:
     # adjacency
     # ------------------------------------------------------------------
     def _sorted_row(
-        self, entries: list[tuple[int, str, dict]]
-    ) -> tuple[list[int], list[str], list[dict]]:
-        """``(neighbour int, edge key, edge data)`` entries as one row in
-        the deterministic expansion order — the single definition both
-        compilation and row patching sort by.  The key depends only on
-        set membership, never on the listing order of ``entries``."""
+        self, entries: list[tuple[int, str, int]]
+    ) -> tuple[list[int], list[str], list[int]]:
+        """``(neighbour int, edge key, referencing flag)`` entries as one
+        row in the deterministic expansion order — the single definition
+        both compilation and row patching sort by.  The key depends only
+        on set membership, never on the listing order of ``entries``."""
         keys = self._keys
         entries.sort(key=lambda entry: (keys[entry[0]], entry[1]))
         return (
@@ -438,28 +451,39 @@ class FrozenGraph:
             [entry[2] for entry in entries],
         )
 
-    def _row(self, node: int) -> tuple[Sequence[int], Sequence[str], Sequence[dict], int, int]:
-        """``(targets, keys, datas, start, end)`` for one node's expansion row."""
+    def _row(self, node: int) -> tuple[Sequence[int], Sequence[str], Sequence[int], int, int]:
+        """``(targets, keys, refs, start, end)`` for one node's expansion row."""
         override = self._override.get(node)
         if override is not None:
-            row_targets, row_keys, row_datas = override
-            return row_targets, row_keys, row_datas, 0, len(row_targets)
+            row_targets, row_keys, row_refs = override
+            return row_targets, row_keys, row_refs, 0, len(row_targets)
         return (
             self._targets,
             self._edge_keys,
-            self._edge_data,
+            self._edge_refs,
             self._offsets[node],
             self._offsets[node + 1],
         )
 
-    def _row_lists(self, node: int) -> tuple[list[int], list[str], list[dict]]:
+    def _row_lists(self, node: int) -> tuple[list[int], list[str], list[int]]:
         """One node's expansion row as three fresh lists."""
-        row_targets, row_keys, row_datas, start, end = self._row(node)
+        row_targets, row_keys, row_refs, start, end = self._row(node)
         return (
             list(row_targets[start:end]),
             list(row_keys[start:end]),
-            list(row_datas[start:end]),
+            list(row_refs[start:end]),
         )
+
+    def _payload(self, owner: int, other: int, key: str, ref: int) -> dict:
+        """The edge data of one entry of ``owner``'s row — the
+        ``{"foreign_key", "referencing"}`` dict
+        :func:`~repro.graph.data_graph.build_tuple_graph` attaches — from
+        its edge key and flag: ``ref`` set means ``owner`` references
+        ``other``.  Built per yielded step; nothing holds it."""
+        return {
+            "foreign_key": self._fk_of[key],
+            "referencing": self._tid_of[owner if ref else other],
+        }
 
     def neighbour_ints(self, node: int) -> tuple[int, ...]:
         """Distinct neighbour ints of one node, in expansion order."""
@@ -507,13 +531,15 @@ class FrozenGraph:
         tid_of = self._tid_of
         edges = []
         for node in self._sort_ints(nodes):
-            row_targets, row_keys, row_datas, start, end = self._row(node)
+            row_targets, row_keys, row_refs, start, end = self._row(node)
             for at in range(start, end):
                 other = row_targets[at]
                 if other in nodes and root(node) != root(other):
                     parent[root(other)] = root(node)
+                    key = row_keys[at]
                     edges.append(TuplePathStep(
-                        tid_of[node], tid_of[other], row_keys[at], row_datas[at]
+                        tid_of[node], tid_of[other], key,
+                        self._payload(node, other, key, row_refs[at]),
                     ))
         return edges
 
@@ -775,17 +801,17 @@ class FrozenGraph:
             for tid in changeset.tuples_removed
             if (node := node_of(tid)) is not None
         ]
-        touched: dict[int, list[tuple[int, str, dict]]] = {}
+        touched: dict[int, list[tuple[int, str, int]]] = {}
 
-        def entries_of(node: int) -> list[tuple[int, str, dict]]:
+        def entries_of(node: int) -> list[tuple[int, str, int]]:
             entries = touched.get(node)
             if entries is None:
                 entries = touched[node] = list(zip(*self._row_lists(node)))
             return entries
 
         # Removed edges first, while both endpoints are still interned:
-        # entries name their neighbour by int, and a snapshot's lazy
-        # payload derives ``referencing`` from the interning table.
+        # entries name their neighbour by int, and an entry's referencing
+        # tuple derives from its flag (the owner or the neighbour).
         doomed = set(removed)
         for edge in changeset.edges_removed:
             source = node_of(edge.referencing)
@@ -801,11 +827,14 @@ class FrozenGraph:
                 if node in doomed:
                     continue
                 entries = entries_of(node)
-                for position, (neighbour, key, data) in enumerate(entries):
+                for position, (neighbour, key, ref) in enumerate(entries):
+                    # Node ints name live tuples one to one: comparing the
+                    # entry's referencing node with ``source`` compares
+                    # its referencing tuple with ``edge.referencing``.
                     if (
                         neighbour == other
                         and key == name
-                        and data["referencing"] == edge.referencing
+                        and (node if ref else neighbour) == source
                     ):
                         del entries[position]
                         break
@@ -822,8 +851,6 @@ class FrozenGraph:
                 continue
             node = nodes[tid.key] = self.capacity
             self._tid_of.append(tid)
-            if type(self._keys) is list:  # else derived on first use
-                self._keys.append(_sort_key(tid))
             self._alive.append(1)
             self._override[node] = ([], [], [])
             appended.append(node)
@@ -834,16 +861,10 @@ class FrozenGraph:
             target = node_of(edge.referenced)
             if source is None or target is None:
                 continue
-            # Shaped like build_tuple_graph's edge attributes; one dict
-            # serves both endpoint rows.
-            data = {
-                "foreign_key": edge.foreign_key,
-                "referencing": edge.referencing,
-            }
             name = edge.foreign_key.name
-            entries_of(source).append((target, name, data))
+            entries_of(source).append((target, name, 1))
             if target != source:
-                entries_of(target).append((source, name, data))
+                entries_of(target).append((source, name, 0))
         for node, entries in touched.items():
             self._override[node] = self._sorted_row(entries)
         changed = sorted(set(removed) | set(appended) | set(touched))
@@ -920,10 +941,11 @@ def csr_enumerate_simple_paths(
         return
 
     tid_of = frozen._tid_of
+    payload = frozen._payload
     offsets = frozen._offsets
     targets = frozen._targets
     edge_keys = frozen._edge_keys
-    edge_data = frozen._edge_data
+    edge_refs = frozen._edge_refs
     override = frozen._override
     has_override = bool(override)
     visited = bytearray(frozen.capacity)
@@ -933,17 +955,17 @@ def csr_enumerate_simple_paths(
         # One in-order DFS per depth (iterative deepening keeps shorter
         # paths first).  The active level lives in locals — ``cursor``/
         # ``limit`` walk the current expansion row ``(row_t, row_k,
-        # row_d)``, which is the flat CSR slice or a patched side-table
+        # row_r)``, which is the flat CSR slice or a patched side-table
         # row — and suspended levels sit on one stack, so the per-edge
         # inner loop touches no Python object but the arrays themselves.
         path_nodes = [src]
         visited[src] = 1
         row = override.get(src) if has_override else None
         if row is None:
-            row_t, row_k, row_d = targets, edge_keys, edge_data
+            row_t, row_k, row_r = targets, edge_keys, edge_refs
             cursor, limit = offsets[src], offsets[src + 1]
         else:
-            row_t, row_k, row_d = row
+            row_t, row_k, row_r = row
             cursor, limit = 0, len(row_t)
         suspended: list[tuple] = []
         remaining = depth - 1
@@ -951,7 +973,7 @@ def csr_enumerate_simple_paths(
             if cursor >= limit:
                 if not suspended:
                     break
-                cursor, limit, row_t, row_k, row_d = suspended.pop()
+                cursor, limit, row_t, row_k, row_r = suspended.pop()
                 visited[path_nodes.pop()] = 0
                 remaining += 1
                 continue
@@ -968,15 +990,15 @@ def csr_enumerate_simple_paths(
                 # frame pins the edge taken to the next level, so the
                 # yield below can rebuild every step without per-push
                 # payload copies.
-                suspended.append((cursor, limit, row_t, row_k, row_d))
+                suspended.append((cursor, limit, row_t, row_k, row_r))
                 path_nodes.append(other)
                 visited[other] = 1
                 row = override.get(other) if has_override else None
                 if row is None:
-                    row_t, row_k, row_d = targets, edge_keys, edge_data
+                    row_t, row_k, row_r = targets, edge_keys, edge_refs
                     cursor, limit = offsets[other], offsets[other + 1]
                 else:
-                    row_t, row_k, row_d = row
+                    row_t, row_k, row_r = row
                     cursor, limit = 0, len(row_t)
                 remaining -= 1
                 continue
@@ -994,22 +1016,17 @@ def csr_enumerate_simple_paths(
             steps = []
             for level, frame in enumerate(suspended):
                 taken = frame[0] - 1
-                steps.append(
-                    TuplePathStep(
-                        tid_of[path_nodes[level]],
-                        tid_of[path_nodes[level + 1]],
-                        frame[3][taken],
-                        frame[4][taken],
-                    )
-                )
-            steps.append(
-                TuplePathStep(
-                    tid_of[path_nodes[-1]],
-                    tid_of[other],
-                    row_k[cursor - 1],
-                    row_d[cursor - 1],
-                )
-            )
+                owner, step_to = path_nodes[level], path_nodes[level + 1]
+                key = frame[3][taken]
+                steps.append(TuplePathStep(
+                    tid_of[owner], tid_of[step_to], key,
+                    payload(owner, step_to, key, frame[4][taken]),
+                ))
+            owner, key = path_nodes[-1], row_k[cursor - 1]
+            steps.append(TuplePathStep(
+                tid_of[owner], tid_of[other], key,
+                payload(owner, other, key, row_r[cursor - 1]),
+            ))
             yield steps
         visited[src] = 0
 

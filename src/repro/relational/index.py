@@ -46,7 +46,7 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Posting:
     """One keyword occurrence: which tuple, which attribute, how it matched.
 

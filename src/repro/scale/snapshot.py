@@ -27,11 +27,14 @@ that would ignore the section refuses it.
 
 Restoration is lazy wherever queries and replayed WAL records allow it:
 
-* the CSR ``array('i')`` buffers are zero-copy ``memoryview`` casts
-  over the mapped file (the one-byte edge keys decode at open);
-* the interning table decodes per relation (:class:`_Interning`),
-  edge-payload dicts per CSR entry (:class:`_LazyEdgeData`), posting
-  lists per token (:class:`_PostingColumns`), each on first touch;
+* the CSR ``array('i')`` buffers and the ``edge_ref`` flag bytes are
+  zero-copy ``memoryview`` casts over the mapped file, held by the
+  compiled graph as a cold build holds its own (the one-byte edge keys
+  decode at open; an edge's data dict is built per yielded path step,
+  from its key and flag, on either);
+* the interning table decodes per relation (:class:`_Interning`) and
+  posting lists per token (:class:`_PostingColumns`), each on first
+  touch;
 * the networkx tuple graph — only needed by the reference core
   and by joining-network metrics — builds on first demand
   (:class:`~repro.graph.data_graph.DataGraph` is lazy); a pure-CSR
@@ -229,49 +232,6 @@ class _Interning:
         return {}
 
 
-class _LazyEdgeData:
-    """Edge-payload dicts materialised per CSR entry on first access.
-
-    A payload dict is ``{"foreign_key": fk, "referencing": tid}`` —
-    derivable from the edge key (the FK name), the stored reference
-    flag and the interning table, so the snapshot stores two bytes per
-    entry instead of a pickled dict, and opening defers all dict
-    allocation to the queries that walk the edges.
-    """
-
-    __slots__ = ("_cache", "_fk_by_name", "_tid_of", "_keys", "_ref", "_owner")
-
-    def __init__(self, fk_by_name, tid_of, keys, ref_flags, owner_of_entry):
-        self._cache: dict[int, dict] = {}
-        self._fk_by_name = fk_by_name
-        self._tid_of = tid_of
-        self._keys = keys
-        self._ref = ref_flags
-        #: entry index -> (row-owner node, target node)
-        self._owner = owner_of_entry
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __getitem__(self, position):
-        if isinstance(position, slice):
-            return [self[at] for at in range(*position.indices(len(self)))]
-        cached = self._cache.get(position)
-        if cached is None:
-            owner, target = self._owner(position)
-            referencing = owner if self._ref[position] else target
-            cached = {
-                "foreign_key": self._fk_by_name[self._keys[position]],
-                "referencing": self._tid_of[referencing],
-            }
-            self._cache[position] = cached
-        return cached
-
-    def __iter__(self):
-        for position in range(len(self)):
-            yield self[position]
-
-
 class _PostingColumns:
     """The binary ``postings`` section: ``int32`` offsets (a token's
     postings are slots ``offsets[t]:offsets[t + 1]``), one column each of
@@ -402,17 +362,6 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
     for tid in tids:
         runs.setdefault(tid.relation, []).append(tid.key)
 
-    edge_data = frozen._edge_data
-    if isinstance(edge_data, _LazyEdgeData):
-        # Never folded since restored: the stored flags still hold, and
-        # reading them builds no payload dict per entry.
-        edge_ref = bytes(edge_data._ref)
-    else:
-        edge_ref = bytearray(len(frozen._targets))
-        for node in range(capacity):
-            owner = tids[node]
-            for entry in range(frozen._offsets[node], frozen._offsets[node + 1]):
-                edge_ref[entry] = edge_data[entry]["referencing"] == owner
     foreign_keys, attributes = _id_tables(schema)
     fk_id = {fk.name: at for at, fk in enumerate(foreign_keys)}
     postings, posting_counts = _encode_postings(
@@ -445,7 +394,7 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
         ("csr_offsets", frozen._offsets.tobytes()),
         ("csr_targets", frozen._targets.tobytes()),
         ("edge_keys", bytes(map(fk_id.__getitem__, frozen._edge_keys))),
-        ("edge_ref", bytes(edge_ref)),
+        ("edge_ref", bytes(frozen._edge_refs)),
         ("postings", postings),
         # Every ``apply`` resets the held statistics: a held value is current.
         ("stats", _json_bytes(
@@ -822,6 +771,7 @@ def _load_engine(
         or len(offsets) != len(tid_of) + 1
         or len(targets) != meta.get("base_entries", meta.get("entries"))
         or not len(edge_ref) == len(edge_ids) == len(targets)
+        or edge_ref.tobytes().translate(None, b"\x00\x01")
     ):
         raise SnapshotError(
             "snapshot CSR sections are inconsistent",
@@ -835,25 +785,9 @@ def _load_engine(
             "snapshot edges carry an unknown foreign-key id", path=str(path)
         )
     edge_keys = list(map([fk.name for fk in fks].__getitem__, edge_ids))
-
-    # Rows the snapshot itself stores.  Live appends grow ``tid_of``
-    # past this, but appended nodes keep their edges in override side
-    # tables — a stored CSR entry is always owned by a stored row, so
-    # the binary search must not wander into offsets the mmap lacks.
-    stored_nodes = len(tid_of)
-
-    def owner_of_entry(position: int) -> tuple[int, int]:
-        # The row owning a CSR entry is the last one starting at or
-        # before it (empty rows share their successor's offset).
-        owner = bisect_right(offsets, position, 0, stored_nodes) - 1
-        return owner, targets[position]
-
-    edge_data = _LazyEdgeData(
-        {fk.name: fk for fk in fks}, tid_of, edge_keys, edge_ref, owner_of_entry
-    )
     cache = TraversalCache(data_graph)
     cache._frozen = FrozenGraph.from_parts(
-        data_graph, tid_of, offsets, targets, edge_keys, edge_data,
+        data_graph, tid_of, offsets, targets, edge_keys, edge_ref,
         counters=cache,
     )
 

@@ -33,6 +33,7 @@ from repro.graph.traversal import (
 from repro.live.changes import Delete, Insert, Update, apply_to_database
 from repro.live.maintain import apply_changeset
 from repro.relational.database import TupleId
+from repro.relational.index import _Derived
 
 
 def tid(relation, *key):
@@ -90,8 +91,40 @@ class TestFrozenStructure:
         # Every stored edge appears once per endpoint (undirected).
         assert len(frozen._targets) == 2 * data_graph.number_of_edges()
         assert len(frozen._edge_keys) == len(frozen._targets)
-        assert len(frozen._edge_data) == len(frozen._targets)
+        assert len(frozen._edge_refs) == len(frozen._targets)
         assert frozen.nbytes() > 0
+
+    def test_resident_representation(self, data_graph, tmp_path):
+        """A cold build holds per CSR entry one referencing-flag byte
+        (no edge-data object) and derives sort keys on demand; a
+        snapshot-restored graph and a fold hold the same shape."""
+
+        def assert_flag_bytes(frozen):
+            refs = frozen._edge_refs
+            assert memoryview(refs).itemsize == 1
+            assert len(refs) == len(frozen._targets)
+            assert set(bytes(refs)) <= {0, 1}
+
+        frozen = FrozenGraph(data_graph)
+        assert_flag_bytes(frozen)
+        assert type(frozen._keys) is _Derived and len(frozen._keys) == 0
+        assert frozen._keys[3] == _sort_key(frozen.tid_of(3))
+        assert len(frozen._keys) == 1
+        assert 1 in frozen._edge_refs and 0 in frozen._edge_refs
+
+        engine = KeywordSearchEngine(data_graph.database)
+        engine.save(tmp_path / "engine.snap")
+        restored = KeywordSearchEngine.open(tmp_path / "engine.snap")
+        try:
+            stored = restored.traversal_cache.frozen()
+            assert_flag_bytes(stored)
+            assert bytes(stored._edge_refs) == bytes(frozen._edge_refs)
+            stored._compile()  # a fold from the stored rows
+            assert_flag_bytes(stored)
+            assert stored._edge_refs == frozen._edge_refs
+            assert type(stored._keys) is _Derived and len(stored._keys) == 0
+        finally:
+            restored.close()
 
     def test_rows_sorted_in_expansion_order(self, data_graph):
         frozen = FrozenGraph(data_graph)

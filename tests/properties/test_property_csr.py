@@ -535,12 +535,11 @@ def _rows(frozen):
     for node in range(frozen.capacity):
         if not frozen._alive[node]:
             continue
-        targets, keys, datas = frozen._row_lists(node)
-        rows[frozen.tid_of(node)] = [
-            (frozen.tid_of(other), key, data["referencing"],
-             data["foreign_key"].name)
-            for other, key, data in zip(targets, keys, datas)
-        ]
+        entries = rows[frozen.tid_of(node)] = []
+        for other, key, ref in zip(*frozen._row_lists(node)):
+            data = frozen._payload(node, other, key, ref)
+            entries.append((frozen.tid_of(other), key, data["referencing"],
+                            data["foreign_key"].name))
     return rows
 
 
@@ -562,15 +561,6 @@ def _org_corner_cases():
     return database
 
 
-def _payload_sharing(frozen):
-    """Per CSR entry, the first entry holding the same payload object."""
-    first: dict[int, int] = {}
-    return [
-        first.setdefault(id(data), position)
-        for position, data in enumerate(frozen._edge_data)
-    ]
-
-
 class _GraphRowsFrozen(FrozenGraph):
     """Compiles from the materialised networkx multigraph instead of
     ``Database.references``: nodes in ``_sort_key`` order, each row the
@@ -580,15 +570,16 @@ class _GraphRowsFrozen(FrozenGraph):
         graph = self.data_graph.graph
         tids = sorted(graph.nodes, key=_sort_key)
         node_of = _index_nodes(tids)
-        keys = self._keys = [_sort_key(tid) for tid in tids]
+        self._keys = [_sort_key(tid) for tid in tids]
         rows = (
             self._sorted_row([
-                (node_of[other.relation][other.key], key, data)
+                (node_of[other.relation][other.key], key,
+                 data["referencing"] == tid)
                 for __, other, key, data in graph.edges(tid, keys=True, data=True)
             ])
             for tid in tids
         )
-        return tids, keys, node_of, rows
+        return tids, node_of, rows
 
 
 class TestDirectRowsEqualGraphRows:
@@ -603,12 +594,14 @@ class TestDirectRowsEqualGraphRows:
         assert forced_graph.graph is not None and forced_graph.materialized
         forced = _GraphRowsFrozen(forced_graph)
         assert list(direct._tid_of) == list(forced._tid_of)
-        assert direct._keys == forced._keys
+        assert [direct._keys[n] for n in range(direct.capacity)] == [
+            forced._keys[n] for n in range(forced.capacity)
+        ]
         assert direct._offsets == forced._offsets
         assert direct._targets == forced._targets
         assert direct._edge_keys == forced._edge_keys
         assert _rows(direct) == _rows(forced)
-        assert _payload_sharing(direct) == _payload_sharing(forced)
+        assert direct._edge_refs == forced._edge_refs
         return direct
 
     @relaxed
@@ -967,3 +960,133 @@ class TestDeltaRows:
         assert frozen._ints_sorted and not frozen._override
         if restored:
             assert not engine.data_graph.materialized
+
+
+# ----------------------------------------------------------------------
+# edge data derived from key and flag vs the multigraph's
+# ----------------------------------------------------------------------
+class TestPayloadsEqualTheMultigraph:
+    """Every live entry's edge data, built from its edge key and
+    referencing flag (:meth:`FrozenGraph._payload`), equals the data
+    :func:`~repro.graph.data_graph.build_tuple_graph` puts on that edge —
+    on cold builds, snapshot-restored graphs and folds, after random
+    changesets and on the multigraph's corner cases."""
+
+    @staticmethod
+    def _assert_payloads(frozen, database):
+        pytest.importorskip("networkx")
+        from repro.graph.data_graph import build_tuple_graph
+
+        graph = build_tuple_graph(database)
+        assert frozen.live_count() == graph.number_of_nodes()
+        for node in range(frozen.capacity):
+            if not frozen._alive[node]:
+                continue
+            tid = frozen.tid_of(node)
+            entries = list(zip(*frozen._row_lists(node)))
+            derived = {
+                (frozen.tid_of(other), key): frozen._payload(node, other, key, ref)
+                for other, key, ref in entries
+            }
+            expected = {
+                (other, key): data
+                for __, other, key, data in graph.edges(tid, keys=True, data=True)
+            }
+            assert len(derived) == len(entries)
+            assert derived == expected, tid
+
+    @staticmethod
+    def _reopened(engine, path):
+        engine.save(path)
+        return KeywordSearchEngine.open(path)
+
+    @relaxed
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(_ORG_KINDS),
+                      st.integers(min_value=0, max_value=1 << 16)),
+            min_size=1, max_size=12,
+        ),
+        st.booleans(),
+    )
+    def test_after_random_changesets(self, program, restored):
+        with tempfile.TemporaryDirectory() as directory:
+            engine = KeywordSearchEngine(_org_database())
+            if restored:
+                engine = self._reopened(engine, os.path.join(directory, "a.snap"))
+            try:
+                self._assert_payloads(
+                    engine.traversal_cache.frozen(), engine.database
+                )
+                closed = set()
+                for kind, salt in program:
+                    try:
+                        changeset = engine.apply(
+                            _org_batch(engine.database, kind, salt, closed)
+                        )
+                    except (IntegrityError, PrimaryKeyError):
+                        continue
+                    closed.difference_update(
+                        tid.key[0] for tid in changeset.tuples_added
+                    )
+                    closed.update(
+                        tid.key[0] for tid in changeset.tuples_removed
+                        if tid.relation == "TASK"
+                    )
+                    self._assert_payloads(
+                        engine.traversal_cache.frozen(), engine.database
+                    )
+                engine.traversal_cache.frozen()._compile()
+                self._assert_payloads(
+                    engine.traversal_cache.frozen(), engine.database
+                )
+                again = self._reopened(engine, os.path.join(directory, "b.snap"))
+                try:
+                    self._assert_payloads(
+                        again.traversal_cache.frozen(), again.database
+                    )
+                finally:
+                    again.close()
+            finally:
+                engine.close()
+
+    @pytest.mark.parametrize("shape", ["cold", "restored", "folded"])
+    def test_corner_cases(self, shape, tmp_path):
+        database = _org_corner_cases()
+        engine = KeywordSearchEngine(database)
+        if shape == "restored":
+            engine = self._reopened(engine, tmp_path / "corner.snap")
+        frozen = engine.traversal_cache.frozen()
+        if shape == "folded":
+            frozen._compile()
+        try:
+            self._assert_payloads(frozen, database)
+            # the cycle's one edge carries the later (store-order) reference
+            person = lambda key: TupleId("PERSON", (key,))
+            cycle = [
+                frozen._payload(frozen.node_of(person("p00")), other, key, ref)
+                for other, key, ref in zip(
+                    *frozen._row_lists(frozen.node_of(person("p00")))
+                )
+                if other == frozen.node_of(person("p01"))
+            ]
+            assert [data["referencing"] for data in cycle] == [person("p01")]
+        finally:
+            engine.close()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="patching reads only the changeset: dropping one reference "
+        "of a two-tuple cycle drops the one merged edge that the other "
+        "reference still holds in the multigraph",
+    )
+    def test_patched_two_tuple_cycle(self):
+        database = _org_corner_cases()
+        engine = KeywordSearchEngine(database)
+        frozen = engine.traversal_cache.frozen()  # compiled before the patch
+        try:
+            engine.apply([Update(TupleId("PERSON", ("p01",)), {"BOSS": None})])
+            assert engine.traversal_cache.frozen() is frozen
+            self._assert_payloads(frozen, database)
+        finally:
+            engine.close()

@@ -228,3 +228,30 @@ class TestOnePassBuild:
         grown.build()
         assert dict(grown._postings) == dict(built._postings)
         assert grown._order == built._order
+
+
+class TestPostingIsSlotted:
+    """A cold build holds one :class:`Posting` per keyword occurrence, so
+    it carries no per-instance ``__dict__``; it stays frozen, hashable
+    and picklable (the pool ships postings inside answers)."""
+
+    def test_slots_frozen_and_round_trips(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        from repro.relational.database import TupleId
+        from repro.relational.index import Posting
+
+        posting = Posting(TupleId("EMPLOYEE", ("e1",)), "L_NAME", True)
+        assert "__slots__" in vars(Posting)
+        assert not hasattr(posting, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            posting.attribute = "S_NAME"
+        for clone in (
+            pickle.loads(pickle.dumps(posting)),
+            copy.copy(posting),
+            copy.deepcopy(posting),
+        ):
+            assert clone == posting
+            assert hash(clone) == hash(posting)

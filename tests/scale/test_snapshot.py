@@ -119,8 +119,8 @@ class TestRoundTrip:
         second = tmp_path / "second.snap"
         restored.save(second)
         assert path.read_bytes() == second.read_bytes()
-        # The reference flags were read as stored: no payload dict built.
-        assert restored.traversal_cache.frozen()._edge_data._cache == {}
+        # The reference flags were read as stored: the section itself.
+        assert type(restored.traversal_cache.frozen()._edge_refs) is memoryview
 
     def test_save_reuses_held_statistics(self, saved, tmp_path, monkeypatch):
         engine, path, __ = saved
@@ -484,11 +484,14 @@ class TestLiveUpdatesOnRestoredEngine:
             # given append count trips it is arithmetic on the midpoint
             # sequence, so probe after each wave).
             frozen = restored.traversal_cache.frozen()
-            frozen._edge_data._cache.clear()
-            for entry in range(len(frozen._targets)):
-                payload = frozen._edge_data[entry]
-                assert payload["foreign_key"] is not None
-                assert payload["referencing"] is not None
+            for node in range(len(frozen._offsets) - 1):
+                for entry in range(frozen._offsets[node], frozen._offsets[node + 1]):
+                    payload = frozen._payload(
+                        node, frozen._targets[entry],
+                        frozen._edge_keys[entry], frozen._edge_refs[entry],
+                    )
+                    assert payload["foreign_key"] is not None
+                    assert payload["referencing"] is not None
 
         oracle = KeywordSearchEngine(oracle_db, result_cache_entries=0)
         for query in QUERIES:
@@ -716,7 +719,6 @@ class TestDeltaSection:
         decode, the restored payloads and every held distance row stay."""
         from repro.graph.csr import FrozenGraph
         from repro.relational.index import _LazyPostings
-        from repro.scale.snapshot import _LazyEdgeData
 
         monkeypatch.setattr(snapshot_module, "DELTA_FRACTION", 0)
         path = tmp_path / "engine.snap"
@@ -732,7 +734,7 @@ class TestDeltaSection:
             frozen = engine.traversal_cache.frozen()
             postings = engine.index._postings
             assert frozen._override and frozen._distances and postings._raw
-            stamp = frozen.compile_stamp
+            stamp, compactions = frozen.compile_stamp, frozen.compactions
             pending = set(postings._raw)
             rows = list(frozen._distances.items())
 
@@ -747,8 +749,9 @@ class TestDeltaSection:
                 assert "delta" in snapshot.sections()
             assert engine.traversal_cache.frozen() is frozen
             assert frozen.compile_stamp == stamp
+            assert frozen.compactions == compactions
             assert set(postings._raw) == pending
-            assert type(frozen._edge_data) is _LazyEdgeData
+            assert type(frozen._edge_refs) is memoryview
             assert list(frozen._distances.items()) == rows
             assert all(
                 held[0] is row[0] for held, (__, row) in zip(
@@ -843,8 +846,9 @@ class TestStructuralDamage:
         return (
             {token: engine.index.postings(token)
              for token in engine.index.vocabulary()},
-            [(frozen._edge_keys[at], frozen._edge_data[at])
-             for at in range(len(frozen._targets))],
+            [(key, frozen._payload(node, other, key, ref))
+             for node in range(frozen.capacity)
+             for other, key, ref in zip(*frozen._row_lists(node))],
             [rendered(engine.search(query, limits=LIMITS, semantics=semantics))
              for query in QUERIES for semantics in ("and", "or")],
         )
@@ -874,3 +878,21 @@ class TestStructuralDamage:
                 continue
             assert state == cold, (trial, name)
         assert refused == self.TRIALS
+
+    def test_reference_flag_other_than_0_or_1_is_refused(self, saved, tmp_path):
+        """The restored graph holds ``edge_ref`` as its flags, as is:
+        any byte but 0 or 1 is refused at open."""
+        __, path, ___ = saved
+        meta, sections = self._sections(path)
+        rng = random.Random(2025)
+        for trial in range(4):
+            damaged = tmp_path / f"flag{trial}.snap"
+            replaced = []
+            for section, blob in sections:
+                if section == "edge_ref":
+                    blob = bytearray(blob)
+                    blob[rng.randrange(len(blob))] = rng.randrange(2, 256)
+                replaced.append((section, bytes(blob)))
+            snapshot_module._publish(damaged, SNAPSHOT_FORMAT, replaced)
+            with pytest.raises(SnapshotError):
+                KeywordSearchEngine.open(damaged)
