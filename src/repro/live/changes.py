@@ -255,11 +255,15 @@ def apply_to_database(
     """
     builder = _Builder()
     undo: list[tuple] = []
-    #: Store order per relation, captured before that relation's first
-    #: delete.  A rollback re-insert appends at the store tail, so the
-    #: order — which is observable through index posting order and
-    #: answer enumeration — must be restored explicitly.
-    key_orders: dict[str, tuple] = {}
+    #: Relations whose whole store order a delete captured.  A rollback
+    #: re-insert appends at the store tail, so the order — observable
+    #: through index posting order and answer enumeration — is put back
+    #: explicitly: each delete records the keys stored after its tuple,
+    #: which the undo moves back behind it, unless that walk passes half
+    #: the relation; then the relation's whole order is captured once,
+    #: restored when that delete is undone, and later deletes in it
+    #: record nothing.
+    captured: set[str] = set()
     previous_enforcement = database.enforce_foreign_keys
     database.enforce_foreign_keys = True
     try:
@@ -277,14 +281,22 @@ def apply_to_database(
                 old_values = dict(record.values)
                 old_label = record.label
                 old_edges = _outgoing_edges(database, record)
-                if mutation.tid.relation not in key_orders:
-                    key_orders[mutation.tid.relation] = (
-                        database.relation_key_order(mutation.tid.relation)
+                relation = mutation.tid.relation
+                reorder = None
+                if relation not in captured:
+                    after = database.keys_after(
+                        relation, mutation.tid.key, database.count(relation) // 2
                     )
+                    if after is None:
+                        captured.add(relation)
+                        reorder = (
+                            database.restore_key_order,
+                            database.relation_key_order(relation),
+                        )
+                    else:
+                        reorder = (database.move_to_tail, after)
                 database.delete(mutation.tid)
-                undo.append(
-                    ("insert", mutation.tid.relation, old_values, old_label)
-                )
+                undo.append(("insert", relation, old_values, old_label, reorder))
                 builder.note_delete(mutation.tid, old_values)
                 for edge in old_edges:
                     builder.note_edge_removed(edge)
@@ -321,13 +333,14 @@ def apply_to_database(
             if action[0] == "delete":
                 database.delete(action[1])
             elif action[0] == "insert":
-                __, relation, values, label = action
+                __, relation, values, label, reorder = action
                 database.insert(relation, values, label=label)
+                if reorder is not None:
+                    put_back, keys = reorder
+                    put_back(relation, keys)
             else:  # restore
                 __, tid, values = action
                 database.update(tid, values)
-        for relation, keys in key_orders.items():
-            database.restore_key_order(relation, keys)
         raise
     finally:
         database.enforce_foreign_keys = previous_enforcement

@@ -362,6 +362,36 @@ class Database:
                 ordered[key] = record
         self._tuples[relation_name] = ordered
 
+    def keys_after(
+        self, relation_name: str, key: tuple, limit: int
+    ) -> Optional[tuple[tuple, ...]]:
+        """The keys stored after ``key``, in store order — walked back
+        from the tail, so O(their count) — or None once more than
+        ``limit`` of them are seen (rollback bookkeeping)."""
+        store = self._tuples.get(relation_name)
+        if store is None:
+            raise UnknownRelationError("no such relation", relation=relation_name)
+        after: list[tuple] = []
+        for other in reversed(store):
+            if other == key:
+                break
+            if len(after) == limit:
+                return None
+            after.append(other)
+        return tuple(reversed(after))
+
+    def move_to_tail(self, relation_name: str, keys: Sequence[tuple]) -> None:
+        """Move the stored ones of ``keys`` to the end of the relation's
+        store, in the given order (rollback: put back the tuples that
+        followed a re-inserted one)."""
+        store = self._tuples.get(relation_name)
+        if store is None:
+            raise UnknownRelationError("no such relation", relation=relation_name)
+        for key in keys:
+            record = store.pop(key, None)
+            if record is not None:
+                store[key] = record
+
     def last_tuple(self, relation_name: str) -> Optional[Tuple]:
         """The relation's last tuple in store order (None when empty).
 
@@ -395,7 +425,10 @@ class Database:
     def count(self, relation_name: Optional[str] = None) -> int:
         """Number of tuples in one relation, or in the whole database."""
         if relation_name is not None:
-            return len(self.tuples(relation_name))
+            store = self._tuples.get(relation_name)
+            if store is None:
+                raise UnknownRelationError("no such relation", relation=relation_name)
+            return len(store)
         return sum(len(store) for store in self._tuples.values())
 
     def by_label(self, label: str) -> Tuple:

@@ -78,50 +78,106 @@ def _posted(values, attributes: Iterable[str]) -> Iterator[tuple[str, str, bool]
 
 
 class _LazyPostings(dict):
-    """Posting lists decoded from their snapshot encoding on first touch.
+    """Posting lists decoded from their snapshot encoding on first read.
 
     Behaves like the ``defaultdict(list)`` a built index uses: a missing
-    token decodes its pending raw entries (or starts an empty list) and
-    stores the result, after which plain dict semantics apply.  Pending
-    and materialised keys are disjoint — decoding *moves* a token out of
-    the raw table — so iteration, membership and length see each token
+    token decodes its encoded slice (or starts an empty list) and stores
+    the result, after which plain dict semantics apply.  Encoded and
+    materialised keys are disjoint — decoding *moves* a token out of the
+    raw table — so iteration, membership and length see each token
     exactly once.  Most queries touch a handful of tokens, so restoring
     an index never pays for the vocabulary it does not use.
+
+    Writes defer, reads fold.  A posting write to a token that is still
+    encoded (:meth:`defer`) queues ``("add", posting)`` or ``("del",
+    tid)`` in ``_pending`` instead of decoding the list.  Every read of
+    the token — ``[]``, ``get``, ``in``, :meth:`length_of`, iteration,
+    :meth:`decode_all` — folds it first (:meth:`_fold`): the slice is
+    decoded, postings of a deleted tid are dropped (and slots of nodes
+    tombstoned since the snapshot was opened, which decode to ``None``),
+    then every add no later del cancelled is placed by ``_place`` — the
+    owning index's ordered insert — at the current order positions.
+    That is the list eager maintenance holds: surviving tuples never
+    change relative store order, and the insert keeps one tuple's
+    postings in attribute order.  A token the fold leaves empty is gone,
+    as an eager removal drops it.
     """
 
-    def __init__(self, load, decode) -> None:
+    def __init__(self, source) -> None:
         super().__init__()
-        # A zero-argument loader of the raw table: a snapshot defers even
-        # parsing it until the first keyword lookup needs it.
-        self._raw_loader = load
+        # ``source.pending()`` parses the raw table (token -> encoded
+        # slice) and ``source.decode(slice)`` one token's postings: a
+        # snapshot defers even the parse until a token is first asked for.
+        self._source = source
         self._raw_data = None
-        self._decode = decode
+        #: Encoded token -> the writes queued on it, in order.
+        self._pending: dict[str, list] = {}
+        #: ``place(postings, posting)``, set by the owning index.
+        self._place = None
 
     @property
     def _raw(self) -> dict:
         if self._raw_data is None:
-            self._raw_data = self._raw_loader()
+            self._raw_data = self._source.pending()
         return self._raw_data
 
+    def defer(self, token: str, write: tuple) -> bool:
+        """Queue one ``("add", posting)`` / ``("del", tid)`` write on a
+        still-encoded token; False (nothing queued) for any other."""
+        if dict.__contains__(self, token) or token not in self._raw:
+            return False
+        self._pending.setdefault(token, []).append(write)
+        return True
+
+    def _fold(self, token: str) -> list:
+        """Decode one encoded token with its queued writes applied; the
+        list is stored unless it came out empty."""
+        postings = self._source.decode(self._raw.pop(token))
+        writes = self._pending.pop(token, None)
+        if writes:
+            gone: set = set()
+            added: list = []
+            for kind, write in writes:
+                if kind == "del":
+                    gone.add(write)
+                    added = [p for p in added if p.tid != write]
+                else:
+                    added.append(write)
+            postings = [
+                p for p in postings if p.tid is not None and p.tid not in gone
+            ]
+            for posting in added:
+                self._place(postings, posting)
+        if postings:
+            dict.__setitem__(self, token, postings)
+        return postings
+
+    def _fold_pending(self) -> None:
+        for token in list(self._pending):
+            self._fold(token)
+
     def __missing__(self, token: str) -> list:
-        entries = self._raw.pop(token, None)
-        value = self._decode(entries) if entries is not None else []
+        value = self._fold(token) if token in self._raw else []
         self[token] = value
         return value
 
     def get(self, token, default=None):
-        if dict.__contains__(self, token) or token in self._raw:
-            return self[token]
-        return default
+        if token in self._raw:
+            self._fold(token)
+        return dict.get(self, token, default)
 
     def __contains__(self, token) -> bool:
+        if token in self._pending:
+            self._fold(token)
         return dict.__contains__(self, token) or token in self._raw
 
     def __iter__(self):
+        self._fold_pending()
         yield from dict.__iter__(self)
         yield from self._raw
 
     def __len__(self) -> int:
+        self._fold_pending()
         return dict.__len__(self) + len(self._raw)
 
     def keys(self):
@@ -137,22 +193,26 @@ class _LazyPostings(dict):
 
     def clear(self) -> None:
         dict.clear(self)
-        self._raw_loader = None
+        self._source = None
         self._raw_data = {}
+        self._pending = {}
 
     def decode_all(self) -> None:
-        """Decode every pending token now — in bulk, off the write path
-        that would otherwise pay per first-touched token."""
+        """Fold every encoded token now: a full snapshot write encodes
+        the whole vocabulary afresh."""
         for token in list(self._raw):
-            self[token]
+            self._fold(token)
 
     def length_of(self, token: str) -> int:
         """Posting count of a token without decoding it.
 
         Raw snapshot entries are sized by their posting count, so the
         planner's cost model can size a keyword without materialising
-        (and paying to decode) tuples the query may never touch.
+        (and paying to decode) tuples the query may never touch; a token
+        with queued writes is folded first, so the count is exact.
         """
+        if token in self._pending:
+            self._fold(token)
         if dict.__contains__(self, token):
             return len(dict.__getitem__(self, token))
         entries = self._raw.get(token)
@@ -193,8 +253,9 @@ class InvertedIndex:
 
         ``postings`` is any dict-like mapping token -> posting list that
         yields a fresh list for missing tokens (a plain dict of decoded
-        lists, or a :class:`_LazyPostings` deferring decoding); posting
-        lists must already be in database order — the order a fresh
+        lists, or a :class:`_LazyPostings` deferring decoding — and the
+        writes to a still-encoded token); posting lists must already be
+        in database order — the order a fresh
         :meth:`build` over the same database produces.  Pure lookups
         never need the database order, so each relation's derives on
         first demand: ``insort`` compares store positions only inside
@@ -204,6 +265,8 @@ class InvertedIndex:
         """
         index = cls.__new__(cls)
         index._init(database, postings, _Derived(index._refresh_order))
+        if isinstance(postings, _LazyPostings):
+            postings._place = index._insort
         return index
 
     def _init(self, database: Database, postings: dict, order: dict) -> None:
@@ -240,14 +303,17 @@ class InvertedIndex:
         self._relation_tail.clear()
         # One pass in posting order — relation by relation, store order
         # within — so every posting is a plain append.
+        postings = self._postings
         for relation in self._database.schema.relations:
             attributes = self._attributes[relation.name]
             positions = self._order[relation.name] = {}
             for store_position, record in enumerate(
                 self._database.tuples(relation.name)
             ):
-                positions[record.tid.key] = store_position
-                self._post(record, attributes, list.append)
+                tid = record.tid
+                positions[tid.key] = store_position
+                for token, attribute, whole in _posted(record.values, attributes):
+                    postings[token].append(Posting(tid, attribute, whole))
             self._relation_tail[relation.name] = len(positions)
 
     def _refresh_order(self, relation_name: str) -> dict:
@@ -262,14 +328,6 @@ class InvertedIndex:
         self._relation_tail[relation_name] = len(keys)
         positions = self._order[relation_name] = dict(zip(keys, range(len(keys))))
         return positions
-
-    def _post(self, record: Tuple, attributes: Iterable[str], place) -> None:
-        """Post one tuple under its tokens through ``place(posting list,
-        posting)``: ``list.append`` when tuples arrive in posting order
-        (a build), :meth:`_insort` otherwise."""
-        tid = record.tid
-        for token, attribute, whole in _posted(record.values, attributes):
-            place(self._postings[token], Posting(tid, attribute, whole))
 
     def _tokens(self, relation_name: str, values) -> dict[str, None]:
         """The distinct tokens ``values`` post a tuple of a relation under."""
@@ -299,7 +357,15 @@ class InvertedIndex:
             tail = self._relation_tail[record.relation]
             positions[record.tid.key] = tail
             self._relation_tail[record.relation] = tail + 1
-        self._post(record, self._attributes[record.relation], self._insort)
+        # A write to a still-encoded token is queued, not decoded
+        # (:meth:`_LazyPostings.defer`); a built index has no such token.
+        defer, tid = getattr(self._postings, "defer", None), record.tid
+        for token, attribute, whole in _posted(
+            record.values, self._attributes[record.relation]
+        ):
+            posting = Posting(tid, attribute, whole)
+            if defer is None or not defer(token, ("add", posting)):
+                self._insort(self._postings[token], posting)
 
     def add_tuple(self, record: Tuple) -> None:
         """Index one tuple (no-op if already indexed).
@@ -363,11 +429,14 @@ class InvertedIndex:
         self._order.get(tid.relation, {}).pop(tid.key, None)
 
     def _unpost(self, tid: TupleId, values) -> None:
-        tokens = (
-            list(self._postings) if values is None
-            else self._tokens(tid.relation, values)
-        )
+        if values is None:
+            tokens, defer = list(self._postings), None
+        else:
+            tokens = self._tokens(tid.relation, values)
+            defer = getattr(self._postings, "defer", None)
         for token in tokens:
+            if defer is not None and defer(token, ("del", tid)):
+                continue
             postings = self._postings.get(token)
             if postings is None:
                 continue

@@ -34,7 +34,9 @@ Restoration is lazy wherever queries and replayed WAL records allow it:
   from its key and flag, on either);
 * the interning table decodes per relation (:class:`_Interning`) and
   posting lists per token (:class:`_PostingColumns`), each on first
-  touch;
+  touch — a write to a still-encoded token is queued and folded on the
+  token's first read
+  (:class:`~repro.relational.index._LazyPostings`);
 * the networkx tuple graph — only needed by the reference core
   and by joining-network metrics — builds on first demand
   (:class:`~repro.graph.data_graph.DataGraph` is lazy); a pure-CSR
@@ -353,6 +355,7 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
         frozen._compile()
         frozen.compactions += 1
     if isinstance(engine.index._postings, _LazyPostings):
+        # Folds the writes still queued on encoded tokens, too.
         engine.index._postings.decode_all()
     capacity = frozen.capacity
     schema = engine.database.schema
@@ -791,9 +794,7 @@ def _load_engine(
         counters=cache,
     )
 
-    index = InvertedIndex.from_state(
-        database, _LazyPostings(columns.pending, columns.decode)
-    )
+    index = InvertedIndex.from_state(database, _LazyPostings(columns))
 
     engine = KeywordSearchEngine._from_parts(
         database=database,

@@ -181,6 +181,60 @@ class TestValidationAndRollback:
         # order and answer enumeration observe it.
         assert [record.tid for record in company_db.all_tuples()] == before
 
+    @pytest.mark.parametrize(
+        "deletes",
+        [
+            # Head (its walk passes half: the whole order is captured),
+            # middle and tail, in either order.
+            [("DEPENDENT", "t1"), ("DEPENDENT", "t6"), ("DEPENDENT", "t10")],
+            [("DEPENDENT", "t10"), ("DEPENDENT", "t6"), ("DEPENDENT", "t1")],
+            # Walks that stay short: only the keys after each are kept.
+            [("DEPENDENT", "t7"), ("DEPENDENT", "t9"), ("DEPENDENT", "t8")],
+            # Two relations.
+            [("DEPENDENT", "t8"), ("WORKS_FOR", "e2", "p3"),
+             ("DEPENDENT", "t4"), ("WORKS_FOR", "e1", "p1")],
+        ],
+    )
+    def test_rollback_restores_store_order_of_several_deletes(
+        self, company_db, deletes
+    ):
+        apply_to_database(company_db, [
+            Insert("DEPENDENT", {"ID": f"t{n}", "ESSN": "e2",
+                                 "DEPENDENT_NAME": f"Kid{n}"})
+            for n in range(3, 11)
+        ])
+        before = [record.tid for record in company_db.all_tuples()]
+        with pytest.raises(PrimaryKeyError):
+            apply_to_database(
+                company_db,
+                [Delete(tid(*victim)) for victim in deletes]
+                + [Insert("DEPENDENT", {"ID": "t2", "ESSN": "e1",
+                                        "DEPENDENT_NAME": "Dup"})],
+            )
+        assert [record.tid for record in company_db.all_tuples()] == before
+
+    def test_rollback_restores_store_order_after_a_reinsert(self, company_db):
+        apply_to_database(company_db, [
+            Insert("DEPENDENT", {"ID": f"t{n}", "ESSN": "e2",
+                                 "DEPENDENT_NAME": f"Kid{n}"})
+            for n in range(3, 7)
+        ])
+        before = [record.tid for record in company_db.all_tuples()]
+        kept = company_db.tuple(tid("DEPENDENT", "t5"))
+        with pytest.raises(PrimaryKeyError):
+            apply_to_database(
+                company_db,
+                [
+                    Delete(kept.tid),
+                    # The same key again, now at the store tail.
+                    Insert("DEPENDENT", dict(kept.values), kept.label),
+                    Delete(tid("DEPENDENT", "t4")),
+                    Insert("DEPENDENT", {"ID": "t2", "ESSN": "e1",
+                                         "DEPENDENT_NAME": "Dup"}),
+                ],
+            )
+        assert [record.tid for record in company_db.all_tuples()] == before
+
     def test_live_index_still_fresh_after_failed_batch(self, company_db):
         from repro.live.maintain import apply_to_index
         from repro.relational.index import InvertedIndex

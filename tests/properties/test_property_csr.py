@@ -636,18 +636,23 @@ class TestDirectRowsEqualGraphRows:
 def _networkx_tree(data_graph, tuples):
     """The networkx minimum spanning tree a network was once scored on:
     its induced multigraph, nodes by ``_sort_key``, one edge per pair
-    (the first by ``(str(left), str(right), key)``)."""
+    (the first by ``(_sort_key(low), _sort_key(high), key)``).  Each
+    edge is ordered from its lower ``_sort_key`` end: the subgraph view
+    lists edges in the hash order of its node set, so their listed
+    orientation would make the unit-weight tie-break seed-dependent."""
     import networkx as nx
 
     induced = data_graph.graph.subgraph(sorted(tuples, key=_sort_key))
     simple = nx.Graph()
     simple.add_nodes_from(sorted(induced.nodes, key=_sort_key))
-    for left, right, key, data in sorted(
-        induced.edges(keys=True, data=True),
-        key=lambda item: (str(item[0]), str(item[1]), item[2]),
-    ):
-        if not simple.has_edge(left, right):
-            simple.add_edge(left, right, edge_key=key, edge_data=data)
+    oriented = []
+    for left, right, key, data in induced.edges(keys=True, data=True):
+        low, high = sorted((left, right), key=_sort_key)
+        oriented.append((_sort_key(low), _sort_key(high), key, low, high, data))
+    oriented.sort(key=lambda item: item[:3])
+    for __, __, key, low, high, data in oriented:
+        if not simple.has_edge(low, high):
+            simple.add_edge(low, high, edge_key=key, edge_data=data)
     return nx.minimum_spanning_tree(simple)
 
 

@@ -7,6 +7,11 @@ bit-identical (state and answers) to an engine that rebuilt from the
 same snapshot and executed exactly the surviving prefix of batches
 live.  Corruption *inside* the log (not at the tail) must refuse.
 
+A third property holds a restored engine's index to a rebuild: writes
+to still-encoded posting lists are queued and folded on first read, and
+whatever reads, compactions and reopens come between, every token
+serves what ``InvertedIndex(database)`` built from scratch holds.
+
 A second property interleaves ``apply`` / ``compact_wal`` / close +
 ``open(wal=True)`` with the delta threshold set small enough that the
 steps cross it: whatever mix of delta appends and full rewrites the
@@ -34,6 +39,7 @@ from repro.datasets.synthetic import (
 from repro.durable.wal import WriteAheadLog, default_wal_path
 from repro.live.changes import Delete, Insert, Update
 from repro.relational.database import TupleId
+from repro.relational.index import InvertedIndex, _LazyPostings
 from repro.scale import snapshot as snapshot_module
 
 relaxed = settings(
@@ -296,3 +302,105 @@ class TestCompactionInterleavingProperty:
                 )
             assert len(held) * fraction <= base
             reopened.close()
+
+
+deferred_steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(_KINDS + ("insert_then_delete",)),
+                  st.integers(min_value=0, max_value=1 << 20)),
+        st.tuples(st.just("read"), st.integers(min_value=0, max_value=1 << 20)),
+        st.tuples(
+            st.sampled_from(("compact_delta", "compact_full", "save_reopen")),
+            st.just(0),
+        ),
+    ),
+    min_size=2,
+    max_size=12,
+)
+
+#: The three exact reads; whichever comes first folds a token.
+_READS = (
+    lambda index, token: index.posting_length(token),
+    lambda index, token: token in index,
+    lambda index, token: index.postings(token),
+)
+
+
+def unfolded_copy(index):
+    """A second index over a copy of ``index``'s posting state: reading
+    it folds the copy's queued writes (at ``index``'s order positions)
+    and leaves those of ``index`` queued."""
+    postings = index._postings
+    copy = _LazyPostings(postings._source)
+    copy._raw_data = dict(postings._raw)
+    copy._pending = {
+        token: list(writes) for token, writes in postings._pending.items()
+    }
+    dict.update(copy, {
+        token: list(entries) for token, entries in dict.items(postings)
+    })
+    clone = InvertedIndex.from_state(index._database, copy)
+    copy._place = postings._place
+    return clone
+
+
+def assert_serves_a_rebuild(index, database, seen):
+    """Every token of a rebuild and of ``seen`` (tokens that may have
+    lost their last posting since), each accessor first in turn;
+    returns the rebuild's vocabulary."""
+    fresh = InvertedIndex(database)
+    vocabulary = fresh.vocabulary()
+    for at, token in enumerate(sorted(set(vocabulary) | seen)):
+        for read in _READS[at % 3:] + _READS[:at % 3]:
+            assert read(index, token) == read(fresh, token), token
+    assert index.vocabulary() == vocabulary
+    return vocabulary
+
+
+class TestDeferredPostingsEqualEager:
+    @relaxed
+    @given(configs, deferred_steps)
+    def test_restored_index_serves_what_a_rebuild_holds(self, config, steps):
+        """Replaces, renames followed by deletes and inserts deleted
+        before any read queue both kinds of write on one token."""
+        with tempfile.TemporaryDirectory() as workdir:
+            path = os.path.join(workdir, "e.snap")
+            KeywordSearchEngine(planted_database(config)).save(path)
+            engine = KeywordSearchEngine.open(path, wal=True)
+            counter = 0
+            # Every token a rebuild ever held, or a batch ever posted.
+            seen = set(InvertedIndex(engine.database).vocabulary())
+            seen.update(_NAMES + ("kwalpha", "kwbeta", "research", "notes"))
+            for number, (kind, salt) in enumerate(steps):
+                if kind == "read":
+                    fresh = InvertedIndex(engine.database)
+                    candidates = sorted(set(fresh.vocabulary()) | seen)
+                    token = candidates[salt % len(candidates)]
+                    read = _READS[(salt >> 8) % 3]
+                    assert read(engine.index, token) == read(fresh, token)
+                elif kind.startswith("compact"):
+                    fraction = 0 if kind == "compact_delta" else 1 << 30
+                    with mock.patch.object(
+                        snapshot_module, "DELTA_FRACTION", fraction
+                    ):
+                        engine.compact_wal()
+                elif kind == "save_reopen":
+                    path = os.path.join(workdir, f"e{number}.snap")
+                    engine.save(path)
+                    engine.close()
+                    engine = KeywordSearchEngine.open(path, wal=True)
+                elif kind == "insert_then_delete":
+                    engine.apply(build_batch(
+                        engine.database, "insert_dependent", salt, counter
+                    ))
+                    engine.apply([Delete(TupleId("DEPENDENT", (f"dur{counter}",)))])
+                    seen.add(f"dur{counter}")
+                    counter += 1
+                else:
+                    engine.apply(build_batch(engine.database, kind, salt, counter))
+                    counter += 1
+                seen.update(assert_serves_a_rebuild(
+                    unfolded_copy(engine.index), engine.database, seen
+                ))
+            assert_serves_a_rebuild(engine.index, engine.database, seen)
+            engine.close()

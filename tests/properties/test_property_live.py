@@ -347,6 +347,8 @@ def _reach_rule(entries, changeset, index, ball):
     for a changeset, and which of them only its ball reached."""
     from repro.core.matching import match_keywords
 
+    if changeset.is_empty():
+        return set(), set()  # an empty batch makes nothing stale
     rewritten = set(
         changeset.tuples_updated
         + changeset.tuples_replaced

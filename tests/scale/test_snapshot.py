@@ -349,6 +349,64 @@ class TestLaziness:
         restored.close()
         original.close()
 
+    def test_writes_to_encoded_tokens_decode_nothing(self, tmp_path, monkeypatch):
+        """A publish, a retitle and a retract apply on a restored bib
+        engine while decoding a posting list raises; the next search
+        folds each query token it touches once, into the list a rebuild
+        holds."""
+        from repro.relational.index import InvertedIndex
+        from repro.scale.snapshot import _PostingColumns
+
+        sys.path.insert(0, os.path.join(
+            os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks", "e2e"
+        ))
+        try:
+            import corpus
+        finally:
+            del sys.path[0]
+        bib = corpus.generate("tiny", 7)
+        path = str(tmp_path / "bib.snap")
+        KeywordSearchEngine(bib.database()).save(path)
+        engine = KeywordSearchEngine.open(path, wal=True)
+        batches = bib.mutation_batches(8)
+        kinds = [type(batch[0]) for batch in batches]
+        assert {Insert, Update, Delete} <= set(kinds)
+
+        def refuse(self, span):
+            raise AssertionError("a write decoded a posting list")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(_PostingColumns, "decode", refuse)
+            for batch in batches:
+                engine.apply(batch)
+        postings = engine.index._postings
+        # One token with a queued removal, one with additions only.
+        removed = [
+            token for token, writes in sorted(postings._pending.items())
+            if any(kind == "del" for kind, __ in writes)
+        ]
+        added = [token for token in sorted(postings._pending) if token not in removed]
+        touched = sorted((removed[0], added[0]))
+
+        decoded = []
+        decode = _PostingColumns.decode
+
+        def counted(self, span):
+            decoded.append(span)
+            return decode(self, span)
+
+        monkeypatch.setattr(_PostingColumns, "decode", counted)
+        token_at = {span.start: token for token, span in postings._raw.items()}
+        text = " ".join(touched)
+        engine.search(text, top_k=10)
+        engine.search(text, top_k=10, semantics="or")
+        assert sorted(token_at[span.start] for span in decoded) == touched
+        fresh = InvertedIndex(engine.database)
+        for token in touched:
+            assert engine.index.postings(token) == fresh.postings(token)
+            assert token not in postings._pending
+        engine.close()
+
     def test_replay_decodes_what_its_records_touch(self, tmp_path):
         """open(wal=True) over the bib corpus with a tail of publish /
         retitle / retract records: no per-tuple token table, posting
@@ -736,6 +794,10 @@ class TestDeltaSection:
             assert frozen._override and frozen._distances and postings._raw
             stamp, compactions = frozen.compile_stamp, frozen.compactions
             pending = set(postings._raw)
+            # The insert's writes to still-encoded tokens are queued.
+            queued = {token: list(writes)
+                      for token, writes in postings._pending.items()}
+            assert queued
             rows = list(frozen._distances.items())
 
             def refuse(*args, **kwargs):
@@ -751,6 +813,7 @@ class TestDeltaSection:
             assert frozen.compile_stamp == stamp
             assert frozen.compactions == compactions
             assert set(postings._raw) == pending
+            assert postings._pending == queued
             assert type(frozen._edge_refs) is memoryview
             assert list(frozen._distances.items()) == rows
             assert all(
