@@ -192,6 +192,8 @@ class Executor:
         #: rows; the reference core keeps the static order.
         self.adaptive = adaptive
         self.stats = ExecutionStats()
+        #: The run's prefetched distance rows, ``{radius: {node: row}}``.
+        self._memo: dict = {}
         #: Live span of the run in flight (``None`` while tracing is
         #: off or between runs); the mode-specific emitters hang their
         #: per-op and rank/cut children off it.
@@ -203,15 +205,15 @@ class Executor:
     def _prefetch_distances(
         self, plan: QueryPlan, limits: SearchLimits
     ) -> None:
-        """Warm the compiled graph's distance-row cache for every source
-        the plan's enumeration units will prune against, as one block
-        per radius instead of one probe at a time.
+        """Fetch the distance row of every source the plan's enumeration
+        units will prune against, as one block per radius instead of one
+        probe at a time, and keep the blocks as the run's memo
+        (:meth:`_row`): each row is built once per run.
 
-        Purely a cache effect: blocks are bit-identical to on-demand
-        rows, so answers, order and budget points are unchanged.  Rows
-        for units the kernels later skip (disconnected or over-budget
-        pairs) may be computed ahead of need; the LRU keeps that
-        bounded.
+        Blocks are bit-identical to on-demand rows, so answers, order and
+        budget points are unchanged.  Rows for units the kernels later
+        skip (disconnected or over-budget pairs) may be computed ahead
+        of need.
         """
         frozen = self.cache.frozen()
         blocks: dict = {}  # radius -> node ints
@@ -219,9 +221,18 @@ class Executor:
             node = frozen.node_of(tid)
             if node is not None:
                 blocks.setdefault(radius, []).append(node)
-        for radius, nodes in blocks.items():
-            if len(nodes) > 1:
-                frozen.distances_block(nodes, radius)
+        self._memo = {
+            radius: frozen.distances_block(nodes, radius)
+            for radius, nodes in blocks.items()
+        }
+
+    def _row(self, node: int, radius: int):
+        """``node``'s distance row at exactly ``radius``: the run's
+        prefetched one, else the compiled graph's."""
+        row = self._memo.get(radius, {}).get(node)
+        if row is None:
+            row = self.cache.frozen().distances(node, radius=radius)
+        return row
 
     # ------------------------------------------------------------------
     # adaptive bounds (selectivity-ordered pushdown, csr core only)
@@ -231,7 +242,7 @@ class Executor:
         between two tuples: their BFS distance in the compiled graph,
         exact up to ``max_rdb_length`` (B).  It is met in the middle
         (:meth:`~repro.graph.csr.FrozenGraph.distance_between`): the
-        target's radius-⌈B/2⌉ row, warmed by :meth:`_prefetch_distances`
+        target's radius-⌈B/2⌉ row, prefetched by :meth:`_prefetch_distances`
         at the radius the path kernel uses, against a ⌊B/2⌋ ball around
         the source.  Both are memoised in ``rows`` — rows under the
         target tuple id, balls under ``("ball", source)``, which no tuple
@@ -247,9 +258,7 @@ class Executor:
             node = frozen.node_of(target)
             if node is None:
                 return None
-            row = rows[target] = frozen.distances(
-                node, radius=budget - budget // 2
-            )
+            row = rows[target] = self._row(node, budget - budget // 2)
         key = ("ball", source)
         ball = rows.get(key)
         if ball is None:
@@ -280,8 +289,7 @@ class Executor:
         for position, (tid, node) in enumerate(nodes[:-1]):
             row = rows.get(tid)
             if row is None:
-                row = frozen.distances(node, radius=radius)
-                rows[tid] = row
+                row = rows[tid] = self._row(node, radius)
             for __, other in nodes[position + 1:]:
                 distance = row[other]
                 if distance > radius:
@@ -442,7 +450,10 @@ class Executor:
         source: TupleId,
         target: TupleId,
         limits: SearchLimits,
+        shortest: Optional[int] = None,
+        row=None,
     ) -> Iterator:
+        """A pair's paths; the csr kernel takes an adaptive bound's row."""
         if self.core == "csr":
             return csr_enumerate_simple_paths(
                 self.cache,
@@ -450,6 +461,8 @@ class Executor:
                 target,
                 limits.max_rdb_length,
                 max_paths=limits.max_paths_per_pair,
+                _shortest=shortest,
+                _row=row,
             )
         return enumerate_simple_paths(
             self.data_graph,
@@ -743,13 +756,15 @@ class _PairState:
         )
         self._singles_position = 0
         self._heap: Optional[list] = None
+        #: Target rows under their tuple ids, balls under ``("ball", source)``.
+        self._rows: dict = {}
 
     def _ensure_heap(self) -> list:
         if self._heap is None:
             executor = self._executor
             adaptive = executor.adaptive and executor.core == "csr"
             limits = self._limits
-            rows: dict = {}
+            rows = self._rows
             pruned = 0
             heap = []
             first, second = self._matches
@@ -804,7 +819,10 @@ class _PairState:
         length, index, steps, stream = heapq.heappop(heap)
         if steps is _LAZY:  # adaptive: build the stream at first top
             source, target = stream
-            stream = self._executor._path_stream(source, target, self._limits)
+            # ``length`` is the pair's exact distance (it is within budget).
+            stream = self._executor._path_stream(
+                source, target, self._limits, length, self._rows.get(target)
+            )
             steps = next(stream, None)
             if steps is None:
                 return None

@@ -23,9 +23,11 @@ kernels entirely on dense ints:
   loop is a C array index instead of a dict probe.  The kernels ask for
   the radius their budget can use, so the sweep stops after that many
   levels and the row is one byte per node (``0xFF`` = beyond the
-  radius); the unbounded ``array('i')`` row stays as the oracle.  A
-  pair bound within a budget B meets in the middle: a ⌊B/2⌋ ball around
-  one end against the other end's ⌈B/2⌉ row.
+  radius); the unbounded ``array('i')`` row stays as the oracle.  The
+  cache holds a row as its BFS levels (the ball it covers) and builds
+  the dense row again on a hit.  A pair bound within a budget B meets
+  in the middle: a ⌊B/2⌋ ball around one end against the other end's
+  ⌈B/2⌉ row.
 * **Zero-copy DFS.**  Path enumeration keeps one shared ``bytearray``
   of visited marks and one mutable path stack, pushing and undoing in
   place; per-expansion ``visited | {other}`` / ``path + [...]`` copies
@@ -55,6 +57,7 @@ one the differential tests enforce: same answers, same order, same
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import OrderedDict, defaultdict
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
@@ -86,6 +89,11 @@ _MAX_RADIUS = _BEYOND - 1
 
 #: A distance row: bounded ``bytearray`` or unbounded ``array('i')``.
 DistanceRow = Union[bytearray, array]
+
+
+def _held_bytes(levels) -> int:
+    """Bytes a cached row holds: its tuple of per-depth level arrays."""
+    return sys.getsizeof(levels) + sum(map(sys.getsizeof, levels))
 
 
 def _index_nodes(tids) -> dict[str, dict[tuple, int]]:
@@ -145,8 +153,8 @@ class FrozenGraph:
     #: costs less than tracking whether it is worth it.
     min_compaction_nodes = 64
     #: Most bytes of distance rows kept at once (LRU-evicted above it);
-    #: a bounded row is ``capacity`` bytes, an unbounded one four times
-    #: that.
+    #: a row holds its BFS levels, four bytes per node it reaches plus
+    #: one array header per depth, whatever the capacity.
     max_distance_bytes = 32 << 20
 
     def __init__(self, data_graph: DataGraph, counters=None) -> None:
@@ -271,12 +279,14 @@ class FrozenGraph:
         #: tombstoned nodes always live here (their CSR slice is empty
         #: or stale); an entry shadows the node's CSR slice entirely.
         self._override: dict[int, tuple[list[int], list[str], list[int]]] = {}
-        #: LRU of cached BFS rows, ``source -> (row, radius, stamp)``:
+        #: LRU of cached BFS rows, ``source -> (levels, radius, stamp,
+        #: length)``: ``levels[d]`` the ``array('i')`` of nodes at depth d,
         #: radius ``None`` for an unbounded row, ``stamp`` the change-log
-        #: position it was validated at.  Hits re-validate and refresh
-        #: recency, eviction pops the least recent (:meth:`_evict_rows`).
+        #: position it was validated at and ``length`` the capacity then.
+        #: Hits build the dense row, re-validate and refresh recency;
+        #: eviction pops the least recent (:meth:`_evict_rows`).
         self._distances: OrderedDict[
-            int, tuple[DistanceRow, Optional[int], int]
+            int, tuple[tuple[array, ...], Optional[int], int, int]
         ] = OrderedDict()
         self._distance_bytes = 0
         #: Changed nodes of every patch since the oldest held row's stamp;
@@ -403,14 +413,12 @@ class FrozenGraph:
         """Footprint estimate by section, in bytes.
 
         ``arrays`` covers the flat CSR buffers and liveness bits,
-        ``distances`` the bytes held by cached BFS rows of either type,
-        and ``payload`` the per-entry edge tables: one list slot per edge
-        key plus each *distinct* key string — the strings are shared
-        between entries, so they are counted once by identity — plus one
+        ``distances`` the bytes the cached rows' level arrays hold, and
+        ``payload`` the per-entry edge tables: one list slot per edge key
+        plus each *distinct* key string — the strings are shared between
+        entries, so they are counted once by identity — plus one
         referencing-flag byte per entry.
         """
-        import sys
-
         arrays = (
             self._offsets.itemsize * len(self._offsets)
             + self._targets.itemsize * len(self._targets)
@@ -549,99 +557,102 @@ class FrozenGraph:
     def _cached_row(
         self, node: int, radius: Optional[int]
     ) -> Optional[DistanceRow]:
-        """The held row of ``node`` when it covers ``radius`` — unbounded,
-        or bounded at least that far — and is current (:meth:`_revalidated`):
-        a counted, LRU-refreshing hit; otherwise a counted miss."""
+        """The held row of ``node``, built from its levels, when it covers
+        ``radius`` (unbounded, or bounded at least that far) and is current
+        (:meth:`_revalidated`): a counted, LRU-refreshing hit; else a miss."""
         entry = self._distances.get(node)
         if entry is not None:
-            row, held, stamp = entry
-            if (held is None or (radius is not None and held >= radius)) and (
-                stamp == self._log_start + len(self._change_log)
-                or self._revalidated(node, row, held, stamp)
-            ):
-                self._counters.hits += 1
-                self._distances.move_to_end(node)
-                return row
+            levels, held, stamp, __ = entry
+            if held is None or (radius is not None and held >= radius):
+                row = self._dense_row(levels, held)
+                current = self._log_start + len(self._change_log)
+                if stamp == current or self._revalidated(node, row, entry):
+                    self._counters.hits += 1
+                    self._distances.move_to_end(node)
+                    return row
         self._counters.misses += 1
         return None
 
-    def _revalidated(self, node: int, row, radius, stamp: int) -> bool:
-        """Probe a held row for the nodes logged since its stamp (inside
-        it: dropped, ``False``; past its end, appended since: beyond), then
-        grow it to ``capacity`` and re-stamp it.  Probing the batches at once
-        equals probing each in turn: a row surviving one is unchanged."""
+    def _revalidated(self, node: int, row: DistanceRow, entry) -> bool:
+        """Probe a held row, built ``capacity`` long, for the nodes logged
+        since its stamp (one inside its ball: dropped, ``False``), then
+        re-stamp it.  Probing the batches at once equals probing each in
+        turn: a row surviving one is unchanged."""
+        levels, radius, stamp, __ = entry
         log, start = self._change_log, self._log_start
-        length, end = len(row), start + len(log)
         beyond = _UNREACHABLE if radius is None else _BEYOND
-        if any(
-            changed < length and row[changed] != beyond
-            for changed in log[stamp - start:]
-        ):
+        if any(row[changed] != beyond for changed in log[stamp - start:]):
             del self._distances[node]
-            self._distance_bytes -= memoryview(row).nbytes
+            self._distance_bytes -= _held_bytes(levels)
             return False
-        if length < self.capacity:
-            tail = array("i", [beyond]) if radius is None else bytes((beyond,))
-            tail *= self.capacity - length
-            row.extend(tail)
-            self._distance_bytes += memoryview(tail).nbytes
-        self._distances[node] = (row, radius, end)
+        self._distances[node] = (levels, radius, start + len(log), self.capacity)
         self._distances.move_to_end(node)
-        self._evict_rows()  # it may have grown; it is the newest row now
+        self._evict_rows()  # it is the newest row now: the log may shrink
         return True
 
     def _store_row(
-        self, node: int, row: DistanceRow, radius: Optional[int]
+        self, node: int, levels: tuple[array, ...], radius: Optional[int]
     ) -> None:
         distances = self._distances
         replaced = distances.pop(node, None)  # a shorter-radius row
         if replaced is not None:
-            self._distance_bytes -= memoryview(replaced[0]).nbytes
-        distances[node] = (row, radius, self._log_start + len(self._change_log))
-        self._distance_bytes += memoryview(row).nbytes
+            self._distance_bytes -= _held_bytes(replaced[0])
+        distances[node] = (
+            levels, radius, self._log_start + len(self._change_log), self.capacity
+        )
+        self._distance_bytes += _held_bytes(levels)
         self._evict_rows()
 
     def _evict_rows(self) -> None:
         """Pop least-recently-used rows over the byte budget (the newest
-        stays) or owing more logged nodes than they have bytes, then cut
-        the log below the head's stamp — the oldest: hits re-stamp."""
+        stays) or owing more logged nodes than the capacity they were
+        stamped at, then cut the log below the head's stamp — the oldest:
+        hits re-stamp."""
         distances, log = self._distances, self._change_log
         end = oldest = self._log_start + len(log)
         while distances:
-            row, __, stamp = distances[next(iter(distances))]
-            nbytes = memoryview(row).nbytes
+            levels, __, stamp, length = distances[next(iter(distances))]
             over = self._distance_bytes > self.max_distance_bytes
-            if end - stamp <= nbytes and (not over or len(distances) == 1):
+            if end - stamp <= length and (not over or len(distances) == 1):
                 oldest = stamp
                 break
             distances.popitem(last=False)
-            self._distance_bytes -= nbytes
+            self._distance_bytes -= _held_bytes(levels)
         del log[: oldest - self._log_start]
         self._log_start = oldest
 
+    def _dense_row(self, levels, radius: Optional[int]) -> DistanceRow:
+        """The ``capacity``-long row of a sweep with these levels: their
+        depths, :data:`_BEYOND` or (unbounded) :data:`_UNREACHABLE` elsewhere."""
+        if radius is None:
+            row = array("i", [_UNREACHABLE]) * self.capacity
+        else:
+            row = bytearray(b"\xff") * self.capacity
+        for depth, level in enumerate(levels):
+            for node in level:
+                row[node] = depth
+        return row
+
     def _bfs_row_scalar(
         self, node: int, radius: Optional[int] = None
-    ) -> DistanceRow:
-        """Level-by-level BFS from ``node``.  Without a radius the whole
-        component is swept into an ``array('i')`` row (the oracle);
-        with one the sweep stops after ``radius`` levels and the row is
-        one byte per node, :data:`_BEYOND` past the radius."""
+    ) -> tuple[DistanceRow, tuple[array, ...]]:
+        """Level-by-level BFS from ``node``: ``(row, levels)``.  Without a
+        radius the whole component is swept into an ``array('i')`` row
+        (the oracle); with one the sweep stops after ``radius`` levels and
+        the row is one byte per node, :data:`_BEYOND` past the radius.
+        ``levels[d]`` holds the nodes at depth d, what the cache keeps."""
+        row = self._dense_row((), radius)
+        beyond = row[node]
         if radius is None:
-            beyond = _UNREACHABLE
-            row = array("i", [beyond]) * self.capacity
             radius = self.capacity  # deeper than any simple path
-        else:
-            beyond = _BEYOND
-            row = bytearray(b"\xff") * self.capacity
         row[node] = 0
         frontier = [node]
-        depth = 0
+        levels = [array("i", frontier)]
         # The CSR slices are read in place, not through _row(): one call
         # per frontier node was about a quarter of a bounded sweep.
         offsets, targets, override = self._offsets, self._targets, self._override
-        while frontier and depth < radius:
-            depth += 1
-            next_frontier = []
+        for depth in range(1, radius + 1):
+            next_frontier = []  # a list: no int conversion per append or read
             for at in frontier:
                 patched = override.get(at)
                 for other in (
@@ -651,8 +662,11 @@ class FrozenGraph:
                     if row[other] == beyond:
                         row[other] = depth
                         next_frontier.append(other)
+            if not next_frontier:
+                break
+            levels.append(array("i", next_frontier))
             frontier = next_frontier
-        return row
+        return row, tuple(levels)
 
     def distances(
         self, node: int, radius: Optional[int] = None
@@ -670,8 +684,8 @@ class FrozenGraph:
             radius = None
         row = self._cached_row(node, radius)
         if row is None:
-            row = self._bfs_row_scalar(node, radius)
-            self._store_row(node, row, radius)
+            row, levels = self._bfs_row_scalar(node, radius)
+            self._store_row(node, levels, radius)
         return row
 
     def distances_block(
@@ -696,8 +710,8 @@ class FrozenGraph:
         if missing:
             with obs_trace.span("csr.distances_block") as sweep_span:
                 for node in missing:
-                    row = result[node] = self._bfs_row_scalar(node, radius)
-                    self._store_row(node, row, radius)
+                    result[node], levels = self._bfs_row_scalar(node, radius)
+                    self._store_row(node, levels, radius)
                 if sweep_span is not None:
                     sweep_span.add(sources=len(missing))
             if obs_metrics.ENABLED:
@@ -880,7 +894,7 @@ class FrozenGraph:
         distances = self._distances
         stale = [source for source in changed if source in distances]
         for source in stale:
-            self._distance_bytes -= memoryview(distances.pop(source)[0]).nbytes
+            self._distance_bytes -= _held_bytes(distances.pop(source)[0])
         self._change_log.extend(changed)
         self._evict_rows()
         if (
@@ -908,6 +922,9 @@ def csr_enumerate_simple_paths(
     target: TupleId,
     max_edges: int,
     max_paths: Optional[int] = None,
+    *,
+    _shortest: Optional[int] = None,
+    _row: Optional[DistanceRow] = None,
 ) -> Iterator[list[TuplePathStep]]:
     """Drop-in replacement for ``enumerate_simple_paths`` on the compiled core.
 
@@ -917,7 +934,8 @@ def csr_enumerate_simple_paths(
     the backward BFS bound is an array lookup into the target's
     radius-⌈B/2⌉ row, and the start depth the exact pair distance
     (:meth:`FrozenGraph.distance_between`).  ``cache`` supplies the
-    compiled :class:`FrozenGraph` and counts the paths yielded.
+    compiled :class:`FrozenGraph` and counts the paths yielded.  A caller
+    holding both passes the row as ``_row``, the distance as ``_shortest``.
     """
     if max_edges < 1:
         return
@@ -933,10 +951,13 @@ def csr_enumerate_simple_paths(
     # a ⌊B/2⌋ ball around the source; the DFS prunes against the row only
     # while ``remaining`` is within its radius, where it is exact.
     radius = max_edges - max_edges // 2
-    to_target = frozen.distances(dst, radius=radius)
-    shortest = frozen.distance_between(
-        frozen.ball((src,), max_edges // 2), to_target, max_edges
-    )
+    if _row is None:
+        to_target = frozen.distances(dst, radius=radius)
+        shortest = frozen.distance_between(
+            frozen.ball((src,), max_edges // 2), to_target, max_edges
+        )
+    else:
+        to_target, shortest = _row, _shortest
     if shortest > max_edges:
         return
 

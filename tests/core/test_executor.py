@@ -349,7 +349,7 @@ class TestPairBoundRadius:
 
         def exact_bound(self, source, target, rows, limits):
             frozen = self.cache.frozen()
-            row = frozen._bfs_row_scalar(frozen.node_of(target))
+            row, __ = frozen._bfs_row_scalar(frozen.node_of(target))
             depth = row[frozen.node_of(source)]
             return depth if depth <= limits.max_rdb_length else _UNREACHABLE
 
@@ -384,7 +384,7 @@ class TestPairBoundRadius:
                         assert actual[1] == oracle[1]
                         pruned += actual[1]
             held = csr.traversal_cache.frozen()._distances.values()
-            assert held and {radius for __, radius, ___ in held} == {
+            assert held and {radius for __, radius, *___ in held} == {
                 budget - budget // 2
             }
         assert blocks and set(blocks) == {2, 3}

@@ -19,6 +19,7 @@ from repro.errors import QueryError, SearchLimitError
 from repro.graph.csr import (
     CORES,
     FrozenGraph,
+    _held_bytes,
     csr_enumerate_joining_trees,
     csr_enumerate_simple_paths,
     resolve_core,
@@ -156,24 +157,56 @@ class TestFrozenStructure:
             assert row[i] > synthetic_graph.number_of_nodes()
 
     def test_distance_rows_are_bounded(self, synthetic_graph):
-        # The row cache is budgeted in bytes: one per node for a
-        # radius-bounded row, four for an unbounded one.
+        # The row cache is budgeted in the bytes its rows hold: each row's
+        # BFS level arrays, bounded or not, whatever the capacity.
         frozen = FrozenGraph(synthetic_graph)
-        frozen.max_distance_bytes = 3 * frozen.capacity
-        for node in range(5):
-            frozen.distances(node, radius=2)
-        assert list(frozen._distances) == [2, 3, 4]
-        assert frozen.memory_footprint()["distances"] == 3 * frozen.capacity
-        frozen.distances(5)  # 4 bytes per node: only the newest row fits
-        assert list(frozen._distances) == [5]
-        assert frozen.memory_footprint()["distances"] == 4 * frozen.capacity
-        frozen.max_distance_bytes = 3 * 4 * frozen.capacity
-        for node in range(5):
-            frozen.distances(node)
-        assert list(frozen._distances) == [2, 3, 4]
-        assert (
-            frozen.memory_footprint()["distances"] == 3 * 4 * frozen.capacity
+        for radius in (2, None):
+            held = [
+                _held_bytes(frozen._bfs_row_scalar(node, radius)[1])
+                for node in range(5)
+            ]
+            frozen.max_distance_bytes = sum(held[2:])
+            for node in range(5):
+                frozen.distances(node, radius=radius)
+            assert list(frozen._distances) == [2, 3, 4]
+            assert frozen.memory_footprint()["distances"] == sum(held[2:])
+            frozen.max_distance_bytes = 1
+            frozen.distances(5, radius=radius)  # only the newest row fits
+            assert list(frozen._distances) == [5]
+            assert frozen.memory_footprint()["distances"] == _held_bytes(
+                frozen._distances[5][0]
+            )
+            frozen._distances.clear()
+            frozen._distance_bytes = 0
+
+    def test_a_small_ball_holds_a_small_row(self):
+        # A row costs the nodes it reaches, not one byte per tuple: a
+        # 4-node chain among 10 000 isolated people holds under 1 KiB.
+        from repro.relational.database import Database
+        from repro.relational.schema import (
+            AttributeDef, DatabaseSchema, ForeignKey, Relation,
         )
+
+        schema = DatabaseSchema(name="people")
+        schema.add_relation(Relation(
+            "PERSON", [AttributeDef("ID"), AttributeDef("BOSS")],
+            primary_key=["ID"],
+        ))
+        schema.add_foreign_key(
+            ForeignKey("fk_boss", "PERSON", ("BOSS",), "PERSON", ("ID",))
+        )
+        database = Database(schema)
+        for number in range(10_000):
+            boss = f"p{number - 1:05d}" if 0 < number < 4 else None
+            database.insert("PERSON", {"ID": f"p{number:05d}", "BOSS": boss})
+        frozen = FrozenGraph(DataGraph(database))
+        assert frozen.capacity == 10_000
+        head = frozen.node_of(tid("PERSON", "p00000"))
+        row = frozen.distances(head, radius=5)
+        assert len(row) == frozen.capacity
+        assert sorted(depth for depth in row if depth != 0xFF) == [0, 1, 2, 3]
+        assert sum(map(len, frozen._distances[head][0])) == 4
+        assert frozen.memory_footprint()["distances"] < 1024
 
 
 class TestPathParity:
@@ -543,7 +576,11 @@ class TestIncrementalPatching:
 # radius-bounded one-byte rows vs the unbounded oracle row
 # ----------------------------------------------------------------------
 def _row_types(frozen):
-    return {type(row) for row, __, ___ in frozen._distances.values()}
+    """Types of the rows the held entries serve."""
+    return {
+        type(frozen._dense_row(levels, radius))
+        for levels, radius, *__ in frozen._distances.values()
+    }
 
 
 @pytest.fixture
@@ -662,20 +699,21 @@ class TestRowCoverage:
         frozen = FrozenGraph(data_graph)
         narrow = frozen.distances(0, radius=3)
         assert (frozen.hits, frozen.misses) == (0, 1)
-        assert frozen.distances(0, radius=3) is narrow
-        assert frozen.distances(0, radius=2) is narrow
+        assert frozen.distances(0, radius=3) == narrow
+        assert frozen.distances(0, radius=2) == narrow
         assert (frozen.hits, frozen.misses) == (2, 1)
         wide = frozen.distances(0, radius=5)  # radius 3 cannot answer 5
-        assert wide is not narrow
         assert (frozen.hits, frozen.misses) == (2, 2)
-        assert frozen._distances[0][:2] == (wide, 5)  # replaced, not doubled
-        assert frozen.memory_footprint()["distances"] == frozen.capacity
-        assert frozen.distances(0, radius=3) is wide
+        levels, radius, *__ = frozen._distances[0]  # replaced, not doubled
+        assert radius == 5 and frozen._dense_row(levels, 5) == wide
+        assert frozen.memory_footprint()["distances"] == _held_bytes(levels)
+        assert frozen.distances(0, radius=3) == wide
         exact = frozen.distances(0)  # no bounded row answers "everything"
         assert type(exact) is not bytearray
         assert (frozen.hits, frozen.misses) == (3, 3)
         for radius in (0, 3, 5, 200, None):  # an unbounded row serves any
-            assert frozen.distances(0, radius=radius) is exact
+            served = frozen.distances(0, radius=radius)
+            assert type(served) is type(exact) and served == exact
         assert (frozen.hits, frozen.misses) == (8, 3)
 
     def test_block_applies_the_same_rule(self, data_graph):
@@ -697,8 +735,10 @@ class TestRowCoverage:
         for node in sources:
             assert block[node] == single.distances(node)
         # Duplicate sources collapse; cached rows are served verbatim.
+        hits = frozen.hits
         again = frozen.distances_block([sources[0], sources[0], sources[1]])
-        assert again[sources[0]] is block[sources[0]]
+        assert again[sources[0]] == block[sources[0]]
+        assert frozen.hits == hits + 2
 
     def test_radius_above_one_byte_takes_the_unbounded_row(self, data_graph):
         frozen = FrozenGraph(data_graph)
@@ -743,10 +783,18 @@ class TestRowCoverage:
         assert _row_types(cache.frozen()) == {array}
 
 
+def _three_of_four_fit(frozen, radius):
+    """A budget any three of rows 0–3 fit in and all four do not."""
+    held = sorted(
+        _held_bytes(frozen._bfs_row_scalar(node, radius)[1]) for node in range(4)
+    )
+    return sum(held[1:])
+
+
 class TestDistanceCacheLru:
     def test_frozen_graph_hit_refreshes_entry(self, data_graph):
         frozen = FrozenGraph(data_graph)
-        frozen.max_distance_bytes = 3 * frozen.capacity  # three bounded rows
+        frozen.max_distance_bytes = _three_of_four_fit(frozen, 3)
         a, b, c, d = 0, 1, 2, 3
         for node in (a, b, c):
             frozen.distances(node, radius=3)
@@ -758,7 +806,7 @@ class TestDistanceCacheLru:
 
     def test_frozen_block_hits_refresh_entries(self, data_graph):
         frozen = FrozenGraph(data_graph)
-        frozen.max_distance_bytes = 3 * 4 * frozen.capacity  # three unbounded
+        frozen.max_distance_bytes = _three_of_four_fit(frozen, None)
         frozen.distances_block([0, 1, 2])
         frozen.distances_block([0])  # refresh via the block path
         frozen.distances(3)
@@ -782,9 +830,9 @@ class TestBoundedRowsEverywhere:
             frozen = restored.traversal_cache.frozen()
             assert frozen._distances
             assert _row_types(frozen) == {bytearray}
-            assert frozen.memory_footprint()["distances"] >= len(
-                frozen._distances
-            ) * frozen.capacity
+            assert frozen.memory_footprint()["distances"] == sum(
+                _held_bytes(levels) for levels, *__ in frozen._distances.values()
+            )
         finally:
             restored.close()
 
@@ -805,8 +853,9 @@ class TestBoundedRowsUnderPatching:
             csr_enumerate_simple_paths(cache, source, target, 7)
         )
         assert before and min(len(path) for path in before) == 5
-        row, radius, __ = frozen._distances[frozen.node_of(target)]
-        assert radius == 4 and row[frozen.node_of(source)] == 0xFF
+        levels, radius, *__ = frozen._distances[frozen.node_of(target)]
+        assert radius == 4
+        assert all(frozen.node_of(source) not in level for level in levels)
         changeset = apply_to_database(
             company_db,
             [Insert("DEPENDENT", {"ID": "z7", "ESSN": "e2",
@@ -815,10 +864,15 @@ class TestBoundedRowsUnderPatching:
         apply_changeset(
             changeset, company_db, data_graph=graph, traversal_cache=cache
         )
-        assert frozen._distances[frozen.node_of(target)][0] is row  # survived
-        # Grown to the new capacity when it is next served, not before.
-        assert len(row) == frozen.capacity - 1
-        assert frozen.distances(frozen.node_of(target), radius=4) is row
+        held = frozen._distances[frozen.node_of(target)]
+        assert held[0] is levels  # survived
+        # Re-stamped at the new capacity when it is next served, not before.
+        assert held[3] == frozen.capacity - 1
+        hits = cache.hits
+        row = frozen.distances(frozen.node_of(target), radius=4)
+        assert cache.hits == hits + 1
+        assert frozen._distances[frozen.node_of(target)][0] is levels
+        assert frozen._distances[frozen.node_of(target)][3] == frozen.capacity
         assert len(row) == frozen.capacity
         assert row[frozen.node_of(tid("DEPENDENT", "z7"))] == 0xFF
         assert list(
@@ -840,7 +894,7 @@ class TestBoundedRowsUnderPatching:
         apply_changeset(
             changeset, company_db, data_graph=graph, traversal_cache=cache
         )
-        assert frozen.distances(d1, radius=2) is bounded
+        assert frozen.distances(d1, radius=2) == bounded
         assert cache.hits == hits + 1
         assert _all_enumerations(cache) == _all_enumerations(
             TraversalCache(graph)
@@ -860,7 +914,7 @@ class TestBoundedRowsUnderPatching:
         assert d1 not in frozen._distances
         assert cache.misses == misses + 1
         fresh = frozen.distances(d1, radius=2)
-        assert fresh is not bounded
+        assert cache.misses == misses + 2  # swept afresh
         recompiled = FrozenGraph(graph)
         exact = recompiled.distances(
             recompiled.node_of(tid("DEPARTMENT", "d1"))
@@ -870,14 +924,13 @@ class TestBoundedRowsUnderPatching:
                 depth = exact[recompiled.node_of(frozen.tid_of(node))]
                 assert fresh[node] == (depth if depth <= 2 else 0xFF)
         assert frozen.memory_footprint()["distances"] == sum(
-            len(row) * (1 if type(row) is bytearray else 4)
-            for row, __, ___ in frozen._distances.values()
+            _held_bytes(levels) for levels, *__ in frozen._distances.values()
         )
 
     def test_row_reused_after_untouched_applies(self, company_db):
         # Four batches append dependents of e4, five hops from d1: none
         # lands inside d1's radius-2 ball, so the row is served again,
-        # probed once for all four batches and grown to the new capacity.
+        # probed once for all four batches and built at the new capacity.
         graph = DataGraph(company_db)
         cache = TraversalCache(graph)
         frozen = cache.frozen()
@@ -898,17 +951,19 @@ class TestBoundedRowsUnderPatching:
         assert frozen._change_log == [
             node for number in range(4) for node in (e4, before + number)
         ]
-        assert len(bounded) == before
+        levels = frozen._distances[d1][0]
         hits = cache.hits
-        assert frozen.distances(d1, radius=2) is bounded
+        served = frozen.distances(d1, radius=2)
         assert cache.hits == hits + 1
-        assert len(bounded) == frozen.capacity == before + 4
+        assert frozen._distances[d1][0] is levels
+        assert len(served) == frozen.capacity == before + 4
+        assert served[:before] == bounded
         # Re-stamped; the only row being current, the log is cut behind it.
         assert frozen._distances[d1][2] == frozen._log_start == 8
         assert frozen._change_log == []
         oracle = FrozenGraph(DataGraph(company_db))
         exact = oracle.distances(oracle.node_of(tid("DEPARTMENT", "d1")))
-        assert [bounded[node] for node in range(frozen.capacity)] == [
+        assert [served[node] for node in range(frozen.capacity)] == [
             depth if depth <= 2 else 0xFF
             for depth in (
                 exact[oracle.node_of(frozen.tid_of(node))]
@@ -939,7 +994,7 @@ class TestBoundedRowsUnderPatching:
         )
         with pytest.raises(MutationError, match="restart the stream"):
             next(stream)
-        for node, (row, radius, __) in held.items():
+        for node, (__, radius, *___) in held.items():
             if node in frozen._distances:
                 served = frozen.distances(node, radius)
                 assert len(served) == frozen.capacity

@@ -200,6 +200,7 @@ class TestTraversalCacheInvalidation:
         frozen = cache.frozen()
         e1 = frozen.node_of(tid("EMPLOYEE", "e1"))
         row = frozen.distances(e1, radius=3)
+        levels = frozen._distances[e1][0]
         changeset = apply_to_database(
             company_db,
             [Update(tid("DEPARTMENT", "d1"), {"D_DESCRIPTION": "robotics"})],
@@ -207,7 +208,8 @@ class TestTraversalCacheInvalidation:
         apply_changeset(changeset, company_db, data_graph=data_graph)
         apply_to_traversal_cache(cache, changeset)
         cache.hits = cache.misses = 0
-        assert frozen.distances(e1, radius=3) is row
+        assert frozen.distances(e1, radius=3) == row
+        assert frozen._distances[e1][0] is levels  # the held row, kept
         assert cache.hits == 1 and cache.misses == 0
 
 

@@ -23,6 +23,7 @@ from repro.datasets.synthetic import SyntheticConfig, generate_company_like, pla
 from repro.graph.csr import (
     _UNREACHABLE,
     FrozenGraph,
+    _held_bytes,
     _index_nodes,
     csr_enumerate_joining_trees,
     csr_enumerate_simple_paths,
@@ -248,10 +249,10 @@ def _assert_rows_clip_the_oracle(live, oracle):
     oracle_of = {node: oracle.node_of(live.tid_of(node)) for node in alive}
     for node in alive:
         exact = oracle.distances(oracle_of[node])
-        rows = [(live._bfs_row_scalar(node, radius), radius) for radius in range(7)]
+        rows = [(live._bfs_row_scalar(node, radius)[0], radius) for radius in range(7)]
         held = live._distances.get(node)
         if held is not None and held[1] is not None:
-            # Served as a kernel receives it: re-validated, grown, or swept anew.
+            # Served as a kernel receives it: re-validated and built, or swept anew.
             rows.append((live.distances(node, radius=held[1]), held[1]))
         for row, radius in rows:
             assert type(row) is bytearray and len(row) == live.capacity
@@ -301,7 +302,7 @@ def _assert_pairs_meet_in_the_middle(live):
     d(s, t) ≤ B; each ball is the oracle row clipped at its radius, in
     BFS order — a ball from many sources their nearest one's."""
     alive = [node for node in range(live.capacity) if live._alive[node]]
-    exact = {node: live._bfs_row_scalar(node) for node in alive}
+    exact = {node: live._bfs_row_scalar(node)[0] for node in alive}
     for budget in range(1, 9):
         radius = budget // 2
         balls = {node: live.ball((node,), radius) for node in alive}
@@ -376,13 +377,14 @@ class TestPairBoundMeetsInTheMiddle:
 
 def _assert_log_bounded(live):
     """The change log starts at the LRU head's stamp and holds no more
-    nodes than that row has bytes; with no row held it is empty."""
+    nodes than the capacity that row was stamped at; with no row held it
+    is empty."""
     if not live._distances:
         assert not live._change_log
         return
-    row, __, stamp = next(iter(live._distances.values()))
+    __, ___, stamp, length = next(iter(live._distances.values()))
     assert stamp == live._log_start
-    assert len(live._change_log) <= memoryview(row).nbytes
+    assert len(live._change_log) <= length
 
 
 class TestRevalidatedRowsClipTheOracle:
@@ -439,6 +441,80 @@ class TestRevalidatedRowsClipTheOracle:
                         assert row[other] == depth
                     else:  # beyond, or exact inside a wider held radius
                         assert row[other] in (depth, 0xFF)
+
+
+class TestHeldLevelsServeTheOracle:
+    """The cache holds each row as its BFS levels: under any interleaving
+    of patches (folding ones too), row and block requests (unbounded ones
+    too) and LRU pressure, every served row is ``capacity`` long and
+    equals the recompiled oracle clipped at the radius it was held or
+    swept at, and the byte count is the sum of what the entries hold."""
+
+    @relaxed
+    @given(
+        configs,
+        st.lists(
+            st.tuples(st.sampled_from(("apply", "row", "block")),
+                      st.integers(min_value=0, max_value=1 << 16)),
+            min_size=1, max_size=16,
+        ),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_served_rows_and_held_bytes(self, config, steps, tight, fold):
+        database = generate_company_like(config)
+        replay = generate_company_like(config)
+        graph = DataGraph(database)
+        live = FrozenGraph(graph)
+        if tight:  # the budget holds a few small balls
+            live.max_distance_bytes = 2048
+        if fold:  # every patch folds, emptying the cache
+            live.compaction_threshold = 0.0
+            live.min_compaction_nodes = 1
+        batches = iter(_structural_mutations(
+            replay, [salt for kind, salt in steps if kind == "apply"]
+        ))
+        for kind, salt in steps:
+            if kind == "apply":
+                changeset = apply_to_database(database, next(batches))
+                apply_changeset(changeset, database, data_graph=graph)
+                live.apply_changeset(changeset)
+            else:
+                alive = [node for node in range(live.capacity) if live._alive[node]]
+                sources = alive[salt % len(alive)::1 + salt % 3]
+                radius = None if salt % 8 == 7 else salt % 7
+                served = (
+                    live.distances_block(sources, radius) if kind == "block"
+                    else {node: live.distances(node, radius) for node in sources}
+                )
+                oracle = FrozenGraph(graph)
+                oracle_of = {
+                    node: oracle.node_of(live.tid_of(node)) for node in alive
+                }
+                for node, row in served.items():
+                    assert len(row) == live.capacity
+                    exact = oracle.distances(oracle_of[node])
+                    depths = {other: exact[oracle_of[other]] for other in alive}
+                    if type(row) is not bytearray:  # unbounded: serves any
+                        assert {other: row[other] for other in alive} == depths
+                        continue
+                    assert radius is not None
+                    # The radius it was held at: its deepest exact slot,
+                    # at least the one asked for unless the ball ran out.
+                    held = max(depth for depth in row if depth != 0xFF)
+                    assert held >= radius or held == max(
+                        depth for depth in depths.values() if depth < _UNREACHABLE
+                    )
+                    assert {other: row[other] for other in alive} == {
+                        other: depth if depth <= held else 0xFF
+                        for other, depth in depths.items()
+                    }
+            assert live._distance_bytes == sum(
+                _held_bytes(levels) for levels, *__ in live._distances.values()
+            ) == live.memory_footprint()["distances"]
+            assert live._distance_bytes <= live.max_distance_bytes or (
+                len(live._distances) == 1
+            )
 
 
 # ----------------------------------------------------------------------
