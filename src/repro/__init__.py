@@ -18,6 +18,7 @@ Package map
 ``repro.relational``  in-memory relational engine with keyword index
 ``repro.graph``       schema and data (tuple) graphs
 ``repro.core``        association classification, search, ranking
+``repro.oracle``      the networkx differential oracle (import explicitly)
 ``repro.baselines``   DISCOVER (MTJNT), BANKS, bidirectional search
 ``repro.datasets``    the paper's example plus synthetic generators
 ``repro.experiments`` regeneration of every table, figure and claim

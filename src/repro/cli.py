@@ -45,7 +45,6 @@ from repro.core.schema_analysis import analyze_relational_schema
 from repro.core.search import SearchLimits
 from repro.datasets.company import build_company_database
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like
-from repro.graph.csr import CORES
 from repro.relational.database import Database
 from repro.relational.io import dump_json, load_json
 
@@ -103,10 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     execution.add_argument("--stream", action="store_true",
                            help="print each answer as the executor yields it "
                                 "(incompatible with --batch/--group)")
-    execution.add_argument("--core", choices=CORES, default=None,
-                           help="traversal kernel: csr (compiled integer "
-                                "kernels, default) or reference (brute-force "
-                                "networkx oracle)")
     execution.add_argument("--jobs", type=int, default=None, metavar="N",
                            help="answer a --batch over N snapshot worker "
                                 "processes (requires --batch)")
@@ -149,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         "save", help="build an engine and write its snapshot"
     )
     snap_save.add_argument("out", metavar="FILE", help="snapshot file to write")
-    snap_save.add_argument("--core", choices=CORES,
-                           default=None, help="traversal kernel to record")
     snap_load = actions.add_parser(
         "load", help="open and verify a snapshot; optionally run a query"
     )
@@ -225,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "workload over the company example)")
     stats.add_argument("--top", type=int, default=None, help="top-k cut")
     stats.add_argument("--semantics", choices=("and", "or"), default="and")
-    stats.add_argument("--core", choices=CORES,
-                       default=None, help="traversal kernel")
 
     plan = commands.add_parser(
         "plan",
@@ -239,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("query", help="whitespace-separated keywords")
     plan.add_argument("--semantics", choices=("and", "or"), default="and")
     plan.add_argument("--top", type=int, default=None, help="top-k cut")
-    plan.add_argument("--core", choices=CORES,
-                      default=None, help="traversal kernel")
     plan.add_argument("--snapshot", metavar="FILE", default=None,
                       help="open the engine from a snapshot instead of "
                            "--db")
@@ -373,11 +362,7 @@ def _cmd_search(args: argparse.Namespace, out) -> int:
         if args.db:
             print("--snapshot and --db are mutually exclusive", file=out)
             return 2
-        engine = KeywordSearchEngine.open(
-            args.snapshot,
-            wal=args.wal,
-            core=args.core,
-        )
+        engine = KeywordSearchEngine.open(args.snapshot, wal=args.wal)
         if args.wal is not None and engine.wal is not None:
             replayed = engine.version - engine.wal.base_version
             print(f"# wal: {engine.wal.path} "
@@ -388,7 +373,7 @@ def _cmd_search(args: argparse.Namespace, out) -> int:
               file=out)
         return 2
     else:
-        engine = KeywordSearchEngine(_load_database(args.db), core=args.core)
+        engine = KeywordSearchEngine(_load_database(args.db))
     ranker = _RANKERS[args.ranker]()
     limits = SearchLimits(max_rdb_length=args.max_rdb)
     if args.stream and (args.batch or args.group):
@@ -579,13 +564,12 @@ def _cmd_snapshot(args: argparse.Namespace, out) -> int:
     import os
 
     if args.action == "save":
-        engine = KeywordSearchEngine(_load_database(args.db), core=args.core)
+        engine = KeywordSearchEngine(_load_database(args.db))
         meta = engine.save(args.out)
         size = os.path.getsize(args.out)
         print(f"wrote {args.out}: {meta['tuples']} tuples, "
               f"{meta['nodes']} graph nodes, {meta['entries']} CSR entries, "
-              f"{size:,} bytes (engine v{meta['engine_version']}, "
-              f"core {meta['core']})", file=out)
+              f"{size:,} bytes (engine v{meta['engine_version']})", file=out)
         return 0
 
     engine = KeywordSearchEngine.open(args.file)
@@ -593,8 +577,8 @@ def _cmd_snapshot(args: argparse.Namespace, out) -> int:
     print(f"{args.file}: verified "
           f"{len(engine._snapshot.sections())} sections; "
           f"{meta['tuples']} tuples, {meta['nodes']} graph nodes, "
-          f"{meta['entries']} CSR entries (engine v{meta['engine_version']}, "
-          f"core {meta['core']})", file=out)
+          f"{meta['entries']} CSR entries (engine v{meta['engine_version']})",
+          file=out)
     print(_delta_line(engine._snapshot), file=out)
     if args.query:
         results = engine.search(args.query, top_k=args.top)
@@ -709,7 +693,7 @@ def _cmd_stats(args: argparse.Namespace, out) -> int:
               "(the built-in workload only fits the company example)",
               file=out)
         return 2
-    engine = KeywordSearchEngine(_load_database(args.db), core=args.core)
+    engine = KeywordSearchEngine(_load_database(args.db))
     saved = obs_metrics.ENABLED
     before = REGISTRY.snapshot()
     obs_metrics.set_enabled(True)
@@ -734,9 +718,9 @@ def _cmd_plan(args: argparse.Namespace, out) -> int:
         if args.db:
             print("--snapshot and --db are mutually exclusive", file=out)
             return 2
-        engine = KeywordSearchEngine.open(args.snapshot, core=args.core)
+        engine = KeywordSearchEngine.open(args.snapshot)
     else:
-        engine = KeywordSearchEngine(_load_database(args.db), core=args.core)
+        engine = KeywordSearchEngine(_load_database(args.db))
     try:
         plan, __ = engine._plan(args.query, args.top, args.semantics)
     except QueryError as error:

@@ -44,7 +44,6 @@ from repro.core.ranking import ClosenessRanker, Ranker
 from repro.core.search import JoiningNetwork, SearchLimits, SingleTupleAnswer
 from repro.durable import fault
 from repro.errors import MutationError, QueryError, WalError
-from repro.graph.csr import resolve_core
 from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
 from repro.live.changes import (
@@ -75,7 +74,6 @@ class KeywordSearchEngine:
         ranker: Optional[Ranker] = None,
         limits: SearchLimits = SearchLimits(),
         result_cache_entries: int = 256,
-        core: Optional[str] = None,
         adaptive: bool = True,
     ) -> None:
         self._wire(
@@ -86,9 +84,7 @@ class KeywordSearchEngine:
             ranker=ranker,
             limits=limits,
             result_cache_entries=result_cache_entries,
-            core=core,
             adaptive=adaptive,
-            version=0,
         )
 
     def _wire(
@@ -98,11 +94,10 @@ class KeywordSearchEngine:
         data_graph: DataGraph,
         index: InvertedIndex,
         traversal_cache: Optional[TraversalCache],
-        ranker: Optional[Ranker],
-        limits: SearchLimits,
-        result_cache_entries: int,
-        core: Optional[str],
-        version: int,
+        ranker: Optional[Ranker] = None,
+        limits: SearchLimits = SearchLimits(),
+        result_cache_entries: int = 256,
+        version: int = 0,
         adaptive: bool = True,
     ) -> None:
         """Shared field wiring of cold construction and snapshot restore."""
@@ -111,10 +106,6 @@ class KeywordSearchEngine:
         self.index = index
         self.ranker = ranker or ClosenessRanker()
         self.limits = limits
-        #: Traversal kernel every query runs on: ``csr`` (compiled
-        #: integer kernels, the default) or ``reference`` (the
-        #: brute-force networkx oracle) — answers are bit-identical.
-        self.core = resolve_core(core)
         self.traversal_cache = (
             traversal_cache
             if traversal_cache is not None
@@ -167,34 +158,11 @@ class KeywordSearchEngine:
         self._autosave_dir = None
 
     @classmethod
-    def _from_parts(
-        cls,
-        *,
-        database: Database,
-        data_graph: DataGraph,
-        index: InvertedIndex,
-        traversal_cache: TraversalCache,
-        ranker: Optional[Ranker] = None,
-        limits: SearchLimits = SearchLimits(),
-        result_cache_entries: int = 256,
-        core: Optional[str] = None,
-        version: int = 0,
-        adaptive: bool = True,
-    ) -> "KeywordSearchEngine":
-        """Assemble an engine from restored structures (snapshot path)."""
+    def _from_parts(cls, **parts) -> "KeywordSearchEngine":
+        """Assemble an engine from restored structures (snapshot path);
+        ``parts`` are :meth:`_wire`'s keywords."""
         engine = cls.__new__(cls)
-        engine._wire(
-            database=database,
-            data_graph=data_graph,
-            index=index,
-            traversal_cache=traversal_cache,
-            ranker=ranker,
-            limits=limits,
-            result_cache_entries=result_cache_entries,
-            core=core,
-            version=version,
-            adaptive=adaptive,
-        )
+        engine._wire(**parts)
         return engine
 
     # ------------------------------------------------------------------
@@ -269,9 +237,7 @@ class KeywordSearchEngine:
             self._statistics_loader = None
 
     def _executor(self) -> Executor:
-        return Executor(
-            self.traversal_cache, core=self.core, adaptive=self.adaptive
-        )
+        return Executor(self.traversal_cache, adaptive=self.adaptive)
 
     # ------------------------------------------------------------------
     # answer cache plumbing
@@ -538,7 +504,7 @@ class KeywordSearchEngine:
         a process pool (:mod:`repro.scale.parallel`) whose workers each
         open the engine's snapshot once (auto-saved to a temporary file
         when the engine was never saved, refreshed after mutations) and
-        answer whole queries with the same core configuration.  Lookups,
+        answer whole queries with the same configuration.  Lookups,
         stores, results, order and the first raised error are those of
         the serial path; ``last_stats`` merges the workers' counters.
         """
@@ -841,9 +807,8 @@ class KeywordSearchEngine:
     ) -> "KeywordSearchEngine":
         """Open a snapshot written by :meth:`save` into a ready engine.
 
-        ``core=`` defaults to the writer's configuration;
-        every other construction option (``ranker``, ``limits``,
-        ``result_cache_entries``, ...) passes through.  The CSR array
+        Construction options (``ranker``, ``limits``,
+        ``result_cache_entries``, ...) pass through.  The CSR array
         sections stay ``mmap``-backed, so concurrently opened processes
         share their pages.
 
@@ -999,7 +964,6 @@ class KeywordSearchEngine:
         self._searcher = ParallelSearcher(
             self._ensure_snapshot(),
             jobs,
-            core=self.core,
             result_cache_entries=self.result_cache.max_entries,
             adaptive=self.adaptive,
         )

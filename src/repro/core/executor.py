@@ -58,13 +58,8 @@ from repro.graph.csr import (
     _UNREACHABLE,
     csr_enumerate_joining_trees,
     csr_enumerate_simple_paths,
-    resolve_core,
 )
 from repro.graph.fast_traversal import TraversalCache
-from repro.graph.traversal import (
-    enumerate_joining_trees,
-    enumerate_simple_paths,
-)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.relational.database import TupleId
@@ -173,23 +168,18 @@ class Executor:
         self,
         cache: TraversalCache,
         *,
-        core: Optional[str] = None,
         adaptive: bool = True,
     ) -> None:
         #: The compiled graph the csr kernels run on; its data graph
-        #: renders answers and serves the reference core.
+        #: renders answers.
         self.cache = cache
         self.data_graph = cache.data_graph
-        #: Traversal kernel: ``csr`` (compiled integer kernels, the
-        #: default) or ``reference`` (the brute-force networkx oracle).
-        self.core = resolve_core(core)
         #: Selectivity-ordered pushdown: enumeration units enter the
         #: state heaps on admissible BFS distance bounds (streams built
         #: lazily, provably-empty units skipped) instead of eagerly
         #: pulling every unit's first item.  Answers are bit-identical
         #: either way — the bounds are admissible, so emission only gets
-        #: cheaper.  Requires the compiled ``csr`` core's cheap distance
-        #: rows; the reference core keeps the static order.
+        #: cheaper.
         self.adaptive = adaptive
         self.stats = ExecutionStats()
         #: The run's prefetched distance rows, ``{radius: {node: row}}``.
@@ -235,7 +225,7 @@ class Executor:
         return row
 
     # ------------------------------------------------------------------
-    # adaptive bounds (selectivity-ordered pushdown, csr core only)
+    # adaptive bounds (selectivity-ordered pushdown)
     # ------------------------------------------------------------------
     def _unit_distance(self, source, target, rows, limits) -> Optional[int]:
         """Admissible lower bound on the RDB length of any simple path
@@ -381,18 +371,16 @@ class Executor:
             exec_span = host.current().child(
                 "executor.execute",
                 mode="pushdown" if use_pushdown else "full",
-                core=self.core,
             )
             started = time.perf_counter()
         self._exec_span = exec_span
 
-        if self.core == "csr":
-            if exec_span is not None:
-                t0 = time.perf_counter()
-                self._prefetch_distances(plan, limits)
-                exec_span.child("prefetch").add_time(time.perf_counter() - t0)
-            else:
-                self._prefetch_distances(plan, limits)
+        if exec_span is not None:
+            t0 = time.perf_counter()
+            self._prefetch_distances(plan, limits)
+            exec_span.child("prefetch").add_time(time.perf_counter() - t0)
+        else:
+            self._prefetch_distances(plan, limits)
 
         if use_pushdown:
             emitter = self._stream_pushdown(plan, ranker, limits)
@@ -453,23 +441,15 @@ class Executor:
         shortest: Optional[int] = None,
         row=None,
     ) -> Iterator:
-        """A pair's paths; the csr kernel takes an adaptive bound's row."""
-        if self.core == "csr":
-            return csr_enumerate_simple_paths(
-                self.cache,
-                source,
-                target,
-                limits.max_rdb_length,
-                max_paths=limits.max_paths_per_pair,
-                _shortest=shortest,
-                _row=row,
-            )
-        return enumerate_simple_paths(
-            self.data_graph,
+        """A pair's paths; the kernel takes an adaptive bound's row."""
+        return csr_enumerate_simple_paths(
+            self.cache,
             source,
             target,
             limits.max_rdb_length,
             max_paths=limits.max_paths_per_pair,
+            _shortest=shortest,
+            _row=row,
         )
 
     def _tree_stream(
@@ -477,15 +457,8 @@ class Executor:
         required: tuple[TupleId, ...],
         limits: SearchLimits,
     ) -> Iterator:
-        if self.core == "csr":
-            return csr_enumerate_joining_trees(
-                self.cache,
-                list(required),
-                limits.max_tuples,
-                max_results=limits.max_networks,
-            )
-        return enumerate_joining_trees(
-            self.data_graph,
+        return csr_enumerate_joining_trees(
+            self.cache,
             list(required),
             limits.max_tuples,
             max_results=limits.max_networks,
@@ -728,7 +701,7 @@ class _PairState:
     runs one item past what the emitted results needed, so a budget
     error beyond the top-k is never touched.
 
-    Under the adaptive planner (csr core) the heap is built without
+    Under the adaptive planner the heap is built without
     pulling anything: each pair enters as a :data:`_LAZY` entry on its
     BFS distance — an admissible lower bound on its first path length —
     and its stream is only created when the entry reaches the top.
@@ -762,7 +735,7 @@ class _PairState:
     def _ensure_heap(self) -> list:
         if self._heap is None:
             executor = self._executor
-            adaptive = executor.adaptive and executor.core == "csr"
+            adaptive = executor.adaptive
             limits = self._limits
             rows = self._rows
             pruned = 0
@@ -855,7 +828,7 @@ class _NetworkState:
     as placeholders (see :class:`_PairState`) so growth beyond the
     emitted top-k never runs.
 
-    Under the adaptive planner (csr core) assignments enter the heap
+    Under the adaptive planner assignments enter the heap
     lazily on an admissible size bound — ``max(len(required), max
     pairwise BFS distance + 1)`` — and grow their first tree only when
     they reach the top; assignments whose bound exceeds ``max_tuples``
@@ -870,7 +843,7 @@ class _NetworkState:
         self._limits = limits
         self._coverage_major = plan.merge.coverage_major
         self._prefix = (-len(op.indices),) if self._coverage_major else ()
-        adaptive = executor.adaptive and executor.core == "csr"
+        adaptive = executor.adaptive
         rows: dict = {}
         pruned = 0
         self._seen: set[tuple] = set()

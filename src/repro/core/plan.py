@@ -16,8 +16,8 @@ OR semantics orders by keyword coverage before the ranker's score.
 :class:`Rank` and :class:`Cut` are the sort and the top-k truncation.
 
 Plans describe *shape*, not execution strategy: the ranker, the
-enumeration limits and the traversal core are supplied at execution
-time, so one plan serves every ranker and both cores.  Keeping tuple
+enumeration limits and the traversal kernel are supplied at execution
+time, so one plan serves every ranker, the engine and the oracle.  Keeping tuple
 ids in the source ops (not keyword spellings) is what lets the executor
 share enumeration between different query texts in a batch — two
 queries whose pair ops name the same (source, target) tuples share one

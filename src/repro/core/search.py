@@ -30,15 +30,10 @@ from repro.errors import QueryError
 from repro.graph.csr import (
     csr_enumerate_joining_trees,
     csr_enumerate_simple_paths,
-    resolve_core,
 )
 from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
-from repro.graph.traversal import (
-    TuplePathStep,
-    enumerate_joining_trees,
-    enumerate_simple_paths,
-)
+from repro.graph.traversal import TuplePathStep
 from repro.relational.database import TupleId
 
 __all__ = [
@@ -262,7 +257,6 @@ def find_connections(
     limits: SearchLimits = SearchLimits(),
     include_single_tuples: bool = True,
     *,
-    core: Optional[str] = None,
     cache: Optional[TraversalCache] = None,
 ) -> Iterator[Connection | SingleTupleAnswer]:
     """Enumerate path answers for a two-keyword query (AND semantics).
@@ -272,11 +266,9 @@ def find_connections(
     first per pair), plus :class:`SingleTupleAnswer` for tuples matching
     both keywords when ``include_single_tuples``.
 
-    ``core`` selects the traversal kernel (``"csr"`` compiled integer
-    kernels — the default — or the ``"reference"`` brute-force oracle).
-    Answers and order are identical across cores, only the speed
-    differs.  Pass a :class:`TraversalCache` to share the compiled CSR
-    graph and its distance rows across calls — the engine passes its own.
+    Paths come from the compiled CSR kernel.  Pass a
+    :class:`TraversalCache` to share the compiled graph and its distance
+    rows across calls.
 
     Raises :class:`~repro.errors.QueryError` unless exactly two keyword
     matches are supplied — use :func:`find_joining_networks` otherwise.
@@ -286,7 +278,6 @@ def find_connections(
             "find_connections needs exactly two keywords",
             keywords=[m.keyword for m in matches],
         )
-    core = resolve_core(core)
     if cache is None:
         cache = TraversalCache(data_graph)
     first, second = matches
@@ -301,22 +292,13 @@ def find_connections(
         for target in second.tuple_ids:
             if source == target:
                 continue
-            if core == "csr":
-                paths = csr_enumerate_simple_paths(
-                    cache,
-                    source,
-                    target,
-                    limits.max_rdb_length,
-                    max_paths=limits.max_paths_per_pair,
-                )
-            else:
-                paths = enumerate_simple_paths(
-                    data_graph,
-                    source,
-                    target,
-                    limits.max_rdb_length,
-                    max_paths=limits.max_paths_per_pair,
-                )
+            paths = csr_enumerate_simple_paths(
+                cache,
+                source,
+                target,
+                limits.max_rdb_length,
+                max_paths=limits.max_paths_per_pair,
+            )
             for steps in paths:
                 tids = [steps[0].source] + [s.target for s in steps]
                 yield Connection(
@@ -329,7 +311,6 @@ def find_joining_networks(
     matches: Sequence[KeywordMatch],
     limits: SearchLimits = SearchLimits(),
     *,
-    core: Optional[str] = None,
     cache: Optional[TraversalCache] = None,
 ) -> Iterator[JoiningNetwork]:
     """Enumerate joining networks for a query with any number of keywords.
@@ -340,15 +321,14 @@ def find_joining_networks(
     the same tuple set with different keyword bindings; both are yielded —
     deduplication by tuple set is the caller's choice.
 
-    ``core`` / ``cache`` behave as in
-    :func:`find_connections`; the cache pays off especially here because
-    every keyword-tuple assignment shares its distance rows.
+    ``cache`` behaves as in :func:`find_connections`; it pays off
+    especially here because every keyword-tuple assignment shares its
+    distance rows.
     """
     if not matches:
         raise QueryError("no keywords to search")
     if any(match.is_empty for match in matches):
         return
-    core = resolve_core(core)
     if cache is None:
         cache = TraversalCache(data_graph)
     seen: set[tuple[frozenset[TupleId], tuple[tuple[str, TupleId], ...]]] = set()
@@ -358,17 +338,9 @@ def find_joining_networks(
             match.keyword: tid for match, tid in zip(matches, assignment)
         }
         required = list(dict.fromkeys(assignment))
-        if core == "csr":
-            tuple_sets = csr_enumerate_joining_trees(
-                cache, required, limits.max_tuples, max_results=limits.max_networks
-            )
-        else:
-            tuple_sets = enumerate_joining_trees(
-                data_graph,
-                required,
-                limits.max_tuples,
-                max_results=limits.max_networks,
-            )
+        tuple_sets = csr_enumerate_joining_trees(
+            cache, required, limits.max_tuples, max_results=limits.max_networks
+        )
         for tuple_set in tuple_sets:
             key = (tuple_set, tuple(sorted(keyword_tuples.items())))
             if key in seen:

@@ -6,16 +6,17 @@
   database) plus the *conceptual* collapse that removes middle-relation
   tuples;
 * :mod:`repro.graph.traversal` — bounded brute-force enumeration of
-  paths and joining trees: the ``reference`` core and test oracle;
+  paths and joining trees: the networkx kernels :mod:`repro.oracle`
+  runs;
 * :mod:`repro.graph.csr` — the compiled integer-interned CSR kernel
-  (the engine's default core), bit-identical to the oracle and patched
+  every engine query runs on, bit-identical to the oracle and patched
   in place by live updates;
 * :mod:`repro.graph.fast_traversal` — the engine's
   :class:`TraversalCache`, which holds the compiled graph.
 """
 
 from repro.graph.schema_graph import SchemaGraph
-from repro.graph.csr import FrozenGraph, resolve_core
+from repro.graph.csr import FrozenGraph
 from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
 
@@ -24,5 +25,4 @@ __all__ = [
     "FrozenGraph",
     "SchemaGraph",
     "TraversalCache",
-    "resolve_core",
 ]

@@ -37,11 +37,12 @@ kernels entirely on dense ints:
   table and adjacency in place — removed nodes are tombstoned, new
   nodes appended, and each touched node's row is rebuilt *from its old
   row* minus the removed edges plus the added ones, re-sorted into a
-  per-node side table.  Nothing but the changeset is read: neither the
-  networkx graph nor the database.  When the patched fraction crosses
-  :attr:`FrozenGraph.compaction_threshold` the side tables are folded
-  back into flat arrays (compaction), so a long-lived served engine
-  never degrades into a pile of overrides.
+  per-node side table.  Nothing but the changeset is read — no networkx
+  graph, no relation scan — save the two stored references of a
+  two-tuple cycle through a self-referencing FK (one merged edge).  When
+  the patched fraction crosses :attr:`FrozenGraph.compaction_threshold`
+  the side tables are folded back into flat arrays (compaction), so a
+  long-lived served engine never degrades into a pile of overrides.
 * **Network trees.**  A joining network's spanning tree is Kruskal over
   its members' rows (:meth:`FrozenGraph.spanning_tree`), so scoring a
   network reads the compiled graph too: a csr engine never builds the
@@ -62,7 +63,7 @@ from array import array
 from collections import OrderedDict, defaultdict
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
-from repro.errors import QueryError, SearchLimitError
+from repro.errors import SearchLimitError
 from repro.graph.data_graph import DataGraph
 from repro.graph.traversal import TuplePathStep, _sort_key
 from repro.obs import metrics as obs_metrics
@@ -74,8 +75,6 @@ if TYPE_CHECKING:
     from repro.graph.fast_traversal import TraversalCache
 
 __all__ = [
-    "CORES",
-    "resolve_core",
     "FrozenGraph",
     "csr_enumerate_simple_paths",
     "csr_enumerate_joining_trees",
@@ -114,24 +113,6 @@ def _foreign_keys(data_graph: DataGraph) -> dict:
     """FK name -> :class:`~repro.relational.schema.ForeignKey`: what an
     edge key names in an edge's data dict."""
     return {fk.name: fk for fk in data_graph.database.schema.foreign_keys}
-
-
-#: The engine's traversal kernels.  ``csr`` runs this module's integer
-#: kernels and serves every production query; ``reference`` is the
-#: brute-force networkx oracle they are differentially tested against —
-#: both are bit-identical in answers, order and budget-error points.
-CORES = ("csr", "reference")
-
-
-def resolve_core(core: Optional[str] = None) -> str:
-    """Validate a traversal-core selector; ``None`` means ``"csr"``."""
-    if core is None:
-        return "csr"
-    if core not in CORES:
-        raise QueryError(
-            "unknown traversal core", got=core, expected=list(CORES)
-        )
-    return core
 
 
 class FrozenGraph:
@@ -805,9 +786,12 @@ class FrozenGraph:
         Only the changeset is read: every touched row is its old row
         minus ``edges_removed`` plus ``edges_added``, re-sorted — so a
         snapshot-restored graph patches without its networkx multigraph
-        or a relation scan.  Returns the number of distance rows dropped
-        (their source changed); bumps :attr:`compactions` when the patch
-        crossed the threshold and triggered a recompile.
+        or a relation scan.  Only a two-tuple cycle through a
+        self-referencing FK reads the database: its two references share
+        one entry (:meth:`_cycle_reference`).  Returns the number of
+        distance rows dropped (their source changed); bumps
+        :attr:`compactions` when the patch crossed the threshold and
+        triggered a recompile.
         """
         node_of = self.node_of
         removed = [
@@ -823,6 +807,16 @@ class FrozenGraph:
                 entries = touched[node] = list(zip(*self._row_lists(node)))
             return entries
 
+        # Pairs of distinct nodes joined through a self-referencing FK,
+        # ``(low, high, fk name) -> fk``: settled after the batch.
+        cycles: dict = {}
+
+        def cycle(source: int, target: int, fk) -> bool:
+            if fk.source != fk.target or source == target:
+                return False
+            cycles[min(source, target), max(source, target), fk.name] = fk
+            return True
+
         # Removed edges first, while both endpoints are still interned:
         # entries name their neighbour by int, and an entry's referencing
         # tuple derives from its flag (the owner or the neighbour).
@@ -831,6 +825,8 @@ class FrozenGraph:
             source = node_of(edge.referencing)
             target = node_of(edge.referenced)
             if source is None or target is None:
+                continue
+            if cycle(source, target, edge.foreign_key):
                 continue
             name = edge.foreign_key.name
             # A self-loop holds one entry, in its only endpoint's row.
@@ -875,10 +871,34 @@ class FrozenGraph:
             target = node_of(edge.referenced)
             if source is None or target is None:
                 continue
+            if cycle(source, target, edge.foreign_key):
+                continue
             name = edge.foreign_key.name
             entries_of(source).append((target, name, 1))
             if target != source:
                 entries_of(target).append((source, name, 0))
+        # A re-inserted tuple moved to the store tail: its cycle's later
+        # reference may have changed sides.
+        database = self.data_graph.database
+        for tid in changeset.tuples_replaced:
+            record = database.tuple(tid)
+            for fk in database.schema.foreign_keys_from(tid.relation):
+                referenced = database.referenced_tuple(record, fk)
+                if referenced is not None:
+                    cycle(node_of(tid), node_of(referenced.tid), fk)
+        alive = self._alive
+        for (low, high, name), fk in cycles.items():
+            for node, other in ((low, high), (high, low)):
+                if alive[node]:
+                    entries_of(node)[:] = [
+                        entry for entry in entries_of(node)
+                        if entry[0] != other or entry[1] != name
+                    ]
+            if alive[low] and alive[high]:
+                referencing = self._cycle_reference(fk, low, high)
+                if referencing is not None:
+                    entries_of(low).append((high, name, int(referencing == low)))
+                    entries_of(high).append((low, name, int(referencing == high)))
         for node, entries in touched.items():
             self._override[node] = self._sorted_row(entries)
         changed = sorted(set(removed) | set(appended) | set(touched))
@@ -908,6 +928,26 @@ class FrozenGraph:
                 obs_metrics.REGISTRY.inc("csr.compactions")
         return len(stale)
 
+    def _cycle_reference(self, fk, low: int, high: int) -> Optional[int]:
+        """The referencing node of the one entry ``fk`` (self-referencing)
+        draws between two distinct live nodes, read from the database:
+        :meth:`_rows_from_database`'s rule — the later reference in store
+        order when both hold — or ``None`` when neither does."""
+        database = self.data_graph.database
+        holding = []
+        for source, target in ((low, high), (high, low)):
+            record = database.tuple(self._tid_of[source])
+            referenced = database.referenced_tuple(record, fk)
+            if referenced is not None and referenced.tid == self._tid_of[target]:
+                holding.append(source)
+        if len(holding) < 2:
+            return holding[0] if holding else None
+        first, second = self._tid_of[low], self._tid_of[high]
+        after = database.keys_after(
+            fk.source, first.key, database.count(fk.source)
+        )
+        return high if second.key in after else low
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FrozenGraph(capacity={self.capacity}, live={self.live_count()}, "
@@ -928,7 +968,7 @@ def csr_enumerate_simple_paths(
 ) -> Iterator[list[TuplePathStep]]:
     """Drop-in replacement for ``enumerate_simple_paths`` on the compiled core.
 
-    Same paths, same order, same budget semantics as the reference core.
+    Same paths, same order, same budget semantics as the oracle.
     The forward DFS runs on ints with a shared visited ``bytearray``
     and an in-place path stack (push/undo, no per-expansion copies);
     the backward BFS bound is an array lookup into the target's

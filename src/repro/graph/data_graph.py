@@ -11,9 +11,9 @@ reference contributes one undirected edge carrying:
     semantically and determines its cardinality when read in a direction.
 
 The networkx multigraph is built on first use and serves only the
-oracles: the ``reference`` traversal core, the baselines, instance-level
+oracles: :mod:`repro.oracle`, the baselines, instance-level
 ambiguity and :meth:`~repro.core.connections.Connection.from_tuple_ids`.
-A ``csr`` engine reads the compiled graph
+The engine reads the compiled graph
 (:class:`~repro.graph.csr.FrozenGraph`) for every query shape, and
 :meth:`DataGraph.is_middle` / :meth:`DataGraph.edge_cardinality` read
 only the schema.
@@ -65,7 +65,7 @@ class DataGraph:
 
     The networkx multigraph builds on first :attr:`graph` access: the
     CSR kernels compile, answer every query shape, patch and save
-    without it (or networkx); the reference core, the baselines and
+    without it (or networkx); :mod:`repro.oracle`, the baselines and
     instance-level ambiguity trigger the :func:`build_tuple_graph` pass.
     """
 

@@ -27,8 +27,8 @@ safely updatable:
 ``engine.rebuild()`` remains the escape hatch and doubles as the
 differential oracle: after any interleaving of ``apply`` batches and
 queries, results must be bit-identical to a freshly rebuilt engine
-(``tests/properties/test_property_live.py`` asserts this across both
-traversal cores and both semantics).
+(``tests/properties/test_property_live.py`` asserts this, and that
+the answers equal :func:`repro.oracle.search`'s, under both semantics).
 """
 
 from repro.live.changes import (

@@ -63,7 +63,6 @@ class ExplainReport:
         "results",
         "rows",
         "mode",
-        "core",
         "pool_trace",
     )
 
@@ -77,7 +76,6 @@ class ExplainReport:
         stats,
         results,
         mode: str,
-        core: str,
         pool_trace: Optional[trace_mod.QueryTrace] = None,
     ) -> None:
         self.query = query
@@ -87,7 +85,6 @@ class ExplainReport:
         self.stats = stats
         self.results = results
         self.mode = mode
-        self.core = core
         self.pool_trace = pool_trace
         self.rows = _build_rows(plan, trace, stats)
 
@@ -96,7 +93,6 @@ class ExplainReport:
             "query": self.query,
             "semantics": self.semantics,
             "mode": self.mode,
-            "core": self.core,
             "stats": self.stats.to_dict(),
             "rows": [row.to_dict() for row in self.rows],
         }
@@ -128,7 +124,7 @@ class ExplainReport:
         """The per-node table, one row per plan stage."""
         header = (
             f"EXPLAIN ANALYZE  query={self.query!r}  "
-            f"semantics={self.semantics}  core={self.core}  mode={self.mode}"
+            f"semantics={self.semantics}  mode={self.mode}"
         )
         columns = ("node", "detail", "time_ms", "counters")
         table = [columns]
@@ -327,6 +323,5 @@ def analyze(
         stats=executor.stats,
         results=results,
         mode=mode,
-        core=engine.core,
         pool_trace=pool_trace,
     )

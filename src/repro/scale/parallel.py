@@ -5,7 +5,7 @@ answer-cache misses to :meth:`ParallelSearcher.run`: they are cut into
 one contiguous chunk per worker, answered query-by-query on a pool of
 worker processes and returned keyed by query.  Each worker opens the
 coordinator's snapshot **once** (in the pool initializer) into its own
-engine with the same core configuration — the snapshot's array sections
+engine with the same configuration — the snapshot's array sections
 are ``mmap``-backed, so the workers share page-cache pages instead of
 copying the compiled graph N times.
 
@@ -58,7 +58,6 @@ def _pool_context():
 
 def _init_worker(
     snapshot_path: str,
-    core: Optional[str],
     result_cache_entries: int,
     adaptive: bool = True,
 ):
@@ -67,7 +66,6 @@ def _init_worker(
 
     _WORKER_ENGINE = KeywordSearchEngine.open(
         snapshot_path,
-        core=core,
         result_cache_entries=result_cache_entries,
         adaptive=adaptive,
     )
@@ -185,7 +183,6 @@ def _run_chunk(chunk, engine=None):
 def _worker_loop(
     connection,
     snapshot_path: str,
-    core: Optional[str],
     result_cache_entries: int,
     adaptive: bool = True,
 ) -> None:
@@ -200,7 +197,7 @@ def _worker_loop(
     it instead.
     """
     try:
-        _init_worker(snapshot_path, core, result_cache_entries, adaptive)
+        _init_worker(snapshot_path, result_cache_entries, adaptive)
     except BaseException as error:  # surface startup failures, don't hang
         connection.send(("crashed", repr(error)))
         return
@@ -220,7 +217,7 @@ def _worker_loop(
             global _WORKER_ENGINE
             old_engine = _WORKER_ENGINE
             try:
-                _init_worker(chunk[1], core, result_cache_entries, adaptive)
+                _init_worker(chunk[1], result_cache_entries, adaptive)
             except BaseException as error:
                 connection.send(("reopen-failed", repr(error)))
             else:
@@ -253,7 +250,6 @@ class ParallelSearcher:
         snapshot_path: str,
         jobs: int,
         *,
-        core: Optional[str] = None,
         result_cache_entries: int = 256,
         adaptive: bool = True,
     ) -> None:
@@ -261,7 +257,6 @@ class ParallelSearcher:
             raise ValueError("jobs must be positive")
         self.snapshot_path = str(snapshot_path)
         self.jobs = jobs
-        self.core = core
         self.result_cache_entries = result_cache_entries
         #: Adaptive-planner flag every worker engine opens with, so a
         #: coordinator running static never pairs with adaptive workers.
@@ -302,7 +297,6 @@ class ParallelSearcher:
             args=(
                 worker_end,
                 self.snapshot_path,
-                self.core,
                 self.result_cache_entries,
                 self.adaptive,
             ),
@@ -453,7 +447,6 @@ class ParallelSearcher:
 
             self._inline_engine = KeywordSearchEngine.open(
                 self.snapshot_path,
-                core=self.core,
                 result_cache_entries=self.result_cache_entries,
                 adaptive=self.adaptive,
             )

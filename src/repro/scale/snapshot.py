@@ -37,8 +37,8 @@ Restoration is lazy wherever queries and replayed WAL records allow it:
   touch — a write to a still-encoded token is queued and folded on the
   token's first read
   (:class:`~repro.relational.index._LazyPostings`);
-* the networkx tuple graph — only needed by the reference core
-  and by joining-network metrics — builds on first demand
+* the networkx tuple graph — only needed by :mod:`repro.oracle`, the
+  baselines and instance-level ambiguity — builds on first demand
   (:class:`~repro.graph.data_graph.DataGraph` is lazy); a pure-CSR
   path query never builds it.
 
@@ -376,7 +376,6 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
     meta = {
         "format": SNAPSHOT_FORMAT,
         "engine_version": engine.version,
-        "core": engine.core,
         "byteorder": sys.byteorder,
         "itemsize": frozen._offsets.itemsize,
         "nodes": capacity,
@@ -690,27 +689,15 @@ class Snapshot:
         )
 
 
-def _stored_core(meta: dict) -> Optional[str]:
-    """The writer's traversal core.  Files written while the retired
-    ``fast`` core existed may name it; its answers were bit-identical
-    to ``csr`` by contract, so they open on ``csr``."""
-    core = meta.get("core")
-    return "csr" if core == "fast" else core
-
-
-def load_engine(
-    path: Union[str, Path],
-    *,
-    core: Optional[str] = None,
-    **engine_options,
-):
+def load_engine(path: Union[str, Path], **engine_options):
     """Open a snapshot into a ready :class:`KeywordSearchEngine`.
 
     The restored engine is bit-identical in query behaviour to the one
     that wrote the snapshot: same database store order, same posting
-    order, same compiled CSR expansion order.  ``core`` defaults to
-    the writer's setting; any other
-    :class:`KeywordSearchEngine` construction options pass through.
+    order, same compiled CSR expansion order.
+    :class:`KeywordSearchEngine` construction options pass through.  A
+    ``core`` key in the meta of a file written while the engine had a
+    traversal-core selector is never read: every engine runs on csr.
 
     Observability: emits a ``snapshot.open`` span (on the ambient trace
     unless a query trace is active) and bumps ``snapshot.opens`` when
@@ -721,7 +708,7 @@ def load_engine(
     from repro.obs import trace as obs_trace
 
     with obs_trace.span("snapshot.open", path=str(path)) as open_span:
-        engine = _load_engine(path, core=core, **engine_options)
+        engine = _load_engine(path, **engine_options)
         if open_span is not None:
             open_span.tag(
                 nodes=engine._snapshot.meta.get("nodes"),
@@ -732,12 +719,7 @@ def load_engine(
     return engine
 
 
-def _load_engine(
-    path: Union[str, Path],
-    *,
-    core: Optional[str] = None,
-    **engine_options,
-):
+def _load_engine(path: Union[str, Path], **engine_options):
     from repro.core.engine import KeywordSearchEngine
 
     snapshot = Snapshot(path)
@@ -801,7 +783,6 @@ def _load_engine(
         data_graph=data_graph,
         index=index,
         traversal_cache=cache,
-        core=core if core is not None else _stored_core(meta),
         version=snapshot.base_version,
         **engine_options,
     )

@@ -13,6 +13,24 @@ def run(*argv):
     return code, out.getvalue()
 
 
+def oracle_lines(query, top_k=None, max_rdb=3):
+    """The CLI's answer lines for ``query`` over the company example as
+    :func:`repro.oracle.search` ranks them (``repro search`` defaults to
+    ``--max-rdb 3``)."""
+    from repro.cli import _print_result_line
+    from repro.core.search import SearchLimits
+    from repro.datasets.company import build_company_database
+    from repro.oracle import search
+
+    out = io.StringIO()
+    for result in search(
+        build_company_database(), query,
+        limits=SearchLimits(max_rdb_length=max_rdb), top_k=top_k,
+    ):
+        _print_result_line(result, out)
+    return out.getvalue().splitlines()
+
+
 class TestSearchCommand:
     def test_default_database_search(self):
         code, output = run("search", "Smith XML")
@@ -195,9 +213,8 @@ class TestBatchFlag:
         assert code == 1
 
     def test_slow_flag_same_answers(self):
-        __, fast = run("search", "Smith XML")
-        __, slow = run("search", "Smith XML", "--core", "reference")
-        assert fast == slow
+        __, served = run("search", "Smith XML")
+        assert served.splitlines() == oracle_lines("Smith XML")
 
     def test_batch_only_separators_reports_no_queries(self):
         code, output = run("search", ";;;", "--batch")
@@ -239,10 +256,10 @@ class TestStreamFlag:
         assert code == 2
 
     def test_stream_slow_core_same_answers(self):
-        __, fast = run("search", "Smith XML", "--stream", "--top", "3")
-        __, slow = run("search", "Smith XML", "--stream", "--top", "3",
-                       "--core", "reference")
-        assert fast == slow
+        __, streamed = run("search", "Smith XML", "--stream", "--top", "3")
+        lines = streamed.splitlines()
+        assert lines[-1].startswith("# top-3 pushdown: ")
+        assert lines[:-1] == oracle_lines("Smith XML", top_k=3)
 
 
 class TestMutationsFlag:
@@ -311,6 +328,38 @@ class TestSnapshotCommand:
         code, output = run("snapshot", "load", path)
         assert code == 0
         assert "verified" in output
+
+    def test_save_and_load_report_no_core(self, tmp_path):
+        """New snapshots record no traversal core, and one whose meta
+        still names ``reference`` loads and reports like any other."""
+        from repro.core.search import SearchLimits
+        from repro.scale import snapshot as snapshot_module
+        from repro.scale.snapshot import SNAPSHOT_FORMAT, Snapshot
+
+        path = tmp_path / "company.snap"
+        code, saved = run("snapshot", "save", str(path))
+        assert code == 0 and "core" not in saved
+        with Snapshot(path) as snapshot:
+            assert "core" not in snapshot.meta
+            meta = dict(snapshot.meta, core="reference")
+            sections = [
+                (name, snapshot_module._json_bytes(meta) if name == "meta"
+                 else bytes(snapshot.section(name)))
+                for name in snapshot.sections()
+            ]
+        legacy = tmp_path / "legacy.snap"
+        snapshot_module._publish(legacy, SNAPSHOT_FORMAT, sections)
+        for snap in (path, legacy):
+            code, output = run("snapshot", "load", str(snap))
+            assert code == 0
+            assert "verified" in output and "core" not in output
+        code, output = run(
+            "snapshot", "load", str(legacy), "--query", "Smith XML"
+        )
+        assert code == 0
+        assert output.splitlines()[2:] == oracle_lines(
+            "Smith XML", max_rdb=SearchLimits().max_rdb_length
+        )
 
     def test_load_can_answer_a_query(self, tmp_path):
         path = str(tmp_path / "company.snap")
@@ -404,9 +453,10 @@ class TestHelpGrouping:
         assert result.returncode == 0
         assert "execution:" in result.stdout
         section = result.stdout.split("execution:")[1]
-        for flag in ("--core", "--stream", "--jobs", "--snapshot"):
+        for flag in ("--stream", "--jobs", "--snapshot"):
             assert flag in section
         assert "--shards" not in result.stdout
+        assert "--core" not in result.stdout
 
 
 class TestPlanCommand:

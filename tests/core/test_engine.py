@@ -208,17 +208,20 @@ class TestPlanEntryPoint:
 
 
 class TestFastTraversalFlag:
-    """The compiled core is the default; ``core`` is the only selector."""
+    """The compiled kernels are the only ones the engine runs; no
+    constructor option selects another."""
 
     def test_flag_defaults_on(self, engine):
-        assert engine.core == "csr"
         assert not hasattr(engine, "use_fast_traversal")
-        with pytest.raises(TypeError):
-            KeywordSearchEngine(engine.database, use_fast_traversal=False)
+        assert not hasattr(engine, "core")
+        for option in ("use_fast_traversal", "core"):
+            with pytest.raises(TypeError):
+                KeywordSearchEngine(engine.database, **{option: "csr"})
 
     def test_slow_engine_gives_same_answers(self, company_db):
+        from repro.oracle import search as oracle_search
+
         fast = KeywordSearchEngine(company_db)
-        slow = KeywordSearchEngine(company_db, core="reference")
         assert [(r.render(), r.score) for r in fast.search("Smith XML")] == [
-            (r.render(), r.score) for r in slow.search("Smith XML")
+            (r.render(), r.score) for r in oracle_search(company_db, "Smith XML")
         ]

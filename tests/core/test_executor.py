@@ -8,6 +8,7 @@ it bit for bit — answers, order, scores, ranks and budget errors — in
 full mode, and in pushdown mode whenever no budget error interferes.
 """
 
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -32,6 +33,7 @@ from repro.core.search import (
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like
 from repro.datasets.workload import WorkloadConfig, generate_workload
 from repro.errors import SearchLimitError
+from repro.oracle import search as oracle_search
 
 RANKERS = [
     ClosenessRanker(),
@@ -67,7 +69,6 @@ def legacy_search(engine, query, ranker=None, limits=None, top_k=None,
                 engine.data_graph,
                 matches,
                 limits,
-                core=engine.core,
                 cache=engine.traversal_cache,
             )
         )
@@ -77,7 +78,6 @@ def legacy_search(engine, query, ranker=None, limits=None, top_k=None,
                 engine.data_graph,
                 matches,
                 limits,
-                core=engine.core,
                 cache=engine.traversal_cache,
             )
         )
@@ -111,7 +111,6 @@ def _legacy_search_or(engine, matches, ranker, limits, top_k):
                     (first, second),
                     limits,
                     include_single_tuples=False,
-                    core=engine.core,
                     cache=engine.traversal_cache,
                 )
             )
@@ -121,7 +120,6 @@ def _legacy_search_or(engine, matches, ranker, limits, top_k):
                 engine.data_graph,
                 populated,
                 limits,
-                core=engine.core,
                 cache=engine.traversal_cache,
             )
         )
@@ -158,20 +156,31 @@ class TestBitIdentityCompany:
     @pytest.mark.parametrize("semantics", ["and", "or"])
     @pytest.mark.parametrize("ranker", RANKERS, ids=lambda r: r.name)
     @pytest.mark.parametrize(
-        "core", ["csr", "reference"], ids=["fast", "networkx"]
+        "pipeline", ["engine", "oracle"], ids=["fast", "networkx"]
     )
-    def test_full_mode_matches_legacy(self, company_db, semantics, ranker, core):
-        engine = KeywordSearchEngine(company_db, core=core)
+    def test_full_mode_matches_legacy(
+        self, company_db, semantics, ranker, pipeline
+    ):
+        """The pipeline runs in the engine (csr kernels) or in
+        :func:`repro.oracle.search` (networkx kernels)."""
+        engine = KeywordSearchEngine(company_db)
+        search = (
+            engine.search if pipeline == "engine"
+            else partial(oracle_search, company_db)
+        )
         for query in QUERIES:
             for top_k in (None, 1, 3, 100):
                 expected = legacy_search(
                     engine, query, ranker=ranker, limits=LIMITS,
                     top_k=top_k, semantics=semantics,
                 )
-                actual = pipeline_search(
-                    engine, query, pushdown=False, ranker=ranker,
-                    limits=LIMITS, top_k=top_k, semantics=semantics,
-                )
+                actual = [
+                    (r.render(), r.score, r.rank)
+                    for r in search(
+                        query, pushdown=False, ranker=ranker, limits=LIMITS,
+                        top_k=top_k, semantics=semantics,
+                    )
+                ]
                 assert actual == expected, (query, top_k)
 
     @pytest.mark.parametrize("semantics", ["and", "or"])
@@ -332,9 +341,9 @@ class TestPairBoundRadius:
         """Two-keyword reads meet in the middle: every row a csr engine
         holds after AND and OR texts, top-k and full mode, reaches at
         most ⌈B/2⌉ levels, the prefetch still runs as a block, answers
-        and ``candidates`` / ``emitted`` equal the reference core's, and
-        ``pruned`` equals that of pair bounds read off unbounded rows
-        (the reference core prunes nothing)."""
+        equal :func:`repro.oracle.search`'s, ``candidates`` / ``emitted``
+        a static engine's (it prunes nothing), and ``pruned`` equals that
+        of pair bounds read off unbounded rows."""
         from repro.core.executor import Executor
         from repro.graph.csr import _UNREACHABLE, FrozenGraph
 
@@ -364,24 +373,30 @@ class TestPairBoundRadius:
         monkeypatch.setattr(FrozenGraph, "distances_block", counted_block)
         pruned = 0
         for budget in (4, 5):
-            csr, reference = (
-                KeywordSearchEngine(database, core=core, result_cache_entries=0)
-                for core in ("csr", "reference")
+            csr, exact = (
+                KeywordSearchEngine(database, result_cache_entries=0)
+                for __ in range(2)
             )
-            exact = KeywordSearchEngine(database, result_cache_entries=0)
+            static = KeywordSearchEngine(
+                database, adaptive=False, result_cache_entries=0
+            )
             limits = SearchLimits(max_rdb_length=budget)
             for text in texts:
                 for semantics in ("and", "or"):
                     for mode in ({"top_k": 3}, {"pushdown": False}):
                         options = dict(mode, limits=limits, semantics=semantics)
                         actual = outcome(csr, text, **options)
-                        expected = outcome(reference, text, **options)
+                        expected = outcome(static, text, **options)
                         with monkeypatch.context() as patch:
                             patch.setattr(Executor, "_unit_distance", exact_bound)
                             oracle = outcome(exact, text, **options)
-                        assert actual[0] == expected[0] == oracle[0]
+                        assert actual[0] == expected[0] == oracle[0] == [
+                            (r.render(), r.score, r.rank)
+                            for r in oracle_search(database, text, **options)
+                        ]
                         assert actual[2:] == expected[2:] == oracle[2:]
                         assert actual[1] == oracle[1]
+                        assert expected[1] == 0
                         pruned += actual[1]
             held = csr.traversal_cache.frozen()._distances.values()
             assert held and {radius for __, radius, *___ in held} == {

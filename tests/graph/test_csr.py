@@ -1,13 +1,15 @@
-"""Differential tests: the compiled CSR kernel vs the reference core.
+"""Differential tests: the compiled CSR kernel vs the networkx oracle.
 
-The CSR core's contract is bit-identical output against the brute-force
-oracle in :mod:`repro.graph.traversal` — same paths and trees, same
-order, same budget errors — plus one more obligation: an incrementally
-*patched* ``FrozenGraph`` must answer exactly like a freshly compiled
-one.
+The CSR kernel's contract is bit-identical output against the
+brute-force enumerations in :mod:`repro.graph.traversal` — same paths
+and trees, same order, same budget errors — and the engine's against
+:func:`repro.oracle.search`, which runs them; plus one more obligation:
+an incrementally *patched* ``FrozenGraph`` must answer exactly like a
+freshly compiled one.
 """
 
 import itertools
+from functools import partial
 
 import pytest
 
@@ -15,14 +17,12 @@ from repro.core.engine import KeywordSearchEngine
 from repro.core.matching import match_keywords
 from repro.core.search import SearchLimits, find_connections, find_joining_networks
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like, plant
-from repro.errors import QueryError, SearchLimitError
+from repro.errors import SearchLimitError
 from repro.graph.csr import (
-    CORES,
     FrozenGraph,
     _held_bytes,
     csr_enumerate_joining_trees,
     csr_enumerate_simple_paths,
-    resolve_core,
 )
 from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
@@ -33,6 +33,7 @@ from repro.graph.traversal import (
 )
 from repro.live.changes import Delete, Insert, Update, apply_to_database
 from repro.live.maintain import apply_changeset
+from repro.oracle import search as oracle_search
 from repro.relational.database import TupleId
 from repro.relational.index import _Derived
 
@@ -61,19 +62,6 @@ def planted_synthetic():
 @pytest.fixture(scope="module")
 def synthetic_graph(planted_synthetic):
     return DataGraph(planted_synthetic)
-
-
-class TestResolveCore:
-    def test_defaults(self):
-        assert resolve_core() == "csr"
-        assert CORES == ("csr", "reference")
-        for core in CORES:
-            assert resolve_core(core) == core
-
-    def test_unknown_core_rejected(self):
-        for core in ("turbo", "fast"):
-            with pytest.raises(QueryError):
-                resolve_core(core)
 
 
 class TestFrozenStructure:
@@ -337,22 +325,28 @@ class TestTreeParity:
             ) == list(enumerate_joining_trees(data_graph, required, budget)) == []
 
 
+def _ranked(results):
+    return [(r.render(), r.score, r.rank) for r in results]
+
+
+def _network_key(network):
+    return (
+        sorted(map(str, network.tuples)),
+        sorted((keyword, str(tid)) for keyword, tid in network.keyword_tuples.items()),
+    )
+
+
 class TestSearchLayerParity:
     def test_find_connections_company(self, engine):
         matches = engine.match("Smith XML")
         limits = SearchLimits(max_rdb_length=4)
-        csr = list(
-            find_connections(
-                engine.data_graph, matches, limits, core="csr",
-                cache=engine.traversal_cache,
-            )
+        csr = find_connections(
+            engine.data_graph, matches, limits, cache=engine.traversal_cache
         )
-        brute = list(
-            find_connections(
-                engine.data_graph, matches, limits, core="reference"
-            )
+        oracle = oracle_search(engine.database, "Smith XML", limits=limits)
+        assert sorted(a.render() for a in csr) == sorted(
+            r.render() for r in oracle
         )
-        assert [a.render() for a in csr] == [a.render() for a in brute]
 
     def test_find_joining_networks_synthetic(self, planted_synthetic):
         engine = KeywordSearchEngine(planted_synthetic)
@@ -360,75 +354,52 @@ class TestSearchLayerParity:
         limits = SearchLimits(max_tuples=5)
         csr = list(
             find_joining_networks(
-                engine.data_graph, matches, limits, core="csr",
+                engine.data_graph, matches, limits,
                 cache=engine.traversal_cache,
             )
         )
-        brute = list(
-            find_joining_networks(
-                engine.data_graph, matches, limits, core="reference"
-            )
+        oracle = oracle_search(
+            planted_synthetic, "kwalpha kwbeta kwgamma", limits=limits
         )
-        assert [(n.tuples, n.keyword_tuples) for n in csr] == [
-            (n.tuples, n.keyword_tuples) for n in brute
-        ]
+        assert csr
+        assert sorted(map(_network_key, csr)) == sorted(
+            _network_key(r.answer) for r in oracle
+        )
 
     def test_engine_core_results_identical(self, planted_synthetic):
-        engines = {
-            core: KeywordSearchEngine(planted_synthetic, core=core)
-            for core in CORES
-        }
-        assert engines["csr"].core == "csr"
-        assert engines["reference"].core == "reference"
+        engine = KeywordSearchEngine(planted_synthetic)
         for query in ("kwalpha kwbeta", "kwbeta kwgamma", "kwalpha kwgamma"):
             limits = SearchLimits(max_rdb_length=5)
-            rendered = {
-                core: [
-                    (r.render(), r.score, r.rank)
-                    for r in engine.search(query, limits=limits)
-                ]
-                for core, engine in engines.items()
-            }
-            assert rendered["csr"] == rendered["reference"]
+            assert _ranked(engine.search(query, limits=limits)) == _ranked(
+                oracle_search(planted_synthetic, query, limits=limits)
+            )
 
     def test_engine_batch_and_stream_identical(self, planted_synthetic):
-        csr = KeywordSearchEngine(planted_synthetic, core="csr",
-                                  result_cache_entries=0)
-        brute = KeywordSearchEngine(planted_synthetic, core="reference",
-                                    result_cache_entries=0)
+        csr = KeywordSearchEngine(planted_synthetic, result_cache_entries=0)
         limits = SearchLimits(max_rdb_length=4)
         queries = ["kwalpha kwbeta", "kwbeta kwgamma", "kwalpha kwbeta"]
         assert [
-            [(r.render(), r.score, r.rank) for r in results]
+            _ranked(results)
             for results in csr.search_batch(queries, limits=limits)
         ] == [
-            [(r.render(), r.score, r.rank) for r in results]
-            for results in brute.search_batch(queries, limits=limits)
+            _ranked(oracle_search(planted_synthetic, query, limits=limits))
+            for query in queries
         ]
         for query in queries:
-            assert [
-                (r.render(), r.score, r.rank)
-                for r in csr.search_stream(query, limits=limits, top_k=4)
-            ] == [
-                (r.render(), r.score, r.rank)
-                for r in brute.search_stream(query, limits=limits, top_k=4)
-            ]
+            assert _ranked(
+                csr.search_stream(query, limits=limits, top_k=4)
+            ) == _ranked(
+                oracle_search(planted_synthetic, query, limits=limits, top_k=4)
+            )
 
     def test_engine_or_semantics_and_topk(self, company_db):
-        csr = KeywordSearchEngine(company_db, core="csr")
-        brute = KeywordSearchEngine(company_db, core="reference")
-        csr_results = csr.search("Smith unicorn XML", semantics="or")
-        brute_results = brute.search("Smith unicorn XML", semantics="or")
-        assert [(r.render(), r.score) for r in csr_results] == [
-            (r.render(), r.score) for r in brute_results
-        ]
-        assert [
-            (r.render(), r.score)
-            for r in csr.search("Smith XML", top_k=3)
-        ] == [
-            (r.render(), r.score)
-            for r in brute.search("Smith XML", top_k=3, pushdown=False)
-        ]
+        csr = KeywordSearchEngine(company_db)
+        assert _ranked(csr.search("Smith unicorn XML", semantics="or")) == _ranked(
+            oracle_search(company_db, "Smith unicorn XML", semantics="or")
+        )
+        assert _ranked(csr.search("Smith XML", top_k=3)) == _ranked(
+            oracle_search(company_db, "Smith XML", top_k=3, pushdown=False)
+        )
 
 
 def _mutation_rounds():
@@ -599,24 +570,26 @@ def unbounded_rows(monkeypatch):
     return monkeypatch
 
 
-def _search_outcome(engine, query, **options):
+def _search_outcome(search, query, **options):
     """Ranked answers, or the budget error point the search stopped at."""
     try:
-        return [
-            (r.render(), r.score, r.rank)
-            for r in engine.search(query, **options)
-        ]
+        return [(r.render(), r.score, r.rank) for r in search(query, **options)]
     except SearchLimitError as error:
         return ("limit", str(error))
 
 
-def _outcomes(database, budgets=()):
-    """Every differential query under every mode, keyed for comparison."""
+def _outcomes(database, budgets, oracle):
+    """Every differential query under every mode, keyed for comparison.
+
+    Each outcome — answers or budget error message — must equal
+    :func:`repro.oracle.search`'s for the same budget, pushdown mode and
+    text; ``oracle`` memoises those across calls.
+    """
     out = {}
     types = set()
     for adaptive in (True, False):
         engine = KeywordSearchEngine(
-            database, core="csr", adaptive=adaptive, result_cache_entries=0
+            database, adaptive=adaptive, result_cache_entries=0
         )
         for rdb, tuples in budgets:
             for paths_budget in (None, 2):
@@ -633,12 +606,20 @@ def _outcomes(database, budgets=()):
                         ("kwalpha kwbeta kwgamma", "and"),
                         ("kwalpha kwbeta kwgamma", "or"),
                     ):
-                        key = (adaptive, rdb, tuples, paths_budget, pushdown,
-                               query, semantics)
-                        out[key] = _search_outcome(
-                            engine, query, limits=limits,
-                            semantics=semantics, pushdown=pushdown,
+                        options = dict(
+                            limits=limits, semantics=semantics,
+                            pushdown=pushdown,
                         )
+                        case = (rdb, tuples, paths_budget, pushdown,
+                                query, semantics)
+                        if case not in oracle:
+                            oracle[case] = _search_outcome(
+                                partial(oracle_search, database), query,
+                                **options,
+                            )
+                        outcome = _search_outcome(engine.search, query, **options)
+                        assert outcome == oracle[case], (adaptive, case)
+                        out[(adaptive,) + case] = outcome
         types |= _row_types(engine.traversal_cache.frozen())
     return out, types
 
@@ -652,14 +633,17 @@ class TestBoundedRowsMatchOracle:
     def test_engine_outcomes_identical_to_unbounded_rows(
         self, planted_synthetic, unbounded_rows
     ):
-        oracle, oracle_types = _outcomes(planted_synthetic, _BUDGETS)
+        oracle = {}
+        unbounded, unbounded_types = _outcomes(
+            planted_synthetic, _BUDGETS, oracle
+        )
         unbounded_rows.undo()
-        bounded, bounded_types = _outcomes(planted_synthetic, _BUDGETS)
+        bounded, bounded_types = _outcomes(planted_synthetic, _BUDGETS, oracle)
         from array import array
 
-        assert oracle_types == {array}
+        assert unbounded_types == {array}
         assert bounded_types == {bytearray}
-        assert bounded == oracle
+        assert bounded == unbounded
         assert any(
             isinstance(outcome, tuple) for outcome in bounded.values()
         ), "no budget error point was exercised"
@@ -824,9 +808,9 @@ class TestBoundedRowsEverywhere:
         restored = KeywordSearchEngine.open(path, result_cache_entries=0)
         try:
             for query in ("kwalpha kwbeta", "kwalpha kwbeta kwgamma"):
-                assert _search_outcome(restored, query) == _search_outcome(
-                    cold, query
-                )
+                assert _search_outcome(
+                    restored.search, query
+                ) == _search_outcome(cold.search, query)
             frozen = restored.traversal_cache.frozen()
             assert frozen._distances
             assert _row_types(frozen) == {bytearray}

@@ -5,9 +5,10 @@ Each case runs in a fresh interpreter, because ``sys.modules`` of the
 test process already holds whatever earlier tests imported.  The first
 case drives every serving operation — two- and three-keyword texts,
 cold build and ``open(wal=True)`` alike — and then checks the two
-modules were never loaded; the second
-checks that the reference core and the multigraph still import
-networkx and answer as the csr path does, and that nothing loads numpy.
+modules were never loaded; the second checks that ``import repro``
+leaves :mod:`repro.oracle` unloaded, that ``repro.oracle.search`` and
+the multigraph import networkx and the oracle answers as the csr path
+does, and that nothing loads numpy.
 """
 
 import json
@@ -75,7 +76,7 @@ ORACLE = """
 import json, sys
 from repro import KeywordSearchEngine, build_company_database
 
-QUERY = "Smith XML"
+TEXTS = ("Smith XML", "Smith XML Alice")
 
 
 def rendered(results):
@@ -84,10 +85,21 @@ def rendered(results):
 
 database = build_company_database()
 csr = KeywordSearchEngine(database)
-served = rendered(csr.search(QUERY))
+served = {
+    (text, semantics): rendered(csr.search(text, semantics=semantics))
+    for text in TEXTS
+    for semantics in ("and", "or")
+}
 assert "networkx" not in sys.modules
-reference = KeywordSearchEngine(database, core="reference")
-assert rendered(reference.search(QUERY)) == served
+assert "repro.oracle" not in sys.modules
+import repro.oracle
+
+assert "networkx" not in sys.modules
+for (text, semantics), expected in served.items():
+    assert expected
+    assert rendered(
+        repro.oracle.search(database, text, semantics=semantics)
+    ) == expected
 assert "networkx" in sys.modules
 graph = csr.data_graph.graph
 assert graph.number_of_nodes() == database.count()

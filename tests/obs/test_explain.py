@@ -48,7 +48,7 @@ class TestExplainAnalyze:
         text = engine.explain_analyze("Smith XML", top_k=3).render()
         lines = text.splitlines()
         assert lines[0].startswith("EXPLAIN ANALYZE  query='Smith XML'")
-        assert "core=" in lines[0] and "mode=" in lines[0]
+        assert "mode=" in lines[0] and "core=" not in lines[0]
         assert lines[1].split()[:2] == ["node", "detail"]
         assert set(lines[2]) == {"-"}
         assert any(line.startswith("total") for line in lines)
@@ -76,7 +76,7 @@ class TestExplainAnalyze:
 
     def test_to_dict_round_trips_rows(self, engine):
         doc = engine.explain_analyze("Smith XML").to_dict()
-        assert doc["query"] == "Smith XML"
+        assert doc["query"] == "Smith XML" and "core" not in doc
         assert doc["stats"]["emitted"] == doc["rows"][-1]["counters"]["emitted"]
 
     def test_acceptance_snapshot_pool(self, planted, tmp_path):

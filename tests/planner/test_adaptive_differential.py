@@ -3,11 +3,13 @@
 The adaptive planner may only change *how hard* the engine works —
 enumeration order inside the pushdown heaps, provably-empty units
 skipped.  Every answer, score and rank must stay bit-identical to the
-static planner across cores, semantics, top-k cuts, snapshot restore
-and the worker pool.
+static planner and to :func:`repro.oracle.search` across semantics,
+top-k cuts, snapshot restore and the worker pool.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.datasets.workload import (
     SkewedWorkloadConfig,
     generate_skewed_workload,
 )
+from repro.oracle import search as oracle_search
 
 _LIMITS = SearchLimits(max_rdb_length=4, max_tuples=4)
 
@@ -50,13 +53,19 @@ def skewed():
 @pytest.mark.parametrize("core", ["csr", "reference"])
 @pytest.mark.parametrize("semantics", ["and", "or"])
 def test_adaptive_matches_static_across_cores(skewed, core, semantics):
+    """``core`` names the kernels of the static side: a static csr
+    engine, or :func:`repro.oracle.search` on the networkx kernels."""
     database, texts = skewed
-    adaptive = KeywordSearchEngine(database, core=core, adaptive=True)
-    static = KeywordSearchEngine(database, core=core, adaptive=False)
-    assert adaptive.adaptive and not static.adaptive
+    adaptive = KeywordSearchEngine(database, adaptive=True)
+    assert adaptive.adaptive
+    if core == "csr":
+        static = KeywordSearchEngine(database, adaptive=False)
+        static_search = static.search
+    else:
+        static_search = partial(oracle_search, database)
     for text in texts[:4]:
         for top_k in (None, 3):
-            expected = snap(static.search(
+            expected = snap(static_search(
                 text, limits=_LIMITS, top_k=top_k, semantics=semantics))
             observed = snap(adaptive.search(
                 text, limits=_LIMITS, top_k=top_k, semantics=semantics))

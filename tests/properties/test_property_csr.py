@@ -1,10 +1,12 @@
 """Property-based differential tests: the compiled CSR kernel.
 
 Hypothesis drives synthetic database shapes and mutation sequences; on
-every instance the CSR core must reproduce the reference core exactly
-— paths, joining trees, engine rankings under both semantics — and an
-incrementally patched :class:`~repro.graph.csr.FrozenGraph` must answer
-exactly like a freshly compiled one.
+every instance the CSR kernels must reproduce the networkx kernels of
+:mod:`repro.graph.traversal` exactly — paths, joining trees, and the
+engine's rankings against :func:`repro.oracle.search` under both
+semantics — and an incrementally patched
+:class:`~repro.graph.csr.FrozenGraph` must answer exactly like a freshly
+compiled one.
 """
 
 import copy
@@ -39,6 +41,7 @@ from repro.graph.traversal import (
 from repro.errors import IntegrityError, PrimaryKeyError
 from repro.live.changes import Delete, Insert, Update, apply_to_database
 from repro.live.maintain import apply_changeset
+from repro.oracle import search as oracle_search
 from repro.relational.database import Database, TupleId
 from repro.relational.schema import (
     AttributeDef,
@@ -111,9 +114,7 @@ class TestDifferentialInvariants:
     @relaxed
     @given(configs, st.sampled_from(["and", "or"]))
     def test_engine_rankings_identical(self, config, semantics):
-        database = planted_engine(config).database
-        csr = KeywordSearchEngine(database, core="csr")
-        brute = KeywordSearchEngine(database, core="reference")
+        csr = planted_engine(config)
         limits = SearchLimits(max_rdb_length=4, max_tuples=4)
         for query in ("kwalpha kwbeta", "kwalpha"):
             assert [
@@ -121,7 +122,9 @@ class TestDifferentialInvariants:
                 for r in csr.search(query, limits=limits, semantics=semantics)
             ] == [
                 (r.render(), r.score, r.rank)
-                for r in brute.search(query, limits=limits, semantics=semantics)
+                for r in oracle_search(
+                    csr.database, query, limits=limits, semantics=semantics
+                )
             ]
 
 
@@ -1155,19 +1158,98 @@ class TestPayloadsEqualTheMultigraph:
         finally:
             engine.close()
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="patching reads only the changeset: dropping one reference "
-        "of a two-tuple cycle drops the one merged edge that the other "
-        "reference still holds in the multigraph",
-    )
-    def test_patched_two_tuple_cycle(self):
-        database = _org_corner_cases()
+    def _cycle_referencing(self, engine):
+        """The referencing tuples of the ``fk_boss`` entries between p00
+        and p01, after asserting every payload equals the multigraph's."""
+        frozen = engine.traversal_cache.frozen()
+        self._assert_payloads(frozen, engine.database)
+        person = lambda key: TupleId("PERSON", (key,))
+        node = frozen.node_of(person("p00"))
+        return [
+            frozen._payload(node, other, key, ref)["referencing"]
+            for other, key, ref in zip(*frozen._row_lists(node))
+            if other == frozen.node_of(person("p01")) and key == "fk_boss"
+        ]
+
+    def _patched(self, database, batch, tmp_path=None):
+        """Apply ``batch`` to an engine over ``database`` (reopened from
+        a snapshot under ``tmp_path`` when given) whose graph compiled
+        first."""
         engine = KeywordSearchEngine(database)
+        if tmp_path is not None:
+            engine = self._reopened(engine, tmp_path / "cycle.snap")
         frozen = engine.traversal_cache.frozen()  # compiled before the patch
+        compactions = frozen.compactions
+        engine.apply(batch)
+        assert engine.traversal_cache.frozen() is frozen
+        assert frozen.compactions == compactions
+        return engine
+
+    def test_patched_two_tuple_cycle(self):
+        """Dropping the reference a cycle's entry carries keeps the
+        entry, re-flagged to the reference that still holds."""
+        engine = self._patched(
+            _org_corner_cases(),
+            [Update(TupleId("PERSON", ("p01",)), {"BOSS": None})],
+        )
         try:
-            engine.apply([Update(TupleId("PERSON", ("p01",)), {"BOSS": None})])
-            assert engine.traversal_cache.frozen() is frozen
-            self._assert_payloads(frozen, database)
+            assert self._cycle_referencing(engine) == [TupleId("PERSON", ("p00",))]
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("restored", [False, True], ids=["cold", "restored"])
+    def test_patched_cycle_references(self, restored, tmp_path):
+        """Dropping either reference of a cycle, then adding it back:
+        one entry throughout, carrying the later reference in store
+        order while both hold (p01 is stored after p00)."""
+        person = lambda key: TupleId("PERSON", (key,))
+        for dropped, kept in (("p00", "p01"), ("p01", "p00")):
+            engine = self._patched(
+                _org_corner_cases(),
+                [Update(person(dropped), {"BOSS": None})],
+                tmp_path if restored else None,
+            )
+            try:
+                assert self._cycle_referencing(engine) == [person(kept)]
+                engine.apply([Update(person(dropped), {"BOSS": kept})])
+                assert self._cycle_referencing(engine) == [person("p01")]
+            finally:
+                engine.close()
+
+    @pytest.mark.parametrize("restored", [False, True], ids=["cold", "restored"])
+    def test_patched_second_reference_closes_a_cycle(self, restored, tmp_path):
+        """Adding the reference that closes a two-tuple cycle merges it
+        into the existing entry instead of appending a second one."""
+        person = lambda key: TupleId("PERSON", (key,))
+        engine = self._patched(
+            _org_database(),
+            [Update(person("p00"), {"BOSS": "p01"})],
+            tmp_path if restored else None,
+        )
+        try:
+            assert self._cycle_referencing(engine) == [person("p01")]
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("restored", [False, True], ids=["cold", "restored"])
+    def test_patched_cycle_follows_a_reinserted_tuple(self, restored, tmp_path):
+        """Deleting and re-inserting p00 in one batch nets out its edges
+        but moves it behind p01 in store order: the cycle's entry now
+        carries p00's reference."""
+        person = lambda key: TupleId("PERSON", (key,))
+        task = TupleId("TASK", ("t00",))
+        engine = self._patched(
+            _org_corner_cases(),
+            [
+                Update(task, {"OWNER": None, "REVIEWER": None}),
+                Update(person("p01"), {"BOSS": None}),
+                Delete(person("p00")),
+                Insert("PERSON", {"ID": "p00", "BOSS": "p01"}),
+                Update(person("p01"), {"BOSS": "p00"}),
+            ],
+            tmp_path if restored else None,
+        )
+        try:
+            assert self._cycle_referencing(engine) == [person("p00")]
         finally:
             engine.close()

@@ -6,7 +6,8 @@ destroy keyword matches, deletes) with queries; after every step the
 live engine's ``search`` / ``search_batch`` / ``search_stream`` must be
 bit-identical — answers, order, scores, ranks, and ``SearchLimitError``
 points — to a from-scratch engine built over an identical database kept
-in lockstep.  Both traversal cores and both semantics are exercised.
+in lockstep and to :func:`repro.oracle.search` over that database, under
+both semantics.
 
 A second property pins the answer cache's bounded taint: across random
 corpora, limits, semantics, keyword counts, rankers and mutations, every
@@ -20,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -38,6 +40,7 @@ from repro.datasets.synthetic import (
 )
 from repro.errors import ReproError, SearchLimitError
 from repro.live.changes import Delete, Insert, Update, apply_to_database
+from repro.oracle import search as oracle_search
 
 configs = st.builds(
     SyntheticConfig,
@@ -65,7 +68,6 @@ relaxed = settings(
 
 _LIMITS = SearchLimits(max_rdb_length=4, max_tuples=5)
 _QUERIES = ("kwalpha kwbeta", "kwalpha kwbeta kwgamma", "kwalpha")
-_CORES = st.sampled_from(["csr", "reference"])
 
 
 def planted_database(config):
@@ -119,11 +121,11 @@ def rendered(results):
     return [(r.render(), r.score, r.rank) for r in results]
 
 
-def run_interleaving(config, ops, core):
+def run_interleaving(config, ops):
     """Yield (live engine, lockstep oracle database) after each batch."""
     live_db = planted_database(config)
     oracle_db = planted_database(config)
-    engine = KeywordSearchEngine(live_db, core=core)
+    engine = KeywordSearchEngine(live_db)
     yield engine, oracle_db
     for counter, (kind, salt) in enumerate(ops):
         mutation = build_mutation(live_db, kind, salt, counter)
@@ -133,91 +135,88 @@ def run_interleaving(config, ops, core):
         yield engine, oracle_db
 
 
+def rebuilt(database):
+    """The from-scratch answerers over ``database``: a cold engine's
+    ``search`` and :func:`repro.oracle.search`."""
+    cold = KeywordSearchEngine(database, result_cache_entries=0)
+    return cold.search, partial(oracle_search, database)
+
+
 class TestInterleavingDifferential:
     @relaxed
-    @given(configs, operations, _CORES)
-    def test_search_matches_rebuilt_engine_at_every_step(
-        self, config, ops, core
-    ):
-        for engine, oracle_db in run_interleaving(config, ops, core):
-            oracle = KeywordSearchEngine(
-                oracle_db, core=core, result_cache_entries=0
-            )
-            for query in _QUERIES:
-                for semantics in ("and", "or"):
-                    assert rendered(
-                        engine.search(query, limits=_LIMITS,
-                                      semantics=semantics)
-                    ) == rendered(
-                        oracle.search(query, limits=_LIMITS,
-                                      semantics=semantics)
-                    )
+    @given(configs, operations)
+    def test_search_matches_rebuilt_engine_at_every_step(self, config, ops):
+        for engine, oracle_db in run_interleaving(config, ops):
+            for search in rebuilt(oracle_db):
+                for query in _QUERIES:
+                    for semantics in ("and", "or"):
+                        assert rendered(
+                            engine.search(query, limits=_LIMITS,
+                                          semantics=semantics)
+                        ) == rendered(
+                            search(query, limits=_LIMITS, semantics=semantics)
+                        )
 
     @relaxed
-    @given(configs, operations, _CORES,
-           st.integers(min_value=1, max_value=5))
-    def test_stream_batch_and_topk_after_mutations(self, config, ops, core, k):
+    @given(configs, operations, st.integers(min_value=1, max_value=5))
+    def test_stream_batch_and_topk_after_mutations(self, config, ops, k):
         final = None
-        for final in run_interleaving(config, ops, core):
+        for final in run_interleaving(config, ops):
             pass
         engine, oracle_db = final
-        oracle = KeywordSearchEngine(
-            oracle_db, core=core, result_cache_entries=0
-        )
         queries = list(_QUERIES)
-        assert [
-            rendered(r) for r in engine.search_batch(queries, limits=_LIMITS)
-        ] == [rendered(oracle.search(q, limits=_LIMITS)) for q in queries]
-        for query in queries:
-            assert rendered(
-                list(engine.search_stream(query, limits=_LIMITS))
-            ) == rendered(oracle.search(query, limits=_LIMITS))
-            assert rendered(
-                engine.search(query, limits=_LIMITS, top_k=k)
-            ) == rendered(
-                oracle.search(query, limits=_LIMITS, top_k=k, pushdown=False)
-            )
+        for search in rebuilt(oracle_db):
+            assert [
+                rendered(r)
+                for r in engine.search_batch(queries, limits=_LIMITS)
+            ] == [rendered(search(q, limits=_LIMITS)) for q in queries]
+            for query in queries:
+                assert rendered(
+                    list(engine.search_stream(query, limits=_LIMITS))
+                ) == rendered(search(query, limits=_LIMITS))
+                assert rendered(
+                    engine.search(query, limits=_LIMITS, top_k=k)
+                ) == rendered(
+                    search(query, limits=_LIMITS, top_k=k, pushdown=False)
+                )
 
     @relaxed
-    @given(configs, operations, _CORES)
-    def test_budget_error_points_identical(self, config, ops, core):
+    @given(configs, operations)
+    def test_budget_error_points_identical(self, config, ops):
         tight = SearchLimits(
             max_rdb_length=4, max_tuples=5,
             max_paths_per_pair=2, max_networks=2,
         )
 
-        def outcome(target, query):
+        def outcome(search, query):
             try:
-                return ("ok", rendered(target.search(query, limits=tight)))
+                return ("ok", rendered(search(query, limits=tight)))
             except SearchLimitError as error:
                 return ("limit", str(error))
 
-        for engine, oracle_db in run_interleaving(config, ops, core):
-            oracle = KeywordSearchEngine(
-                oracle_db, core=core, result_cache_entries=0
-            )
-            for query in _QUERIES:
-                assert outcome(engine, query) == outcome(oracle, query)
+        for engine, oracle_db in run_interleaving(config, ops):
+            for search in rebuilt(oracle_db):
+                for query in _QUERIES:
+                    assert outcome(engine.search, query) == outcome(
+                        search, query
+                    )
 
     @relaxed
     @given(configs, operations)
     def test_cores_agree_after_mutations(self, config, ops):
-        csr_pair = None
-        ref_pair = None
-        for csr_pair in run_interleaving(config, ops, "csr"):
+        """The live engine after its last batch against the oracle over
+        the live database itself (not its lockstep copy)."""
+        final = None
+        for final in run_interleaving(config, ops):
             pass
-        for ref_pair in run_interleaving(config, ops, "reference"):
-            pass
-        csr_engine, __ = csr_pair
-        ref_engine, __ = ref_pair
+        engine, __ = final
         for query in _QUERIES:
             for semantics in ("and", "or"):
                 assert rendered(
-                    csr_engine.search(query, limits=_LIMITS,
-                                       semantics=semantics)
+                    engine.search(query, limits=_LIMITS, semantics=semantics)
                 ) == rendered(
-                    ref_engine.search(query, limits=_LIMITS,
-                                       semantics=semantics)
+                    oracle_search(engine.database, query, limits=_LIMITS,
+                                  semantics=semantics)
                 )
 
 
@@ -497,8 +496,8 @@ _SEEDED_CHILD = """
 import json, sys
 sys.path[:0] = [{src!r}, {here!r}]
 from test_property_live import _LIMITS, _QUERIES, rendered, run_interleaving
-from repro.core.engine import KeywordSearchEngine
 from repro.datasets.synthetic import SyntheticConfig
+from repro.oracle import search
 
 config = SyntheticConfig(
     departments=2, projects_per_department=2, employees_per_department=1,
@@ -507,13 +506,11 @@ config = SyntheticConfig(
 )
 ops = [("update_description", 154), ("delete", 1), ("insert_works", 0)]
 steps = []
-for engine, oracle_db in run_interleaving(config, ops, "reference"):
-    oracle = KeywordSearchEngine(
-        oracle_db, core="reference", result_cache_entries=0
-    )
+for engine, oracle_db in run_interleaving(config, ops):
     steps.append([
-        [rendered(target.search(query, limits=_LIMITS, semantics=semantics))
-         for target in (engine, oracle)]
+        [rendered(engine.search(query, limits=_LIMITS, semantics=semantics)),
+         rendered(search(oracle_db, query, limits=_LIMITS,
+                         semantics=semantics))]
         for query in _QUERIES
         for semantics in ("and", "or")
     ])

@@ -3,13 +3,16 @@
 Two contracts from DESIGN.md's observability section:
 
 * enabling tracing/metrics never changes answers, their order, scores,
-  ranks or ``SearchLimitError`` points — checked differentially across
-  cores and semantics on hypothesis-driven instances;
+  ranks or ``SearchLimitError`` points — checked differentially, and
+  against :func:`repro.oracle.search` run under observation, across
+  semantics on hypothesis-driven instances;
 * a fixed-seed workload traced twice produces identical trace *shapes*
   (names, tags, counters, child order — everything but timings) and
   identical registry counter values; durations and ``_ms``-named
   metrics are explicitly exempt.
 """
+
+from functools import partial
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,6 +27,7 @@ from repro.datasets.synthetic import (
 )
 from repro.errors import SearchLimitError
 from repro.obs import metrics as obs_metrics
+from repro.oracle import search as oracle_search
 
 configs = st.builds(
     SyntheticConfig,
@@ -49,11 +53,11 @@ def planted(config):
     return database
 
 
-def outcomes(engine, semantics):
+def outcomes(search, semantics):
     collected = []
     for query in QUERIES:
         try:
-            results = engine.search(query, limits=LIMITS, semantics=semantics)
+            results = search(query, limits=LIMITS, semantics=semantics)
         except SearchLimitError as error:
             collected.append(("error", str(error)))
         else:
@@ -65,23 +69,18 @@ def outcomes(engine, semantics):
 
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(config=configs,
-       core=st.sampled_from(["csr", "reference"]),
-       semantics=st.sampled_from(["and", "or"]))
-def test_observability_never_changes_answers(config, core, semantics):
+@given(config=configs, semantics=st.sampled_from(["and", "or"]))
+def test_observability_never_changes_answers(config, semantics):
     database = planted(config)
-    plain = outcomes(
-        KeywordSearchEngine(database, core=core), semantics
-    )
+    plain = outcomes(KeywordSearchEngine(database).search, semantics)
     obs.set_enabled(True)
     try:
-        observed = outcomes(
-            KeywordSearchEngine(database, core=core), semantics
-        )
+        observed = outcomes(KeywordSearchEngine(database).search, semantics)
+        oracle = outcomes(partial(oracle_search, database), semantics)
     finally:
         obs.set_enabled(False)
         obs.reset()
-    assert observed == plain
+    assert observed == plain == oracle
 
 
 def _traced_run(database):

@@ -1,10 +1,11 @@
 """Property-based tests: the query pipeline is bit-identical to legacy.
 
 Hypothesis drives synthetic database shapes, query shapes (AND/OR, one,
-two and three keywords), top-k cuts and both traversal cores; on every
-instance the planner/executor pipeline — full mode, pushdown mode and
-the streaming entry point — must reproduce the legacy
-enumerate-sort-cut results exactly: answers, order, scores and ranks.
+two and three keywords) and top-k cuts; on every instance the
+planner/executor pipeline — full mode, pushdown mode and the streaming
+entry point — must reproduce the legacy enumerate-sort-cut results
+exactly: answers, order, scores and ranks — and a top-k cut must equal
+:func:`repro.oracle.search`'s.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +20,7 @@ from repro.core.ranking import (
 )
 from repro.core.search import SearchLimits
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like, plant
+from repro.oracle import search as oracle_search
 
 configs = st.builds(
     SyntheticConfig,
@@ -44,7 +46,7 @@ relaxed = settings(
 _LIMITS = SearchLimits(max_rdb_length=4, max_tuples=5)
 
 
-def planted_engine(config, core=None):
+def planted_engine(config):
     database = generate_company_like(config)
     plant(database, "kwalpha", "DEPARTMENT", "D_DESCRIPTION",
           min(2, database.count("DEPARTMENT")), seed=1)
@@ -52,7 +54,7 @@ def planted_engine(config, core=None):
           min(2, database.count("EMPLOYEE")), seed=2)
     plant(database, "kwgamma", "PROJECT", "P_DESCRIPTION",
           min(2, database.count("PROJECT")), seed=3)
-    return KeywordSearchEngine(database, core=core)
+    return KeywordSearchEngine(database)
 
 
 def rendered(results):
@@ -93,13 +95,12 @@ class TestPushdownIdentity:
     @relaxed
     @given(configs, st.integers(min_value=1, max_value=5))
     def test_both_cores_agree_under_pushdown(self, config, k):
-        fast = planted_engine(config)
-        slow = planted_engine(config, core="reference")
+        engine = planted_engine(config)
         for query in ("kwalpha kwbeta", "kwalpha kwbeta kwgamma"):
             assert rendered(
-                fast.search(query, limits=_LIMITS, top_k=k)
+                engine.search(query, limits=_LIMITS, top_k=k)
             ) == rendered(
-                slow.search(query, limits=_LIMITS, top_k=k)
+                oracle_search(engine.database, query, limits=_LIMITS, top_k=k)
             )
 
 

@@ -1,6 +1,6 @@
 """Differential property: the scale layer is invisible to answering.
 
-Hypothesis drives random multi-tenant instances, cores, semantics and
+Hypothesis drives random multi-tenant instances, semantics and
 live-update interleavings; a snapshot of the live engine restored after
 every batch, and the process-pool batch path at the final state, must be
 bit-identical (answers, order, scores, ranks, ``SearchLimitError``
@@ -9,6 +9,7 @@ points) to a plain engine cold-built over the same data.
 
 import os
 import tempfile
+from functools import partial
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from repro.datasets.synthetic import (
 )
 from repro.errors import SearchLimitError
 from repro.live.changes import Delete, Insert, Update, apply_to_database
+from repro.oracle import search as oracle_search
 
 configs = st.builds(
     SyntheticConfig,
@@ -124,10 +126,11 @@ class TestSnapshotDifferential:
     @given(
         configs,
         st.integers(min_value=1, max_value=3),  # tenants
-        st.sampled_from(("csr", "reference")),
         operations,
     )
-    def test_restored_equals_plain_on_cores(self, config, tenants, core, ops):
+    def test_restored_equals_plain_on_cores(self, config, tenants, ops):
+        """After every batch a restored snapshot answers like a plain
+        engine over the lockstep database and like the oracle."""
         live = KeywordSearchEngine(
             planted_database(config, tenants), result_cache_entries=0
         )
@@ -139,21 +142,22 @@ class TestSnapshotDifferential:
                     batch = [] if mutation is None else [mutation]
                     live.apply(batch)
                     apply_to_database(plain_db, batch)
-                plain = KeywordSearchEngine(
-                    plain_db, core=core, result_cache_entries=0
-                )
-                with restored(live, tmp, core=core) as opened:
-                    for query in _QUERIES:
-                        for semantics in ("and", "or"):
-                            assert rendered(
-                                opened.search(
-                                    query, limits=_LIMITS, semantics=semantics
+                plain = KeywordSearchEngine(plain_db, result_cache_entries=0)
+                with restored(live, tmp) as opened:
+                    for search in (plain.search, partial(oracle_search, plain_db)):
+                        for query in _QUERIES:
+                            for semantics in ("and", "or"):
+                                assert rendered(
+                                    opened.search(
+                                        query, limits=_LIMITS,
+                                        semantics=semantics,
+                                    )
+                                ) == rendered(
+                                    search(
+                                        query, limits=_LIMITS,
+                                        semantics=semantics,
+                                    )
                                 )
-                            ) == rendered(
-                                plain.search(
-                                    query, limits=_LIMITS, semantics=semantics
-                                )
-                            )
 
     @relaxed
     @given(

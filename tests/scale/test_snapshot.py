@@ -5,6 +5,7 @@ import random
 import struct
 import sys
 from array import array
+from functools import partial
 
 import pytest
 
@@ -16,8 +17,9 @@ from repro.datasets.synthetic import (
     generate_tenants,
     plant,
 )
-from repro.errors import QueryError, SearchLimitError, SnapshotError
+from repro.errors import SearchLimitError, SnapshotError
 from repro.live.changes import Delete, Insert, Update, apply_to_database
+from repro.oracle import search as oracle_search
 from repro.relational.database import TupleId
 from repro.relational.index import _posted, tokenize
 from repro.relational.statistics import DatabaseStatistics
@@ -48,6 +50,20 @@ def rendered(results):
     return [(r.render(), r.score, r.rank) for r in results]
 
 
+def publish_with_meta(path, out, **keys):
+    """Copy the snapshot at ``path`` to ``out`` with ``keys`` added to
+    its meta: the shape of a file an older writer left."""
+    with Snapshot(path) as snapshot:
+        meta = dict(snapshot.meta, **keys)
+        sections = [
+            (name, snapshot_module._json_bytes(meta) if name == "meta"
+             else bytes(snapshot.section(name)))
+            for name in snapshot.sections()
+        ]
+    snapshot_module._publish(out, SNAPSHOT_FORMAT, sections)
+    return meta
+
+
 @pytest.fixture()
 def saved(tmp_path):
     engine = KeywordSearchEngine(planted_database())
@@ -70,14 +86,19 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("core", ["csr", "reference"])
     def test_identical_on_every_core(self, saved, core):
-        engine, path, __ = saved
-        restored = KeywordSearchEngine.open(path, core=core)
-        oracle = KeywordSearchEngine(
-            planted_database(), core=core, result_cache_entries=0
-        )
+        """``core`` names the kernels of the expected side: a cold csr
+        engine, or :func:`repro.oracle.search` on the networkx kernels."""
+        __, path, ___ = saved
+        restored = KeywordSearchEngine.open(path)
+        if core == "csr":
+            expected = KeywordSearchEngine(
+                planted_database(), result_cache_entries=0
+            ).search
+        else:
+            expected = partial(oracle_search, planted_database())
         for query in QUERIES:
             assert rendered(restored.search(query, limits=LIMITS)) == rendered(
-                oracle.search(query, limits=LIMITS)
+                expected(query, limits=LIMITS)
             )
 
     def test_stream_batch_and_topk(self, saved):
@@ -284,7 +305,7 @@ class TestLaziness:
         """The write-path test's twin for a cold build: the csr core
         compiles straight from the stored references, so reading,
         applying and saving never ask for the multigraph — the oracle
-        core and the neighbourhood-reading ranker still get it."""
+        and the neighbourhood-reading ranker still get it."""
         from repro.core.ranking import InstanceAmbiguityRanker
         from repro.graph import data_graph as data_graph_module
 
@@ -320,34 +341,35 @@ class TestLaziness:
         assert "materialized=False" in repr(engine.data_graph)
 
         monkeypatch.setattr(data_graph_module, "build_tuple_graph", real)
-        oracle = KeywordSearchEngine(engine.database, core="reference")
-        assert rendered(oracle.search("kwalpha kwbeta", limits=LIMITS)) == after
-        assert oracle.data_graph.materialized
+        assert rendered(
+            oracle_search(engine.database, "kwalpha kwbeta", limits=LIMITS)
+        ) == after
         engine.search(
             "kwalpha kwbeta", limits=LIMITS, ranker=InstanceAmbiguityRanker()
         )
         assert engine.data_graph.materialized
 
     def test_stored_fast_core_opens_on_csr(self, saved, tmp_path):
-        # Files written while the retired ``fast`` core existed may name
-        # it in their meta; they open on ``csr``, whose answers were
-        # bit-identical to it by contract.
-        engine, path, __ = saved
-        engine.core = "fast"
-        legacy = tmp_path / "legacy.snap"
-        engine.save(legacy)
-        assert Snapshot(legacy).meta["core"] == "fast"
-        restored = KeywordSearchEngine.open(legacy)
-        original = KeywordSearchEngine.open(path)
-        assert restored.core == "csr"
-        for query in QUERIES:
-            assert rendered(restored.search(query, limits=LIMITS)) == rendered(
-                original.search(query, limits=LIMITS)
-            )
-        with pytest.raises(QueryError):
-            KeywordSearchEngine.open(path, core="fast")
-        restored.close()
-        original.close()
+        """Files written while the engine had a traversal-core selector
+        name the writer's core in their meta: ``fast`` (retired first)
+        or ``reference``.  The loader never reads the key, so both open
+        on csr and answer like the oracle; saving again drops the key."""
+        __, path, ___ = saved
+        database = planted_database()
+        for core in ("fast", "reference"):
+            legacy = tmp_path / f"{core}.snap"
+            publish_with_meta(path, legacy, core=core)
+            with Snapshot(legacy) as snapshot:
+                assert snapshot.meta["core"] == core
+            resaved = tmp_path / f"{core}-resaved.snap"
+            with KeywordSearchEngine.open(legacy) as restored:
+                for query in QUERIES:
+                    assert rendered(
+                        restored.search(query, limits=LIMITS)
+                    ) == rendered(oracle_search(database, query, limits=LIMITS))
+                restored.save(resaved)
+            with Snapshot(resaved) as snapshot:
+                assert "core" not in snapshot.meta
 
     def test_writes_to_encoded_tokens_decode_nothing(self, tmp_path, monkeypatch):
         """A publish, a retitle and a retract apply on a restored bib
