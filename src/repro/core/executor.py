@@ -56,6 +56,7 @@ from repro.core.search import (
 )
 from repro.graph.csr import (
     _UNREACHABLE,
+    QueryRows,
     csr_enumerate_joining_trees,
     csr_enumerate_simple_paths,
 )
@@ -182,8 +183,8 @@ class Executor:
         #: cheaper.
         self.adaptive = adaptive
         self.stats = ExecutionStats()
-        #: The run's prefetched distance rows, ``{radius: {node: row}}``.
-        self._memo: dict = {}
+        #: The run's distance rows, balls and pair distances.
+        self.rows = QueryRows(cache)
         #: Live span of the run in flight (``None`` while tracing is
         #: off or between runs); the mode-specific emitters hang their
         #: per-op and rank/cut children off it.
@@ -195,10 +196,9 @@ class Executor:
     def _prefetch_distances(
         self, plan: QueryPlan, limits: SearchLimits
     ) -> None:
-        """Fetch the distance row of every source the plan's enumeration
-        units will prune against, as one block per radius instead of one
-        probe at a time, and keep the blocks as the run's memo
-        (:meth:`_row`): each row is built once per run.
+        """Fetch into the run's view (:attr:`rows`) the distance row of
+        every source the plan's enumeration units will prune against, as
+        one block per radius instead of one probe at a time.
 
         Blocks are bit-identical to on-demand rows, so answers, order and
         budget points are unchanged.  Rows for units the kernels later
@@ -211,54 +211,28 @@ class Executor:
             node = frozen.node_of(tid)
             if node is not None:
                 blocks.setdefault(radius, []).append(node)
-        self._memo = {
-            radius: frozen.distances_block(nodes, radius)
-            for radius, nodes in blocks.items()
-        }
-
-    def _row(self, node: int, radius: int):
-        """``node``'s distance row at exactly ``radius``: the run's
-        prefetched one, else the compiled graph's."""
-        row = self._memo.get(radius, {}).get(node)
-        if row is None:
-            row = self.cache.frozen().distances(node, radius=radius)
-        return row
+        for radius, nodes in blocks.items():
+            self.rows.prefetch(nodes, radius)
 
     # ------------------------------------------------------------------
     # adaptive bounds (selectivity-ordered pushdown)
     # ------------------------------------------------------------------
-    def _unit_distance(self, source, target, rows, limits) -> Optional[int]:
+    def _unit_distance(self, source, target, limits) -> Optional[int]:
         """Admissible lower bound on the RDB length of any simple path
-        between two tuples: their BFS distance in the compiled graph,
-        exact up to ``max_rdb_length`` (B).  It is met in the middle
-        (:meth:`~repro.graph.csr.FrozenGraph.distance_between`): the
-        target's radius-⌈B/2⌉ row, prefetched by :meth:`_prefetch_distances`
-        at the radius the path kernel uses, against a ⌊B/2⌋ ball around
-        the source.  Both are memoised in ``rows`` — rows under the
-        target tuple id, balls under ``("ball", source)``, which no tuple
-        id equals: one tuple can match both keywords.  ``None`` means no
-        bound is available (tuple not interned) and the caller must fall
-        back to eager static setup; :data:`_UNREACHABLE` proves the pair
-        yields nothing within the budget.
+        between two tuples: their BFS distance, exact up to
+        ``max_rdb_length`` (:meth:`~repro.graph.csr.QueryRows.distance`,
+        which the path kernel reads again as its start depth).  ``None``
+        means no bound is available (tuple not interned) and the caller
+        must fall back to eager static setup; :data:`_UNREACHABLE` proves
+        the pair yields nothing within the budget.
         """
         frozen = self.cache.frozen()
-        budget = limits.max_rdb_length
-        row = rows.get(target)
-        if row is None:
-            node = frozen.node_of(target)
-            if node is None:
-                return None
-            row = rows[target] = self._row(node, budget - budget // 2)
-        key = ("ball", source)
-        ball = rows.get(key)
-        if ball is None:
-            node = frozen.node_of(source)
-            if node is None:
-                return None
-            ball = rows[key] = frozen.ball((node,), budget // 2)
-        return frozen.distance_between(ball, row, budget)
+        src, dst = frozen.node_of(source), frozen.node_of(target)
+        if src is None or dst is None:
+            return None
+        return self.rows.distance(src, dst, limits.max_rdb_length)
 
-    def _network_bound(self, required, rows, limits) -> Optional[int]:
+    def _network_bound(self, required, limits) -> Optional[int]:
         """Admissible lower bound on the tuple count of any joining tree
         over ``required``: a connected tree must contain a path between
         its two farthest required tuples, so it holds at least
@@ -267,20 +241,14 @@ class Executor:
         provably no tree fits ``max_tuples`` (rows reach
         ``max_tuples - 1`` levels, the radius the tree kernel uses).
         """
-        frozen = self.cache.frozen()
-        nodes = []
-        for tid in required:
-            node = frozen.node_of(tid)
-            if node is None:
-                return None
-            nodes.append((tid, node))
+        nodes = list(map(self.cache.frozen().node_of, required))
+        if None in nodes:
+            return None
         radius = limits.max_tuples - 1
         bound = len(required)
-        for position, (tid, node) in enumerate(nodes[:-1]):
-            row = rows.get(tid)
-            if row is None:
-                row = rows[tid] = self._row(node, radius)
-            for __, other in nodes[position + 1:]:
+        for position, node in enumerate(nodes[:-1]):
+            row = self.rows.row(node, radius)
+            for other in nodes[position + 1:]:
                 distance = row[other]
                 if distance > radius:
                     return _UNREACHABLE
@@ -346,6 +314,7 @@ class Executor:
         """
         limits = limits or SearchLimits()
         self.stats = stats = ExecutionStats()
+        self.rows = QueryRows(self.cache)
         bounded = lower_bound_for(ranker, 1) is not None
         if pushdown is None:
             use_pushdown = bounded and plan.cut.k is not None
@@ -375,12 +344,10 @@ class Executor:
             started = time.perf_counter()
         self._exec_span = exec_span
 
+        t0 = time.perf_counter()
+        self._prefetch_distances(plan, limits)
         if exec_span is not None:
-            t0 = time.perf_counter()
-            self._prefetch_distances(plan, limits)
             exec_span.child("prefetch").add_time(time.perf_counter() - t0)
-        else:
-            self._prefetch_distances(plan, limits)
 
         if use_pushdown:
             emitter = self._stream_pushdown(plan, ranker, limits)
@@ -434,34 +401,19 @@ class Executor:
     # enumeration streams
     # ------------------------------------------------------------------
     def _path_stream(
-        self,
-        source: TupleId,
-        target: TupleId,
-        limits: SearchLimits,
-        shortest: Optional[int] = None,
-        row=None,
+        self, source: TupleId, target: TupleId, limits: SearchLimits
     ) -> Iterator:
-        """A pair's paths; the kernel takes an adaptive bound's row."""
         return csr_enumerate_simple_paths(
-            self.cache,
-            source,
-            target,
-            limits.max_rdb_length,
-            max_paths=limits.max_paths_per_pair,
-            _shortest=shortest,
-            _row=row,
+            self.cache, source, target, limits.max_rdb_length,
+            max_paths=limits.max_paths_per_pair, rows=self.rows,
         )
 
     def _tree_stream(
-        self,
-        required: tuple[TupleId, ...],
-        limits: SearchLimits,
+        self, required: tuple[TupleId, ...], limits: SearchLimits
     ) -> Iterator:
         return csr_enumerate_joining_trees(
-            self.cache,
-            list(required),
-            limits.max_tuples,
-            max_results=limits.max_networks,
+            self.cache, list(required), limits.max_tuples,
+            max_results=limits.max_networks, rows=self.rows,
         )
 
     # ------------------------------------------------------------------
@@ -729,15 +681,12 @@ class _PairState:
         )
         self._singles_position = 0
         self._heap: Optional[list] = None
-        #: Target rows under their tuple ids, balls under ``("ball", source)``.
-        self._rows: dict = {}
 
     def _ensure_heap(self) -> list:
         if self._heap is None:
             executor = self._executor
             adaptive = executor.adaptive
             limits = self._limits
-            rows = self._rows
             pruned = 0
             heap = []
             first, second = self._matches
@@ -747,9 +696,7 @@ class _PairState:
                     if source == target:
                         continue
                     if adaptive:
-                        bound = executor._unit_distance(
-                            source, target, rows, limits
-                        )
+                        bound = executor._unit_distance(source, target, limits)
                         if bound is not None:
                             if bound > limits.max_rdb_length:
                                 # No path fits the length budget: eager
@@ -791,18 +738,9 @@ class _PairState:
         heap = self._ensure_heap()
         length, index, steps, stream = heapq.heappop(heap)
         if steps is _LAZY:  # adaptive: build the stream at first top
-            source, target = stream
-            # ``length`` is the pair's exact distance (it is within budget).
-            stream = self._executor._path_stream(
-                source, target, self._limits, length, self._rows.get(target)
-            )
-            steps = next(stream, None)
-            if steps is None:
-                return None
-            if len(steps) > length:
-                heapq.heappush(heap, (len(steps), index, steps, stream))
-                return None
-        elif steps is None:  # placeholder: re-peek the stream now
+            stream = self._executor._path_stream(*stream, self._limits)
+            steps = None
+        if steps is None:  # first top, or a placeholder: peek the stream now
             steps = next(stream, None)
             if steps is None:
                 return None
@@ -844,7 +782,6 @@ class _NetworkState:
         self._coverage_major = plan.merge.coverage_major
         self._prefix = (-len(op.indices),) if self._coverage_major else ()
         adaptive = executor.adaptive
-        rows: dict = {}
         pruned = 0
         self._seen: set[tuple] = set()
         heap = []
@@ -852,7 +789,7 @@ class _NetworkState:
             executor._network_assignments(plan.matches, op)
         ):
             if adaptive:
-                bound = executor._network_bound(required, rows, limits)
+                bound = executor._network_bound(required, limits)
                 if bound is not None:
                     if bound > limits.max_tuples:
                         # Every joining tree over this assignment needs
@@ -882,18 +819,9 @@ class _NetworkState:
     def pull(self) -> Optional[tuple]:
         size, index, tuple_set, stream, keyword_tuples = heapq.heappop(self._heap)
         if tuple_set is _LAZY:  # adaptive: build the stream at first top
-            required = stream
-            stream = self._executor._tree_stream(required, self._limits)
-            tuple_set = next(stream, None)
-            if tuple_set is None:
-                return None
-            if len(tuple_set) > size:
-                heapq.heappush(
-                    self._heap,
-                    (len(tuple_set), index, tuple_set, stream, keyword_tuples),
-                )
-                return None
-        elif tuple_set is None:  # placeholder: re-peek the stream now
+            stream = self._executor._tree_stream(stream, self._limits)
+            tuple_set = None
+        if tuple_set is None:  # first top, or a placeholder: peek the stream now
             tuple_set = next(stream, None)
             if tuple_set is None:
                 return None

@@ -28,6 +28,7 @@ from repro.core.connections import Connection
 from repro.core.matching import KeywordMatch
 from repro.errors import QueryError
 from repro.graph.csr import (
+    QueryRows,
     csr_enumerate_joining_trees,
     csr_enumerate_simple_paths,
 )
@@ -266,8 +267,9 @@ def find_connections(
     first per pair), plus :class:`SingleTupleAnswer` for tuples matching
     both keywords when ``include_single_tuples``.
 
-    Paths come from the compiled CSR kernel.  Pass a
-    :class:`TraversalCache` to share the compiled graph and its distance
+    Paths come from the compiled CSR kernel; every pair reads its rows
+    through one :class:`~repro.graph.csr.QueryRows` view per call.  Pass
+    a :class:`TraversalCache` to share the compiled graph and its held
     rows across calls.
 
     Raises :class:`~repro.errors.QueryError` unless exactly two keyword
@@ -280,6 +282,7 @@ def find_connections(
         )
     if cache is None:
         cache = TraversalCache(data_graph)
+    rows = QueryRows(cache)
     first, second = matches
     if include_single_tuples:
         second_set = set(second.tuple_ids)
@@ -298,6 +301,7 @@ def find_connections(
                 target,
                 limits.max_rdb_length,
                 max_paths=limits.max_paths_per_pair,
+                rows=rows,
             )
             for steps in paths:
                 tids = [steps[0].source] + [s.target for s in steps]
@@ -321,9 +325,9 @@ def find_joining_networks(
     the same tuple set with different keyword bindings; both are yielded —
     deduplication by tuple set is the caller's choice.
 
-    ``cache`` behaves as in :func:`find_connections`; it pays off
-    especially here because every keyword-tuple assignment shares its
-    distance rows.
+    ``cache`` behaves as in :func:`find_connections`; every
+    keyword-tuple assignment shares its distance rows through the call's
+    one :class:`~repro.graph.csr.QueryRows` view.
     """
     if not matches:
         raise QueryError("no keywords to search")
@@ -331,6 +335,7 @@ def find_joining_networks(
         return
     if cache is None:
         cache = TraversalCache(data_graph)
+    rows = QueryRows(cache)
     seen: set[tuple[frozenset[TupleId], tuple[tuple[str, TupleId], ...]]] = set()
     assignments = product(*(match.tuple_ids for match in matches))
     for assignment in assignments:
@@ -339,7 +344,8 @@ def find_joining_networks(
         }
         required = list(dict.fromkeys(assignment))
         tuple_sets = csr_enumerate_joining_trees(
-            cache, required, limits.max_tuples, max_results=limits.max_networks
+            cache, required, limits.max_tuples,
+            max_results=limits.max_networks, rows=rows,
         )
         for tuple_set in tuple_sets:
             key = (tuple_set, tuple(sorted(keyword_tuples.items())))

@@ -24,10 +24,10 @@ kernels entirely on dense ints:
   the radius their budget can use, so the sweep stops after that many
   levels and the row is one byte per node (``0xFF`` = beyond the
   radius); the unbounded ``array('i')`` row stays as the oracle.  The
-  cache holds a row as its BFS levels (the ball it covers) and builds
-  the dense row again on a hit.  A pair bound within a budget B meets
-  in the middle: a ⌊B/2⌋ ball around one end against the other end's
-  ⌈B/2⌉ row.
+  cache holds a row as its BFS levels (the ball it covers); a query
+  reads rows through one :class:`QueryRows` view, which builds each
+  dense row once.  A pair bound within a budget B meets in the middle:
+  a ⌊B/2⌋ ball around one end against the other end's ⌈B/2⌉ row.
 * **Zero-copy DFS.**  Path enumeration keeps one shared ``bytearray``
   of visited marks and one mutable path stack, pushing and undoing in
   place; per-expansion ``visited | {other}`` / ``path + [...]`` copies
@@ -76,6 +76,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "FrozenGraph",
+    "QueryRows",
     "csr_enumerate_simple_paths",
     "csr_enumerate_joining_trees",
 ]
@@ -88,6 +89,18 @@ _MAX_RADIUS = _BEYOND - 1
 
 #: A distance row: bounded ``bytearray`` or unbounded ``array('i')``.
 DistanceRow = Union[bytearray, array]
+
+
+def _bounded(radius: Optional[int]) -> Optional[int]:
+    """A requested radius as rows are swept: ``None`` (unbounded) above
+    :data:`_MAX_RADIUS`."""
+    return None if radius is None or radius > _MAX_RADIUS else radius
+
+
+def _covers(held: Optional[int], radius: Optional[int]) -> bool:
+    """A row swept to ``held`` levels (``None``: unbounded) serves a
+    request at ``radius``."""
+    return held is None or (radius is not None and held >= radius)
 
 
 def _held_bytes(levels) -> int:
@@ -140,9 +153,11 @@ class FrozenGraph:
 
     def __init__(self, data_graph: DataGraph, counters=None) -> None:
         self.data_graph = data_graph
-        #: Distance-row lookups served from cache / computed fresh.
+        #: Distance-row lookups served from cache / computed fresh, and
+        #: dense rows rebuilt from held levels.
         self.hits = 0
         self.misses = 0
+        self.dense_builds = 0
         #: Folds made by a patch crossing the compaction threshold or by a
         #: full snapshot rewrite (a delta compaction folds nothing).
         self.compactions = 0
@@ -189,6 +204,7 @@ class FrozenGraph:
         frozen.data_graph = data_graph
         frozen.hits = 0
         frozen.misses = 0
+        frozen.dense_builds = 0
         frozen.compactions = 0
         frozen.compile_stamp = 1
         frozen._counters = counters if counters is not None else frozen
@@ -544,8 +560,9 @@ class FrozenGraph:
         entry = self._distances.get(node)
         if entry is not None:
             levels, held, stamp, __ = entry
-            if held is None or (radius is not None and held >= radius):
+            if _covers(held, radius):
                 row = self._dense_row(levels, held)
+                self._counters.dense_builds += 1
                 current = self._log_start + len(self._change_log)
                 if stamp == current or self._revalidated(node, row, entry):
                     self._counters.hits += 1
@@ -661,8 +678,7 @@ class FrozenGraph:
         row is served) — either way ``row[x] > budget`` means "farther
         than ``budget``" for any ``budget <= radius``.
         """
-        if radius is not None and radius > _MAX_RADIUS:
-            radius = None
+        radius = _bounded(radius)
         row = self._cached_row(node, radius)
         if row is None:
             row, levels = self._bfs_row_scalar(node, radius)
@@ -678,8 +694,7 @@ class FrozenGraph:
         directly; the remaining sources are swept one by one under one
         span.  Rows are identical to per-source :meth:`distances` calls.
         """
-        if radius is not None and radius > _MAX_RADIUS:
-            radius = None
+        radius = _bounded(radius)
         result: dict[int, DistanceRow] = {}
         missing: list[int] = []
         for node in dict.fromkeys(nodes):
@@ -956,6 +971,58 @@ class FrozenGraph:
         )
 
 
+class QueryRows:
+    """One query's distance rows over ``cache``'s compiled graph: rows by
+    node, balls by ``(node, radius)`` and pair distances, each fetched
+    once, rows only by :meth:`FrozenGraph.distances` / ``distances_block``.
+    A held row serves what :meth:`FrozenGraph._cached_row` would let it
+    serve (:func:`_covers`).  The view ends with its query, and so with
+    any write (the engine refuses a stream resumed across one)."""
+
+    def __init__(self, cache: TraversalCache) -> None:
+        self._cache = cache
+        self._radius: dict[int, Optional[int]] = {}  # a missing row reads as -1
+        self._rows: dict[int, DistanceRow] = {}
+        self._balls: dict[tuple[int, int], dict[int, int]] = {}
+        self._pairs: dict[tuple[int, int, int], int] = {}
+
+    def prefetch(self, nodes: Iterable[int], radius: Optional[int]) -> None:
+        """Fetch the rows ``nodes`` lack at ``radius`` as one block."""
+        radius = _bounded(radius)
+        missing = [n for n in nodes if not _covers(self._radius.get(n, -1), radius)]
+        if missing:
+            self._rows.update(self._cache.frozen().distances_block(missing, radius))
+            self._radius.update(dict.fromkeys(missing, radius))
+
+    def row(self, node: int, radius: Optional[int]) -> DistanceRow:
+        """``node``'s row, exact up to ``radius``."""
+        # Held radii are bounded: one past _MAX_RADIUS needs an unbounded row.
+        if not _covers(self._radius.get(node, -1), radius):
+            radius = _bounded(radius)
+            self._rows[node] = self._cache.frozen().distances(node, radius)
+            self._radius[node] = radius
+        return self._rows[node]
+
+    def ball(self, node: int, radius: int) -> dict[int, int]:
+        ball = self._balls.get((node, radius))
+        if ball is None:
+            ball = self._cache.frozen().ball((node,), radius)
+            self._balls[node, radius] = ball
+        return ball
+
+    def distance(self, source: int, target: int, budget: int) -> int:
+        """The pair's distance when at most ``budget`` (B), else
+        :data:`_UNREACHABLE`: a ⌊B/2⌋ ball met with a ⌈B/2⌉ row."""
+        key = (source, target, budget)
+        distance = self._pairs.get(key)
+        if distance is None:
+            half = budget // 2
+            distance = self._pairs[key] = FrozenGraph.distance_between(
+                self.ball(source, half), self.row(target, budget - half), budget
+            )
+        return distance
+
+
 def csr_enumerate_simple_paths(
     cache: TraversalCache,
     source: TupleId,
@@ -963,8 +1030,7 @@ def csr_enumerate_simple_paths(
     max_edges: int,
     max_paths: Optional[int] = None,
     *,
-    _shortest: Optional[int] = None,
-    _row: Optional[DistanceRow] = None,
+    rows: Optional[QueryRows] = None,
 ) -> Iterator[list[TuplePathStep]]:
     """Drop-in replacement for ``enumerate_simple_paths`` on the compiled core.
 
@@ -973,9 +1039,9 @@ def csr_enumerate_simple_paths(
     and an in-place path stack (push/undo, no per-expansion copies);
     the backward BFS bound is an array lookup into the target's
     radius-⌈B/2⌉ row, and the start depth the exact pair distance
-    (:meth:`FrozenGraph.distance_between`).  ``cache`` supplies the
-    compiled :class:`FrozenGraph` and counts the paths yielded.  A caller
-    holding both passes the row as ``_row``, the distance as ``_shortest``.
+    (:meth:`FrozenGraph.distance_between`), both read through ``rows``
+    (a fresh :class:`QueryRows` when none is given).  ``cache`` supplies
+    the compiled :class:`FrozenGraph` and counts the paths yielded.
     """
     if max_edges < 1:
         return
@@ -991,13 +1057,9 @@ def csr_enumerate_simple_paths(
     # a ⌊B/2⌋ ball around the source; the DFS prunes against the row only
     # while ``remaining`` is within its radius, where it is exact.
     radius = max_edges - max_edges // 2
-    if _row is None:
-        to_target = frozen.distances(dst, radius=radius)
-        shortest = frozen.distance_between(
-            frozen.ball((src,), max_edges // 2), to_target, max_edges
-        )
-    else:
-        to_target, shortest = _row, _shortest
+    rows = rows or QueryRows(cache)
+    to_target = rows.row(dst, radius)
+    shortest = rows.distance(src, dst, max_edges)
     if shortest > max_edges:
         return
 
@@ -1097,6 +1159,8 @@ def csr_enumerate_joining_trees(
     required: Sequence[TupleId],
     max_tuples: int,
     max_results: Optional[int] = None,
+    *,
+    rows: Optional[QueryRows] = None,
 ) -> Iterator[frozenset[TupleId]]:
     """Drop-in replacement for ``enumerate_joining_trees`` on the compiled core.
 
@@ -1104,7 +1168,8 @@ def csr_enumerate_joining_trees(
     frozensets of *ints* (cheap hashing, int-order sorting while the
     interning is dense) and distance pruning reads flat array rows.
     Tuple ids reappear only at yield boundaries.  ``cache`` supplies
-    the compiled :class:`FrozenGraph` and counts the trees yielded.
+    the compiled :class:`FrozenGraph` and counts the trees yielded;
+    required rows are read through ``rows``, as in the path kernel.
     """
     required = list(dict.fromkeys(required))
     if not required:
@@ -1118,9 +1183,8 @@ def csr_enumerate_joining_trees(
         req.append(node)
 
     # Pruning compares rows against ``budget`` <= ``max_tuples - 1``.
-    distance_rows = [
-        frozen.distances(node, radius=max_tuples - 1) for node in req
-    ]
+    rows = rows or QueryRows(cache)
+    distance_rows = [rows.row(node, max_tuples - 1) for node in req]
     tid_of = frozen._tid_of
     ints_sorted = frozen._ints_sorted
 

@@ -34,7 +34,8 @@ class TraversalCache:
     The compiled graph is built lazily and stays valid exactly as long
     as the data graph does.  ``invalidate()`` drops it; the engine
     replaces the whole cache on ``rebuild()``.  ``hits`` / ``misses``
-    count distance-row lookups so benchmarks and tests can observe reuse.
+    count distance-row lookups so benchmarks and tests can observe reuse,
+    and ``dense_builds`` the dense rows rebuilt from held levels.
     """
 
     def __init__(self, data_graph: DataGraph) -> None:
@@ -42,6 +43,7 @@ class TraversalCache:
         self._frozen = None
         self.hits = 0
         self.misses = 0
+        self.dense_builds = 0
         #: Enumeration counters: paths / joining trees yielded through this
         #: cache.  Benchmarks compare them between pushdown and full runs
         #: to observe how much enumeration early termination skipped.

@@ -153,7 +153,7 @@ def enumerate_joining_trees(
     # Distance maps from each required tuple prune hopeless branches.
     distance_maps = []
     for tid in required:
-        distance_maps.append(nx.single_source_shortest_path_length(graph, tid))
+        distance_maps.append(nx.shortest_path_length(graph, source=tid))
     for tid in required:
         if any(tid not in dmap for dmap in distance_maps):
             return  # some required pair is disconnected: no joining tree

@@ -39,7 +39,7 @@ class _OracleExecutor(Executor):
     def _prefetch_distances(self, plan, limits) -> None:
         pass
 
-    def _path_stream(self, source, target, limits, shortest=None, row=None):
+    def _path_stream(self, source, target, limits):
         return enumerate_simple_paths(
             self.data_graph, source, target, limits.max_rdb_length,
             max_paths=limits.max_paths_per_pair,

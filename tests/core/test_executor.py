@@ -356,7 +356,7 @@ class TestPairBoundRadius:
             blocks.append(radius)
             return distances_block(self, nodes, radius)
 
-        def exact_bound(self, source, target, rows, limits):
+        def exact_bound(self, source, target, limits):
             frozen = self.cache.frozen()
             row, __ = frozen._bfs_row_scalar(frozen.node_of(target))
             depth = row[frozen.node_of(source)]

@@ -9,6 +9,8 @@ freshly compiled one.
 """
 
 import itertools
+import os
+import sys
 from functools import partial
 
 import pytest
@@ -20,6 +22,7 @@ from repro.datasets.synthetic import SyntheticConfig, generate_company_like, pla
 from repro.errors import SearchLimitError
 from repro.graph.csr import (
     FrozenGraph,
+    QueryRows,
     _held_bytes,
     csr_enumerate_joining_trees,
     csr_enumerate_simple_paths,
@@ -1013,3 +1016,87 @@ class TestBoundedRowsUnderPatching:
         # row went with the first batch that took the log past its length.
         assert 2 * (batches - 1) <= length < 2 * batches
         assert frozen._change_log == []
+
+
+class TestQueryRows:
+    def test_a_wider_row_serves_the_narrower_request(
+        self, data_graph, monkeypatch
+    ):
+        """Rows, balls and pair distances reach the graph once per view; a
+        row prefetched at radius 4 serves radius 2 and 3, and radius 5
+        (or unbounded) sweeps a wider one."""
+        cache = TraversalCache(data_graph)
+        frozen = cache.frozen()
+        calls = []
+        distances, ball = FrozenGraph.distances, FrozenGraph.ball
+        distances_block = FrozenGraph.distances_block
+
+        def counted(self, node, radius=None):
+            calls.append(("row", node, radius))
+            return distances(self, node, radius)
+
+        def counted_block(self, nodes, radius=None):
+            calls.append(("block", radius))
+            return distances_block(self, nodes, radius)
+
+        def counted_ball(self, sources, radius):
+            calls.append(("ball", tuple(sources), radius))
+            return ball(self, sources, radius)
+
+        monkeypatch.setattr(FrozenGraph, "distances", counted)
+        monkeypatch.setattr(FrozenGraph, "distances_block", counted_block)
+        monkeypatch.setattr(FrozenGraph, "ball", counted_ball)
+        d1 = frozen.node_of(tid("DEPARTMENT", "d1"))
+        e1 = frozen.node_of(tid("EMPLOYEE", "e1"))
+        rows = QueryRows(cache)
+        rows.prefetch([d1, d1], 4)
+        assert (cache.misses, cache.dense_builds) == (1, 0)
+        assert rows.row(d1, 2) == rows.row(d1, 3) == distances(frozen, d1, 4)
+        assert calls == [("block", 4)]
+        calls.clear()
+        assert rows.distance(e1, d1, 5) == rows.distance(e1, d1, 5) == (
+            distances(frozen, d1)[e1]
+        )
+        assert calls == [("ball", (e1,), 2)]
+        calls.clear()
+        assert rows.row(d1, 5) == distances(frozen, d1, 5)
+        assert rows.row(d1, None) == rows.row(d1, 300) == distances(frozen, d1)
+        assert calls == [("row", d1, 5), ("row", d1, None)]
+
+    def test_a_query_builds_each_dense_row_at_most_once(self, monkeypatch):
+        """A three-keyword bib text, AND full mode, AND top-10 and OR full
+        mode, each on a fresh engine: the dense rows rebuilt from held
+        levels are at most the distinct (node, radius) requests that
+        reached the graph.  Before the query-scoped view the tree kernel
+        rebuilt a row per keyword-tuple assignment (1 528 rebuilds for 23
+        requests in AND full mode)."""
+        sys.path.insert(0, os.path.join(
+            os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks", "e2e"
+        ))
+        try:
+            import corpus
+        finally:
+            del sys.path[0]
+        bib = corpus.generate("tiny", 11)
+        database = bib.database()
+        text = " ".join(bib.head_words[60:63])
+        requested = set()
+        distances = FrozenGraph.distances
+        distances_block = FrozenGraph.distances_block
+
+        def counted(self, node, radius=None):
+            requested.add((node, radius))
+            return distances(self, node, radius)
+
+        def counted_block(self, nodes, radius=None):
+            requested.update((node, radius) for node in nodes)
+            return distances_block(self, nodes, radius)
+
+        monkeypatch.setattr(FrozenGraph, "distances", counted)
+        monkeypatch.setattr(FrozenGraph, "distances_block", counted_block)
+        for semantics, top_k in (("and", None), ("and", 10), ("or", None)):
+            requested.clear()
+            engine = KeywordSearchEngine(database, result_cache_entries=0)
+            assert engine.search(text, semantics=semantics, top_k=top_k)
+            assert requested
+            assert engine.traversal_cache.dense_builds <= len(requested)
