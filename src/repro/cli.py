@@ -722,7 +722,7 @@ def _cmd_plan(args: argparse.Namespace, out) -> int:
     else:
         engine = KeywordSearchEngine(_load_database(args.db))
     try:
-        plan, __ = engine._plan(args.query, args.top, args.semantics)
+        plan = engine.plan(args.query, args.top, args.semantics)
     except QueryError as error:
         print(f"cannot plan: {error}", file=out)
         return 1

@@ -178,8 +178,11 @@ class KeywordSearchEngine:
         top_k: Optional[int] = None,
         semantics: str = "and",
     ) -> QueryPlan:
-        """Compile a query into its :class:`~repro.core.plan.QueryPlan`."""
+        """Compile a query into its :class:`~repro.core.plan.QueryPlan`,
+        costed when adaptive (advisory estimates a search skips)."""
         plan, __ = self._plan(query, top_k, semantics)
+        if self.adaptive:
+            plan = self._ensure_cost_model().annotate(plan)
         return plan
 
     def _plan(
@@ -188,12 +191,7 @@ class KeywordSearchEngine:
         if semantics not in ("and", "or"):
             raise QueryError("semantics must be 'and' or 'or'", got=semantics)
         matches = self.match(query)
-        plan = plan_query(matches, semantics=semantics, top_k=top_k)
-        if self.adaptive and plan.sources:
-            # Advisory annotation only: estimates order/report,
-            # never filter — plan shape and answers are untouched.
-            plan = self._ensure_cost_model().annotate(plan)
-        return plan, matches
+        return plan_query(matches, semantics=semantics, top_k=top_k), matches
 
     def _ensure_cost_model(self) -> CostModel:
         """The engine's cost model, built on first use."""

@@ -217,35 +217,45 @@ class Executor:
     # ------------------------------------------------------------------
     # adaptive bounds (selectivity-ordered pushdown)
     # ------------------------------------------------------------------
-    def _unit_distance(self, source, target, limits) -> Optional[int]:
-        """Admissible lower bound on the RDB length of any simple path
-        between two tuples: their BFS distance, exact up to
+    def _pair_bounds(self, first, second, limits) -> Iterator[tuple]:
+        """``(source, target, bound)`` for every tuple pair of one pair op
+        in enumeration order, each list interned once per op.  ``bound``
+        is an admissible lower bound on the RDB length of any simple path
+        between the two: their BFS distance, exact up to
         ``max_rdb_length`` (:meth:`~repro.graph.csr.QueryRows.distance`,
-        which the path kernel reads again as its start depth).  ``None``
-        means no bound is available (tuple not interned) and the caller
-        must fall back to eager static setup; :data:`_UNREACHABLE` proves
-        the pair yields nothing within the budget.
+        memoised for the path kernel's start depth).  ``None`` means no
+        bound is available (static planning, or a tuple not interned)
+        and the caller must fall back to eager static setup;
+        :data:`_UNREACHABLE` proves the pair yields nothing within the
+        budget.
         """
-        frozen = self.cache.frozen()
-        src, dst = frozen.node_of(source), frozen.node_of(target)
-        if src is None or dst is None:
-            return None
-        return self.rows.distance(src, dst, limits.max_rdb_length)
+        node_of = self.cache.frozen().node_of
+        targets = [(target, node_of(target)) for target in second]
+        for source in first:
+            src = node_of(source)
+            for target, dst in targets:
+                if source == target:
+                    continue
+                if not self.adaptive or src is None or dst is None:
+                    yield source, target, None
+                else:
+                    yield source, target, self.rows.distance(
+                        src, dst, limits.max_rdb_length
+                    )
 
-    def _network_bound(self, required, limits) -> Optional[int]:
+    def _network_bound(self, nodes, limits) -> Optional[int]:
         """Admissible lower bound on the tuple count of any joining tree
-        over ``required``: a connected tree must contain a path between
-        its two farthest required tuples, so it holds at least
-        ``max(len(required), max pairwise BFS distance + 1)`` tuples.
-        ``None`` → fall back to eager setup; :data:`_UNREACHABLE` →
-        provably no tree fits ``max_tuples`` (rows reach
-        ``max_tuples - 1`` levels, the radius the tree kernel uses).
+        over the required tuples' interned ``nodes``: a connected tree
+        must contain a path between its two farthest required tuples, so
+        it holds at least ``max(len(nodes), max pairwise BFS distance +
+        1)`` tuples.  ``None`` → fall back to eager setup;
+        :data:`_UNREACHABLE` → provably no tree fits ``max_tuples`` (rows
+        reach ``max_tuples - 1`` levels, the radius the tree kernel uses).
         """
-        nodes = list(map(self.cache.frozen().node_of, required))
         if None in nodes:
             return None
         radius = limits.max_tuples - 1
-        bound = len(required)
+        bound = len(nodes)
         for position, node in enumerate(nodes[:-1]):
             row = self.rows.row(node, radius)
             for other in nodes[position + 1:]:
@@ -690,32 +700,23 @@ class _PairState:
             pruned = 0
             heap = []
             first, second = self._matches
-            index = 0
-            for source in first.tuple_ids:
-                for target in second.tuple_ids:
-                    if source == target:
+            for index, (source, target, bound) in enumerate(
+                executor._pair_bounds(first.tuple_ids, second.tuple_ids, limits)
+            ):
+                if bound is not None:
+                    if bound > limits.max_rdb_length:
+                        # No path fits the length budget: eager setup
+                        # would build a stream that yields nothing (and
+                        # can raise nothing).
+                        executor.stats.pruned += 1
+                        pruned += 1
                         continue
-                    if adaptive:
-                        bound = executor._unit_distance(source, target, limits)
-                        if bound is not None:
-                            if bound > limits.max_rdb_length:
-                                # No path fits the length budget: eager
-                                # setup would build a stream that yields
-                                # nothing (and can raise nothing).
-                                executor.stats.pruned += 1
-                                pruned += 1
-                                index += 1
-                                continue
-                            heap.append(
-                                (bound, index, _LAZY, (source, target))
-                            )
-                            index += 1
-                            continue
-                    stream = executor._path_stream(source, target, limits)
-                    steps = next(stream, None)
-                    if steps is not None:
-                        heap.append((len(steps), index, steps, stream))
-                    index += 1
+                    heap.append((bound, index, _LAZY, (source, target)))
+                    continue
+                stream = executor._path_stream(source, target, limits)
+                steps = next(stream, None)
+                if steps is not None:
+                    heap.append((len(steps), index, steps, stream))
             heapq.heapify(heap)
             self._heap = heap
             if adaptive:
@@ -785,11 +786,16 @@ class _NetworkState:
         pruned = 0
         self._seen: set[tuple] = set()
         heap = []
+        node_of = executor.cache.frozen().node_of
+        nodes = {tid: node_of(tid) for index in op.indices
+                 for tid in plan.matches[index].tuple_ids}
         for index, (keyword_tuples, required) in enumerate(
             executor._network_assignments(plan.matches, op)
         ):
             if adaptive:
-                bound = executor._network_bound(required, limits)
+                bound = executor._network_bound(
+                    [nodes[tid] for tid in required], limits
+                )
                 if bound is not None:
                     if bound > limits.max_tuples:
                         # Every joining tree over this assignment needs

@@ -139,8 +139,8 @@ class QueryPlan:
     cut: Cut
     #: Planner cost estimates aligned with ``sources`` by position
     #: (``repro.planner.cost.UnitEstimate``).  Advisory only: attached
-    #: post-hoc by an adaptive engine, empty under the static planner,
-    #: and never consulted for answer correctness.
+    #: on demand (``engine.plan()``, EXPLAIN) by an adaptive engine,
+    #: never on a search's plan nor consulted for answer correctness.
     estimates: tuple = ()
 
     @property
@@ -154,23 +154,26 @@ class QueryPlan:
         deduplicated, in plan order.
 
         The executor prefetches these rows before streaming.  Pair bounds
-        meet in the middle: the *target* side's row (``distances(dst)``
-        in the path kernel) reaches ⌈``max_rdb_length``/2⌉ levels and a
-        per-query ball around the source the other ⌊``max_rdb_length``/2⌋
-        (:meth:`~repro.graph.csr.FrozenGraph.distance_between`), so each
-        pair op contributes its second match's tuples at radius
-        ⌈``max_rdb_length``/2⌉; network growth prunes against every
-        required tuple's row up to ``max_tuples - 1``.  A tuple both
-        kinds use takes the wider radius (a wider row serves the
-        narrower request).  Single scans enumerate no structure and need
-        no rows.
+        meet in the middle: one side's rows reach ⌈``max_rdb_length``/2⌉
+        levels and a per-query ball around each tuple of the other side
+        the other ⌊``max_rdb_length``/2⌋
+        (:meth:`~repro.graph.csr.QueryRows.distance`).  The rows go to
+        the pair op's *shorter* match list — the second on a tie — and
+        the balls to the longer one, so each pair op contributes its
+        shorter list's tuples at radius ⌈``max_rdb_length``/2⌉; network
+        growth prunes against every required tuple's row up to
+        ``max_tuples - 1``.  A tuple both kinds use takes the wider
+        radius (a wider row serves the narrower request).  Single scans
+        enumerate no structure and need no rows.
         """
         wanted: dict = {}
         for source in self.sources:
             if isinstance(source, PairPaths):
                 budget = limits.max_rdb_length
                 radius = budget - budget // 2
-                tids = self.matches[source.second].tuple_ids
+                # The shorter list; ``min`` keeps the second on a tie.
+                tids = min(self.matches[source.second].tuple_ids,
+                           self.matches[source.first].tuple_ids, key=len)
             elif isinstance(source, NetworkGrowth):
                 radius = limits.max_tuples - 1
                 tids = tuple(

@@ -1012,14 +1012,20 @@ class QueryRows:
 
     def distance(self, source: int, target: int, budget: int) -> int:
         """The pair's distance when at most ``budget`` (B), else
-        :data:`_UNREACHABLE`: a ⌊B/2⌋ ball met with a ⌈B/2⌉ row."""
-        key = (source, target, budget)
-        distance = self._pairs.get(key)
+        :data:`_UNREACHABLE`: a ⌊B/2⌋ ball met with a ⌈B/2⌉ row — the
+        target's, unless only the source holds one.  The distance is
+        symmetric, so it is memoised under both orders."""
+        distance = self._pairs.get((source, target, budget))
         if distance is None:
             half = budget // 2
-            distance = self._pairs[key] = FrozenGraph.distance_between(
+            if not _covers(self._radius.get(target, -1), budget - half):
+                if _covers(self._radius.get(source, -1), budget - half):
+                    source, target = target, source
+            distance = FrozenGraph.distance_between(
                 self.ball(source, half), self.row(target, budget - half), budget
             )
+            self._pairs[source, target, budget] = distance
+            self._pairs[target, source, budget] = distance
         return distance
 
 
@@ -1053,15 +1059,16 @@ def csr_enumerate_simple_paths(
 
     # The target's row reaches only ⌈B/2⌉ levels (its widest levels are
     # the last ones, so half the radius is far less than half the sweep).
-    # The start depth is the exact pair distance, met in the middle with
-    # a ⌊B/2⌋ ball around the source; the DFS prunes against the row only
+    # The start depth is the exact pair distance, met in the middle
+    # (:meth:`QueryRows.distance`), and read first: a pair over budget
+    # never sweeps the target's row.  The DFS prunes against the row only
     # while ``remaining`` is within its radius, where it is exact.
     radius = max_edges - max_edges // 2
     rows = rows or QueryRows(cache)
-    to_target = rows.row(dst, radius)
     shortest = rows.distance(src, dst, max_edges)
     if shortest > max_edges:
         return
+    to_target = rows.row(dst, radius)
 
     tid_of = frozen._tid_of
     payload = frozen._payload

@@ -301,6 +301,8 @@ def analyze(
         try:
             with trace_mod.span("plan.compile"):
                 plan, matches = engine._plan(query, top_k, semantics)
+                if engine.adaptive:
+                    plan = engine._ensure_cost_model().annotate(plan)
             version = engine.version
             executor = engine._executor()
             results = executor.run(plan, ranker, limits, pushdown=pushdown)

@@ -1,5 +1,7 @@
 """Unit tests for the KeywordSearchEngine facade."""
 
+import io
+
 import pytest
 
 from repro.core.connections import Connection
@@ -205,6 +207,30 @@ class TestPlanEntryPoint:
     def test_batch_aggregates_stats_and_sharing(self, engine):
         batched = engine.search_batch(["Smith XML", "SMITH xml"])
         assert engine.last_stats.emitted == sum(map(len, batched)) > 0
+
+    def test_only_plan_and_explain_annotate(self, engine, monkeypatch):
+        """Cost estimates are advisory: a search never computes them;
+        ``plan()``, EXPLAIN and the CLI ``plan`` command do."""
+        from repro.cli import main
+        from repro.planner import CostModel
+
+        calls = []
+        annotate = CostModel.annotate
+
+        def counted(self, plan):
+            calls.append(plan.keywords)
+            return annotate(self, plan)
+
+        monkeypatch.setattr(CostModel, "annotate", counted)
+        engine.search("Smith XML", top_k=3)
+        engine.search("Smith XML", semantics="or")
+        assert calls == []
+        assert "units" in engine.plan("Smith XML").describe()
+        assert "est_candidates" in engine.explain_analyze("Smith XML").render()
+        out = io.StringIO()
+        assert main(["plan", "Smith XML"], out=out) == 0
+        assert "units" in out.getvalue()
+        assert len(calls) == 3
 
 
 class TestFastTraversalFlag:

@@ -30,7 +30,7 @@ from repro.core.search import (
     find_connections,
     find_joining_networks,
 )
-from repro.datasets.synthetic import SyntheticConfig, generate_company_like
+from repro.datasets.synthetic import SyntheticConfig, generate_company_like, plant
 from repro.datasets.workload import WorkloadConfig, generate_workload
 from repro.errors import SearchLimitError
 from repro.oracle import search as oracle_search
@@ -211,17 +211,18 @@ class TestBitIdentityCompany:
                 assert actual == expected, (query, semantics)
 
 
+SYNTHETIC = SyntheticConfig(
+    departments=8,
+    projects_per_department=3,
+    employees_per_department=8,
+    works_on_per_employee=3,
+    seed=17,
+)
+
+
 @pytest.fixture(scope="module")
 def synthetic_engine():
-    database = generate_company_like(
-        SyntheticConfig(
-            departments=8,
-            projects_per_department=3,
-            employees_per_department=8,
-            works_on_per_employee=3,
-            seed=17,
-        )
-    )
+    database = generate_company_like(SYNTHETIC)
     workload = generate_workload(
         database,
         WorkloadConfig(queries=4, keywords_per_query=2,
@@ -356,11 +357,17 @@ class TestPairBoundRadius:
             blocks.append(radius)
             return distances_block(self, nodes, radius)
 
-        def exact_bound(self, source, target, limits):
+        def exact_bounds(self, first, second, limits):
             frozen = self.cache.frozen()
-            row, __ = frozen._bfs_row_scalar(frozen.node_of(target))
-            depth = row[frozen.node_of(source)]
-            return depth if depth <= limits.max_rdb_length else _UNREACHABLE
+            for source in first:
+                for target in second:
+                    if source == target:
+                        continue
+                    row, __ = frozen._bfs_row_scalar(frozen.node_of(target))
+                    depth = row[frozen.node_of(source)]
+                    yield source, target, (
+                        depth if depth <= limits.max_rdb_length else _UNREACHABLE
+                    )
 
         def outcome(engine, text, **options):
             results = [
@@ -388,7 +395,7 @@ class TestPairBoundRadius:
                         actual = outcome(csr, text, **options)
                         expected = outcome(static, text, **options)
                         with monkeypatch.context() as patch:
-                            patch.setattr(Executor, "_unit_distance", exact_bound)
+                            patch.setattr(Executor, "_pair_bounds", exact_bounds)
                             oracle = outcome(exact, text, **options)
                         assert actual[0] == expected[0] == oracle[0] == [
                             (r.render(), r.score, r.rank)
@@ -404,6 +411,64 @@ class TestPairBoundRadius:
             }
         assert blocks and set(blocks) == {2, 3}
         assert pruned, "no pair was proven out of budget"
+
+
+@pytest.fixture(scope="module")
+def planted_synthetic():
+    """The synthetic company database with a rare keyword in two
+    departments and a common one in five employees."""
+    database = generate_company_like(SYNTHETIC)
+    plant(database, "kwrare", "DEPARTMENT", "D_DESCRIPTION", 2, seed=1)
+    plant(database, "kwcommon", "EMPLOYEE", "L_NAME", 5, seed=2)
+    return database
+
+
+class TestPairSideRule:
+    @pytest.mark.parametrize("text", ["kwrare kwcommon", "kwcommon kwrare"])
+    def test_rows_go_to_the_shorter_match_list(
+        self, planted_synthetic, monkeypatch, text
+    ):
+        """A pair op prefetches its ⌈B/2⌉ rows for the shorter match
+        list's tuples only, whichever keyword comes first; ``pruned``
+        equals the pair bounds read off unbounded rows, and the answers
+        equal :func:`repro.oracle.search`'s."""
+        from repro.graph.csr import FrozenGraph
+
+        database = planted_synthetic
+        blocks = []
+        distances_block = FrozenGraph.distances_block
+
+        def counted_block(self, nodes, radius=None):
+            blocks.append((sorted(nodes), radius))
+            return distances_block(self, nodes, radius)
+
+        monkeypatch.setattr(FrozenGraph, "distances_block", counted_block)
+        for budget in (4, 5):
+            engine = KeywordSearchEngine(database, result_cache_entries=0)
+            frozen = engine.traversal_cache.frozen()
+            first, second = (match.tuple_ids for match in engine.match(text))
+            shorter = min(second, first, key=len)
+            options = dict(top_k=3, limits=SearchLimits(max_rdb_length=budget))
+            blocks.clear()
+            results = engine.search(text, **options)
+            assert blocks == [
+                (sorted(map(frozen.node_of, shorter)), budget - budget // 2)
+            ]
+            exact = {
+                tid: frozen._bfs_row_scalar(frozen.node_of(tid))[0]
+                for tid in second
+            }
+            assert engine.last_stats.pruned == sum(
+                exact[target][frozen.node_of(source)] > budget
+                for source in first
+                for target in second
+                if source != target
+            )
+            assert [(r.render(), r.score) for r in results] == [
+                (r.render(), r.score)
+                for r in oracle_search(database, text, **options)
+            ]
+        assert len(first) != len(second)
 
 
 class TestStats:

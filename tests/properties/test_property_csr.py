@@ -25,6 +25,7 @@ from repro.datasets.synthetic import SyntheticConfig, generate_company_like, pla
 from repro.graph.csr import (
     _UNREACHABLE,
     FrozenGraph,
+    QueryRows,
     _held_bytes,
     _index_nodes,
     csr_enumerate_joining_trees,
@@ -376,6 +377,60 @@ class TestPairBoundMeetsInTheMiddle:
         misses = live.misses
         _assert_pairs_meet_in_the_middle(live)
         assert live.misses == misses  # every ⌈B/2⌉ request was a wider row
+
+
+def _assert_query_rows_symmetric(cache):
+    """For budgets B = 1–8, in mixed order, and every live pair (a, b),
+    with every other node's ⌈B/2⌉ row prefetched,
+    ``QueryRows.distance(a, b, B)`` and ``distance(b, a, B)`` — each asked
+    first in its own view — equal the unbounded oracle row clipped at B,
+    whichever end holds the row (or a narrower or wider one)."""
+    live = cache.frozen()
+    alive = [node for node in range(live.capacity) if live._alive[node]]
+    exact = {node: live._bfs_row_scalar(node)[0] for node in alive}
+    forward, backward = QueryRows(cache), QueryRows(cache)
+    for budget in (5, 2, 8, 3, 1, 6, 4, 7):
+        for rows in (forward, backward):
+            rows.prefetch(alive[::2], budget - budget // 2)
+        for a in alive:
+            for b in alive:
+                depth = exact[a][b]
+                expected = depth if depth <= budget else _UNREACHABLE
+                assert forward.distance(a, b, budget) == expected
+                assert backward.distance(b, a, budget) == expected
+                assert forward.distance(b, a, budget) == expected
+
+
+class TestQueryRowsDistanceIsSymmetric:
+    """A view's pair distance does not depend on the order it is asked
+    in nor on which end holds the ⌈B/2⌉ row — on fresh graphs and after
+    changesets (tombstoned and appended nodes, override rows, held rows
+    re-validated when the view reads them)."""
+
+    @relaxed
+    @given(configs)
+    def test_fresh_graphs(self, config):
+        _assert_query_rows_symmetric(
+            TraversalCache(DataGraph(generate_company_like(config)))
+        )
+
+    @relaxed
+    @given(
+        configs,
+        st.lists(st.integers(min_value=0, max_value=1 << 16),
+                 min_size=1, max_size=5),
+    )
+    def test_after_changesets(self, config, salts):
+        database = generate_company_like(config)
+        replay = generate_company_like(config)
+        cache = TraversalCache(DataGraph(database))
+        live = cache.frozen()
+        for batch in _structural_mutations(replay, salts):
+            for node in range(live.capacity):
+                if live._alive[node]:
+                    live.distances(node, radius=node % 4)
+            cache.apply_changeset(apply_to_database(database, batch))
+        _assert_query_rows_symmetric(cache)
 
 
 def _assert_log_bounded(live):
