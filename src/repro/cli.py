@@ -33,7 +33,6 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.baselines.discover import find_mtjnts
 from repro.core.engine import KeywordSearchEngine
 from repro.core.ranking import (
     ClosenessRanker,
@@ -791,6 +790,8 @@ def _cmd_analyze(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_mtjnt(args: argparse.Namespace, out) -> int:
+    from repro.baselines.discover import find_mtjnts
+
     engine = KeywordSearchEngine(_load_database(args.db))
     matches = engine.match(args.query)
     networks = find_mtjnts(

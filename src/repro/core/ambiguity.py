@@ -13,6 +13,10 @@ Two instance-level refinements of the schema-level close/loose verdict:
   transitive-N:M joint.  A joint with fan-in ``a`` and fan-out ``b``
   contributes ``a * b`` alternative endpoint pairs; the factor is the
   product over all loose joints (1 for close connections).
+
+Both read the compiled graph of the connection's traversal cache
+(:meth:`~repro.graph.csr.FrozenGraph.neighbours` and the CSR path
+kernel), never the networkx multigraph.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from typing import Optional
 from repro.core.associations import loose_joints
 from repro.core.connections import ConceptualStep, Connection
 from repro.errors import SearchLimitError
-from repro.graph.data_graph import DataGraph
-from repro.graph.traversal import enumerate_simple_paths
+from repro.graph.csr import FrozenGraph, csr_enumerate_simple_paths
+from repro.graph.fast_traversal import TraversalCache
 from repro.relational.database import TupleId
 
 __all__ = [
@@ -35,14 +39,14 @@ __all__ = [
 
 
 def _related_count(
-    data_graph: DataGraph,
+    frozen: FrozenGraph,
     anchor: TupleId,
     step: ConceptualStep,
     side_relation: str,
 ) -> int:
     """Number of tuples of ``side_relation`` related to ``anchor`` like ``step``.
 
-    For a plain FK step this counts data-graph neighbours of ``anchor`` via
+    For a plain FK step this counts graph neighbours of ``anchor`` via
     the step's foreign key that live in ``side_relation``; for a collapsed
     ``N:M`` step it counts distinct ``side_relation`` tuples reachable
     through tuples of the step's middle relation.
@@ -50,16 +54,16 @@ def _related_count(
     if step.middle is not None:
         middle_relation = step.middle.relation
         related: set[TupleId] = set()
-        for neighbour, __, __ in data_graph.neighbours(anchor):
+        for neighbour, __, __ in frozen.neighbours(anchor):
             if neighbour.relation != middle_relation:
                 continue
-            for other, __, __ in data_graph.neighbours(neighbour):
+            for other, __, __ in frozen.neighbours(neighbour):
                 if other.relation == side_relation and other != anchor:
                     related.add(other)
         return len(related)
     fk_name = step.edge_steps[0].edge_key
     related = set()
-    for neighbour, key, __ in data_graph.neighbours(anchor):
+    for neighbour, key, __ in frozen.neighbours(anchor):
         if key == fk_name and neighbour.relation == side_relation:
             related.add(neighbour)
     return len(related)
@@ -77,9 +81,9 @@ def joint_fan_counts(
     step_in = steps[joint_position]
     step_out = steps[joint_position + 1]
     anchor = step_in.target
-    data_graph = connection.data_graph
-    fan_in = _related_count(data_graph, anchor, step_in, step_in.source.relation)
-    fan_out = _related_count(data_graph, anchor, step_out, step_out.target.relation)
+    frozen = connection.cache.frozen()
+    fan_in = _related_count(frozen, anchor, step_in, step_in.source.relation)
+    fan_out = _related_count(frozen, anchor, step_out, step_out.target.relation)
     return fan_in, fan_out
 
 
@@ -98,7 +102,7 @@ def ambiguity_factor(connection: Connection) -> int:
 
 
 def close_connection_exists(
-    data_graph: DataGraph,
+    cache: TraversalCache,
     source: TupleId,
     target: TupleId,
     max_rdb_length: int,
@@ -110,10 +114,10 @@ def close_connection_exists(
     first whose conceptual classification is close.
     """
     try:
-        for steps in enumerate_simple_paths(
-            data_graph, source, target, max_rdb_length, max_paths=max_paths
+        for steps in csr_enumerate_simple_paths(
+            cache, source, target, max_rdb_length, max_paths=max_paths
         ):
-            if Connection(data_graph, steps).verdict().is_close:
+            if Connection(cache, steps).verdict().is_close:
                 return True
     except SearchLimitError:
         # The budget guards pathological graphs; treat as "not shown close".
@@ -137,7 +141,7 @@ def is_instance_close(
     if max_rdb_length is None:
         max_rdb_length = connection.rdb_length
     return close_connection_exists(
-        connection.data_graph,
+        connection.cache,
         connection.source,
         connection.target,
         max_rdb_length,

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from repro.core.associations import AssociationVerdict, classify_cardinalities
 from repro.er.cardinality import Cardinality
 from repro.errors import PathError
-from repro.graph.data_graph import DataGraph
+from repro.graph.fast_traversal import TraversalCache
 from repro.graph.traversal import TuplePathStep
 from repro.relational.database import TupleId
 
@@ -57,11 +57,17 @@ class ConceptualStep:
 
 
 class Connection:
-    """A path of joined tuples between two keyword-matching endpoints."""
+    """A path of joined tuples between two keyword-matching endpoints.
+
+    ``cache`` is the :class:`TraversalCache` the path was found on (or
+    built from): its data graph reads the schema and renders the path,
+    and its compiled graph answers the instance-level questions of
+    :mod:`repro.core.ambiguity`.
+    """
 
     def __init__(
         self,
-        data_graph: DataGraph,
+        cache: TraversalCache,
         steps: Sequence[TuplePathStep],
         keyword_matches: Optional[Mapping[TupleId, frozenset[str]]] = None,
     ) -> None:
@@ -74,7 +80,7 @@ class Connection:
                     after=str(previous.target),
                     next_source=str(step.source),
                 )
-        self._data_graph = data_graph
+        self.cache = cache
         self._steps = tuple(steps)
         self.keyword_matches: dict[TupleId, frozenset[str]] = {
             tid: frozenset(keywords)
@@ -88,21 +94,27 @@ class Connection:
     @classmethod
     def from_tuple_ids(
         cls,
-        data_graph: DataGraph,
+        cache: TraversalCache,
         tids: Sequence[TupleId],
         keyword_matches: Optional[Mapping[TupleId, frozenset[str]]] = None,
     ) -> "Connection":
         """Build a connection from consecutive tuple ids.
 
-        Every consecutive pair must be joined by exactly one stored edge;
-        parallel edges make the path ambiguous and raise
-        :class:`~repro.errors.PathError` (build from explicit steps then).
+        Every consecutive pair must be joined by exactly one stored edge
+        of the compiled graph; parallel edges make the path ambiguous and
+        raise :class:`~repro.errors.PathError` (build from explicit steps
+        then).
         """
         if len(tids) < 2:
             raise PathError("a connection needs at least two tuples")
+        frozen = cache.frozen()
         steps = []
         for source, target in zip(tids, tids[1:]):
-            candidates = data_graph.edges_between(source, target)
+            candidates = [
+                (key, data)
+                for other, key, data in frozen.neighbours(source)
+                if other == target
+            ]
             if not candidates:
                 raise PathError(
                     "tuples are not joined", source=str(source), target=str(target)
@@ -113,16 +125,13 @@ class Connection:
                     source=str(source),
                     target=str(target),
                 )
-            data = candidates[0]
-            steps.append(
-                TuplePathStep(source, target, data["foreign_key"].name, data)
-            )
-        return cls(data_graph, steps, keyword_matches)
+            steps.append(TuplePathStep(source, target, *candidates[0]))
+        return cls(cache, steps, keyword_matches)
 
     @classmethod
     def from_labels(
         cls,
-        data_graph: DataGraph,
+        cache: TraversalCache,
         labels: Sequence[str],
         keyword_matches: Optional[Mapping[str, Iterable[str]]] = None,
     ) -> "Connection":
@@ -130,7 +139,7 @@ class Connection:
 
         ``keyword_matches`` maps labels to keyword iterables.
         """
-        database = data_graph.database
+        database = cache.data_graph.database
         tids = [database.by_label(label).tid for label in labels]
         matches = None
         if keyword_matches:
@@ -138,7 +147,7 @@ class Connection:
                 database.by_label(label).tid: frozenset(keywords)
                 for label, keywords in keyword_matches.items()
             }
-        return cls.from_tuple_ids(data_graph, tids, matches)
+        return cls.from_tuple_ids(cache, tids, matches)
 
     # ------------------------------------------------------------------
     # structure
@@ -146,10 +155,6 @@ class Connection:
     @property
     def steps(self) -> tuple[TuplePathStep, ...]:
         return self._steps
-
-    @property
-    def data_graph(self) -> DataGraph:
-        return self._data_graph
 
     def tuple_ids(self) -> tuple[TupleId, ...]:
         """Tuples on the path, endpoints included, in order."""
@@ -185,8 +190,7 @@ class Connection:
         """The connection after collapsing interior middle tuples."""
         if self._conceptual is not None:
             return self._conceptual
-        graph = self._data_graph
-        tids = self.tuple_ids()
+        graph = self.cache.data_graph
         steps: list[ConceptualStep] = []
         index = 0
         edge_count = len(self._steps)
@@ -237,7 +241,7 @@ class Connection:
     # rendering (paper notation)
     # ------------------------------------------------------------------
     def _label(self, tid: TupleId) -> str:
-        record = self._data_graph.database.tuple(tid)
+        record = self.cache.data_graph.database.tuple(tid)
         keywords = self.keyword_matches.get(tid)
         if keywords:
             rendered = ",".join(sorted(keywords))
@@ -257,7 +261,7 @@ class Connection:
         """
         parts = [self._label(self._steps[0].source)]
         for step in self._steps:
-            cardinality = self._data_graph.edge_cardinality(
+            cardinality = self.cache.data_graph.edge_cardinality(
                 step.edge_data, step.source
             )
             parts.append(str(cardinality))

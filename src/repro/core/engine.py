@@ -23,8 +23,8 @@ the resolved matches into a :class:`~repro.core.plan.QueryPlan` and a
 incrementally, and ``search_batch`` answers a repeated text once.
 
 The engine is live-updatable: :meth:`apply` routes a validated mutation
-batch through :mod:`repro.live`, patching the index, graph and caches
-in place and invalidating exactly the affected entries of the
+batch through :mod:`repro.live`, patching the index, compiled graph and
+caches in place and invalidating exactly the affected entries of the
 dependency-tracked answer cache (:attr:`result_cache`); results stay
 bit-identical to a freshly rebuilt engine, and :meth:`rebuild` remains
 the escape hatch.
@@ -646,8 +646,9 @@ class KeywordSearchEngine:
     def _maintain(self, changeset: ChangeSet) -> None:
         """Bring every derived structure in step with a non-empty
         changeset the database already holds — the one maintenance
-        sequence of a live ``apply`` and of WAL replay: patch the index,
-        data graph and traversal cache in place, drop the answer-cache
+        sequence of a live ``apply`` and of WAL replay: patch the index
+        and traversal cache in place, drop any multigraph the data graph
+        built (an oracle-side read rebuilds it), drop the answer-cache
         entries the changeset may have made stale, forget the instance
         statistics."""
         with obs_trace.span("live.apply"):
@@ -655,9 +656,9 @@ class KeywordSearchEngine:
                 changeset,
                 self.database,
                 index=self.index,
-                data_graph=self.data_graph,
                 traversal_cache=self.traversal_cache,
             )
+            self.data_graph.invalidate()
         if len(self.result_cache):
             # With no live entries there is nothing to invalidate.  The
             # taint sweep runs only if a surviving entry needs it, and

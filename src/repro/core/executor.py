@@ -469,7 +469,7 @@ class Executor:
                 for steps in self._path_stream(source, target, limits):
                     tids = [steps[0].source] + [s.target for s in steps]
                     yield Connection(
-                        self.data_graph, steps, _keyword_map(pair, tids)
+                        self.cache, steps, _keyword_map(pair, tids)
                     )
 
     def _network_assignments(
@@ -751,7 +751,7 @@ class _PairState:
         heapq.heappush(heap, (len(steps), index, None, stream))
         tids = [steps[0].source] + [s.target for s in steps]
         answer = Connection(
-            self._executor.data_graph, steps, _keyword_map(self._matches, tids)
+            self._executor.cache, steps, _keyword_map(self._matches, tids)
         )
         return answer, self._executor._score(
             answer, self._ranker, self._coverage_major

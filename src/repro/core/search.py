@@ -195,7 +195,7 @@ class JoiningNetwork:
                 steps.append(step)
                 right = step.source
             steps.reverse()
-            paths.append(Connection(self.cache.data_graph, steps))
+            paths.append(Connection(self.cache, steps))
         self._paths = tuple(paths)
         return self._paths
 
@@ -305,9 +305,7 @@ def find_connections(
             )
             for steps in paths:
                 tids = [steps[0].source] + [s.target for s in steps]
-                yield Connection(
-                    data_graph, steps, _keyword_map(matches, tids)
-                )
+                yield Connection(cache, steps, _keyword_map(matches, tids))
 
 
 def find_joining_networks(

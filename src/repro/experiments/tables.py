@@ -204,10 +204,10 @@ def paper_connections(
         for number, (rendered, __, __) in enumerate(_PAPER_TABLE2[:7])
     }
     connections[8] = Connection.from_labels(
-        engine.data_graph, ["d1", "e3", "t1"], {"t1": ["Alice"]}
+        engine.traversal_cache, ["d1", "e3", "t1"], {"t1": ["Alice"]}
     )
     connections[9] = Connection.from_labels(
-        engine.data_graph,
+        engine.traversal_cache,
         ["d2", "p2", "w_f3", "e3", "t1"],
         {"t1": ["Alice"]},
     )

@@ -63,7 +63,7 @@ from array import array
 from collections import OrderedDict, defaultdict
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
-from repro.errors import SearchLimitError
+from repro.errors import PathError, SearchLimitError
 from repro.graph.data_graph import DataGraph
 from repro.graph.traversal import TuplePathStep, _sort_key
 from repro.obs import metrics as obs_metrics
@@ -489,6 +489,20 @@ class FrozenGraph:
             "foreign_key": self._fk_of[key],
             "referencing": self._tid_of[owner if ref else other],
         }
+
+    def neighbours(self, tid: TupleId) -> Iterator[tuple[TupleId, str, dict]]:
+        """Yield ``(other, edge key, edge data)`` for each entry of
+        ``tid``'s row, in expansion order; :class:`PathError` for an
+        absent or tombstoned tuple."""
+        node = self.node_of(tid)
+        if node is None:
+            raise PathError("tuple is not in the data graph", tid=str(tid))
+        row_targets, row_keys, row_refs, start, end = self._row(node)
+        for at in range(start, end):
+            other, key = row_targets[at], row_keys[at]
+            yield self._tid_of[other], key, self._payload(
+                node, other, key, row_refs[at]
+            )
 
     def neighbour_ints(self, node: int) -> tuple[int, ...]:
         """Distinct neighbour ints of one node, in expansion order."""

@@ -10,22 +10,23 @@ reference contributes one undirected edge carrying:
     the :class:`TupleId` on the FK's source side — this orients the edge
     semantically and determines its cardinality when read in a direction.
 
-The networkx multigraph is built on first use and serves only the
-oracles: :mod:`repro.oracle`, the baselines, instance-level
-ambiguity and :meth:`~repro.core.connections.Connection.from_tuple_ids`.
-The engine reads the compiled graph
-(:class:`~repro.graph.csr.FrozenGraph`) for every query shape, and
+The networkx multigraph is a read-only value for the oracles —
+:mod:`repro.oracle`, the baselines and tests — built from the current
+database on first use and never patched: a write drops it
+(:meth:`DataGraph.invalidate`) and the next read builds it again.  The
+engine reads the compiled graph (:class:`~repro.graph.csr.FrozenGraph`)
+for every query shape, instance ambiguity and closeness included, and
 :meth:`DataGraph.is_middle` / :meth:`DataGraph.edge_cardinality` read
 only the schema.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.er.cardinality import Cardinality
 from repro.errors import PathError
-from repro.relational.database import Database, Tuple, TupleId
+from repro.relational.database import Database, TupleId
 from repro.relational.schema import ForeignKey
 
 if TYPE_CHECKING:
@@ -65,53 +66,18 @@ class DataGraph:
 
     The networkx multigraph builds on first :attr:`graph` access: the
     CSR kernels compile, answer every query shape, patch and save
-    without it (or networkx); :mod:`repro.oracle`, the baselines and
-    instance-level ambiguity trigger the :func:`build_tuple_graph` pass.
+    without it (or networkx); :mod:`repro.oracle` and the baselines
+    trigger the :func:`build_tuple_graph` pass.
     """
 
     def __init__(self, database: Database) -> None:
         self.database = database
         self._materialized: Optional[nx.MultiGraph] = None
 
-    # ------------------------------------------------------------------
-    # incremental maintenance
-    # ------------------------------------------------------------------
-    # Unmaterialised, the patch methods do nothing: the deferred build
-    # reads the *live* database, which the batch already updated, so
-    # building later reaches the state patching would.
-    def add_tuple_node(self, record: Tuple) -> None:
-        """Add one tuple as a node (exactly as construction would)."""
-        if self._materialized is not None:
-            self._materialized.add_node(record.tid, relation=record.relation)
-
-    def remove_tuple_node(self, tid: TupleId) -> None:
-        """Remove one tuple's node together with any incident edges."""
-        graph = self._materialized
-        if graph is not None and tid in graph:
-            graph.remove_node(tid)
-
-    def add_fk_edge(
-        self, referencing: TupleId, referenced: TupleId, foreign_key: ForeignKey
-    ) -> None:
-        """Add the edge of one stored foreign-key reference."""
-        if self._materialized is not None:
-            self._materialized.add_edge(
-                referencing,
-                referenced,
-                key=foreign_key.name,
-                foreign_key=foreign_key,
-                referencing=referencing,
-            )
-
-    def remove_fk_edge(
-        self, referencing: TupleId, referenced: TupleId, foreign_key_name: str
-    ) -> None:
-        """Remove one foreign-key edge (no-op when absent)."""
-        graph = self._materialized
-        if graph is not None and graph.has_edge(
-            referencing, referenced, key=foreign_key_name
-        ):
-            graph.remove_edge(referencing, referenced, key=foreign_key_name)
+    def invalidate(self) -> None:
+        """Drop the multigraph (call after database changes); the next
+        :attr:`graph` access builds it from the live database."""
+        self._materialized = None
 
     # ------------------------------------------------------------------
     # basic structure
@@ -124,39 +90,24 @@ class DataGraph:
             self._materialized = build_tuple_graph(self.database)
         return self._materialized
 
-    _graph = graph
-
     @property
     def materialized(self) -> bool:
         """True once the networkx graph was actually built."""
         return self._materialized is not None
 
     def number_of_nodes(self) -> int:
-        return self._graph.number_of_nodes()
+        return self.graph.number_of_nodes()
 
     def number_of_edges(self) -> int:
-        return self._graph.number_of_edges()
+        return self.graph.number_of_edges()
 
     def has_node(self, tid: TupleId) -> bool:
-        return tid in self._graph
-
-    def neighbours(self, tid: TupleId) -> Iterator[tuple[TupleId, str, dict]]:
-        """Yield ``(other, edge_key, edge_data)`` for incident edges."""
-        if tid not in self._graph:
-            raise PathError("tuple is not in the data graph", tid=str(tid))
-        for __, other, key, data in self._graph.edges(tid, keys=True, data=True):
-            yield other, key, data
+        return tid in self.graph
 
     def degree(self, tid: TupleId) -> int:
-        if tid not in self._graph:
+        if tid not in self.graph:
             raise PathError("tuple is not in the data graph", tid=str(tid))
-        return self._graph.degree(tid)
-
-    def edges_between(self, left: TupleId, right: TupleId) -> list[dict]:
-        """Edge data dicts of every edge joining two tuples (may be empty)."""
-        if not self._graph.has_edge(left, right):
-            return []
-        return list(self._graph[left][right].values())
+        return self.graph.degree(tid)
 
     def edge_cardinality(self, edge_data: dict, read_from: TupleId) -> Cardinality:
         """Cardinality of an edge read from one of its endpoints.

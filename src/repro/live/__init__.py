@@ -13,8 +13,8 @@ safely updatable:
 * :mod:`repro.live.maintain` — incremental maintainers that patch the
   derived structures in place from a changeset: the inverted index (its
   ``add_tuple`` / ``remove_tuple`` hooks keep posting order identical to
-  a fresh build), the data graph (node/edge patching, once built) and
-  the traversal cache (compiled rows patched from the edge deltas) —
+  a fresh build) and the traversal cache (compiled rows patched from
+  the edge deltas) —
   plus :func:`~repro.live.maintain.affected_tuples`, the ``{node int:
   depth}`` ball around a changeset's structural seeds.
 * :mod:`repro.live.result_cache` — a dependency-tracked LRU answer
@@ -45,7 +45,6 @@ from repro.live.changes import (
 from repro.live.maintain import (
     affected_tuples,
     apply_changeset,
-    apply_to_graph,
     apply_to_index,
 )
 from repro.live.result_cache import CacheEntry, CacheStats, ResultCache
@@ -62,7 +61,6 @@ __all__ = [
     "mutation_from_json",
     "affected_tuples",
     "apply_changeset",
-    "apply_to_graph",
     "apply_to_index",
     "CacheEntry",
     "CacheStats",

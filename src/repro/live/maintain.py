@@ -7,11 +7,13 @@ place* instead of rebuilding it:
 * :func:`apply_to_index` — drops postings of removed/updated tuples and
   (re-)indexes updated/added ones through the inverted index's
   incremental hooks; posting order stays identical to a fresh build.
-* :func:`apply_to_graph` — removes/adds nodes and FK edges on the data
-  graph's networkx multigraph exactly as construction would (a no-op
-  until something built it).
 * :func:`apply_to_traversal_cache` — patches the cache's compiled CSR
   graph in place (tombstone / append / per-row edge deltas).
+
+The networkx multigraph is not maintained: it serves only the oracles,
+and the engine drops it on every write
+(:meth:`~repro.graph.data_graph.DataGraph.invalidate`) so the next
+oracle-side read builds it from the patched database.
 
 :func:`affected_tuples` computes the invalidation frontier for the
 answer cache: the depth-labelled ball of node ints around a changeset's
@@ -27,7 +29,6 @@ networkx.
 
 from __future__ import annotations
 
-from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
 from repro.live.changes import ChangeSet
 from repro.relational.database import Database
@@ -35,7 +36,6 @@ from repro.relational.index import InvertedIndex
 
 __all__ = [
     "apply_to_index",
-    "apply_to_graph",
     "apply_to_traversal_cache",
     "affected_tuples",
     "apply_changeset",
@@ -61,26 +61,6 @@ def apply_to_index(
     # consecutive tail positions in store order, no relation rescanned.
     for records in changeset.appended(database).values():
         index.append_tuples(records)
-
-
-def apply_to_graph(
-    data_graph: DataGraph, database: Database, changeset: ChangeSet
-) -> None:
-    """Patch the data graph in place from a changeset.
-
-    Edges are removed before their endpoints disappear and added after
-    both endpoints exist, so the graph never holds a dangling edge.
-    """
-    for edge in changeset.edges_removed:
-        data_graph.remove_fk_edge(
-            edge.referencing, edge.referenced, edge.foreign_key.name
-        )
-    for tid in changeset.tuples_removed:
-        data_graph.remove_tuple_node(tid)
-    for tid in changeset.tuples_added:
-        data_graph.add_tuple_node(database.tuple(tid))
-    for edge in changeset.edges_added:
-        data_graph.add_fk_edge(edge.referencing, edge.referenced, edge.foreign_key)
 
 
 def apply_to_traversal_cache(cache: TraversalCache, changeset: ChangeSet) -> None:
@@ -126,13 +106,10 @@ def apply_changeset(
     changeset: ChangeSet,
     database: Database,
     index: InvertedIndex | None = None,
-    data_graph: DataGraph | None = None,
     traversal_cache: TraversalCache | None = None,
 ) -> None:
     """Apply one changeset to whichever derived structures are given."""
     if index is not None:
         apply_to_index(index, database, changeset)
-    if data_graph is not None:
-        apply_to_graph(data_graph, database, changeset)
     if traversal_cache is not None:
         apply_to_traversal_cache(traversal_cache, changeset)

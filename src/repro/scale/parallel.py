@@ -101,7 +101,7 @@ def revive_result(cache, portable, score, rank) -> SearchResult:
         answer = SingleTupleAnswer(cache.data_graph, portable[1], portable[2])
     elif kind == "connection":
         steps = [TuplePathStep(*step) for step in portable[1]]
-        answer = Connection(cache.data_graph, steps, portable[2])
+        answer = Connection(cache, steps, portable[2])
     else:
         answer = JoiningNetwork(cache, portable[1], portable[2])
     return SearchResult(answer=answer, score=score, rank=rank)

@@ -37,10 +37,10 @@ Restoration is lazy wherever queries and replayed WAL records allow it:
   touch — a write to a still-encoded token is queued and folded on the
   token's first read
   (:class:`~repro.relational.index._LazyPostings`);
-* the networkx tuple graph — only needed by :mod:`repro.oracle`, the
-  baselines and instance-level ambiguity — builds on first demand
-  (:class:`~repro.graph.data_graph.DataGraph` is lazy); a pure-CSR
-  path query never builds it.
+* the networkx tuple graph — only needed by :mod:`repro.oracle` and
+  the baselines — builds on first demand
+  (:class:`~repro.graph.data_graph.DataGraph` is lazy); no query,
+  ranker, explanation or write of an opened engine builds it.
 
 The snapshot stores the engine's live-update ``version``; applying
 mutation batches to an opened engine bumps it through the ordinary

@@ -12,6 +12,7 @@ from repro.datasets.company import (
 )
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like, plant
 from repro.graph.data_graph import DataGraph
+from repro.graph.fast_traversal import TraversalCache
 from repro.graph.schema_graph import SchemaGraph
 from repro.relational.index import InvertedIndex
 
@@ -37,6 +38,12 @@ def company_db():
 @pytest.fixture
 def data_graph(company_db):
     return DataGraph(company_db)
+
+
+@pytest.fixture
+def traversal_cache(data_graph):
+    """The compiled-graph cache connections are built on."""
+    return TraversalCache(data_graph)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from repro.core.ranking import (
 
 
 @pytest.fixture
-def paper_seven(data_graph):
+def paper_seven(traversal_cache):
     """Connections 1-7 of Table 2 keyed by row number."""
     labels = {
         1: ["d1", "e1"],
@@ -26,7 +26,7 @@ def paper_seven(data_graph):
         7: ["d2", "p3", "w_f2", "e2"],
     }
     return {
-        number: Connection.from_labels(data_graph, row)
+        number: Connection.from_labels(traversal_cache, row)
         for number, row in labels.items()
     }
 

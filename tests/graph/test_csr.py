@@ -423,7 +423,8 @@ def _mutation_rounds():
 
 def _all_enumerations(cache, max_edges=4, max_tuples=4):
     """Materialise paths and trees over a node sample (order included)."""
-    nodes = sorted(cache.data_graph.graph.nodes, key=str)
+    database = cache.data_graph.database
+    nodes = sorted((record.tid for record in database.all_tuples()), key=str)
     out = []
     for source, target in itertools.permutations(nodes[::3], 2):
         out.append(
@@ -448,9 +449,7 @@ class TestIncrementalPatching:
         _all_enumerations(cache)  # warm distance rows
         for batch in _mutation_rounds():
             changeset = apply_to_database(company_db, batch)
-            apply_changeset(
-                changeset, company_db, data_graph=graph, traversal_cache=cache
-            )
+            apply_changeset(changeset, company_db, traversal_cache=cache)
             assert cache.frozen() is frozen  # patched, not recompiled
             patched = _all_enumerations(cache)
             fresh = _all_enumerations(TraversalCache(graph))
@@ -468,18 +467,14 @@ class TestIncrementalPatching:
             [Insert("DEPENDENT", {"ID": "z9", "ESSN": "e1",
                                   "DEPENDENT_NAME": "Ada"})],
         )
-        apply_changeset(
-            changeset, company_db, data_graph=graph, traversal_cache=cache
-        )
+        apply_changeset(changeset, company_db, traversal_cache=cache)
         assert frozen.capacity == before + 1
         assert frozen._ints_sorted is False
         new_node = frozen.node_of(tid("DEPENDENT", "z9"))
         assert new_node == before
         assert frozen.tid_of(new_node) == tid("DEPENDENT", "z9")
         changeset = apply_to_database(company_db, [Delete(tid("DEPENDENT", "z9"))])
-        apply_changeset(
-            changeset, company_db, data_graph=graph, traversal_cache=cache
-        )
+        apply_changeset(changeset, company_db, traversal_cache=cache)
         assert frozen.node_of(tid("DEPENDENT", "z9")) is None
         assert frozen.live_count() == before
         # A tombstoned tuple enumerates nothing, exactly like the
@@ -503,7 +498,6 @@ class TestIncrementalPatching:
             [Insert("DEPENDENT", {"ID": "z8", "ESSN": "e1",
                                   "DEPENDENT_NAME": "Eve"})],
         )
-        apply_changeset(changeset, company_db, data_graph=graph)
         dropped = frozen.apply_changeset(changeset)
         assert dropped == 1
         assert isolated in frozen._distances
@@ -519,7 +513,6 @@ class TestIncrementalPatching:
             [Insert("DEPENDENT", {"ID": "z7", "ESSN": "e1",
                                   "DEPENDENT_NAME": "Kim"})],
         )
-        apply_changeset(changeset, company_db, data_graph=graph)
         frozen.apply_changeset(changeset)
         assert frozen.compactions == 1
         assert not frozen._override
@@ -848,9 +841,7 @@ class TestBoundedRowsUnderPatching:
             [Insert("DEPENDENT", {"ID": "z7", "ESSN": "e2",
                                   "DEPENDENT_NAME": "Ida"})],
         )
-        apply_changeset(
-            changeset, company_db, data_graph=graph, traversal_cache=cache
-        )
+        apply_changeset(changeset, company_db, traversal_cache=cache)
         held = frozen._distances[frozen.node_of(target)]
         assert held[0] is levels  # survived
         # Re-stamped at the new capacity when it is next served, not before.
@@ -878,9 +869,7 @@ class TestBoundedRowsUnderPatching:
             company_db,
             [Delete(tid("WORKS_FOR", "e4", "p3"))],
         )
-        apply_changeset(
-            changeset, company_db, data_graph=graph, traversal_cache=cache
-        )
+        apply_changeset(changeset, company_db, traversal_cache=cache)
         assert frozen.distances(d1, radius=2) == bounded
         assert cache.hits == hits + 1
         assert _all_enumerations(cache) == _all_enumerations(
@@ -893,9 +882,7 @@ class TestBoundedRowsUnderPatching:
             [Insert("DEPENDENT", {"ID": "z8", "ESSN": "e1",
                                   "DEPENDENT_NAME": "Eve"})],
         )
-        apply_changeset(
-            changeset, company_db, data_graph=graph, traversal_cache=cache
-        )
+        apply_changeset(changeset, company_db, traversal_cache=cache)
         misses = cache.misses
         assert frozen._cached_row(d1, 2) is None
         assert d1 not in frozen._distances
@@ -930,9 +917,7 @@ class TestBoundedRowsUnderPatching:
                 [Insert("DEPENDENT", {"ID": f"k{number}", "ESSN": "e4",
                                       "DEPENDENT_NAME": "Kay"})],
             )
-            apply_changeset(
-                changeset, company_db, data_graph=graph, traversal_cache=cache
-            )
+            apply_changeset(changeset, company_db, traversal_cache=cache)
         e4 = frozen.node_of(tid("EMPLOYEE", "e4"))
         # Each batch logs e4 and its appended dependent, past the row's end.
         assert frozen._change_log == [
@@ -960,9 +945,7 @@ class TestBoundedRowsUnderPatching:
         # The next patch logs its own nodes, and only those.
         k0 = frozen.node_of(tid("DEPENDENT", "k0"))
         changeset = apply_to_database(company_db, [Delete(tid("DEPENDENT", "k0"))])
-        apply_changeset(
-            changeset, company_db, data_graph=graph, traversal_cache=cache
-        )
+        apply_changeset(changeset, company_db, traversal_cache=cache)
         assert frozen._log_start == frozen._distances[d1][2]
         assert frozen._change_log == [e4, k0]
 
@@ -1007,9 +990,7 @@ class TestBoundedRowsUnderPatching:
                 [Insert("DEPENDENT", {"ID": f"k{batches}", "ESSN": "e4",
                                       "DEPENDENT_NAME": "Kay"})],
             )
-            apply_changeset(
-                changeset, company_db, data_graph=graph, traversal_cache=cache
-            )
+            apply_changeset(changeset, company_db, traversal_cache=cache)
             batches += 1
             assert len(frozen._change_log) <= length
         # Two nodes logged per batch (e4 and the appended dependent): the

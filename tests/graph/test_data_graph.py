@@ -5,11 +5,22 @@ import pytest
 from repro.baselines.discover import induced_subgraph, is_connected_set
 from repro.er.cardinality import Cardinality
 from repro.errors import PathError
+from repro.graph.csr import FrozenGraph
+from repro.live.changes import Delete, apply_to_database
 from repro.relational.database import TupleId
 
 
 def tid(relation, *key):
     return TupleId(relation, tuple(key))
+
+
+def edges_between(data_graph, left, right):
+    """Edge data of every entry joining two tuples on the compiled graph."""
+    return [
+        data
+        for other, __, data in FrozenGraph(data_graph).neighbours(left)
+        if other == right
+    ]
 
 
 class TestStructure:
@@ -28,28 +39,40 @@ class TestStructure:
     def test_neighbours_of_employee(self, data_graph, company_db):
         neighbours = {
             company_db.tuple(other).label
-            for other, __, __ in data_graph.neighbours(tid("EMPLOYEE", "e3"))
+            for other, __, __ in FrozenGraph(data_graph).neighbours(
+                tid("EMPLOYEE", "e3")
+            )
         }
         assert neighbours == {"d1", "w_f3", "t1", "t2"}
 
     def test_neighbours_unknown_tuple(self, data_graph):
         with pytest.raises(PathError):
-            list(data_graph.neighbours(tid("EMPLOYEE", "e99")))
+            list(FrozenGraph(data_graph).neighbours(tid("EMPLOYEE", "e99")))
+
+    def test_neighbours_tombstoned_tuple(self, data_graph, company_db):
+        frozen = FrozenGraph(data_graph)
+        t1 = tid("DEPENDENT", "t1")
+        assert [other for other, __, __ in frozen.neighbours(t1)] == [
+            tid("EMPLOYEE", "e3")
+        ]
+        frozen.apply_changeset(apply_to_database(company_db, [Delete(t1)]))
+        with pytest.raises(PathError):
+            list(frozen.neighbours(t1))
 
     def test_degree(self, data_graph):
         assert data_graph.degree(tid("DEPARTMENT", "d3")) == 0
         assert data_graph.degree(tid("DEPARTMENT", "d1")) == 3  # p1, e1, e3
 
     def test_edges_between(self, data_graph):
-        edges = data_graph.edges_between(
-            tid("EMPLOYEE", "e1"), tid("DEPARTMENT", "d1")
+        edges = edges_between(
+            data_graph, tid("EMPLOYEE", "e1"), tid("DEPARTMENT", "d1")
         )
         assert len(edges) == 1
         assert edges[0]["foreign_key"].name == "fk_employee_department"
 
     def test_edges_between_unjoined(self, data_graph):
-        assert data_graph.edges_between(
-            tid("EMPLOYEE", "e1"), tid("DEPARTMENT", "d2")
+        assert edges_between(
+            data_graph, tid("EMPLOYEE", "e1"), tid("DEPARTMENT", "d2")
         ) == []
 
     def test_null_references_add_no_edge(self, company_db):
@@ -62,15 +85,15 @@ class TestStructure:
 
 class TestEdgeCardinality:
     def test_read_from_referenced(self, data_graph):
-        edge = data_graph.edges_between(
-            tid("DEPARTMENT", "d1"), tid("EMPLOYEE", "e1")
+        edge = edges_between(
+            data_graph, tid("DEPARTMENT", "d1"), tid("EMPLOYEE", "e1")
         )[0]
         assert data_graph.edge_cardinality(edge, tid("DEPARTMENT", "d1")) == \
             Cardinality.one_to_many()
 
     def test_read_from_referencing(self, data_graph):
-        edge = data_graph.edges_between(
-            tid("DEPARTMENT", "d1"), tid("EMPLOYEE", "e1")
+        edge = edges_between(
+            data_graph, tid("DEPARTMENT", "d1"), tid("EMPLOYEE", "e1")
         )[0]
         assert data_graph.edge_cardinality(edge, tid("EMPLOYEE", "e1")) == \
             Cardinality.many_to_one()

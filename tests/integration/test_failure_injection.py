@@ -5,6 +5,7 @@ import pytest
 from repro.core.engine import KeywordSearchEngine
 from repro.core.search import SearchLimits
 from repro.errors import ForeignKeyError, PrimaryKeyError, SchemaError
+from repro.graph.csr import FrozenGraph
 from repro.graph.data_graph import DataGraph
 from repro.relational.database import Database
 from repro.relational.schema import (
@@ -125,12 +126,14 @@ class TestParallelForeignKeys:
         database.insert("AIRPORT", {"ID": "a1", "CITY": "Helsinki"})
         database.insert("FLIGHT", {"ID": "f1", "ORIGIN": "a1", "DEST": "a1"})
         database.check_integrity()
-        graph = DataGraph(database)
+        frozen = FrozenGraph(DataGraph(database))
         from repro.relational.database import TupleId
 
-        edges = graph.edges_between(
-            TupleId("FLIGHT", ("f1",)), TupleId("AIRPORT", ("a1",))
-        )
+        edges = [
+            data
+            for other, __, data in frozen.neighbours(TupleId("FLIGHT", ("f1",)))
+            if other == TupleId("AIRPORT", ("a1",))
+        ]
         assert {data["foreign_key"].name for data in edges} == {
             "fk_origin", "fk_dest",
         }
@@ -157,12 +160,14 @@ class TestCorruption:
     def test_graph_build_with_dangling_reference_skips_edge(self, company_db):
         record = company_db.get("EMPLOYEE", "e1")
         record.values["D_ID"] = "d99"
-        graph = DataGraph(company_db)  # must not raise
+        frozen = FrozenGraph(DataGraph(company_db))  # must not raise
         from repro.relational.database import TupleId
 
-        assert not graph.edges_between(
-            TupleId("EMPLOYEE", ("e1",)), TupleId("DEPARTMENT", ("d1",))
-        )
+        assert not [
+            other
+            for other, __, __ in frozen.neighbours(TupleId("EMPLOYEE", ("e1",)))
+            if other == TupleId("DEPARTMENT", ("d1",))
+        ]
 
     def test_search_on_corrupted_graph_still_terminates(self, company_db):
         record = company_db.get("EMPLOYEE", "e1")

@@ -4,8 +4,9 @@ nor numpy.
 Each case runs in a fresh interpreter, because ``sys.modules`` of the
 test process already holds whatever earlier tests imported.  The first
 case drives every serving operation — two- and three-keyword texts,
-cold build and ``open(wal=True)`` alike — and then checks the two
-modules were never loaded; the second checks that ``import repro``
+instance-ambiguity ranking, explanations of loose answers and grouping
+before and after a write, cold build and ``open(wal=True)`` alike — and
+then checks the two modules were never loaded; the second checks that ``import repro``
 leaves :mod:`repro.oracle` unloaded, that ``repro.oracle.search`` and
 the multigraph import networkx and the oracle answers as the csr path
 does, and that nothing loads numpy.
@@ -21,6 +22,8 @@ import pytest
 SERVING = """
 import json, os, sys, tempfile
 from repro import KeywordSearchEngine, build_company_database
+from repro.core.presentation import group_results
+from repro.core.ranking import InstanceAmbiguityRanker
 from repro.live.changes import Insert
 
 QUERY = "Smith XML"
@@ -32,7 +35,15 @@ def rendered(results):
     return [(result.render(), result.score) for result in results]
 
 
+def instance_level(engine):
+    results = engine.search(QUERY, ranker=InstanceAmbiguityRanker())
+    explained = [engine.explain(result) for result in results]
+    assert any("instance level" in text for text in explained)  # a loose one
+    assert group_results(results)
+
+
 def serve(engine, new_id):
+    instance_level(engine)
     for query in (QUERY, NETWORKS):
         answers = {
             semantics: rendered(engine.search(query, semantics=semantics))
@@ -50,6 +61,7 @@ def serve(engine, new_id):
     engine.apply([Insert("DEPENDENT", {"ID": new_id, "ESSN": "e1",
                                        "DEPENDENT_NAME": "Smith"})])
     assert engine.search(QUERY)
+    instance_level(engine)
 
 
 with tempfile.TemporaryDirectory() as tmp:

@@ -1,11 +1,14 @@
 """Incremental maintainers equal a full rebuild, structure by structure."""
 
+import os
+import sys
 from collections import defaultdict
 
 import pytest
 
+from repro.core.engine import KeywordSearchEngine
 from repro.datasets.company import build_company_database
-from repro.graph.data_graph import DataGraph
+from repro.graph.data_graph import DataGraph, build_tuple_graph
 from repro.graph.fast_traversal import TraversalCache
 from repro.live.changes import Delete, Insert, Update, apply_to_database
 from repro.live.maintain import (
@@ -21,8 +24,7 @@ def tid(relation, *key):
     return TupleId(relation, tuple(key))
 
 
-def graph_signature(data_graph):
-    graph = data_graph.graph
+def graph_signature(graph):
     nodes = sorted((str(n), data["relation"]) for n, data in graph.nodes(data=True))
     edges = sorted(
         (str(u), str(v), key, data["foreign_key"].name, str(data["referencing"]))
@@ -43,6 +45,20 @@ BATCH = [
     Update(tid("DEPENDENT", "t2"), {"ESSN": "e1"}),
     Delete(tid("DEPENDENT", "t1")),
 ]
+
+
+def _batches(case):
+    """``(database, batch)``: :data:`BATCH` on the paper's instance, or
+    one of the two-person cycle batches of the org corner cases
+    (``tests/properties/test_property_csr.py``)."""
+    if case == "company":
+        return build_company_database(), BATCH
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "properties"))
+    try:
+        from test_property_csr import _cycle_batches
+    finally:
+        del sys.path[0]
+    return _cycle_batches()[case.removeprefix("cycle-")]
 
 
 class TestMaintainers:
@@ -158,14 +174,18 @@ class TestMaintainers:
         assert len(rescans) == len(set(rescans))
         assert restored or not rescans
 
-    def test_graph_equals_fresh_build(self, company_db):
-        data_graph = DataGraph(company_db)
-        built = data_graph.graph  # materialised: the patch methods edit it
-        changeset = apply_to_database(company_db, BATCH)
-        apply_changeset(changeset, company_db, data_graph=data_graph)
-        assert data_graph.graph is built
-        assert graph_signature(data_graph) == graph_signature(
-            DataGraph(company_db)
+    @pytest.mark.parametrize(
+        "case", ["company", "cycle-closed", "cycle-dropped", "cycle-reinserted"]
+    )
+    def test_graph_equals_fresh_build(self, case):
+        # A multigraph built before the batch is not what the engine
+        # reads after it: the next read builds the patched database's.
+        database, batch = _batches(case)
+        engine = KeywordSearchEngine(database)
+        assert engine.data_graph.graph.number_of_nodes() == database.count()
+        engine.apply(batch)
+        assert graph_signature(engine.data_graph.graph) == graph_signature(
+            build_tuple_graph(engine.database)
         )
 
 
@@ -186,7 +206,6 @@ class TestTraversalCacheInvalidation:
             [Insert("DEPENDENT",
                     {"ID": "t9", "ESSN": "e1", "DEPENDENT_NAME": "Nora"})],
         )
-        apply_changeset(changeset, company_db, data_graph=data_graph)
         apply_to_traversal_cache(cache, changeset)
         assert cache._frozen is frozen  # patched, not recompiled
         assert e1 not in frozen._distances  # its source gained an edge
@@ -205,7 +224,6 @@ class TestTraversalCacheInvalidation:
             company_db,
             [Update(tid("DEPARTMENT", "d1"), {"D_DESCRIPTION": "robotics"})],
         )
-        apply_changeset(changeset, company_db, data_graph=data_graph)
         apply_to_traversal_cache(cache, changeset)
         cache.hits = cache.misses = 0
         assert frozen.distances(e1, radius=3) == row
@@ -227,9 +245,7 @@ class TestAffectedTuples:
         if compiled:
             cache.frozen()
         changeset = apply_to_database(company_db, mutations)
-        apply_changeset(
-            changeset, company_db, data_graph=data_graph, traversal_cache=cache
-        )
+        apply_changeset(changeset, company_db, traversal_cache=cache)
         affected = affected_tuples(cache, changeset, reach)
         return data_graph, cache.frozen(), affected
 

@@ -4,12 +4,14 @@ Hypothesis drives synthetic database shapes and mutation sequences; on
 every instance the CSR kernels must reproduce the networkx kernels of
 :mod:`repro.graph.traversal` exactly — paths, joining trees, and the
 engine's rankings against :func:`repro.oracle.search` under both
-semantics — and an incrementally patched
+semantics — an incrementally patched
 :class:`~repro.graph.csr.FrozenGraph` must answer exactly like a freshly
-compiled one.
+compiled one, and instance ambiguity read off the compiled rows must
+count what a walk of the multigraph counts.
 """
 
 import copy
+import itertools
 import os
 import tempfile
 from unittest import mock
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.engine import KeywordSearchEngine
 from repro.core.matching import match_keywords
+from repro.core.ranking import InstanceAmbiguityRanker
 from repro.core.search import SearchLimits
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like, plant
 from repro.graph.csr import (
@@ -168,9 +171,7 @@ class TestPatchedFrozenGraph:
         frozen = cache.frozen()
         for batch in _structural_mutations(replay, salts):
             changeset = apply_to_database(database, batch)
-            apply_changeset(
-                changeset, database, data_graph=graph, traversal_cache=cache
-            )
+            apply_changeset(changeset, database, traversal_cache=cache)
         if frozen.compactions == 0:
             assert cache.frozen() is frozen
         recompiled = FrozenGraph(graph)
@@ -294,7 +295,6 @@ class TestBoundedRowsClipTheOracle:
                 if live._alive[node]:
                     live.distances(node, radius=node % 7)
             changeset = apply_to_database(database, batch)
-            apply_changeset(changeset, database, data_graph=graph)
             live.apply_changeset(changeset)
             _assert_rows_clip_the_oracle(live, FrozenGraph(graph))
 
@@ -477,7 +477,6 @@ class TestRevalidatedRowsClipTheOracle:
         for kind, salt in steps:
             if kind == "apply":
                 changeset = apply_to_database(database, next(batches))
-                apply_changeset(changeset, database, data_graph=graph)
                 live.apply_changeset(changeset)
                 _assert_log_bounded(live)
                 continue
@@ -535,7 +534,6 @@ class TestHeldLevelsServeTheOracle:
         for kind, salt in steps:
             if kind == "apply":
                 changeset = apply_to_database(database, next(batches))
-                apply_changeset(changeset, database, data_graph=graph)
                 live.apply_changeset(changeset)
             else:
                 alive = [node for node in range(live.capacity) if live._alive[node]]
@@ -695,6 +693,39 @@ def _org_corner_cases():
     return database
 
 
+def _cycle_batches():
+    """The batches that reshape a two-person ``fk_boss`` cycle, by name:
+    ``(database, batch)`` — drop the reference the cycle's one edge
+    carries, close a cycle with a second reference, and re-insert a
+    cycle member so the later reference in store order changes sides."""
+    person = lambda key: TupleId("PERSON", (key,))
+    task = TupleId("TASK", ("t00",))
+    return {
+        "dropped": (
+            _org_corner_cases(), [Update(person("p01"), {"BOSS": None})],
+        ),
+        "closed": (
+            _org_database(), [Update(person("p00"), {"BOSS": "p01"})],
+        ),
+        "reinserted": (
+            _org_corner_cases(),
+            [
+                Update(task, {"OWNER": None, "REVIEWER": None}),
+                Update(person("p01"), {"BOSS": None}),
+                Delete(person("p00")),
+                Insert("PERSON", {"ID": "p00", "BOSS": "p01"}),
+                Update(person("p01"), {"BOSS": "p00"}),
+            ],
+        ),
+    }
+
+
+def _two_word_texts(engine):
+    """Every pair of distinct tokens of the engine's vocabulary."""
+    words = sorted(engine.index.vocabulary())
+    return [f"{left} {right}" for left, right in itertools.combinations(words, 2)]
+
+
 class _GraphRowsFrozen(FrozenGraph):
     """Compiles from the materialised networkx multigraph instead of
     ``Database.references``: nodes in ``_sort_key`` order, each row the
@@ -792,10 +823,10 @@ def _networkx_tree(data_graph, tuples):
 
 def _networkx_metrics(data_graph, tuples, keyword_tuples):
     """Tree edges, ``er_length``, pair-path steps, loose joints and
-    ambiguity of a network, all read off :func:`_networkx_tree`."""
+    ambiguity of a network, all read off :func:`_networkx_tree` (fans
+    counted by :func:`_reference_related_count`)."""
     import networkx as nx
 
-    from repro.core import ambiguity
     from repro.core.connections import Connection
 
     tree = _networkx_tree(data_graph, tuples)
@@ -815,14 +846,15 @@ def _networkx_metrics(data_graph, tuples, keyword_tuples):
     for index, left in enumerate(tids):
         for right in tids[index + 1:]:
             nodes = nx.shortest_path(tree, left, right)
-            paths.append(Connection(data_graph, [
+            paths.append(Connection(TraversalCache(data_graph), [
                 TuplePathStep(source, target, tree.edges[source, target]["edge_key"],
                               tree.edges[source, target]["edge_data"])
                 for source, target in zip(nodes, nodes[1:])
             ]))
     factor = 1
     for path in paths:
-        factor *= ambiguity.ambiguity_factor(path)
+        for fan_in, fan_out in _reference_fans(data_graph.graph, path):
+            factor *= max(1, fan_in) * max(1, fan_out)
     return {
         "edges": edges,
         "rdb_length": tree.number_of_edges(),
@@ -1243,10 +1275,7 @@ class TestPayloadsEqualTheMultigraph:
     def test_patched_two_tuple_cycle(self):
         """Dropping the reference a cycle's entry carries keeps the
         entry, re-flagged to the reference that still holds."""
-        engine = self._patched(
-            _org_corner_cases(),
-            [Update(TupleId("PERSON", ("p01",)), {"BOSS": None})],
-        )
+        engine = self._patched(*_cycle_batches()["dropped"])
         try:
             assert self._cycle_referencing(engine) == [TupleId("PERSON", ("p00",))]
         finally:
@@ -1277,9 +1306,7 @@ class TestPayloadsEqualTheMultigraph:
         into the existing entry instead of appending a second one."""
         person = lambda key: TupleId("PERSON", (key,))
         engine = self._patched(
-            _org_database(),
-            [Update(person("p00"), {"BOSS": "p01"})],
-            tmp_path if restored else None,
+            *_cycle_batches()["closed"], tmp_path if restored else None
         )
         try:
             assert self._cycle_referencing(engine) == [person("p01")]
@@ -1292,19 +1319,162 @@ class TestPayloadsEqualTheMultigraph:
         but moves it behind p01 in store order: the cycle's entry now
         carries p00's reference."""
         person = lambda key: TupleId("PERSON", (key,))
-        task = TupleId("TASK", ("t00",))
         engine = self._patched(
-            _org_corner_cases(),
-            [
-                Update(task, {"OWNER": None, "REVIEWER": None}),
-                Update(person("p01"), {"BOSS": None}),
-                Delete(person("p00")),
-                Insert("PERSON", {"ID": "p00", "BOSS": "p01"}),
-                Update(person("p01"), {"BOSS": "p00"}),
-            ],
-            tmp_path if restored else None,
+            *_cycle_batches()["reinserted"], tmp_path if restored else None
         )
         try:
             assert self._cycle_referencing(engine) == [person("p00")]
         finally:
             engine.close()
+
+
+class TestAmbiguityAfterCycleBatches:
+    """An engine that ranked and explained by instance ambiguity before a
+    batch reshaping a two-person cycle answers and explains every
+    two-word text afterwards exactly like a fresh engine over the same
+    database: nothing of the pre-batch graph survives the batch."""
+
+    @staticmethod
+    def _outcomes(engine, texts):
+        return {
+            text: [
+                (result.render(), result.score, engine.explain(result))
+                for result in engine.search(text)
+            ]
+            for text in texts
+        }
+
+    @pytest.mark.parametrize("case", sorted(_cycle_batches()))
+    def test_answers_and_explanations_equal_a_fresh_engine(self, case):
+        database, batch = _cycle_batches()[case]
+        ranker = InstanceAmbiguityRanker()
+        engine = KeywordSearchEngine(database, ranker=ranker)
+        assert self._outcomes(engine, _two_word_texts(engine))
+        engine.apply(batch)
+        fresh = KeywordSearchEngine(engine.database, ranker=ranker)
+        texts = _two_word_texts(fresh)
+        assert self._outcomes(engine, texts) == self._outcomes(fresh, texts)
+
+
+# ----------------------------------------------------------------------
+# instance ambiguity on the compiled rows vs a walk of the multigraph
+# ----------------------------------------------------------------------
+def _reference_related_count(graph, anchor, step, side_relation):
+    """The ``side_relation`` tuples related to ``anchor`` like ``step``,
+    counted on the networkx multigraph ``graph``: through tuples of the
+    step's middle relation for a collapsed ``N:M`` step, else over the
+    step's foreign key."""
+    def neighbours(tid):
+        return [(other, key) for __, other, key in graph.edges(tid, keys=True)]
+
+    if step.middle is not None:
+        return len({
+            other
+            for neighbour, __ in neighbours(anchor)
+            if neighbour.relation == step.middle.relation
+            for other, __ in neighbours(neighbour)
+            if other.relation == side_relation and other != anchor
+        })
+    fk_name = step.edge_steps[0].edge_key
+    return len({
+        neighbour
+        for neighbour, key in neighbours(anchor)
+        if key == fk_name and neighbour.relation == side_relation
+    })
+
+
+def _reference_fans(graph, connection):
+    """``(fan-in, fan-out)`` of each loose joint of ``connection``,
+    counted on the networkx multigraph ``graph``."""
+    from repro.core.associations import loose_joints
+
+    steps = connection.conceptual_steps()
+    return [
+        (
+            _reference_related_count(
+                graph, steps[joint].target, steps[joint],
+                steps[joint].source.relation,
+            ),
+            _reference_related_count(
+                graph, steps[joint].target, steps[joint + 1],
+                steps[joint + 1].target.relation,
+            ),
+        )
+        for joint in loose_joints(connection.cardinalities())
+    ]
+
+
+def _assert_fans_equal_the_multigraph(engine, texts):
+    """Every loose connection answer of ``texts`` counts the fans of each
+    loose joint, and so its ambiguity factor, as the multigraph walk over
+    a fresh build of the engine's database does; returns how many loose
+    answers were checked."""
+    from repro.core.ambiguity import ambiguity_factor, joint_fan_counts
+    from repro.core.associations import loose_joints
+    from repro.core.connections import Connection
+    from repro.graph.data_graph import build_tuple_graph
+
+    graph = build_tuple_graph(engine.database)
+    checked = 0
+    for text in texts:
+        for result in engine.search(text):
+            answer = result.answer
+            if not isinstance(answer, Connection) or answer.verdict().is_close:
+                continue
+            fans = _reference_fans(graph, answer)
+            assert [
+                joint_fan_counts(answer, joint)
+                for joint in loose_joints(answer.cardinalities())
+            ] == fans
+            factor = 1
+            for fan_in, fan_out in fans:
+                factor *= max(1, fan_in) * max(1, fan_out)
+            assert ambiguity_factor(answer) == factor
+            checked += 1
+    return checked
+
+
+class TestAmbiguityEqualsTheMultigraphWalk:
+    """Joint fan counts and ambiguity factors read off the compiled rows
+    equal a walk of the networkx multigraph — on generated databases,
+    on the multigraph's corner cases and after random changesets."""
+
+    @relaxed
+    @given(configs)
+    def test_generated_databases(self, config):
+        _assert_fans_equal_the_multigraph(
+            planted_engine(config), ["kwalpha kwbeta"]
+        )
+
+    def test_corner_cases(self):
+        engine = KeywordSearchEngine(_org_corner_cases())
+        assert _assert_fans_equal_the_multigraph(engine, _two_word_texts(engine))
+
+    @relaxed
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(_ORG_KINDS),
+                      st.integers(min_value=0, max_value=1 << 16)),
+            min_size=1, max_size=8,
+        ),
+        st.booleans(),
+    )
+    def test_after_random_changesets(self, program, corner):
+        engine = KeywordSearchEngine(
+            _org_corner_cases() if corner else _org_database()
+        )
+        _assert_fans_equal_the_multigraph(engine, _two_word_texts(engine))
+        closed = set()
+        for kind, salt in program:
+            try:
+                changeset = engine.apply(
+                    _org_batch(engine.database, kind, salt, closed)
+                )
+            except (IntegrityError, PrimaryKeyError):
+                continue
+            closed.difference_update(tid.key[0] for tid in changeset.tuples_added)
+            closed.update(
+                tid.key[0] for tid in changeset.tuples_removed
+                if tid.relation == "TASK"
+            )
+            _assert_fans_equal_the_multigraph(engine, _two_word_texts(engine))

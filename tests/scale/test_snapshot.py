@@ -304,8 +304,8 @@ class TestLaziness:
     def test_cold_read_path_never_builds_the_graph(self, tmp_path, monkeypatch):
         """The write-path test's twin for a cold build: the csr core
         compiles straight from the stored references, so reading,
-        applying and saving never ask for the multigraph — the oracle
-        and the neighbourhood-reading ranker still get it."""
+        ranking by instance ambiguity, explaining, applying and saving
+        never ask for the multigraph — the oracle still gets it."""
         from repro.core.ranking import InstanceAmbiguityRanker
         from repro.graph import data_graph as data_graph_module
 
@@ -337,6 +337,10 @@ class TestLaziness:
         restored = KeywordSearchEngine.open(tmp_path / "cold.snap")
         assert rendered(restored.search("kwalpha kwbeta", limits=LIMITS)) == after
         restored.close()
+        ranked = engine.search(
+            "kwalpha kwbeta", limits=LIMITS, ranker=InstanceAmbiguityRanker()
+        )
+        assert all(engine.explain(result) for result in ranked)
         assert not engine.data_graph.materialized
         assert "materialized=False" in repr(engine.data_graph)
 
@@ -344,9 +348,7 @@ class TestLaziness:
         assert rendered(
             oracle_search(engine.database, "kwalpha kwbeta", limits=LIMITS)
         ) == after
-        engine.search(
-            "kwalpha kwbeta", limits=LIMITS, ranker=InstanceAmbiguityRanker()
-        )
+        assert engine.data_graph.graph.number_of_nodes() == engine.database.count()
         assert engine.data_graph.materialized
 
     def test_stored_fast_core_opens_on_csr(self, saved, tmp_path):
