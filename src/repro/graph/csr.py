@@ -306,18 +306,29 @@ class FrozenGraph:
         # Stable: equal keys keep ``all_tuples()`` (node insertion) order.
         order = sorted(range(len(records)), key=unsorted_keys.__getitem__)
         tids = [records[at].tid for at in order]
-        # Every key, for _sorted_row while the rows are cut; _compile then
-        # swaps in keys derived on demand.
-        self._keys = [unsorted_keys[at] for at in order]
         node_of = _index_nodes(tids)
-        # One int per row entry — owner, neighbour and edge number in
-        # 32-bit fields: entry tuples held until the rows are cut would
-        # be 60 000 more objects for the cyclic GC to re-scan.  Per edge,
-        # its FK name and referencing node.
+        # Expansion order is (neighbour's sort key, FK name).  A key's
+        # rank is its first node, so equal keys share one, and ties keep
+        # (neighbour, edge) order, as _sorted_row's stable sort does.
+        rank = array("i", range(len(order)))
+        for node in range(1, len(order)):
+            if unsorted_keys[order[node]] == unsorted_keys[order[node - 1]]:
+                rank[node] = rank[node - 1]
+        fk_names = sorted(fk.name for fk in database.schema.foreign_keys)
+        # One int per row entry, so one sort orders every row: owner,
+        # neighbour rank, FK rank, neighbour and edge (32 bits) fields as
+        # narrow as their values allow — entry tuples would be 60 000 more
+        # objects for the cyclic GC to re-scan.  Per edge, its FK name
+        # and referencing node.
+        width = len(order).bit_length()
+        to_fk = width + 32
+        to_rank = to_fk + len(fk_names).bit_length()
+        to_owner = to_rank + width
         names: list[str] = []
         referencing = array("i")
         entries: list[int] = []
         for fk in database.schema.foreign_keys:
+            by_name = fk_names.index(fk.name) << to_fk
             source_nodes, target_nodes = node_of[fk.source], node_of[fk.target]
             # Only a self-referencing FK can name one pair twice.
             pairs: Optional[dict] = {} if fk.source == fk.target else None
@@ -330,26 +341,30 @@ class FrozenGraph:
                     if held != edge:
                         referencing[held] = source  # the later reference wins
                         continue
-                entries.append((source << 32 | target) << 32 | edge)
+                entries.append(
+                    source << to_owner | rank[target] << to_rank | by_name
+                    | target << 32 | edge
+                )
                 if target != source:
-                    entries.append((target << 32 | source) << 32 | edge)
+                    entries.append(
+                        target << to_owner | rank[source] << to_rank | by_name
+                        | source << 32 | edge
+                    )
                 names.append(fk.name)
                 referencing.append(source)
-        entries.sort()  # groups by owner; _sorted_row orders each row
+        entries.sort()  # every row, each in expansion order
 
         def rows():
             at, total = 0, len(entries)
             for node in range(len(tids)):
-                row = []
-                while at < total and (entry := entries[at]) >> 64 == node:
+                row_targets, row_keys, row_refs = [], [], []
+                while at < total and (entry := entries[at]) >> to_owner == node:
                     edge = entry & 0xFFFFFFFF
-                    row.append((
-                        entry >> 32 & 0xFFFFFFFF,
-                        names[edge],
-                        referencing[edge] == node,
-                    ))
+                    row_targets.append(entry >> 32 & (1 << width) - 1)
+                    row_keys.append(names[edge])
+                    row_refs.append(referencing[edge] == node)
                     at += 1
-                yield self._sorted_row(row)
+                yield row_targets, row_keys, row_refs
 
         return tids, node_of, rows()
 
@@ -445,9 +460,10 @@ class FrozenGraph:
         self, entries: list[tuple[int, str, int]]
     ) -> tuple[list[int], list[str], list[int]]:
         """``(neighbour int, edge key, referencing flag)`` entries as one
-        row in the deterministic expansion order — the single definition
-        both compilation and row patching sort by.  The key depends only
-        on set membership, never on the listing order of ``entries``."""
+        patched row in the deterministic expansion order — the order a
+        compile's packed sort (:meth:`_rows_from_database`) gives every
+        row.  The key depends only on set membership, never on the
+        listing order of ``entries``."""
         keys = self._keys
         entries.sort(key=lambda entry: (keys[entry[0]], entry[1]))
         return (

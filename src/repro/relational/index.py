@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right, insort
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -78,23 +77,26 @@ def _posted(values, attributes: Iterable[str]) -> Iterator[tuple[str, str, bool]
 
 
 class _LazyPostings(dict):
-    """Posting lists decoded from their snapshot encoding on first read.
+    """Posting lists decoded from a raw table on first read.
 
-    Behaves like the ``defaultdict(list)`` a built index uses: a missing
-    token decodes its encoded slice (or starts an empty list) and stores
-    the result, after which plain dict semantics apply.  Encoded and
+    Every index serves its postings through one of these: a cold build's
+    raw table is the scan of the store (:class:`_ScannedPostings`), a
+    restored index's the snapshot's encoded columns.  A missing token
+    decodes its raw entries (or starts an empty list) and stores the
+    result, after which plain dict semantics apply.  Raw and
     materialised keys are disjoint — decoding *moves* a token out of the
     raw table — so iteration, membership and length see each token
-    exactly once.  Most queries touch a handful of tokens, so restoring
-    an index never pays for the vocabulary it does not use.
+    exactly once, and a read looks in the materialised dict first.  Most
+    queries touch a handful of tokens, so an index never pays for
+    ``Posting`` objects of the vocabulary it does not use.
 
     Writes defer, reads fold.  A posting write to a token that is still
-    encoded (:meth:`defer`) queues ``("add", posting)`` or ``("del",
+    raw (:meth:`defer`) queues ``("add", posting)`` or ``("del",
     tid)`` in ``_pending`` instead of decoding the list.  Every read of
     the token — ``[]``, ``get``, ``in``, :meth:`length_of`, iteration,
-    :meth:`decode_all` — folds it first (:meth:`_fold`): the slice is
+    :meth:`decode_all` — folds it first (:meth:`_fold`): the entries are
     decoded, postings of a deleted tid are dropped (and slots of nodes
-    tombstoned since the snapshot was opened, which decode to ``None``),
+    tombstoned since a snapshot was opened, which decode to ``None``),
     then every add no later del cancelled is placed by ``_place`` — the
     owning index's ordered insert — at the current order positions.
     That is the list eager maintenance holds: surviving tuples never
@@ -105,8 +107,8 @@ class _LazyPostings(dict):
 
     def __init__(self, source) -> None:
         super().__init__()
-        # ``source.pending()`` parses the raw table (token -> encoded
-        # slice) and ``source.decode(slice)`` one token's postings: a
+        # ``source.pending()`` yields the raw table (token -> raw
+        # entries) and ``source.decode(entries)`` one token's postings: a
         # snapshot defers even the parse until a token is first asked for.
         self._source = source
         self._raw_data = None
@@ -123,14 +125,14 @@ class _LazyPostings(dict):
 
     def defer(self, token: str, write: tuple) -> bool:
         """Queue one ``("add", posting)`` / ``("del", tid)`` write on a
-        still-encoded token; False (nothing queued) for any other."""
+        still-raw token; False (nothing queued) for any other."""
         if dict.__contains__(self, token) or token not in self._raw:
             return False
         self._pending.setdefault(token, []).append(write)
         return True
 
     def _fold(self, token: str) -> list:
-        """Decode one encoded token with its queued writes applied; the
+        """Decode one raw token with its queued writes applied; the
         list is stored unless it came out empty."""
         postings = self._source.decode(self._raw.pop(token))
         writes = self._pending.pop(token, None)
@@ -162,11 +164,14 @@ class _LazyPostings(dict):
         return value
 
     def get(self, token, default=None):
-        if token in self._raw:
-            self._fold(token)
-        return dict.get(self, token, default)
+        postings = dict.get(self, token)
+        if postings is None and token in self._raw:
+            postings = self._fold(token) or None
+        return default if postings is None else postings
 
     def __contains__(self, token) -> bool:
+        if dict.__contains__(self, token):
+            return True
         if token in self._pending:
             self._fold(token)
         return dict.__contains__(self, token) or token in self._raw
@@ -191,32 +196,65 @@ class _LazyPostings(dict):
         for token in list(self):
             yield self[token]
 
-    def clear(self) -> None:
-        dict.clear(self)
-        self._source = None
-        self._raw_data = {}
-        self._pending = {}
-
     def decode_all(self) -> None:
-        """Fold every encoded token now: a full snapshot write encodes
-        the whole vocabulary afresh."""
+        """Fold every raw token now: a full snapshot write encodes the
+        whole vocabulary afresh."""
         for token in list(self._raw):
             self._fold(token)
 
     def length_of(self, token: str) -> int:
         """Posting count of a token without decoding it.
 
-        Raw snapshot entries are sized by their posting count, so the
-        planner's cost model can size a keyword without materialising
-        (and paying to decode) tuples the query may never touch; a token
-        with queued writes is folded first, so the count is exact.
+        Raw entries are sized by their posting count, so the planner's
+        cost model can size a keyword without materialising (and paying
+        to decode) tuples the query may never touch; a token with queued
+        writes is folded first, so the count is exact.
         """
+        postings = dict.get(self, token)
+        if postings is not None:
+            return len(postings)
         if token in self._pending:
-            self._fold(token)
-        if dict.__contains__(self, token):
-            return len(dict.__getitem__(self, token))
+            return len(self._fold(token))
         entries = self._raw.get(token)
         return len(entries) if entries is not None else 0
+
+
+class _ScannedPostings:
+    """A cold build's raw table, the :class:`_LazyPostings` source: one
+    scan of the store in posting order gives each token a list of ints
+    ``position << shift | attribute id << 1 | whole-value bit``, indexing
+    the scanned tuple ids and the schema's attribute names."""
+
+    def __init__(self, database: Database, attributes: dict) -> None:
+        shift = sum(map(len, attributes.values())).bit_length() + 1
+        names: list[str] = []
+        tids: list[TupleId] = []
+        table: dict[str, list[int]] = {}
+        for relation, fields in attributes.items():
+            ids = {name: (len(names) + at) << 1 for at, name in enumerate(fields)}
+            names += fields
+            for record in database.tuples(relation):
+                position = len(tids) << shift
+                tids.append(record.tid)
+                for token, attribute, whole in _posted(record.values, fields):
+                    entries = table.get(token)
+                    entry = position | ids[attribute] | whole
+                    if entries is None:
+                        table[token] = [entry]
+                    else:
+                        entries.append(entry)
+        self._tids, self._names, self._shift, self._table = tids, names, shift, table
+
+    def pending(self) -> dict[str, list[int]]:
+        return self._table
+
+    def decode(self, entries: list[int]) -> list:
+        tids, names, shift = self._tids, self._names, self._shift
+        mask = (1 << shift) - 1
+        return [
+            Posting(tids[entry >> shift], names[(entry & mask) >> 1], bool(entry & 1))
+            for entry in entries
+        ]
 
 
 class _Derived(dict):
@@ -244,42 +282,25 @@ class InvertedIndex:
     """
 
     def __init__(self, database: Database) -> None:
-        self._init(database, defaultdict(list), {})
+        self._init(database)
         self.build()
 
     @classmethod
-    def from_state(cls, database: Database, postings: dict) -> "InvertedIndex":
+    def from_state(cls, database: Database, postings: _LazyPostings) -> "InvertedIndex":
         """Rebuild an index from previously exported posting state.
 
-        ``postings`` is any dict-like mapping token -> posting list that
-        yields a fresh list for missing tokens (a plain dict of decoded
-        lists, or a :class:`_LazyPostings` deferring decoding — and the
-        writes to a still-encoded token); posting lists must already be
-        in database order — the order a fresh
-        :meth:`build` over the same database produces.  Pure lookups
-        never need the database order, so each relation's derives on
-        first demand: ``insort`` compares store positions only inside
-        the mutated posting's own relation block, so a mutation needs
-        *that* relation's — not a full-database scan — and re-anchoring
-        never changes the relative order of surviving tuples.
+        ``postings`` decodes each token's list on first read (and defers
+        the writes to a still-raw token); decoded lists are in database
+        order — the order a fresh :meth:`build` over the same database
+        produces.
         """
         index = cls.__new__(cls)
-        index._init(database, postings, _Derived(index._refresh_order))
-        if isinstance(postings, _LazyPostings):
-            postings._place = index._insort
+        index._init(database)
+        index._serve(postings)
         return index
 
-    def _init(self, database: Database, postings: dict, order: dict) -> None:
+    def _init(self, database: Database) -> None:
         self._database = database
-        self._postings = postings
-        #: Database order of every indexed tuple: relation -> {primary
-        #: key: position in the relation's store}, the relations ranked
-        #: by their schema position.  Posting lists are kept sorted in
-        #: this order, which is exactly the order a fresh ``build()``
-        #: appends in — so incremental ``add_tuple`` / ``remove_tuple``
-        #: leave the index bit-identical (posting order included) to a
-        #: from-scratch build over the same database.
-        self._order = order
         self._relation_position = {
             relation.name: position
             for position, relation in enumerate(database.schema.relations)
@@ -288,6 +309,18 @@ class InvertedIndex:
             relation.name: [attribute.name for attribute in relation.attributes]
             for relation in database.schema.relations
         }
+
+    def _serve(self, postings: _LazyPostings) -> None:
+        postings._place = self._insort
+        self._postings = postings
+        #: Database order of every indexed tuple: relation -> {primary
+        #: key: position in the relation's store}, the relations ranked
+        #: by their schema position.  Posting lists are kept sorted in
+        #: the order a fresh ``build()`` scans in, so incremental
+        #: maintenance leaves the index bit-identical to a rebuild.  Only
+        #: ``insort`` reads it, inside the mutated posting's relation
+        #: block, so each relation's derives on first demand.
+        self._order = _Derived(self._refresh_order)
         #: Next store position per relation derived in ``_order`` — lets
         #: an appended tuple get its key in O(1); anything else falls
         #: back to a relation scan.
@@ -297,24 +330,10 @@ class InvertedIndex:
     # maintenance
     # ------------------------------------------------------------------
     def build(self) -> None:
-        """Discard and rebuild the whole index from the database."""
-        self._postings.clear()
-        self._order.clear()
-        self._relation_tail.clear()
-        # One pass in posting order — relation by relation, store order
-        # within — so every posting is a plain append.
-        postings = self._postings
-        for relation in self._database.schema.relations:
-            attributes = self._attributes[relation.name]
-            positions = self._order[relation.name] = {}
-            for store_position, record in enumerate(
-                self._database.tuples(relation.name)
-            ):
-                tid = record.tid
-                positions[tid.key] = store_position
-                for token, attribute, whole in _posted(record.values, attributes):
-                    postings[token].append(Posting(tid, attribute, whole))
-            self._relation_tail[relation.name] = len(positions)
+        """Discard and rebuild the whole index from the database: one
+        scan in posting order; a token's ``Posting`` objects are made on
+        its first read."""
+        self._serve(_LazyPostings(_ScannedPostings(self._database, self._attributes)))
 
     def _refresh_order(self, relation_name: str) -> dict:
         """Re-derive database order for one relation's tuples.
@@ -357,15 +376,15 @@ class InvertedIndex:
             tail = self._relation_tail[record.relation]
             positions[record.tid.key] = tail
             self._relation_tail[record.relation] = tail + 1
-        # A write to a still-encoded token is queued, not decoded
-        # (:meth:`_LazyPostings.defer`); a built index has no such token.
-        defer, tid = getattr(self._postings, "defer", None), record.tid
+        # A write to a still-raw token is queued, not decoded
+        # (:meth:`_LazyPostings.defer`).
+        postings, tid = self._postings, record.tid
         for token, attribute, whole in _posted(
             record.values, self._attributes[record.relation]
         ):
             posting = Posting(tid, attribute, whole)
-            if defer is None or not defer(token, ("add", posting)):
-                self._insort(self._postings[token], posting)
+            if not postings.defer(token, ("add", posting)):
+                self._insort(postings[token], posting)
 
     def add_tuple(self, record: Tuple) -> None:
         """Index one tuple (no-op if already indexed).
@@ -430,12 +449,13 @@ class InvertedIndex:
 
     def _unpost(self, tid: TupleId, values) -> None:
         if values is None:
-            tokens, defer = list(self._postings), None
+            # Every list is searched, so every list is decoded.
+            self._postings.decode_all()
+            tokens = list(self._postings)
         else:
             tokens = self._tokens(tid.relation, values)
-            defer = getattr(self._postings, "defer", None)
         for token in tokens:
-            if defer is not None and defer(token, ("del", tid)):
+            if self._postings.defer(token, ("del", tid)):
                 continue
             postings = self._postings.get(token)
             if postings is None:
@@ -463,19 +483,12 @@ class InvertedIndex:
         """Posting count of a keyword without materialising postings.
 
         The planner's cost model calls this per query, so it must
-        stay cheap: on a snapshot-restored index it counts the
-        still-encoded raw entries instead of decoding them.  Counts
-        *postings* (word occurrences), not distinct tuples — an upper
-        bound on :meth:`document_frequency`, which is what an ordering
-        weight needs.
+        stay cheap: it counts a still-raw token's entries instead of
+        decoding them.  Counts *postings* (word occurrences), not
+        distinct tuples — an upper bound on :meth:`document_frequency`,
+        which is what an ordering weight needs.
         """
-        token = keyword.strip().lower()
-        postings = self._postings
-        length_of = getattr(postings, "length_of", None)
-        if length_of is not None:
-            return length_of(token)
-        entries = postings.get(token)
-        return len(entries) if entries else 0
+        return self._postings.length_of(keyword.strip().lower())
 
     def matching_tuples(self, keyword: str) -> tuple[TupleId, ...]:
         """Distinct tuples containing the keyword, in first-posting order."""

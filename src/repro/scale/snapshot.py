@@ -34,9 +34,9 @@ Restoration is lazy wherever queries and replayed WAL records allow it:
   from its key and flag, on either);
 * the interning table decodes per relation (:class:`_Interning`) and
   posting lists per token (:class:`_PostingColumns`), each on first
-  touch — a write to a still-encoded token is queued and folded on the
-  token's first read
-  (:class:`~repro.relational.index._LazyPostings`);
+  touch; postings go through the reader a cold-built index uses too
+  (:class:`~repro.relational.index._LazyPostings`), so a write to a
+  still-raw token is queued and folded on the token's first read;
 * the networkx tuple graph — only needed by :mod:`repro.oracle` and
   the baselines — builds on first demand
   (:class:`~repro.graph.data_graph.DataGraph` is lazy); no query,
@@ -354,9 +354,8 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
     if frozen._override:
         frozen._compile()
         frozen.compactions += 1
-    if isinstance(engine.index._postings, _LazyPostings):
-        # Folds the writes still queued on encoded tokens, too.
-        engine.index._postings.decode_all()
+    # Folds the writes still queued on raw tokens, too.
+    engine.index._postings.decode_all()
     capacity = frozen.capacity
     schema = engine.database.schema
     tids = list(frozen._tid_of)

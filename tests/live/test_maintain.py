@@ -2,7 +2,6 @@
 
 import os
 import sys
-from collections import defaultdict
 
 import pytest
 
@@ -115,18 +114,16 @@ class TestMaintainers:
 
     @pytest.mark.parametrize("restored", [False, True])
     def test_batch_appends_take_tail_positions_without_a_rescan(
-        self, company_db, restored, monkeypatch
+        self, company_db, restored, monkeypatch, tmp_path
     ):
         # Several inserts into one relation plus a delete-then-reinsert:
         # the store tail ends up t8, t1, t9 (added and replaced tuples
         # interleaved), and none of them is "the last tuple" alone.
         if restored:
-            built = InvertedIndex(company_db)
-            index = InvertedIndex.from_state(
-                company_db,
-                defaultdict(list, {token: list(built.postings(token))
-                                   for token in built.vocabulary()}),
-            )
+            path = str(tmp_path / "company.snap")
+            KeywordSearchEngine(company_db).save(path)
+            opened = KeywordSearchEngine.open(path)
+            company_db, index = opened.database, opened.index
         else:
             index = InvertedIndex(company_db)
         changeset = apply_to_database(
@@ -153,7 +150,7 @@ class TestMaintainers:
             lambda relation: rescans.append(relation) or refresh(relation),
         )
         if restored:
-            # Installed by from_state with the original bound method.
+            # Installed at construction with the original bound method.
             index._order._fill = index._refresh_order
         apply_changeset(changeset, company_db, index=index)
         assert index_signature(index) == index_signature(
@@ -173,6 +170,8 @@ class TestMaintainers:
         # relation — but no batch ever triggers a scan by itself.
         assert len(rescans) == len(set(rescans))
         assert restored or not rescans
+        if restored:
+            opened.close()
 
     @pytest.mark.parametrize(
         "case", ["company", "cycle-closed", "cycle-dropped", "cycle-reinserted"]

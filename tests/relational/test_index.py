@@ -189,8 +189,9 @@ class TestIncrementalRoundTrip:
 
 
 class TestOnePassBuild:
-    """``build()`` appends postings in visit order; the incremental path
-    insorts them.  Both must produce the same index."""
+    """``build()`` scans raw entries in visit order, decoded on first
+    read; the incremental path insorts postings.  Both must produce the
+    same index."""
 
     ROWS = [
         # multi-attribute tuple, one token repeated inside a value and
@@ -217,8 +218,11 @@ class TestOnePassBuild:
         for relation, values in self.ROWS:  # relations interleaved
             grown.add_tuple(database.insert(relation, values))
         built = InvertedIndex(database)
+        relations = [relation.name for relation in db_schema.relations]
         assert dict(built._postings) == dict(grown._postings)
-        assert built._order == grown._order
+        # Order keys derive per relation on first demand, on either index.
+        for relation in relations:
+            assert built._order[relation] == grown._order[relation]
         assert built._relation_tail == grown._relation_tail
         for record in database.all_tuples():
             assert built.tokens_of(record.tid) == grown.tokens_of(record.tid)
@@ -227,7 +231,25 @@ class TestOnePassBuild:
         # rebuilding in place lands on the same state again
         grown.build()
         assert dict(grown._postings) == dict(built._postings)
-        assert grown._order == built._order
+        for relation in relations:
+            assert grown._order[relation] == built._order[relation]
+
+
+class TestColdBuildDecodesOnFirstRead:
+    """A built index scans the store into raw entries; a ``Posting`` is
+    made only when its token is first read."""
+
+    def test_only_read_tokens_materialise(self, company_db):
+        index, read = InvertedIndex(company_db), InvertedIndex(company_db)
+        assert dict.__len__(index._postings) == 0
+        vocabulary = index.vocabulary()
+        assert [index.posting_length(token) for token in vocabulary] == [
+            len(read.postings(token)) for token in vocabulary
+        ]
+        assert dict.__len__(index._postings) == 0
+        smiths = index.postings("smith")
+        assert set(dict.keys(index._postings)) == {"smith"}
+        assert smiths == read.postings("Smith") and len(smiths) == 2
 
 
 class TestPostingIsSlotted:
