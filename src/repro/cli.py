@@ -102,8 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="print each answer as the executor yields it "
                                 "(incompatible with --batch/--group)")
     execution.add_argument("--jobs", type=int, default=None, metavar="N",
-                           help="answer a --batch over N snapshot worker "
-                                "processes (requires --batch)")
+                           help="answer a --batch over N - 1 snapshot "
+                                "worker processes plus this process "
+                                "(requires --batch)")
     execution.add_argument("--snapshot", metavar="FILE",
                            help="open the engine from a snapshot written by "
                                 "'repro snapshot save' instead of building "
@@ -533,7 +534,9 @@ def _dispatch_search(engine, args, ranker, limits, out) -> int:
                 _print_results(engine, results, args, out)
         if args.jobs is not None and args.jobs > 1:
             engine.close_pool()
-            print(f"# parallel: {args.jobs} snapshot workers, "
+            workers = args.jobs - 1
+            noun = "worker" if workers == 1 else "workers"
+            print(f"# parallel: {workers} snapshot {noun} plus this process, "
                   f"{engine.last_stats.candidates} candidates", file=out)
         return 0 if answered else 1
     results = engine.search(

@@ -43,7 +43,7 @@ from repro.core.plan import QueryPlan, plan_query
 from repro.core.ranking import ClosenessRanker, Ranker
 from repro.core.search import JoiningNetwork, SearchLimits, SingleTupleAnswer
 from repro.durable import fault
-from repro.errors import MutationError, QueryError, WalError
+from repro.errors import MutationError, QueryError, SnapshotError, WalError
 from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
 from repro.live.changes import (
@@ -63,6 +63,19 @@ from repro.relational.index import InvertedIndex
 __all__ = ["SearchResult", "KeywordSearchEngine"]
 
 AnswerType = Union[Connection, JoiningNetwork, SingleTupleAnswer]
+
+
+class _Closed:
+    """Stands in for what a closed snapshot engine restored: any read
+    raises :class:`~repro.errors.SnapshotError`."""
+
+    __slots__ = ("_path",)
+
+    def __init__(self, path) -> None:
+        self._path = path
+
+    def __getattr__(self, name):
+        raise SnapshotError("engine is closed", path=self._path, read=name)
 
 
 class KeywordSearchEngine:
@@ -499,19 +512,36 @@ class KeywordSearchEngine:
         list reused.
 
         ``jobs`` > 1 changes only who answers the answer-cache misses:
-        a process pool (:mod:`repro.scale.parallel`) whose workers each
-        open the engine's snapshot once (auto-saved to a temporary file
-        when the engine was never saved, refreshed after mutations) and
-        answer whole queries with the same configuration.  Lookups,
-        stores, results, order and the first raised error are those of
-        the serial path; ``last_stats`` merges the workers' counters.
+        this process answers the first ⌊n/jobs⌋ of them itself while
+        ``jobs - 1`` worker processes (:mod:`repro.scale.parallel`),
+        which each open the engine's snapshot once (auto-saved to a
+        temporary file when the engine was never saved, refreshed after
+        mutations), answer the rest with the same configuration.
+        Lookups, stores, results, order and the first raised error are
+        those of the serial path; ``last_stats`` merges the workers'
+        counters.
         """
         ranker = ranker or self.ranker
         limits = limits or self.limits
         pooled = jobs is not None and jobs > 1
+        version = self.version
         stats = ExecutionStats()
         resolved: dict[str, list[SearchResult]] = {}
         misses: list[tuple[str, Hashable]] = []
+
+        def answer(query):
+            with obs_trace.span("plan.compile", query=query):
+                plan, matches = self._plan(query, top_k, semantics)
+            executor = self._executor()
+            results = executor.run(plan, ranker, limits, pushdown=pushdown)
+            return results, matches, executor.stats
+
+        def commit(query, key, results, matches, run_stats):
+            resolved[query] = results
+            stats.merge(run_stats)
+            if key is not None and self.version == version:
+                self._cache_store(key, ranker, matches, results, run_stats)
+
         qtrace = None
         if obs_trace.ENABLED:
             tags = {"jobs": jobs} if pooled else {}
@@ -540,22 +570,10 @@ class KeywordSearchEngine:
                 elif pooled:
                     misses.append((query, key))
                 else:
-                    with obs_trace.span("plan.compile", query=query):
-                        plan, matches = self._plan(query, top_k, semantics)
-                    version = self.version
-                    executor = self._executor()
-                    resolved[query] = executor.run(
-                        plan, ranker, limits, pushdown=pushdown
-                    )
-                    stats.merge(executor.stats)
-                    if key is not None and self.version == version:
-                        self._cache_store(
-                            key, ranker, matches,
-                            resolved[query], executor.stats,
-                        )
+                    commit(query, key, *answer(query))
             if misses:
-                self._answer_on_pool(
-                    misses, jobs, stats, resolved,
+                outcomes = self._ensure_searcher(jobs).run(
+                    [query for query, __ in misses],
                     {
                         "ranker": ranker,
                         "limits": limits,
@@ -563,40 +581,30 @@ class KeywordSearchEngine:
                         "semantics": semantics,
                         "pushdown": pushdown,
                     },
+                    answer,
                 )
+                for query, key in misses:
+                    status, payload, run_stats = outcomes[query]
+                    if status == "error":
+                        self.last_stats = stats
+                        raise payload
+                    if status == "ok":  # a worker's portable answers
+                        payload = self._revive(payload), self.match(query)
+                    commit(query, key, *payload, run_stats)
         finally:
             if qtrace is not None:
                 obs_trace.end_trace(qtrace)
         self.last_stats = stats
         return [resolved[query] for query in queries]
 
-    def _answer_on_pool(self, misses, jobs, stats, resolved, options) -> None:
-        """Answer ``search_batch``'s cache misses on the worker pool.
-
-        Successes are revived and cached exactly as the serial loop
-        would have cached them; the first failing query (in input
-        order) re-raises its worker error after the queries before it
-        committed.
-        """
+    def _revive(self, portables) -> list[SearchResult]:
+        """A worker's portable answers, rebuilt on this engine's graph."""
         from repro.scale.parallel import revive_result
 
-        searcher = self._ensure_searcher(jobs)
-        outcomes = searcher.run([query for query, __ in misses], options)
-        for query, key in misses:
-            status, payload, worker_stats = outcomes[query]
-            if status == "error":
-                self.last_stats = stats
-                raise payload
-            resolved[query] = [
-                revive_result(self.traversal_cache, portable, score, rank + 1)
-                for rank, (portable, score) in enumerate(payload)
-            ]
-            stats.merge(worker_stats)
-            if key is not None:
-                self._cache_store(
-                    key, options["ranker"], self.match(query),
-                    resolved[query], worker_stats,
-                )
+        return [
+            revive_result(self.traversal_cache, portable, score, rank + 1)
+            for rank, (portable, score) in enumerate(portables)
+        ]
 
     # ------------------------------------------------------------------
     # live updates
@@ -954,6 +962,8 @@ class KeywordSearchEngine:
 
     def _ensure_searcher(self, jobs: int):
         """The engine's parallel searcher, rebuilt when state moved on."""
+        if self._snapshot is not None and self._snapshot.closed:
+            raise SnapshotError("engine is closed", path=self.snapshot_path)
         key = (self.version, jobs)
         if self._searcher is not None and self._searcher_key == key:
             return self._searcher
@@ -978,17 +988,24 @@ class KeywordSearchEngine:
 
     def close(self) -> None:
         """Release serving resources: the worker pool and, for
-        snapshot-opened engines, the snapshot's mmap-backed views.
+        snapshot-opened engines, the snapshot and everything restored
+        from it.
 
-        A closed snapshot engine must not answer further queries — its
-        compiled state references the released pages and fails loudly.
-        Idempotent; engines built directly from a database only shut
-        their pool down.
+        A closed snapshot engine holds no decoded posting, loaded row
+        store, compiled graph or cached answer, so it costs no memory
+        however long it stays referenced; any later query raises
+        :class:`~repro.errors.SnapshotError`.  Idempotent; engines built
+        directly from a database only shut their pool down.
         """
         self.detach_wal()
         self.close_pool()
         if self._snapshot is not None:
             self._snapshot.close()
+            closed = _Closed(self.snapshot_path)
+            self.database = self.data_graph = self.index = closed
+            self.traversal_cache = closed
+            self.result_cache.clear()
+            self.statistics = self._cost_model = None
 
     def __enter__(self) -> "KeywordSearchEngine":
         return self

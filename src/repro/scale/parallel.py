@@ -1,22 +1,25 @@
 """Process-pool batch execution over snapshot-opened engines.
 
 ``KeywordSearchEngine.search_batch(jobs=N)`` hands the batch's
-answer-cache misses to :meth:`ParallelSearcher.run`: they are cut into
-one contiguous chunk per worker, answered query-by-query on a pool of
-worker processes and returned keyed by query.  Each worker opens the
-coordinator's snapshot **once** (in the pool initializer) into its own
-engine with the same configuration — the snapshot's array sections
-are ``mmap``-backed, so the workers share page-cache pages instead of
-copying the compiled graph N times.
+answer-cache misses to :meth:`ParallelSearcher.run`, and ``N`` counts
+every process that answers them: the coordinator itself plus N − 1
+workers.  The coordinator keeps the first ⌊n/N⌋ misses and answers
+them with the serial loop's own body while the workers run; the rest
+is cut into one contiguous chunk per worker.  Each worker opens the
+coordinator's snapshot **once** into its own engine with the same
+configuration — the snapshot's array sections are ``mmap``-backed, so
+the workers share page-cache pages instead of copying the compiled
+graph N − 1 times.
 
 Bit-identity with the serial path is structural, not hoped-for:
 
 * a worker answers a query with exactly the code ``engine.search`` runs
   serially, so per-query results, order and any
   :class:`~repro.errors.SearchLimitError` are the serial ones;
-* the coordinator raises the error of the *earliest* failing query in
-  input order — the one serial ``search_batch`` would have hit first —
-  after committing the results of the queries before it;
+* the coordinator commits outcomes in input order and raises the error
+  of the *earliest* failing query — the one serial ``search_batch``
+  would have hit first — after committing the queries before it and
+  after reading every worker reply of the batch;
 * worker counters fold through the commutative
   :meth:`~repro.core.executor.ExecutionStats.merge`, so out-of-order
   pool completion cannot change the aggregated stats.
@@ -107,7 +110,7 @@ def revive_result(cache, portable, score, rank) -> SearchResult:
     return SearchResult(answer=answer, score=score, rank=rank)
 
 
-def _run_chunk(chunk, engine=None):
+def _run_chunk(chunk):
     """Answer one contiguous slice of the batch inside a worker.
 
     A failing query aborts the rest of its chunk (the coordinator never
@@ -119,14 +122,10 @@ def _run_chunk(chunk, engine=None):
     workers match forked ones), the worker's per-query trace roots and
     its metrics *delta* for the chunk come back as one trailing
     ``(None, "obs", (trace_root, metrics_delta), None)`` pseudo-record.
-
-    ``engine`` defaults to the worker's pool engine; the coordinator's
-    degraded in-process fallback passes its own.
     """
     fault.maybe("pool.chunk")
     positions, queries, options = chunk
-    if engine is None:
-        engine = _WORKER_ENGINE
+    engine = _WORKER_ENGINE
     trace_on, metrics_on = options.get("observe", (False, False))
     # The coordinator's setting is authoritative each chunk — a forked
     # worker may have inherited flags the coordinator has since flipped.
@@ -177,6 +176,20 @@ def _run_chunk(chunk, engine=None):
             obs_trace.end_trace(chunk_trace)
             root = chunk_trace.root
         outcomes.append((None, "obs", (root, delta), None))
+    return outcomes
+
+
+def _answer_here(pairs, answer) -> list:
+    """Answer ``(position, query)`` pairs in the coordinator with the
+    serial loop's body, stopping at the first error as a worker does."""
+    outcomes = []
+    for position, query in pairs:
+        try:
+            results, matches, stats = answer(query)
+        except ReproError as error:
+            outcomes.append((position, "error", error, None))
+            break
+        outcomes.append((position, "done", (results, matches), stats))
     return outcomes
 
 
@@ -233,10 +246,11 @@ def _worker_loop(
 
 
 class ParallelSearcher:
-    """A pool of dedicated snapshot workers, one pipe per worker.
+    """A coordinator plus ``jobs - 1`` dedicated snapshot workers, one
+    pipe per worker.
 
-    Unlike a task-stealing pool, chunk *i* of every batch goes to worker
-    *i*: repeated batches of a serving loop land on the worker whose
+    Unlike a task-stealing pool, worker chunk *i* of every batch goes to
+    worker *i*: repeated batches of a serving loop land on the worker whose
     traversal/answer caches already hold their state, so steady-state
     latency is the warm cost.  Workers are daemonic and die with the
     coordinator; :meth:`close` shuts them down explicitly.
@@ -253,8 +267,8 @@ class ParallelSearcher:
         result_cache_entries: int = 256,
         adaptive: bool = True,
     ) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be positive")
+        if jobs < 2:
+            raise ValueError("jobs must be at least 2")
         self.snapshot_path = str(snapshot_path)
         self.jobs = jobs
         self.result_cache_entries = result_cache_entries
@@ -264,17 +278,16 @@ class ParallelSearcher:
         self._workers: Optional[list] = None
         self.pipe_batches = 0
         #: Self-healing counters: workers respawned after dying
-        #: mid-batch, and chunks degraded to in-process execution after
+        #: mid-batch, and chunks the coordinator answered itself after
         #: a respawn (or its retry) failed too.
         self.respawns = 0
         self.inline_chunks = 0
-        self._inline_engine = None
         #: Per-chunk observability payloads from the most recent
         #: :meth:`run` — ``(worker_index, (trace_root, metrics_delta))``
         #: tuples in worker order.
         self.last_obs: list = []
-        #: Per-worker position lists of the most recent :meth:`run` —
-        #: the contiguous cut of the batch.
+        #: Per-chunk position lists of the most recent :meth:`run` —
+        #: the contiguous cut of the batch, the coordinator's share first.
         self.last_assignment: list = []
 
     @property
@@ -308,7 +321,7 @@ class ParallelSearcher:
 
     def _ensure_workers(self) -> list:
         if self._workers is None:
-            workers = [self._spawn_worker() for __ in range(self.jobs)]
+            workers = [self._spawn_worker() for __ in range(self.jobs - 1)]
             for process, connection in workers:
                 status, detail = connection.recv()
                 if status != "ready":
@@ -350,30 +363,39 @@ class ParallelSearcher:
         self._workers[index] = worker
         return True
 
-    def run(self, queries: Sequence[str], options: dict) -> dict:
-        """Answer distinct queries on the pool; returns per-query outcomes.
+    def run(self, queries: Sequence[str], options: dict, answer) -> dict:
+        """Answer distinct queries here and on the workers; returns
+        per-query outcomes.
 
-        The batch is cut into at most one contiguous chunk per worker —
-        a single IPC round trip each — so each chunk's positions stay
-        ascending.  Each outcome is ``("ok", portable_results, stats)``
-        or ``("error", error, None)``; a chunk stops at its first error,
-        which is safe because the coordinator never consumes outcomes
-        past the batch's first failure — every position before the first
-        failing one lives in some chunk whose own error cutoff (input
-        order within the chunk) cannot precede it.
+        The coordinator keeps the first ⌊n/jobs⌋ queries — rounded down,
+        so a one-query batch still reaches a worker — and the rest is
+        cut into at most one contiguous chunk per worker, a single IPC
+        round trip each.  ``answer(query)`` is the serial loop's body:
+        it answers one query in this process and returns ``(results,
+        matches, stats)``.  The coordinator runs it over its own share
+        between sending the worker chunks and reading their replies.
+
+        Each outcome is ``("ok", portable_results, stats)`` from a
+        worker, ``("done", (results, matches), stats)`` from this
+        process, or ``("error", error, None)``.  Every chunk stops at its
+        first error, which is safe because the caller commits outcomes in
+        input order and never past the batch's first failure.  Every
+        worker reply is read before this returns, so no stale reply is
+        left in a pipe.
 
         While tracing or metrics are on, each worker ships its chunk's
         trace root and metrics delta back; they merge in worker order
         (the active trace adopts the roots, the registry folds the
         deltas), so the result is the same however the OS scheduled the
-        chunks.
+        chunks.  The coordinator's own share records straight into the
+        active trace and registry.
 
         The pool self-heals: a worker that died mid-chunk (EOF or broken
         pipe on the coordinator side) is respawned against the current
         snapshot and its lost chunk retried exactly once; if the respawn
-        or the retry fails too, the chunk degrades to in-process
-        execution on a coordinator-side engine — the batch completes
-        either way, with bit-identical results.
+        or the retry fails too, the coordinator answers the chunk with
+        ``answer`` — the batch completes either way, with bit-identical
+        results.
         """
         self.last_obs = []
         self.last_assignment = []
@@ -381,13 +403,16 @@ class ParallelSearcher:
             return {}
         workers = self._ensure_workers()
         options = dict(options, observe=(obs_trace.ENABLED, obs_metrics.ENABLED))
-        size = -(-len(queries) // min(self.jobs, len(queries)))
-        self.last_assignment = [
+        own = len(queries) // self.jobs
+        rest = len(queries) - own
+        size = -(-rest // min(len(workers), rest))
+        chunks = [
             list(range(start, min(start + size, len(queries))))
-            for start in range(0, len(queries), size)
+            for start in range(own, len(queries), size)
         ]
+        self.last_assignment = ([list(range(own))] if own else []) + chunks
         busy = []
-        for index, positions in enumerate(self.last_assignment):
+        for index, positions in enumerate(chunks):
             chunk = (positions, [queries[p] for p in positions], options)
             __, connection = workers[index]
             try:
@@ -395,17 +420,18 @@ class ParallelSearcher:
             except (BrokenPipeError, OSError):
                 pass  # dead already; the receive loop heals it
             busy.append((index, chunk))
+        try:
+            replies = [(None, _answer_here(zip(range(own), queries), answer))]
+            for index, chunk in busy:
+                replies.append((index, self._receive(index, chunk, answer)))
+        except BaseException:
+            # Not a query's own error: replies may be unread, so the
+            # pool cannot serve another batch.
+            self.close()
+            raise
         outcomes: dict[str, tuple] = {}
         qtrace = obs_trace.current_trace()
-        for index, chunk in busy:
-            status, chunk_outcomes = self._receive(index, chunk)
-            if status == "ok":
-                self.pipe_batches += 1
-                if obs_metrics.ENABLED:
-                    obs_metrics.REGISTRY.inc("pool.pipe_batches")
-            elif status != "inline":
-                self.close()
-                raise RuntimeError(f"snapshot worker crashed: {chunk_outcomes}")
+        for index, chunk_outcomes in replies:
             for position, result_status, payload, stats in chunk_outcomes:
                 if result_status == "obs":
                     # Trailing worker-observability record, not a query.
@@ -420,60 +446,34 @@ class ParallelSearcher:
                 outcomes[queries[position]] = (result_status, payload, stats)
         return outcomes
 
-    def _receive(self, index: int, chunk) -> tuple:
-        """One chunk's reply, healing a dead worker along the way."""
+    def _receive(self, index: int, chunk, answer) -> list:
+        """One chunk's outcomes, healing a dead worker along the way."""
         __, connection = self._workers[index]
         try:
-            return connection.recv()
+            reply = connection.recv()
         except (EOFError, OSError):
-            pass
-        # The worker died before replying. Respawn it on the current
-        # snapshot and retry the lost chunk exactly once.
-        if self._respawn(index):
-            __, connection = self._workers[index]
-            try:
-                connection.send(chunk)
-                return connection.recv()
-            except (BrokenPipeError, EOFError, OSError):
-                pass  # died again: fall through to in-process execution
-        self.inline_chunks += 1
+            # The worker died before replying. Respawn it on the current
+            # snapshot and retry the lost chunk exactly once.
+            reply = None
+            if self._respawn(index):
+                __, connection = self._workers[index]
+                try:
+                    connection.send(chunk)
+                    reply = connection.recv()
+                except (BrokenPipeError, EOFError, OSError):
+                    pass  # died again: the coordinator answers the chunk
+        if reply is None:
+            self.inline_chunks += 1
+            if obs_metrics.ENABLED:
+                obs_metrics.REGISTRY.inc("pool.inline_chunks")
+            return _answer_here(zip(chunk[0], chunk[1]), answer)
+        status, chunk_outcomes = reply
+        if status != "ok":
+            raise RuntimeError(f"snapshot worker crashed: {chunk_outcomes}")
+        self.pipe_batches += 1
         if obs_metrics.ENABLED:
-            obs_metrics.REGISTRY.inc("pool.inline_chunks")
-        return ("inline", self._run_inline(chunk))
-
-    def _ensure_inline_engine(self):
-        if self._inline_engine is None:
-            from repro.core.engine import KeywordSearchEngine
-
-            self._inline_engine = KeywordSearchEngine.open(
-                self.snapshot_path,
-                result_cache_entries=self.result_cache_entries,
-                adaptive=self.adaptive,
-            )
-        return self._inline_engine
-
-    def _run_inline(self, chunk):
-        """Degraded mode: answer a chunk in the coordinator process.
-
-        Runs the exact worker code over a lazily opened coordinator-side
-        snapshot engine, so results stay bit-identical.  Observability
-        is disabled for the chunk — its increments would land directly
-        in the coordinator registry and then be double-counted by the
-        delta merge — and the process-global flags are restored
-        afterwards (``_run_chunk`` flips them to the chunk's setting).
-        """
-        positions, queries, options = chunk
-        quiet = dict(options)
-        quiet["observe"] = (False, False)
-        saved_trace, saved_metrics = obs_trace.ENABLED, obs_metrics.ENABLED
-        try:
-            return _run_chunk(
-                (positions, queries, quiet),
-                engine=self._ensure_inline_engine(),
-            )
-        finally:
-            obs_trace.set_enabled(saved_trace)
-            obs_metrics.set_enabled(saved_metrics)
+            obs_metrics.REGISTRY.inc("pool.pipe_batches")
+        return chunk_outcomes
 
     def reopen(self, snapshot_path) -> int:
         """Hot-swap the pool onto a new snapshot, one worker at a time.
@@ -486,9 +486,6 @@ class ParallelSearcher:
         of workers now serving the new snapshot.
         """
         self.snapshot_path = str(snapshot_path)
-        if self._inline_engine is not None:
-            self._inline_engine.close()
-            self._inline_engine = None
         if self._workers is None:
             return 0
         swapped = 0
@@ -524,9 +521,6 @@ class ParallelSearcher:
         if self._workers is not None:
             self._shutdown(self._workers)
             self._workers = None
-        if self._inline_engine is not None:
-            self._inline_engine.close()
-            self._inline_engine = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "live" if self._workers is not None else "idle"

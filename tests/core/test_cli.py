@@ -437,7 +437,7 @@ class TestParallelFlags:
         )
         assert code == 0
         assert parallel.startswith(serial)
-        assert "# parallel: 2 snapshot workers" in parallel
+        assert "# parallel: 1 snapshot worker plus this process" in parallel
 
 
 class TestHelpGrouping:

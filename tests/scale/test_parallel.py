@@ -157,6 +157,97 @@ class TestParallelErrors:
         assert serial == parallel
 
 
+class TestCallerShare:
+    """``jobs=N`` counts this process: N − 1 workers answer beside it."""
+
+    DISTINCT = [
+        "kwalpha kwbeta",
+        "kwalpha kwbeta kwgamma",
+        "kwalpha",
+        "zznothing",
+        "kwbeta kwgamma",
+        "kwalpha kwgamma",
+        "kwgamma",
+        "kwbeta",
+    ]
+    TIGHT = SearchLimits(
+        max_rdb_length=4, max_tuples=5, max_paths_per_pair=1, max_networks=1
+    )
+
+    @staticmethod
+    def _serial_error(queries, limits):
+        engine = KeywordSearchEngine(planted_database())
+        with pytest.raises(SearchLimitError) as caught:
+            engine.search_batch(queries, limits=limits)
+        return str(caught.value)
+
+    @staticmethod
+    def _cached(engine, queries, limits):
+        return [
+            engine.result_cache.lookup(
+                engine._cache_key(q, engine.ranker, limits, None, "and", None)
+            )
+            is not None
+            for q in queries
+        ]
+
+    def test_two_jobs_start_one_worker(self, engine):
+        import multiprocessing
+
+        serial = rendered(
+            KeywordSearchEngine(planted_database()).search_batch(
+                self.DISTINCT, limits=LIMITS
+            )
+        )
+        before = {p.pid for p in multiprocessing.active_children()}
+        parallel = rendered(
+            engine.search_batch(self.DISTINCT, limits=LIMITS, jobs=2)
+        )
+        searcher = engine._searcher
+        started = {p.pid for p in multiprocessing.active_children()} - before
+        assert started == {process.pid for process, __ in searcher._workers}
+        assert len(started) == 1
+        assert searcher.last_assignment == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        assert searcher.pipe_batches == 1
+        assert parallel == serial
+
+    def test_error_in_this_process_raises_after_earlier_commits(self, engine):
+        # Positions 0-1 are this process's share; 1 trips the budget.
+        queries = ["kwalpha", "kwbeta kwgamma", "kwgamma", "kwbeta"]
+        expected = self._serial_error(queries, self.TIGHT)
+        with pytest.raises(SearchLimitError) as caught:
+            engine.search_batch(queries, limits=self.TIGHT, jobs=2)
+        assert str(caught.value) == expected
+        assert self._cached(engine, queries, self.TIGHT) == [
+            True, False, False, False,
+        ]
+        assert engine._searcher.pipe_batches == 1  # the reply was read
+        # No stale reply waits in the pipe: the next batch is its own.
+        following = ["kwgamma", "kwalpha", "kwbeta", "zznothing"]
+        serial = rendered(
+            KeywordSearchEngine(planted_database()).search_batch(
+                following, limits=LIMITS
+            )
+        )
+        assert rendered(
+            engine.search_batch(following, limits=LIMITS, jobs=2)
+        ) == serial
+        assert engine._searcher.pipe_batches == 2
+
+    def test_worker_error_raises_after_this_process_committed(self, engine):
+        # Positions 2-3 are the worker's chunk; 3 trips the budget.
+        queries = ["kwalpha", "kwgamma", "kwbeta", "kwbeta kwgamma"]
+        expected = self._serial_error(queries, self.TIGHT)
+        with pytest.raises(SearchLimitError) as caught:
+            engine.search_batch(queries, limits=self.TIGHT, jobs=2)
+        assert str(caught.value) == expected
+        assert engine._searcher.last_assignment == [[0, 1], [2, 3]]
+        assert engine._searcher.pipe_batches == 1
+        assert self._cached(engine, queries, self.TIGHT) == [
+            True, True, True, False,
+        ]
+
+
 class TestPipeTransport:
     def test_large_chunks_cross_the_pipe(self):
         """A chunk whose pickled answers exceed the OS pipe buffer
@@ -170,15 +261,18 @@ class TestPipeTransport:
         plant(database, "kwalpha", "DEPARTMENT", "D_DESCRIPTION", 8, seed=1)
         plant(database, "kwbeta", "EMPLOYEE", "L_NAME", 32, seed=2)
         loose = SearchLimits(max_rdb_length=5, max_tuples=6)
-        queries = ["kwalpha kwbeta", "kwalpha"]
+        # This process answers the first query; the large one is the
+        # worker's chunk.
+        queries = ["kwalpha", "kwalpha kwbeta"]
         engine = KeywordSearchEngine(database, result_cache_entries=0)
         try:
             serial = engine.search_batch(queries, limits=loose)
             parallel = engine.search_batch(queries, limits=loose, jobs=2)
-            assert engine._searcher.pipe_batches == 2
+            assert engine._searcher.pipe_batches == 1
+            assert engine._searcher.last_assignment == [[0], [1]]
         finally:
             engine.close_pool()
-        portable = [(_portable_answer(r.answer), r.score) for r in parallel[0]]
+        portable = [(_portable_answer(r.answer), r.score) for r in parallel[1]]
         assert len(pickle.dumps(portable)) > 64 * 1024
         assert rendered(parallel) == rendered(serial)
 
@@ -241,25 +335,25 @@ class TestObservability:
         workers = [
             span for span in trace.walk() if span.name == "worker.batch"
         ]
-        assert len(workers) == 2
+        assert len(workers) == 1
         # input-position order, whatever order the chunks completed in
-        assert [w.tags["worker"] for w in workers] == [0, 1]
-        # Every distinct query ran in exactly one worker, each worker
-        # answering its contiguous chunk in input order.
+        assert [w.tags["worker"] for w in workers] == [0]
+        # Every distinct query ran exactly once, in this process's chunk
+        # or in one worker's, each chunk in input order.
         distinct = list(dict.fromkeys(QUERIES))
-        per_worker = [
+        own = [
+            span.tags["query"] for span in trace.root.children
+            if span.name == "plan.compile"
+        ]
+        per_chunk = [own] + [
             [
                 span.tags["query"] for span in w.children
                 if span.name == "query"
             ]
             for w in workers
         ]
-        assert sorted(q for chunk in per_worker for q in chunk) == sorted(
-            distinct
-        )
-        order = {query: position for position, query in enumerate(distinct)}
-        for chunk in per_worker:
-            assert [order[q] for q in chunk] == sorted(order[q] for q in chunk)
+        assert [q for chunk in per_chunk for q in chunk] == distinct
+        assert own == distinct[: len(distinct) // 2]
 
     def test_worker_metrics_merge_into_registry(self):
         __, __, counters = self._observed_batch()
@@ -276,7 +370,7 @@ class TestObservability:
         ]
         assert workers
         assert all("transport" not in w.tags for w in workers)
-        assert counters["pool.pipe_batches"] == 2
+        assert counters["pool.pipe_batches"] == 1
 
     def test_merged_observability_is_deterministic(self):
         first = self._observed_batch()
@@ -425,7 +519,7 @@ class TestHotReopen:
             # Re-home the pool onto an equal snapshot at a new path.
             path = str(tmp_path / "rehome.snap")
             engine.save(path)
-            assert searcher.reopen(path) == 2
+            assert searcher.reopen(path) == 1
             assert [p.pid for p, __ in searcher._workers] == workers_before
             assert rendered(
                 engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
@@ -442,7 +536,7 @@ class TestHotReopen:
         )
         try:
             serial = rendered(engine.search_batch(QUERIES, limits=LIMITS))
-            rendered(engine.search_batch(QUERIES, limits=LIMITS, jobs=2))
+            rendered(engine.search_batch(QUERIES, limits=LIMITS, jobs=3))
             searcher = engine._searcher
             victim, __ = searcher._workers[1]
             os.kill(victim.pid, signal.SIGKILL)
@@ -453,7 +547,7 @@ class TestHotReopen:
             assert searcher.reopen(path) == 2  # one swapped, one respawned
             assert searcher.respawns == 1
             assert rendered(
-                engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
+                engine.search_batch(QUERIES, limits=LIMITS, jobs=3)
             ) == serial
         finally:
             engine.close_pool()

@@ -94,3 +94,30 @@ def test_close_on_plain_engine_is_a_no_op():
     engine = KeywordSearchEngine(build_company_database())
     engine.close()  # no snapshot, no pool: nothing to release
     assert engine.search("Smith XML")
+
+
+def test_closed_engine_lets_go_of_what_it_restored(snapshot_path):
+    import gc
+    import weakref
+
+    engine = KeywordSearchEngine.open(snapshot_path)
+    assert engine.search("Smith XML")
+    postings = engine.index._postings
+    stores = engine.database._tuples
+    frozen = engine.traversal_cache._frozen
+    assert dict.__len__(postings) > 0  # a decoded posting list
+    assert dict.__len__(stores) > 0  # a loaded row store
+    assert len(engine.result_cache) == 1
+    held = [weakref.ref(part) for part in (postings, stores, frozen)]
+    del postings, stores, frozen
+    engine.close()
+    gc.collect()
+    assert [ref() for ref in held] == [None, None, None]
+    assert len(engine.result_cache) == 0
+    assert engine._snapshot.closed
+    with pytest.raises(SnapshotError):
+        engine.search("Smith XML")
+    with pytest.raises(SnapshotError):
+        engine.search_batch(["Smith XML", "Brown CS"], jobs=2)
+    assert engine._searcher is None  # no pool started for a closed engine
+    engine.close()  # still idempotent
