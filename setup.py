@@ -14,7 +14,6 @@ setup(
     version="1.0.0",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    package_data={"repro.analysis": ["baseline.json"]},
     python_requires=">=3.11",
     extras_require={
         "networkx": ["networkx"],

@@ -1,143 +1,10 @@
-"""``python -m repro.analysis`` — run the invariant linter.
+"""``python -m repro.analysis [PATH...]`` — run the invariant linter.
 
-Exit codes: 0 when every finding is suppressed or baselined, 1 when new
-findings exist (always, not only under ``--strict``; strict
-additionally fails on stale baseline entries so the baseline shrinks
-monotonically), 2 on usage or internal errors.
+Exit codes: 0 when every finding is suppressed, 1 when unsuppressed
+findings exist, 2 on usage errors, unreadable files or missing targets.
 """
 
-from __future__ import annotations
-
-import argparse
-import json
-import sys
-from pathlib import Path
-
-from repro.analysis.framework import (
-    Baseline,
-    all_rules,
-    analyze_paths,
-    default_baseline_path,
-    render_human,
-    render_json,
-)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="AST-based invariant linter: determinism, "
-        "pickle-safety, freeze and resource contracts",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        metavar="PATH",
-        help="files or directories to analyse (default: src/repro)",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="also fail (exit 1) when the baseline holds stale entries",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit a machine-readable report"
-    )
-    parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also list baselined and suppressed findings",
-    )
-    parser.add_argument(
-        "--rules",
-        metavar="IDS",
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="baseline file (default: src/repro/analysis/baseline.json)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to exactly the current findings",
-    )
-    return parser
-
-
-def run(argv=None, out=None) -> int:
-    out = out or sys.stdout
-    args = build_parser().parse_args(argv)
-
-    rules = all_rules()
-    if args.rules:
-        wanted = {part.strip() for part in args.rules.split(",") if part.strip()}
-        unknown = wanted - set(rules)
-        if unknown:
-            print(
-                f"unknown rule ids: {', '.join(sorted(unknown))} "
-                f"(known: {', '.join(sorted(rules))})",
-                file=out,
-            )
-            return 2
-        rules = {rule_id: rules[rule_id] for rule_id in sorted(wanted)}
-
-    baseline_path = (
-        Path(args.baseline) if args.baseline else default_baseline_path()
-    )
-    targets = [Path(path) for path in args.paths] if args.paths else None
-
-    if args.update_baseline:
-        # A filtered run only sees a slice of the findings; rewriting a
-        # baseline from it would silently drop every entry outside the
-        # slice and resurface them as new findings on the next full
-        # run.  Explicit PATH args are fine with an explicit --baseline
-        # (a scoped baseline file pairs with its scoped file set), never
-        # with the shared default baseline.
-        if args.rules:
-            print(
-                "--update-baseline rewrites the whole baseline and cannot "
-                "be combined with --rules",
-                file=out,
-            )
-            return 2
-        if args.paths and not args.baseline:
-            print(
-                "--update-baseline with explicit PATH arguments would "
-                "rewrite the default baseline from a partial scope; pass "
-                "--baseline FILE to write a scoped baseline instead",
-                file=out,
-            )
-            return 2
-
-    if args.update_baseline:
-        # Analyse against an empty baseline so every finding lands in
-        # the rewritten file (suppressed ones stay suppressed in code).
-        report = analyze_paths(targets, baseline=Baseline([]), rules=rules)
-        entries = [Baseline.entry_for(finding) for finding in report.new]
-        baseline_path.write_text(
-            json.dumps(
-                {"version": 1, "entries": entries}, indent=2, sort_keys=True
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {baseline_path} ({len(entries)} entries)", file=out)
-        return 0
-
-    report = analyze_paths(
-        targets, baseline=Baseline.load(baseline_path), rules=rules
-    )
-    if args.json:
-        print(json.dumps(render_json(report), indent=2), file=out)
-    else:
-        render_human(report, out, verbose=args.verbose)
-    exit_code = report.exit_code
-    if args.strict and report.stale_baseline and exit_code == 0:
-        exit_code = 1
-    return exit_code
-
+from repro.analysis.framework import main
 
 if __name__ == "__main__":
-    raise SystemExit(run())
+    raise SystemExit(main())

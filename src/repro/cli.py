@@ -17,7 +17,6 @@ Usage (after ``pip install -e .``)::
     python -m repro wal compact db.snap             # fold WAL into snapshot
     python -m repro reproduce                       # all tables/figures/claims
     python -m repro analyze                         # schema closeness report
-    python -m repro lint --strict                   # invariant linter
     python -m repro mtjnt "Smith XML"
     python -m repro generate --departments 10 --out /tmp/db.json
     python -m repro search "kwalpha kwbeta" --db /tmp/db.json
@@ -180,30 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="write the folded snapshot (and a fresh "
                                   "empty WAL) here instead of replacing "
                                   "SNAPSHOT in place")
-
-    lint = commands.add_parser(
-        "lint",
-        help="run the AST-based invariant linter over the library source",
-        description="Static-analysis pass enforcing the codebase's "
-        "determinism, pickle-safety, freeze, resource and durability "
-        "contracts (rules DET01/DET02/PKL01/FRZ01/RES01/API01/SLOT01/"
-        "DUR01).",
-    )
-    lint.add_argument("paths", nargs="*", metavar="PATH",
-                      help="files or directories (default: src/repro)")
-    lint.add_argument("--strict", action="store_true",
-                      help="also fail when the baseline holds stale entries")
-    lint.add_argument("--json", action="store_true",
-                      help="emit a machine-readable report")
-    lint.add_argument("--verbose", action="store_true",
-                      help="also list baselined and suppressed findings")
-    lint.add_argument("--rules", metavar="IDS",
-                      help="comma-separated rule ids to run (default: all)")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="baseline file "
-                           "(default: src/repro/analysis/baseline.json)")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline to the current findings")
 
     stats = commands.add_parser(
         "stats",
@@ -657,25 +632,6 @@ def _cmd_wal(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace, out) -> int:
-    from repro.analysis import main as lint_main
-
-    argv = list(args.paths)
-    if args.strict:
-        argv.append("--strict")
-    if args.json:
-        argv.append("--json")
-    if args.verbose:
-        argv.append("--verbose")
-    if args.rules:
-        argv.extend(["--rules", args.rules])
-    if args.baseline:
-        argv.extend(["--baseline", args.baseline])
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    return lint_main(argv, out)
-
-
 #: Workload `repro stats` runs when no QUERY is given (company example).
 _STATS_WORKLOAD = ("Smith XML", "Brown CS", "Smith Brown")
 
@@ -829,7 +785,6 @@ _COMMANDS = {
     "search": _cmd_search,
     "snapshot": _cmd_snapshot,
     "wal": _cmd_wal,
-    "lint": _cmd_lint,
     "stats": _cmd_stats,
     "plan": _cmd_plan,
     "reproduce": _cmd_reproduce,

@@ -3,9 +3,8 @@
 Every rule gets at least one true-positive (a minimal program with the
 bug shape the rule exists for) and at least one negative (the idiomatic
 fix, or a context where the construct is legitimate).  Fixtures run
-through :func:`analyze_source` with an impersonated ``rel_path`` so
-module-scoped behaviour (FRZ01 home modules, SLOT01 hot modules) is
-exercised without touching the real tree.
+through :func:`analyze_source` with an impersonated ``rel_path``, so
+nothing touches the real tree.
 """
 
 import textwrap
@@ -15,8 +14,8 @@ from repro.analysis import analyze_source
 PATH = "src/repro/core/sample.py"
 
 
-def hits(source, rule, path=PATH):
-    findings = analyze_source(textwrap.dedent(source), path)
+def hits(source, rule):
+    findings = analyze_source(textwrap.dedent(source), PATH)
     return [finding for finding in findings if finding.rule == rule]
 
 
@@ -302,556 +301,4 @@ class TestPkl01:
                     self.depth = depth
             """,
             "PKL01",
-        )
-
-
-# ----------------------------------------------------------------------
-# FRZ01 — mutation of frozen structures outside their modules
-# ----------------------------------------------------------------------
-FRZ_MUTATION = """
-    def patch(cache):
-        frozen = cache.frozen()
-        frozen._alive[3] = 0
-"""
-
-
-class TestFrz01:
-    def test_subscript_store_into_frozen_factory_result(self):
-        found = hits(FRZ_MUTATION, "FRZ01", path="src/repro/live/maintain.py")
-        assert len(found) == 1
-        assert "frozen" in found[0].message
-
-    def test_home_module_is_exempt(self):
-        assert not hits(FRZ_MUTATION, "FRZ01", path="src/repro/graph/csr.py")
-
-    def test_sanctioned_entry_point_is_exempt(self):
-        assert not hits(
-            """
-            def apply_changeset(cache, changes):
-                frozen = cache.frozen()
-                frozen._alive[3] = 0
-            """,
-            "FRZ01",
-            path="src/repro/live/maintain.py",
-        )
-
-    def test_mutator_method_on_frozen_attribute(self):
-        found = hits(
-            """
-            def trim(cache):
-                frozen = cache.frozen()
-                frozen._distances.pop(1)
-            """,
-            "FRZ01",
-        )
-        assert len(found) == 1
-        assert ".pop()" in found[0].message
-
-    def test_annotation_marks_parameter_frozen(self):
-        assert hits(
-            """
-            def tweak(graph: FrozenGraph):
-                graph._offsets[0] = 1
-            """,
-            "FRZ01",
-        )
-
-    def test_constructor_result_tracked(self):
-        assert hits(
-            """
-            def build(data):
-                graph = FrozenGraph(data)
-                graph.tids.append(0)
-            """,
-            "FRZ01",
-        )
-
-    def test_reads_are_clean(self):
-        assert not hits(
-            """
-            def inspect(cache):
-                frozen = cache.frozen()
-                return frozen._alive[3], len(frozen._offsets)
-            """,
-            "FRZ01",
-        )
-
-
-# ----------------------------------------------------------------------
-# RES01 — resource acquired without a paired close()
-# ----------------------------------------------------------------------
-class TestRes01:
-    def test_inline_open_read(self):
-        found = hits(
-            """
-            def peek(path):
-                return open(path).read()
-            """,
-            "RES01",
-        )
-        assert len(found) == 1
-        assert "inline" in found[0].message
-
-    def test_leaked_local_handle(self):
-        assert hits(
-            """
-            def leak(path):
-                handle = open(path)
-                data = handle.read()
-                return data
-            """,
-            "RES01",
-        )
-
-    def test_returning_read_data_is_not_an_escape(self):
-        # ``return handle.read()`` returns the *data*; the handle itself
-        # still leaks.
-        assert hits(
-            """
-            def sneaky(path):
-                handle = open(path)
-                return handle.read()
-            """,
-            "RES01",
-        )
-
-    def test_with_statement_is_clean(self):
-        assert not hits(
-            """
-            def read(path):
-                with open(path) as handle:
-                    return handle.read()
-            """,
-            "RES01",
-        )
-
-    def test_try_finally_close_is_clean(self):
-        assert not hits(
-            """
-            def read(path):
-                handle = open(path)
-                try:
-                    return handle.read()
-                finally:
-                    handle.close()
-            """,
-            "RES01",
-        )
-
-    def test_returning_the_handle_transfers_ownership(self):
-        assert not hits(
-            """
-            def acquire(path):
-                handle = open(path)
-                return handle
-            """,
-            "RES01",
-        )
-
-    def test_wrapping_the_handle_transfers_ownership(self):
-        assert not hits(
-            """
-            def acquire(path):
-                handle = open(path)
-                return Reader(handle)
-            """,
-            "RES01",
-        )
-
-    def test_alternate_constructor_open_is_not_a_file(self):
-        assert not hits(
-            """
-            def serve(path):
-                engine = Engine.open(path)
-                return engine.search("q")
-            """,
-            "RES01",
-        )
-
-    def test_self_attribute_with_closing_method_is_clean(self):
-        assert not hits(
-            """
-            class Holder:
-                def __init__(self, path):
-                    self._handle = open(path)
-
-                def close(self):
-                    self._handle.close()
-            """,
-            "RES01",
-        )
-
-    def test_self_attribute_without_closing_method(self):
-        found = hits(
-            """
-            class Holder:
-                def __init__(self, path):
-                    self._handle = open(path)
-            """,
-            "RES01",
-        )
-        assert len(found) == 1
-        assert "self._handle" in found[0].message
-
-    def test_mmap_without_release(self):
-        assert hits(
-            """
-            import mmap
-
-            def map_it(fileno):
-                view = mmap.mmap(fileno, 0)
-                return view.size()
-            """,
-            "RES01",
-        )
-
-    def test_pipe_ends_appended_to_owner_list_are_clean(self):
-        assert not hits(
-            """
-            def spawn(mp, workers):
-                parent_end, child_end = mp.Pipe()
-                workers.append((parent_end, child_end))
-            """,
-            "RES01",
-        )
-
-    def test_returning_a_fresh_handle_is_the_callers_pairing(self):
-        assert not hits(
-            """
-            import mmap
-
-            def map_it(fileno):
-                return mmap.mmap(fileno, 0)
-            """,
-            "RES01",
-        )
-
-
-# ----------------------------------------------------------------------
-# API01 — broad exception handlers that swallow
-# ----------------------------------------------------------------------
-class TestApi01:
-    def test_broad_except_pass(self):
-        found = hits(
-            """
-            def guard(work):
-                try:
-                    work()
-                except Exception:
-                    pass
-            """,
-            "API01",
-        )
-        assert len(found) == 1
-
-    def test_bare_except_continue(self):
-        assert hits(
-            """
-            def drain(jobs):
-                for job in jobs:
-                    try:
-                        job()
-                    except:
-                        continue
-            """,
-            "API01",
-        )
-
-    def test_specific_exception_pass_is_clean(self):
-        assert not hits(
-            """
-            def guard(mapping, key):
-                try:
-                    return mapping[key]
-                except KeyError:
-                    return None
-            """,
-            "API01",
-        )
-
-    def test_reraise_is_clean(self):
-        assert not hits(
-            """
-            def guard(work):
-                try:
-                    work()
-                except Exception:
-                    raise
-            """,
-            "API01",
-        )
-
-    def test_using_the_bound_error_is_clean(self):
-        assert not hits(
-            """
-            def guard(work):
-                try:
-                    work()
-                except Exception as error:
-                    return str(error)
-            """,
-            "API01",
-        )
-
-    def test_recording_call_is_clean(self):
-        assert not hits(
-            """
-            def guard(work, log):
-                try:
-                    work()
-                except Exception:
-                    log.warning("work failed")
-            """,
-            "API01",
-        )
-
-
-# ----------------------------------------------------------------------
-# SLOT01 — hot-path dataclasses without __slots__
-# ----------------------------------------------------------------------
-DATACLASS = """
-    from dataclasses import dataclass
-
-    @dataclass
-    class Box:
-        x: int
-"""
-
-
-class TestSlot01:
-    def test_hot_module_dataclass_without_slots(self):
-        found = hits(DATACLASS, "SLOT01", path="src/repro/graph/widgets.py")
-        assert len(found) == 1
-        assert "Box" in found[0].message
-
-    def test_scale_module_is_hot_too(self):
-        assert hits(DATACLASS, "SLOT01", path="src/repro/scale/widgets.py")
-
-    def test_cold_module_is_clean(self):
-        assert not hits(DATACLASS, "SLOT01", path="src/repro/io/widgets.py")
-
-    def test_slots_true_is_clean(self):
-        assert not hits(
-            """
-            from dataclasses import dataclass
-
-            @dataclass(slots=True)
-            class Box:
-                x: int
-            """,
-            "SLOT01",
-            path="src/repro/graph/widgets.py",
-        )
-
-    def test_explicit_dunder_slots_is_clean(self):
-        assert not hits(
-            """
-            from dataclasses import dataclass
-
-            @dataclass
-            class Box:
-                __slots__ = ("x",)
-                x: int
-            """,
-            "SLOT01",
-            path="src/repro/graph/widgets.py",
-        )
-
-    def test_frozen_without_slots_still_flagged(self):
-        assert hits(
-            """
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class Box:
-                x: int
-            """,
-            "SLOT01",
-            path="src/repro/graph/widgets.py",
-        )
-
-    def test_plain_class_is_clean(self):
-        assert not hits(
-            """
-            class Box:
-                def __init__(self, x):
-                    self.x = x
-            """,
-            "SLOT01",
-            path="src/repro/graph/widgets.py",
-        )
-
-
-# ----------------------------------------------------------------------
-# DUR01 — durable artefacts written outside fsync + os.replace
-# ----------------------------------------------------------------------
-DURABLE_PATH = "src/repro/durable/sample.py"
-SCALE_PATH = "src/repro/scale/sample.py"
-
-
-class TestDur01:
-    def test_direct_write_in_durable_module(self):
-        found = hits(
-            """
-            def save(path, data):
-                with open(path, "wb") as handle:
-                    handle.write(data)
-            """,
-            "DUR01",
-            path=DURABLE_PATH,
-        )
-        assert len(found) == 1
-        assert "os.replace" in found[0].message
-
-    def test_scale_module_is_also_in_scope(self):
-        assert hits(
-            """
-            def save(path, data):
-                with open(path, "w") as handle:
-                    handle.write(data)
-            """,
-            "DUR01",
-            path=SCALE_PATH,
-        )
-
-    def test_atomic_protocol_is_clean(self):
-        assert not hits(
-            """
-            import os
-            import tempfile
-
-            def save(path, data):
-                fd, temp = tempfile.mkstemp(dir=".")
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(temp, path)
-            """,
-            "DUR01",
-            path=DURABLE_PATH,
-        )
-
-    def test_fsync_without_replace_still_flagged(self):
-        assert hits(
-            """
-            import os
-
-            def save(path, data):
-                with open(path, "wb") as handle:
-                    handle.write(data)
-                    os.fsync(handle.fileno())
-            """,
-            "DUR01",
-            path=DURABLE_PATH,
-        )
-
-    def test_replace_without_fsync_still_flagged(self):
-        assert hits(
-            """
-            import os
-
-            def save(path, temp, data):
-                with open(temp, "wb") as handle:
-                    handle.write(data)
-                os.replace(temp, path)
-            """,
-            "DUR01",
-            path=DURABLE_PATH,
-        )
-
-    def test_read_and_update_modes_are_out_of_scope(self):
-        assert not hits(
-            """
-            def scan(path):
-                with open(path, "rb") as handle:
-                    data = handle.read()
-                handle = open(path, "r+b")
-                handle.close()
-                return data
-            """,
-            "DUR01",
-            path=DURABLE_PATH,
-        )
-
-    def test_path_open_write_method_is_flagged(self):
-        assert hits(
-            """
-            def save(path, data):
-                with path.open("w") as handle:
-                    handle.write(data)
-            """,
-            "DUR01",
-            path=DURABLE_PATH,
-        )
-
-    def test_exclusive_create_mode_is_flagged(self):
-        assert hits(
-            """
-            def save(path, data):
-                with open(path, mode="xb") as handle:
-                    handle.write(data)
-            """,
-            "DUR01",
-            path=DURABLE_PATH,
-        )
-
-    def test_alternate_constructor_open_is_not_a_write(self):
-        assert not hits(
-            """
-            def reopen(path):
-                return KeywordSearchEngine.open(path, "csr")
-            """,
-            "DUR01",
-            path=DURABLE_PATH,
-        )
-
-    def test_other_modules_are_out_of_scope(self):
-        assert not hits(
-            """
-            def save(path, data):
-                with open(path, "wb") as handle:
-                    handle.write(data)
-            """,
-            "DUR01",
-        )
-
-
-class TestRes01RawDescriptors:
-    def test_os_close_by_argument_releases(self):
-        assert not hits(
-            """
-            import os
-
-            def fsync_directory(directory):
-                fd = os.open(directory, os.O_RDONLY)
-                try:
-                    os.fsync(fd)
-                finally:
-                    os.close(fd)
-            """,
-            "RES01",
-        )
-
-    def test_inline_acquire_release_expression(self):
-        assert not hits(
-            """
-            import os
-
-            def touch_exclusively(path):
-                os.close(os.open(path, os.O_CREAT | os.O_EXCL))
-            """,
-            "RES01",
-        )
-
-    def test_raw_descriptor_without_os_close_still_flagged(self):
-        assert hits(
-            """
-            import os
-
-            def fsync_directory(directory):
-                fd = os.open(directory, os.O_RDONLY)
-                os.fsync(fd)
-            """,
-            "RES01",
         )

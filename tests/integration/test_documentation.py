@@ -40,7 +40,7 @@ class TestCliDocumentation:
             if hasattr(action, "choices") and action.choices
         )
         assert set(subparsers.choices) == {
-            "search", "snapshot", "lint", "stats", "plan", "reproduce",
+            "search", "snapshot", "stats", "plan", "reproduce",
             "analyze", "mtjnt", "generate", "wal",
         }
 

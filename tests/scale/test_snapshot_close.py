@@ -1,10 +1,10 @@
-"""Release lifecycle for snapshot-backed engines (the RES01 fix).
+"""Release lifecycle for snapshot-backed engines.
 
-PR 6's linter flagged that ``Snapshot``'s mmap had no paired close
-anywhere.  These tests pin the fix: ``Snapshot.close()`` releases every
-exported view before unmapping, closed snapshots refuse further section
-access, and ``KeywordSearchEngine.close()`` tears down both the worker
-pool and the snapshot.  Both objects double as context managers.
+``Snapshot``'s mmap once had no paired close anywhere.  These tests pin
+the fix: ``Snapshot.close()`` releases every exported view before
+unmapping, closed snapshots refuse further section access, and
+``KeywordSearchEngine.close()`` tears down both the worker pool and the
+snapshot.  Both objects double as context managers.
 """
 
 import pytest
