@@ -550,6 +550,10 @@ def _cmd_snapshot(args: argparse.Namespace, out) -> int:
         return 0
 
     engine = KeywordSearchEngine.open(args.file)
+    # Row sections are otherwise checked on a relation's first touch;
+    # loading a store checks its section and builds no row.
+    for relation in engine.database.schema.relations:
+        engine.database.relation_key_order(relation.name)
     meta = engine._snapshot.meta
     print(f"{args.file}: verified "
           f"{len(engine._snapshot.sections())} sections; "

@@ -176,9 +176,9 @@ def _outgoing_edges(database: Database, record: Tuple) -> list[EdgeChange]:
     """The FK edges this tuple contributes to the data graph right now."""
     edges = []
     for foreign_key in database.schema.foreign_keys_from(record.relation):
-        target = database.referenced_tuple(record, foreign_key)
+        target = database.referenced_id(record, foreign_key)
         if target is not None:
-            edges.append(EdgeChange(record.tid, target.tid, foreign_key))
+            edges.append(EdgeChange(record.tid, target, foreign_key))
     return edges
 
 

@@ -8,12 +8,15 @@ for bulk loads with forward references.
 Tuples are identified by :class:`TupleId` — ``(relation, primary key
 values)`` — and may additionally carry a human-readable *label* (``d1``,
 ``w_f1``) so that reproduced tables render exactly as in the paper.
+A snapshot-restored relation keeps its rows as columns and builds each
+row's :class:`Tuple` the first time it is read
+(:meth:`Database.adopt_columns`).
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from itertools import islice
+from itertools import count as _counting, islice
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import (
@@ -32,6 +35,11 @@ __all__ = ["TupleId", "Tuple", "Database"]
 def _reference_key(values: Mapping[str, object], foreign_key: ForeignKey) -> tuple:
     """The key ``values`` hold in a foreign key's columns (NULLs included)."""
     return tuple([values[column] for column in foreign_key.source_columns])
+
+
+def _default_label(key: tuple) -> str:
+    """A tuple's label unless one is given: its primary key rendered."""
+    return ",".join(map(str, key))
 
 
 class TupleId:
@@ -99,9 +107,7 @@ class Tuple:
     ) -> None:
         self.tid = tid
         self.values = dict(values)
-        if label is None:
-            label = ",".join(str(part) for part in tid.key)
-        self.label = label
+        self.label = _default_label(tid.key) if label is None else label
 
     @property
     def relation(self) -> str:
@@ -139,7 +145,9 @@ class Database:
     def __init__(self, schema: DatabaseSchema, enforce_foreign_keys: bool = True) -> None:
         self.schema = schema
         self.enforce_foreign_keys = enforce_foreign_keys
-        self._tuples: dict[str, dict[tuple[object, ...], Tuple]] = {
+        #: Per relation, primary key -> Tuple (or, restored and unread,
+        #: its row number: see ``_columns``), in store order.
+        self._tuples: dict[str, dict[tuple[object, ...], Tuple | int]] = {
             relation.name: {} for relation in schema.relations
         }
         #: Per foreign key (by name): referenced key -> number of tuples
@@ -148,33 +156,59 @@ class Database:
         #: instances that never delete pay neither the scan nor the
         #: memory.
         self._reference_counts: dict[str, dict[tuple, int]] = {}
+        #: Per restored relation (:meth:`adopt_columns`): attribute names,
+        #: primary keys, columns and labels, by row number.  An int in its
+        #: store is a row number into them, built into a Tuple on first read.
+        self._columns: dict[str, tuple] = {}
+        #: Row counts of restored relations whose store is not loaded yet.
+        self._unloaded: dict[str, int] = {}
 
-    @staticmethod
-    def build_store(
-        schema: DatabaseSchema,
-        relation_name: str,
-        rows: Iterable[tuple[Mapping[str, object], Optional[str]]],
+    def adopt_columns(
+        self, relation_name: str, columns: list, labels: Optional[list]
     ) -> dict:
-        """One relation's store dict from validated ``(values, label)`` rows.
+        """A restored relation's store: primary key -> row number into
+        ``columns`` (one list per attribute, in schema order; ``labels``
+        None, or None wherever a label is the key's default rendering).
+        No row is built here; the accessors build each on first read."""
+        relation = self.schema.relation(relation_name)
+        names = relation.attribute_names
+        keys = list(zip(*[columns[names.index(c)] for c in relation.primary_key]))
+        self._columns[relation_name] = (names, keys, columns, labels)
+        return dict(zip(keys, _counting()))
 
-        Slot-level construction: this loop dominates snapshot-open time,
-        and Tuple.__init__'s defensive values copy is pointless here (the
-        parsed row dicts are exclusively the caller's).
-        """
-        relation = schema.relation(relation_name)
-        key_columns = list(relation.primary_key)
-        store: dict = {}
-        for values, label in rows:
-            key = tuple([values[column] for column in key_columns])
-            record = Tuple.__new__(Tuple)
-            record.tid = TupleId(relation_name, key)
-            record.values = values
-            record.label = (
-                label
-                if label is not None
-                else ",".join(str(part) for part in key)
-            )
-            store[key] = record
+    def _build(self, relation_name: str, row: int) -> Tuple:
+        """Row ``row`` of a restored relation as its Tuple — as a cold
+        build holds it — written back over the int in its store."""
+        names, keys, columns, labels = self._columns[relation_name]
+        key = keys[row]
+        record = Tuple.__new__(Tuple)
+        record.tid = TupleId(relation_name, key)
+        record.values = dict(zip(names, [column[row] for column in columns]))
+        label = None if labels is None else labels[row]
+        record.label = _default_label(key) if label is None else label
+        self._tuples[relation_name][key] = record
+        return record
+
+    def _read(self, relation_name: str, record):
+        """A stored value as its Tuple (None stays None)."""
+        if record.__class__ is int:
+            return self._build(relation_name, record)
+        return record
+
+    def _store(self, relation_name: str) -> dict:
+        store = self._tuples.get(relation_name)
+        if store is None:
+            raise UnknownRelationError("no such relation", relation=relation_name)
+        return store
+
+    def _records(self, relation_name: str) -> dict:
+        """A relation's store with every row built (whole-relation reads)."""
+        store = self._store(relation_name)
+        if relation_name in self._columns:
+            unread = [row for row in store.values() if row.__class__ is int]
+            for row in unread:
+                self._build(relation_name, row)
+            del self._columns[relation_name]  # no int is left to read them
         return store
 
     # ------------------------------------------------------------------
@@ -292,10 +326,27 @@ class Database:
         counts = self._reference_counts.get(foreign_key.name)
         if counts is None:
             counts = self._reference_counts[foreign_key.name] = {}
-            for candidate in self._tuples[foreign_key.source].values():
-                key = _reference_key(candidate.values, foreign_key)
+            for __, key in self._reference_keys(foreign_key):
                 counts[key] = counts.get(key, 0) + 1
         return counts
+
+    def _reference_keys(self, foreign_key: ForeignKey) -> Iterator[tuple]:
+        """``(stored value, referenced key)`` per tuple of the foreign
+        key's source relation, in store order.  An unbuilt row's key is
+        read from its columns, a built one's from its (maybe updated)
+        values: no row is built."""
+        store = self._tuples[foreign_key.source]  # loaded first: it adopts
+        restored = self._columns.get(foreign_key.source)
+        if restored is not None:
+            names, __, columns, ___ = restored
+            held = list(zip(*[
+                columns[names.index(column)] for column in foreign_key.source_columns
+            ]))
+        for record in store.values():
+            if record.__class__ is int:
+                yield record, held[record]
+            else:
+                yield record, _reference_key(record.values, foreign_key)
 
     def _count_references(
         self, values: Mapping[str, object], relation_name: str, step: int
@@ -315,34 +366,28 @@ class Database:
     # ------------------------------------------------------------------
     def tuple(self, tid: TupleId) -> Tuple:
         try:
-            return self._tuples[tid.relation][tid.key]
+            record = self._tuples[tid.relation][tid.key]
         except KeyError:
             if tid.relation not in self._tuples:
                 raise UnknownRelationError(
                     "no such relation", relation=tid.relation
                 ) from None
             raise IntegrityError("no such tuple", tid=str(tid)) from None
+        if record.__class__ is int:
+            return self._build(tid.relation, record)
+        return record
 
     def get(self, relation_name: str, *key: object) -> Optional[Tuple]:
         """Fetch by primary key values; None when absent."""
-        store = self._tuples.get(relation_name)
-        if store is None:
-            raise UnknownRelationError("no such relation", relation=relation_name)
-        return store.get(tuple(key))
+        return self._read(relation_name, self._store(relation_name).get(key))
 
     def tuples(self, relation_name: str) -> tuple[Tuple, ...]:
         """All tuples of a relation, in insertion order."""
-        store = self._tuples.get(relation_name)
-        if store is None:
-            raise UnknownRelationError("no such relation", relation=relation_name)
-        return tuple(store.values())
+        return tuple(self._records(relation_name).values())
 
     def relation_key_order(self, relation_name: str) -> tuple[tuple, ...]:
         """The relation's primary keys in store order (rollback bookkeeping)."""
-        store = self._tuples.get(relation_name)
-        if store is None:
-            raise UnknownRelationError("no such relation", relation=relation_name)
-        return tuple(store)
+        return tuple(self._store(relation_name))
 
     def restore_key_order(self, relation_name: str, keys: Sequence[tuple]) -> None:
         """Reorder a relation's store to a recorded key sequence.
@@ -353,9 +398,7 @@ class Database:
         store are skipped; keys not in the recording keep their relative
         order at the end.
         """
-        store = self._tuples.get(relation_name)
-        if store is None:
-            raise UnknownRelationError("no such relation", relation=relation_name)
+        store = self._records(relation_name)
         ordered = {key: store[key] for key in keys if key in store}
         for key, record in store.items():
             if key not in ordered:
@@ -368,11 +411,8 @@ class Database:
         """The keys stored after ``key``, in store order — walked back
         from the tail, so O(their count) — or None once more than
         ``limit`` of them are seen (rollback bookkeeping)."""
-        store = self._tuples.get(relation_name)
-        if store is None:
-            raise UnknownRelationError("no such relation", relation=relation_name)
         after: list[tuple] = []
-        for other in reversed(store):
+        for other in reversed(self._store(relation_name)):
             if other == key:
                 break
             if len(after) == limit:
@@ -384,9 +424,7 @@ class Database:
         """Move the stored ones of ``keys`` to the end of the relation's
         store, in the given order (rollback: put back the tuples that
         followed a re-inserted one)."""
-        store = self._tuples.get(relation_name)
-        if store is None:
-            raise UnknownRelationError("no such relation", relation=relation_name)
+        store = self._store(relation_name)
         for key in keys:
             record = store.pop(key, None)
             if record is not None:
@@ -398,12 +436,10 @@ class Database:
         O(1); incremental index maintenance uses it to recognise
         appended tuples without scanning the relation.
         """
-        store = self._tuples.get(relation_name)
-        if store is None:
-            raise UnknownRelationError("no such relation", relation=relation_name)
+        store = self._store(relation_name)
         if not store:
             return None
-        return store[next(reversed(store))]
+        return self._read(relation_name, store[next(reversed(store))])
 
     def tail(self, relation_name: str, count: int) -> tuple[Tuple, ...]:
         """The relation's last ``count`` tuples, in store order.
@@ -411,25 +447,21 @@ class Database:
         O(count): index maintenance reads a mutation batch's appended
         tuples from here without scanning the relation.
         """
-        store = self._tuples.get(relation_name)
-        if store is None:
-            raise UnknownRelationError("no such relation", relation=relation_name)
-        last = list(islice(reversed(store.values()), count))
-        return tuple(reversed(last))
+        last = list(islice(reversed(self._store(relation_name).values()), count))
+        return tuple(self._read(relation_name, record) for record in reversed(last))
 
     def all_tuples(self) -> Iterator[Tuple]:
         """Every tuple in the database, relation by relation."""
-        for store in self._tuples.values():
-            yield from store.values()
+        for relation_name in list(self._tuples):
+            yield from self._records(relation_name).values()
 
     def count(self, relation_name: Optional[str] = None) -> int:
-        """Number of tuples in one relation, or in the whole database."""
-        if relation_name is not None:
-            store = self._tuples.get(relation_name)
-            if store is None:
-                raise UnknownRelationError("no such relation", relation=relation_name)
-            return len(store)
-        return sum(len(store) for store in self._tuples.values())
+        """Number of tuples in one relation, or in the whole database.
+        Builds no row, and loads no restored relation's store."""
+        if relation_name is None:
+            return sum(map(self.count, self._tuples))
+        unloaded = self._unloaded.get(relation_name)
+        return len(self._store(relation_name)) if unloaded is None else unloaded
 
     def by_label(self, label: str) -> Tuple:
         """Find a tuple by its display label (unique labels assumed)."""
@@ -449,19 +481,32 @@ class Database:
         self, record: Tuple, foreign_key: ForeignKey
     ) -> Optional[Tuple]:
         """The tuple ``record`` points at via ``foreign_key`` (None if NULL)."""
+        return self._read(foreign_key.target, self._referenced(record, foreign_key)[1])
+
+    def referenced_id(
+        self, record: Tuple, foreign_key: ForeignKey
+    ) -> Optional[TupleId]:
+        """The id of the tuple ``record`` points at via ``foreign_key``
+        (None if NULL or dangling); builds no row."""
+        key, stored = self._referenced(record, foreign_key)
+        if stored.__class__ is int:
+            return TupleId(foreign_key.target, key)
+        return None if stored is None else stored.tid
+
+    def _referenced(self, record: Tuple, foreign_key: ForeignKey) -> tuple:
         if foreign_key.source != record.relation:
             raise IntegrityError(
                 "foreign key does not start at tuple's relation",
                 foreign_key=foreign_key.name,
                 relation=record.relation,
             )
-        return self._resolve(record.values, foreign_key)[1]
+        return self._resolve(record.values, foreign_key)
 
     def _resolve(
         self, values: Mapping[str, object], foreign_key: ForeignKey
-    ) -> tuple[Optional[tuple], Optional[Tuple]]:
-        """``(key, tuple)`` that ``values`` reference through
-        ``foreign_key``: both None for a NULL reference, the tuple None
+    ) -> tuple[Optional[tuple], object]:
+        """``(key, stored value)`` that ``values`` reference through
+        ``foreign_key``: both None for a NULL reference, the value None
         for a dangling one."""
         key = _reference_key(values, foreign_key)
         for part in key:
@@ -475,9 +520,11 @@ class Database:
         relation's store order — the edges of the data graph.  NULL and
         dangling references are skipped."""
         resolve = self._resolve
-        for record in self._tuples[foreign_key.source].values():
+        for record in self._records(foreign_key.source).values():
             target = resolve(record.values, foreign_key)[1]
             if target is not None:
+                if target.__class__ is int:
+                    target = self._build(foreign_key.target, target)
                 yield record, target
 
     def referencing_tuples(
@@ -495,9 +542,12 @@ class Database:
                     foreign_key=fk.name,
                     relation=record.relation,
                 )
-            for candidate in self._tuples[fk.source].values():
-                if _reference_key(candidate.values, fk) == record.tid.key:
-                    yield candidate
+            matches = [
+                candidate for candidate, key in self._reference_keys(fk)
+                if key == record.tid.key
+            ]
+            for candidate in matches:
+                yield self._read(fk.source, candidate)
 
     # ------------------------------------------------------------------
     # integrity
@@ -515,7 +565,7 @@ class Database:
     def check_integrity(self) -> None:
         """Validate every foreign key of every tuple (for deferred mode)."""
         for foreign_key in self.schema.foreign_keys:
-            for record in self._tuples[foreign_key.source].values():
+            for record in self.tuples(foreign_key.source):
                 self._check_reference(record, foreign_key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

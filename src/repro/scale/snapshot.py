@@ -22,7 +22,7 @@ wrong engine (binary sections also against their structure).
 
 A compacted file may end in a ``delta`` section (:func:`write_delta_snapshot`):
 WAL record frames that open replays from ``meta.base_version`` up to
-``meta.engine_version``.  Such a file carries format 4, so a reader
+``meta.engine_version``.  Such a file carries format 5, so a reader
 that would ignore the section refuses it.
 
 Restoration is lazy wherever queries and replayed WAL records allow it:
@@ -32,6 +32,10 @@ Restoration is lazy wherever queries and replayed WAL records allow it:
   compiled graph as a cold build holds its own (the one-byte edge keys
   decode at open; an edge's data dict is built per yielded path step,
   from its key and flag, on either);
+* a relation's rows (``rows:<R>``, one JSON list per attribute) are
+  parsed on the relation's first touch into a store of primary key ->
+  row number, and each row becomes a ``Tuple`` the first time it is
+  read (:meth:`~repro.relational.database.Database.adopt_columns`);
 * the interning table decodes per relation (:class:`_Interning`) and
   posting lists per token (:class:`_PostingColumns`), each on first
   touch; postings go through the reader a cold-built index uses too
@@ -57,6 +61,7 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_right
+from functools import partial
 from pathlib import Path
 from typing import Optional, Union
 
@@ -66,7 +71,7 @@ from repro.errors import SnapshotError, WalError
 from repro.graph.csr import FrozenGraph
 from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
-from repro.relational.database import Database, TupleId
+from repro.relational.database import Database, TupleId, _default_label
 from repro.relational.index import InvertedIndex, Posting, _LazyPostings
 from repro.relational.io import schema_from_dict, schema_to_dict
 from repro.relational.statistics import DatabaseStatistics
@@ -74,8 +79,8 @@ from repro.relational.statistics import DatabaseStatistics
 __all__ = ["SNAPSHOT_FORMAT", "Snapshot", "write_snapshot", "load_engine"]
 
 _MAGIC = b"REPROSNP\x01"
-SNAPSHOT_FORMAT = 3
-_DELTA_FORMAT = 4  # of a file that carries a ``delta`` section
+SNAPSHOT_FORMAT = 4
+_DELTA_FORMAT = 5  # of a file that carries a ``delta`` section
 #: A ``delta`` holds up to 1/8 of the base sections' bytes — ≈ 400 bib
 #: records, whose replay on open (≈ 0.6 ms each) costs about what one
 #: full rewrite does (≈ 0.35 s).
@@ -101,25 +106,26 @@ _KEY_TYPES = {str, int, float, bool}
 
 
 class _LazyStores(dict):
-    """Per-relation tuple stores materialised from their snapshot
-    sections on first access.
+    """Per-relation tuple stores loaded from their snapshot sections on
+    first access.
 
     Each relation's rows live in their own integrity-checked section, so
-    a serving process only parses and objectifies the relations its
-    queries actually render.  Once a store is built (or assigned — e.g.
-    by a rollback's order restore) plain dict semantics apply.
+    a serving process only parses the relations its replay and queries
+    touch.  ``pending`` — relation -> row count, shared with the
+    database as its ``_unloaded`` — loses a relation once its store is
+    loaded (or assigned — e.g. by a rollback's order restore); from then
+    on plain dict semantics apply.
     """
 
-    def __init__(self, loaders: dict) -> None:
+    def __init__(self, load, pending: dict) -> None:
         super().__init__()
-        self._pending = loaders
+        self._load = load
+        self._pending = pending
 
     def __missing__(self, name: str) -> dict:
-        loader = self._pending.pop(name, None)
-        if loader is None:
+        if name not in self._pending:
             raise KeyError(name)
-        store = loader()
-        self[name] = store
+        store = self[name] = self._load(name, self._pending[name])
         return store
 
     def __setitem__(self, name, store) -> None:
@@ -140,17 +146,6 @@ class _LazyStores(dict):
 
     def __len__(self) -> int:
         return dict.__len__(self) + len(self._pending)
-
-    def keys(self):
-        return list(self)
-
-    def values(self):
-        for name in list(self):
-            yield self[name]
-
-    def items(self):
-        for name in list(self):
-            yield name, self[name]
 
 
 class _Interning:
@@ -404,11 +399,18 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
     ]
     for relation in schema.relations:
         records = engine.database.tuples(relation.name)
+        labels = [
+            None if record.label == _default_label(record.tid.key) else record.label
+            for record in records
+        ]
         sections.append((
             f"rows:{relation.name}",
             _json_bytes({
-                "rows": [record.values for record in records],
-                "labels": [record.label for record in records],
+                "columns": [
+                    [record.values[attribute.name] for record in records]
+                    for attribute in relation.attributes
+                ],
+                "labels": None if labels.count(None) == len(labels) else labels,
             }),
         ))
 
@@ -531,7 +533,7 @@ class Snapshot:
             ) from None
         self._data_start = toc_start + toc_length
         self._toc: dict[str, list] = toc.get("sections") or {}
-        # Format 2 marks exactly the files whose state includes a delta.
+        # ``_DELTA_FORMAT`` marks exactly the files whose state includes a delta.
         expected = _DELTA_FORMAT if "delta" in self._toc else SNAPSHOT_FORMAT
         if toc.get("format") != expected:
             raise SnapshotError(
@@ -727,18 +729,12 @@ def _load_engine(path: Union[str, Path], **engine_options):
     schema = schema_from_dict(snapshot.json("schema"))
     database = Database(schema, enforce_foreign_keys=True)
 
-    def store_loader(relation_name: str):
-        def load() -> dict:
-            doc = snapshot.json(f"rows:{relation_name}")
-            rows = doc["rows"]
-            labels = doc.get("labels") or [None] * len(rows)
-            return Database.build_store(schema, relation_name, zip(rows, labels))
-
-        return load
-
+    counts = dict(meta["interning"])
+    database._unloaded = {
+        relation.name: counts.get(relation.name, 0) for relation in schema.relations
+    }
     database._tuples = _LazyStores(
-        {relation.name: store_loader(relation.name)
-         for relation in schema.relations}
+        partial(_load_rows, snapshot, database), database._unloaded
     )
 
     data_graph = DataGraph(database)
@@ -793,6 +789,39 @@ def _load_engine(path: Union[str, Path], **engine_options):
         _replay_delta(engine, snapshot)
     engine._snapshot_version = engine.version
     return engine
+
+
+def _load_rows(snapshot: Snapshot, database: Database, name: str, count: int) -> dict:
+    """One relation's store from its ``rows:<R>`` section — ``columns``,
+    one list of ``count`` values per attribute in schema order, key
+    columns of ``_KEY_TYPES`` only; ``labels`` null or ``count`` strings
+    and nulls — checked against that structure and for duplicate keys."""
+    section = f"rows:{name}"
+    document = snapshot.json(section)
+    relation = database.schema.relation(name)
+    columns = labels = None
+    if isinstance(document, dict):
+        columns, labels = document.get("columns"), document.get("labels")
+    key_at = [relation.attribute_names.index(c) for c in relation.primary_key]
+    if not (
+        isinstance(columns, list)
+        and len(columns) == len(relation.attributes)
+        and all(isinstance(column, list) and len(column) == count for column in columns)
+        and all(set(map(type, columns[at])) <= _KEY_TYPES for at in key_at)
+        and (labels is None or isinstance(labels, list) and len(labels) == count
+             and set(map(type, labels)) <= {str, type(None)})
+    ):
+        raise SnapshotError(
+            "snapshot rows section is inconsistent", path=str(snapshot.path),
+            section=section, expected=count,
+        )
+    store = database.adopt_columns(name, columns, labels)
+    if len(store) != count:
+        raise SnapshotError(
+            "snapshot rows section repeats a primary key", path=str(snapshot.path),
+            section=section,
+        )
+    return store
 
 
 def _replay_delta(engine, snapshot: Snapshot) -> None:

@@ -406,6 +406,42 @@ class TestSnapshotCommand:
         with pytest.raises(SnapshotError):
             run("snapshot", "load", str(path))
 
+    def test_load_checks_every_rows_section(self, tmp_path):
+        """``snapshot load`` checks each ``rows:<R>`` section's structure,
+        not only its CRC: a CRC-valid damaged one fails the command with
+        the error before anything is reported as verified."""
+        import json
+        import subprocess
+        import sys
+
+        from repro.scale import snapshot as snapshot_module
+        from repro.scale.snapshot import SNAPSHOT_FORMAT, Snapshot
+
+        path = tmp_path / "company.snap"
+        run("snapshot", "save", str(path))
+        with Snapshot(path) as snapshot:
+            sections = [
+                (name, bytes(snapshot.section(name)))
+                for name in snapshot.sections()
+            ]
+        damaged = []
+        for name, blob in sections:
+            if name == "rows:EMPLOYEE":
+                document = json.loads(blob)
+                document["columns"][-1].pop()
+                blob = snapshot_module._json_bytes(document)
+            damaged.append((name, blob))
+        snapshot_module._publish(path, SNAPSHOT_FORMAT, damaged)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "snapshot", "load", str(path)],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        )
+        assert result.returncode != 0
+        assert "verified" not in result.stdout
+        assert "snapshot rows section is inconsistent" in result.stderr
+        assert "rows:EMPLOYEE" in result.stderr
+
     def test_search_from_snapshot(self, tmp_path):
         path = str(tmp_path / "company.snap")
         run("snapshot", "save", path)

@@ -21,9 +21,10 @@ from repro.datasets.synthetic import (
     generate_tenants,
     plant,
 )
-from repro.errors import SearchLimitError
+from repro.errors import ForeignKeyError, SearchLimitError
 from repro.live.changes import Delete, Insert, Update, apply_to_database
 from repro.oracle import search as oracle_search
+from repro.relational.database import TupleId
 
 configs = st.builds(
     SyntheticConfig,
@@ -220,6 +221,55 @@ class TestSnapshotDifferential:
                     assert outcome(opened, query, _TIGHT) == outcome(
                         plain, query, _TIGHT
                     )
+
+
+class TestRestoredRowsDifferential:
+    @relaxed
+    @given(
+        configs,
+        st.integers(min_value=1, max_value=3),
+        operations,
+        st.integers(min_value=0, max_value=1 << 20),  # rolled-back victim
+    )
+    def test_rows_equal_a_cold_build(self, config, tenants, ops, salt):
+        """A restored engine builds each row on its first read: after
+        random batches — whose updates and deletes hit rows it never
+        read, being derived from the cold database — and a rolled-back
+        batch whose undo restores a relation's whole key order, every
+        relation's tuples (values in attribute order, labels, store
+        order) equal a cold build's."""
+        cold = planted_database(config, tenants)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "base.snap")
+            KeywordSearchEngine(planted_database(config, tenants)).save(path)
+            with KeywordSearchEngine.open(path, result_cache_entries=0) as opened:
+                for counter, (kind, salt_of) in enumerate(ops):
+                    mutation = build_mutation(cold, kind, salt_of, counter)
+                    batch = [] if mutation is None else [mutation]
+                    opened.apply(batch)
+                    apply_to_database(cold, batch)
+                keys = cold.relation_key_order("WORKS_FOR")
+                victims = (keys[0], keys[salt % len(keys)]) if keys else ()
+                failing = [
+                    Delete(TupleId("WORKS_FOR", key))
+                    for key in dict.fromkeys(victims)
+                ] + [Insert("WORKS_FOR", {"ESSN": "nobody", "P_ID": "none"})]
+                for database_apply in (opened.apply, partial(apply_to_database, cold)):
+                    try:
+                        database_apply(failing)
+                    except ForeignKeyError:
+                        pass
+                    else:
+                        raise AssertionError("the batch was not rolled back")
+                assert opened.database.relation_key_order("WORKS_FOR") == keys
+                for relation in cold.schema.relations:
+                    assert [
+                        (record.tid, list(record.values.items()), record.label)
+                        for record in opened.database.tuples(relation.name)
+                    ] == [
+                        (record.tid, list(record.values.items()), record.label)
+                        for record in cold.tuples(relation.name)
+                    ]
 
 
 class TestParallelDifferential:

@@ -1,5 +1,6 @@
 """Snapshot round-trip, integrity and laziness tests."""
 
+import json
 import os
 import random
 import struct
@@ -48,6 +49,38 @@ def planted_database(tenants=3):
 
 def rendered(results):
     return [(r.render(), r.score, r.rank) for r in results]
+
+
+def built_rows(engine):
+    """``(relation, key)`` of every row a restored engine has built into
+    a ``Tuple``; a row still unread is an int in its loaded store, and
+    an unloaded relation has no store yet."""
+    return {
+        (name, key)
+        for name, store in dict.items(engine.database._tuples)
+        for key, record in store.items()
+        if record.__class__ is not int
+    }
+
+
+def answer_rows(results):
+    return {
+        (tid.relation, tid.key)
+        for result in results
+        for tid in result.answer.tuple_ids()
+    }
+
+
+def bib_corpus(size="tiny", seed=7):
+    """The end-to-end benchmark's bibliographic corpus."""
+    sys.path.insert(0, os.path.join(
+        os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks", "e2e"
+    ))
+    try:
+        import corpus
+    finally:
+        del sys.path[0]
+    return corpus.generate(size, seed)
 
 
 def publish_with_meta(path, out, **keys):
@@ -436,20 +469,15 @@ class TestLaziness:
         retitle / retract records: no per-tuple token table, posting
         lists decoded only for tokens the records' before and after
         images (then the queries) carry, node maps only for relations
-        the records name, sort keys only for the nodes they touch."""
-        sys.path.insert(0, os.path.join(
-            os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks", "e2e"
-        ))
-        try:
-            import corpus
-        finally:
-            del sys.path[0]
-        bib = corpus.generate("tiny", 7)
+        the records name, sort keys only for the nodes they touch, rows
+        built only for the tuples the records name and the foreign-key
+        targets their inserts check."""
+        bib = bib_corpus()
         path = str(tmp_path / "bib.snap")
         KeywordSearchEngine(bib.database()).save(path)
         engine = KeywordSearchEngine.open(path, wal=True)
         oracle_db = bib.database()
-        carried, named = set(), set()
+        carried, named, rows = set(), set(), set()
         for batch in bib.mutation_batches(8):
             engine.apply(batch)
             changeset = apply_to_database(oracle_db, batch)
@@ -464,6 +492,8 @@ class TestLaziness:
                 ]
                 carried.update(token for token, __, ___ in _posted(values, attributes))
             named.update(tid.relation for tid in changeset.touched())
+            # Edge endpoints included: what an insert's references resolve.
+            rows.update((tid.relation, tid.key) for tid in changeset.touched())
         engine.close()
 
         restored = KeywordSearchEngine.open(path, wal=True)
@@ -479,12 +509,78 @@ class TestLaziness:
         frozen = restored.traversal_cache.frozen()
         assert set(frozen._node_of) <= named
         assert len(frozen._keys) < frozen.capacity // 4
+        assert built_rows(restored) <= rows
 
         texts = bib.texts(4)
         for text in texts:
             restored.search(text, top_k=10)
         asked = {token for text in texts for token in tokenize(text)}
         assert set(dict.keys(index._postings)) <= carried | asked
+        restored.close()
+
+    def test_searches_build_only_the_rows_their_answers_render(self, tmp_path):
+        bib = bib_corpus()
+        path = str(tmp_path / "bib.snap")
+        KeywordSearchEngine(bib.database()).save(path)
+        restored = KeywordSearchEngine.open(path)
+        rendering = set()
+        for text in bib.texts(4):
+            rendering |= answer_rows(restored.search(text, top_k=10))
+        assert rendering
+        assert built_rows(restored) <= rendering
+        restored.close()
+
+    def test_counting_builds_no_row(self, tmp_path):
+        """Counting reads the stores' sizes — or, for a relation not
+        loaded yet, the snapshot's count — and the IR ranker's collection
+        size is such a count."""
+        from repro.core.matching import match_keywords
+        from repro.core.scoring import CombinedRanker, TfIdfScorer
+
+        bib = bib_corpus()
+        path = str(tmp_path / "bib.snap")
+        database = bib.database()
+        KeywordSearchEngine(database).save(path)
+        restored = KeywordSearchEngine.open(path)
+        assert restored.database.count() == database.count()
+        assert repr(restored.database) == repr(database)
+        text = next(text for text in bib.texts(4)
+                    if KeywordSearchEngine(database).search(text))
+        ranker = CombinedRanker.for_query(
+            TfIdfScorer(restored.index),
+            match_keywords(restored.index, tuple(text.split())),
+        )
+        assert built_rows(restored) == set()
+        results = restored.search(text, ranker=ranker)
+        assert results
+        assert built_rows(restored) <= answer_rows(results)
+        restored.close()
+
+    @pytest.mark.parametrize("loaded", (True, False))
+    def test_first_delete_of_a_referenced_tuple_builds_no_referencing_row(
+        self, saved, loaded
+    ):
+        """The delete's reference count is read off the referencing
+        relation's key columns, not off built rows — whether that
+        relation's store is loaded already or loads for the count."""
+        engine, path, __ = saved
+        project = engine.database.tuples("PROJECT")[0]
+        holders = [
+            record.tid for record in engine.database.tuples("WORKS_FOR")
+            if record.values["P_ID"] == project.tid.key[0]
+        ]
+        assert holders
+        restored = KeywordSearchEngine.open(path)
+        if not loaded:
+            fresh = dict(project.values, ID="p_unreferenced")
+            restored.apply([Insert("PROJECT", fresh)])
+            restored.apply([Delete(TupleId("PROJECT", ("p_unreferenced",)))])
+            assert "WORKS_FOR" in dict.keys(restored.database._tuples)
+        restored.apply([Delete(tid) for tid in holders] + [Delete(project.tid)])
+        assert restored.database.get("PROJECT", *project.tid.key) is None
+        assert {
+            key for name, key in built_rows(restored) if name == "WORKS_FOR"
+        } == set()
         restored.close()
 
     def test_postings_decode_only_touched_tokens(self, saved):
@@ -636,6 +732,11 @@ class TestIntegrity:
             ]
         old = tmp_path / "old.snap"
         snapshot_module._publish(old, 1, sections + [("tokens", b"[]")])
+        with pytest.raises(SnapshotError, match="format"):
+            KeywordSearchEngine.open(old)
+        # Format 3 stored one JSON object per row: the current layout
+        # under that number is refused too.
+        snapshot_module._publish(old, 3, sections)
         with pytest.raises(SnapshotError, match="format"):
             KeywordSearchEngine.open(old)
 
@@ -983,3 +1084,49 @@ class TestStructuralDamage:
             snapshot_module._publish(damaged, SNAPSHOT_FORMAT, replaced)
             with pytest.raises(SnapshotError):
                 KeywordSearchEngine.open(damaged)
+
+    @pytest.mark.parametrize("damage", (
+        "truncated", "column count", "column lengths", "key type",
+        "duplicate key", "label count",
+    ))
+    def test_damaged_rows_section_is_refused_on_first_touch(
+        self, saved, tmp_path, damage
+    ):
+        """A ``rows:<R>`` section is parsed on the relation's first
+        touch; one that disagrees with the schema, with itself or with
+        the meta's row count is refused then — every time, leaving no
+        store behind — never read into a partial or wrong store."""
+        __, path, ___ = saved
+        meta, sections = self._sections(path)
+        name = "rows:WORKS_FOR"  # key (ESSN, P_ID), labels stored
+        blob = dict(sections)[name]
+        document = json.loads(blob)
+        columns, labels = document["columns"], document["labels"]
+        assert labels is not None
+        if damage == "truncated":
+            blob = blob[: len(blob) // 2]
+        else:
+            if damage == "column count":
+                columns.pop()
+            elif damage == "column lengths":
+                columns[-1].pop()
+            elif damage == "key type":
+                columns[1][3] = {"P_ID": columns[1][3]}
+            elif damage == "duplicate key":
+                columns[0][1], columns[1][1] = columns[0][0], columns[1][0]
+            else:
+                labels.append("w_extra")
+            blob = snapshot_module._json_bytes(document)
+        damaged = tmp_path / "damaged.snap"
+        snapshot_module._publish(damaged, SNAPSHOT_FORMAT, [
+            (section, blob if section == name else original)
+            for section, original in sections
+        ])
+        restored = KeywordSearchEngine.open(damaged)
+        assert restored.database.count("WORKS_FOR") == dict(meta["interning"])["WORKS_FOR"]
+        for __ in range(2):
+            with pytest.raises(SnapshotError, match="rows:WORKS_FOR"):
+                restored.database.tuples("WORKS_FOR")
+        assert "WORKS_FOR" not in dict.keys(restored.database._tuples)
+        assert restored.database.tuples("PROJECT")
+        restored.close()
