@@ -123,9 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     observability.add_argument("--analyze", action="store_true",
                                help="EXPLAIN ANALYZE: answer QUERY with "
                                     "tracing forced on and print a per-plan-"
-                                    "node table of timings and counters "
-                                    "(with --jobs N, also reports the pool "
-                                    "pass)")
+                                    "node table of timings and counters")
     observability.add_argument("--json", action="store_true",
                                help="emit results plus execution stats (and "
                                     "a trace summary when tracing is on) as "
@@ -295,7 +293,7 @@ def _report_pushdown(engine, args, ranker, limits, out) -> None:
           f"candidates (skipped {skipped})", file=out)
 
 
-def _search_with_mutations(engine, args, ranker, limits, out) -> int:
+def _search_with_mutations(engine, args, options, out) -> int:
     """Replay mutation batches around a query and report cache behaviour.
 
     Runs the query cold (priming the answer cache), applies every batch
@@ -306,20 +304,14 @@ def _search_with_mutations(engine, args, ranker, limits, out) -> int:
     from repro.live.changes import load_mutation_batches
 
     batches = load_mutation_batches(args.mutations)
-    engine.search(
-        args.query, ranker=ranker, limits=limits,
-        top_k=args.top, semantics=args.semantics,
-    )
+    engine.search(args.query, **options)
     added = removed = updated = 0
     for batch in batches:
         changeset = engine.apply(batch)
         added += len(changeset.tuples_added)
         removed += len(changeset.tuples_removed)
         updated += len(changeset.tuples_updated) + len(changeset.tuples_replaced)
-    results = engine.search(
-        args.query, ranker=ranker, limits=limits,
-        top_k=args.top, semantics=args.semantics,
-    )
+    results = engine.search(args.query, **options)
     if not results:
         print("no answers", file=out)
     else:
@@ -349,8 +341,12 @@ def _cmd_search(args: argparse.Namespace, out) -> int:
         return 2
     else:
         engine = KeywordSearchEngine(_load_database(args.db))
-    ranker = _RANKERS[args.ranker]()
-    limits = SearchLimits(max_rdb_length=args.max_rdb)
+    options = {
+        "ranker": _RANKERS[args.ranker](),
+        "limits": SearchLimits(max_rdb_length=args.max_rdb),
+        "top_k": args.top,
+        "semantics": args.semantics,
+    }
     if args.stream and (args.batch or args.group):
         print("--stream cannot be combined with --batch or --group", file=out)
         return 2
@@ -358,8 +354,8 @@ def _cmd_search(args: argparse.Namespace, out) -> int:
         print("--mutations cannot be combined with --batch or --stream",
               file=out)
         return 2
-    if args.jobs is not None and not (args.batch or args.analyze):
-        print("--jobs needs --batch or --analyze "
+    if args.jobs is not None and not args.batch:
+        print("--jobs needs --batch "
               "(parallel execution is per batch)", file=out)
         return 2
     if args.analyze and (args.batch or args.stream or args.mutations
@@ -372,34 +368,25 @@ def _cmd_search(args: argparse.Namespace, out) -> int:
               "--stream, --mutations or --group", file=out)
         return 2
     if args.analyze:
-        return _search_analyze(engine, args, ranker, limits, out)
+        return _search_analyze(engine, args, options, out)
     if args.trace:
         from repro.obs import trace as obs_trace
 
         saved = obs_trace.ENABLED
         obs_trace.set_enabled(True)
         try:
-            code = _dispatch_search(engine, args, ranker, limits, out)
+            code = _dispatch_search(engine, args, options, out)
         finally:
             obs_trace.set_enabled(saved)
         if engine.save_trace(args.trace):
             print(f"# trace: {args.trace}", file=out)
         return code
-    return _dispatch_search(engine, args, ranker, limits, out)
+    return _dispatch_search(engine, args, options, out)
 
 
-def _search_analyze(engine, args, ranker, limits, out) -> int:
+def _search_analyze(engine, args, options, out) -> int:
     """EXPLAIN ANALYZE: per-plan-node timings/counters for one query."""
-    report = engine.explain_analyze(
-        args.query,
-        ranker=ranker,
-        limits=limits,
-        top_k=args.top,
-        semantics=args.semantics,
-        jobs=args.jobs,
-    )
-    if args.jobs is not None and args.jobs > 1:
-        engine.close_pool()
+    report = engine.explain_analyze(args.query, **options)
     if args.json:
         import json
 
@@ -451,18 +438,12 @@ def _json_results(results) -> list:
     ]
 
 
-def _dispatch_search(engine, args, ranker, limits, out) -> int:
+def _dispatch_search(engine, args, options, out) -> int:
     if args.mutations:
-        return _search_with_mutations(engine, args, ranker, limits, out)
+        return _search_with_mutations(engine, args, options, out)
     if args.stream:
         answered = 0
-        for result in engine.search_stream(
-            args.query,
-            ranker=ranker,
-            limits=limits,
-            top_k=args.top,
-            semantics=args.semantics,
-        ):
+        for result in engine.search_stream(args.query, **options):
             answered += 1
             if args.explain:
                 print(engine.explain(result), file=out)
@@ -473,21 +454,15 @@ def _dispatch_search(engine, args, ranker, limits, out) -> int:
             print("no answers", file=out)
             return 1
         if args.top is not None:
-            _report_pushdown(engine, args, ranker, limits, out)
+            _report_pushdown(engine, args, options["ranker"], options["limits"], out)
         return 0
     if args.batch:
         queries = [part.strip() for part in args.query.split(";") if part.strip()]
         if not queries:
             print("no queries", file=out)
             return 1
-        batched = engine.search_batch(
-            queries,
-            ranker=ranker,
-            limits=limits,
-            top_k=args.top,
-            semantics=args.semantics,
-            jobs=args.jobs,
-        )
+        batched = engine.search_batch(queries, **options, jobs=args.jobs)
+        engine.close_pool()  # a no-op unless --jobs opened one
         if args.json:
             print(_json_doc(engine, {
                 "queries": queries,
@@ -496,8 +471,6 @@ def _dispatch_search(engine, args, ranker, limits, out) -> int:
                     for query, results in zip(queries, batched)
                 ],
             }), file=out)
-            if args.jobs is not None and args.jobs > 1:
-                engine.close_pool()
             return 0 if any(batched) else 1
         answered = 0
         for query, results in zip(queries, batched):
@@ -508,19 +481,12 @@ def _dispatch_search(engine, args, ranker, limits, out) -> int:
                 answered += 1
                 _print_results(engine, results, args, out)
         if args.jobs is not None and args.jobs > 1:
-            engine.close_pool()
             workers = args.jobs - 1
             noun = "worker" if workers == 1 else "workers"
             print(f"# parallel: {workers} snapshot {noun} plus this process, "
                   f"{engine.last_stats.candidates} candidates", file=out)
         return 0 if answered else 1
-    results = engine.search(
-        args.query,
-        ranker=ranker,
-        limits=limits,
-        top_k=args.top,
-        semantics=args.semantics,
-    )
+    results = engine.search(args.query, **options)
     if args.json:
         print(_json_doc(engine, {
             "query": args.query,
@@ -533,7 +499,7 @@ def _dispatch_search(engine, args, ranker, limits, out) -> int:
         return 1
     _print_results(engine, results, args, out)
     if args.top is not None and not args.group:
-        _report_pushdown(engine, args, ranker, limits, out)
+        _report_pushdown(engine, args, options["ranker"], options["limits"], out)
     return 0
 
 

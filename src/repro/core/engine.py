@@ -32,8 +32,8 @@ the escape hatch.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Hashable, Iterable, Iterator, Optional, Sequence, Union
+from functools import partial
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.ambiguity import is_instance_close
 from repro.core.connections import Connection
@@ -41,7 +41,7 @@ from repro.core.executor import ExecutionStats, Executor, SearchResult
 from repro.core.matching import KeywordMatch, match_keywords, parse_query
 from repro.core.plan import QueryPlan, plan_query
 from repro.core.ranking import ClosenessRanker, Ranker
-from repro.core.search import JoiningNetwork, SearchLimits, SingleTupleAnswer
+from repro.core.search import JoiningNetwork, SearchLimits
 from repro.durable import fault
 from repro.errors import MutationError, QueryError, SnapshotError, WalError
 from repro.graph.data_graph import DataGraph
@@ -61,9 +61,6 @@ from repro.relational.database import Database
 from repro.relational.index import InvertedIndex
 
 __all__ = ["SearchResult", "KeywordSearchEngine"]
-
-AnswerType = Union[Connection, JoiningNetwork, SingleTupleAnswer]
-
 
 class _Closed:
     """Stands in for what a closed snapshot engine restored: any read
@@ -193,18 +190,20 @@ class KeywordSearchEngine:
     ) -> QueryPlan:
         """Compile a query into its :class:`~repro.core.plan.QueryPlan`,
         costed when adaptive (advisory estimates a search skips)."""
-        plan, __ = self._plan(query, top_k, semantics)
-        if self.adaptive:
-            plan = self._ensure_cost_model().annotate(plan)
-        return plan
+        return self._plan(query, top_k, semantics, annotate=True)
 
     def _plan(
-        self, query: str, top_k: Optional[int], semantics: str
-    ) -> tuple[QueryPlan, tuple[KeywordMatch, ...]]:
-        if semantics not in ("and", "or"):
-            raise QueryError("semantics must be 'and' or 'or'", got=semantics)
-        matches = self.match(query)
-        return plan_query(matches, semantics=semantics, top_k=top_k), matches
+        self, query: str, top_k, semantics: str, annotate=False, tags=None
+    ) -> QueryPlan:
+        """Match and plan under the ``plan.compile`` span; ``annotate``
+        costs the plan when adaptive."""
+        with obs_trace.span("plan.compile", **(tags or {})):
+            if semantics not in ("and", "or"):
+                raise QueryError("semantics must be 'and' or 'or'", got=semantics)
+            plan = plan_query(self.match(query), semantics=semantics, top_k=top_k)
+            if annotate and self.adaptive:
+                plan = self._ensure_cost_model().annotate(plan)
+        return plan
 
     def _ensure_cost_model(self) -> CostModel:
         """The engine's cost model, built on first use."""
@@ -246,9 +245,6 @@ class KeywordSearchEngine:
         self._statistics = value
         if value is None:
             self._statistics_loader = None
-
-    def _executor(self) -> Executor:
-        return Executor(self.traversal_cache, adaptive=self.adaptive)
 
     # ------------------------------------------------------------------
     # answer cache plumbing
@@ -315,7 +311,7 @@ class KeywordSearchEngine:
             key,
             CacheEntry(
                 results=tuple(results),
-                stats=replace(stats),
+                stats=stats.copy(),
                 keywords=tuple(match.keyword for match in matches),
                 footprint=frozenset(footprint),
                 fingerprint=tuple(match.tuple_ids for match in matches),
@@ -324,6 +320,69 @@ class KeywordSearchEngine:
                 limits=limits,
             ),
         )
+
+    def _lookup(self, key: Optional[Hashable], tags=None) -> Optional[CacheEntry]:
+        """The live answer-cache entry under ``key`` (``None`` for a miss
+        or an uncacheable query), looked up under the
+        ``result_cache.lookup`` span; a hit sets :attr:`last_stats`."""
+        with obs_trace.span("result_cache.lookup", **(tags or {})) as lookup_span:
+            entry = self.result_cache.lookup(key) if key is not None else None
+            if lookup_span is not None:
+                lookup_span.tag(hit=entry is not None)
+        if entry is not None:
+            self.last_stats = entry.stats.copy()
+        return entry
+
+    def _execute(
+        self, query: str, options: tuple, annotate=False, tags=None
+    ) -> tuple[list[SearchResult], QueryPlan, ExecutionStats]:
+        """Plan the query and run the plan: ``(results, plan, stats)``.
+        :attr:`last_stats` holds the run's stats on every exit, a raised
+        error included."""
+        ranker, limits, top_k, semantics, pushdown = options
+        self.last_stats = ExecutionStats()
+        plan = self._plan(query, top_k, semantics, annotate, tags)
+        executor = Executor(self.traversal_cache, adaptive=self.adaptive)
+        try:
+            results = executor.run(plan, ranker, limits, pushdown=pushdown)
+        finally:
+            self.last_stats = executor.stats
+        return results, plan, executor.stats
+
+    def _answer(
+        self, query: str, options: tuple, *, lookup=True, annotate=False,
+        outcome=None, tags=None,
+    ) -> tuple[list[SearchResult], Optional[QueryPlan], ExecutionStats]:
+        """The query pipeline behind every entry point: answer-cache
+        lookup, plan, :meth:`Executor.run`, store — the store only when
+        :attr:`version` did not move meanwhile.  Returns the results, the
+        plan run here (else ``None``) and the stats, which
+        :attr:`last_stats` holds on every exit, a raised error included.
+
+        ``options`` is ``(ranker, limits, top_k, semantics, pushdown)``.
+        ``lookup=False`` always executes; ``annotate`` costs the plan.
+        ``outcome`` — ``(results, matches, stats)`` of a run made
+        elsewhere, by a pool worker or a fully consumed stream — leaves
+        only the store.  ``tags`` label the lookup and plan spans.
+        """
+        key = self._cache_key(query, *options)
+        version = self.version
+        if outcome is not None:
+            plan = None
+            results, matches, self.last_stats = outcome
+        elif lookup and (entry := self._lookup(key, tags)) is not None:
+            return list(entry.results), None, self.last_stats
+        else:
+            results, plan, __ = self._execute(query, options, annotate, tags)
+            matches = plan.matches
+        if key is not None and self.version == version:
+            self._cache_store(key, options[0], matches, results, self.last_stats)
+        return results, plan, self.last_stats
+
+    def _options(self, ranker, limits, top_k, semantics, pushdown) -> tuple:
+        """One query's options, the engine's ranker and limits filling in
+        for ``None``."""
+        return ranker or self.ranker, limits or self.limits, top_k, semantics, pushdown
 
     def search(
         self,
@@ -357,39 +416,11 @@ class KeywordSearchEngine:
         exists for the exact query identity; ``apply`` keeps the cache
         consistent, so a hit is always bit-identical to a fresh run.
         """
-        ranker = ranker or self.ranker
-        limits = limits or self.limits
-        qtrace = None
-        if obs_trace.ENABLED:
-            qtrace = obs_trace.begin_trace(
-                "query", query=query, semantics=semantics
-            )
-            self.last_trace = qtrace
-        try:
-            key = self._cache_key(
-                query, ranker, limits, top_k, semantics, pushdown
-            )
-            with obs_trace.span("result_cache.lookup") as lookup_span:
-                entry = (
-                    self.result_cache.lookup(key) if key is not None else None
-                )
-                if lookup_span is not None:
-                    lookup_span.tag(hit=entry is not None)
-            if entry is not None:
-                self.last_stats = replace(entry.stats)
-                return list(entry.results)
-            with obs_trace.span("plan.compile"):
-                plan, matches = self._plan(query, top_k, semantics)
-            version = self.version
-            executor = self._executor()
-            results = executor.run(plan, ranker, limits, pushdown=pushdown)
-            self.last_stats = executor.stats
-            if key is not None and self.version == version:
-                self._cache_store(key, ranker, matches, results, executor.stats)
-            return results
-        finally:
-            if qtrace is not None:
-                obs_trace.end_trace(qtrace)
+        options = self._options(ranker, limits, top_k, semantics, pushdown)
+        if not obs_trace.ENABLED:  # the answer-cache hit path stays lean
+            return self._answer(query, options)[0]
+        with obs_trace.traced("query", self, query=query, semantics=semantics):
+            return self._answer(query, options)[0]
 
     def search_stream(
         self,
@@ -403,44 +434,33 @@ class KeywordSearchEngine:
         """Answer a query incrementally, yielding ranked answers as the
         executor proves them final.
 
-        Identical results in identical order to :meth:`search`; with a
-        bounded ranker the first answers arrive before enumeration
-        finishes, and a ``top_k`` cut stops enumeration early.  Rankers
-        without a lower bound degrade to materialise-then-yield.
+        Identical results in identical order to :meth:`search`.  Answers
+        arrive before enumeration finishes only in pushdown mode: with
+        ``top_k`` and a bounded ranker, where the cut also stops
+        enumeration early, or with ``pushdown=True``.  Otherwise every
+        candidate is enumerated and scored before the first answer.
         ``last_stats`` is final once the iterator is exhausted.
 
         A live answer-cache entry replays instantly; a fully consumed
         stream populates the cache (an abandoned one does not — its
         enumeration may be incomplete).
         """
-        ranker = ranker or self.ranker
-        limits = limits or self.limits
-        qtrace = None
-        if obs_trace.ENABLED:
-            qtrace = obs_trace.begin_trace(
-                "query.stream", query=query, semantics=semantics
-            )
-            self.last_trace = qtrace
-        try:
-            key = self._cache_key(
-                query, ranker, limits, top_k, semantics, pushdown
-            )
+        options = self._options(ranker, limits, top_k, semantics, pushdown)
+        ranker, limits = options[:2]
+        with obs_trace.traced(
+            "query.stream", self, query=query, semantics=semantics
+        ):
             version = self.version
-            with obs_trace.span("result_cache.lookup") as lookup_span:
-                entry = (
-                    self.result_cache.lookup(key) if key is not None else None
-                )
-                if lookup_span is not None:
-                    lookup_span.tag(hit=entry is not None)
+            key = self._cache_key(query, *options)
+            entry = self._lookup(key)
             if entry is not None:
-                self.last_stats = replace(entry.stats)
                 for result in entry.results:
                     self._check_stream_version(version)
                     yield result
                 return
-            with obs_trace.span("plan.compile"):
-                plan, matches = self._plan(query, top_k, semantics)
-            executor = self._executor()
+            self.last_stats = ExecutionStats()
+            plan = self._plan(query, top_k, semantics)
+            executor = Executor(self.traversal_cache, adaptive=self.adaptive)
             # Buffered only while a cache store is still possible — an
             # uncacheable query keeps the O(1) streaming memory profile.
             collected: Optional[list[SearchResult]] = (
@@ -448,18 +468,15 @@ class KeywordSearchEngine:
             )
             stream = executor.stream(plan, ranker, limits, pushdown=pushdown)
             try:
-                while True:
-                    # Checked on every resume, before the executor touches
-                    # state an interleaved apply() may have mutated.
-                    self._check_stream_version(version)
-                    try:
-                        result = next(stream)
-                    except StopIteration:
-                        break
+                # Checked before every resume of the executor, which
+                # would touch state an interleaved apply() has mutated.
+                self._check_stream_version(version)
+                for result in stream:
                     self.last_stats = executor.stats
                     if collected is not None:
                         collected.append(result)
                     yield result
+                    self._check_stream_version(version)
             finally:
                 # Capture the run's counters even when the stream yields
                 # nothing or the consumer stops early (stream() replaces
@@ -468,11 +485,12 @@ class KeywordSearchEngine:
                 # span totals land on this query's trace, not ambient.
                 stream.close()
                 self.last_stats = executor.stats
-            if collected is not None and self.version == version:
-                self._cache_store(key, ranker, matches, collected, executor.stats)
-        finally:
-            if qtrace is not None:
-                obs_trace.end_trace(qtrace)
+            if collected is not None:
+                self._answer(
+                    query,
+                    options,
+                    outcome=(collected, plan.matches, executor.stats),
+                )
 
     def _check_stream_version(self, version: int) -> None:
         """Refuse to keep streaming across an interleaved mutation.
@@ -518,83 +536,59 @@ class KeywordSearchEngine:
         temporary file when the engine was never saved, refreshed after
         mutations), answer the rest with the same configuration.
         Lookups, stores, results, order and the first raised error are
-        those of the serial path; ``last_stats`` merges the workers'
-        counters.
+        those of the serial path; ``last_stats`` merges the counters of
+        the queries answered, up to a raised error.
         """
-        ranker = ranker or self.ranker
-        limits = limits or self.limits
+        options = self._options(ranker, limits, top_k, semantics, pushdown)
         pooled = jobs is not None and jobs > 1
-        version = self.version
         stats = ExecutionStats()
         resolved: dict[str, list[SearchResult]] = {}
-        misses: list[tuple[str, Hashable]] = []
+        misses: list[str] = []
 
-        def answer(query):
-            with obs_trace.span("plan.compile", query=query):
-                plan, matches = self._plan(query, top_k, semantics)
-            executor = self._executor()
-            results = executor.run(plan, ranker, limits, pushdown=pushdown)
-            return results, matches, executor.stats
-
-        def commit(query, key, results, matches, run_stats):
-            resolved[query] = results
-            stats.merge(run_stats)
-            if key is not None and self.version == version:
-                self._cache_store(key, ranker, matches, results, run_stats)
-
-        qtrace = None
-        if obs_trace.ENABLED:
-            tags = {"jobs": jobs} if pooled else {}
-            qtrace = obs_trace.begin_trace(
-                "query.batch", queries=len(queries), semantics=semantics, **tags
+        def answer(query):  # the coordinator's share of a pooled batch
+            results, plan, run_stats = self._execute(
+                query, options, tags={"query": query}
             )
-            self.last_trace = qtrace
-        try:
-            for query in dict.fromkeys(queries):
-                key = self._cache_key(
-                    query, ranker, limits, top_k, semantics, pushdown
-                )
-                with obs_trace.span(
-                    "result_cache.lookup", query=query
-                ) as lookup_span:
-                    entry = (
-                        self.result_cache.lookup(key)
-                        if key is not None
-                        else None
+            return results, plan.matches, run_stats
+
+        with obs_trace.traced(
+            "query.batch",
+            self,
+            queries=len(queries),
+            semantics=semantics,
+            **({"jobs": jobs} if pooled else {}),
+        ):
+            try:
+                for query in dict.fromkeys(queries):
+                    tags = {"query": query}
+                    if not pooled:
+                        resolved[query], __, run_stats = self._answer(
+                            query, options, tags=tags
+                        )
+                        stats.merge(run_stats)
+                        continue
+                    entry = self._lookup(self._cache_key(query, *options), tags)
+                    if entry is None:
+                        misses.append(query)
+                    else:
+                        resolved[query] = list(entry.results)
+                        stats.merge(entry.stats)
+                if misses:
+                    outcomes = self._ensure_searcher(jobs).run(
+                        misses, options, answer
                     )
-                    if lookup_span is not None:
-                        lookup_span.tag(hit=entry is not None)
-                if entry is not None:
-                    resolved[query] = list(entry.results)
-                    stats.merge(entry.stats)
-                elif pooled:
-                    misses.append((query, key))
-                else:
-                    commit(query, key, *answer(query))
-            if misses:
-                outcomes = self._ensure_searcher(jobs).run(
-                    [query for query, __ in misses],
-                    {
-                        "ranker": ranker,
-                        "limits": limits,
-                        "top_k": top_k,
-                        "semantics": semantics,
-                        "pushdown": pushdown,
-                    },
-                    answer,
-                )
-                for query, key in misses:
-                    status, payload, run_stats = outcomes[query]
-                    if status == "error":
-                        self.last_stats = stats
-                        raise payload
-                    if status == "ok":  # a worker's portable answers
-                        payload = self._revive(payload), self.match(query)
-                    commit(query, key, *payload, run_stats)
-        finally:
-            if qtrace is not None:
-                obs_trace.end_trace(qtrace)
-        self.last_stats = stats
+                    for query in misses:
+                        status, payload, run_stats = outcomes[query]
+                        if status == "error":
+                            raise payload
+                        if status == "ok":  # a worker's portable answers
+                            payload = self._revive(payload), self.match(query)
+                        resolved[query] = self._answer(
+                            query, options, outcome=(*payload, run_stats)
+                        )[0]
+                        stats.merge(run_stats)
+            finally:
+                self.last_stats = stats
         return [resolved[query] for query in queries]
 
     def _revive(self, portables) -> list[SearchResult]:
@@ -696,29 +690,22 @@ class KeywordSearchEngine:
         top_k: Optional[int] = None,
         semantics: str = "and",
         pushdown: Optional[bool] = None,
-        jobs: Optional[int] = None,
     ):
         """Run a query with tracing forced on and fuse its plan with the
         collected trace into a per-node report.
 
-        Returns an :class:`~repro.obs.explain.ExplainReport` — call
-        ``.render()`` for the table, ``.results`` for the (bit-identical)
-        answers, ``.trace`` for the raw spans.  ``jobs > 1`` additionally
-        routes one pass through the worker pool so the report carries the
-        pooled trace (one adopted root per worker chunk).
+        The run skips the answer-cache lookup, so the executor always
+        runs, and stores its answers like :meth:`search`.  Returns an
+        :class:`~repro.obs.explain.ExplainReport` — call ``.render()``
+        for the table, ``.results`` for the (bit-identical) answers,
+        ``.trace`` for the raw spans (also :attr:`last_trace`).
         """
         from repro.obs.explain import analyze
 
-        return analyze(
-            self,
-            query,
-            ranker=ranker,
-            limits=limits,
-            top_k=top_k,
-            semantics=semantics,
-            pushdown=pushdown,
-            jobs=jobs,
-        )
+        options = self._options(ranker, limits, top_k, semantics, pushdown)
+        report = analyze(partial(self._answer, query, options), query, semantics)
+        self.last_trace = report.trace
+        return report
 
     def metrics_snapshot(self) -> dict:
         """Plain-dict view of the process metrics registry (counters,

@@ -117,6 +117,13 @@ class ExecutionStats:
         self.pushdown = self.pushdown or other.pushdown
         self.pruned += other.pruned
 
+    def copy(self) -> "ExecutionStats":
+        """A detached copy — the answer-cache hit path makes one per hit,
+        several times faster than ``dataclasses.replace``."""
+        return ExecutionStats(
+            self.candidates, self.emitted, self.pushdown, self.pruned
+        )
+
     def to_dict(self) -> dict:
         """JSON-safe view (CLI ``--json``, trace summaries)."""
         return {

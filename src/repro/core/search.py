@@ -20,18 +20,13 @@ deterministic, so the reproduction tests can assert paper tables exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from repro.core import ambiguity as ambiguity_module
 from repro.core.connections import Connection
 from repro.core.matching import KeywordMatch
 from repro.errors import QueryError
-from repro.graph.csr import (
-    QueryRows,
-    csr_enumerate_joining_trees,
-    csr_enumerate_simple_paths,
-)
 from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
 from repro.graph.traversal import TuplePathStep
@@ -267,9 +262,10 @@ def find_connections(
     first per pair), plus :class:`SingleTupleAnswer` for tuples matching
     both keywords when ``include_single_tuples``.
 
-    Paths come from the compiled CSR kernel; every pair reads its rows
-    through one :class:`~repro.graph.csr.QueryRows` view per call.  Pass
-    a :class:`TraversalCache` to share the compiled graph and its held
+    The pairs run through the executor's pair source, so paths come from
+    the compiled CSR kernel and every pair reads its rows through one
+    :class:`~repro.graph.csr.QueryRows` view per call.  Pass a
+    :class:`TraversalCache` to share the compiled graph and its held
     rows across calls.
 
     Raises :class:`~repro.errors.QueryError` unless exactly two keyword
@@ -280,32 +276,14 @@ def find_connections(
             "find_connections needs exactly two keywords",
             keywords=[m.keyword for m in matches],
         )
+    from repro.core.executor import Executor
+    from repro.core.plan import PairPaths
+
     if cache is None:
         cache = TraversalCache(data_graph)
-    rows = QueryRows(cache)
-    first, second = matches
-    if include_single_tuples:
-        second_set = set(second.tuple_ids)
-        both = [tid for tid in first.tuple_ids if tid in second_set]
-        for tid in both:
-            yield SingleTupleAnswer(
-                data_graph, tid, frozenset((first.keyword, second.keyword))
-            )
-    for source in first.tuple_ids:
-        for target in second.tuple_ids:
-            if source == target:
-                continue
-            paths = csr_enumerate_simple_paths(
-                cache,
-                source,
-                target,
-                limits.max_rdb_length,
-                max_paths=limits.max_paths_per_pair,
-                rows=rows,
-            )
-            for steps in paths:
-                tids = [steps[0].source] + [s.target for s in steps]
-                yield Connection(cache, steps, _keyword_map(matches, tids))
+    yield from Executor(cache)._iter_pair(
+        matches, PairPaths(0, 1, include_single_tuples), limits
+    )
 
 
 def find_joining_networks(
@@ -323,31 +301,20 @@ def find_joining_networks(
     the same tuple set with different keyword bindings; both are yielded —
     deduplication by tuple set is the caller's choice.
 
-    ``cache`` behaves as in :func:`find_connections`; every
-    keyword-tuple assignment shares its distance rows through the call's
-    one :class:`~repro.graph.csr.QueryRows` view.
+    Runs the executor's network source; ``cache`` behaves as in
+    :func:`find_connections`, and every keyword-tuple assignment shares
+    its distance rows through the call's one
+    :class:`~repro.graph.csr.QueryRows` view.
     """
     if not matches:
         raise QueryError("no keywords to search")
     if any(match.is_empty for match in matches):
         return
+    from repro.core.executor import Executor
+    from repro.core.plan import NetworkGrowth
+
     if cache is None:
         cache = TraversalCache(data_graph)
-    rows = QueryRows(cache)
-    seen: set[tuple[frozenset[TupleId], tuple[tuple[str, TupleId], ...]]] = set()
-    assignments = product(*(match.tuple_ids for match in matches))
-    for assignment in assignments:
-        keyword_tuples = {
-            match.keyword: tid for match, tid in zip(matches, assignment)
-        }
-        required = list(dict.fromkeys(assignment))
-        tuple_sets = csr_enumerate_joining_trees(
-            cache, required, limits.max_tuples,
-            max_results=limits.max_networks, rows=rows,
-        )
-        for tuple_set in tuple_sets:
-            key = (tuple_set, tuple(sorted(keyword_tuples.items())))
-            if key in seen:
-                continue
-            seen.add(key)
-            yield JoiningNetwork(cache, tuple_set, keyword_tuples)
+    yield from Executor(cache)._iter_networks(
+        matches, NetworkGrowth(tuple(range(len(matches)))), limits
+    )

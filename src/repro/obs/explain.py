@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.executor import _op_label
 from repro.core.plan import NetworkGrowth, PairPaths, QueryPlan, SingleScan
 from repro.obs import trace as trace_mod
 
@@ -63,7 +64,6 @@ class ExplainReport:
         "results",
         "rows",
         "mode",
-        "pool_trace",
     )
 
     def __init__(
@@ -75,8 +75,6 @@ class ExplainReport:
         trace: trace_mod.QueryTrace,
         stats,
         results,
-        mode: str,
-        pool_trace: Optional[trace_mod.QueryTrace] = None,
     ) -> None:
         self.query = query
         self.semantics = semantics
@@ -84,8 +82,8 @@ class ExplainReport:
         self.trace = trace
         self.stats = stats
         self.results = results
-        self.mode = mode
-        self.pool_trace = pool_trace
+        exec_span = next(trace.find("executor.execute"), None)
+        self.mode = exec_span.tags.get("mode", "?") if exec_span is not None else "?"
         self.rows = _build_rows(plan, trace, stats)
 
     def to_dict(self) -> dict:
@@ -147,23 +145,7 @@ class ExplainReport:
             )
             if index == 0:
                 lines.append("-" * len(lines[-1]))
-        if self.pool_trace is not None:
-            workers = sum(
-                1 for node in self.pool_trace.walk() if node.name == "worker.batch"
-            )
-            lines.append(
-                f"pool: {workers} worker batch trace(s) merged "
-                f"(engine.last_trace of the pooled pass)"
-            )
         return "\n".join(lines)
-
-
-def _op_name(op) -> str:
-    if isinstance(op, SingleScan):
-        return "scan"
-    if isinstance(op, PairPaths):
-        return "paths"
-    return "networks"
 
 
 def _op_detail(op, plan: QueryPlan) -> str:
@@ -220,10 +202,9 @@ def _build_rows(plan: QueryPlan, trace, stats) -> list[ExplainRow]:
             entry = estimates[position]
             counters["est_candidates"] = round(entry.est_candidates, 1)
             counters["est_cost"] = round(entry.est_cost, 1)
+        name = _op_label(op).removeprefix("op.")
         rows.append(
-            ExplainRow(
-                _op_name(op), _op_detail(op, plan), _span_ms(span), counters
-            )
+            ExplainRow(name, _op_detail(op, plan), _span_ms(span), counters)
         )
     if not plan.sources:
         rows.append(ExplainRow("(empty)", "plan has no sources", None))
@@ -259,71 +240,28 @@ def _build_rows(plan: QueryPlan, trace, stats) -> list[ExplainRow]:
     return rows
 
 
-def analyze(
-    engine,
-    query: str,
-    *,
-    ranker=None,
-    limits=None,
-    top_k: Optional[int] = None,
-    semantics: str = "and",
-    pushdown: Optional[bool] = None,
-    jobs: Optional[int] = None,
-) -> ExplainReport:
-    """Run ``query`` with tracing forced on and build the fused report.
+def analyze(answer, query: str, semantics: str = "and") -> ExplainReport:
+    """Answer ``query`` with tracing forced on and build the fused report.
 
-    ``jobs > 1`` first runs the query through the worker pool (so the
-    report can attach the pooled pass's merged trace — one adopted root
-    per worker chunk), then performs the serially-traced run the
-    per-node table is built from.  Answers of both passes are
-    bit-identical to a plain ``engine.search``.
+    ``answer`` is an engine's query pipeline bound to the query and its
+    options (``KeywordSearchEngine.explain_analyze`` passes it); called
+    with the answer-cache lookup skipped, so the executor runs, and the
+    plan costed, it returns ``(results, plan, stats)``.
     """
-    ranker = ranker or engine.ranker
-    limits = limits or engine.limits
     previous = trace_mod.ENABLED
     trace_mod.set_enabled(True)
     try:
-        pool_trace = None
-        if jobs is not None and jobs > 1:
-            engine.search_batch(
-                [query],
-                ranker=ranker,
-                limits=limits,
-                top_k=top_k,
-                semantics=semantics,
-                pushdown=pushdown,
-                jobs=jobs,
-            )
-            pool_trace = engine.last_trace
-        qtrace = trace_mod.begin_trace(
+        with trace_mod.traced(
             "explain_analyze", query=query, semantics=semantics
-        )
-        try:
-            with trace_mod.span("plan.compile"):
-                plan, matches = engine._plan(query, top_k, semantics)
-                if engine.adaptive:
-                    plan = engine._ensure_cost_model().annotate(plan)
-            version = engine.version
-            executor = engine._executor()
-            results = executor.run(plan, ranker, limits, pushdown=pushdown)
-        finally:
-            trace_mod.end_trace(qtrace)
-        engine.last_stats = executor.stats
-        engine.last_trace = qtrace
-        key = engine._cache_key(query, ranker, limits, top_k, semantics, pushdown)
-        if key is not None and engine.version == version:
-            engine._cache_store(key, ranker, matches, results, executor.stats)
+        ) as qtrace:
+            results, plan, stats = answer(lookup=False, annotate=True)
     finally:
         trace_mod.set_enabled(previous)
-    exec_span = next(qtrace.find("executor.execute"), None)
-    mode = exec_span.tags.get("mode", "?") if exec_span is not None else "?"
     return ExplainReport(
         query=query,
         semantics=semantics,
         plan=plan,
         trace=qtrace,
-        stats=executor.stats,
+        stats=stats,
         results=results,
-        mode=mode,
-        pool_trace=pool_trace,
     )

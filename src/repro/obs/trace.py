@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from typing import Iterator, Optional
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "QueryTrace",
     "set_enabled",
     "span",
+    "traced",
     "begin_trace",
     "end_trace",
     "current_trace",
@@ -323,6 +325,25 @@ def span(name: str, **tags):
         return _NULL
     trace = _ACTIVE[-1] if _ACTIVE else ambient_trace()
     return _SpanContext(trace, name, tags)
+
+
+def traced(name: str, owner=None, **tags):
+    """Context manager running its block inside a fresh
+    :class:`QueryTrace`, which ``with ... as`` binds and
+    ``owner.last_trace`` keeps; the shared no-op binding ``None`` when
+    tracing is disabled."""
+    return _query_trace(name, owner, tags) if ENABLED else _NULL
+
+
+@contextmanager
+def _query_trace(name: str, owner, tags: dict) -> Iterator[QueryTrace]:
+    trace = begin_trace(name, **tags)
+    if owner is not None:
+        owner.last_trace = trace
+    try:
+        yield trace
+    finally:
+        end_trace(trace)
 
 
 def reset() -> None:

@@ -118,51 +118,39 @@ def _run_chunk(chunk):
     chunk's earlier successes, mirroring the serial loop.
 
     Observability rides the same outcome stream: the coordinator's
-    enablement travels in ``options["observe"]`` (explicit so spawned
-    workers match forked ones), the worker's per-query trace roots and
+    enablement travels with the chunk (explicit so spawned workers match
+    forked ones), the worker's per-query trace roots and
     its metrics *delta* for the chunk come back as one trailing
     ``(None, "obs", (trace_root, metrics_delta), None)`` pseudo-record.
     """
     fault.maybe("pool.chunk")
-    positions, queries, options = chunk
+    positions, queries, options, (trace_on, metrics_on) = chunk
     engine = _WORKER_ENGINE
-    trace_on, metrics_on = options.get("observe", (False, False))
     # The coordinator's setting is authoritative each chunk — a forked
     # worker may have inherited flags the coordinator has since flipped.
     obs_trace.set_enabled(trace_on)
     obs_metrics.set_enabled(metrics_on)
     metrics_before = obs_metrics.REGISTRY.snapshot() if metrics_on else None
-    chunk_trace = (
-        obs_trace.begin_trace("worker.batch", queries=len(queries))
-        if trace_on
-        else None
-    )
     outcomes = []
-    for position, query in zip(positions, queries):
-        try:
-            results = engine.search(
-                query,
-                ranker=options.get("ranker"),
-                limits=options.get("limits"),
-                top_k=options.get("top_k"),
-                semantics=options.get("semantics", "and"),
-                pushdown=options.get("pushdown"),
-            )
-        except ReproError as error:
-            outcomes.append((position, "error", error, None))
-            break
-        finally:
-            if chunk_trace is not None and engine.last_trace is not None:
-                # engine.search ran its own query trace; re-root it
-                # under the chunk so one span tree ships back.
-                root = engine.last_trace.root
-                root.tag(position=position)
-                chunk_trace.adopt(root)
-                engine.last_trace = None
-        portable = [
-            (_portable_answer(result.answer), result.score) for result in results
-        ]
-        outcomes.append((position, "ok", portable, replace(engine.last_stats)))
+    with obs_trace.traced("worker.batch", queries=len(queries)) as chunk_trace:
+        for position, query in zip(positions, queries):
+            try:
+                results = engine.search(query, *options)
+            except ReproError as error:
+                outcomes.append((position, "error", error, None))
+                break
+            finally:
+                if chunk_trace is not None and engine.last_trace is not None:
+                    # engine.search ran its own query trace; re-root it
+                    # under the chunk so one span tree ships back.
+                    root = engine.last_trace.root
+                    root.tag(position=position)
+                    chunk_trace.adopt(root)
+                    engine.last_trace = None
+            portable = [
+                (_portable_answer(result.answer), result.score) for result in results
+            ]
+            outcomes.append((position, "ok", portable, replace(engine.last_stats)))
     if trace_on or metrics_on:
         delta = (
             obs_metrics.diff_snapshots(
@@ -171,10 +159,7 @@ def _run_chunk(chunk):
             if metrics_on
             else None
         )
-        root = None
-        if chunk_trace is not None:
-            obs_trace.end_trace(chunk_trace)
-            root = chunk_trace.root
+        root = chunk_trace.root if chunk_trace is not None else None
         outcomes.append((None, "obs", (root, delta), None))
     return outcomes
 
@@ -363,14 +348,15 @@ class ParallelSearcher:
         self._workers[index] = worker
         return True
 
-    def run(self, queries: Sequence[str], options: dict, answer) -> dict:
+    def run(self, queries: Sequence[str], options: tuple, answer) -> dict:
         """Answer distinct queries here and on the workers; returns
         per-query outcomes.
 
         The coordinator keeps the first ⌊n/jobs⌋ queries — rounded down,
         so a one-query batch still reaches a worker — and the rest is
         cut into at most one contiguous chunk per worker, a single IPC
-        round trip each.  ``answer(query)`` is the serial loop's body:
+        round trip each; workers answer with ``engine.search(query,
+        *options)``.  ``answer(query)`` is the serial loop's body:
         it answers one query in this process and returns ``(results,
         matches, stats)``.  The coordinator runs it over its own share
         between sending the worker chunks and reading their replies.
@@ -402,7 +388,7 @@ class ParallelSearcher:
         if not queries:
             return {}
         workers = self._ensure_workers()
-        options = dict(options, observe=(obs_trace.ENABLED, obs_metrics.ENABLED))
+        observe = (obs_trace.ENABLED, obs_metrics.ENABLED)
         own = len(queries) // self.jobs
         rest = len(queries) - own
         size = -(-rest // min(len(workers), rest))
@@ -413,7 +399,7 @@ class ParallelSearcher:
         self.last_assignment = ([list(range(own))] if own else []) + chunks
         busy = []
         for index, positions in enumerate(chunks):
-            chunk = (positions, [queries[p] for p in positions], options)
+            chunk = (positions, [queries[p] for p in positions], options, observe)
             __, connection = workers[index]
             try:
                 connection.send(chunk)

@@ -462,9 +462,10 @@ class TestSnapshotCommand:
 
 class TestParallelFlags:
     def test_jobs_requires_batch(self):
-        code, output = run("search", "Smith XML", "--jobs", "2")
-        assert code == 2
-        assert "--jobs needs --batch" in output
+        for extra in ((), ("--analyze",)):
+            code, output = run("search", "Smith XML", "--jobs", "2", *extra)
+            assert code == 2
+            assert "--jobs needs --batch" in output
 
     def test_batch_with_jobs_matches_serial(self):
         __, serial = run("search", "Smith XML; Brown CS", "--batch")

@@ -8,6 +8,25 @@ from repro.core.connections import Connection
 from repro.core.engine import KeywordSearchEngine
 from repro.core.ranking import RdbLengthRanker
 from repro.core.search import JoiningNetwork, SearchLimits, SingleTupleAnswer
+from repro.errors import SearchLimitError
+
+#: The four query entry points, each reduced to "answer one query".
+ENTRY_POINTS = {
+    "search": lambda engine, query, **options: engine.search(query, **options),
+    "search_stream": lambda engine, query, **options: list(
+        engine.search_stream(query, **options)
+    ),
+    "search_batch": lambda engine, query, **options: engine.search_batch(
+        [query], **options
+    )[0],
+    "explain_analyze": lambda engine, query, **options: engine.explain_analyze(
+        query, **options
+    ).results,
+}
+
+
+def rendered(results):
+    return [(r.render(), r.score, r.rank) for r in results]
 
 
 class TestSearchBasics:
@@ -162,6 +181,29 @@ class TestSearchBatch:
         # The second query reuses the distance maps of the shared targets.
         assert engine.traversal_cache.hits > 0
 
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_failing_batch_keeps_stats_of_the_queries_answered(
+        self, company_db, jobs
+    ):
+        """Serial and pooled alike, a batch that raises leaves
+        ``last_stats`` merged over the queries answered before the
+        failure, not the previous call's."""
+        engine = KeywordSearchEngine(company_db)
+        engine.search("Smith XML")
+        previous = engine.last_stats
+        limits = SearchLimits(max_paths_per_pair=1)
+        try:
+            with pytest.raises(SearchLimitError):
+                engine.search_batch(
+                    ["Smith", "Smith XML"], limits=limits, jobs=jobs
+                )
+        finally:
+            engine.close_pool()
+        assert engine.last_stats is not previous
+        fresh = KeywordSearchEngine(company_db)
+        fresh.search("Smith", limits=limits)
+        assert engine.last_stats == fresh.last_stats
+
 
 class TestSearchStream:
     def test_stream_matches_search(self, engine):
@@ -186,6 +228,39 @@ class TestSearchStream:
 
     def test_stream_empty_query_result(self, engine):
         assert list(engine.search_stream("unicorn rainbow")) == []
+
+    @pytest.mark.parametrize("semantics", ["and", "or"])
+    @pytest.mark.parametrize("top_k", [None, 3])
+    def test_entry_points_agree(self, company_db, semantics, top_k):
+        """search, a consumed stream, a one-query batch and EXPLAIN
+        ANALYZE return the same answers and stats, and each leaves the
+        answer-cache entry a following search hits."""
+        outcomes = []
+        for name, answer in ENTRY_POINTS.items():
+            engine = KeywordSearchEngine(company_db)
+            results = answer(engine, "Smith XML", top_k=top_k, semantics=semantics)
+            outcomes.append((rendered(results), engine.last_stats))
+            hits = engine.result_cache.stats.hits
+            again = engine.search("Smith XML", top_k=top_k, semantics=semantics)
+            assert engine.result_cache.stats.hits == hits + 1, name
+            assert rendered(again) == rendered(results), name
+        assert outcomes[0][0]
+        assert outcomes == [outcomes[0]] * len(ENTRY_POINTS)
+
+    @pytest.mark.parametrize("semantics", ["and", "or"])
+    @pytest.mark.parametrize("top_k", [None, 3])
+    def test_entry_points_raise_alike(self, company_db, semantics, top_k):
+        limits = SearchLimits(max_paths_per_pair=1)
+        errors = []
+        for answer in ENTRY_POINTS.values():
+            engine = KeywordSearchEngine(company_db)
+            with pytest.raises(SearchLimitError) as caught:
+                answer(
+                    engine, "Smith XML",
+                    limits=limits, top_k=top_k, semantics=semantics,
+                )
+            errors.append((str(caught.value), caught.value.context))
+        assert errors == [errors[0]] * len(ENTRY_POINTS)
 
 
 class TestPlanEntryPoint:

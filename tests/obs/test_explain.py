@@ -1,6 +1,6 @@
-"""EXPLAIN ANALYZE tests, including the snapshot+pool acceptance
-scenario: a two-keyword AND query answered from a reopened snapshot with
-a worker pool, rendered as a per-plan-node table."""
+"""EXPLAIN ANALYZE tests, including the snapshot acceptance scenario: a
+two-keyword AND query answered from a reopened snapshot, rendered as a
+per-plan-node table."""
 
 import pytest
 
@@ -81,16 +81,11 @@ class TestExplainAnalyze:
 
     def test_acceptance_snapshot_pool(self, planted, tmp_path):
         """The end-to-end path: 2-keyword AND query, engine reopened
-        from a snapshot, analysed with a worker pool."""
+        from a snapshot and analysed."""
         path = tmp_path / "engine.snap"
         KeywordSearchEngine(planted).save(path)
         engine = KeywordSearchEngine.open(path)
-        try:
-            report = engine.explain_analyze(
-                "kwalpha kwbeta", limits=LIMITS, jobs=2
-            )
-        finally:
-            engine.close_pool()
+        report = engine.explain_analyze("kwalpha kwbeta", limits=LIMITS)
 
         nodes = [row.node for row in report.rows]
         assert nodes[0] == "match" and nodes[-1] == "total"
@@ -99,15 +94,6 @@ class TestExplainAnalyze:
         assert paths_row.counters["produced"] >= 1
         total = report.rows[-1]
         assert total.counters["candidates"] >= 1
-
-        # the pooled pass's merged trace rode along
-        assert report.pool_trace is not None
-        workers = [
-            span for span in report.pool_trace.walk()
-            if span.name == "worker.batch"
-        ]
-        assert workers and all("worker" in w.tags for w in workers)
-        assert "pool:" in report.render().splitlines()[-1]
 
         # analysed answers are the plain answers
         serial = KeywordSearchEngine(planted)

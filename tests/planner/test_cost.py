@@ -11,7 +11,7 @@ class TestCostModel:
         assert CostModel().fanout() == DEFAULT_FANOUT
 
     def test_pair_plan_estimates_align_with_sources(self, engine):
-        plan, __ = engine._plan("Smith XML", None, "and")
+        plan = engine._plan("Smith XML", None, "and")
         model = CostModel(index=engine.index,
                           statistics=lambda: engine.statistics)
         estimates = model.estimate_plan(plan)
@@ -24,7 +24,7 @@ class TestCostModel:
         assert pair.est_cost >= pair.est_candidates >= pair.units
 
     def test_or_plan_estimates_cover_every_source(self, engine):
-        plan, __ = engine._plan("Smith Brown XML", None, "or")
+        plan = engine._plan("Smith Brown XML", None, "or")
         model = CostModel(index=engine.index)
         estimates = model.estimate_plan(plan)
         assert [e.kind for e in estimates] == [
@@ -37,7 +37,7 @@ class TestCostModel:
         assert scan.est_candidates == scan.units  # scans are exact
 
     def test_annotate_attaches_estimates_without_changing_ops(self, engine):
-        plan, __ = engine._plan("Smith XML", None, "and")
+        plan = engine._plan("Smith XML", None, "and")
         annotated = CostModel(index=engine.index).annotate(plan)
         assert annotated.sources == plan.sources
         assert annotated.matches == plan.matches
