@@ -92,8 +92,9 @@ def match_keywords(
     matches = []
     for keyword in keywords:
         term, role = split_role(keyword)
-        tuple_ids = index.matching_tuples(term)
         postings = index.postings(term)
+        # Distinct tuples in first-posting order: ``matching_tuples``.
+        tuple_ids = tuple(dict.fromkeys([posting.tid for posting in postings]))
         if role is not None:
             wanted = role.upper()
             tuple_ids = tuple(

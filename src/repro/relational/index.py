@@ -10,20 +10,34 @@ and the attributes they matched in.
 The index is maintained incrementally: :meth:`InvertedIndex.add_tuple` /
 :meth:`InvertedIndex.remove_tuple` keep it consistent with a mutating
 database, and :meth:`InvertedIndex.build` performs a full (re)build.
+
+Postings have one resident representation, :class:`_PostingColumns`: a
+sorted token directory looked up with ``bisect``, an ``offsets`` column
+and per-posting node, attribute-id and flag columns.  A cold build fills
+the columns from one scan of the store; a restored engine maps them from
+its snapshot's ``postings`` section, which has the same layout, so a
+full snapshot write copies a still-raw token's slice as it is.
+:class:`_LazyPostings` decodes a token's ``Posting`` objects on its first
+read and queues writes to tokens not read yet.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator
 
+from repro.errors import SchemaError
 from repro.relational.database import Database, Tuple, TupleId
 
 __all__ = ["tokenize", "Posting", "InvertedIndex"]
 
 _TOKEN_PATTERN = re.compile(r"[A-Za-z0-9]+(?:[-_][A-Za-z0-9]+)*")
+_WORD = re.compile(r"[A-Za-z0-9]+")
 
 
 def tokenize(text: str) -> list[str]:
@@ -38,7 +52,10 @@ def tokenize(text: str) -> list[str]:
     """
     tokens: list[str] = []
     for token in _TOKEN_PATTERN.findall(text):
-        token = token.lower()
+        # A lower-case match is kept as is: one spanning the whole value
+        # is the value's own string, so an index keyed by it holds no copy.
+        if not token.islower():
+            token = token.lower()
         tokens.append(token)
         if "-" in token or "_" in token:
             tokens.extend(part for part in re.split(r"[-_]", token) if part)
@@ -58,6 +75,22 @@ class Posting:
     whole_value: bool
 
 
+def _value_tokens(value) -> tuple[dict, str]:
+    """The distinct tokens one non-null value posts under, in posting
+    order, and its lower-cased whole text."""
+    text = str(value)
+    whole = text if text.islower() else text.lower()  # shared, as above
+    if _WORD.fullmatch(text):
+        # One plain word (most keys and names): what ``tokenize`` gives.
+        return {whole: None}, whole
+    tokens = dict.fromkeys(tokenize(text))
+    if whole:
+        # Values that tokenise away entirely (e.g. punctuation-only)
+        # are still matchable as whole values.
+        tokens.setdefault(whole)
+    return tokens, whole
+
+
 def _posted(values, attributes: Iterable[str]) -> Iterator[tuple[str, str, bool]]:
     """``(token, attribute, whole value?)`` per posting of one tuple's
     values: attribute by attribute, each token once per attribute."""
@@ -65,30 +98,179 @@ def _posted(values, attributes: Iterable[str]) -> Iterator[tuple[str, str, bool]
         value = values.get(attribute)
         if value is None:
             continue
-        text = str(value)
-        whole = text.lower()
-        tokens = dict.fromkeys(tokenize(text))
-        if whole:
-            # Values that tokenise away entirely (e.g. punctuation-only)
-            # are still matchable as whole values.
-            tokens.setdefault(whole)
+        tokens, whole = _value_tokens(value)
         for token in tokens:
             yield token, attribute, token == whole
 
 
-class _LazyPostings(dict):
-    """Posting lists decoded from a raw table on first read.
+#: Posting flag bits: the keyword is the whole attribute value; the
+#: posting opens its token's slice.
+_WHOLE = 0x01
+_FIRST = 0x80
 
-    Every index serves its postings through one of these: a cold build's
-    raw table is the scan of the store (:class:`_ScannedPostings`), a
-    restored index's the snapshot's encoded columns.  A missing token
-    decodes its raw entries (or starts an empty list) and stores the
-    result, after which plain dict semantics apply.  Raw and
-    materialised keys are disjoint — decoding *moves* a token out of the
-    raw table — so iteration, membership and length see each token
-    exactly once, and a read looks in the materialised dict first.  Most
-    queries touch a handful of tokens, so an index never pays for
-    ``Posting`` objects of the vocabulary it does not use.
+
+def attribute_table(schema) -> list[str]:
+    """Every attribute name once, in schema order: what a posting's
+    attribute id indexes (in memory and in a snapshot)."""
+    return list(dict.fromkeys(
+        attribute.name
+        for relation in schema.relations
+        for attribute in relation.attributes
+    ))
+
+
+class _PostingColumns:
+    """An index's postings as flat columns, one layout for a cold build
+    and a restored snapshot: a sorted token directory, ``offsets`` (a
+    token's postings are slots ``offsets[t]:offsets[t + 1]``) and, per
+    slot, a node, an attribute id (into ``names``) and a flag byte
+    (``_WHOLE``; ``_FIRST`` on its token's first slot).  A node indexes
+    ``tid_of``: the scanned tuple ids of a cold build, the interning
+    table of a restored engine.  :meth:`decode` is the one place a
+    ``Posting`` is made from a slice.
+    """
+
+    def __init__(self, tokens, offsets, nodes, attributes, flags, tid_of, names) -> None:
+        self._tokens = tokens
+        self.offsets, self.nodes = offsets, nodes
+        self.attributes, self.flags = attributes, flags
+        self.tid_of, self.names = tid_of, names
+
+    @classmethod
+    def scan(cls, database: Database, relations: dict, names: list[str]):
+        """One scan of the store in posting order — relations in schema
+        order, tuples in store order — grouped per token, the tokens
+        sorted and the groups flattened into columns.
+
+        A token's group lists ``position, attribute id, flag`` per
+        posting: one position object per tuple and small ints, so the
+        scan allocates no int per posting, and the flattened
+        ``array('i')`` splits into its columns by strided slices.
+        """
+        if len(names) > 1 << 16:
+            raise SchemaError(
+                "too many attribute names to index", attributes=len(names)
+            )
+        attribute_id = {name: at for at, name in enumerate(names)}
+        tids: list[TupleId] = []
+        table: dict[str, list[int]] = {}
+        for relation, fields in relations.items():
+            ids = [(name, attribute_id[name]) for name in fields]
+            for record in database.tuples(relation):
+                position = len(tids)
+                tids.append(record.tid)
+                values = record.values
+                # What ``_posted`` yields, without a generator step per posting.
+                for attribute, at in ids:
+                    value = values.get(attribute)
+                    if value is None:
+                        continue
+                    tokens, whole = _value_tokens(value)
+                    for token in tokens:
+                        entries = table.get(token)
+                        if entries is None:
+                            table[token] = [position, at, _FIRST | (token == whole)]
+                        else:
+                            entries += position, at, token == whole
+        tokens = sorted(table)
+        offsets = array("i", [0])
+        flat = array("i")
+        for entries in map(table.pop, tokens):  # each list freed once copied
+            flat.fromlist(entries)
+            offsets.append(len(flat) // 3)
+        return cls(
+            tokens,
+            offsets,
+            flat[0::3],
+            array("H", flat[1::3].tolist()),
+            bytearray(flat[2::3].tolist()),
+            tids,
+            names,
+        )
+
+    def directory(self) -> list[str]:
+        """The tokens, sorted: token ``t`` owns slots ``offsets[t]:offsets[t + 1]``."""
+        return self._tokens
+
+    def decode(self, at: int) -> list:
+        """The postings of the ``at``-th directory token."""
+        start, stop = self.offsets[at], self.offsets[at + 1]
+        nodes = self.nodes[start:stop].tolist()
+        attributes = self.attributes[start:stop].tolist()
+        flags = bytes(self.flags[start:stop])
+        self._check(start, stop, nodes, attributes, flags)
+        tid_of, names = self.tid_of, self.names
+        return [
+            Posting(tid_of[node], names[attribute], bool(flag & _WHOLE))
+            for node, attribute, flag in zip(nodes, attributes, flags)
+        ]
+
+    def _check(self, start: int, stop: int, nodes, attributes, flags) -> None:
+        """Refuse a slice that breaks the layout; columns a scan filled
+        hold none, so only columns read from outside check."""
+
+
+class _RawTable:
+    """The still-raw tokens of posting columns: every directory token
+    not yet taken (decoded), found by bisecting the sorted directory."""
+
+    __slots__ = ("columns", "tokens", "alive")
+
+    def __init__(self, columns: _PostingColumns, alive=None) -> None:
+        self.columns = columns
+        self.tokens = columns.directory()
+        #: One byte per directory token, 1 while it is raw.
+        self.alive = (
+            bytearray(b"\x01") * len(self.tokens) if alive is None else bytearray(alive)
+        )
+
+    def find(self, token: str) -> int:
+        """The token's directory position, -1 unless it is raw."""
+        tokens = self.tokens
+        at = bisect_left(tokens, token)
+        if at < len(tokens) and tokens[at] == token and self.alive[at]:
+            return at
+        return -1
+
+    def __contains__(self, token) -> bool:
+        return self.find(token) >= 0
+
+    def take(self, at: int) -> None:
+        """Mark the raw token at directory position ``at`` decoded."""
+        self.alive[at] = 0
+
+    def length(self, token: str) -> int:
+        """The raw token's posting count (0 for any other)."""
+        at = self.find(token)
+        if at < 0:
+            return 0
+        return max(0, self.columns.offsets[at + 1] - self.columns.offsets[at])
+
+    def positions(self) -> Iterator[int]:
+        """Directory positions of the raw tokens, in token order."""
+        return compress(range(len(self.alive)), self.alive)
+
+    def __iter__(self) -> Iterator[str]:
+        return compress(self.tokens, self.alive)
+
+    def __len__(self) -> int:
+        return self.alive.count(1)
+
+
+class _LazyPostings(dict):
+    """Posting lists decoded from posting columns on first read.
+
+    Every index serves its postings through one of these, over the
+    :class:`_PostingColumns` of a cold build's scan or of a restored
+    snapshot's ``postings`` section.  Its raw table (:class:`_RawTable`)
+    is those columns plus a taken-bitmap.  A missing token decodes its
+    slice (or starts an empty list) and stores the result, after which
+    plain dict semantics apply.  Raw and materialised keys are disjoint
+    — decoding *takes* a token out of the raw table — so iteration,
+    membership and length see each token exactly once, and a read looks
+    in the materialised dict first.  Most queries touch a handful of
+    tokens, so an index never pays for ``Posting`` objects of the
+    vocabulary it does not use.
 
     Writes defer, reads fold.  A posting write to a token that is still
     raw (:meth:`defer`) queues ``("add", posting)`` or ``("del",
@@ -105,36 +287,35 @@ class _LazyPostings(dict):
     as an eager removal drops it.
     """
 
-    def __init__(self, source) -> None:
+    def __init__(self, columns: _PostingColumns, raw: _RawTable = None) -> None:
         super().__init__()
-        # ``source.pending()`` yields the raw table (token -> raw
-        # entries) and ``source.decode(entries)`` one token's postings: a
-        # snapshot defers even the parse until a token is first asked for.
-        self._source = source
-        self._raw_data = None
-        #: Encoded token -> the writes queued on it, in order.
+        self._columns = columns
+        if raw is not None:
+            self._raw = raw
+        #: Raw token -> the writes queued on it, in order.
         self._pending: dict[str, list] = {}
         #: ``place(postings, posting)``, set by the owning index.
         self._place = None
 
-    @property
-    def _raw(self) -> dict:
-        if self._raw_data is None:
-            self._raw_data = self._source.pending()
-        return self._raw_data
+    @cached_property
+    def _raw(self) -> _RawTable:
+        # A snapshot's directory is parsed when a token is first asked for.
+        return _RawTable(self._columns)
 
     def defer(self, token: str, write: tuple) -> bool:
         """Queue one ``("add", posting)`` / ``("del", tid)`` write on a
         still-raw token; False (nothing queued) for any other."""
-        if dict.__contains__(self, token) or token not in self._raw:
+        if dict.__contains__(self, token) or self._raw.find(token) < 0:
             return False
         self._pending.setdefault(token, []).append(write)
         return True
 
-    def _fold(self, token: str) -> list:
-        """Decode one raw token with its queued writes applied; the
-        list is stored unless it came out empty."""
-        postings = self._source.decode(self._raw.pop(token))
+    def _fold(self, token: str, at: int) -> list:
+        """Decode the raw token at directory position ``at`` with its
+        queued writes applied; the list is stored unless it came out
+        empty."""
+        self._raw.take(at)
+        postings = self._columns.decode(at)
         writes = self._pending.pop(token, None)
         if writes:
             gone: set = set()
@@ -154,35 +335,39 @@ class _LazyPostings(dict):
             dict.__setitem__(self, token, postings)
         return postings
 
-    def _fold_pending(self) -> None:
+    def fold_pending(self) -> None:
+        """Fold every token with queued writes; the rest stay raw."""
         for token in list(self._pending):
-            self._fold(token)
+            self._fold(token, self._raw.find(token))
 
     def __missing__(self, token: str) -> list:
-        value = self._fold(token) if token in self._raw else []
+        at = self._raw.find(token)
+        value = self._fold(token, at) if at >= 0 else []
         self[token] = value
         return value
 
     def get(self, token, default=None):
         postings = dict.get(self, token)
-        if postings is None and token in self._raw:
-            postings = self._fold(token) or None
+        if postings is None:
+            at = self._raw.find(token)
+            if at >= 0:
+                postings = self._fold(token, at) or None
         return default if postings is None else postings
 
     def __contains__(self, token) -> bool:
         if dict.__contains__(self, token):
             return True
         if token in self._pending:
-            self._fold(token)
+            self._fold(token, self._raw.find(token))
         return dict.__contains__(self, token) or token in self._raw
 
     def __iter__(self):
-        self._fold_pending()
+        self.fold_pending()
         yield from dict.__iter__(self)
         yield from self._raw
 
     def __len__(self) -> int:
-        self._fold_pending()
+        self.fold_pending()
         return dict.__len__(self) + len(self._raw)
 
     def keys(self):
@@ -197,15 +382,16 @@ class _LazyPostings(dict):
             yield self[token]
 
     def decode_all(self) -> None:
-        """Fold every raw token now: a full snapshot write encodes the
-        whole vocabulary afresh."""
-        for token in list(self._raw):
-            self._fold(token)
+        """Fold every raw token now: an unpost without the tuple's
+        values searches every list."""
+        raw = self._raw
+        for at in list(raw.positions()):
+            self._fold(raw.tokens[at], at)
 
     def length_of(self, token: str) -> int:
         """Posting count of a token without decoding it.
 
-        Raw entries are sized by their posting count, so the planner's
+        Raw entries are sized by their offsets, so the planner's
         cost model can size a keyword without materialising (and paying
         to decode) tuples the query may never touch; a token with queued
         writes is folded first, so the count is exact.
@@ -214,47 +400,8 @@ class _LazyPostings(dict):
         if postings is not None:
             return len(postings)
         if token in self._pending:
-            return len(self._fold(token))
-        entries = self._raw.get(token)
-        return len(entries) if entries is not None else 0
-
-
-class _ScannedPostings:
-    """A cold build's raw table, the :class:`_LazyPostings` source: one
-    scan of the store in posting order gives each token a list of ints
-    ``position << shift | attribute id << 1 | whole-value bit``, indexing
-    the scanned tuple ids and the schema's attribute names."""
-
-    def __init__(self, database: Database, attributes: dict) -> None:
-        shift = sum(map(len, attributes.values())).bit_length() + 1
-        names: list[str] = []
-        tids: list[TupleId] = []
-        table: dict[str, list[int]] = {}
-        for relation, fields in attributes.items():
-            ids = {name: (len(names) + at) << 1 for at, name in enumerate(fields)}
-            names += fields
-            for record in database.tuples(relation):
-                position = len(tids) << shift
-                tids.append(record.tid)
-                for token, attribute, whole in _posted(record.values, fields):
-                    entries = table.get(token)
-                    entry = position | ids[attribute] | whole
-                    if entries is None:
-                        table[token] = [entry]
-                    else:
-                        entries.append(entry)
-        self._tids, self._names, self._shift, self._table = tids, names, shift, table
-
-    def pending(self) -> dict[str, list[int]]:
-        return self._table
-
-    def decode(self, entries: list[int]) -> list:
-        tids, names, shift = self._tids, self._names, self._shift
-        mask = (1 << shift) - 1
-        return [
-            Posting(tids[entry >> shift], names[(entry & mask) >> 1], bool(entry & 1))
-            for entry in entries
-        ]
+            return len(self._fold(token, self._raw.find(token)))
+        return self._raw.length(token)
 
 
 class _Derived(dict):
@@ -331,9 +478,14 @@ class InvertedIndex:
     # ------------------------------------------------------------------
     def build(self) -> None:
         """Discard and rebuild the whole index from the database: one
-        scan in posting order; a token's ``Posting`` objects are made on
-        its first read."""
-        self._serve(_LazyPostings(_ScannedPostings(self._database, self._attributes)))
+        scan in posting order into posting columns; a token's
+        ``Posting`` objects are made on its first read."""
+        self._serve(_LazyPostings(
+            _PostingColumns.scan(
+                self._database, self._attributes,
+                attribute_table(self._database.schema),
+            )
+        ))
 
     def _refresh_order(self, relation_name: str) -> dict:
         """Re-derive database order for one relation's tuples.

@@ -37,14 +37,21 @@ Restoration is lazy wherever queries and replayed WAL records allow it:
   row number, and each row becomes a ``Tuple`` the first time it is
   read (:meth:`~repro.relational.database.Database.adopt_columns`);
 * the interning table decodes per relation (:class:`_Interning`) and
-  posting lists per token (:class:`_PostingColumns`), each on first
-  touch; postings go through the reader a cold-built index uses too
-  (:class:`~repro.relational.index._LazyPostings`), so a write to a
+  posting lists per token, each on first touch: the ``postings``
+  section maps as the posting columns a cold-built index holds too
+  (:class:`_MappedPostings`), its sorted token directory parsed into a
+  plain list and bisected, and is read through the same
+  :class:`~repro.relational.index._LazyPostings`, so a write to a
   still-raw token is queued and folded on the token's first read;
 * the networkx tuple graph — only needed by :mod:`repro.oracle` and
   the baselines — builds on first demand
   (:class:`~repro.graph.data_graph.DataGraph` is lazy); no query,
   ranker, explanation or write of an opened engine builds it.
+
+A full write (:func:`write_snapshot`) folds only the tokens with queued
+writes: every other still-raw token's slice is copied from the
+columns, its nodes remapped to the compiled graph's, and only decoded
+tokens are encoded from their ``Posting`` objects.
 
 The snapshot stores the engine's live-update ``version``; applying
 mutation batches to an opened engine bumps it through the ordinary
@@ -62,6 +69,7 @@ import zlib
 from array import array
 from bisect import bisect_right
 from functools import partial
+from itertools import chain, islice
 from pathlib import Path
 from typing import Optional, Union
 
@@ -72,7 +80,14 @@ from repro.graph.csr import FrozenGraph
 from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
 from repro.relational.database import Database, TupleId, _default_label
-from repro.relational.index import InvertedIndex, Posting, _LazyPostings
+from repro.relational.index import (
+    _FIRST,
+    _WHOLE,
+    InvertedIndex,
+    _LazyPostings,
+    _PostingColumns,
+    attribute_table,
+)
 from repro.relational.io import schema_from_dict, schema_to_dict
 from repro.relational.statistics import DatabaseStatistics
 
@@ -97,10 +112,6 @@ _REQUIRED_SECTIONS = (
     "stats",
 )
 
-#: Posting flag bits: the keyword is the whole attribute value; the
-#: posting opens its token's slice.
-_WHOLE = 0x01
-_FIRST = 0x80
 #: What a stored primary-key value may decode to.
 _KEY_TYPES = {str, int, float, bool}
 
@@ -229,75 +240,77 @@ class _Interning:
         return {}
 
 
-class _PostingColumns:
-    """The binary ``postings`` section: ``int32`` offsets (a token's
-    postings are slots ``offsets[t]:offsets[t + 1]``), one column each of
-    node ``int32``, attribute-id byte and flag byte per slot, then the
-    token directory, a JSON list in offset order.  :meth:`pending` parses
-    the directory alone; :meth:`decode` reads one token's slice, checked
-    against the structure: inside the columns, ``_FIRST`` on exactly its
-    first posting, node ids below the stored count, attribute ids inside
-    their table.
+class _MappedPostings(_PostingColumns):
+    """The binary ``postings`` section as posting columns: ``int32``
+    offsets, then columns of node ``int32``, attribute-id byte and flag
+    byte, zero-copy over the mapped file, then the token directory, a
+    JSON list in token order.  The directory is parsed on first touch
+    and held as a plain list, checked once: ``str`` tokens, one per
+    offset slice, in strict order (so unique).  Each slice is checked
+    (:meth:`_check`) as :meth:`~repro.relational.index._PostingColumns.decode`
+    reads it.
     """
 
     def __init__(self, snapshot: "Snapshot", tid_of, attributes: list) -> None:
         tokens, postings, directory = snapshot.meta["postings"]
         nodes = 4 * (tokens + 1)
-        self._columns = nodes + 6 * postings  # where the directory starts
-        if snapshot._toc["postings"][1] != self._columns + directory:
+        self._directory_at = nodes + 6 * postings
+        if snapshot._toc["postings"][1] != self._directory_at + directory:
             raise SnapshotError(
                 "snapshot postings section disagrees with the meta section",
                 path=str(snapshot.path),
             )
         attributes_at, flags_at = nodes + 4 * postings, nodes + 5 * postings
-        self._offsets = snapshot.int_array("postings", 0, nodes)
-        self._nodes = snapshot.int_array("postings", nodes, attributes_at)
-        self._attributes = snapshot.int_array("postings", attributes_at, flags_at, "B")
-        self._flags = snapshot.int_array("postings", flags_at, self._columns, "B")
-        self._snapshot, self._tid_of, self._names = snapshot, tid_of, attributes
-
-    def _damaged(self, **where) -> SnapshotError:
-        return SnapshotError(
-            "snapshot postings are inconsistent", path=str(self._snapshot.path), **where
+        super().__init__(
+            None,
+            snapshot.int_array("postings", 0, nodes),
+            snapshot.int_array("postings", nodes, attributes_at),
+            snapshot.int_array("postings", attributes_at, flags_at, "B"),
+            snapshot.int_array("postings", flags_at, self._directory_at, "B"),
+            tid_of,
+            attributes,
         )
+        self._snapshot = snapshot
 
-    def pending(self) -> dict[str, range]:
-        """Token -> the ``range`` of its posting slots, every token."""
-        with self._snapshot._section("postings") as view:
-            directory = view[self._columns:].tobytes()
-        try:
-            tokens = json.loads(directory)
-        except ValueError:
-            tokens = None
-        offsets = self._offsets.tolist()
+    def _check(self, start: int, stop: int, nodes, attributes, flags) -> None:
+        """A slice inside the columns, ``_FIRST`` on exactly its first
+        slot, nodes below the stored count, attribute ids inside their
+        table."""
         if not (
-            isinstance(tokens, list)
-            and set(map(type, tokens)) <= {str}
-            and len(set(tokens)) == len(tokens) == len(offsets) - 1
-        ):
-            raise self._damaged(problem="token directory")
-        return dict(zip(tokens, map(range, offsets, offsets[1:])))
-
-    def decode(self, span: range) -> list:
-        """One token's postings, validated as they are read."""
-        start, stop = span.start, span.stop
-        nodes = self._nodes[start:stop].tolist()
-        attributes = self._attributes[start:stop].tobytes()
-        flags = self._flags[start:stop].tobytes()
-        if not (
-            0 <= start < stop <= len(self._nodes)
+            0 <= start < stop <= len(self.nodes)
             and flags[0] & ~_WHOLE == _FIRST
             and not flags[1:].translate(None, bytes((0, _WHOLE)))
-            and (stop == len(self._flags) or self._flags[stop] & _FIRST)
-            and 0 <= min(nodes) <= max(nodes) < len(self._tid_of)
-            and max(attributes) < len(self._names)
+            and (stop == len(self.flags) or self.flags[stop] & _FIRST)
+            and 0 <= min(nodes) <= max(nodes) < len(self.tid_of)
+            and max(attributes) < len(self.names)
         ):
-            raise self._damaged(postings=[start, stop])
-        tid_of, names = self._tid_of, self._names
-        return [
-            Posting(tid_of[node], names[attribute], bool(flag & _WHOLE))
-            for node, attribute, flag in zip(nodes, attributes, flags)
-        ]
+            raise SnapshotError(
+                "snapshot postings are inconsistent",
+                path=str(self._snapshot.path),
+                postings=[start, stop],
+            )
+
+    def directory(self) -> list[str]:
+        if self._tokens is None:
+            with self._snapshot._section("postings") as view:
+                directory = view[self._directory_at:].tobytes()
+            try:
+                tokens = json.loads(directory)
+            except ValueError:
+                tokens = None
+            if not (
+                isinstance(tokens, list)
+                and set(map(type, tokens)) <= {str}
+                and len(tokens) == len(self.offsets) - 1
+                and all(map(str.__lt__, tokens, islice(tokens, 1, None)))
+            ):
+                raise SnapshotError(
+                    "snapshot postings are inconsistent",
+                    path=str(self._snapshot.path),
+                    problem="token directory",
+                )
+            self._tokens = tokens
+        return self._tokens
 
 
 # ----------------------------------------------------------------------
@@ -307,29 +320,69 @@ def _id_tables(schema) -> tuple[list, list[str]]:
     """What the one-byte ids of ``edge_keys`` and of the postings'
     attribute column index: the schema's foreign keys and attribute
     names, in schema order."""
-    return list(schema.foreign_keys), list(dict.fromkeys(
-        attribute.name
-        for relation in schema.relations
-        for attribute in relation.attributes
-    ))
+    return list(schema.foreign_keys), attribute_table(schema)
 
 
-def _encode_postings(postings, node_of, attribute_id: dict) -> tuple[bytes, list]:
-    """The binary ``postings`` section (:class:`_PostingColumns`) and its
-    ``[tokens, postings, directory bytes]`` counts for ``meta``."""
-    tokens = sorted(token for token, entries in postings.items() if entries)
+def _encode_postings(postings: _LazyPostings, frozen) -> tuple[bytes, list]:
+    """The binary ``postings`` section (:class:`_MappedPostings`) and its
+    ``[tokens, postings, directory bytes]`` counts for ``meta``.
+
+    A token still raw in the index's columns is copied slice by slice,
+    runs of adjacent slices at once, its nodes remapped to the compiled
+    graph's ints through one column node -> graph node table; only the
+    decoded tokens go through their ``Posting`` objects.  Call with no
+    writes queued (:meth:`_LazyPostings.fold_pending`).
+    """
+    raw = postings._raw
+    columns = raw.columns
+    decoded = {token: entries for token, entries in dict.items(postings) if entries}
+    if frozen._tid_of is columns.tid_of:
+        remap = None  # restored and not folded since: the same node ints
+    else:
+        remap = [
+            None if tid is None else frozen.node_of(tid) for tid in columns.tid_of
+        ]
+    attribute_id = {name: at for at, name in enumerate(columns.names)}
+    tokens = sorted(chain(raw, decoded))
+    positions = raw.positions()
     offsets = array("i", [0])
     nodes = array("i")
     attributes = bytearray()
     flags = bytearray()
+    run = [0, 0]  # column slots still to copy
+
+    def copy_run() -> None:
+        start, stop = run
+        if remap is None:
+            nodes.frombytes(columns.nodes[start:stop].tobytes())
+        else:
+            nodes.extend(map(remap.__getitem__, columns.nodes[start:stop]))
+        attributes.extend(columns.attributes[start:stop].tolist())
+        flags.extend(columns.flags[start:stop])
+        run[:] = [stop, stop]
+
+    total = 0
     for token in tokens:
-        first = _FIRST
-        for posting in postings[token]:
-            nodes.append(node_of(posting.tid))
-            attributes.append(attribute_id[posting.attribute])
-            flags.append(first | posting.whole_value)
-            first = 0
-        offsets.append(len(nodes))
+        entries = decoded.get(token)
+        if entries is None:
+            at = next(positions)
+            start, stop = columns.offsets[at], columns.offsets[at + 1]
+            if start != run[1]:
+                copy_run()
+                run[:] = [start, start]
+            run[1] = stop
+            total += stop - start
+        else:
+            copy_run()
+            first = _FIRST
+            for posting in entries:
+                nodes.append(frozen.node_of(posting.tid))
+                attributes.append(attribute_id[posting.attribute])
+                flags.append(first | posting.whole_value)
+                first = 0
+            total += len(entries)
+        offsets.append(total)
+    copy_run()
     directory = _json_bytes(tokens)
     blob = b"".join(
         (offsets.tobytes(), nodes.tobytes(), attributes, flags, directory)
@@ -343,29 +396,33 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
     The compiled graph is compacted first (patched side tables folded
     back into flat CSR form), so a snapshot always stores the clean
     array representation regardless of how many live-update batches the
-    engine absorbed.
+    engine absorbed.  A schema with more attribute names or foreign keys
+    than one-byte ids can name is refused before anything is written.
     """
+    schema = engine.database.schema
+    foreign_keys, attributes = _id_tables(schema)
+    for table, ids in (("foreign keys", foreign_keys), ("attributes", attributes)):
+        if len(ids) > 256:
+            raise SnapshotError(
+                "schema is too wide for a snapshot's one-byte ids",
+                path=str(path), table=table, size=len(ids), limit=256,
+            )
     frozen = engine.traversal_cache.frozen()
     if frozen._override:
         frozen._compile()
         frozen.compactions += 1
-    # Folds the writes still queued on raw tokens, too.
-    engine.index._postings.decode_all()
+    postings = engine.index._postings
+    # Tokens with queued writes are decoded; the rest are copied raw.
+    postings.fold_pending()
     capacity = frozen.capacity
-    schema = engine.database.schema
     tids = list(frozen._tid_of)
     # Folded: no tombstones, and each relation one run in node order.
     runs: dict[str, list] = {}
     for tid in tids:
         runs.setdefault(tid.relation, []).append(tid.key)
 
-    foreign_keys, attributes = _id_tables(schema)
     fk_id = {fk.name: at for at, fk in enumerate(foreign_keys)}
-    postings, posting_counts = _encode_postings(
-        engine.index._postings,
-        frozen.node_of,
-        {name: at for at, name in enumerate(attributes)},
-    )
+    posting_blob, posting_counts = _encode_postings(postings, frozen)
 
     meta = {
         "format": SNAPSHOT_FORMAT,
@@ -391,7 +448,7 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
         ("csr_targets", frozen._targets.tobytes()),
         ("edge_keys", bytes(map(fk_id.__getitem__, frozen._edge_keys))),
         ("edge_ref", bytes(frozen._edge_refs)),
-        ("postings", postings),
+        ("postings", posting_blob),
         # Every ``apply`` resets the held statistics: a held value is current.
         ("stats", _json_bytes(
             (engine._statistics or DatabaseStatistics(engine.database)).to_dict()
@@ -741,7 +798,7 @@ def _load_engine(path: Union[str, Path], **engine_options):
 
     fks, attributes = _id_tables(schema)
     tid_of = _Interning(snapshot, schema)
-    columns = _PostingColumns(snapshot, tid_of, attributes)
+    columns = _MappedPostings(snapshot, tid_of, attributes)
     offsets = snapshot.int_array("csr_offsets")
     targets = snapshot.int_array("csr_targets")
     edge_ids = snapshot.read("edge_keys")

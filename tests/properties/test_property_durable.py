@@ -39,7 +39,7 @@ from repro.datasets.synthetic import (
 from repro.durable.wal import WriteAheadLog, default_wal_path
 from repro.live.changes import Delete, Insert, Update
 from repro.relational.database import TupleId
-from repro.relational.index import InvertedIndex, _LazyPostings
+from repro.relational.index import InvertedIndex, _LazyPostings, _RawTable
 from repro.scale import snapshot as snapshot_module
 
 relaxed = settings(
@@ -331,8 +331,8 @@ def unfolded_copy(index):
     it folds the copy's queued writes (at ``index``'s order positions)
     and leaves those of ``index`` queued."""
     postings = index._postings
-    copy = _LazyPostings(postings._source)
-    copy._raw_data = dict(postings._raw)
+    raw = _RawTable(postings._columns, postings._raw.alive)  # alive is copied
+    copy = _LazyPostings(postings._columns, raw)
     copy._pending = {
         token: list(writes) for token, writes in postings._pending.items()
     }

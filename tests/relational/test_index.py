@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.relational.index import InvertedIndex, tokenize
+from repro.relational.index import InvertedIndex, _value_tokens, tokenize
 
 
 class TestTokenize:
@@ -30,6 +30,25 @@ class TestTokenize:
 
     def test_case_folding(self):
         assert tokenize("XML and Xml") == ["xml", "and", "xml"]
+
+
+class TestValueTokens:
+    """The one-plain-word shortcut posts what ``tokenize`` posts: a
+    value that only lower-cases to a plain word (the Kelvin sign) takes
+    the full walk."""
+
+    @pytest.mark.parametrize("value", [
+        "smith", "Smith", "42", 1999, "", "DB-project", "a_b c", "K1",
+        "\u212a1", "\u0130x",
+    ])
+    def test_shortcut_matches_tokenize(self, value):
+        text = str(value)
+        expected = dict.fromkeys(tokenize(text))
+        if text.lower():
+            expected.setdefault(text.lower())
+        tokens, whole = _value_tokens(value)
+        assert list(tokens) == list(expected)
+        assert whole == text.lower()
 
 
 class TestMatching:
@@ -277,3 +296,38 @@ class TestPostingIsSlotted:
         ):
             assert clone == posting
             assert hash(clone) == hash(posting)
+
+
+class TestColdPostingsFootprint:
+    def test_cold_index_holds_columns_not_lists(self):
+        """A cold bib ``tiny`` index (seed 7: 2 020 tuples, 1 878 tokens)
+        holds its postings as flat columns, keyed by the stored values'
+        own strings where a token is a whole lower-case value.
+        ``tracemalloc`` counts the bytes a build leaves allocated.
+        Per-token lists of ints held 630 106 on Python 3.11.7 (615 058
+        on 3.12.1); the columns hold 131 234, 21 % (127 698 on 3.12.1).
+        The bound is 45 % of the lists' figure, so a return to per-token
+        lists fails."""
+        import gc
+        import os
+        import sys
+        import tracemalloc
+
+        sys.path.insert(0, os.path.join(
+            os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks", "e2e"
+        ))
+        try:
+            import corpus
+        finally:
+            del sys.path[0]
+        database = corpus.generate("tiny", 7).database()
+        InvertedIndex(database)  # warm: imports, interned strings, caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            index = InvertedIndex(database)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(index._postings._raw) == 1878
+        assert held <= 0.45 * 630_106, held

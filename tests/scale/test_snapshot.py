@@ -21,8 +21,9 @@ from repro.datasets.synthetic import (
 from repro.errors import SearchLimitError, SnapshotError
 from repro.live.changes import Delete, Insert, Update, apply_to_database
 from repro.oracle import search as oracle_search
-from repro.relational.database import TupleId
+from repro.relational.database import Database, TupleId
 from repro.relational.index import _posted, tokenize
+from repro.relational.schema import AttributeDef, DatabaseSchema, ForeignKey, Relation
 from repro.relational.statistics import DatabaseStatistics
 from repro.scale import snapshot as snapshot_module
 from repro.scale.snapshot import SNAPSHOT_FORMAT, Snapshot
@@ -411,8 +412,7 @@ class TestLaziness:
         engine while decoding a posting list raises; the next search
         folds each query token it touches once, into the list a rebuild
         holds."""
-        from repro.relational.index import InvertedIndex
-        from repro.scale.snapshot import _PostingColumns
+        from repro.relational.index import InvertedIndex, _PostingColumns
 
         sys.path.insert(0, os.path.join(
             os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks", "e2e"
@@ -429,7 +429,7 @@ class TestLaziness:
         kinds = [type(batch[0]) for batch in batches]
         assert {Insert, Update, Delete} <= set(kinds)
 
-        def refuse(self, span):
+        def refuse(self, at):
             raise AssertionError("a write decoded a posting list")
 
         with monkeypatch.context() as patched:
@@ -448,16 +448,15 @@ class TestLaziness:
         decoded = []
         decode = _PostingColumns.decode
 
-        def counted(self, span):
-            decoded.append(span)
-            return decode(self, span)
+        def counted(self, at):
+            decoded.append(self.directory()[at])
+            return decode(self, at)
 
         monkeypatch.setattr(_PostingColumns, "decode", counted)
-        token_at = {span.start: token for token, span in postings._raw.items()}
         text = " ".join(touched)
         engine.search(text, top_k=10)
         engine.search(text, top_k=10, semantics="or")
-        assert sorted(token_at[span.start] for span in decoded) == touched
+        assert sorted(decoded) == touched
         fresh = InvertedIndex(engine.database)
         for token in touched:
             assert engine.index.postings(token) == fresh.postings(token)
@@ -739,6 +738,47 @@ class TestIntegrity:
         snapshot_module._publish(old, 3, sections)
         with pytest.raises(SnapshotError, match="format"):
             KeywordSearchEngine.open(old)
+
+    @pytest.mark.parametrize("table", ("attributes", "foreign keys"))
+    def test_schema_too_wide_for_one_byte_ids_is_refused(self, tmp_path, table):
+        """``postings`` attribute ids and ``edge_keys`` are one byte each.
+        A schema past 256 attribute names (one 301-attribute relation) or
+        256 foreign keys builds and answers cold; ``save`` refuses it
+        with a typed error naming the table before it writes a byte."""
+        if table == "attributes":
+            names = ["ID"] + [f"A{at}" for at in range(300)]
+            schema = DatabaseSchema("wide", [
+                Relation("WIDE", [AttributeDef(name) for name in names], ["ID"]),
+            ])
+            rows = [("WIDE", {"ID": "w0", **{f"A{at}": f"word{at}" for at in range(300)}})]
+            query, size = "word299", 301
+        else:
+            schema = DatabaseSchema(
+                "wide",
+                [Relation("HUB", [AttributeDef("ID")], ["ID"])] + [
+                    Relation(f"R{at}", [AttributeDef("ID"), AttributeDef("HUB_ID")],
+                             ["ID"])
+                    for at in range(257)
+                ],
+                [ForeignKey(f"fk{at}", f"R{at}", ("HUB_ID",), "HUB", ("ID",))
+                 for at in range(257)],
+            )
+            rows = [("HUB", {"ID": "hub"})] + [
+                (f"R{at}", {"ID": f"word{at}", "HUB_ID": "hub"}) for at in range(257)
+            ]
+            query, size = "word256 hub", 257
+        database = Database(schema)
+        for relation, values in rows:
+            database.insert(relation, values)
+        engine = KeywordSearchEngine(database)
+        assert engine.search(query)
+        path = tmp_path / "wide.snap"
+        with pytest.raises(SnapshotError, match="too wide") as refused:
+            engine.save(path)
+        assert refused.value.context["table"] == table
+        assert refused.value.context["size"] == size
+        assert list(tmp_path.iterdir()) == []
+        assert engine.search(query)
 
     def test_company_database_round_trip(self, tmp_path):
         engine = KeywordSearchEngine(build_company_database())
@@ -1066,6 +1106,38 @@ class TestStructuralDamage:
                 continue
             assert state == cold, (trial, name)
         assert refused == self.TRIALS
+
+    @pytest.mark.parametrize("damage", ("unsorted", "duplicate"))
+    def test_directory_out_of_order_is_refused_on_first_read(
+        self, saved, tmp_path, damage
+    ):
+        """The token directory is bisected, so it must be in strict
+        order: one republished with two tokens swapped or one token
+        repeated (meta and CRC rewritten to match) opens, and its first
+        token read is refused."""
+        __, path, ___ = saved
+        meta, sections = self._sections(path)
+        tokens, postings, size = meta["postings"]
+        blob = dict(sections)["postings"]
+        start = 4 * (tokens + 1) + 6 * postings
+        directory = json.loads(blob[start:])
+        assert len(directory) == tokens and directory == sorted(set(directory))
+        if damage == "unsorted":
+            directory[0], directory[1] = directory[1], directory[0]
+        else:
+            directory[1] = directory[0]
+        encoded = snapshot_module._json_bytes(directory)
+        meta = dict(meta, postings=[tokens, postings, len(encoded)])
+        damaged = tmp_path / "directory.snap"
+        snapshot_module._publish(damaged, SNAPSHOT_FORMAT, [
+            (name, snapshot_module._json_bytes(meta) if name == "meta"
+             else blob[:start] + encoded if name == "postings" else section)
+            for name, section in sections
+        ])
+        with KeywordSearchEngine.open(damaged) as restored:
+            for __ in range(2):  # refused again, never half-read
+                with pytest.raises(SnapshotError, match="token directory"):
+                    restored.index.postings("kwalpha")
 
     def test_reference_flag_other_than_0_or_1_is_refused(self, saved, tmp_path):
         """The restored graph holds ``edge_ref`` as its flags, as is:
