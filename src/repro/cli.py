@@ -9,7 +9,7 @@ Usage (after ``pip install -e .``)::
     python -m repro search "Smith XML" --mutations updates.json
     python -m repro search "Smith XML" --analyze    # EXPLAIN ANALYZE table
     python -m repro search "Smith XML" --json --trace trace.jsonl
-    python -m repro stats                           # metrics-registry report
+    python -m repro stats                           # engine counter report
     python -m repro plan "Smith XML"                # costed plan, no execution
     python -m repro search "Smith XML" --snapshot db.snap --wal \\
         --mutations updates.json                    # durable live updates
@@ -33,6 +33,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core.engine import KeywordSearchEngine
+from repro.core.executor import ExecutionStats
 from repro.core.ranking import (
     ClosenessRanker,
     ErLengthRanker,
@@ -43,6 +44,7 @@ from repro.core.schema_analysis import analyze_relational_schema
 from repro.core.search import SearchLimits
 from repro.datasets.company import build_company_database
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like
+from repro.errors import ReproError
 from repro.relational.database import Database
 from repro.relational.io import dump_json, load_json
 
@@ -116,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "<snapshot>.wal; requires --snapshot)")
     observability = search.add_argument_group(
         "observability",
-        "query spans, metrics and EXPLAIN ANALYZE (see also 'repro stats'); "
+        "query spans and EXPLAIN ANALYZE (see also 'repro stats'); "
         "instrumentation is off unless one of these flags turns it on, and "
         "never changes answers or their order",
     )
@@ -180,10 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = commands.add_parser(
         "stats",
-        help="run queries with the metrics registry on and print the report",
-        description="Runs the given ';'-separated queries with the repro.obs "
-        "metrics registry enabled and prints the counters, gauges and "
-        "histograms the workload produced.  Without QUERY the paper's "
+        help="run queries and print the engine counters they moved",
+        description="Runs the given ';'-separated queries on a fresh engine "
+        "and prints the non-zero change of each engine counter "
+        "(engine.metrics_snapshot()) plus executor.* totals over the "
+        "queries the answer cache did not serve.  Without QUERY the paper's "
         "running-example workload is used (requires the default --db).",
     )
     stats.add_argument("query", nargs="?", default=None,
@@ -607,9 +610,8 @@ _STATS_WORKLOAD = ("Smith XML", "Brown CS", "Smith Brown")
 
 
 def _cmd_stats(args: argparse.Namespace, out) -> int:
-    """Run a workload with the metrics registry on and print the report."""
-    from repro.obs import metrics as obs_metrics
-    from repro.obs.metrics import REGISTRY, diff_snapshots, render_report
+    """Run a workload and print the engine counters it moved."""
+    from repro.obs.metrics import diff_snapshots, render_report
 
     if args.query:
         queries = [part.strip() for part in args.query.split(";")
@@ -622,26 +624,25 @@ def _cmd_stats(args: argparse.Namespace, out) -> int:
               file=out)
         return 2
     engine = KeywordSearchEngine(_load_database(args.db))
-    saved = obs_metrics.ENABLED
-    before = REGISTRY.snapshot()
-    obs_metrics.set_enabled(True)
-    try:
-        for query in queries:
-            engine.search(
-                query, top_k=args.top, semantics=args.semantics
-            )
-    finally:
-        obs_metrics.set_enabled(saved)
-    delta = diff_snapshots(before, REGISTRY.snapshot())
-    title = f"repro stats — {len(queries)} queries"
-    print(render_report(delta, title=title), file=out)
+    before = engine.metrics_snapshot()
+    executed, runs = ExecutionStats(), 0
+    for query in queries:
+        hits = engine.result_cache.stats.hits
+        engine.search(query, top_k=args.top, semantics=args.semantics)
+        if engine.result_cache.stats.hits == hits:
+            runs += 1
+            executed.merge(engine.last_stats)
+    counters = diff_snapshots(before, engine.metrics_snapshot())
+    counters["executor.runs"] = runs
+    for name in ("candidates", "emitted", "pruned"):
+        counters[f"executor.{name}"] = getattr(executed, name)
+    print(render_report(counters, f"repro stats — {len(queries)} queries"),
+          file=out)
     return 0
 
 
 def _cmd_plan(args: argparse.Namespace, out) -> int:
     """Compile and cost QUERY, print the annotated plan, execute nothing."""
-    from repro.errors import QueryError
-
     if args.snapshot:
         if args.db:
             print("--snapshot and --db are mutually exclusive", file=out)
@@ -649,11 +650,7 @@ def _cmd_plan(args: argparse.Namespace, out) -> int:
         engine = KeywordSearchEngine.open(args.snapshot)
     else:
         engine = KeywordSearchEngine(_load_database(args.db))
-    try:
-        plan = engine.plan(args.query, args.top, args.semantics)
-    except QueryError as error:
-        print(f"cannot plan: {error}", file=out)
-        return 1
+    plan = engine.plan(args.query, args.top, args.semantics)
     print(plan.describe(), file=out)
     print("# planner: adaptive (cost model over posting lengths x "
           "graph fanout)", file=out)
@@ -769,4 +766,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     if out is None:
         out = sys.stdout
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args, out)
+    try:
+        return _COMMANDS[args.command](args, out)
+    except ReproError as error:
+        print(f"error: {error}", file=out)
+        return 1

@@ -54,7 +54,6 @@ from repro.live.changes import (
 )
 from repro.live.maintain import affected_tuples, apply_changeset
 from repro.live.result_cache import CacheEntry, ResultCache
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.planner.cost import CostModel
 from repro.relational.database import Database
@@ -639,8 +638,6 @@ class KeywordSearchEngine:
             fault.maybe("wal.append")
         if not changeset.is_empty():
             self._maintain(changeset)
-            if obs_metrics.ENABLED:
-                obs_metrics.REGISTRY.inc("engine.changesets_applied")
         self.version += 1
         changeset.version = self.version
         return changeset
@@ -708,10 +705,26 @@ class KeywordSearchEngine:
         return report
 
     def metrics_snapshot(self) -> dict:
-        """Plain-dict view of the process metrics registry (counters,
-        gauges, histogram buckets) — empty unless metrics are enabled
-        via ``repro.obs.set_enabled``."""
-        return obs_metrics.REGISTRY.snapshot()
+        """``{name: count}``, sorted by name, of the counters this
+        engine's parts already keep: the answer cache, the traversal
+        cache, the compiled graph once built and the worker pool once
+        started.  Always on and per engine; the difference of two
+        snapshots is what the calls between them did."""
+        counters = {}
+        for prefix, source, names in (
+            ("result_cache", self.result_cache.stats,
+             ("hits", "misses", "stores", "evicted", "invalidated")),
+            ("traversal_cache", self.traversal_cache,
+             ("hits", "misses", "dense_builds", "paths_enumerated",
+              "trees_enumerated")),
+            ("csr", self.traversal_cache._frozen, ("compactions",)),
+            ("pool", self._searcher,
+             ("pipe_batches", "respawns", "inline_chunks")),
+        ):
+            if source is not None:
+                for name in names:
+                    counters[f"{prefix}.{name}"] = getattr(source, name)
+        return dict(sorted(counters.items()))
 
     def save_trace(self, path) -> bool:
         """Write :attr:`last_trace` as JSONL; False when no trace exists."""

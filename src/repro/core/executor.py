@@ -61,7 +61,6 @@ from repro.graph.csr import (
     csr_enumerate_simple_paths,
 )
 from repro.graph.fast_traversal import TraversalCache
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.relational.database import TupleId
 
@@ -273,34 +272,6 @@ class Executor:
                     bound = distance + 1
         return bound
 
-    def _note_adaptive(self, heap, pruned: int) -> None:
-        """Planner metrics for one adaptive heap build (metered runs).
-
-        ``planner.reorders`` counts units whose drain rank differs from
-        their static plan position — how much the distance bounds
-        actually reshuffled enumeration; ``planner.pruned_units`` counts
-        units proven empty and never set up.
-        """
-        if not obs_metrics.ENABLED:
-            return
-        registry = obs_metrics.REGISTRY
-        if pruned:
-            registry.inc("planner.pruned_units", pruned)
-        if len(heap) > 1:
-            drained = [
-                entry[1]
-                for entry in sorted(
-                    heap, key=lambda entry: (entry[0], entry[1])
-                )
-            ]
-            moved = sum(
-                1
-                for drain, plan_order in zip(drained, sorted(drained))
-                if drain != plan_order
-            )
-            if moved:
-                registry.inc("planner.reorders", moved)
-
     # ------------------------------------------------------------------
     # entry points
     # ------------------------------------------------------------------
@@ -339,18 +310,15 @@ class Executor:
             use_pushdown = pushdown and bounded
         stats.pushdown = use_pushdown
 
-        # Observability is sampled once per run; with both layers off
-        # the whole run pays two module-attribute reads and no more.
-        # Spans are accumulated as direct children (never pushed on the
-        # trace stack) because this generator can suspend mid-span.
-        tracing = obs_trace.ENABLED
-        metered = obs_metrics.ENABLED
+        # Tracing is sampled once per run; off, the whole run pays one
+        # module-attribute read.  Spans are accumulated as direct
+        # children (never pushed on the trace stack) because this
+        # generator can suspend mid-span.
         exec_span = None
         started = 0.0
         cache_hits = cache_misses = 0
-        if tracing or metered:
+        if obs_trace.ENABLED:
             cache_hits, cache_misses = self.cache.hits, self.cache.misses
-        if tracing:
             host = obs_trace.current_trace()
             if host is None:
                 host = obs_trace.ambient_trace()
@@ -376,7 +344,7 @@ class Executor:
                 yield SearchResult(answer=answer, score=score, rank=position + 1)
         finally:
             # Runs at exhaustion *and* when a streaming consumer closes
-            # the generator early — the span/metric totals always land.
+            # the generator early — the span totals always land.
             if exec_span is not None:
                 exec_span.add_time(time.perf_counter() - started)
                 exec_span.add(
@@ -387,20 +355,6 @@ class Executor:
                     cache_misses=self.cache.misses - cache_misses,
                 )
                 self._exec_span = None
-            if metered:
-                registry = obs_metrics.REGISTRY
-                registry.inc("executor.runs")
-                registry.inc("executor.candidates", stats.candidates)
-                registry.inc("executor.emitted", stats.emitted)
-                if use_pushdown:
-                    registry.inc("executor.pushdown_runs")
-                for name, delta in (
-                    ("traversal_cache.hits", self.cache.hits - cache_hits),
-                    ("traversal_cache.misses", self.cache.misses - cache_misses),
-                ):
-                    if delta:
-                        registry.inc(name, delta)
-                registry.observe("executor.candidates_per_run", stats.candidates)
 
     # ------------------------------------------------------------------
     # scoring
@@ -702,9 +656,7 @@ class _PairState:
     def _ensure_heap(self) -> list:
         if self._heap is None:
             executor = self._executor
-            adaptive = executor.adaptive
             limits = self._limits
-            pruned = 0
             heap = []
             first, second = self._matches
             for index, (source, target, bound) in enumerate(
@@ -716,7 +668,6 @@ class _PairState:
                         # would build a stream that yields nothing (and
                         # can raise nothing).
                         executor.stats.pruned += 1
-                        pruned += 1
                         continue
                     heap.append((bound, index, _LAZY, (source, target)))
                     continue
@@ -726,8 +677,6 @@ class _PairState:
                     heap.append((len(steps), index, steps, stream))
             heapq.heapify(heap)
             self._heap = heap
-            if adaptive:
-                executor._note_adaptive(heap, pruned)
         return self._heap
 
     def bound(self) -> Optional[tuple]:
@@ -790,7 +739,6 @@ class _NetworkState:
         self._coverage_major = plan.merge.coverage_major
         self._prefix = (-len(op.indices),) if self._coverage_major else ()
         adaptive = executor.adaptive
-        pruned = 0
         self._seen: set[tuple] = set()
         heap = []
         node_of = executor.cache.frozen().node_of
@@ -809,7 +757,6 @@ class _NetworkState:
                         # more tuples than the budget allows (or spans
                         # components): growth would yield nothing.
                         executor.stats.pruned += 1
-                        pruned += 1
                         continue
                     heap.append(
                         (bound, index, _LAZY, required, keyword_tuples)
@@ -821,8 +768,6 @@ class _NetworkState:
                 heap.append((len(tuple_set), index, tuple_set, stream, keyword_tuples))
         heapq.heapify(heap)
         self._heap = heap
-        if adaptive:
-            executor._note_adaptive(heap, pruned)
 
     def bound(self) -> Optional[tuple]:
         if not self._heap:

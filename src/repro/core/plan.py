@@ -246,6 +246,8 @@ def plan_query(
     """
     if semantics not in ("and", "or"):
         raise QueryError("semantics must be 'and' or 'or'", got=semantics)
+    if top_k is not None and top_k < 0:
+        raise QueryError("top_k must not be negative", got=top_k)
     if not matches:
         raise QueryError("no keywords to plan")
     matches = tuple(matches)

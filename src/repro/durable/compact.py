@@ -31,7 +31,6 @@ from typing import Optional
 from repro.durable import fault
 from repro.durable.wal import WriteAheadLog, default_wal_path
 from repro.errors import WalError
-from repro.obs import metrics as obs_metrics
 
 __all__ = ["CompactionReport", "hot_compact", "compact_snapshot"]
 
@@ -92,8 +91,6 @@ def hot_compact(engine, out=None) -> CompactionReport:
         WriteAheadLog(
             wal_path, generation=generation, base_version=engine.version
         ).close()
-    if obs_metrics.ENABLED:
-        obs_metrics.REGISTRY.inc("compact.swaps")
     return CompactionReport(
         snapshot_path=str(target),
         wal_path=wal_path,

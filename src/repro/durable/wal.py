@@ -33,7 +33,6 @@ from typing import List, Optional, Tuple
 from repro.durable import fault
 from repro.errors import WalError
 from repro.live.changes import apply_record
-from repro.obs import metrics as obs_metrics
 
 __all__ = [
     "WriteAheadLog",
@@ -237,8 +236,6 @@ class WriteAheadLog:
         records, end = decode_frames(data, self._data_offset, self.path)
         self.torn_tail = end < len(data)
         self._append_offset = end
-        if self.torn_tail and obs_metrics.ENABLED:
-            obs_metrics.REGISTRY.inc("wal.torn_tails")
         return records
 
     def records(self) -> List[dict]:
@@ -280,8 +277,6 @@ class WriteAheadLog:
         if self.sync:
             _datasync(handle.fileno())
         self._append_offset = offset + _RECORD_HEADER.size + len(payload)
-        if obs_metrics.ENABLED:
-            obs_metrics.REGISTRY.inc("wal.appends")
         return offset
 
     def reset(self, *, generation: str, base_version: int) -> None:
@@ -336,6 +331,4 @@ def replay_into(engine, records, path: str) -> int:
             engine._maintain(changeset)
         engine.version = version
         replayed += 1
-    if replayed and obs_metrics.ENABLED:
-        obs_metrics.REGISTRY.inc("wal.replayed", replayed)
     return replayed

@@ -66,7 +66,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 from repro.errors import PathError, SearchLimitError
 from repro.graph.data_graph import DataGraph
 from repro.graph.traversal import TuplePathStep, _sort_key
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.relational.database import TupleId
 from repro.relational.index import _Derived
@@ -740,10 +739,6 @@ class FrozenGraph:
                     self._store_row(node, levels, radius)
                 if sweep_span is not None:
                     sweep_span.add(sources=len(missing))
-            if obs_metrics.ENABLED:
-                obs_metrics.REGISTRY.inc("csr.distance_sweeps")
-                obs_metrics.REGISTRY.inc("csr.distance_rows", len(missing))
-                obs_metrics.REGISTRY.observe("csr.sweep_sources", len(missing))
         return result
 
     def ball(self, sources: Iterable[int], radius: int) -> dict[int, int]:
@@ -969,8 +964,6 @@ class FrozenGraph:
             with obs_trace.span("csr.compact", capacity=self.capacity):
                 self._compile()
             self.compactions += 1
-            if obs_metrics.ENABLED:
-                obs_metrics.REGISTRY.inc("csr.compactions")
         return len(stale)
 
     def _cycle_reference(self, fk, low: int, high: int) -> Optional[int]:

@@ -22,7 +22,6 @@ graph in place.
 from __future__ import annotations
 
 from repro.graph.data_graph import DataGraph
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
 __all__ = ["TraversalCache"]
@@ -68,8 +67,6 @@ class TraversalCache:
 
             with obs_trace.span("csr.compile"):
                 self._frozen = FrozenGraph(self.data_graph, counters=self)
-            if obs_metrics.ENABLED:
-                obs_metrics.REGISTRY.inc("csr.compiles")
         return self._frozen
 
     def apply_changeset(self, changeset) -> None:

@@ -72,7 +72,6 @@ from typing import TYPE_CHECKING, Callable, Hashable, Optional
 from repro.core.matching import match_keywords, split_role
 from repro.core.search import SearchLimits
 from repro.live.changes import ChangeSet
-from repro.obs import metrics as obs_metrics
 from repro.relational.database import TupleId
 from repro.relational.index import InvertedIndex
 
@@ -196,13 +195,9 @@ class ResultCache:
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
-            if obs_metrics.ENABLED:
-                obs_metrics.REGISTRY.inc("result_cache.misses")
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        if obs_metrics.ENABLED:
-            obs_metrics.REGISTRY.inc("result_cache.hits")
         return entry
 
     def _ensure_maps(self) -> None:
@@ -307,15 +302,9 @@ class ResultCache:
             self._unlink(key)
         self._link(key, entry)
         self.stats.stores += 1
-        evicted = 0
         while len(self._entries) > self.max_entries:
             self._unlink(next(iter(self._entries)))
             self.stats.evicted += 1
-            evicted += 1
-        if obs_metrics.ENABLED:
-            obs_metrics.REGISTRY.inc("result_cache.stores")
-            if evicted:
-                obs_metrics.REGISTRY.inc("result_cache.evicted", evicted)
 
     def invalidate(
         self,
@@ -374,8 +363,6 @@ class ResultCache:
                 self._unlink(key)
             dropped.update(tainted)
         self.stats.invalidated += len(dropped)
-        if obs_metrics.ENABLED and dropped:
-            obs_metrics.REGISTRY.inc("result_cache.invalidated", len(dropped))
         return len(dropped)
 
     def _tainted(

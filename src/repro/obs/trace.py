@@ -55,8 +55,8 @@ __all__ = [
 
 #: Module-level master switch.  Instrumentation sites check this (once
 #: per site) before doing any tracing work; the engine snapshots it per
-#: query.  Flip through :func:`set_enabled` (or ``repro.obs
-#: .set_enabled``, which flips the metrics registry too).
+#: query.  Flip through :func:`set_enabled` (``repro.obs.set_enabled``
+#: is the same switch).
 ENABLED = False
 
 
@@ -274,8 +274,8 @@ def ambient_trace() -> QueryTrace:
     """The process trace spans fall back to outside any query.
 
     Snapshot opens, live changesets and worker-side chunk service all
-    happen with no query trace active; their spans land here (capped)
-    so ``repro stats`` can still show them.
+    happen with no query trace active; their spans land here (capped),
+    where a caller reads them back with ``ambient_trace().walk()``.
     """
     global _AMBIENT
     if _AMBIENT is None:

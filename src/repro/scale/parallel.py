@@ -43,7 +43,6 @@ from repro.core.connections import Connection
 from repro.durable import fault
 from repro.errors import ReproError
 from repro.graph.traversal import TuplePathStep
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
 __all__ = ["ParallelSearcher", "revive_result"]
@@ -117,20 +116,18 @@ def _run_chunk(chunk):
     uses outcomes past the first batch error anyway) but keeps the
     chunk's earlier successes, mirroring the serial loop.
 
-    Observability rides the same outcome stream: the coordinator's
-    enablement travels with the chunk (explicit so spawned workers match
-    forked ones), the worker's per-query trace roots and
-    its metrics *delta* for the chunk come back as one trailing
-    ``(None, "obs", (trace_root, metrics_delta), None)`` pseudo-record.
+    Tracing rides the same outcome stream: the coordinator's switch
+    travels with the chunk (explicit so spawned workers match forked
+    ones), and the worker's per-query trace roots come back under one
+    chunk root as a trailing ``(None, "obs", trace_root, None)``
+    pseudo-record.
     """
     fault.maybe("pool.chunk")
-    positions, queries, options, (trace_on, metrics_on) = chunk
+    positions, queries, options, trace_on = chunk
     engine = _WORKER_ENGINE
     # The coordinator's setting is authoritative each chunk — a forked
-    # worker may have inherited flags the coordinator has since flipped.
+    # worker may have inherited a flag the coordinator has since flipped.
     obs_trace.set_enabled(trace_on)
-    obs_metrics.set_enabled(metrics_on)
-    metrics_before = obs_metrics.REGISTRY.snapshot() if metrics_on else None
     outcomes = []
     with obs_trace.traced("worker.batch", queries=len(queries)) as chunk_trace:
         for position, query in zip(positions, queries):
@@ -151,16 +148,8 @@ def _run_chunk(chunk):
                 (_portable_answer(result.answer), result.score) for result in results
             ]
             outcomes.append((position, "ok", portable, replace(engine.last_stats)))
-    if trace_on or metrics_on:
-        delta = (
-            obs_metrics.diff_snapshots(
-                metrics_before, obs_metrics.REGISTRY.snapshot()
-            )
-            if metrics_on
-            else None
-        )
-        root = chunk_trace.root if chunk_trace is not None else None
-        outcomes.append((None, "obs", (root, delta), None))
+    if chunk_trace is not None:
+        outcomes.append((None, "obs", chunk_trace.root, None))
     return outcomes
 
 
@@ -267,9 +256,8 @@ class ParallelSearcher:
         #: a respawn (or its retry) failed too.
         self.respawns = 0
         self.inline_chunks = 0
-        #: Per-chunk observability payloads from the most recent
-        #: :meth:`run` — ``(worker_index, (trace_root, metrics_delta))``
-        #: tuples in worker order.
+        #: Per-chunk trace roots from the most recent traced :meth:`run`
+        #: — ``(worker_index, trace_root)`` tuples in worker order.
         self.last_obs: list = []
         #: Per-chunk position lists of the most recent :meth:`run` —
         #: the contiguous cut of the batch, the coordinator's share first.
@@ -330,8 +318,6 @@ class ParallelSearcher:
     def _respawn(self, index: int) -> bool:
         """Replace a dead worker with a fresh one on the current snapshot."""
         self.respawns += 1
-        if obs_metrics.ENABLED:
-            obs_metrics.REGISTRY.inc("pool.respawns")
         self._retire_worker(index)
         try:
             worker = self._spawn_worker()
@@ -369,12 +355,10 @@ class ParallelSearcher:
         worker reply is read before this returns, so no stale reply is
         left in a pipe.
 
-        While tracing or metrics are on, each worker ships its chunk's
-        trace root and metrics delta back; they merge in worker order
-        (the active trace adopts the roots, the registry folds the
-        deltas), so the result is the same however the OS scheduled the
-        chunks.  The coordinator's own share records straight into the
-        active trace and registry.
+        While tracing is on, each worker ships its chunk's trace root
+        back; the active trace adopts the roots in worker order, so the
+        result is the same however the OS scheduled the chunks.  The
+        coordinator's own share records straight into the active trace.
 
         The pool self-heals: a worker that died mid-chunk (EOF or broken
         pipe on the coordinator side) is respawned against the current
@@ -388,7 +372,7 @@ class ParallelSearcher:
         if not queries:
             return {}
         workers = self._ensure_workers()
-        observe = (obs_trace.ENABLED, obs_metrics.ENABLED)
+        observe = obs_trace.ENABLED
         own = len(queries) // self.jobs
         rest = len(queries) - own
         size = -(-rest // min(len(workers), rest))
@@ -420,14 +404,11 @@ class ParallelSearcher:
         for index, chunk_outcomes in replies:
             for position, result_status, payload, stats in chunk_outcomes:
                 if result_status == "obs":
-                    # Trailing worker-observability record, not a query.
+                    # Trailing worker trace root, not a query.
                     self.last_obs.append((index, payload))
-                    root, delta = payload
-                    if qtrace is not None and root is not None:
-                        root.tag(worker=index)
-                        qtrace.adopt(root)
-                    if delta:
-                        obs_metrics.REGISTRY.merge_snapshot(delta)
+                    if qtrace is not None:
+                        payload.tag(worker=index)
+                        qtrace.adopt(payload)
                     continue
                 outcomes[queries[position]] = (result_status, payload, stats)
         return outcomes
@@ -450,15 +431,11 @@ class ParallelSearcher:
                     pass  # died again: the coordinator answers the chunk
         if reply is None:
             self.inline_chunks += 1
-            if obs_metrics.ENABLED:
-                obs_metrics.REGISTRY.inc("pool.inline_chunks")
             return _answer_here(zip(chunk[0], chunk[1]), answer)
         status, chunk_outcomes = reply
         if status != "ok":
             raise RuntimeError(f"snapshot worker crashed: {chunk_outcomes}")
         self.pipe_batches += 1
-        if obs_metrics.ENABLED:
-            obs_metrics.REGISTRY.inc("pool.pipe_batches")
         return chunk_outcomes
 
     def reopen(self, snapshot_path) -> int:

@@ -758,11 +758,8 @@ def load_engine(path: Union[str, Path], **engine_options):
     traversal-core selector is never read: every engine runs on csr.
 
     Observability: emits a ``snapshot.open`` span (on the ambient trace
-    unless a query trace is active) and bumps ``snapshot.opens`` when
-    the obs layer is enabled — pool workers inherit the same site, so
-    ``repro stats`` shows coordinator and worker opens alike.
+    unless a query trace is active) when tracing is on.
     """
-    from repro.obs import metrics as obs_metrics
     from repro.obs import trace as obs_trace
 
     with obs_trace.span("snapshot.open", path=str(path)) as open_span:
@@ -772,8 +769,6 @@ def load_engine(path: Union[str, Path], **engine_options):
                 nodes=engine._snapshot.meta.get("nodes"),
                 version=engine.version,
             )
-    if obs_metrics.ENABLED:
-        obs_metrics.REGISTRY.inc("snapshot.opens")
     return engine
 
 

@@ -65,8 +65,8 @@ def engine(company_db):
 def _obs_off():
     """Leave observability disabled and empty around every test.
 
-    Tests that enable repro.obs flip process-global flags and fill the
-    process-global registry/ambient trace; resetting afterwards keeps
+    Tests that enable repro.obs flip the process-global tracing flag and
+    fill the process-global ambient trace; resetting afterwards keeps
     them from leaking determinism-breaking state into later tests.
     """
     yield

@@ -394,17 +394,15 @@ class TestSnapshotCommand:
         assert "paired, base version 2, 1 record(s)" in output
 
     def test_load_rejects_corruption(self, tmp_path):
-        import pytest
-
-        from repro.errors import SnapshotError
-
         path = tmp_path / "company.snap"
         run("snapshot", "save", str(path))
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError):
-            run("snapshot", "load", str(path))
+        code, output = run("snapshot", "load", str(path))
+        assert code == 1
+        assert output.startswith("error: ")
+        assert "verified" not in output
 
     def test_load_checks_every_rows_section(self, tmp_path):
         """``snapshot load`` checks each ``rows:<R>`` section's structure,
@@ -437,10 +435,11 @@ class TestSnapshotCommand:
             capture_output=True, text=True,
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
         )
-        assert result.returncode != 0
+        assert result.returncode == 1
         assert "verified" not in result.stdout
-        assert "snapshot rows section is inconsistent" in result.stderr
-        assert "rows:EMPLOYEE" in result.stderr
+        assert "snapshot rows section is inconsistent" in result.stdout
+        assert "rows:EMPLOYEE" in result.stdout
+        assert "Traceback" not in result.stderr
 
     def test_search_from_snapshot(self, tmp_path):
         path = str(tmp_path / "company.snap")
@@ -536,6 +535,25 @@ class TestMainModule:
         assert result.returncode == 0
         assert "e1(Smith)" in result.stdout
 
+    @pytest.mark.parametrize("argv", [
+        ["search", ""],
+        ["search", "Smith XML", "--top", "-1"],
+        ["plan", "Smith XML", "--top", "-1"],
+    ])
+    def test_bad_input_is_one_error_line(self, argv):
+        import subprocess
+        import sys
+
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        )
+        assert result.returncode == 1
+        assert result.stdout.startswith("error: ")
+        assert len(result.stdout.splitlines()) == 1
+        assert "Traceback" not in result.stdout + result.stderr
+
 
 class TestObservabilityFlags:
     def test_analyze_renders_per_node_table(self):
@@ -598,10 +616,10 @@ class TestObservabilityFlags:
         assert output.startswith("== repro stats — 3 queries ==")
         assert "executor.runs" in output
         assert "result_cache.misses" in output
-        from repro.obs import metrics as obs_metrics
+        assert "traversal_cache.misses" in output
+        from repro.obs import trace as obs_trace
 
-        assert not obs_metrics.ENABLED
-        obs_metrics.REGISTRY.reset()
+        assert not obs_trace.ENABLED
 
     def test_stats_custom_db_requires_query(self, tmp_path):
         code, output = run("--db", str(tmp_path / "x.json"), "stats")
@@ -614,6 +632,3 @@ class TestObservabilityFlags:
         code, output = run("--db", str(db), "stats", "kwx; kwy")
         assert code == 0
         assert "2 queries" in output
-        from repro.obs import metrics as obs_metrics
-
-        obs_metrics.REGISTRY.reset()

@@ -32,7 +32,7 @@ from repro.core.search import (
 )
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like, plant
 from repro.datasets.workload import WorkloadConfig, generate_workload
-from repro.errors import SearchLimitError
+from repro.errors import QueryError, SearchLimitError
 from repro.oracle import search as oracle_search
 
 RANKERS = [
@@ -488,6 +488,25 @@ class TestStats:
         assert engine.search(
             "Smith XML", top_k=0, limits=LIMITS, pushdown=False
         ) == []
+
+    @pytest.mark.parametrize("pushdown", [None, False])
+    @pytest.mark.parametrize(
+        "entry", ["search", "search_stream", "search_batch", "plan", "oracle"]
+    )
+    def test_negative_top_k_is_refused_everywhere(self, engine, entry, pushdown):
+        calls = {
+            "search": lambda: engine.search(
+                "Smith XML", top_k=-1, pushdown=pushdown),
+            "search_stream": lambda: list(engine.search_stream(
+                "Smith XML", top_k=-1, pushdown=pushdown)),
+            "search_batch": lambda: engine.search_batch(
+                ["Smith XML"], top_k=-1, pushdown=pushdown),
+            "plan": lambda: engine.plan("Smith XML", top_k=-1),
+            "oracle": lambda: oracle_search(
+                engine.database, "Smith XML", top_k=-1, pushdown=pushdown),
+        }
+        with pytest.raises(QueryError, match="top_k"):
+            calls[entry]()
 
     def test_empty_stream_still_updates_stats(self, engine):
         engine.search("Smith XML", limits=LIMITS)  # plant non-run stats

@@ -20,6 +20,7 @@ from repro.datasets.synthetic import (
     plant,
 )
 from repro.durable import compact_snapshot, default_wal_path
+from repro.durable.wal import WriteAheadLog
 from repro.errors import WalError
 from repro.live.changes import Insert, Update, apply_to_database
 from repro.scale import snapshot as snapshot_module
@@ -149,16 +150,13 @@ class TestOfflineCompaction:
         engine.close()
 
     def test_compaction_metric(self, tmp_path):
-        from repro.obs import metrics as obs_metrics
-
-        path, __ = self._pair_with_records(tmp_path)
-        obs_metrics.set_enabled(True)
-        before = obs_metrics.REGISTRY.snapshot()
-        compact_snapshot(path)
-        delta = obs_metrics.diff_snapshots(
-            before, obs_metrics.REGISTRY.snapshot()
-        )
-        assert delta["counters"].get("compact.swaps") == 1
+        """One swap per compaction, told by its report: the snapshot
+        published at the path, paired with an empty log."""
+        path, (version, __) = self._pair_with_records(tmp_path)
+        report = compact_snapshot(path)
+        assert (report.snapshot_path, report.records_folded) == (path, 2)
+        assert report.engine_version == version
+        assert WriteAheadLog(report.wal_path).records() == []
 
 
 class TestHotSwapUnderLoad:

@@ -415,30 +415,21 @@ class TestEngineIntegration:
         assert engine.result_cache.stats.hits == 1
 
     def test_metrics_registry_mirrors_cache_counters(self, company_db):
-        # The same hit/miss/store/invalidation transitions the CacheStats
-        # object records are exported through the repro.obs registry when
-        # metrics are enabled.
-        from repro.obs import metrics as obs_metrics
-
+        # The engine's counter snapshot reads the CacheStats object: the
+        # same hit/miss/store/invalidation transitions, no second copy.
         engine = KeywordSearchEngine(company_db)
-        obs_metrics.REGISTRY.reset()
-        obs_metrics.set_enabled(True)
-        try:
-            engine.search("Smith XML")           # miss + store
-            engine.search("Smith XML")           # hit
-            engine.apply([Update(tid("DEPARTMENT", "d1"),
-                                 {"D_DESCRIPTION": "XML bases"})])
-            engine.search("Smith XML")           # invalidated -> miss again
-        finally:
-            obs_metrics.set_enabled(False)
-        counters = obs_metrics.REGISTRY.snapshot()["counters"]
-        obs_metrics.REGISTRY.reset()
+        engine.search("Smith XML")           # miss + store
+        engine.search("Smith XML")           # hit
+        engine.apply([Update(tid("DEPARTMENT", "d1"),
+                             {"D_DESCRIPTION": "XML bases"})])
+        engine.search("Smith XML")           # invalidated -> miss again
+        counters = engine.metrics_snapshot()
         stats = engine.result_cache.stats
         assert counters["result_cache.hits"] == stats.hits == 1
         assert counters["result_cache.misses"] == stats.misses == 2
         assert counters["result_cache.stores"] == stats.stores == 2
         assert counters["result_cache.invalidated"] == stats.invalidated == 1
-        assert counters["engine.changesets_applied"] == 1
+        assert engine.version == 1  # one changeset applied
 
     def test_distant_structural_change_keeps_entry(self, company_db):
         # d2's neighbourhood is one connected component with Smith/XML,

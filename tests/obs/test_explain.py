@@ -11,7 +11,6 @@ from repro.datasets.synthetic import (
     generate_tenants,
     plant,
 )
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
 CONFIG = SyntheticConfig(
@@ -106,12 +105,14 @@ class TestExplainAnalyze:
         ] == expected
 
     def test_metrics_snapshot_reflects_enabled_runs(self, engine):
-        assert engine.metrics_snapshot()["counters"] == {}
-        obs_metrics.set_enabled(True)
+        """The engine's counters move with every run, tracing on or off."""
+        assert engine.metrics_snapshot()["result_cache.misses"] == 0
+        engine.search("Smith XML")
+        obs_trace.set_enabled(True)
         try:
-            engine.search("Smith XML")
+            engine.search("Brown CS")
         finally:
-            obs_metrics.set_enabled(False)
-        counters = engine.metrics_snapshot()["counters"]
-        assert counters["executor.runs"] == 1
-        obs_metrics.REGISTRY.reset()
+            obs_trace.set_enabled(False)
+        counters = engine.metrics_snapshot()
+        assert counters["result_cache.misses"] == 2
+        assert counters["result_cache.stores"] == 2

@@ -1,116 +1,75 @@
-"""Unit tests for the metrics registry (repro.obs.metrics)."""
+"""Unit tests for the engine's counter snapshot
+(``KeywordSearchEngine.metrics_snapshot``) and the flat-snapshot
+helpers in ``repro.obs.metrics``."""
 
-import itertools
 import pickle
 
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    diff_snapshots,
-    render_report,
-)
+from repro.core.engine import KeywordSearchEngine
+from repro.datasets.company import build_company_database
+from repro.obs import trace as obs_trace
+from repro.obs.metrics import diff_snapshots, render_report
 
 
-def sample_registry(scale=1):
-    registry = MetricsRegistry()
-    registry.inc("executor.runs", 2 * scale)
-    registry.inc("csr.compiles")
-    registry.gauge("pool.workers", 2.0 * scale)
-    for value in (1, 3, 700, 10**9):
-        registry.observe("executor.candidates_per_run", value * scale)
-    return registry
-
-
-class TestHistogram:
-    def test_power_of_two_buckets(self):
-        histogram = Histogram(max_exp=3)
-        assert histogram.bounds == (1, 2, 4, 8)
-        for value in (1, 2, 2, 5, 100):
-            histogram.observe(value)
-        assert histogram.nonzero() == {"<=1": 1, "<=2": 2, "<=8": 1, ">8": 1}
-        assert histogram.observations == 5
-
-    def test_state_is_order_independent(self):
-        values = [0.5, 7, 7, 300, 2**30]
-        one, two = Histogram(), Histogram()
-        for value in values:
-            one.observe(value)
-        for value in reversed(values):
-            two.observe(value)
-        assert one.counts == two.counts
-
-
-class TestRegistry:
-    def test_ops_counts_every_mutation(self):
-        registry = sample_registry()
-        # two incs, one gauge, four observations
-        assert registry.ops == 7
-
-    def test_snapshot_is_plain_sorted_and_picklable(self):
-        snapshot = sample_registry().snapshot()
-        assert list(snapshot["counters"]) == sorted(snapshot["counters"])
+class TestEngineCounters:
+    def test_snapshot_is_plain_sorted_and_picklable(self, engine):
+        engine.search("Smith XML")
+        snapshot = engine.metrics_snapshot()
+        assert list(snapshot) == sorted(snapshot)
+        assert all(type(value) is int for value in snapshot.values())
         assert pickle.loads(pickle.dumps(snapshot)) == snapshot
-        assert snapshot["counters"]["executor.runs"] == 2
-        assert snapshot["gauges"]["pool.workers"] == 2.0
 
-    def test_merge_adds_counters_and_buckets_maxes_gauges(self):
-        registry = sample_registry(scale=1)
-        registry.merge_snapshot(sample_registry(scale=3).snapshot())
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["executor.runs"] == 2 + 6
-        assert snapshot["gauges"]["pool.workers"] == 6.0
-        histogram = snapshot["histograms"]["executor.candidates_per_run"]
-        assert sum(histogram) == 8
+    def test_each_entry_equals_the_attribute_it_reads(self, engine):
+        engine.search("Smith XML")
+        engine.search("Smith XML")
+        snapshot = engine.metrics_snapshot()
+        stats, cache = engine.result_cache.stats, engine.traversal_cache
+        for name in ("hits", "misses", "stores", "evicted", "invalidated"):
+            assert snapshot[f"result_cache.{name}"] == getattr(stats, name)
+        for name in ("hits", "misses", "dense_builds", "paths_enumerated",
+                     "trees_enumerated"):
+            assert snapshot[f"traversal_cache.{name}"] == getattr(cache, name)
+        assert snapshot["csr.compactions"] == cache._frozen.compactions
+        assert not any(name.startswith("pool.") for name in snapshot)
 
-    def test_merge_is_commutative_and_associative(self):
-        deltas = [sample_registry(scale=k).snapshot() for k in (1, 2, 5)]
-        snapshots = []
-        for order in itertools.permutations(deltas):
-            registry = MetricsRegistry()
-            for delta in order:
-                registry.merge_snapshot(delta)
-            snapshots.append(registry.snapshot())
-        assert all(snapshot == snapshots[0] for snapshot in snapshots)
-
-    def test_reset_empties_everything(self):
-        registry = sample_registry()
-        registry.reset()
-        assert registry.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}, "ops": 0,
-        }
+    def test_counters_are_always_on_and_per_engine(self):
+        assert not obs_trace.ENABLED
+        first = KeywordSearchEngine(build_company_database())
+        second = KeywordSearchEngine(build_company_database())
+        before = first.metrics_snapshot()
+        assert before["result_cache.misses"] == 0  # there without a switch
+        second.search("Smith XML")
+        assert first.metrics_snapshot() == before
+        first.search("Smith XML")
+        moved = diff_snapshots(before, first.metrics_snapshot())
+        assert moved["result_cache.misses"] == 1
+        assert moved["traversal_cache.misses"] > 0
+        assert moved["traversal_cache.paths_enumerated"] > 0
 
 
 class TestDiffSnapshots:
     def test_delta_replays_workload_contribution(self):
-        registry = sample_registry()
-        before = registry.snapshot()
-        registry.inc("executor.runs", 5)
-        registry.observe("executor.candidates_per_run", 2)
-        after = registry.snapshot()
+        before = {"a.x": 2, "a.y": 5}
+        after = {"a.x": 7, "a.y": 5, "b.z": 1}
         delta = diff_snapshots(before, after)
-        assert delta["counters"] == {"executor.runs": 5}
-        replay = MetricsRegistry()
-        replay.merge_snapshot(before)
-        replay.merge_snapshot(delta)
-        merged = replay.snapshot()
-        assert merged["counters"] == after["counters"]
-        assert merged["histograms"] == after["histograms"]
+        assert delta == {"a.x": 5, "b.z": 1}
+        replayed = {
+            name: before.get(name, 0) + delta.get(name, 0) for name in after
+        }
+        assert replayed == after
 
     def test_unchanged_names_are_dropped(self):
-        registry = sample_registry()
-        snapshot = registry.snapshot()
-        delta = diff_snapshots(snapshot, snapshot)
-        assert delta["counters"] == {}
-        assert delta["histograms"] == {}
-        assert delta["ops"] == 0
+        snapshot = {"a.x": 3, "b.y": 0}
+        assert diff_snapshots(snapshot, snapshot) == {}
 
 
 class TestRenderReport:
     def test_report_lists_sections(self):
-        text = render_report(sample_registry().snapshot(), title="t")
-        assert text.startswith("== t ==")
-        assert "counters:" in text and "executor.runs" in text
-        assert "gauges:" in text and "histograms:" in text
+        text = render_report({"b.y": 0, "executor.runs": 2, "a.x": 10}, "t")
+        lines = text.splitlines()
+        assert lines[0] == "== t =="
+        assert [line.split() for line in lines[1:]] == [
+            ["a.x", "10"], ["executor.runs", "2"],
+        ]
 
     def test_empty_snapshot_says_so(self):
-        assert "(empty)" in render_report(MetricsRegistry().snapshot())
+        assert "(empty)" in render_report({"a.x": 0})
