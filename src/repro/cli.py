@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="show the costed query plan without executing it",
         description="Compiles QUERY into the plan IR, annotates every "
         "enumeration source with the planner's cost estimates (posting "
-        "lengths x graph fanout) and prints the plan — nothing is "
-        "executed.",
+        "lengths x a fixed fan-out, the same for a cold build and a "
+        "snapshot) and prints the plan — nothing is executed.",
     )
     plan.add_argument("query", help="whitespace-separated keywords")
     plan.add_argument("--semantics", choices=("and", "or"), default="and")
@@ -653,7 +653,7 @@ def _cmd_plan(args: argparse.Namespace, out) -> int:
     plan = engine.plan(args.query, args.top, args.semantics)
     print(plan.describe(), file=out)
     print("# planner: adaptive (cost model over posting lengths x "
-          "graph fanout)", file=out)
+          "a fixed fan-out)", file=out)
     return 0
 
 

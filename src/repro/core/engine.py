@@ -142,11 +142,6 @@ class KeywordSearchEngine:
         #: exactly the entries a changeset can affect.  Pass
         #: ``result_cache_entries=0`` to disable.
         self.result_cache = ResultCache(result_cache_entries)
-        # Corpus statistics (see the `statistics` property): restored
-        # lazily from a snapshot; dropped by apply()/rebuild() because
-        # instance statistics move with the data.
-        self._statistics = None
-        self._statistics_loader = None
         #: Snapshot bookkeeping: the path this engine was opened from or
         #: last saved to, and the engine version / content generation it
         #: held at that moment.
@@ -197,8 +192,6 @@ class KeywordSearchEngine:
         """Match and plan under the ``plan.compile`` span; ``annotate``
         costs the plan when adaptive."""
         with obs_trace.span("plan.compile", **(tags or {})):
-            if semantics not in ("and", "or"):
-                raise QueryError("semantics must be 'and' or 'or'", got=semantics)
             plan = plan_query(self.match(query), semantics=semantics, top_k=top_k)
             if annotate and self.adaptive:
                 plan = self._ensure_cost_model().annotate(plan)
@@ -207,16 +200,14 @@ class KeywordSearchEngine:
     def _ensure_cost_model(self) -> CostModel:
         """The engine's cost model, built on first use."""
         if self._cost_model is None:
-            self._cost_model = CostModel(
-                index=self.index, statistics=lambda: self.statistics
-            )
+            self._cost_model = CostModel(self.index)
         return self._cost_model
 
     def query_cost(self, query: str, semantics: str = "and") -> float:
         """Predicted execution cost of one query.
 
-        Computed from posting lengths and fan-outs alone — no matching,
-        no enumeration — so a caller can weigh a query before any work
+        Computed from posting lengths alone — no matching, no
+        enumeration — so a caller can weigh a query before any work
         runs.
         """
         try:
@@ -224,26 +215,6 @@ class KeywordSearchEngine:
         except QueryError:
             return 1.0
         return self._ensure_cost_model().query_cost(keywords, semantics)
-
-    @property
-    def statistics(self):
-        """Corpus statistics of this engine's instance, or ``None``.
-
-        Restored (lazily) when the engine was opened from a snapshot;
-        :meth:`apply` and :meth:`rebuild` drop them because instance
-        statistics move with the data.  Assign a fresh
-        :class:`~repro.relational.statistics.DatabaseStatistics` to
-        attach recomputed values.
-        """
-        if self._statistics is None and self._statistics_loader is not None:
-            self._statistics = self._statistics_loader()
-        return self._statistics
-
-    @statistics.setter
-    def statistics(self, value) -> None:
-        self._statistics = value
-        if value is None:
-            self._statistics_loader = None
 
     # ------------------------------------------------------------------
     # answer cache plumbing
@@ -648,8 +619,7 @@ class KeywordSearchEngine:
         sequence of a live ``apply`` and of WAL replay: patch the index
         and traversal cache in place, drop any multigraph the data graph
         built (an oracle-side read rebuilds it), drop the answer-cache
-        entries the changeset may have made stale, forget the instance
-        statistics."""
+        entries the changeset may have made stale."""
         with obs_trace.span("live.apply"):
             apply_changeset(
                 changeset,
@@ -673,8 +643,6 @@ class KeywordSearchEngine:
                 )
                 if inv_span is not None:
                     inv_span.add(dropped=dropped)
-        # Instance statistics move with the data; recomputed lazily.
-        self.statistics = None
 
     # ------------------------------------------------------------------
     # analysis helpers
@@ -760,10 +728,11 @@ class KeywordSearchEngine:
         """Refresh derived structures after direct database mutations.
 
         The traversal cache is bound to the discarded data graph, so a
-        fresh one replaces it.  All pipeline state is reset too: the
-        answer cache (its entries reference the old graph) and the
-        last-run diagnostics (``last_stats``) — nothing stale survives a
-        rebuild.  :meth:`apply` is the incremental
+        fresh one replaces it; its counters carry over, so
+        :meth:`metrics_snapshot` never runs backwards.  All pipeline
+        state is reset too: the answer cache (its entries reference the
+        old graph) and the last-run diagnostics (``last_stats``) —
+        nothing stale survives a rebuild.  :meth:`apply` is the incremental
         alternative; ``rebuild()`` is the escape hatch and the
         differential oracle the live subsystem is tested against.
 
@@ -780,10 +749,9 @@ class KeywordSearchEngine:
             )
         self.data_graph = DataGraph(self.database)
         self.index.build()
-        self.traversal_cache = TraversalCache(self.data_graph)
+        self.traversal_cache = self.traversal_cache.successor(self.data_graph)
         self.result_cache.clear()
         self.last_stats = ExecutionStats()
-        self.statistics = None
         self.close_pool()
         self.version += 1
 
@@ -794,8 +762,8 @@ class KeywordSearchEngine:
         """Write the engine's full state as a binary snapshot.
 
         The snapshot (see :mod:`repro.scale.snapshot`) captures the
-        database, the compiled CSR graph, the inverted index and corpus
-        statistics at the engine's current :attr:`version`;
+        database, the compiled CSR graph and the inverted index at the
+        engine's current :attr:`version`;
         :meth:`open` restores a bit-identical engine an order of
         magnitude faster than a cold build.  Returns the snapshot's meta
         dict.
@@ -1005,7 +973,7 @@ class KeywordSearchEngine:
             self.database = self.data_graph = self.index = closed
             self.traversal_cache = closed
             self.result_cache.clear()
-            self.statistics = self._cost_model = None
+            self._cost_model = None
 
     def __enter__(self) -> "KeywordSearchEngine":
         return self

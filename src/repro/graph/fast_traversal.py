@@ -32,9 +32,10 @@ class TraversalCache:
 
     The compiled graph is built lazily and stays valid exactly as long
     as the data graph does.  ``invalidate()`` drops it; the engine
-    replaces the whole cache on ``rebuild()``.  ``hits`` / ``misses``
-    count distance-row lookups so benchmarks and tests can observe reuse,
-    and ``dense_builds`` the dense rows rebuilt from held levels.
+    replaces the whole cache on ``rebuild()`` with its
+    :meth:`successor`.  ``hits`` / ``misses`` count distance-row lookups
+    so benchmarks and tests can observe reuse, and ``dense_builds`` the
+    dense rows rebuilt from held levels.
     """
 
     def __init__(self, data_graph: DataGraph) -> None:
@@ -48,6 +49,22 @@ class TraversalCache:
         #: to observe how much enumeration early termination skipped.
         self.paths_enumerated = 0
         self.trees_enumerated = 0
+        #: Where the next compiled graph's ``compactions`` count starts.
+        self._compactions = 0
+
+    def successor(self, data_graph: DataGraph) -> "TraversalCache":
+        """A fresh cache over ``data_graph`` whose counters, and its
+        compiled graph's ``compactions``, continue from this one's, so
+        they never run backwards.  This cache is left as it is: answers
+        built on it keep reading it."""
+        fresh = TraversalCache(data_graph)
+        for name in ("hits", "misses", "dense_builds",
+                     "paths_enumerated", "trees_enumerated"):
+            setattr(fresh, name, getattr(self, name))
+        fresh._compactions = (
+            self._compactions if self._frozen is None else self._frozen.compactions
+        )
+        return fresh
 
     def invalidate(self) -> None:
         """Drop the compiled graph (call after graph changes)."""
@@ -67,6 +84,7 @@ class TraversalCache:
 
             with obs_trace.span("csr.compile"):
                 self._frozen = FrozenGraph(self.data_graph, counters=self)
+            self._frozen.compactions = self._compactions
         return self._frozen
 
     def apply_changeset(self, changeset) -> None:

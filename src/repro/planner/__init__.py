@@ -1,8 +1,7 @@
 """Cost-based adaptive planning: estimates and enumeration order.
 
-The planner layer turns statistics the engine already collects —
-posting lengths, :class:`~repro.relational.statistics.DatabaseStatistics`
-fan-outs and CSR distance rows — into one decision:
+The planner layer turns what the engine already holds — posting
+lengths and CSR distance rows — into one decision:
 **selectivity-ordered enumeration**.  Pushdown execution orders
 `PairPaths` / `NetworkGrowth` units by an admissible distance bound
 instead of plan order, so score lower bounds are reached sooner (see

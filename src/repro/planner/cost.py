@@ -5,20 +5,20 @@ reporting, never correctness.  A ``PairPaths`` op sets up one
 enumeration unit per (source, target) tuple pair; a ``NetworkGrowth``
 op one unit per required-tuple assignment (the cross product of its
 keywords' match lists).  Per-unit work scales with graph fan-out, so
-the model multiplies unit counts by a fan-out factor taken from
-:class:`~repro.relational.statistics.DatabaseStatistics` when
-available.  The model learns nothing: an estimate depends only on the
-posting lengths and the fan-out, so planning never writes state.
+the model multiplies unit counts by the fixed :data:`DEFAULT_FANOUT`.
+An estimate depends only on the posting lengths, so every engine over
+one database — cold-built, restored, updated — reports the same
+estimates, and planning never writes state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from repro.core.plan import NetworkGrowth, PairPaths, QueryPlan, SingleScan
 
-#: Fallback mean fan-out when no ``DatabaseStatistics`` is attached.
+#: Mean fan-out every estimate assumes per traversed edge.
 DEFAULT_FANOUT = 2.0
 
 
@@ -39,41 +39,19 @@ class UnitEstimate:
 
 
 class CostModel:
-    """Estimates per-op work from posting lengths and fan-outs.
+    """Estimates per-op work from the posting lengths of ``index``."""
 
-    ``statistics`` is a zero-argument provider (not a value) because the
-    engine invalidates its :class:`DatabaseStatistics` on every live
-    update; the model re-reads it per estimate, which is cheap.
-    """
+    __slots__ = ("index",)
 
-    __slots__ = ("index", "_statistics")
-
-    def __init__(self, index=None,
-                 statistics: Optional[Callable] = None) -> None:
+    def __init__(self, index) -> None:
         self.index = index
-        self._statistics = statistics
-
-    def fanout(self) -> float:
-        """Mean FK fan-out across the schema, clamped to at least 1."""
-        statistics = self._statistics() if self._statistics else None
-        if statistics is None:
-            return DEFAULT_FANOUT
-        fanouts = statistics.fanouts()
-        if not fanouts:
-            return DEFAULT_FANOUT
-        mean = sum(entry.mean for entry in fanouts.values()) / len(fanouts)
-        return max(1.0, mean)
 
     # -- plan estimates -------------------------------------------------
 
     def estimate_plan(self, plan: QueryPlan) -> tuple:
         """One :class:`UnitEstimate` per ``plan.sources`` op, in order."""
         sizes = [len(match.tuple_ids) for match in plan.matches]
-        fanout = self.fanout()
-        estimates = []
-        for op in plan.sources:
-            estimates.append(self._estimate_op(op, sizes, fanout))
-        return tuple(estimates)
+        return tuple(self._estimate_op(op, sizes) for op in plan.sources)
 
     def annotate(self, plan: QueryPlan) -> QueryPlan:
         """Return ``plan`` with estimates attached (answers unaffected)."""
@@ -81,8 +59,8 @@ class CostModel:
             return plan
         return replace(plan, estimates=self.estimate_plan(plan))
 
-    def _estimate_op(self, op, sizes: Sequence[int],
-                     fanout: float) -> UnitEstimate:
+    def _estimate_op(self, op, sizes: Sequence[int]) -> UnitEstimate:
+        fanout = DEFAULT_FANOUT
         if isinstance(op, SingleScan):
             units = sum(sizes[index] for index in op.indices)
             # Scans emit exactly their units.
@@ -111,13 +89,11 @@ class CostModel:
         Weighs a query *before* matching runs, so it only touches the
         cheap :meth:`InvertedIndex.posting_length` accessor.
         """
-        if self.index is None:
-            return 1.0
         lengths = [self.index.posting_length(keyword)
                    for keyword in keywords]
         if not lengths:
             return 1.0
-        fanout = self.fanout()
+        fanout = DEFAULT_FANOUT
         if semantics == "and" and any(length == 0 for length in lengths):
             return 1.0  # provably empty: match() short-circuits
         populated = [length for length in lengths if length > 0]

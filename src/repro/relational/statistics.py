@@ -85,40 +85,6 @@ class DatabaseStatistics:
             )
 
     # ------------------------------------------------------------------
-    # (de)serialisation — the snapshot's corpus-statistics section
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain JSON-compatible form of the computed statistics."""
-        return {
-            "cardinalities": dict(self._cardinalities),
-            "fanouts": {
-                name: {
-                    "mean": fanout.mean,
-                    "maximum": fanout.maximum,
-                    "coverage": fanout.coverage,
-                }
-                for name, fanout in self._fanouts.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, database: Database, data: dict) -> "DatabaseStatistics":
-        """Rebuild statistics without re-scanning the instance."""
-        statistics = cls.__new__(cls)
-        statistics.database = database
-        statistics._cardinalities = dict(data["cardinalities"])
-        statistics._fanouts = {
-            name: FanOut(
-                foreign_key=name,
-                mean=entry["mean"],
-                maximum=entry["maximum"],
-                coverage=entry["coverage"],
-            )
-            for name, entry in data["fanouts"].items()
-        }
-        return statistics
-
-    # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
     def cardinality(self, relation_name: str) -> int:

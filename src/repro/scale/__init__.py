@@ -4,8 +4,8 @@ Two cooperating pieces turn the single-process engine into something a
 serving fleet can run:
 
 * :mod:`repro.scale.snapshot` — a versioned binary snapshot of the full
-  engine state (CSR buffers, interning, index postings, corpus
-  statistics) whose array sections load via ``mmap``;
+  engine state (rows, CSR buffers, interning, index postings) whose
+  array sections load via ``mmap``;
   opening a snapshot is an order of magnitude cheaper than a cold
   build, and page-cache sharing makes per-process opens nearly free.
 * :mod:`repro.scale.parallel` — a process-pool batch executor: each

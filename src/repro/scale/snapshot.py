@@ -3,7 +3,7 @@
 A snapshot makes engine state a cheap artifact instead of a cold build:
 ``KeywordSearchEngine.save(path)`` writes everything a serving process
 needs — the database instance, the compiled CSR buffers, the interning
-table, the inverted-index postings and corpus statistics — and
+table and the inverted-index postings — and
 ``KeywordSearchEngine.open(path)`` brings an engine up an order of
 magnitude faster than rebuilding those structures from raw tuples.  Worker processes of the parallel executor each open the same
 file; the array sections are ``mmap``-backed, so the page cache shares
@@ -24,6 +24,11 @@ A compacted file may end in a ``delta`` section (:func:`write_delta_snapshot`):
 WAL record frames that open replays from ``meta.base_version`` up to
 ``meta.engine_version``.  Such a file carries format 5, so a reader
 that would ignore the section refuses it.
+
+Sections an older writer added and the loader no longer reads — the
+corpus statistics (``stats``) and ``shard_assignment`` — are verified
+and otherwise ignored: a delta compaction byte-copies them like any
+base section, a full ``save`` writes neither.
 
 Restoration is lazy wherever queries and replayed WAL records allow it:
 
@@ -89,7 +94,6 @@ from repro.relational.index import (
     attribute_table,
 )
 from repro.relational.io import schema_from_dict, schema_to_dict
-from repro.relational.statistics import DatabaseStatistics
 
 __all__ = ["SNAPSHOT_FORMAT", "Snapshot", "write_snapshot", "load_engine"]
 
@@ -109,7 +113,6 @@ _REQUIRED_SECTIONS = (
     "edge_keys",
     "edge_ref",
     "postings",
-    "stats",
 )
 
 #: What a stored primary-key value may decode to.
@@ -449,10 +452,6 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
         ("edge_keys", bytes(map(fk_id.__getitem__, frozen._edge_keys))),
         ("edge_ref", bytes(frozen._edge_refs)),
         ("postings", posting_blob),
-        # Every ``apply`` resets the held statistics: a held value is current.
-        ("stats", _json_bytes(
-            (engine._statistics or DatabaseStatistics(engine.database)).to_dict()
-        )),
     ]
     for relation in schema.relations:
         records = engine.database.tuples(relation.name)
@@ -511,8 +510,6 @@ def write_delta_snapshot(engine, path: Union[str, Path]) -> Optional[dict]:
         meta.setdefault("base_entries", meta["entries"])
         meta.update(engine_version=engine.version, entries=frozen.entry_count())
         meta["tuples"] = meta["nodes"] = frozen.live_count()
-        # ``stats`` is copied too: open's replay drops it, as the live
-        # engine's first ``apply`` did.
         crcs = {name: base._toc[name][2] for name in copied}
         blobs = [
             ("meta", _json_bytes(meta)),
@@ -736,10 +733,6 @@ class Snapshot:
                     section=name,
                 )
 
-    def statistics(self, database: Database) -> DatabaseStatistics:
-        """The stored corpus statistics, bound to a restored database."""
-        return DatabaseStatistics.from_dict(database, self.json("stats"))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Snapshot({str(self.path)!r}, v{self.meta.get('engine_version')}, "
@@ -833,7 +826,6 @@ def _load_engine(path: Union[str, Path], **engine_options):
         version=snapshot.base_version,
         **engine_options,
     )
-    engine._statistics_loader = lambda: snapshot.statistics(database)
     engine.snapshot_path = str(path)
     engine._snapshot_generation = snapshot.generation
     engine._snapshot = snapshot

@@ -506,7 +506,7 @@ class TestPlanCommand:
         assert code == 0
         assert output.endswith(
             "# planner: adaptive (cost model over posting lengths x "
-            "graph fanout)\n"
+            "a fixed fan-out)\n"
         )
 
 

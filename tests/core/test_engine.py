@@ -8,7 +8,8 @@ from repro.core.connections import Connection
 from repro.core.engine import KeywordSearchEngine
 from repro.core.ranking import RdbLengthRanker
 from repro.core.search import JoiningNetwork, SearchLimits, SingleTupleAnswer
-from repro.errors import SearchLimitError
+from repro.core.plan import plan_query
+from repro.errors import QueryError, SearchLimitError
 
 #: The four query entry points, each reduced to "answer one query".
 ENTRY_POINTS = {
@@ -261,6 +262,23 @@ class TestSearchStream:
                 )
             errors.append((str(caught.value), caught.value.context))
         assert errors == [errors[0]] * len(ENTRY_POINTS)
+
+    def test_bad_semantics_raises_the_planner_error(self, engine):
+        """``plan_query`` alone validates ``semantics``: every entry point
+        raises its error, and an empty query still raises a QueryError."""
+        with pytest.raises(QueryError) as expected:
+            plan_query(engine.match("Smith XML"), semantics="xor")
+        entry_points = dict(
+            ENTRY_POINTS,
+            plan=lambda engine, query, **options: engine.plan(query, **options),
+        )
+        for answer in entry_points.values():
+            with pytest.raises(QueryError) as caught:
+                answer(engine, "Smith XML", semantics="xor")
+            assert (str(caught.value), caught.value.context) == (
+                str(expected.value), expected.value.context)
+            with pytest.raises(QueryError):
+                answer(engine, "", semantics="xor")
 
 
 class TestPlanEntryPoint:

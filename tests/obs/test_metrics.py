@@ -6,6 +6,7 @@ import pickle
 
 from repro.core.engine import KeywordSearchEngine
 from repro.datasets.company import build_company_database
+from repro.live.changes import Insert
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import diff_snapshots, render_report
 
@@ -44,6 +45,25 @@ class TestEngineCounters:
         assert moved["result_cache.misses"] == 1
         assert moved["traversal_cache.misses"] > 0
         assert moved["traversal_cache.paths_enumerated"] > 0
+
+    def test_counters_survive_a_rebuild(self, tmp_path):
+        engine = KeywordSearchEngine(build_company_database())
+        answers = engine.search("Smith XML")
+        engine.apply([Insert("DEPENDENT", {"ID": "t9", "ESSN": "e1",
+                                           "DEPENDENT_NAME": "Smith"})])
+        engine.save(tmp_path / "company.snap")  # folds: one compaction
+        before = engine.metrics_snapshot()
+        assert before["csr.compactions"] == 1
+        cache = engine.traversal_cache
+        engine.rebuild()
+        assert engine.traversal_cache is not cache
+        engine.search("Smith XML")
+        delta = diff_snapshots(before, engine.metrics_snapshot())
+        assert delta["traversal_cache.misses"] > 0
+        assert all(value > 0 for value in delta.values())
+        # Answers from before the rebuild keep the cache they were built on.
+        assert answers[0].answer.cache is cache
+        assert [result.render() for result in answers]
 
 
 class TestDiffSnapshots:

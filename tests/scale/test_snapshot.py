@@ -24,7 +24,6 @@ from repro.oracle import search as oracle_search
 from repro.relational.database import Database, TupleId
 from repro.relational.index import _posted, tokenize
 from repro.relational.schema import AttributeDef, DatabaseSchema, ForeignKey, Relation
-from repro.relational.statistics import DatabaseStatistics
 from repro.scale import snapshot as snapshot_module
 from repro.scale.snapshot import SNAPSHOT_FORMAT, Snapshot
 
@@ -177,17 +176,6 @@ class TestRoundTrip:
         # The reference flags were read as stored: the section itself.
         assert type(restored.traversal_cache.frozen()._edge_refs) is memoryview
 
-    def test_save_reuses_held_statistics(self, saved, tmp_path, monkeypatch):
-        engine, path, __ = saved
-        engine.statistics = DatabaseStatistics(engine.database)
-        monkeypatch.setattr(
-            DatabaseStatistics, "_compute",
-            lambda self: pytest.fail("statistics recomputed"),
-        )
-        second = tmp_path / "second.snap"
-        engine.save(second)
-        assert path.read_bytes() == second.read_bytes()
-
     def test_retired_shard_sections_are_ignored(self, saved, tmp_path):
         """Older snapshots carry a ``shard_count`` meta key and a
         ``shard_assignment`` section; the loader never reads them, and
@@ -216,30 +204,33 @@ class TestRoundTrip:
                         cold.search(query, limits=LIMITS, semantics=semantics)
                     )
 
-    def test_retired_calibration_key_is_ignored(self, saved, tmp_path):
-        """Older snapshots carry learned planner calibration under a
-        ``calibration`` key of the ``stats`` section; the loader ignores
-        it, such a file answers like a cold build, and saving it again
-        writes no such key."""
+    def test_retired_stats_section_is_ignored(self, saved, tmp_path, monkeypatch):
+        """Older snapshots carry the corpus statistics in a ``stats``
+        section (some with learned planner calibration in it); the loader
+        never reads it, such a file answers and estimates like a cold
+        build, a full save drops the section and a delta compaction
+        byte-copies it."""
         __, path, ___ = saved
-        with Snapshot(path) as snapshot:
-            stats = snapshot.json("stats")
-            legacy_stats = dict(stats, calibration={
+        legacy_stats = snapshot_module._json_bytes({
+            "cardinalities": {"EMPLOYEE": 24, "DEPARTMENT": 6},
+            "fanouts": {"fk": {"mean": 5.5, "maximum": 9, "coverage": 1.0}},
+            "calibration": {
                 "paths": {"predicted": 40.0, "observed": 1.0, "count": 4.0},
-            })
-            sections = [
-                (name, snapshot_module._json_bytes(legacy_stats)
-                 if name == "stats" else bytes(snapshot.section(name)))
-                for name in snapshot.sections()
-            ]
+            },
+        })
+        with Snapshot(path) as snapshot:
+            assert "stats" not in snapshot.sections()
+            sections = [(name, bytes(snapshot.section(name)))
+                        for name in snapshot.sections()]
+        # Where an older writer put it: right after ``postings``.
+        at = [name for name, __ in sections].index("postings") + 1
+        sections.insert(at, ("stats", legacy_stats))
         legacy = tmp_path / "legacy.snap"
         snapshot_module._publish(legacy, SNAPSHOT_FORMAT, sections)
         cold = KeywordSearchEngine(planted_database())
-        assert DatabaseStatistics.from_dict(
-            cold.database, legacy_stats
-        ).to_dict() == stats
         resaved = tmp_path / "resaved.snap"
         with KeywordSearchEngine.open(legacy) as restored:
+            assert not hasattr(restored, "statistics")
             for query in QUERIES:
                 for semantics in ("and", "or"):
                     assert rendered(
@@ -247,17 +238,34 @@ class TestRoundTrip:
                     ) == rendered(
                         cold.search(query, limits=LIMITS, semantics=semantics)
                     )
-            assert restored.statistics.to_dict() == stats
+                    assert restored.query_cost(query, semantics) == (
+                        cold.query_cost(query, semantics))
+                    assert restored.plan(query, semantics=semantics).estimates == (
+                        cold.plan(query, semantics=semantics).estimates)
             restored.save(resaved)
         with Snapshot(resaved) as snapshot:
-            assert "calibration" not in snapshot.json("stats")
+            assert "stats" not in snapshot.sections()
         assert resaved.read_bytes() == path.read_bytes()
 
-    def test_statistics_restored(self, saved):
-        engine, path, __ = saved
-        restored = KeywordSearchEngine.open(path)
-        fresh = DatabaseStatistics(engine.database)
-        assert restored.statistics.to_dict() == fresh.to_dict()
+        monkeypatch.setattr(snapshot_module, "DELTA_FRACTION", 0)
+        employee = cold.database.tuples("EMPLOYEE")[0].tid.key[0]
+        batch = [Insert("DEPENDENT", {"ID": "dl0", "ESSN": employee,
+                                      "DEPENDENT_NAME": "kwbeta"})]
+        cold.apply(batch)
+        engine = KeywordSearchEngine.open(legacy, wal=True)
+        engine.apply(batch)
+        engine.compact_wal()
+        engine.close()
+        with Snapshot(legacy) as snapshot:
+            assert snapshot.meta["format"] == SNAPSHOT_FORMAT + 1
+            assert snapshot.read("stats") == legacy_stats
+        with KeywordSearchEngine.open(legacy) as reopened:
+            assert reopened.version == cold.version
+            for query in QUERIES:
+                assert rendered(
+                    reopened.search(query, limits=LIMITS)
+                ) == rendered(cold.search(query, limits=LIMITS))
+                assert reopened.query_cost(query) == cold.query_cost(query)
 
     def test_engine_options_pass_through(self, saved):
         __, path, ___ = saved
@@ -846,17 +854,14 @@ class TestDeltaSection:
                 ) == rendered(
                     oracle.search(query, limits=LIMITS, semantics=semantics)
                 )
-        # The stored statistics are the base's and go with the replay —
-        # the live engine dropped its own at its first apply.
-        assert restored.statistics is None
         restored.close()
 
     def test_delta_compaction_byte_copies_every_base_section(
         self, saved, compacted, tmp_path
     ):
         """A delta compaction re-encodes ``meta`` and appends ``delta``;
-        every other section of the base, ``stats`` included, keeps its
-        bytes and its TOC CRC — also when the base is a delta file."""
+        every other section of the base keeps its bytes and its TOC CRC
+        — also when the base is a delta file."""
         engine, __, ___ = saved
         base = tmp_path / "base.snap"
         engine.save(base)  # the bytes ``compacted`` started from
@@ -871,7 +876,6 @@ class TestDeltaSection:
 
         path, __, records = compacted
         expected = copied(base)
-        assert "stats" in expected
         assert copied(path) == expected
         engine = KeywordSearchEngine.open(path, wal=True)
         engine.search("kwalpha kwbeta", limits=LIMITS)
