@@ -62,8 +62,8 @@ from repro.relational.index import InvertedIndex
 __all__ = ["SearchResult", "KeywordSearchEngine"]
 
 class _Closed:
-    """Stands in for what a closed snapshot engine restored: any read
-    raises :class:`~repro.errors.SnapshotError`."""
+    """Stands in for what a closed engine held: any read raises
+    :class:`~repro.errors.SnapshotError`."""
 
     __slots__ = ("_path",)
 
@@ -930,7 +930,7 @@ class KeywordSearchEngine:
 
     def _ensure_searcher(self, jobs: int):
         """The engine's parallel searcher, rebuilt when state moved on."""
-        if self._snapshot is not None and self._snapshot.closed:
+        if self.index.__class__ is _Closed:
             raise SnapshotError("engine is closed", path=self.snapshot_path)
         key = (self.version, jobs)
         if self._searcher is not None and self._searcher_key == key:
@@ -955,25 +955,26 @@ class KeywordSearchEngine:
             self._searcher_key = None
 
     def close(self) -> None:
-        """Release serving resources: the worker pool and, for
-        snapshot-opened engines, the snapshot and everything restored
-        from it.
+        """Release serving resources: the worker pool, the snapshot of a
+        snapshot-opened engine, and everything the engine built or
+        restored.
 
-        A closed snapshot engine holds no decoded posting, loaded row
-        store, compiled graph or cached answer, so it costs no memory
-        however long it stays referenced; any later query raises
-        :class:`~repro.errors.SnapshotError`.  Idempotent; engines built
-        directly from a database only shut their pool down.
+        A closed engine — cold-built or snapshot-opened — holds no
+        database, index, compiled graph or cached answer, so it costs no
+        memory however long it stays referenced; any later query or
+        write raises :class:`~repro.errors.SnapshotError`.  The database
+        a cold engine was built over is its caller's and stays as it
+        was.  Idempotent.
         """
         self.detach_wal()
         self.close_pool()
         if self._snapshot is not None:
             self._snapshot.close()
-            closed = _Closed(self.snapshot_path)
-            self.database = self.data_graph = self.index = closed
-            self.traversal_cache = closed
-            self.result_cache.clear()
-            self._cost_model = None
+        closed = _Closed(self.snapshot_path)
+        self.database = self.data_graph = self.index = closed
+        self.traversal_cache = closed
+        self.result_cache.clear()
+        self._cost_model = None
 
     def __enter__(self) -> "KeywordSearchEngine":
         return self

@@ -17,7 +17,11 @@ kernels entirely on dense ints:
   neighbour?) — holding each node's incident edges pre-sorted in
   expansion order.  An edge's data dict is built only when a kernel
   yields a :class:`TuplePathStep` (:meth:`FrozenGraph._payload`).  The
-  first compile reads ``Database.references`` directly; no multigraph.
+  first compile fills the columns in bulk from the stored references —
+  the edges :meth:`Database.references` yields — with no multigraph and
+  no row per node: each row entry is one packed int, one sort orders
+  every row, and each column is cut from the sorted ints in one C-level
+  pass.
 * **Radius-bounded distance rows.**  BFS distance maps are flat rows
   indexed by node int — the admissible-pruning lookup in the DFS inner
   loop is a C array index instead of a dict probe.  The kernels ask for
@@ -60,7 +64,10 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left
 from collections import OrderedDict, defaultdict
+from itertools import chain, count, islice, repeat
+from operator import add, and_, attrgetter, eq, itemgetter, lshift, rshift
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.errors import PathError, SearchLimitError
@@ -89,7 +96,6 @@ _MAX_RADIUS = _BEYOND - 1
 #: A distance row: bounded ``bytearray`` or unbounded ``array('i')``.
 DistanceRow = Union[bytearray, array]
 
-
 def _bounded(radius: Optional[int]) -> Optional[int]:
     """A requested radius as rows are swept: ``None`` (unbounded) above
     :data:`_MAX_RADIUS`."""
@@ -114,6 +120,15 @@ def _index_nodes(tids) -> dict[str, dict[tuple, int]]:
     for node, tid in enumerate(tids):
         node_of[tid.relation][tid.key] = node
     return node_of
+
+
+def _referenced_keys(records, fk) -> Iterator[tuple]:
+    """The key each of ``records`` (``fk``'s source tuples) holds in its
+    columns, NULLs included, read from the values in one C-level pass."""
+    values = map(attrgetter("values"), records)
+    if len(fk.source_columns) == 1:
+        return zip(map(itemgetter(fk.source_columns[0]), values))
+    return map(itemgetter(*fk.source_columns), values)
 
 
 def _derived_keys(tids) -> _Derived:
@@ -228,28 +243,30 @@ class FrozenGraph:
     def _compile(self) -> None:
         """(Re)build the flat arrays and reset every derived structure.
 
-        The first compilation reads the database's foreign-key
-        references (:meth:`_rows_from_database`), never the networkx
-        multigraph.  A graph that is already compiled —
+        The first compilation fills the columns in bulk from the
+        database's foreign-key references (:meth:`_columns_from_database`),
+        never the networkx multigraph.  A graph that is already compiled —
         patched since, or assembled by :meth:`from_parts` — is
         *folded*: tombstones dropped, appended nodes merged into
         ``_sort_key`` order and the override table written back into
-        flat arrays, all from its own rows.
+        flat arrays, all from its own rows (:meth:`_rows_from_self`).
         """
         self.compile_stamp += 1
-        if self._tid_of is not None:
-            tids, node_of, rows = self._rows_from_self()
+        if self._tid_of is None:
+            tids, node_of, offsets, targets, edge_keys, edge_refs = (
+                self._columns_from_database()
+            )
         else:
-            tids, node_of, rows = self._rows_from_database()
-        offsets = array("i", [0])
-        targets = array("i")
-        edge_keys: list[str] = []
-        edge_refs = bytearray()
-        for row_targets, row_keys, row_refs in rows:
-            targets.extend(row_targets)
-            edge_keys.extend(row_keys)
-            edge_refs.extend(row_refs)
-            offsets.append(len(targets))
+            tids, node_of, rows = self._rows_from_self()
+            offsets = array("i", [0])
+            targets = array("i")
+            edge_keys: list[str] = []
+            edge_refs = bytearray()
+            for row_targets, row_keys, row_refs in rows:
+                targets.extend(row_targets)
+                edge_keys.extend(row_keys)
+                edge_refs.extend(row_refs)
+                offsets.append(len(targets))
         # Assigned only now: ``rows`` reads the previous state lazily.
         #: Relation -> {primary key: node int} of the live nodes.
         self._node_of = _Derived(lambda relation: {}, node_of)
@@ -291,81 +308,94 @@ class FrozenGraph:
         self._log_start = 0
         self._neighbour_rows: dict[int, tuple[int, ...]] = {}
 
-    def _rows_from_database(self):
-        """``(tids, node map, rows)`` straight from the stored references,
-        nodes in ``_sort_key`` order and each row in expansion order: the
-        rows :func:`~repro.graph.data_graph.build_tuple_graph`'s
-        multigraph holds, without building it.  An edge there is
-        ``(unordered pair, fk name)``, so a self-reference holds one entry
-        in its one row, and a two-tuple cycle through one
-        self-referencing FK is one edge carrying the later reference."""
+    def _columns_from_database(self):
+        """``(tids, node map, offsets, targets, edge keys, edge refs)``
+        straight from the stored references, nodes in ``_sort_key``
+        order and each row in expansion order: the CSR form of
+        :func:`~repro.graph.data_graph.build_tuple_graph`'s multigraph,
+        without building it.  Its edges are the pairs
+        :meth:`Database.references` yields — NULL and dangling references
+        skip, as a referenced key no relation stores maps to no node —
+        and an edge there is ``(unordered pair, fk name)``, so a
+        self-reference holds one entry in its one row, and a two-tuple
+        cycle through one self-referencing FK is one edge carrying the
+        later reference.  Filled in bulk: no row per node."""
         database = self.data_graph.database
-        records = list(database.all_tuples())
-        unsorted_keys = [_sort_key(record.tid) for record in records]
-        # Stable: equal keys keep ``all_tuples()`` (node insertion) order.
-        order = sorted(range(len(records)), key=unsorted_keys.__getitem__)
-        tids = [records[at].tid for at in order]
-        node_of = _index_nodes(tids)
+        tids: list[TupleId] = []
+        node_of: dict[str, dict[tuple, int]] = {}
+        # Relation -> (its tuples in store order, their node ints).
+        stored: dict[str, tuple] = {}
         # Expansion order is (neighbour's sort key, FK name).  A key's
         # rank is its first node, so equal keys share one, and ties keep
-        # (neighbour, edge) order, as _sorted_row's stable sort does.
-        rank = array("i", range(len(order)))
-        for node in range(1, len(order)):
-            if unsorted_keys[order[node]] == unsorted_keys[order[node - 1]]:
-                rank[node] = rank[node - 1]
+        # neighbour order, as _sorted_row's stable sort does.
+        rank = array("i")
+        for relation in sorted(r.name for r in database.schema.relations):
+            records = database.tuples(relation)
+            keys = [record.tid.key for record in records]
+            if {str}.issuperset(map(type, chain.from_iterable(keys))):
+                rendered = keys  # every part renders as itself
+            else:
+                rendered = [tuple(map(str, key)) for key in keys]
+            # Stable: equal keys keep store (node insertion) order.
+            order = sorted(range(len(keys)), key=rendered.__getitem__)
+            base = len(tids)
+            tids += [records[at].tid for at in order]
+            nodes = dict(zip(map(keys.__getitem__, order), count(base)))
+            node_of[relation] = nodes
+            stored[relation] = records, list(map(nodes.__getitem__, keys))
+            rendered = list(map(rendered.__getitem__, order))
+            if any(map(eq, rendered, islice(rendered, 1, None))):
+                rank.extend(
+                    map(add, map(bisect_left, repeat(rendered), rendered), repeat(base))
+                )
+            else:
+                rank.extend(range(base, base + len(keys)))
         fk_names = sorted(fk.name for fk in database.schema.foreign_keys)
         # One int per row entry, so one sort orders every row: owner,
-        # neighbour rank, FK rank, neighbour and edge (32 bits) fields as
-        # narrow as their values allow — entry tuples would be 60 000 more
-        # objects for the cyclic GC to re-scan.  Per edge, its FK name
-        # and referencing node.
-        width = len(order).bit_length()
-        to_fk = width + 32
+        # neighbour rank, FK rank, neighbour and referencing-flag fields
+        # as narrow as their values allow — entry tuples would be 60 000
+        # more objects for the cyclic GC to re-scan.
+        width = len(tids).bit_length()
+        to_fk = width + 1
         to_rank = to_fk + len(fk_names).bit_length()
         to_owner = to_rank + width
-        names: list[str] = []
-        referencing = array("i")
         entries: list[int] = []
         for fk in database.schema.foreign_keys:
+            records, sources = stored[fk.source]
+            referenced = _referenced_keys(records, fk)
+            targets = list(map(node_of[fk.target].get, referenced))
+            if fk.source == fk.target:
+                # Only a self-referencing FK can name one pair twice: the
+                # later reference in store order wins.
+                merged = {
+                    frozenset(edge): edge
+                    for edge in zip(sources, targets) if edge[1] is not None
+                }.values()
+                sources = [source for source, __ in merged]
+                targets = [target for __, target in merged]
             by_name = fk_names.index(fk.name) << to_fk
-            source_nodes, target_nodes = node_of[fk.source], node_of[fk.target]
-            # Only a self-referencing FK can name one pair twice.
-            pairs: Optional[dict] = {} if fk.source == fk.target else None
-            for record, referenced in database.references(fk):
-                source = source_nodes[record.tid.key]
-                target = target_nodes[referenced.tid.key]
-                edge = len(names)
-                if pairs is not None:
-                    held = pairs.setdefault(frozenset((source, target)), edge)
-                    if held != edge:
-                        referencing[held] = source  # the later reference wins
-                        continue
-                entries.append(
-                    source << to_owner | rank[target] << to_rank | by_name
-                    | target << 32 | edge
-                )
-                if target != source:
-                    entries.append(
-                        target << to_owner | rank[source] << to_rank | by_name
-                        | source << 32 | edge
-                    )
-                names.append(fk.name)
-                referencing.append(source)
+            entries += [
+                source << to_owner | rank[target] << to_rank | by_name
+                | target << 1 | 1
+                for source, target in zip(sources, targets) if target is not None
+            ]
+            entries += [
+                target << to_owner | rank[source] << to_rank | by_name | source << 1
+                for source, target in zip(sources, targets)
+                if target is not None and target != source
+            ]
         entries.sort()  # every row, each in expansion order
-
-        def rows():
-            at, total = 0, len(entries)
-            for node in range(len(tids)):
-                row_targets, row_keys, row_refs = [], [], []
-                while at < total and (entry := entries[at]) >> to_owner == node:
-                    edge = entry & 0xFFFFFFFF
-                    row_targets.append(entry >> 32 & (1 << width) - 1)
-                    row_keys.append(names[edge])
-                    row_refs.append(referencing[edge] == node)
-                    at += 1
-                yield row_targets, row_keys, row_refs
-
-        return tids, node_of, rows()
+        # Each column in one C-level pass over the sorted entries: a
+        # node's row starts at the first entry it owns.
+        firsts = map(lshift, range(len(tids) + 1), repeat(to_owner))
+        offsets = array("i", map(bisect_left, repeat(entries), firsts))
+        neighbours = map(rshift, entries, repeat(1))
+        targets = array("i", map(and_, neighbours, repeat((1 << width) - 1)))
+        fk_ranks = map(rshift, entries, repeat(to_fk))
+        fk_ranks = map(and_, fk_ranks, repeat((1 << to_rank - to_fk) - 1))
+        edge_keys = list(map(fk_names.__getitem__, fk_ranks))
+        edge_refs = bytearray(map(and_, entries, repeat(1)))
+        return tids, node_of, offsets, targets, edge_keys, edge_refs
 
     def _rows_from_self(self):
         """``(tids, node map, rows)`` of the live nodes, renumbered
@@ -460,7 +490,7 @@ class FrozenGraph:
     ) -> tuple[list[int], list[str], list[int]]:
         """``(neighbour int, edge key, referencing flag)`` entries as one
         patched row in the deterministic expansion order — the order a
-        compile's packed sort (:meth:`_rows_from_database`) gives every
+        compile's packed sort (:meth:`_columns_from_database`) gives every
         row.  The key depends only on set membership, never on the
         listing order of ``entries``."""
         keys = self._keys
@@ -969,7 +999,7 @@ class FrozenGraph:
     def _cycle_reference(self, fk, low: int, high: int) -> Optional[int]:
         """The referencing node of the one entry ``fk`` (self-referencing)
         draws between two distinct live nodes, read from the database:
-        :meth:`_rows_from_database`'s rule — the later reference in store
+        :meth:`_columns_from_database`'s rule — the later reference in store
         order when both hold — or ``None`` when neither does."""
         database = self.data_graph.database
         holding = []

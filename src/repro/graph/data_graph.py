@@ -41,8 +41,9 @@ def build_tuple_graph(database: Database) -> nx.MultiGraph:
     Node and edge insertion order is part of the engine's determinism
     contract (multi-edge iteration follows it), so every materialisation
     goes through this one function; the edges are
-    :meth:`Database.references`, the same iterator the CSR compile
-    reads when no multigraph exists.
+    :meth:`Database.references` — the one definition of a database's
+    edges, which the CSR compile reads in bulk, resolving each stored
+    key through its node maps, when no multigraph exists.
     """
     import networkx as nx
 

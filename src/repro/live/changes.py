@@ -182,6 +182,19 @@ def _outgoing_edges(database: Database, record: Tuple) -> list[EdgeChange]:
     return edges
 
 
+def _resolved_edges(database: Database, record: Tuple) -> list[EdgeChange]:
+    """The FK edges of stored tuples that named ``record``'s key before
+    it was inserted — references left dangling while the database's
+    foreign-key checks were off, which its insert now resolves.  Its own
+    reference is an outgoing edge, not one of these."""
+    return [
+        EdgeChange(source.tid, record.tid, foreign_key)
+        for foreign_key in database.schema.foreign_keys_to(record.relation)
+        for source in database.referencing_tuples(record, foreign_key)
+        if source.tid != record.tid
+    ]
+
+
 class _Builder:
     """Accumulates the net delta while a batch applies."""
 
@@ -275,6 +288,8 @@ def apply_to_database(
                 undo.append(("delete", record.tid))
                 builder.note_insert(record.tid)
                 for edge in _outgoing_edges(database, record):
+                    builder.note_edge_added(edge)
+                for edge in _resolved_edges(database, record):
                     builder.note_edge_added(edge)
             elif isinstance(mutation, Delete):
                 record = database.tuple(mutation.tid)

@@ -530,7 +530,9 @@ class Database:
     def referencing_tuples(
         self, record: Tuple, foreign_key: Optional[ForeignKey] = None
     ) -> Iterator[Tuple]:
-        """Tuples pointing at ``record`` (via one FK, or via any FK)."""
+        """Tuples pointing at ``record`` (via one FK, or via any FK).
+        A foreign key whose reference counts hold no reference to the
+        record's key is answered without a scan."""
         if foreign_key is not None:
             candidates = [foreign_key]
         else:
@@ -542,6 +544,8 @@ class Database:
                     foreign_key=fk.name,
                     relation=record.relation,
                 )
+            if not self._references(fk).get(record.tid.key):
+                continue
             matches = [
                 candidate for candidate, key in self._reference_keys(fk)
                 if key == record.tid.key

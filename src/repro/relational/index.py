@@ -37,7 +37,6 @@ from repro.relational.database import Database, Tuple, TupleId
 __all__ = ["tokenize", "Posting", "InvertedIndex"]
 
 _TOKEN_PATTERN = re.compile(r"[A-Za-z0-9]+(?:[-_][A-Za-z0-9]+)*")
-_WORD = re.compile(r"[A-Za-z0-9]+")
 
 
 def tokenize(text: str) -> list[str]:
@@ -80,15 +79,22 @@ def _value_tokens(value) -> tuple[dict, str]:
     order, and its lower-cased whole text."""
     text = str(value)
     whole = text if text.islower() else text.lower()  # shared, as above
-    if _WORD.fullmatch(text):
-        # One plain word (most keys and names): what ``tokenize`` gives.
+    if text.isascii() and text.isalnum():
+        # One plain word (most keys and names): what ``tokenize`` gives,
+        # as ``[A-Za-z0-9]+`` matches exactly the ASCII alphanumerics.
         return {whole: None}, whole
+    return _text_tokens(text, whole), whole
+
+
+def _text_tokens(text: str, whole: str) -> dict:
+    """The distinct tokens of a value's text that is not one plain word,
+    in posting order; ``whole`` is the text lower-cased."""
     tokens = dict.fromkeys(tokenize(text))
     if whole:
         # Values that tokenise away entirely (e.g. punctuation-only)
         # are still matchable as whole values.
         tokens.setdefault(whole)
-    return tokens, whole
+    return tokens
 
 
 def _posted(values, attributes: Iterable[str]) -> Iterator[tuple[str, str, bool]]:
@@ -160,13 +166,24 @@ class _PostingColumns:
                 position = len(tids)
                 tids.append(record.tid)
                 values = record.values
-                # What ``_posted`` yields, without a generator step per posting.
+                # What ``_posted`` yields, ``_value_tokens`` inlined: no
+                # generator step per posting.
                 for attribute, at in ids:
                     value = values.get(attribute)
                     if value is None:
                         continue
-                    tokens, whole = _value_tokens(value)
-                    for token in tokens:
+                    text = str(value)
+                    whole = text if text.islower() else text.lower()
+                    if text.isascii() and text.isalnum():
+                        # One plain word: the whole value is its one
+                        # token, posted straight.
+                        entries = table.get(whole)
+                        if entries is None:
+                            table[whole] = [position, at, _FIRST | _WHOLE]
+                        else:
+                            entries += position, at, _WHOLE
+                        continue
+                    for token in _text_tokens(text, whole):
                         entries = table.get(token)
                         if entries is None:
                             table[token] = [position, at, _FIRST | (token == whole)]

@@ -14,6 +14,7 @@ import copy
 import itertools
 import os
 import tempfile
+from array import array
 from unittest import mock
 
 import pytest
@@ -46,7 +47,7 @@ from repro.errors import IntegrityError, PrimaryKeyError
 from repro.live.changes import Delete, Insert, Update, apply_to_database
 from repro.live.maintain import apply_changeset
 from repro.oracle import search as oracle_search
-from repro.relational.database import Database, TupleId
+from repro.relational.database import Database, Tuple, TupleId
 from repro.relational.schema import (
     AttributeDef,
     DatabaseSchema,
@@ -726,53 +727,126 @@ def _two_word_texts(engine):
     return [f"{left} {right}" for left, right in itertools.combinations(words, 2)]
 
 
-class _GraphRowsFrozen(FrozenGraph):
-    """Compiles from the materialised networkx multigraph instead of
-    ``Database.references``: nodes in ``_sort_key`` order, each row the
-    node's multigraph edges in expansion order."""
+def _tied_keys_database():
+    """:func:`_org_database` plus person keys ``1`` and ``"1"`` (and
+    ``2`` / ``"2"``) — distinct keys that render alike, so they share a
+    ``_sort_key`` and the compile's rank ties decide their order — as a
+    loader that skips type coercion stores them: ``"1"`` first in store
+    order, a cycle between ``1`` and ``"1"``, and rows holding both; task
+    keys ``"9"`` and ``9`` tie in a relation that is not sorted first."""
+    database = _org_database()
+    database.enforce_foreign_keys = False
+    rows = [
+        ("PERSON", ("1",), {"ID": "1", "BOSS": 1}),
+        ("PERSON", (2,), {"ID": 2, "BOSS": "p01"}),
+        ("PERSON", (1,), {"ID": 1, "BOSS": "1"}),
+        ("PERSON", ("2",), {"ID": "2", "BOSS": "p01"}),
+        ("TASK", ("t09",), {"ID": "t09", "OWNER": 1, "REVIEWER": "1"}),
+        ("TASK", ("t10",), {"ID": "t10", "OWNER": "2", "REVIEWER": 2}),
+        ("TASK", ("9",), {"ID": "9", "OWNER": "p02", "REVIEWER": None}),
+        ("TASK", (9,), {"ID": 9, "OWNER": "p02", "REVIEWER": None}),
+    ]
+    for relation, key, values in rows:
+        database._tuples[relation][key] = Tuple(TupleId(relation, key), values)
+    return database
 
-    def _rows_from_database(self):
-        graph = self.data_graph.graph
-        tids = sorted(graph.nodes, key=_sort_key)
-        node_of = _index_nodes(tids)
-        self._keys = [_sort_key(tid) for tid in tids]
-        rows = (
-            self._sorted_row([
-                (node_of[other.relation][other.key], key,
-                 data["referencing"] == tid)
-                for __, other, key, data in graph.edges(tid, keys=True, data=True)
-            ])
-            for tid in tids
+
+def _multigraph_columns(data_graph):
+    """The CSR columns of the materialised networkx multigraph: nodes in
+    ``_sort_key`` order, each row the node's multigraph edges in
+    expansion order — ``(neighbour's sort key, FK name)``, ties in
+    multigraph order."""
+    graph = data_graph.graph
+    tids = sorted(graph.nodes, key=_sort_key)
+    node_of = _index_nodes(tids)
+    offsets, targets, keys, refs = [0], [], [], []
+    for tid in tids:
+        row = sorted(
+            graph.edges(tid, keys=True, data=True),
+            key=lambda edge: (_sort_key(edge[1]), edge[2]),
         )
-        return tids, node_of, rows
+        for __, other, key, data in row:
+            targets.append(node_of[other.relation][other.key])
+            keys.append(key)
+            refs.append(data["referencing"] == tid)
+        offsets.append(len(targets))
+    return tids, array("i", offsets), array("i", targets), keys, bytearray(refs)
+
+
+def _columns(frozen):
+    """A compiled graph's interning table and CSR columns."""
+    return (
+        list(frozen._tid_of), frozen._offsets, frozen._targets,
+        list(frozen._edge_keys), frozen._edge_refs,
+    )
 
 
 class TestDirectRowsEqualGraphRows:
-    """A first compile straight from ``Database.references`` equals one
-    that reads an already materialised multigraph, bit for bit."""
+    """The first compile, filled in bulk straight from the stored
+    references, equals the CSR form of the materialised multigraph
+    array by array, and a fold of itself (``_compile()`` through
+    ``_rows_from_self``)."""
 
     def _assert_identical(self, database):
         lazy = DataGraph(database)
         direct = FrozenGraph(lazy)
         assert not lazy.materialized
-        forced_graph = DataGraph(database)
-        assert forced_graph.graph is not None and forced_graph.materialized
-        forced = _GraphRowsFrozen(forced_graph)
-        assert list(direct._tid_of) == list(forced._tid_of)
-        assert [direct._keys[n] for n in range(direct.capacity)] == [
-            forced._keys[n] for n in range(forced.capacity)
-        ]
-        assert direct._offsets == forced._offsets
-        assert direct._targets == forced._targets
-        assert direct._edge_keys == forced._edge_keys
-        assert _rows(direct) == _rows(forced)
-        assert direct._edge_refs == forced._edge_refs
+        assert _columns(direct) == _multigraph_columns(DataGraph(database))
         return direct
+
+    def _assert_fold_identical(self, database):
+        frozen = FrozenGraph(DataGraph(database))
+        compiled = _columns(frozen)
+        with mock.patch.object(
+            FrozenGraph, "_rows_from_self", autospec=True,
+            side_effect=FrozenGraph._rows_from_self,
+        ) as fold:
+            frozen._compile()
+        assert fold.call_count == 1
+        assert _columns(frozen) == compiled
 
     @relaxed
     @given(configs)
     def test_generated_databases(self, config):
         self._assert_identical(generate_company_like(config))
+
+    @relaxed
+    @given(configs)
+    def test_first_compile_equals_its_fold(self, config):
+        self._assert_fold_identical(generate_company_like(config))
+
+    @pytest.mark.parametrize("build", [_org_corner_cases, _tied_keys_database])
+    def test_corner_cases_fold_to_themselves(self, build):
+        self._assert_fold_identical(build())
+
+    def test_tied_keys_keep_store_order(self):
+        database = _tied_keys_database()
+        direct = self._assert_identical(database)
+        person = lambda key: TupleId("PERSON", (key,))
+        tids = list(direct._tid_of)
+        # equal renderings, store order: "1" was stored before 1
+        assert tids.index(person("1")) + 1 == tids.index(person(1))
+        assert tids.index(person(2)) + 1 == tids.index(person("2"))
+        rows = _rows(direct)
+        # p01's row: two tied reports under one FK, by node
+        assert [entry[0] for entry in rows[person("p01")]
+                if entry[0] in (person(2), person("2"))
+                ] == [person(2), person("2")]
+        # a task's row: tied neighbours by FK name before node
+        assert [entry[:2] for entry in rows[TupleId("TASK", ("t10",))]] == [
+            (person("2"), "fk_owner"), (person(2), "fk_reviewer"),
+        ]
+        # p02's row: its boss before its tasks, the two tied ones adjacent
+        neighbours = [entry[0] for entry in rows[person("p02")]]
+        assert neighbours[0] == person("p01")
+        at = neighbours.index(TupleId("TASK", ("9",)))
+        assert neighbours[at + 1] == TupleId("TASK", (9,))
+        # the cycle between "1" and 1 is one edge carrying the later
+        # reference in store order, 1's
+        assert [entry for entry in rows[person(1)]
+                if entry[0] == person("1")] == [
+            (person("1"), "fk_boss", person(1), "fk_boss")
+        ]
 
     def test_multigraph_corner_cases(self):
         database = _org_corner_cases()
@@ -1048,6 +1122,35 @@ class TestDeltaRows:
             assert frozen.compactions == 0
             if restored:
                 assert not engine.data_graph.materialized
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("restored", [False, True])
+    def test_insert_resolves_dangling_references(self, restored, tmp_path):
+        """Inserting the tuple a dangling reference names (left in while
+        foreign-key checks were off) adds that reference's edge: the
+        changeset carries it and the patched rows equal a fresh compile."""
+        person = lambda key: TupleId("PERSON", (key,))
+        engine = KeywordSearchEngine(_org_corner_cases())
+        if restored:
+            engine.save(tmp_path / "org.snap")
+            engine = KeywordSearchEngine.open(tmp_path / "org.snap")
+        frozen = engine.traversal_cache.frozen()
+        try:
+            changeset = engine.apply([
+                Insert("PERSON", {"ID": "p77", "BOSS": "p03"}),
+                Insert("PERSON", {"ID": "p88", "BOSS": None}),
+            ])
+            assert sorted(
+                (str(e.referencing), str(e.referenced), e.foreign_key.name)
+                for e in changeset.edges_added
+            ) == [
+                ("PERSON(p05)", "PERSON(p88)", "fk_boss"),
+                ("PERSON(p77)", "PERSON(p03)", "fk_boss"),
+                ("TASK(t05)", "PERSON(p77)", "fk_owner"),
+            ]
+            assert _rows(frozen) == _rows(FrozenGraph(DataGraph(engine.database)))
+            assert frozen.node_of(person("p77")) is not None
         finally:
             engine.close()
 

@@ -12,7 +12,7 @@ from repro.errors import PrimaryKeyError
 from repro.live.changes import Delete, Insert, Update, apply_to_database
 from repro.live.maintain import apply_changeset
 from repro.relational.database import Database
-from repro.relational.index import InvertedIndex, Posting, tokenize
+from repro.relational.index import InvertedIndex, Posting, _value_tokens, tokenize
 from repro.relational.io import database_from_dict, database_to_dict
 from repro.relational.schema import AttributeDef, DatabaseSchema, Relation
 from repro.scale.snapshot import Snapshot
@@ -302,6 +302,82 @@ class TestPostingColumnsEqualEager:
                 assert_serves_reference(restored.index, reference, database)
             assert postings_section(cold) == postings_section(resaved)
             assert postings_section(cold) == postings_section(decoded)
+
+
+#: Values at the edge of the one-plain-word shortcut: alphanumerics
+#: outside ASCII (``str.isalnum`` holds, the ``[A-Za-z0-9]+`` word does
+#: not), letters whose case mapping leaves ASCII (Kelvin sign, dotted I),
+#: digits only, mixed case, the empty string and compound words.
+edge_texts = st.one_of(
+    st.sampled_from([
+        "\u00e91", "\u216b", "\u01c5", "\u00b2", "\u212a1", "\u0130x",
+        "0042", "7", "MiXeD", "abc", "ABC1", "", "a-B", "x_y", "x y", "?",
+    ]),
+    st.text(alphabet="aZ09\u00e9\u216b\u01c5\u00b2\u212a-_ ", max_size=6),
+)
+#: Non-``str`` values: what int, float and bool columns hold.
+edge_scalars = st.one_of(st.integers(), st.floats(), st.booleans())
+
+
+def tokenized(value):
+    """The tokens and lower-cased whole text ``tokenize`` gives one
+    value, without the plain-word shortcut."""
+    text = str(value)
+    whole = text.lower()
+    tokens = dict.fromkeys(tokenize(text))
+    if whole:
+        tokens.setdefault(whole)
+    return list(tokens), whole
+
+
+def typed_database():
+    """One relation with a column per stored type."""
+    schema = DatabaseSchema(
+        name="typed",
+        relations=[
+            Relation(
+                "VAL",
+                [AttributeDef("ID"), AttributeDef("WORD"),
+                 AttributeDef("BODY", data_type="text"),
+                 AttributeDef("N", data_type="int"),
+                 AttributeDef("X", data_type="float"),
+                 AttributeDef("B", data_type="bool")],
+                primary_key=["ID"],
+            )
+        ],
+    )
+    return Database(schema)
+
+
+class TestPlainWordShortcutEqualsTokenize:
+    """``text.isascii() and text.isalnum()`` — the shortcut
+    ``_value_tokens`` and the cold scan take for one plain word — posts
+    exactly what the ``tokenize`` path posts."""
+
+    @given(st.one_of(edge_texts, edge_scalars))
+    def test_value_tokens(self, value):
+        tokens, whole = _value_tokens(value)
+        assert (list(tokens), whole) == tokenized(value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(edge_texts, edge_texts, st.none() | st.integers(),
+                  st.none() | st.floats(), st.none() | st.booleans()),
+        max_size=8,
+    ))
+    def test_scan(self, rows):
+        database = typed_database()
+        for number, (word, body, n, x, b) in enumerate(rows):
+            database.insert("VAL", {
+                "ID": f"k{number}", "WORD": word, "BODY": body,
+                "N": n, "X": x, "B": b,
+            })
+        columns = InvertedIndex(database)._postings._columns
+        scanned = {
+            token: columns.decode(at)
+            for at, token in enumerate(columns.directory())
+        }
+        assert scanned == eager_postings(database)
 
 
 class TestSerialisationRoundTrip:

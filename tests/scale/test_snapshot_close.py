@@ -1,10 +1,11 @@
-"""Release lifecycle for snapshot-backed engines.
+"""Release lifecycle for engines and the snapshots behind them.
 
 ``Snapshot``'s mmap once had no paired close anywhere.  These tests pin
 the fix: ``Snapshot.close()`` releases every exported view before
 unmapping, closed snapshots refuse further section access, and
-``KeywordSearchEngine.close()`` tears down both the worker pool and the
-snapshot.  Both objects double as context managers.
+``KeywordSearchEngine.close()`` tears down the worker pool, the
+snapshot and what the engine built, cold-built or restored.  Both
+objects double as context managers.
 """
 
 import pytest
@@ -90,10 +91,33 @@ def test_engine_context_manager(snapshot_path):
     assert engine._snapshot.closed
 
 
-def test_close_on_plain_engine_is_a_no_op():
-    engine = KeywordSearchEngine(build_company_database())
-    engine.close()  # no snapshot, no pool: nothing to release
+def test_closed_plain_engine_lets_go_of_what_it_built():
+    import gc
+    import weakref
+
+    database = build_company_database()
+    engine = KeywordSearchEngine(database)
     assert engine.search("Smith XML")
+    index, data_graph = engine.index, engine.data_graph
+    cache, frozen = engine.traversal_cache, engine.traversal_cache._frozen
+    assert frozen is not None  # the compiled graph served the query
+    assert len(engine.result_cache) == 1
+    held = [weakref.ref(part) for part in (index, data_graph, cache, frozen)]
+    del index, data_graph, cache, frozen
+    engine.close()
+    gc.collect()
+    assert [ref() for ref in held] == [None] * 4
+    assert len(engine.result_cache) == 0
+    with pytest.raises(SnapshotError):
+        engine.search("Smith XML")
+    with pytest.raises(SnapshotError):
+        engine.search_batch(["Smith XML", "Brown CS"], jobs=2)
+    assert engine._searcher is None  # no pool started for a closed engine
+    with pytest.raises(SnapshotError):
+        engine.apply([])
+    engine.close()  # idempotent
+    # The caller's database is untouched and serves a new engine.
+    assert KeywordSearchEngine(database).search("Smith XML")
 
 
 def test_closed_engine_lets_go_of_what_it_restored(snapshot_path):
