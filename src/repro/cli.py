@@ -596,12 +596,8 @@ def _cmd_wal(args: argparse.Namespace, out) -> int:
           + (", torn tail (ignored on replay)" if wal.torn_tail else ""),
           file=out)
     for offset, record in records:
-        changed = sum(
-            len(record.get(field, ()))
-            for field in ("appended", "removed", "updated", "replaced")
-        )
-        print(f"  v{record['version']} @ {offset}: "
-              f"{changed} tuple change(s)", file=out)
+        print(f"  v{record.get('version')} @ {offset}: "
+              f"{len(record.get('mutations', ()))} mutation(s)", file=out)
     return 0
 
 

@@ -46,12 +46,8 @@ from repro.durable import fault
 from repro.errors import MutationError, QueryError, SnapshotError, WalError
 from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
-from repro.live.changes import (
-    ChangeSet,
-    Mutation,
-    apply_to_database,
-    changeset_to_record,
-)
+from repro.durable.wal import encode_record
+from repro.live.changes import ChangeSet, Mutation, apply_to_database
 from repro.live.maintain import affected_tuples, apply_changeset
 from repro.live.result_cache import CacheEntry, ResultCache
 from repro.obs import trace as obs_trace
@@ -593,19 +589,24 @@ class KeywordSearchEngine:
         freshly rebuilt engine; ``rebuild()`` stays available as the
         escape hatch.
 
-        With a WAL attached (:meth:`attach_wal`) the batch is appended
-        to the log — and fsynced — *before* any in-memory structure is
-        patched, so a crash at any instant after the append can replay
-        it; a crash during the append loses at most this batch, never
-        an earlier one.
+        With a WAL attached (:meth:`attach_wal`) the batch is encoded as
+        its log record before the database changes — a batch the log
+        cannot carry raises :class:`~repro.errors.MutationFormatError`
+        with nothing changed — and appended, and fsynced, once it has
+        validated and *before* any derived structure is patched, so a
+        crash at any instant after the append can replay it; a crash
+        during the append loses at most this batch, never an earlier
+        one.
         """
-        changeset = apply_to_database(self.database, mutations)
+        payload = None
         if self.wal is not None:
+            mutations = list(mutations)
             # Every batch gets a record — empty ones too — so the
             # replayed version counter matches the live engine exactly.
-            self.wal.append(
-                changeset_to_record(changeset, self.database, self.version + 1)
-            )
+            payload = encode_record(self.version + 1, mutations)
+        changeset = apply_to_database(self.database, mutations)
+        if payload is not None:
+            self.wal.append(payload)
             fault.maybe("wal.append")
         if not changeset.is_empty():
             self._maintain(changeset)
@@ -796,9 +797,11 @@ class KeywordSearchEngine:
 
         engine = load_engine(path, **options)
         if wal:
-            engine.attach_wal(
-                None if wal is True else wal, sync=wal_sync
-            )
+            try:
+                engine.attach_wal(None if wal is True else wal, sync=wal_sync)
+            except BaseException:
+                engine.close()
+                raise
         return engine
 
     # ------------------------------------------------------------------

@@ -132,15 +132,6 @@ class ExecutionStats:
             "pruned": self.pruned,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ExecutionStats":
-        return cls(
-            candidates=int(payload.get("candidates", 0)),
-            emitted=int(payload.get("emitted", 0)),
-            pushdown=bool(payload.get("pushdown", False)),
-            pruned=int(payload.get("pruned", 0)),
-        )
-
 
 #: Heap-entry marker for an enumeration unit whose stream has not been
 #: built yet (adaptive pushdown): the entry carries an admissible

@@ -8,11 +8,20 @@ Layout::
 The header pins the log to one snapshot *generation* (the CRC of the
 snapshot's table of contents — see ``repro.scale.snapshot``) and records
 the engine version the snapshot held (``base_version``).  Every
-``KeywordSearchEngine.apply`` batch appends one record — the net
-changeset skeleton plus row payloads (``repro.live.changes``
-``changeset_to_record``) — *before* the in-memory structures are
-patched, then fsyncs, so a crash at any instant loses at most the batch
-that had not yet returned.
+``KeywordSearchEngine.apply`` batch appends one record,
+``{"version": v, "mutations": [...]}`` — the batch as its caller gave
+it, each mutation in the JSON form of ``repro.live.changes``
+``mutation_to_json`` — once the batch has validated and *before* the
+index, graph and caches are patched, then fsyncs, so a crash at any
+instant loses at most the batch that had not yet returned.  The record
+is encoded before the database changes, so a batch the log cannot
+carry is refused with the database untouched.
+
+Replay (:func:`replay_into`) is the live write path run once: the
+logged batches, concatenated, go through one validated
+``apply_to_database`` and one ``engine._maintain``.  A record that does
+not apply — a foreign key it breaks, a key it repeats — rolls the whole
+replay back and raises :class:`~repro.errors.WalError`.
 
 Reading tolerates exactly the damage a crash can cause: appends are
 sequential, so a torn write truncates the file mid-record and the log
@@ -31,26 +40,27 @@ import zlib
 from typing import List, Optional, Tuple
 
 from repro.durable import fault
-from repro.errors import WalError
-from repro.live.changes import apply_record
+from repro.errors import MutationFormatError, ReproError, WalError
+from repro.live.changes import apply_to_database, mutation_from_json, mutation_to_json
 
 __all__ = [
     "WriteAheadLog",
     "atomic_write_bytes",
     "default_wal_path",
     "decode_frames",
+    "encode_record",
     "replay_into",
 ]
 
 MAGIC = b"REPROWAL\x01"
-FORMAT = 1
+FORMAT = 2
 _RECORD_HEADER = struct.Struct("<II")
 #: Per-append sync primitive.  ``fdatasync`` persists the record bytes
 #: and the file-size change but skips the pure-metadata (mtime) flush —
 #: the classic WAL sync method — and falls back to ``fsync`` where the
 #: platform lacks it.  Snapshot publication keeps full ``fsync``.
 _datasync = getattr(os, "fdatasync", os.fsync)
-#: Defensive ceiling on one record's payload (a batch of row payloads is
+#: Defensive ceiling on one record's payload (a batch of mutations is
 #: far below this); larger length fields are treated as damage.
 MAX_RECORD_BYTES = 1 << 30
 
@@ -112,6 +122,27 @@ def _header_bytes(generation: str, base_version: int) -> bytes:
         sort_keys=True,
     ).encode("utf-8")
     return MAGIC + struct.pack("<I", len(header)) + header
+
+
+def _payload(record: dict) -> bytes:
+    return json.dumps(record, separators=(",", ":"), sort_keys=True).encode()
+
+
+def encode_record(version: int, mutations) -> bytes:
+    """The payload of the record that logs one batch as engine version
+    ``version``.  A batch JSON cannot carry (a ``bytes`` label, an
+    object value) raises :class:`MutationFormatError`."""
+    try:
+        return _payload({
+            "version": version,
+            "mutations": [mutation_to_json(mutation) for mutation in mutations],
+        })
+    except (TypeError, ValueError) as error:
+        raise MutationFormatError(
+            "mutation batch cannot be logged as JSON",
+            version=version,
+            problem=str(error),
+        ) from None
 
 
 def decode_frames(data, offset: int, path: str):
@@ -264,12 +295,11 @@ class WriteAheadLog:
         self._handle = handle
         return handle
 
-    def append(self, record: dict) -> int:
-        """Append one record durably; returns its file offset."""
+    def append(self, record) -> int:
+        """Append one record — a dict, or the payload bytes
+        :func:`encode_record` made — durably; returns its file offset."""
         handle = self._ensure_handle()
-        payload = json.dumps(
-            record, separators=(",", ":"), sort_keys=True
-        ).encode("utf-8")
+        payload = record if isinstance(record, bytes) else _payload(record)
         offset = self._append_offset
         handle.write(_RECORD_HEADER.pack(len(payload), zlib.crc32(payload)))
         handle.write(payload)
@@ -309,26 +339,47 @@ class WriteAheadLog:
 
 def replay_into(engine, records, path: str) -> int:
     """Replay ``(offset, record)`` pairs — a WAL's ``scan()`` or a snapshot's
-    ``delta``, read from ``path`` — into an engine one version behind them.
+    ``delta``, read from ``path`` — into an engine one version behind them,
+    and return how many were replayed.
 
-    Records apply through the same incremental maintenance path as live
-    ``apply`` batches, so the replayed engine is bit-identical to one
-    that executed the batches itself.
+    The records' versions must run gap-free from the engine's.  Their
+    batches, concatenated, are one ``apply_to_database`` and one
+    ``engine._maintain`` — the live write path, validation included —
+    after which the engine holds the last record's version.  A record
+    that does not decode or apply raises :class:`WalError` and leaves the
+    database and version as they were.
     """
-    replayed = 0
+    mutations = []
+    version = engine.version
     for offset, record in records:
-        version = record.get("version")
-        if version != engine.version + 1:
+        got = record.get("version") if isinstance(record, dict) else None
+        if type(got) is not int or got != version + 1:
             raise WalError(
                 "WAL record version does not follow engine state",
                 path=path,
                 offset=offset,
-                expected=engine.version + 1,
-                got=version,
+                expected=version + 1,
+                got=got,
             )
-        changeset = apply_record(record, engine.database)
-        if not changeset.is_empty():
-            engine._maintain(changeset)
-        engine.version = version
-        replayed += 1
+        try:
+            mutations.extend(map(mutation_from_json, record["mutations"]))
+        except (KeyError, TypeError, MutationFormatError) as error:
+            raise WalError(
+                "malformed WAL record", path=path, offset=offset, problem=str(error)
+            ) from None
+        version = got
+    if version == engine.version:
+        return 0
+    try:
+        changeset = apply_to_database(engine.database, mutations)
+    except (ReproError, TypeError, ValueError) as error:
+        raise WalError(
+            "WAL records do not apply to this database",
+            path=path,
+            problem=f"{type(error).__name__}: {error}",
+        ) from None
+    if not changeset.is_empty():
+        engine._maintain(changeset)
+    replayed = version - engine.version
+    engine.version = version
     return replayed

@@ -17,6 +17,11 @@ the incremental maintainers in :mod:`repro.live.maintain` and the
 dependency-tracked answer cache consume, and what
 ``KeywordSearchEngine.apply`` stamps with the engine's monotonically
 increasing version.
+
+A mutation's JSON object form (:func:`mutation_to_json` /
+:func:`mutation_from_json`) is both the CLI's ``--mutations`` file
+format and what a write-ahead-log record carries: replay decodes the
+logged batches and runs them through :func:`apply_to_database` again.
 """
 
 from __future__ import annotations
@@ -25,12 +30,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
-from repro.errors import (
-    IntegrityError,
-    MutationError,
-    MutationFormatError,
-    WalError,
-)
+from repro.errors import MutationError, MutationFormatError
 from repro.relational.database import Database, Tuple, TupleId
 from repro.relational.schema import ForeignKey
 
@@ -42,11 +42,9 @@ __all__ = [
     "EdgeChange",
     "ChangeSet",
     "apply_to_database",
+    "mutation_to_json",
     "mutation_from_json",
     "load_mutation_batches",
-    "changeset_to_record",
-    "changeset_from_record",
-    "apply_record",
 ]
 
 
@@ -162,13 +160,6 @@ class ChangeSet:
             self.structural_tuples()
             | frozenset(self.tuples_updated)
             | frozenset(self.tuples_replaced)
-        )
-
-    def describe(self) -> str:
-        return (
-            f"+{len(self.tuples_added)} -{len(self.tuples_removed)} "
-            f"~{len(self.tuples_updated) + len(self.tuples_replaced)} tuples, "
-            f"+{len(self.edges_added)} -{len(self.edges_removed)} edges"
         )
 
 
@@ -363,8 +354,26 @@ def apply_to_database(
 
 
 # ----------------------------------------------------------------------
-# replay files (the CLI's ``--mutations``)
+# JSON form (the CLI's ``--mutations`` files and WAL records)
 # ----------------------------------------------------------------------
+def mutation_to_json(mutation: Mutation) -> dict:
+    """The JSON object form of one mutation, as :func:`mutation_from_json`
+    reads it back (a ``None`` label is left out)."""
+    if isinstance(mutation, Insert):
+        obj = {"op": "insert", "relation": mutation.relation,
+               "values": dict(mutation.values)}
+        if mutation.label is not None:
+            obj["label"] = mutation.label
+        return obj
+    if isinstance(mutation, Update):
+        return {"op": "update", "relation": mutation.tid.relation,
+                "key": list(mutation.tid.key), "values": dict(mutation.values)}
+    if isinstance(mutation, Delete):
+        return {"op": "delete", "relation": mutation.tid.relation,
+                "key": list(mutation.tid.key)}
+    raise MutationError("unknown mutation type", got=type(mutation).__name__)
+
+
 def mutation_from_json(obj: Mapping, **where: object) -> Mutation:
     """Decode one mutation from its JSON object form.
 
@@ -376,12 +385,15 @@ def mutation_from_json(obj: Mapping, **where: object) -> Mutation:
     carried on the raised :class:`MutationFormatError` so a broken replay
     file can be located down to the failing record.
     """
+    if not isinstance(obj, Mapping):
+        raise MutationFormatError("mutation is not a JSON object", **where)
     op = obj.get("op")
     try:
         if op == "insert":
-            return Insert(
-                obj["relation"], dict(obj["values"]), obj.get("label")
-            )
+            label = obj.get("label")
+            if label is not None and not isinstance(label, str):
+                raise TypeError(f"label is a {type(label).__name__}, not a str")
+            return Insert(obj["relation"], dict(obj["values"]), label)
         if op == "update":
             return Update(
                 TupleId(obj["relation"], tuple(obj["key"])),
@@ -389,7 +401,7 @@ def mutation_from_json(obj: Mapping, **where: object) -> Mutation:
             )
         if op == "delete":
             return Delete(TupleId(obj["relation"], tuple(obj["key"])))
-    except (KeyError, TypeError) as error:
+    except (KeyError, TypeError, ValueError) as error:
         raise MutationFormatError(
             "malformed mutation object", op=op, problem=str(error), **where
         ) from None
@@ -436,139 +448,3 @@ def load_mutation_batches(path: str) -> list[list[Mutation]]:
         ]
         for position, batch in enumerate(data)
     ]
-
-
-# ----------------------------------------------------------------------
-# durable WAL record codec
-# ----------------------------------------------------------------------
-# A net ``ChangeSet`` holds tuple identities only — replaying it needs
-# the row payloads, and the final store order of the relation tail
-# (added and replaced tuples interleave there, which the net delta does
-# not record but index posting order observes).  A WAL record therefore
-# carries the changeset skeleton *plus* post-state rows: ``appended``
-# lists every added/replaced tuple in its actual store order.
-
-def _tid_to_json(tid: TupleId) -> list:
-    return [tid.relation, list(tid.key)]
-
-
-def _tid_from_json(item) -> TupleId:
-    relation, key = item
-    return TupleId(relation, tuple(key))
-
-
-def changeset_to_record(
-    changeset: ChangeSet, database: Database, version: int
-) -> dict:
-    """Encode a just-applied changeset as a JSON-safe WAL record.
-
-    Must be called *after* the batch was applied to ``database`` (the
-    post-state supplies row values and tail positions) and *before* any
-    further batch.  ``version`` is the engine version the batch
-    produces.
-    """
-    appended = [
-        [relation, list(row.tid.key), dict(row.values), row.label]
-        for relation, rows in sorted(changeset.appended(database).items())
-        for row in rows
-    ]
-    updated = []
-    for tid in changeset.tuples_updated:
-        row = database.tuple(tid)
-        updated.append([tid.relation, list(tid.key), dict(row.values)])
-    return {
-        "version": version,
-        "added": [_tid_to_json(t) for t in changeset.tuples_added],
-        "removed": [_tid_to_json(t) for t in changeset.tuples_removed],
-        "updated": updated,
-        "replaced": [_tid_to_json(t) for t in changeset.tuples_replaced],
-        "appended": appended,
-        "edges_added": [
-            [_tid_to_json(e.referencing), _tid_to_json(e.referenced),
-             e.foreign_key.name]
-            for e in changeset.edges_added
-        ],
-        "edges_removed": [
-            [_tid_to_json(e.referencing), _tid_to_json(e.referenced),
-             e.foreign_key.name]
-            for e in changeset.edges_removed
-        ],
-    }
-
-
-def _edge_from_json(item, schema) -> EdgeChange:
-    referencing = _tid_from_json(item[0])
-    referenced = _tid_from_json(item[1])
-    name = item[2]
-    for foreign_key in schema.foreign_keys_from(referencing.relation):
-        if foreign_key.name == name:
-            return EdgeChange(referencing, referenced, foreign_key)
-    raise WalError(
-        "WAL record references an unknown foreign key",
-        foreign_key=name,
-        relation=referencing.relation,
-    )
-
-
-def changeset_from_record(record: Mapping, schema) -> ChangeSet:
-    """Rebuild the net :class:`ChangeSet` skeleton from a WAL record."""
-    try:
-        return ChangeSet(
-            tuples_added=tuple(
-                _tid_from_json(t) for t in record["added"]
-            ),
-            tuples_removed=tuple(
-                _tid_from_json(t) for t in record["removed"]
-            ),
-            tuples_updated=tuple(
-                TupleId(rel, tuple(key)) for rel, key, __ in record["updated"]
-            ),
-            tuples_replaced=tuple(
-                _tid_from_json(t) for t in record["replaced"]
-            ),
-            edges_added=tuple(
-                _edge_from_json(e, schema) for e in record["edges_added"]
-            ),
-            edges_removed=tuple(
-                _edge_from_json(e, schema) for e in record["edges_removed"]
-            ),
-            version=record["version"],
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as error:
-        raise WalError(
-            "malformed WAL record", problem=f"{type(error).__name__}: {error}"
-        ) from None
-
-
-def apply_record(record: Mapping, database: Database) -> ChangeSet:
-    """Apply one decoded WAL record to ``database`` and return its changeset.
-
-    Replay trusts the log: the batch was fully validated when it first
-    applied, so foreign-key enforcement is switched off for the duration
-    (a net delta may be transiently inconsistent while its deletes land
-    before its re-inserts).  The changeset's pre-batch images are read
-    off the database on the way.
-    """
-    changeset = changeset_from_record(record, database.schema)
-    previous = database.enforce_foreign_keys
-    database.enforce_foreign_keys = False
-    try:
-        for tid in changeset.tuples_removed + changeset.tuples_replaced:
-            # A deleted row's values dict is never written again.
-            changeset.before[tid] = database.tuple(tid).values
-            database.delete(tid)
-        for tid, (__, ___, values) in zip(
-            changeset.tuples_updated, record["updated"]
-        ):
-            changeset.before[tid] = dict(database.tuple(tid).values)
-            database.update(tid, values)
-        for relation, __, values, label in record["appended"]:
-            database.insert(relation, values, label=label)
-    except (KeyError, TypeError, ValueError, IntegrityError) as error:
-        raise WalError(
-            "WAL record does not apply to this database",
-            problem=f"{type(error).__name__}: {error}",
-        ) from None
-    finally:
-        database.enforce_foreign_keys = previous
-    return changeset

@@ -37,6 +37,15 @@ def _reference_key(values: Mapping[str, object], foreign_key: ForeignKey) -> tup
     return tuple([values[column] for column in foreign_key.source_columns])
 
 
+def _references_itself(record: "Tuple", foreign_key: ForeignKey) -> bool:
+    """Whether ``record`` references its own key through ``foreign_key``
+    (a self-loop): an enforced insert or delete accepts it."""
+    return (
+        foreign_key.source == foreign_key.target == record.tid.relation
+        and _reference_key(record.values, foreign_key) == record.tid.key
+    )
+
+
 def _default_label(key: tuple) -> str:
     """A tuple's label unless one is given: its primary key rendered."""
     return ",".join(map(str, key))
@@ -253,7 +262,8 @@ class Database:
         record = Tuple(TupleId(relation_name, key), coerced, label=label)
         if self.enforce_foreign_keys:
             for foreign_key in self.schema.foreign_keys_from(relation_name):
-                self._check_reference(record, foreign_key)
+                if not _references_itself(record, foreign_key):
+                    self._check_reference(record, foreign_key)
         store[key] = record
         self._count_references(record.values, relation_name, +1)
         return record
@@ -304,10 +314,12 @@ class Database:
         return record
 
     def delete(self, tid: TupleId) -> None:
-        """Delete a tuple; rejects when other tuples still reference it."""
+        """Delete a tuple; rejects when other tuples still reference it
+        (its own reference, a self-loop, does not hold it)."""
         record = self.tuple(tid)
         if self.enforce_foreign_keys and any(
-            self._references(foreign_key).get(tid.key)
+            self._references(foreign_key).get(tid.key, 0)
+            > _references_itself(record, foreign_key)
             for foreign_key in self.schema.foreign_keys_to(tid.relation)
         ):
             # Rare path: only now scan for who it is, for the message.

@@ -22,7 +22,7 @@ wrong engine (binary sections also against their structure).
 
 A compacted file may end in a ``delta`` section (:func:`write_delta_snapshot`):
 WAL record frames that open replays from ``meta.base_version`` up to
-``meta.engine_version``.  Such a file carries format 5, so a reader
+``meta.engine_version``.  Such a file carries format 6, so a reader
 that would ignore the section refuses it.
 
 Sections an older writer added and the loader no longer reads — the
@@ -99,10 +99,11 @@ __all__ = ["SNAPSHOT_FORMAT", "Snapshot", "write_snapshot", "load_engine"]
 
 _MAGIC = b"REPROSNP\x01"
 SNAPSHOT_FORMAT = 4
-_DELTA_FORMAT = 5  # of a file that carries a ``delta`` section
-#: A ``delta`` holds up to 1/8 of the base sections' bytes — ≈ 400 bib
-#: records, whose replay on open (≈ 0.6 ms each) costs about what one
-#: full rewrite does (≈ 0.35 s).
+_DELTA_FORMAT = 6  # of a file that carries a ``delta`` section (WAL frames)
+#: A ``delta`` holds up to 1/8 of the base sections' bytes — ≈ 660 bib
+#: records of ≈ 390 B, whose replay on open (≈ 0.06 s for the first 48,
+#: ≈ 0.25 ms each past them) costs about what one full rewrite does
+#: (≈ 0.22 s).
 DELTA_FRACTION = 8
 
 _REQUIRED_SECTIONS = (

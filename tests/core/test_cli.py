@@ -392,6 +392,7 @@ class TestSnapshotCommand:
         assert code == 0
         assert "engine version 2, base version 0, delta 2 record(s)" in output
         assert "paired, base version 2, 1 record(s)" in output
+        assert "  v3 @ " in output and ": 0 mutation(s)" in output
 
     def test_load_rejects_corruption(self, tmp_path):
         path = tmp_path / "company.snap"

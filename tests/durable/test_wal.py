@@ -19,9 +19,10 @@ from repro.datasets.synthetic import (
     plant,
 )
 from repro.durable.wal import MAGIC, WriteAheadLog, default_wal_path
-from repro.errors import WalError
-from repro.live.changes import Delete, Insert, Update
-from repro.relational.database import TupleId
+from repro.errors import MutationFormatError, WalError
+from repro.live.changes import Delete, Insert, Update, apply_to_database
+from repro.relational.database import Database, TupleId
+from repro.relational.schema import AttributeDef, DatabaseSchema, ForeignKey, Relation
 
 CONFIG = SyntheticConfig(
     departments=2,
@@ -274,6 +275,197 @@ class TestAttachAndReplay:
         assert reopened.version == 1  # the torn second record is lost
         assert reopened.wal.torn_tail
         reopened.close()
+
+
+def churn_batches(database):
+    """Batch programs whose churn spans batches — what one replay of the
+    concatenated log nets and a per-batch apply never did — by name."""
+    employee = database.tuples("EMPLOYEE")[0]
+    department = database.tuples("DEPARTMENT")[0]
+    victim = database.tuples("DEPENDENT")[0]
+    essn = employee.tid.key[0]
+    new = TupleId("DEPENDENT", ("walx1",))
+    return {
+        "insert_then_delete": [
+            [Insert("DEPENDENT",
+                    {"ID": "walx1", "ESSN": essn, "DEPENDENT_NAME": "kwbeta"})],
+            [Update(department.tid, {"D_DESCRIPTION": "kwalpha kwbeta lab"})],
+            [Delete(new)],
+        ],
+        "delete_then_reinsert": [
+            [Delete(victim.tid)],
+            [Insert("DEPENDENT",
+                    {**victim.values, "DEPENDENT_NAME": "kwalpha"})],
+        ],
+        "update_then_delete": [
+            [Update(victim.tid, {"DEPENDENT_NAME": "kwbeta kwalpha"})],
+            [Update(employee.tid, {"L_NAME": "kwalpha"})],
+            [Delete(victim.tid)],
+        ],
+    }
+
+
+class TestCrossBatchChurn:
+    @pytest.mark.parametrize(
+        "program", ["insert_then_delete", "delete_then_reinsert",
+                    "update_then_delete"]
+    )
+    def test_reopen_equals_live_and_a_fresh_build(self, tmp_path, program):
+        engine, path = saved_engine(tmp_path)
+        oracle_db = planted_database()
+        batches = churn_batches(engine.database)[program]
+        for batch in batches:
+            engine.apply(batch)
+            apply_to_database(oracle_db, batch)
+        live_state = state_of(engine)
+        live_answers = {q: rendered(engine.search(q, limits=LIMITS))
+                        for q in QUERIES}
+        engine.close()
+
+        fresh = KeywordSearchEngine(oracle_db)
+        reopened = KeywordSearchEngine.open(path, wal=True)
+        try:
+            assert reopened.version == len(batches)
+            assert state_of(reopened) == live_state
+            assert state_of(fresh)[1] == live_state[1]
+            for query in QUERIES:
+                answers = rendered(reopened.search(query, limits=LIMITS))
+                assert answers == live_answers[query]
+                assert answers == rendered(fresh.search(query, limits=LIMITS))
+        finally:
+            reopened.close()
+
+
+class TestRefusedRecords:
+    def test_hostile_record_refuses_replay(self, tmp_path):
+        """A CRC-valid record whose batch breaks a foreign key replays
+        through the validated write path: attach and open raise
+        ``WalError`` and the database and version stay as they were."""
+        engine, path = saved_engine(tmp_path)
+        engine.apply(batches_for(engine.database)[0])
+        engine.wal.append({"version": 2, "mutations": [{
+            "op": "insert", "relation": "DEPENDENT",
+            "values": {"ID": "walx9", "ESSN": "no-such-employee",
+                       "DEPENDENT_NAME": "kwbeta"},
+        }]})
+        engine.close()
+
+        with pytest.raises(WalError, match="do not apply"):
+            KeywordSearchEngine.open(path, wal=True)
+        restored = KeywordSearchEngine.open(path)
+        before = state_of(restored)
+        answers = rendered(restored.search(QUERIES[0], limits=LIMITS))
+        with pytest.raises(WalError, match="ForeignKeyError"):
+            restored.attach_wal()
+        assert restored.wal is None
+        assert state_of(restored) == before
+        assert before[0] == 0
+        assert rendered(restored.search(QUERIES[0], limits=LIMITS)) == answers
+        restored.close()
+
+    def test_unencodable_batch_leaves_everything_untouched(self, tmp_path):
+        """The record is encoded before the database changes: a batch it
+        cannot carry raises a typed error with nothing applied."""
+        engine, path = saved_engine(tmp_path)
+        before = state_of(engine)
+        employee = engine.database.tuples("EMPLOYEE")[0]
+        with pytest.raises(MutationFormatError, match="cannot be logged"):
+            engine.apply([Insert(
+                "DEPENDENT",
+                {"ID": "nora", "ESSN": employee.tid.key[0],
+                 "DEPENDENT_NAME": "nora"},
+                label=b"nora",
+            )])
+        assert state_of(engine) == before
+        assert engine.search("nora") == []
+        assert engine.wal.records() == []
+        engine.apply(batches_for(engine.database)[0])
+        state = state_of(engine)
+        engine.close()
+        reopened = KeywordSearchEngine.open(path, wal=True)
+        assert state_of(reopened) == state
+        reopened.close()
+
+    def test_previous_wal_format_refused(self, tmp_path):
+        path = str(tmp_path / "x.wal")
+        header = b'{"base_version":0,"format":1,"generation":"g"}'
+        with open(path, "wb") as handle:
+            handle.write(MAGIC + len(header).to_bytes(4, "little") + header)
+        with pytest.raises(WalError, match="unsupported WAL format"):
+            WriteAheadLog(path)
+
+
+def org_database():
+    """PERSON with a self-referencing BOSS key and a text NAME."""
+    schema = DatabaseSchema(name="org")
+    schema.add_relation(Relation(
+        "PERSON",
+        [AttributeDef("ID"), AttributeDef("NAME", "text"), AttributeDef("BOSS")],
+        primary_key=["ID"],
+    ))
+    schema.add_foreign_key(
+        ForeignKey("fk_boss", "PERSON", ("BOSS",), "PERSON", ("ID",))
+    )
+    database = Database(schema)
+    for number, name in enumerate(("kwalpha", "kwbeta", "plain", "kwbeta")):
+        database.insert("PERSON", {
+            "ID": f"p{number:02d}", "NAME": name,
+            "BOSS": f"p{number // 2:02d}" if number else None,
+        })
+    return database
+
+
+def compiled_arrays(engine):
+    """The engine's CSR arrays, folded: node order, rows and edge data."""
+    frozen = engine.traversal_cache.frozen()
+    frozen._compile()
+    return (
+        [frozen.tid_of(node) for node in range(frozen.capacity)],
+        list(frozen._offsets), list(frozen._targets),
+        list(frozen._edge_keys), bytes(frozen._edge_refs),
+    )
+
+
+class TestSelfLoop:
+    SELF_LOOP = Insert("PERSON", {"ID": "p77", "NAME": "kwalpha kwbeta",
+                                  "BOSS": "p77"})
+    ORG_QUERIES = ("kwalpha kwbeta", "kwalpha", "kwbeta")
+
+    def test_insert_referencing_its_own_key(self, tmp_path):
+        path = str(tmp_path / "org.snap")
+        engine = KeywordSearchEngine(org_database())
+        engine.save(path)
+        engine.attach_wal()
+        engine.apply([self.SELF_LOOP])
+        oracle_db = org_database()
+        oracle_db.insert("PERSON", self.SELF_LOOP.values)
+        engines = [
+            engine,
+            KeywordSearchEngine.open(path, wal=True),
+            KeywordSearchEngine(oracle_db),
+        ]
+        try:
+            answers = [
+                {q: rendered(each.search(q, limits=LIMITS))
+                 for q in self.ORG_QUERIES}
+                for each in engines
+            ]
+            assert answers[0]["kwalpha kwbeta"]
+            assert answers[0] == answers[1] == answers[2]
+            arrays = [compiled_arrays(each) for each in engines]
+            assert arrays[0] == arrays[1] == arrays[2]
+        finally:
+            engines[0].close()
+            engines[1].close()
+
+    def test_delete_of_a_self_loop_is_not_held_by_it(self):
+        database = org_database()
+        database.insert("PERSON", self.SELF_LOOP.values)
+        changeset = apply_to_database(
+            database, [Delete(TupleId("PERSON", ("p77",)))]
+        )
+        assert changeset.tuples_removed == (TupleId("PERSON", ("p77",)),)
+        assert database.get("PERSON", "p77") is None
 
 
 class TestGenerationHandshake:

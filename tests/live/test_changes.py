@@ -13,16 +13,17 @@ from repro.errors import (
     PrimaryKeyError,
     WalError,
 )
+from repro.core.engine import KeywordSearchEngine
+from repro.datasets.company import build_company_database
+from repro.durable.wal import encode_record, replay_into
 from repro.live.changes import (
     Delete,
     Insert,
     Update,
-    apply_record,
     apply_to_database,
-    changeset_from_record,
-    changeset_to_record,
     load_mutation_batches,
     mutation_from_json,
+    mutation_to_json,
 )
 from repro.relational.database import TupleId
 
@@ -341,104 +342,129 @@ class TestReplayFormat:
         assert database.enforce_foreign_keys is False
 
 
+def rows_of(database):
+    """Every relation's rows with labels, in store order."""
+    return {
+        name: [
+            (key, dict(database.tuple(TupleId(name, key)).values),
+             database.tuple(TupleId(name, key)).label)
+            for key in database.relation_key_order(name)
+        ]
+        for name in sorted(r.name for r in database.schema.relations)
+    }
+
+
 class TestWalRecordCodec:
-    def _record_for(self, database, mutations, version=1):
-        changeset = apply_to_database(database, mutations)
-        return changeset, changeset_to_record(changeset, database, version)
+    """A WAL record is ``{"version", "mutations"}``: the batch in the JSON
+    form ``mutation_from_json`` reads, replayed by ``replay_into`` as one
+    validated ``apply_to_database``."""
+
+    @staticmethod
+    def _replay(records, engine=None):
+        """``engine`` (a fresh company engine by default) after replaying
+        ``records``, JSON-decoded like a scan of the log."""
+        engine = engine or KeywordSearchEngine(build_company_database())
+        replay_into(
+            engine,
+            [(slot, json.loads(record)) for slot, record in enumerate(records)],
+            "log",
+        )
+        return engine
+
+    def _refused(self, records, match):
+        """Replaying ``records`` raises ``WalError`` and leaves the
+        engine's database and version as they were."""
+        engine = KeywordSearchEngine(build_company_database())
+        before = rows_of(engine.database)
+        with pytest.raises(WalError, match=match) as info:
+            self._replay(records, engine)
+        assert engine.version == 0
+        assert rows_of(engine.database) == before
+        return info.value
 
     def test_round_trip_applies_identically(self, company_db):
-        from repro.datasets.company import build_company_database
-
-        changeset, record = self._record_for(
-            company_db,
-            [
-                Insert("DEPENDENT", {"ID": "t9", "ESSN": "e1",
-                                     "DEPENDENT_NAME": "Nora"}),
-                Update(tid("DEPARTMENT", "d1"),
-                       {"D_DESCRIPTION": "new words"}),
-                Delete(tid("DEPENDENT", "t2")),
-            ],
+        batch = [
+            Insert("DEPENDENT", {"ID": "t9", "ESSN": "e1",
+                                 "DEPENDENT_NAME": "Nora"}, label="nora"),
+            Update(tid("DEPARTMENT", "d1"), {"D_DESCRIPTION": "new words"}),
+            Delete(tid("DEPENDENT", "t2")),
+        ]
+        record = json.loads(encode_record(1, batch))
+        assert record["version"] == 1
+        assert [mutation_from_json(m) for m in record["mutations"]] == batch
+        assert "label" not in mutation_to_json(
+            Insert("DEPENDENT", {"ID": "t9"})
         )
-        # The record survives the JSON boundary it will cross in the log.
-        record = json.loads(json.dumps(record))
 
-        skeleton = changeset_from_record(record, company_db.schema)
-        assert skeleton.tuples_added == changeset.tuples_added
-        assert skeleton.tuples_removed == changeset.tuples_removed
-        assert skeleton.tuples_updated == changeset.tuples_updated
-        assert skeleton.tuples_replaced == changeset.tuples_replaced
-        assert skeleton.edges_added == changeset.edges_added
-        assert skeleton.edges_removed == changeset.edges_removed
-        assert skeleton.version == 1
-
-        replica = build_company_database()
-        replayed = apply_record(record, replica)
-        assert replayed.tuples_added == changeset.tuples_added
-        for name in ("DEPENDENT", "DEPARTMENT", "EMPLOYEE"):
-            assert (replica.relation_key_order(name)
-                    == company_db.relation_key_order(name))
-            for key in replica.relation_key_order(name):
-                assert (dict(replica.tuple(TupleId(name, key)).values)
-                        == dict(company_db.tuple(TupleId(name, key)).values))
-        assert replica.enforce_foreign_keys is True
+        apply_to_database(company_db, batch)
+        replica = self._replay([encode_record(1, batch)])
+        assert replica.version == 1
+        assert rows_of(replica.database) == rows_of(company_db)
+        assert replica.database.enforce_foreign_keys is True
 
     def test_replaced_rows_keep_their_tail_position(self, company_db):
-        from repro.datasets.company import build_company_database
-
-        # Delete + re-insert of t1 nets to a *replace*: the row moves to
-        # the store tail, interleaved with the genuinely new t9.  The
-        # record must reproduce that order, not the pre-batch one.
-        __, record = self._record_for(
-            company_db,
-            [
-                Delete(tid("DEPENDENT", "t1")),
-                Insert("DEPENDENT", {"ID": "t9", "ESSN": "e1",
-                                     "DEPENDENT_NAME": "Nora"}),
-                Insert("DEPENDENT", {"ID": "t1", "ESSN": "e2",
-                                     "DEPENDENT_NAME": "Alice II"}),
-            ],
+        # Delete + re-insert of t1 moves the row to the store tail,
+        # behind the genuinely new t9 — in one batch and across two.
+        batches = [
+            [Delete(tid("DEPENDENT", "t1")),
+             Insert("DEPENDENT", {"ID": "t9", "ESSN": "e1",
+                                  "DEPENDENT_NAME": "Nora"})],
+            [Insert("DEPENDENT", {"ID": "t1", "ESSN": "e2",
+                                  "DEPENDENT_NAME": "Alice II"})],
+        ]
+        for batch in batches:
+            apply_to_database(company_db, batch)
+        replica = self._replay(
+            [encode_record(v, batch) for v, batch in enumerate(batches, 1)]
         )
-        appended_keys = [tuple(key) for __, key, __v, __l in
-                         record["appended"]]
-        assert appended_keys == [("t9",), ("t1",)]
-
-        replica = build_company_database()
-        apply_record(record, replica)
-        assert (replica.relation_key_order("DEPENDENT")
-                == company_db.relation_key_order("DEPENDENT"))
-        assert dict(replica.tuple(tid("DEPENDENT", "t1")).values)[
-            "ESSN"] == "e2"
+        assert replica.version == 2
+        assert rows_of(replica.database) == rows_of(company_db)
+        assert company_db.relation_key_order("DEPENDENT")[-2:] == (
+            ("t9",), ("t1",)
+        )
 
     def test_unknown_foreign_key_refused(self, company_db):
-        __, record = self._record_for(
-            company_db,
-            [Insert("DEPENDENT", {"ID": "t9", "ESSN": "e1",
-                                  "DEPENDENT_NAME": "Nora"})],
-        )
-        record["edges_added"][0][2] = "fk_never_existed"
-        with pytest.raises(WalError, match="unknown foreign key"):
-            changeset_from_record(record, company_db.schema)
+        """A CRC-valid record whose insert names a key its foreign key
+        does not know is refused by the validated replay."""
+        good = encode_record(1, [Update(tid("DEPARTMENT", "d1"),
+                                        {"D_DESCRIPTION": "words"})])
+        hostile = encode_record(2, [Insert(
+            "DEPENDENT",
+            {"ID": "t9", "ESSN": "e99", "DEPENDENT_NAME": "Nora"},
+        )])
+        error = self._refused([good, hostile], "do not apply")
+        assert "ForeignKeyError" in error.context["problem"]
 
-    def test_malformed_record_refused(self, company_db):
-        with pytest.raises(WalError, match="malformed WAL record"):
-            changeset_from_record({"version": 1}, company_db.schema)
-        with pytest.raises(WalError, match="malformed WAL record"):
-            changeset_from_record(
-                {"version": 1, "added": [["DEPENDENT"]], "removed": [],
-                 "updated": [], "replaced": [], "edges_added": [],
-                 "edges_removed": []},
-                company_db.schema,
-            )
+    def test_malformed_record_refused(self):
+        malformed = (
+            {"version": 1},
+            {"version": 1, "mutations": {"op": "delete"}},
+            {"version": 1, "mutations": ["delete"]},
+            {"version": 1, "mutations": [{"op": "upsert"}]},
+            {"version": 1, "mutations": [
+                {"op": "insert", "relation": "DEPENDENT", "values": {},
+                 "label": ["not", "text"]}]},
+        )
+        for record in malformed:
+            self._refused([json.dumps(record)], "malformed WAL record")
+        self._refused(
+            [encode_record(1, []), encode_record(3, [])], "does not follow"
+        )
+        for record in ([], {"version": True, "mutations": []}):
+            self._refused([json.dumps(record)], "does not follow")
 
     def test_record_refusing_database_raises_wal_error(self, company_db):
-        __, record = self._record_for(
-            company_db, [Delete(tid("DEPENDENT", "t2"))]
-        )
-        record["removed"] = [["DEPENDENT", ["never-there"]]]
-        from repro.datasets.company import build_company_database
+        records = [
+            encode_record(1, [Delete(tid("DEPENDENT", "t2"))]),
+            encode_record(2, [Delete(tid("DEPENDENT", "never-there"))]),
+        ]
+        self._refused(records, "do not apply")
 
-        with pytest.raises(WalError, match="does not apply"):
-            apply_record(record, build_company_database())
+    def test_unencodable_batch_refused_before_it_applies(self):
+        with pytest.raises(MutationFormatError, match="cannot be logged"):
+            encode_record(1, [Insert("DEPENDENT", {"ID": "t9"}, label=b"x")])
+        with pytest.raises(MutationError, match="unknown mutation type"):
+            encode_record(1, ["not a mutation"])
 
 
 class TestMutationFormatErrorContext:

@@ -27,6 +27,8 @@ from repro.relational.schema import AttributeDef, DatabaseSchema, ForeignKey, Re
 from repro.scale import snapshot as snapshot_module
 from repro.scale.snapshot import SNAPSHOT_FORMAT, Snapshot
 
+DELTA_FORMAT = 6  # of a file that ends in a delta of mutation records
+
 CONFIG = SyntheticConfig(
     departments=2,
     projects_per_department=2,
@@ -257,7 +259,7 @@ class TestRoundTrip:
         engine.compact_wal()
         engine.close()
         with Snapshot(legacy) as snapshot:
-            assert snapshot.meta["format"] == SNAPSHOT_FORMAT + 1
+            assert snapshot.meta["format"] == DELTA_FORMAT
             assert snapshot.read("stats") == legacy_stats
         with KeywordSearchEngine.open(legacy) as reopened:
             assert reopened.version == cold.version
@@ -832,7 +834,7 @@ class TestDeltaSection:
     def test_opens_to_the_state_a_cold_build_reaches(self, compacted):
         path, oracle_db, version = compacted
         with Snapshot(path) as snapshot:
-            assert snapshot.meta["format"] == SNAPSHOT_FORMAT + 1
+            assert snapshot.meta["format"] == DELTA_FORMAT
             assert snapshot.base_version == 0
             assert snapshot.meta["engine_version"] == version
             # The counts describe the replayed engine; the byte-copied
@@ -913,7 +915,7 @@ class TestDeltaSection:
         path = compacted[0]
         blob = path.read_bytes()
         relabelled = blob.replace(
-            b'{"format":%d,' % (SNAPSHOT_FORMAT + 1),
+            b'{"format":%d,' % DELTA_FORMAT,
             b'{"format":%d,' % SNAPSHOT_FORMAT,
             1,
         )
@@ -921,6 +923,19 @@ class TestDeltaSection:
         path.write_bytes(relabelled)
         with pytest.raises(SnapshotError, match="format"):
             Snapshot(path)
+
+    def test_previous_delta_format_refused(self, compacted):
+        """Format 5 deltas held per-batch changeset records: such a file
+        is refused, not replayed by a second decoder."""
+        path = compacted[0]
+        with Snapshot(path) as snapshot:
+            sections = [
+                (name, bytes(snapshot.section(name)))
+                for name in snapshot.sections()
+            ]
+        snapshot_module._publish(path, 5, sections)
+        with pytest.raises(SnapshotError, match="format"):
+            KeywordSearchEngine.open(path)
 
     @pytest.mark.parametrize("keep", [0, 2])
     def test_delta_that_stops_short_refuses(self, compacted, keep):
@@ -935,7 +950,7 @@ class TestDeltaSection:
                  else bytes(snapshot.section(name)))
                 for name in snapshot.sections()
             ]
-        snapshot_module._publish(path, SNAPSHOT_FORMAT + 1, sections)
+        snapshot_module._publish(path, DELTA_FORMAT, sections)
         with pytest.raises(SnapshotError, match="does not replay"):
             KeywordSearchEngine.open(path)
 
