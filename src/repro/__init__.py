@@ -19,7 +19,7 @@ Package map
 ``repro.graph``       schema and data (tuple) graphs
 ``repro.core``        association classification, search, ranking
 ``repro.oracle``      the networkx differential oracle (import explicitly)
-``repro.baselines``   DISCOVER (MTJNT), BANKS, bidirectional search
+``repro.baselines``   DISCOVER (MTJNT), the semantics the paper argues against
 ``repro.datasets``    the paper's example plus synthetic generators
 ``repro.experiments`` regeneration of every table, figure and claim
 """

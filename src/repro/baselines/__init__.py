@@ -1,27 +1,15 @@
-"""Baseline keyword-search systems the paper positions itself against.
+"""The keyword-search semantics the paper positions itself against.
 
-* :mod:`repro.baselines.discover` — DISCOVER-style candidate networks and
-  the Minimal Total Joining Network of Tuples (MTJNT) semantics
-  (Hristidis & Papakonstantinou, VLDB 2002) — the semantics the paper
-  shows to lose connections;
-* :mod:`repro.baselines.banks` — BANKS-style backward expanding search
-  over the tuple graph (Aditya et al., VLDB 2002);
-* :mod:`repro.baselines.bidirectional` — bidirectional expansion in the
-  spirit of Kacholia et al. (VLDB 2005).
-
-None of these systems has a canonical open-source implementation; they are
-implemented here from their papers' descriptions, at the fidelity the
-reproduction needs (exact answer *sets*, paper-faithful ranking shapes).
+:mod:`repro.baselines.discover` implements DISCOVER-style candidate
+networks and the Minimal Total Joining Network of Tuples (MTJNT)
+semantics (Hristidis & Papakonstantinou, VLDB 2002) from the paper's
+description — the semantics the paper shows to lose connections.  It
+serves ``repro mtjnt`` and claim C1.
 """
 
 from repro.baselines.discover import find_mtjnts, is_mtjnt, candidate_networks
-from repro.baselines.banks import BanksAnswer, BanksSearch
-from repro.baselines.bidirectional import BidirectionalSearch
 
 __all__ = [
-    "BanksAnswer",
-    "BanksSearch",
-    "BidirectionalSearch",
     "candidate_networks",
     "find_mtjnts",
     "is_mtjnt",

@@ -592,21 +592,23 @@ class KeywordSearchEngine:
         With a WAL attached (:meth:`attach_wal`) the batch is encoded as
         its log record before the database changes — a batch the log
         cannot carry raises :class:`~repro.errors.MutationFormatError`
-        with nothing changed — and appended, and fsynced, once it has
-        validated and *before* any derived structure is patched, so a
-        crash at any instant after the append can replay it; a crash
-        during the append loses at most this batch, never an earlier
-        one.
+        with nothing changed — and appended, and fsynced, as the batch's
+        commit once it has validated and *before* any derived structure
+        is patched, so a crash at any instant after the append can
+        replay it.  An append that raises rolls the database back and
+        leaves the log as it was, so the engine is untouched and the
+        batch can be retried.
         """
-        payload = None
+        commit = None
         if self.wal is not None:
             mutations = list(mutations)
             # Every batch gets a record — empty ones too — so the
             # replayed version counter matches the live engine exactly.
-            payload = encode_record(self.version + 1, mutations)
-        changeset = apply_to_database(self.database, mutations)
-        if payload is not None:
-            self.wal.append(payload)
+            commit = partial(
+                self.wal.append, encode_record(self.version + 1, mutations)
+            )
+        changeset = apply_to_database(self.database, mutations, commit=commit)
+        if commit is not None:
             fault.maybe("wal.append")
         if not changeset.is_empty():
             self._maintain(changeset)

@@ -3,10 +3,7 @@
 * :mod:`repro.datasets.company` — Figure 1's ER schema and Figure 2's
   database instance, verbatim;
 * :mod:`repro.datasets.synthetic` — scalable company-shaped instances with
-  planted keywords, for benchmarks;
-* :mod:`repro.datasets.schemas` — parametric ER schema generators (chains,
-  stars, random) for property-based tests and ablations;
-* :mod:`repro.datasets.workload` — keyword query workload generation;
+  planted keywords, for ``repro generate`` and the examples;
 * :mod:`repro.datasets.text` — deterministic text synthesis.
 """
 
@@ -16,14 +13,11 @@ from repro.datasets.company import (
     build_company_schema,
 )
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like
-from repro.datasets.workload import WorkloadConfig, generate_workload
 
 __all__ = [
     "SyntheticConfig",
-    "WorkloadConfig",
     "build_company_database",
     "build_company_er_schema",
     "build_company_schema",
     "generate_company_like",
-    "generate_workload",
 ]

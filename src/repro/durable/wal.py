@@ -297,15 +297,28 @@ class WriteAheadLog:
 
     def append(self, record) -> int:
         """Append one record — a dict, or the payload bytes
-        :func:`encode_record` made — durably; returns its file offset."""
+        :func:`encode_record` made — durably; returns its file offset.
+        An append that raises leaves the file as it was."""
         handle = self._ensure_handle()
         payload = record if isinstance(record, bytes) else _payload(record)
         offset = self._append_offset
-        handle.write(_RECORD_HEADER.pack(len(payload), zlib.crc32(payload)))
-        handle.write(payload)
-        handle.flush()
-        if self.sync:
-            _datasync(handle.fileno())
+        try:
+            handle.write(_RECORD_HEADER.pack(len(payload), zlib.crc32(payload)))
+            handle.write(payload)
+            handle.flush()
+            if self.sync:
+                _datasync(handle.fileno())
+        except BaseException:
+            # Closing flushes what the buffer still holds, or fails to;
+            # the truncate cuts either back, and the next append reopens
+            # at the offset.
+            self._handle = None
+            try:
+                handle.close()
+            except OSError:
+                pass
+            os.truncate(self.path, offset)
+            raise
         self._append_offset = offset + _RECORD_HEADER.size + len(payload)
         return offset
 

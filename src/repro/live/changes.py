@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from repro.errors import MutationError, MutationFormatError
 from repro.relational.database import Database, Tuple, TupleId
@@ -247,15 +247,19 @@ class _Builder:
 
 
 def apply_to_database(
-    database: Database, mutations: Iterable[Mutation]
+    database: Database,
+    mutations: Iterable[Mutation],
+    commit: Optional[Callable[[], object]] = None,
 ) -> ChangeSet:
     """Apply one mutation batch atomically and return its net changeset.
 
     Foreign-key enforcement is forced on while the batch runs, so every
     insert/update validates its references and deletes of referenced
-    tuples are rejected.  On any failure the already-applied prefix is
-    rolled back in reverse order and the error re-raised — the database
-    is never left half-mutated.
+    tuples are rejected.  ``commit`` (the engine's WAL append) runs after
+    the last mutation, as part of the batch.  On any failure, a raising
+    ``commit`` included, the already-applied prefix is rolled back in
+    reverse order and the error re-raised — the database is never left
+    half-mutated.
     """
     builder = _Builder()
     undo: list[tuple] = []
@@ -326,6 +330,8 @@ def apply_to_database(
                 raise MutationError(
                     "unknown mutation type", got=type(mutation).__name__
                 )
+        if commit is not None:
+            commit()
     except BaseException:
         # Undo in reverse order: later mutations may depend on earlier
         # ones (a batch inserts a target then tuples referencing it), so

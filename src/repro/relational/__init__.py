@@ -4,7 +4,7 @@ This package implements just enough of a relational engine for keyword
 search over structural data: typed relations with primary and foreign keys
 (:mod:`repro.relational.schema`), an instance store with integrity
 enforcement (:mod:`repro.relational.database`), an inverted index over text
-attributes (:mod:`repro.relational.index`) and CSV/JSON persistence
+attributes (:mod:`repro.relational.index`) and JSON persistence
 (:mod:`repro.relational.io`).
 """
 

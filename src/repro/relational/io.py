@@ -1,4 +1,4 @@
-"""Loading and dumping database instances (JSON and CSV directories).
+"""Loading and dumping database instances as JSON.
 
 The JSON format captures schema and instance in one document and is the
 round-trip format used in tests:
@@ -21,14 +21,10 @@ round-trip format used in tests:
       },
       "tuples": {"DEPARTMENT": [{"ID": "d1", ...}, ...]}
     }
-
-The CSV form writes one ``<relation>.csv`` per relation into a directory and
-requires the schema to be supplied separately when loading.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Mapping, Union
@@ -49,8 +45,6 @@ __all__ = [
     "database_from_dict",
     "dump_json",
     "load_json",
-    "dump_csv_dir",
-    "load_csv_dir",
 ]
 
 
@@ -173,39 +167,3 @@ def load_json(path: Union[str, Path]) -> Database:
     with path.open("r", encoding="utf-8") as handle:
         return database_from_dict(json.load(handle))
 
-
-def dump_csv_dir(database: Database, directory: Union[str, Path]) -> None:
-    """Write one ``<relation>.csv`` per relation into ``directory``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for relation in database.schema.relations:
-        with (directory / f"{relation.name}.csv").open(
-            "w", encoding="utf-8", newline=""
-        ) as handle:
-            writer = csv.DictWriter(handle, fieldnames=relation.attribute_names)
-            writer.writeheader()
-            for record in database.tuples(relation.name):
-                writer.writerow(
-                    {k: "" if v is None else v for k, v in record.values.items()}
-                )
-
-
-def load_csv_dir(schema: DatabaseSchema, directory: Union[str, Path]) -> Database:
-    """Load a directory written by :func:`dump_csv_dir` against a schema.
-
-    Empty CSV cells load as NULL.  Integrity is checked after the full load
-    so relation file order does not matter.
-    """
-    directory = Path(directory)
-    database = Database(schema, enforce_foreign_keys=False)
-    for relation in schema.relations:
-        csv_path = directory / f"{relation.name}.csv"
-        if not csv_path.exists():
-            continue
-        with csv_path.open("r", encoding="utf-8", newline="") as handle:
-            for row in csv.DictReader(handle):
-                cleaned = {k: (None if v == "" else v) for k, v in row.items()}
-                database.insert(relation.name, cleaned)
-    database.check_integrity()
-    database.enforce_foreign_keys = True
-    return database

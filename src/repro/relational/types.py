@@ -12,8 +12,8 @@ the paper's schemas and the synthetic workloads:
 ``bool``
     booleans.
 
-Values are coerced on insert so that instances loaded from CSV (all strings)
-behave identically to programmatically constructed ones.  ``None`` is always
+Values are coerced on insert so that values given as strings (a mutation
+file, say) behave identically to programmatically constructed ones.  ``None`` is always
 accepted and denotes SQL ``NULL``.
 """
 

@@ -73,8 +73,11 @@ class TestSearchCommand:
         from repro.core.engine import KeywordSearchEngine
         from repro.core.ranking import ClosenessRanker
         from repro.core.search import SearchLimits
-        from repro.datasets.synthetic import SyntheticConfig, generate_company_like
-        from repro.datasets.workload import WorkloadConfig, generate_workload
+        from repro.datasets.synthetic import (
+            SyntheticConfig,
+            generate_company_like,
+            plant,
+        )
 
         database = generate_company_like(
             SyntheticConfig(
@@ -82,11 +85,9 @@ class TestSearchCommand:
                 employees_per_department=8, works_on_per_employee=3, seed=17,
             )
         )
-        query = generate_workload(
-            database,
-            WorkloadConfig(queries=1, keywords_per_query=2,
-                           matches_per_keyword=3, seed=13),
-        )[0].text
+        plant(database, "qk1", "DEPARTMENT", "D_DESCRIPTION", 3, seed=556216509)
+        plant(database, "qk2", "PROJECT", "P_DESCRIPTION", 3, seed=624397381)
+        query = "qk1 qk2"
         engine = KeywordSearchEngine(database)
         limits = SearchLimits(max_rdb_length=6, max_paths_per_pair=5)
         ranker = ClosenessRanker()

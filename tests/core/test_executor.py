@@ -31,7 +31,6 @@ from repro.core.search import (
     find_joining_networks,
 )
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like, plant
-from repro.datasets.workload import WorkloadConfig, generate_workload
 from repro.errors import QueryError, SearchLimitError
 from repro.oracle import search as oracle_search
 
@@ -220,15 +219,27 @@ SYNTHETIC = SyntheticConfig(
 )
 
 
+#: Keywords planted into three tuples each of the SYNTHETIC database:
+#: ``(keyword, relation, attribute, plant seed)``.
+SYNTHETIC_PLANTS = (
+    ("qk1", "DEPARTMENT", "D_DESCRIPTION", 556216509),
+    ("qk2", "PROJECT", "P_DESCRIPTION", 624397381),
+    ("qk3", "PROJECT", "P_DESCRIPTION", 398839630),
+    ("qk4", "EMPLOYEE", "L_NAME", 495120841),
+    ("qk5", "EMPLOYEE", "L_NAME", 316023504),
+    ("qk6", "DEPENDENT", "DEPENDENT_NAME", 483533712),
+    ("qk7", "DEPENDENT", "DEPENDENT_NAME", 402382974),
+    ("qk8", "DEPARTMENT", "D_DESCRIPTION", 279630350),
+)
+
+
 @pytest.fixture(scope="module")
 def synthetic_engine():
     database = generate_company_like(SYNTHETIC)
-    workload = generate_workload(
-        database,
-        WorkloadConfig(queries=4, keywords_per_query=2,
-                       matches_per_keyword=3, seed=13),
-    )
-    return KeywordSearchEngine(database), [w.text for w in workload]
+    for keyword, relation, attribute, seed in SYNTHETIC_PLANTS:
+        plant(database, keyword, relation, attribute, 3, seed=seed)
+    texts = ["qk1 qk2", "qk3 qk4", "qk5 qk6", "qk7 qk8"]
+    return KeywordSearchEngine(database), texts
 
 
 class TestBitIdentitySynthetic:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.schema_analysis import SchemaAnalyzer, analyze_relational_schema
 from repro.core.search import SearchLimits
-from repro.datasets.schemas import chain_schema, star_schema
+
+from er_schemas import chain_schema, star_schema
 
 
 @pytest.fixture

@@ -3,13 +3,14 @@
 import pytest
 
 from repro.core.associations import classify_er_path
-from repro.datasets.schemas import (
+from repro.er.paths import ERPath
+
+from er_schemas import (
     chain_schema,
     instantiate_er,
     random_schema,
     star_schema,
 )
-from repro.er.paths import ERPath
 
 
 class TestChainSchema:

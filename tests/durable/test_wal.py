@@ -13,11 +13,13 @@ import pytest
 
 from repro.core.engine import KeywordSearchEngine
 from repro.core.search import SearchLimits
+from repro.datasets.company import build_company_database
 from repro.datasets.synthetic import (
     SyntheticConfig,
     generate_company_like,
     plant,
 )
+from repro.durable import wal as wal_module
 from repro.durable.wal import MAGIC, WriteAheadLog, default_wal_path
 from repro.errors import MutationFormatError, WalError
 from repro.live.changes import Delete, Insert, Update, apply_to_database
@@ -334,6 +336,109 @@ class TestCrossBatchChurn:
                 assert answers == rendered(fresh.search(query, limits=LIMITS))
         finally:
             reopened.close()
+
+
+def one_batch_of_each_kind(database):
+    """An insert, an update and a delete batch, by kind.  The delete takes
+    the first dependent in store order, so its rollback must move the
+    tuple back in front of the others."""
+    employee = database.tuples("EMPLOYEE")[0]
+    department = database.tuples("DEPARTMENT")[0]
+    victim = database.tuples("DEPENDENT")[0]
+    return {
+        "insert": [Insert("DEPENDENT",
+                          {"ID": "nora", "ESSN": employee.tid.key[0],
+                           "DEPENDENT_NAME": "kwalpha Nora"})],
+        "update": [Update(department.tid,
+                          {"D_DESCRIPTION": "kwbeta Nora lab"})],
+        "delete": [Delete(victim.tid)],
+    }
+
+
+def disk_full(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+def wal_bytes(engine):
+    with open(engine.wal.path, "rb") as handle:
+        return handle.read()
+
+
+class TestFailedAppendRollsBack:
+    """The WAL append is the batch's commit: when it raises, the database,
+    the store order, the version and the log are as they were before the
+    batch, and a retry lands it as if the failure never happened."""
+
+    @pytest.mark.parametrize("kind", ["insert", "update", "delete"])
+    @pytest.mark.parametrize("failing", ["append", "datasync"])
+    def test_failed_append_leaves_nothing_behind(self, tmp_path, monkeypatch,
+                                                 kind, failing):
+        engine, path = saved_engine(tmp_path)
+        engine.apply(batches_for(engine.database)[0])  # a record to keep
+        batch = one_batch_of_each_kind(engine.database)[kind]
+        count = engine.database.count()
+        before = state_of(engine)
+        logged = wal_bytes(engine)
+        queries = (*QUERIES, "Nora")
+        answers = {q: rendered(engine.search(q, limits=LIMITS))
+                   for q in queries}
+        with monkeypatch.context() as patch:
+            if failing == "append":
+                patch.setattr(engine.wal, "append", disk_full)
+            else:  # the record reached the file, the sync failed
+                patch.setattr(wal_module, "_datasync", disk_full)
+            with pytest.raises(OSError):
+                engine.apply(batch)
+        assert engine.database.count() == count
+        assert state_of(engine) == before  # version and store order too
+        assert wal_bytes(engine) == logged
+        for query in queries:
+            assert rendered(engine.search(query, limits=LIMITS)) \
+                == answers[query]
+
+        engine.apply(batch)
+        oracle_db = planted_database()
+        apply_to_database(oracle_db, batches_for(oracle_db)[0])
+        apply_to_database(oracle_db, batch)
+        fresh = KeywordSearchEngine(oracle_db)
+        live_state = state_of(engine)
+        assert live_state[0] == before[0] + 1
+        assert state_of(fresh)[1] == live_state[1]
+        live = {q: rendered(engine.search(q, limits=LIMITS)) for q in queries}
+        for query in queries:
+            assert live[query] == rendered(fresh.search(query, limits=LIMITS))
+        engine.close()
+
+        reopened = KeywordSearchEngine.open(path, wal=True)
+        try:
+            assert state_of(reopened) == live_state
+            for query in queries:
+                assert rendered(reopened.search(query, limits=LIMITS)) \
+                    == live[query]
+        finally:
+            reopened.close()
+
+    def test_company_insert_lands_on_retry(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "company.snap")
+        KeywordSearchEngine(build_company_database()).save(path)
+        engine = KeywordSearchEngine.open(path, wal=True)
+        batch = [Insert("DEPENDENT", {"ID": "t9", "ESSN": "e1",
+                                      "DEPENDENT_NAME": "Nora"})]
+        logged = wal_bytes(engine)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(engine.wal, "append", disk_full)
+                with pytest.raises(OSError):
+                    engine.apply(batch)
+            assert engine.database.count() == 16
+            assert engine.version == 0
+            assert wal_bytes(engine) == logged
+            assert engine.search("Nora") == []
+            engine.apply(batch)
+            assert engine.version == 1
+            assert [r.render() for r in engine.search("Nora")]
+        finally:
+            engine.close()
 
 
 class TestRefusedRecords:

@@ -1,4 +1,4 @@
-"""Parametric ER schema generators for property tests and ablations.
+"""Parametric ER schema generators for the schema and property tests.
 
 Three shapes cover the structures the paper's taxonomy distinguishes:
 

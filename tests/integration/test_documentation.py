@@ -86,12 +86,16 @@ class TestDesignExperimentIndex:
 
 class TestExamplesExist:
     def test_readme_examples_exist(self):
+        """The README lists every example, and every one it lists exists."""
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-        for line in readme.splitlines():
-            stripped = line.strip()
-            if stripped.startswith("python examples/"):
-                script = stripped.split()[1]
-                assert (REPO_ROOT / script).exists(), script
+        listed = re.findall(r"python (examples/\S+\.py)", readme)
+        assert listed
+        for script in listed:
+            assert (REPO_ROOT / script).exists(), script
+        assert sorted(set(listed)) == sorted(
+            path.relative_to(REPO_ROOT).as_posix()
+            for path in (REPO_ROOT / "examples").glob("*.py")
+        )
 
     def test_at_least_three_examples(self):
         assert len(list((REPO_ROOT / "examples").glob("*.py"))) >= 3

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.baselines.banks import BanksSearch
 from repro.baselines.discover import find_mtjnts, is_mtjnt
 from repro.core.connections import Connection
 from repro.core.engine import KeywordSearchEngine
@@ -68,36 +67,6 @@ class TestMtjntsAreASubsetOfConnections:
         ))
         assert mtjnts
         assert mtjnts <= connection_sets
-
-
-class TestBanksAgreesOnTopAnswer:
-    def test_top_banks_answer_is_a_close_connection(self, company_engine):
-        matches = match_keywords(company_engine.index, ("XML", "Smith"))
-        best = BanksSearch(company_engine.data_graph).search(matches, top_k=1)[0]
-        # The cheapest BANKS tree is one of the direct dept-employee pairs -
-        # exactly the closeness ranker's top picks.
-        engine_best = company_engine.search(
-            "XML Smith", limits=SearchLimits(max_rdb_length=3), top_k=3
-        )
-        engine_sets = {
-            frozenset(r.answer.tuple_ids()) for r in engine_best
-        }
-        assert frozenset(best.tuple_ids()) in engine_sets
-
-    def test_banks_never_misses_the_mtjnts_tuples(self, company_engine):
-        matches = match_keywords(company_engine.index, ("XML", "Smith"))
-        banks_sets = {
-            frozenset(a.tuple_ids())
-            for a in BanksSearch(company_engine.data_graph).search(
-                matches, top_k=50, max_distance=12.0
-            )
-        }
-        mtjnts = set(
-            find_mtjnts(
-                company_engine.data_graph, matches, SearchLimits(max_tuples=5)
-            )
-        )
-        assert mtjnts <= banks_sets
 
 
 class TestLooseConnectionsExceedMtjnts:

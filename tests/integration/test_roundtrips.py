@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.engine import KeywordSearchEngine
 from repro.datasets.company import build_company_database, build_company_er_schema
-from repro.datasets.schemas import instantiate_er, random_schema
 from repro.er.mapping import map_er_to_relational
 from repro.er.reverse import reverse_engineer
 from repro.relational.io import database_from_dict, database_to_dict
+
+from er_schemas import instantiate_er, random_schema
 
 
 class TestSearchAfterSerialisation:

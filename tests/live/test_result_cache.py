@@ -3,13 +3,7 @@
 from repro.core.engine import KeywordSearchEngine
 from repro.core.ranking import InstanceAmbiguityRanker
 from repro.core.search import SearchLimits
-from repro.datasets.synthetic import SyntheticConfig, generate_company_like
-from repro.datasets.workload import (
-    MixedWorkloadConfig,
-    WorkloadConfig,
-    generate_mixed_workload,
-    generate_workload,
-)
+from repro.datasets.synthetic import SyntheticConfig, generate_company_like, plant
 from repro.graph.csr import _UNREACHABLE
 from repro.live.changes import ChangeSet, Delete, Insert, Update
 from repro.live.result_cache import CacheEntry, ResultCache
@@ -485,6 +479,59 @@ class TestEngineIntegration:
         ]
 
 
+#: Keywords planted into three tuples each:
+#: ``(keyword, relation, attribute, plant seed)``.
+BOUNDED_TAINT_PLANTS = (
+    ("qk1", "DEPARTMENT", "D_DESCRIPTION", 556216509),
+    ("qk2", "PROJECT", "P_DESCRIPTION", 624397381),
+    ("qk3", "PROJECT", "P_DESCRIPTION", 398839630),
+    ("qk4", "EMPLOYEE", "L_NAME", 495120841),
+    ("qk5", "EMPLOYEE", "L_NAME", 316023504),
+    ("qk6", "DEPENDENT", "DEPENDENT_NAME", 483533712),
+    ("qk7", "DEPENDENT", "DEPENDENT_NAME", 402382974),
+    ("qk8", "DEPARTMENT", "D_DESCRIPTION", 279630350),
+    ("qk9", "DEPARTMENT", "D_DESCRIPTION", 152099537),
+    ("qk10", "PROJECT", "P_DESCRIPTION", 459362915),
+    ("qk11", "PROJECT", "P_DESCRIPTION", 632770568),
+    ("qk12", "EMPLOYEE", "L_NAME", 64368630),
+    ("qk13", "EMPLOYEE", "L_NAME", 926811701),
+    ("qk14", "DEPENDENT", "DEPENDENT_NAME", 271220032),
+    ("qk15", "DEPENDENT", "DEPENDENT_NAME", 30993317),
+    ("qk16", "DEPARTMENT", "D_DESCRIPTION", 592355132),
+    ("qk17", "DEPARTMENT", "D_DESCRIPTION", 315058021),
+    ("qk18", "PROJECT", "P_DESCRIPTION", 182430319),
+    ("qk19", "PROJECT", "P_DESCRIPTION", 563607820),
+    ("qk20", "EMPLOYEE", "L_NAME", 968656637),
+    ("qk21", "EMPLOYEE", "L_NAME", 937946014),
+    ("qk22", "DEPENDENT", "DEPENDENT_NAME", 299589319),
+    ("qk23", "DEPENDENT", "DEPENDENT_NAME", 551276186),
+    ("qk24", "DEPARTMENT", "D_DESCRIPTION", 763939707),
+)
+
+
+def _dependent(key, essn, name):
+    return Insert("DEPENDENT", {"ID": key, "ESSN": essn, "DEPENDENT_NAME": name})
+
+
+#: Two-mutation batches: dependents inserted (some named by a planted
+#: keyword), department descriptions rewritten, inserted dependents deleted.
+BOUNDED_TAINT_BATCHES = (
+    (_dependent("lw1", "e18", "Retrieval."), Delete(tid("DEPENDENT", "lw1"))),
+    (_dependent("lw2", "e85", "Retrieval."), _dependent("lw3", "e58", "qk24")),
+    (_dependent("lw4", "e3", "Programming."),
+     Update(tid("DEPARTMENT", "d4"),
+            {"D_DESCRIPTION": "Documents modeling of ranking modeling are."})),
+    (_dependent("lw5", "e8", "Graphs."), Delete(tid("DEPENDENT", "lw3"))),
+    (_dependent("lw6", "e4", "Documents."),
+     _dependent("lw7", "e84", "Relational.")),
+    (_dependent("lw8", "e25", "Integration."), _dependent("lw9", "e6", "Query.")),
+    (_dependent("lw10", "e83", "Query."),
+     Update(tid("DEPARTMENT", "d9"), {"D_DESCRIPTION":
+            "Modeling ranking toward programming semantics topics."})),
+    (_dependent("lw11", "e77", "qk1"), _dependent("lw12", "e37", "Documents.")),
+)
+
+
 def test_bounded_taint_on_one_component():
     """Taint is bounded by the answer-reach ball, not the component.
 
@@ -496,14 +543,10 @@ def test_bounded_taint_on_one_component():
         departments=12, projects_per_department=3, employees_per_department=8,
         works_on_per_employee=2, seed=17,
     ))
-    queries = generate_workload(database, WorkloadConfig(
-        queries=12, keywords_per_query=2, matches_per_keyword=3, seed=13,
-    ))
-    texts = [query.text for query in queries]
-    stream = generate_mixed_workload(database, queries, MixedWorkloadConfig(
-        operations=32, update_ratio=1.0, mutations_per_batch=2, seed=31,
-    ))
-    batches = [op.mutations for op in stream if op.kind == "apply"][:8]
+    for keyword, relation, attribute, seed in BOUNDED_TAINT_PLANTS:
+        plant(database, keyword, relation, attribute, 3, seed=seed)
+    texts = [f"qk{n} qk{n + 1}" for n in range(1, 24, 2)]
+    batches = BOUNDED_TAINT_BATCHES
     limits = SearchLimits(max_rdb_length=4)
 
     def answers(engine, text):

@@ -15,11 +15,7 @@ import pytest
 
 from repro.core.engine import KeywordSearchEngine
 from repro.core.search import SearchLimits
-from repro.datasets.synthetic import SyntheticConfig, generate_company_like
-from repro.datasets.workload import (
-    SkewedWorkloadConfig,
-    generate_skewed_workload,
-)
+from repro.datasets.synthetic import SyntheticConfig, generate_company_like, plant
 from repro.oracle import search as oracle_search
 
 _LIMITS = SearchLimits(max_rdb_length=4, max_tuples=4)
@@ -31,7 +27,7 @@ def snap(results):
 
 @pytest.fixture(scope="module")
 def skewed():
-    """A skewed synthetic database plus its workload queries."""
+    """A skewed synthetic database plus its queries."""
     database = generate_company_like(
         SyntheticConfig(
             departments=4,
@@ -42,12 +38,19 @@ def skewed():
             seed=11,
         )
     )
-    queries = generate_skewed_workload(
-        database,
-        SkewedWorkloadConfig(queries=8, keyword_pool=6, max_matches=8,
-                             seed=5),
-    )
-    return database, [query.text for query in queries]
+    # A keyword's match count falls with its rank, and the popular (heavy)
+    # keywords co-occur most often in the queries.
+    for keyword, relation, attribute, count, seed in (
+        ("sk1", "DEPARTMENT", "D_DESCRIPTION", 4, 548563996),
+        ("sk2", "PROJECT", "P_DESCRIPTION", 7, 769949150),
+        ("sk3", "EMPLOYEE", "L_NAME", 5, 62288247),
+        ("sk4", "DEPENDENT", "DEPENDENT_NAME", 2, 999917037),
+        ("sk5", "DEPARTMENT", "D_DESCRIPTION", 2, 534836507),
+        ("sk6", "PROJECT", "P_DESCRIPTION", 1, 111354012),
+    ):
+        plant(database, keyword, relation, attribute, count, seed=seed)
+    return database, ["sk5 sk1", "sk2 sk1", "sk2 sk1", "sk1 sk5",
+                      "sk4 sk1", "sk4 sk1", "sk3 sk1", "sk1 sk5"]
 
 
 @pytest.mark.parametrize("core", ["csr", "reference"])

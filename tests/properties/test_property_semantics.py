@@ -11,8 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.associations import classify_cardinalities
-from repro.datasets.schemas import chain_schema, instantiate_er
 from repro.er.cardinality import Cardinality
+
+from er_schemas import chain_schema, instantiate_er
 
 cardinality_texts = st.sampled_from(["1:1", "1:N", "N:1", "N:M"])
 chains = st.lists(cardinality_texts, min_size=1, max_size=3)

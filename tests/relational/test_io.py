@@ -1,4 +1,4 @@
-"""Unit tests for JSON/CSV persistence."""
+"""Unit tests for JSON persistence."""
 
 import pytest
 
@@ -6,9 +6,7 @@ from repro.errors import ForeignKeyError, SchemaError
 from repro.relational.io import (
     database_from_dict,
     database_to_dict,
-    dump_csv_dir,
     dump_json,
-    load_csv_dir,
     load_json,
     schema_from_dict,
     schema_to_dict,
@@ -68,20 +66,3 @@ class TestFiles:
         assert recovered.count() == 16
         assert recovered.get("DEPARTMENT", "d1")["D_NAME"] == "Cs"
 
-    def test_csv_dir_round_trip(self, company_db, tmp_path):
-        dump_csv_dir(company_db, tmp_path / "csv")
-        recovered = load_csv_dir(company_db.schema, tmp_path / "csv")
-        assert recovered.count() == 16
-        assert recovered.get("WORKS_FOR", "e3", "p2")["HOURS"] == 70
-
-    def test_csv_null_round_trip(self, company_db, tmp_path):
-        company_db.insert("EMPLOYEE", {"SSN": "e9", "L_NAME": "X", "S_NAME": "Y"})
-        dump_csv_dir(company_db, tmp_path / "csv")
-        recovered = load_csv_dir(company_db.schema, tmp_path / "csv")
-        assert recovered.get("EMPLOYEE", "e9")["D_ID"] is None
-
-    def test_csv_missing_file_is_empty_relation(self, company_db, tmp_path):
-        dump_csv_dir(company_db, tmp_path / "csv")
-        (tmp_path / "csv" / "DEPENDENT.csv").unlink()
-        recovered = load_csv_dir(company_db.schema, tmp_path / "csv")
-        assert recovered.count("DEPENDENT") == 0
