@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="print each answer as the executor yields it "
                                 "(incompatible with --batch/--group)")
     execution.add_argument("--jobs", type=int, default=None, metavar="N",
-                           help="answer a --batch over N - 1 snapshot "
+                           help="answer a --batch over N - 1 forked "
                                 "worker processes plus this process "
                                 "(requires --batch)")
     execution.add_argument("--snapshot", metavar="FILE",
@@ -465,6 +465,8 @@ def _dispatch_search(engine, args, options, out) -> int:
             print("no queries", file=out)
             return 1
         batched = engine.search_batch(queries, **options, jobs=args.jobs)
+        # No pool where fork does not exist: the batch ran serially.
+        pooled = "pool.pipe_batches" in engine.metrics_snapshot()
         engine.close_pool()  # a no-op unless --jobs opened one
         if args.json:
             print(_json_doc(engine, {
@@ -483,10 +485,10 @@ def _dispatch_search(engine, args, options, out) -> int:
             else:
                 answered += 1
                 _print_results(engine, results, args, out)
-        if args.jobs is not None and args.jobs > 1:
+        if pooled:
             workers = args.jobs - 1
             noun = "worker" if workers == 1 else "workers"
-            print(f"# parallel: {workers} snapshot {noun} plus this process, "
+            print(f"# parallel: {workers} forked {noun} plus this process, "
                   f"{engine.last_stats.candidates} candidates", file=out)
         return 0 if answered else 1
     results = engine.search(args.query, **options)

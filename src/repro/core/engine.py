@@ -57,6 +57,15 @@ from repro.relational.index import InvertedIndex
 
 __all__ = ["SearchResult", "KeywordSearchEngine"]
 
+
+def _can_fork() -> bool:
+    """Whether pool workers can be forked here; where they cannot,
+    ``search_batch(jobs=N)`` answers through its serial loop."""
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
 class _Closed:
     """Stands in for what a closed engine held: any read raises
     :class:`~repro.errors.SnapshotError`."""
@@ -149,13 +158,12 @@ class KeywordSearchEngine:
         #: ``None``.  While attached, every :meth:`apply` batch is made
         #: durable before any in-memory structure is patched.  The WAL
         #: stays paired with the snapshot it was attached against
-        #: (:attr:`_wal_snapshot_path`), which internal autosaves never
-        #: touch.
+        #: (:attr:`_wal_snapshot_path`), whatever later :meth:`save`
+        #: calls write elsewhere.
         self.wal = None
         self._wal_snapshot_path: Optional[str] = None
         self._searcher = None
         self._searcher_key = None
-        self._autosave_dir = None
 
     @classmethod
     def _from_parts(cls, **parts) -> "KeywordSearchEngine":
@@ -497,16 +505,18 @@ class KeywordSearchEngine:
 
         ``jobs`` > 1 changes only who answers the answer-cache misses:
         this process answers the first ⌊n/jobs⌋ of them itself while
-        ``jobs - 1`` worker processes (:mod:`repro.scale.parallel`),
-        which each open the engine's snapshot once (auto-saved to a
-        temporary file when the engine was never saved, refreshed after
-        mutations), answer the rest with the same configuration.
+        ``jobs - 1`` forks of this process (:mod:`repro.scale.parallel`)
+        answer the rest on the engine they inherit.  Nothing is saved
+        or reopened for them — a never-saved or mutated engine pools as
+        it stands — and a pool serves one :attr:`version`, so the first
+        pooled batch after :meth:`apply` forks afresh.  Where ``fork``
+        does not exist, ``jobs`` answers through the serial loop.
         Lookups, stores, results, order and the first raised error are
         those of the serial path; ``last_stats`` merges the counters of
         the queries answered, up to a raised error.
         """
         options = self._options(ranker, limits, top_k, semantics, pushdown)
-        pooled = jobs is not None and jobs > 1
+        pooled = jobs is not None and jobs > 1 and _can_fork()
         stats = ExecutionStats()
         resolved: dict[str, list[SearchResult]] = {}
         misses: list[str] = []
@@ -904,34 +914,14 @@ class KeywordSearchEngine:
 
         Delegates to :func:`repro.durable.compact.hot_compact`: the
         paired snapshot is atomically replaced with the engine's
-        current state, the WAL resets to empty, and a running worker
-        pool reopens onto the new snapshot one worker at a time.
+        current state and the WAL resets to empty.  A running worker
+        pool keeps serving untouched: its workers are forks of this
+        engine at the same :attr:`version`, and never read the file.
         Returns the :class:`~repro.durable.compact.CompactionReport`.
         """
         from repro.durable.compact import hot_compact
 
         return hot_compact(self, out=out)
-
-    def _ensure_snapshot(self) -> str:
-        """A snapshot path matching the engine's current version.
-
-        Reuses the last saved/opened snapshot while the version still
-        matches; otherwise (never saved, or mutated since) writes to a
-        private temporary file that is overwritten on every refresh.
-        """
-        if (
-            self.snapshot_path is not None
-            and self._snapshot_version == self.version
-        ):
-            return self.snapshot_path
-        import os
-        import tempfile
-
-        if self._autosave_dir is None:
-            self._autosave_dir = tempfile.TemporaryDirectory(prefix="repro-snap-")
-        path = os.path.join(self._autosave_dir.name, "engine.snap")
-        self.save(path)
-        return path
 
     def _ensure_searcher(self, jobs: int):
         """The engine's parallel searcher, rebuilt when state moved on."""
@@ -943,12 +933,7 @@ class KeywordSearchEngine:
         self.close_pool()
         from repro.scale.parallel import ParallelSearcher
 
-        self._searcher = ParallelSearcher(
-            self._ensure_snapshot(),
-            jobs,
-            result_cache_entries=self.result_cache.max_entries,
-            adaptive=self.adaptive,
-        )
+        self._searcher = ParallelSearcher(self, jobs)
         self._searcher_key = key
         return self._searcher
 

@@ -2,9 +2,8 @@
 
 ``wal`` pairs a CRC-checked append-only log with a snapshot generation
 so every applied changeset survives ``kill -9``; ``compact`` folds the
-log back into a fresh snapshot and hot-swaps it into a live engine and
-its worker pool; ``fault`` makes the crash windows deterministically
-testable.  See DESIGN.md "Durability & recovery".
+log back into a fresh snapshot and re-pairs a live engine's log with
+it; ``fault`` makes the crash windows deterministically testable.  See DESIGN.md "Durability & recovery".
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Fold a write-ahead log into a fresh snapshot and hot-swap it in.
+"""Fold a write-ahead log into a fresh snapshot.
 
 The live engine already *is* snapshot + WAL.  Compaction publishes that
 state as a new snapshot, crash-atomically (temp file, fsync,
@@ -16,10 +16,9 @@ are both recoverable:
   ``KeywordSearchEngine.attach_wal`` detects exactly this shape and
   resets the log instead of refusing.
 
-On a live engine the new snapshot is then hot-swapped into the worker
-pool by a rolling per-worker reopen: each worker finishes its in-flight
-chunk, reopens against the new snapshot and resumes, while the other
-workers keep serving — no drain, no downtime.
+Compaction changes no state a query reads, so a live engine's worker
+pool keeps serving through it untouched: its workers are forks of the
+engine at the same version and never read the snapshot file.
 """
 
 from __future__ import annotations
@@ -44,19 +43,17 @@ class CompactionReport:
     generation: str
     records_folded: int
     engine_version: int
-    workers_reopened: int
 
     def describe(self) -> str:
         return (
             f"folded {self.records_folded} WAL record(s) into "
             f"{self.snapshot_path} (generation {self.generation}, "
-            f"engine version {self.engine_version}); "
-            f"{self.workers_reopened} worker(s) hot-swapped"
+            f"engine version {self.engine_version})"
         )
 
 
 def hot_compact(engine, out=None) -> CompactionReport:
-    """Compact a live engine's WAL; hot-swap its pool onto the result.
+    """Compact a live engine's WAL.
 
     With ``out`` unset (the normal case) the engine's paired snapshot is
     atomically replaced and its WAL reset in place.  With ``out`` set,
@@ -77,15 +74,12 @@ def hot_compact(engine, out=None) -> CompactionReport:
     meta = write_delta_snapshot(engine, target) or write_snapshot(engine, target)
     generation = meta["generation"]
     fault.maybe("compact.swap")
-    workers_reopened = 0
     if in_place:
         wal.reset(generation=generation, base_version=engine.version)
         wal_path = wal.path
         engine.snapshot_path = str(target)
         engine._snapshot_version = engine.version
         engine._snapshot_generation = generation
-        if engine._searcher is not None:
-            workers_reopened = engine._searcher.reopen(str(target))
     else:
         wal_path = default_wal_path(target)
         WriteAheadLog(
@@ -97,7 +91,6 @@ def hot_compact(engine, out=None) -> CompactionReport:
         generation=generation,
         records_folded=folded,
         engine_version=engine.version,
-        workers_reopened=workers_reopened,
     )
 
 

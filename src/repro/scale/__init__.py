@@ -9,9 +9,9 @@ serving fleet can run:
   opening a snapshot is an order of magnitude cheaper than a cold
   build, and page-cache sharing makes per-process opens nearly free.
 * :mod:`repro.scale.parallel` — a process-pool batch executor: each
-  worker opens the snapshot once and answers whole queries with the
-  restored engine; the coordinator reassembles results (and the first
-  error) in input order, bit-identical to the serial path.
+  worker is a fork of the serving engine and answers whole queries
+  with the engine it inherits; the coordinator reassembles results (and
+  the first error) in input order, bit-identical to the serial path.
 """
 
 from repro.scale.parallel import ParallelSearcher

@@ -1,20 +1,32 @@
-"""Process-pool batch execution over snapshot-opened engines.
+"""Process-pool batch execution over forks of the serving engine.
 
 ``KeywordSearchEngine.search_batch(jobs=N)`` hands the batch's
 answer-cache misses to :meth:`ParallelSearcher.run`, and ``N`` counts
 every process that answers them: the coordinator itself plus N − 1
 workers.  The coordinator keeps the first ⌊n/N⌋ misses and answers
-them with the serial loop's own body while the workers run; the rest
-is cut into one contiguous chunk per worker.  Each worker opens the
-coordinator's snapshot **once** into its own engine with the same
-configuration — the snapshot's array sections are ``mmap``-backed, so
-the workers share page-cache pages instead of copying the compiled
-graph N − 1 times.
+them with the serial loop's own body; the rest is cut into one
+contiguous chunk per worker.  Each worker is a ``fork`` of the
+coordinator that serves the engine object it inherits — nothing is
+pickled, saved or reopened to start one.  On a pool's first batch the
+coordinator answers its own share *before* it forks, so the workers
+inherit the rows, interning runs, posting directory and distance rows
+that share just decoded; on every later batch it answers its share
+while the workers answer theirs.  Where ``fork`` does not exist there is
+no pool: ``search_batch`` answers through its serial loop.  The engine
+starts no thread of its own; a fork copies only the calling thread, so
+a caller that runs other threads must not pool while one of them holds
+a lock.
+
+A worker only reads what it inherits.  It never writes, flushes or
+closes the attached WAL, the snapshot mmap or any other file the engine
+holds, and it leaves through the fork bootstrap's ``os._exit``, which
+runs no ``atexit`` hook and flushes no inherited buffer.
 
 Bit-identity with the serial path is structural, not hoped-for:
 
 * a worker answers a query with exactly the code ``engine.search`` runs
-  serially, so per-query results, order and any
+  serially, on a copy of the coordinator's engine at the pool's
+  ``version``, so per-query results, order and any
   :class:`~repro.errors.SearchLimitError` are the serial ones;
 * the coordinator commits outcomes in input order and raises the error
   of the *earliest* failing query — the one serial ``search_batch``
@@ -46,31 +58,6 @@ from repro.graph.traversal import TuplePathStep
 from repro.obs import trace as obs_trace
 
 __all__ = ["ParallelSearcher", "revive_result"]
-
-#: The worker process's engine, opened once per pool worker.
-_WORKER_ENGINE = None
-
-
-def _pool_context():
-    """Prefer fork (cheap, snapshot pages shared immediately); fall back
-    to spawn where fork is unavailable."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def _init_worker(
-    snapshot_path: str,
-    result_cache_entries: int,
-    adaptive: bool = True,
-):
-    global _WORKER_ENGINE
-    from repro.core.engine import KeywordSearchEngine
-
-    _WORKER_ENGINE = KeywordSearchEngine.open(
-        snapshot_path,
-        result_cache_entries=result_cache_entries,
-        adaptive=adaptive,
-    )
 
 
 def _portable_answer(answer):
@@ -109,7 +96,7 @@ def revive_result(cache, portable, score, rank) -> SearchResult:
     return SearchResult(answer=answer, score=score, rank=rank)
 
 
-def _run_chunk(chunk):
+def _run_chunk(engine, chunk):
     """Answer one contiguous slice of the batch inside a worker.
 
     A failing query aborts the rest of its chunk (the coordinator never
@@ -117,16 +104,14 @@ def _run_chunk(chunk):
     chunk's earlier successes, mirroring the serial loop.
 
     Tracing rides the same outcome stream: the coordinator's switch
-    travels with the chunk (explicit so spawned workers match forked
-    ones), and the worker's per-query trace roots come back under one
-    chunk root as a trailing ``(None, "obs", trace_root, None)``
-    pseudo-record.
+    travels with the chunk, and the worker's per-query trace roots come
+    back under one chunk root as a trailing
+    ``(None, "obs", trace_root, None)`` pseudo-record.
     """
     fault.maybe("pool.chunk")
     positions, queries, options, trace_on = chunk
-    engine = _WORKER_ENGINE
-    # The coordinator's setting is authoritative each chunk — a forked
-    # worker may have inherited a flag the coordinator has since flipped.
+    # The coordinator's setting is authoritative each chunk — a worker
+    # inherited the flag as it stood at the fork.
     obs_trace.set_enabled(trace_on)
     outcomes = []
     with obs_trace.traced("worker.batch", queries=len(queries)) as chunk_trace:
@@ -167,28 +152,9 @@ def _answer_here(pairs, answer) -> list:
     return outcomes
 
 
-def _worker_loop(
-    connection,
-    snapshot_path: str,
-    result_cache_entries: int,
-    adaptive: bool = True,
-) -> None:
-    """One dedicated worker: open the snapshot once, serve chunks forever.
-
-    Besides batch chunks the pipe carries one control message:
-    ``("__reopen__", path)`` — part of the zero-downtime snapshot swap.
-    The worker finishes whatever chunk preceded the message (pipe
-    ordering), opens the new snapshot, closes the old engine and acks;
-    if the reopen fails it keeps serving its previous (state-identical)
-    engine and reports ``reopen-failed`` so the coordinator can respawn
-    it instead.
-    """
-    try:
-        _init_worker(snapshot_path, result_cache_entries, adaptive)
-    except BaseException as error:  # surface startup failures, don't hang
-        connection.send(("crashed", repr(error)))
-        return
-    connection.send(("ready", None))
+def _worker_loop(connection, engine) -> None:
+    """One forked worker: serve chunks on the inherited engine until the
+    coordinator sends ``None`` or hangs up."""
     while True:
         try:
             chunk = connection.recv()
@@ -196,59 +162,35 @@ def _worker_loop(
             return
         if chunk is None:
             return
-        if (
-            isinstance(chunk, tuple)
-            and len(chunk) == 2
-            and chunk[0] == "__reopen__"
-        ):
-            global _WORKER_ENGINE
-            old_engine = _WORKER_ENGINE
-            try:
-                _init_worker(chunk[1], result_cache_entries, adaptive)
-            except BaseException as error:
-                connection.send(("reopen-failed", repr(error)))
-            else:
-                if old_engine is not None:
-                    old_engine.close()
-                connection.send(("reopened", None))
-            continue
         try:
-            connection.send(("ok", _run_chunk(chunk)))
+            connection.send(("ok", _run_chunk(engine, chunk)))
         except BaseException as error:  # pragma: no cover - worker bug guard
             connection.send(("crashed", repr(error)))
             return
 
 
 class ParallelSearcher:
-    """A coordinator plus ``jobs - 1`` dedicated snapshot workers, one
-    pipe per worker.
+    """A coordinator plus ``jobs - 1`` dedicated forked workers, one pipe
+    per worker, all serving one engine at one ``version``.
 
     Unlike a task-stealing pool, worker chunk *i* of every batch goes to
     worker *i*: repeated batches of a serving loop land on the worker whose
     traversal/answer caches already hold their state, so steady-state
     latency is the warm cost.  Workers are daemonic and die with the
-    coordinator; :meth:`close` shuts them down explicitly.
+    coordinator; :meth:`close` shuts them down explicitly.  The engine
+    owner starts a new searcher whenever its ``version`` moves, so a
+    worker's inherited engine never goes stale.
 
     Every chunk's answers come back pickled over the worker's pipe;
     :attr:`pipe_batches` counts the chunks the workers answered.
     """
 
-    def __init__(
-        self,
-        snapshot_path: str,
-        jobs: int,
-        *,
-        result_cache_entries: int = 256,
-        adaptive: bool = True,
-    ) -> None:
+    def __init__(self, engine, jobs: int) -> None:
         if jobs < 2:
             raise ValueError("jobs must be at least 2")
-        self.snapshot_path = str(snapshot_path)
+        #: The engine every worker forks from and serves.
+        self.engine = engine
         self.jobs = jobs
-        self.result_cache_entries = result_cache_entries
-        #: Adaptive-planner flag every worker engine opens with, so a
-        #: coordinator running static never pairs with adaptive workers.
-        self.adaptive = adaptive
         self._workers: Optional[list] = None
         self.pipe_batches = 0
         #: Self-healing counters: workers respawned after dying
@@ -275,33 +217,16 @@ class ParallelSearcher:
         return self.pipe_batches
 
     def _spawn_worker(self) -> tuple:
-        """Start one worker against the current snapshot path."""
-        context = _pool_context()
+        """Fork one worker serving the engine as it stands now; fork
+        inherits the arguments, so nothing is pickled."""
+        context = multiprocessing.get_context("fork")
         parent_end, worker_end = context.Pipe()
         process = context.Process(
-            target=_worker_loop,
-            args=(
-                worker_end,
-                self.snapshot_path,
-                self.result_cache_entries,
-                self.adaptive,
-            ),
-            daemon=True,
+            target=_worker_loop, args=(worker_end, self.engine), daemon=True
         )
         process.start()
         worker_end.close()
         return (process, parent_end)
-
-    def _ensure_workers(self) -> list:
-        if self._workers is None:
-            workers = [self._spawn_worker() for __ in range(self.jobs - 1)]
-            for process, connection in workers:
-                status, detail = connection.recv()
-                if status != "ready":
-                    self._shutdown(workers)
-                    raise RuntimeError(f"snapshot worker failed to start: {detail}")
-            self._workers = workers
-        return self._workers
 
     def _retire_worker(self, index: int) -> None:
         """Reap a dead (or dying) worker's process and pipe end."""
@@ -316,22 +241,13 @@ class ParallelSearcher:
             process.join(timeout=2)
 
     def _respawn(self, index: int) -> bool:
-        """Replace a dead worker with a fresh one on the current snapshot."""
+        """Replace a dead worker with a fresh fork of the engine."""
         self.respawns += 1
         self._retire_worker(index)
         try:
-            worker = self._spawn_worker()
-            status, detail = worker[1].recv()
-        except (OSError, EOFError):  # pragma: no cover - spawn failed
+            self._workers[index] = self._spawn_worker()
+        except OSError:
             return False
-        if status != "ready":
-            try:
-                worker[1].close()
-            except OSError:  # pragma: no cover
-                pass
-            worker[0].join(timeout=2)
-            return False
-        self._workers[index] = worker
         return True
 
     def run(self, queries: Sequence[str], options: tuple, answer) -> dict:
@@ -344,8 +260,10 @@ class ParallelSearcher:
         round trip each; workers answer with ``engine.search(query,
         *options)``.  ``answer(query)`` is the serial loop's body:
         it answers one query in this process and returns ``(results,
-        matches, stats)``.  The coordinator runs it over its own share
-        between sending the worker chunks and reading their replies.
+        matches, stats)``.  On the pool's first batch the coordinator
+        runs it over its own share before forking the workers, so they
+        inherit what the share decoded; afterwards it runs between
+        sending the worker chunks and reading their replies.
 
         Each outcome is ``("ok", portable_results, stats)`` from a
         worker, ``("done", (results, matches), stats)`` from this
@@ -361,37 +279,46 @@ class ParallelSearcher:
         coordinator's own share records straight into the active trace.
 
         The pool self-heals: a worker that died mid-chunk (EOF or broken
-        pipe on the coordinator side) is respawned against the current
-        snapshot and its lost chunk retried exactly once; if the respawn
-        or the retry fails too, the coordinator answers the chunk with
-        ``answer`` — the batch completes either way, with bit-identical
-        results.
+        pipe on the coordinator side) is re-forked from the engine and
+        its lost chunk retried exactly once; if the respawn or the retry
+        fails too, the coordinator answers the chunk with ``answer`` —
+        the batch completes either way, with bit-identical results.
         """
         self.last_obs = []
         self.last_assignment = []
         if not queries:
             return {}
-        workers = self._ensure_workers()
         observe = obs_trace.ENABLED
         own = len(queries) // self.jobs
         rest = len(queries) - own
-        size = -(-rest // min(len(workers), rest))
+        size = -(-rest // min(self.jobs - 1, rest))
         chunks = [
             list(range(start, min(start + size, len(queries))))
             for start in range(own, len(queries), size)
         ]
         self.last_assignment = ([list(range(own))] if own else []) + chunks
-        busy = []
-        for index, positions in enumerate(chunks):
-            chunk = (positions, [queries[p] for p in positions], options, observe)
-            __, connection = workers[index]
-            try:
-                connection.send(chunk)
-            except (BrokenPipeError, OSError):
-                pass  # dead already; the receive loop heals it
-            busy.append((index, chunk))
         try:
-            replies = [(None, _answer_here(zip(range(own), queries), answer))]
+            mine = None
+            if self._workers is None:
+                # This share first: the forks inherit what it decoded.
+                mine = _answer_here(zip(range(own), queries), answer)
+                # One at a time, so close() reaps the forks made before
+                # one that fails.
+                self._workers = []
+                for __ in range(self.jobs - 1):
+                    self._workers.append(self._spawn_worker())
+            busy = []
+            for index, positions in enumerate(chunks):
+                chunk = (positions, [queries[p] for p in positions], options, observe)
+                __, connection = self._workers[index]
+                try:
+                    connection.send(chunk)
+                except (BrokenPipeError, OSError):
+                    pass  # dead already; the receive loop heals it
+                busy.append((index, chunk))
+            if mine is None:
+                mine = _answer_here(zip(range(own), queries), answer)
+            replies = [(None, mine)]
             for index, chunk in busy:
                 replies.append((index, self._receive(index, chunk, answer)))
         except BaseException:
@@ -419,8 +346,8 @@ class ParallelSearcher:
         try:
             reply = connection.recv()
         except (EOFError, OSError):
-            # The worker died before replying. Respawn it on the current
-            # snapshot and retry the lost chunk exactly once.
+            # The worker died before replying. Re-fork it from the
+            # engine and retry the lost chunk exactly once.
             reply = None
             if self._respawn(index):
                 __, connection = self._workers[index]
@@ -434,38 +361,9 @@ class ParallelSearcher:
             return _answer_here(zip(chunk[0], chunk[1]), answer)
         status, chunk_outcomes = reply
         if status != "ok":
-            raise RuntimeError(f"snapshot worker crashed: {chunk_outcomes}")
+            raise RuntimeError(f"pool worker crashed: {chunk_outcomes}")
         self.pipe_batches += 1
         return chunk_outcomes
-
-    def reopen(self, snapshot_path) -> int:
-        """Hot-swap the pool onto a new snapshot, one worker at a time.
-
-        Sends each worker a ``__reopen__`` control message in turn: the
-        message queues behind the worker's in-flight chunk, so nothing
-        is drained and the other workers keep serving while each one
-        reopens.  A worker whose reopen fails (or that died) is
-        respawned against the new snapshot instead.  Returns the number
-        of workers now serving the new snapshot.
-        """
-        self.snapshot_path = str(snapshot_path)
-        if self._workers is None:
-            return 0
-        swapped = 0
-        for index in range(len(self._workers)):
-            __, connection = self._workers[index]
-            reopened = False
-            try:
-                connection.send(("__reopen__", self.snapshot_path))
-                status, __detail = connection.recv()
-                reopened = status == "reopened"
-            except (BrokenPipeError, EOFError, OSError):
-                reopened = False
-            if not reopened:
-                reopened = self._respawn(index)
-            if reopened:
-                swapped += 1
-        return swapped
 
     def _shutdown(self, workers) -> None:
         for process, connection in workers:
@@ -487,7 +385,4 @@ class ParallelSearcher:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "live" if self._workers is not None else "idle"
-        return (
-            f"ParallelSearcher({self.snapshot_path!r}, jobs={self.jobs}, {state})"
-        )
-
+        return f"ParallelSearcher(jobs={self.jobs}, {state})"

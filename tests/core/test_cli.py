@@ -475,7 +475,20 @@ class TestParallelFlags:
         )
         assert code == 0
         assert parallel.startswith(serial)
-        assert "# parallel: 1 snapshot worker plus this process" in parallel
+        assert "# parallel: 1 forked worker plus this process" in parallel
+
+    def test_batch_without_fork_claims_no_worker(self, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        __, serial = run("search", "Smith XML; Brown CS", "--batch")
+        code, jobs = run(
+            "search", "Smith XML; Brown CS", "--batch", "--jobs", "2",
+        )
+        assert code == 0
+        assert jobs == serial
 
 
 class TestHelpGrouping:

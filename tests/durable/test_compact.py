@@ -1,10 +1,10 @@
-"""Compaction: fold the WAL into a fresh snapshot and hot-swap it in.
+"""Compaction: fold the WAL into a fresh snapshot and swap it in.
 
 Covers the offline path (``compact_snapshot``, the CLI's ``wal
 compact``), fold-to-copy with ``--out``, and the acceptance scenario:
 a live engine with a worker pool keeps answering a mixed read/write
-workload across a compaction-and-swap cycle with zero failed queries
-and answers always equal to a from-scratch serial oracle.
+workload across a compaction cycle with zero failed queries and answers
+always equal to a from-scratch serial oracle.
 """
 
 import os
@@ -163,7 +163,7 @@ class TestHotSwapUnderLoad:
     def test_mixed_workload_across_a_compaction_cycle(self, tmp_path):
         """The acceptance scenario: queries never fail, answers always
         match a from-scratch serial oracle, one compaction mid-stream
-        hot-swaps every worker."""
+        leaves the pool serving."""
         path = str(tmp_path / "live.snap")
         oracle_db = planted_database()
         engine = KeywordSearchEngine(
@@ -186,14 +186,13 @@ class TestHotSwapUnderLoad:
 
             if counter == 4:
                 searcher = engine._searcher
-                report = engine.compact_wal()
-                assert report.workers_reopened == 1
-                assert engine._searcher is searcher  # swapped, not rebuilt
+                engine.compact_wal()
                 assert engine.wal.records() == []
                 # Post-swap, the same pool still answers identically.
                 assert rendered(
                     engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
                 ) == expected
+                assert engine._searcher is searcher
 
             batch = mixed_batch(engine.database, counter)
             engine.apply(batch)
@@ -228,14 +227,42 @@ class TestHotSwapUnderLoad:
             engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
         )
         out = str(tmp_path / "copy.snap")
-        report = engine.compact_wal(out=out)
-        assert report.workers_reopened == 0
+        engine.compact_wal(out=out)
         assert os.path.exists(default_wal_path(out))
         # The original pair still has its record; the pool still serves.
         assert len(engine.wal.records()) == 1
         assert rendered(
             engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
         ) == before
+        engine.close()
+
+    def test_pool_serves_through_compaction(self, tmp_path):
+        """``compact_wal`` neither reopens nor re-forks a live pool: the
+        same workers answer bit-identically afterwards."""
+        path = str(tmp_path / "live.snap")
+        engine = KeywordSearchEngine(
+            planted_database(), result_cache_entries=0
+        )
+        engine.save(path)
+        engine.attach_wal()
+        for counter in range(3):
+            engine.apply(mixed_batch(engine.database, counter))
+        expected = rendered(
+            [engine.search(q, limits=LIMITS) for q in QUERIES]
+        )
+        assert rendered(
+            engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
+        ) == expected
+        searcher = engine._searcher
+        workers = [process.pid for process, __ in searcher._workers]
+        engine.compact_wal()
+        assert rendered(
+            engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
+        ) == expected
+        assert engine._searcher is searcher
+        assert [process.pid for process, __ in searcher._workers] == workers
+        assert searcher.respawns == 0
+        assert searcher.pipe_batches == 2
         engine.close()
 
 
@@ -476,27 +503,8 @@ class TestCompactionCadence:
 
 @pytest.mark.usefixtures("delta_path")
 class TestHotSwapOntoADeltaSnapshot(TestHotSwapUnderLoad):
-    """The pool scenarios again: the workers are hot-swapped onto a
-    snapshot that ends in a delta and must answer identically."""
+    """The pool scenarios again, every compaction appending a delta."""
 
-    def test_swapped_workers_replay_the_delta(self, tmp_path):
-        path = str(tmp_path / "live.snap")
-        engine = KeywordSearchEngine(
-            planted_database(), result_cache_entries=0
-        )
-        engine.save(path)
-        engine.attach_wal()
-        for counter in range(3):
-            engine.apply(mixed_batch(engine.database, counter))
-        expected = rendered(
-            [engine.search(q, limits=LIMITS) for q in QUERIES]
-        )
-        assert rendered(
-            engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
-        ) == expected
-        assert engine.compact_wal().workers_reopened == 1
-        assert toc_of(path)[::3] == (DELTA_FORMAT, 3)
-        assert rendered(
-            engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
-        ) == expected
-        engine.close()
+    def test_pool_serves_through_compaction(self, tmp_path):
+        super().test_pool_serves_through_compaction(tmp_path)
+        assert toc_of(str(tmp_path / "live.snap"))[::3] == (DELTA_FORMAT, 3)

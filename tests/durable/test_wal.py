@@ -609,10 +609,10 @@ class TestGenerationHandshake:
         reopened.close()
 
     def test_wal_survives_unrelated_autosaves(self, tmp_path):
-        """Internal temp-file autosaves must not re-pair the WAL."""
+        """A pooled batch on a mutated engine must not re-pair the WAL."""
         engine, path = saved_engine(tmp_path)
         engine.apply(batches_for(engine.database)[0])
-        engine.search_batch(list(QUERIES), limits=LIMITS, jobs=2)  # autosave
+        engine.search_batch(list(QUERIES), limits=LIMITS, jobs=2)
         engine.apply(batches_for(engine.database)[1])
         assert engine._wal_snapshot_path == path
         version = engine.version

@@ -499,51 +499,115 @@ class TestSelfHealing:
             engine.close_pool()
 
 
-class TestHotReopen:
-    def test_reopen_swaps_every_worker_without_rebuild(self, tmp_path):
-        import os
+class TestInheritedHandles:
+    """A worker only reads what it inherits: the WAL file, the snapshot
+    mmap and their handles stay the coordinator's."""
 
-        engine = KeywordSearchEngine(
-            planted_database(), result_cache_entries=0
+    def test_workers_leave_the_wal_and_snapshot_untouched(self, tmp_path):
+        import os
+        from pathlib import Path
+
+        from repro.durable import fault
+
+        path = str(tmp_path / "live.snap")
+        KeywordSearchEngine(planted_database()).save(path)
+        engine = KeywordSearchEngine.open(
+            path, wal=True, result_cache_entries=0
         )
         try:
+            engine.apply([
+                Insert("DEPENDENT", {"ID": "ih1", "ESSN": "t1e1",
+                                     "DEPENDENT_NAME": "kwbeta"})
+            ])
+            wal_bytes = Path(engine.wal.path).read_bytes()
+            snapshot_bytes = Path(path).read_bytes()
             serial = rendered(engine.search_batch(QUERIES, limits=LIMITS))
-            rendered(engine.search_batch(QUERIES, limits=LIMITS, jobs=2))
-            searcher = engine._searcher
-            workers_before = [p.pid for p, __ in searcher._workers]
-
-            # Re-home the pool onto an equal snapshot at a new path.
-            path = str(tmp_path / "rehome.snap")
-            engine.save(path)
-            assert searcher.reopen(path) == 1
-            assert [p.pid for p, __ in searcher._workers] == workers_before
-            assert rendered(
-                engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
-            ) == serial
-        finally:
+            sentinel = str(tmp_path / "pool.once")
+            fault.configure(f"pool.chunk:kill:once={sentinel}")
+            try:
+                for __ in range(2):
+                    assert rendered(
+                        engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
+                    ) == serial
+            finally:
+                fault.reset()
+            assert os.path.exists(sentinel)  # a worker really was killed
+            assert engine._searcher.respawns == 1
+            assert engine._searcher.pipe_batches == 2
             engine.close_pool()
-
-    def test_reopen_respawns_a_dead_worker(self, tmp_path):
-        import os
-        import signal
-
-        engine = KeywordSearchEngine(
-            planted_database(), result_cache_entries=0
-        )
+            assert Path(engine.wal.path).read_bytes() == wal_bytes
+            assert Path(path).read_bytes() == snapshot_bytes
+            version = engine.version
+        finally:
+            engine.close()
+        reopened = KeywordSearchEngine.open(path, wal=True)
         try:
-            serial = rendered(engine.search_batch(QUERIES, limits=LIMITS))
-            rendered(engine.search_batch(QUERIES, limits=LIMITS, jobs=3))
-            searcher = engine._searcher
-            victim, __ = searcher._workers[1]
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.join()
-
-            path = str(tmp_path / "rehome.snap")
-            engine.save(path)
-            assert searcher.reopen(path) == 2  # one swapped, one respawned
-            assert searcher.respawns == 1
-            assert rendered(
-                engine.search_batch(QUERIES, limits=LIMITS, jobs=3)
-            ) == serial
+            assert reopened.version == version
+            assert rendered(reopened.search_batch(QUERIES, limits=LIMITS)) == serial
         finally:
-            engine.close_pool()
+            reopened.close()
+
+
+class TestForkedFromTheLiveEngine:
+    """Pool workers serve the engine they inherit: a never-saved or
+    mutated engine pools without writing a snapshot."""
+
+    MUTATIONS = [
+        [Insert("DEPENDENT", {"ID": "fk1", "ESSN": "t1e1",
+                              "DEPENDENT_NAME": "kwbeta"})],
+        [Insert("DEPENDENT", {"ID": "fk2", "ESSN": "t2e2",
+                              "DEPENDENT_NAME": "kwalpha kwgamma"})],
+    ]
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_never_saved_engine_pools_without_writing(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        import os
+        import tempfile
+
+        def refuse(engine, path):
+            raise AssertionError(f"a pooled batch saved to {path}")
+
+        monkeypatch.setattr(KeywordSearchEngine, "save", refuse)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        pooled = KeywordSearchEngine(planted_database())
+        serial = KeywordSearchEngine(planted_database())
+        batches = [QUERIES, TestCallerShare.DISTINCT]
+        try:
+            for mutations in [None] + self.MUTATIONS:
+                if mutations is not None:
+                    pooled.apply(mutations)
+                    serial.apply(mutations)
+                for queries in batches:
+                    assert rendered(
+                        pooled.search_batch(queries, limits=LIMITS, jobs=jobs)
+                    ) == rendered(serial.search_batch(queries, limits=LIMITS))
+                    assert pooled.last_stats == serial.last_stats
+                assert pooled._searcher.pipe_batches > 0
+        finally:
+            pooled.close_pool()
+        assert os.listdir(tmp_path) == []
+        assert pooled.snapshot_path is None
+
+    def test_without_fork_jobs_answer_serially(self, monkeypatch):
+        import multiprocessing
+
+        from repro.scale.parallel import ParallelSearcher
+
+        def no_process(searcher):
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        monkeypatch.setattr(ParallelSearcher, "_spawn_worker", no_process)
+        engine = KeywordSearchEngine(planted_database())
+        serial = KeywordSearchEngine(planted_database())
+        before = {p.pid for p in multiprocessing.active_children()}
+        assert rendered(
+            engine.search_batch(QUERIES, limits=LIMITS, jobs=2)
+        ) == rendered(serial.search_batch(QUERIES, limits=LIMITS))
+        assert engine.last_stats == serial.last_stats
+        assert engine._searcher is None
+        assert {p.pid for p in multiprocessing.active_children()} == before
