@@ -241,12 +241,12 @@ class Connection:
     # rendering (paper notation)
     # ------------------------------------------------------------------
     def _label(self, tid: TupleId) -> str:
-        record = self.cache.data_graph.database.tuple(tid)
+        label = self.cache.data_graph.database.label(tid)
         keywords = self.keyword_matches.get(tid)
         if keywords:
             rendered = ",".join(sorted(keywords))
-            return f"{record.label}({rendered})"
-        return record.label
+            return f"{label}({rendered})"
+        return label
 
     def render(self) -> str:
         """Paper Table 2 notation, e.g. ``d1(XML) – e1(Smith)``."""

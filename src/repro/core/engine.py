@@ -164,6 +164,9 @@ class KeywordSearchEngine:
         self._wal_snapshot_path: Optional[str] = None
         self._searcher = None
         self._searcher_key = None
+        #: Batches whose derived structures were rebuilt because
+        #: patching them raised after the commit (:meth:`apply`).
+        self.maintain_rebuilds = 0
 
     @classmethod
     def _from_parts(cls, **parts) -> "KeywordSearchEngine":
@@ -608,23 +611,54 @@ class KeywordSearchEngine:
         replay it.  An append that raises rolls the database back and
         leaves the log as it was, so the engine is untouched and the
         batch can be retried.
+
+        Once the commit has run the batch is the database's state.  If
+        patching the derived structures then raises, the engine rebuilds
+        them from the database (:meth:`rebuild`'s path, counted as
+        ``engine.maintain_rebuilds``), holds the post-batch
+        :attr:`version` and re-raises; if that rebuild raises too, the
+        engine closes itself, so later calls raise
+        :class:`~repro.errors.SnapshotError` instead of serving stale
+        answers.
         """
-        commit = None
+        record = None
         if self.wal is not None:
             mutations = list(mutations)
             # Every batch gets a record — empty ones too — so the
             # replayed version counter matches the live engine exactly.
-            commit = partial(
-                self.wal.append, encode_record(self.version + 1, mutations)
-            )
-        changeset = apply_to_database(self.database, mutations, commit=commit)
-        if commit is not None:
-            fault.maybe("wal.append")
-        if not changeset.is_empty():
-            self._maintain(changeset)
+            record = encode_record(self.version + 1, mutations)
+        changeset = apply_to_database(
+            self.database, mutations, commit=partial(self._commit, record)
+        )
+        try:
+            if record is not None:
+                fault.maybe("wal.append")
+            if not changeset.is_empty():
+                self._maintain(changeset)
+        except BaseException:
+            self._recover()
+            raise
         self.version += 1
         changeset.version = self.version
         return changeset
+
+    def _commit(self, record: Optional[bytes]) -> None:
+        """A batch's commit, run after its last mutation: the WAL append
+        of its ``record`` when a log is attached."""
+        fault.maybe("apply.commit")
+        if record is not None:
+            self.wal.append(record)
+
+    def _recover(self) -> None:
+        """Bring the derived structures to a committed batch that
+        ``_maintain`` failed to patch in: rebuild them from the database
+        (the batch's version bump), or close the engine if that fails."""
+        self.maintain_rebuilds += 1
+        try:
+            self._rebuild()
+        except BaseException:
+            self.close()
+            raise
 
     def _maintain(self, changeset: ChangeSet) -> None:
         """Bring every derived structure in step with a non-empty
@@ -688,9 +722,10 @@ class KeywordSearchEngine:
     def metrics_snapshot(self) -> dict:
         """``{name: count}``, sorted by name, of the counters this
         engine's parts already keep: the answer cache, the traversal
-        cache, the compiled graph once built and the worker pool once
-        started.  Always on and per engine; the difference of two
-        snapshots is what the calls between them did."""
+        cache, the compiled graph once built, the worker pool once
+        started and the engine's own maintenance rebuilds.  Always on
+        and per engine; the difference of two snapshots is what the
+        calls between them did."""
         counters = {}
         for prefix, source, names in (
             ("result_cache", self.result_cache.stats,
@@ -701,6 +736,7 @@ class KeywordSearchEngine:
             ("csr", self.traversal_cache._frozen, ("compactions",)),
             ("pool", self._searcher,
              ("pipe_batches", "respawns", "inline_chunks")),
+            ("engine", self, ("maintain_rebuilds",)),
         ):
             if source is not None:
                 for name in names:
@@ -760,6 +796,9 @@ class KeywordSearchEngine:
                 "detach_wal() first",
                 wal=self.wal.path,
             )
+        self._rebuild()
+
+    def _rebuild(self) -> None:
         self.data_graph = DataGraph(self.database)
         self.index.build()
         self.traversal_cache = self.traversal_cache.successor(self.data_graph)

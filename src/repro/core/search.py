@@ -92,9 +92,9 @@ class SingleTupleAnswer:
         return (self.tid,)
 
     def render(self) -> str:
-        record = self.data_graph.database.tuple(self.tid)
+        label = self.data_graph.database.label(self.tid)
         rendered = ",".join(sorted(self.covered_keywords))
-        return f"{record.label}({rendered})"
+        return f"{label}({rendered})"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SingleTupleAnswer({self.render()!r})"
@@ -215,12 +215,12 @@ class JoiningNetwork:
         for keyword, tid in self.keyword_tuples.items():
             inverse.setdefault(tid, []).append(keyword)
         for tid in self.tuple_ids():
-            record = database.tuple(tid)
+            label = database.label(tid)
             keywords = inverse.get(tid)
             if keywords:
-                labels.append(f"{record.label}({','.join(sorted(keywords))})")
+                labels.append(f"{label}({','.join(sorted(keywords))})")
             else:
-                labels.append(record.label)
+                labels.append(label)
         return "{" + ", ".join(labels) + "}"
 
     def __eq__(self, other: object) -> bool:

@@ -21,8 +21,12 @@ tree triggers the fault — a respawned worker must not die again.
 Known points:
 
 ==================== ====================================================
+``apply.commit``     a batch's last mutation applied, before its commit
+                     (the WAL append)
 ``wal.append``       after the WAL record is durable, before the
                      in-memory state is patched
+``live.maintain``    the index patched with a batch, before the
+                     compiled graph is
 ``snapshot.mid-save`` while snapshot bytes are being written to the temp
                      file (target must stay readable)
 ``snapshot.pre-replace`` temp file complete and synced, before

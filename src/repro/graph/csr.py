@@ -67,7 +67,7 @@ from array import array
 from bisect import bisect_left
 from collections import OrderedDict, defaultdict
 from itertools import chain, count, islice, repeat
-from operator import add, and_, attrgetter, eq, itemgetter, lshift, rshift
+from operator import add, and_, eq, lshift, rshift
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.errors import PathError, SearchLimitError
@@ -120,15 +120,6 @@ def _index_nodes(tids) -> dict[str, dict[tuple, int]]:
     for node, tid in enumerate(tids):
         node_of[tid.relation][tid.key] = node
     return node_of
-
-
-def _referenced_keys(records, fk) -> Iterator[tuple]:
-    """The key each of ``records`` (``fk``'s source tuples) holds in its
-    columns, NULLs included, read from the values in one C-level pass."""
-    values = map(attrgetter("values"), records)
-    if len(fk.source_columns) == 1:
-        return zip(map(itemgetter(fk.source_columns[0]), values))
-    return map(itemgetter(*fk.source_columns), values)
 
 
 def _derived_keys(tids) -> _Derived:
@@ -319,19 +310,20 @@ class FrozenGraph:
         and an edge there is ``(unordered pair, fk name)``, so a
         self-reference holds one entry in its one row, and a two-tuple
         cycle through one self-referencing FK is one edge carrying the
-        later reference.  Filled in bulk: no row per node."""
+        later reference.  Filled in bulk from the database's columns
+        (:meth:`Database.rows`): no row is built, no row per node, and
+        the tuple ids are the database's."""
         database = self.data_graph.database
         tids: list[TupleId] = []
         node_of: dict[str, dict[tuple, int]] = {}
-        # Relation -> (its tuples in store order, their node ints).
+        # Relation -> (its columns in store order, their node ints).
         stored: dict[str, tuple] = {}
         # Expansion order is (neighbour's sort key, FK name).  A key's
         # rank is its first node, so equal keys share one, and ties keep
         # neighbour order, as _sorted_row's stable sort does.
         rank = array("i")
         for relation in sorted(r.name for r in database.schema.relations):
-            records = database.tuples(relation)
-            keys = [record.tid.key for record in records]
+            keys, row_tids, columns = database.rows(relation)
             if {str}.issuperset(map(type, chain.from_iterable(keys))):
                 rendered = keys  # every part renders as itself
             else:
@@ -339,10 +331,10 @@ class FrozenGraph:
             # Stable: equal keys keep store (node insertion) order.
             order = sorted(range(len(keys)), key=rendered.__getitem__)
             base = len(tids)
-            tids += [records[at].tid for at in order]
+            tids += map(row_tids.__getitem__, order)
             nodes = dict(zip(map(keys.__getitem__, order), count(base)))
             node_of[relation] = nodes
-            stored[relation] = records, list(map(nodes.__getitem__, keys))
+            stored[relation] = columns, list(map(nodes.__getitem__, keys))
             rendered = list(map(rendered.__getitem__, order))
             if any(map(eq, rendered, islice(rendered, 1, None))):
                 rank.extend(
@@ -361,8 +353,9 @@ class FrozenGraph:
         to_owner = to_rank + width
         entries: list[int] = []
         for fk in database.schema.foreign_keys:
-            records, sources = stored[fk.source]
-            referenced = _referenced_keys(records, fk)
+            columns, sources = stored[fk.source]
+            # The key each source row holds, NULLs included.
+            referenced = zip(*[columns[name] for name in fk.source_columns])
             targets = list(map(node_of[fk.target].get, referenced))
             if fk.source == fk.target:
                 # Only a self-referencing FK can name one pair twice: the

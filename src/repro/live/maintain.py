@@ -29,6 +29,7 @@ networkx.
 
 from __future__ import annotations
 
+from repro.durable import fault
 from repro.graph.fast_traversal import TraversalCache
 from repro.live.changes import ChangeSet
 from repro.relational.database import Database
@@ -111,5 +112,6 @@ def apply_changeset(
     """Apply one changeset to whichever derived structures are given."""
     if index is not None:
         apply_to_index(index, database, changeset)
+    fault.maybe("live.maintain")
     if traversal_cache is not None:
         apply_to_traversal_cache(traversal_cache, changeset)

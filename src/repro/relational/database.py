@@ -8,15 +8,19 @@ for bulk loads with forward references.
 Tuples are identified by :class:`TupleId` — ``(relation, primary key
 values)`` — and may additionally carry a human-readable *label* (``d1``,
 ``w_f1``) so that reproduced tables render exactly as in the paper.
-A snapshot-restored relation keeps its rows as columns and builds each
-row's :class:`Tuple` the first time it is read
-(:meth:`Database.adopt_columns`).
+Every relation, inserted or snapshot-restored
+(:meth:`Database.adopt_columns`), keeps its rows as columns and builds
+a row's :class:`Tuple` the first time a caller reads it; the cold build
+reads the columns (:meth:`Database.rows`), and an answer renders through
+:meth:`Database.label`, so neither builds one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import FrozenInstanceError
-from itertools import count as _counting, islice
+from itertools import compress, count as _counting, islice
+from operator import not_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import (
@@ -37,18 +41,24 @@ def _reference_key(values: Mapping[str, object], foreign_key: ForeignKey) -> tup
     return tuple([values[column] for column in foreign_key.source_columns])
 
 
-def _references_itself(record: "Tuple", foreign_key: ForeignKey) -> bool:
-    """Whether ``record`` references its own key through ``foreign_key``
-    (a self-loop): an enforced insert or delete accepts it."""
+def _references_itself(
+    tid: "TupleId", values: Mapping[str, object], foreign_key: ForeignKey
+) -> bool:
+    """Whether the tuple ``tid`` with ``values`` references its own key
+    through ``foreign_key`` (a self-loop): an enforced insert or delete
+    accepts it."""
     return (
-        foreign_key.source == foreign_key.target == record.tid.relation
-        and _reference_key(record.values, foreign_key) == record.tid.key
+        foreign_key.source == foreign_key.target == tid.relation
+        and _reference_key(values, foreign_key) == tid.key
     )
 
 
 def _default_label(key: tuple) -> str:
     """A tuple's label unless one is given: its primary key rendered."""
-    return ",".join(map(str, key))
+    for part in key:
+        if part.__class__ is not str:
+            return ",".join(map(str, key))
+    return ",".join(key)  # every part renders as itself
 
 
 class TupleId:
@@ -138,6 +148,79 @@ class Tuple:
         return f"Tuple({self.label!r} in {self.relation})"
 
 
+class _Rows:
+    """One relation's rows as columns, by row number: its attribute
+    names (schema order), a primary key and one value per attribute
+    column per row, labels (None, or per row the given label or None)
+    and the row's :class:`TupleId` (``tids``: made once per inserted
+    row; None for a snapshot-restored relation, whose ids derive from
+    the keys on demand).  A store maps a row's key to its row number
+    until the row is read; a deleted row's slots are cleared to None.
+    """
+
+    __slots__ = ("relation", "names", "keys", "columns", "labels", "tids", "unread")
+
+    def __init__(self, relation, names, keys, columns, labels, tids) -> None:
+        self.relation = relation
+        self.names = names
+        self.keys = keys
+        self.columns = columns
+        self.labels = labels
+        self.tids = tids
+        #: Rows still held here only (an int in the store); the other
+        #: slots are dead: cleared by a delete or read into a Tuple.
+        self.unread = len(keys)
+
+    @classmethod
+    def empty(cls, relation: str, names) -> "_Rows":
+        return cls(relation, names, [], [[] for __ in names], None, [])
+
+    def tid(self, row: int) -> TupleId:
+        if self.tids is None:
+            return TupleId(self.relation, self.keys[row])
+        return self.tids[row]
+
+    def append(self, key: tuple, tid: TupleId, values, label) -> int:
+        """Add one row (``values`` in schema order); its row number."""
+        row = len(self.keys)
+        self.keys.append(key)
+        for column, value in zip(self.columns, values):
+            column.append(value)
+        if label is not None and self.labels is None:
+            self.labels = [None] * row
+        if self.labels is not None:
+            self.labels.append(label)
+        if self.tids is not None:
+            self.tids.append(tid)
+        self.unread += 1
+        return row
+
+    def clear(self, row: int) -> None:
+        """Drop a deleted unread row's values."""
+        self.keys[row] = None
+        for column in self.columns:
+            column[row] = None
+        if self.labels is not None:
+            self.labels[row] = None
+        if self.tids is not None:
+            self.tids[row] = None
+        self.unread -= 1
+
+    def values(self, row: int) -> dict:
+        return dict(zip(self.names, [column[row] for column in self.columns]))
+
+    def packed(self, order: list) -> "_Rows":
+        """The rows ``order`` names, renumbered 0, 1, ... in that order."""
+        return _Rows(
+            self.relation,
+            self.names,
+            list(map(self.keys.__getitem__, order)),
+            [list(map(column.__getitem__, order)) for column in self.columns],
+            None if self.labels is None else list(map(self.labels.__getitem__, order)),
+            None if self.tids is None else list(map(self.tids.__getitem__, order)),
+        )
+
+
 class Database:
     """An in-memory relational database instance.
 
@@ -154,8 +237,8 @@ class Database:
     def __init__(self, schema: DatabaseSchema, enforce_foreign_keys: bool = True) -> None:
         self.schema = schema
         self.enforce_foreign_keys = enforce_foreign_keys
-        #: Per relation, primary key -> Tuple (or, restored and unread,
-        #: its row number: see ``_columns``), in store order.
+        #: Per relation, primary key -> row number into its ``_columns``
+        #: (unread) or the row's Tuple (read), in store order.
         self._tuples: dict[str, dict[tuple[object, ...], Tuple | int]] = {
             relation.name: {} for relation in schema.relations
         }
@@ -165,10 +248,9 @@ class Database:
         #: instances that never delete pay neither the scan nor the
         #: memory.
         self._reference_counts: dict[str, dict[tuple, int]] = {}
-        #: Per restored relation (:meth:`adopt_columns`): attribute names,
-        #: primary keys, columns and labels, by row number.  An int in its
+        #: Per relation with a row: its :class:`_Rows`.  An int in its
         #: store is a row number into them, built into a Tuple on first read.
-        self._columns: dict[str, tuple] = {}
+        self._columns: dict[str, _Rows] = {}
         #: Row counts of restored relations whose store is not loaded yet.
         self._unloaded: dict[str, int] = {}
 
@@ -182,20 +264,32 @@ class Database:
         relation = self.schema.relation(relation_name)
         names = relation.attribute_names
         keys = list(zip(*[columns[names.index(c)] for c in relation.primary_key]))
-        self._columns[relation_name] = (names, keys, columns, labels)
+        self._columns[relation_name] = _Rows(
+            relation_name, names, keys, columns, labels, None
+        )
         return dict(zip(keys, _counting()))
 
+    def _rows(self, relation_name: str) -> _Rows:
+        """The relation's columns (empty ones for a relation never
+        inserted into); its store must be loaded first."""
+        rows = self._columns.get(relation_name)
+        if rows is None:
+            names = self.schema.relation(relation_name).attribute_names
+            rows = self._columns[relation_name] = _Rows.empty(relation_name, names)
+        return rows
+
     def _build(self, relation_name: str, row: int) -> Tuple:
-        """Row ``row`` of a restored relation as its Tuple — as a cold
-        build holds it — written back over the int in its store."""
-        names, keys, columns, labels = self._columns[relation_name]
-        key = keys[row]
+        """Row ``row`` as its Tuple, written back over the int in its
+        store."""
+        rows = self._columns[relation_name]
+        key = rows.keys[row]
         record = Tuple.__new__(Tuple)
-        record.tid = TupleId(relation_name, key)
-        record.values = dict(zip(names, [column[row] for column in columns]))
-        label = None if labels is None else labels[row]
+        record.tid = rows.tid(row)
+        record.values = rows.values(row)
+        label = None if rows.labels is None else rows.labels[row]
         record.label = _default_label(key) if label is None else label
         self._tuples[relation_name][key] = record
+        rows.unread -= 1
         return record
 
     def _read(self, relation_name: str, record):
@@ -210,15 +304,51 @@ class Database:
             raise UnknownRelationError("no such relation", relation=relation_name)
         return store
 
+    def _missing(self, tid: TupleId):
+        """Raise for a tuple id the database does not store."""
+        if tid.relation not in self._tuples:
+            raise UnknownRelationError(
+                "no such relation", relation=tid.relation
+            ) from None
+        raise IntegrityError("no such tuple", tid=str(tid)) from None
+
     def _records(self, relation_name: str) -> dict:
         """A relation's store with every row built (whole-relation reads)."""
         store = self._store(relation_name)
-        if relation_name in self._columns:
+        rows = self._columns.get(relation_name)
+        if rows is not None and rows.keys:
             unread = [row for row in store.values() if row.__class__ is int]
             for row in unread:
                 self._build(relation_name, row)
-            del self._columns[relation_name]  # no int is left to read them
+            # No int is left to read them: later inserts start afresh.
+            self._columns[relation_name] = _Rows.empty(relation_name, rows.names)
         return store
+
+    def rows(self, relation_name: str) -> tuple[list, list, dict]:
+        """``(keys, tids, columns)`` of a relation's rows in store order:
+        primary keys, tuple ids and, per attribute name, its values.
+        Builds no row — an unread row is read from its columns, a read
+        one from its Tuple — and may hand out the relation's own lists:
+        read them, never change them."""
+        store = self._store(relation_name)
+        rows = self._rows(relation_name)
+        order = list(store.values())
+        if len(rows.keys) == rows.unread == len(order) and order == list(range(len(order))):
+            # Every row unread, in row order: the columns as they are.
+            keys, columns, tids = rows.keys, rows.columns, rows.tids
+            if tids is None:
+                tids = [TupleId(relation_name, key) for key in keys]
+        else:  # read rows, cleared slots or rows a rollback moved
+            keys, tids, values = list(store), [], []
+            for stored in order:
+                if stored.__class__ is int:
+                    tids.append(rows.tid(stored))
+                    values.append([column[stored] for column in rows.columns])
+                else:
+                    tids.append(stored.tid)
+                    values.append(list(map(stored.values.get, rows.names)))
+            columns = list(map(list, zip(*values))) if values else [[] for __ in rows.names]
+        return keys, tids, dict(zip(rows.names, columns))
 
     # ------------------------------------------------------------------
     # mutation
@@ -233,6 +363,8 @@ class Database:
 
         Values are coerced to their declared types; unknown attributes
         raise; missing attributes become NULL (rejected for key columns).
+        The row is stored as columns: the returned Tuple is the caller's
+        read of it, and a later read builds an equal one.
         """
         relation = self.schema.relation(relation_name)
         store = self._tuples[relation_name]
@@ -259,14 +391,30 @@ class Database:
                 "duplicate primary key", relation=relation_name, key=key
             )
 
-        record = Tuple(TupleId(relation_name, key), coerced, label=label)
+        tid = TupleId(relation_name, key)
         if self.enforce_foreign_keys:
             for foreign_key in self.schema.foreign_keys_from(relation_name):
-                if not _references_itself(record, foreign_key):
-                    self._check_reference(record, foreign_key)
-        store[key] = record
-        self._count_references(record.values, relation_name, +1)
+                if not _references_itself(tid, coerced, foreign_key):
+                    self._check_reference(tid, coerced, foreign_key)
+        rows = self._rows(relation_name)
+        if len(rows.keys) - rows.unread > len(store):
+            rows = self._repack(relation_name)
+        store[key] = rows.append(key, tid, coerced.values(), label)
+        self._count_references(coerced, relation_name, +1)
+        record = Tuple.__new__(Tuple)
+        record.tid, record.values = tid, coerced
+        record.label = _default_label(key) if label is None else label
         return record
+
+    def _repack(self, relation_name: str) -> _Rows:
+        """Drop a relation's dead slots: its unread rows renumbered in
+        store order (what an insert does once they outnumber its rows)."""
+        store = self._tuples[relation_name]
+        order = [stored for stored in store.values() if stored.__class__ is int]
+        rows = self._columns[relation_name] = self._columns[relation_name].packed(order)
+        for key, row in zip(rows.keys, _counting()):
+            store[key] = row
+        return rows
 
     def insert_many(
         self, relation_name: str, rows: Iterable[Mapping[str, object]]
@@ -304,10 +452,10 @@ class Database:
                     attribute=column,
                 )
         if self.enforce_foreign_keys:
-            candidate = Tuple(tid, {**record.values, **coerced})
+            candidate = {**record.values, **coerced}
             for foreign_key in self.schema.foreign_keys_from(tid.relation):
                 if any(c in coerced for c in foreign_key.source_columns):
-                    self._check_reference(candidate, foreign_key)
+                    self._check_reference(tid, candidate, foreign_key)
         self._count_references(record.values, tid.relation, -1)
         record.values.update(coerced)
         self._count_references(record.values, tid.relation, +1)
@@ -315,45 +463,66 @@ class Database:
 
     def delete(self, tid: TupleId) -> None:
         """Delete a tuple; rejects when other tuples still reference it
-        (its own reference, a self-loop, does not hold it)."""
-        record = self.tuple(tid)
+        (its own reference, a self-loop, does not hold it).  An unread
+        row is deleted from its columns, without building it."""
+        try:
+            stored = self._tuples[tid.relation][tid.key]
+        except KeyError:
+            self._missing(tid)
+        if stored.__class__ is int:
+            values = self._columns[tid.relation].values(stored)
+        else:
+            values = stored.values
         if self.enforce_foreign_keys and any(
             self._references(foreign_key).get(tid.key, 0)
-            > _references_itself(record, foreign_key)
+            > _references_itself(tid, values, foreign_key)
             for foreign_key in self.schema.foreign_keys_to(tid.relation)
         ):
             # Rare path: only now scan for who it is, for the message.
-            referencing = list(self.referencing_tuples(record))
+            referencing = list(self.referencing_tuples(self.tuple(tid)))
             raise IntegrityError(
                 "tuple is still referenced",
                 tid=str(tid),
                 referencing=[str(t.tid) for t in referencing[:5]],
             )
         del self._tuples[tid.relation][tid.key]
-        self._count_references(record.values, tid.relation, -1)
+        if stored.__class__ is int:
+            self._columns[tid.relation].clear(stored)
+        self._count_references(values, tid.relation, -1)
 
     def _references(self, foreign_key: ForeignKey) -> dict[tuple, int]:
         """How many tuples reference each key through one foreign key
-        (built by one scan of its source relation on first use)."""
+        (counted on first use: unread rows in one C-level pass over the
+        key columns, read ones from their values)."""
         counts = self._reference_counts.get(foreign_key.name)
         if counts is None:
-            counts = self._reference_counts[foreign_key.name] = {}
-            for __, key in self._reference_keys(foreign_key):
-                counts[key] = counts.get(key, 0) + 1
+            store = self._tuples[foreign_key.source]  # loaded first: it adopts
+            held = list(self._key_columns(self._rows(foreign_key.source), foreign_key))
+            unread = [stored for stored in store.values() if stored.__class__ is int]
+            counts = Counter(map(held.__getitem__, unread))
+            if len(unread) < len(store):
+                counts.update(
+                    _reference_key(stored.values, foreign_key)
+                    for stored in store.values() if stored.__class__ is not int
+                )
+            self._reference_counts[foreign_key.name] = counts
         return counts
+
+    @staticmethod
+    def _key_columns(rows: _Rows, foreign_key: ForeignKey):
+        """Per row number, the key a foreign key's columns hold."""
+        names = rows.names
+        return zip(*[
+            rows.columns[names.index(column)] for column in foreign_key.source_columns
+        ])
 
     def _reference_keys(self, foreign_key: ForeignKey) -> Iterator[tuple]:
         """``(stored value, referenced key)`` per tuple of the foreign
-        key's source relation, in store order.  An unbuilt row's key is
-        read from its columns, a built one's from its (maybe updated)
+        key's source relation, in store order.  An unread row's key is
+        read from its columns, a read one's from its (maybe updated)
         values: no row is built."""
         store = self._tuples[foreign_key.source]  # loaded first: it adopts
-        restored = self._columns.get(foreign_key.source)
-        if restored is not None:
-            names, __, columns, ___ = restored
-            held = list(zip(*[
-                columns[names.index(column)] for column in foreign_key.source_columns
-            ]))
+        held = list(self._key_columns(self._rows(foreign_key.source), foreign_key))
         for record in store.values():
             if record.__class__ is int:
                 yield record, held[record]
@@ -380,14 +549,23 @@ class Database:
         try:
             record = self._tuples[tid.relation][tid.key]
         except KeyError:
-            if tid.relation not in self._tuples:
-                raise UnknownRelationError(
-                    "no such relation", relation=tid.relation
-                ) from None
-            raise IntegrityError("no such tuple", tid=str(tid)) from None
+            self._missing(tid)
         if record.__class__ is int:
             return self._build(tid.relation, record)
         return record
+
+    def label(self, tid: TupleId) -> str:
+        """A stored tuple's display label, read without building it."""
+        try:
+            record = self._tuples[tid.relation][tid.key]
+        except KeyError:
+            self._missing(tid)
+        if record.__class__ is not int:
+            return record.label
+        labels = self._columns[tid.relation].labels
+        if labels is not None and labels[record] is not None:
+            return labels[record]
+        return _default_label(tid.key)
 
     def get(self, relation_name: str, *key: object) -> Optional[Tuple]:
         """Fetch by primary key values; None when absent."""
@@ -408,9 +586,9 @@ class Database:
         posting order and answer enumeration), so a transaction rollback
         must restore it, not just the tuple set.  Keys absent from the
         store are skipped; keys not in the recording keep their relative
-        order at the end.
+        order at the end.  Builds no row.
         """
-        store = self._records(relation_name)
+        store = self._store(relation_name)
         ordered = {key: store[key] for key in keys if key in store}
         for key, record in store.items():
             if key not in ordered:
@@ -568,21 +746,31 @@ class Database:
     # ------------------------------------------------------------------
     # integrity
     # ------------------------------------------------------------------
-    def _check_reference(self, record: Tuple, foreign_key: ForeignKey) -> None:
-        key, target = self._resolve(record.values, foreign_key)
+    def _check_reference(
+        self, tid: TupleId, values: Mapping[str, object], foreign_key: ForeignKey
+    ) -> None:
+        key, target = self._resolve(values, foreign_key)
         if key is not None and target is None:
             raise ForeignKeyError(
                 "dangling foreign key",
                 foreign_key=foreign_key.name,
-                source=str(record.tid),
+                source=str(tid),
                 missing_key=key,
             )
 
     def check_integrity(self) -> None:
-        """Validate every foreign key of every tuple (for deferred mode)."""
+        """Validate every foreign key of every tuple (for deferred mode):
+        the referenced keys are read off the key columns and looked up in
+        one C-level pass per foreign key; no row is built."""
         for foreign_key in self.schema.foreign_keys:
-            for record in self.tuples(foreign_key.source):
-                self._check_reference(record, foreign_key)
+            __, tids, columns = self.rows(foreign_key.source)
+            held = list(zip(*[columns[name] for name in foreign_key.source_columns]))
+            absent = map(not_, map(self._tuples[foreign_key.target].__contains__, held))
+            for tid, key in compress(zip(tids, held), absent):
+                # NULL references pass; the first dangling one raises.
+                self._check_reference(
+                    tid, dict(zip(foreign_key.source_columns, key)), foreign_key
+                )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Database({self.schema.name!r}, tuples={self.count()})"

@@ -89,7 +89,13 @@ def _value_tokens(value) -> tuple[dict, str]:
 def _text_tokens(text: str, whole: str) -> dict:
     """The distinct tokens of a value's text that is not one plain word,
     in posting order; ``whole`` is the text lower-cased."""
-    tokens = dict.fromkeys(tokenize(text))
+    if text.isascii() and all(map(str.isalnum, words := whole.split())):
+        # Plain words between blanks (most titles): what ``tokenize``
+        # gives, as ``[A-Za-z0-9]+`` matches exactly the ASCII
+        # alphanumerics and stops at any blank.
+        tokens = dict.fromkeys(words)
+    else:
+        tokens = dict.fromkeys(tokenize(text))
     if whole:
         # Values that tokenise away entirely (e.g. punctuation-only)
         # are still matchable as whole values.
@@ -145,8 +151,10 @@ class _PostingColumns:
     @classmethod
     def scan(cls, database: Database, relations: dict, names: list[str]):
         """One scan of the store in posting order — relations in schema
-        order, tuples in store order — grouped per token, the tokens
-        sorted and the groups flattened into columns.
+        order, rows in store order — grouped per token, the tokens
+        sorted and the groups flattened into columns.  The rows are read
+        from the database's columns (:meth:`Database.rows`), so no row
+        is built, and ``tid_of`` shares the database's tuple ids.
 
         A token's group lists ``position, attribute id, flag`` per
         posting: one position object per tuple and small ints, so the
@@ -161,15 +169,13 @@ class _PostingColumns:
         tids: list[TupleId] = []
         table: dict[str, list[int]] = {}
         for relation, fields in relations.items():
-            ids = [(name, attribute_id[name]) for name in fields]
-            for record in database.tuples(relation):
-                position = len(tids)
-                tids.append(record.tid)
-                values = record.values
+            ids = [attribute_id[name] for name in fields]
+            __, row_tids, columns = database.rows(relation)
+            rows = zip(*[columns[name] for name in fields])
+            for position, row in enumerate(rows, len(tids)):
                 # What ``_posted`` yields, ``_value_tokens`` inlined: no
                 # generator step per posting.
-                for attribute, at in ids:
-                    value = values.get(attribute)
+                for value, at in zip(row, ids):
                     if value is None:
                         continue
                     text = str(value)
@@ -189,6 +195,7 @@ class _PostingColumns:
                             table[token] = [position, at, _FIRST | (token == whole)]
                         else:
                             entries += position, at, token == whole
+            tids += row_tids
         tokens = sorted(table)
         offsets = array("i", [0])
         flat = array("i")

@@ -19,10 +19,13 @@ from repro.datasets.synthetic import (
     generate_company_like,
     plant,
 )
+from repro.durable import fault
 from repro.durable import wal as wal_module
 from repro.durable.wal import MAGIC, WriteAheadLog, default_wal_path
-from repro.errors import MutationFormatError, WalError
+from repro.errors import FaultInjected, MutationFormatError, SnapshotError, WalError
+from repro.live import maintain as maintain_module
 from repro.live.changes import Delete, Insert, Update, apply_to_database
+from repro.oracle import search as oracle_search
 from repro.relational.database import Database, TupleId
 from repro.relational.schema import AttributeDef, DatabaseSchema, ForeignKey, Relation
 
@@ -635,5 +638,122 @@ class TestWalMetrics:
         try:
             assert reopened.attach_wal() == 2
             assert reopened.version == 2
+        finally:
+            reopened.close()
+
+
+#: Every fault point an ``apply`` with a WAL passes, and the state a
+#: fault there leaves: the commit's point rolls the batch back; the
+#: others fire once the batch is durable, and the engine rebuilds.
+APPLY_POINTS = {"apply.commit": "pre", "wal.append": "post", "live.maintain": "post"}
+
+
+def fault_batches(database):
+    """A batch that lands before the fault, and the faulted batch by
+    kind; ``churn`` deletes and re-inserts what the first one inserted."""
+    essn = database.tuples("EMPLOYEE")[0].tid.key[0]
+    churn = TupleId("DEPENDENT", ("churn",))
+    first = [Insert("DEPENDENT",
+                    {"ID": "churn", "ESSN": essn, "DEPENDENT_NAME": "kwbeta"})]
+    kinds = one_batch_of_each_kind(database)
+    kinds["churn"] = [
+        Delete(churn),
+        Insert("DEPENDENT",
+               {"ID": "churn", "ESSN": essn, "DEPENDENT_NAME": "kwalpha Nora"}),
+        Update(database.tuples("DEPARTMENT")[0].tid, {"D_DESCRIPTION": "kwbeta"}),
+    ]
+    return first, kinds
+
+
+def fail_graph_patch(*args, **kwargs):
+    raise FaultInjected("graph patch failed", point="graph step")
+
+
+class TestFaultsLeaveOneOfTwoStates:
+    """A fault anywhere on ``apply``'s write path leaves the engine in
+    exactly one of two states: the pre-batch engine at the same
+    ``version``, or the post-batch engine at ``version + 1`` — and in
+    either the answers equal ``repro.oracle.search`` over that database
+    and a WAL reopen of the engine."""
+
+    def test_the_table_names_every_point_apply_passes(self, tmp_path, monkeypatch):
+        engine, __ = saved_engine(tmp_path)
+        first, kinds = fault_batches(engine.database)
+        passed = set()
+        monkeypatch.setattr(fault, "maybe", passed.add)
+        for batch in (first, *kinds.values()):
+            engine.apply(batch)
+        assert passed == set(APPLY_POINTS)
+        engine.close()
+
+    @pytest.mark.parametrize("kind", ["insert", "update", "delete", "churn"])
+    @pytest.mark.parametrize("point", [*APPLY_POINTS, "graph step"])
+    def test_pre_or_post_batch(self, tmp_path, monkeypatch, point, kind):
+        engine, path = saved_engine(tmp_path)
+        first, kinds = fault_batches(engine.database)
+        engine.apply(first)
+        version = engine.version
+        with monkeypatch.context() as patch:
+            if point == "graph step":  # what _maintain calls to patch the graph
+                patch.setattr(maintain_module, "apply_to_traversal_cache",
+                              fail_graph_patch)
+            else:
+                fault.configure(f"{point}:raise")
+            try:
+                with pytest.raises(FaultInjected):
+                    engine.apply(kinds[kind])
+            finally:
+                fault.reset()
+        landed = APPLY_POINTS.get(point, "post") == "post"
+        assert engine.version == version + landed
+        assert engine.metrics_snapshot()["engine.maintain_rebuilds"] == landed
+
+        expected = planted_database()
+        apply_to_database(expected, first)
+        if landed:
+            apply_to_database(expected, kinds[kind])
+        queries = (*QUERIES, "Nora")
+        answers = {q: rendered(engine.search(q, limits=LIMITS)) for q in queries}
+        for query in queries:
+            assert answers[query] == rendered(
+                oracle_search(expected, query, limits=LIMITS)
+            )
+        state = state_of(engine)
+        assert state[1] == state_of(KeywordSearchEngine(expected))[1]
+        engine.close()
+
+        reopened = KeywordSearchEngine.open(path, wal=True)
+        try:
+            assert state_of(reopened) == state
+            for query in queries:
+                assert rendered(reopened.search(query, limits=LIMITS)) \
+                    == answers[query]
+        finally:
+            reopened.close()
+
+    def test_a_failed_rebuild_closes_the_engine(self, tmp_path, monkeypatch):
+        engine, path = saved_engine(tmp_path)
+        batch = one_batch_of_each_kind(engine.database)["insert"]
+        monkeypatch.setattr(engine.index, "build", disk_full)
+        fault.configure("live.maintain:raise")
+        try:
+            with pytest.raises(OSError):
+                engine.apply(batch)
+        finally:
+            fault.reset()
+        with pytest.raises(SnapshotError):
+            engine.search("Nora", limits=LIMITS)
+        with pytest.raises(SnapshotError):
+            engine.apply(batch)
+        assert engine.wal is None
+
+        expected = planted_database()
+        apply_to_database(expected, batch)
+        reopened = KeywordSearchEngine.open(path, wal=True)
+        try:
+            assert reopened.version == 1
+            assert rendered(reopened.search("Nora", limits=LIMITS)) == rendered(
+                oracle_search(expected, "Nora", limits=LIMITS)
+            )
         finally:
             reopened.close()

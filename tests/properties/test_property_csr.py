@@ -48,6 +48,7 @@ from repro.live.changes import Delete, Insert, Update, apply_to_database
 from repro.live.maintain import apply_changeset
 from repro.oracle import search as oracle_search
 from repro.relational.database import Database, Tuple, TupleId
+from repro.relational.index import InvertedIndex
 from repro.relational.schema import (
     AttributeDef,
     DatabaseSchema,
@@ -779,6 +780,60 @@ def _columns(frozen):
         list(frozen._tid_of), frozen._offsets, frozen._targets,
         list(frozen._edge_keys), frozen._edge_refs,
     )
+
+
+def _unread_mutations(database, salts):
+    """Insert and delete batches chosen from the columns, so the rows
+    they name stay unread until the batch runs."""
+    for counter, salt in enumerate(salts):
+        __, dependents, ___ = database.rows("DEPENDENT")
+        if salt % 3 == 2 and dependents:
+            batch = [Delete(dependents[salt % len(dependents)])]
+        else:
+            __, employees, ___ = database.rows("EMPLOYEE")
+            batch = [Insert("DEPENDENT", {
+                "ID": f"hz{counter}", "ESSN": employees[salt % len(employees)].key[0],
+                "DEPENDENT_NAME": f"name{salt % 5}",
+            })]
+        apply_to_database(database, batch)
+
+
+def _cold_build(database):
+    """What a cold build makes of a database: its posting columns and
+    its first compile's interning table and CSR columns."""
+    postings = InvertedIndex(database)._postings._columns
+    return (
+        postings.directory(), postings.offsets, postings.nodes,
+        postings.attributes, postings.flags, list(postings.tid_of),
+        _columns(FrozenGraph(DataGraph(database))),
+    )
+
+
+class TestColumnRowsEqualBuiltRows:
+    """A cold build over rows still held as columns equals one over the
+    same database with some rows, or every row, read into a ``Tuple``:
+    the same posting columns and the same CSR offsets, targets, edge
+    keys, refs and ``tid_of``, after inserts and deletes too."""
+
+    @relaxed
+    @given(configs, st.lists(st.integers(0, 1 << 16), max_size=4), st.data())
+    def test_generated_databases(self, config, salts, data):
+        untouched, some, every = (generate_company_like(config) for __ in range(3))
+        for database in (untouched, some, every):
+            _unread_mutations(database, salts)
+        tids = [tid for relation in some.schema.relations
+                for tid in some.rows(relation.name)[1]]
+        for tid in data.draw(st.lists(st.sampled_from(tids), unique=True)):
+            some.tuple(tid)
+        list(every.all_tuples())
+        assert _cold_build(untouched) == _cold_build(some) == _cold_build(every)
+
+    def test_corner_cases(self):
+        """Self-loops, a two-tuple cycle, NULL and dangling references,
+        and a store mixing read and unread rows."""
+        untouched, every = _org_corner_cases(), _org_corner_cases()
+        list(every.all_tuples())
+        assert _cold_build(untouched) == _cold_build(every)
 
 
 class TestDirectRowsEqualGraphRows:

@@ -3,6 +3,7 @@
 import os
 import string
 import tempfile
+from array import array
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,13 @@ from repro.errors import PrimaryKeyError
 from repro.live.changes import Delete, Insert, Update, apply_to_database
 from repro.live.maintain import apply_changeset
 from repro.relational.database import Database
-from repro.relational.index import InvertedIndex, Posting, _value_tokens, tokenize
+from repro.relational.index import (
+    InvertedIndex,
+    Posting,
+    _value_tokens,
+    attribute_table,
+    tokenize,
+)
 from repro.relational.io import database_from_dict, database_to_dict
 from repro.relational.schema import AttributeDef, DatabaseSchema, Relation
 from repro.scale.snapshot import Snapshot
@@ -330,6 +337,51 @@ def tokenized(value):
     return list(tokens), whole
 
 
+#: ASCII texts around the scan's multi-word shortcut: words of letters
+#: and digits between runs of blanks and tabs (its case), and texts with
+#: ``-``, ``_`` or punctuation (``tokenize``'s).
+ascii_texts = st.one_of(
+    st.lists(st.text(alphabet="aZ09", min_size=1, max_size=4), max_size=4).flatmap(
+        lambda words: st.sampled_from([" ", "  ", "\t", " \t "]).map(
+            lambda blank: blank.join(words)
+        )
+    ),
+    st.text(alphabet="aZ09 \t-_.", max_size=12),
+)
+
+
+def scanned_columns(columns):
+    """A scan's posting columns as bytes, with their array types."""
+    return (
+        columns.directory(), list(columns.tid_of),
+        *((column.typecode, column.tobytes()) for column in
+          (columns.offsets, columns.nodes, columns.attributes)),
+        bytes(columns.flags),
+    )
+
+
+def reference_columns(database):
+    """The posting columns ``eager_postings`` (the ``tokenize`` path)
+    gives, in :func:`scanned_columns`' form."""
+    reference = eager_postings(database)
+    tids = [record.tid for relation in database.schema.relations
+            for record in database.tuples(relation.name)]
+    node = {tid: at for at, tid in enumerate(tids)}
+    attribute_id = {name: at for at, name in enumerate(attribute_table(database.schema))}
+    offsets, nodes, attributes, flags = array("i", [0]), array("i"), array("H"), bytearray()
+    for token in sorted(reference):
+        for at, posting in enumerate(reference[token]):
+            nodes.append(node[posting.tid])
+            attributes.append(attribute_id[posting.attribute])
+            flags.append((0 if at else 0x80) | posting.whole_value)
+        offsets.append(len(nodes))
+    return (
+        sorted(reference), tids,
+        *((column.typecode, column.tobytes()) for column in (offsets, nodes, attributes)),
+        bytes(flags),
+    )
+
+
 def typed_database():
     """One relation with a column per stored type."""
     schema = DatabaseSchema(
@@ -351,8 +403,9 @@ def typed_database():
 
 class TestPlainWordShortcutEqualsTokenize:
     """``text.isascii() and text.isalnum()`` — the shortcut
-    ``_value_tokens`` and the cold scan take for one plain word — posts
-    exactly what the ``tokenize`` path posts."""
+    ``_value_tokens`` and the cold scan take for one plain word — and
+    ``_text_tokens``' one for ASCII words between blanks post exactly
+    what the ``tokenize`` path posts."""
 
     @given(st.one_of(edge_texts, edge_scalars))
     def test_value_tokens(self, value):
@@ -378,6 +431,18 @@ class TestPlainWordShortcutEqualsTokenize:
             for at, token in enumerate(columns.directory())
         }
         assert scanned == eager_postings(database)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(ascii_texts, ascii_texts), max_size=8))
+    def test_multi_word_columns(self, rows):
+        """ASCII values of several words — runs of blanks and tabs,
+        digits, ``-`` and ``_`` compounds — post byte-identical columns
+        through the scan's shortcut and through ``tokenize``."""
+        database = typed_database()
+        for number, (word, body) in enumerate(rows):
+            database.insert("VAL", {"ID": f"k{number}", "WORD": word, "BODY": body})
+        columns = InvertedIndex(database)._postings._columns
+        assert scanned_columns(columns) == reference_columns(database)
 
 
 class TestSerialisationRoundTrip:

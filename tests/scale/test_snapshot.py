@@ -1,10 +1,8 @@
 """Snapshot round-trip, integrity and laziness tests."""
 
 import json
-import os
 import random
 import struct
-import sys
 from array import array
 from functools import partial
 
@@ -26,6 +24,7 @@ from repro.relational.index import _posted, tokenize
 from repro.relational.schema import AttributeDef, DatabaseSchema, ForeignKey, Relation
 from repro.scale import snapshot as snapshot_module
 from repro.scale.snapshot import SNAPSHOT_FORMAT, Snapshot
+from stored_rows import bib_corpus, built_rows
 
 DELTA_FORMAT = 6  # of a file that ends in a delta of mutation records
 
@@ -53,36 +52,12 @@ def rendered(results):
     return [(r.render(), r.score, r.rank) for r in results]
 
 
-def built_rows(engine):
-    """``(relation, key)`` of every row a restored engine has built into
-    a ``Tuple``; a row still unread is an int in its loaded store, and
-    an unloaded relation has no store yet."""
-    return {
-        (name, key)
-        for name, store in dict.items(engine.database._tuples)
-        for key, record in store.items()
-        if record.__class__ is not int
-    }
-
-
 def answer_rows(results):
     return {
         (tid.relation, tid.key)
         for result in results
         for tid in result.answer.tuple_ids()
     }
-
-
-def bib_corpus(size="tiny", seed=7):
-    """The end-to-end benchmark's bibliographic corpus."""
-    sys.path.insert(0, os.path.join(
-        os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks", "e2e"
-    ))
-    try:
-        import corpus
-    finally:
-        del sys.path[0]
-    return corpus.generate(size, seed)
 
 
 def publish_with_meta(path, out, **keys):
@@ -424,14 +399,7 @@ class TestLaziness:
         holds."""
         from repro.relational.index import InvertedIndex, _PostingColumns
 
-        sys.path.insert(0, os.path.join(
-            os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks", "e2e"
-        ))
-        try:
-            import corpus
-        finally:
-            del sys.path[0]
-        bib = corpus.generate("tiny", 7)
+        bib = bib_corpus()
         path = str(tmp_path / "bib.snap")
         KeywordSearchEngine(bib.database()).save(path)
         engine = KeywordSearchEngine.open(path, wal=True)
@@ -518,7 +486,7 @@ class TestLaziness:
         frozen = restored.traversal_cache.frozen()
         assert set(frozen._node_of) <= named
         assert len(frozen._keys) < frozen.capacity // 4
-        assert built_rows(restored) <= rows
+        assert built_rows(restored.database) <= rows
 
         texts = bib.texts(4)
         for text in texts:
@@ -536,7 +504,8 @@ class TestLaziness:
         for text in bib.texts(4):
             rendering |= answer_rows(restored.search(text, top_k=10))
         assert rendering
-        assert built_rows(restored) <= rendering
+        # Answers render through Database.label: not even they build one.
+        assert built_rows(restored.database) == set()
         restored.close()
 
     def test_counting_builds_no_row(self, tmp_path):
@@ -559,10 +528,10 @@ class TestLaziness:
             TfIdfScorer(restored.index),
             match_keywords(restored.index, tuple(text.split())),
         )
-        assert built_rows(restored) == set()
+        assert built_rows(restored.database) == set()
         results = restored.search(text, ranker=ranker)
         assert results
-        assert built_rows(restored) <= answer_rows(results)
+        assert built_rows(restored.database) == set()
         restored.close()
 
     @pytest.mark.parametrize("loaded", (True, False))
@@ -588,7 +557,7 @@ class TestLaziness:
         restored.apply([Delete(tid) for tid in holders] + [Delete(project.tid)])
         assert restored.database.get("PROJECT", *project.tid.key) is None
         assert {
-            key for name, key in built_rows(restored) if name == "WORKS_FOR"
+            key for name, key in built_rows(restored.database) if name == "WORKS_FOR"
         } == set()
         restored.close()
 
