@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from repro.errors import MutationError, MutationFormatError
-from repro.relational.database import Database, Tuple, TupleId
+from repro.relational.database import Database, Tuple, TupleId, _default_label
 from repro.relational.schema import ForeignKey
 
 __all__ = [
@@ -289,7 +289,11 @@ def apply_to_database(
             elif isinstance(mutation, Delete):
                 record = database.tuple(mutation.tid)
                 old_values = dict(record.values)
+                # An unlabelled row re-inserts unlabelled: a rollback
+                # then adds no labels column to its relation.
                 old_label = record.label
+                if old_label == _default_label(record.tid.key):
+                    old_label = None
                 old_edges = _outgoing_edges(database, record)
                 relation = mutation.tid.relation
                 reorder = None

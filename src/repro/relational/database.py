@@ -55,10 +55,7 @@ def _references_itself(
 
 def _default_label(key: tuple) -> str:
     """A tuple's label unless one is given: its primary key rendered."""
-    for part in key:
-        if part.__class__ is not str:
-            return ",".join(map(str, key))
-    return ",".join(key)  # every part renders as itself
+    return ",".join(map(str, key))
 
 
 class TupleId:
@@ -364,7 +361,9 @@ class Database:
         Values are coerced to their declared types; unknown attributes
         raise; missing attributes become NULL (rejected for key columns).
         The row is stored as columns: the returned Tuple is the caller's
-        read of it, and a later read builds an equal one.
+        read of it, and a later read builds an equal one.  It is a copy:
+        editing its values leaves the stored row (and the reference
+        counts) as they were; :meth:`update` changes a row.
         """
         relation = self.schema.relation(relation_name)
         store = self._tuples[relation_name]

@@ -86,6 +86,21 @@ class TestInsertedRows:
         assert read.tid == record.tid
         assert database.tuple(NORA) is read  # written back once built
 
+    def test_the_returned_record_is_a_copy(self):
+        database = build_company_database()
+        record = database.insert(
+            "DEPENDENT", {"ID": "t9", "ESSN": "e1", "DEPENDENT_NAME": "Nora"}
+        )
+        record.values["DEPENDENT_NAME"] = "Changed"
+        record.values["ESSN"] = "e2"
+        read = database.tuple(NORA)
+        assert read is not record
+        assert read.values == {"ID": "t9", "ESSN": "e1", "DEPENDENT_NAME": "Nora"}
+        counts = database._references(
+            database.schema.foreign_key("fk_dependent_employee")
+        )
+        assert counts[("e1",)] == 1 and counts.get(("e2",), 0) == 0
+
     def test_label_of_an_absent_tuple_raises_like_a_read(self):
         database = build_company_database()
         with pytest.raises(IntegrityError):
@@ -147,6 +162,19 @@ class TestUnreadRowsBehaveAsBuiltOnes:
             apply_to_database(database, batches["rollback"])
         assert database.relation_key_order("DEPENDENT") == order
         assert not {key for name, key in built_rows(database) if name == "DEPENDENT"}
+
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_a_rolled_back_delete_adds_no_labels_column(self, read_first):
+        database = build_company_database()
+        target, batches = _batches(database)
+        assert database._columns["DEPENDENT"].labels is None
+        if read_first:
+            database.tuple(target)
+        with pytest.raises(ForeignKeyError):
+            apply_to_database(database, batches["rollback"])
+        assert database._columns["DEPENDENT"].labels is None
+        assert database.label(target) == "t1"
 
 
 class TestChurn:
