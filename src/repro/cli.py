@@ -521,8 +521,8 @@ def _cmd_snapshot(args: argparse.Namespace, out) -> int:
         return 0
 
     engine = KeywordSearchEngine.open(args.file)
-    # Row sections are otherwise checked on a relation's first touch;
-    # loading a store checks its section and builds no row.
+    # Row and interning sections are otherwise checked on a relation's
+    # first touch; loading a store checks both and builds no row.
     for relation in engine.database.schema.relations:
         engine.database.relation_key_order(relation.name)
     meta = engine._snapshot.meta

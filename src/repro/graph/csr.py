@@ -944,11 +944,11 @@ class FrozenGraph:
         # reference may have changed sides.
         database = self.data_graph.database
         for tid in changeset.tuples_replaced:
-            record = database.tuple(tid)
+            values = database.values(tid)
             for fk in database.schema.foreign_keys_from(tid.relation):
-                referenced = database.referenced_tuple(record, fk)
+                referenced = database.referenced_id(values, fk)
                 if referenced is not None:
-                    cycle(node_of(tid), node_of(referenced.tid), fk)
+                    cycle(node_of(tid), node_of(referenced), fk)
         alive = self._alive
         for (low, high, name), fk in cycles.items():
             for node, other in ((low, high), (high, low)):
@@ -997,9 +997,8 @@ class FrozenGraph:
         database = self.data_graph.database
         holding = []
         for source, target in ((low, high), (high, low)):
-            record = database.tuple(self._tid_of[source])
-            referenced = database.referenced_tuple(record, fk)
-            if referenced is not None and referenced.tid == self._tid_of[target]:
+            values = database.values(self._tid_of[source])
+            if database.referenced_id(values, fk) == self._tid_of[target]:
                 holding.append(source)
         if len(holding) < 2:
             return holding[0] if holding else None

@@ -137,9 +137,10 @@ class ChangeSet:
             structural.add(edge.referenced)
         return frozenset(structural)
 
-    def appended(self, database: Database) -> dict[str, tuple[Tuple, ...]]:
+    def appended(self, database: Database) -> dict[str, list[tuple[TupleId, dict]]]:
         """Per relation, the tuples the batch left appended — added or
-        replaced — in store order, read from the just-mutated database.
+        replaced — as ``(tuple id, values)`` pairs in store order, read
+        from the just-mutated database without building a row.
 
         Inserts append, so whatever a batch inserted and kept sits
         behind every older tuple of its relation: the batch's survivors
@@ -163,13 +164,16 @@ class ChangeSet:
         )
 
 
-def _outgoing_edges(database: Database, record: Tuple) -> list[EdgeChange]:
-    """The FK edges this tuple contributes to the data graph right now."""
+def _outgoing_edges(
+    database: Database, tid: TupleId, values: Mapping[str, object]
+) -> list[EdgeChange]:
+    """The FK edges the tuple ``tid`` with ``values`` contributes to the
+    data graph right now."""
     edges = []
-    for foreign_key in database.schema.foreign_keys_from(record.relation):
-        target = database.referenced_id(record, foreign_key)
+    for foreign_key in database.schema.foreign_keys_from(tid.relation):
+        target = database.referenced_id(values, foreign_key)
         if target is not None:
-            edges.append(EdgeChange(record.tid, target, foreign_key))
+            edges.append(EdgeChange(tid, target, foreign_key))
     return edges
 
 
@@ -282,19 +286,19 @@ def apply_to_database(
                 )
                 undo.append(("delete", record.tid))
                 builder.note_insert(record.tid)
-                for edge in _outgoing_edges(database, record):
+                for edge in _outgoing_edges(database, record.tid, record.values):
                     builder.note_edge_added(edge)
                 for edge in _resolved_edges(database, record):
                     builder.note_edge_added(edge)
             elif isinstance(mutation, Delete):
-                record = database.tuple(mutation.tid)
-                old_values = dict(record.values)
+                # The before-image is read as values: no row is built.
+                old_values = database.values(mutation.tid)
                 # An unlabelled row re-inserts unlabelled: a rollback
                 # then adds no labels column to its relation.
-                old_label = record.label
-                if old_label == _default_label(record.tid.key):
+                old_label = database.label(mutation.tid)
+                if old_label == _default_label(mutation.tid.key):
                     old_label = None
-                old_edges = _outgoing_edges(database, record)
+                old_edges = _outgoing_edges(database, mutation.tid, old_values)
                 relation = mutation.tid.relation
                 reorder = None
                 if relation not in captured:
@@ -315,13 +319,14 @@ def apply_to_database(
                 for edge in old_edges:
                     builder.note_edge_removed(edge)
             elif isinstance(mutation, Update):
-                record = database.tuple(mutation.tid)
-                old_values = dict(record.values)
-                old_edges = _outgoing_edges(database, record)
+                old_values = database.values(mutation.tid)
+                old_edges = _outgoing_edges(database, mutation.tid, old_values)
                 database.update(mutation.tid, mutation.values)
                 undo.append(("restore", mutation.tid, old_values))
                 builder.note_update(mutation.tid, old_values)
-                new_edges = _outgoing_edges(database, record)
+                new_edges = _outgoing_edges(
+                    database, mutation.tid, database.values(mutation.tid)
+                )
                 old_keys = {edge.key: edge for edge in old_edges}
                 new_keys = {edge.key: edge for edge in new_edges}
                 for key, edge in old_keys.items():

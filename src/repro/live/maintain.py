@@ -53,15 +53,15 @@ def apply_to_index(
     for tid in changeset.tuples_updated:
         # In-place value update: the store position is unchanged, so the
         # posting position survives the remove/re-add without a scan.
-        index.reindex_tuple(database.tuple(tid), before.get(tid))
+        index.reindex_tuple(tid, database.values(tid), before.get(tid))
     for tid in changeset.tuples_replaced:
         # Delete-then-reinsert: the tuple moved to the relation tail, so
         # its posting position must be re-derived.
         index.remove_tuple(tid, before.get(tid))
     # Added and replaced tuples are their stores' tails: they take
     # consecutive tail positions in store order, no relation rescanned.
-    for records in changeset.appended(database).values():
-        index.append_tuples(records)
+    for rows in changeset.appended(database).values():
+        index.append_tuples(rows)
 
 
 def apply_to_traversal_cache(cache: TraversalCache, changeset: ChangeSet) -> None:

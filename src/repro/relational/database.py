@@ -421,16 +421,22 @@ class Database:
         """Insert several tuples; convenience for loaders and generators."""
         return [self.insert(relation_name, row) for row in rows]
 
-    def update(self, tid: TupleId, values: Mapping[str, object]) -> Tuple:
-        """Update attribute values of one tuple in place and return it.
+    def update(self, tid: TupleId, values: Mapping[str, object]) -> None:
+        """Update attribute values of one tuple in place.
 
         Only the given attributes change; they are coerced to their
         declared types.  Primary-key columns may not change (delete and
         re-insert instead — the tuple's identity is its key).  Changed
         foreign-key columns are validated immediately when the database
-        enforces foreign keys.
+        enforces foreign keys.  An unread row is updated in its columns,
+        without building it.
         """
-        record = self.tuple(tid)
+        try:
+            stored = self._tuples[tid.relation][tid.key]
+        except KeyError:
+            self._missing(tid)
+        rows = self._columns[tid.relation] if stored.__class__ is int else None
+        current = stored.values if rows is None else rows.values(stored)
         relation = self.schema.relation(tid.relation)
         coerced: dict[str, object] = {}
         for name in values:
@@ -444,21 +450,23 @@ class Database:
                 values[name], relation.attribute(name).data_type
             )
         for column in relation.primary_key:
-            if column in coerced and coerced[column] != record.values[column]:
+            if column in coerced and coerced[column] != current[column]:
                 raise PrimaryKeyError(
                     "primary key columns cannot be updated",
                     relation=tid.relation,
                     attribute=column,
                 )
         if self.enforce_foreign_keys:
-            candidate = {**record.values, **coerced}
+            candidate = {**current, **coerced}
             for foreign_key in self.schema.foreign_keys_from(tid.relation):
                 if any(c in coerced for c in foreign_key.source_columns):
                     self._check_reference(tid, candidate, foreign_key)
-        self._count_references(record.values, tid.relation, -1)
-        record.values.update(coerced)
-        self._count_references(record.values, tid.relation, +1)
-        return record
+        self._count_references(current, tid.relation, -1)
+        current.update(coerced)
+        if rows is not None:
+            for name, value in coerced.items():
+                rows.columns[rows.names.index(name)][stored] = value
+        self._count_references(current, tid.relation, +1)
 
     def delete(self, tid: TupleId) -> None:
         """Delete a tuple; rejects when other tuples still reference it
@@ -566,6 +574,38 @@ class Database:
             return labels[record]
         return _default_label(tid.key)
 
+    def values(self, tid: TupleId) -> dict:
+        """A stored tuple's values as a new dict, read without building it."""
+        try:
+            record = self._tuples[tid.relation][tid.key]
+        except KeyError:
+            self._missing(tid)
+        return self._image(tid.relation, record)[1]
+
+    def _image(self, relation_name: str, record) -> tuple[TupleId, dict]:
+        """A stored value's tuple id and a copy of its values."""
+        if record.__class__ is int:
+            rows = self._columns[relation_name]
+            return rows.tid(record), rows.values(record)
+        return record.tid, dict(record.values)
+
+    def labels(self, relation_name: str) -> Optional[list]:
+        """Per row in store order, its label where one was given that is
+        not the key's rendering, else None; None when no row has one.
+        Builds no row."""
+        store = self._store(relation_name)
+        given = self._rows(relation_name).labels
+        labels = []
+        for key, record in store.items():
+            if record.__class__ is int:
+                label = None if given is None else given[record]
+            else:
+                label = record.label
+            if label is not None and label == _default_label(key):
+                label = None
+            labels.append(label)
+        return None if labels.count(None) == len(labels) else labels
+
     def get(self, relation_name: str, *key: object) -> Optional[Tuple]:
         """Fetch by primary key values; None when absent."""
         return self._read(relation_name, self._store(relation_name).get(key))
@@ -630,14 +670,16 @@ class Database:
             return None
         return self._read(relation_name, store[next(reversed(store))])
 
-    def tail(self, relation_name: str, count: int) -> tuple[Tuple, ...]:
-        """The relation's last ``count`` tuples, in store order.
+    def tail(self, relation_name: str, count: int) -> list[tuple[TupleId, dict]]:
+        """The relation's last ``count`` tuples, in store order, as
+        ``(tuple id, values)`` pairs read without building a row.
 
         O(count): index maintenance reads a mutation batch's appended
         tuples from here without scanning the relation.
         """
-        last = list(islice(reversed(self._store(relation_name).values()), count))
-        return tuple(self._read(relation_name, record) for record in reversed(last))
+        store = self._store(relation_name)
+        last = list(islice(reversed(store.values()), count))
+        return [self._image(relation_name, record) for record in reversed(last)]
 
     def all_tuples(self) -> Iterator[Tuple]:
         """Every tuple in the database, relation by relation."""
@@ -670,26 +712,24 @@ class Database:
         self, record: Tuple, foreign_key: ForeignKey
     ) -> Optional[Tuple]:
         """The tuple ``record`` points at via ``foreign_key`` (None if NULL)."""
-        return self._read(foreign_key.target, self._referenced(record, foreign_key)[1])
-
-    def referenced_id(
-        self, record: Tuple, foreign_key: ForeignKey
-    ) -> Optional[TupleId]:
-        """The id of the tuple ``record`` points at via ``foreign_key``
-        (None if NULL or dangling); builds no row."""
-        key, stored = self._referenced(record, foreign_key)
-        if stored.__class__ is int:
-            return TupleId(foreign_key.target, key)
-        return None if stored is None else stored.tid
-
-    def _referenced(self, record: Tuple, foreign_key: ForeignKey) -> tuple:
         if foreign_key.source != record.relation:
             raise IntegrityError(
                 "foreign key does not start at tuple's relation",
                 foreign_key=foreign_key.name,
                 relation=record.relation,
             )
-        return self._resolve(record.values, foreign_key)
+        return self._read(foreign_key.target, self._resolve(record.values, foreign_key)[1])
+
+    def referenced_id(
+        self, values: Mapping[str, object], foreign_key: ForeignKey
+    ) -> Optional[TupleId]:
+        """The id of the tuple that ``values`` (a row of the foreign
+        key's source relation) point at via ``foreign_key`` (None if
+        NULL or dangling); builds no row."""
+        key, stored = self._resolve(values, foreign_key)
+        if stored.__class__ is int:
+            return TupleId(foreign_key.target, key)
+        return None if stored is None else stored.tid
 
     def _resolve(
         self, values: Mapping[str, object], foreign_key: ForeignKey

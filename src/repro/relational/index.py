@@ -31,7 +31,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator
 
-from repro.errors import SchemaError
+from repro.errors import IntegrityError, SchemaError
 from repro.relational.database import Database, Tuple, TupleId
 
 __all__ = ["tokenize", "Posting", "InvertedIndex"]
@@ -544,20 +544,18 @@ class InvertedIndex:
         # one tuple keep their attribute order.
         insort(postings, posting, lo, hi, key=lambda p: positions[p.tid.key])
 
-    def _index_record(self, record: Tuple) -> None:
-        positions = self._order[record.relation]
-        if record.tid.key not in positions:
+    def _index_record(self, tid: TupleId, values) -> None:
+        positions = self._order[tid.relation]
+        if tid.key not in positions:
             # Tuple not (yet) in the database store: place it after every
             # stored tuple of its relation.
-            tail = self._relation_tail[record.relation]
-            positions[record.tid.key] = tail
-            self._relation_tail[record.relation] = tail + 1
+            tail = self._relation_tail[tid.relation]
+            positions[tid.key] = tail
+            self._relation_tail[tid.relation] = tail + 1
         # A write to a still-raw token is queued, not decoded
         # (:meth:`_LazyPostings.defer`).
-        postings, tid = self._postings, record.tid
-        for token, attribute, whole in _posted(
-            record.values, self._attributes[record.relation]
-        ):
+        postings = self._postings
+        for token, attribute, whole in _posted(values, self._attributes[tid.relation]):
             posting = Posting(tid, attribute, whole)
             if not postings.defer(token, ("add", posting)):
                 self._insort(postings[token], posting)
@@ -588,30 +586,31 @@ class InvertedIndex:
             if last is None or last.tid != record.tid:
                 self._refresh_order(record.relation)
             # else: _index_record appends at the relation tail in O(1).
-        self._index_record(record)
+        self._index_record(record.tid, record.values)
 
-    def append_tuples(self, records: Iterable[Tuple]) -> None:
+    def append_tuples(self, rows: Iterable[tuple[TupleId, dict]]) -> None:
         """Index tuples not yet indexed that form, in the given order, the
         tail of their relation's store — what a mutation batch leaves
-        behind.
+        behind — given as ``(tuple id, values)`` pairs.
 
         Each takes the relation's next order position in O(1), however
         many the batch appended; :meth:`add_tuple` on anything but the
         single last tuple would rescan the relation instead.
         """
-        for record in records:
-            self._index_record(record)
+        for tid, values in rows:
+            self._index_record(tid, values)
 
-    def reindex_tuple(self, record: Tuple, before=None) -> None:
-        """Refresh one tuple's postings after a value update; ``before``
-        are the values it was posted under (:meth:`remove_tuple`).
+    def reindex_tuple(self, tid: TupleId, values, before=None) -> None:
+        """Refresh one tuple's postings after a value update to
+        ``values``; ``before`` are the values it was posted under
+        (:meth:`remove_tuple`).
 
         The tuple's store position is unchanged by an update, so its
         order key stays — no relation scan, and posting order stays
         equal to a fresh build.
         """
-        self._unpost(record.tid, before)
-        self._index_record(record)
+        self._unpost(tid, before)
+        self._index_record(tid, values)
 
     def remove_tuple(self, tid: TupleId, values=None) -> None:
         """Drop all postings of one tuple.
@@ -646,10 +645,11 @@ class InvertedIndex:
     def tokens_of(self, tid: TupleId) -> tuple[str, ...]:
         """The tokens one tuple's current values post it under (empty
         when the database does not hold it)."""
-        record = self._database.get(tid.relation, *tid.key)
-        if record is None:
+        try:
+            values = self._database.values(tid)
+        except IntegrityError:
             return ()
-        return tuple(self._tokens(tid.relation, record.values))
+        return tuple(self._tokens(tid.relation, values))
 
     def postings(self, keyword: str) -> tuple[Posting, ...]:
         """All postings of a keyword (word-level match), lower-cased."""

@@ -5,24 +5,29 @@ A snapshot makes engine state a cheap artifact instead of a cold build:
 needs — the database instance, the compiled CSR buffers, the interning
 table and the inverted-index postings — and
 ``KeywordSearchEngine.open(path)`` brings an engine up an order of
-magnitude faster than rebuilding those structures from raw tuples.  Worker processes of the parallel executor each open the same
-file; the array sections are ``mmap``-backed, so the page cache shares
-them across the fleet.
+magnitude faster than rebuilding those structures from raw tuples.  The
+array sections are ``mmap``-backed: forked pool workers share the pages.
 
 File layout::
 
     MAGIC  u32 toc_length  toc_json  section bytes...
+
+    sections: meta  schema  interning:<R>...  csr_offsets  csr_targets
+              edge_keys  edge_ref  postings  rows:<R>...  [delta]
 
 The TOC records ``[offset, length, crc32]`` per section (offsets are
 relative to the data area, so the TOC's own size never feeds back into
 it).  Every section is integrity-checked on open; corruption, truncation
 and format or platform mismatches raise
 :class:`~repro.errors.SnapshotError` instead of producing a silently
-wrong engine (binary sections also against their structure).
+wrong engine (binary sections also against their structure).  A
+relation's primary keys are stored once, in ``rows:<R>`` (JSON: one
+list per attribute, in store order, and the labels); ``interning:<R>``
+holds the ``int32`` row number of each of its graph nodes, in node order.
 
 A compacted file may end in a ``delta`` section (:func:`write_delta_snapshot`):
 WAL record frames that open replays from ``meta.base_version`` up to
-``meta.engine_version``.  Such a file carries format 6, so a reader
+``meta.engine_version``.  Such a file carries format 7, so a reader
 that would ignore the section refuses it.
 
 Sections an older writer added and the loader no longer reads — the
@@ -34,15 +39,15 @@ Restoration is lazy wherever queries and replayed WAL records allow it:
 
 * the CSR ``array('i')`` buffers and the ``edge_ref`` flag bytes are
   zero-copy ``memoryview`` casts over the mapped file, held by the
-  compiled graph as a cold build holds its own (the one-byte edge keys
-  decode at open; an edge's data dict is built per yielded path step,
-  from its key and flag, on either);
-* a relation's rows (``rows:<R>``, one JSON list per attribute) are
-  parsed on the relation's first touch into a store of primary key ->
-  row number, and each row becomes a ``Tuple`` the first time it is
-  read (:meth:`~repro.relational.database.Database.adopt_columns`);
-* the interning table decodes per relation (:class:`_Interning`) and
-  posting lists per token, each on first touch: the ``postings``
+  compiled graph as a cold build holds its own (edge keys decode at
+  open; an edge's data dict is built per yielded path step);
+* a relation's rows are parsed on its first touch into a store of
+  primary key -> row number, a row becoming a ``Tuple`` when first read
+  (:meth:`~repro.relational.database.Database.adopt_columns`), and its
+  interning run resolves through the adopted key column then
+  (:class:`_Interning`): the store, the interning table and the graph's
+  node map share one key tuple per row;
+* posting lists decode per token on first touch: the ``postings``
   section maps as the posting columns a cold-built index holds too
   (:class:`_MappedPostings`), its sorted token directory parsed into a
   plain list and bisected, and is read through the same
@@ -53,15 +58,14 @@ Restoration is lazy wherever queries and replayed WAL records allow it:
   (:class:`~repro.graph.data_graph.DataGraph` is lazy); no query,
   ranker, explanation or write of an opened engine builds it.
 
-A full write (:func:`write_snapshot`) folds only the tokens with queued
-writes: every other still-raw token's slice is copied from the
-columns, its nodes remapped to the compiled graph's, and only decoded
-tokens are encoded from their ``Posting`` objects.
+A full write (:func:`write_snapshot`) builds no row — it reads
+:meth:`~repro.relational.database.Database.rows` — and decodes only the
+tokens with queued writes: every other still-raw token's slice is
+copied from the columns, its nodes remapped to the compiled graph's.
 
-The snapshot stores the engine's live-update ``version``; applying
-mutation batches to an opened engine bumps it through the ordinary
-:class:`~repro.live.changes.ChangeSet` path, and a subsequent ``save``
-persists the bumped version.
+The snapshot stores the engine's live-update ``version``: batches
+applied to an opened engine bump it through the ordinary
+:class:`~repro.live.changes.ChangeSet` path, and ``save`` persists it.
 """
 
 from __future__ import annotations
@@ -73,8 +77,8 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_right
-from functools import partial
 from itertools import chain, islice
+from operator import lt
 from pathlib import Path
 from typing import Optional, Union
 
@@ -84,7 +88,7 @@ from repro.errors import SnapshotError, WalError
 from repro.graph.csr import FrozenGraph
 from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
-from repro.relational.database import Database, TupleId, _default_label
+from repro.relational.database import Database, TupleId
 from repro.relational.index import (
     _FIRST,
     _WHOLE,
@@ -98,8 +102,8 @@ from repro.relational.io import schema_from_dict, schema_to_dict
 __all__ = ["SNAPSHOT_FORMAT", "Snapshot", "write_snapshot", "load_engine"]
 
 _MAGIC = b"REPROSNP\x01"
-SNAPSHOT_FORMAT = 4
-_DELTA_FORMAT = 6  # of a file that carries a ``delta`` section (WAL frames)
+SNAPSHOT_FORMAT = 5
+_DELTA_FORMAT = 7  # of a file that carries a ``delta`` section (WAL frames)
 #: A ``delta`` holds up to 1/8 of the base sections' bytes — ≈ 660 bib
 #: records of ≈ 390 B, whose replay on open (≈ 0.06 s for the first 48,
 #: ≈ 0.25 ms each past them) costs about what one full rewrite does
@@ -107,13 +111,7 @@ _DELTA_FORMAT = 6  # of a file that carries a ``delta`` section (WAL frames)
 DELTA_FRACTION = 8
 
 _REQUIRED_SECTIONS = (
-    "meta",
-    "schema",
-    "csr_offsets",
-    "csr_targets",
-    "edge_keys",
-    "edge_ref",
-    "postings",
+    "meta", "schema", "csr_offsets", "csr_targets", "edge_keys", "edge_ref", "postings",
 )
 
 #: What a stored primary-key value may decode to.
@@ -164,53 +162,93 @@ class _LazyStores(dict):
 
 
 class _Interning:
-    """The interning table — node int -> :class:`TupleId` — decoded per
-    relation on demand.
+    """The interning table — node int -> :class:`TupleId` — resolved per
+    relation on demand, and the loader of the rows it resolves through.
 
     Nodes are in ``_sort_key`` order, so each relation owns one run of
-    them (``meta.interning``: ``[relation, count]`` in node order), its
-    primary keys flattened into its own ``interning:<relation>`` section,
-    parsed the first time a node of the run or the relation's node map
-    (:meth:`nodes_of`, which builds no tuple id) is asked for.  The table
-    takes the patches :meth:`FrozenGraph.apply_changeset` makes (append,
-    ``None`` for a tombstone); iterating it (an index past the end raises
-    ``IndexError``) builds every tuple id.
+    them (``meta.interning``: ``[relation, count]`` in node order), whose
+    ``interning:<relation>`` section gives each node's ``int32`` row
+    number in ``rows:<relation>``.  A node of the run, or the relation's
+    node map (:meth:`nodes_of`, which builds no tuple id), loads the
+    relation's rows, and that resolves the run (:meth:`load_rows`).  The
+    table takes the patches :meth:`FrozenGraph.apply_changeset` makes
+    (append, ``None`` for a tombstone); iterating it (an index past the
+    end raises ``IndexError``) builds every tuple id.
     """
 
-    __slots__ = ("_snapshot", "_runs", "_length", "_keys", "_cache", "_appended")
+    __slots__ = ("_snapshot", "_database", "_runs", "_at", "_length", "_keys",
+                 "_cache", "_appended")
 
-    def __init__(self, snapshot: "Snapshot", schema) -> None:
+    def __init__(self, snapshot: "Snapshot", database: Database) -> None:
         self._snapshot = snapshot
-        #: ``(relation, first node, count, key width)`` in node order.
+        self._database = database
+        #: ``(relation, first node, count)`` in node order.
         self._runs = []
         start = 0
         for relation, count in snapshot.meta["interning"]:
-            width = len(schema.relation(relation).primary_key)
-            self._runs.append((relation, start, count, width))
+            self._runs.append((relation, start, count))
             start += count
+        self._at = {run[0]: at for at, run in enumerate(self._runs)}
         self._length = start
-        #: Per run, its primary keys once parsed.
+        #: Per run, its primary keys once resolved.
         self._keys: list[Optional[list]] = [None] * len(self._runs)
         self._cache: dict[int, Optional[TupleId]] = {}
         self._appended: list = []
 
-    def _run_keys(self, at: int) -> list[tuple]:
-        keys = self._keys[at]
-        if keys is None:
-            relation, __, count, width = self._runs[at]
-            flat = self._snapshot.json(f"interning:{relation}")
-            if (
-                not isinstance(flat, list)
-                or len(flat) != count * width
-                or not set(map(type, flat)) <= _KEY_TYPES
-            ):
+    def load_rows(self, name: str, count: int) -> dict:
+        """One relation's store from its ``rows:<R>`` section — ``columns``,
+        one list of ``count`` values per attribute in schema order, key
+        columns of ``_KEY_TYPES`` only; ``labels`` null or ``count``
+        strings and nulls — checked against that structure and for
+        duplicate keys.  The relation's run resolves through the adopted
+        key column now, before a replayed delete clears a slot or a
+        re-pack renumbers rows; an ``interning:<R>`` section that is not
+        a permutation of the row numbers, one per node, is refused."""
+        snapshot, database = self._snapshot, self._database
+        section = f"rows:{name}"
+        document = snapshot.json(section)
+        relation = database.schema.relation(name)
+        columns = labels = None
+        if isinstance(document, dict):
+            columns, labels = document.get("columns"), document.get("labels")
+        key_at = [relation.attribute_names.index(c) for c in relation.primary_key]
+        if not (
+            isinstance(columns, list)
+            and len(columns) == len(relation.attributes)
+            and all(isinstance(column, list) and len(column) == count for column in columns)
+            and all(set(map(type, columns[at])) <= _KEY_TYPES for at in key_at)
+            and (labels is None or isinstance(labels, list) and len(labels) == count
+                 and set(map(type, labels)) <= {str, type(None)})
+        ):
+            raise SnapshotError(
+                "snapshot rows section is inconsistent", path=str(snapshot.path),
+                section=section, expected=count,
+            )
+        store = database.adopt_columns(name, columns, labels)
+        if len(store) != count:
+            raise SnapshotError(
+                "snapshot rows section repeats a primary key", path=str(snapshot.path),
+                section=section,
+            )
+        if name in self._at:
+            section = f"interning:{name}"
+            data = snapshot.read(section)
+            size = snapshot.meta["itemsize"]
+            rows = memoryview(data).cast("i") if len(data) == size * count else b""
+            if not (len(set(rows)) == count and 0 <= min(rows, default=0)
+                    and max(rows, default=0) < count):
                 raise SnapshotError(
-                    "interning section disagrees with the meta section",
-                    relation=relation,
-                    expected=count,
+                    "snapshot interning section is not a permutation of its rows",
+                    path=str(snapshot.path), section=section, expected=count,
                 )
-            keys = self._keys[at] = list(zip(*[iter(flat)] * width))
-        return keys
+            keys = database._columns[name].keys
+            self._keys[self._at[name]] = list(map(keys.__getitem__, rows))
+        return store
+
+    def _run_keys(self, at: int) -> list[tuple]:
+        if self._keys[at] is None:
+            self._database._tuples[self._runs[at][0]]  # loading resolves the run
+        return self._keys[at]
 
     def __len__(self) -> int:
         return self._length + len(self._appended)
@@ -238,10 +276,11 @@ class _Interning:
 
     def nodes_of(self, relation: str) -> dict:
         """Primary key -> node int of one relation's stored run."""
-        for at, (name, start, count, __) in enumerate(self._runs):
-            if name == relation:
-                return dict(zip(self._run_keys(at), range(start, start + count)))
-        return {}
+        at = self._at.get(relation)
+        if at is None:
+            return {}
+        __, start, count = self._runs[at]
+        return dict(zip(self._run_keys(at), range(start, start + count)))
 
 
 class _MappedPostings(_PostingColumns):
@@ -306,7 +345,7 @@ class _MappedPostings(_PostingColumns):
                 isinstance(tokens, list)
                 and set(map(type, tokens)) <= {str}
                 and len(tokens) == len(self.offsets) - 1
-                and all(map(str.__lt__, tokens, islice(tokens, 1, None)))
+                and all(map(lt, tokens, islice(tokens, 1, None)))
             ):
                 raise SnapshotError(
                     "snapshot postings are inconsistent",
@@ -418,12 +457,23 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
     postings = engine.index._postings
     # Tokens with queued writes are decoded; the rest are copied raw.
     postings.fold_pending()
-    capacity = frozen.capacity
-    tids = list(frozen._tid_of)
+    database = engine.database
     # Folded: no tombstones, and each relation one run in node order.
     runs: dict[str, list] = {}
-    for tid in tids:
+    for tid in frozen._tid_of:
         runs.setdefault(tid.relation, []).append(tid.key)
+    # Rows in store order, read without building one; each run becomes
+    # its nodes' row numbers.
+    rows = []
+    for relation in schema.relations:
+        keys, __, columns = database.rows(relation.name)
+        if relation.name in runs:
+            row_of = dict(zip(keys, range(len(keys))))
+            runs[relation.name] = array("i", map(row_of.__getitem__, runs[relation.name]))
+        rows.append((f"rows:{relation.name}", _json_bytes({
+            "columns": [columns[name] for name in relation.attribute_names],
+            "labels": database.labels(relation.name),
+        })))
 
     fk_id = {fk.name: at for at, fk in enumerate(foreign_keys)}
     posting_blob, posting_counts = _encode_postings(postings, frozen)
@@ -433,44 +483,25 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
         "engine_version": engine.version,
         "byteorder": sys.byteorder,
         "itemsize": frozen._offsets.itemsize,
-        "nodes": capacity,
+        "nodes": frozen.capacity,
         "entries": len(frozen._targets),
-        "tuples": engine.database.count(),
+        "tuples": database.count(),
         "schema": schema.name,
-        "interning": [[relation, len(keys)] for relation, keys in runs.items()],
+        "interning": [[relation, len(nodes)] for relation, nodes in runs.items()],
         "postings": posting_counts,
     }
 
     sections: list[tuple[str, bytes]] = [
         ("meta", _json_bytes(meta)),
         ("schema", _json_bytes(schema_to_dict(schema))),
-        *(
-            (f"interning:{relation}", _json_bytes([v for key in keys for v in key]))
-            for relation, keys in runs.items()
-        ),
+        *((f"interning:{relation}", nodes.tobytes()) for relation, nodes in runs.items()),
         ("csr_offsets", frozen._offsets.tobytes()),
         ("csr_targets", frozen._targets.tobytes()),
         ("edge_keys", bytes(map(fk_id.__getitem__, frozen._edge_keys))),
         ("edge_ref", bytes(frozen._edge_refs)),
         ("postings", posting_blob),
+        *rows,
     ]
-    for relation in schema.relations:
-        records = engine.database.tuples(relation.name)
-        labels = [
-            None if record.label == _default_label(record.tid.key) else record.label
-            for record in records
-        ]
-        sections.append((
-            f"rows:{relation.name}",
-            _json_bytes({
-                "columns": [
-                    [record.values[attribute.name] for record in records]
-                    for attribute in relation.attributes
-                ],
-                "labels": None if labels.count(None) == len(labels) else labels,
-            }),
-        ))
-
     meta["generation"] = _publish(path, SNAPSHOT_FORMAT, sections)
     return meta
 
@@ -779,14 +810,12 @@ def _load_engine(path: Union[str, Path], **engine_options):
     database._unloaded = {
         relation.name: counts.get(relation.name, 0) for relation in schema.relations
     }
-    database._tuples = _LazyStores(
-        partial(_load_rows, snapshot, database), database._unloaded
-    )
+    tid_of = _Interning(snapshot, database)
+    database._tuples = _LazyStores(tid_of.load_rows, database._unloaded)
 
     data_graph = DataGraph(database)
 
     fks, attributes = _id_tables(schema)
-    tid_of = _Interning(snapshot, schema)
     columns = _MappedPostings(snapshot, tid_of, attributes)
     offsets = snapshot.int_array("csr_offsets")
     targets = snapshot.int_array("csr_targets")
@@ -834,39 +863,6 @@ def _load_engine(path: Union[str, Path], **engine_options):
         _replay_delta(engine, snapshot)
     engine._snapshot_version = engine.version
     return engine
-
-
-def _load_rows(snapshot: Snapshot, database: Database, name: str, count: int) -> dict:
-    """One relation's store from its ``rows:<R>`` section — ``columns``,
-    one list of ``count`` values per attribute in schema order, key
-    columns of ``_KEY_TYPES`` only; ``labels`` null or ``count`` strings
-    and nulls — checked against that structure and for duplicate keys."""
-    section = f"rows:{name}"
-    document = snapshot.json(section)
-    relation = database.schema.relation(name)
-    columns = labels = None
-    if isinstance(document, dict):
-        columns, labels = document.get("columns"), document.get("labels")
-    key_at = [relation.attribute_names.index(c) for c in relation.primary_key]
-    if not (
-        isinstance(columns, list)
-        and len(columns) == len(relation.attributes)
-        and all(isinstance(column, list) and len(column) == count for column in columns)
-        and all(set(map(type, columns[at])) <= _KEY_TYPES for at in key_at)
-        and (labels is None or isinstance(labels, list) and len(labels) == count
-             and set(map(type, labels)) <= {str, type(None)})
-    ):
-        raise SnapshotError(
-            "snapshot rows section is inconsistent", path=str(snapshot.path),
-            section=section, expected=count,
-        )
-    store = database.adopt_columns(name, columns, labels)
-    if len(store) != count:
-        raise SnapshotError(
-            "snapshot rows section repeats a primary key", path=str(snapshot.path),
-            section=section,
-        )
-    return store
 
 
 def _replay_delta(engine, snapshot: Snapshot) -> None:

@@ -139,7 +139,7 @@ class TestMaintainers:
             ],
         )
         assert changeset.tuples_replaced == (tid("DEPENDENT", "t1"),)
-        assert [record.tid for record in company_db.tail("DEPENDENT", 3)] == [
+        assert [pair[0] for pair in company_db.tail("DEPENDENT", 3)] == [
             tid("DEPENDENT", "t8"), tid("DEPENDENT", "t1"),
             tid("DEPENDENT", "t9"),
         ]

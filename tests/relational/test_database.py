@@ -15,6 +15,7 @@ from repro.errors import (
     UnknownRelationError,
 )
 from repro.relational.database import Database, TupleId
+from stored_rows import built_rows
 
 
 class TestInsert:
@@ -250,9 +251,14 @@ class TestReferenceCounts:
 
 class TestTail:
     def test_tail_is_the_last_tuples_in_store_order(self, company_db):
-        everyone = company_db.tuples("EMPLOYEE")
+        """``(tuple id, values)`` pairs, read alike from unread and built
+        rows, without building one."""
+        unread = company_db.tail("EMPLOYEE", 99)
+        assert built_rows(company_db) == set()
+        everyone = [(t.tid, t.values) for t in company_db.tuples("EMPLOYEE")]
+        assert unread == everyone
         assert company_db.tail("EMPLOYEE", 2) == everyone[-2:]
-        assert company_db.tail("EMPLOYEE", 0) == ()
+        assert company_db.tail("EMPLOYEE", 0) == []
         assert company_db.tail("EMPLOYEE", 99) == everyone
         with pytest.raises(UnknownRelationError):
             company_db.tail("NOPE", 1)

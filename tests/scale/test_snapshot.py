@@ -26,7 +26,7 @@ from repro.scale import snapshot as snapshot_module
 from repro.scale.snapshot import SNAPSHOT_FORMAT, Snapshot
 from stored_rows import bib_corpus, built_rows
 
-DELTA_FORMAT = 6  # of a file that ends in a delta of mutation records
+DELTA_FORMAT = 7  # of a file that ends in a delta of mutation records
 
 CONFIG = SyntheticConfig(
     departments=2,
@@ -152,6 +152,54 @@ class TestRoundTrip:
         assert path.read_bytes() == second.read_bytes()
         # The reference flags were read as stored: the section itself.
         assert type(restored.traversal_cache.frozen()._edge_refs) is memoryview
+
+    def test_restored_save_reopens_to_a_cold_build(self, saved, tmp_path):
+        """A restored engine that took inserts, an update and deletes
+        saves its rows, labels and interning permutations from its own
+        columns, cleared slots and all: every section but the version in
+        ``meta`` is the one a cold build over the same batches saves, and
+        the file reopens to its answers."""
+        __, path, ___ = saved
+        oracle_db = planted_database()
+        employees = [t.tid.key[0] for t in oracle_db.tuples("EMPLOYEE")]
+        victim = oracle_db.tuples("WORKS_FOR")[-1].tid
+        batches = [
+            [Insert("DEPENDENT", {"ID": f"rs{at}", "ESSN": employees[at],
+                                  "DEPENDENT_NAME": "kwbeta"}, label=f"r{at}")
+             for at in range(3)],
+            [Delete(TupleId("DEPENDENT", ("rs1",))), Delete(victim),
+             Update(TupleId("DEPENDENT", ("rs2",)), {"DEPENDENT_NAME": "kwalpha"})],
+        ]
+        restored = KeywordSearchEngine.open(path)
+        for batch in batches:
+            restored.apply(batch)
+            apply_to_database(oracle_db, batch)
+        resaved, cold = tmp_path / "resaved.snap", tmp_path / "cold.snap"
+        restored.save(resaved)
+        assert built_rows(restored.database) == set()
+        oracle = KeywordSearchEngine(oracle_db, result_cache_entries=0)
+        oracle.save(cold)
+        with Snapshot(resaved) as mine, Snapshot(cold) as theirs:
+            assert mine.sections() == theirs.sections()
+            assert dict(mine.meta, engine_version=0) == theirs.meta
+            for name in mine.sections()[1:]:
+                assert mine.read(name) == theirs.read(name), name
+        with KeywordSearchEngine.open(resaved) as reopened:
+            for query in QUERIES:
+                for semantics in ("and", "or"):
+                    assert rendered(
+                        reopened.search(query, limits=LIMITS, semantics=semantics)
+                    ) == rendered(
+                        oracle.search(query, limits=LIMITS, semantics=semantics)
+                    )
+            assert reopened.database.label(TupleId("DEPENDENT", ("rs2",))) == "r2"
+            # One key tuple per row: the store's, the interning table's
+            # and the node map's are the same objects.
+            frozen = reopened.traversal_cache.frozen()
+            stored = {id(key) for key in reopened.database._tuples["EMPLOYEE"]}
+            nodes = frozen._node_of["EMPLOYEE"]
+            assert {id(key) for key in nodes} == stored
+            assert {id(frozen.tid_of(node).key) for node in nodes.values()} == stored
 
     def test_retired_shard_sections_are_ignored(self, saved, tmp_path):
         """Older snapshots carry a ``shard_count`` meta key and a
@@ -446,15 +494,14 @@ class TestLaziness:
         retitle / retract records: no per-tuple token table, posting
         lists decoded only for tokens the records' before and after
         images (then the queries) carry, node maps only for relations
-        the records name, sort keys only for the nodes they touch, rows
-        built only for the tuples the records name and the foreign-key
-        targets their inserts check."""
+        the records name, sort keys only for the nodes they touch, and
+        no row built."""
         bib = bib_corpus()
         path = str(tmp_path / "bib.snap")
         KeywordSearchEngine(bib.database()).save(path)
         engine = KeywordSearchEngine.open(path, wal=True)
         oracle_db = bib.database()
-        carried, named, rows = set(), set(), set()
+        carried, named = set(), set()
         for batch in bib.mutation_batches(8):
             engine.apply(batch)
             changeset = apply_to_database(oracle_db, batch)
@@ -469,8 +516,6 @@ class TestLaziness:
                 ]
                 carried.update(token for token, __, ___ in _posted(values, attributes))
             named.update(tid.relation for tid in changeset.touched())
-            # Edge endpoints included: what an insert's references resolve.
-            rows.update((tid.relation, tid.key) for tid in changeset.touched())
         engine.close()
 
         restored = KeywordSearchEngine.open(path, wal=True)
@@ -486,7 +531,7 @@ class TestLaziness:
         frozen = restored.traversal_cache.frozen()
         assert set(frozen._node_of) <= named
         assert len(frozen._keys) < frozen.capacity // 4
-        assert built_rows(restored.database) <= rows
+        assert built_rows(restored.database) == set()
 
         texts = bib.texts(4)
         for text in texts:
@@ -494,6 +539,39 @@ class TestLaziness:
         asked = {token for text in texts for token in tokenize(text)}
         assert set(dict.keys(index._postings)) <= carried | asked
         restored.close()
+
+    def test_saves_replay_and_writes_build_no_row(self, tmp_path):
+        """A cold ``save``, a WAL replay, live publish / retitle /
+        retract batches and insert / delete cycles through ``apply``,
+        and a restored ``save`` read rows as columns and values: no row
+        is built into a ``Tuple``."""
+        bib = bib_corpus()
+        database = bib.database()
+        path = str(tmp_path / "bib.snap")
+        KeywordSearchEngine(database).save(path)
+        assert built_rows(database) == set()
+        assert len(database._columns["PAPER"].keys) == database.count("PAPER")
+        batches = bib.mutation_batches(16)
+        engine = KeywordSearchEngine.open(path, wal=True)
+        for batch in batches[:8]:
+            engine.apply(batch)
+        engine.close()
+        engine = KeywordSearchEngine.open(path, wal=True)  # replays eight
+        assert engine.version == 8
+        assert built_rows(engine.database) == set()
+        for batch in batches[8:]:
+            engine.search(bib.texts(1)[0], top_k=10)  # an entry to invalidate
+            engine.apply(batch)
+        (paper,) = engine.database.rows("PAPER")[0][0]
+        writes = TupleId("WRITES", ("acycle", paper))
+        for cycle in range(20):
+            engine.apply([Insert("AUTHOR", {"ID": "acycle", "NAME": f"Nora{cycle}"}),
+                          Insert("WRITES", {"A_ID": "acycle", "P_ID": paper})])
+            engine.apply([Delete(writes), Delete(TupleId("AUTHOR", ("acycle",)))])
+        assert built_rows(engine.database) == set()
+        engine.save(str(tmp_path / "resaved.snap"))
+        assert built_rows(engine.database) == set()
+        engine.close()
 
     def test_searches_build_only_the_rows_their_answers_render(self, tmp_path):
         bib = bib_corpus()
@@ -717,6 +795,28 @@ class TestIntegrity:
         snapshot_module._publish(old, 3, sections)
         with pytest.raises(SnapshotError, match="format"):
             KeywordSearchEngine.open(old)
+        # Format 4 stored each interning run as a JSON list of its keys,
+        # in node order: refused under its number, and never decoded as
+        # JSON under the current one.
+        blobs, schema = dict(sections), planted_database().schema
+        legacy = []
+        for name, blob in sections:
+            if name.startswith("interning:"):
+                relation = schema.relation(name.partition(":")[2])
+                columns = json.loads(blobs[f"rows:{relation.name}"])["columns"]
+                keys = list(zip(*[columns[relation.attribute_names.index(c)]
+                                  for c in relation.primary_key]))
+                blob = snapshot_module._json_bytes(
+                    [v for row in array("i", blob) for v in keys[row]]
+                )
+            legacy.append((name, blob))
+        snapshot_module._publish(old, 4, legacy)
+        with pytest.raises(SnapshotError, match="format"):
+            KeywordSearchEngine.open(old)
+        snapshot_module._publish(old, SNAPSHOT_FORMAT, legacy)
+        with KeywordSearchEngine.open(old) as restored:
+            with pytest.raises(SnapshotError, match="interning:EMPLOYEE"):
+                restored.database.tuples("EMPLOYEE")
 
     @pytest.mark.parametrize("table", ("attributes", "foreign keys"))
     def test_schema_too_wide_for_one_byte_ids_is_refused(self, tmp_path, table):
@@ -1144,6 +1244,53 @@ class TestStructuralDamage:
             snapshot_module._publish(damaged, SNAPSHOT_FORMAT, replaced)
             with pytest.raises(SnapshotError):
                 KeywordSearchEngine.open(damaged)
+
+    @pytest.mark.parametrize("damage", (
+        "repeated row", "negative row", "row past the end", "short", "long",
+        "truncated",
+    ))
+    def test_interning_permutation_is_checked_as_its_rows_load(
+        self, saved, tmp_path, damage
+    ):
+        """An ``interning:<R>`` section must be a permutation of the
+        relation's row numbers, one per node of its run: one that
+        repeats or overruns a row, or holds another count of them, is
+        refused as the relation's rows load — every time, by a node
+        read as by a store read — and never resolves to a wrong key."""
+        __, path, ___ = saved
+        meta, sections = self._sections(path)
+        name = "interning:WORKS_FOR"
+        rows = array("i", dict(sections)[name])
+        count = dict(meta["interning"])["WORKS_FOR"]
+        assert sorted(rows) == list(range(count))
+        if damage == "repeated row":
+            rows[1] = rows[0]
+        elif damage == "negative row":
+            rows[0] = -1
+        elif damage == "row past the end":
+            rows[0] = count
+        elif damage == "short":
+            rows.pop()
+        elif damage == "long":
+            rows.append(0)
+        blob = rows.tobytes()
+        if damage == "truncated":
+            blob = blob[:-2]
+        damaged = tmp_path / "damaged.snap"
+        snapshot_module._publish(damaged, SNAPSHOT_FORMAT, [
+            (section, blob if section == name else original)
+            for section, original in sections
+        ])
+        start = sum(count for relation, count in meta["interning"]
+                    if relation < "WORKS_FOR")
+        with KeywordSearchEngine.open(damaged) as restored:
+            for __ in range(2):
+                with pytest.raises(SnapshotError, match=name):
+                    restored.database.tuples("WORKS_FOR")
+                with pytest.raises(SnapshotError, match=name):
+                    restored.traversal_cache.frozen().tid_of(start)
+            assert "WORKS_FOR" not in dict.keys(restored.database._tuples)
+            assert restored.database.tuples("PROJECT")
 
     @pytest.mark.parametrize("damage", (
         "truncated", "column count", "column lengths", "key type",
