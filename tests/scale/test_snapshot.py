@@ -16,7 +16,7 @@ from repro.datasets.synthetic import (
     generate_tenants,
     plant,
 )
-from repro.errors import SearchLimitError, SnapshotError
+from repro.errors import IntegrityError, SearchLimitError, SnapshotError
 from repro.live.changes import Delete, Insert, Update, apply_to_database
 from repro.oracle import search as oracle_search
 from repro.relational.database import Database, TupleId
@@ -24,7 +24,7 @@ from repro.relational.index import _posted, tokenize
 from repro.relational.schema import AttributeDef, DatabaseSchema, ForeignKey, Relation
 from repro.scale import snapshot as snapshot_module
 from repro.scale.snapshot import SNAPSHOT_FORMAT, Snapshot
-from stored_rows import bib_corpus, built_rows
+from stored_rows import bib_corpus, built_rows, contents
 
 DELTA_FORMAT = 7  # of a file that ends in a delta of mutation records
 
@@ -72,6 +72,49 @@ def publish_with_meta(path, out, **keys):
         ]
     snapshot_module._publish(out, SNAPSHOT_FORMAT, sections)
     return meta
+
+
+WRITE_KINDS = (
+    "insert", "delete", "update", "update reference", "delete and re-insert",
+    "delete a link",
+)
+
+
+def write_batch(database, kind):
+    """One mutation batch of ``kind`` on the planted database, its ids
+    and values read from ``database`` (which it leaves unchanged), and
+    per tuple it names the values it leaves (None: deleted)."""
+    target = TupleId("DEPENDENT", ("t1t1",))
+    values = database.values(target)
+    employees = database.rows("EMPLOYEE")[0]
+    other = next(key for key in employees if key != (values["ESSN"],))[0]
+    if kind == "insert":
+        inserted = {"ID": "nw1", "ESSN": other, "DEPENDENT_NAME": "kwbeta"}
+        return ([Insert("DEPENDENT", inserted, label="nora")],
+                {TupleId("DEPENDENT", ("nw1",)): inserted})
+    if kind == "delete":
+        return [Delete(target)], {target: None}
+    if kind == "update":
+        return ([Update(target, {"DEPENDENT_NAME": "kwalpha"})],
+                {target: dict(values, DEPENDENT_NAME="kwalpha")})
+    if kind == "update reference":
+        return [Update(target, {"ESSN": other})], {target: dict(values, ESSN=other)}
+    if kind == "delete and re-insert":
+        reinserted = dict(values, DEPENDENT_NAME="kwgamma")
+        return [Delete(target), Insert("DEPENDENT", reinserted)], {target: reinserted}
+    assert kind == "delete a link"
+    link = database.rows("WORKS_FOR")[1][0]
+    return [Delete(link)], {link: None}
+
+
+def assert_written(database, expected):
+    """``database`` holds what :func:`write_batch` said its batch leaves."""
+    for tid, values in expected.items():
+        if values is None:
+            with pytest.raises(IntegrityError):
+                database.values(tid)
+        else:
+            assert database.values(tid) == values
 
 
 @pytest.fixture()
@@ -200,6 +243,71 @@ class TestRoundTrip:
             nodes = frozen._node_of["EMPLOYEE"]
             assert {id(key) for key in nodes} == stored
             assert {id(frozen.tid_of(node).key) for node in nodes.values()} == stored
+
+    @pytest.mark.parametrize("kind", WRITE_KINDS)
+    def test_restored_save_after_one_write_equals_a_cold_build(
+        self, saved, tmp_path, kind
+    ):
+        """Per kind of write, a restored engine's ``save`` — cleared
+        slots, a row moved to the tail, a label column, a changed
+        reference — writes every section but ``meta``'s version as a
+        cold build over the same batch does, and builds no row."""
+        __, path, ___ = saved
+        oracle_db = planted_database()
+        batch, expected = write_batch(oracle_db, kind)
+        restored = KeywordSearchEngine.open(path)
+        restored.apply(batch)
+        apply_to_database(oracle_db, batch)
+        assert_written(restored.database, expected)
+        resaved, cold = tmp_path / "resaved.snap", tmp_path / "cold.snap"
+        restored.save(resaved)
+        assert built_rows(restored.database) == set()
+        KeywordSearchEngine(oracle_db).save(cold)
+        with Snapshot(resaved) as mine, Snapshot(cold) as theirs:
+            assert mine.sections() == theirs.sections()
+            assert dict(mine.meta, engine_version=0) == theirs.meta
+            for name in mine.sections()[1:]:
+                assert mine.read(name) == theirs.read(name), name
+        restored.close()
+
+    @pytest.mark.parametrize("dataset, permutes", [
+        ("planted", True), ("company", False), ("bib", True),
+    ], ids=["planted", "company", "bib"])
+    def test_each_node_resolves_to_the_key_its_cold_compile_gave_it(
+        self, tmp_path, dataset, permutes
+    ):
+        """``interning:<R>`` holds, in node order, row numbers into
+        ``rows:<R>``: read through the rows section's key columns they
+        give the cold compile's node order — the identity only where
+        every relation's node order is its store order (Figure 2's
+        instance) — and the restored graph's nodes resolve to the same
+        tuple ids."""
+        database = {
+            "planted": planted_database,
+            "company": build_company_database,
+            "bib": lambda: bib_corpus().database(),
+        }[dataset]()
+        engine = KeywordSearchEngine(database)
+        nodes = list(engine.traversal_cache.frozen()._tid_of)
+        path = tmp_path / "engine.snap"
+        engine.save(path)
+        resolved, permuted = [], False
+        with Snapshot(path) as snapshot:
+            for name, count in snapshot.meta["interning"]:
+                relation = database.schema.relation(name)
+                columns = snapshot.json(f"rows:{name}")["columns"]
+                keys = list(zip(*[columns[relation.attribute_names.index(c)]
+                                  for c in relation.primary_key]))
+                rows = array("i", snapshot.read(f"interning:{name}"))
+                assert sorted(rows) == list(range(count))
+                permuted = permuted or list(rows) != sorted(rows)
+                resolved.extend(TupleId(name, keys[row]) for row in rows)
+        assert resolved == nodes
+        assert permuted is permutes
+        with KeywordSearchEngine.open(path) as restored:
+            frozen = restored.traversal_cache.frozen()
+            assert [frozen.tid_of(node) for node in range(len(nodes))] == nodes
+            assert built_rows(restored.database) == set()
 
     def test_retired_shard_sections_are_ignored(self, saved, tmp_path):
         """Older snapshots carry a ``shard_count`` meta key and a
@@ -571,6 +679,34 @@ class TestLaziness:
         assert built_rows(engine.database) == set()
         engine.save(str(tmp_path / "resaved.snap"))
         assert built_rows(engine.database) == set()
+        engine.close()
+
+    @pytest.mark.parametrize("mode", ["apply", "replay"])
+    @pytest.mark.parametrize("kind", WRITE_KINDS)
+    def test_one_write_builds_no_row(self, saved, kind, mode):
+        """A live ``apply`` of each kind of write on a restored engine,
+        and its WAL replay on reopen, read before-images, updated and
+        appended rows as values: no row is built, and the store and the
+        answers are a cold build's over the same batch."""
+        __, path, ___ = saved
+        oracle_db = planted_database()
+        batch, expected = write_batch(oracle_db, kind)
+        engine = KeywordSearchEngine.open(path, wal=True)
+        engine.apply(batch)
+        if mode == "replay":
+            engine.close()
+            engine = KeywordSearchEngine.open(path, wal=True)
+            assert engine.version == 1
+        assert built_rows(engine.database) == set()
+        assert_written(engine.database, expected)
+        apply_to_database(oracle_db, batch)
+        assert contents(engine.database) == contents(oracle_db)
+        assert built_rows(engine.database) == set()
+        oracle = KeywordSearchEngine(oracle_db, result_cache_entries=0)
+        for query in QUERIES:
+            assert rendered(engine.search(query, limits=LIMITS)) == rendered(
+                oracle.search(query, limits=LIMITS)
+            )
         engine.close()
 
     def test_searches_build_only_the_rows_their_answers_render(self, tmp_path):

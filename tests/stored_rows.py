@@ -22,6 +22,22 @@ def built_rows(database):
     }
 
 
+def contents(database):
+    """Per relation, in store order: key, values and label of each row,
+    read without building one."""
+    state = {}
+    for relation in database.schema.relations:
+        keys, tids, columns = database.rows(relation.name)
+        names = relation.attribute_names
+        state[relation.name] = [
+            (key, dict(zip(names, values)), database.label(tid))
+            for key, tid, values in zip(
+                keys, tids, zip(*[columns[name] for name in names])
+            )
+        ]
+    return state
+
+
 def bib_corpus(size="tiny", seed=7):
     """The end-to-end benchmark's bibliographic corpus."""
     sys.path.insert(0, os.path.join(
