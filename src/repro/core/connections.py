@@ -237,6 +237,18 @@ class Connection:
         """Close/loose classification of the conceptual step sequence."""
         return classify_cardinalities(self.cardinalities())
 
+    def shape_key(self) -> tuple:
+        """What the verdict and both lengths read of the path: per step
+        its source relation, FK name and whether the source is the
+        referencing side, then the last relation.  Paths with equal keys
+        have equal verdicts and lengths."""
+        key: list = ["path"]
+        for step in self._steps:
+            key += (step.source.relation, step.edge_key,
+                    step.edge_data["referencing"] == step.source)
+        key.append(self._steps[-1].target.relation)
+        return tuple(key)
+
     # ------------------------------------------------------------------
     # rendering (paper notation)
     # ------------------------------------------------------------------

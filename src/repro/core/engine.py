@@ -40,7 +40,7 @@ from repro.core.connections import Connection
 from repro.core.executor import ExecutionStats, Executor, SearchResult
 from repro.core.matching import KeywordMatch, match_keywords, parse_query
 from repro.core.plan import QueryPlan, plan_query
-from repro.core.ranking import ClosenessRanker, Ranker
+from repro.core.ranking import ClosenessRanker, Ranker, ShapeMemo
 from repro.core.search import JoiningNetwork, SearchLimits
 from repro.durable import fault
 from repro.errors import MutationError, QueryError, SnapshotError, WalError
@@ -167,6 +167,10 @@ class KeywordSearchEngine:
         #: Batches whose derived structures were rebuilt because
         #: patching them raised after the commit (:meth:`apply`).
         self.maintain_rebuilds = 0
+        #: Schema-level facts per answer shape, for every query this
+        #: engine answers: the schema never changes under :meth:`apply`
+        #: or :meth:`rebuild`, so neither drops it.
+        self.shapes = ShapeMemo()
 
     @classmethod
     def _from_parts(cls, **parts) -> "KeywordSearchEngine":
@@ -319,7 +323,9 @@ class KeywordSearchEngine:
         ranker, limits, top_k, semantics, pushdown = options
         self.last_stats = ExecutionStats()
         plan = self._plan(query, top_k, semantics, annotate, tags)
-        executor = Executor(self.traversal_cache, adaptive=self.adaptive)
+        executor = Executor(
+            self.traversal_cache, adaptive=self.adaptive, shapes=self.shapes
+        )
         try:
             results = executor.run(plan, ranker, limits, pushdown=pushdown)
         finally:
@@ -437,7 +443,9 @@ class KeywordSearchEngine:
                 return
             self.last_stats = ExecutionStats()
             plan = self._plan(query, top_k, semantics)
-            executor = Executor(self.traversal_cache, adaptive=self.adaptive)
+            executor = Executor(
+                self.traversal_cache, adaptive=self.adaptive, shapes=self.shapes
+            )
             # Buffered only while a cache store is still possible — an
             # uncacheable query keeps the O(1) streaming memory profile.
             collected: Optional[list[SearchResult]] = (
@@ -723,7 +731,9 @@ class KeywordSearchEngine:
         """``{name: count}``, sorted by name, of the counters this
         engine's parts already keep: the answer cache, the traversal
         cache, the compiled graph once built, the worker pool once
-        started and the engine's own maintenance rebuilds.  Always on
+        started, the shape memo (``ranking.shapes`` held,
+        ``ranking.scored`` schema-level scorings) and the engine's own
+        maintenance rebuilds.  Always on
         and per engine; the difference of two snapshots is what the
         calls between them did."""
         counters = {}
@@ -736,6 +746,7 @@ class KeywordSearchEngine:
             ("csr", self.traversal_cache._frozen, ("compactions",)),
             ("pool", self._searcher,
              ("pipe_batches", "respawns", "inline_chunks")),
+            ("ranking", self.shapes, ("shapes", "scored")),
             ("engine", self, ("maintain_rebuilds",)),
         ):
             if source is not None:

@@ -47,7 +47,7 @@ from repro.core.plan import (
     SingleScan,
     lower_bound_for,
 )
-from repro.core.ranking import Ranker
+from repro.core.ranking import Ranker, ShapeMemo
 from repro.core.search import (
     JoiningNetwork,
     SearchLimits,
@@ -167,11 +167,18 @@ class Executor:
         cache: TraversalCache,
         *,
         adaptive: bool = True,
+        shapes: Optional[ShapeMemo] = None,
     ) -> None:
         #: The compiled graph the csr kernels run on; its data graph
         #: renders answers.
         self.cache = cache
         self.data_graph = cache.data_graph
+        #: The engine's shape memo: a schema-level ranker scores each
+        #: answer from its shape's facts (:meth:`_scorer`).  ``None``
+        #: scores every answer with ``ranker.score``.
+        self.shapes = shapes
+        #: The run's answer -> score function (:meth:`_scorer`).
+        self._score_answer = None
         #: Selectivity-ordered pushdown: enumeration units enter the
         #: state heaps on admissible BFS distance bounds (streams built
         #: lazily, provably-empty units skipped) instead of eagerly
@@ -294,6 +301,7 @@ class Executor:
         limits = limits or SearchLimits()
         self.stats = stats = ExecutionStats()
         self.rows = QueryRows(self.cache)
+        self._score_answer = self._scorer(ranker)
         bounded = lower_bound_for(ranker, 1) is not None
         if pushdown is None:
             use_pushdown = bounded and plan.cut.k is not None
@@ -328,7 +336,7 @@ class Executor:
         if use_pushdown:
             emitter = self._stream_pushdown(plan, ranker, limits)
         else:
-            emitter = self._stream_full(plan, ranker, limits)
+            emitter = self._stream_full(plan, limits)
         try:
             for position, (answer, score) in enumerate(emitter):
                 stats.emitted += 1
@@ -350,11 +358,22 @@ class Executor:
     # ------------------------------------------------------------------
     # scoring
     # ------------------------------------------------------------------
+    def _scorer(self, ranker: Ranker):
+        """``ranker.score``, or — for a schema-level ranker on an executor
+        holding a memo — its ``score_shape`` of the answer's memoised
+        :class:`~repro.core.ranking.ShapeFacts`: equal values, each
+        shape's facts computed once."""
+        if self.shapes is None or not getattr(ranker, "schema_level", False):
+            return ranker.score
+        facts = self.shapes.facts
+        score_shape = ranker.score_shape
+        return lambda answer: score_shape(facts(answer))
+
     def _score(
-        self, answer: AnswerType, ranker: Ranker, coverage_major: bool
+        self, answer: AnswerType, coverage_major: bool
     ) -> tuple[float, ...]:
         self.stats.candidates += 1
-        score = ranker.score(answer)
+        score = self._score_answer(answer)
         if coverage_major:
             score = (-_coverage(answer),) + score
         return score
@@ -450,7 +469,7 @@ class Executor:
                 yield JoiningNetwork(self.cache, tuple_set, keyword_tuples)
 
     def _stream_full(
-        self, plan: QueryPlan, ranker: Ranker, limits: SearchLimits
+        self, plan: QueryPlan, limits: SearchLimits
     ) -> Iterator[tuple[AnswerType, tuple[float, ...]]]:
         coverage_major = plan.merge.coverage_major
         exec_span = self._exec_span
@@ -472,8 +491,7 @@ class Executor:
         if exec_span is not None:
             t0 = time.perf_counter()
         scored = [
-            (answer, self._score(answer, ranker, coverage_major))
-            for answer in answers
+            (answer, self._score(answer, coverage_major)) for answer in answers
         ]
         scored.sort(key=lambda pair: (pair[1], pair[0].render()))
         if plan.cut.k is not None:
@@ -485,9 +503,9 @@ class Executor:
     # ------------------------------------------------------------------
     # pushdown mode: bound-ordered streaming with early termination
     # ------------------------------------------------------------------
-    def _scored_singles(self, answers, ranker, coverage_major):
+    def _scored_singles(self, answers, coverage_major):
         scored = [
-            (self._score(answer, ranker, coverage_major), answer.render(), answer)
+            (self._score(answer, coverage_major), answer.render(), answer)
             for answer in answers
         ]
         scored.sort(key=lambda item: (item[0], item[1]))
@@ -498,7 +516,7 @@ class Executor:
         if isinstance(op, SingleScan):
             return _SinglesState(
                 self._scored_singles(
-                    self._iter_singles(plan.matches, op), ranker, coverage_major
+                    self._iter_singles(plan.matches, op), coverage_major
                 )
             )
         if isinstance(op, PairPaths):
@@ -638,9 +656,7 @@ class _PairState:
         singles = []
         if op.include_single_tuples:
             singles = executor._pair_singles(first, second)
-        self._singles = executor._scored_singles(
-            singles, ranker, self._coverage_major
-        )
+        self._singles = executor._scored_singles(singles, self._coverage_major)
         self._singles_position = 0
         self._heap: Optional[list] = None
 
@@ -700,9 +716,7 @@ class _PairState:
         answer = Connection(
             self._executor.cache, steps, _keyword_map(self._matches, tids)
         )
-        return answer, self._executor._score(
-            answer, self._ranker, self._coverage_major
-        )
+        return answer, self._executor._score(answer, self._coverage_major)
 
 
 class _NetworkState:
@@ -789,6 +803,4 @@ class _NetworkState:
             return None
         self._seen.add(key)
         answer = JoiningNetwork(self._executor.cache, tuple_set, keyword_tuples)
-        return answer, self._executor._score(
-            answer, self._ranker, self._coverage_major
-        )
+        return answer, self._executor._score(answer, self._coverage_major)

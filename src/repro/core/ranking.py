@@ -21,12 +21,20 @@ Implemented strategies:
     number of participating tuples at each joint;
 :class:`WeightedRanker`
     a linear combination for ablation studies.
+
+A ranker whose score reads only the schema along an answer — the
+relations, foreign keys, directions and middle flags, never a tuple
+value — declares ``schema_level``: it scores an answer from its
+:class:`ShapeFacts` (``score_shape``), and the executor looks those up
+by the answer's shape in the engine's :class:`ShapeMemo`, so every
+shape is scored once.  The first four rankers above are schema-level,
+and :class:`WeightedRanker` while ``w_ambiguity == 0``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, NamedTuple, Protocol
 
 from repro.core import ambiguity as ambiguity_module
 from repro.core.connections import Connection
@@ -34,6 +42,9 @@ from repro.core.connections import Connection
 __all__ = [
     "Answer",
     "Ranker",
+    "ShapeFacts",
+    "ShapeMemo",
+    "shape_facts",
     "RdbLengthRanker",
     "ErLengthRanker",
     "ClosenessRanker",
@@ -50,6 +61,8 @@ class Answer(Protocol):
     er_length: int
 
     def render(self) -> str: ...
+
+    def shape_key(self) -> tuple: ...
 
 
 def _loose_joint_count(answer: object) -> int:
@@ -72,34 +85,89 @@ class Ranker(Protocol):
     def score(self, answer: Answer) -> tuple[float, ...]: ...
 
 
+class ShapeFacts(NamedTuple):
+    """What a schema-level ranker reads of an answer."""
+
+    #: Transitive-N:M joints (paper Table 1), summed over a network's
+    #: keyword-pair paths.
+    loose_joints: int
+    er_length: int
+    rdb_length: int
+
+
+def shape_facts(answer: Answer) -> ShapeFacts:
+    """An answer's :class:`ShapeFacts` from their definitions
+    (:meth:`Connection.verdict`, ``loose_joint_count()``, ``er_length``)."""
+    return ShapeFacts(
+        _loose_joint_count(answer), answer.er_length, answer.rdb_length
+    )
+
+
+class ShapeMemo:
+    """Answer shape key -> :class:`ShapeFacts`, filled on first sight.
+
+    An answer's ``shape_key()`` encodes everything its facts read — the
+    relations, foreign keys, directions and middle flags along a path,
+    or a network's labelled spanning tree — so equal keys have equal
+    facts, and a miss computes them with :func:`shape_facts`.  The
+    schema never changes under an engine, so one memo serves it for its
+    lifetime.  ``scored`` counts lookups, ``shapes`` the shapes held.
+    """
+
+    def __init__(self) -> None:
+        self._facts: dict[tuple, ShapeFacts] = {}
+        self.scored = 0
+
+    @property
+    def shapes(self) -> int:
+        return len(self._facts)
+
+    def facts(self, answer: Answer) -> ShapeFacts:
+        self.scored += 1
+        key = answer.shape_key()
+        facts = self._facts.get(key)
+        if facts is None:
+            facts = self._facts[key] = shape_facts(answer)
+        return facts
+
+
+class _SchemaLevel:
+    """A ranker that scores an answer from its :class:`ShapeFacts` alone."""
+
+    schema_level = True
+
+    def score(self, answer: Answer) -> tuple[float, ...]:
+        return self.score_shape(shape_facts(answer))  # type: ignore[attr-defined]
+
+
 @dataclass(frozen=True)
-class RdbLengthRanker:
+class RdbLengthRanker(_SchemaLevel):
     """Rank by number of FK joins (the approach the paper criticises)."""
 
     name: str = "rdb-length"
 
-    def score(self, answer: Answer) -> tuple[float, ...]:
-        return (float(answer.rdb_length),)
+    def score_shape(self, facts: ShapeFacts) -> tuple[float, ...]:
+        return (float(facts.rdb_length),)
 
 
 @dataclass(frozen=True)
-class ErLengthRanker:
+class ErLengthRanker(_SchemaLevel):
     """Rank by conceptual (ER) length — middle relations do not count."""
 
     name: str = "er-length"
 
-    def score(self, answer: Answer) -> tuple[float, ...]:
-        return (float(answer.er_length),)
+    def score_shape(self, facts: ShapeFacts) -> tuple[float, ...]:
+        return (float(facts.er_length),)
 
 
 @dataclass(frozen=True)
-class ClosenessRanker:
+class ClosenessRanker(_SchemaLevel):
     """The paper's proposal: loose joints first, then conceptual length."""
 
     name: str = "closeness"
 
-    def score(self, answer: Answer) -> tuple[float, ...]:
-        return (float(_loose_joint_count(answer)), float(answer.er_length))
+    def score_shape(self, facts: ShapeFacts) -> tuple[float, ...]:
+        return (float(facts.loose_joints), float(facts.er_length))
 
 
 @dataclass(frozen=True)
@@ -139,15 +207,24 @@ class WeightedRanker:
         """See :attr:`InstanceAmbiguityRanker.reads_neighbourhood`."""
         return bool(self.w_ambiguity)
 
+    @property
+    def schema_level(self) -> bool:
+        """Fan counts read tuples, so only ``w_ambiguity == 0`` is."""
+        return not self.w_ambiguity
+
     def score(self, answer: Answer) -> tuple[float, ...]:
-        total = (
-            self.w_joints * _loose_joint_count(answer)
-            + self.w_er * answer.er_length
-            + self.w_rdb * answer.rdb_length
-        )
+        score = self.score_shape(shape_facts(answer))
         if self.w_ambiguity:
-            total += self.w_ambiguity * (_ambiguity_factor(answer) - 1)
-        return (total,)
+            return (score[0] + self.w_ambiguity * (_ambiguity_factor(answer) - 1),)
+        return score
+
+    def score_shape(self, facts: ShapeFacts) -> tuple[float, ...]:
+        """The schema-level part of the score."""
+        return (
+            self.w_joints * facts.loose_joints
+            + self.w_er * facts.er_length
+            + self.w_rdb * facts.rdb_length,
+        )
 
 
 def rank_connections(

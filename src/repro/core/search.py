@@ -88,6 +88,10 @@ class SingleTupleAnswer:
     def ambiguity_factor(self) -> int:
         return 1
 
+    def shape_key(self) -> tuple:
+        """Every single tuple has the same (empty) shape."""
+        return ("tuple",)
+
     def tuple_ids(self) -> tuple[TupleId, ...]:
         return (self.tid,)
 
@@ -204,6 +208,15 @@ class JoiningNetwork:
         for path in self.keyword_pair_paths():
             factor *= ambiguity_module.ambiguity_factor(path)
         return factor
+
+    def shape_key(self) -> tuple:
+        """The canonical form of the labelled spanning tree the metrics
+        read (:meth:`~repro.graph.csr.FrozenGraph.tree_shape`, keyword
+        tuples marked), built without a step or a pair path: networks
+        with equal keys have equal ``er_length`` and loose joints."""
+        return ("tree", self.cache.frozen().tree_shape(
+            self.tuples, set(self.keyword_tuples.values())
+        ))
 
     def tuple_ids(self) -> tuple[TupleId, ...]:
         return tuple(sorted(self.tuples, key=str))

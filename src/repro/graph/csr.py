@@ -68,7 +68,9 @@ from bisect import bisect_left
 from collections import OrderedDict, defaultdict
 from itertools import chain, count, islice, repeat
 from operator import add, and_, eq, lshift, rshift
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, AbstractSet, Iterable, Iterator, Optional, Sequence, Union,
+)
 
 from repro.errors import PathError, SearchLimitError
 from repro.graph.data_graph import DataGraph
@@ -568,37 +570,94 @@ class FrozenGraph:
                     neighbours.add(other)
         return self._sort_ints(neighbours)
 
-    def spanning_tree(self, tids) -> list[TuplePathStep]:
-        """Spanning-tree edges of the tuples ``tids`` over the edges they
-        hold among themselves (Kruskal, union-find): members in
-        ``_sort_key`` order, each row in expansion order, so the first
-        entry of a pair is its smallest edge key.  That is the order
-        networkx's unit-weight minimum spanning tree took over the
-        induced multigraph; each step runs from the member whose row
-        held the entry."""
-        nodes = {self.node_of(tid) for tid in tids}
-        nodes.discard(None)
-        parent = {node: node for node in nodes}
-
-        def root(node: int) -> int:
-            while parent[node] != node:
-                parent[node] = node = parent[parent[node]]
-            return node
-
-        tid_of = self._tid_of
-        edges = []
+    def _tree_entries(
+        self, nodes: AbstractSet[int]
+    ) -> list[tuple[int, int, str, int]]:
+        """``(owner, other, edge key, referencing flag)`` per spanning-tree
+        edge of the member ints ``nodes`` over the entries they hold among
+        themselves (Kruskal): members in ``_sort_key`` order, each row in
+        expansion order, so the first entry of a pair is its smallest
+        edge key.  That is the order networkx's unit-weight minimum
+        spanning tree took over the induced multigraph.  The scan stops
+        once the tree spans every member."""
+        component = {node: node for node in nodes}
+        edges: list[tuple[int, int, str, int]] = []
+        wanted = len(component) - 1
         for node in self._sort_ints(nodes):
+            if len(edges) == wanted:
+                break
             row_targets, row_keys, row_refs, start, end = self._row(node)
             for at in range(start, end):
                 other = row_targets[at]
-                if other in nodes and root(node) != root(other):
-                    parent[root(other)] = root(node)
-                    key = row_keys[at]
-                    edges.append(TuplePathStep(
-                        tid_of[node], tid_of[other], key,
-                        self._payload(node, other, key, row_refs[at]),
-                    ))
+                if other in component:
+                    mine, theirs = component[node], component[other]
+                    if mine != theirs:  # joins two components: relabel one
+                        for member, label in component.items():
+                            if label == theirs:
+                                component[member] = mine
+                        edges.append((node, other, row_keys[at], row_refs[at]))
         return edges
+
+    def spanning_tree(self, tids) -> list[TuplePathStep]:
+        """Spanning-tree edges of the tuples ``tids``
+        (:meth:`_tree_entries`); each step runs from the member whose row
+        held the entry."""
+        nodes = {self.node_of(tid) for tid in tids}
+        nodes.discard(None)
+        tid_of = self._tid_of
+        return [
+            TuplePathStep(
+                tid_of[node], tid_of[other], key,
+                self._payload(node, other, key, ref),
+            )
+            for node, other, key, ref in self._tree_entries(nodes)
+        ]
+
+    def tree_shape(self, tids, marked) -> tuple:
+        """A canonical form of the labelled tree :meth:`spanning_tree`
+        picks over ``tids``: each member labelled by its relation and by
+        whether it is in ``marked``, each edge by its FK name and by
+        which end references the other.  Equal forms mean isomorphic
+        labelled trees.  The tree is rooted at its centre (the one or two
+        members left after stripping leaves), children in sorted order —
+        so the form depends on neither the members' keys nor the order
+        ``tids`` lists them in — and no step or payload is built.
+
+        A node reads ``(relation, marked, children)``, a child
+        ``(FK name, parent references child, node)``; a two-member centre
+        takes the smaller of its two rootings.  ``tids`` must be
+        connected, as a joining network's tuples are."""
+        label: dict[int, tuple] = {}
+        for tid in tids:
+            node = self.node_of(tid)
+            if node is not None:
+                label[node] = (tid.relation, tid in marked)
+        adjacent: dict[int, list] = {node: [] for node in label}
+        for node, other, key, ref in self._tree_entries(label.keys()):
+            adjacent[node].append((other, key, ref))
+            adjacent[other].append((node, key, 1 - ref))
+        degree = {node: len(edges) for node, edges in adjacent.items()}
+        centre = [node for node, edges in degree.items() if edges <= 1]
+        remaining = len(degree)
+        while remaining > 2:
+            remaining -= len(centre)
+            leaves = centre
+            centre = []
+            for leaf in leaves:
+                for other, __, __ in adjacent[leaf]:
+                    degree[other] -= 1
+                    if degree[other] == 1:
+                        centre.append(other)
+
+        def form(node: int, parent: Optional[int]) -> tuple:
+            children = [
+                (key, ref, form(other, node))
+                for other, key, ref in adjacent[node] if other != parent
+            ]
+            children.sort()
+            return (*label[node], tuple(children))
+
+        return min(form(node, None) for node in centre)
 
     # ------------------------------------------------------------------
     # distance rows

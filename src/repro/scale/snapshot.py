@@ -80,7 +80,7 @@ from bisect import bisect_right
 from itertools import chain, islice
 from operator import lt
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from repro.durable import fault
 from repro.durable.wal import atomic_write_bytes, decode_frames, replay_into
@@ -274,6 +274,13 @@ class _Interning:
     def append(self, value) -> None:
         self._appended.append(value)
 
+    def runs(self) -> Iterator[tuple[str, list[tuple]]]:
+        """``(relation, primary keys in node order)`` per stored run, in
+        node order: an unpatched table's whole content, read without
+        building a tuple id."""
+        for at, (relation, __, __) in enumerate(self._runs):
+            yield relation, self._run_keys(at)
+
     def nodes_of(self, relation: str) -> dict:
         """Primary key -> node int of one relation's stored run."""
         at = self._at.get(relation)
@@ -459,9 +466,14 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
     postings.fold_pending()
     database = engine.database
     # Folded: no tombstones, and each relation one run in node order.
-    runs: dict[str, list] = {}
-    for tid in frozen._tid_of:
-        runs.setdefault(tid.relation, []).append(tid.key)
+    # A restored table that was never folded lists its runs' keys without
+    # building a tuple id.
+    if isinstance(frozen._tid_of, _Interning):
+        runs = dict(frozen._tid_of.runs())
+    else:
+        runs = {}
+        for tid in frozen._tid_of:
+            runs.setdefault(tid.relation, []).append(tid.key)
     # Rows in store order, read without building one; each run becomes
     # its nodes' row numbers.
     rows = []

@@ -21,6 +21,23 @@ class TestReadmeQuickstart:
         for result in results:
             assert engine.explain(result)
 
+    def test_live_update_snippet_runs(self, capsys):
+        """The README's live-update block, verbatim, on the company
+        engine."""
+        from repro import KeywordSearchEngine, build_company_database
+
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        blocks = [
+            block for block in re.findall(r"```python\n(.*?)```", readme, re.S)
+            if "engine.apply(" in block and "changeset" in block
+        ]
+        assert len(blocks) == 1
+        engine = KeywordSearchEngine(build_company_database())
+        namespace = {"engine": engine}
+        exec(compile(blocks[0], "README.md", "exec"), namespace)
+        assert capsys.readouterr().out == "1 added, 1 updated -> engine version 1\n"
+        assert [result.render() for result in namespace["results"]]
+
     def test_public_api_exports(self):
         """Everything the README's architecture section names is importable."""
         import repro

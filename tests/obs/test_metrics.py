@@ -30,6 +30,8 @@ class TestEngineCounters:
                      "trees_enumerated"):
             assert snapshot[f"traversal_cache.{name}"] == getattr(cache, name)
         assert snapshot["csr.compactions"] == cache._frozen.compactions
+        assert snapshot["ranking.shapes"] == engine.shapes.shapes > 0
+        assert snapshot["ranking.scored"] == engine.shapes.scored > 0
         assert not any(name.startswith("pool.") for name in snapshot)
 
     def test_counters_are_always_on_and_per_engine(self):

@@ -196,6 +196,20 @@ class TestRoundTrip:
         # The reference flags were read as stored: the section itself.
         assert type(restored.traversal_cache.frozen()._edge_refs) is memoryview
 
+    def test_restored_save_builds_no_tuple_id(self, tmp_path):
+        """A restored company engine that was never folded saves its
+        interning runs from the keys its rows resolved to: the interning
+        table caches no tuple id, and the file is the one it opened."""
+        path = tmp_path / "company.snap"
+        KeywordSearchEngine(build_company_database()).save(path)
+        restored = KeywordSearchEngine.open(path)
+        second = tmp_path / "second.snap"
+        restored.save(second)
+        interning = restored.traversal_cache.frozen()._tid_of
+        assert isinstance(interning, snapshot_module._Interning)
+        assert interning._cache == {}
+        assert path.read_bytes() == second.read_bytes()
+
     def test_restored_save_reopens_to_a_cold_build(self, saved, tmp_path):
         """A restored engine that took inserts, an update and deletes
         saves its rows, labels and interning permutations from its own
