@@ -16,7 +16,7 @@ Package map
 -----------
 ``repro.er``          cardinality algebra, ER model, mapping
 ``repro.relational``  in-memory relational engine with keyword index
-``repro.graph``       schema and data (tuple) graphs
+``repro.graph``       data (tuple) graphs and the compiled CSR kernel
 ``repro.core``        association classification, search, ranking
 ``repro.oracle``      the networkx differential oracle (import explicitly)
 ``repro.baselines``   DISCOVER (MTJNT), the semantics the paper argues against
@@ -37,11 +37,9 @@ from repro.core.ranking import (
     ErLengthRanker,
     InstanceAmbiguityRanker,
     RdbLengthRanker,
-    WeightedRanker,
 )
 from repro.core.presentation import group_results, larger_context
 from repro.core.schema_analysis import SchemaAnalyzer, analyze_relational_schema
-from repro.core.scoring import CombinedRanker, TfIdfScorer
 from repro.core.search import SearchLimits
 from repro.datasets.company import (
     build_company_database,
@@ -53,7 +51,6 @@ from repro.graph.fast_traversal import TraversalCache
 from repro.live.changes import ChangeSet, Delete, Insert, Update
 from repro.live.result_cache import ResultCache
 from repro.relational.database import Database
-from repro.relational.statistics import DatabaseStatistics
 from repro.scale.snapshot import Snapshot
 
 __version__ = "1.0.0"
@@ -64,10 +61,8 @@ __all__ = [
     "Cardinality",
     "ChangeSet",
     "ClosenessRanker",
-    "CombinedRanker",
     "Connection",
     "Database",
-    "DatabaseStatistics",
     "Delete",
     "ErLengthRanker",
     "InstanceAmbiguityRanker",
@@ -79,10 +74,8 @@ __all__ = [
     "SearchLimits",
     "SearchResult",
     "Snapshot",
-    "TfIdfScorer",
     "TraversalCache",
     "Update",
-    "WeightedRanker",
     "analyze_relational_schema",
     "build_company_database",
     "build_company_er_schema",

@@ -1,16 +1,15 @@
 """The keyword-search semantics the paper positions itself against.
 
-:mod:`repro.baselines.discover` implements DISCOVER-style candidate
-networks and the Minimal Total Joining Network of Tuples (MTJNT)
-semantics (Hristidis & Papakonstantinou, VLDB 2002) from the paper's
-description — the semantics the paper shows to lose connections.  It
-serves ``repro mtjnt`` and claim C1.
+:mod:`repro.baselines.discover` implements DISCOVER's Minimal Total
+Joining Network of Tuples (MTJNT) semantics (Hristidis &
+Papakonstantinou, VLDB 2002) from the paper's description — the
+semantics the paper shows to lose connections.  It serves ``repro
+mtjnt`` and claim C1.
 """
 
-from repro.baselines.discover import find_mtjnts, is_mtjnt, candidate_networks
+from repro.baselines.discover import find_mtjnts, is_mtjnt
 
 __all__ = [
-    "candidate_networks",
     "find_mtjnts",
     "is_mtjnt",
 ]

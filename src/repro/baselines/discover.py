@@ -1,4 +1,4 @@
-"""DISCOVER-style keyword search: candidate networks and MTJNTs.
+"""DISCOVER-style keyword search: MTJNT semantics.
 
 DISCOVER (Hristidis & Papakonstantinou, VLDB 2002) answers a keyword query
 with **Minimal Total Joining Networks of Tuples**:
@@ -17,17 +17,12 @@ is precisely what the paper exploits — for the query ``Smith XML`` the
 connections 3, 4, 6 and 7 of its Table 2 are total joining networks but not
 minimal, so MTJNT semantics loses them (:func:`lost_connections` checks the
 claim mechanically).
-
-The module also implements schema-level **candidate network** generation
-(join trees of keyword-annotated tuple sets) used by the DISCOVER
-evaluation pipeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Sequence
 
 import networkx as nx
 
@@ -36,7 +31,6 @@ from repro.core.matching import KeywordMatch
 from repro.core.search import SearchLimits
 from repro.errors import QueryError
 from repro.graph.data_graph import DataGraph
-from repro.graph.schema_graph import SchemaGraph
 from repro.graph.traversal import enumerate_joining_trees
 from repro.relational.database import TupleId
 
@@ -47,8 +41,6 @@ __all__ = [
     "is_mtjnt",
     "find_mtjnts",
     "lost_connections",
-    "CandidateNetwork",
-    "candidate_networks",
 ]
 
 
@@ -166,141 +158,3 @@ def lost_connections(
         for connection in connections
         if not is_mtjnt(data_graph, connection.tuple_ids(), matches)
     ]
-
-
-# ----------------------------------------------------------------------
-# schema-level candidate networks
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CandidateNetwork:
-    """A join tree of keyword-annotated tuple sets.
-
-    ``nodes`` are ``(node_id, relation, keywords)`` triples — ``keywords``
-    is the (possibly empty) set of query keywords the tuple set must
-    contain (empty = a *free* tuple set).  ``edges`` connect node ids and
-    each corresponds to one schema foreign key.
-    """
-
-    nodes: tuple[tuple[int, str, frozenset[str]], ...]
-    edges: tuple[tuple[int, int, str], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
-    def covered_keywords(self) -> frozenset[str]:
-        covered: set[str] = set()
-        for __, __, keywords in self.nodes:
-            covered.update(keywords)
-        return frozenset(covered)
-
-    def describe(self) -> str:
-        parts = []
-        for node_id, relation, keywords in self.nodes:
-            rendered = ",".join(sorted(keywords)) if keywords else "free"
-            parts.append(f"{node_id}:{relation}^{{{rendered}}}")
-        edges = ", ".join(f"{a}-{b}" for a, b, __ in self.edges)
-        return " | ".join((" ".join(parts), edges)) if edges else " ".join(parts)
-
-
-def candidate_networks(
-    schema_graph: SchemaGraph,
-    keyword_relations: dict[str, frozenset[str]],
-    max_size: int,
-) -> list[CandidateNetwork]:
-    """Enumerate candidate networks up to ``max_size`` tuple sets.
-
-    ``keyword_relations`` maps each keyword to the relations whose tuples
-    may contain it (from the index).  Networks are trees over tuple-set
-    nodes where
-
-    * each non-free node carries a non-empty keyword set drawn from the
-      keywords its relation can contain,
-    * every leaf is non-free (DISCOVER's pruning rule — a free leaf could
-      be removed, so no evaluation of it can be minimal),
-    * all query keywords are covered.
-
-    Networks are deduplicated up to isomorphism of their labelled trees.
-    """
-    keywords = sorted(keyword_relations)
-    if not keywords:
-        raise QueryError("no keywords for candidate network generation")
-
-    results: list[CandidateNetwork] = []
-    seen: set[frozenset] = set()
-
-    def node_labels(relation: str) -> list[frozenset[str]]:
-        possible = [
-            keyword
-            for keyword in keywords
-            if relation in keyword_relations[keyword]
-        ]
-        labels: list[frozenset[str]] = [frozenset()]
-        # Non-empty subsets of the keywords this relation can contain.
-        for mask in range(1, 1 << len(possible)):
-            labels.append(
-                frozenset(
-                    keyword
-                    for position, keyword in enumerate(possible)
-                    if mask & (1 << position)
-                )
-            )
-        return labels
-
-    def canonical(nodes, edges) -> frozenset:
-        # Multiset of (relation, keywords) per node plus labelled edges in
-        # canonical order — sufficient to dedupe trees of this size.
-        rendered_nodes = {nid: (relation, keywords) for nid, relation, keywords in nodes}
-        canon_edges = frozenset(
-            (min_max := tuple(sorted((a, b))), fk, rendered_nodes[min_max[0]],
-             rendered_nodes[min_max[1]])
-            for a, b, fk in edges
-        )
-        return frozenset((frozenset(rendered_nodes.values()), canon_edges))
-
-    def grow(nodes: list, edges: list, covered: frozenset[str]) -> None:
-        if covered == frozenset(keywords):
-            leaves_ok = True
-            if len(nodes) > 1:
-                degree: dict[int, int] = {nid: 0 for nid, __, __ in nodes}
-                for a, b, __ in edges:
-                    degree[a] += 1
-                    degree[b] += 1
-                for nid, __, node_keywords in nodes:
-                    if degree[nid] <= 1 and not node_keywords:
-                        leaves_ok = False
-                        break
-            if leaves_ok:
-                key = canonical(nodes, edges)
-                if key not in seen:
-                    seen.add(key)
-                    results.append(
-                        CandidateNetwork(tuple(nodes), tuple(edges))
-                    )
-        if len(nodes) >= max_size:
-            return
-        for nid, relation, __ in list(nodes):
-            for other_relation, fk in sorted(
-                schema_graph.neighbours(relation), key=lambda p: (p[0], p[1].name)
-            ):
-                for label in node_labels(other_relation):
-                    if label and label <= covered:
-                        continue  # adds nothing new; avoids blowup
-                    new_id = len(nodes)
-                    grow(
-                        nodes + [(new_id, other_relation, label)],
-                        edges + [(nid, new_id, fk.name)],
-                        covered | label,
-                    )
-
-    start_relations = sorted(
-        {relation for relations in keyword_relations.values() for relation in relations}
-    )
-    for relation in start_relations:
-        for label in node_labels(relation):
-            if not label:
-                continue
-            grow([(0, relation, label)], [], frozenset(label))
-
-    results.sort(key=lambda cn: (cn.size, cn.describe()))
-    return results

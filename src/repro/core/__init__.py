@@ -31,7 +31,6 @@ from repro.core.ranking import (
     InstanceAmbiguityRanker,
     Ranker,
     RdbLengthRanker,
-    WeightedRanker,
     rank_connections,
 )
 from repro.core.executor import ExecutionStats, Executor
@@ -54,7 +53,6 @@ __all__ = [
     "Ranker",
     "RdbLengthRanker",
     "SearchResult",
-    "WeightedRanker",
     "classify_cardinalities",
     "classify_er_path",
     "loose_joints",

@@ -244,16 +244,11 @@ class KeywordSearchEngine:
         # missing.  The built-in rankers are value-repr'd dataclasses,
         # so equal configurations share entries while differently-
         # parameterised ones never collide; a ranker whose repr leaks an
-        # object address (default object repr — e.g. a held TfIdfScorer)
-        # has no stable value identity, and an id-based key could collide
-        # with a later object at a recycled address, so such queries stay
-        # uncached (None key).
+        # object address (default object repr — e.g. a user-defined
+        # class that is not a dataclass) has no stable value identity,
+        # and an id-based key could collide with a later object at a
+        # recycled address, so such queries stay uncached (None key).
         if self.result_cache.max_entries <= 0:
-            return None
-        if getattr(ranker, "uses_corpus_stats", False):
-            # Scores move with corpus-wide statistics; any changeset would
-            # drop the entry anyway, so skip caching (and skip the repr,
-            # which for such rankers can serialize held match sets).
             return None
         identity = repr(ranker)
         if " at 0x" in identity:
@@ -284,10 +279,9 @@ class KeywordSearchEngine:
             footprint.update(match.tuple_ids)
         for result in results:
             footprint.update(result.answer.tuple_ids())
-        # Corpus-stats rankers never reach here — _cache_key already
-        # declared them uncacheable.  A ranker that scores from the
-        # instance around an answer is cached volatile: bounded taint
-        # only covers what the answers themselves are built from.
+        # A ranker that scores from the instance around an answer is
+        # cached volatile: bounded taint only covers what the answers
+        # themselves are built from.
         self.result_cache.store(
             key,
             CacheEntry(

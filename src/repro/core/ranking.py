@@ -18,17 +18,14 @@ Implemented strategies:
     the running example;
 :class:`InstanceAmbiguityRanker`
     the future-work refinement: replace the joint *count* with the actual
-    number of participating tuples at each joint;
-:class:`WeightedRanker`
-    a linear combination for ablation studies.
+    number of participating tuples at each joint.
 
 A ranker whose score reads only the schema along an answer — the
 relations, foreign keys, directions and middle flags, never a tuple
 value — declares ``schema_level``: it scores an answer from its
 :class:`ShapeFacts` (``score_shape``), and the executor looks those up
 by the answer's shape in the engine's :class:`ShapeMemo`, so every
-shape is scored once.  The first four rankers above are schema-level,
-and :class:`WeightedRanker` while ``w_ambiguity == 0``.
+shape is scored once.  The first three rankers above are schema-level.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ __all__ = [
     "ErLengthRanker",
     "ClosenessRanker",
     "InstanceAmbiguityRanker",
-    "WeightedRanker",
     "rank_connections",
 ]
 
@@ -186,45 +182,6 @@ class InstanceAmbiguityRanker:
 
     def score(self, answer: Answer) -> tuple[float, ...]:
         return (float(_ambiguity_factor(answer)), float(answer.er_length))
-
-
-@dataclass(frozen=True)
-class WeightedRanker:
-    """Linear combination of the individual criteria, for ablations.
-
-    ``score = w_joints * joints + w_er * er_length + w_rdb * rdb_length
-    + w_ambiguity * (ambiguity_factor - 1)``
-    """
-
-    w_joints: float = 1.0
-    w_er: float = 0.1
-    w_rdb: float = 0.0
-    w_ambiguity: float = 0.0
-    name: str = "weighted"
-
-    @property
-    def reads_neighbourhood(self) -> bool:
-        """See :attr:`InstanceAmbiguityRanker.reads_neighbourhood`."""
-        return bool(self.w_ambiguity)
-
-    @property
-    def schema_level(self) -> bool:
-        """Fan counts read tuples, so only ``w_ambiguity == 0`` is."""
-        return not self.w_ambiguity
-
-    def score(self, answer: Answer) -> tuple[float, ...]:
-        score = self.score_shape(shape_facts(answer))
-        if self.w_ambiguity:
-            return (score[0] + self.w_ambiguity * (_ambiguity_factor(answer) - 1),)
-        return score
-
-    def score_shape(self, facts: ShapeFacts) -> tuple[float, ...]:
-        """The schema-level part of the score."""
-        return (
-            self.w_joints * facts.loose_joints
-            + self.w_er * facts.er_length
-            + self.w_rdb * facts.rdb_length,
-        )
 
 
 def rank_connections(

@@ -1,17 +1,12 @@
-"""Schema-level closeness analysis and query planning.
+"""Schema-level closeness analysis.
 
 The paper's classification runs over *schema-level* paths (Table 1) before
 any instance is consulted.  This module precomputes that analysis for a
-whole schema and puts it to work:
+whole schema (``repro analyze`` prints it):
 
 * :class:`SchemaAnalyzer` — enumerate and classify every ER path up to a
   length bound between every pair of entity types; expose the *closeness
-  matrix* (can these two entity types be closely associated at all, and at
-  what minimal conceptual distance?);
-* :meth:`SchemaAnalyzer.suggest_limits` — query planning: given the
-  relations two keywords can match in, derive the smallest enumeration
-  bounds that cannot miss a close connection (plus a slack for loose
-  ones), so instance search does not over-explore;
+  matrix* (can these two entity types be closely associated at all?);
 * :func:`analyze_relational_schema` — the same analysis for a plain
   relational schema via reverse engineering (middle relations collapse to
   one conceptual step, exactly like instance-level ER length).
@@ -23,10 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Optional
 
 from repro.core.associations import AssociationVerdict, classify_er_path
-from repro.core.search import SearchLimits
 from repro.er.model import ERSchema
 from repro.er.paths import ERPath, enumerate_paths
 from repro.er.reverse import reverse_engineer
@@ -79,20 +72,6 @@ class SchemaAnalyzer:
             s for s in self.paths_between(source, target) if s.verdict.is_close
         )
 
-    def closest_distance(self, source: str, target: str) -> Optional[int]:
-        """Minimal conceptual length of a *close* path, None when none exists."""
-        close = self.close_paths(source, target)
-        if not close:
-            return None
-        return min(summary.er_length for summary in close)
-
-    def any_distance(self, source: str, target: str) -> Optional[int]:
-        """Minimal conceptual length of any path within the bound."""
-        paths = self.paths_between(source, target)
-        if not paths:
-            return None
-        return min(summary.er_length for summary in paths)
-
     # ------------------------------------------------------------------
     # matrix view
     # ------------------------------------------------------------------
@@ -131,51 +110,6 @@ class SchemaAnalyzer:
                 closeness = "close" if summary.verdict.is_close else "loose"
                 lines.append(f"    [{closeness}] {summary.path}")
         return "\n".join(lines)
-
-    # ------------------------------------------------------------------
-    # query planning
-    # ------------------------------------------------------------------
-    def suggest_limits(
-        self,
-        source_entities: Iterable[str],
-        target_entities: Iterable[str],
-        loose_slack: int = 1,
-        defaults: SearchLimits = SearchLimits(),
-    ) -> SearchLimits:
-        """Smallest enumeration bounds that cover every close association.
-
-        Takes the maximum over entity pairs of the minimal close-path
-        length (falling back to the minimal any-path length when no close
-        path exists), adds ``loose_slack`` so strictly longer loose
-        connections are still found, and converts conceptual length to an
-        RDB-edge bound (each conceptual N:M step costs up to two FK edges).
-        Pairs with no schema path at all are ignored; when *no* pair is
-        connected the defaults are returned unchanged.
-        """
-        needed = 0
-        connected = False
-        for source in set(source_entities):
-            for target in set(target_entities):
-                if source == target:
-                    connected = True
-                    continue
-                distance = self.closest_distance(source, target)
-                if distance is None:
-                    distance = self.any_distance(source, target)
-                if distance is None:
-                    continue
-                connected = True
-                needed = max(needed, distance)
-        if not connected:
-            return defaults
-        er_bound = needed + loose_slack
-        rdb_bound = 2 * er_bound  # every conceptual step is at most 2 edges
-        return SearchLimits(
-            max_rdb_length=max(1, rdb_bound),
-            max_tuples=max(2, rdb_bound + 1),
-            max_paths_per_pair=defaults.max_paths_per_pair,
-            max_networks=defaults.max_networks,
-        )
 
 
 def analyze_relational_schema(

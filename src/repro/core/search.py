@@ -19,7 +19,7 @@ deterministic, so the reproduction tests can assert paper tables exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
@@ -252,10 +252,11 @@ def _keyword_map(
     matches: Sequence[KeywordMatch], tids: Sequence[TupleId]
 ) -> dict[TupleId, frozenset[str]]:
     """Map each tuple to the query keywords it contains."""
+    members = set(tids)
     result: dict[TupleId, set[str]] = {}
     for match in matches:
         for tid in match.tuple_ids:
-            if tid in tids:
+            if tid in members:
                 result.setdefault(tid, set()).add(match.keyword)
     return {tid: frozenset(keywords) for tid, keywords in result.items()}
 

@@ -14,7 +14,7 @@ employee tuples — workloads set match counts this way.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.datasets import text as text_module
 from repro.datasets.company import build_company_schema
@@ -52,17 +52,6 @@ class SyntheticConfig:
     dependents_per_employee: float = 0.5
     description_words: int = 10
     seed: int = 7
-
-    def expected_tuples(self) -> int:
-        """Rough total tuple count, for sizing sweeps."""
-        employees = self.departments * self.employees_per_department
-        return (
-            self.departments
-            + self.departments * self.projects_per_department
-            + employees
-            + employees * self.works_on_per_employee
-            + int(employees * self.dependents_per_employee)
-        )
 
 
 def generate_company_like(config: SyntheticConfig = SyntheticConfig()) -> Database:

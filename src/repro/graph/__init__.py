@@ -1,7 +1,5 @@
-"""Graph views over schemas and database instances.
+"""Graph views over database instances.
 
-* :mod:`repro.graph.schema_graph` — relations as nodes, foreign keys as
-  edges annotated with the cardinality they implement;
 * :mod:`repro.graph.data_graph` — tuples as nodes (the BANKS view of a
   database) plus the *conceptual* collapse that removes middle-relation
   tuples;
@@ -15,7 +13,6 @@
   :class:`TraversalCache`, which holds the compiled graph.
 """
 
-from repro.graph.schema_graph import SchemaGraph
 from repro.graph.csr import FrozenGraph
 from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
@@ -23,6 +20,5 @@ from repro.graph.fast_traversal import TraversalCache
 __all__ = [
     "DataGraph",
     "FrozenGraph",
-    "SchemaGraph",
     "TraversalCache",
 ]

@@ -12,10 +12,10 @@ safely updatable:
   recording the net tuple and FK-edge delta.
 * :mod:`repro.live.maintain` — incremental maintainers that patch the
   derived structures in place from a changeset: the inverted index (its
-  ``add_tuple`` / ``remove_tuple`` hooks keep posting order identical to
-  a fresh build) and the traversal cache (compiled rows patched from
-  the edge deltas) —
-  plus :func:`~repro.live.maintain.affected_tuples`, the ``{node int:
+  ``append_tuples`` / ``reindex_tuple`` / ``remove_tuple`` hooks keep
+  posting order identical to a fresh build) and the traversal cache
+  (compiled rows patched from the edge deltas) — plus
+  :func:`~repro.live.maintain.affected_tuples`, the ``{node int:
   depth}`` ball around a changeset's structural seeds.
 * :mod:`repro.live.result_cache` — a dependency-tracked LRU answer
   cache.  Entries record the tuple footprint and per-keyword match

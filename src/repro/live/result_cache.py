@@ -48,12 +48,12 @@ graph, and by the next sweep otherwise; a fold renumbers nodes, so the
 node map is rebuilt whenever the graph object or its ``compile_stamp``
 changes.
 
-Rankers that score against corpus-wide statistics (``uses_corpus_stats``
-— e.g. TF–IDF) never enter the engine's cache at all.  Rankers whose
-scores read the instance *around* an answer (``reads_neighbourhood`` —
-the fan counts of the instance-ambiguity ranker) are stored *volatile*:
-an edge beside an answer changes its score without touching the answer,
-so such entries drop on any change.
+Rankers without a value ``repr`` (one that names an object address)
+never enter the engine's cache at all.  Rankers whose scores read the
+instance *around* an answer (``reads_neighbourhood`` — the fan counts
+of the instance-ambiguity ranker) are stored *volatile*: an edge beside
+an answer changes its score without touching the answer, so such
+entries drop on any change.
 
 The cache never changes observable behaviour: a hit replays exactly the
 results (and execution counters) the underlying run produced, queries

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import FrozenInstanceError
 from itertools import compress, count as _counting, islice
 from operator import not_
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.errors import (
     ForeignKeyError,
@@ -415,12 +415,6 @@ class Database:
             store[key] = row
         return rows
 
-    def insert_many(
-        self, relation_name: str, rows: Iterable[Mapping[str, object]]
-    ) -> list[Tuple]:
-        """Insert several tuples; convenience for loaders and generators."""
-        return [self.insert(relation_name, row) for row in rows]
-
     def update(self, tid: TupleId, values: Mapping[str, object]) -> None:
         """Update attribute values of one tuple in place.
 
@@ -658,17 +652,6 @@ class Database:
             record = store.pop(key, None)
             if record is not None:
                 store[key] = record
-
-    def last_tuple(self, relation_name: str) -> Optional[Tuple]:
-        """The relation's last tuple in store order (None when empty).
-
-        O(1); incremental index maintenance uses it to recognise
-        appended tuples without scanning the relation.
-        """
-        store = self._store(relation_name)
-        if not store:
-            return None
-        return self._read(relation_name, store[next(reversed(store))])
 
     def tail(self, relation_name: str, count: int) -> list[tuple[TupleId, dict]]:
         """The relation's last ``count`` tuples, in store order, as

@@ -7,9 +7,10 @@ The paper relies on both modes; :class:`InvertedIndex` supports them through
 a single posting structure that records, per keyword, the matching tuples
 and the attributes they matched in.
 
-The index is maintained incrementally: :meth:`InvertedIndex.add_tuple` /
-:meth:`InvertedIndex.remove_tuple` keep it consistent with a mutating
-database, and :meth:`InvertedIndex.build` performs a full (re)build.
+The index is maintained incrementally: :meth:`InvertedIndex.append_tuples`,
+:meth:`InvertedIndex.reindex_tuple` and :meth:`InvertedIndex.remove_tuple`
+keep it consistent with a mutating database, and
+:meth:`InvertedIndex.build` performs a full (re)build.
 
 Postings have one resident representation, :class:`_PostingColumns`: a
 sorted token directory looked up with ``bisect``, an ``offsets`` column
@@ -32,7 +33,7 @@ from itertools import compress
 from typing import Iterable, Iterator
 
 from repro.errors import IntegrityError, SchemaError
-from repro.relational.database import Database, Tuple, TupleId
+from repro.relational.database import Database, TupleId
 
 __all__ = ["tokenize", "Posting", "InvertedIndex"]
 
@@ -560,42 +561,13 @@ class InvertedIndex:
             if not postings.defer(token, ("add", posting)):
                 self._insort(postings[token], posting)
 
-    def add_tuple(self, record: Tuple) -> None:
-        """Index one tuple (no-op if already indexed).
-
-        Postings land at the tuple's database-order position, so the index
-        stays equal to a fresh :meth:`build` over the current database.
-        A tuple sitting at the end of its relation's store — the normal
-        insert-then-index flow — gets its position in O(1); re-adding a
-        tuple from the middle of the store (the remove/re-add round trip)
-        re-derives the relation's order with one scan.
-        """
-        # Whether the tuple's postings are in place shows in the list of
-        # its first token.
-        first = next(_posted(record.values, self._attributes[record.relation]), None)
-        if first is not None and any(
-            p.tid == record.tid for p in self._postings.get(first[0], ())
-        ):
-            return
-        positions = self._order.get(record.relation)
-        if positions is not None and record.tid.key not in positions:
-            # A cached order key (from a refresh, or preserved across a
-            # value-update reindex) is still relatively correct — only a
-            # keyless mid-store tuple needs the relation rescanned.
-            last = self._database.last_tuple(record.relation)
-            if last is None or last.tid != record.tid:
-                self._refresh_order(record.relation)
-            # else: _index_record appends at the relation tail in O(1).
-        self._index_record(record.tid, record.values)
-
     def append_tuples(self, rows: Iterable[tuple[TupleId, dict]]) -> None:
         """Index tuples not yet indexed that form, in the given order, the
         tail of their relation's store — what a mutation batch leaves
         behind — given as ``(tuple id, values)`` pairs.
 
         Each takes the relation's next order position in O(1), however
-        many the batch appended; :meth:`add_tuple` on anything but the
-        single last tuple would rescan the relation instead.
+        many the batch appended.
         """
         for tid, values in rows:
             self._index_record(tid, values)

@@ -1,9 +1,8 @@
-"""Unit tests for the DISCOVER baseline (MTJNTs and candidate networks)."""
+"""Unit tests for the DISCOVER baseline (MTJNT semantics)."""
 
 import pytest
 
 from repro.baselines.discover import (
-    candidate_networks,
     find_mtjnts,
     is_mtjnt,
     is_total,
@@ -135,59 +134,3 @@ class TestLostConnections:
             "p2(XML) – d2(XML) – e2(Smith)",
             "d2(XML) – p3 – w_f2 – e2(Smith)",
         }
-
-
-class TestCandidateNetworks:
-    @pytest.fixture
-    def keyword_relations(self):
-        return {
-            "smith": frozenset({"EMPLOYEE"}),
-            "xml": frozenset({"DEPARTMENT", "PROJECT"}),
-        }
-
-    def test_networks_cover_all_keywords(self, schema_graph, keyword_relations):
-        networks = candidate_networks(schema_graph, keyword_relations, max_size=3)
-        assert networks
-        for network in networks:
-            assert network.covered_keywords() == {"smith", "xml"}
-
-    def test_smallest_network_is_direct_join(self, schema_graph, keyword_relations):
-        networks = candidate_networks(schema_graph, keyword_relations, max_size=3)
-        smallest = networks[0]
-        relations = {relation for __, relation, __ in smallest.nodes}
-        assert smallest.size == 2
-        assert relations == {"DEPARTMENT", "EMPLOYEE"}
-
-    def test_no_free_leaves(self, schema_graph, keyword_relations):
-        for network in candidate_networks(
-            schema_graph, keyword_relations, max_size=4
-        ):
-            degree = {nid: 0 for nid, __, __ in network.nodes}
-            for a, b, __ in network.edges:
-                degree[a] += 1
-                degree[b] += 1
-            for nid, __, keywords in network.nodes:
-                if network.size > 1 and degree[nid] <= 1:
-                    assert keywords
-
-    def test_size_bound_respected(self, schema_graph, keyword_relations):
-        for network in candidate_networks(
-            schema_graph, keyword_relations, max_size=3
-        ):
-            assert network.size <= 3
-
-    def test_single_relation_both_keywords(self, schema_graph):
-        keyword_relations = {
-            "xml": frozenset({"DEPARTMENT"}),
-            "retrieval": frozenset({"DEPARTMENT"}),
-        }
-        networks = candidate_networks(schema_graph, keyword_relations, max_size=2)
-        assert any(network.size == 1 for network in networks)
-
-    def test_no_keywords_rejected(self, schema_graph):
-        with pytest.raises(QueryError):
-            candidate_networks(schema_graph, {}, max_size=3)
-
-    def test_describe(self, schema_graph, keyword_relations):
-        networks = candidate_networks(schema_graph, keyword_relations, max_size=2)
-        assert "EMPLOYEE" in networks[0].describe()

@@ -13,7 +13,6 @@ from repro.datasets.company import (
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like, plant
 from repro.graph.data_graph import DataGraph
 from repro.graph.fast_traversal import TraversalCache
-from repro.graph.schema_graph import SchemaGraph
 from repro.relational.index import InvertedIndex
 
 
@@ -44,11 +43,6 @@ def data_graph(company_db):
 def traversal_cache(data_graph):
     """The compiled-graph cache connections are built on."""
     return TraversalCache(data_graph)
-
-
-@pytest.fixture
-def schema_graph(db_schema):
-    return SchemaGraph(db_schema)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import io
+from pathlib import Path
 
 import pytest
 
@@ -132,15 +133,13 @@ class TestSearchCommand:
 
 
 class TestReproduceCommand:
-    def test_reproduce_runs_everything(self):
+    def test_reproduce_prints_the_golden_bytes(self):
+        """Every table, figure and claim, byte for byte (the table rows
+        keep their trailing padding)."""
         code, output = run("reproduce")
         assert code == 0
-        assert "Table 1" in output
-        assert "Table 2" in output
-        assert "Table 3" in output
-        assert "Claim C1" in output
-        assert "Claim C2" in output
-        assert "lost (3, 4, 6, 7)" in output
+        golden = Path(__file__).with_name("reproduce.golden.txt")
+        assert output == golden.read_text(encoding="utf-8")
 
 
 class TestAnalyzeCommand:

@@ -20,7 +20,6 @@ from repro.core.ranking import (
     ErLengthRanker,
     InstanceAmbiguityRanker,
     RdbLengthRanker,
-    WeightedRanker,
     rank_connections,
 )
 from repro.core.search import (
@@ -39,7 +38,6 @@ RANKERS = [
     RdbLengthRanker(),
     ErLengthRanker(),
     InstanceAmbiguityRanker(),
-    WeightedRanker(),
 ]
 
 

@@ -17,7 +17,6 @@ from repro.core.ranking import (
     ErLengthRanker,
     InstanceAmbiguityRanker,
     RdbLengthRanker,
-    WeightedRanker,
 )
 from repro.core.search import SearchLimits, find_connections
 from repro.errors import QueryError
@@ -127,7 +126,6 @@ class TestLowerBounds:
 
     def test_unbounded_rankers(self):
         assert lower_bound_for(InstanceAmbiguityRanker(), 3) is None
-        assert lower_bound_for(WeightedRanker(), 3) is None
 
     def test_zero_length_bound(self):
         # Singles (length 0) and one-tuple networks bound at zero.

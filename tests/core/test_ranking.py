@@ -8,7 +8,6 @@ from repro.core.ranking import (
     ErLengthRanker,
     InstanceAmbiguityRanker,
     RdbLengthRanker,
-    WeightedRanker,
     rank_connections,
 )
 
@@ -87,28 +86,6 @@ class TestInstanceAmbiguityRanker:
         ranker = InstanceAmbiguityRanker()
         assert ranker.score(paper_seven[1])[0] == 1.0
         assert ranker.score(paper_seven[2])[0] == 1.0
-
-
-class TestWeightedRanker:
-    def test_pure_joint_weight_equals_closeness_primary(self, paper_seven):
-        ranker = WeightedRanker(w_joints=1.0, w_er=0.0)
-        assert ranker.score(paper_seven[3]) == (1.0,)
-        assert ranker.score(paper_seven[4]) == (0.0,)
-
-    def test_er_weight_breaks_ties(self, paper_seven):
-        ranker = WeightedRanker(w_joints=1.0, w_er=0.1)
-        assert ranker.score(paper_seven[1]) < ranker.score(paper_seven[4])
-
-    def test_rdb_component(self, paper_seven):
-        ranker = WeightedRanker(w_joints=0.0, w_er=0.0, w_rdb=1.0)
-        assert ranker.score(paper_seven[4]) == (3.0,)
-
-    def test_ambiguity_component(self, paper_seven):
-        ranker = WeightedRanker(
-            w_joints=0.0, w_er=0.0, w_ambiguity=1.0
-        )
-        assert ranker.score(paper_seven[6]) == (3.0,)   # factor 4 - 1
-        assert ranker.score(paper_seven[1]) == (0.0,)
 
 
 class TestRankConnections:

@@ -35,12 +35,6 @@ class TestGeneration:
         second_names = [t["L_NAME"] for t in second.tuples("EMPLOYEE")]
         assert first_names != second_names
 
-    def test_expected_tuples_estimate(self):
-        config = SyntheticConfig()
-        database = generate_company_like(config)
-        estimate = config.expected_tuples()
-        assert abs(database.count() - estimate) <= estimate * 0.5
-
     def test_every_employee_works_on_projects(self, small_synthetic):
         essns = {t["ESSN"] for t in small_synthetic.tuples("WORKS_FOR")}
         assert essns == {t["SSN"] for t in small_synthetic.tuples("EMPLOYEE")}

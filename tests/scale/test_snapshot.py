@@ -738,11 +738,7 @@ class TestLaziness:
 
     def test_counting_builds_no_row(self, tmp_path):
         """Counting reads the stores' sizes — or, for a relation not
-        loaded yet, the snapshot's count — and the IR ranker's collection
-        size is such a count."""
-        from repro.core.matching import match_keywords
-        from repro.core.scoring import CombinedRanker, TfIdfScorer
-
+        loaded yet, the snapshot's count."""
         bib = bib_corpus()
         path = str(tmp_path / "bib.snap")
         database = bib.database()
@@ -750,15 +746,6 @@ class TestLaziness:
         restored = KeywordSearchEngine.open(path)
         assert restored.database.count() == database.count()
         assert repr(restored.database) == repr(database)
-        text = next(text for text in bib.texts(4)
-                    if KeywordSearchEngine(database).search(text))
-        ranker = CombinedRanker.for_query(
-            TfIdfScorer(restored.index),
-            match_keywords(restored.index, tuple(text.split())),
-        )
-        assert built_rows(restored.database) == set()
-        results = restored.search(text, ranker=ranker)
-        assert results
         assert built_rows(restored.database) == set()
         restored.close()
 
