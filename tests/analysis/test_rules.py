@@ -9,6 +9,8 @@ nothing touches the real tree.
 
 import textwrap
 
+import pytest
+
 from repro.analysis import analyze_source
 
 PATH = "src/repro/core/sample.py"
@@ -157,6 +159,57 @@ class TestDet01:
             def gather(rows):
                 keys = {row.key for row in rows}
                 return list(keys)
+            """,
+            "DET01",
+        )
+
+    @pytest.mark.parametrize(
+        "loop, described",
+        [
+            ("for item in {first, second}:", "a set literal"),
+            ("for item in {row for row in rows}:", "a set comprehension"),
+            ("for item in frozenset(rows):", "frozenset(...)"),
+            ("for item in self.seen:", "set-typed attribute 'self.seen'"),
+            ("for item in tags:", "set-typed name 'tags'"),
+        ],
+        ids=["literal", "comprehension", "call", "attribute", "name"],
+    )
+    def test_message_names_the_unordered_iterable(self, loop, described):
+        found = hits(
+            f"""
+            class Walker:
+                def __init__(self, rows):
+                    self.seen = set(rows)
+
+                def collect(self, first, second, rows, tags: set):
+                    out = []
+                    {loop}
+                        out.append(item)
+                    return out
+            """,
+            "DET01",
+        )
+        assert [finding.message for finding in found] == [
+            f"iteration over unordered {described} feeds append() "
+            "accumulation without sorted(...)"
+        ]
+
+    def test_generator_into_an_order_freezing_call(self):
+        found = hits(
+            """
+            def freeze(tags: frozenset):
+                return tuple(tag.upper() for tag in tags)
+            """,
+            "DET01",
+        )
+        assert len(found) == 1
+        assert found[0].message.endswith("feeds tuple(...) without sorted(...)")
+
+    def test_generator_into_an_order_neutral_call_is_clean(self):
+        assert not hits(
+            """
+            def any_upper(tags: frozenset):
+                return any(tag.isupper() for tag in tags)
             """,
             "DET01",
         )

@@ -78,6 +78,14 @@ class TestCloseConnectionExists:
             max_rdb_length=2,
         )
 
+    def test_exhausted_budget_is_not_shown_close(self, traversal_cache):
+        """The path budget ends the search with False, never an error."""
+        p1, e1 = TupleId("PROJECT", ("p1",)), TupleId("EMPLOYEE", ("e1",))
+        assert close_connection_exists(traversal_cache, p1, e1, 3)
+        assert not close_connection_exists(
+            traversal_cache, p1, e1, 3, max_paths=1
+        )
+
 
 class TestFanCounts:
     def test_connection3_joint_fans(self, traversal_cache):

@@ -133,6 +133,19 @@ class TestSearchCommand:
 
 
 class TestReproduceCommand:
+    def test_reproduce_runs_everything(self):
+        """The paper's tables and claims are named in the output — kept
+        beside the golden bytes so that regenerating the golden file
+        cannot quietly drop one."""
+        code, output = run("reproduce")
+        assert code == 0
+        assert "Table 1" in output
+        assert "Table 2" in output
+        assert "Table 3" in output
+        assert "Claim C1" in output
+        assert "Claim C2" in output
+        assert "lost (3, 4, 6, 7)" in output
+
     def test_reproduce_prints_the_golden_bytes(self):
         """Every table, figure and claim, byte for byte (the table rows
         keep their trailing padding)."""
@@ -646,3 +659,166 @@ class TestObservabilityFlags:
         code, output = run("--db", str(db), "stats", "kwx; kwy")
         assert code == 0
         assert "2 queries" in output
+
+
+def saved_snapshot_with_wal(tmp_path, records=1):
+    """The company example saved as a snapshot, with ``records`` batches
+    of one dependent insert each in its write-ahead log."""
+    from repro.core.engine import KeywordSearchEngine
+    from repro.live.changes import Insert
+
+    path = str(tmp_path / "company.snap")
+    run("snapshot", "save", path)
+    engine = KeywordSearchEngine.open(path, wal=True)
+    for number in range(records):
+        engine.apply([Insert("DEPENDENT", {
+            "ID": f"t{10 + number}", "ESSN": "e1", "DEPENDENT_NAME": "Smith",
+        })])
+    engine.close()
+    return path
+
+
+class TestWalCommand:
+    def test_search_from_snapshot_reports_the_replay(self, tmp_path):
+        from repro.durable import default_wal_path
+
+        path = saved_snapshot_with_wal(tmp_path, records=2)
+        code, output = run("search", "Smith XML", "--snapshot", path, "--wal")
+        assert code == 0
+        first = output.splitlines()[0]
+        assert first.startswith(f"# wal: {default_wal_path(path)} (generation ")
+        assert first.endswith(", 2 record(s) replayed)")
+
+    def test_wal_needs_a_snapshot(self):
+        code, output = run("search", "Smith XML", "--wal")
+        assert code == 2
+        assert output == (
+            "--wal needs --snapshot (the log is paired with a snapshot)\n"
+        )
+
+    def test_info_without_a_log(self, tmp_path):
+        path = str(tmp_path / "company.snap")
+        run("snapshot", "save", path)
+        code, output = run("wal", "info", path)
+        assert code == 1
+        assert output.endswith(": no write-ahead log\n")
+
+    def test_info_reports_a_corrupt_log(self, tmp_path):
+        from repro.durable import WriteAheadLog, default_wal_path
+
+        path = saved_snapshot_with_wal(tmp_path, records=2)
+        wal_path = default_wal_path(path)
+        with WriteAheadLog(wal_path) as wal:
+            first_offset = wal.scan()[0][0]
+        with open(wal_path, "r+b") as handle:
+            handle.seek(first_offset + 12)  # inside record 1's payload
+            handle.write(b"\xff")
+        code, output = run("wal", "info", path)
+        assert code == 1
+        assert output.splitlines()[-1].startswith(f"{wal_path}: corrupt (")
+
+    def test_info_flags_a_generation_mismatch(self, tmp_path):
+        path = saved_snapshot_with_wal(tmp_path)
+        other = tmp_path / "other.json"
+        run("generate", "--departments", "1", "--out", str(other))
+        # Another database saved over the snapshot the log is paired with.
+        run("--db", str(other), "snapshot", "save", path)
+        code, output = run("wal", "info", path)
+        assert code == 0
+        assert "MISMATCH (snapshot is " in output
+
+    def test_compact_folds_the_log(self, tmp_path):
+        path = saved_snapshot_with_wal(tmp_path, records=2)
+        code, output = run("wal", "compact", path)
+        assert code == 0
+        assert output.startswith(f"folded 2 WAL record(s) into {path} ")
+        assert output.rstrip().endswith("engine version 2)")
+        code, output = run("wal", "info", path)
+        assert code == 0
+        assert "paired, base version 2, 0 record(s)" in output
+
+    def test_compact_to_a_copy_leaves_the_pair(self, tmp_path):
+        path = saved_snapshot_with_wal(tmp_path)
+        copy = str(tmp_path / "copy.snap")
+        code, output = run("wal", "compact", path, "--out", copy)
+        assert code == 0
+        assert output.startswith(f"folded 1 WAL record(s) into {copy} ")
+        __, original = run("wal", "info", path)
+        assert "paired, base version 0, 1 record(s)" in original
+        __, from_copy = run("search", "Smith XML", "--snapshot", copy)
+        __, from_original = run(
+            "search", "Smith XML", "--snapshot", path, "--wal"
+        )
+        assert from_copy == from_original.split("\n", 1)[1]
+
+    def test_compact_failure_is_one_line(self, tmp_path):
+        from repro.durable import default_wal_path
+
+        path = saved_snapshot_with_wal(tmp_path)
+        open(default_wal_path(path), "wb").write(b"not a log at all")
+        code, output = run("wal", "compact", path)
+        assert code == 1
+        assert output.startswith("wal compact failed: not a WAL file")
+        assert len(output.splitlines()) == 1
+
+
+class TestSnapshotOptions:
+    def test_load_query_without_answers(self, tmp_path):
+        path = str(tmp_path / "company.snap")
+        run("snapshot", "save", path)
+        code, output = run("snapshot", "load", path, "--query", "Smith unicorn")
+        assert code == 1
+        assert output.splitlines()[-1] == "no answers"
+
+    def test_plan_from_snapshot_equals_plan_from_db(self, tmp_path):
+        path = str(tmp_path / "company.snap")
+        run("snapshot", "save", path)
+        code, from_snapshot = run("plan", "Smith XML", "--snapshot", path)
+        assert code == 0
+        assert from_snapshot == run("plan", "Smith XML")[1]
+
+    def test_plan_snapshot_and_db_are_exclusive(self, tmp_path):
+        path = str(tmp_path / "company.snap")
+        run("snapshot", "save", path)
+        code, output = run(
+            "--db", "whatever.json", "plan", "x", "--snapshot", path
+        )
+        assert code == 2
+        assert "mutually exclusive" in output
+
+
+class TestFlagCombinations:
+    def test_mutations_without_answers(self, tmp_path):
+        path = TestMutationsFlag().write_batches(tmp_path)
+        code, output = run("search", "Smith unicorn", "--mutations", path)
+        assert code == 1
+        lines = output.splitlines()
+        assert lines[0] == "no answers"
+        assert lines[1].startswith("# live: 2 batches")
+
+    @pytest.mark.parametrize("flag", ["--stream", "--group"])
+    def test_json_refuses_incompatible_output(self, flag):
+        code, output = run("search", "Smith XML", "--json", flag)
+        assert code == 2
+        assert output.startswith("--json cannot be combined with")
+
+    def test_analyze_json_is_the_report_document(self):
+        import json
+
+        code, output = run("search", "Smith XML", "--analyze", "--json")
+        assert code == 0
+        document = json.loads(output)
+        assert (document["query"], document["semantics"]) == ("Smith XML", "and")
+        assert document["stats"]["emitted"] == 7
+        assert [row["node"] for row in document["rows"]][:3] == [
+            "match", "prefetch", "paths"
+        ]
+
+    def test_analyze_with_trace_writes_the_trace(self, tmp_path):
+        target = tmp_path / "trace.jsonl"
+        code, output = run(
+            "search", "Smith XML", "--analyze", "--trace", str(target)
+        )
+        assert code == 0
+        assert output.splitlines()[-1] == f"# trace: {target}"
+        assert target.read_text().startswith("{")

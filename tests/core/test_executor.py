@@ -8,6 +8,7 @@ it bit for bit — answers, order, scores, ranks and budget errors — in
 full mode, and in pushdown mode whenever no budget error interferes.
 """
 
+from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 
@@ -20,7 +21,9 @@ from repro.core.ranking import (
     ErLengthRanker,
     InstanceAmbiguityRanker,
     RdbLengthRanker,
+    ShapeFacts,
     rank_connections,
+    shape_facts,
 )
 from repro.core.search import (
     JoiningNetwork,
@@ -33,11 +36,30 @@ from repro.datasets.synthetic import SyntheticConfig, generate_company_like, pla
 from repro.errors import QueryError, SearchLimitError
 from repro.oracle import search as oracle_search
 
+@dataclass(frozen=True)
+class WeightedShapeRanker:
+    """A user-defined schema-level ranker: one weighted sum of all three
+    shape facts, so the executor serves it from the shape memo."""
+
+    name: str = "weighted"
+    schema_level = True
+
+    def score(self, answer):
+        return self.score_shape(shape_facts(answer))
+
+    def score_shape(self, facts: ShapeFacts):
+        return (
+            2.0 * facts.loose_joints + facts.er_length
+            + 0.5 * facts.rdb_length,
+        )
+
+
 RANKERS = [
     ClosenessRanker(),
     RdbLengthRanker(),
     ErLengthRanker(),
     InstanceAmbiguityRanker(),
+    WeightedShapeRanker(),
 ]
 
 

@@ -35,6 +35,39 @@ class TestPathsBetween:
         assert str(close[0].path) == "DEPARTMENT 1:N EMPLOYEE 1:N DEPENDENT"
 
 
+class TestDistances:
+    """The shortest conceptual distance between two entity types, read
+    off :meth:`SchemaAnalyzer.paths_between` as ``repro analyze`` lists
+    it: over close paths only, or over every path."""
+
+    @staticmethod
+    def closest(analyzer, source, target):
+        lengths = [s.er_length for s in analyzer.close_paths(source, target)]
+        return min(lengths, default=None)
+
+    @staticmethod
+    def shortest(analyzer, source, target):
+        lengths = [s.er_length for s in analyzer.paths_between(source, target)]
+        return min(lengths, default=None)
+
+    def test_closest_distance_direct(self, analyzer):
+        assert self.closest(analyzer, "DEPARTMENT", "EMPLOYEE") == 1
+
+    def test_closest_distance_transitive(self, analyzer):
+        assert self.closest(analyzer, "DEPARTMENT", "DEPENDENT") == 2
+
+    def test_closest_distance_none_when_only_loose(self):
+        # Satellite-to-satellite in a 1:N star is always through the hub
+        # joint: loose.
+        analyzer = SchemaAnalyzer(star_schema(3, "1:N"), max_length=2)
+        assert self.closest(analyzer, "S0", "S1") is None
+        assert self.shortest(analyzer, "S0", "S1") == 2
+
+    def test_distance_none_when_no_path(self):
+        analyzer = SchemaAnalyzer(chain_schema(["1:N"] * 5), max_length=2)
+        assert self.shortest(analyzer, "E0", "E5") is None
+
+
 class TestClosenessMatrix:
     def test_company_matrix(self, analyzer):
         matrix = analyzer.closeness_matrix()

@@ -118,6 +118,22 @@ class TestWalFile:
         with pytest.raises(WalError, match="not a WAL"):
             WriteAheadLog(str(path))
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "x.wal"
+        WriteAheadLog(str(path), generation="g").close()
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(WalError, match="truncated WAL header"):
+            WriteAheadLog(str(path))
+
+    def test_corrupt_header(self, tmp_path):
+        path = tmp_path / "x.wal"
+        WriteAheadLog(str(path), generation="g").close()
+        blob = bytearray(path.read_bytes())
+        blob[len(MAGIC) + 4] = ord("}")  # the header's opening brace
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WalError, match="corrupt WAL header"):
+            WriteAheadLog(str(path))
+
     def test_append_and_scan_round_trip(self, tmp_path):
         path = str(tmp_path / "x.wal")
         with WriteAheadLog(path, generation="g") as wal:

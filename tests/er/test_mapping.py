@@ -49,6 +49,14 @@ class TestEntityMapping:
         with pytest.raises(MappingError):
             map_er_to_relational(schema)
 
+    def test_composite_key_rejected(self):
+        schema = ERSchema(name="s")
+        schema.add_entity_type(EntityType(
+            "A", [Attribute("X", is_key=True), Attribute("Y", is_key=True)]
+        ))
+        with pytest.raises(MappingError, match="composite entity keys"):
+            map_er_to_relational(schema)
+
 
 class TestFunctionalRelationships:
     def test_one_to_many_puts_fk_on_many_side(self):
@@ -80,6 +88,42 @@ class TestFunctionalRelationships:
         )
         fk = result.schema.foreign_key(result.fk_of_relationship["R"])
         assert fk.source_columns == ("PARENT",)
+
+    @pytest.mark.parametrize(
+        "cardinality, holder", [("1:N", "B"), ("N:1", "A"), ("1:1", "B")]
+    )
+    def test_relationship_attributes_land_on_the_fk_holder(
+        self, cardinality, holder
+    ):
+        schema = ERSchema(
+            name="s",
+            entity_types=[
+                EntityType("A", [Attribute("ID", is_key=True)]),
+                EntityType("B", [Attribute("ID", is_key=True)]),
+            ],
+            relationships=[
+                RelationshipType(
+                    "R", "A", "B", Cardinality.parse(cardinality),
+                    attributes=(Attribute("SINCE", data_type="int"),),
+                )
+            ],
+        )
+        result = map_er_to_relational(schema)
+        fk = result.schema.foreign_key(result.fk_of_relationship["R"])
+        assert fk.source == holder
+        since = result.schema.relation(holder).attribute("SINCE")
+        assert since.data_type == "int"
+        other = "A" if holder == "B" else "B"
+        assert not result.schema.relation(other).has_attribute("SINCE")
+
+    def test_reflexive_functional_needs_explicit_columns(self):
+        schema = ERSchema(name="s")
+        schema.add_entity_type(EntityType("A", [Attribute("ID", is_key=True)]))
+        schema.add_relationship(
+            RelationshipType("MANAGES", "A", "A", Cardinality.parse("1:N"))
+        )
+        with pytest.raises(MappingError, match="reflexive"):
+            map_er_to_relational(schema)
 
 
 class TestManyToMany:
@@ -134,6 +178,13 @@ class TestManyToMany:
         result = map_er_to_relational(schema)
         middle = result.schema.relation("R")
         assert set(middle.primary_key) == {"A_ID_left", "A_ID_right"}
+
+    def test_colliding_leg_columns_rejected(self):
+        with pytest.raises(MappingError, match="leg columns collide"):
+            map_er_to_relational(
+                simple_schema("N:M"),
+                column_names={"R.A": "REF", "R.B": "REF"},
+            )
 
 
 class TestCompanyMapping:

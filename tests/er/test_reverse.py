@@ -129,6 +129,22 @@ class TestReverseEngineering:
         with pytest.raises(MappingError):
             reverse_engineer(schema)
 
+    def test_foreign_key_into_a_middle_relation_rejected(self, db_schema):
+        schema = DatabaseSchema(name="s", relations=list(db_schema.relations))
+        for foreign_key in db_schema.foreign_keys:
+            schema.add_foreign_key(foreign_key)
+        schema.add_relation(Relation(
+            "AUDIT",
+            [AttributeDef("ID"), AttributeDef("ESSN"), AttributeDef("P_ID")],
+            primary_key=["ID"],
+        ))
+        schema.add_foreign_key(ForeignKey(
+            "fk_audit_assignment", "AUDIT", ("ESSN", "P_ID"),
+            "WORKS_FOR", ("ESSN", "P_ID"),
+        ))
+        with pytest.raises(MappingError, match="points into a middle relation"):
+            reverse_engineer(schema)
+
     def test_round_trip_preserves_structure(self):
         """ER -> relational -> ER preserves cardinalities and arity."""
         original = build_company_er_schema()

@@ -142,6 +142,12 @@ class TestNavigation:
         )
         assert labels == ["e1", "e3"]
 
+    def test_referencing_tuples_wrong_relation_raises(self, company_db):
+        fk = company_db.schema.foreign_key("fk_employee_department")
+        employee = company_db.get("EMPLOYEE", "e1")
+        with pytest.raises(IntegrityError, match="does not point at"):
+            list(company_db.referencing_tuples(employee, fk))
+
 
 class TestDelete:
     def test_delete_unreferenced(self, company_db):
@@ -372,6 +378,12 @@ class TestUpdate:
             TupleId("DEPARTMENT", ("d1",)),
             {"ID": "d1", "D_DESCRIPTION": "same key"},
         )
+
+    def test_update_of_a_missing_tuple_raises(self, company_db):
+        with pytest.raises(IntegrityError, match="no such tuple"):
+            company_db.update(
+                TupleId("DEPARTMENT", ("d99",)), {"D_NAME": "ghost"}
+            )
 
     def test_update_validates_changed_foreign_keys(self, company_db):
         with pytest.raises(ForeignKeyError):

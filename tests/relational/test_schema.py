@@ -47,6 +47,10 @@ class TestRelation:
         with pytest.raises(SchemaError):
             Relation("A", [AttributeDef("X"), AttributeDef("X")], primary_key=["X"])
 
+    def test_needs_a_name(self):
+        with pytest.raises(SchemaError, match="name must be non-empty"):
+            Relation("", [AttributeDef("ID")], primary_key=["ID"])
+
     def test_needs_attributes(self):
         with pytest.raises(SchemaError):
             Relation("A", [], primary_key=["ID"])
@@ -180,6 +184,22 @@ class TestDatabaseSchema:
             schema.replace_relation(make_relation("A"))  # loses B_ID
         # And the failed replacement must not have been applied.
         assert schema.relation("A").has_attribute("B_ID")
+
+    def test_replace_cannot_rekey_a_referenced_relation(self):
+        schema = DatabaseSchema(
+            relations=[make_relation("A", [AttributeDef("B_ID")]), make_relation("B")]
+        )
+        schema.add_foreign_key(ForeignKey("f", "A", ("B_ID",), "B", ("ID",)))
+        rekeyed = Relation(
+            "B", [AttributeDef("ID"), AttributeDef("NAME")], primary_key=["NAME"]
+        )
+        with pytest.raises(SchemaError, match="breaks referencing foreign key"):
+            schema.replace_relation(rekeyed)
+        assert schema.relation("B").primary_key == ("ID",)
+
+    def test_unknown_foreign_key_raises(self, db_schema):
+        with pytest.raises(SchemaError, match="no such foreign key"):
+            db_schema.foreign_key("fk_missing")
 
     def test_describe_contains_relations_and_fks(self, db_schema):
         description = db_schema.describe()
