@@ -43,11 +43,6 @@ class ERStep:
                 source=self.source,
                 target=self.target,
             )
-        if self.source != self.target and self.relationship.is_reflexive:
-            raise PathError(
-                "reflexive relationship traversed between distinct entities",
-                relationship=self.relationship.name,
-            )
         if (
             not self.relationship.is_reflexive
             and self.source == self.target

@@ -12,11 +12,13 @@ kernels entirely on dense ints:
   ``_sort_key`` order, so comparing ints *is* comparing the
   deterministic expansion order the other cores sort by.
 * **CSR adjacency.**  One ``array('i')`` of offsets and one of targets,
-  plus two parallel per-entry tables — the edge key (foreign-key name)
-  and one referencing-flag byte (does the row's owner reference the
-  neighbour?) — holding each node's incident edges pre-sorted in
-  expansion order.  An edge's data dict is built only when a kernel
-  yields a :class:`TuplePathStep` (:meth:`FrozenGraph._payload`).  The
+  plus two parallel one-byte-per-entry columns — the edge key (the
+  foreign key's id, its position in the schema's foreign keys) and a
+  referencing flag (does the row's owner reference the neighbour?) —
+  holding each node's incident edges pre-sorted in expansion order.
+  The key's name and the edge's data dict are looked up only when a
+  kernel yields a :class:`TuplePathStep` (:meth:`FrozenGraph._payload`).
+  A snapshot's ``edge_keys`` section is this column, byte for byte.  The
   first compile fills the columns in bulk from the stored references —
   the edges :meth:`Database.references` yields — with no multigraph and
   no row per node: each row entry is one packed int, one sort orders
@@ -28,9 +30,10 @@ kernels entirely on dense ints:
   the radius their budget can use, so the sweep stops after that many
   levels and the row is one byte per node (``0xFF`` = beyond the
   radius); the unbounded ``array('i')`` row stays as the oracle.  The
-  cache holds a row as its BFS levels (the ball it covers); a query
-  reads rows through one :class:`QueryRows` view, which builds each
-  dense row once.  A pair bound within a budget B meets in the middle:
+  cache holds a row as the ball it covers, packed into one array: its
+  level ends, then its nodes in BFS order (:func:`_packed`), two bytes
+  an int while node ints fit in 16 bits; a query reads rows through
+  one :class:`QueryRows` view, which builds each dense row once.  A pair bound within a budget B meets in the middle:
   a ⌊B/2⌋ ball around one end against the other end's ⌈B/2⌉ row.
 * **Zero-copy DFS.**  Path enumeration keeps one shared ``bytearray``
   of visited marks and one mutable path stack, pushing and undoing in
@@ -110,9 +113,21 @@ def _covers(held: Optional[int], radius: Optional[int]) -> bool:
     return held is None or (radius is not None and held >= radius)
 
 
-def _held_bytes(levels) -> int:
-    """Bytes a cached row holds: its tuple of per-depth level arrays."""
-    return sys.getsizeof(levels) + sum(map(sys.getsizeof, levels))
+def _packed(ends: list[int], nodes: list[int], capacity: int) -> array:
+    """A swept ball as the cache holds it: one array of its level ends
+    (``ends[d]``: the nodes at depth d or less), shifted to positions in
+    the array, then ``nodes`` in BFS order.  Level 0 is the source
+    alone, so the first end is one past the header and gives its
+    length.  Typecode ``'H'`` while every int it holds fits in 16 bits
+    (``capacity`` bounds the node ints), else ``'i'``."""
+    shift = len(ends)
+    typecode = "H" if capacity <= 0x10000 and shift + len(nodes) <= 0xFFFF else "i"
+    return array(typecode, [end + shift for end in ends] + nodes)
+
+
+def _held_bytes(packed: array) -> int:
+    """Bytes a cached row holds: its packed array (:func:`_packed`)."""
+    return sys.getsizeof(packed)
 
 
 def _index_nodes(tids) -> dict[str, dict[tuple, int]]:
@@ -129,10 +144,10 @@ def _derived_keys(tids) -> _Derived:
     return _Derived(lambda node: _sort_key(tids[node]))
 
 
-def _foreign_keys(data_graph: DataGraph) -> dict:
-    """FK name -> :class:`~repro.relational.schema.ForeignKey`: what an
-    edge key names in an edge's data dict."""
-    return {fk.name: fk for fk in data_graph.database.schema.foreign_keys}
+def _key_column(foreign_keys: int, ids=()) -> array:
+    """An edge-key column: one byte per entry while the schema's foreign
+    keys fit one-byte ids, as a snapshot stores them, else two."""
+    return array("B" if foreign_keys <= 0x100 else "H", ids)
 
 
 class FrozenGraph:
@@ -154,14 +169,16 @@ class FrozenGraph:
     #: costs less than tracking whether it is worth it.
     min_compaction_nodes = 64
     #: Most bytes of distance rows kept at once (LRU-evicted above it);
-    #: a row holds its BFS levels, four bytes per node it reaches plus
-    #: one array header per depth, whatever the capacity.
+    #: a row holds the ball it swept as one packed array (:func:`_packed`):
+    #: two bytes per node it reaches and per depth while node ints fit
+    #: in 16 bits (four past that), plus one array header, whatever the
+    #: capacity.
     max_distance_bytes = 32 << 20
 
     def __init__(self, data_graph: DataGraph, counters=None) -> None:
         self.data_graph = data_graph
         #: Distance-row lookups served from cache / computed fresh, and
-        #: dense rows rebuilt from held levels.
+        #: dense rows rebuilt from held balls.
         self.hits = 0
         self.misses = 0
         self.dense_builds = 0
@@ -177,7 +194,8 @@ class FrozenGraph:
         #: itself, so ``cache.hits`` means "distance lookups reused";
         #: standalone graphs count on their own attributes.
         self._counters = counters if counters is not None else self
-        self._fk_of = _foreign_keys(data_graph)
+        #: What an edge key's id names: the schema's foreign keys, in order.
+        self._fks = data_graph.database.schema.foreign_keys
         self._tid_of = None  # nothing compiled yet: _compile reads the database
         self._compile()
 
@@ -188,7 +206,7 @@ class FrozenGraph:
         tids: Sequence[TupleId],
         offsets,
         targets,
-        edge_keys: Sequence[str],
+        edge_keys,
         edge_refs,
         counters=None,
     ) -> "FrozenGraph":
@@ -199,10 +217,10 @@ class FrozenGraph:
         ``mmap``.  ``tids`` is its lazily decoding interning table, in
         ``_sort_key`` order — the invariant :meth:`_compile` establishes
         — ``offsets``/``targets`` any int-indexable sequence with CSR
-        semantics, ``edge_keys`` the foreign-key name per entry and
-        ``edge_refs`` one byte per entry, 1 where the row's owner
-        references the neighbour (a snapshot's ``edge_ref`` section,
-        held as given).  No compilation pass runs and ``data_graph`` is
+        semantics, ``edge_keys`` the foreign-key id per entry (a
+        snapshot's ``edge_keys`` section) and ``edge_refs`` one byte per
+        entry, 1 where the row's owner references the neighbour (its
+        ``edge_ref`` section), both held as given.  No compilation pass runs and ``data_graph`` is
         read only for its schema's foreign keys: patching works from
         changesets, recompilation from the rows held here, and edge data
         dicts are built per yielded step, as on a compiled graph.
@@ -215,7 +233,7 @@ class FrozenGraph:
         frozen.compactions = 0
         frozen.compile_stamp = 1
         frozen._counters = counters if counters is not None else frozen
-        frozen._fk_of = _foreign_keys(data_graph)
+        frozen._fks = data_graph.database.schema.foreign_keys
         # A lazily decoding interning table (a snapshot's) fills the node
         # map one relation at a time: open() should not pay for what no
         # query touches.
@@ -253,7 +271,7 @@ class FrozenGraph:
             tids, node_of, rows = self._rows_from_self()
             offsets = array("i", [0])
             targets = array("i")
-            edge_keys: list[str] = []
+            edge_keys = _key_column(len(self._fks))
             edge_refs = bytearray()
             for row_targets, row_keys, row_refs in rows:
                 targets.extend(row_targets)
@@ -271,8 +289,8 @@ class FrozenGraph:
         self._ints_sorted = True
         self._offsets = offsets
         self._targets = targets
-        #: Per CSR entry: the edge key, and 1 where the row's owner is the
-        #: referencing tuple (:meth:`_payload`).
+        #: Per CSR entry: the edge key's id, and 1 where the row's owner
+        #: is the referencing tuple (:meth:`_payload`).
         self._edge_keys = edge_keys
         self._edge_refs = edge_refs
         self._reset_patches()
@@ -280,19 +298,19 @@ class FrozenGraph:
     def _reset_patches(self) -> None:
         """Every node live; no override, distance row or derived state."""
         self._alive = bytearray(b"\x01") * len(self._tid_of)
-        #: Patched adjacency rows: node int -> (targets, keys, refs),
+        #: Patched adjacency rows: node int -> (targets, key ids, refs),
         #: each row pre-sorted in expansion order.  Appended and
         #: tombstoned nodes always live here (their CSR slice is empty
         #: or stale); an entry shadows the node's CSR slice entirely.
-        self._override: dict[int, tuple[list[int], list[str], list[int]]] = {}
-        #: LRU of cached BFS rows, ``source -> (levels, radius, stamp,
-        #: length)``: ``levels[d]`` the ``array('i')`` of nodes at depth d,
-        #: radius ``None`` for an unbounded row, ``stamp`` the change-log
+        self._override: dict[int, tuple[list[int], list[int], list[int]]] = {}
+        #: LRU of cached BFS rows, ``source -> (packed, radius, stamp,
+        #: length)``: ``packed`` the swept ball (:func:`_packed`), radius
+        #: ``None`` for an unbounded row, ``stamp`` the change-log
         #: position it was validated at and ``length`` the capacity then.
         #: Hits build the dense row, re-validate and refresh recency;
         #: eviction pops the least recent (:meth:`_evict_rows`).
         self._distances: OrderedDict[
-            int, tuple[tuple[array, ...], Optional[int], int, int]
+            int, tuple[array, Optional[int], int, int]
         ] = OrderedDict()
         self._distance_bytes = 0
         #: Changed nodes of every patch since the oldest held row's stamp;
@@ -344,7 +362,8 @@ class FrozenGraph:
                 )
             else:
                 rank.extend(range(base, base + len(keys)))
-        fk_names = sorted(fk.name for fk in database.schema.foreign_keys)
+        fks = self._fks
+        fk_names = sorted(fk.name for fk in fks)
         # One int per row entry, so one sort orders every row: owner,
         # neighbour rank, FK rank, neighbour and referencing-flag fields
         # as narrow as their values allow — entry tuples would be 60 000
@@ -354,7 +373,7 @@ class FrozenGraph:
         to_rank = to_fk + len(fk_names).bit_length()
         to_owner = to_rank + width
         entries: list[int] = []
-        for fk in database.schema.foreign_keys:
+        for fk in fks:
             columns, sources = stored[fk.source]
             # The key each source row holds, NULLs included.
             referenced = zip(*[columns[name] for name in fk.source_columns])
@@ -388,7 +407,9 @@ class FrozenGraph:
         targets = array("i", map(and_, neighbours, repeat((1 << width) - 1)))
         fk_ranks = map(rshift, entries, repeat(to_fk))
         fk_ranks = map(and_, fk_ranks, repeat((1 << to_rank - to_fk) - 1))
-        edge_keys = list(map(fk_names.__getitem__, fk_ranks))
+        id_of = {fk.name: at for at, fk in enumerate(fks)}
+        ids = [id_of[name] for name in fk_names]  # by rank
+        edge_keys = _key_column(len(fks), map(ids.__getitem__, fk_ranks))
         edge_refs = bytearray(map(and_, entries, repeat(1)))
         return tids, node_of, offsets, targets, edge_keys, edge_refs
 
@@ -449,11 +470,9 @@ class FrozenGraph:
         """Footprint estimate by section, in bytes.
 
         ``arrays`` covers the flat CSR buffers and liveness bits,
-        ``distances`` the bytes the cached rows' level arrays hold, and
-        ``payload`` the per-entry edge tables: one list slot per edge key
-        plus each *distinct* key string — the strings are shared between
-        entries, so they are counted once by identity — plus one
-        referencing-flag byte per entry.
+        ``distances`` the bytes the cached rows' packed arrays hold, and
+        ``payload`` the per-entry edge columns: the key id and the
+        referencing flag, a byte each.
         """
         arrays = (
             self._offsets.itemsize * len(self._offsets)
@@ -461,15 +480,7 @@ class FrozenGraph:
             + len(self._alive)
         )
         distances = self._distance_bytes
-        payload = 8 * len(self._edge_keys) + len(self._edge_refs)
-        # id() here only dedups *shared key strings* for a byte estimate
-        # that never reaches answers or snapshot bytes — the count is
-        # identity-based by design and identical across runs.
-        seen: set[int] = set()
-        for key in self._edge_keys:
-            if id(key) not in seen:  # repro-lint: disable=DET02
-                seen.add(id(key))  # repro-lint: disable=DET02
-                payload += sys.getsizeof(key)
+        payload = self._edge_keys.itemsize * len(self._edge_keys) + len(self._edge_refs)
         return {
             "arrays": arrays,
             "distances": distances,
@@ -481,23 +492,24 @@ class FrozenGraph:
     # adjacency
     # ------------------------------------------------------------------
     def _sorted_row(
-        self, entries: list[tuple[int, str, int]]
-    ) -> tuple[list[int], list[str], list[int]]:
-        """``(neighbour int, edge key, referencing flag)`` entries as one
-        patched row in the deterministic expansion order — the order a
-        compile's packed sort (:meth:`_columns_from_database`) gives every
-        row.  The key depends only on set membership, never on the
-        listing order of ``entries``."""
-        keys = self._keys
-        entries.sort(key=lambda entry: (keys[entry[0]], entry[1]))
+        self, entries: list[tuple[int, int, int]]
+    ) -> tuple[list[int], list[int], list[int]]:
+        """``(neighbour int, edge key id, referencing flag)`` entries as
+        one patched row in the deterministic expansion order — neighbour
+        sort key, then FK name: the order a compile's packed sort
+        (:meth:`_columns_from_database`) gives every row.  The key depends
+        only on set membership, never on the listing order of
+        ``entries``."""
+        keys, fks = self._keys, self._fks
+        entries.sort(key=lambda entry: (keys[entry[0]], fks[entry[1]].name))
         return (
             [entry[0] for entry in entries],
             [entry[1] for entry in entries],
             [entry[2] for entry in entries],
         )
 
-    def _row(self, node: int) -> tuple[Sequence[int], Sequence[str], Sequence[int], int, int]:
-        """``(targets, keys, refs, start, end)`` for one node's expansion row."""
+    def _row(self, node: int) -> tuple[Sequence[int], Sequence[int], Sequence[int], int, int]:
+        """``(targets, key ids, refs, start, end)`` for one node's expansion row."""
         override = self._override.get(node)
         if override is not None:
             row_targets, row_keys, row_refs = override
@@ -510,7 +522,7 @@ class FrozenGraph:
             self._offsets[node + 1],
         )
 
-    def _row_lists(self, node: int) -> tuple[list[int], list[str], list[int]]:
+    def _row_lists(self, node: int) -> tuple[list[int], list[int], list[int]]:
         """One node's expansion row as three fresh lists."""
         row_targets, row_keys, row_refs, start, end = self._row(node)
         return (
@@ -519,16 +531,20 @@ class FrozenGraph:
             list(row_refs[start:end]),
         )
 
-    def _payload(self, owner: int, other: int, key: str, ref: int) -> dict:
+    def _payload(self, owner: int, other: int, key: int, ref: int) -> dict:
         """The edge data of one entry of ``owner``'s row — the
         ``{"foreign_key", "referencing"}`` dict
         :func:`~repro.graph.data_graph.build_tuple_graph` attaches — from
-        its edge key and flag: ``ref`` set means ``owner`` references
+        its edge key id and flag: ``ref`` set means ``owner`` references
         ``other``.  Built per yielded step; nothing holds it."""
         return {
-            "foreign_key": self._fk_of[key],
+            "foreign_key": self._fks[key],
             "referencing": self._tid_of[owner if ref else other],
         }
+
+    def _key_name(self, key: int) -> str:
+        """The edge key (FK name) an entry's key id stands for."""
+        return self._fks[key].name
 
     def neighbours(self, tid: TupleId) -> Iterator[tuple[TupleId, str, dict]]:
         """Yield ``(other, edge key, edge data)`` for each entry of
@@ -540,7 +556,7 @@ class FrozenGraph:
         row_targets, row_keys, row_refs, start, end = self._row(node)
         for at in range(start, end):
             other, key = row_targets[at], row_keys[at]
-            yield self._tid_of[other], key, self._payload(
+            yield self._tid_of[other], self._key_name(key), self._payload(
                 node, other, key, row_refs[at]
             )
 
@@ -572,8 +588,8 @@ class FrozenGraph:
 
     def _tree_entries(
         self, nodes: AbstractSet[int]
-    ) -> list[tuple[int, int, str, int]]:
-        """``(owner, other, edge key, referencing flag)`` per spanning-tree
+    ) -> list[tuple[int, int, int, int]]:
+        """``(owner, other, edge key id, referencing flag)`` per spanning-tree
         edge of the member ints ``nodes`` over the entries they hold among
         themselves (Kruskal): members in ``_sort_key`` order, each row in
         expansion order, so the first entry of a pair is its smallest
@@ -581,7 +597,7 @@ class FrozenGraph:
         spanning tree took over the induced multigraph.  The scan stops
         once the tree spans every member."""
         component = {node: node for node in nodes}
-        edges: list[tuple[int, int, str, int]] = []
+        edges: list[tuple[int, int, int, int]] = []
         wanted = len(component) - 1
         for node in self._sort_ints(nodes):
             if len(edges) == wanted:
@@ -607,7 +623,7 @@ class FrozenGraph:
         tid_of = self._tid_of
         return [
             TuplePathStep(
-                tid_of[node], tid_of[other], key,
+                tid_of[node], tid_of[other], self._key_name(key),
                 self._payload(node, other, key, ref),
             )
             for node, other, key, ref in self._tree_entries(nodes)
@@ -634,8 +650,9 @@ class FrozenGraph:
                 label[node] = (tid.relation, tid in marked)
         adjacent: dict[int, list] = {node: [] for node in label}
         for node, other, key, ref in self._tree_entries(label.keys()):
-            adjacent[node].append((other, key, ref))
-            adjacent[other].append((node, key, 1 - ref))
+            name = self._key_name(key)
+            adjacent[node].append((other, name, ref))
+            adjacent[other].append((node, name, 1 - ref))
         degree = {node: len(edges) for node, edges in adjacent.items()}
         centre = [node for node, edges in degree.items() if edges <= 1]
         remaining = len(degree)
@@ -665,14 +682,14 @@ class FrozenGraph:
     def _cached_row(
         self, node: int, radius: Optional[int]
     ) -> Optional[DistanceRow]:
-        """The held row of ``node``, built from its levels, when it covers
+        """The held row of ``node``, built from its packed ball, when it covers
         ``radius`` (unbounded, or bounded at least that far) and is current
         (:meth:`_revalidated`): a counted, LRU-refreshing hit; else a miss."""
         entry = self._distances.get(node)
         if entry is not None:
-            levels, held, stamp, __ = entry
+            packed, held, stamp, __ = entry
             if _covers(held, radius):
-                row = self._dense_row(levels, held)
+                row = self._dense_row(packed, held)
                 self._counters.dense_builds += 1
                 current = self._log_start + len(self._change_log)
                 if stamp == current or self._revalidated(node, row, entry):
@@ -687,29 +704,27 @@ class FrozenGraph:
         since its stamp (one inside its ball: dropped, ``False``), then
         re-stamp it.  Probing the batches at once equals probing each in
         turn: a row surviving one is unchanged."""
-        levels, radius, stamp, __ = entry
+        packed, radius, stamp, __ = entry
         log, start = self._change_log, self._log_start
         beyond = _UNREACHABLE if radius is None else _BEYOND
         if any(row[changed] != beyond for changed in log[stamp - start:]):
             del self._distances[node]
-            self._distance_bytes -= _held_bytes(levels)
+            self._distance_bytes -= _held_bytes(packed)
             return False
-        self._distances[node] = (levels, radius, start + len(log), self.capacity)
+        self._distances[node] = (packed, radius, start + len(log), self.capacity)
         self._distances.move_to_end(node)
         self._evict_rows()  # it is the newest row now: the log may shrink
         return True
 
-    def _store_row(
-        self, node: int, levels: tuple[array, ...], radius: Optional[int]
-    ) -> None:
+    def _store_row(self, node: int, packed: array, radius: Optional[int]) -> None:
         distances = self._distances
         replaced = distances.pop(node, None)  # a shorter-radius row
         if replaced is not None:
             self._distance_bytes -= _held_bytes(replaced[0])
         distances[node] = (
-            levels, radius, self._log_start + len(self._change_log), self.capacity
+            packed, radius, self._log_start + len(self._change_log), self.capacity
         )
-        self._distance_bytes += _held_bytes(levels)
+        self._distance_bytes += _held_bytes(packed)
         self._evict_rows()
 
     def _evict_rows(self) -> None:
@@ -720,43 +735,51 @@ class FrozenGraph:
         distances, log = self._distances, self._change_log
         end = oldest = self._log_start + len(log)
         while distances:
-            levels, __, stamp, length = distances[next(iter(distances))]
+            packed, __, stamp, length = distances[next(iter(distances))]
             over = self._distance_bytes > self.max_distance_bytes
             if end - stamp <= length and (not over or len(distances) == 1):
                 oldest = stamp
                 break
             distances.popitem(last=False)
-            self._distance_bytes -= _held_bytes(levels)
+            self._distance_bytes -= _held_bytes(packed)
         del log[: oldest - self._log_start]
         self._log_start = oldest
 
-    def _dense_row(self, levels, radius: Optional[int]) -> DistanceRow:
-        """The ``capacity``-long row of a sweep with these levels: their
-        depths, :data:`_BEYOND` or (unbounded) :data:`_UNREACHABLE` elsewhere."""
+    def _blank_row(self, radius: Optional[int]) -> DistanceRow:
+        """A ``capacity``-long row reaching nothing: :data:`_BEYOND`, or
+        (unbounded) :data:`_UNREACHABLE`, everywhere."""
         if radius is None:
-            row = array("i", [_UNREACHABLE]) * self.capacity
-        else:
-            row = bytearray(b"\xff") * self.capacity
-        for depth, level in enumerate(levels):
-            for node in level:
+            return array("i", [_UNREACHABLE]) * self.capacity
+        return bytearray(b"\xff") * self.capacity
+
+    def _dense_row(self, packed: array, radius: Optional[int]) -> DistanceRow:
+        """The ``capacity``-long row of a held sweep (:func:`_packed`):
+        its nodes' depths, blank (:meth:`_blank_row`) elsewhere."""
+        row = self._blank_row(radius)
+        start = packed[0] - 1  # the header: one end per level
+        for depth, end in enumerate(packed[:start]):
+            for node in packed[start:end]:
                 row[node] = depth
+            start = end
         return row
 
     def _bfs_row_scalar(
         self, node: int, radius: Optional[int] = None
-    ) -> tuple[DistanceRow, tuple[array, ...]]:
-        """Level-by-level BFS from ``node``: ``(row, levels)``.  Without a
+    ) -> tuple[DistanceRow, array]:
+        """Level-by-level BFS from ``node``: ``(row, packed)``.  Without a
         radius the whole component is swept into an ``array('i')`` row
         (the oracle); with one the sweep stops after ``radius`` levels and
         the row is one byte per node, :data:`_BEYOND` past the radius.
-        ``levels[d]`` holds the nodes at depth d, what the cache keeps."""
-        row = self._dense_row((), radius)
+        ``packed`` is the ball the sweep reached (:func:`_packed`), what
+        the cache keeps."""
+        row = self._blank_row(radius)
         beyond = row[node]
         if radius is None:
             radius = self.capacity  # deeper than any simple path
         row[node] = 0
         frontier = [node]
-        levels = [array("i", frontier)]
+        reached = [node]  # in BFS order; ``ends[d]`` counts depths 0..d
+        ends = [1]
         # The CSR slices are read in place, not through _row(): one call
         # per frontier node was about a quarter of a bounded sweep.
         offsets, targets, override = self._offsets, self._targets, self._override
@@ -773,9 +796,10 @@ class FrozenGraph:
                         next_frontier.append(other)
             if not next_frontier:
                 break
-            levels.append(array("i", next_frontier))
+            reached += next_frontier
+            ends.append(len(reached))
             frontier = next_frontier
-        return row, tuple(levels)
+        return row, _packed(ends, reached, self.capacity)
 
     def distances(
         self, node: int, radius: Optional[int] = None
@@ -792,8 +816,8 @@ class FrozenGraph:
         radius = _bounded(radius)
         row = self._cached_row(node, radius)
         if row is None:
-            row, levels = self._bfs_row_scalar(node, radius)
-            self._store_row(node, levels, radius)
+            row, packed = self._bfs_row_scalar(node, radius)
+            self._store_row(node, packed, radius)
         return row
 
     def distances_block(
@@ -817,8 +841,8 @@ class FrozenGraph:
         if missing:
             with obs_trace.span("csr.distances_block") as sweep_span:
                 for node in missing:
-                    result[node], levels = self._bfs_row_scalar(node, radius)
-                    self._store_row(node, levels, radius)
+                    result[node], packed = self._bfs_row_scalar(node, radius)
+                    self._store_row(node, packed, radius)
                 if sweep_span is not None:
                     sweep_span.add(sources=len(missing))
         return result
@@ -921,22 +945,23 @@ class FrozenGraph:
             for tid in changeset.tuples_removed
             if (node := node_of(tid)) is not None
         ]
-        touched: dict[int, list[tuple[int, str, int]]] = {}
+        touched: dict[int, list[tuple[int, int, int]]] = {}
+        key_of = {fk.name: key for key, fk in enumerate(self._fks)}
 
-        def entries_of(node: int) -> list[tuple[int, str, int]]:
+        def entries_of(node: int) -> list[tuple[int, int, int]]:
             entries = touched.get(node)
             if entries is None:
                 entries = touched[node] = list(zip(*self._row_lists(node)))
             return entries
 
         # Pairs of distinct nodes joined through a self-referencing FK,
-        # ``(low, high, fk name) -> fk``: settled after the batch.
+        # ``(low, high, key id) -> fk``: settled after the batch.
         cycles: dict = {}
 
         def cycle(source: int, target: int, fk) -> bool:
             if fk.source != fk.target or source == target:
                 return False
-            cycles[min(source, target), max(source, target), fk.name] = fk
+            cycles[min(source, target), max(source, target), key_of[fk.name]] = fk
             return True
 
         # Removed edges first, while both endpoints are still interned:
@@ -950,7 +975,7 @@ class FrozenGraph:
                 continue
             if cycle(source, target, edge.foreign_key):
                 continue
-            name = edge.foreign_key.name
+            fk_key = key_of[edge.foreign_key.name]
             # A self-loop holds one entry, in its only endpoint's row.
             ends = [(source, target)]
             if target != source:
@@ -965,7 +990,7 @@ class FrozenGraph:
                     # its referencing tuple with ``edge.referencing``.
                     if (
                         neighbour == other
-                        and key == name
+                        and key == fk_key
                         and (node if ref else neighbour) == source
                     ):
                         del entries[position]
@@ -995,10 +1020,10 @@ class FrozenGraph:
                 continue
             if cycle(source, target, edge.foreign_key):
                 continue
-            name = edge.foreign_key.name
-            entries_of(source).append((target, name, 1))
+            fk_key = key_of[edge.foreign_key.name]
+            entries_of(source).append((target, fk_key, 1))
             if target != source:
-                entries_of(target).append((source, name, 0))
+                entries_of(target).append((source, fk_key, 0))
         # A re-inserted tuple moved to the store tail: its cycle's later
         # reference may have changed sides.
         database = self.data_graph.database
@@ -1009,18 +1034,18 @@ class FrozenGraph:
                 if referenced is not None:
                     cycle(node_of(tid), node_of(referenced), fk)
         alive = self._alive
-        for (low, high, name), fk in cycles.items():
+        for (low, high, fk_key), fk in cycles.items():
             for node, other in ((low, high), (high, low)):
                 if alive[node]:
                     entries_of(node)[:] = [
                         entry for entry in entries_of(node)
-                        if entry[0] != other or entry[1] != name
+                        if entry[0] != other or entry[1] != fk_key
                     ]
             if alive[low] and alive[high]:
                 referencing = self._cycle_reference(fk, low, high)
                 if referencing is not None:
-                    entries_of(low).append((high, name, int(referencing == low)))
-                    entries_of(high).append((low, name, int(referencing == high)))
+                    entries_of(low).append((high, fk_key, int(referencing == low)))
+                    entries_of(high).append((low, fk_key, int(referencing == high)))
         for node, entries in touched.items():
             self._override[node] = self._sorted_row(entries)
         changed = sorted(set(removed) | set(appended) | set(touched))
@@ -1176,6 +1201,7 @@ def csr_enumerate_simple_paths(
 
     tid_of = frozen._tid_of
     payload = frozen._payload
+    key_name = frozen._key_name
     offsets = frozen._offsets
     targets = frozen._targets
     edge_keys = frozen._edge_keys
@@ -1253,12 +1279,12 @@ def csr_enumerate_simple_paths(
                 owner, step_to = path_nodes[level], path_nodes[level + 1]
                 key = frame[3][taken]
                 steps.append(TuplePathStep(
-                    tid_of[owner], tid_of[step_to], key,
+                    tid_of[owner], tid_of[step_to], key_name(key),
                     payload(owner, step_to, key, frame[4][taken]),
                 ))
             owner, key = path_nodes[-1], row_k[cursor - 1]
             steps.append(TuplePathStep(
-                tid_of[owner], tid_of[other], key,
+                tid_of[owner], tid_of[other], key_name(key),
                 payload(owner, other, key, row_r[cursor - 1]),
             ))
             yield steps

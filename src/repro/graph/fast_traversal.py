@@ -35,7 +35,7 @@ class TraversalCache:
     replaces the whole cache on ``rebuild()`` with its
     :meth:`successor`.  ``hits`` / ``misses`` count distance-row lookups
     so benchmarks and tests can observe reuse, and ``dense_builds`` the
-    dense rows rebuilt from held levels.
+    dense rows rebuilt from held balls.
     """
 
     def __init__(self, data_graph: DataGraph) -> None:

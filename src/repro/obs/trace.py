@@ -135,15 +135,6 @@ class Span:
             tuple(child.shape() for child in self.children),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "tags": dict(self.tags),
-            "counters": dict(self.counters),
-            "duration_ms": round(self.duration * 1000.0, 3),
-            "children": [child.to_dict() for child in self.children],
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Span({self.name!r}, {self.duration * 1000.0:.2f}ms, "

@@ -13,7 +13,8 @@ File layout::
     MAGIC  u32 toc_length  toc_json  section bytes...
 
     sections: meta  schema  interning:<R>...  csr_offsets  csr_targets
-              edge_keys  edge_ref  postings  rows:<R>...  [delta]
+              edge_keys  edge_ref  postings  strings  (rows:<R> codes:<R>)...
+              [delta]
 
 The TOC records ``[offset, length, crc32]`` per section (offsets are
 relative to the data area, so the TOC's own size never feeds back into
@@ -24,10 +25,17 @@ wrong engine (binary sections also against their structure).  A
 relation's primary keys are stored once, in ``rows:<R>`` (JSON: one
 list per attribute, in store order, and the labels); ``interning:<R>``
 holds the ``int32`` row number of each of its graph nodes, in node order.
+Every column whose values are all strings is dictionary-encoded: its
+slot in ``rows:<R>`` is null and ``codes:<R>`` holds its ``uint32``
+indexes into ``strings``, one JSON list of each distinct such value of
+the whole file, so a restored database holds each distinct string once
+— a link table's foreign keys are the very objects of the keys they
+reference.  ``edge_keys`` is the compiled graph's key column
+as it is held: one foreign-key id byte per CSR entry.
 
 A compacted file may end in a ``delta`` section (:func:`write_delta_snapshot`):
 WAL record frames that open replays from ``meta.base_version`` up to
-``meta.engine_version``.  Such a file carries format 7, so a reader
+``meta.engine_version``.  Such a file carries format 9, so a reader
 that would ignore the section refuses it.
 
 Sections an older writer added and the loader no longer reads — the
@@ -37,16 +45,18 @@ base section, a full ``save`` writes neither.
 
 Restoration is lazy wherever queries and replayed WAL records allow it:
 
-* the CSR ``array('i')`` buffers and the ``edge_ref`` flag bytes are
-  zero-copy ``memoryview`` casts over the mapped file, held by the
-  compiled graph as a cold build holds its own (edge keys decode at
-  open; an edge's data dict is built per yielded path step);
+* the CSR ``array('i')`` buffers and the ``edge_keys`` and ``edge_ref``
+  byte columns are zero-copy ``memoryview`` casts over the mapped file,
+  held by the compiled graph as a cold build holds its own (an edge's
+  key name and data dict are looked up per yielded path step);
 * a relation's rows are parsed on its first touch into a store of
   primary key -> row number, a row becoming a ``Tuple`` when first read
   (:meth:`~repro.relational.database.Database.adopt_columns`), and its
   interning run resolves through the adopted key column then
   (:class:`_Interning`): the store, the interning table and the graph's
-  node map share one key tuple per row;
+  node map share one key tuple per row.  Its string columns decode
+  through the ``strings`` table, parsed once on the first relation's
+  touch and dropped when the last one has loaded;
 * posting lists decode per token on first touch: the ``postings``
   section maps as the posting columns a cold-built index holds too
   (:class:`_MappedPostings`), its sorted token directory parsed into a
@@ -102,8 +112,8 @@ from repro.relational.io import schema_from_dict, schema_to_dict
 __all__ = ["SNAPSHOT_FORMAT", "Snapshot", "write_snapshot", "load_engine"]
 
 _MAGIC = b"REPROSNP\x01"
-SNAPSHOT_FORMAT = 5
-_DELTA_FORMAT = 7  # of a file that carries a ``delta`` section (WAL frames)
+SNAPSHOT_FORMAT = 8
+_DELTA_FORMAT = 9  # of a file that carries a ``delta`` section (WAL frames)
 #: A ``delta`` holds up to 1/8 of the base sections' bytes — ≈ 660 bib
 #: records of ≈ 390 B, whose replay on open (≈ 0.06 s for the first 48,
 #: ≈ 0.25 ms each past them) costs about what one full rewrite does
@@ -112,6 +122,7 @@ DELTA_FRACTION = 8
 
 _REQUIRED_SECTIONS = (
     "meta", "schema", "csr_offsets", "csr_targets", "edge_keys", "edge_ref", "postings",
+    "strings",
 )
 
 #: What a stored primary-key value may decode to.
@@ -177,7 +188,7 @@ class _Interning:
     """
 
     __slots__ = ("_snapshot", "_database", "_runs", "_at", "_length", "_keys",
-                 "_cache", "_appended")
+                 "_cache", "_appended", "_strings")
 
     def __init__(self, snapshot: "Snapshot", database: Database) -> None:
         self._snapshot = snapshot
@@ -194,27 +205,73 @@ class _Interning:
         self._keys: list[Optional[list]] = [None] * len(self._runs)
         self._cache: dict[int, Optional[TupleId]] = {}
         self._appended: list = []
+        #: The ``strings`` table while a relation is left to load.
+        self._strings: Optional[list] = None
+
+    def _string_table(self) -> list:
+        """The ``strings`` section, parsed and checked (a list of ``str``)
+        on first use."""
+        if self._strings is None:
+            table = self._snapshot.json("strings")
+            if not (isinstance(table, list) and set(map(type, table)) <= {str}):
+                raise SnapshotError(
+                    "snapshot strings section is inconsistent",
+                    path=str(self._snapshot.path), section="strings",
+                )
+            self._strings = table
+        return self._strings
+
+    def _decode_strings(self, name: str, count: int, columns: list, coded) -> bool:
+        """Fill the columns ``coded`` lists — distinct positions whose
+        slot is ``null`` — with the strings their ``codes:<R>`` indexes
+        name in the ``strings`` table: ``uint32``, ``count`` per column,
+        in ``coded`` order.  ``False`` when a position is out of range or
+        not a ``null`` slot, the section's length disagrees, or an index
+        is past the table."""
+        if not (
+            isinstance(coded, list)
+            and set(map(type, coded)) <= {int}
+            and len(set(coded)) == len(coded)
+            and all(0 <= at < len(columns) and columns[at] is None for at in coded)
+        ):
+            return False
+        data = self._snapshot.read(f"codes:{name}")
+        if len(data) != array("I").itemsize * count * len(coded):
+            return False
+        codes = array("I", data)
+        table = self._string_table()
+        try:
+            for position, at in enumerate(coded):
+                column = codes[position * count : (position + 1) * count]
+                columns[at] = list(map(table.__getitem__, column))
+        except IndexError:
+            return False
+        return True
 
     def load_rows(self, name: str, count: int) -> dict:
         """One relation's store from its ``rows:<R>`` section — ``columns``,
-        one list of ``count`` values per attribute in schema order, key
-        columns of ``_KEY_TYPES`` only; ``labels`` null or ``count``
-        strings and nulls — checked against that structure and for
-        duplicate keys.  The relation's run resolves through the adopted
-        key column now, before a replayed delete clears a slot or a
-        re-pack renumbers rows; an ``interning:<R>`` section that is not
-        a permutation of the row numbers, one per node, is refused."""
+        one list of ``count`` values per attribute in schema order (null
+        at the ``strings`` positions, whose values are coded in
+        ``codes:<R>``, :meth:`_decode_strings`), key columns of
+        ``_KEY_TYPES`` only; ``labels`` null or ``count`` strings and
+        nulls — checked against that structure and for duplicate keys.
+        The relation's run resolves through the adopted key column now,
+        before a replayed delete clears a slot or a re-pack renumbers
+        rows; an ``interning:<R>`` section that is not a permutation of
+        the row numbers, one per node, is refused."""
         snapshot, database = self._snapshot, self._database
         section = f"rows:{name}"
         document = snapshot.json(section)
         relation = database.schema.relation(name)
-        columns = labels = None
+        columns = labels = coded = None
         if isinstance(document, dict):
             columns, labels = document.get("columns"), document.get("labels")
+            coded = document.get("strings")
         key_at = [relation.attribute_names.index(c) for c in relation.primary_key]
         if not (
             isinstance(columns, list)
             and len(columns) == len(relation.attributes)
+            and self._decode_strings(name, count, columns, coded)
             and all(isinstance(column, list) and len(column) == count for column in columns)
             and all(set(map(type, columns[at])) <= _KEY_TYPES for at in key_at)
             and (labels is None or isinstance(labels, list) and len(labels) == count
@@ -243,6 +300,8 @@ class _Interning:
                 )
             keys = database._columns[name].keys
             self._keys[self._at[name]] = list(map(keys.__getitem__, rows))
+        if database._unloaded.keys() <= {name}:
+            self._strings = None  # the last relation: every string is held
         return store
 
     def _run_keys(self, at: int) -> list[tuple]:
@@ -440,6 +499,36 @@ def _encode_postings(postings: _LazyPostings, frozen) -> tuple[bytes, list]:
     return blob, [len(tokens), len(nodes), len(directory)]
 
 
+def _encode_rows(database, relations: list) -> tuple[bytes, list]:
+    """The ``strings`` section and each relation's ``rows:<R>`` and
+    ``codes:<R>`` sections, of ``(relation name, columns in schema
+    order)`` pairs.  A column whose values are all strings is written as
+    ``uint32`` indexes into the table, which lists every distinct such
+    value once, in first-use order; binary, because JSON parses an int
+    slower than the short string it stands for."""
+    coded = [
+        [at for at, column in enumerate(columns) if {str}.issuperset(map(type, column))]
+        for __, columns in relations
+    ]
+    table = dict.fromkeys(chain.from_iterable(
+        columns[at] for (__, columns), positions in zip(relations, coded)
+        for at in positions
+    ))
+    index = dict(zip(table, range(len(table))))
+    rows = []
+    for (name, columns), positions in zip(relations, coded):
+        rows.append((f"rows:{name}", _json_bytes({
+            "columns": [None if at in positions else column for at, column in enumerate(columns)],
+            "strings": positions,
+            "labels": database.labels(name),
+        })))
+        codes = array("I")
+        for at in positions:
+            codes.extend(map(index.__getitem__, columns[at]))
+        rows.append((f"codes:{name}", codes.tobytes()))
+    return _json_bytes(list(table)), rows
+
+
 def write_snapshot(engine, path: Union[str, Path]) -> dict:
     """Write one engine's full state to ``path``; returns the meta dict.
 
@@ -476,18 +565,14 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
             runs.setdefault(tid.relation, []).append(tid.key)
     # Rows in store order, read without building one; each run becomes
     # its nodes' row numbers.
-    rows = []
+    stored = []
     for relation in schema.relations:
         keys, __, columns = database.rows(relation.name)
         if relation.name in runs:
             row_of = dict(zip(keys, range(len(keys))))
             runs[relation.name] = array("i", map(row_of.__getitem__, runs[relation.name]))
-        rows.append((f"rows:{relation.name}", _json_bytes({
-            "columns": [columns[name] for name in relation.attribute_names],
-            "labels": database.labels(relation.name),
-        })))
-
-    fk_id = {fk.name: at for at, fk in enumerate(foreign_keys)}
+        stored.append((relation.name, [columns[name] for name in relation.attribute_names]))
+    strings, rows = _encode_rows(database, stored)
     posting_blob, posting_counts = _encode_postings(postings, frozen)
 
     meta = {
@@ -509,9 +594,10 @@ def write_snapshot(engine, path: Union[str, Path]) -> dict:
         *((f"interning:{relation}", nodes.tobytes()) for relation, nodes in runs.items()),
         ("csr_offsets", frozen._offsets.tobytes()),
         ("csr_targets", frozen._targets.tobytes()),
-        ("edge_keys", bytes(map(fk_id.__getitem__, frozen._edge_keys))),
+        ("edge_keys", bytes(frozen._edge_keys)),
         ("edge_ref", bytes(frozen._edge_refs)),
         ("postings", posting_blob),
+        ("strings", strings),
         *rows,
     ]
     meta["generation"] = _publish(path, SNAPSHOT_FORMAT, sections)
@@ -831,13 +917,13 @@ def _load_engine(path: Union[str, Path], **engine_options):
     columns = _MappedPostings(snapshot, tid_of, attributes)
     offsets = snapshot.int_array("csr_offsets")
     targets = snapshot.int_array("csr_targets")
-    edge_ids = snapshot.read("edge_keys")
+    edge_keys = snapshot.int_array("edge_keys", typecode="B")
     edge_ref = snapshot.section("edge_ref")
     if (
         len(tid_of) != meta.get("base_nodes", meta.get("nodes"))
         or len(offsets) != len(tid_of) + 1
         or len(targets) != meta.get("base_entries", meta.get("entries"))
-        or not len(edge_ref) == len(edge_ids) == len(targets)
+        or not len(edge_ref) == len(edge_keys) == len(targets)
         or edge_ref.tobytes().translate(None, b"\x00\x01")
     ):
         raise SnapshotError(
@@ -847,11 +933,10 @@ def _load_engine(path: Union[str, Path], **engine_options):
             offsets=len(offsets),
             entries=len(targets),
         )
-    if edge_ids.translate(None, bytes(range(len(fks)))):
+    if edge_keys.tobytes().translate(None, bytes(range(len(fks)))):
         raise SnapshotError(
             "snapshot edges carry an unknown foreign-key id", path=str(path)
         )
-    edge_keys = list(map([fk.name for fk in fks].__getitem__, edge_ids))
     cache = TraversalCache(data_graph)
     cache._frozen = FrozenGraph.from_parts(
         data_graph, tid_of, offsets, targets, edge_keys, edge_ref,

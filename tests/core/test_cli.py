@@ -439,9 +439,14 @@ class TestSnapshotCommand:
         damaged = []
         for name, blob in sections:
             if name == "rows:EMPLOYEE":
+                # The last column one value short: a plain column loses
+                # its last value, a string-coded one its last code.
                 document = json.loads(blob)
-                document["columns"][-1].pop()
-                blob = snapshot_module._json_bytes(document)
+                if document["columns"][-1] is not None:
+                    document["columns"][-1].pop()
+                    blob = snapshot_module._json_bytes(document)
+            elif name == "codes:EMPLOYEE" and blob:
+                blob = blob[:-4]
             damaged.append((name, blob))
         snapshot_module._publish(path, SNAPSHOT_FORMAT, damaged)
         result = subprocess.run(

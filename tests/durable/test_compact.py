@@ -26,7 +26,7 @@ from repro.live.changes import Insert, Update, apply_to_database
 from repro.scale import snapshot as snapshot_module
 from repro.scale.snapshot import SNAPSHOT_FORMAT, Snapshot
 
-DELTA_FORMAT = 7  # of a file that ends in a delta of mutation records
+DELTA_FORMAT = 9  # of a file that ends in a delta of mutation records
 
 CONFIG = SyntheticConfig(
     departments=2,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.er.cardinality import Cardinality
+from repro.er.model import RelationshipType
 from repro.er.paths import ERPath, ERStep, enumerate_paths
 from repro.errors import PathError
 
@@ -35,6 +36,14 @@ class TestERStep:
     def test_rejects_loop_on_non_reflexive(self, er_schema):
         with pytest.raises(PathError):
             ERStep(rel(er_schema, "WORKS_FOR"), "EMPLOYEE", "EMPLOYEE")
+
+    def test_reflexive_step_to_another_entity_fails_the_endpoint_check(self):
+        # A reflexive relationship has one end, so a step off it to any
+        # other entity is refused as a foreign endpoint.
+        supervises = RelationshipType("SUPERVISES", "A", "A", Cardinality.parse("1:N"))
+        assert ERStep(supervises, "A", "A").target == "A"
+        with pytest.raises(PathError, match="step endpoints do not match relationship"):
+            ERStep(supervises, "A", "B")
 
     def test_str(self, er_schema):
         step = ERStep.forward(rel(er_schema, "WORKS_ON"))

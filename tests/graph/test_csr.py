@@ -11,6 +11,7 @@ freshly compiled one.
 import itertools
 import os
 import sys
+from array import array
 from functools import partial
 
 import pytest
@@ -24,6 +25,7 @@ from repro.graph.csr import (
     FrozenGraph,
     QueryRows,
     _held_bytes,
+    _packed,
     csr_enumerate_joining_trees,
     csr_enumerate_simple_paths,
 )
@@ -43,6 +45,15 @@ from repro.relational.index import _Derived
 
 def tid(relation, *key):
     return TupleId(relation, tuple(key))
+
+
+def held_levels(packed):
+    """A held row's BFS levels, the nodes at each depth, read off its
+    packed array: the level ends (positions in the array), then the
+    nodes."""
+    header = packed[0] - 1
+    bounds = [header, *packed[:header]]
+    return [list(packed[start:end]) for start, end in zip(bounds, bounds[1:])]
 
 
 @pytest.fixture(scope="module")
@@ -196,8 +207,43 @@ class TestFrozenStructure:
         row = frozen.distances(head, radius=5)
         assert len(row) == frozen.capacity
         assert sorted(depth for depth in row if depth != 0xFF) == [0, 1, 2, 3]
-        assert sum(map(len, frozen._distances[head][0])) == 4
+        assert sum(map(len, held_levels(frozen._distances[head][0]))) == 4
         assert frozen.memory_footprint()["distances"] < 1024
+
+    def test_a_held_row_is_two_bytes_a_node_while_ints_fit(self, synthetic_graph):
+        # The packed row is its levels, in order, then nothing else; while
+        # node ints fit in 16 bits it costs two bytes per node it reaches
+        # and per level, plus one array header.
+        frozen = FrozenGraph(synthetic_graph)
+        header = sys.getsizeof(array("H"))
+        for radius in (1, 2, 4):
+            for node in range(frozen.capacity):
+                row, packed = frozen._bfs_row_scalar(node, radius)
+                reached = [at for at in range(frozen.capacity) if row[at] != 0xFF]
+                assert packed.typecode == "H"
+                levels = held_levels(packed)
+                assert levels[0] == [node]
+                assert sorted(itertools.chain.from_iterable(levels)) == reached
+                assert all(row[at] == depth
+                           for depth, level in enumerate(levels) for at in level)
+                assert _held_bytes(packed) <= 2 * len(reached) + 2 * (radius + 1) + header
+                assert frozen._dense_row(packed, radius) == row
+
+    @pytest.mark.parametrize("capacity, levels, typecode", [
+        (10, [[3], [0, 9], [1, 2, 5]], "H"),
+        (0x10000, [[0xFFFF], [0], [7]], "H"),
+        # node ints past 16 bits
+        (0x10001, [[0x10000], [0], [7]], "i"),
+        # node ints fit, but the level ends past the header would not
+        (0x10000, [[0]] + [[node] for node in range(1, 0xFFFF)], "i"),
+    ])
+    def test_the_packer_widens_past_16_bits(self, capacity, levels, typecode):
+        ends = list(itertools.accumulate(map(len, levels)))
+        nodes = list(itertools.chain.from_iterable(levels))
+        packed = _packed(ends, nodes, capacity)
+        assert packed.typecode == typecode
+        assert held_levels(packed) == levels
+        assert _held_bytes(packed) == sys.getsizeof(packed)
 
 
 class TestPathParity:
@@ -835,7 +881,7 @@ class TestBoundedRowsUnderPatching:
         assert before and min(len(path) for path in before) == 5
         levels, radius, *__ = frozen._distances[frozen.node_of(target)]
         assert radius == 4
-        assert all(frozen.node_of(source) not in level for level in levels)
+        assert all(frozen.node_of(source) not in level for level in held_levels(levels))
         changeset = apply_to_database(
             company_db,
             [Insert("DEPENDENT", {"ID": "z7", "ESSN": "e2",

@@ -672,7 +672,7 @@ def _rows(frozen):
         entries = rows[frozen.tid_of(node)] = []
         for other, key, ref in zip(*frozen._row_lists(node)):
             data = frozen._payload(node, other, key, ref)
-            entries.append((frozen.tid_of(other), key, data["referencing"],
+            entries.append((frozen.tid_of(other), frozen._key_name(key), data["referencing"],
                             data["foreign_key"].name))
     return rows
 
@@ -778,7 +778,7 @@ def _columns(frozen):
     """A compiled graph's interning table and CSR columns."""
     return (
         list(frozen._tid_of), frozen._offsets, frozen._targets,
-        list(frozen._edge_keys), frozen._edge_refs,
+        list(map(frozen._key_name, frozen._edge_keys)), frozen._edge_refs,
     )
 
 
@@ -1314,7 +1314,8 @@ class TestPayloadsEqualTheMultigraph:
             tid = frozen.tid_of(node)
             entries = list(zip(*frozen._row_lists(node)))
             derived = {
-                (frozen.tid_of(other), key): frozen._payload(node, other, key, ref)
+                (frozen.tid_of(other), frozen._key_name(key)):
+                frozen._payload(node, other, key, ref)
                 for other, key, ref in entries
             }
             expected = {
@@ -1413,7 +1414,7 @@ class TestPayloadsEqualTheMultigraph:
         return [
             frozen._payload(node, other, key, ref)["referencing"]
             for other, key, ref in zip(*frozen._row_lists(node))
-            if other == frozen.node_of(person("p01")) and key == "fk_boss"
+            if other == frozen.node_of(person("p01")) and frozen._key_name(key) == "fk_boss"
         ]
 
     def _patched(self, database, batch, tmp_path=None):

@@ -1,6 +1,7 @@
 """Snapshot round-trip, integrity and laziness tests."""
 
 import json
+import operator
 import random
 import struct
 from array import array
@@ -26,7 +27,7 @@ from repro.scale import snapshot as snapshot_module
 from repro.scale.snapshot import SNAPSHOT_FORMAT, Snapshot
 from stored_rows import bib_corpus, built_rows, contents
 
-DELTA_FORMAT = 7  # of a file that ends in a delta of mutation records
+DELTA_FORMAT = 9  # of a file that ends in a delta of mutation records
 
 CONFIG = SyntheticConfig(
     departments=2,
@@ -58,6 +59,21 @@ def answer_rows(results):
         for result in results
         for tid in result.answer.tuple_ids()
     }
+
+
+def stored_columns(read, name):
+    """Relation ``name``'s stored columns: ``rows:<name>``'s, with its
+    string-coded ones (null at the ``strings`` positions) read from
+    ``codes:<name>`` through the file's ``strings`` table.
+    ``read(section)`` gives a section's bytes."""
+    document = json.loads(read(f"rows:{name}"))
+    strings = json.loads(read("strings"))
+    codes = array("I", read(f"codes:{name}"))
+    columns, coded = list(document["columns"]), document["strings"]
+    count = len(codes) // len(coded) if coded else 0
+    for position, at in enumerate(coded):
+        columns[at] = [strings[code] for code in codes[position * count : (position + 1) * count]]
+    return columns
 
 
 def publish_with_meta(path, out, **keys):
@@ -309,7 +325,7 @@ class TestRoundTrip:
         with Snapshot(path) as snapshot:
             for name, count in snapshot.meta["interning"]:
                 relation = database.schema.relation(name)
-                columns = snapshot.json(f"rows:{name}")["columns"]
+                columns = stored_columns(snapshot.read, name)
                 keys = list(zip(*[columns[relation.attribute_names.index(c)]
                                   for c in relation.primary_key]))
                 rows = array("i", snapshot.read(f"interning:{name}"))
@@ -322,6 +338,34 @@ class TestRoundTrip:
             frozen = restored.traversal_cache.frozen()
             assert [frozen.tid_of(node) for node in range(len(nodes))] == nodes
             assert built_rows(restored.database) == set()
+
+    @pytest.mark.parametrize("dataset", ("planted", "bib"))
+    def test_a_foreign_key_string_is_the_key_it_references(self, tmp_path, dataset):
+        """String columns decode through the one ``strings`` table, so a
+        restored link table's foreign-key values are the very objects of
+        the keys they reference, and equal strings are one object."""
+        database = planted_database() if dataset == "planted" else bib_corpus().database()
+        path = tmp_path / "engine.snap"
+        KeywordSearchEngine(database).save(path)
+        with KeywordSearchEngine.open(path) as restored:
+            stored = restored.database
+            shared = 0
+            for fk in stored.schema.foreign_keys:
+                referenced = {key: key for key in stored.rows(fk.target)[0]}
+                columns = stored.rows(fk.source)[2]
+                for values in zip(*[columns[name] for name in fk.source_columns]):
+                    key = referenced.get(values)
+                    if key is not None:
+                        assert all(map(operator.is_, values, key)), (fk.name, values)
+                        shared += 1
+            assert shared >= len(stored.rows("WORKS_FOR" if dataset == "planted" else "WRITES")[0])
+            strings = {}
+            for relation in stored.schema.relations:
+                for column in stored.rows(relation.name)[2].values():
+                    for value in column:
+                        if type(value) is str:
+                            assert strings.setdefault(value, value) is value
+            assert built_rows(stored) == set()
 
     def test_retired_shard_sections_are_ignored(self, saved, tmp_path):
         """Older snapshots carry a ``shard_count`` meta key and a
@@ -940,7 +984,7 @@ class TestIntegrity:
         for name, blob in sections:
             if name.startswith("interning:"):
                 relation = schema.relation(name.partition(":")[2])
-                columns = json.loads(blobs[f"rows:{relation.name}"])["columns"]
+                columns = stored_columns(blobs.__getitem__, relation.name)
                 keys = list(zip(*[columns[relation.attribute_names.index(c)]
                                   for c in relation.primary_key]))
                 blob = snapshot_module._json_bytes(
@@ -954,6 +998,36 @@ class TestIntegrity:
         with KeywordSearchEngine.open(old) as restored:
             with pytest.raises(SnapshotError, match="interning:EMPLOYEE"):
                 restored.database.tuples("EMPLOYEE")
+
+    @pytest.mark.parametrize("old_format", (5, 7))
+    def test_formats_before_the_string_table_refused(self, saved, tmp_path, old_format):
+        """Formats 5 and 7 (7: with a ``delta``) stored each relation's
+        strings in its own ``rows:<R>`` and edge keys decoded at open:
+        refused under their numbers, and a file of that layout — no
+        ``strings`` section — is refused under the current one too."""
+        __, path, ___ = saved
+        with Snapshot(path) as snapshot:
+            sections = []
+            for name in snapshot.sections():
+                blob = bytes(snapshot.section(name))
+                if name.startswith("rows:"):
+                    relation = name.partition(":")[2]
+                    blob = snapshot_module._json_bytes({
+                        "columns": stored_columns(snapshot.read, relation),
+                        "labels": json.loads(blob)["labels"],
+                    })
+                if name != "strings" and not name.startswith("codes:"):
+                    sections.append((name, blob))
+        if old_format == 7:
+            sections.append(("delta", b""))
+        old = tmp_path / "old.snap"
+        snapshot_module._publish(old, old_format, sections)
+        with pytest.raises(SnapshotError, match="format"):
+            KeywordSearchEngine.open(old)
+        current = DELTA_FORMAT if old_format == 7 else SNAPSHOT_FORMAT
+        snapshot_module._publish(old, current, sections)
+        with pytest.raises(SnapshotError, match="missing a required section"):
+            KeywordSearchEngine.open(old)
 
     @pytest.mark.parametrize("table", ("attributes", "foreign keys"))
     def test_schema_too_wide_for_one_byte_ids_is_refused(self, tmp_path, table):
@@ -1243,6 +1317,21 @@ class TestMemoryFootprint:
         )
         assert frozen.nbytes() == footprint["total"]
 
+    def test_an_edge_costs_two_bytes_cold_or_restored(self, tmp_path):
+        """The edge-key column is one foreign-key id byte per entry, the
+        snapshot's ``edge_keys`` section byte for byte: a restored graph
+        holds that section as it is mapped."""
+        engine = KeywordSearchEngine(planted_database())
+        path = tmp_path / "engine.snap"
+        engine.save(path)
+        cold = engine.traversal_cache.frozen()
+        with KeywordSearchEngine.open(path) as restored, Snapshot(path) as snapshot:
+            frozen = restored.traversal_cache.frozen()
+            assert isinstance(frozen._edge_keys, memoryview)
+            assert bytes(cold._edge_keys) == bytes(frozen._edge_keys) == snapshot.read("edge_keys")
+            for graph in (cold, frozen):
+                assert graph.memory_footprint()["payload"] == 2 * len(graph._targets)
+
 
 class TestStructuralDamage:
     """The binary ``postings`` and ``edge_keys`` sections are checked
@@ -1430,6 +1519,69 @@ class TestStructuralDamage:
             assert restored.database.tuples("PROJECT")
 
     @pytest.mark.parametrize("damage", (
+        "past the table", "top bit", "codes short", "codes long", "repeated position",
+        "position past the columns", "position not an int", "slot not null",
+    ))
+    def test_string_index_out_of_range_is_refused(self, saved, tmp_path, damage):
+        """A string-coded column's ``codes:<R>`` indexes name entries of
+        the ``strings`` table, ``count`` per column, and its ``strings``
+        positions name distinct null slots of ``rows:<R>``; anything else
+        is refused on the relation's first touch, as a damaged rows
+        section."""
+        __, path, ___ = saved
+        meta, sections = self._sections(path)
+        blobs = dict(sections)
+        document = json.loads(blobs["rows:WORKS_FOR"])
+        codes = array("I", blobs["codes:WORKS_FOR"])
+        columns, coded = document["columns"], document["strings"]
+        assert coded and codes
+        table = json.loads(blobs["strings"])
+        if damage == "past the table":
+            codes[1] = len(table)
+        elif damage == "top bit":
+            codes[1] |= 1 << 31
+        elif damage == "codes short":
+            codes.pop()
+        elif damage == "codes long":
+            codes.append(0)
+        elif damage == "repeated position":
+            coded.append(coded[0])
+        elif damage == "position past the columns":
+            coded.append(len(columns))
+        elif damage == "position not an int":
+            coded.append("0")
+        else:
+            columns[coded[0]] = []
+        blobs["rows:WORKS_FOR"] = snapshot_module._json_bytes(document)
+        blobs["codes:WORKS_FOR"] = codes.tobytes()
+        damaged = tmp_path / "damaged.snap"
+        snapshot_module._publish(damaged, SNAPSHOT_FORMAT, list(blobs.items()))
+        with KeywordSearchEngine.open(damaged) as restored:
+            for __ in range(2):
+                with pytest.raises(SnapshotError, match="rows:WORKS_FOR"):
+                    restored.database.tuples("WORKS_FOR")
+            assert restored.database.tuples("PROJECT")
+
+    @pytest.mark.parametrize("damage", ("int entry", "null entry", "not a list"))
+    def test_non_string_table_entry_is_refused(self, saved, tmp_path, damage):
+        __, path, ___ = saved
+        meta, sections = self._sections(path)
+        table = json.loads(dict(sections)["strings"])
+        if damage == "not a list":
+            table = {"0": table[0]}
+        else:
+            table[-1] = 7 if damage == "int entry" else None
+        damaged = tmp_path / "damaged.snap"
+        snapshot_module._publish(damaged, SNAPSHOT_FORMAT, [
+            (section, snapshot_module._json_bytes(table) if section == "strings" else blob)
+            for section, blob in sections
+        ])
+        with KeywordSearchEngine.open(damaged) as restored:
+            for __ in range(2):
+                with pytest.raises(SnapshotError, match="strings"):
+                    restored.database.tuples("PROJECT")
+
+    @pytest.mark.parametrize("damage", (
         "truncated", "column count", "column lengths", "key type",
         "duplicate key", "label count",
     ))
@@ -1443,10 +1595,26 @@ class TestStructuralDamage:
         __, path, ___ = saved
         meta, sections = self._sections(path)
         name = "rows:WORKS_FOR"  # key (ESSN, P_ID), labels stored
-        blob = dict(sections)[name]
-        document = json.loads(blob)
-        columns, labels = document["columns"], document["labels"]
+        # Every column as plain JSON values, none string-coded (a layout
+        # the loader reads too), so each damage lands on the values.
+        columns = stored_columns(dict(sections).__getitem__, "WORKS_FOR")
+        labels = json.loads(dict(sections)[name])["labels"]
+        document = {"columns": columns, "strings": [], "labels": labels}
+        blob = snapshot_module._json_bytes(document)
         assert labels is not None
+        damaged = tmp_path / "damaged.snap"
+
+        def publish(rows):
+            replaced = {name: rows, "codes:WORKS_FOR": b""}
+            snapshot_module._publish(damaged, SNAPSHOT_FORMAT, [
+                (section, replaced.get(section, original)) for section, original in sections
+            ])
+
+        publish(blob)
+        with KeywordSearchEngine.open(damaged) as restored:
+            assert restored.database.rows("WORKS_FOR")[2] == dict(
+                zip(restored.database.schema.relation("WORKS_FOR").attribute_names, columns)
+            )
         if damage == "truncated":
             blob = blob[: len(blob) // 2]
         else:
@@ -1461,11 +1629,7 @@ class TestStructuralDamage:
             else:
                 labels.append("w_extra")
             blob = snapshot_module._json_bytes(document)
-        damaged = tmp_path / "damaged.snap"
-        snapshot_module._publish(damaged, SNAPSHOT_FORMAT, [
-            (section, blob if section == name else original)
-            for section, original in sections
-        ])
+        publish(blob)
         restored = KeywordSearchEngine.open(damaged)
         assert restored.database.count("WORKS_FOR") == dict(meta["interning"])["WORKS_FOR"]
         for __ in range(2):
