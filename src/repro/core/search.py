@@ -37,7 +37,6 @@ __all__ = [
     "SingleTupleAnswer",
     "JoiningNetwork",
     "find_connections",
-    "find_joining_networks",
 ]
 
 
@@ -283,7 +282,7 @@ def find_connections(
     rows across calls.
 
     Raises :class:`~repro.errors.QueryError` unless exactly two keyword
-    matches are supplied — use :func:`find_joining_networks` otherwise.
+    matches are supplied.
     """
     if len(matches) != 2:
         raise QueryError(
@@ -297,38 +296,4 @@ def find_connections(
         cache = TraversalCache(data_graph)
     yield from Executor(cache)._iter_pair(
         matches, PairPaths(0, 1, include_single_tuples), limits
-    )
-
-
-def find_joining_networks(
-    data_graph: DataGraph,
-    matches: Sequence[KeywordMatch],
-    limits: SearchLimits = SearchLimits(),
-    *,
-    cache: Optional[TraversalCache] = None,
-) -> Iterator[JoiningNetwork]:
-    """Enumerate joining networks for a query with any number of keywords.
-
-    For every assignment of one match tuple per keyword, connected tuple
-    sets containing the assigned tuples are enumerated (smaller first) and
-    wrapped as :class:`JoiningNetwork`.  Distinct assignments may produce
-    the same tuple set with different keyword bindings; both are yielded —
-    deduplication by tuple set is the caller's choice.
-
-    Runs the executor's network source; ``cache`` behaves as in
-    :func:`find_connections`, and every keyword-tuple assignment shares
-    its distance rows through the call's one
-    :class:`~repro.graph.csr.QueryRows` view.
-    """
-    if not matches:
-        raise QueryError("no keywords to search")
-    if any(match.is_empty for match in matches):
-        return
-    from repro.core.executor import Executor
-    from repro.core.plan import NetworkGrowth
-
-    if cache is None:
-        cache = TraversalCache(data_graph)
-    yield from Executor(cache)._iter_networks(
-        matches, NetworkGrowth(tuple(range(len(matches)))), limits
     )

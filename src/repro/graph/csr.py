@@ -125,9 +125,15 @@ def _packed(ends: list[int], nodes: list[int], capacity: int) -> array:
     return array(typecode, [end + shift for end in ends] + nodes)
 
 
+#: What a cached row's entry costs beside its array: the
+#: ``(packed, radius, stamp, length)`` tuple.
+_ROW_ENTRY_BYTES = sys.getsizeof((None,) * 4)
+
+
 def _held_bytes(packed: array) -> int:
-    """Bytes a cached row holds: its packed array (:func:`_packed`)."""
-    return sys.getsizeof(packed)
+    """Bytes a cached row holds: its packed array (:func:`_packed`) and
+    its entry tuple."""
+    return sys.getsizeof(packed) + _ROW_ENTRY_BYTES
 
 
 def _index_nodes(tids) -> dict[str, dict[tuple, int]]:
@@ -171,8 +177,8 @@ class FrozenGraph:
     #: Most bytes of distance rows kept at once (LRU-evicted above it);
     #: a row holds the ball it swept as one packed array (:func:`_packed`):
     #: two bytes per node it reaches and per depth while node ints fit
-    #: in 16 bits (four past that), plus one array header, whatever the
-    #: capacity.
+    #: in 16 bits (four past that), plus one array header and its entry
+    #: tuple, whatever the capacity.
     max_distance_bytes = 32 << 20
 
     def __init__(self, data_graph: DataGraph, counters=None) -> None:
@@ -470,7 +476,8 @@ class FrozenGraph:
         """Footprint estimate by section, in bytes.
 
         ``arrays`` covers the flat CSR buffers and liveness bits,
-        ``distances`` the bytes the cached rows' packed arrays hold, and
+        ``distances`` the bytes the cached rows' packed arrays and entry
+        tuples hold, and
         ``payload`` the per-entry edge columns: the key id and the
         referencing flag, a byte each.
         """

@@ -2,8 +2,8 @@
 
 ``legacy_search`` below is a verbatim port of the pre-pipeline
 ``KeywordSearchEngine.search`` / ``_search_or`` code (full enumeration
-through ``find_connections`` / ``find_joining_networks``, ranked with
-``rank_connections``, cut after sorting).  The pipeline must reproduce
+through ``find_connections`` and the executor's network source, ranked
+with ``rank_connections``, cut after sorting).  The pipeline must reproduce
 it bit for bit — answers, order, scores, ranks and budget errors — in
 full mode, and in pushdown mode whenever no budget error interferes.
 """
@@ -30,11 +30,11 @@ from repro.core.search import (
     SearchLimits,
     SingleTupleAnswer,
     find_connections,
-    find_joining_networks,
 )
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like, plant
 from repro.errors import QueryError, SearchLimitError
 from repro.oracle import search as oracle_search
+from network_source import joining_networks
 
 @dataclass(frozen=True)
 class WeightedShapeRanker:
@@ -93,7 +93,7 @@ def legacy_search(engine, query, ranker=None, limits=None, top_k=None,
         )
     else:
         answers = list(
-            find_joining_networks(
+            joining_networks(
                 engine.data_graph,
                 matches,
                 limits,
@@ -135,7 +135,7 @@ def _legacy_search_or(engine, matches, ranker, limits, top_k):
             )
     if len(populated) >= 3:
         answers.extend(
-            find_joining_networks(
+            joining_networks(
                 engine.data_graph,
                 populated,
                 limits,

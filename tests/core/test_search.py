@@ -5,15 +5,16 @@ import pytest
 from repro.baselines.discover import is_connected_set
 from repro.core.connections import Connection
 from repro.core.matching import match_keywords
+from repro.core.plan import plan_query
 from repro.core.search import (
     JoiningNetwork,
     SearchLimits,
     SingleTupleAnswer,
     find_connections,
-    find_joining_networks,
 )
 from repro.errors import QueryError
 from repro.graph.fast_traversal import TraversalCache
+from network_source import joining_networks
 
 
 @pytest.fixture
@@ -134,7 +135,7 @@ class TestFindJoiningNetworks:
         engine = KeywordSearchEngine(company_db)
         matches = match_keywords(engine.index, ("Smith", "Alice", "Cs"))
         networks = list(
-            find_joining_networks(
+            joining_networks(
                 engine.data_graph, matches, SearchLimits(max_tuples=5)
             )
         )
@@ -145,16 +146,18 @@ class TestFindJoiningNetworks:
 
     def test_empty_keyword_yields_nothing(self, data_graph, index):
         matches = match_keywords(index, ("Smith", "unicorn"))
-        assert list(find_joining_networks(data_graph, matches)) == []
+        assert list(joining_networks(data_graph, matches)) == []
 
-    def test_no_keywords_rejected(self, data_graph):
-        with pytest.raises(QueryError):
-            list(find_joining_networks(data_graph, []))
+    def test_no_keywords_rejected(self):
+        # The network source never sees an empty query: planning refuses
+        # it before any source runs.
+        with pytest.raises(QueryError, match="no keywords to plan"):
+            plan_query([])
 
     def test_networks_deduplicated(self, data_graph, index):
         matches = match_keywords(index, ("Smith", "XML"))
         networks = list(
-            find_joining_networks(data_graph, matches, SearchLimits(max_tuples=3))
+            joining_networks(data_graph, matches, SearchLimits(max_tuples=3))
         )
         keys = [
             (network.tuples, tuple(sorted(network.keyword_tuples.items())))

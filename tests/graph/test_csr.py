@@ -18,12 +18,13 @@ import pytest
 
 from repro.core.engine import KeywordSearchEngine
 from repro.core.matching import match_keywords
-from repro.core.search import SearchLimits, find_connections, find_joining_networks
+from repro.core.search import SearchLimits, find_connections
 from repro.datasets.synthetic import SyntheticConfig, generate_company_like, plant
 from repro.errors import SearchLimitError
 from repro.graph.csr import (
     FrozenGraph,
     QueryRows,
+    _ROW_ENTRY_BYTES,
     _held_bytes,
     _packed,
     csr_enumerate_joining_trees,
@@ -41,6 +42,7 @@ from repro.live.maintain import apply_changeset
 from repro.oracle import search as oracle_search
 from repro.relational.database import TupleId
 from repro.relational.index import _Derived
+from network_source import joining_networks
 
 
 def tid(relation, *key):
@@ -210,12 +212,24 @@ class TestFrozenStructure:
         assert sum(map(len, held_levels(frozen._distances[head][0]))) == 4
         assert frozen.memory_footprint()["distances"] < 1024
 
+    def test_a_held_row_counts_its_entry_tuple(self, synthetic_graph):
+        # The budget counts what a held row costs the cache: the packed
+        # array and the (packed, radius, stamp, length) entry beside it.
+        frozen = FrozenGraph(synthetic_graph)
+        for node in range(3):
+            frozen.distances(node, radius=2)
+        assert frozen.memory_footprint()["distances"] == sum(
+            sys.getsizeof(entry[0]) + sys.getsizeof(entry)
+            for entry in frozen._distances.values()
+        )
+
     def test_a_held_row_is_two_bytes_a_node_while_ints_fit(self, synthetic_graph):
         # The packed row is its levels, in order, then nothing else; while
         # node ints fit in 16 bits it costs two bytes per node it reaches
-        # and per level, plus one array header.
+        # and per level, plus one array header; the cache also counts the
+        # row's entry tuple.
         frozen = FrozenGraph(synthetic_graph)
-        header = sys.getsizeof(array("H"))
+        header = sys.getsizeof(array("H")) + _ROW_ENTRY_BYTES
         for radius in (1, 2, 4):
             for node in range(frozen.capacity):
                 row, packed = frozen._bfs_row_scalar(node, radius)
@@ -243,7 +257,7 @@ class TestFrozenStructure:
         packed = _packed(ends, nodes, capacity)
         assert packed.typecode == typecode
         assert held_levels(packed) == levels
-        assert _held_bytes(packed) == sys.getsizeof(packed)
+        assert _held_bytes(packed) == sys.getsizeof(packed) + _ROW_ENTRY_BYTES
 
 
 class TestPathParity:
@@ -402,7 +416,7 @@ class TestSearchLayerParity:
         matches = match_keywords(engine.index, ("kwalpha", "kwbeta", "kwgamma"))
         limits = SearchLimits(max_tuples=5)
         csr = list(
-            find_joining_networks(
+            joining_networks(
                 engine.data_graph, matches, limits,
                 cache=engine.traversal_cache,
             )

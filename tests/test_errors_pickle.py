@@ -5,13 +5,14 @@ The parallel serving layer ships errors across worker pipes, so every
 pickling with its message, args and structured context intact.  The
 hierarchy is enumerated via ``__subclasses__()`` after importing every
 ``repro`` module, so a subclass added anywhere in the tree is covered
-automatically (and a stateful one without ``__reduce__`` fails here as
-well as in the PKL01 lint rule).
+automatically, and a subclass that keeps state outside ``context``
+without a pickle hook of its own fails here.
 """
 
 import importlib
 import pickle
 import pkgutil
+import sys
 
 import pytest
 
@@ -46,18 +47,36 @@ def test_hierarchy_enumeration_found_the_known_errors():
     assert len(ERROR_CLASSES) >= 10
 
 
+def assert_survives_pickling(error):
+    """Every protocol restores ``error``'s type, message, args, context
+    and instance state."""
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        restored = pickle.loads(pickle.dumps(error, protocol))
+        assert type(restored) is type(error)
+        assert restored.args == error.args
+        assert str(restored) == str(error)
+        assert restored.context == error.context
+        assert restored.__dict__ == error.__dict__
+
+
+def has_pickle_hook_for_its_state(cls):
+    """A subclass may add state in ``__init__`` only alongside a pickle
+    hook of its own."""
+    defines_init = "__init__" in cls.__dict__
+    defines_hook = any(
+        hook in cls.__dict__
+        for hook in ("__reduce__", "__reduce_ex__", "__getstate__")
+    )
+    return not defines_init or defines_hook
+
+
 @pytest.mark.parametrize(
     "cls", ERROR_CLASSES, ids=lambda cls: cls.__qualname__
 )
 def test_roundtrip_preserves_message_args_and_context(cls):
     error = cls("boom", shard=3, hint="xml")
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
-        restored = pickle.loads(pickle.dumps(error, protocol))
-        assert type(restored) is cls
-        assert restored.args == error.args
-        assert str(restored) == str(error)
-        assert restored.context == {"shard": 3, "hint": "xml"}
-        assert restored.__dict__ == error.__dict__
+    assert error.context == {"shard": 3, "hint": "xml"}
+    assert_survives_pickling(error)
 
 
 @pytest.mark.parametrize(
@@ -86,15 +105,31 @@ def test_contextless_error_roundtrip():
     "cls", ERROR_CLASSES, ids=lambda cls: cls.__qualname__
 )
 def test_subclasses_stay_pickle_safe_by_construction(cls):
-    # Guard rail matching PKL01: a subclass may add state only alongside
-    # a pickle hook of its own.  Everything today inherits the base
-    # __init__/__reduce__ pair.
-    defines_init = "__init__" in cls.__dict__
-    defines_hook = any(
-        hook in cls.__dict__
-        for hook in ("__reduce__", "__reduce_ex__", "__getstate__")
-    )
-    assert not defines_init or defines_hook, (
+    # Everything today inherits the base __init__/__reduce__ pair.
+    assert has_pickle_hook_for_its_state(cls), (
         f"{cls.__qualname__} overrides __init__ without a pickle hook; "
-        "its state will be lost crossing worker pipes (see PKL01)"
+        "its state will be lost crossing worker pipes"
     )
+
+
+def test_stateful_subclass_without_a_pickle_hook_is_rejected(monkeypatch):
+    # The bug class worker pipes once hit: a subclass keeps a field of
+    # its own, the inherited __reduce__ rebuilds only message and
+    # context, and the field is gone on the far side of a worker pipe.
+    # Both checks above must refuse that shape.
+    class RegressionShardError(ReproError):
+        def __init__(self, message, shard):
+            super().__init__(message)
+            self.shard = shard
+
+    # Picklable by reference, as a module-level class would be.
+    RegressionShardError.__qualname__ = "RegressionShardError"
+    monkeypatch.setattr(
+        sys.modules[__name__], "RegressionShardError", RegressionShardError,
+        raising=False,
+    )
+    error = RegressionShardError("boom", shard=3)
+    assert "shard" not in pickle.loads(pickle.dumps(error)).__dict__
+    with pytest.raises(AssertionError):
+        assert_survives_pickling(error)
+    assert not has_pickle_hook_for_its_state(RegressionShardError)
